@@ -33,7 +33,7 @@ BATCH_SIZES = (1, 4, 16)
 HEADLINE = "dedup_agg"
 HEADLINE_BATCH = 4
 
-OPTS = QueryOptions(use_cache=False, mode="gmdj_vectorized")
+OPTS = QueryOptions(use_cache=False, backend="python")
 
 
 def _make_db() -> Database:

@@ -22,7 +22,7 @@ import pytest
 
 from conftest import WorkloadCache, write_report
 from repro.bench import build_fig2
-from repro.gmdj.modes import evaluate_plan_partitioned
+from repro.gmdj import evaluate_plan, select_fragmenter
 from repro.obs.invariants import check_trace
 from repro.obs.tracer import Tracer, tracing
 from repro.storage import collect
@@ -49,9 +49,10 @@ def _sequential(inner_size):
 
 def _parallel(inner_size, workers, executor="process"):
     workload, plan = _workloads.get(inner_size)
-    return evaluate_plan_partitioned(
-        plan, workload.catalog, PARTITIONS, workers=workers,
-        executor=executor,
+    return evaluate_plan(
+        plan, workload.catalog,
+        fragmenter=select_fragmenter(partitions=PARTITIONS, workers=workers,
+                                     executor=executor),
     )
 
 

@@ -35,9 +35,9 @@ BASE_ROWS = 200
 DETAIL_ROWS = 100_000
 HEADLINE = "theta_residual"
 
-COLD = QueryOptions(strategy="gmdj", mode="gmdj_vectorized",
+COLD = QueryOptions(strategy="gmdj", backend="python",
                     rollup="off", use_cache=False)
-WARM = QueryOptions(strategy="gmdj", mode="gmdj_vectorized",
+WARM = QueryOptions(strategy="gmdj", backend="python",
                     rollup="subsume", use_cache=False)
 
 AGGS = [[count_star("cnt"),

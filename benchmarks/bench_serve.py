@@ -42,7 +42,7 @@ SQL = ("SELECT K FROM B b WHERE EXISTS "
 
 ROLLUP_OPTIONS = {"strategy": "gmdj", "rollup": "subsume",
                   "use_cache": False}
-EXECUTE_OPTIONS = {"strategy": "gmdj", "mode": "gmdj_vectorized",
+EXECUTE_OPTIONS = {"strategy": "gmdj", "backend": "python",
                    "rollup": "off", "use_cache": False}
 
 BASE_ROWS = 50

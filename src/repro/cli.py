@@ -10,9 +10,9 @@ Usage::
 Parallel and memory-bounded GMDJ execution hang off the same flags:
 ``--workers N`` evaluates detail partitions on a worker pool
 (``--partitions`` controls the fragment count), ``--chunk-budget``
-switches to memory-bounded chunked evaluation, ``--chunk-size`` (or
-``--mode gmdj_vectorized``) runs the columnar batch kernel,
-``--backend numpy`` runs that kernel on whole-array numpy buffers, and
+switches to memory-bounded chunked evaluation, ``--backend`` picks the
+scan kernel (``row`` interpreter, ``python`` columnar batches, ``numpy``
+whole-array buffers; ``--chunk-size`` sizes the batches), and
 ``--no-cache`` bypasses the database's plan/result cache.
 
 Every ``*.csv`` file in ``--data`` (written by
@@ -90,19 +90,10 @@ from repro.errors import ReproError
 
 
 def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
-    """The strategy/mode/parallelism knobs shared by run and explain."""
+    """The strategy/kernel/fragmenter knobs shared by run and explain."""
     parser.add_argument(
         "--strategy", choices=STRATEGIES, default="auto",
         help="evaluation strategy (default: auto)",
-    )
-    parser.add_argument(
-        "--mode",
-        choices=["plain", "chunked", "partitioned", "gmdj_vectorized",
-                 "vectorized"],
-        default=None,
-        help="GMDJ execution regime (default: inferred from the other "
-             "knobs; e.g. --workers implies partitioned, --chunk-size "
-             "implies gmdj_vectorized; also via REPRO_MODE)",
     )
     parser.add_argument(
         "--partitions", type=int, default=None, metavar="N",
@@ -119,14 +110,15 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--chunk-size", type=int, default=None, metavar="ROWS",
-        help="detail rows per batch for vectorized evaluation "
-             "(implies --mode gmdj_vectorized)",
+        help="detail rows per batch for the batch kernels "
+             "(alone it selects --backend python)",
     )
     parser.add_argument(
-        "--backend", choices=("python", "numpy", "auto"), default=None,
-        help="array-kernel backend for vectorized evaluation (implies "
-             "--mode gmdj_vectorized; 'auto' picks numpy when installed; "
-             "also via REPRO_BACKEND)",
+        "--backend", choices=("row", "python", "numpy", "auto"),
+        default=None,
+        help="GMDJ scan kernel: the row interpreter (default), python "
+             "columnar batches, whole-array numpy, or 'auto' (numpy when "
+             "installed); also via REPRO_BACKEND",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -150,7 +142,6 @@ def query_options(args) -> QueryOptions:
     """Build the QueryOptions a parsed CLI invocation asks for."""
     return QueryOptions(
         strategy=args.strategy,
-        mode=args.mode,
         partitions=args.partitions,
         workers=args.workers,
         chunk_budget=args.chunk_budget,

@@ -9,7 +9,7 @@ Execution knobs are carried by one frozen
 surface (the PR-3 string-strategy shims are gone)::
 
     db.execute(query, QueryOptions(strategy="gmdj_optimized",
-                                   mode="partitioned", workers=4))
+                                   backend="auto", workers=4))
 
 The canonical execution entry point is the **batch API**:
 ``execute_batch(queries, options)`` evaluates a list of queries with

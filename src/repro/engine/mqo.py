@@ -10,7 +10,8 @@ queries it:
    (:func:`plan_batch`);
 3. at level ``"coalesce"``, fuses each group into one multi-consumer
    GMDJ (:func:`repro.gmdj.share.merge_group`), executes it with a
-   **single detail scan** under the options' execution mode, then splits
+   **single detail scan** on the options' kernel and fragmenter
+   (:func:`repro.gmdj.physical.evaluate_node`), then splits
    the shared result back per consumer and evaluates each residual plan;
 4. statically certifies every shared plan
    (:func:`repro.lint.cost.certify_plan` — exactly one detail scan per
@@ -44,11 +45,12 @@ from repro.algebra.operators import Operator
 from repro.engine.options import QueryOptions
 from repro.engine.planner import (
     _TRANSLATION_FLAGS,
-    _rollup_node_runners,
     _translator,
     contains_nested_select,
 )
 from repro.errors import ConfigurationError
+from repro.gmdj.operator import GMDJ
+from repro.gmdj.physical import evaluate_node, select_fragmenter, select_kernel
 from repro.gmdj.share import (
     ShareCandidate,
     SharedGMDJPlan,
@@ -113,7 +115,6 @@ def _share_strategy(query: Operator, options: QueryOptions) -> str | None:
 
 def _plan_decomposable(plan: Operator) -> bool:
     """True when every GMDJ aggregate in the plan is decomposable."""
-    from repro.gmdj.operator import GMDJ
     from repro.lint.absint import decomposable_aggregates
 
     def visit(node: Operator) -> bool:
@@ -364,22 +365,8 @@ def _merge_io(target: dict, delta: dict, scale: float = 1.0) -> None:
         target[key] = target.get(key, 0) + value * scale
 
 
-def _scan_countable(canon: QueryOptions) -> bool:
-    """Whether runtime ``detail_scan`` spans are count-comparable to the
-    static certificate (plain mode and pure vectorized mode are; chunked
-    and partitioned execution multiply the per-GMDJ scan spans)."""
-    if canon.mode is None:
-        return True
-    return (
-        canon.mode == "gmdj_vectorized"
-        and canon.chunk_budget is None
-        and canon.partitions is None
-        and canon.workers is None
-    )
-
-
 def _run_traced_group(
-    runner: Callable[[Operator], Relation], group: PlannedGroup
+    runner: Callable[[GMDJ], Relation], group: PlannedGroup
 ) -> tuple[Relation, int]:
     """Run one shared GMDJ under a tracer; returns (result, scan count).
 
@@ -426,6 +413,10 @@ def execute_batch(
         )
     options = options or QueryOptions()
     canon = options.canonical()
+    kernel = select_kernel(canon.backend, canon.chunk_size)
+    fragmenter = select_fragmenter(
+        canon.chunk_budget, canon.partitions, canon.workers
+    )
     queries = list(queries)
     started = time.perf_counter()
     plan = plan_batch(queries, db.catalog, options, cache=db.cache)
@@ -479,16 +470,21 @@ def execute_batch(
             continue
         certificate = certify_plan(group.shared.gmdj)
         shared_certificates.append(certificate)
-        node_runner, _ = _rollup_node_runners(db.catalog, canon)
         consumers = len(group.indices)
         before = ambient.snapshot()
         t0 = time.perf_counter()
-        shared_result, runtime_scans = _run_traced_group(node_runner, group)
+        shared_result, runtime_scans = _run_traced_group(
+            lambda gmdj: evaluate_node(gmdj, db.catalog, kernel, fragmenter),
+            group,
+        )
         shared_elapsed = time.perf_counter() - t0
         shared_delta = _delta(before, ambient.snapshot())
         _merge_io(totals, shared_delta)
+        # Runtime detail_scan spans are count-comparable to the static
+        # certificate only without a fragmenter (base chunks and detail
+        # partitions multiply the per-GMDJ scan spans).
         certified = None
-        if _scan_countable(canon):
+        if fragmenter is None:
             certified = (
                 runtime_scans
                 == certificate.scan_counts.get(group.shared.detail_table, 0)

@@ -6,24 +6,21 @@ frozen dataclass, :class:`QueryOptions`:
 
 * ``strategy``      — which evaluation strategy runs (see
   :data:`STRATEGIES`; the planner's docstring describes each).
-* ``mode``          — the GMDJ execution regime: ``None``/"plain" for
-  single-scan evaluation, ``"chunked"`` for memory-bounded base
-  chunking (§2.3), ``"partitioned"`` for detail-partitioned evaluation
-  with columnwise merge, ``"gmdj_vectorized"`` (alias
-  ``"vectorized"``) for columnar batch execution
-  (:mod:`repro.gmdj.vectorized`).
-* ``backend``       — the array-kernel backend for vectorized scans:
-  ``"python"`` forces the dependency-free batch kernel, ``"numpy"``
-  requires the whole-array numpy kernel
-  (:mod:`repro.gmdj.npkernel`), ``"auto"`` picks numpy when
-  importable.  Setting it implies ``mode="gmdj_vectorized"``; ``None``
-  defers to the ``REPRO_BACKEND`` environment hook at kernel dispatch.
-* ``partitions``    — fragment count for partitioned mode.
-* ``workers``       — worker-pool size for partitioned mode (1 =
-  sequential fragments; defaults to ``REPRO_WORKERS``).
-* ``chunk_budget``  — base-tuple memory budget for chunked mode.
-* ``chunk_size``    — detail rows per batch for the vectorized mode
-  (setting it implies ``mode="gmdj_vectorized"``).
+* ``backend``       — the *kernel* every GMDJ detail scan runs on:
+  ``"row"`` is the tuple-at-a-time interpreter
+  (:mod:`repro.gmdj.evaluate`), ``"python"`` the dependency-free
+  columnar batch kernel (:mod:`repro.gmdj.vectorized`), ``"numpy"``
+  the whole-array kernel (:mod:`repro.gmdj.npkernel`), ``"auto"``
+  numpy when importable, else python.  ``None`` defers to the
+  ``REPRO_BACKEND`` environment hook and then to ``"row"``.
+* ``chunk_size``    — detail rows per batch for the batch kernels
+  (alone it selects the python batch kernel).
+* ``chunk_budget``  — the base-chunking *fragmenter* (§2.3): at most
+  this many base tuples in memory, one detail scan per chunk.
+* ``partitions``    — the detail-partitioning fragmenter: fragment
+  count for partition-and-merge evaluation.
+* ``workers``       — worker-pool size for the partitioned fragmenter
+  (1 = sequential fragments; defaults to ``REPRO_WORKERS``).
 * ``trace``         — record an operator span tree during profiling.
 * ``use_cache``     — consult the database's plan/result cache.
 * ``rollup``        — the semantic rollup tier
@@ -45,15 +42,17 @@ frozen dataclass, :class:`QueryOptions`:
   (``"coalesce"``).  Only ``Database.execute_batch`` /
   ``execute_sql_batch`` consult it; single-query entry points ignore it.
 
-The legacy strategy names ``gmdj_chunked`` / ``gmdj_parallel`` conflated
-strategy with execution mode; :meth:`QueryOptions.canonical` maps them
-onto ``strategy="gmdj"`` plus the corresponding ``mode`` so the rest of
-the engine only ever sees the separated form.
+Kernel and fragmenter compose freely (any kernel under either
+fragmenter, or none); :meth:`QueryOptions.kernel` and
+:meth:`QueryOptions.fragmenter` are the one place that derives what a
+set of options will run, which EXPLAIN, the cache key, the MQO
+certificate check and the planner all read.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, PlanError
@@ -68,45 +67,25 @@ STRATEGIES = (
     "gmdj_coalesce",
     "gmdj_completion",
     "gmdj_optimized",
-    "gmdj_chunked",
-    "gmdj_parallel",
     "cost_based",
     "auto",
 )
 
-#: Strategies that produce a GMDJ plan — the only ones an execution
-#: ``mode`` applies to.
+#: Strategies that produce a GMDJ plan — the only ones the kernel and
+#: fragmenter knobs apply to.
 GMDJ_STRATEGIES = frozenset({
     "gmdj", "gmdj_coalesce", "gmdj_completion", "gmdj_optimized",
-    "gmdj_chunked", "gmdj_parallel", "auto", "cost_based",
+    "auto", "cost_based",
 })
 
-MODES = (None, "plain", "chunked", "partitioned", "gmdj_vectorized")
-
-#: Array-kernel backends for the vectorized mode.  ``None`` defers to the
-#: ``REPRO_BACKEND`` environment hook at kernel dispatch (defaulting to
-#: the dependency-free Python batch kernel); ``"auto"`` picks numpy when
+#: GMDJ scan kernels.  ``None`` defers to the ``REPRO_BACKEND``
+#: environment hook and then to ``"row"``; ``"auto"`` picks numpy when
 #: importable, else python.
-BACKENDS = (None, "python", "numpy", "auto")
+BACKENDS = (None, "row", "python", "numpy", "auto")
 
-#: Environment hook supplying the *default* array-kernel backend for
-#: vectorized scans whose options left ``backend`` unset.  Composes with
-#: ``REPRO_MODE=gmdj_vectorized`` (the CI numpy matrix leg sets both).
+#: Environment hook supplying the *default* kernel for GMDJ scans whose
+#: options left ``backend`` unset (the CI kernel matrix legs set it).
 REPRO_BACKEND_ENV = "REPRO_BACKEND"
-
-#: Accepted spellings that normalize onto a canonical mode name.
-_MODE_ALIASES = {"vectorized": "gmdj_vectorized"}
-
-#: Environment hook letting a harness (e.g. the CI matrix leg) override
-#: the *default* execution mode.  Only consulted when neither ``mode``
-#: nor any mode-implying knob was set explicitly.
-REPRO_MODE_ENV = "REPRO_MODE"
-
-#: Legacy strategy names that really name (strategy, mode) pairs.
-_LEGACY_MODES = {
-    "gmdj_chunked": ("gmdj", "chunked"),
-    "gmdj_parallel": ("gmdj", "partitioned"),
-}
 
 LINT_LEVELS = (None, "off", "warn", "strict")
 
@@ -128,12 +107,49 @@ REPRO_MQO_ENV = "REPRO_MQO"
 REPRO_ROLLUP_ENV = "REPRO_ROLLUP"
 
 
+def _environment_choice(variable: str, choices: tuple) -> str | None:
+    """The value of an environment hook, or None when unset; anything
+    outside ``choices`` (whose leading None means "unset") is an error."""
+    value = os.environ.get(variable)
+    if not value:
+        return None
+    if value not in choices:
+        raise ConfigurationError(
+            f"{variable}={value!r} is not valid; "
+            f"choose one of {choices[1:]}"
+        )
+    return value
+
+
+def resolve_kernel(backend: str | None, chunk_size: int | None = None) -> str:
+    """The kernel a ``backend`` / ``chunk_size`` pair runs: ``"row"``,
+    ``"python"`` or ``"numpy"``.
+
+    Resolution order: explicit option > ``REPRO_BACKEND`` environment
+    variable > the row interpreter.  A ``chunk_size`` only means
+    something to the batch kernels, so with one set the row default
+    becomes ``"python"``.  ``"auto"`` picks numpy when the optional
+    extra is importable; asking for ``"numpy"`` without it is a clean
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    from repro.storage.npcolumns import HAVE_NUMPY, require_numpy
+
+    if backend is None:
+        backend = QueryOptions.environment_backend()
+    if backend is None or backend == "row":
+        return "row" if chunk_size is None else "python"
+    if backend == "auto":
+        return "numpy" if HAVE_NUMPY else "python"
+    if backend == "numpy":
+        require_numpy()
+    return backend
+
+
 @dataclass(frozen=True)
 class QueryOptions:
     """Immutable bundle of execution options for one query run."""
 
     strategy: str = "auto"
-    mode: str | None = None
     backend: str | None = None
     partitions: int | None = None
     workers: int | None = None
@@ -150,12 +166,6 @@ class QueryOptions:
             raise PlanError(
                 f"unknown strategy {self.strategy!r}; "
                 f"choose one of {STRATEGIES}"
-            )
-        if self.mode in _MODE_ALIASES:
-            object.__setattr__(self, "mode", _MODE_ALIASES[self.mode])
-        if self.mode not in MODES:
-            raise ConfigurationError(
-                f"unknown mode {self.mode!r}; choose one of {MODES}"
             )
         if self.backend not in BACKENDS:
             raise ConfigurationError(
@@ -188,13 +198,20 @@ class QueryOptions:
                 raise ConfigurationError(
                     f"{name} must be >= 1, got {value}"
                 )
+        if self.backend == "row" and self.chunk_size is not None:
+            raise ConfigurationError(
+                "chunk_size batches the detail scan; the row kernel "
+                "(backend='row') reads it tuple-at-a-time"
+            )
 
     @classmethod
     def of(cls, value: "QueryOptions | str | None") -> "QueryOptions":
         """Coerce ``None`` / a strategy string / an options object.
 
-        The string form exists for the deprecated ``strategy: str``
-        shims; new code should construct :class:`QueryOptions` directly.
+        The string form is for engine-internal callers naming a bare
+        strategy (:func:`repro.engine.executor.execute`, the fuzz
+        oracle); the ``Database`` entry points accept only
+        :class:`QueryOptions` or ``None``.
         """
         if value is None:
             return cls()
@@ -208,89 +225,45 @@ class QueryOptions:
         )
 
     def canonical(self) -> "QueryOptions":
-        """Normalize legacy strategy names and infer the execution mode.
+        """Validate the knob combination and normalize ``rollup="off"``.
 
-        * ``gmdj_chunked`` / ``gmdj_parallel`` become ``gmdj`` plus the
-          matching mode;
-        * requesting ``chunk_size`` without a mode implies
-          ``gmdj_vectorized``; ``partitions``/``workers``
-          (``chunk_budget``) imply ``partitioned`` (``chunked``) for
-          GMDJ-producing strategies;
-        * with neither a mode nor any mode-implying knob, the
-          ``REPRO_MODE`` environment variable supplies the default mode
-          for GMDJ strategies (the CI matrix leg's override hook);
-        * a mode on a non-GMDJ strategy is a configuration error — the
-          baselines have no GMDJ nodes to fragment.
-
-        The vectorized mode composes with the fragmentation knobs:
-        ``chunk_budget`` selects base-chunked evaluation with batch
-        kernels, ``partitions``/``workers`` selects partitioned (possibly
-        pooled) evaluation with batch kernels — but not both at once.
+        * ``chunk_budget`` and ``partitions``/``workers`` select
+          different fragmenters, so setting both is an error;
+        * a kernel or fragmenter knob on a non-GMDJ strategy is an
+          error — the baselines have no GMDJ nodes to run it on.
         """
-        strategy, mode = self.strategy, self.mode
-        if strategy in _LEGACY_MODES:
-            base, implied = _LEGACY_MODES[strategy]
-            if mode not in (None, "plain", implied):
-                raise ConfigurationError(
-                    f"strategy {strategy!r} implies mode {implied!r}; "
-                    f"got mode {mode!r}"
-                )
-            strategy, mode = base, (implied if mode != "plain" else "plain")
-        if mode is None:
-            if self.backend is not None or self.chunk_size is not None:
-                mode = "gmdj_vectorized"
-            elif self.partitions is not None or self.workers is not None:
-                if self.chunk_budget is not None:
-                    raise ConfigurationError(
-                        "cannot infer a mode from both partitions/workers "
-                        "and chunk_budget; set mode explicitly"
-                    )
-                mode = "partitioned"
-            elif self.chunk_budget is not None:
-                mode = "chunked"
-            elif self.mode is None and strategy in GMDJ_STRATEGIES:
-                mode = self._environment_mode()
-        if mode == "plain":
-            mode = None
-        if mode is not None and strategy not in GMDJ_STRATEGIES:
+        partitioned = self.partitions is not None or self.workers is not None
+        if self.chunk_budget is not None and partitioned:
             raise ConfigurationError(
-                f"mode {mode!r} applies only to GMDJ strategies, "
-                f"not {strategy!r}"
+                "chunk_budget (base chunking) and partitions/workers "
+                "(detail partitioning) select different fragmenters; "
+                "set one"
             )
-        if self.chunk_size is not None and mode != "gmdj_vectorized":
+        if self.strategy not in GMDJ_STRATEGIES and (
+                partitioned or self.chunk_budget is not None
+                or self.chunk_size is not None or self.backend is not None):
             raise ConfigurationError(
-                f"chunk_size applies only to mode 'gmdj_vectorized', "
-                f"not {mode!r}"
+                f"backend/chunk_size/chunk_budget/partitions/workers apply "
+                f"only to GMDJ strategies, not {self.strategy!r}"
             )
-        if self.backend is not None and mode != "gmdj_vectorized":
-            raise ConfigurationError(
-                f"backend applies only to mode 'gmdj_vectorized', "
-                f"not {mode!r}"
-            )
-        if mode == "gmdj_vectorized":
-            if (self.chunk_budget is not None
-                    and (self.partitions is not None
-                         or self.workers is not None)):
-                raise ConfigurationError(
-                    "vectorized mode composes with either chunk_budget "
-                    "or partitions/workers, not both"
-                )
-        elif mode == "partitioned" and self.chunk_budget is not None:
-            raise ConfigurationError(
-                "chunk_budget is meaningless in partitioned mode"
-            )
-        elif mode == "chunked" and (self.partitions is not None
-                                    or self.workers is not None):
-            raise ConfigurationError(
-                "partitions/workers are meaningless in chunked mode"
-            )
-        rollup = None if self.rollup == "off" else self.rollup
-        if (strategy == self.strategy and mode == self.mode
-                and rollup == self.rollup):
+        if self.rollup != "off":
             return self
-        return dataclasses.replace(
-            self, strategy=strategy, mode=mode, rollup=rollup
-        )
+        return dataclasses.replace(self, rollup=None)
+
+    def kernel(self) -> str:
+        """The kernel GMDJ scans run on under these options: ``"row"``,
+        ``"python"`` or ``"numpy"`` (see :func:`resolve_kernel`)."""
+        return resolve_kernel(self.backend, self.chunk_size)
+
+    def fragmenter(self) -> str | None:
+        """How each GMDJ is fragmented around the kernel: ``"chunked"``
+        (base chunks, one detail scan each), ``"partitioned"`` (detail
+        fragments merged columnwise), or None for one scan per GMDJ."""
+        if self.chunk_budget is not None:
+            return "chunked"
+        if self.partitions is not None or self.workers is not None:
+            return "partitioned"
+        return None
 
     @staticmethod
     def environment_rollup() -> str | None:
@@ -300,16 +273,7 @@ class QueryOptions:
         executor applies it only to unprofiled runs whose options left
         ``rollup`` unset.
         """
-        import os
-
-        value = os.environ.get(REPRO_ROLLUP_ENV)
-        if not value:
-            return None
-        if value not in ROLLUP_LEVELS:
-            raise ConfigurationError(
-                f"{REPRO_ROLLUP_ENV}={value!r} is not a rollup level; "
-                f"choose one of {ROLLUP_LEVELS[1:]}"
-            )
+        value = _environment_choice(REPRO_ROLLUP_ENV, ROLLUP_LEVELS)
         return None if value == "off" else value
 
     @staticmethod
@@ -320,52 +284,16 @@ class QueryOptions:
         suppress the batch default, unlike an unset variable), or None
         when the environment leaves the batch default in force.
         """
-        import os
-
-        value = os.environ.get(REPRO_MQO_ENV)
-        if not value:
-            return None
-        if value not in MQO_LEVELS:
-            raise ConfigurationError(
-                f"{REPRO_MQO_ENV}={value!r} is not an mqo level; "
-                f"choose one of {MQO_LEVELS[1:]}"
-            )
-        return value
+        return _environment_choice(REPRO_MQO_ENV, MQO_LEVELS)
 
     @staticmethod
     def environment_backend() -> str | None:
-        """The ``REPRO_BACKEND`` default-backend override, validated.
+        """The ``REPRO_BACKEND`` default-kernel override, validated.
 
-        Consulted at kernel dispatch for vectorized scans whose options
-        left ``backend`` unset; an explicit ``backend=...`` always wins.
+        Consulted by :func:`resolve_kernel` when ``backend`` was left
+        unset; an explicit ``backend=...`` always wins.
         """
-        import os
-
-        value = os.environ.get(REPRO_BACKEND_ENV)
-        if not value:
-            return None
-        if value not in BACKENDS:
-            raise ConfigurationError(
-                f"{REPRO_BACKEND_ENV}={value!r} is not a backend; "
-                f"choose one of {BACKENDS[1:]}"
-            )
-        return value
-
-    @staticmethod
-    def _environment_mode() -> str | None:
-        """The ``REPRO_MODE`` default-mode override, validated."""
-        import os
-
-        value = os.environ.get(REPRO_MODE_ENV)
-        if not value:
-            return None
-        value = _MODE_ALIASES.get(value, value)
-        if value not in MODES:
-            raise ConfigurationError(
-                f"{REPRO_MODE_ENV}={value!r} is not a mode; "
-                f"choose one of {MODES[1:]}"
-            )
-        return value
+        return _environment_choice(REPRO_BACKEND_ENV, BACKENDS)
 
     def with_trace(self, trace: bool) -> "QueryOptions":
         if trace == self.trace:
@@ -382,6 +310,6 @@ class QueryOptions:
         canon = self.canonical()
         lint = None if canon.lint == "off" else canon.lint
         mqo = None if canon.mqo == "off" else canon.mqo
-        return (canon.strategy, canon.mode, canon.backend, canon.partitions,
-                canon.workers, canon.chunk_budget, canon.chunk_size, lint,
-                canon.rollup, mqo)
+        return (canon.strategy, canon.kernel(), canon.chunk_size,
+                canon.fragmenter(), canon.partitions, canon.workers,
+                canon.chunk_budget, lint, canon.rollup, mqo)

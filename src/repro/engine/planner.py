@@ -11,20 +11,20 @@ The planner exposes the strategies the paper's experiments compare:
 ``unnest_join_noindex``  the same modelling an engine without indexes
                     (sort-merge instead of indexed joins);
 ``gmdj``            Algorithm SubqueryToGMDJ, unoptimized;
+``gmdj_coalesce``   SubqueryToGMDJ + coalescing only (ablation);
+``gmdj_completion`` SubqueryToGMDJ + completion only (ablation);
 ``gmdj_optimized``  SubqueryToGMDJ + coalescing + completion (Section 4);
-``gmdj_chunked``    legacy alias for ``gmdj`` + ``mode="chunked"``
-                    (memory-bounded base-chunked evaluation, §2.3);
-``gmdj_parallel``   legacy alias for ``gmdj`` + ``mode="partitioned"``
-                    (detail-partitioned evaluation, columnwise merge,
-                    optionally on a worker pool);
+``cost_based``      whichever of the above the static cost model picks;
 ``auto``            gmdj_optimized for nested queries, plain evaluation
                     otherwise.
 
-Orthogonally to the strategy, a :class:`~repro.engine.options.QueryOptions`
-``mode`` selects the GMDJ execution regime (plain / chunked /
-partitioned) with its ``partitions`` / ``workers`` / ``chunk_budget``
-knobs, and ``use_cache`` lets a :class:`~repro.engine.cache.PlanCache`
-skip re-translation of plans the database has seen before.
+Orthogonally to the strategy, the :class:`~repro.engine.options.QueryOptions`
+pick the physical pipeline every GMDJ node of the translated plan runs
+through (:mod:`repro.gmdj.physical`): ``backend`` / ``chunk_size`` name
+the kernel, ``chunk_budget`` or ``partitions`` / ``workers`` the
+fragmenter, ``rollup`` hooks the semantic rollup store around each node —
+and ``use_cache`` lets a :class:`~repro.engine.cache.PlanCache` skip
+re-translation of plans the database has seen before.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from repro.engine.rollup import RollupStore
-    from repro.gmdj.operator import GMDJ
 
 from repro.algebra.nested import NestedSelect
 from repro.algebra.operators import Operator
@@ -42,7 +41,7 @@ from repro.baselines.join_unnest import evaluate_join_unnest
 from repro.baselines.native import evaluate_native
 from repro.baselines.nested_loop import evaluate_naive
 from repro.engine.cache import PlanCache
-from repro.engine.options import GMDJ_STRATEGIES, QueryOptions, STRATEGIES
+from repro.engine.options import QueryOptions, STRATEGIES
 from repro.errors import PlanError
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
@@ -121,8 +120,9 @@ def make_executor(
     callable as well, matching how the paper's timings include rewrite
     cost (it is negligible; evaluation dominates) — unless ``cache``
     holds the translated plan already.  When tracing is enabled the run
-    is wrapped in a ``query`` span carrying the resolved strategy name,
-    so traces attribute all work to the strategy that actually ran.
+    is wrapped in a ``query`` span carrying the resolved strategy name
+    (and, for GMDJ strategies, the kernel and fragmenter), so traces
+    attribute all work to what actually ran.
     """
     options = QueryOptions.of(options)
     requested = options.strategy
@@ -133,17 +133,15 @@ def make_executor(
         # strategies additionally verify their translated plan inside
         # the runner (see _translator).
         _lint_gate(query, catalog, options.lint)
-    resolved, mode, runner = _resolve_executor(
+    resolved, physical, runner = _resolve_executor(
         query, catalog, options, cache, rollups
     )
 
     def traced() -> Relation:
         from repro.obs.tracer import span
 
-        attrs = dict(strategy=resolved, requested=requested)
-        if mode is not None:
-            attrs["mode"] = mode
-        with span("query", kind="query", **attrs):
+        with span("query", kind="query", strategy=resolved,
+                  requested=requested, **physical):
             return runner()
 
     return traced
@@ -186,106 +184,6 @@ def _translator(
     return translate
 
 
-def _rollup_node_runners(
-    catalog: Catalog, options: QueryOptions
-) -> tuple[Callable[[GMDJ], Relation], Callable[..., Relation] | None]:
-    """Per-GMDJ-node kernel runners for the rollup walker's miss path.
-
-    Replicates the four-way mode dispatch of :func:`_gmdj_runner` at node
-    granularity: on a rollup miss the walker evaluates exactly as the
-    requested mode would have, so warm and cold runs stay row-identical.
-    """
-    if options.mode == "chunked":
-        from repro.gmdj.chunked import evaluate_gmdj_chunked
-        from repro.gmdj.modes import DEFAULT_MEMORY_TUPLES
-
-        budget = options.chunk_budget or DEFAULT_MEMORY_TUPLES
-        return (
-            lambda gmdj: evaluate_gmdj_chunked(gmdj, catalog, budget),
-            None,
-        )
-    if options.mode == "partitioned":
-        from repro.gmdj.modes import DEFAULT_PARTITIONS
-        from repro.gmdj.parallel import evaluate_gmdj_partitioned
-        from repro.gmdj.pool import resolve_workers
-
-        partitions = options.partitions or DEFAULT_PARTITIONS
-        workers = resolve_workers(options.workers)
-        return (
-            lambda gmdj: evaluate_gmdj_partitioned(
-                gmdj, catalog, partitions, workers=workers,
-            ),
-            None,
-        )
-    if options.mode == "gmdj_vectorized":
-        from repro.gmdj.vectorized import (
-            evaluate_gmdj_vectorized,
-            evaluate_select_gmdj_vectorized,
-            resolve_chunk_size,
-        )
-
-        if options.chunk_budget is not None:
-            from repro.gmdj.chunked import evaluate_gmdj_chunked
-
-            return (
-                lambda gmdj: evaluate_gmdj_chunked(
-                    gmdj, catalog, options.chunk_budget,
-                    vectorized=True, chunk_size=options.chunk_size,
-                    backend=options.backend,
-                ),
-                None,
-            )
-        if options.partitions is not None or options.workers is not None:
-            from repro.gmdj.modes import DEFAULT_PARTITIONS
-            from repro.gmdj.parallel import evaluate_gmdj_partitioned
-            from repro.gmdj.pool import resolve_workers
-
-            partitions = options.partitions or DEFAULT_PARTITIONS
-            workers = resolve_workers(options.workers)
-            return (
-                lambda gmdj: evaluate_gmdj_partitioned(
-                    gmdj, catalog, partitions, workers=workers,
-                    vectorized=True, chunk_size=options.chunk_size,
-                    backend=options.backend,
-                ),
-                None,
-            )
-        resolved = resolve_chunk_size(options.chunk_size)
-        return (
-            lambda gmdj: evaluate_gmdj_vectorized(
-                gmdj, catalog, resolved, backend=options.backend
-            ),
-            lambda node: evaluate_select_gmdj_vectorized(
-                node, catalog, resolved, backend=options.backend
-            ),
-        )
-    return (lambda gmdj: gmdj.evaluate(catalog), None)
-
-
-def _certified_runner(
-    translate: Callable[[], Operator],
-    catalog: Catalog,
-    run: Callable[[Operator], Relation],
-) -> Callable[[], Relation]:
-    """Translate, certify, and execute under the certificate's scope.
-
-    Every GMDJ-strategy runner goes through here: the translated plan's
-    :class:`~repro.lint.absint.CapabilityCertificate` is derived once
-    and installed as the ambient certificate for the evaluation, so
-    downstream certificate-gated optimizations (the vectorized kernel's
-    mask skip, in particular) can consult it without new plumbing
-    through every evaluation signature.
-    """
-    from repro.lint.absint import capability_scope, certify_capabilities
-
-    def runner() -> Relation:
-        plan = translate()
-        with capability_scope(certify_capabilities(plan, catalog)):
-            return run(plan)
-
-    return runner
-
-
 def _gmdj_runner(
     query: Operator,
     catalog: Catalog,
@@ -294,107 +192,84 @@ def _gmdj_runner(
     cache: PlanCache | None,
     rollups: RollupStore | None = None,
 ) -> Callable[[], Relation]:
-    """Build the runner for a GMDJ strategy under the requested mode."""
+    """Build the runner for a GMDJ strategy: translate, certify, then
+    walk the plan through the one physical pipeline the options select.
+
+    The translated plan's :class:`~repro.lint.absint.
+    CapabilityCertificate` is derived once and installed as the ambient
+    certificate for the evaluation, so downstream certificate-gated
+    optimizations (the batch kernels' mask skip, in particular) can
+    consult it without plumbing through every evaluation signature.
+    """
+    from repro.gmdj.physical import (
+        evaluate_plan,
+        select_fragmenter,
+        select_kernel,
+    )
+    from repro.lint.absint import capability_scope, certify_capabilities
+
     translate = _translator(query, catalog, strategy, options, cache)
+    kernel = select_kernel(options.backend, options.chunk_size)
+    fragmenter = select_fragmenter(
+        options.chunk_budget, options.partitions, options.workers
+    )
+    hook = None
     if rollups is not None and options.rollup in ("exact", "subsume"):
-        from repro.engine.rollup import evaluate_plan_rollup
+        hook = rollups.node_hook(catalog, options.rollup == "subsume")
 
-        node_runner, select_runner = _rollup_node_runners(catalog, options)
-        subsume = options.rollup == "subsume"
-        return _certified_runner(translate, catalog, lambda plan:
-            evaluate_plan_rollup(
-                plan, catalog, rollups, subsume,
-                node_runner, select_runner,
-            ))
-    if options.mode == "chunked":
-        from repro.gmdj.modes import DEFAULT_MEMORY_TUPLES, evaluate_plan_chunked
+    def runner() -> Relation:
+        plan = translate()
+        with capability_scope(certify_capabilities(plan, catalog)):
+            return evaluate_plan(plan, catalog, kernel, fragmenter, hook)
 
-        budget = options.chunk_budget or DEFAULT_MEMORY_TUPLES
-        return _certified_runner(translate, catalog, lambda plan:
-            evaluate_plan_chunked(plan, catalog, budget))
-    if options.mode == "partitioned":
-        from repro.gmdj.modes import DEFAULT_PARTITIONS, evaluate_plan_partitioned
-
-        partitions = options.partitions or DEFAULT_PARTITIONS
-        return _certified_runner(translate, catalog, lambda plan:
-            evaluate_plan_partitioned(
-                plan, catalog, partitions, workers=options.workers,
-            ))
-    if options.mode == "gmdj_vectorized":
-        # The vectorized kernel composes with the fragmentation regimes:
-        # a chunk_budget selects base-chunked scans on batch kernels,
-        # partitions/workers selects partitioned (possibly pooled) scans
-        # on batch kernels; with neither it is single-scan batch
-        # evaluation.
-        from repro.gmdj.modes import (
-            DEFAULT_PARTITIONS,
-            evaluate_plan_chunked,
-            evaluate_plan_partitioned,
-            evaluate_plan_vectorized,
-        )
-
-        if options.chunk_budget is not None:
-            return _certified_runner(translate, catalog, lambda plan:
-                evaluate_plan_chunked(
-                    plan, catalog, options.chunk_budget,
-                    vectorized=True, chunk_size=options.chunk_size,
-                    backend=options.backend,
-                ))
-        if options.partitions is not None or options.workers is not None:
-            partitions = options.partitions or DEFAULT_PARTITIONS
-            return _certified_runner(translate, catalog, lambda plan:
-                evaluate_plan_partitioned(
-                    plan, catalog, partitions, workers=options.workers,
-                    vectorized=True, chunk_size=options.chunk_size,
-                    backend=options.backend,
-                ))
-        return _certified_runner(translate, catalog, lambda plan:
-            evaluate_plan_vectorized(plan, catalog, options.chunk_size,
-                                     backend=options.backend))
-    return _certified_runner(translate, catalog,
-                             lambda plan: plan.evaluate(catalog))
+    return runner
 
 
 def _resolve_executor(
     query: Operator, catalog: Catalog, options: QueryOptions,
     cache: PlanCache | None, rollups: RollupStore | None = None,
-) -> tuple[str, str | None, Callable[[], Relation]]:
-    """Resolve ``auto``/``cost_based`` and build the raw runner."""
+) -> tuple[str, dict[str, str], Callable[[], Relation]]:
+    """Resolve ``auto``/``cost_based`` and build the raw runner.
+
+    Returns ``(strategy, physical, runner)`` — ``physical`` holds the
+    ``kernel`` / ``fragmenter`` query-span attributes of a GMDJ run
+    (empty for plain evaluation and the baselines).
+    """
     strategy = options.strategy
     if strategy == "auto":
         if not contains_nested_select(query):
-            return "plain", None, lambda: query.evaluate(catalog)
+            return "plain", {}, lambda: query.evaluate(catalog)
         strategy = "gmdj_optimized"
     if strategy == "cost_based":
         from repro.engine.costmodel import choose_strategy, contains_apply
 
         if not contains_nested_select(query) and not contains_apply(query):
-            return "plain", None, lambda: query.evaluate(catalog)
+            return "plain", {}, lambda: query.evaluate(catalog)
         strategy = choose_strategy(query, catalog)
-        if strategy not in GMDJ_STRATEGIES and options.mode is not None:
-            # The cost model picked a baseline; there is no GMDJ to
-            # fragment, so the mode knobs do not apply.
-            options = QueryOptions.of(strategy)
     if strategy == "naive":
-        return strategy, None, lambda: evaluate_naive(query, catalog)
+        return strategy, {}, lambda: evaluate_naive(query, catalog)
     if strategy == "native":
-        return strategy, None, lambda: evaluate_native(
+        return strategy, {}, lambda: evaluate_native(
             query, catalog, use_indexes=True
         )
     if strategy == "native_noindex":
-        return strategy, None, lambda: evaluate_native(
+        return strategy, {}, lambda: evaluate_native(
             query, catalog, use_indexes=False
         )
     if strategy == "unnest_join":
-        return strategy, None, lambda: evaluate_join_unnest(
+        return strategy, {}, lambda: evaluate_join_unnest(
             query, catalog, use_indexes=True
         )
     if strategy == "unnest_join_noindex":
-        return strategy, None, lambda: evaluate_join_unnest(
+        return strategy, {}, lambda: evaluate_join_unnest(
             query, catalog, use_indexes=False
         )
     if strategy in _TRANSLATION_FLAGS:
-        return strategy, options.mode, _gmdj_runner(
+        physical = {"kernel": options.kernel()}
+        fragmenter = options.fragmenter()
+        if fragmenter is not None:
+            physical["fragmenter"] = fragmenter
+        return strategy, physical, _gmdj_runner(
             query, catalog, strategy, options, cache, rollups
         )
     raise PlanError(

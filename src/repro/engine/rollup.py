@@ -39,7 +39,7 @@ rows, so it is not a reusable rollup.
 Staleness is handled the same way as :class:`~repro.engine.cache.PlanCache`:
 every :class:`~repro.engine.database.Database` DDL entry point calls
 :meth:`RollupStore.invalidate`.  Signatures are computed on the
-*original* translated subtrees (before the mode walkers rebuild children
+*original* translated subtrees (before the plan walker rebuilds children
 as anonymous materialized tables), so they are stable across runs of the
 same logical plan.
 """
@@ -53,11 +53,10 @@ from typing import Callable, Sequence
 
 from repro.algebra.analysis import refers_only_to
 from repro.algebra.expressions import Expression, conjuncts_of
-from repro.algebra.operators import Operator, Select, TableValue
-from repro.algebra.rewrite import map_children
+from repro.algebra.operators import Operator, Select
 from repro.errors import ReproError
-from repro.gmdj.evaluate import SelectGMDJ
 from repro.gmdj.operator import GMDJ, ThetaBlock
+from repro.gmdj.physical import NodeHook
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import span
 from repro.storage.catalog import Catalog
@@ -260,6 +259,33 @@ class RollupStore:
         # commutative in 3VL); _serve then degenerates to a plain copy.
         return _serve(entry, base_filter, residuals)
 
+    # -- plan-walker hook ------------------------------------------------------
+
+    def node_hook(self, catalog: Catalog, subsume: bool) -> NodeHook:
+        """The per-GMDJ hook for :func:`repro.gmdj.physical.evaluate_plan`.
+
+        The walker hands the hook each *original* node, whose base/detail
+        subtrees still render deterministically — the rebuilt node's
+        children are anonymous materialized tables and would not make
+        stable signatures.  Hits emit a ``rollup_hit`` span (with the
+        tier that answered) and never call ``evaluate``; misses wrap the
+        evaluation in a ``rollup_miss`` span and store the fresh result.
+        """
+
+        def hook(node: GMDJ, evaluate: Callable[[], Relation]) -> Relation:
+            served = self.probe(node, catalog, subsume=subsume)
+            if served is not None:
+                relation, tier = served
+                with span("rollup", kind="rollup_hit", tier=tier,
+                          rows=len(relation)):
+                    return relation
+            with span("rollup", kind="rollup_miss"):
+                result = evaluate()
+            self.store(node, result, catalog)
+            return result
+
+        return hook
+
     # -- lifecycle -------------------------------------------------------------
 
     def invalidate(self) -> None:
@@ -367,61 +393,3 @@ def _serve(
     stats.tuples_output += len(rows)
     cached = entry.relation
     return Relation(cached.schema, rows, name=cached.name, validate=False)
-
-
-def evaluate_plan_rollup(
-    plan: Operator,
-    catalog: Catalog,
-    store: RollupStore,
-    subsume: bool,
-    run_gmdj_node: Callable[[GMDJ], Relation],
-    run_select_node: Callable[[SelectGMDJ], Relation] | None = None,
-) -> Relation:
-    """Evaluate ``plan``, answering GMDJ nodes from ``store`` when possible.
-
-    Mirrors the mode walkers in :mod:`repro.gmdj.modes`, with one twist:
-    the store is probed (and fed) with the *original* node, whose
-    base/detail subtrees still render deterministically — the rebuilt
-    node's children are anonymous materialized tables and would not make
-    stable signatures.  Hits emit a ``rollup_hit`` span (with the tier
-    that answered); misses wrap the kernel evaluation in a
-    ``rollup_miss`` span and store the fresh result.  ``SelectGMDJ``
-    nodes bypass the store entirely (their completion output is not a
-    rollup), though GMDJs nested in their inputs still participate.
-    """
-
-    def walk(node: Operator) -> Relation:
-        if isinstance(node, GMDJ):
-            served = store.probe(node, catalog, subsume=subsume)
-            if served is not None:
-                relation, tier = served
-                with span("rollup", kind="rollup_hit", tier=tier,
-                          rows=len(relation)):
-                    return relation
-            with span("rollup", kind="rollup_miss"):
-                rebuilt = GMDJ(
-                    TableValue(walk(node.base)),
-                    TableValue(walk(node.detail)),
-                    node.blocks,
-                )
-                result = run_gmdj_node(rebuilt)
-            store.store(node, result, catalog)
-            return result
-        if isinstance(node, SelectGMDJ):
-            import dataclasses
-
-            inner = node.gmdj
-            rebuilt_inner = GMDJ(
-                TableValue(walk(inner.base)),
-                TableValue(walk(inner.detail)),
-                inner.blocks,
-            )
-            rebuilt_select = dataclasses.replace(node, gmdj=rebuilt_inner)
-            if run_select_node is not None:
-                return run_select_node(rebuilt_select)
-            return rebuilt_select.evaluate(catalog)
-        rebuilt = map_children(node, lambda child: TableValue(walk(child)))
-        return rebuilt.evaluate(catalog)
-
-    with span("plan(rollup)", kind="mode", mode="rollup", subsume=subsume):
-        return walk(plan)

@@ -59,6 +59,17 @@ class ConfigurationError(ReproError, ValueError):
     """
 
 
+class WorkerPoolError(ReproError):
+    """A pool worker died while evaluating detail partitions.
+
+    Raised by :func:`repro.gmdj.pool.map_partitions` in place of the
+    executor's ``BrokenExecutor``: the query produced no rows (never a
+    partial merge), and the broken executor has been evicted from its
+    :class:`~repro.gmdj.pool.PoolRegistry`, so retrying on the same
+    database starts a fresh pool.
+    """
+
+
 class InvariantViolation(ReproError):
     """A finished trace contradicts one of the paper's cost guarantees.
 

@@ -3,8 +3,8 @@
 The package generates random subquery SQL (all six Table-1 forms, linear
 nesting, non-neighboring correlation, coalescing-eligible conjunctions)
 over random NULL-heavy databases, executes each query under every
-evaluation strategy the planner knows plus the chunked and partitioned
-GMDJ modes, and compares all of them against stdlib ``sqlite3`` as an
+evaluation strategy the planner knows plus further kernel/fragmenter
+points of the physical GMDJ pipeline, and compares all of them against stdlib ``sqlite3`` as an
 external ground truth.  Failing cases are shrunk to minimal reproducible
 (query, database) pairs and saved as JSON for the regression corpus in
 ``tests/corpus/``.

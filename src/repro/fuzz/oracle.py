@@ -5,9 +5,11 @@ A *case* is a (database, query) pair.  The oracle runs the query through
 * every SQL-capable planner strategy (``naive``, ``native``,
   ``unnest_join``, ``gmdj``, ``gmdj_coalesce``, ``gmdj_completion``,
   ``gmdj_optimized``) and
-* the chunked, partitioned, and vectorized GMDJ evaluation modes (with
-  deliberately tiny budgets so fragmentation and multi-batch scans
-  actually happen on fuzz-sized data), and
+* the plain ``gmdj`` translation at further (kernel, fragmenter) points
+  of the physical pipeline — base-chunked, detail-partitioned, python
+  batch and numpy kernels (with deliberately tiny budgets so
+  fragmentation and multi-batch scans actually happen on fuzz-sized
+  data), and
 * the rollup-warm replay engine (``gmdj_rollup_warm``): the query runs
   cold with the semantic rollup tier on, then warm against the now-
   populated store, then once more under ``gmdj_optimized`` whose
@@ -38,10 +40,11 @@ from dataclasses import dataclass, field
 from repro.engine.database import Database
 from repro.errors import ReproError, TranslationError
 from repro.fuzz.datagen import DatabaseSpec
-from repro.gmdj.modes import (
-    evaluate_plan_chunked,
-    evaluate_plan_partitioned,
+from repro.gmdj.physical import (
+    evaluate_plan,
     evaluate_plan_vectorized,
+    select_fragmenter,
+    select_kernel,
 )
 from repro.unnesting.translate import subquery_to_gmdj
 
@@ -56,25 +59,32 @@ STRATEGY_ENGINES = (
     "gmdj_optimized",
 )
 
-#: Evaluation-mode engines (plain translation, fragmented or batched
-#: evaluation).  ``gmdj_numpy`` is the vectorized mode on the numpy
-#: whole-array backend; it is recorded as a skip when the optional
-#: numpy extra is not installed.
-MODE_ENGINES = ("gmdj_chunked", "gmdj_parallel", "gmdj_vectorized",
-                "gmdj_numpy")
-
-#: Cold-then-warm replay through the semantic rollup store
-#: (:mod:`repro.engine.rollup`); divergence kind "rollup-divergence".
-ROLLUP_ENGINES = ("gmdj_rollup_warm",)
-
-ALL_ENGINES = STRATEGY_ENGINES + MODE_ENGINES + ROLLUP_ENGINES
-
 #: Tiny fragmentation knobs: fuzz databases hold ~10 rows per table, so
 #: these force multiple chunks / partitions / batches on nearly every
 #: case.
 FUZZ_MEMORY_TUPLES = 2
 FUZZ_PARTITIONS = 3
 FUZZ_CHUNK_SIZE = 3
+
+#: Physical-pipeline engines: the plain ``gmdj`` translation evaluated at
+#: one (kernel, fragmenter) point each, as ``select_kernel`` /
+#: ``select_fragmenter`` keyword arguments.  ``gmdj_numpy`` is recorded
+#: as a skip when the optional numpy extra is not installed.
+MODE_ENGINES = {
+    "gmdj_chunked": (dict(backend="row"),
+                     dict(chunk_budget=FUZZ_MEMORY_TUPLES)),
+    "gmdj_parallel": (dict(backend="row"),
+                      dict(partitions=FUZZ_PARTITIONS)),
+    "gmdj_vectorized": (dict(chunk_size=FUZZ_CHUNK_SIZE), dict()),
+    "gmdj_numpy": (dict(backend="numpy", chunk_size=FUZZ_CHUNK_SIZE),
+                   dict()),
+}
+
+#: Cold-then-warm replay through the semantic rollup store
+#: (:mod:`repro.engine.rollup`); divergence kind "rollup-divergence".
+ROLLUP_ENGINES = ("gmdj_rollup_warm",)
+
+ALL_ENGINES = STRATEGY_ENGINES + tuple(MODE_ENGINES) + ROLLUP_ENGINES
 
 
 @dataclass
@@ -359,26 +369,17 @@ def run_differential(
                     outcome.divergences.append(divergence)
                 continue
             if engine in MODE_ENGINES:
+                from repro.storage.npcolumns import HAVE_NUMPY
+
+                kernel, fragmenter = MODE_ENGINES[engine]
+                if kernel.get("backend") == "numpy" and not HAVE_NUMPY:
+                    outcome.skipped.append(engine)
+                    continue
                 plan = subquery_to_gmdj(database.sql(repro_sql),
                                         database.catalog)
-                if engine == "gmdj_chunked":
-                    result = evaluate_plan_chunked(
-                        plan, database.catalog, FUZZ_MEMORY_TUPLES)
-                elif engine == "gmdj_vectorized":
-                    result = evaluate_plan_vectorized(
-                        plan, database.catalog, FUZZ_CHUNK_SIZE)
-                elif engine == "gmdj_numpy":
-                    from repro.storage.npcolumns import HAVE_NUMPY
-
-                    if not HAVE_NUMPY:
-                        outcome.skipped.append(engine)
-                        continue
-                    result = evaluate_plan_vectorized(
-                        plan, database.catalog, FUZZ_CHUNK_SIZE,
-                        backend="numpy")
-                else:
-                    result = evaluate_plan_partitioned(
-                        plan, database.catalog, FUZZ_PARTITIONS)
+                result = evaluate_plan(
+                    plan, database.catalog, select_kernel(**kernel),
+                    select_fragmenter(**fragmenter))
             else:
                 result = database.execute_sql(repro_sql, QueryOptions(engine))
         except TranslationError:

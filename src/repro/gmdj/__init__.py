@@ -1,17 +1,21 @@
 """The GMDJ operator, its evaluator, and the Section-4 optimizations."""
 
-from repro.gmdj.chunked import detail_scans_required, evaluate_gmdj_chunked
+from repro.gmdj.chunked import BaseChunks, detail_scans_required
 from repro.gmdj.coalesce import coalesce_plan, merge_stacked, pull_up_base_selection
 from repro.gmdj.completion import CompletionRule, derive_completion_rule
 from repro.gmdj.evaluate import SelectGMDJ, run_gmdj
-from repro.gmdj.modes import (
-    evaluate_plan_chunked,
-    evaluate_plan_partitioned,
-    evaluate_plan_vectorized,
-)
 from repro.gmdj.operator import GMDJ, ThetaBlock, md
 from repro.gmdj.optimize import fuse_completion, optimize_plan, push_base_selections
-from repro.gmdj.parallel import evaluate_gmdj_partitioned, partition_rows
+from repro.gmdj.parallel import DetailPartitions, partition_rows
+from repro.gmdj.physical import (
+    evaluate_gmdj_chunked,
+    evaluate_gmdj_partitioned,
+    evaluate_node,
+    evaluate_plan,
+    evaluate_plan_vectorized,
+    select_fragmenter,
+    select_kernel,
+)
 from repro.gmdj.pool import (
     PoolRegistry,
     choose_executor,
@@ -26,15 +30,13 @@ from repro.gmdj.pushdown import (
     push_join_into_base,
 )
 from repro.gmdj.to_sql import expression_to_sql, gmdj_to_sql, plan_to_sql
-from repro.gmdj.vectorized import (
-    DEFAULT_CHUNK_SIZE,
-    evaluate_gmdj_vectorized,
-    run_gmdj_vectorized,
-)
+from repro.gmdj.vectorized import DEFAULT_CHUNK_SIZE, run_gmdj_vectorized
 
 __all__ = [
+    "BaseChunks",
     "CompletionRule",
     "DEFAULT_CHUNK_SIZE",
+    "DetailPartitions",
     "GMDJ",
     "SelectGMDJ",
     "ThetaBlock",
@@ -47,9 +49,8 @@ __all__ = [
     "evaluate_gmdj_chunked",
     "embed_base_in_detail",
     "evaluate_gmdj_partitioned",
-    "evaluate_gmdj_vectorized",
-    "evaluate_plan_chunked",
-    "evaluate_plan_partitioned",
+    "evaluate_node",
+    "evaluate_plan",
     "evaluate_plan_vectorized",
     "expression_to_sql",
     "fuse_completion",
@@ -68,4 +69,6 @@ __all__ = [
     "push_join_into_base",
     "run_gmdj",
     "run_gmdj_vectorized",
+    "select_fragmenter",
+    "select_kernel",
 ]

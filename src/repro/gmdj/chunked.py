@@ -14,83 +14,69 @@ once per fragment.  The cost is *well-defined* —
     scans(R) = ceil(|B| / memory_budget)
 
 — rather than degrading unpredictably as a paging hash table would.
-This module implements that evaluation mode; the accompanying benchmark
-shows the stepwise cost curve as B outgrows the budget.
+This module is that fragmenter — :class:`BaseChunks`, applied by the one
+node evaluator (:func:`repro.gmdj.physical.evaluate_node`) around
+whatever kernel it was handed; the accompanying benchmark shows the
+stepwise cost curve as B outgrows the budget.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.errors import ConfigurationError
-from repro.gmdj.evaluate import run_gmdj
 from repro.gmdj.operator import GMDJ
 from repro.obs.tracer import span
-from repro.storage.catalog import Catalog
-from repro.storage.iostats import IOStats
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 
+@dataclass(frozen=True)
+class BaseChunks:
+    """Hold at most ``budget`` base tuples; scan R once per base chunk.
 
-def evaluate_gmdj_chunked(
-    gmdj: GMDJ, catalog: Catalog, memory_tuples: int,
-    vectorized: bool = False, chunk_size: int | None = None,
-    backend: str | None = None,
-) -> Relation:
-    """Evaluate a GMDJ holding at most ``memory_tuples`` base tuples.
-
-    Bag-equivalent to ``gmdj.evaluate(catalog)`` for any positive budget;
-    the detail relation is scanned ``ceil(|B| / memory_tuples)`` times.
-    ``vectorized`` runs each fragment's scan on the columnar batch kernel
-    (:mod:`repro.gmdj.vectorized`) with ``chunk_size`` detail rows per
-    batch, optionally on the numpy ``backend``.  Every fragment scans
-    the *same* detail relation, so the columnar encoding (and its
-    ndarray views) is built once and served from the relation's cache
-    for every subsequent fragment.
+    Bag-equivalent to the single-scan evaluation for any positive
+    budget; the detail relation is scanned ``ceil(|B| / budget)`` times.
+    Every chunk scans the *same* detail relation, so a batch kernel's
+    columnar encoding (and its ndarray views) is built once and served
+    from the relation's cache for every subsequent chunk.
     """
-    if memory_tuples < 1:
-        raise ConfigurationError(
-            f"memory budget must be >= 1, got {memory_tuples}"
-        )
-    if vectorized:
-        from repro.gmdj.vectorized import run_gmdj_vectorized
 
-        def run(fragment: Relation, detail: Relation, plan: GMDJ,
-                schema: Schema) -> Relation:
-            return run_gmdj_vectorized(fragment, detail, plan, schema,
-                                       chunk_size=chunk_size,
-                                       backend=backend)
-    else:
-        run = run_gmdj
-    with span("GMDJ(chunked)", kind="gmdj_chunked", budget=memory_tuples,
-              blocks=len(gmdj.blocks), vectorized=vectorized) as sp:
-        with span("base", kind="materialize"):
-            base = gmdj.base.evaluate(catalog)
-        with span("detail", kind="materialize"):
-            detail = gmdj.detail.evaluate(catalog)
-        sp.set(base_rows=len(base), detail_rows=len(detail),
-               relation=getattr(detail, "name", None) or "<derived>",
-               expected_scans=detail_scans_required(len(base),
-                                                    memory_tuples))
-        IOStats.ambient().record_scan(len(base))
-        output_schema = gmdj.schema(catalog)
-        if len(base) <= memory_tuples:
-            result = run(base, detail, gmdj, output_schema)
-            sp.set(output_rows=len(result))
-            return result
+    budget: int
+
+    span_name = "GMDJ(chunked)"
+    span_kind = "gmdj_chunked"
+
+    def __post_init__(self) -> None:
+        if self.budget < 1:
+            raise ConfigurationError(
+                f"memory budget must be >= 1, got {self.budget}"
+            )
+
+    def span_attrs(self) -> dict[str, Any]:
+        return {"budget": self.budget}
+
+    def run(
+        self, kernel: Callable[..., Relation], base: Relation,
+        detail: Relation, gmdj: GMDJ, output_schema: Schema,
+        note: Callable[..., object],
+    ) -> Relation:
+        note(expected_scans=detail_scans_required(len(base), self.budget))
+        if len(base) <= self.budget:
+            return kernel(base, detail, gmdj, output_schema)
         out_rows: list = []
         for number, start in enumerate(
-            range(0, len(base), memory_tuples), start=1
+            range(0, len(base), self.budget), start=1
         ):
-            fragment = Relation(
-                base.schema, base.rows[start:start + memory_tuples],
+            chunk = Relation(
+                base.schema, base.rows[start:start + self.budget],
                 validate=False,
             )
             with span(f"chunk {number}", kind="chunk",
-                      base_rows=len(fragment)):
-                partial = run(fragment, detail, gmdj, output_schema)
+                      base_rows=len(chunk)):
+                partial = kernel(chunk, detail, gmdj, output_schema)
             out_rows.extend(partial.rows)
-        sp.set(output_rows=len(out_rows))
         return Relation(output_schema, out_rows, validate=False)
 
 

@@ -1,6 +1,8 @@
-"""GMDJ evaluation: one scan of the detail relation.
+"""The row kernel: one tuple-at-a-time scan of the detail relation.
 
-The evaluator materializes the base-values relation, factors every θ block
+Over operands the node evaluator (:mod:`repro.gmdj.physical`) has
+materialized, :func:`run_gmdj` — the reference every other kernel is
+held to — factors every θ block
 into hash-key equality conjuncts plus a residual
 (:func:`repro.algebra.analysis.factor_condition`), builds one hash table
 over the base rows per distinct key set, and then makes a **single pass**
@@ -312,22 +314,6 @@ def run_gmdj(
                       selection_eval, output_schema, stats)
 
 
-def evaluate_gmdj(gmdj: GMDJ, catalog: Catalog) -> Relation:
-    """Materialize the operands and run the plain (unfused) GMDJ."""
-    with span("GMDJ", kind="gmdj", blocks=len(gmdj.blocks),
-              completion=False) as sp:
-        with span("base", kind="materialize"):
-            base = gmdj.base.evaluate(catalog)
-        with span("detail", kind="materialize"):
-            detail = gmdj.detail.evaluate(catalog)
-        sp.set(base_rows=len(base), detail_rows=len(detail),
-               relation=getattr(detail, "name", None) or "<derived>")
-        IOStats.ambient().record_scan(len(base))
-        result = run_gmdj(base, detail, gmdj, gmdj.schema(catalog))
-        sp.set(output_rows=len(result))
-        return result
-
-
 @dataclass
 class SelectGMDJ(Operator):
     """Fused ``σ[selection](MD(...))`` with base-tuple completion.
@@ -350,24 +336,6 @@ class SelectGMDJ(Operator):
         return self.gmdj.schema(catalog)
 
     def evaluate(self, catalog: Catalog) -> Relation:
-        rule = self.rule
-        with span("SelectGMDJ", kind="gmdj",
-                  blocks=len(self.gmdj.blocks), completion=rule is not None,
-                  rule=rule.summary() if rule is not None else None) as sp:
-            with span("base", kind="materialize"):
-                base = self.gmdj.base.evaluate(catalog)
-            with span("detail", kind="materialize"):
-                detail = self.gmdj.detail.evaluate(catalog)
-            sp.set(base_rows=len(base), detail_rows=len(detail),
-                   relation=getattr(detail, "name", None) or "<derived>")
-            IOStats.ambient().record_scan(len(base))
-            result = run_gmdj(
-                base,
-                detail,
-                self.gmdj,
-                self.gmdj.schema(catalog),
-                rule=rule,
-                selection=self.selection,
-            )
-            sp.set(output_rows=len(result))
-            return result
+        from repro.gmdj.physical import evaluate_node
+
+        return evaluate_node(self, catalog)

@@ -13,7 +13,8 @@ reflected in this implementation:
   subqueries over the same detail table coalesce into one operator.
 
 :class:`GMDJ` is a logical node implementing the flat-algebra ``Operator``
-protocol; evaluation lives in :mod:`repro.gmdj.evaluate`.
+protocol; evaluation lives in :mod:`repro.gmdj.physical` (the node
+evaluator) and :mod:`repro.gmdj.evaluate` (the reference row kernel).
 """
 
 from __future__ import annotations
@@ -78,9 +79,9 @@ class GMDJ(Operator):
         return base_schema.extend(extra)
 
     def evaluate(self, catalog: Catalog) -> Relation:
-        from repro.gmdj.evaluate import evaluate_gmdj
+        from repro.gmdj.physical import evaluate_node
 
-        return evaluate_gmdj(self, catalog)
+        return evaluate_node(self, catalog)
 
     def __repr__(self) -> str:
         parts = ", ".join(

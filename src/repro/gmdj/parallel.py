@@ -28,23 +28,27 @@ Two execution regimes share that decomposition:
   checker behave identically to the sequential path.
 
 Completion-fused evaluation (``SelectGMDJ``) is deliberately not
-partitioned: dooming decisions depend on global scan order, so the
-planner keeps completion on single-node plans.
+partitioned: dooming decisions depend on global scan order, so the node
+evaluator (:func:`repro.gmdj.physical.evaluate_node`) keeps fused nodes
+on a single scan.  :class:`DetailPartitions` is the fragmenter that
+evaluator applies around whatever kernel it was handed.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.algebra.aggregates import AggregateSpec
 from repro.errors import ConfigurationError
-from repro.gmdj.evaluate import run_gmdj
 from repro.gmdj.operator import GMDJ, ThetaBlock
+from repro.gmdj.pool import map_partitions
 from repro.obs.tracer import span
-from repro.storage.catalog import Catalog
-from repro.storage.iostats import IOStats
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
+
+#: Fragment count when only ``workers`` was requested.
+DEFAULT_PARTITIONS = 4
 
 
 def partition_rows(relation: Relation, partitions: int) -> list[Relation]:
@@ -128,41 +132,38 @@ def _shadow_plan(
     return GMDJ(gmdj.base, gmdj.detail, blocks), merge_kinds, reconstruct
 
 
-def evaluate_gmdj_partitioned(
-    gmdj: GMDJ,
-    catalog: Catalog,
-    partitions: int = 4,
-    workers: int | None = None,
-    executor: str | None = None,
-    vectorized: bool = False,
-    chunk_size: int | None = None,
-    backend: str | None = None,
-) -> Relation:
-    """Evaluate a GMDJ over a horizontally partitioned detail relation.
+@dataclass(frozen=True)
+class DetailPartitions:
+    """Split R into ``partitions`` fragments, scan each, merge columnwise.
 
-    Bag-equivalent to ``gmdj.evaluate(catalog)`` for any partition count
-    and any worker count.  ``workers`` defaults to the ``REPRO_WORKERS``
-    environment variable (else 1 = sequential fragments); ``executor``
-    picks the pool flavour (``"thread"``/``"process"``/``"auto"``);
-    ``vectorized`` scans every fragment on the columnar batch kernel.
+    Bag-equivalent to the single-scan evaluation for any partition count
+    and any worker count.  ``workers`` > 1 dispatches the fragments to a
+    worker pool (:mod:`repro.gmdj.pool`) whose flavour ``executor``
+    picks (``"thread"``/``"process"``/``"auto"``); 1 evaluates them
+    sequentially in-process.
     """
-    from repro.gmdj.pool import resolve_workers
 
-    if partitions < 1:
-        raise ConfigurationError(f"partitions must be >= 1, got {partitions}")
-    workers = resolve_workers(workers)
-    run = _fragment_runner(vectorized, chunk_size, backend)
-    with span("GMDJ(partitioned)", kind="gmdj_partitioned",
-              partitions=partitions, workers=workers,
-              blocks=len(gmdj.blocks), vectorized=vectorized) as sp:
-        with span("base", kind="materialize"):
-            base = gmdj.base.evaluate(catalog)
-        with span("detail", kind="materialize"):
-            detail = gmdj.detail.evaluate(catalog)
-        sp.set(base_rows=len(base), detail_rows=len(detail),
-               relation=getattr(detail, "name", None) or "<derived>")
-        IOStats.ambient().record_scan(len(base))
-        output_schema = gmdj.schema(catalog)
+    partitions: int
+    workers: int = 1
+    executor: str | None = None
+
+    span_name = "GMDJ(partitioned)"
+    span_kind = "gmdj_partitioned"
+
+    def __post_init__(self) -> None:
+        if self.partitions < 1:
+            raise ConfigurationError(
+                f"partitions must be >= 1, got {self.partitions}"
+            )
+
+    def span_attrs(self) -> dict[str, Any]:
+        return {"partitions": self.partitions, "workers": self.workers}
+
+    def run(
+        self, kernel: Callable[..., Relation], base: Relation,
+        detail: Relation, gmdj: GMDJ, output_schema: Schema,
+        note: Callable[..., object],
+    ) -> Relation:
         # Certificate gate: partition-and-merge is sound only for
         # decomposable (distributive/algebraic) aggregates.  Holistic
         # ones — today exactly the DISTINCT specs — finalize to
@@ -170,75 +171,31 @@ def evaluate_gmdj_partitioned(
         # engine would ship value sets).
         from repro.lint.absint import decomposable_aggregates
 
-        if (partitions == 1 or len(detail) == 0
+        if (self.partitions == 1 or len(detail) == 0
                 or not decomposable_aggregates(gmdj)):
-            sp.set(partitions=1, workers=1)
-            result = run(base, detail, gmdj, output_schema)
-            sp.set(output_rows=len(result))
-            return result
-        result = _evaluate_partitions(
-            gmdj, base, detail, partitions, output_schema, catalog,
-            workers, executor, vectorized=vectorized, chunk_size=chunk_size,
-            backend=backend,
+            note(partitions=1, workers=1)
+            return kernel(base, detail, gmdj, output_schema)
+        shadow, merge_kinds, reconstruct = _shadow_plan(gmdj)
+        shadow_schema = base.schema.extend(
+            field for block in shadow.blocks
+            for field in block.output_fields(detail.schema)
         )
-        sp.set(output_rows=len(result))
-        return result
-
-
-def _fragment_runner(
-    vectorized: bool, chunk_size: int | None, backend: str | None = None,
-) -> Callable[[Relation, Relation, GMDJ, Schema], Relation]:
-    """The per-fragment kernel: row interpreter or columnar batches."""
-    if not vectorized:
-        return run_gmdj
-    from repro.gmdj.vectorized import run_gmdj_vectorized
-
-    def run(base: Relation, fragment: Relation, plan: GMDJ,
-            schema: Schema) -> Relation:
-        return run_gmdj_vectorized(base, fragment, plan, schema,
-                                   chunk_size=chunk_size, backend=backend)
-    return run
-
-
-def _evaluate_partitions(
-    gmdj: GMDJ,
-    base: Relation,
-    detail: Relation,
-    partitions: int,
-    output_schema: Schema,
-    catalog: Catalog,
-    workers: int = 1,
-    executor: str | None = None,
-    vectorized: bool = False,
-    chunk_size: int | None = None,
-    backend: str | None = None,
-) -> Relation:
-    """Partitioned evaluation proper: fragment scans + columnwise merge."""
-    shadow, merge_kinds, reconstruct = _shadow_plan(gmdj)
-    shadow_schema = shadow.schema(catalog)
-    fragments = partition_rows(detail, partitions)
-    run = _fragment_runner(vectorized, chunk_size, backend)
-
-    if workers > 1:
-        from repro.gmdj.pool import map_partitions
-
-        partials = map_partitions(base, fragments, shadow, shadow_schema,
-                                  workers, executor,
-                                  vectorized=vectorized,
-                                  chunk_size=chunk_size,
-                                  backend=backend)
-    else:
-        partials = []
-        for number, fragment in enumerate(fragments, start=1):
-            with span(f"partition {number}", kind="partition",
-                      detail_rows=len(fragment)):
-                partials.append(
-                    run(base, fragment, shadow, shadow_schema).rows
-                )
-
-    merged = _merge_partials(partials, merge_kinds, len(base.schema))
-    return _finalize(merged, reconstruct, shadow_schema, len(base.schema),
-                     output_schema)
+        fragments = partition_rows(detail, self.partitions)
+        if self.workers > 1:
+            partials = map_partitions(kernel, base, fragments, shadow,
+                                      shadow_schema, self.workers,
+                                      self.executor)
+        else:
+            partials = []
+            for number, fragment in enumerate(fragments, start=1):
+                with span(f"partition {number}", kind="partition",
+                          detail_rows=len(fragment)):
+                    partials.append(
+                        kernel(base, fragment, shadow, shadow_schema).rows
+                    )
+        merged = _merge_partials(partials, merge_kinds, len(base.schema))
+        return _finalize(merged, reconstruct, shadow_schema,
+                         len(base.schema), output_schema)
 
 
 def _merge_partials(

@@ -1,0 +1,223 @@
+"""The one physical GMDJ pipeline: fragmenter → kernel → merge → finalize.
+
+The paper defines a single operator — ``MD(B, R, l, θ)`` evaluated in
+one scan of R (Def. 2.1), base-chunked when B outgrows memory (§2.3),
+detail-partitioned because per-base-tuple partials merge (conclusion) —
+and this module evaluates it in a single place:
+
+* a **kernel** is any callable with the signature
+  :func:`~repro.gmdj.evaluate.run_gmdj` and
+  :func:`~repro.gmdj.vectorized.run_gmdj_vectorized` share —
+  ``(base, detail, gmdj, output_schema, rule, selection) -> Relation``
+  over materialized operands.  :func:`select_kernel` is the one place a
+  ``backend`` / ``chunk_size`` pair becomes one (the batch kernel bound
+  once to its knobs with :func:`functools.partial`, so it pickles for
+  process workers);
+* a **fragmenter** wraps kernel calls: :class:`~repro.gmdj.chunked.
+  BaseChunks` scans R once per base chunk,
+  :class:`~repro.gmdj.parallel.DetailPartitions` scans each detail
+  fragment (sequentially or on a pool) and merges the partials
+  columnwise; ``None`` is the plain single scan.
+  :func:`select_fragmenter` is the one place knobs become one;
+* :func:`evaluate_node` materializes a node's operands, records the
+  base scan and opens the owner span exactly once — for ``GMDJ`` and
+  fused ``SelectGMDJ`` alike — then applies the fragmenter around the
+  kernel;
+* :func:`evaluate_plan` walks an operator tree, rebuilding children as
+  materialized :class:`~repro.algebra.operators.TableValue` leaves and
+  sending every GMDJ through :func:`evaluate_node`.  Its optional
+  per-GMDJ hook is how the rollup store probes/stores around a node.
+
+Every (kernel × fragmenter) point returns the same rows in the same
+order; without a completion rule the IOStats counters are identical
+too (the row interpreter is the tests' reference).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from functools import partial
+from typing import Callable
+
+from repro.algebra.operators import Operator, TableValue
+from repro.algebra.rewrite import map_children
+from repro.gmdj.chunked import BaseChunks
+from repro.gmdj.evaluate import SelectGMDJ, run_gmdj
+from repro.gmdj.operator import GMDJ
+from repro.gmdj.parallel import DEFAULT_PARTITIONS, DetailPartitions
+from repro.gmdj.pool import resolve_workers
+from repro.gmdj.vectorized import resolve_chunk_size, run_gmdj_vectorized
+from repro.obs.tracer import span
+from repro.storage.catalog import Catalog
+from repro.storage.iostats import IOStats
+from repro.storage.relation import Relation
+
+Kernel = Callable[..., Relation]
+Fragmenter = BaseChunks | DetailPartitions
+#: ``hook(node, evaluate)``: called for every GMDJ node of a walked plan
+#: with the *original* node and a thunk that evaluates it (children
+#: first); returns the node's relation.
+NodeHook = Callable[[GMDJ, Callable[[], Relation]], Relation]
+
+
+def select_kernel(backend: str | None = None,
+                  chunk_size: int | None = None) -> Kernel:
+    """The kernel a ``backend`` / ``chunk_size`` pair names.
+
+    Resolution (explicit > ``REPRO_BACKEND`` > row interpreter; a bare
+    ``chunk_size`` means the python batch kernel) is
+    :func:`repro.engine.options.resolve_kernel`'s.
+    """
+    # Imported here: repro.engine pulls in the planner, which pulls in
+    # repro.gmdj — a module-level import would close the cycle.
+    from repro.engine.options import resolve_kernel
+
+    name = resolve_kernel(backend, chunk_size)
+    if name == "row":
+        return run_gmdj
+    return partial(run_gmdj_vectorized,
+                   chunk_size=resolve_chunk_size(chunk_size), backend=name)
+
+
+def select_fragmenter(
+    chunk_budget: int | None = None,
+    partitions: int | None = None,
+    workers: int | None = None,
+    executor: str | None = None,
+) -> Fragmenter | None:
+    """The fragmenter the knobs name, or None for one scan per GMDJ.
+
+    ``workers`` defaults to the ``REPRO_WORKERS`` environment variable
+    (else 1 = sequential fragments).
+    """
+    if chunk_budget is not None:
+        return BaseChunks(chunk_budget)
+    if partitions is not None or workers is not None:
+        return DetailPartitions(
+            DEFAULT_PARTITIONS if partitions is None else partitions,
+            resolve_workers(workers), executor,
+        )
+    return None
+
+
+def evaluate_node(
+    node: GMDJ | SelectGMDJ,
+    catalog: Catalog,
+    kernel: Kernel = run_gmdj,
+    fragmenter: Fragmenter | None = None,
+) -> Relation:
+    """Materialize a GMDJ node's operands and run it through the pipeline."""
+    if isinstance(node, SelectGMDJ):
+        # Completion dooms base tuples by global scan order, so a fused
+        # node stays a single scan under any fragmenter.
+        gmdj, rule, selection, fragmenter = (
+            node.gmdj, node.rule, node.selection, None)
+        owner = span("SelectGMDJ", kind="gmdj", blocks=len(gmdj.blocks),
+                     completion=rule is not None,
+                     rule=rule.summary() if rule is not None else None)
+    else:
+        gmdj, rule, selection = node, None, None
+        if fragmenter is None:
+            owner = span("GMDJ", kind="gmdj", blocks=len(gmdj.blocks),
+                         completion=False)
+        else:
+            owner = span(fragmenter.span_name, kind=fragmenter.span_kind,
+                         blocks=len(gmdj.blocks),
+                         vectorized=kernel is not run_gmdj,
+                         **fragmenter.span_attrs())
+    with owner as sp:
+        with span("base", kind="materialize"):
+            base = gmdj.base.evaluate(catalog)
+        with span("detail", kind="materialize"):
+            detail = gmdj.detail.evaluate(catalog)
+        sp.set(base_rows=len(base), detail_rows=len(detail),
+               relation=getattr(detail, "name", None) or "<derived>")
+        IOStats.ambient().record_scan(len(base))
+        output_schema = gmdj.schema(catalog)
+        if fragmenter is None:
+            result = kernel(base, detail, gmdj, output_schema, rule,
+                            selection)
+        else:
+            result = fragmenter.run(kernel, base, detail, gmdj,
+                                    output_schema, sp.set)
+        sp.set(output_rows=len(result))
+        return result
+
+
+def evaluate_plan(
+    plan: Operator,
+    catalog: Catalog,
+    kernel: Kernel = run_gmdj,
+    fragmenter: Fragmenter | None = None,
+    node_hook: NodeHook | None = None,
+) -> Relation:
+    """Evaluate ``plan`` with every GMDJ node run by :func:`evaluate_node`.
+
+    Children are materialized first and re-wrapped as
+    :class:`TableValue` (their evaluated schemas keep every qualifier, so
+    conditions above them bind unchanged); the rebuilt single-level node
+    then evaluates normally.  ``node_hook`` sees each *original* GMDJ —
+    whose subtrees still render deterministically — before its children
+    are walked, and decides whether to call the evaluation thunk at all.
+    Fused ``SelectGMDJ`` nodes bypass the hook (their completion output
+    carries partial aggregates), though GMDJs nested in their inputs
+    still reach it.
+    """
+
+    def materialized(child: Operator) -> TableValue:
+        return TableValue(walk(child))
+
+    def walk(node: Operator) -> Relation:
+        if isinstance(node, SelectGMDJ):
+            # Rebuild the inner GMDJ's operands, not the GMDJ itself:
+            # the fused node owns that scan.
+            inner = map_children(node.gmdj, materialized)
+            return evaluate_node(dataclasses.replace(node, gmdj=inner),
+                                 catalog, kernel, fragmenter)
+        if isinstance(node, GMDJ):
+            gmdj = node
+
+            def run() -> Relation:
+                return evaluate_node(map_children(gmdj, materialized),
+                                     catalog, kernel, fragmenter)
+
+            return run() if node_hook is None else node_hook(gmdj, run)
+        rebuilt: Operator = map_children(node, materialized)
+        return rebuilt.evaluate(catalog)
+
+    return walk(plan)
+
+
+# -- named entries into the pipeline -------------------------------------------
+
+
+def evaluate_plan_vectorized(
+    plan: Operator, catalog: Catalog, chunk_size: int | None = None,
+    backend: str | None = None,
+) -> Relation:
+    """Evaluate ``plan`` with every GMDJ on a columnar batch kernel
+    (``backend`` unset: ``REPRO_BACKEND``, else python)."""
+    return evaluate_plan(
+        plan, catalog, select_kernel(backend, resolve_chunk_size(chunk_size))
+    )
+
+
+def evaluate_gmdj_chunked(
+    gmdj: GMDJ, catalog: Catalog, memory_tuples: int,
+    kernel: Kernel = run_gmdj,
+) -> Relation:
+    """Evaluate one GMDJ holding at most ``memory_tuples`` base tuples."""
+    return evaluate_node(gmdj, catalog, kernel, BaseChunks(memory_tuples))
+
+
+def evaluate_gmdj_partitioned(
+    gmdj: GMDJ, catalog: Catalog, partitions: int = DEFAULT_PARTITIONS,
+    workers: int | None = None, executor: str | None = None,
+    kernel: Kernel = run_gmdj,
+) -> Relation:
+    """Evaluate one GMDJ over a horizontally partitioned detail relation."""
+    return evaluate_node(
+        gmdj, catalog, kernel,
+        select_fragmenter(partitions=partitions, workers=workers,
+                          executor=executor),
+    )

@@ -51,12 +51,17 @@ from __future__ import annotations
 import os
 import pickle
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (
+    BrokenExecutor,
+    Executor,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkerPoolError
 from repro.obs.tracer import Tracer, attach_subtrace, span, tracing, tracing_enabled
 from repro.storage.iostats import IOStats, collect
 from repro.storage.relation import Relation
@@ -102,8 +107,8 @@ def choose_executor(kind: str | None, detail_rows: int,
     """Resolve ``auto`` to a concrete executor kind for this input.
 
     ``task_sample`` is any object that must survive pickling for the
-    process path (the shadow plan); unpicklable plans degrade to
-    threads rather than failing.
+    process path (the shadow plan and the kernel); unpicklable ones
+    degrade to threads rather than failing.
     """
     kind = kind or os.environ.get("REPRO_EXECUTOR") or "auto"
     if kind not in _EXECUTOR_KINDS:
@@ -126,14 +131,12 @@ class PartitionTask:
     """One picklable unit of pool work: a fragment against the base."""
 
     number: int
+    kernel: Callable[..., Relation]
     base: Relation
     fragment: Relation
     shadow: object  # the AVG-decomposed GMDJ (repro.gmdj.operator.GMDJ)
     shadow_schema: Schema
     trace: bool
-    vectorized: bool = False
-    chunk_size: int | None = None
-    backend: str | None = None
 
 
 @dataclass
@@ -153,17 +156,7 @@ def run_partition(task: PartitionTask) -> PartitionResult:
     tracer — both are context-local, so thread workers never race the
     coordinator's accounting — and returns everything as plain data.
     """
-    if task.vectorized:
-        from repro.gmdj.vectorized import run_gmdj_vectorized
-
-        def run(base: Relation, fragment: Relation, shadow: GMDJ,
-                shadow_schema: Schema) -> Relation:
-            return run_gmdj_vectorized(base, fragment, shadow, shadow_schema,
-                                       chunk_size=task.chunk_size,
-                                       backend=task.backend)
-    else:
-        from repro.gmdj.evaluate import run_gmdj as run
-
+    run = task.kernel
     tracer = Tracer() if task.trace else None
     with collect() as stats:
         if tracer is not None:
@@ -219,6 +212,15 @@ class PoolRegistry:
             if pool is None:
                 pool = self._pools[key] = _make_pool(kind, workers)
             return pool
+
+    def evict(self, kind: str, workers: int, pool: Executor) -> None:
+        """Forget ``pool`` (a broken executor) so the next :meth:`get`
+        for this shape starts a fresh one.  A no-op when another thread
+        already replaced it."""
+        with self._lock:
+            if self._pools.get((kind, workers)) is pool:
+                del self._pools[(kind, workers)]
+        pool.shutdown(wait=False)
 
     def shutdown(self, wait: bool = True) -> int:
         """Shut down every executor; returns how many were released.
@@ -293,44 +295,53 @@ def _make_pool(kind: str, workers: int) -> Executor:
 
 
 def map_partitions(
+    kernel: Callable[..., Relation],
     base: Relation,
     fragments: list[Relation],
     shadow: GMDJ,
     shadow_schema: Schema,
     workers: int,
     executor: str | None = None,
-    vectorized: bool = False,
-    chunk_size: int | None = None,
-    backend: str | None = None,
 ) -> list[list]:
-    """Evaluate every fragment on a worker pool; returns partial row lists.
+    """Run ``kernel`` over every fragment on a worker pool; returns
+    partial row lists.
 
     Results are returned in fragment order.  Worker IOStats snapshots are
     merged into the coordinator's ambient stats and worker span subtrees
     are grafted into the active tracer before returning, so from the
     outside the evaluation is indistinguishable from the sequential path
-    except for wall-clock.
+    except for wall-clock.  A worker that dies mid-map surfaces as
+    :class:`~repro.errors.WorkerPoolError` — never partial rows — and
+    its executor leaves the registry, so the next query gets a fresh one.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     trace = tracing_enabled()
-    kind = choose_executor(executor, sum(len(f) for f in fragments), shadow)
+    kind = choose_executor(executor, sum(len(f) for f in fragments),
+                           (shadow, kernel))
     tasks = [
-        PartitionTask(number, base, fragment, shadow, shadow_schema, trace,
-                      vectorized=vectorized, chunk_size=chunk_size,
-                      backend=backend)
+        PartitionTask(number, kernel, base, fragment, shadow, shadow_schema,
+                      trace)
         for number, fragment in enumerate(fragments, start=1)
     ]
     registry = _registry_var.get()
     with span("pool", kind="pool", executor=kind, workers=workers,
               partitions=len(fragments),
               reused=registry is not None):
-        if registry is not None:
-            pool = registry.get(kind, workers)
+        pool = (registry.get(kind, workers) if registry is not None
+                else _make_pool(kind, workers))
+        try:
             results = list(pool.map(run_partition, tasks))
-        else:
-            with _make_pool(kind, workers) as pool:
-                results = list(pool.map(run_partition, tasks))
+        except BrokenExecutor as error:
+            if registry is not None:
+                registry.evict(kind, workers, pool)
+            raise WorkerPoolError(
+                f"a {kind} pool worker died while evaluating "
+                f"{len(fragments)} detail partition(s): {error}"
+            ) from error
+        finally:
+            if registry is None:
+                pool.shutdown()
         ambient = IOStats.ambient()
         for result in results:
             ambient.merge(result.counters)

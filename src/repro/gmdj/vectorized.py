@@ -48,13 +48,11 @@ from repro.gmdj.completion import CompletionRule
 from repro.gmdj.evaluate import (
     _ACTIVE,
     _BlockRuntime,
-    SelectGMDJ,
     _emit_rows,
     _scan_detail,
 )
 from repro.gmdj.operator import GMDJ, ThetaBlock
 from repro.obs.tracer import span
-from repro.storage.catalog import Catalog
 from repro.storage.columnar import ColumnarRelation, cached_columnar
 from repro.storage.iostats import IOStats
 from repro.storage.relation import Relation
@@ -74,27 +72,6 @@ def resolve_chunk_size(chunk_size: int | None) -> int:
             f"chunk_size must be >= 1, got {chunk_size}"
         )
     return chunk_size
-
-
-def resolve_backend(backend: str | None) -> str:
-    """The kernel backend actually used for this scan.
-
-    Resolution order: explicit option > ``REPRO_BACKEND`` environment
-    variable > ``"python"``.  ``"auto"`` picks numpy when the optional
-    extra is importable; asking for ``"numpy"`` without it is a clean
-    :class:`~repro.errors.ConfigurationError`.
-    """
-    from repro.engine.options import QueryOptions
-    from repro.storage.npcolumns import HAVE_NUMPY, require_numpy
-
-    if backend is None:
-        backend = QueryOptions.environment_backend()
-    if backend is None or backend == "python":
-        return "python"
-    if backend == "auto":
-        return "numpy" if HAVE_NUMPY else "python"
-    require_numpy()  # backend == "numpy"
-    return "numpy"
 
 
 class _VectorBlock:
@@ -298,8 +275,13 @@ def run_gmdj_vectorized(
     aggregates without an exact array form fall back per operator and
     the reasons land on the ``detail_scan`` span for EXPLAIN ANALYZE.
     """
+    # Imported here: repro.engine pulls in the planner, which pulls in
+    # repro.gmdj — a module-level import would close the cycle.
+    from repro.engine.options import resolve_kernel
+
     chunk_size = resolve_chunk_size(chunk_size)
-    resolved_backend = resolve_backend(backend)
+    # With a chunk size in hand the row default resolves to "python".
+    resolved_backend = resolve_kernel(backend, chunk_size)
     stats = IOStats.ambient()
     detail_schema = detail.schema
     combined_schema = base.schema.concat(detail_schema)
@@ -390,51 +372,3 @@ def run_gmdj_vectorized(
                       if selection is not None else None)
     return _emit_rows(base_rows, status, state, shared_values,
                       selection_eval, output_schema, stats)
-
-
-def evaluate_gmdj_vectorized(
-    gmdj: GMDJ, catalog: Catalog, chunk_size: int | None = None,
-    backend: str | None = None,
-) -> Relation:
-    """Materialize the operands and batch-run the plain (unfused) GMDJ."""
-    with span("GMDJ", kind="gmdj", blocks=len(gmdj.blocks),
-              completion=False) as sp:
-        with span("base", kind="materialize"):
-            base = gmdj.base.evaluate(catalog)
-        with span("detail", kind="materialize"):
-            detail = gmdj.detail.evaluate(catalog)
-        sp.set(base_rows=len(base), detail_rows=len(detail),
-               relation=getattr(detail, "name", None) or "<derived>")
-        IOStats.ambient().record_scan(len(base))
-        result = run_gmdj_vectorized(base, detail, gmdj,
-                                     gmdj.schema(catalog),
-                                     chunk_size=chunk_size,
-                                     backend=backend)
-        sp.set(output_rows=len(result))
-        return result
-
-
-def evaluate_select_gmdj_vectorized(
-    node: SelectGMDJ, catalog: Catalog, chunk_size: int | None = None,
-    backend: str | None = None,
-) -> Relation:
-    """Batch-run a fused ``σ[C](MD(...))`` (a :class:`SelectGMDJ` node)."""
-    rule = node.rule
-    gmdj = node.gmdj
-    with span("SelectGMDJ", kind="gmdj",
-              blocks=len(gmdj.blocks), completion=rule is not None,
-              rule=rule.summary() if rule is not None else None) as sp:
-        with span("base", kind="materialize"):
-            base = gmdj.base.evaluate(catalog)
-        with span("detail", kind="materialize"):
-            detail = gmdj.detail.evaluate(catalog)
-        sp.set(base_rows=len(base), detail_rows=len(detail),
-               relation=getattr(detail, "name", None) or "<derived>")
-        IOStats.ambient().record_scan(len(base))
-        result = run_gmdj_vectorized(
-            base, detail, gmdj, gmdj.schema(catalog),
-            rule=rule, selection=node.selection, chunk_size=chunk_size,
-            backend=backend,
-        )
-        sp.set(output_rows=len(result))
-        return result

@@ -10,7 +10,7 @@ Both facts are visible in the plan tree alone, so a
 * one :class:`GMDJCostEntry` per GMDJ operator, carrying the claims
   ``output_rows ≤ base_rows`` and "one detail scan per evaluation";
 * ``detail_scan_counts`` — for every stored table appearing as a GMDJ
-  detail, the exact number of ``detail_scan`` spans a plain-mode run of
+  detail, the exact number of ``detail_scan`` spans an unfragmented run of
   the certified plan must produce (one per GMDJ over it);
 * ``single_scan_tables`` — the Prop. 4.1 subset scanned exactly once.
 

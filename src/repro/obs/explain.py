@@ -89,11 +89,19 @@ def _coerce(options):
 
 
 def _label(options) -> str:
-    """The human-facing ``strategy=... [mode=...]`` header fragment."""
+    """The human-facing ``strategy=... [kernel=...] [fragmenter=...]``
+    header fragment (the row kernel and single-scan defaults are
+    implied)."""
+    from repro.engine.options import GMDJ_STRATEGIES
+
     label = f"strategy={options.strategy}"
     canonical = options.canonical()
-    if canonical.mode is not None:
-        label += f" mode={canonical.mode}"
+    if canonical.strategy in GMDJ_STRATEGIES:
+        kernel, fragmenter = canonical.kernel(), canonical.fragmenter()
+        if kernel != "row":
+            label += f" kernel={kernel}"
+        if fragmenter is not None:
+            label += f" fragmenter={fragmenter}"
     if canonical.rollup is not None:
         label += f" rollup={canonical.rollup}"
     return label
@@ -102,23 +110,24 @@ def _label(options) -> str:
 def executed_summary(trace) -> dict:
     """What actually ran, read off the finished trace.
 
-    Returns a dict with the executed ``strategy`` and ``mode`` (from the
-    planner's ``query`` span — this reflects ``auto``/``cost_based``
-    resolution and the ``REPRO_MODE`` environment hook, which the
-    requested options alone cannot show) plus, for vectorized scans, the
-    total batch ``chunks`` processed and the ``chunk_size`` in effect.
-    When a non-default array-kernel ``backend`` ran, the summary names
-    it and lists every per-operator ``fallbacks`` reason the scans
-    recorded (a block or aggregate the numpy kernel handed back to the
-    python kernel).
+    Returns a dict with the executed ``strategy``, ``kernel`` and
+    ``fragmenter`` (from the planner's ``query`` span — this reflects
+    ``auto``/``cost_based`` resolution and the ``REPRO_BACKEND``
+    environment hook, which the requested options alone cannot show)
+    plus, for batch-kernel scans, the total batch ``chunks`` processed
+    and the ``chunk_size`` in effect.  When the numpy kernel ran, the
+    summary names the ``backend`` and lists every per-operator
+    ``fallbacks`` reason the scans recorded (a block or aggregate the
+    numpy kernel handed back to the python kernel).
     """
     summary: dict = {}
     fallbacks: list[str] = []
     for span_ in trace.walk():
         if span_.kind == "query":
             summary["strategy"] = span_.attrs.get("strategy")
-            if "mode" in span_.attrs:
-                summary["mode"] = span_.attrs["mode"]
+            for key in ("kernel", "fragmenter"):
+                if key in span_.attrs:
+                    summary[key] = span_.attrs[key]
         elif span_.kind == "detail_scan" and span_.attrs.get("vectorized"):
             summary["chunks"] = (
                 summary.get("chunks", 0) + span_.attrs.get("chunks", 0)
@@ -215,24 +224,15 @@ def capability_report(db, query, options="auto"):
 def _certifiable(canonical) -> bool:
     """True when the run's span tree matches the static cost certificate.
 
-    Plain mode trivially does.  Vectorized mode does too *unless* it is
-    composed with base-chunking or partitioning, which multiply the
-    per-GMDJ detail scans / change the owning span kinds.  A run with
+    Every kernel's single-scan run does; base-chunking or partitioning
+    multiply the per-GMDJ detail scans and change the owning span
+    kinds.  A run with
     the rollup tier active is never certifiable: a rollup hit answers a
     GMDJ with *zero* gmdj/detail_scan spans, so the static certificate's
     counts cannot match (the dedicated rollup invariant — zero detail
     scans under every hit — covers that case instead).
     """
-    if canonical.rollup is not None:
-        return False
-    if canonical.mode is None:
-        return True
-    return (
-        canonical.mode == "gmdj_vectorized"
-        and canonical.chunk_budget is None
-        and canonical.partitions is None
-        and canonical.workers is None
-    )
+    return canonical.rollup is None and canonical.fragmenter() is None
 
 
 def analyze(db, query, options="auto", strict: bool = False):
@@ -242,9 +242,9 @@ def analyze(db, query, options="auto", strict: bool = False):
     ``report`` is the traced
     :class:`~repro.engine.reports.ExecutionReport` and ``invariants``
     the :class:`~repro.obs.invariants.InvariantReport`.  For
-    coalescing strategies in plain mode — and in single-scan vectorized
-    mode, whose batch kernel emits the same gmdj/detail_scan span
-    structure and counts — the statically derived
+    coalescing strategies without a fragmenter — every kernel emits the
+    same gmdj/detail_scan span structure and counts — the statically
+    derived
     :class:`~repro.lint.cost.CostCertificate` is cross-checked against
     the trace (chunked/partitioned runs produce different span kinds,
     so their exact counts are not comparable).
@@ -344,7 +344,8 @@ def explain_report(db, query, options="auto", *, analyze: bool = False,
     canonical = options.canonical()
     payload: dict = {
         "strategy": options.strategy,
-        "mode": canonical.mode,
+        "kernel": canonical.kernel(),
+        "fragmenter": canonical.fragmenter(),
         "rollup": canonical.rollup,
         "plan": plan_text,
         "lint": lint.to_json(),

@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.engine.options import QueryOptions
-from repro.errors import ReproError
+from repro.errors import ReproError, WorkerPoolError
 from repro.gmdj.pool import PoolRegistry
 from repro.obs.metrics import get_registry
 from repro.serve.admission import AdmissionController, QueueFull
@@ -225,6 +225,10 @@ class QueryService:
             return 429, {"error": str(error)}
         except DeadlineExceeded as error:
             return 408, {"error": str(error)}
+        except WorkerPoolError as error:
+            # The server's fault, not the request's: the broken executor
+            # is already evicted, so a retry gets a fresh pool.
+            return 503, {"error": str(error)}
         except ReproError as error:
             return 400, {"error": str(error)}
         except Exception as error:  # noqa: BLE001 - the service must answer

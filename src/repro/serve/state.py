@@ -29,6 +29,7 @@ zero-detail-scan invariant for rollup-served requests over plain HTTP.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import threading
 import time
@@ -54,12 +55,12 @@ class TenantLimitError(Exception):
 
 _TENANT_NAME = re.compile(r"^[A-Za-z0-9_.\-]{1,64}$")
 
-#: QueryOptions fields a request body may set; everything else
-#: (``trace`` above all — tracing is the server's decision) is rejected.
-OPTION_FIELDS = frozenset({
-    "strategy", "mode", "partitions", "workers", "chunk_budget",
-    "chunk_size", "backend", "use_cache", "lint", "rollup", "mqo",
-})
+#: QueryOptions fields a request body may set: all of them except
+#: ``trace`` (tracing is the server's decision).  Anything else is
+#: rejected.
+OPTION_FIELDS = frozenset(
+    field.name for field in dataclasses.fields(QueryOptions)
+) - {"trace"}
 
 
 def parse_options(payload, defaults: QueryOptions) -> QueryOptions:
@@ -79,8 +80,6 @@ def parse_options(payload, defaults: QueryOptions) -> QueryOptions:
             f"unknown option field(s) {sorted(unknown)}; "
             f"allowed: {sorted(OPTION_FIELDS)}"
         )
-    import dataclasses
-
     return dataclasses.replace(defaults, **payload)
 
 

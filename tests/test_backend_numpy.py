@@ -27,10 +27,16 @@ from repro.algebra.aggregates import AggregateSpec, agg, count_star
 from repro.algebra.expressions import col, lit
 from repro.algebra.operators import ScanTable
 from repro.errors import ConfigurationError
-from repro.gmdj import md
+from repro.engine.options import resolve_kernel
+from repro.gmdj import (
+    BaseChunks,
+    evaluate_plan,
+    evaluate_plan_vectorized,
+    md,
+    select_kernel,
+)
 from repro.gmdj.evaluate import SelectGMDJ
-from repro.gmdj.modes import evaluate_plan_chunked, evaluate_plan_vectorized
-from repro.gmdj.vectorized import resolve_backend, run_gmdj_vectorized
+from repro.gmdj.vectorized import run_gmdj_vectorized
 from repro.obs.metrics import get_registry, metrics_scope
 from repro.obs.tracer import Tracer, tracing
 from repro.storage import Catalog, Relation, collect
@@ -95,26 +101,27 @@ def assert_identical(gmdj, catalog, expect_fallback=None):
     return scan
 
 
-class TestResolveBackend:
-    def test_default_is_python(self, monkeypatch):
+class TestResolveKernel:
+    def test_default_is_row_and_chunk_size_means_python(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend(None) == "python"
+        assert resolve_kernel(None) == "row"
+        assert resolve_kernel(None, chunk_size=8) == "python"
 
     def test_explicit_values(self):
-        assert resolve_backend("python") == "python"
-        assert resolve_backend("numpy") == "numpy"
-        assert resolve_backend("auto") == "numpy"  # extra is installed
+        assert resolve_kernel("python") == "python"
+        assert resolve_kernel("numpy") == "numpy"
+        assert resolve_kernel("auto") == "numpy"  # extra is installed
 
     def test_environment_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert resolve_backend(None) == "numpy"
+        assert resolve_kernel(None) == "numpy"
         # The explicit option always wins over the environment.
-        assert resolve_backend("python") == "python"
+        assert resolve_kernel("python") == "python"
 
     def test_environment_rejects_garbage(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "cuda")
         with pytest.raises(ConfigurationError):
-            resolve_backend(None)
+            resolve_kernel(None)
 
     def test_numpy_backend_without_numpy(self, monkeypatch):
         from repro.storage import npcolumns
@@ -122,9 +129,9 @@ class TestResolveBackend:
         monkeypatch.setattr(npcolumns, "numpy", None)
         monkeypatch.setattr(npcolumns, "HAVE_NUMPY", False)
         with pytest.raises(ConfigurationError, match="optional numpy"):
-            resolve_backend("numpy")
+            resolve_kernel("numpy")
         # auto degrades to python instead of raising.
-        assert resolve_backend("auto") == "python"
+        assert resolve_kernel("auto") == "python"
 
     def test_options_validate_backend(self):
         with pytest.raises(ConfigurationError):
@@ -283,8 +290,8 @@ class TestColumnarEncodingCache:
         fragments = -(-len(base) // 4)
         assert fragments > 1
         with metrics_scope() as registry:
-            chunked = evaluate_plan_chunked(
-                gmdj, catalog, 4, vectorized=True, backend=backend)
+            chunked = evaluate_plan(
+                gmdj, catalog, select_kernel(backend), BaseChunks(4))
             misses = registry.counter("columnar.cache_misses").value
             hits = registry.counter("columnar.cache_hits").value
         assert misses == 1

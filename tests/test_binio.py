@@ -121,7 +121,7 @@ class TestLoadedEncodingCache:
         from repro.algebra.expressions import col, lit
         from repro.algebra.nested import Exists, NestedSelect, Subquery
         from repro.algebra.operators import ScanTable
-        from repro.gmdj.modes import evaluate_plan_vectorized
+        from repro.gmdj import evaluate_plan_vectorized
         from repro.unnesting import subquery_to_gmdj
 
         database = Database()

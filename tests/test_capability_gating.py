@@ -12,7 +12,7 @@ from repro.algebra.expressions import col
 from repro.algebra.operators import ScanTable
 from repro.errors import CertificateViolation
 from repro.gmdj import md
-from repro.gmdj.parallel import evaluate_gmdj_partitioned
+from repro.gmdj import evaluate_gmdj_partitioned
 from repro.gmdj.vectorized import run_gmdj_vectorized
 from repro.lint.absint import (
     CapabilityCertificate,
@@ -106,7 +106,7 @@ class TestVectorizedMaskSkip:
         )
         sql = ("SELECT b.K FROM B b WHERE EXISTS "
                "(SELECT * FROM R r WHERE r.K = b.K)")
-        options = QueryOptions(strategy="gmdj", mode="gmdj_vectorized")
+        options = QueryOptions(strategy="gmdj", backend="python")
         tracer = Tracer()
         with tracing(tracer):
             db.execute(db.sql(sql), options)

@@ -7,7 +7,7 @@ from repro.algebra.aggregates import agg, count_star
 from repro.algebra.expressions import col
 from repro.algebra.operators import ScanTable
 from repro.errors import ConfigurationError, ReproError
-from repro.gmdj.chunked import detail_scans_required, evaluate_gmdj_chunked
+from repro.gmdj import detail_scans_required, evaluate_gmdj_chunked
 from repro.gmdj import md
 from repro.storage import Catalog, DataType, Relation, collect
 

@@ -130,7 +130,7 @@ class TestExplainSubcommand:
         code, out = run_cli(["explain", self.SQL, "--data", str(data_dir),
                              "--analyze"])
         assert code == 0
-        # Prefix only: REPRO_MODE in the environment appends " mode=...".
+        # Prefix only: REPRO_BACKEND in the environment appends " kernel=...".
         assert "-- EXPLAIN ANALYZE (strategy=auto" in out
         assert "detail_scan" not in out  # spans render by name, not kind
         assert "scan [" in out

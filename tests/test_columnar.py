@@ -2,6 +2,8 @@
 
 from array import array
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from repro.storage.columnar import ColumnarRelation, ColumnData
 from repro.storage.relation import Relation
 from repro.storage.schema import Field, Schema
@@ -142,3 +144,52 @@ class TestAccessors:
         assert len(data) == 2
         assert data.null_count() == 1
         assert data.decode() == [None, 5]
+
+
+typed_value = st.one_of(
+    st.none(),
+    st.integers(min_value=-(2 ** 80), max_value=2 ** 80),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.text(max_size=6),
+)
+
+
+SETTINGS = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class TestColumnarRoundTripProperty:
+    @SETTINGS
+    @given(
+        k=st.lists(st.one_of(st.none(),
+                             st.integers(min_value=-10, max_value=10)),
+                   max_size=20),
+        s=st.lists(st.one_of(st.none(), st.sampled_from(["a", "b", "c"])),
+                   max_size=20),
+    )
+    def test_typed_columns_round_trip(self, k, s):
+        n = min(len(k), len(s))
+        relation = Relation.from_columns(
+            [("K", DataType.INTEGER), ("S", DataType.STRING)],
+            list(zip(k[:n], s[:n])),
+        )
+        back = ColumnarRelation.from_relation(relation).to_relation()
+        assert back.rows == relation.rows
+
+    @SETTINGS
+    @given(values=st.lists(typed_value, max_size=20))
+    def test_mistyped_values_round_trip(self, values):
+        # Declared INTEGER but carrying arbitrary values, as intermediate
+        # relations built with validate=False legitimately do.
+        relation = Relation(
+            Relation.from_columns([("K", DataType.INTEGER)]).schema,
+            [(v,) for v in values], validate=False,
+        )
+        back = ColumnarRelation.from_relation(relation).to_relation()
+        assert back.rows == relation.rows
+        for original, restored in zip(relation.rows, back.rows):
+            assert type(original[0]) is type(restored[0])

@@ -224,8 +224,7 @@ class TestEndToEnd:
         db = fuzzy_database()
         expected = db.execute_sql(sql, QueryOptions(strategy=strategy))
         actual = db.execute_sql(
-            sql, QueryOptions(strategy=strategy, mode="gmdj_vectorized",
-                              chunk_size=7)
+            sql, QueryOptions(strategy=strategy, chunk_size=7)
         )
         assert expected.bag_equal(actual)
 
@@ -234,8 +233,7 @@ class TestEndToEnd:
         expected = db.execute_sql(SQL_EXISTS, QueryOptions(strategy="gmdj"))
         actual = db.execute_sql(
             SQL_EXISTS,
-            QueryOptions(strategy="gmdj", mode="gmdj_vectorized",
-                         chunk_budget=4, chunk_size=9),
+            QueryOptions(strategy="gmdj", chunk_budget=4, chunk_size=9),
         )
         assert expected.bag_equal(actual)
 
@@ -245,8 +243,8 @@ class TestEndToEnd:
         expected = db.execute_sql(SQL_EXISTS, QueryOptions(strategy="gmdj"))
         actual = db.execute_sql(
             SQL_EXISTS,
-            QueryOptions(strategy="gmdj", mode="gmdj_vectorized",
-                         partitions=3, workers=2, chunk_size=9),
+            QueryOptions(strategy="gmdj", partitions=3, workers=2,
+                         chunk_size=9),
         )
         assert expected.bag_equal(actual)
 
@@ -257,27 +255,27 @@ class TestEndToEnd:
         db = fuzzy_database()
         with collect() as row_stats:
             db.execute_sql(SQL_EXISTS,
-                           QueryOptions(strategy="gmdj", use_cache=False,
-                                        rollup="off"))
+                           QueryOptions(strategy="gmdj", backend="row",
+                                        use_cache=False, rollup="off"))
         with collect() as batch_stats:
             db.execute_sql(
                 SQL_EXISTS,
-                QueryOptions(strategy="gmdj", mode="gmdj_vectorized",
-                             chunk_size=11, use_cache=False, rollup="off"),
+                QueryOptions(strategy="gmdj", chunk_size=11,
+                             use_cache=False, rollup="off"),
             )
         assert batch_stats.snapshot() == row_stats.snapshot()
 
 
 class TestExplainAnalyze:
-    def test_executed_mode_and_chunks_surfaced(self):
+    def test_executed_kernel_and_chunks_surfaced(self):
         db = fuzzy_database()
         text = db.explain_analyze(
             db.sql(SQL_EXISTS),
-            QueryOptions(strategy="gmdj_optimized", mode="gmdj_vectorized",
+            QueryOptions(strategy="gmdj_optimized", backend="python",
                          chunk_size=16),
             strict=True,
         )
-        assert "mode=gmdj_vectorized" in text
+        assert "(strategy=gmdj_optimized kernel=python)" in text
         assert "-- executed:" in text
         assert "chunks=" in text
         assert "chunk_size=16" in text
@@ -290,11 +288,12 @@ class TestExplainAnalyze:
         db = fuzzy_database()
         payload = explain_analyze_json(
             db, db.sql(SQL_EXISTS),
-            QueryOptions(strategy="gmdj_optimized", mode="gmdj_vectorized",
+            QueryOptions(strategy="gmdj_optimized", backend="python",
                          chunk_size=16),
         )
         executed = payload["executed"]
-        assert executed["mode"] == "gmdj_vectorized"
+        assert executed["kernel"] == "python"
+        assert "fragmenter" not in executed
         assert executed["chunk_size"] == 16
         assert executed["chunks"] >= 1
 
@@ -302,10 +301,11 @@ class TestExplainAnalyze:
         from repro.obs.explain import explain_analyze_json
 
         db = fuzzy_database()
-        # mode="plain" pins the row interpreter even when REPRO_MODE
-        # would default the run to the vectorized kernel.
+        # backend="row" pins the row interpreter even when REPRO_BACKEND
+        # would default the run to a batch kernel.
         payload = explain_analyze_json(
             db, db.sql(SQL_EXISTS),
-            QueryOptions(strategy="gmdj", mode="plain"),
+            QueryOptions(strategy="gmdj", backend="row"),
         )
+        assert payload["executed"]["kernel"] == "row"
         assert "chunks" not in payload["executed"]

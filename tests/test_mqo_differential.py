@@ -125,20 +125,6 @@ class TestSixFormsDifferential:
             expected = db.execute(query, NO_CACHE)
             assert result.rows == expected.rows
 
-    @pytest.mark.parametrize("mode_options", [
-        QueryOptions(use_cache=False, mode="gmdj_vectorized"),
-        QueryOptions(use_cache=False, mode="chunked", chunk_budget=4),
-        QueryOptions(use_cache=False, mode="partitioned", partitions=2,
-                     workers=2),
-    ])
-    def test_batch_identical_under_execution_modes(self, mode_options):
-        db = make_db()
-        queries = [form_query("exists", bound) for bound in (0, 3)]
-        batch = db.execute_batch(queries, mode_options)
-        for query, result in zip(queries, batch):
-            expected = db.execute(query, mode_options)
-            assert result.rows == expected.rows
-
 
 # -- property: random compatible/incompatible mixes ---------------------------
 

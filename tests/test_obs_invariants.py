@@ -7,7 +7,7 @@ from repro.bench.workloads import (
     build_table1_catalog,
     table1_queries,
 )
-from repro.engine import execute
+from repro.engine import QueryOptions, execute
 from repro.errors import InvariantViolation
 from repro.obs.invariants import check_trace
 from repro.obs.tracer import span, tracing
@@ -36,16 +36,18 @@ class TestTable1Invariants:
     def test_chunked_run_holds(self, table1_catalog):
         query = table1_queries()["exists"]
         with tracing() as tracer:
-            execute(query, table1_catalog, "gmdj_chunked")
+            execute(query, table1_catalog,
+                    QueryOptions(strategy="gmdj", chunk_budget=16))
         report = check_trace(tracer.trace(), strict=True)
         assert report.ok
         chunked = tracer.trace().find(kind="gmdj_chunked")
-        assert chunked and chunked[0].attrs["expected_scans"] >= 1
+        assert chunked and chunked[0].attrs["expected_scans"] == 3
 
     def test_partitioned_run_holds(self, table1_catalog):
         query = table1_queries()["exists"]
         with tracing() as tracer:
-            execute(query, table1_catalog, "gmdj_parallel")
+            execute(query, table1_catalog,
+                    QueryOptions(strategy="gmdj", partitions=4))
         report = check_trace(tracer.trace(), strict=True)
         assert report.ok
 

@@ -1,14 +1,13 @@
 """Tests for partitioned (parallel/distributed) GMDJ evaluation."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.algebra.aggregates import agg, count_star
-from repro.algebra.expressions import TRUE, col
+from repro.algebra.expressions import col
 from repro.algebra.operators import ScanTable
 from repro.errors import ConfigurationError, ReproError
 from repro.gmdj import evaluate_gmdj_partitioned, md, partition_rows
-from repro.storage import Catalog, DataType, Relation, collect
+from repro.storage import Catalog, DataType, Relation
 
 
 @pytest.fixture
@@ -64,22 +63,10 @@ class TestPartitionRows:
             evaluate_gmdj_partitioned(full_gmdj(), catalog, 0)
 
 
-class TestPartitionedEquivalence:
-    @pytest.mark.parametrize("partitions", [1, 2, 3, 4, 7, 16])
-    def test_matches_single_scan(self, catalog, partitions):
-        single = full_gmdj().evaluate(catalog)
-        partitioned = evaluate_gmdj_partitioned(full_gmdj(), catalog,
-                                                partitions)
-        assert single.bag_equal(partitioned)
-
-    def test_avg_reconstructed_exactly(self, catalog):
-        single = full_gmdj().evaluate(catalog)
-        partitioned = evaluate_gmdj_partitioned(full_gmdj(), catalog, 3)
-        schema = single.schema
-        index = schema.index_of("a")
-        lhs = sorted((row[0], row[index]) for row in single.rows)
-        rhs = sorted((row[0], row[index]) for row in partitioned.rows)
-        assert lhs == rhs
+class TestPartitionedEdgeCases:
+    """Rows, order, AVG reconstruction and scan volume at every
+    (kernel x partition count x worker count) point live in
+    ``test_physical_lattice``; what stays here is the degenerate input."""
 
     def test_empty_detail(self, catalog):
         catalog.replace_table("R", Relation.from_columns(
@@ -87,52 +74,4 @@ class TestPartitionedEquivalence:
         ))
         single = full_gmdj().evaluate(catalog)
         partitioned = evaluate_gmdj_partitioned(full_gmdj(), catalog, 4)
-        assert single.bag_equal(partitioned)
-
-    def test_scan_volume_unchanged(self, catalog):
-        with collect() as single_stats:
-            full_gmdj().evaluate(catalog)
-        with collect() as parallel_stats:
-            evaluate_gmdj_partitioned(full_gmdj(), catalog, 3)
-        # Parallelism must not add data passes: total detail tuples
-        # scanned are identical (fragments partition the relation).
-        assert (parallel_stats.tuples_scanned
-                == single_stats.tuples_scanned)
-
-    def test_multi_block_with_scan_partitioning(self, catalog):
-        plan = md(ScanTable("B", "b"), ScanTable("R", "r"),
-                  [[count_star("c1")], [count_star("c2")]],
-                  [col("b.K") < col("r.V"), TRUE])
-        single = plan.evaluate(catalog)
-        partitioned = evaluate_gmdj_partitioned(
-            md(ScanTable("B", "b"), ScanTable("R", "r"),
-               [[count_star("c1")], [count_star("c2")]],
-               [col("b.K") < col("r.V"), TRUE]),
-            catalog, 5,
-        )
-        assert single.bag_equal(partitioned)
-
-
-class TestPartitionedProperty:
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        rows=st.lists(
-            st.tuples(st.integers(0, 5),
-                      st.one_of(st.none(), st.integers(0, 9))),
-            min_size=0, max_size=30,
-        ),
-        partitions=st.integers(min_value=1, max_value=8),
-    )
-    def test_any_partitioning_is_exact(self, rows, partitions):
-        catalog = Catalog()
-        catalog.create_table("B", Relation.from_columns(
-            [("K", DataType.INTEGER)], [(i,) for i in range(6)],
-        ))
-        catalog.create_table("R", Relation.from_columns(
-            [("K", DataType.INTEGER), ("V", DataType.INTEGER)], rows,
-        ))
-        single = full_gmdj().evaluate(catalog)
-        partitioned = evaluate_gmdj_partitioned(full_gmdj(), catalog,
-                                                partitions)
         assert single.bag_equal(partitioned)

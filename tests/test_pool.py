@@ -12,7 +12,7 @@ from repro.algebra.aggregates import agg, count_star
 from repro.algebra.expressions import col
 from repro.algebra.operators import ScanTable
 from repro.errors import ConfigurationError
-from repro.gmdj import evaluate_gmdj_partitioned, md
+from repro.gmdj import evaluate_gmdj_partitioned, md, run_gmdj
 from repro.gmdj.pool import (
     PROCESS_MIN_DETAIL_ROWS,
     choose_executor,
@@ -76,7 +76,7 @@ class TestChooseExecutor:
             resolve_workers(0)
         base = Relation.from_columns([("K", DataType.INTEGER)], [])
         with pytest.raises(ConfigurationError):
-            map_partitions(base, [], None, base.schema, workers=0)
+            map_partitions(run_gmdj, base, [], None, base.schema, workers=0)
 
 
 class TestMultiWorkerEquivalence:
@@ -265,3 +265,67 @@ class TestPoolRegistry:
         finally:
             registry.shutdown()
         assert pooled.rows == baseline.rows
+
+
+def _dying_kernel(base, detail, gmdj, output_schema, rule=None,
+                  selection=None):
+    """A kernel that kills its own worker process mid-scan (module level
+    so process workers can unpickle it by reference)."""
+    import os
+    import signal
+
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestDeadWorker:
+    SQL = ("SELECT K FROM B b WHERE EXISTS "
+           "(SELECT * FROM R r WHERE r.K = b.K AND r.V > 20)")
+
+    def make_db(self):
+        from repro import Database, DataType
+
+        db = Database()
+        db.create_table("B", [("K", DataType.INTEGER)],
+                        [(i,) for i in range(10)])
+        db.create_table(
+            "R", [("K", DataType.INTEGER), ("V", DataType.INTEGER)],
+            [(i % 10, i) for i in range(80)],
+        )
+        return db
+
+    def test_killed_worker_raises_typed_error_and_pool_recovers(
+            self, monkeypatch):
+        from repro import QueryOptions
+        from repro.errors import ReproError, WorkerPoolError
+        from repro.gmdj.pool import pooling
+
+        monkeypatch.setenv("REPRO_EXECUTOR", "process")
+        options = QueryOptions(strategy="gmdj", partitions=2, workers=2,
+                               use_cache=False, rollup="off")
+        with self.make_db() as db:
+            expected = db.execute_sql(self.SQL, QueryOptions(strategy="naive"))
+            # Warm the database's ("process", 2) executor, then kill one
+            # of its workers mid-map.
+            assert db.execute_sql(self.SQL, options).bag_equal(expected)
+            broken = db.pools.get("process", 2)
+            with pooling(db.pools):
+                with pytest.raises(WorkerPoolError) as error:
+                    evaluate_gmdj_partitioned(
+                        full_gmdj(), db.catalog, partitions=2, workers=2,
+                        kernel=_dying_kernel,
+                    )
+            assert isinstance(error.value, ReproError)
+            # The broken executor left the registry: the next query on
+            # the same database gets a fresh pool and the right answer.
+            assert len(db.pools) == 0
+            assert db.execute_sql(self.SQL, options).bag_equal(expected)
+            assert db.pools.get("process", 2) is not broken
+
+    def test_per_call_pool_raises_the_same_typed_error(self, catalog):
+        from repro.errors import WorkerPoolError
+
+        with pytest.raises(WorkerPoolError):
+            evaluate_gmdj_partitioned(
+                full_gmdj(), catalog, partitions=2, workers=2,
+                executor="process", kernel=_dying_kernel,
+            )

@@ -1,18 +1,12 @@
 """Property-based identity: python batch kernel vs. numpy backend.
 
 The numpy whole-array backend must be invisible everywhere except wall
-clock: for any random NULL-heavy database and any Table 1 subquery form,
-``evaluate_plan_vectorized(..., backend="numpy")`` must return the
-**identical row list** (values, duplicates, and order — not just bag
-equality) as ``backend="python"``, with the **identical IOStats
-snapshot** (scans, index probes, predicate evaluations, aggregate
-updates), and must uphold capability certificates exactly as the python
-kernel does.
-
-This is deliberately stronger than the vectorized-vs-row-kernel
-property (`test_property_vectorized`): the backend switch is a pure
-array-kernel substitution inside one scan algorithm, so even the
-per-operator counters must agree.
+clock.  ``test_physical_lattice`` already holds it to the **identical
+row list** and **identical IOStats snapshot** as the python kernel on
+random typed NULL-heavy data at any chunk size; this module adds the two
+properties only the backend pair has: both kernels must flip
+identically when invariant-block sharing is toggled, and both must
+uphold capability certificates.
 """
 
 from __future__ import annotations
@@ -23,24 +17,17 @@ pytest.importorskip("numpy", exc_type=ImportError)
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.algebra.aggregates import agg
-from repro.algebra.expressions import TRUE, Comparison, Not, col, lit
-from repro.algebra.nested import (
-    Exists,
-    NestedSelect,
-    QuantifiedComparison,
-    ScalarComparison,
-    Subquery,
-    in_predicate,
-    not_in_predicate,
-)
+from repro.algebra.nested import NestedSelect
 from repro.algebra.operators import ScanTable
+from repro.gmdj import evaluate_plan_vectorized
 from repro.gmdj.evaluate import invariant_sharing
-from repro.gmdj.modes import evaluate_plan_vectorized
 from repro.lint.absint import capability_scope, certify_capabilities
-from repro.storage import Catalog, DataType, Relation
 from repro.storage.iostats import collect
 from repro.unnesting import subquery_to_gmdj
+from tests.test_physical_lattice import (
+    typed_databases as databases,
+    typed_predicates as predicates,
+)
 
 SETTINGS = settings(
     max_examples=60,
@@ -48,147 +35,19 @@ SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-small_int = st.one_of(st.none(), st.integers(min_value=0, max_value=6))
-small_str = st.one_of(st.none(), st.sampled_from(["aa", "bb", "cc"]))
-small_float = st.one_of(st.none(),
-                        st.sampled_from([-1.5, 0.0, -0.0, 2.25, 9.5]))
 
-
-@st.composite
-def databases(draw):
-    catalog = Catalog()
-    b_rows = draw(st.lists(st.tuples(small_int, small_int, small_str),
-                           min_size=0, max_size=8))
-    r_rows = draw(st.lists(
-        st.tuples(small_int, small_int, small_str, small_float),
-        min_size=0, max_size=12))
-    catalog.create_table("B", Relation.from_columns(
-        [("K", DataType.INTEGER), ("X", DataType.INTEGER),
-         ("S", DataType.STRING)], b_rows,
-    ))
-    catalog.create_table("R", Relation.from_columns(
-        [("K", DataType.INTEGER), ("Y", DataType.INTEGER),
-         ("T", DataType.STRING), ("G", DataType.FLOAT)], r_rows,
-    ))
-    return catalog
-
-
-comparison_ops = st.sampled_from(["=", "<>", "<", "<=", ">", ">="])
-agg_functions = st.sampled_from(["count", "sum", "avg", "min", "max"])
-
-
-@st.composite
-def inner_conditions(draw, alias="r"):
-    conjuncts = []
-    if draw(st.booleans()):
-        conjuncts.append(col(f"{alias}.K") == col("b.K"))
-    if draw(st.booleans()):
-        # String equi-correlation: dictionary-coded hash keys.
-        conjuncts.append(col(f"{alias}.T") == col("b.S"))
-    if draw(st.booleans()):
-        op = draw(comparison_ops)
-        conjuncts.append(Comparison(op, col(f"{alias}.Y"),
-                                    lit(draw(st.integers(0, 6)))))
-    if draw(st.booleans()):
-        # Float residual over a NULL-heavy column.
-        conjuncts.append(Comparison(draw(comparison_ops),
-                                    col(f"{alias}.G"), lit(1.5)))
-    if not conjuncts:
-        return TRUE
-    predicate = conjuncts[0]
-    for extra in conjuncts[1:]:
-        predicate = predicate & extra
-    return predicate
-
-
-#: All six Table 1 subquery forms.
-FORMS = ("exists", "not_exists", "in", "not_in", "quantified", "agg")
-
-#: Inner item / aggregate argument columns, covering every array dtype.
-ITEM_COLUMNS = ("Y", "T", "G")
-
-
-@st.composite
-def subquery_leaves(draw, alias="r"):
-    theta = draw(inner_conditions(alias))
-    kind = draw(st.sampled_from(FORMS))
-    item_column = draw(st.sampled_from(ITEM_COLUMNS))
-    item = col(f"{alias}.{item_column}")
-    outer = col("b.S") if item_column == "T" else col("b.X")
-    subquery = Subquery(ScanTable("R", alias), theta)
-    if kind == "exists":
-        return Exists(subquery)
-    if kind == "not_exists":
-        return Exists(subquery, negated=True)
-    if kind == "in":
-        return in_predicate(
-            outer, Subquery(ScanTable("R", alias), theta, item=item))
-    if kind == "not_in":
-        return not_in_predicate(
-            outer, Subquery(ScanTable("R", alias), theta, item=item))
-    if kind == "agg":
-        function = draw(agg_functions)
-        argument = None if function == "count" else item
-        outer_side = outer
-        if item_column == "T" and function in ("count", "sum", "avg"):
-            # These aggregates are numeric regardless of the argument;
-            # keep the comparison type-correct.
-            argument = None if function == "count" else col(f"{alias}.Y")
-            outer_side = col("b.X")
-        return ScalarComparison(
-            draw(comparison_ops), outer_side,
-            Subquery(ScanTable("R", alias), theta,
-                     aggregate=agg(function, argument, "v")),
-        )
-    return QuantifiedComparison(
-        draw(comparison_ops), draw(st.sampled_from(["some", "all"])),
-        outer, Subquery(ScanTable("R", alias), theta, item=item),
-    )
-
-
-@st.composite
-def predicates(draw):
-    first = draw(subquery_leaves("r1"))
-    shape = draw(st.sampled_from(["single", "and", "or", "not"]))
-    if shape == "single":
-        return first
-    if shape == "not":
-        return Not(first)
-    second = draw(
-        st.one_of(
-            subquery_leaves("r2"),
-            st.builds(lambda v: col("b.X") > lit(v), st.integers(0, 6)),
-        )
-    )
-    if shape == "and":
-        return first & second
-    return first | second
-
-
-def _run_both(plan, catalog, chunk_size=None):
+def _run_both(plan, catalog):
     """Evaluate on both backends under IOStats collection."""
     with collect() as python_stats:
         python_result = evaluate_plan_vectorized(
-            plan, catalog, chunk_size, backend="python")
+            plan, catalog, None, backend="python")
     with collect() as numpy_stats:
         numpy_result = evaluate_plan_vectorized(
-            plan, catalog, chunk_size, backend="numpy")
+            plan, catalog, None, backend="numpy")
     return python_result, python_stats, numpy_result, numpy_stats
 
 
 class TestBackendIdentity:
-    @SETTINGS
-    @given(catalog=databases(), predicate=predicates(),
-           optimize=st.booleans())
-    def test_rows_order_and_counters_identical(self, catalog, predicate,
-                                               optimize):
-        query = NestedSelect(ScanTable("B", "b"), predicate)
-        plan = subquery_to_gmdj(query, catalog, optimize=optimize)
-        python_result, python_stats, numpy_result, numpy_stats = _run_both(
-            plan, catalog)
-        assert python_result.rows == numpy_result.rows
-        assert python_stats.snapshot() == numpy_stats.snapshot()
-
     @SETTINGS
     @given(catalog=databases(), predicate=predicates(),
            sharing=st.booleans())
@@ -201,21 +60,6 @@ class TestBackendIdentity:
         with invariant_sharing(sharing):
             python_result, python_stats, numpy_result, numpy_stats = \
                 _run_both(plan, catalog)
-        assert python_result.rows == numpy_result.rows
-        assert python_stats.snapshot() == numpy_stats.snapshot()
-
-    @SETTINGS
-    @given(catalog=databases(), predicate=predicates(),
-           chunk_size=st.integers(min_value=1, max_value=6))
-    def test_identity_at_any_chunk_size(self, catalog, predicate,
-                                        chunk_size):
-        # chunk_size shapes the *python* kernel's batching; the numpy
-        # backend is whole-array regardless, and the results (and the
-        # scan-level counters) must not depend on batch boundaries.
-        query = NestedSelect(ScanTable("B", "b"), predicate)
-        plan = subquery_to_gmdj(query, catalog, optimize=True)
-        python_result, python_stats, numpy_result, numpy_stats = _run_both(
-            plan, catalog, chunk_size)
         assert python_result.rows == numpy_result.rows
         assert python_stats.snapshot() == numpy_stats.snapshot()
 

@@ -23,7 +23,7 @@ from repro.algebra.nested import (
 from repro.algebra.operators import ScanTable
 from repro.baselines import evaluate_join_unnest, evaluate_naive, evaluate_native
 from repro.errors import TranslationError
-from repro.gmdj.modes import evaluate_plan_chunked, evaluate_plan_partitioned
+from repro.gmdj import BaseChunks, evaluate_plan, select_fragmenter
 from repro.storage import Catalog, DataType, Relation
 from repro.unnesting import subquery_to_gmdj
 
@@ -182,7 +182,8 @@ class TestFragmentedEvaluation:
         expected = evaluate_naive(NestedSelect(ScanTable("B", "b"), predicate),
                                   catalog)
         plan = subquery_to_gmdj(query, catalog)
-        chunked = evaluate_plan_chunked(plan, catalog, memory_tuples)
+        chunked = evaluate_plan(plan, catalog,
+                                fragmenter=BaseChunks(memory_tuples))
         assert expected.bag_equal(chunked)
 
     @SETTINGS
@@ -194,7 +195,9 @@ class TestFragmentedEvaluation:
         expected = evaluate_naive(NestedSelect(ScanTable("B", "b"), predicate),
                                   catalog)
         plan = subquery_to_gmdj(query, catalog)
-        partitioned = evaluate_plan_partitioned(plan, catalog, partitions)
+        partitioned = evaluate_plan(
+            plan, catalog,
+            fragmenter=select_fragmenter(partitions=partitions))
         assert expected.bag_equal(partitioned)
 
     @SETTINGS
@@ -203,8 +206,9 @@ class TestFragmentedEvaluation:
         query = NestedSelect(ScanTable("B", "b"), predicate)
         plan = subquery_to_gmdj(query, catalog, optimize=True)
         expected = plan.evaluate(catalog)
-        assert expected.bag_equal(evaluate_plan_chunked(plan, catalog, 2))
-        assert expected.bag_equal(evaluate_plan_partitioned(plan, catalog, 3))
+        for fragmenter in (BaseChunks(2), select_fragmenter(partitions=3)):
+            assert expected.bag_equal(
+                evaluate_plan(plan, catalog, fragmenter=fragmenter))
 
 
 class TestLinearNestingProperty:

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.algebra.nested import NestedSelect
 from repro.algebra.operators import ScanTable
 from repro.fuzz.datagen import random_database
-from repro.gmdj.modes import evaluate_plan_partitioned
+from repro.gmdj import evaluate_plan, select_fragmenter
 from repro.storage import Catalog, DataType, Relation
 from repro.unnesting import subquery_to_gmdj
 from tests.test_property_equivalence import databases, predicates
@@ -42,9 +42,8 @@ class TestParallelEquivalence:
         query = NestedSelect(ScanTable("B", "b"), predicate)
         plan = subquery_to_gmdj(query, catalog)
         sequential = plan.evaluate(catalog)
-        pooled = evaluate_plan_partitioned(
-            plan, catalog, partitions, workers=workers, executor="thread",
-        )
+        pooled = evaluate_plan(plan, catalog, fragmenter=select_fragmenter(
+            partitions=partitions, workers=workers, executor="thread"))
         assert sequential.bag_equal(pooled)
 
     @SETTINGS
@@ -55,9 +54,8 @@ class TestParallelEquivalence:
         query = NestedSelect(ScanTable("B", "b"), predicate)
         plan = subquery_to_gmdj(query, catalog, optimize=True)
         sequential = plan.evaluate(catalog)
-        pooled = evaluate_plan_partitioned(
-            plan, catalog, 3, workers=workers, executor="thread",
-        )
+        pooled = evaluate_plan(plan, catalog, fragmenter=select_fragmenter(
+            partitions=3, workers=workers, executor="thread"))
         assert sequential.bag_equal(pooled)
 
 
@@ -88,7 +86,6 @@ class TestNullHeavyData:
         query = NestedSelect(ScanTable("B", "b"), predicate)
         plan = subquery_to_gmdj(query, catalog)
         sequential = plan.evaluate(catalog)
-        pooled = evaluate_plan_partitioned(
-            plan, catalog, 4, workers=workers, executor="thread",
-        )
+        pooled = evaluate_plan(plan, catalog, fragmenter=select_fragmenter(
+            partitions=4, workers=workers, executor="thread"))
         assert sequential.bag_equal(pooled)

@@ -31,7 +31,7 @@ class TestConstruction:
     def test_defaults(self):
         options = QueryOptions()
         assert options.strategy == "auto"
-        assert options.mode is None
+        assert options.backend is None
         assert options.use_cache is True
         assert options.trace is False
 
@@ -43,10 +43,6 @@ class TestConstruction:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(PlanError):
             QueryOptions(strategy="quantum")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            QueryOptions(mode="sharded")
 
     @pytest.mark.parametrize("field", ["partitions", "workers",
                                        "chunk_budget"])
@@ -72,49 +68,38 @@ class TestConstruction:
 
 
 class TestCanonical:
-    def test_legacy_chunked_maps_to_mode(self):
-        canon = QueryOptions(strategy="gmdj_chunked").canonical()
-        assert (canon.strategy, canon.mode) == ("gmdj", "chunked")
-
-    def test_legacy_parallel_maps_to_mode(self):
-        canon = QueryOptions(strategy="gmdj_parallel").canonical()
-        assert (canon.strategy, canon.mode) == ("gmdj", "partitioned")
-
-    def test_legacy_name_with_conflicting_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            QueryOptions(strategy="gmdj_parallel", mode="chunked").canonical()
+    def test_no_knobs_mean_one_scan_per_gmdj(self):
+        assert QueryOptions().fragmenter() is None
 
     def test_workers_imply_partitioned(self):
-        canon = QueryOptions(workers=2).canonical()
-        assert canon.mode == "partitioned"
+        assert QueryOptions(workers=2).fragmenter() == "partitioned"
 
     def test_partitions_imply_partitioned(self):
-        assert QueryOptions(partitions=3).canonical().mode == "partitioned"
+        assert QueryOptions(partitions=3).fragmenter() == "partitioned"
 
     def test_chunk_budget_implies_chunked(self):
-        assert QueryOptions(chunk_budget=10).canonical().mode == "chunked"
+        assert QueryOptions(chunk_budget=10).fragmenter() == "chunked"
 
-    def test_ambiguous_inference_rejected(self):
+    def test_two_fragmenters_rejected(self):
         with pytest.raises(ConfigurationError):
             QueryOptions(workers=2, chunk_budget=10).canonical()
-
-    def test_plain_mode_normalizes_to_none(self):
-        assert QueryOptions(mode="plain").canonical().mode is None
-
-    def test_mode_on_baseline_rejected(self):
         with pytest.raises(ConfigurationError):
-            QueryOptions(strategy="naive", mode="partitioned").canonical()
+            QueryOptions(partitions=2, chunk_budget=10).canonical()
 
-    def test_mixed_knobs_rejected(self):
+    @pytest.mark.parametrize("knob", [
+        dict(partitions=2), dict(workers=2), dict(chunk_budget=4),
+        dict(chunk_size=8), dict(backend="python"),
+    ])
+    def test_physical_knobs_on_baseline_rejected(self, knob):
         with pytest.raises(ConfigurationError):
-            QueryOptions(mode="partitioned", chunk_budget=5).canonical()
-        with pytest.raises(ConfigurationError):
-            QueryOptions(mode="chunked", workers=2).canonical()
+            QueryOptions(strategy="naive", **knob).canonical()
 
     def test_canonical_is_idempotent_and_cheap(self):
-        options = QueryOptions(strategy="gmdj", mode="partitioned",
-                               partitions=2)
+        options = QueryOptions(strategy="gmdj", partitions=2)
         assert options.canonical() is options
+        off = QueryOptions(strategy="gmdj", rollup="off").canonical()
+        assert off.rollup is None
+        assert off.canonical() is off
 
     def test_every_strategy_is_known(self):
         assert GMDJ_STRATEGIES <= set(STRATEGIES)
@@ -122,93 +107,101 @@ class TestCanonical:
             QueryOptions(strategy=strategy)  # must not raise
 
 
-class TestVectorizedMode:
-    def test_alias_normalizes_on_construction(self):
-        assert QueryOptions(mode="vectorized").mode == "gmdj_vectorized"
+class TestKernelSelection:
+    def test_default_kernel_is_the_row_interpreter(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        assert QueryOptions().kernel() == "row"
+        assert QueryOptions(backend="row").kernel() == "row"
 
-    def test_chunk_size_implies_vectorized(self):
-        canon = QueryOptions(chunk_size=16).canonical()
-        assert canon.mode == "gmdj_vectorized"
-        assert canon.chunk_size == 16
+    def test_chunk_size_alone_means_python_batches(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        options = QueryOptions(chunk_size=16).canonical()
+        assert options.kernel() == "python"
+        assert options.chunk_size == 16
 
     def test_chunk_size_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             QueryOptions(chunk_size=0)
 
-    def test_chunk_size_needs_vectorized_mode(self):
-        with pytest.raises(ConfigurationError):
-            QueryOptions(mode="chunked", chunk_size=4,
-                         chunk_budget=8).canonical()
-
-    def test_composes_with_chunk_budget(self):
-        canon = QueryOptions(mode="vectorized", chunk_budget=8).canonical()
-        assert canon.mode == "gmdj_vectorized"
+    def test_kernel_composes_with_chunk_budget(self):
+        canon = QueryOptions(backend="python", chunk_budget=8).canonical()
+        assert (canon.kernel(), canon.fragmenter()) == ("python", "chunked")
         assert canon.chunk_budget == 8
 
-    def test_composes_with_partitions_and_workers(self):
-        canon = QueryOptions(mode="vectorized", partitions=3,
+    def test_kernel_composes_with_partitions_and_workers(self):
+        canon = QueryOptions(backend="python", partitions=3,
                              workers=2).canonical()
-        assert canon.mode == "gmdj_vectorized"
+        assert (canon.kernel(), canon.fragmenter()) == (
+            "python", "partitioned")
         assert (canon.partitions, canon.workers) == (3, 2)
 
-    def test_budget_and_partitions_together_rejected(self):
-        with pytest.raises(ConfigurationError):
-            QueryOptions(mode="vectorized", chunk_budget=8,
-                         workers=2).canonical()
-
     def test_cache_key_includes_chunk_size(self):
-        small = QueryOptions(mode="vectorized", chunk_size=4)
-        large = QueryOptions(mode="vectorized", chunk_size=64)
+        small = QueryOptions(backend="python", chunk_size=4)
+        large = QueryOptions(backend="python", chunk_size=64)
         assert small.cache_key() != large.cache_key()
 
-    def test_vectorized_execution_matches_row_mode(self, db):
+    def test_cache_key_tells_kernels_and_fragmenters_apart(self):
+        keys = {
+            QueryOptions(backend="row").cache_key(),
+            QueryOptions(backend="python").cache_key(),
+            QueryOptions(backend="row", chunk_budget=4).cache_key(),
+            QueryOptions(backend="row", partitions=4).cache_key(),
+        }
+        assert len(keys) == 4
+
+    def test_batch_kernel_execution_matches_row_kernel(self, db):
         expected = db.execute_sql(SQL, QueryOptions(strategy="gmdj"))
         result = db.execute_sql(
-            SQL, QueryOptions(strategy="gmdj", mode="vectorized",
+            SQL, QueryOptions(strategy="gmdj", backend="python",
                               chunk_size=5)
         )
         assert expected.bag_equal(result)
 
 
-class TestEnvironmentMode:
-    def test_env_supplies_default_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MODE", "gmdj_vectorized")
-        assert QueryOptions().canonical().mode == "gmdj_vectorized"
+class TestEnvironmentBackend:
+    def test_env_supplies_default_kernel(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "python")
+        assert QueryOptions().kernel() == "python"
 
-    def test_env_accepts_alias(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MODE", "vectorized")
-        assert QueryOptions().canonical().mode == "gmdj_vectorized"
+    def test_explicit_row_beats_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "python")
+        assert QueryOptions(backend="row").kernel() == "row"
 
-    def test_explicit_plain_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MODE", "gmdj_vectorized")
-        assert QueryOptions(mode="plain").canonical().mode is None
+    def test_env_row_with_chunk_size_means_python(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "row")
+        assert QueryOptions().kernel() == "row"
+        assert QueryOptions(chunk_size=4).kernel() == "python"
 
-    def test_explicit_knobs_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MODE", "gmdj_vectorized")
-        assert QueryOptions(chunk_budget=8).canonical().mode == "chunked"
+    def test_baseline_strategies_accept_env(self, monkeypatch):
+        # The hook sets a default, not a knob: it must not trip the
+        # "physical knobs need a GMDJ strategy" check.
+        monkeypatch.setenv("REPRO_BACKEND", "python")
+        QueryOptions(strategy="naive").canonical()
 
-    def test_baseline_strategies_ignore_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MODE", "gmdj_vectorized")
-        assert QueryOptions(strategy="naive").canonical().mode is None
-
-    def test_invalid_env_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MODE", "warp")
+    def test_invalid_env_backend_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "warp")
         with pytest.raises(ConfigurationError):
-            QueryOptions().canonical()
+            QueryOptions().kernel()
 
-    def test_env_mode_drives_execution(self, db, monkeypatch):
+    def test_env_backend_drives_execution(self, db, monkeypatch):
+        from repro.obs import tracing
+
         expected = db.execute_sql(SQL, QueryOptions(strategy="naive"))
-        monkeypatch.setenv("REPRO_MODE", "gmdj_vectorized")
-        result = db.execute_sql(SQL, QueryOptions(strategy="gmdj"))
+        monkeypatch.setenv("REPRO_BACKEND", "python")
+        with tracing() as tracer:
+            result = db.execute_sql(
+                SQL, QueryOptions(strategy="gmdj", use_cache=False,
+                                  rollup="off"))
         assert expected.bag_equal(result)
+        scans = tracer.trace().find(kind="detail_scan")
+        assert scans and all(scan.attrs.get("vectorized") for scan in scans)
 
 
 class TestDatabaseAcceptsOptions:
     def test_execute_sql_with_options(self, db):
         plain = db.execute_sql(SQL, QueryOptions(strategy="naive"))
         gmdj = db.execute_sql(
-            SQL, QueryOptions(strategy="gmdj", mode="partitioned",
-                              partitions=3, workers=2)
+            SQL, QueryOptions(strategy="gmdj", partitions=3, workers=2)
         )
         assert plain.bag_equal(gmdj)
 
@@ -225,11 +218,12 @@ class TestDatabaseAcceptsOptions:
     def test_explain_analyze_accepts_options(self, db):
         text = db.explain_analyze(
             db.sql(SQL),
-            QueryOptions(strategy="gmdj", mode="partitioned",
-                         partitions=2, workers=2),
+            QueryOptions(strategy="gmdj", partitions=2, workers=2),
             strict=True,
         )
-        assert "strategy=gmdj mode=partitioned" in text
+        # REPRO_BACKEND in the environment adds " kernel=..." between.
+        assert "(strategy=gmdj" in text
+        assert "fragmenter=partitioned" in text
         assert "all hold" in text
 
 
@@ -299,7 +293,6 @@ class TestEnvironmentDefaults:
         monkeypatch.setenv("REPRO_EXECUTOR", "thread")
         expected = db.execute_sql(SQL, QueryOptions(strategy="naive"))
         result = db.execute_sql(
-            SQL, QueryOptions(strategy="gmdj", mode="partitioned",
-                              partitions=4)
+            SQL, QueryOptions(strategy="gmdj", partitions=4)
         )
         assert expected.bag_equal(result)

@@ -253,13 +253,17 @@ class TestErrorPaths:
     def test_non_object_body_is_400(self, live_server):
         assert live_server().post("/query", [1, 2])[0] == 400
 
-    def test_unknown_option_field_is_400(self, live_server):
+    @pytest.mark.parametrize("field, value", [
+        ("trace", True),              # the server's decision
+        ("mode", "gmdj_vectorized"),  # removed: kernel/fragmenter knobs
+    ])
+    def test_unknown_option_field_is_400(self, live_server, field, value):
         server = live_server()
         server.create_tables()
         status, payload = server.post(
-            "/query", {"sql": SQL, "options": {"trace": True}})
+            "/query", {"sql": SQL, "options": {field: value}})
         assert status == 400
-        assert "trace" in payload["error"]
+        assert field in payload["error"]
 
     def test_bad_tenant_name_is_400(self, live_server):
         assert live_server().post(
@@ -364,6 +368,22 @@ class TestOverloadAndDeadlines:
             assert health["status"] == "draining"
         finally:
             server.service._draining = False
+
+    def test_dead_pool_worker_is_503_not_400(self, live_server, monkeypatch):
+        # A worker dying is the server's fault; the broken executor is
+        # already evicted, so the client may simply retry.
+        from repro.errors import WorkerPoolError
+        from repro.serve.state import Tenant
+
+        def dead(self, sql, options, deadline=None):
+            raise WorkerPoolError("a process pool worker died")
+
+        server = live_server()
+        server.create_tables()
+        monkeypatch.setattr(Tenant, "run_query", dead)
+        status, payload = server.post("/query", {"sql": SQL})
+        assert status == 503
+        assert "worker died" in payload["error"]
 
 
 class TestMetricsIsolation:
