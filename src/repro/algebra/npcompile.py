@@ -14,7 +14,7 @@ Scalars travel as :class:`NpValue` — ``(values, null, kind)``:
   scalar (literals, base-row values in pair residuals); numpy
   broadcasting unifies the two.
 * ``null`` is the SQL NULL mask: a bool ndarray, or the Python bool
-  ``False``/``True`` kept *symbolic* so certified NEVER-null columns
+  ``False``/``True`` kept *symbolic* so NULL-free columns
   (``mask is None`` in columnar storage) never materialize or combine
   masks at all.
 * ``kind`` is ``"num"`` (ints/floats/bools), ``"str"``
@@ -104,7 +104,7 @@ class NpTruth:
 
 
 #: Symbolic boolean algebra over ``bool | ndarray`` — Python bools stay
-#: symbolic so mask-free (NEVER-null) columns never touch an array mask.
+#: symbolic so mask-free (NULL-free) columns never touch an array mask.
 def _and(a: Any, b: Any) -> Any:
     if a is False or b is False:
         return False

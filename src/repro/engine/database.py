@@ -96,8 +96,7 @@ class Database:
             return
         self._closed = True
         self.pools.shutdown(wait=True)
-        self.cache.invalidate()
-        self.rollups.invalidate()
+        self._invalidate()
 
     def __enter__(self) -> "Database":
         self._check_open()
@@ -110,6 +109,11 @@ class Database:
         if self._closed:
             raise DatabaseClosedError("database is closed")
 
+    def _invalidate(self) -> None:
+        """Drop everything derived from the catalog's current contents."""
+        self.cache.invalidate()
+        self.rollups.invalidate()
+
     # -- DDL -----------------------------------------------------------------
 
     def create_table(
@@ -121,15 +125,13 @@ class Database:
         """Create a table from ``(name, dtype)`` pairs and initial rows."""
         self._check_open()
         relation = Relation.from_columns(columns, rows, name=name)
-        self.cache.invalidate()
-        self.rollups.invalidate()
+        self._invalidate()
         return self.catalog.create_table(name, relation)
 
     def register(self, name: str, relation: Relation) -> Relation:
         """Install an existing relation as a table (replaces silently)."""
         self._check_open()
-        self.cache.invalidate()
-        self.rollups.invalidate()
+        self._invalidate()
         return self.catalog.replace_table(name, relation)
 
     def insert(self, name: str, rows: Iterable[Sequence[Any]]) -> Relation:
@@ -144,45 +146,46 @@ class Database:
         self._check_open()
         relation = self.catalog.table(name).copy()
         relation.extend(rows)
-        self.cache.invalidate()
-        self.rollups.invalidate()
+        self._invalidate()
         return self.catalog.replace_table(name, relation)
 
     def load_csv(self, name: str, path: str | Path) -> Relation:
         """Create a table from a CSV written by ``repro.storage.save_csv``."""
         self._check_open()
-        self.cache.invalidate()
-        self.rollups.invalidate()
+        self._invalidate()
         return self.catalog.create_table(name, load_csv(path, name=name))
 
     def load_binary(self, name: str, path: str | Path) -> Relation:
         """Create a table from a ``.cols`` binary column directory.
 
-        The loaded relation arrives with its columnar encoding cache
-        pre-seeded from the memory-mapped column files (see
-        :mod:`repro.storage.binio`), so the first vectorized query scans
-        the mapped buffers without re-encoding the rows.
+        The loaded relation's one columnar encoding is the
+        memory-mapped column files themselves (see
+        :mod:`repro.storage.binio`), so vectorized queries scan the
+        mapped buffers without re-encoding the rows.
         """
         from repro.storage.binio import load_binary
 
         self._check_open()
-        self.cache.invalidate()
-        self.rollups.invalidate()
+        self._invalidate()
         return self.catalog.create_table(name, load_binary(path, name=name))
 
     def create_index(self, table: str, attribute: str) -> None:
         """Create a single-attribute hash index (conventional engines'
         correlation lookups and indexed joins use these)."""
         self._check_open()
-        self.cache.invalidate()
-        self.rollups.invalidate()
+        self._invalidate()
         self.catalog.create_hash_index(table, [attribute])
+
+    def drop_table(self, name: str) -> None:
+        """Remove a table (and its indexes) from the catalog."""
+        self._check_open()
+        self._invalidate()
+        self.catalog.drop_table(name)
 
     def drop_indexes(self, table: str | None = None) -> int:
         """Drop indexes to study strategy stability (Figure 5)."""
         self._check_open()
-        self.cache.invalidate()
-        self.rollups.invalidate()
+        self._invalidate()
         return self.catalog.drop_all_indexes(table)
 
     def table(self, name: str) -> Relation:

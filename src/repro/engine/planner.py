@@ -192,21 +192,13 @@ def _gmdj_runner(
     cache: PlanCache | None,
     rollups: RollupStore | None = None,
 ) -> Callable[[], Relation]:
-    """Build the runner for a GMDJ strategy: translate, certify, then
-    walk the plan through the one physical pipeline the options select.
-
-    The translated plan's :class:`~repro.lint.absint.
-    CapabilityCertificate` is derived once and installed as the ambient
-    certificate for the evaluation, so downstream certificate-gated
-    optimizations (the batch kernels' mask skip, in particular) can
-    consult it without plumbing through every evaluation signature.
-    """
+    """Build the runner for a GMDJ strategy: translate, then walk the
+    plan through the one physical pipeline the options select."""
     from repro.gmdj.physical import (
         evaluate_plan,
         select_fragmenter,
         select_kernel,
     )
-    from repro.lint.absint import capability_scope, certify_capabilities
 
     translate = _translator(query, catalog, strategy, options, cache)
     kernel = select_kernel(options.backend, options.chunk_size)
@@ -217,12 +209,8 @@ def _gmdj_runner(
     if rollups is not None and options.rollup in ("exact", "subsume"):
         hook = rollups.node_hook(catalog, options.rollup == "subsume")
 
-    def runner() -> Relation:
-        plan = translate()
-        with capability_scope(certify_capabilities(plan, catalog)):
-            return evaluate_plan(plan, catalog, kernel, fragmenter, hook)
-
-    return runner
+    return lambda: evaluate_plan(translate(), catalog, kernel, fragmenter,
+                                 hook)
 
 
 def _resolve_executor(

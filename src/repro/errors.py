@@ -85,10 +85,9 @@ class CertificateViolation(InvariantViolation):
 
     Raised when a column the abstract interpreter certified NEVER-null
     (:func:`repro.lint.absint.certify_capabilities`) is observed holding
-    a NULL — either by the strict mode of
-    :func:`repro.obs.invariants.check_capabilities` over result rows, or
-    eagerly by the columnar encoder when a certificate authorized it to
-    skip validity-mask work.  A certificate violation is always an
+    a NULL by the strict mode of
+    :func:`repro.obs.invariants.check_capabilities` over result rows.
+    A certificate violation is always an
     analysis bug (or a deliberately seeded one in the fuzz harness),
     never a data error: the lattice is meant to over-approximate.
     """

@@ -206,17 +206,14 @@ def capability_violations(database: Database, repro_sql: str) -> list[str]:
 
     Both GMDJ translations of the query are certified
     (:func:`repro.lint.absint.certify_capabilities`) and evaluated —
-    once on the row kernel and once on the vectorized kernel, the
-    latter under the certificate's ambient scope so the mask-skip path
-    runs with the certificate it trusts — and the observed rows are
-    checked against the certified per-column nullability.  Returns
-    human-readable violation strings; the certificate's soundness
-    contract is that this list is empty for every oracle-accepted
-    query, so the fuzzer reports each entry as a divergence of the
-    pseudo-engine ``"capability"``.
+    on the row kernel and on each vectorized kernel — and the observed
+    rows are checked against the certified per-column nullability.
+    Returns human-readable violation strings; the certificate's
+    soundness contract is that this list is empty for every
+    oracle-accepted query, so the fuzzer reports each entry as a
+    divergence of the pseudo-engine ``"capability"``.
     """
-    from repro.errors import CertificateViolation
-    from repro.lint.absint import capability_scope, certify_capabilities
+    from repro.lint.absint import certify_capabilities
     from repro.obs.invariants import check_capabilities
     from repro.storage.npcolumns import HAVE_NUMPY
 
@@ -243,19 +240,13 @@ def capability_violations(database: Database, repro_sql: str) -> list[str]:
                  plan, database.catalog, FUZZ_CHUNK_SIZE)),
         ]
         if HAVE_NUMPY:
-            # The whole-array backend trusts the same certificate for
-            # its mask-free encodings; it must uphold it too.
             runs.append((f"{label}/numpy",
                          lambda: evaluate_plan_vectorized(
                              plan, database.catalog, FUZZ_CHUNK_SIZE,
                              backend="numpy")))
         for run_label, run in runs:
             try:
-                with capability_scope(certificate):
-                    rows = run().rows
-            except CertificateViolation as error:
-                problems.append(f"{run_label}: {error}")
-                continue
+                rows = run().rows
             except Exception:
                 # Engine failures are the engine loop's findings, not
                 # certificate unsoundness.

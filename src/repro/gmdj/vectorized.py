@@ -131,32 +131,6 @@ def _bulk_update(state_list: Sequence[Any], value_fns: Sequence,
                 add(value)
 
 
-def _never_null_positions(detail: Relation) -> frozenset[int]:
-    """Detail column positions the ambient capability certificate proves
-    NULL-free, keyed by the stored relation's name.
-
-    Conservative by construction: no ambient certificate (pool workers —
-    ContextVars do not cross executor threads), a derived detail (no
-    name), or a name the certificate does not mention all yield the
-    empty set, and the encoder keeps its validity masks.
-    """
-    # Imported here: repro.lint pulls in the algebra package, which pulls
-    # in repro.gmdj — a module-level import would close the cycle.
-    from repro.lint.absint import current_capabilities
-
-    certificate = current_capabilities()
-    name = getattr(detail, "name", None)
-    if certificate is None or name is None:
-        return frozenset()
-    never = certificate.detail_never_null().get(name)
-    if not never:
-        return frozenset()
-    return frozenset(
-        position for position, field in enumerate(detail.schema.fields)
-        if field.name in never
-    )
-
-
 def _scan_batched(columnar: ColumnarRelation, vblocks: list[_VectorBlock],
                   base_rows: Sequence[tuple], state: list[list[Any]],
                   stats: IOStats, chunk_size: int) -> None:
@@ -300,16 +274,16 @@ def run_gmdj_vectorized(
     total = len(detail)
     chunks = -(-total // chunk_size) if total else 0
 
-    never_null = _never_null_positions(detail) if rule is None else frozenset()
     fallbacks: list[str] = []
     with span("scan", kind="detail_scan",
               relation=getattr(detail, "name", None) or "<derived>",
               rows=total, chunks=chunks, chunk_size=chunk_size,
               vectorized=True, backend=resolved_backend,
-              mask_skipped=len(never_null)) as scan_span:
+              mask_skipped=0) as scan_span:
         stats.record_scan(total)
         if rule is None:
-            columnar = cached_columnar(detail, never_null)
+            columnar = cached_columnar(detail)
+            scan_span.set(mask_skipped=columnar.mask_free_columns())
             block_pairs = list(zip(runtimes, gmdj.blocks))
             if resolved_backend == "numpy":
                 from repro.gmdj.npkernel import run_numpy_scan

@@ -37,12 +37,13 @@ assumption:
   requires every residual to be in a non-opaque class.
 
 The product is a :class:`CapabilityCertificate` — machine-checkable
-(:meth:`~CapabilityCertificate.to_json`), cross-checked at runtime, and
-consumed ambiently by the vectorized kernel through
-:class:`capability_scope` / :func:`current_capabilities` (the columnar
-encoder skips validity-mask work on detail columns certified
-NEVER-null; observing a NULL there raises
-:class:`~repro.errors.CertificateViolation`).
+(:meth:`~CapabilityCertificate.to_json`) and cross-checked at runtime.
+It is a *tool* (``repro lint --capabilities``, the EXPLAIN capability
+panel, the fuzz ``capability`` engine), not a step of query execution:
+the engine's gates — partition merge, MQO coalescing, rollup
+subsumption — consult the per-spec classifications above, which read no
+data, and validity masks are the columnar encoder's own decision
+(:mod:`repro.storage.columnar`).
 """
 
 from __future__ import annotations
@@ -429,7 +430,7 @@ class GMDJCapabilityEntry:
     """The capability facts of one GMDJ operator in the plan.
 
     ``relation`` names the stored detail table when the detail is a
-    plain scan (the key the vectorized mask-skip gates on), else None.
+    plain scan, else None.
     ``detail_never_null`` holds the bare names of detail columns whose
     stored data is certified NULL-free.
     """
@@ -483,23 +484,6 @@ class CapabilityCertificate:
     def decomposable(self) -> bool:
         """Every GMDJ's every aggregate merges across partitions."""
         return all(entry.decomposable for entry in self.entries)
-
-    def detail_never_null(self) -> dict[str, frozenset[str]]:
-        """Stored detail table -> bare columns certified NEVER-null.
-
-        A table appearing as the detail of several GMDJs keeps only the
-        columns every entry certifies (intersection — conservative).
-        """
-        merged: dict[str, frozenset[str]] = {}
-        for entry in self.entries:
-            if entry.relation is None:
-                continue
-            certified = frozenset(entry.detail_never_null)
-            if entry.relation in merged:
-                merged[entry.relation] &= certified
-            else:
-                merged[entry.relation] = certified
-        return merged
 
     def summary(self) -> str:
         never = sum(1 for c in self.columns if c.nullability is NEVER)
@@ -792,7 +776,11 @@ def certify_capabilities(plan: Operator,
     )
 
 
-# -- ambient certificate (consumed by the vectorized kernel) -------------------
+# -- ambient certificate -------------------------------------------------------
+#
+# No engine code reads this; kept for the benchmark's replay chain
+# (perfbench/layers.py enters capability_scope), delete with the next
+# benchmark issue.
 
 
 _capabilities_var: ContextVar[CapabilityCertificate | None] = ContextVar(
@@ -801,18 +789,13 @@ _capabilities_var: ContextVar[CapabilityCertificate | None] = ContextVar(
 
 
 def current_capabilities() -> CapabilityCertificate | None:
-    """The certificate of the plan currently executing, if any."""
+    """The certificate installed by :class:`capability_scope`, if any."""
     return _capabilities_var.get()
 
 
 class capability_scope:
-    """Context manager installing a plan's certificate for one run.
-
-    The planner wraps every GMDJ-strategy execution in this; the
-    vectorized kernel reads it back with :func:`current_capabilities`
-    to gate validity-mask skipping.  A ContextVar, so concurrent serve
-    requests each see their own plan's certificate.
-    """
+    """Context manager installing a certificate as the ambient one,
+    readable with :func:`current_capabilities` (see the note above)."""
 
     def __init__(self, certificate: CapabilityCertificate | None) -> None:
         self.certificate = certificate

@@ -345,9 +345,7 @@ def apply_ddl(db: Database, statement) -> dict:
         return {"op": op, "dropped": dropped}
     if op == "drop_table":
         name = _required(statement, "name")
-        db.cache.invalidate()
-        db.rollups.invalidate()
-        db.catalog.drop_table(name)
+        db.drop_table(name)
         return {"op": op, "table": name}
     raise ConfigurationError(
         f"unknown ddl op {op!r}; choose one of create_table, insert, "

@@ -5,34 +5,35 @@ A table saved with :func:`save_binary` becomes a directory::
     orders.cols/
         manifest.json        # schema, row count, per-column descriptors
         c0.npy               # column 0 values (int64/float64/uint8/int32)
-        c0.mask.npy          # column 0 validity mask (uint8), if needed
+        c0.mask.npy          # column 0 validity mask (uint8), only
+                             # when column 0 holds a NULL
         c1.npy
         ...
 
 The column files are standard NPY version-1 arrays, so any numpy
-installation reads them directly — and :func:`load_binary` does exactly
-that via ``np.load(mmap_mode="r")``, giving the whole-array kernel
-memory-mapped buffers without a parse step.  The format is nevertheless
-**dependency-free**: this module carries its own NPY v1 reader/writer
-(the header is a ``repr``'d dict; ``ast.literal_eval`` parses it back),
-and without numpy the loader serves zero-copy ``memoryview`` casts over
-``mmap`` — the python batch kernel decodes those through the same
-``tolist`` path it uses for in-memory ``array`` storage.
+installation reads them directly, but the format is **dependency-free**:
+this module carries its own NPY v1 reader/writer (the header is a
+``repr``'d dict; ``ast.literal_eval`` parses it back), and
+:func:`load_binary` has one reader for both kernels — zero-copy
+``memoryview`` casts over ``mmap``.  The python batch kernel decodes
+those through the same ``tolist`` path it uses for in-memory ``array``
+storage; the numpy kernel wraps them with ``np.frombuffer``
+(:mod:`repro.storage.npcolumns`), still without moving a byte.
 
 What is persisted is the engine's own columnar encoding
 (:mod:`repro.storage.columnar`): typed buffers, out-of-band validity
 masks, dictionary-encoded strings (the dictionary rides in the
-manifest — OLAP dimension strings keep it tiny).  Columns encoded
-mask-free (certified NEVER-null at save time) are stored without a mask
-file and come back mask-free, so the certificate benefit survives the
-round trip.  Object-encoded columns (mixed types, >64-bit ints) have no
-array representation; their values are stored in the manifest as JSON.
+manifest — OLAP dimension strings keep it tiny).  A mask file exists
+only for a column that holds a NULL; the others are stored and come
+back mask-free.  Object-encoded columns (mixed types, >64-bit ints)
+have no array representation; their values are stored in the manifest
+as JSON.
 
 The loaded :class:`~repro.storage.relation.Relation` materializes its
 row list once (``tolist`` + ``zip`` — no text parsing), and the loaded
-columnar encoding is seeded into the relation's encoding cache, so the
-first vectorized query scans the memory-mapped buffers directly instead
-of re-transposing the rows.
+columnar encoding *is* the relation's one cached encoding, so every
+vectorized query scans the memory-mapped buffers directly instead of
+re-transposing the rows.
 
 Parquet interchange (:func:`save_parquet` / :func:`load_parquet`) is
 gated behind the optional ``pyarrow`` extra and raises a clean
@@ -45,14 +46,14 @@ from __future__ import annotations
 import ast
 import json
 import mmap
+import os
 import struct
 import sys
 from pathlib import Path
-from typing import Any, Collection
+from typing import Any
 
 from repro.errors import ConfigurationError, SchemaError
 from repro.storage.columnar import ColumnarRelation, ColumnData
-from repro.storage.npcolumns import HAVE_NUMPY
 from repro.storage.relation import Relation
 from repro.storage.schema import Field, Schema
 from repro.storage.types import DataType
@@ -125,48 +126,46 @@ def _column_payload(data: Any) -> bytes:
     return bytes(memoryview(data).cast("B"))
 
 
-def _load_column_values(path: Path, descr: str) -> Any:
-    """Memory-mapped column values: ndarray if numpy, memoryview else."""
-    if HAVE_NUMPY:
-        import numpy as np
+def _load_column_values(path: Path, descr: str, rows: int) -> memoryview:
+    """One column file as a zero-copy typed ``memoryview`` over ``mmap``.
 
-        values = np.load(path, mmap_mode="r")
-        if values.dtype.byteorder not in ("=", "|", "<"):
-            values = values.astype(
-                values.dtype.newbyteorder("="))  # pragma: no cover
-        return values
+    The file must be what the manifest says it is: same ``descr``, one
+    value per table row, and long enough to hold them.
+    """
     code, itemsize = _DESCR_CODES[descr]
     with path.open("rb") as handle:
         file_descr, count, offset = _read_npy_header(handle)
         if file_descr != descr:
             raise SchemaError(
                 f"{path}: manifest says {descr}, file says {file_descr}")
+        if count != rows:
+            raise SchemaError(
+                f"{path}: holds {count} values for a {rows}-row table")
+        end = offset + count * itemsize
+        if os.fstat(handle.fileno()).st_size < end:
+            raise SchemaError(
+                f"{path}: truncated, {count} {descr} values need {end} bytes")
         if count == 0:
             return memoryview(b"").cast(code)
         mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    view = memoryview(mapped)[offset:offset + count * itemsize]
     # The memoryview keeps the mmap alive; casting preserves that.
-    return view.cast(code)
+    return memoryview(mapped)[offset:end].cast(code)
 
 
 # -- save -----------------------------------------------------------------
 
 
-def save_binary(relation: Relation, path: str | Path,
-                never_null: Collection[int] = frozenset()) -> Path:
+def save_binary(relation: Relation, path: str | Path) -> Path:
     """Write ``relation`` as a binary column directory (``<path>``).
 
-    ``never_null`` marks column positions to encode (and persist)
-    mask-free, exactly as :meth:`ColumnarRelation.from_relation` would;
-    pass a capability certificate's NEVER-null set to keep that proof's
-    benefit on disk.  Returns the directory written.
+    Columns the encoder found NULL-free get no mask file.  Returns the
+    directory written.
     """
     path = Path(path)
     if path.suffix != TABLE_SUFFIX:
         path = path.with_name(path.name + TABLE_SUFFIX)
     path.mkdir(parents=True, exist_ok=True)
-    columnar = ColumnarRelation.from_relation(relation,
-                                              never_null=never_null)
+    columnar = ColumnarRelation.from_relation(relation)
     fields = []
     for position, (field, column) in enumerate(
             zip(relation.schema.fields, columnar.columns)):
@@ -216,17 +215,12 @@ def _load_column(path: Path, descriptor: dict, rows: int) -> ColumnData:
         # Masks come back as real bytearrays: they are mutated by no one
         # but summed/zipped everywhere, and at one byte per row the copy
         # is immaterial next to keeping the value buffers mapped.
-        raw = _load_column_values(path / mask_name, "|u1")
-        valid = bytearray(memoryview(raw).cast("B"))
+        valid = bytearray(_load_column_values(path / mask_name, "|u1", rows))
     if kind == "object":
         values = [None if v is None else v for v in descriptor["values"]]
         return ColumnData("object", values, valid)
     values = _load_column_values(path / descriptor["file"],
-                                 _KIND_DESCR[kind])
-    if len(values) != rows:
-        raise SchemaError(
-            f"{path}: column {descriptor['name']!r} holds {len(values)} "
-            f"values for a {rows}-row table")
+                                 _KIND_DESCR[kind], rows)
     return ColumnData(kind, values, valid,
                       descriptor.get("dictionary"))
 
@@ -235,9 +229,9 @@ def load_binary(path: str | Path, name: str | None = None) -> Relation:
     """Read a table written by :func:`save_binary`.
 
     The returned relation's rows reproduce the saved rows exactly (same
-    values, same order, NULLs included).  Its columnar-encoding cache is
-    pre-seeded with the memory-mapped columns, so vectorized evaluation
-    scans the mapped buffers without re-encoding.
+    values, same order, NULLs included).  The memory-mapped columns are
+    its one columnar encoding, so vectorized evaluation scans the mapped
+    buffers without re-encoding.
     """
     path = Path(path)
     manifest_path = path / "manifest.json"
@@ -262,16 +256,7 @@ def load_binary(path: str | Path, name: str | None = None) -> Relation:
     table_name = name or manifest.get("name") or table_stem(path)
     columnar = ColumnarRelation(schema, columns, rows, name=table_name)
     relation = columnar.to_relation()
-    # Seed the encoding cache: the plain key always matches, and the
-    # mask-free key serves queries whose certificate proves exactly the
-    # columns that were saved mask-free.
-    relation._columnar[frozenset()] = columnar
-    mask_free = frozenset(
-        position for position, column in enumerate(columns)
-        if column.mask_free
-    )
-    if mask_free:
-        relation._columnar[mask_free] = columnar
+    relation._columnar.append(columnar)
     return relation
 
 

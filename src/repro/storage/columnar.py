@@ -17,14 +17,13 @@ NULLs are carried out-of-band in a per-column validity ``bytearray``
 conversion is lossless in both directions: ``to_relation`` reproduces the
 original rows exactly, duplicates and NULLs included, in the same order.
 
-Columns a capability certificate proves NEVER-null
-(:func:`repro.lint.absint.certify_capabilities`) skip the validity mask
-entirely — :meth:`ColumnarRelation.from_relation` takes the set of such
-column positions and encodes them with ``valid=None`` ("all present"),
-eliding both the mask allocation and the per-element mask stores.  The
-certificate is trusted but verified: a ``None`` encountered while
-encoding a NEVER-null column raises
-:class:`~repro.errors.CertificateViolation` on the spot.
+Whether a column needs a mask is this module's decision alone: the
+encoder reads every value anyway, so a typed column in which it saw no
+NULL comes out with ``valid=None`` ("all present") — no mask is
+allocated and the kernels skip every mask operation on it.  There is
+one encoder and one encoding per stored relation
+(:func:`cached_columnar`); nothing upstream tells storage which columns
+are NULL-free.
 
 The batch GMDJ kernels (:mod:`repro.gmdj.vectorized`) do not read the
 typed arrays element-wise in their hot loops — they ask for
@@ -36,9 +35,8 @@ access a single list index while the relation itself stays compact.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Collection, Sequence
+from typing import Any, Sequence
 
-from repro.errors import CertificateViolation
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 from repro.storage.types import DataType
@@ -67,9 +65,8 @@ def _plain_list(data: Any) -> list:
 class ColumnData:
     """One attribute's values: typed storage plus a validity mask.
 
-    ``valid=None`` means "every value present" — the encoding used for
-    columns certified NEVER-null, where the mask would be all ones and
-    is not worth materializing.
+    ``valid=None`` means "every value present": the encoder saw no
+    NULL, so the mask would be all ones and is not materialized.
     """
 
     __slots__ = ("kind", "data", "valid", "dictionary")
@@ -129,6 +126,11 @@ def _object_column(values: list) -> ColumnData:
         0 if v is None else 1 for v in values))
 
 
+def _mask(valid: bytearray) -> bytearray | None:
+    """``valid`` if it marks a NULL, else None (no mask needed)."""
+    return valid if 0 in valid else None
+
+
 def _encode_column(values: list, dtype: DataType) -> ColumnData:
     """Build typed storage for one column.
 
@@ -138,46 +140,50 @@ def _encode_column(values: list, dtype: DataType) -> ColumnData:
     vice versa).  Every value is therefore type-checked during encoding;
     any mismatch falls back to an object column — the round trip must be
     lossless for whatever bag of values the relation really holds.
+
+    The validity mask starts all-present and each NULL clears its byte;
+    a typed column that cleared none returns ``valid=None``.
     """
     n = len(values)
-    valid = bytearray(n)
+    valid = bytearray(b"\x01") * n
     if dtype is DataType.INTEGER:
         data = array("q", bytes(8 * n))
         for position, value in enumerate(values):
             if value is None:
+                valid[position] = 0
                 continue
             if (type(value) is not int
                     or value < _INT64_MIN or value > _INT64_MAX):
                 return _object_column(values)
             data[position] = value
-            valid[position] = 1
-        return ColumnData("int", data, valid)
+        return ColumnData("int", data, _mask(valid))
     if dtype is DataType.FLOAT:
         data = array("d", bytes(8 * n))
         for position, value in enumerate(values):
             if value is None:
+                valid[position] = 0
                 continue
             if type(value) is not float:
                 return _object_column(values)
             data[position] = value
-            valid[position] = 1
-        return ColumnData("float", data, valid)
+        return ColumnData("float", data, _mask(valid))
     if dtype is DataType.BOOLEAN:
         flags = bytearray(n)
         for position, value in enumerate(values):
             if value is None:
+                valid[position] = 0
                 continue
             if type(value) is not bool:
                 return _object_column(values)
             flags[position] = 1 if value else 0
-            valid[position] = 1
-        return ColumnData("bool", flags, valid)
+        return ColumnData("bool", flags, _mask(valid))
     if dtype is DataType.STRING:
         codes = array("i", bytes(4 * n))
         dictionary: list = []
         seen: dict[str, int] = {}
         for position, value in enumerate(values):
             if value is None:
+                valid[position] = 0
                 continue
             if type(value) is not str:
                 return _object_column(values)
@@ -186,64 +192,7 @@ def _encode_column(values: list, dtype: DataType) -> ColumnData:
                 code = seen[value] = len(dictionary)
                 dictionary.append(value)
             codes[position] = code
-            valid[position] = 1
-        return ColumnData("dict", codes, valid, dictionary)
-    return _object_column(values)
-
-
-def _encode_never_null(
-    values: list, dtype: DataType, column: str
-) -> ColumnData:
-    """Encode a column certified NEVER-null, skipping the validity mask.
-
-    Type checking stays (declared dtypes are not guarantees on
-    intermediates — see :func:`_encode_column`), but the mask is never
-    allocated and no per-element validity store happens.  Observing a
-    ``None`` here means the static analysis was wrong, which is a hard
-    :class:`~repro.errors.CertificateViolation`, not a fallback case.
-    """
-    n = len(values)
-    for value in values:
-        if value is None:
-            raise CertificateViolation(
-                f"column {column!r} certified NEVER-null holds a NULL; "
-                f"the capability certificate is unsound"
-            )
-    if dtype is DataType.INTEGER:
-        data = array("q", bytes(8 * n))
-        for position, value in enumerate(values):
-            if (type(value) is not int
-                    or value < _INT64_MIN or value > _INT64_MAX):
-                return _object_column(values)
-            data[position] = value
-        return ColumnData("int", data, None)
-    if dtype is DataType.FLOAT:
-        data = array("d", bytes(8 * n))
-        for position, value in enumerate(values):
-            if type(value) is not float:
-                return _object_column(values)
-            data[position] = value
-        return ColumnData("float", data, None)
-    if dtype is DataType.BOOLEAN:
-        flags = bytearray(n)
-        for position, value in enumerate(values):
-            if type(value) is not bool:
-                return _object_column(values)
-            flags[position] = 1 if value else 0
-        return ColumnData("bool", flags, None)
-    if dtype is DataType.STRING:
-        codes = array("i", bytes(4 * n))
-        dictionary: list = []
-        seen: dict[str, int] = {}
-        for position, value in enumerate(values):
-            if type(value) is not str:
-                return _object_column(values)
-            code = seen.get(value)
-            if code is None:
-                code = seen[value] = len(dictionary)
-                dictionary.append(value)
-            codes[position] = code
-        return ColumnData("dict", codes, None, dictionary)
+        return ColumnData("dict", codes, _mask(valid), dictionary)
     return _object_column(values)
 
 
@@ -269,16 +218,8 @@ class ColumnarRelation:
         return self.length
 
     @classmethod
-    def from_relation(
-        cls, relation: Relation,
-        never_null: Collection[int] = frozenset(),
-    ) -> "ColumnarRelation":
-        """Transpose a row-major relation into columnar form.
-
-        ``never_null`` lists column positions a capability certificate
-        proves NULL-free; those columns encode mask-free (see
-        :func:`_encode_never_null`).
-        """
+    def from_relation(cls, relation: Relation) -> "ColumnarRelation":
+        """Transpose a row-major relation into columnar form."""
         schema = relation.schema
         rows = relation.rows
         n = len(rows)
@@ -287,11 +228,8 @@ class ColumnarRelation:
         else:
             raw_columns = [[] for _ in schema.fields]
         columns = [
-            _encode_never_null(list(raw), field.dtype, field.full_name)
-            if position in never_null
-            else _encode_column(list(raw), field.dtype)
-            for position, (raw, field) in enumerate(
-                zip(raw_columns, schema.fields))
+            _encode_column(list(raw), field.dtype)
+            for raw, field in zip(raw_columns, schema.fields)
         ]
         return cls(schema, columns, n,
                    name=getattr(relation, "name", None))
@@ -326,21 +264,18 @@ class ColumnarRelation:
                      for i in range(len(self.columns)))
 
 
-def cached_columnar(
-    relation: Relation, never_null: Collection[int] = frozenset(),
-) -> ColumnarRelation:
+def cached_columnar(relation: Relation) -> ColumnarRelation:
     """The columnar encoding of ``relation``, cached on the relation.
 
-    Repeated vectorized/batch queries over the same stored detail used
-    to re-transpose and re-encode it per query (and per base fragment
-    under ``chunk_budget``); the encoding now lives on the
-    :class:`~repro.storage.relation.Relation` itself, keyed by the
-    NEVER-null position set, and is invalidated exactly like the plan
-    cache: ``insert``/``extend`` clear it, and DDL installs a fresh
-    relation object (see ``Catalog.replace_table``).
+    A stored relation carries at most one encoding (``_columnar``, a
+    zero-or-one-element list), so repeated vectorized queries — and the
+    base fragments of a ``chunk_budget`` run — transpose and encode it
+    once.  It is invalidated exactly like the plan cache:
+    ``insert``/``extend`` clear it, and DDL installs a fresh relation
+    object (see ``Catalog.replace_table``).
 
     Scan views (``ScanTable``/``rename``) share the stored relation's
-    cache dict, so a requalified view hits the same encoding — the
+    cache list, so a requalified view hits the same encoding — the
     typed columns are qualifier-independent; only the ``schema`` on the
     returned wrapper differs, and decoded lists plus ndarray views are
     shared with the cached instance.
@@ -350,13 +285,9 @@ def cached_columnar(
     """
     from repro.obs.metrics import get_registry
 
-    cache = getattr(relation, "_columnar", None)
-    if cache is None:
-        return ColumnarRelation.from_relation(relation,
-                                              never_null=never_null)
-    key = frozenset(never_null)
-    hit = cache.get(key)
-    if hit is not None:
+    cache = relation._columnar
+    if cache:
+        hit = cache[0]
         get_registry().counter("columnar.cache_hits").inc()
         if hit.schema is relation.schema:
             return hit
@@ -366,6 +297,6 @@ def cached_columnar(
         clone._np_columns = hit._np_columns
         return clone
     get_registry().counter("columnar.cache_misses").inc()
-    built = ColumnarRelation.from_relation(relation, never_null=never_null)
-    cache[key] = built
+    built = ColumnarRelation.from_relation(relation)
+    cache[:] = [built]
     return built

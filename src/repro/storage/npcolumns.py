@@ -13,20 +13,21 @@ This module is the single place the engine asks two questions:
   :class:`~repro.storage.columnar.ColumnData` as a **zero-copy**
   ``np.frombuffer`` view plus a boolean validity mask.  ``array('q')``,
   ``array('d')``, ``array('i')`` and ``bytearray`` all implement the
-  buffer protocol, so no bytes are moved: the numpy kernel reads the
-  exact storage the python kernel decodes.
+  buffer protocol — as do the ``mmap``-backed ``memoryview`` columns of
+  a table loaded by :func:`repro.storage.binio.load_binary` — so no
+  bytes are moved: the numpy kernel reads the exact storage the python
+  kernel decodes.
 
 Views are cached per :class:`~repro.storage.columnar.ColumnarRelation`
 (one tuple per column position), so repeated vectorized queries against
 a cached encoding (see :func:`repro.storage.columnar.cached_columnar`)
 also reuse the ndarray wrappers.
 
-A column certified NEVER-null encodes with ``valid=None``; its view
+A column in which the encoder saw no NULL has ``valid=None``; its view
 carries ``mask=None`` ("nothing is null") and the whole-array kernels
-skip every mask operation on it — the certificate benefit the issue
-asks for.  Object columns (mixed/overflowed values) have no array
-representation and yield ``None``, which the kernel treats as a
-per-operator fallback to the python path.
+skip every mask operation on it.  Object columns (mixed/overflowed
+values) have no array representation and yield ``None``, which the
+kernel treats as a per-operator fallback to the python path.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class NpColumn:
 
     ``values`` is the typed buffer viewed in place (int64 / float64 /
     bool flags / int32 dictionary codes).  ``mask`` is ``None`` when the
-    column is mask-free (certified NEVER-null), else a bool ndarray with
+    column is mask-free (it holds no NULL), else a bool ndarray with
     True = present.  ``dictionary`` carries the decoded string table for
     ``kind == "dict"`` columns.
     """

@@ -42,10 +42,10 @@ class Relation:
             self.rows: list[Row] = [self._check_row(row) for row in rows]
         else:
             self.rows = [tuple(row) for row in rows]
-        # Columnar-encoding cache (repro.storage.columnar.cached_columnar),
-        # keyed by NEVER-null position set.  Scan views share this dict so
+        # Columnar-encoding cache (repro.storage.columnar.cached_columnar):
+        # empty, or the one encoding.  Scan views share this list so
         # repeated vectorized queries hit one encoding; mutations clear it.
-        self._columnar: dict = {}
+        self._columnar: list = []
 
     def __getstate__(self) -> tuple:
         # Worker-pool pickling: ship data, not the encoding cache.
@@ -53,7 +53,7 @@ class Relation:
 
     def __setstate__(self, state: tuple) -> None:
         self.schema, self.rows, self.name = state
-        self._columnar = {}
+        self._columnar = []
 
     def _check_row(self, row: Sequence[Any]) -> Row:
         if len(row) != len(self.schema):

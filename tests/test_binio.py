@@ -3,10 +3,9 @@
 The format contract: ``load_binary(save_binary(r)) `` reproduces the
 relation's rows exactly — values, duplicates, order, NULLs, and value
 *types* — for every column kind (int64, float64, bool, dictionary
-string, object fallback), with or without numpy installed (the
-pure-python reader memory-maps the same files), and the loaded relation
-arrives with its columnar encoding cache pre-seeded so vectorized
-queries scan the mapped buffers.
+string, object fallback), through one stdlib ``mmap`` reader that needs
+no numpy, and the loaded relation's one columnar encoding is the mapped
+one, so vectorized queries scan the mapped buffers.
 """
 
 from __future__ import annotations
@@ -81,14 +80,28 @@ class TestRoundTrip:
 
     def test_mask_free_columns_stay_mask_free(self, tmp_path):
         relation = Relation.from_columns(
-            [("K", DataType.INTEGER), ("S", DataType.STRING)],
-            [(i, str(i % 3)) for i in range(40)], name="nn")
-        path = save_binary(relation, tmp_path / "nn", never_null={0, 1})
-        assert not list(path.glob("*.mask.npy"))
+            [("K", DataType.INTEGER), ("S", DataType.STRING),
+             ("N", DataType.INTEGER)],
+            [(i, str(i % 3), None if i % 5 == 0 else i) for i in range(40)],
+            name="nn")
+        path = save_binary(relation, tmp_path / "nn")
+        # Mask files exist only for the NULL-bearing column.
+        assert [p.name for p in path.glob("*.mask.npy")] == ["c2.mask.npy"]
         back = load_binary(path)
         assert back.rows == relation.rows
-        seeded = back._columnar[frozenset({0, 1})]
-        assert all(column.mask_free for column in seeded.columns)
+        (seeded,) = back._columnar
+        assert ([column.mask_free for column in seeded.columns]
+                == [True, True, False])
+
+    def test_files_are_standard_npy(self, tmp_path):
+        np = pytest.importorskip("numpy")
+        relation = sample_relation()
+        path = save_binary(relation, tmp_path / "t")
+        values = np.load(path / "c0.npy")
+        assert values.dtype == np.int64
+        mask = np.load(path / "c0.mask.npy")
+        decoded = [int(v) if ok else None for v, ok in zip(values, mask)]
+        assert decoded == [row[0] for row in relation.rows]
 
     def test_suffix_appended(self, tmp_path):
         path = save_binary(sample_relation(rows=3), tmp_path / "plain")
@@ -117,6 +130,41 @@ class TestLoadedEncodingCache:
             assert registry.counter("columnar.cache_misses").value == 0
         assert columnar.to_relation().rows == back.rows
 
+    def test_queries_scan_the_one_mapped_encoding(self, tmp_path):
+        import mmap
+
+        from repro import QueryOptions
+        from repro.obs.metrics import metrics_scope
+
+        database = Database()
+        # K is NULL-free, F is not: one mask-free and one masked column.
+        detail = Relation.from_columns(
+            [("K", DataType.INTEGER), ("F", DataType.FLOAT)],
+            [(i % 7, None if i % 4 == 0 else i / 8 - 3) for i in range(90)],
+            name="r")
+        save_binary(detail, tmp_path / "r")
+        loaded = database.load_binary("R", tmp_path / "r.cols")
+        (mapped,) = loaded._columnar
+        assert [column.mask_free for column in mapped.columns] == [True, False]
+        database.create_table("B", [("K", DataType.INTEGER)],
+                              [(k,) for k in range(-2, 6)])
+        sql = ("SELECT b.K FROM B b WHERE EXISTS "
+               "(SELECT * FROM R r WHERE r.K = b.K AND r.F > 0.0)")
+        expected = database.execute_sql(sql, QueryOptions(
+            strategy="gmdj", backend="row", use_cache=False)).rows
+        for backend in (["python", "numpy"] if HAVE_NUMPY else ["python"]):
+            options = QueryOptions(strategy="gmdj", backend=backend,
+                                   use_cache=False, rollup="off")
+            with metrics_scope() as registry:
+                assert database.execute_sql(sql, options).rows == expected
+                assert registry.counter("columnar.cache_misses").value == 0
+                assert registry.counter("columnar.cache_hits").value >= 1
+        # Still exactly one encoding, and it is the memory-mapped one.
+        assert database.table("R")._columnar == [mapped]
+        for column in mapped.columns:
+            assert isinstance(column.data, memoryview)
+            assert isinstance(column.data.obj, mmap.mmap)
+
     def test_vectorized_query_over_loaded_table(self, tmp_path):
         from repro.algebra.expressions import col, lit
         from repro.algebra.nested import Exists, NestedSelect, Subquery
@@ -142,29 +190,6 @@ class TestLoadedEncodingCache:
             result = evaluate_plan_vectorized(
                 plan, database.catalog, None, backend=backend)
             assert expected.bag_equal(result)
-
-
-class TestPurePythonReader:
-    def test_reader_without_numpy(self, tmp_path, monkeypatch):
-        relation = sample_relation()
-        path = save_binary(relation, tmp_path / "t")
-        monkeypatch.setattr(binio, "HAVE_NUMPY", False)
-        back = load_binary(path)
-        assert back.rows == relation.rows
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy to cross-read")
-    def test_numpy_reads_pure_python_files(self, tmp_path, monkeypatch):
-        import numpy as np
-
-        relation = sample_relation()
-        monkeypatch.setattr(binio, "HAVE_NUMPY", False)
-        path = save_binary(relation, tmp_path / "t")
-        values = np.load(path / "c0.npy")
-        assert values.dtype == np.int64
-        assert len(values) == len(relation)
-        mask = np.load(path / "c0.mask.npy")
-        decoded = [int(v) if ok else None for v, ok in zip(values, mask)]
-        assert decoded == [row[0] for row in relation.rows]
 
 
 class TestManifestErrors:
@@ -202,7 +227,22 @@ class TestManifestErrors:
         path = save_binary(sample_relation(rows=4), tmp_path / "t")
         target = path / "c0.npy"
         target.write_bytes(b"not an npy file at all")
-        with pytest.raises(Exception):
+        with pytest.raises(SchemaError, match="not an NPY file"):
+            load_binary(path)
+
+    @pytest.mark.parametrize("name", ["c0.npy", "c0.mask.npy"])
+    def test_truncated_column_file(self, tmp_path, name):
+        path = save_binary(sample_relation(rows=10), tmp_path / "t")
+        target = path / name
+        target.write_bytes(target.read_bytes()[:-3])
+        with pytest.raises(SchemaError, match="truncated"):
+            load_binary(path)
+
+    def test_descr_disagrees_with_manifest(self, tmp_path):
+        path = save_binary(sample_relation(rows=10), tmp_path / "t")
+        # c2 is the float column: same width as int64, different descr.
+        (path / "c0.npy").write_bytes((path / "c2.npy").read_bytes())
+        with pytest.raises(SchemaError, match="manifest says <i8"):
             load_binary(path)
 
 

@@ -1,27 +1,18 @@
-"""Certificate-gated optimizations: the gates must open only on a
-sound certificate, fall back conservatively without one, and hard-fail
-(rather than silently corrupt) when handed an unsound claim."""
+"""Classification-gated optimizations: partition-and-merge and batch
+MQO coalescing open only for decomposable aggregates and fall back to
+one scan / a singleton otherwise.  (Validity masks are not gated by
+certificates — they are the encoder's decision; see test_columnar.py.)"""
 
 from __future__ import annotations
 
-import pytest
-
 from repro import Database, DataType, QueryOptions
-from repro.algebra.aggregates import AggregateSpec, agg, count_star
+from repro.algebra.aggregates import AggregateSpec, agg
 from repro.algebra.expressions import col
 from repro.algebra.operators import ScanTable
-from repro.errors import CertificateViolation
 from repro.gmdj import md
 from repro.gmdj import evaluate_gmdj_partitioned
-from repro.gmdj.vectorized import run_gmdj_vectorized
-from repro.lint.absint import (
-    CapabilityCertificate,
-    GMDJCapabilityEntry,
-    capability_scope,
-    certify_capabilities,
-)
 from repro.obs.tracer import Tracer, tracing
-from repro.storage import Catalog, ColumnarRelation, Relation
+from repro.storage import Catalog, Relation
 
 
 def null_heavy_catalog():
@@ -40,103 +31,6 @@ def null_heavy_catalog():
     catalog.create_table("B", base)
     catalog.create_table("R", detail)
     return catalog, base, detail
-
-
-def exists_gmdj():
-    return md(
-        ScanTable("B", "b"), ScanTable("R", "r"),
-        [[count_star("c")]],
-        [col("b.K") == col("r.K")],
-    )
-
-
-def detail_scan_attrs(run):
-    tracer = Tracer()
-    with tracing(tracer):
-        result = run()
-    scans = tracer.trace().find(kind="detail_scan")
-    assert len(scans) == 1
-    return result, scans[0].attrs
-
-
-class TestVectorizedMaskSkip:
-    def test_certificate_enables_mask_free_encoding(self):
-        catalog, base, detail = null_heavy_catalog()
-        gmdj = exists_gmdj()
-        schema = gmdj.schema(catalog)
-        certificate = certify_capabilities(gmdj, catalog)
-        assert certificate.detail_never_null()["R"] == frozenset({"K"})
-
-        def bare():
-            return run_gmdj_vectorized(base, detail, gmdj, schema)
-
-        def certified():
-            with capability_scope(certificate):
-                return run_gmdj_vectorized(base, detail, gmdj, schema)
-
-        plain, plain_attrs = detail_scan_attrs(bare)
-        gated, gated_attrs = detail_scan_attrs(certified)
-        # The gate is observable (one mask-free column, K) and must not
-        # change a single output row.
-        assert plain_attrs["mask_skipped"] == 0
-        assert gated_attrs["mask_skipped"] == 1
-        assert gated.rows == plain.rows
-
-    def test_claimless_certificate_keeps_masks(self):
-        catalog, base, detail = null_heavy_catalog()
-        gmdj = exists_gmdj()
-        schema = gmdj.schema(catalog)
-        claimless = CapabilityCertificate(columns=(), entries=(),
-                                          complete=False)
-
-        def run():
-            with capability_scope(claimless):
-                return run_gmdj_vectorized(base, detail, gmdj, schema)
-
-        _, attrs = detail_scan_attrs(run)
-        assert attrs["mask_skipped"] == 0
-
-    def test_engine_installs_certificate_end_to_end(self):
-        db = Database()
-        db.create_table("B", [("K", DataType.INTEGER)],
-                        [(i % 4,) for i in range(8)])
-        db.create_table(
-            "R", [("K", DataType.INTEGER), ("V", DataType.INTEGER)],
-            [(i % 4, None if i % 3 == 0 else i * 10) for i in range(60)],
-        )
-        sql = ("SELECT b.K FROM B b WHERE EXISTS "
-               "(SELECT * FROM R r WHERE r.K = b.K)")
-        options = QueryOptions(strategy="gmdj", backend="python")
-        tracer = Tracer()
-        with tracing(tracer):
-            db.execute(db.sql(sql), options)
-        scans = tracer.trace().find(kind="detail_scan")
-        assert scans, "vectorized kernel did not run"
-        assert all(span.attrs["mask_skipped"] >= 1 for span in scans)
-
-
-class TestUnsoundCertificateFailsClosed:
-    def test_columnar_encoding_rejects_false_never_null(self):
-        _, _, detail = null_heavy_catalog()
-        with pytest.raises(CertificateViolation, match="NEVER-null"):
-            ColumnarRelation.from_relation(detail, never_null={1})
-
-    def test_forged_ambient_claim_raises_not_corrupts(self):
-        catalog, base, detail = null_heavy_catalog()
-        gmdj = exists_gmdj()
-        schema = gmdj.schema(catalog)
-        forged = CapabilityCertificate(
-            columns=(),
-            entries=(GMDJCapabilityEntry(
-                path="GMDJ", relation="R",
-                detail_never_null=("K", "V"),  # V is a lie
-                aggregates=(), theta=(),
-            ),),
-            complete=True,
-        )
-        with capability_scope(forged):
-            with pytest.raises(CertificateViolation):
-                run_gmdj_vectorized(base, detail, gmdj, schema)
 
 
 class TestPartitionMergeGate:

@@ -117,6 +117,61 @@ class TestTypedEncodings:
         assert back.rows[0][0] is True
 
 
+class TestValidityMasks:
+    """A mask exists exactly when the encoder saw a NULL — nothing
+    upstream (lint, planner, kernel) tells storage which columns are
+    NULL-free."""
+
+    def test_null_free_typed_columns_are_mask_free(self):
+        relation = make_relation(
+            [("k", DataType.INTEGER), ("v", DataType.FLOAT),
+             ("s", DataType.STRING), ("f", DataType.BOOLEAN)],
+            [(1, 2.5, "a", True), (2, -0.5, "b", False)],
+        )
+        columnar = ColumnarRelation.from_relation(relation)
+        assert [column.valid for column in columnar.columns] == [None] * 4
+        assert columnar.mask_free_columns() == 4
+        assert columnar.to_relation().rows == relation.rows
+
+    def test_null_bearing_columns_carry_a_mask(self):
+        relation = make_relation(
+            [("k", DataType.INTEGER), ("v", DataType.FLOAT),
+             ("s", DataType.STRING), ("f", DataType.BOOLEAN)],
+            [(1, None, "a", None), (None, -0.5, None, False)],
+        )
+        columnar = ColumnarRelation.from_relation(relation)
+        assert ([column.valid for column in columnar.columns]
+                == [bytearray([1, 0]), bytearray([0, 1]),
+                    bytearray([1, 0]), bytearray([0, 1])])
+        assert columnar.mask_free_columns() == 0
+        assert columnar.to_relation().rows == relation.rows
+
+    def test_mask_decided_per_column(self):
+        relation = make_relation(
+            [("k", DataType.INTEGER), ("v", DataType.INTEGER)],
+            [(i % 4, None if i % 3 == 0 else i * 10) for i in range(60)],
+        )
+        key, value = ColumnarRelation.from_relation(relation).columns
+        assert key.mask_free and key.null_count() == 0
+        assert not value.mask_free and value.null_count() == 20
+
+    def test_empty_relation_is_mask_free(self):
+        relation = make_relation([("k", DataType.INTEGER)], [])
+        assert ColumnarRelation.from_relation(relation).columns[0].mask_free
+
+    def test_mixed_type_column_stays_an_object_column(self):
+        # The object fallback is unchanged: values kept as-is next to a
+        # full mask, NULL or no NULL.
+        for rows in ([(1,), (2.5,)], [(1,), (2.5,), (None,)]):
+            relation = make_relation([("k", DataType.INTEGER)], rows,
+                                     validate=False)
+            column = ColumnarRelation.from_relation(relation).columns[0]
+            assert column.kind == "object"
+            assert column.data == [row[0] for row in rows]
+            assert column.valid == bytearray(
+                row[0] is not None for row in rows)
+
+
 class TestAccessors:
     def test_values_cached(self):
         relation = make_relation([("k", DataType.INTEGER)], [(1,), (2,)])

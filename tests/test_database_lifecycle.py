@@ -66,6 +66,7 @@ class TestClose:
         lambda db: db.create_table("T", [("K", DataType.INTEGER)], []),
         lambda db: db.insert("R", [(9,)]),
         lambda db: db.create_index("R", "K"),
+        lambda db: db.drop_table("R"),
         lambda db: db.sql(SQL),
     ])
     def test_use_after_close_raises(self, call):
@@ -94,6 +95,36 @@ class TestClose:
         with pytest.raises(DatabaseClosedError):
             with db:
                 pass  # pragma: no cover
+
+
+class TestDropTable:
+    def test_closed_tenant_database_rejects_drop_over_ddl(self):
+        from repro.serve.state import apply_ddl
+
+        db = make_db()
+        db.close()
+        with pytest.raises(DatabaseClosedError):
+            apply_ddl(db, {"op": "drop_table", "name": "R"})
+        assert "R" in db.catalog.table_names()
+
+    def test_drop_and_recreate_serves_no_stale_result_or_rollup(self):
+        db = make_db([(1,)])
+        warm = QueryOptions(strategy="gmdj", rollup="subsume",
+                            use_cache=False)
+        assert db.execute_sql(SQL).rows == [(1,)]
+        assert db.execute_sql(SQL, warm).rows == [(1,)]
+        assert db.cache.stats()["results"] >= 1 and len(db.rollups) == 1
+        db.drop_table("R")
+        assert db.cache.stats()["results"] == 0 and len(db.rollups) == 0
+        db.create_table("R", [("K", DataType.INTEGER)], [(2,), (3,)])
+        assert db.execute_sql(SQL).rows == [(2,), (3,)]
+        assert db.execute_sql(SQL, warm).rows == [(2,), (3,)]
+
+    def test_drop_unknown_table_raises(self):
+        from repro.errors import CatalogError
+
+        with pytest.raises(CatalogError):
+            make_db().drop_table("missing")
 
 
 class TestInsert:

@@ -21,7 +21,7 @@ from repro.algebra.nested import NestedSelect
 from repro.algebra.operators import ScanTable
 from repro.gmdj import evaluate_plan_vectorized
 from repro.gmdj.evaluate import invariant_sharing
-from repro.lint.absint import capability_scope, certify_capabilities
+from repro.lint.absint import certify_capabilities
 from repro.storage.iostats import collect
 from repro.unnesting import subquery_to_gmdj
 from tests.test_physical_lattice import (
@@ -72,8 +72,7 @@ class TestBackendIdentity:
         plan = subquery_to_gmdj(query, catalog, optimize=True)
         certificate = certify_capabilities(plan, catalog)
         for backend in ("python", "numpy"):
-            with capability_scope(certificate):
-                result = evaluate_plan_vectorized(
-                    plan, catalog, None, backend=backend)
+            result = evaluate_plan_vectorized(
+                plan, catalog, None, backend=backend)
             report = check_capabilities(result.rows, certificate)
             assert not report.violations, (backend, report.violations)

@@ -160,6 +160,48 @@ class TestEndpoints:
         assert sorted(after["rows"]) == [[1], [2], [3]]
         assert after["served_by"] == "execute"  # the cache did not lie
 
+    @pytest.mark.parametrize("backend", ["row", "python", "numpy"])
+    def test_query_never_runs_the_abstract_interpreter(
+            self, live_server, monkeypatch, backend):
+        from tests.test_mask_contract import forbid_certification
+
+        if backend == "numpy":
+            pytest.importorskip("numpy")
+        server = live_server()
+        sql = server.create_tables()
+        forbid_certification(monkeypatch)
+        options = {"strategy": "gmdj", "backend": backend,
+                   "use_cache": False, "rollup": "subsume"}
+        for served_by in ("execute", "rollup"):
+            status, payload = server.post(
+                "/query", {"sql": sql, "options": options})
+            assert status == 200, payload
+            assert payload["served_by"] == served_by
+            assert sorted(payload["rows"]) == [[1], [2]]
+
+    def test_null_inserted_over_ddl_gets_a_mask(self, live_server):
+        server = live_server()
+        server.create_tables()
+        sql = ("SELECT K FROM B b WHERE EXISTS "
+               "(SELECT * FROM R r WHERE r.K = b.K AND r.V > 7)")
+        options = {"strategy": "gmdj", "backend": "python",
+                   "use_cache": False, "rollup": "off"}
+        database = server.service.tenants.get("default").db
+        _, before = server.post("/query", {"sql": sql, "options": options})
+        assert sorted(before["rows"]) == [[1]]
+        (encoding,) = database.table("R")._columnar
+        assert encoding.mask_free_columns() == 2  # R is NULL-free so far
+        status, _ = server.post("/ddl", {"statement": {
+            "op": "insert", "name": "R", "rows": [[3, None], [3, 8]]}})
+        assert status == 200
+        _, after = server.post("/query", {"sql": sql, "options": options})
+        _, row = server.post("/query", {"sql": sql, "options": dict(
+            options, backend="row")})
+        assert sorted(after["rows"]) == sorted(row["rows"]) == [[1], [3]]
+        (encoding,) = database.table("R")._columnar
+        assert ([column.mask_free for column in encoding.columns]
+                == [True, False])
+
     def test_explain_plan_and_analyze(self, live_server):
         server = live_server()
         sql = server.create_tables()
