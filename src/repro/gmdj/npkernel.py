@@ -2,93 +2,120 @@
 
 The python batch kernel (:mod:`repro.gmdj.vectorized`) amortizes closure
 dispatch across chunks but still executes one generated Python frame per
-chunk element.  This kernel eliminates per-row Python entirely for
-completion-free scans:
+chunk element.  This kernel evaluates a GMDJ — with or without a
+completion rule — over arrays of candidate ``(base, row)`` **pairs**:
 
-* θ residuals and invariant filters evaluate as whole-array 3VL masks
-  (:mod:`repro.algebra.npcompile`) over zero-copy column views
-  (:mod:`repro.storage.npcolumns`);
-* hash probing factorizes the key columns with ``np.unique`` — the
-  Python-level bucket dictionary is probed once per *distinct* key, not
-  once per row — and detail rows group into per-base-tuple index
-  segments with one stable argsort;
-* distributive/algebraic aggregates accumulate with whole-array
-  reductions per segment (``np.cumsum`` for float sums keeps Python's
-  sequential addition order bit-for-bit).
+* the detail relation is walked in row *tiles*; per tile every θ block
+  materializes its candidate pairs (a hash block from the key match
+  below, a scan block as active-bases × tile-rows, an invariant block
+  as the rows themselves), evaluates its residual **once** over the
+  gathered pair arrays (:mod:`repro.algebra.npcompile`; base columns
+  come from the base relation's columnar encoding) and keeps the
+  matching pairs;
+* hash matching looks every detail key up in the ≤ \\|B\\| distinct
+  base keys (``np.searchsorted``, one pass per key component) — no
+  Python-level probe per detail key, and duplicate base keys fan out
+  through a CSR bucket table;
+* distributive/algebraic aggregates (Gray et al.) reduce grouped over
+  the surviving pairs with ``ufunc.at`` — which accumulates strictly in
+  pair order, so float sums keep Python's sequential addition order
+  bit-for-bit — into per-spec arrays that are written back to the
+  accumulator objects once, after the last tile.  ``COUNT(DISTINCT x)``
+  is a sorted unique over ``(base, value-code)`` pairs.
+
+Completion is truncation
+------------------------
+A base tuple's completion (Thm 4.1/4.2) depends only on *its own*
+θ-matches in detail-row order, so it is a pure function of the pair
+arrays: its **first completion row** ``t_b`` is the earliest row that
+matches a ``must_be_zero`` block or a ``pair_equal`` weak block without
+its restrictive one (doom), or the row at which the last
+``need_positive``/``need_at_least`` threshold is reached (assure).
+Everything the row kernel would have done follows by cutting the pair
+arrays at ``t_b``: residual evaluations are the candidate pairs with
+``r <= t_b``, aggregate updates the matching pairs with ``r < t_b``
+(doom) or ``r <= t_b`` (assure, whose partial aggregates are thereby
+exact), and the completion-free scan is the same code with
+``t_b = ∞``.  Completed tuples leave the candidate set between tiles,
+so θ work physically shrinks as the paper describes, while the
+:class:`~repro.storage.iostats.IOStats` counters stay the *logical*
+ones — identical to the row kernel's whatever the tile size.
 
 Identity contract
 -----------------
-The scan produces the same rows, in the same order, with the same
-:class:`~repro.storage.iostats.IOStats` counters as the python kernels:
-``index_probes`` counts every detail row per hash block, and
-``predicate_evals``/``aggregate_updates`` count candidate pairs and
-per-spec survivor updates exactly as ``_scan_batched`` does.  Work that
-has no *exact* whole-array form — object-encoded columns, DISTINCT
-(holistic) aggregates, int64 overflow hazards, NaN min/max — falls back
-per operator: an unsupported θ block runs untouched on the python batch
-kernel, while an unsupported aggregate argument or risky segment
-reduction drops to per-value Python accumulation over the
-already-computed survivor set.  Block- and spec-level fallbacks are
-reported to the caller so EXPLAIN ANALYZE can surface them.
+Same rows, same order, same counters as the python kernels
+(``index_probes`` counts every detail row per hash block).  Work with
+no *exact* whole-array form — object-encoded columns, int64 overflow
+hazards, NaN or string min/max, ``SUM``/``AVG(DISTINCT)`` — falls back:
+an aggregate drops to per-value Python accumulation over the already
+known surviving pairs; an unsupported θ (:class:`NpUnsupported`) hands
+the block — under a completion rule, where blocks are coupled, the
+whole scan — back to the python kernel.  Nothing is written to the
+caller's counters, accumulators or status bytes before the last tile
+has succeeded, so a fallback never sees partial state.  Fallback
+reasons are returned so EXPLAIN ANALYZE can surface them.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Callable, Sequence
 
-from repro.algebra.aggregates import (
-    Avg,
-    CountStar,
-    CountValue,
-    Max,
-    Min,
-    Sum,
-)
+from repro.algebra.aggregates import AggregateSpec
 from repro.algebra.analysis import factor_condition, refers_only_to
 from repro.algebra.compile import compile_batch_values
 from repro.algebra.npcompile import (
-    _INT_SAFE,
+    _FLOAT_EXACT,
+    _max_abs,
     NpUnsupported,
     NpValue,
     np_truth_mask,
     np_value,
     value_of_column,
-    value_of_scalar,
 )
-from repro.gmdj.evaluate import _BlockRuntime
+from repro.gmdj.completion import CompletionRule
+from repro.gmdj.evaluate import _ASSURED, _DOOMED, _BlockRuntime
 from repro.gmdj.operator import ThetaBlock
-from repro.storage.columnar import ColumnarRelation
+from repro.storage.columnar import (
+    ColumnarRelation,
+    cached_columnar,
+    is_encoded,
+)
 from repro.storage.iostats import IOStats
 from repro.storage.npcolumns import column_array, require_numpy
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 
-#: Int64 magnitude bound above which a segment sum falls back to exact
-#: Python accumulation (Python ints are unbounded; int64 wraps).
+#: Candidate (base, row) pairs one θ block materializes per detail-row
+#: tile.  It bounds the kernel's working set for any |B| x |R| (a few
+#: int64/bool arrays of this length per block) and is small enough that
+#: those arrays stay under the allocator's mmap threshold.
+TILE_PAIRS = 8192
+
+#: ``t_b`` of a base tuple that has not completed: "row ∞".
+_NEVER = 2 ** 63 - 1
+
+#: Int64 magnitude bound above which a sum falls back to exact Python
+#: accumulation (Python ints are unbounded; int64 wraps).
 _SUM_SAFE = 2 ** 63
 
 
-class _SegmentFallback(Exception):
-    """This spec/segment needs per-value Python accumulation (exactness
-    guard or holistic aggregate); the survivor set is already known, so
-    this never aborts the block."""
+class _Columns:
+    """Whole-column NpValues of one relation, wrapped on first use."""
 
+    __slots__ = ("schema", "_load", "_by_position", "_by_ref")
 
-class _DetailContext:
-    """Whole-column NpValue resolution over one columnar relation."""
-
-    __slots__ = ("columnar", "schema", "_by_ref", "_by_position")
-
-    def __init__(self, columnar: ColumnarRelation, schema: Schema) -> None:
-        self.columnar = columnar
+    def __init__(self, schema: Schema,
+                 load: Callable[[int], Any]) -> None:
         self.schema = schema
-        self._by_ref: dict[str, NpValue] = {}
+        self._load = load
         self._by_position: dict[int, NpValue] = {}
+        self._by_ref: dict[str, NpValue] = {}
 
     def by_position(self, position: int) -> NpValue:
         value = self._by_position.get(position)
         if value is None:
-            column = column_array(self.columnar, position)
+            column = self._load(position)
             if column is None:
                 field = self.schema.fields[position]
                 raise NpUnsupported(
@@ -104,8 +131,22 @@ class _DetailContext:
         return value
 
 
+def _base_columns(base: Relation) -> _Columns:
+    """The base side of pair residuals.
+
+    A stored table that already carries its encoding shares it; any
+    other base (a derived intermediate) encodes just the columns θ
+    touches, one at a time.
+    """
+    if is_encoded(base):
+        columnar = cached_columnar(base)
+        return _Columns(base.schema, lambda p: column_array(columnar, p))
+    return _Columns(base.schema, lambda p: column_array(
+        ColumnarRelation.from_column(base, p), 0))
+
+
 def _gather(value: NpValue, idx: Any, np: Any) -> NpValue:
-    """Restrict a whole-column NpValue to the rows in ``idx``."""
+    """Restrict a whole-column NpValue to ``idx`` (index array/slice)."""
     values = value.values
     if isinstance(values, np.ndarray):
         values = values[idx]
@@ -115,352 +156,480 @@ def _gather(value: NpValue, idx: Any, np: Any) -> NpValue:
     return NpValue(values, null, value.kind, value.dictionary)
 
 
-class _PairContext:
-    """Resolution over base-row scalars ++ detail columns.
+class _PairColumns:
+    """Resolution over base columns ++ detail columns, per pair.
 
     Mirrors how the row kernel binds residuals against the concatenated
-    schema: positions below the base arity read the (Python) base row,
-    positions above it read detail columns — whole columns, or gathered
-    down to one hash segment's candidate rows.
+    schema: positions below the base arity gather the base column by
+    the pairs' base indices, positions above it gather the detail
+    column by their row indices.
     """
 
-    __slots__ = ("detail", "combined_schema", "base_arity", "_positions")
+    __slots__ = ("base", "detail", "combined_schema", "base_arity",
+                 "_positions")
 
-    def __init__(self, detail: _DetailContext, combined_schema: Schema,
-                 base_arity: int) -> None:
+    def __init__(self, base: _Columns, detail: _Columns,
+                 combined_schema: Schema) -> None:
+        self.base = base
         self.detail = detail
         self.combined_schema = combined_schema
-        self.base_arity = base_arity
+        self.base_arity = len(base.schema)
         self._positions: dict[str, int] = {}
 
-    def resolver(self, base_row: tuple, idx: Any,
-                 np: Any) -> Callable[[str], NpValue]:
-        """A resolver for one base row; ``idx`` (or None for all rows)
-        selects the detail rows in scope."""
+    def resolver(self, b: Any, r: Any, np: Any) -> Callable[[str], NpValue]:
         def resolve(reference: str) -> NpValue:
             position = self._positions.get(reference)
             if position is None:
                 position = self._positions[reference] = \
                     self.combined_schema.index_of(reference)
             if position < self.base_arity:
-                return value_of_scalar(base_row[position])
-            column = self.detail.by_position(position - self.base_arity)
-            return column if idx is None else _gather(column, idx, np)
+                return _gather(self.base.by_position(position), b, np)
+            return _gather(
+                self.detail.by_position(position - self.base_arity), r, np)
         return resolve
 
 
-def _python_key_value(key: NpValue, row: int, np: Any) -> Any:
-    """One key component at ``row`` as the Python value the buckets use."""
+# -- hash matching -------------------------------------------------------------
+
+
+def _lookup(distinct: Any, codes: Any, np: Any) -> Any:
+    """Position of each code in sorted ``distinct``; -1 where absent."""
+    if not len(distinct):
+        return np.full(len(codes), -1, dtype=np.int64)
+    position = np.searchsorted(distinct, codes)
+    np.minimum(position, len(distinct) - 1, out=position)
+    return np.where(distinct[position] == codes, position, -1)
+
+
+def _component_codes(parts: list, key: NpValue, total: int,
+                     np: Any) -> tuple[Any, Any, int]:
+    """Code one key component on both sides of the equality.
+
+    ``parts`` holds the component's value per bucket (never None).
+    Returns ``(bucket_codes, row_codes, n_codes)`` where two codes are
+    equal exactly when the Python values are (``1 == 1.0 == True``, a
+    string never equals a number) and -1 marks "matches nothing".
+    """
     values = key.values
-    if not isinstance(values, np.ndarray):
-        return values  # literal key component, already a Python scalar
+    if not isinstance(values, np.ndarray):  # a literal key component
+        hits = [0 if (isinstance(part, str) == (key.kind == "str")
+                      and part == values) else -1 for part in parts]
+        return (np.array(hits, dtype=np.int64),
+                np.zeros(total, dtype=np.int64), 1)
     if key.kind == "str":
-        return (key.dictionary or [])[int(values[row])]
-    kind = values.dtype.kind
-    if kind == "b":
-        return bool(values[row])
-    if kind == "f":
-        return float(values[row])
-    return int(values[row])
+        code_of = {word: code
+                   for code, word in enumerate(key.dictionary or [])}
+        wanted = np.array([code_of.get(part, -1)
+                           if isinstance(part, str) else -1
+                           for part in parts], dtype=np.int64)
+        distinct = np.unique(wanted[wanted >= 0])
+        table = np.full(len(key.dictionary or []), -1, dtype=np.int64)
+        table[distinct] = np.arange(len(distinct))
+        row_codes = table[values] if len(table) else \
+            np.full(total, -1, dtype=np.int64)
+        return _lookup(distinct, wanted, np), row_codes, len(distinct)
+    numeric = [i for i, part in enumerate(parts)
+               if isinstance(part, (int, float))]
+    numbers = [parts[i] for i in numeric]
+    if values.dtype.kind == "f" or any(type(n) is float for n in numbers):
+        # The equality runs in float64; an int beyond 2**53 on either
+        # side would round where Python compares exactly.
+        if any(type(n) is not float and abs(n) >= _FLOAT_EXACT
+               for n in numbers) or (
+                values.dtype.kind in "iu"
+                and _max_abs(key) >= _FLOAT_EXACT):
+            raise NpUnsupported("int/float key equality beyond exact "
+                                "float range")
+        dtype = np.float64
+    else:
+        dtype = np.int64
+    try:
+        wanted = np.array(numbers, dtype=dtype)
+    except OverflowError:
+        raise NpUnsupported("base key beyond int64 range") from None
+    distinct = np.unique(wanted)
+    bucket_codes = np.full(len(parts), -1, dtype=np.int64)
+    bucket_codes[numeric] = _lookup(distinct, wanted, np)
+    return (bucket_codes,
+            _lookup(distinct, values.astype(dtype, copy=False), np),
+            len(distinct))
 
 
-def _hash_segments(
-    runtime: _BlockRuntime,
-    key_exprs: Sequence[Any],
-    ctx: _DetailContext,
-    total: int,
-    np: Any,
-) -> list[tuple[int, Any]]:
-    """Group detail rows by matched base tuple via key factorization.
+class _HashMatch:
+    """Detail rows matched to base buckets: ``row_bucket`` + a CSR table.
 
-    Returns ``(base_index, ascending row-index array)`` segments; rows
-    whose key contains NULL (or misses every bucket) appear in none.
-    The bucket dictionary is probed once per *distinct* key — the
-    ``np.unique`` trick that replaces a million Python probes with a
-    handful.
+    ``row_bucket[r]`` is the bucket detail row ``r`` falls in (-1: NULL
+    key component or no equal base key); bucket ``k`` holds base indices
+    ``bases[starts[k]:starts[k] + sizes[k]]`` in ascending order, so
+    duplicate base keys fan out.
     """
-    key_vals = [np_value(expr, ctx.resolve) for expr in key_exprs]
-    valid: Any = True
-    for kv in key_vals:
-        if kv.kind == "null" or kv.null is True:
-            return []  # a NULL key component can never match
-        if kv.null is not False:
-            valid = ~kv.null if valid is True else valid & ~kv.null
-    if valid is True:
-        valid_idx = np.arange(total, dtype=np.int64)
-    else:
-        valid_idx = np.flatnonzero(valid)
-    if not len(valid_idx):
-        return []
-    combined = None
-    capacity = 1
-    for kv in key_vals:
-        values = kv.values
-        if not isinstance(values, np.ndarray):
-            continue  # constant component: one group, nothing to split
-        uniques, inverse = np.unique(values[valid_idx],
-                                     return_inverse=True)
-        if combined is None:
-            combined, capacity = inverse, len(uniques)
-            continue
-        if capacity * len(uniques) >= _INT_SAFE:
-            # Re-densify the running codes before they overflow int64.
-            _, combined = np.unique(combined, return_inverse=True)
-            capacity = int(combined.max()) + 1
-        combined = combined * len(uniques) + inverse
-        capacity *= len(uniques)
-    if combined is None:  # all-constant key: every valid row, one group
-        combined = np.zeros(len(valid_idx), dtype=np.int64)
-    uniq_codes, first_pos, inverse = np.unique(
-        combined, return_index=True, return_inverse=True)
-    rep_rows = valid_idx[first_pos]
-    base_of_code = np.full(len(uniq_codes), -1, dtype=np.int64)
-    multi: list[tuple[int, list[int]]] = []
-    buckets_get = runtime.buckets.get
-    for code in range(len(uniq_codes)):
-        key = tuple(_python_key_value(kv, int(rep_rows[code]), np)
-                    for kv in key_vals)
-        candidates = buckets_get(key)
-        if not candidates:
-            continue
-        base_of_code[code] = candidates[0]
-        if len(candidates) > 1:
-            multi.append((code, candidates[1:]))
-    row_base = base_of_code[inverse]
-    matched = np.flatnonzero(row_base >= 0)
-    rows_sel = valid_idx[matched]
-    bases_sel = row_base[matched]
-    order = np.argsort(bases_sel, kind="stable")
-    sorted_rows = rows_sel[order]
-    sorted_bases = bases_sel[order]
-    seg_bases, seg_starts = np.unique(sorted_bases, return_index=True)
-    bounds = list(seg_starts) + [len(sorted_rows)]
-    segments: dict[int, Any] = {
-        int(seg_bases[i]): sorted_rows[bounds[i]:bounds[i + 1]]
-        for i in range(len(seg_bases))
-    }
-    for code, extras in multi:
-        rows_of_code = valid_idx[np.flatnonzero(inverse == code)]
-        for base_index in extras:
-            existing = segments.get(base_index)
-            segments[base_index] = rows_of_code if existing is None \
-                else np.sort(np.concatenate([existing, rows_of_code]))
-    return sorted(segments.items())
+
+    __slots__ = ("row_bucket", "starts", "sizes", "bases", "fanout")
+
+    def __init__(self, buckets: dict, keys: Sequence[NpValue], total: int,
+                 np: Any) -> None:
+        members = list(buckets.values())
+        self.sizes = np.fromiter(map(len, members), dtype=np.int64,
+                                 count=len(members))
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.bases = np.fromiter(chain.from_iterable(members),
+                                 dtype=np.int64,
+                                 count=int(self.sizes.sum()))
+        self.fanout = int(self.sizes.max()) if len(members) else 0
+        bucket_keys = list(buckets)
+        bucket_code = row_code = None
+        n_codes = 0
+        for position, key in enumerate(keys):
+            if key.kind == "null" or key.null is True:
+                # A NULL key component never matches.
+                row_code = np.full(total, -1, dtype=np.int64)
+                break
+            parts = [bucket_key[position] for bucket_key in bucket_keys]
+            part_codes, codes, radix = _component_codes(parts, key, total, np)
+            if key.null is not False:
+                codes = np.where(key.null, -1, codes)
+            if position == 0:
+                bucket_code, row_code, n_codes = part_codes, codes, radix
+                continue
+            bucket_code = np.where((bucket_code >= 0) & (part_codes >= 0),
+                                   bucket_code * radix + part_codes, -1)
+            row_code = np.where((row_code >= 0) & (codes >= 0),
+                                row_code * radix + codes, -1)
+            # Re-densify against the live key prefixes: codes stay below
+            # |B| whatever the number of components.
+            distinct = np.unique(bucket_code[bucket_code >= 0])
+            bucket_code = _lookup(distinct, bucket_code, np)
+            row_code = _lookup(distinct, row_code, np)
+            n_codes = len(distinct)
+        bucket_of = np.full(n_codes + 1, -1, dtype=np.int64)
+        if bucket_code is not None:
+            live = np.flatnonzero(bucket_code >= 0)
+            bucket_of[bucket_code[live]] = live
+        self.row_bucket = bucket_of[row_code]  # code -1 reads the spare -1
+
+    def pairs(self, start: int, stop: int, np: Any) -> tuple[Any, Any]:
+        """Candidate pairs of rows ``[start, stop)``, row-major."""
+        bucket = self.row_bucket[start:stop]
+        hit = np.flatnonzero(bucket >= 0)
+        bucket = bucket[hit]
+        r = hit + start
+        if self.fanout <= 1:
+            return self.bases[self.starts[bucket]], r
+        sizes = self.sizes[bucket]
+        r = np.repeat(r, sizes)
+        within = np.arange(len(r)) - np.repeat(np.cumsum(sizes) - sizes,
+                                               sizes)
+        return self.bases[np.repeat(self.starts[bucket], sizes) + within], r
 
 
-def _segment_sum(accumulator: Any, effective: Any, np: Any) -> None:
-    """Exact whole-array sum into a Sum/Avg accumulator's ``total``."""
-    if effective.dtype.kind == "f":
-        # np.cumsum accumulates strictly left-to-right, matching the
-        # sequential `total += value` order of the python kernels
-        # bit-for-bit (np.sum's pairwise summation would not).
-        accumulator.total += float(np.cumsum(effective)[-1])
-    else:
-        bound = max(-int(effective.min()), int(effective.max()))
-        if bound and bound * len(effective) >= _SUM_SAFE:
-            raise _SegmentFallback  # Python ints never overflow
-        accumulator.total += int(effective.sum())
+# -- aggregate accumulation ----------------------------------------------------
 
 
-def _apply_value_spec(accumulator: Any, value: NpValue, idx: Any,
-                      np: Any) -> None:
-    """Fold one segment of one aggregate argument into its accumulator.
+class _SpecArrays:
+    """One aggregate's accumulators as arrays over the block's groups.
 
-    Raises :class:`_SegmentFallback` for anything without an exact
-    array reduction (the caller re-runs the segment per-value in
-    Python, over the same survivor rows).
+    ``mode`` is the array reduction in use — ``"star"``, ``"count"``,
+    ``"sum"``, ``"avg"``, ``"min"``, ``"max"``, ``"distinct"`` (count
+    only) or ``"skip"`` (a NULL argument: every add is a no-op) — or
+    ``"python"``: per-value accumulation into private accumulator
+    objects, for anything without an exact array form.  ``reason`` says
+    why, for the fallback report.
     """
-    if value.kind == "str":
-        raise _SegmentFallback  # string min/max keeps Python ordering
-    if value.kind == "null" or value.null is True:
-        return  # all values NULL: every add() is a no-op
-    if isinstance(value.values, np.ndarray):
-        vals = value.values[idx]
-    else:
-        vals = np.full(len(idx), value.values)
-    if value.null is False:
-        effective = vals
-    else:
-        effective = vals[~value.null[idx]]
-    if not len(effective):
-        return
-    is_bool = effective.dtype.kind == "b"
-    if type(accumulator) is CountValue:
-        accumulator.count += len(effective)
-        return
-    if type(accumulator) is Sum:
-        _segment_sum(accumulator, effective.astype(np.int64)
-                     if is_bool else effective, np)
-        accumulator.seen = True
-        return
-    if type(accumulator) is Avg:
-        _segment_sum(accumulator, effective.astype(np.int64)
-                     if is_bool else effective, np)
-        accumulator.count += len(effective)
-        return
-    if type(accumulator) is Min or type(accumulator) is Max:
-        if is_bool:
-            raise _SegmentFallback  # keep bool objects, not 0/1 ints
-        if effective.dtype.kind == "f" and np.isnan(effective).any():
-            raise _SegmentFallback  # NaN breaks min/max comparability
-        best = effective.min() if type(accumulator) is Min \
-            else effective.max()
-        accumulator.add(best.item())
-        return
-    raise _SegmentFallback  # DistinctWrapper and anything unforeseen
+
+    __slots__ = ("spec", "mode", "reason", "value", "counts", "totals",
+                 "seen", "pending", "pending_size", "radix", "private",
+                 "value_fn")
+
+    def __init__(self, spec: AggregateSpec, detail: _Columns, groups: int,
+                 total: int, np: Any) -> None:
+        self.spec = spec
+        self.reason: str | None = None
+        self.value: NpValue | None = None
+        self.counts = self.totals = self.seen = None
+        self.private: dict[int, Any] = {}
+        self.value_fn = None
+        self.mode = "star" if spec.argument is None else \
+            self._plan(spec, detail, groups, total, np)
+        if self.mode not in ("python", "skip"):
+            self.counts = np.zeros(groups, dtype=np.int64)
+
+    def _plan(self, spec: AggregateSpec, detail: _Columns, groups: int,
+              total: int, np: Any) -> str:
+        if spec.distinct and spec.function != "count":
+            # First-seen order decides a float SUM/AVG(DISTINCT).
+            self.reason = "holistic DISTINCT aggregate"
+            return "python"
+        try:
+            value = self.value = np_value(spec.argument, detail.resolve)
+        except NpUnsupported as exc:
+            self.reason = exc.reason
+            return "python"
+        if value.kind == "null" or value.null is True:
+            return "skip"
+        values = value.values
+        present = values if value.null is False or \
+            not isinstance(values, np.ndarray) else values[~value.null]
+        present = np.atleast_1d(present)
+        is_float = present.dtype.kind == "f"
+        if spec.distinct:
+            if is_float and np.isnan(present).any():
+                self.reason = "NaN under COUNT(DISTINCT)"
+                return "python"
+            distinct = np.unique(present)
+            if groups * max(1, len(distinct)) >= _SUM_SAFE:
+                self.reason = "COUNT(DISTINCT) code space beyond int64"
+                return "python"
+            # The argument becomes its value code; NULLs keep their mask.
+            self.value = NpValue(
+                np.searchsorted(distinct, values), value.null, "num")
+            self.radix = max(1, len(distinct))
+            self.seen = np.empty(0, dtype=np.int64)
+            self.pending: list[Any] = []
+            self.pending_size = 0
+            return "distinct"
+        function = spec.function
+        if function == "count":
+            return "count"
+        if value.kind == "str":
+            self.reason = "string min/max keeps Python ordering"
+            return "python"
+        if function in ("sum", "avg"):
+            if is_float:
+                self.totals = np.zeros(groups, dtype=np.float64)
+            else:
+                bound = max(-int(present.min()), int(present.max())) \
+                    if len(present) else 0
+                if bound * total >= _SUM_SAFE:
+                    self.reason = "int64 sum may overflow"
+                    return "python"
+                self.totals = np.zeros(groups, dtype=np.int64)
+            return function
+        if present.dtype.kind == "b":
+            self.reason = "boolean min/max keeps bool objects"
+            return "python"
+        if is_float and np.isnan(present).any():
+            self.reason = "NaN breaks min/max comparability"
+            return "python"
+        # Any start value loses to the first real one (`counts` says
+        # whether there was one).
+        low, high = (-np.inf, np.inf) if is_float else \
+            (np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+        self.totals = np.full(groups, high if function == "min" else low,
+                              dtype=present.dtype)
+        return function
+
+    def add(self, b: Any, r: Any, columnar: ColumnarRelation,
+            np: Any) -> None:
+        """Fold surviving pairs (per group in ascending row order)."""
+        mode = self.mode
+        if mode == "skip" or not len(b):
+            return
+        if mode == "star":
+            np.add.at(self.counts, b, 1)
+            return
+        if mode == "python":
+            if self.value_fn is None:  # compiled on first use only
+                self.value_fn = compile_batch_values(self.spec.argument,
+                                                     columnar.schema)
+            private = self.private
+            make = self.spec.make_accumulator
+            for group, item in zip(b.tolist(), self.value_fn(
+                    columnar.value_columns(), r.tolist())):
+                accumulator = private.get(group)
+                if accumulator is None:
+                    accumulator = private[group] = make()
+                accumulator.add(item)
+            return
+        value = self.value
+        if value.null is not False:
+            keep = ~value.null[r]
+            b, r = b[keep], r[keep]
+        if mode == "count":
+            np.add.at(self.counts, b, 1)
+            return
+        values = value.values
+        values = values[r] if isinstance(values, np.ndarray) \
+            else np.full(len(r), values)
+        if mode == "distinct":
+            self.pending.append(b * self.radix + values)
+            self.pending_size += len(b)
+            if self.pending_size > max(len(self.seen), 8 * TILE_PAIRS):
+                self._compact(np)  # keeps memory O(distinct pairs)
+            return
+        np.add.at(self.counts, b, 1)
+        if mode == "min":
+            np.minimum.at(self.totals, b, values)
+        elif mode == "max":
+            np.maximum.at(self.totals, b, values)
+        else:
+            # ufunc.at adds strictly in pair order: Python's sequential
+            # `total += value`, bit for bit (np.sum's pairwise would not).
+            np.add.at(self.totals, b, values.astype(np.int64)
+                      if values.dtype.kind == "b" else values)
+
+    def _compact(self, np: Any) -> None:
+        self.seen = np.unique(np.concatenate([self.seen, *self.pending]))
+        self.pending = []
+        self.pending_size = 0
+
+    def commit(self, position: int, targets: Sequence[list],
+               np: Any) -> None:
+        """Write the arrays back into the caller's accumulator objects:
+        ``targets[group][position]`` is this aggregate's, per group."""
+        mode = self.mode
+        if mode == "skip":
+            return
+        if mode == "python":
+            for group, accumulator in self.private.items():
+                targets[group][position] = accumulator
+            return
+        if mode == "distinct":
+            self._compact(np)
+            self.counts = np.bincount(self.seen // self.radix,
+                                      minlength=len(self.counts))
+        touched = np.flatnonzero(self.counts)
+        groups = touched.tolist()
+        counts = self.counts[touched].tolist()
+        if mode in ("star", "count"):
+            for group, count in zip(groups, counts):
+                targets[group][position].count = count
+            return
+        if mode == "distinct":
+            # Only the count survives: DISTINCT scans are never merged.
+            for group, count in zip(groups, counts):
+                targets[group][position].inner.count = count
+            return
+        totals = self.totals[touched].tolist()
+        for group, count, total in zip(groups, counts, totals):
+            accumulator = targets[group][position]
+            if mode == "sum":
+                accumulator.total, accumulator.seen = total, True
+            elif mode == "avg":
+                accumulator.total, accumulator.count = total, count
+            else:
+                accumulator.best = total
+
+
+# -- the tiled scan ------------------------------------------------------------
 
 
 class _NpBlock:
-    """One θ block planned for the whole-array scan."""
+    """One θ block planned for the tiled scan."""
 
-    __slots__ = ("runtime", "block", "value_arrays", "value_fallbacks",
-                 "py_value_fns", "segments", "probe_rows", "filter_evals")
+    __slots__ = ("runtime", "index", "residual", "detail_only", "match",
+                 "specs", "evals", "updates", "cand", "hits")
 
-    def __init__(self, runtime: _BlockRuntime, block: ThetaBlock) -> None:
+    def __init__(self, runtime: _BlockRuntime, block: ThetaBlock,
+                 base: Relation, detail: _Columns, n_base: int, total: int,
+                 np: Any) -> None:
         self.runtime = runtime
-        self.block = block
-        self.value_arrays: list[NpValue | None] = []
-        self.value_fallbacks: list[str | None] = []
-        self.py_value_fns: list[Any] = []
-        self.segments: list[tuple[int, Any]] = []
-        self.probe_rows = 0
-        self.filter_evals = 0
+        self.index = runtime.index
+        factored = factor_condition(block.condition, base.schema,
+                                    detail.schema)
+        self.residual = factored.residual
+        self.detail_only = self.residual is not None and refers_only_to(
+            self.residual, detail.schema)
+        self.match = _HashMatch(
+            runtime.buckets,
+            [np_value(key, detail.resolve) for key in factored.right_keys],
+            total, np) if runtime.uses_hash else None
+        groups = 1 if runtime.invariant else n_base
+        self.specs = [_SpecArrays(spec, detail, groups, total, np)
+                      for spec in block.aggregates]
+        self.evals = 0
+        self.updates = 0
+        self.cand: tuple[Any, Any] | None = None
+        self.hits: tuple[Any, Any] = (None, None)
 
+    def width(self, n_active: int) -> int:
+        """Candidate pairs one detail row can contribute."""
+        if self.runtime.invariant:
+            return 1
+        return self.match.fanout if self.match is not None else n_active
 
-def _plan_values(plan: _NpBlock, ctx: _DetailContext,
-                 detail_schema: Schema) -> None:
-    """Evaluate aggregate arguments whole-array; mark per-spec fallbacks."""
-    for spec in plan.block.aggregates:
-        reason: str | None = None
-        array: NpValue | None = None
-        if spec.argument is None:
-            pass  # count(*): no argument to evaluate
-        elif spec.distinct:
-            reason = "holistic DISTINCT aggregate"
+    def scan(self, start: int, stop: int, active: Any, t: Any,
+             shrunk: bool, pairs: _PairColumns, np: Any) -> None:
+        """Candidates and θ-matches of rows ``[start, stop)``."""
+        if self.runtime.invariant:
+            r = np.arange(start, stop)
+            b = np.zeros(stop - start, dtype=np.int64)
+        elif self.match is not None:
+            b, r = self.match.pairs(start, stop, np)
+            if shrunk:
+                keep = t[b] == _NEVER
+                b, r = b[keep], r[keep]
         else:
-            try:
-                array = np_value(spec.argument, ctx.resolve)
-            except NpUnsupported as exc:
-                reason = exc.reason
-        plan.value_arrays.append(array)
-        plan.value_fallbacks.append(reason)
-        plan.py_value_fns.append(
-            None if spec.argument is None
-            else compile_batch_values(spec.argument, detail_schema))
+            b = np.repeat(active, stop - start)
+            r = np.tile(np.arange(start, stop), len(active))
+        self.cand = None
+        if self.residual is not None and len(b):
+            self.cand = (b, r)
+            if self.detail_only:
+                rows = slice(start, stop)
+                keep = np_truth_mask(
+                    self.residual,
+                    lambda ref: _gather(pairs.detail.resolve(ref), rows, np),
+                    stop - start)[r - start]
+            else:
+                keep = np_truth_mask(self.residual,
+                                     pairs.resolver(b, r, np), len(b))
+            b, r = b[keep], r[keep]
+        self.hits = (b, r)
 
 
-def _plan_block(plan: _NpBlock, ctx: _DetailContext,
-                pair_ctx: _PairContext, base_schema: Schema,
-                base_rows: Sequence[tuple], n_base: int, total: int,
-                detail_schema: Schema, np: Any) -> bool:
-    """Compute this block's survivor segments and counter tallies.
-
-    Returns True when the block is invariant (segments target the
-    shared accumulator state).  May raise :class:`NpUnsupported` at any
-    point — the caller only flushes counters/accumulators for fully
-    planned blocks, so a partial plan has no observable effect.
-    """
-    runtime = plan.runtime
-    factored = factor_condition(plan.block.condition, base_schema,
-                                detail_schema)
-    residual = factored.residual
-    all_rows = np.arange(total, dtype=np.int64)
-
-    if runtime.invariant:
-        if residual is None:
-            survivors = all_rows
-        else:
-            plan.filter_evals += total
-            survivors = np.flatnonzero(
-                np_truth_mask(residual, ctx.resolve, total))
-        plan.segments = [(0, survivors)]
-        return True
-
-    if runtime.uses_hash:
-        plan.probe_rows = total
-        segments = _hash_segments(runtime, factored.right_keys, ctx,
-                                  total, np)
-        if residual is None:
-            plan.segments = segments
-            return False
-        plan.filter_evals += sum(len(idx) for _, idx in segments)
-        if refers_only_to(residual, detail_schema):
-            mask = np_truth_mask(residual, ctx.resolve, total)
-            plan.segments = [(base_index, idx[mask[idx]])
-                             for base_index, idx in segments]
-            return False
-        plan.segments = [
-            (base_index,
-             idx[np_truth_mask(
-                 residual,
-                 pair_ctx.resolver(base_rows[base_index], idx, np),
-                 len(idx))])
-            for base_index, idx in segments
-        ]
-        return False
-
-    # Scan block: every base row is a candidate for every detail row
-    # (completion-free, so the active list never shrinks).
-    if residual is None:
-        plan.segments = [(b, all_rows) for b in range(n_base)]
-        return False
-    plan.filter_evals += n_base * total
-    if refers_only_to(residual, detail_schema):
-        survivors = np.flatnonzero(
-            np_truth_mask(residual, ctx.resolve, total))
-        plan.segments = [(b, survivors) for b in range(n_base)]
-        return False
-    plan.segments = [
-        (base_index,
-         np.flatnonzero(np_truth_mask(
-             residual,
-             pair_ctx.resolver(base_rows[base_index], None, np),
-             total)))
-        for base_index in range(n_base)
-    ]
-    return False
+def _doom_events(blocks: dict[int, _NpBlock], rule: CompletionRule,
+                 start: int, stop: int, np: Any) -> tuple[Any, Any]:
+    """The tile's dooming pairs: Thm 4.2 matches and weak-only matches."""
+    events = [blocks[index].hits for index in rule.must_be_zero]
+    span = stop - start
+    for restrictive, weak in rule.pair_equal:
+        b, r = blocks[weak].hits
+        strict_b, strict_r = blocks[restrictive].hits
+        alone = np.isin(b * span + (r - start),
+                        strict_b * span + (strict_r - start),
+                        assume_unique=True, invert=True)
+        events.append((b[alone], r[alone]))
+    return (np.concatenate([b for b, _ in events]),
+            np.concatenate([r for _, r in events]))
 
 
-def _apply_segments(plan: _NpBlock, state: list[list[Any]],
-                    shared: bool, stats: IOStats,
-                    decoded_cols: Callable[[], Sequence],
-                    np: Any) -> None:
-    """Fold every segment into its accumulators.
+class _Assurance:
+    """Thm 4.1 bookkeeping: matches still needed, per threshold block."""
 
-    Never raises NpUnsupported: per-spec/per-segment exactness guards
-    drop to Python ``add`` loops over the already-known survivors.
-    """
-    runtime = plan.runtime
-    for base_index, idx in plan.segments:
-        count = len(idx)
-        if not count:
-            continue
-        state_list = runtime.shared_state if shared \
-            else state[base_index][runtime.index]
-        idx_list: list[int] | None = None
-        for position, accumulator in enumerate(state_list):
-            stats.aggregate_updates += count
-            value = plan.value_arrays[position]
-            if value is None and plan.value_fallbacks[position] is None:
-                # count(*) fast path, mirroring _bulk_update
-                if type(accumulator) is CountStar:
-                    accumulator.count += count
-                else:  # pragma: no cover - defensive, like _bulk_update
-                    for _ in range(count):
-                        accumulator.add(None)
+    __slots__ = ("needs", "open", "latest")
+
+    def __init__(self, rule: CompletionRule, n_base: int, np: Any) -> None:
+        self.needs = {index: np.full(n_base, count, dtype=np.int64)
+                      for index, count in rule.thresholds().items()}
+        self.open = np.full(n_base, len(self.needs), dtype=np.int64)
+        self.latest = np.full(n_base, -1, dtype=np.int64)
+
+    def assured(self, blocks: dict[int, _NpBlock], np: Any,
+                ) -> tuple[Any, Any]:
+        """Bases whose last threshold this tile reaches, and at which row."""
+        done = []
+        for index, needs in self.needs.items():
+            b, r = blocks[index].hits
+            waiting = needs[b] > 0
+            b, r = b[waiting], r[waiting]
+            if not len(b):
                 continue
-            if value is not None:
-                try:
-                    _apply_value_spec(accumulator, value, idx, np)
-                    continue
-                except _SegmentFallback:
-                    pass
-            if idx_list is None:
-                idx_list = idx.tolist()
-            value_fn = plan.py_value_fns[position]
-            add = accumulator.add
-            for item in value_fn(decoded_cols(), idx_list):
-                add(item)
+            order = np.argsort(b, kind="stable")  # keeps rows ascending
+            b, r = b[order], r[order]
+            first = np.flatnonzero(np.concatenate(
+                ([True], b[1:] != b[:-1])))
+            sizes = np.diff(np.append(first, len(b)))
+            rank = np.arange(len(b)) - np.repeat(first, sizes)
+            reached = rank == needs[b] - 1  # the k-th match of this block
+            bases, rows = b[reached], r[reached]
+            needs[b[first]] = np.maximum(needs[b[first]] - sizes, 0)
+            self.latest[bases] = np.maximum(self.latest[bases], rows)
+            self.open[bases] -= 1
+            done.append(bases[self.open[bases] == 0])
+        if not done:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        bases = np.concatenate(done)
+        return bases, self.latest[bases]
 
 
 def run_numpy_scan(
@@ -468,57 +637,114 @@ def run_numpy_scan(
     runtimes: list[_BlockRuntime],
     blocks: Sequence[ThetaBlock],
     base: Relation,
-    detail_schema: Schema,
     combined_schema: Schema,
     state: list[list[Any]],
+    status: bytearray,
     stats: IOStats,
+    rule: CompletionRule | None = None,
 ) -> tuple[list[tuple[_BlockRuntime, ThetaBlock]], list[str]]:
-    """Run every θ block whole-array where possible.
+    """Run every θ block over pair arrays where possible.
 
     Returns ``(python_blocks, fallback_reasons)``: blocks with no exact
-    array form are untouched (no counters, no accumulator updates) and
-    must run on the python batch kernel; ``fallback_reasons`` collects
-    human-readable block- and spec-level notes for EXPLAIN ANALYZE.
+    array form are untouched (no counters, no accumulator updates, no
+    status changes) and must run on the python kernel — all of them
+    when ``rule`` couples the blocks through completion;
+    ``fallback_reasons`` collects human-readable block- and spec-level
+    notes for EXPLAIN ANALYZE.
     """
     np = require_numpy()
     total = columnar.length
-    base_rows = base.rows
-    n_base = len(base_rows)
-    ctx = _DetailContext(columnar, detail_schema)
-    pair_ctx = _PairContext(ctx, combined_schema, len(base.schema))
-    decoded_state: dict[str, Sequence] = {}
-
-    def decoded_cols() -> Sequence:
-        cols = decoded_state.get("cols")
-        if cols is None:
-            cols = decoded_state["cols"] = columnar.value_columns()
-        return cols
-
+    n_base = len(base.rows)
+    detail = _Columns(columnar.schema,
+                      lambda p: column_array(columnar, p))
+    pairs = _PairColumns(_base_columns(base), detail, combined_schema)
+    every_block = list(zip(runtimes, blocks))
     python_blocks: list[tuple[_BlockRuntime, ThetaBlock]] = []
     reasons: list[str] = []
-    applied: list[tuple[_NpBlock, bool]] = []
+    live: list[_NpBlock] = []
 
-    for runtime, block in zip(runtimes, blocks):
-        plan = _NpBlock(runtime, block)
+    def give_up(runtime: _BlockRuntime, exc: NpUnsupported) -> bool:
+        """Hand a block to the python kernel; True when that takes the
+        whole scan along (a completion rule couples the blocks)."""
+        reasons.append(f"block {runtime.index}: {exc.reason}")
+        python_blocks.append((runtime, blocks[runtime.index]))
+        return rule is not None
+
+    for runtime, block in every_block:
         try:
-            shared = _plan_block(plan, ctx, pair_ctx, base.schema,
-                                 base_rows, n_base, total, detail_schema,
-                                 np)
-            _plan_values(plan, ctx, detail_schema)
+            live.append(_NpBlock(runtime, block, base, detail, n_base,
+                                 total, np))
         except NpUnsupported as exc:
-            python_blocks.append((runtime, block))
-            reasons.append(f"block {runtime.index}: {exc.reason}")
-            continue
-        applied.append((plan, shared))
-        for spec, reason in zip(block.aggregates, plan.value_fallbacks):
-            if reason is not None:
-                reasons.append(
-                    f"block {runtime.index} {spec.output_name}: {reason}")
+            if give_up(runtime, exc):
+                return every_block, reasons
 
-    # Counters and accumulators are only touched for fully planned
-    # blocks, so an NpUnsupported above never leaves partial state.
-    for plan, shared in applied:
-        stats.index_probes += plan.probe_rows
-        stats.predicate_evals += plan.filter_evals
-        _apply_segments(plan, state, shared, stats, decoded_cols, np)
+    dooming = rule is not None and rule.can_doom
+    assurance = _Assurance(rule, n_base, np) \
+        if rule is not None and rule.can_assure else None
+    t = np.full(n_base, _NEVER, dtype=np.int64)
+    active = np.arange(n_base, dtype=np.int64)
+    by_index = {plan.index: plan for plan in live}
+    start = 0
+    while start < total and live and (rule is None or len(active)):
+        widest = max(plan.width(len(active)) for plan in live)
+        stop = min(total, start + max(1, TILE_PAIRS // max(1, widest)))
+        for plan in list(live):
+            try:
+                plan.scan(start, stop, active, t, len(active) < n_base,
+                          pairs, np)
+            except NpUnsupported as exc:
+                if give_up(plan.runtime, exc):
+                    return every_block, reasons
+                live.remove(plan)
+        cut = 0  # did a tuple complete in this tile?
+        if dooming:
+            doomed, rows = _doom_events(by_index, rule, start, stop, np)
+            np.minimum.at(t, doomed, rows)
+            cut = len(doomed)
+        elif assurance is not None:
+            assured, rows = assurance.assured(by_index, np)
+            t[assured] = rows
+            cut = len(assured)
+        for plan in live:
+            b, r = plan.hits
+            if cut:
+                # Truncation at t_b: the row kernel stops evaluating a
+                # tuple after its completion row, and a doomed tuple's
+                # completion row itself updates nothing.
+                if plan.cand is not None:
+                    cand_b, cand_r = plan.cand
+                    plan.evals += int(np.count_nonzero(
+                        cand_r <= t[cand_b]))
+                keep = r < t[b] if dooming else r <= t[b]
+                b, r = b[keep], r[keep]
+            elif plan.cand is not None:
+                plan.evals += len(plan.cand[0])
+            plan.updates += len(b) * len(plan.specs)
+            for spec in plan.specs:
+                spec.add(b, r, columnar, np)
+        if cut:
+            active = active[t[active] == _NEVER]
+        start = stop
+
+    # Counters, accumulators and status bytes are written only now, so
+    # an NpUnsupported above never leaves partial state behind.
+    for plan in live:
+        runtime = plan.runtime
+        if runtime.uses_hash:
+            stats.index_probes += total
+        stats.predicate_evals += plan.evals
+        stats.aggregate_updates += plan.updates
+        targets = [runtime.shared_state] if runtime.invariant else \
+            [row_state[plan.index] for row_state in state]
+        for position, spec in enumerate(plan.specs):
+            spec.commit(position, targets, np)
+            if spec.reason is not None:
+                reasons.append(f"block {plan.index} "
+                               f"{spec.spec.output_name}: {spec.reason}")
+    if rule is not None:
+        finished = np.flatnonzero(t != _NEVER)
+        if len(finished):
+            stats.completed_tuples += len(finished)
+            np.frombuffer(status, dtype=np.uint8)[finished] = \
+                _DOOMED if dooming else _ASSURED
     return python_blocks, reasons

@@ -29,8 +29,11 @@ and this module evaluates it in a single place:
   per-GMDJ hook is how the rollup store probes/stores around a node.
 
 Every (kernel × fragmenter) point returns the same rows in the same
-order; without a completion rule the IOStats counters are identical
-too (the row interpreter is the tests' reference).
+order, and the three kernels agree on every IOStats counter — with a
+completion rule too: completion is a truncation of each base tuple's
+θ-matches at its first completion row, which the array kernel computes
+over whole arrays and the row kernel tuple by tuple (the row
+interpreter is the tests' reference).
 """
 
 from __future__ import annotations

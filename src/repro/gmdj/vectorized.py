@@ -17,16 +17,20 @@ that overhead across *batches*:
 
 Everything observable is preserved: it remains a **single scan** of the
 detail relation (one ``detail_scan`` span, identical
-:class:`~repro.storage.iostats.IOStats` page/tuple accounting — and for
-completion-free runs, *identical* probe/predicate/update counters, since
-batching reorders work without changing how much of it happens), output
-stays bounded by |B|, and the static cost certificate holds unchanged.
+:class:`~repro.storage.iostats.IOStats` page/tuple accounting and
+*identical* probe/predicate/update/completion counters, since batching
+reorders work without changing how much of it happens), output stays
+bounded by |B|, and the static cost certificate holds unchanged.
 
-Completion runs (``rule`` set) cannot be fully batched — dooming depends
-on the per-row set of matched blocks — so they chunk the scan and run
-the row kernel's own ``_scan_detail`` per chunk with codegen'd row
-evaluators swapped in, filtering the active set between chunks.  That
-path is counter-identical to the row kernel by construction.
+Completion runs (``rule`` set) take one of two routes.  The numpy
+backend evaluates them whole-array (:mod:`repro.gmdj.npkernel`): a base
+tuple's completion depends only on its own θ-matches in row order, so
+it is a truncation of the (base, row) pair arrays at the tuple's first
+completion row.  The python backend chunks the scan and runs the row
+kernel's own ``_scan_detail`` per chunk with codegen'd row evaluators
+swapped in, filtering the active set between chunks; that path is
+counter-identical to the row kernel by construction, and it is where an
+array scan falls back to when θ has no exact array form.
 """
 
 from __future__ import annotations
@@ -206,10 +210,9 @@ def _recompile_runtimes(runtimes: list[_BlockRuntime], gmdj: GMDJ,
                         combined_schema: Schema) -> None:
     """Swap codegen'd row evaluators into row-kernel block runtimes.
 
-    Used by the completion path: the scan logic stays the row kernel's
-    (completion bookkeeping is inherently row-at-a-time) but every
-    residual, hash key, and aggregate argument runs as one compiled
-    frame instead of a closure chain.
+    Used by the python backend's completion path: the scan logic stays
+    the row kernel's, but every residual, hash key, and aggregate
+    argument runs as one compiled frame instead of a closure chain.
     """
     for runtime, block in zip(runtimes, gmdj.blocks):
         factored = factor_condition(block.condition, base.schema,
@@ -226,6 +229,55 @@ def _recompile_runtimes(runtimes: list[_BlockRuntime], gmdj: GMDJ,
             lambda expr: compile_row(expr, detail_schema))
 
 
+def _scan_completing(
+    detail_rows: Sequence[tuple],
+    runtimes: list[_BlockRuntime],
+    gmdj: GMDJ,
+    base: Relation,
+    detail_schema: Schema,
+    combined_schema: Schema,
+    state: list[list[Any]],
+    status: bytearray,
+    stats: IOStats,
+    rule: CompletionRule,
+    chunk_size: int,
+) -> None:
+    """The python backend's completion scan: the row kernel's own
+    ``_scan_detail`` chunk by chunk, with codegen'd row evaluators
+    swapped in and the active set filtered between chunks — counter-
+    identical to the row kernel by construction."""
+    _recompile_runtimes(runtimes, gmdj, base, detail_schema,
+                        combined_schema)
+    n_base = len(base.rows)
+    must_be_zero = frozenset(rule.must_be_zero)
+    pair_equal = tuple(rule.pair_equal)
+    thresholds = rule.thresholds() if rule.can_assure else {}
+    remaining_needs = (
+        [dict(thresholds) for _ in range(n_base)]
+        if rule.can_assure else None
+    )
+    any_scan_block = any(
+        not runtime.uses_hash and not runtime.invariant
+        for runtime in runtimes
+    )
+    active_list = list(range(n_base)) if any_scan_block else None
+    for number, start in enumerate(range(0, len(detail_rows), chunk_size),
+                                   start=1):
+        chunk_rows = detail_rows[start:start + chunk_size]
+        with span(f"chunk {number}", kind="chunk_batch",
+                  rows=len(chunk_rows)):
+            active_list = _scan_detail(
+                chunk_rows, runtimes, base.rows, state, status,
+                stats, must_be_zero, pair_equal, rule.can_doom,
+                rule.can_assure, remaining_needs, active_list,
+            )
+        if active_list is not None:
+            # Active-set filtering per chunk: completed tuples
+            # leave the candidate set before the next batch.
+            active_list = [i for i in active_list
+                           if status[i] == _ACTIVE]
+
+
 def run_gmdj_vectorized(
     base: Relation,
     detail: Relation,
@@ -236,18 +288,16 @@ def run_gmdj_vectorized(
     chunk_size: int | None = None,
     backend: str | None = None,
 ) -> Relation:
-    """Batch-evaluate a GMDJ; bag-equal to :func:`run_gmdj` always.
+    """Batch-evaluate a GMDJ: :func:`run_gmdj`'s rows, in its order, with
+    its counters (probes, predicate evaluations, aggregate updates,
+    completed tuples, pages, tuples) — with or without a completion rule.
 
-    Without a completion rule the counters (probes, predicate
-    evaluations, aggregate updates, pages, tuples) are *identical* to
-    the row kernel's; with one, page/tuple accounting is identical and
-    the result bag matches exactly (the scan chunks through the row
-    kernel's own completion logic).
-
-    ``backend="numpy"`` routes completion-free θ blocks through the
-    whole-array kernel (:mod:`repro.gmdj.npkernel`); blocks or
-    aggregates without an exact array form fall back per operator and
-    the reasons land on the ``detail_scan`` span for EXPLAIN ANALYZE.
+    ``backend="numpy"`` routes the θ blocks through the whole-array
+    kernel (:mod:`repro.gmdj.npkernel`), completion included; blocks or
+    aggregates without an exact array form fall back per operator (a
+    whole completion scan falls back together: the rule couples its
+    blocks) and the reasons land on the ``detail_scan`` span for
+    EXPLAIN ANALYZE.
     """
     # Imported here: repro.engine pulls in the planner, which pulls in
     # repro.gmdj — a module-level import would close the cycle.
@@ -281,59 +331,31 @@ def run_gmdj_vectorized(
               vectorized=True, backend=resolved_backend,
               mask_skipped=0) as scan_span:
         stats.record_scan(total)
-        if rule is None:
+        # Blocks still to run on the python kernel: all of them, unless
+        # the array kernel takes some (or, under a rule, all) of them.
+        block_pairs = list(zip(runtimes, gmdj.blocks))
+        columnar = None
+        if resolved_backend == "numpy" or rule is None:
             columnar = cached_columnar(detail)
             scan_span.set(mask_skipped=columnar.mask_free_columns())
-            block_pairs = list(zip(runtimes, gmdj.blocks))
-            if resolved_backend == "numpy":
-                from repro.gmdj.npkernel import run_numpy_scan
+        if resolved_backend == "numpy":
+            from repro.gmdj.npkernel import run_numpy_scan
 
-                block_pairs, fallbacks = run_numpy_scan(
-                    columnar, runtimes, gmdj.blocks, base, detail_schema,
-                    combined_schema, state, stats,
-                )
-            if block_pairs:
-                vblocks = [
-                    _VectorBlock(runtime, block, base, detail_schema)
-                    for runtime, block in block_pairs
-                ]
-                _scan_batched(columnar, vblocks, base_rows, state, stats,
-                              chunk_size)
-        else:
-            if resolved_backend == "numpy":
-                # Completion bookkeeping is inherently row-at-a-time;
-                # the chunked row-kernel path below handles it.
-                fallbacks.append("completion rule: row-kernel chunked scan")
-            _recompile_runtimes(runtimes, gmdj, base, detail_schema,
-                                combined_schema)
-            must_be_zero = frozenset(rule.must_be_zero)
-            pair_equal = tuple(rule.pair_equal)
-            thresholds = rule.thresholds() if rule.can_assure else {}
-            remaining_needs = (
-                [dict(thresholds) for _ in range(n_base)]
-                if rule.can_assure else None
+            block_pairs, fallbacks = run_numpy_scan(
+                columnar, runtimes, gmdj.blocks, base, combined_schema,
+                state, status, stats, rule,
             )
-            any_scan_block = any(
-                not runtime.uses_hash and not runtime.invariant
-                for runtime in runtimes
-            )
-            active_list = list(range(n_base)) if any_scan_block else None
-            detail_rows = detail.rows
-            for number, start in enumerate(range(0, total, chunk_size),
-                                           start=1):
-                chunk_rows = detail_rows[start:start + chunk_size]
-                with span(f"chunk {number}", kind="chunk_batch",
-                          rows=len(chunk_rows)):
-                    active_list = _scan_detail(
-                        chunk_rows, runtimes, base_rows, state, status,
-                        stats, must_be_zero, pair_equal, rule.can_doom,
-                        rule.can_assure, remaining_needs, active_list,
-                    )
-                if active_list is not None:
-                    # Active-set filtering per chunk: completed tuples
-                    # leave the candidate set before the next batch.
-                    active_list = [i for i in active_list
-                                   if status[i] == _ACTIVE]
+        if block_pairs and rule is None:
+            vblocks = [
+                _VectorBlock(runtime, block, base, detail_schema)
+                for runtime, block in block_pairs
+            ]
+            _scan_batched(columnar, vblocks, base_rows, state, stats,
+                          chunk_size)
+        elif block_pairs:
+            _scan_completing(detail.rows, runtimes, gmdj, base,
+                             detail_schema, combined_schema, state, status,
+                             stats, rule, chunk_size)
         if fallbacks:
             scan_span.set(fallbacks=tuple(fallbacks))
 

@@ -234,6 +234,19 @@ class ColumnarRelation:
         return cls(schema, columns, n,
                    name=getattr(relation, "name", None))
 
+    @classmethod
+    def from_column(cls, relation: Relation,
+                    position: int) -> "ColumnarRelation":
+        """Encode one attribute of ``relation`` alone (never cached).
+
+        For a kernel that needs a single column of a derived relation:
+        the other columns are neither transposed nor type-checked.
+        """
+        field = relation.schema.fields[position]
+        values = [row[position] for row in relation.rows]
+        return cls(Schema([field]), [_encode_column(values, field.dtype)],
+                   len(values), name=getattr(relation, "name", None))
+
     def mask_free_columns(self) -> int:
         """How many columns were encoded without a validity mask."""
         return sum(1 for column in self.columns if column.mask_free)
@@ -262,6 +275,13 @@ class ColumnarRelation:
         """Materialize one row (mostly for tests and debugging)."""
         return tuple(self.values(i)[position]
                      for i in range(len(self.columns)))
+
+
+def is_encoded(relation: Relation) -> bool:
+    """Does ``relation`` already carry its columnar encoding?  True for
+    a stored table (or a scan view of one) that was encoded or loaded
+    from ``.cols``: :func:`cached_columnar` on it is then a pure hit."""
+    return bool(relation._columnar)
 
 
 def cached_columnar(relation: Relation) -> ColumnarRelation:

@@ -6,10 +6,14 @@ Covers the knobs and edges the property suite cannot pin one by one:
   ``auto``; clean :class:`~repro.errors.ConfigurationError` without the
   optional numpy extra);
 * per-operator fallback to the python kernel — holistic DISTINCT
-  aggregates, object-encoded columns (>64-bit ints), int-sum overflow
-  guards, NaN min/max, and completion runs — each recorded on the
+  ``SUM``/``AVG`` aggregates, object-encoded columns (>64-bit ints),
+  int-sum overflow guards, NaN min/max — each recorded on the
   ``detail_scan`` span and each still producing the python kernel's
   exact rows and counters;
+* completion on arrays: runs with a :class:`CompletionRule` carry *no*
+  fallback and equal the row kernel on rows, order, every counter and
+  the partial aggregates of assured tuples at any tile size, and an
+  :class:`NpUnsupported` under a rule leaves no partial state;
 * the relation-level columnar-encoding cache (hit/miss counters, reuse
   across chunked fragments, invalidation on mutation).
 """
@@ -21,6 +25,8 @@ import random
 import pytest
 
 pytest.importorskip("numpy", exc_type=ImportError)
+
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Database, DataType, QueryOptions
 from repro.algebra.aggregates import AggregateSpec, agg, count_star
@@ -35,7 +41,9 @@ from repro.gmdj import (
     md,
     select_kernel,
 )
-from repro.gmdj.evaluate import SelectGMDJ
+from repro.gmdj import npkernel
+from repro.gmdj.completion import CompletionRule
+from repro.gmdj.evaluate import SelectGMDJ, _BlockRuntime, run_gmdj
 from repro.gmdj.vectorized import run_gmdj_vectorized
 from repro.obs.metrics import get_registry, metrics_scope
 from repro.obs.tracer import Tracer, tracing
@@ -213,7 +221,58 @@ class TestKernelIdentityAndFallbacks:
             gmdj, catalog)
         assert numpy_result.rows == python_result.rows
 
-    def test_completion_run_records_fallback(self):
+    def test_hash_keys_follow_python_equality(self):
+        # The bucket lookup this replaces was a dict probe: 1 == 1.0 ==
+        # True, a string never equals a number, a NULL component never
+        # matches, and duplicate base keys fan out.
+        catalog = Catalog()
+        catalog.create_table("B", Relation.from_columns(
+            [("F", DataType.FLOAT), ("T", DataType.BOOLEAN),
+             ("S", DataType.STRING)],
+            [(1.0, True, "1"), (1.0, True, "1"), (2.5, False, "x"),
+             (None, True, "1"), (0.0, None, None), (-0.0, False, "0")],
+            name="B", qualifier="b"))
+        catalog.create_table("R", Relation.from_columns(
+            [("K", DataType.INTEGER), ("W", DataType.STRING)],
+            [(1, "1"), (0, "0"), (2, "x"), (None, "1"), (1, None), (1, "1")],
+            name="R", qualifier="r"))
+        gmdj = md(ScanTable("B", "b"), ScanTable("R", "r"),
+                  [[count_star("float_int")], [count_star("bool_int")],
+                   [count_star("str_int")], [count_star("two_part")]],
+                  [col("b.F") == col("r.K"), col("b.T") == col("r.K"),
+                   col("b.S") == col("r.K"),
+                   (col("b.F") == col("r.K")) & (col("b.S") == col("r.W"))])
+        assert_identical(gmdj, catalog)
+        _, _, numpy_result, _, _ = run_both_kernels(gmdj, catalog)
+        assert [row[3:] for row in numpy_result.rows] == [
+            (3, 3, 0, 2), (3, 3, 0, 2), (0, 1, 0, 0),
+            (0, 3, 0, 0), (1, 0, 0, 0), (1, 1, 0, 1)]
+
+    def test_int64_extremes_are_ordinary_min_max_values(self):
+        # The arrays start from sentinels; the extreme int64 values must
+        # still win (or lose) like any other value.
+        low, high = -(2 ** 63), 2 ** 63 - 1
+        catalog = Catalog()
+        catalog.create_table("B", Relation.from_columns(
+            [("K", DataType.INTEGER)], [(0,), (1,), (2,)],
+            name="B", qualifier="b"))
+        catalog.create_table("R", Relation.from_columns(
+            [("K", DataType.INTEGER), ("V", DataType.INTEGER)],
+            [(0, low), (1, high), (0, None), (1, 5)],
+            name="R", qualifier="r"))
+        gmdj = md(ScanTable("B", "b"), ScanTable("R", "r"),
+                  [[agg("min", col("r.V"), "lo"),
+                    agg("max", col("r.V"), "hi")]],
+                  [col("b.K") == col("r.K")])
+        assert_identical(gmdj, catalog)
+        _, _, numpy_result, _, _ = run_both_kernels(gmdj, catalog)
+        assert numpy_result.rows == [(0, low, low), (1, 5, high),
+                                     (2, None, None)]
+
+    def test_completion_run_stays_on_arrays(self):
+        # Completion is truncation at each base tuple's first completion
+        # row: the run never leaves the array kernel, and equals the row
+        # kernel on rows, order and every counter.
         catalog, _, _ = null_heavy_catalog()
         from repro.algebra.nested import Exists, NestedSelect, Subquery
 
@@ -227,27 +286,259 @@ class TestKernelIdentityAndFallbacks:
         plan = subquery_to_gmdj(query, catalog, optimize=True)
         assert any(isinstance(node, SelectGMDJ)
                    for node in _walk(plan)), "expected a completion plan"
-        with collect() as python_stats:
-            python_result = evaluate_plan_vectorized(
-                plan, catalog, None, backend="python")
+        with collect() as row_stats:
+            row_result = evaluate_plan(plan, catalog)
         tracer = Tracer()
         with collect() as numpy_stats, tracing(tracer):
             numpy_result = evaluate_plan_vectorized(
                 plan, catalog, None, backend="numpy")
-        assert python_result.rows == numpy_result.rows
-        assert python_stats.snapshot() == numpy_stats.snapshot()
+        assert numpy_result.rows == row_result.rows
+        assert numpy_stats.snapshot() == row_stats.snapshot()
+        assert row_stats.completed_tuples > 0
         scans = tracer.trace().find(kind="detail_scan")
-        assert any(
-            any("completion" in reason
-                for reason in scan.attrs.get("fallbacks", ()))
-            for scan in scans
-        )
+        assert scans and not any(
+            scan.attrs.get("fallbacks") for scan in scans)
 
 
 def _walk(node):
     yield node
     for child in getattr(node, "children", lambda: [])():
         yield from _walk(child)
+
+
+# -- completion on arrays -------------------------------------------------------
+
+#: θ shapes the property mixes in one GMDJ: single- and two-component
+#: hash keys (int and dictionary-coded), hash + pair residual, the
+#: Figure 4 ``<>`` scan block, a pair inequality, and a detail-only
+#: residual (a scan block under a rule: invariants are off).
+THETAS = [
+    col("b.K") == col("r.K"),
+    (col("b.K") == col("r.K")) & (col("r.Y") > col("b.X")),
+    (col("b.K") == col("r.K")) & (col("b.S") == col("r.T")),
+    col("b.S") == col("r.T"),
+    col("r.K") != col("b.K"),
+    col("r.Y") >= col("b.X"),
+    col("r.Y") > lit(2),
+]
+
+#: Riders next to each block's count(*): they make the partial
+#: aggregates of assured tuples visible in the output rows.
+RIDERS = [
+    None,
+    lambda i: agg("sum", col("r.G"), f"s{i}"),
+    lambda i: agg("min", col("r.Y"), f"m{i}"),
+    lambda i: agg("avg", col("r.Y"), f"a{i}"),
+    lambda i: agg("count", col("r.T"), f"n{i}"),
+]
+
+
+@st.composite
+def dense_databases(draw):
+    """B/R over tiny domains: NULL keys, duplicate base keys and base
+    tuples with several matches are the rule, not the exception; either
+    side may be empty."""
+    key = st.one_of(st.none(), st.integers(0, 2))
+    number = st.one_of(st.none(), st.integers(0, 4))
+    word = st.one_of(st.none(), st.sampled_from(["aa", "bb"]))
+    real = st.one_of(st.none(), st.sampled_from([-1.5, 0.0, 0.1, 2.25]))
+    catalog = Catalog()
+    catalog.create_table("B", Relation.from_columns(
+        [("K", DataType.INTEGER), ("X", DataType.INTEGER),
+         ("S", DataType.STRING)],
+        draw(st.lists(st.tuples(key, number, word), max_size=6))))
+    catalog.create_table("R", Relation.from_columns(
+        [("K", DataType.INTEGER), ("Y", DataType.INTEGER),
+         ("T", DataType.STRING), ("G", DataType.FLOAT)],
+        draw(st.lists(st.tuples(key, number, word, real), max_size=14))))
+    return catalog
+
+
+@st.composite
+def completion_cases(draw):
+    """``(gmdj, rule, selection)``: 1-3 blocks and one rule shape."""
+    shape = draw(st.sampled_from(
+        ["zero", "pair", "zero+pair", "positive", "at_least",
+         "positive+at_least", "inert"]))
+    n_blocks = draw(st.integers(2 if "pair" in shape else 1, 3))
+    blocks = st.integers(0, n_blocks - 1)
+    specs, thetas = [], []
+    for i in range(n_blocks):
+        rider = draw(st.sampled_from(RIDERS))
+        specs.append([count_star(f"c{i}")]
+                     + ([rider(i)] if rider else []))
+        thetas.append(draw(st.sampled_from(THETAS)))
+    gmdj = md(ScanTable("B", "b"), ScanTable("R", "r"), specs, thetas)
+    rule = CompletionRule()
+    if "zero" in shape:
+        rule.must_be_zero = draw(st.lists(blocks, min_size=1, max_size=2))
+    if "pair" in shape:
+        rule.pair_equal = draw(st.lists(
+            st.permutations(range(n_blocks)).map(lambda p: tuple(p[:2])),
+            min_size=1, max_size=2))
+    if "positive" in shape:
+        rule.need_positive = draw(st.lists(blocks, min_size=1, max_size=2))
+    if "at_least" in shape:
+        rule.need_at_least = draw(st.lists(
+            st.tuples(blocks, st.integers(2, 3)), min_size=1, max_size=2))
+    rule.exhaustive = rule.aggregates_projected = \
+        bool(rule.need_positive or rule.need_at_least)
+    selection = col("c0") >= lit(draw(st.integers(0, 2)))
+    return gmdj, rule, selection
+
+
+class TestCompletionOnArrays:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(catalog=dense_databases(), case=completion_cases())
+    def test_numpy_equals_python_equals_row(self, catalog, case):
+        # Rows (so: order, and the partial aggregates of assured tuples)
+        # and the full IOStats snapshot, at tile sizes that cut every
+        # base tuple's pairs mid-way and at the real one.
+        gmdj, rule, selection = case
+        base = gmdj.base.evaluate(catalog)
+        detail = gmdj.detail.evaluate(catalog)
+        schema = gmdj.schema(catalog)
+        with collect() as row_stats:
+            expected = run_gmdj(base, detail, gmdj, schema, rule, selection)
+        with collect() as python_stats:
+            python_result = run_gmdj_vectorized(
+                base, detail, gmdj, schema, rule, selection,
+                chunk_size=3, backend="python")
+        assert python_result.rows == expected.rows
+        assert python_stats.snapshot() == row_stats.snapshot()
+        for tile in (1, 2, 7, npkernel.TILE_PAIRS):
+            tracer = Tracer()
+            with pytest.MonkeyPatch.context() as patch, \
+                    collect() as numpy_stats, tracing(tracer):
+                patch.setattr(npkernel, "TILE_PAIRS", tile)
+                numpy_result = run_gmdj_vectorized(
+                    base, detail, gmdj, schema, rule, selection,
+                    backend="numpy")
+            assert numpy_result.rows == expected.rows, tile
+            assert numpy_stats.snapshot() == row_stats.snapshot(), tile
+            (scan,) = tracer.trace().find(kind="detail_scan")
+            assert not scan.attrs.get("fallbacks"), tile
+
+    def test_assurance_waits_for_the_last_threshold(self):
+        # Block 1 reaches its threshold at row 0, block 0 only at row 3
+        # of the same tile: t_b is the *later* row, and everything both
+        # blocks match up to it is accumulated.
+        catalog = Catalog()
+        catalog.create_table("B", Relation.from_columns(
+            [("K", DataType.INTEGER)], [(0,)]))
+        catalog.create_table("R", Relation.from_columns(
+            [("K", DataType.INTEGER), ("Y", DataType.INTEGER)],
+            [(0, 1), (0, 2), (0, 3), (0, 9), (0, 4)]))
+        gmdj = md(ScanTable("B", "b"), ScanTable("R", "r"),
+                  [[count_star("c0")], [count_star("c1")]],
+                  [(col("b.K") == col("r.K")) & (col("r.Y") > lit(5)),
+                   col("b.K") == col("r.K")])
+        rule = CompletionRule(need_positive=[0, 1], exhaustive=True,
+                              aggregates_projected=True)
+        base = gmdj.base.evaluate(catalog)
+        detail = gmdj.detail.evaluate(catalog)
+        schema = gmdj.schema(catalog)
+        with collect() as row_stats:
+            expected = run_gmdj(base, detail, gmdj, schema, rule, None)
+        with collect() as numpy_stats:
+            result = run_gmdj_vectorized(base, detail, gmdj, schema, rule,
+                                         None, backend="numpy")
+        assert result.rows == expected.rows == [(0, 1, 4)]
+        assert numpy_stats.snapshot() == row_stats.snapshot()
+
+    @staticmethod
+    def _scan_directly(catalog, gmdj, rule):
+        """Call the array kernel the way ``run_gmdj_vectorized`` does."""
+        base = gmdj.base.evaluate(catalog)
+        detail = gmdj.detail.evaluate(catalog)
+        combined = base.schema.concat(detail.schema)
+        runtimes = [
+            _BlockRuntime(i, block, base, detail.schema, combined,
+                          allow_invariant=False)
+            for i, block in enumerate(gmdj.blocks)
+        ]
+        state = [[runtime.aggregates.new_state() for runtime in runtimes]
+                 for _ in base.rows]
+        status = bytearray(len(base.rows))
+        with collect() as stats:
+            python_blocks, reasons = npkernel.run_numpy_scan(
+                cached_columnar(detail), runtimes, gmdj.blocks, base,
+                combined, state, status, stats, rule)
+        return python_blocks, reasons, state, status, stats
+
+    def assert_untouched_then_identical(self, catalog, gmdj, rule,
+                                        expect_reason):
+        python_blocks, reasons, state, status, stats = \
+            self._scan_directly(catalog, gmdj, rule)
+        # Completion couples the blocks: all of them go back, and
+        # nothing was counted, accumulated or completed on the way.
+        assert len(python_blocks) == len(gmdj.blocks)
+        assert len(reasons) == 1 and reasons[0].startswith("block ")
+        assert expect_reason in reasons[0]
+        assert not any(stats.snapshot().values())
+        assert not any(status)
+        assert all(accumulator.result() in (0, None)
+                   for row_state in state for block_state in row_state
+                   for accumulator in block_state)
+        # ... and the fallback then produces the row kernel's run.
+        base = gmdj.base.evaluate(catalog)
+        detail = gmdj.detail.evaluate(catalog)
+        schema = gmdj.schema(catalog)
+        selection = col("c0") == lit(0)
+        with collect() as row_stats:
+            expected = run_gmdj(base, detail, gmdj, schema, rule, selection)
+        tracer = Tracer()
+        with collect() as numpy_stats, tracing(tracer):
+            result = run_gmdj_vectorized(base, detail, gmdj, schema, rule,
+                                         selection, backend="numpy")
+        assert result.rows == expected.rows
+        assert numpy_stats.snapshot() == row_stats.snapshot()
+        (scan,) = tracer.trace().find(kind="detail_scan")
+        assert scan.attrs["fallbacks"] == tuple(reasons)
+
+    def test_unsupported_theta_under_a_rule_leaves_no_partial_state(self):
+        # An object-encoded (>64-bit) column in θ has no array form.
+        catalog = Catalog()
+        catalog.create_table("B", Relation.from_columns(
+            [("K", DataType.INTEGER)], [(0,), (1,), (1,), (None,)],
+            name="B", qualifier="b"))
+        catalog.create_table("R", Relation.from_columns(
+            [("K", DataType.INTEGER), ("H", DataType.INTEGER)],
+            [(0, 3), (1, 2 ** 70), (1, None), (None, 5), (0, -4)],
+            name="R", qualifier="r"))
+        gmdj = md(ScanTable("B", "b"), ScanTable("R", "r"),
+                  [[count_star("c0")],
+                   [count_star("c1"), agg("max", col("r.K"), "m")]],
+                  [(col("b.K") == col("r.K")) & (col("r.H") > lit(0)),
+                   col("b.K") == col("r.K")])
+        self.assert_untouched_then_identical(
+            catalog, gmdj, CompletionRule(must_be_zero=[0]),
+            "object-encoded")
+
+    def test_unsupported_data_in_a_later_tile_leaves_no_partial_state(
+            self, monkeypatch):
+        # r.V * b.X is exact in int64 for the first rows only: the
+        # overflow guard trips after earlier tiles have accumulated.
+        monkeypatch.setattr(npkernel, "TILE_PAIRS", 2)
+        catalog = Catalog()
+        catalog.create_table("B", Relation.from_columns(
+            [("K", DataType.INTEGER), ("X", DataType.INTEGER)],
+            [(0, 2), (1, 3)], name="B", qualifier="b"))
+        catalog.create_table("R", Relation.from_columns(
+            [("K", DataType.INTEGER), ("V", DataType.INTEGER)],
+            [(0, 1), (1, 5), (0, 7), (1, 2 ** 61), (0, 9)],
+            name="R", qualifier="r"))
+        gmdj = md(ScanTable("B", "b"), ScanTable("R", "r"),
+                  [[count_star("c0"), agg("sum", col("r.V"), "s")],
+                   [count_star("c1")]],
+                  [(col("b.K") == col("r.K"))
+                   & (col("r.V") * col("b.X") > lit(10)),
+                   (col("b.K") == col("r.K")) & (col("r.V") < lit(0))])
+        # Block 1 never matches, so every base tuple is still active
+        # (and has accumulated into block 0) when the guard trips.
+        self.assert_untouched_then_identical(
+            catalog, gmdj, CompletionRule(must_be_zero=[1]), "overflow")
 
 
 class TestColumnarEncodingCache:
