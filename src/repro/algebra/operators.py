@@ -87,11 +87,15 @@ class ScanTable(Operator):
     def evaluate(self, catalog: Catalog) -> Relation:
         relation = catalog.table(self.table_name)
         qualifier = self.alias or self.table_name
+        # A scan is a view: it shares the stored row list (nothing is
+        # copied per operand per query) and the stored relation's
+        # columnar-encoding cache — the typed columns are
+        # qualifier-independent, so every query over this table reuses
+        # one encoding until the table mutates.  A result that *is* this
+        # list is snapshotted where it leaves the engine
+        # (:func:`repro.engine.executor.run`).
         out = Relation(relation.schema.rename(qualifier), relation.rows,
                        name=self.table_name, validate=False)
-        # Scan views share the stored relation's columnar-encoding cache:
-        # the typed columns are qualifier-independent, so every query
-        # over this table reuses one encoding until the table mutates.
         out._columnar = relation._columnar
         return out
 

@@ -24,6 +24,19 @@ from repro.storage.relation import Relation
 from repro.storage.iostats import collect
 
 
+def _detached(result: Relation, catalog: Catalog) -> Relation:
+    """``result``, snapshotted if it is a view of a stored table.
+
+    Scan views share the stored row list, so a plan that only scans
+    (a bare ``SELECT * FROM t``) evaluates to that very list; what
+    leaves the engine must not change under a later ``insert``.
+    """
+    if any(result.rows is catalog.table(name).rows
+           for name in catalog.table_names()):
+        return result.copy()
+    return result
+
+
 def run(
     query: Operator,
     catalog: Catalog,
@@ -59,7 +72,7 @@ def run(
     if not profiled:
         return ExecutionReport(
             strategy=options.strategy, elapsed_seconds=0.0,
-            result=runner(), options=options,
+            result=_detached(runner(), catalog), options=options,
         )
     trace_obj = None
     with collect() as stats:
@@ -72,6 +85,7 @@ def run(
         else:
             result = runner()
         elapsed = time.perf_counter() - started
+        result = _detached(result, catalog)
     return ExecutionReport(
         strategy=options.strategy,
         elapsed_seconds=elapsed,

@@ -4,11 +4,21 @@ Over operands the node evaluator (:mod:`repro.gmdj.physical`) has
 materialized, :func:`run_gmdj` — the reference every other kernel is
 held to — factors every θ block
 into hash-key equality conjuncts plus a residual
-(:func:`repro.algebra.analysis.factor_condition`), builds one hash table
-over the base rows per distinct key set, and then makes a **single pass**
-over the detail relation.  Each detail tuple probes the per-block structure
-for candidate base tuples, the residual is applied, and matching base
-tuples have their accumulators updated incrementally.
+(:func:`repro.algebra.analysis.factor_condition`), hashes the base rows
+once **per hash block** (a Python dict of key tuple → base positions,
+built when the kernel prepares to scan), and then makes a **single
+pass** over the detail relation.  Each detail tuple probes the per-block
+structure for candidate base tuples, the residual is applied, and
+matching base tuples have their accumulators updated incrementally.
+The python batch kernel probes the same per-block dicts; the array
+kernel (:mod:`repro.gmdj.npkernel`) never builds them — it matches keys
+over the base relation's key *columns*, one structure per distinct key
+list.
+
+Every kernel ends the same way: its per-base-tuple aggregate state is
+finalized into one **column** per aggregate and :func:`_emit_rows`
+assembles base rows ++ aggregate columns for the rows that survive
+(doomed rows dropped, ACTIVE rows held to the fused selection).
 
 θ blocks with no equality conjunct (e.g. the ``<>`` correlation of the
 paper's Figure 4) degrade to testing every *active* base tuple per detail
@@ -26,10 +36,11 @@ trusted to reject afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from itertools import compress, repeat
+from typing import Callable, Iterable, Sequence
 
-from repro.algebra.aggregates import AggregateBlock
-from repro.algebra.analysis import factor_condition
+from repro.algebra.aggregates import Accumulator, AggregateBlock
+from repro.algebra.analysis import factor_condition, refers_only_to
 from repro.algebra.expressions import Expression
 from repro.algebra.operators import Operator
 from repro.gmdj.completion import CompletionRule
@@ -41,6 +52,14 @@ from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 
 _ACTIVE, _ASSURED, _DOOMED = 0, 1, 2
+
+#: ``status.translate(_EMITTED)``: 1 for every base row that is not doomed.
+_EMITTED = bytes.maketrans(bytes([_ACTIVE, _ASSURED, _DOOMED]),
+                           b"\x01\x01\x00")
+
+#: Per θ block (``None`` for a block that keeps no accumulator objects),
+#: one accumulator list per base tuple.
+BlockStates = list[list[list[Accumulator]] | None]
 
 #: Global switch for invariant-block sharing (Rao & Ross reuse); exposed
 #: so the ablation benchmark can measure the optimization's contribution.
@@ -65,6 +84,22 @@ class invariant_sharing:
         _INVARIANT_SHARING = self._previous
 
 
+def _bucket_base_rows(base_rows: Sequence[tuple],
+                      key_evals: Sequence[Callable]) -> dict[tuple, list[int]]:
+    """Hash the base rows on a block's equality attributes (§2.3).
+
+    A NULL key component puts the row in no bucket: SQL equality never
+    matches it.
+    """
+    buckets: dict[tuple, list[int]] = {}
+    for position, row in enumerate(base_rows):
+        key = tuple(ev(row) for ev in key_evals)
+        if any(part is None for part in key):
+            continue
+        buckets.setdefault(key, []).append(position)
+    return buckets
+
+
 class _BlockRuntime:
     """Per-θ-block bound state: hash table, active-list, or invariant path.
 
@@ -75,16 +110,22 @@ class _BlockRuntime:
     once over the detail scan and shared.  Invariant sharing is only
     engaged when no completion rule is active (completion bookkeeping is
     per-base-tuple).
+
+    ``buckets`` — the Python hash table of a hash block — and
+    ``shared_state`` — an invariant block's one accumulator list — stay
+    None until :meth:`prepare_python_scan`: the row and python kernels
+    call it before their scan and read both per detail tuple, the array
+    kernel never builds either.  ``index_builds`` counts the logical
+    build, one per hash block, whichever kernel runs.
     """
 
     __slots__ = ("index", "aggregates", "residual_eval", "right_key_evals",
-                 "buckets", "uses_hash", "invariant", "shared_state")
+                 "uses_hash", "invariant", "buckets", "shared_state",
+                 "_base_rows", "_left_key_evals")
 
     def __init__(self, index: int, block: ThetaBlock, base: Relation,
                  detail_schema: Schema, combined_schema: Schema,
                  allow_invariant: bool):
-        from repro.algebra.analysis import refers_only_to
-
         self.index = index
         self.aggregates = AggregateBlock(block.aggregates, detail_schema)
         factored = factor_condition(block.condition, base.schema, detail_schema)
@@ -96,34 +137,54 @@ class _BlockRuntime:
             and (factored.residual is None
                  or refers_only_to(factored.residual, detail_schema))
         )
-        self.shared_state = self.aggregates.new_state() if self.invariant else None
         if factored.residual is None:
             self.residual_eval = None
         elif self.invariant:
             self.residual_eval = factored.residual.bind(detail_schema)
         else:
             self.residual_eval = factored.residual.bind(combined_schema)
+        self._base_rows = base.rows
+        self.buckets: dict[tuple, list[int]] | None = None
+        self.shared_state: list[Accumulator] | None = None
         if self.uses_hash:
-            left_key_evals = [k.bind(base.schema) for k in factored.left_keys]
+            self._left_key_evals = [k.bind(base.schema)
+                                    for k in factored.left_keys]
             self.right_key_evals = [k.bind(detail_schema) for k in factored.right_keys]
-            buckets: dict[tuple, list[int]] = {}
-            for position, row in enumerate(base.rows):
-                key = tuple(ev(row) for ev in left_key_evals)
-                if any(part is None for part in key):
-                    continue
-                buckets.setdefault(key, []).append(position)
-            self.buckets = buckets
             IOStats.ambient().index_builds += 1
         else:
             self.right_key_evals = None
-            self.buckets = None
+
+    def prepare_python_scan(self) -> None:
+        """Build what a tuple-at-a-time scan probes (idempotent)."""
+        if self.uses_hash and self.buckets is None:
+            self.buckets = _bucket_base_rows(self._base_rows,
+                                             self._left_key_evals)
+        if self.invariant and self.shared_state is None:
+            self.shared_state = self.aggregates.new_state()
+
+    def new_states(self) -> list[list[Accumulator]]:
+        """Fresh accumulator objects, one list per base tuple."""
+        new_state = self.aggregates.new_state
+        return [new_state() for _ in self._base_rows]
+
+    def finalized_columns(
+        self, states: list[list[Accumulator]] | None
+    ) -> list[list]:
+        """This block's accumulators as one value column per aggregate
+        (an invariant block's shared values repeat for every base row)."""
+        if self.shared_state is not None:
+            return [[value] * len(self._base_rows)
+                    for value in AggregateBlock.finalize(self.shared_state)]
+        assert states is not None
+        return [[accumulators[position].result() for accumulators in states]
+                for position in range(len(self.aggregates.specs))]
 
 
 def _scan_detail(
     detail_rows: Iterable[tuple],
     runtimes: list[_BlockRuntime],
     base_rows: Sequence[tuple],
-    state: list[list[Any]],
+    state: BlockStates,
     status: bytearray,
     stats: IOStats,
     must_be_zero: frozenset,
@@ -184,10 +245,9 @@ def _scan_detail(
                     stats.completed_tuples += 1
                     stale += 1
                     continue
-            row_state = state[base_index]
             for block_index in block_ids:
                 runtimes[block_index].aggregates.update(
-                    row_state[block_index], detail_row
+                    state[block_index][base_index], detail_row
                 )
             if can_assure:
                 needs = remaining_needs[base_index]
@@ -210,39 +270,54 @@ def _scan_detail(
     return active_list
 
 
-def _emit_rows(
+def _surviving_rows(
     base_rows: Sequence[tuple],
     status: bytearray,
-    state: list[list[Any]],
-    shared_values: dict,
+    columns: Sequence[list],
     selection_eval: Callable | None,
-    output_schema: Schema,
     stats: IOStats,
-) -> Relation:
-    """The emit phase shared by the row and vectorized kernels.
+) -> bytearray | None:
+    """Which base rows are emitted (1/0 per row; None = all), row-wise.
 
     Doomed rows are gone; assured rows bypass the final selection (their
     counts are partial but projected away); active rows carry exact
-    aggregates and face the real selection.  Invariant blocks contribute
-    the same ``shared_values`` to every base row.
+    aggregates and face the real selection.
     """
-    out_rows = []
-    for base_index, base_row in enumerate(base_rows):
-        verdict = status[base_index]
-        if verdict == _DOOMED:
-            continue
-        out_row = base_row + tuple(
-            value
-            for block_index, block_state in enumerate(state[base_index])
-            for value in shared_values.get(
-                block_index, AggregateBlock.finalize(block_state)
-            )
-        )
-        if verdict == _ACTIVE and selection_eval is not None:
+    if selection_eval is None:
+        return status.translate(_EMITTED) if any(status) else None
+    keep = status.translate(_EMITTED)
+    aggregates = zip(*columns) if columns else repeat(())
+    for position, (verdict, base_row, values) in enumerate(
+            zip(status, base_rows, aggregates)):
+        if verdict == _ACTIVE:
             stats.predicate_evals += 1
-            if not selection_eval(out_row).is_true:
-                continue
-        out_rows.append(out_row)
+            if not selection_eval(base_row + values).is_true:
+                keep[position] = 0
+    return keep
+
+
+def _emit_rows(
+    base_rows: Sequence[tuple],
+    columns: Sequence[list],
+    keep: Sequence[int] | None,
+    output_schema: Schema,
+    stats: IOStats,
+) -> Relation:
+    """The emit phase of every kernel: base rows ++ aggregate columns.
+
+    ``columns`` holds one finalized value list per output aggregate,
+    ``keep`` one truthy/falsy verdict per base row (None keeps all).
+    """
+    selected: Iterable[tuple] = base_rows
+    aggregates: Sequence[Iterable] = columns
+    if keep is not None:
+        selected = compress(base_rows, keep)
+        aggregates = [compress(column, keep) for column in columns]
+    if aggregates:
+        out_rows = [base_row + values
+                    for base_row, values in zip(selected, zip(*aggregates))]
+    else:
+        out_rows = list(selected)
     stats.tuples_output += len(out_rows)
     return Relation(output_schema, out_rows, validate=False)
 
@@ -271,9 +346,11 @@ def run_gmdj(
     ]
     base_rows = base.rows
     n_base = len(base_rows)
-    state = [
-        [runtime.aggregates.new_state() for runtime in runtimes]
-        for _ in range(n_base)
+    for runtime in runtimes:
+        runtime.prepare_python_scan()
+    state: BlockStates = [
+        None if runtime.invariant else runtime.new_states()
+        for runtime in runtimes
     ]
     status = bytearray(n_base)  # all _ACTIVE
 
@@ -304,14 +381,14 @@ def run_gmdj(
             remaining_needs, active_list,
         )
 
-    shared_values = {
-        runtime.index: AggregateBlock.finalize(runtime.shared_state)
-        for runtime in runtimes
-        if runtime.invariant
-    }
+    columns = [
+        column
+        for runtime, states in zip(runtimes, state)
+        for column in runtime.finalized_columns(states)
+    ]
     selection_eval = selection.bind(output_schema) if selection is not None else None
-    return _emit_rows(base_rows, status, state, shared_values,
-                      selection_eval, output_schema, stats)
+    keep = _surviving_rows(base_rows, status, columns, selection_eval, stats)
+    return _emit_rows(base_rows, columns, keep, output_schema, stats)
 
 
 @dataclass

@@ -3,7 +3,9 @@
 The python batch kernel (:mod:`repro.gmdj.vectorized`) amortizes closure
 dispatch across chunks but still executes one generated Python frame per
 chunk element.  This kernel evaluates a GMDJ — with or without a
-completion rule — over arrays of candidate ``(base, row)`` **pairs**:
+completion rule — over arrays of candidate ``(base, row)`` **pairs**,
+and nothing in it runs once per base tuple in Python: base keys,
+accumulator state and the emitted aggregates all stay columns.
 
 * the detail relation is walked in row *tiles*; per tile every θ block
   materializes its candidate pairs (a hash block from the key match
@@ -12,16 +14,31 @@ completion rule — over arrays of candidate ``(base, row)`` **pairs**:
   gathered pair arrays (:mod:`repro.algebra.npcompile`; base columns
   come from the base relation's columnar encoding) and keeps the
   matching pairs;
-* hash matching looks every detail key up in the ≤ \\|B\\| distinct
-  base keys (``np.searchsorted``, one pass per key component) — no
-  Python-level probe per detail key, and duplicate base keys fan out
-  through a CSR bucket table;
-* distributive/algebraic aggregates (Gray et al.) reduce grouped over
-  the surviving pairs with ``ufunc.at`` — which accumulates strictly in
-  pair order, so float sums keep Python's sequential addition order
-  bit-for-bit — into per-spec arrays that are written back to the
-  accumulator objects once, after the last tile.  ``COUNT(DISTINCT x)``
-  is a sorted unique over ``(base, value-code)`` pairs.
+* hash matching (§2.3's "hash B on θ's equality attributes") is built
+  from the base relation's key **columns**: the distinct base keys
+  become buckets with a CSR table of their base positions (duplicate
+  base keys fan out, a NULL component lands in no bucket), and detail
+  keys resolve to buckets by *direct addressing* — ``table[key - lo]``
+  — whenever the base keys' own range ``hi - lo`` fits in
+  \\|R\\| + \\|B\\| slots, by ``np.searchsorted`` into the sorted distinct
+  keys otherwise (sparse or float domains).  One such structure serves
+  every block of the GMDJ with the same correlating key list
+  (Prop 4.1's coalesced blocks over one key); a key component with a
+  constant side (``r.prio = '1-URGENT'``) is that block's own row or
+  base mask on top of it.  No Python dict over B is ever built here;
+* distributive/algebraic aggregates (Gray et al.) have fixed-size
+  scratchpads, so a base tuple's state is a few array slots: they
+  reduce grouped over the surviving pairs with ``ufunc.at`` — which
+  accumulates strictly in pair order, so float sums keep Python's
+  sequential addition order bit-for-bit — into per-spec arrays that are
+  *finalized as columns* after the last tile (counts; SUM/MIN/MAX with
+  NULL where nothing was seen; AVG divided exactly as Python divides).
+  ``COUNT(DISTINCT x)`` is a sorted unique over ``(base, value-code)``
+  pairs.  No accumulator object exists for a block this kernel takes;
+* the fused selection of a ``SelectGMDJ`` is one
+  :func:`~repro.algebra.npcompile.np_truth_mask` over base columns ++
+  finalized aggregate columns, for ACTIVE rows only
+  (:meth:`ArrayScan.surviving_rows`).
 
 Completion is truncation
 ------------------------
@@ -39,34 +56,40 @@ exact), and the completion-free scan is the same code with
 ``t_b = ∞``.  Completed tuples leave the candidate set between tiles,
 so θ work physically shrinks as the paper describes, while the
 :class:`~repro.storage.iostats.IOStats` counters stay the *logical*
-ones — identical to the row kernel's whatever the tile size.
+ones — identical to the row kernel's whatever the tile size
+(``index_builds``/``index_probes`` count one build and \\|R\\| probes per
+hash block, however many blocks share a key structure).
 
 Identity contract
 -----------------
-Same rows, same order, same counters as the python kernels
-(``index_probes`` counts every detail row per hash block).  Work with
+Same rows, same order, same counters as the python kernels.  Work with
 no *exact* whole-array form — object-encoded columns, int64 overflow
 hazards, NaN or string min/max, ``SUM``/``AVG(DISTINCT)`` — falls back:
 an aggregate drops to per-value Python accumulation over the already
-known surviving pairs; an unsupported θ (:class:`NpUnsupported`) hands
-the block — under a completion rule, where blocks are coupled, the
-whole scan — back to the python kernel.  Nothing is written to the
-caller's counters, accumulators or status bytes before the last tile
-has succeeded, so a fallback never sees partial state.  Fallback
-reasons are returned so EXPLAIN ANALYZE can surface them.
+known surviving pairs (private accumulator objects, finalized into the
+same column shape); an unsupported θ (:class:`NpUnsupported`) hands the
+block — under a completion rule, where blocks are coupled, the whole
+scan — back to the python kernel, which alone allocates accumulator
+objects for it.  Nothing is written to the caller's counters or status
+bytes before the last tile has succeeded, so a fallback never sees
+partial state.  Fallback reasons are returned so EXPLAIN ANALYZE can
+surface them: objects exist only where a reason is reported.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from collections import Counter
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from repro.algebra.aggregates import AggregateSpec
 from repro.algebra.analysis import factor_condition, refers_only_to
 from repro.algebra.compile import compile_batch_values
+from repro.algebra.expressions import Column, Expression
 from repro.algebra.npcompile import (
     _FLOAT_EXACT,
-    _max_abs,
+    _guard_float_exact,
+    _is_floatish,
     NpUnsupported,
     NpValue,
     np_truth_mask,
@@ -74,7 +97,7 @@ from repro.algebra.npcompile import (
     value_of_column,
 )
 from repro.gmdj.completion import CompletionRule
-from repro.gmdj.evaluate import _ASSURED, _DOOMED, _BlockRuntime
+from repro.gmdj.evaluate import _ACTIVE, _ASSURED, _DOOMED, _BlockRuntime
 from repro.gmdj.operator import ThetaBlock
 from repro.storage.columnar import (
     ColumnarRelation,
@@ -101,21 +124,26 @@ _SUM_SAFE = 2 ** 63
 
 
 class _Columns:
-    """Whole-column NpValues of one relation, wrapped on first use."""
+    """Whole-column NpValues of one relation, wrapped on first use.
 
-    __slots__ = ("schema", "_load", "_by_position", "_by_ref")
+    ``locate(position)`` names the encoding that holds the column and
+    the column's position in it.
+    """
+
+    __slots__ = ("schema", "_locate", "_by_position", "_by_ref")
 
     def __init__(self, schema: Schema,
-                 load: Callable[[int], Any]) -> None:
+                 locate: Callable[[int], tuple[ColumnarRelation, int]],
+                 ) -> None:
         self.schema = schema
-        self._load = load
+        self._locate = locate
         self._by_position: dict[int, NpValue] = {}
         self._by_ref: dict[str, NpValue] = {}
 
     def by_position(self, position: int) -> NpValue:
         value = self._by_position.get(position)
         if value is None:
-            column = self._load(position)
+            column = column_array(*self._locate(position))
             if column is None:
                 field = self.schema.fields[position]
                 raise NpUnsupported(
@@ -130,9 +158,20 @@ class _Columns:
             value = self._by_ref[reference] = self.by_position(position)
         return value
 
+    def word_codes(self, expression: Expression,
+                   value: NpValue) -> dict[str, int]:
+        """``word -> code`` of the string column ``expression`` evaluated
+        to: the encoding's cached inverse for a plain column reference."""
+        if isinstance(expression, Column):
+            columnar, at = self._locate(
+                self.schema.index_of(expression.reference))
+            return columnar.word_codes(at)
+        return {word: code
+                for code, word in enumerate(value.dictionary or [])}
+
 
 def _base_columns(base: Relation) -> _Columns:
-    """The base side of pair residuals.
+    """The base side of keys, pair residuals and the fused selection.
 
     A stored table that already carries its encoding shares it; any
     other base (a derived intermediate) encodes just the columns θ
@@ -140,9 +179,17 @@ def _base_columns(base: Relation) -> _Columns:
     """
     if is_encoded(base):
         columnar = cached_columnar(base)
-        return _Columns(base.schema, lambda p: column_array(columnar, p))
-    return _Columns(base.schema, lambda p: column_array(
-        ColumnarRelation.from_column(base, p), 0))
+        return _Columns(base.schema, lambda p: (columnar, p))
+    encoded: dict[int, ColumnarRelation] = {}
+
+    def locate(position: int) -> tuple[ColumnarRelation, int]:
+        column = encoded.get(position)
+        if column is None:
+            column = encoded[position] = ColumnarRelation.from_column(
+                base, position)
+        return column, 0
+
+    return _Columns(base.schema, locate)
 
 
 def _gather(value: NpValue, idx: Any, np: Any) -> NpValue:
@@ -201,115 +248,210 @@ def _lookup(distinct: Any, codes: Any, np: Any) -> Any:
     return np.where(distinct[position] == codes, position, -1)
 
 
-def _component_codes(parts: list, key: NpValue, total: int,
-                     np: Any) -> tuple[Any, Any, int]:
-    """Code one key component on both sides of the equality.
+def _distinct(values: Any, np: Any) -> Any:
+    """Sorted distinct values (``np.unique`` without its hashing set-up,
+    which dominates on the <= |B| keys this is called with)."""
+    ordered = np.sort(values)
+    if len(ordered) < 2:
+        return ordered
+    fresh = np.empty(len(ordered), dtype=bool)
+    fresh[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    return ordered[fresh]
 
-    ``parts`` holds the component's value per bucket (never None).
-    Returns ``(bucket_codes, row_codes, n_codes)`` where two codes are
-    equal exactly when the Python values are (``1 == 1.0 == True``, a
-    string never equals a number) and -1 marks "matches nothing".
+
+def _is_missing(value: NpValue) -> bool:
+    """A key side that is NULL everywhere: it matches nothing."""
+    return value.kind == "null" or value.null is True
+
+
+def _nobody(n_base: int, total: int, np: Any) -> tuple[Any, Any, int, bool]:
+    return (np.full(n_base, -1, dtype=np.int64),
+            np.full(total, -1, dtype=np.int64), 0, True)
+
+
+def _only(live: Any, codes: Any, np: Any) -> Any:
+    """``codes`` with -1 ("matches nothing") outside ``live`` (None = all)."""
+    return codes if live is None else np.where(live, codes, -1)
+
+
+def _int_codes(base_values: Any, base_live: Any, row_values: Any,
+               row_live: Any, np: Any) -> tuple[Any, Any, int, bool]:
+    """Dense codes for one int64 domain on both sides of an equality.
+
+    ``*_live`` masks the positions that can match at all (None = all).
+    Returns ``(base_codes, row_codes, n_codes, direct)``: the distinct
+    live base values are the codes, -1 marks "matches nothing", and
+    ``direct`` says the rows were coded by direct addressing — chosen
+    when the base values' own range fits in |R| + |B| table slots —
+    rather than by ``searchsorted``.
     """
-    values = key.values
-    if not isinstance(values, np.ndarray):  # a literal key component
-        hits = [0 if (isinstance(part, str) == (key.kind == "str")
-                      and part == values) else -1 for part in parts]
-        return (np.array(hits, dtype=np.int64),
-                np.zeros(total, dtype=np.int64), 1)
-    if key.kind == "str":
-        code_of = {word: code
-                   for code, word in enumerate(key.dictionary or [])}
-        wanted = np.array([code_of.get(part, -1)
-                           if isinstance(part, str) else -1
-                           for part in parts], dtype=np.int64)
-        distinct = np.unique(wanted[wanted >= 0])
-        table = np.full(len(key.dictionary or []), -1, dtype=np.int64)
-        table[distinct] = np.arange(len(distinct))
-        row_codes = table[values] if len(table) else \
-            np.full(total, -1, dtype=np.int64)
-        return _lookup(distinct, wanted, np), row_codes, len(distinct)
-    numeric = [i for i, part in enumerate(parts)
-               if isinstance(part, (int, float))]
-    numbers = [parts[i] for i in numeric]
-    if values.dtype.kind == "f" or any(type(n) is float for n in numbers):
+    n_base, total = len(base_values), len(row_values)
+    distinct = _distinct(base_values if base_live is None
+                         else base_values[base_live], np)
+    if not len(distinct):
+        return _nobody(n_base, total, np)
+    lo, hi = int(distinct[0]), int(distinct[-1])
+    span = hi - lo + 1
+    direct = span <= n_base + total
+    if direct:
+        # Distances from lo in modular uint64 arithmetic: exact for any
+        # two int64s, and >= span exactly when a value is outside
+        # [lo, hi] — those all read the table's spare last slot.
+        origin = np.uint64(lo % 2 ** 64)
+        table = np.full(span + 1, -1, dtype=np.int64)
+        table[(distinct.view(np.uint64) - origin).view(np.int64)] = \
+            np.arange(len(distinct))
+
+    def code(values: Any, live: Any) -> Any:
+        if direct:
+            offset = values.view(np.uint64) - origin
+            np.minimum(offset, np.uint64(span), out=offset)
+            codes = table.take(offset.view(np.int64))
+        else:
+            codes = _lookup(distinct, values, np)
+        return _only(live, codes, np)
+
+    return (code(base_values, base_live), code(row_values, row_live),
+            len(distinct), direct)
+
+
+def _component_codes(left: NpValue, right: NpValue, detail_codes: Callable,
+                     np: Any) -> tuple[Any, Any, int, bool]:
+    """Code one correlating key component on both sides of the equality.
+
+    ``left`` spans the base rows, ``right`` the detail rows (both
+    arrays).  Returns ``(base_codes, row_codes, n_codes, direct)`` where
+    two codes are equal exactly when the Python values are
+    (``1 == 1.0 == True``, a string never equals a number, NULL equals
+    nothing) and -1 marks "matches nothing".
+    """
+    if _is_missing(left) or _is_missing(right) or left.kind != right.kind:
+        return _nobody(len(left.values), len(right.values), np)
+    base_live = None if left.null is False else ~left.null
+    row_live = None if right.null is False else ~right.null
+    if left.kind == "str":
+        # Base words looked up in the detail column's cached inverse:
+        # one dict probe per distinct base word, then table lookups.
+        words = left.dictionary or []
+        used = _distinct(left.values if base_live is None
+                         else left.values[base_live], np)
+        code_of = detail_codes()
+        wanted = np.array([code_of.get(words[code], -1)
+                           for code in used.tolist()], dtype=np.int64)
+        present = wanted >= 0
+        n_codes = int(np.count_nonzero(present))
+        base_table = np.full(max(1, len(words)), -1, dtype=np.int64)
+        base_table[used[present]] = np.arange(n_codes)
+        row_table = np.full(max(1, len(right.dictionary or [])), -1,
+                            dtype=np.int64)
+        row_table[wanted[present]] = np.arange(n_codes)
+        return (_only(base_live, base_table[left.values], np),
+                _only(row_live, row_table[right.values], np), n_codes, True)
+    if _is_floatish(left) or _is_floatish(right):
         # The equality runs in float64; an int beyond 2**53 on either
         # side would round where Python compares exactly.
-        if any(type(n) is not float and abs(n) >= _FLOAT_EXACT
-               for n in numbers) or (
-                values.dtype.kind in "iu"
-                and _max_abs(key) >= _FLOAT_EXACT):
-            raise NpUnsupported("int/float key equality beyond exact "
-                                "float range")
-        dtype = np.float64
+        _guard_float_exact(left, right, "key equality")
+        base_values = left.values.astype(np.float64, copy=False)
+        distinct = _distinct(base_values if base_live is None
+                             else base_values[base_live], np)
+        row_values = right.values.astype(np.float64, copy=False)
+        # (NaN equals nothing, itself included: _lookup finds it nowhere.)
+        return (_only(base_live, _lookup(distinct, base_values, np), np),
+                _only(row_live, _lookup(distinct, row_values, np), np),
+                len(distinct), False)
+    return _int_codes(left.values.astype(np.int64, copy=False), base_live,
+                      right.values.astype(np.int64, copy=False), row_live, np)
+
+
+def _key_codes(components: Sequence[tuple[NpValue, NpValue, Callable]],
+               n_base: int, total: int, np: Any) -> tuple[Any, Any, int, bool]:
+    """Code a whole list of correlating key components: equal codes
+    exactly for equal key tuples (see :func:`_component_codes`)."""
+    if not components:  # the empty key list: one bucket of every base row
+        return (np.zeros(n_base, dtype=np.int64),
+                np.zeros(total, dtype=np.int64), 1, True)
+    base_code, row_code, n_codes, direct = _component_codes(
+        *components[0], np)
+    for left, right, detail_codes in components[1:]:
+        part_base, part_row, radix, part_direct = _component_codes(
+            left, right, detail_codes, np)
+        # Re-densify against the live key prefixes: codes stay below
+        # |B| whatever the number of components.
+        base_code, row_code, n_codes, dense = _int_codes(
+            base_code * radix + part_base,
+            (base_code >= 0) & (part_base >= 0),
+            row_code * radix + part_row,
+            (row_code >= 0) & (part_row >= 0), np)
+        direct = direct and part_direct and dense
+    return base_code, row_code, n_codes, direct
+
+
+def _equals_constant(column: NpValue, constant: NpValue,
+                     codes: Callable, size: int, np: Any) -> Any:
+    """Where ``column`` (an array, or itself a constant) equals the
+    constant key side, as Python compares them; a bool mask."""
+    nowhere = np.zeros(size, dtype=bool)
+    if _is_missing(column) or _is_missing(constant) \
+            or column.kind != constant.kind:
+        return nowhere
+    if not isinstance(column.values, np.ndarray):
+        return ~nowhere if column.values == constant.values else nowhere
+    if column.kind == "str":
+        code = codes().get(constant.values, -1)
+        if code < 0:
+            return nowhere
+        equal = column.values == code
     else:
-        dtype = np.int64
-    try:
-        wanted = np.array(numbers, dtype=dtype)
-    except OverflowError:
-        raise NpUnsupported("base key beyond int64 range") from None
-    distinct = np.unique(wanted)
-    bucket_codes = np.full(len(parts), -1, dtype=np.int64)
-    bucket_codes[numeric] = _lookup(distinct, wanted, np)
-    return (bucket_codes,
-            _lookup(distinct, values.astype(dtype, copy=False), np),
-            len(distinct))
+        _guard_float_exact(column, constant, "key equality")
+        equal = column.values == constant.values
+    return equal if column.null is False else equal & ~column.null
 
 
 class _HashMatch:
     """Detail rows matched to base buckets: ``row_bucket`` + a CSR table.
 
+    Built from the base relation's key columns: each distinct base key
+    is a bucket (``components`` are the correlating key components,
+    ``base_filter`` masks the base tuples a constant component admits).
     ``row_bucket[r]`` is the bucket detail row ``r`` falls in (-1: NULL
     key component or no equal base key); bucket ``k`` holds base indices
     ``bases[starts[k]:starts[k] + sizes[k]]`` in ascending order, so
-    duplicate base keys fan out.
+    duplicate base keys fan out.  ``lookup`` records how the rows were
+    resolved (``"direct"`` addressing or ``"sorted"`` search).
     """
 
-    __slots__ = ("row_bucket", "starts", "sizes", "bases", "fanout")
+    __slots__ = ("row_bucket", "starts", "sizes", "bases", "fanout",
+                 "lookup")
 
-    def __init__(self, buckets: dict, keys: Sequence[NpValue], total: int,
+    def __init__(self, components: Sequence[tuple[NpValue, NpValue, Callable]],
+                 base_filter: Any, n_base: int, total: int,
                  np: Any) -> None:
-        members = list(buckets.values())
-        self.sizes = np.fromiter(map(len, members), dtype=np.int64,
-                                 count=len(members))
+        base_code, row_code, n_codes, direct = _key_codes(
+            components, n_base, total, np)
+        if base_filter is not None:
+            # Base tuples a constant key component rules out (``b.x = 3``)
+            # are in no bucket; buckets they alone held disappear.
+            base_code, row_code, n_codes, _ = _int_codes(
+                base_code, (base_code >= 0) & base_filter,
+                row_code, row_code >= 0, np)
+        live = np.flatnonzero(base_code >= 0)
+        codes = base_code[live]
+        self.bases = live[np.argsort(codes, kind="stable")]
+        self.sizes = np.bincount(codes, minlength=n_codes)
         self.starts = np.cumsum(self.sizes) - self.sizes
-        self.bases = np.fromiter(chain.from_iterable(members),
-                                 dtype=np.int64,
-                                 count=int(self.sizes.sum()))
-        self.fanout = int(self.sizes.max()) if len(members) else 0
-        bucket_keys = list(buckets)
-        bucket_code = row_code = None
-        n_codes = 0
-        for position, key in enumerate(keys):
-            if key.kind == "null" or key.null is True:
-                # A NULL key component never matches.
-                row_code = np.full(total, -1, dtype=np.int64)
-                break
-            parts = [bucket_key[position] for bucket_key in bucket_keys]
-            part_codes, codes, radix = _component_codes(parts, key, total, np)
-            if key.null is not False:
-                codes = np.where(key.null, -1, codes)
-            if position == 0:
-                bucket_code, row_code, n_codes = part_codes, codes, radix
-                continue
-            bucket_code = np.where((bucket_code >= 0) & (part_codes >= 0),
-                                   bucket_code * radix + part_codes, -1)
-            row_code = np.where((row_code >= 0) & (codes >= 0),
-                                row_code * radix + codes, -1)
-            # Re-densify against the live key prefixes: codes stay below
-            # |B| whatever the number of components.
-            distinct = np.unique(bucket_code[bucket_code >= 0])
-            bucket_code = _lookup(distinct, bucket_code, np)
-            row_code = _lookup(distinct, row_code, np)
-            n_codes = len(distinct)
-        bucket_of = np.full(n_codes + 1, -1, dtype=np.int64)
-        if bucket_code is not None:
-            live = np.flatnonzero(bucket_code >= 0)
-            bucket_of[bucket_code[live]] = live
-        self.row_bucket = bucket_of[row_code]  # code -1 reads the spare -1
+        self.fanout = int(self.sizes.max()) if n_codes else 0
+        # Every code is a live base key, so every bucket has a member —
+        # except the empty key list's one bucket over an empty base.
+        self.row_bucket = row_code if len(live) else \
+            np.full(total, -1, dtype=np.int64)
+        self.lookup = "direct" if direct else "sorted"
 
-    def pairs(self, start: int, stop: int, np: Any) -> tuple[Any, Any]:
-        """Candidate pairs of rows ``[start, stop)``, row-major."""
-        bucket = self.row_bucket[start:stop]
+    def pairs(self, row_bucket: Any, start: int, stop: int,
+              np: Any) -> tuple[Any, Any]:
+        """Candidate pairs of rows ``[start, stop)``, row-major;
+        ``row_bucket`` is this structure's, or a block's masked copy."""
+        bucket = row_bucket[start:stop]
         hit = np.flatnonzero(bucket >= 0)
         bucket = bucket[hit]
         r = hit + start
@@ -333,16 +475,18 @@ class _SpecArrays:
     only) or ``"skip"`` (a NULL argument: every add is a no-op) — or
     ``"python"``: per-value accumulation into private accumulator
     objects, for anything without an exact array form.  ``reason`` says
-    why, for the fallback report.
+    why, for the fallback report.  Either way the state leaves as one
+    finalized column (:meth:`finalize`), never as objects per group.
     """
 
-    __slots__ = ("spec", "mode", "reason", "value", "counts", "totals",
-                 "seen", "pending", "pending_size", "radix", "private",
-                 "value_fn")
+    __slots__ = ("spec", "groups", "mode", "reason", "value", "counts",
+                 "totals", "seen", "pending", "pending_size", "radix",
+                 "private", "value_fn")
 
     def __init__(self, spec: AggregateSpec, detail: _Columns, groups: int,
                  total: int, np: Any) -> None:
         self.spec = spec
+        self.groups = groups
         self.reason: str | None = None
         self.value: NpValue | None = None
         self.counts = self.totals = self.seen = None
@@ -472,42 +616,50 @@ class _SpecArrays:
         self.pending = []
         self.pending_size = 0
 
-    def commit(self, position: int, targets: Sequence[list],
-               np: Any) -> None:
-        """Write the arrays back into the caller's accumulator objects:
-        ``targets[group][position]`` is this aggregate's, per group."""
-        mode = self.mode
-        if mode == "skip":
-            return
+    def finalize(self, np: Any) -> tuple[list, NpValue | None]:
+        """The aggregate's result column over the block's groups: its
+        Python values (None = NULL) and — unless it was accumulated per
+        value in Python — its array form for the fused selection."""
+        mode, groups = self.mode, self.groups
+        counting = self.spec.function == "count"
         if mode == "python":
+            column = [0 if counting else None] * groups
             for group, accumulator in self.private.items():
-                targets[group][position] = accumulator
-            return
+                column[group] = accumulator.result()
+            return column, None
+        if mode == "skip":  # every add was a no-op
+            if counting:
+                return [0] * groups, NpValue(
+                    np.zeros(groups, dtype=np.int64), False, "num")
+            return [None] * groups, NpValue(None, True, "null")
         if mode == "distinct":
             self._compact(np)
             self.counts = np.bincount(self.seen // self.radix,
-                                      minlength=len(self.counts))
-        touched = np.flatnonzero(self.counts)
-        groups = touched.tolist()
-        counts = self.counts[touched].tolist()
-        if mode in ("star", "count"):
-            for group, count in zip(groups, counts):
-                targets[group][position].count = count
-            return
-        if mode == "distinct":
-            # Only the count survives: DISTINCT scans are never merged.
-            for group, count in zip(groups, counts):
-                targets[group][position].inner.count = count
-            return
-        totals = self.totals[touched].tolist()
-        for group, count, total in zip(groups, counts, totals):
-            accumulator = targets[group][position]
-            if mode == "sum":
-                accumulator.total, accumulator.seen = total, True
-            elif mode == "avg":
-                accumulator.total, accumulator.count = total, count
-            else:
-                accumulator.best = total
+                                      minlength=groups)
+        if counting:
+            return self.counts.tolist(), NpValue(self.counts, False, "num")
+        unseen = self.counts == 0
+        # Unseen groups hold a neutral value under the NULL mask (an
+        # extremum's start value would trip the selection's range guards).
+        data = np.where(unseen, 0, _exact_mean(self.totals, self.counts, np)
+                        if mode == "avg" else self.totals)
+        column = data.astype(object)
+        column[unseen] = None
+        return column.tolist(), NpValue(
+            data, unseen if unseen.any() else False, "num")
+
+
+def _exact_mean(totals: Any, counts: Any, np: Any) -> Any:
+    """``total / count`` per group exactly as Python divides (0 where
+    nothing was counted).  float64 division is correctly rounded and so
+    is Python's ``int / int`` — they agree while the int64 total converts
+    to float64 exactly; totals beyond 2**53 are divided as Python ints."""
+    mean = np.zeros(len(totals), dtype=np.float64)
+    np.divide(totals, counts, out=mean, where=counts > 0)
+    if totals.dtype.kind != "f":
+        for group in np.flatnonzero(np.abs(totals) >= _FLOAT_EXACT).tolist():
+            mean[group] = int(totals[group]) / int(counts[group])
+    return mean
 
 
 # -- the tiled scan ------------------------------------------------------------
@@ -517,22 +669,24 @@ class _NpBlock:
     """One θ block planned for the tiled scan."""
 
     __slots__ = ("runtime", "index", "residual", "detail_only", "match",
-                 "specs", "evals", "updates", "cand", "hits")
+                 "row_bucket", "specs", "evals", "updates", "cand", "hits")
 
     def __init__(self, runtime: _BlockRuntime, block: ThetaBlock,
-                 base: Relation, detail: _Columns, n_base: int, total: int,
-                 np: Any) -> None:
+                 pairs: _PairColumns, matches: dict[tuple, _HashMatch],
+                 n_base: int, total: int, np: Any) -> None:
         self.runtime = runtime
         self.index = runtime.index
-        factored = factor_condition(block.condition, base.schema,
+        detail = pairs.detail
+        factored = factor_condition(block.condition, pairs.base.schema,
                                     detail.schema)
         self.residual = factored.residual
         self.detail_only = self.residual is not None and refers_only_to(
             self.residual, detail.schema)
-        self.match = _HashMatch(
-            runtime.buckets,
-            [np_value(key, detail.resolve) for key in factored.right_keys],
-            total, np) if runtime.uses_hash else None
+        self.match: _HashMatch | None = None
+        self.row_bucket = None
+        if runtime.uses_hash:
+            self._plan_match(factored.left_keys, factored.right_keys, pairs,
+                             matches, n_base, total, np)
         groups = 1 if runtime.invariant else n_base
         self.specs = [_SpecArrays(spec, detail, groups, total, np)
                       for spec in block.aggregates]
@@ -540,6 +694,41 @@ class _NpBlock:
         self.updates = 0
         self.cand: tuple[Any, Any] | None = None
         self.hits: tuple[Any, Any] = (None, None)
+
+    def _plan_match(self, left_keys: Sequence[Expression],
+                    right_keys: Sequence[Expression], pairs: _PairColumns,
+                    matches: dict[tuple, _HashMatch], n_base: int,
+                    total: int, np: Any) -> None:
+        """One :class:`_HashMatch` over every key component that reads
+        the base — shared with the blocks whose such components are the
+        same — and, for components whose base side is a constant
+        (``r.x = 3``), this block's own mask over its rows."""
+        base, detail = pairs.base, pairs.detail
+        correlating, base_filter, row_filter, shared_by = [], None, None, []
+        for left_key, right_key in zip(left_keys, right_keys):
+            left = np_value(left_key, base.resolve)
+            right = np_value(right_key, detail.resolve)
+            detail_codes = partial(detail.word_codes, right_key, right)
+            if not isinstance(left.values, np.ndarray):
+                keep = _equals_constant(right, left, detail_codes, total, np)
+                row_filter = keep if row_filter is None else row_filter & keep
+                continue
+            shared_by.append((repr(left_key), repr(right_key)))
+            if isinstance(right.values, np.ndarray):
+                correlating.append((left, right, detail_codes))
+            else:
+                keep = _equals_constant(
+                    left, right, partial(base.word_codes, left_key, left),
+                    n_base, np)
+                base_filter = keep if base_filter is None \
+                    else base_filter & keep
+        match = matches.get(tuple(shared_by))
+        if match is None:
+            match = matches[tuple(shared_by)] = _HashMatch(
+                correlating, base_filter, n_base, total, np)
+        self.match = match
+        self.row_bucket = match.row_bucket if row_filter is None else \
+            np.where(row_filter, match.row_bucket, -1)
 
     def width(self, n_active: int) -> int:
         """Candidate pairs one detail row can contribute."""
@@ -554,7 +743,7 @@ class _NpBlock:
             r = np.arange(start, stop)
             b = np.zeros(stop - start, dtype=np.int64)
         elif self.match is not None:
-            b, r = self.match.pairs(start, stop, np)
+            b, r = self.match.pairs(self.row_bucket, start, stop, np)
             if shrunk:
                 keep = t[b] == _NEVER
                 b, r = b[keep], r[keep]
@@ -632,51 +821,130 @@ class _Assurance:
         return bases, self.latest[bases]
 
 
+class ArrayScan:
+    """What one :func:`run_numpy_scan` produced.
+
+    ``python_blocks`` are the blocks with no exact array form — untouched
+    (no counters, no status changes), to be run on the python kernel;
+    ``reasons`` the human-readable block- and spec-level fallback notes
+    for EXPLAIN ANALYZE; ``columns[block index]`` a taken block's
+    finalized aggregates, one value list per spec (their array forms are
+    kept by output name for :meth:`surviving_rows`); ``key_lookup`` /
+    ``shared_keys`` say, per taken hash block, how its detail keys were
+    resolved and how many blocks share its key structure.
+    """
+
+    __slots__ = ("python_blocks", "reasons", "columns", "key_lookup",
+                 "shared_keys", "_forms", "_base", "_np")
+
+    def __init__(self, base: _Columns, np: Any) -> None:
+        self.python_blocks: list[tuple[_BlockRuntime, ThetaBlock]] = []
+        self.reasons: list[str] = []
+        self.columns: dict[int, list[list]] = {}
+        self.key_lookup: tuple[str, ...] = ()
+        self.shared_keys: tuple[int, ...] = ()
+        self._forms: dict[str, NpValue] = {}
+        self._base = base
+        self._np = np
+
+    def surviving_rows(self, status: bytearray, selection: Expression,
+                       output_schema: Schema, stats: IOStats) -> bytes | None:
+        """The fused selection over columns: 1/0 per base row.
+
+        Doomed rows are gone, assured rows bypass the selection, and the
+        ACTIVE rows are held to it in one
+        :func:`~repro.algebra.npcompile.np_truth_mask` over base columns
+        ++ the finalized aggregates' array forms.  When the selection —
+        or a column it reads: a per-value aggregate, a block the python
+        kernel ran — has no array form, the reason is noted, nothing is
+        counted and None is returned: the caller decides row by row.
+        """
+        np = self._np
+        if not status:
+            return b""
+        verdicts = np.frombuffer(status, dtype=np.uint8)
+        active = np.flatnonzero(verdicts == _ACTIVE)
+        everyone = len(active) == len(verdicts)
+        base_arity = len(self._base.schema)
+
+        def resolve(reference: str) -> NpValue:
+            position = output_schema.index_of(reference)
+            if position < base_arity:
+                value = self._base.by_position(position)
+            else:
+                name = output_schema.fields[position].name
+                if name not in self._forms:
+                    raise NpUnsupported(
+                        f"aggregate {name} was finalized per value")
+                value = self._forms[name]
+            return value if everyone else _gather(value, active, np)
+
+        try:
+            passed = np_truth_mask(selection, resolve, len(active))
+        except NpUnsupported as exc:
+            self.reasons.append(f"selection: {exc.reason}")
+            return None
+        stats.predicate_evals += len(active)
+        keep = verdicts != _DOOMED
+        keep[active[~passed]] = False
+        return keep.tobytes()
+
+
+def _broadcast(value: NpValue, n_base: int, np: Any) -> NpValue:
+    """An invariant block's one shared value, repeated per base row."""
+    if not isinstance(value.values, np.ndarray):
+        return value
+    null = value.null
+    return NpValue(np.repeat(value.values, n_base),
+                   np.repeat(null, n_base) if isinstance(null, np.ndarray)
+                   else null, value.kind)
+
+
 def run_numpy_scan(
     columnar: ColumnarRelation,
     runtimes: list[_BlockRuntime],
     blocks: Sequence[ThetaBlock],
     base: Relation,
     combined_schema: Schema,
-    state: list[list[Any]],
     status: bytearray,
     stats: IOStats,
     rule: CompletionRule | None = None,
-) -> tuple[list[tuple[_BlockRuntime, ThetaBlock]], list[str]]:
+) -> ArrayScan:
     """Run every θ block over pair arrays where possible.
 
-    Returns ``(python_blocks, fallback_reasons)``: blocks with no exact
-    array form are untouched (no counters, no accumulator updates, no
-    status changes) and must run on the python kernel — all of them
-    when ``rule`` couples the blocks through completion;
-    ``fallback_reasons`` collects human-readable block- and spec-level
-    notes for EXPLAIN ANALYZE.
+    Blocks with no exact array form come back untouched in
+    :attr:`ArrayScan.python_blocks` — all of them when ``rule`` couples
+    the blocks through completion; every other block's aggregates come
+    back finalized as columns.
     """
     np = require_numpy()
     total = columnar.length
     n_base = len(base.rows)
-    detail = _Columns(columnar.schema,
-                      lambda p: column_array(columnar, p))
+    detail = _Columns(columnar.schema, lambda p: (columnar, p))
     pairs = _PairColumns(_base_columns(base), detail, combined_schema)
     every_block = list(zip(runtimes, blocks))
-    python_blocks: list[tuple[_BlockRuntime, ThetaBlock]] = []
-    reasons: list[str] = []
+    result = ArrayScan(pairs.base, np)
+    python_blocks, reasons = result.python_blocks, result.reasons
     live: list[_NpBlock] = []
+    matches: dict[tuple, _HashMatch] = {}
 
     def give_up(runtime: _BlockRuntime, exc: NpUnsupported) -> bool:
         """Hand a block to the python kernel; True when that takes the
         whole scan along (a completion rule couples the blocks)."""
         reasons.append(f"block {runtime.index}: {exc.reason}")
+        if rule is not None:
+            python_blocks[:] = every_block
+            return True
         python_blocks.append((runtime, blocks[runtime.index]))
-        return rule is not None
+        return False
 
     for runtime, block in every_block:
         try:
-            live.append(_NpBlock(runtime, block, base, detail, n_base,
+            live.append(_NpBlock(runtime, block, pairs, matches, n_base,
                                  total, np))
         except NpUnsupported as exc:
             if give_up(runtime, exc):
-                return every_block, reasons
+                return result
 
     dooming = rule is not None and rule.can_doom
     assurance = _Assurance(rule, n_base, np) \
@@ -694,7 +962,7 @@ def run_numpy_scan(
                           pairs, np)
             except NpUnsupported as exc:
                 if give_up(plan.runtime, exc):
-                    return every_block, reasons
+                    return result
                 live.remove(plan)
         cut = 0  # did a tuple complete in this tile?
         if dooming:
@@ -726,18 +994,27 @@ def run_numpy_scan(
             active = active[t[active] == _NEVER]
         start = stop
 
-    # Counters, accumulators and status bytes are written only now, so
-    # an NpUnsupported above never leaves partial state behind.
+    # Counters and status bytes are written only now, so an
+    # NpUnsupported above never leaves partial state behind.
+    matched = [plan.match for plan in live if plan.match is not None]
+    sharing = Counter(map(id, matched))
+    result.key_lookup = tuple(match.lookup for match in matched)
+    result.shared_keys = tuple(sharing[id(match)] for match in matched)
     for plan in live:
-        runtime = plan.runtime
-        if runtime.uses_hash:
+        if plan.match is not None:
             stats.index_probes += total
         stats.predicate_evals += plan.evals
         stats.aggregate_updates += plan.updates
-        targets = [runtime.shared_state] if runtime.invariant else \
-            [row_state[plan.index] for row_state in state]
-        for position, spec in enumerate(plan.specs):
-            spec.commit(position, targets, np)
+        columns = result.columns[plan.index] = []
+        for spec in plan.specs:
+            values, form = spec.finalize(np)
+            if plan.runtime.invariant:  # one shared group
+                values = values * n_base
+            columns.append(values)
+            if form is not None:
+                result._forms[spec.spec.output_name] = \
+                    _broadcast(form, n_base, np) \
+                    if plan.runtime.invariant else form
             if spec.reason is not None:
                 reasons.append(f"block {plan.index} "
                                f"{spec.spec.output_name}: {spec.reason}")
@@ -747,4 +1024,4 @@ def run_numpy_scan(
             stats.completed_tuples += len(finished)
             np.frombuffer(status, dtype=np.uint8)[finished] = \
                 _DOOMED if dooming else _ASSURED
-    return python_blocks, reasons
+    return result

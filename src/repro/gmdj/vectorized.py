@@ -22,6 +22,18 @@ detail relation (one ``detail_scan`` span, identical
 reorders work without changing how much of it happens), output stays
 bounded by |B|, and the static cost certificate holds unchanged.
 
+The python kernel probes one Python hash table over the base rows per
+hash block, built before its scan, and keeps one
+accumulator object per base tuple and aggregate; the numpy route
+allocates neither for the blocks the array kernel takes — it matches
+keys over the base relation's key columns (one structure per distinct
+key list), keeps aggregate state in arrays and hands it over as
+finalized columns.  Only a block the array kernel gives up on (a reason
+in ``fallbacks``) gets buckets and accumulator objects.  All kernels
+end in the same emit over columns
+(:func:`repro.gmdj.evaluate._emit_rows`); the numpy route evaluates the
+fused selection over columns too, the others row by row.
+
 Completion runs (``rule`` set) take one of two routes.  The numpy
 backend evaluates them whole-array (:mod:`repro.gmdj.npkernel`): a base
 tuple's completion depends only on its own θ-matches in row order, so
@@ -37,7 +49,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.algebra.aggregates import AggregateBlock, CountStar
+from repro.algebra.aggregates import CountStar
 from repro.algebra.analysis import factor_condition
 from repro.algebra.compile import (
     compile_batch_keys,
@@ -51,9 +63,11 @@ from repro.errors import ConfigurationError
 from repro.gmdj.completion import CompletionRule
 from repro.gmdj.evaluate import (
     _ACTIVE,
+    BlockStates,
     _BlockRuntime,
     _emit_rows,
     _scan_detail,
+    _surviving_rows,
 )
 from repro.gmdj.operator import GMDJ, ThetaBlock
 from repro.obs.tracer import span
@@ -136,7 +150,7 @@ def _bulk_update(state_list: Sequence[Any], value_fns: Sequence,
 
 
 def _scan_batched(columnar: ColumnarRelation, vblocks: list[_VectorBlock],
-                  base_rows: Sequence[tuple], state: list[list[Any]],
+                  base_rows: Sequence[tuple], state: BlockStates,
                   stats: IOStats, chunk_size: int) -> None:
     """The completion-free batch scan: every base tuple stays active.
 
@@ -162,7 +176,7 @@ def _scan_batched(columnar: ColumnarRelation, vblocks: list[_VectorBlock],
                         _bulk_update(runtime.shared_state, vblock.value_fns,
                                      cols, survivors, stats)
                     continue
-                block_index = runtime.index
+                block_state = state[runtime.index]
                 filter_pair = vblock.filter_pair
                 if runtime.uses_hash:
                     keys = vblock.key_batch(cols, indices)
@@ -186,7 +200,7 @@ def _scan_batched(columnar: ColumnarRelation, vblocks: list[_VectorBlock],
                                                   cols, matches)
                             if not matches:
                                 continue
-                        _bulk_update(state[base_index][block_index],
+                        _bulk_update(block_state[base_index],
                                      vblock.value_fns, cols, matches, stats)
                 else:
                     # Scan block, no completion: every base row is a
@@ -201,7 +215,7 @@ def _scan_batched(columnar: ColumnarRelation, vblocks: list[_VectorBlock],
                                 continue
                         else:
                             matches = indices
-                        _bulk_update(state[base_index][block_index],
+                        _bulk_update(block_state[base_index],
                                      vblock.value_fns, cols, matches, stats)
 
 
@@ -236,7 +250,7 @@ def _scan_completing(
     base: Relation,
     detail_schema: Schema,
     combined_schema: Schema,
-    state: list[list[Any]],
+    state: BlockStates,
     status: bytearray,
     stats: IOStats,
     rule: CompletionRule,
@@ -293,11 +307,12 @@ def run_gmdj_vectorized(
     completed tuples, pages, tuples) — with or without a completion rule.
 
     ``backend="numpy"`` routes the θ blocks through the whole-array
-    kernel (:mod:`repro.gmdj.npkernel`), completion included; blocks or
-    aggregates without an exact array form fall back per operator (a
-    whole completion scan falls back together: the rule couples its
-    blocks) and the reasons land on the ``detail_scan`` span for
-    EXPLAIN ANALYZE.
+    kernel (:mod:`repro.gmdj.npkernel`), completion, aggregate state and
+    the fused selection included; blocks or aggregates without an exact
+    array form fall back per operator (a whole completion scan falls
+    back together: the rule couples its blocks) and the reasons land on
+    the ``detail_scan`` span for EXPLAIN ANALYZE, next to how each hash
+    block resolved its keys (``key_lookup``, ``shared_keys``).
     """
     # Imported here: repro.engine pulls in the planner, which pulls in
     # repro.gmdj — a module-level import would close the cycle.
@@ -315,16 +330,12 @@ def run_gmdj_vectorized(
         for i, block in enumerate(gmdj.blocks)
     ]
     base_rows = base.rows
-    n_base = len(base_rows)
-    state = [
-        [runtime.aggregates.new_state() for runtime in runtimes]
-        for _ in range(n_base)
-    ]
-    status = bytearray(n_base)
+    status = bytearray(len(base_rows))
     total = len(detail)
     chunks = -(-total // chunk_size) if total else 0
 
     fallbacks: list[str] = []
+    arrays = None
     with span("scan", kind="detail_scan",
               relation=getattr(detail, "name", None) or "<derived>",
               rows=total, chunks=chunks, chunk_size=chunk_size,
@@ -341,10 +352,19 @@ def run_gmdj_vectorized(
         if resolved_backend == "numpy":
             from repro.gmdj.npkernel import run_numpy_scan
 
-            block_pairs, fallbacks = run_numpy_scan(
-                columnar, runtimes, gmdj.blocks, base, combined_schema,
-                state, status, stats, rule,
-            )
+            arrays = run_numpy_scan(columnar, runtimes, gmdj.blocks, base,
+                                    combined_schema, status, stats, rule)
+            block_pairs, fallbacks = arrays.python_blocks, arrays.reasons
+            if arrays.key_lookup:
+                scan_span.set(key_lookup=arrays.key_lookup,
+                              shared_keys=arrays.shared_keys)
+        # Hash buckets over B and accumulator objects exist only for
+        # the python kernel's blocks.
+        state: BlockStates = [None] * len(runtimes)
+        for runtime, _ in block_pairs:
+            runtime.prepare_python_scan()
+            if not runtime.invariant:
+                state[runtime.index] = runtime.new_states()
         if block_pairs and rule is None:
             vblocks = [
                 _VectorBlock(runtime, block, base, detail_schema)
@@ -356,15 +376,23 @@ def run_gmdj_vectorized(
             _scan_completing(detail.rows, runtimes, gmdj, base,
                              detail_schema, combined_schema, state, status,
                              stats, rule, chunk_size)
-        if fallbacks:
-            scan_span.set(fallbacks=tuple(fallbacks))
 
-    shared_values = {
-        runtime.index: AggregateBlock.finalize(runtime.shared_state)
-        for runtime in runtimes
-        if runtime.invariant
-    }
-    selection_eval = (compile_row(selection, output_schema)
-                      if selection is not None else None)
-    return _emit_rows(base_rows, status, state, shared_values,
-                      selection_eval, output_schema, stats)
+    # One finalized column per output aggregate, whichever kernel
+    # accumulated it.
+    columns: list[list] = []
+    for runtime in runtimes:
+        if arrays is not None and runtime.index in arrays.columns:
+            columns.extend(arrays.columns[runtime.index])
+        else:
+            columns.extend(runtime.finalized_columns(state[runtime.index]))
+    keep: Sequence[int] | None = None
+    if arrays is not None and arrays.columns and selection is not None:
+        keep = arrays.surviving_rows(status, selection, output_schema, stats)
+    if keep is None:
+        keep = _surviving_rows(
+            base_rows, status, columns,
+            None if selection is None
+            else compile_row(selection, output_schema), stats)
+    if fallbacks:
+        scan_span.set(fallbacks=tuple(fallbacks))
+    return _emit_rows(base_rows, columns, keep, output_schema, stats)

@@ -116,11 +116,16 @@ def executed_summary(trace) -> dict:
     environment hook, which the requested options alone cannot show)
     plus, for batch-kernel scans, the total batch ``chunks`` processed
     and the ``chunk_size`` in effect.  When the numpy kernel ran, the
-    summary names the ``backend`` and lists every per-operator
-    ``fallbacks`` reason the scans recorded (a block or aggregate the
-    numpy kernel handed back to the python kernel).
+    summary names the ``backend``, says per hash block how its detail
+    keys were resolved (``key_lookup``: ``direct`` addressing or
+    ``sorted`` search) and how many blocks share its key structure
+    (``shared_keys``), and lists every per-operator ``fallbacks`` reason
+    the scans recorded (a block or aggregate the numpy kernel handed
+    back to the python kernel).
     """
     summary: dict = {}
+    key_lookup: list[str] = []
+    shared_keys: list[int] = []
     fallbacks: list[str] = []
     for span_ in trace.walk():
         if span_.kind == "query":
@@ -137,6 +142,8 @@ def executed_summary(trace) -> dict:
             backend = span_.attrs.get("backend")
             if backend and backend != "python":
                 summary["backend"] = backend
+                key_lookup.extend(span_.attrs.get("key_lookup", ()))
+                shared_keys.extend(span_.attrs.get("shared_keys", ()))
                 fallbacks.extend(span_.attrs.get("fallbacks", ()))
         elif span_.kind == "rollup_hit":
             tier = span_.attrs.get("tier")
@@ -145,6 +152,9 @@ def executed_summary(trace) -> dict:
             summary[key] = summary.get(key, 0) + 1
         elif span_.kind == "rollup_miss":
             summary["rollup_misses"] = summary.get("rollup_misses", 0) + 1
+    if key_lookup:
+        summary["key_lookup"] = key_lookup
+        summary["shared_keys"] = shared_keys
     if fallbacks:
         summary["fallbacks"] = fallbacks
     return summary

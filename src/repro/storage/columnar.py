@@ -200,7 +200,7 @@ class ColumnarRelation:
     """A relation transposed into typed columns (see module docstring)."""
 
     __slots__ = ("schema", "name", "length", "columns", "_decoded",
-                 "_np_columns")
+                 "_np_columns", "_word_codes")
 
     def __init__(self, schema: Schema, columns: list[ColumnData],
                  length: int, name: str | None = None) -> None:
@@ -213,6 +213,9 @@ class ColumnarRelation:
         # marks "not built yet" so a built-but-unsupported column can
         # cache its ``None``.
         self._np_columns: list[Any] = [False] * len(columns)
+        # Lazily-built ``word -> code`` inverses of the string
+        # dictionaries (see :meth:`word_codes`).
+        self._word_codes: list[dict[str, int] | None] = [None] * len(columns)
 
     def __len__(self) -> int:
         return self.length
@@ -267,6 +270,22 @@ class ColumnarRelation:
             cached = self._decoded[position] = self.columns[position].decode()
         return cached
 
+    def word_codes(self, position: int) -> dict[str, int]:
+        """``word -> code`` of a dictionary-encoded column (cached).
+
+        Built once per encoded column — like :meth:`values`, shared by
+        every scan view of the cached encoding — so matching string keys
+        against another relation's words costs one dict lookup per
+        *probed* word, not a pass over this dictionary per scan.  Empty
+        for a column that is not dictionary-encoded.
+        """
+        cached = self._word_codes[position]
+        if cached is None:
+            dictionary = self.columns[position].dictionary or []
+            cached = self._word_codes[position] = {
+                word: code for code, word in enumerate(dictionary)}
+        return cached
+
     def value_columns(self) -> tuple[list, ...]:
         """Every column decoded, in schema order (the kernels' input)."""
         return tuple(self.values(i) for i in range(len(self.columns)))
@@ -315,6 +334,7 @@ def cached_columnar(relation: Relation) -> ColumnarRelation:
                                  name=getattr(relation, "name", None))
         clone._decoded = hit._decoded
         clone._np_columns = hit._np_columns
+        clone._word_codes = hit._word_codes
         return clone
     get_registry().counter("columnar.cache_misses").inc()
     built = ColumnarRelation.from_relation(relation)

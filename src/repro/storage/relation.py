@@ -40,6 +40,11 @@ class Relation:
         self.name = name
         if validate:
             self.rows: list[Row] = [self._check_row(row) for row in rows]
+        elif type(rows) is list:
+            # ``validate=False`` vouches for the rows: a list (of tuples)
+            # is adopted as it stands — a producer hands over the list it
+            # built, a scan view shares the stored one — not re-listed.
+            self.rows = rows
         else:
             self.rows = [tuple(row) for row in rows]
         # Columnar-encoding cache (repro.storage.columnar.cached_columnar):
@@ -87,7 +92,8 @@ class Relation:
         original (the cache layers rely on this both when storing and
         when serving).
         """
-        return Relation(self.schema, self.rows, name=self.name, validate=False)
+        return Relation(self.schema, list(self.rows), name=self.name,
+                        validate=False)
 
     def insert(self, row: Sequence[Any]) -> None:
         self.rows.append(self._check_row(row))
@@ -140,7 +146,9 @@ class Relation:
     # -- convenience transforms (used by tests and examples) ------------------
 
     def rename(self, qualifier: str) -> "Relation":
-        """A view of this relation with every field re-qualified."""
+        """A view of this relation with every field re-qualified: it
+        shares the row list (and the encoding cache), so it sees later
+        inserts; :meth:`copy` is the snapshot."""
         out = Relation(self.schema.rename(qualifier), self.rows, name=self.name,
                        validate=False)
         out._columnar = self._columnar  # views share the encoding cache

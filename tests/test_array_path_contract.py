@@ -1,0 +1,190 @@
+"""Nothing per base tuple in Python on the array path.
+
+On ``backend="numpy"`` a block the array kernel takes keeps its base
+keys, its accumulator state and its emitted aggregates as columns:
+
+* the paper's Figure 2, 3 and 5 queries answer with accumulator-object
+  construction (``AggregateSpec.make_accumulator``) and the Python
+  bucket builder over B (``evaluate._bucket_base_rows``) both patched to
+  raise — each of which ran once per base tuple before the change;
+* the ``detail_scan`` span says how every hash block resolved its keys
+  (``key_lookup``: direct addressing for a dense base-key range,
+  ``searchsorted`` for a sparse one) and how many blocks share one key
+  structure (``shared_keys``), and EXPLAIN ANALYZE shows both;
+* objects exist only where a reason is reported: a per-value aggregate
+  or a block that gives up brings its ``fallbacks`` entry along.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+pytest.importorskip("numpy", exc_type=ImportError)
+
+import repro.gmdj.evaluate as evaluate
+from repro import Database, DataType, QueryOptions
+from repro.algebra.aggregates import AggregateSpec
+from repro.obs.tracer import Tracer, tracing
+
+FIG2 = ("SELECT c.custkey FROM customer c WHERE EXISTS "
+        "(SELECT * FROM orders o WHERE o.custkey = c.custkey "
+        "AND o.totalprice > 300000)")
+FIG3 = ("SELECT c.custkey FROM customer c WHERE c.acctbal * 50 > "
+        "(SELECT AVG(o.totalprice) FROM orders o "
+        "WHERE o.custkey = c.custkey)")
+FIG5 = ("SELECT c.custkey FROM customer c WHERE EXISTS "
+        "(SELECT * FROM orders o1 WHERE o1.custkey = c.custkey "
+        "AND o1.totalprice > 250000) AND EXISTS "
+        "(SELECT * FROM orders o2 WHERE o2.custkey = c.custkey "
+        "AND o2.orderpriority = '1-URGENT')")
+FIGURES = {"fig2": FIG2, "fig3": FIG3, "fig5": FIG5}
+
+ROW = QueryOptions(backend="row", use_cache=False, rollup="off")
+NUMPY = QueryOptions(backend="numpy", use_cache=False, rollup="off")
+
+
+def make_db(customers: int = 40, orders: int = 600,
+            key_stride: int = 1) -> Database:
+    """customer x orders in the benchmark's shape: half the order keys
+    dangle; ``key_stride`` spreads the customer keys out."""
+    rng = random.Random(7)
+    db = Database()
+    db.create_table(
+        "customer",
+        [("custkey", DataType.INTEGER), ("name", DataType.STRING),
+         ("acctbal", DataType.FLOAT)],
+        [(key * key_stride, f"Customer#{key}",
+          round(rng.uniform(-999.99, 9999.99), 2))
+         for key in range(1, customers + 1)])
+    db.create_table(
+        "orders",
+        [("orderkey", DataType.INTEGER), ("custkey", DataType.INTEGER),
+         ("totalprice", DataType.FLOAT), ("orderpriority", DataType.STRING)],
+        [(key, rng.randint(1, customers * 2) * key_stride,
+          round(rng.uniform(850.0, 450000.0), 2),
+          rng.choice(["1-URGENT", "2-HIGH", "5-LOW"]))
+         for key in range(1, orders + 1)])
+    return db
+
+
+def forbid_per_base_tuple_python(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-base-tuple Python ran on the array path")
+
+    monkeypatch.setattr(AggregateSpec, "make_accumulator", refuse)
+    monkeypatch.setattr(evaluate, "_bucket_base_rows", refuse)
+
+
+def detail_scans(db: Database, sql: str, options: QueryOptions):
+    tracer = Tracer()
+    with tracing(tracer):
+        result = db.execute_sql(sql, options)
+    scans = tracer.trace().find(kind="detail_scan")
+    assert scans, "no detail scan ran"
+    return result, scans
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURES))
+def test_figures_build_no_objects_over_the_base(monkeypatch, figure):
+    db = make_db()
+    sql = FIGURES[figure]
+    expected = db.execute_sql(sql, ROW).rows
+    assert 0 < len(expected) < 40
+    forbid_per_base_tuple_python(monkeypatch)
+    result, scans = detail_scans(db, sql, NUMPY)
+    assert result.rows == expected
+    for scan in scans:
+        assert scan.attrs["backend"] == "numpy"
+        assert not scan.attrs.get("fallbacks")
+        assert set(scan.attrs["key_lookup"]) == {"direct"}
+
+
+def test_invariant_blocks_keep_their_shared_state_in_arrays(monkeypatch):
+    # A detail-only θ is computed once and shared (Rao & Ross): one
+    # group in arrays, broadcast at finalize — no accumulator list.
+    from repro.algebra.aggregates import agg, count_star
+    from repro.algebra.expressions import col, lit
+    from repro.algebra.operators import ScanTable
+    from repro.gmdj import md
+    from repro.gmdj.evaluate import run_gmdj
+    from repro.gmdj.vectorized import run_gmdj_vectorized
+
+    db = make_db(customers=5, orders=40)
+    gmdj = md(ScanTable("customer", "c"), ScanTable("orders", "o"),
+              [[count_star("n"), agg("max", col("o.totalprice"), "top")],
+               [count_star("mine")]],
+              [col("o.totalprice") > lit(200000),
+               col("o.custkey") == col("c.custkey")])
+    base = gmdj.base.evaluate(db.catalog)
+    detail = gmdj.detail.evaluate(db.catalog)
+    schema = gmdj.schema(db.catalog)
+    expected = run_gmdj(base, detail, gmdj, schema,
+                        selection=col("n") > col("mine")).rows
+    assert expected and len({row[-3:-1] for row in expected}) == 1
+    forbid_per_base_tuple_python(monkeypatch)
+    assert run_gmdj_vectorized(
+        base, detail, gmdj, schema, selection=col("n") > col("mine"),
+        backend="numpy").rows == expected
+
+
+def test_the_forbidden_paths_are_the_other_kernels_paths(monkeypatch):
+    # The patch is not vacuous: the python kernel builds both.
+    db = make_db()
+    forbid_per_base_tuple_python(monkeypatch)
+    with pytest.raises(AssertionError, match="per-base-tuple"):
+        db.execute_sql(FIG2, QueryOptions(backend="python", use_cache=False,
+                                          rollup="off"))
+
+
+def test_coalesced_blocks_share_one_key_structure():
+    # Figure 5's two EXISTS coalesce into two blocks over the one key
+    # o1.custkey = c.custkey; the constant orderpriority component is
+    # the second block's own row mask.
+    db = make_db()
+    _, (scan,) = detail_scans(db, FIG5, NUMPY)
+    assert scan.attrs["shared_keys"] == (2, 2)
+    assert scan.attrs["key_lookup"] == ("direct", "direct")
+    _, (scan,) = detail_scans(db, FIG2, NUMPY)
+    assert scan.attrs["shared_keys"] == (1,)
+
+
+def test_key_lookup_follows_the_base_key_range():
+    # Keys 2**40 apart cannot be addressed directly; same answer.
+    dense, sparse = make_db(), make_db(key_stride=2 ** 40)
+    for sql in FIGURES.values():
+        _, dense_scans = detail_scans(dense, sql, NUMPY)
+        result, sparse_scans = detail_scans(sparse, sql, NUMPY)
+        assert {k for s in dense_scans for k in s.attrs["key_lookup"]} \
+            == {"direct"}
+        assert {k for s in sparse_scans for k in s.attrs["key_lookup"]} \
+            == {"sorted"}
+        assert not any(s.attrs.get("fallbacks") for s in sparse_scans)
+        assert result.rows == sparse.execute_sql(sql, ROW).rows
+
+
+def test_explain_analyze_shows_lookup_and_sharing():
+    db = make_db()
+    report = db.explain_analyze(db.sql(FIG5), NUMPY)
+    executed = next(line for line in str(report).splitlines()
+                    if line.startswith("-- executed:"))
+    assert "key_lookup=['direct', 'direct']" in executed
+    assert "shared_keys=[2, 2]" in executed
+    assert "fallbacks" not in executed
+
+
+def test_objects_exist_only_where_a_reason_is_reported(monkeypatch):
+    # SUM(DISTINCT) is holistic: its accumulators are per value, and the
+    # scan says so; the count(*) beside it stays in arrays.
+    db = make_db()
+    sql = ("SELECT c.custkey FROM customer c WHERE 300000 < "
+           "(SELECT SUM(DISTINCT o.totalprice) FROM orders o "
+           "WHERE o.custkey = c.custkey)")
+    expected = db.execute_sql(sql, ROW).rows
+    monkeypatch.setattr(evaluate, "_bucket_base_rows",
+                        lambda *args: pytest.fail("buckets built"))
+    result, scans = detail_scans(db, sql, NUMPY)
+    assert result.rows == expected
+    assert any("DISTINCT" in reason
+               for scan in scans for reason in scan.attrs["fallbacks"])

@@ -309,67 +309,130 @@ def _walk(node):
 # -- completion on arrays -------------------------------------------------------
 
 #: θ shapes the property mixes in one GMDJ: single- and two-component
-#: hash keys (int and dictionary-coded), hash + pair residual, the
-#: Figure 4 ``<>`` scan block, a pair inequality, and a detail-only
-#: residual (a scan block under a rule: invariants are off).
+#: hash keys (int and dictionary-coded), hash + pair residual, key
+#: components with a constant side (a row mask / a base mask on top of
+#: the shared key structure; a constant-only key list), the Figure 4
+#: ``<>`` scan block, a pair inequality, and a detail-only residual (a
+#: scan block under a rule, an invariant block without one).  Several
+#: of them factor to the same key list ``b.K = r.K`` and so share one
+#: key structure beside the ones that do not.
 THETAS = [
     col("b.K") == col("r.K"),
     (col("b.K") == col("r.K")) & (col("r.Y") > col("b.X")),
     (col("b.K") == col("r.K")) & (col("b.S") == col("r.T")),
+    (col("b.K") == col("r.K")) & (col("r.T") == lit("aa")),
+    (col("b.K") == col("r.K")) & (col("b.S") == lit("bb")),
     col("b.S") == col("r.T"),
+    lit(1) == col("r.K"),
     col("r.K") != col("b.K"),
     col("r.Y") >= col("b.X"),
     col("r.Y") > lit(2),
 ]
 
-#: Riders next to each block's count(*): they make the partial
-#: aggregates of assured tuples visible in the output rows.
+#: A residual over the always-object-encoded ``r.H``: no array form, so
+#: the block gives up (under a rule: the whole scan).
+GIVES_UP = (col("b.K") == col("r.K")) & (col("r.H") > lit(0))
+
+#: Riders next to each block's count(*) (output ``x<i>``): they make the
+#: partial aggregates of assured tuples visible in the output rows, an
+#: empty range shows as NULL, and ``r.Y`` may sum beyond 2**53.
 RIDERS = [
     None,
-    lambda i: agg("sum", col("r.G"), f"s{i}"),
-    lambda i: agg("min", col("r.Y"), f"m{i}"),
-    lambda i: agg("avg", col("r.Y"), f"a{i}"),
-    lambda i: agg("count", col("r.T"), f"n{i}"),
+    lambda i: agg("sum", col("r.G"), f"x{i}"),
+    lambda i: agg("sum", col("r.Y"), f"x{i}"),
+    lambda i: agg("min", col("r.Y"), f"x{i}"),
+    lambda i: agg("max", col("r.G"), f"x{i}"),
+    lambda i: agg("avg", col("r.Y"), f"x{i}"),
+    lambda i: agg("count", col("r.T"), f"x{i}"),
 ]
+
+
+def per_value_rider(i):
+    """String MIN keeps Python ordering: accumulated per value, beside
+    the block's array-form count(*)."""
+    return agg("min", col("r.T"), f"x{i}")
+
+
+#: Key domains on both sides of the dense/sparse lookup choice:
+#: ``(base K type, detail K type, values)``.  NULL and duplicate keys
+#: come with every one of them (tiny value sets, short lists).
+KEY_DOMAINS = {
+    "small": (DataType.INTEGER, DataType.INTEGER, [0, 1, 2]),
+    "negative": (DataType.INTEGER, DataType.INTEGER, [-3, -1, 0, 2]),
+    "extreme": (DataType.INTEGER, DataType.INTEGER,
+                [-2 ** 63, -2 ** 63 + 1, 0, 2 ** 63 - 1]),
+    "sparse": (DataType.INTEGER, DataType.INTEGER,
+               [-2 ** 60, 0, 7, 2 ** 60, 2 ** 60 + 1]),
+    "float=int": (DataType.INTEGER, DataType.FLOAT, [0, 1, 2, 1.5, -0.0]),
+    "bool=int": (DataType.BOOLEAN, DataType.INTEGER, [0, 1, 2, True, False]),
+}
+
+
+def _typed(dtype, value):
+    if value is None:
+        return None
+    return {DataType.INTEGER: int, DataType.FLOAT: float,
+            DataType.BOOLEAN: bool}[dtype](value)
 
 
 @st.composite
 def dense_databases(draw):
     """B/R over tiny domains: NULL keys, duplicate base keys and base
     tuples with several matches are the rule, not the exception; either
-    side may be empty."""
-    key = st.one_of(st.none(), st.integers(0, 2))
+    side may be empty.  ``zz`` is a base word the detail dictionary
+    never holds; ``r.Y`` is sometimes large enough that sums pass
+    2**53; ``r.H`` is always object-encoded."""
+    base_type, detail_type, values = KEY_DOMAINS[
+        draw(st.sampled_from(sorted(KEY_DOMAINS)))]
+    key = st.one_of(st.none(), st.sampled_from(values))
     number = st.one_of(st.none(), st.integers(0, 4))
+    large = st.one_of(number, st.sampled_from(
+        [2 ** 53 + 1, 2 ** 52 + 3, -2 ** 53 - 5]))
     word = st.one_of(st.none(), st.sampled_from(["aa", "bb"]))
+    base_word = st.one_of(word, st.just("zz"))
     real = st.one_of(st.none(), st.sampled_from([-1.5, 0.0, 0.1, 2.25]))
+    huge = st.just(2 ** 70)
+    base_rows = draw(st.lists(st.tuples(key, number, base_word), max_size=6))
+    detail_rows = draw(st.lists(
+        st.tuples(key, draw(st.sampled_from([number, large])), word, real,
+                  huge), max_size=14))
     catalog = Catalog()
     catalog.create_table("B", Relation.from_columns(
-        [("K", DataType.INTEGER), ("X", DataType.INTEGER),
-         ("S", DataType.STRING)],
-        draw(st.lists(st.tuples(key, number, word), max_size=6))))
+        [("K", base_type), ("X", DataType.INTEGER), ("S", DataType.STRING)],
+        [(_typed(base_type, k), x, s) for k, x, s in base_rows]))
     catalog.create_table("R", Relation.from_columns(
-        [("K", DataType.INTEGER), ("Y", DataType.INTEGER),
-         ("T", DataType.STRING), ("G", DataType.FLOAT)],
-        draw(st.lists(st.tuples(key, number, word, real), max_size=14))))
+        [("K", detail_type), ("Y", DataType.INTEGER),
+         ("T", DataType.STRING), ("G", DataType.FLOAT),
+         ("H", DataType.INTEGER)],
+        [(_typed(detail_type, k), *rest) for k, *rest in detail_rows]))
     return catalog
 
 
 @st.composite
 def completion_cases(draw):
-    """``(gmdj, rule, selection)``: 1-3 blocks and one rule shape."""
+    """``(gmdj, rule, selection, reported)``: 1-4 blocks, one rule shape
+    (or none: a fused selection without completion, invariant blocks
+    allowed) and whether the case holds something the array kernel
+    reports in ``fallbacks`` — a per-value rider, a block that gives
+    up."""
     shape = draw(st.sampled_from(
         ["zero", "pair", "zero+pair", "positive", "at_least",
-         "positive+at_least", "inert"]))
-    n_blocks = draw(st.integers(2 if "pair" in shape else 1, 3))
+         "positive+at_least", "inert", "none", "none"]))
+    n_blocks = draw(st.integers(2 if "pair" in shape else 1, 4))
     blocks = st.integers(0, n_blocks - 1)
+    reported = draw(st.sampled_from([None, None, "rider", "block"]))
+    odd_one = draw(blocks)
     specs, thetas = [], []
     for i in range(n_blocks):
         rider = draw(st.sampled_from(RIDERS))
+        if reported == "rider" and i == odd_one:
+            rider = per_value_rider
         specs.append([count_star(f"c{i}")]
                      + ([rider(i)] if rider else []))
-        thetas.append(draw(st.sampled_from(THETAS)))
+        thetas.append(GIVES_UP if reported == "block" and i == odd_one
+                      else draw(st.sampled_from(THETAS)))
     gmdj = md(ScanTable("B", "b"), ScanTable("R", "r"), specs, thetas)
-    rule = CompletionRule()
+    rule = None if shape == "none" else CompletionRule()
     if "zero" in shape:
         rule.must_be_zero = draw(st.lists(blocks, min_size=1, max_size=2))
     if "pair" in shape:
@@ -381,21 +444,30 @@ def completion_cases(draw):
     if "at_least" in shape:
         rule.need_at_least = draw(st.lists(
             st.tuples(blocks, st.integers(2, 3)), min_size=1, max_size=2))
-    rule.exhaustive = rule.aggregates_projected = \
-        bool(rule.need_positive or rule.need_at_least)
+    if rule is not None:
+        rule.exhaustive = rule.aggregates_projected = \
+            bool(rule.need_positive or rule.need_at_least)
+    # The fused selection reads a count, and — when block 0 has one — a
+    # rider that is NULL over an empty range (UNKNOWN drops the row).
     selection = col("c0") >= lit(draw(st.integers(0, 2)))
-    return gmdj, rule, selection
+    if len(specs[0]) > 1 and specs[0][1].function != "min" \
+            and draw(st.booleans()):
+        unknown_on_empty = col("x0") > lit(1)
+        selection = draw(st.sampled_from([
+            unknown_on_empty, selection & unknown_on_empty,
+            selection | unknown_on_empty]))
+    return gmdj, rule, selection, reported
 
 
 class TestCompletionOnArrays:
-    @settings(max_examples=150, deadline=None,
+    @settings(max_examples=250, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(catalog=dense_databases(), case=completion_cases())
     def test_numpy_equals_python_equals_row(self, catalog, case):
         # Rows (so: order, and the partial aggregates of assured tuples)
         # and the full IOStats snapshot, at tile sizes that cut every
         # base tuple's pairs mid-way and at the real one.
-        gmdj, rule, selection = case
+        gmdj, rule, selection, reported = case
         base = gmdj.base.evaluate(catalog)
         detail = gmdj.detail.evaluate(catalog)
         schema = gmdj.schema(catalog)
@@ -418,7 +490,15 @@ class TestCompletionOnArrays:
             assert numpy_result.rows == expected.rows, tile
             assert numpy_stats.snapshot() == row_stats.snapshot(), tile
             (scan,) = tracer.trace().find(kind="detail_scan")
-            assert not scan.attrs.get("fallbacks"), tile
+            # Objects exist only where a reason is reported.  (Whether
+            # the residual over r.H is ever evaluated depends on the
+            # data: an empty side never reaches it.)
+            fallbacks = scan.attrs.get("fallbacks", ())
+            if reported == "block":
+                assert all("object-encoded" in reason or "selection" in reason
+                           for reason in fallbacks), tile
+            else:
+                assert bool(fallbacks) == (reported == "rider"), tile
 
     def test_assurance_waits_for_the_last_threshold(self):
         # Block 1 reaches its threshold at row 0, block 0 only at row 3
@@ -458,29 +538,27 @@ class TestCompletionOnArrays:
                           allow_invariant=False)
             for i, block in enumerate(gmdj.blocks)
         ]
-        state = [[runtime.aggregates.new_state() for runtime in runtimes]
-                 for _ in base.rows]
         status = bytearray(len(base.rows))
         with collect() as stats:
-            python_blocks, reasons = npkernel.run_numpy_scan(
+            scan = npkernel.run_numpy_scan(
                 cached_columnar(detail), runtimes, gmdj.blocks, base,
-                combined, state, status, stats, rule)
-        return python_blocks, reasons, state, status, stats
+                combined, status, stats, rule)
+        return scan, status, stats
 
     def assert_untouched_then_identical(self, catalog, gmdj, rule,
                                         expect_reason):
-        python_blocks, reasons, state, status, stats = \
-            self._scan_directly(catalog, gmdj, rule)
+        scan, status, stats = self._scan_directly(catalog, gmdj, rule)
+        reasons = scan.reasons
         # Completion couples the blocks: all of them go back, and
-        # nothing was counted, accumulated or completed on the way.
-        assert len(python_blocks) == len(gmdj.blocks)
+        # nothing was counted, finalized or completed on the way (the
+        # one index_builds per hash block is the runtimes', not the
+        # scan's).
+        assert len(scan.python_blocks) == len(gmdj.blocks)
         assert len(reasons) == 1 and reasons[0].startswith("block ")
         assert expect_reason in reasons[0]
         assert not any(stats.snapshot().values())
         assert not any(status)
-        assert all(accumulator.result() in (0, None)
-                   for row_state in state for block_state in row_state
-                   for accumulator in block_state)
+        assert not scan.columns
         # ... and the fallback then produces the row kernel's run.
         base = gmdj.base.evaluate(catalog)
         detail = gmdj.detail.evaluate(catalog)
@@ -539,6 +617,137 @@ class TestCompletionOnArrays:
         # (and has accumulated into block 0) when the guard trips.
         self.assert_untouched_then_identical(
             catalog, gmdj, CompletionRule(must_be_zero=[1]), "overflow")
+
+
+class TestKeysStateAndRowsStayColumns:
+    """Directed twins of the property's corners: what the array kernel
+    reports about its key structures, and the emit's exactness."""
+
+    @staticmethod
+    def run(catalog, gmdj, rule=None, selection=None):
+        base = gmdj.base.evaluate(catalog)
+        detail = gmdj.detail.evaluate(catalog)
+        schema = gmdj.schema(catalog)
+        with collect() as row_stats:
+            expected = run_gmdj(base, detail, gmdj, schema, rule, selection)
+        tracer = Tracer()
+        with collect() as numpy_stats, tracing(tracer):
+            result = run_gmdj_vectorized(base, detail, gmdj, schema, rule,
+                                         selection, backend="numpy")
+        assert result.rows == expected.rows
+        assert numpy_stats.snapshot() == row_stats.snapshot()
+        (scan,) = tracer.trace().find(kind="detail_scan")
+        return result.rows, scan
+
+    @staticmethod
+    def catalog(base_rows, detail_rows, key_type=DataType.INTEGER):
+        catalog = Catalog()
+        catalog.create_table("B", Relation.from_columns(
+            [("K", key_type), ("S", DataType.STRING)], base_rows))
+        catalog.create_table("R", Relation.from_columns(
+            [("K", key_type), ("Y", DataType.INTEGER),
+             ("T", DataType.STRING)], detail_rows))
+        return catalog
+
+    def test_three_blocks_share_one_key_list_beside_one_that_does_not(self):
+        catalog = self.catalog(
+            [(1, "aa"), (2, "zz"), (2, "bb"), (None, "aa")],
+            [(1, 5, "aa"), (2, 1, "bb"), (2, 7, None), (3, 9, "aa"),
+             (None, 2, "bb")])
+        gmdj = md(ScanTable("B", "b"), ScanTable("R", "r"),
+                  [[count_star(f"c{i}")] for i in range(4)],
+                  [col("b.K") == col("r.K"),
+                   (col("b.K") == col("r.K")) & (col("r.Y") > lit(4)),
+                   (col("b.K") == col("r.K")) & (col("r.T") == lit("bb")),
+                   col("b.S") == col("r.T")])
+        rows, scan = self.run(catalog, gmdj)
+        assert rows == [(1, "aa", 1, 1, 0, 2), (2, "zz", 2, 1, 1, 0),
+                        (2, "bb", 2, 1, 1, 2), (None, "aa", 0, 0, 0, 2)]
+        assert scan.attrs["shared_keys"] == (3, 3, 3, 1)
+        assert scan.attrs["key_lookup"] == ("direct",) * 4
+        assert not scan.attrs.get("fallbacks")
+
+    def test_sparse_and_float_keys_are_searched_not_addressed(self):
+        sparse = self.catalog([(0, "a"), (2 ** 60, "b"), (-2 ** 63, "c")],
+                              [(2 ** 60, 1, "x"), (-2 ** 63, 2, "x"),
+                               (2 ** 63 - 1, 3, "x")])
+        gmdj = md(ScanTable("B", "b"), ScanTable("R", "r"),
+                  [[count_star("c")]], [col("b.K") == col("r.K")])
+        rows, scan = self.run(sparse, gmdj)
+        assert [row[-1] for row in rows] == [0, 1, 1]
+        assert scan.attrs["key_lookup"] == ("sorted",)
+        floats = self.catalog([(0.0, "a"), (1.5, "b")],
+                              [(-0.0, 1, "x"), (1.5, 2, "x"), (1.25, 3, "x")],
+                              key_type=DataType.FLOAT)
+        rows, scan = self.run(floats, gmdj)
+        assert [row[-1] for row in rows] == [1, 1]
+        assert scan.attrs["key_lookup"] == ("sorted",)
+
+    def test_empty_ranges_finalize_to_zero_and_null(self):
+        catalog = self.catalog([(1, "a"), (9, "b")], [(1, 4, "t"), (1, 6, "t")])
+        gmdj = md(ScanTable("B", "b"), ScanTable("R", "r"),
+                  [[count_star("c"), agg("count", col("r.T"), "n"),
+                    agg("sum", col("r.Y"), "s"), agg("avg", col("r.Y"), "a"),
+                    agg("min", col("r.Y"), "lo"),
+                    agg("max", col("r.Y"), "hi")]],
+                  [col("b.K") == col("r.K")])
+        rows, scan = self.run(catalog, gmdj)
+        assert rows == [(1, "a", 2, 2, 10, 5.0, 4, 6),
+                        (9, "b", 0, 0, None, None, None, None)]
+        assert not scan.attrs.get("fallbacks")
+
+    def test_avg_of_ints_beyond_2_53_divides_as_python_does(self):
+        values = [2 ** 55 + 1, 2 ** 55 + 3, 7]
+        catalog = self.catalog([(1, "a")], [(1, y, "t") for y in values])
+        gmdj = md(ScanTable("B", "b"), ScanTable("R", "r"),
+                  [[agg("avg", col("r.Y"), "a")]], [col("b.K") == col("r.K")])
+        rows, scan = self.run(catalog, gmdj)
+        assert rows == [(1, "a", sum(values) / 3)]
+        # Dividing the total rounded to float64 gives another number.
+        assert rows[0][-1] != float(sum(values)) / 3
+        assert not scan.attrs.get("fallbacks")
+
+    def test_unknown_selection_drops_the_row_and_assured_rows_bypass_it(self):
+        catalog = self.catalog([(1, "a"), (2, "b"), (3, "c")],
+                               [(1, 4, "t"), (2, 0, "t"), (2, 1, "t")])
+        gmdj = md(ScanTable("B", "b"), ScanTable("R", "r"),
+                  [[count_star("c"), agg("sum", col("r.Y"), "s")]],
+                  [col("b.K") == col("r.K")])
+        # No rule: base 3's SUM is NULL, the selection UNKNOWN.
+        rows, _ = self.run(catalog, gmdj, None, col("s") >= lit(1))
+        assert rows == [(1, "a", 1, 4), (2, "b", 2, 1)]
+        # Assured at their first match: base 2 is emitted with the
+        # partial SUM 0 the selection would have refused.
+        rule = CompletionRule(need_positive=[0], exhaustive=True,
+                              aggregates_projected=True)
+        rows, scan = self.run(catalog, gmdj, rule, col("s") >= lit(1))
+        assert rows == [(1, "a", 1, 4), (2, "b", 1, 0)]
+        assert not scan.attrs.get("fallbacks")
+
+    def test_per_value_rider_and_given_up_block_beside_array_blocks(self):
+        catalog = Catalog()
+        catalog.create_table("B", Relation.from_columns(
+            [("K", DataType.INTEGER)], [(1,), (2,)]))
+        catalog.create_table("R", Relation.from_columns(
+            [("K", DataType.INTEGER), ("T", DataType.STRING),
+             ("H", DataType.INTEGER)],
+            [(1, "pear", 2 ** 70), (1, "fig", 1), (2, "kiwi", -5)]))
+        gmdj = md(ScanTable("B", "b"), ScanTable("R", "r"),
+                  [[count_star("c0"), agg("min", col("r.T"), "m")],
+                   [count_star("c1")]],
+                  [col("b.K") == col("r.K"),
+                   (col("b.K") == col("r.K")) & (col("r.H") > lit(0))])
+        rows, scan = self.run(catalog, gmdj, None, col("c0") >= lit(1))
+        assert rows == [(1, 2, "fig", 2), (2, 1, "kiwi", 0)]
+        reasons = scan.attrs["fallbacks"]
+        assert any(r.startswith("block 1: object-encoded") for r in reasons)
+        assert any("block 0 m: string min/max" in r for r in reasons)
+        # The selection reads only the array-form count: no third reason.
+        assert len(reasons) == 2
+        # ... and one that reads the per-value column says so.
+        _, scan = self.run(catalog, gmdj, None, col("m") >= lit("g"))
+        assert any(r.startswith("selection: ")
+                   for r in scan.attrs["fallbacks"])
 
 
 class TestColumnarEncodingCache:

@@ -156,6 +156,40 @@ class TestInsert:
         assert db.catalog.table("R") is not snapshot
         assert len(db.catalog.table("R")) == 2
 
+    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("in_place", [True, False])
+    def test_returned_result_is_unchanged_by_a_later_insert(
+            self, use_cache, in_place):
+        # Scan views share the stored row list, so a bare SELECT * is
+        # that very list until it leaves the engine — where it must be
+        # snapshotted, served from the result cache or not.
+        db = make_db([(1,), (2,)])
+        options = QueryOptions(use_cache=use_cache)
+        first = db.execute_sql("SELECT * FROM R", options)
+        again = db.execute_sql("SELECT * FROM R", options)
+        assert first.rows is not db.table("R").rows
+        if in_place:
+            db.table("R").insert((3,))
+        else:
+            db.insert("R", [(3,)])
+        assert first.rows == again.rows == [(1,), (2,)]
+        if not in_place or not use_cache:
+            # (An in-place Relation.insert bypasses the database, so a
+            # cached result legitimately stays as it was.)
+            assert db.execute_sql("SELECT * FROM R", options).rows == \
+                [(1,), (2,), (3,)]
+
+    def test_scan_views_share_the_stored_rows(self):
+        # ... which is the point: no operand is re-listed per query.
+        from repro.algebra.operators import ScanTable
+
+        db = make_db([(1,), (2,)])
+        stored = db.table("R")
+        view = ScanTable("R", "r").evaluate(db.catalog)
+        assert view.rows is stored.rows
+        assert view.rename("x").rows is stored.rows
+        assert stored.copy().rows is not stored.rows
+
     def test_insert_unknown_table_raises(self):
         db = make_db()
         with pytest.raises(Exception):

@@ -6,6 +6,7 @@ from repro.algebra.aggregates import count_star
 from repro.algebra.expressions import TRUE, col, lit
 from repro.algebra.operators import ScanTable
 from repro.errors import UnknownAttributeError
+import repro.gmdj.evaluate as evaluate
 from repro.gmdj import md
 from repro.gmdj.evaluate import _BlockRuntime, invariant_sharing
 from repro.gmdj.operator import ThetaBlock
@@ -37,19 +38,41 @@ class TestAccessPathSelection:
         runtime = runtime_for(col("b.K") == col("r.K"), base, detail_schema)
         assert runtime.uses_hash
         assert not runtime.invariant
-        assert runtime.buckets is not None
+        runtime.prepare_python_scan()
         assert len(runtime.buckets) == 8
+
+    def test_buckets_are_built_only_for_a_tuple_at_a_time_scan(
+            self, parts, monkeypatch):
+        # The logical build is counted when the block is bound; the
+        # Python dict over B exists only once a row/python kernel
+        # prepares to probe it (the array kernel never does).
+        base, detail_schema = parts
+        builds = []
+        builder = evaluate._bucket_base_rows
+        monkeypatch.setattr(
+            evaluate, "_bucket_base_rows",
+            lambda *args: builds.append(1) or builder(*args))
+        with collect() as stats:
+            runtime = runtime_for(col("b.K") == col("r.K"), base,
+                                  detail_schema)
+        assert stats.index_builds == 1
+        assert runtime.buckets is None and not builds
+        runtime.prepare_python_scan()
+        runtime.prepare_python_scan()
+        assert runtime.buckets[(3,)] == [3] and builds == [1]
 
     def test_inequality_condition_scans(self, parts):
         base, detail_schema = parts
         runtime = runtime_for(col("b.K") != col("r.K"), base, detail_schema)
         assert not runtime.uses_hash
+        assert runtime.buckets is None
         assert not runtime.invariant  # references the base
 
     def test_detail_only_condition_is_invariant(self, parts):
         base, detail_schema = parts
         runtime = runtime_for(col("r.V") > lit(3), base, detail_schema)
         assert runtime.invariant
+        runtime.prepare_python_scan()
         assert runtime.shared_state is not None
 
     def test_true_condition_is_invariant(self, parts):
@@ -82,6 +105,7 @@ class TestAccessPathSelection:
             qualifier="r",
         ).schema
         runtime = runtime_for(col("b.K") == col("r.K"), base, detail_schema)
+        runtime.prepare_python_scan()
         assert len(runtime.buckets) == 2
 
 
