@@ -15,8 +15,7 @@ from conftest import write_report
 from repro.data import TpcrSizes, build_tpcr_catalog
 from repro.engine import Database, make_executor
 
-STRATEGIES = ("naive", "native", "unnest_join", "gmdj", "gmdj_optimized",
-              "cost_based")
+STRATEGIES = ("naive", "native", "unnest_join", "gmdj", "gmdj_optimized")
 
 QUERIES = {
     "exists_big_order": (

@@ -20,7 +20,11 @@ cost-based optimizer.  This module implements exactly that:
 * :func:`apply_to_gmdj` — the GMDJ-based correlation removal: rewrite an
   Apply into a (fused selection over a) GMDJ using the same counting
   rules as Table 1, making the whole Section 3 machinery available to an
-  APPLY-based optimizer.
+  APPLY-based optimizer; :func:`loop_reason` says which Applies it
+  cannot take.
+
+* :func:`has_subquery_form` — the one predicate the planner asks before
+  translating: does the plan hold a NestedSelect or an Apply.
 """
 
 from __future__ import annotations
@@ -29,7 +33,12 @@ from dataclasses import dataclass
 
 from repro.algebra.aggregates import AggregateSpec, count_star
 from repro.algebra.expressions import Column, Comparison, Literal
-from repro.algebra.nested import Subquery, env_with_row
+from repro.algebra.nested import (
+    NestedSelect,
+    Subquery,
+    env_with_row,
+    has_subqueries,
+)
 from repro.algebra.operators import Operator, Project, Select
 from repro.errors import CardinalityError, PlanError, TranslationError
 from repro.gmdj.operator import GMDJ, ThetaBlock
@@ -118,101 +127,29 @@ class Apply(Operator):
         return Relation(self.schema(catalog), rows, validate=False)
 
 
-def evaluate_segmented(apply: Apply, catalog: Catalog) -> Relation:
-    """SEGMENT-APPLY-style evaluation (Galindo-Legaria & Joshi, after
-    the groupwise processing of Chatziantoniou & Ross).
+def has_subquery_form(plan: Operator) -> bool:
+    """True when ``plan`` holds a subquery the binder left in place: a
+    :class:`~repro.algebra.nested.NestedSelect` (WHERE position) or an
+    :class:`Apply` (SELECT-list position).  Algorithm SubqueryToGMDJ has
+    work to do exactly when this holds."""
+    return isinstance(plan, (NestedSelect, Apply)) or any(
+        has_subquery_form(child) for child in plan.children()
+    )
 
-    Instead of re-running the subquery per outer tuple, the detail table
-    is *segmented* once on the equality-correlation key; each outer tuple
-    then evaluates its subquery against its own segment.  The paper
-    (Section 2.2) notes SEGMENT-APPLY is treated as a special-case
-    operator in [14] while the GMDJ generalizes the idea; this
-    implementation exists to make that comparison concrete — its work
-    profile sits between the looping Apply and the GMDJ rewrite.
 
-    Requires the subquery predicate to be a conjunction containing at
-    least one equality correlation conjunct over a plain table scan;
-    raises :class:`TranslationError` otherwise (callers fall back to the
-    looping evaluation).
+def loop_reason(apply: Apply) -> str | None:
+    """Why ``apply`` has no counting-only GMDJ form, or None when it has.
+
+    * ``"nested inner predicate"`` — the subquery predicate itself holds
+      subqueries (the inner blocks would have to be flattened first);
+    * ``"scalar item"`` — a non-aggregate value: the looping form raises
+      on more than one row, which counting alone cannot.
     """
-    from repro.algebra.analysis import factor_condition
-    from repro.algebra.nested import env_with_row, has_subqueries, substitute_free
-
-    subquery = apply.subquery
-    if has_subqueries(subquery.predicate):
-        raise TranslationError("segmented APPLY needs a flat subquery predicate")
-    source = subquery.source.evaluate(catalog)
-    input_relation = apply.input.evaluate(catalog)
-    input_schema = input_relation.schema
-    from repro.algebra.rewrite import qualify_references
-
-    predicate = qualify_references(subquery.predicate, source.schema)
-    factored = factor_condition(predicate, input_schema, source.schema)
-    if not factored.has_equality:
-        raise TranslationError(
-            "segmented APPLY needs an equality correlation conjunct"
-        )
-    stats = IOStats.ambient()
-    # Build the segments: one pass over the detail table.
-    right_keys = [k.bind(source.schema) for k in factored.right_keys]
-    segments: dict[tuple, list] = {}
-    for row in source.scan():
-        key = tuple(ev(row) for ev in right_keys)
-        if any(part is None for part in key):
-            continue
-        segments.setdefault(key, []).append(row)
-    stats.index_builds += 1
-    left_keys = [k.bind(input_schema) for k in factored.left_keys]
-    residual = factored.residual
-    combined = input_schema.concat(source.schema)
-    residual_eval = residual.bind(combined) if residual is not None else None
-
-    out_schema = apply.schema(catalog)
-    rows = []
-    stats.record_scan(len(input_relation))
-    for outer_row in input_relation.rows:
-        key = tuple(ev(outer_row) for ev in left_keys)
-        stats.index_probes += 1
-        segment = segments.get(key, ()) if not any(
-            part is None for part in key
-        ) else ()
-        matching = []
-        for inner_row in segment:
-            if residual_eval is not None:
-                stats.predicate_evals += 1
-                if not residual_eval(outer_row + inner_row).is_true:
-                    continue
-            matching.append(inner_row)
-        if apply.mode in ("semi", "anti"):
-            if bool(matching) == (apply.mode == "semi"):
-                rows.append(outer_row)
-            continue
-        env = env_with_row({}, input_schema, outer_row)
-        item = subquery.item
-        if item is None and subquery.aggregate is not None:
-            item = subquery.aggregate.argument
-        values = []
-        for inner_row in matching:
-            if item is None:
-                values.append(None)
-            else:
-                closed = substitute_free(item, source.schema, env)
-                values.append(closed.bind(source.schema)(inner_row))
-        if apply.mode == "aggregate":
-            spec = subquery.aggregate
-            assert spec is not None
-            state = spec.make_accumulator()
-            for value in values:
-                state.add(value)
-            rows.append(outer_row + (state.result(),))
-        else:
-            if len(values) > 1:
-                raise CardinalityError(
-                    f"scalar APPLY returned {len(values)} rows"
-                )
-            rows.append(outer_row + (values[0] if values else None,))
-    stats.tuples_output += len(rows)
-    return Relation(out_schema, rows, validate=False)
+    if has_subqueries(apply.subquery.predicate):
+        return "nested inner predicate"
+    if apply.mode == "scalar":
+        return "scalar item"
+    return None
 
 
 def apply_to_gmdj(apply: Apply, catalog: Catalog,
@@ -222,24 +159,21 @@ def apply_to_gmdj(apply: Apply, catalog: Catalog,
     * ``semi``      →  ``π[input] σ[cnt > 0] MD(input, R, count(*), θ)``
     * ``anti``      →  ``π[input] σ[cnt = 0] MD(input, R, count(*), θ)``
     * ``aggregate`` →  ``MD(input, R, f(y) → name, θ)``
-    * ``scalar``    →  not expressible by counting alone (the looping
-      form raises on cardinality violations, which a GMDJ cannot); a
-      :class:`TranslationError` directs the optimizer to the Table 1
-      comparison rule instead, which carries the paper's "at most one
-      row" proviso.
 
-    The subquery predicate must be subquery-free (feed nested predicates
-    through Algorithm SubqueryToGMDJ first) and neighboring.
+    Raises :class:`TranslationError` for an Apply that
+    :func:`loop_reason` gives a reason for: the subquery predicate must
+    be subquery-free and neighboring, and a ``scalar`` Apply is not
+    expressible by counting alone (the Table 1 comparison rule carries
+    the paper's "at most one row" proviso instead).
     """
-    from repro.algebra.nested import has_subqueries
     from repro.algebra.rewrite import qualify_references
 
-    subquery = apply.subquery
-    if has_subqueries(subquery.predicate):
+    reason = loop_reason(apply)
+    if reason is not None:
         raise TranslationError(
-            "apply_to_gmdj expects a flattened subquery predicate; run "
-            "SubqueryToGMDJ on the inner blocks first"
+            f"APPLY with a {reason} has no counting-only GMDJ form"
         )
+    subquery = apply.subquery
     input_schema = apply.input.schema(catalog)
     detail_schema = subquery.source.schema(catalog)
     predicate = qualify_references(subquery.predicate, detail_schema)
@@ -254,14 +188,8 @@ def apply_to_gmdj(apply: Apply, catalog: Catalog,
                                 spec.distinct)
         return GMDJ(apply.input, subquery.source,
                     [ThetaBlock([renamed], predicate)])
-    if apply.mode in ("semi", "anti"):
-        gmdj = GMDJ(apply.input, subquery.source,
-                    [ThetaBlock([count_star(count_name)], predicate)])
-        op = ">" if apply.mode == "semi" else "="
-        selected = Select(gmdj, Comparison(op, Column(count_name),
-                                           Literal(0)))
-        return Project(selected, list(input_schema.names))
-    raise TranslationError(
-        "scalar APPLY has no counting-only GMDJ form; use the Table 1 "
-        "comparison rule (sigma[cnt = 1]) via SubqueryToGMDJ"
-    )
+    gmdj = GMDJ(apply.input, subquery.source,
+                [ThetaBlock([count_star(count_name)], predicate)])
+    op = ">" if apply.mode == "semi" else "="
+    selected = Select(gmdj, Comparison(op, Column(count_name), Literal(0)))
+    return Project(selected, list(input_schema.names))

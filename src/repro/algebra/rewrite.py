@@ -80,7 +80,7 @@ def qualify_references(expression: Expression, schema: Schema) -> Expression:
 
     SQL scoping resolves a bare column name in the innermost block that
     declares it.  When a rewrite (GMDJ translation, join unnesting,
-    segmented APPLY) lifts a subquery-local expression into a condition
+    APPLY removal) lifts a subquery-local expression into a condition
     over a *combined* schema, its bare names could suddenly match outer
     attributes too; qualifying them against their home schema first
     preserves the original resolution.  Already-qualified and

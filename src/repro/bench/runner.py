@@ -4,7 +4,9 @@ that they agree before trusting any timing."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
+from repro.algebra.operators import Operator
 from repro.bench.workloads import Workload
 from repro.engine.executor import profile
 from repro.engine.reports import ExecutionReport
@@ -33,8 +35,13 @@ def compare_strategies(
     workload: Workload,
     strategies: list[str],
     check_equivalence: bool = True,
+    plans: Mapping[str, Operator] | None = None,
 ) -> ComparisonResult:
     """Profile the workload under each strategy.
+
+    ``plans`` adds series that are not strategies: each maps a label in
+    ``strategies`` to a pre-translated plan, profiled under ``gmdj`` (how
+    the coalescing-only / completion-only ablations run).
 
     Strategies that legitimately cannot handle a workload (e.g. join
     unnesting on a disjunctive predicate) are recorded under ``failures``
@@ -49,9 +56,13 @@ def compare_strategies(
     registry = get_registry()
     reference = None
     reference_strategy = None
+    plans = plans or {}
     for strategy in strategies:
         try:
-            report = profile(workload.query, workload.catalog, strategy)
+            if strategy in plans:
+                report = profile(plans[strategy], workload.catalog, "gmdj")
+            else:
+                report = profile(workload.query, workload.catalog, strategy)
         except ReproError as exc:
             result.failures[strategy] = str(exc)
             registry.counter(f"bench.failures.{strategy}").inc()

@@ -85,15 +85,17 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.engine import STRATEGIES, Database, QueryOptions
+from repro.engine import STRATEGIES, Database, QueryOptions, plan_for
 from repro.errors import ReproError
+
+DEFAULT_STRATEGY = QueryOptions().strategy
 
 
 def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     """The strategy/kernel/fragmenter knobs shared by run and explain."""
     parser.add_argument(
-        "--strategy", choices=STRATEGIES, default="auto",
-        help="evaluation strategy (default: auto)",
+        "--strategy", choices=STRATEGIES, default=DEFAULT_STRATEGY,
+        help=f"evaluation strategy (default: {DEFAULT_STRATEGY})",
     )
     parser.add_argument(
         "--partitions", type=int, default=None, metavar="N",
@@ -395,8 +397,9 @@ def build_lint_parser() -> argparse.ArgumentParser:
              "a single statement",
     )
     parser.add_argument(
-        "--strategy", choices=STRATEGIES, default="auto",
-        help="lint the plan this strategy would execute (default: auto)",
+        "--strategy", choices=STRATEGIES, default=DEFAULT_STRATEGY,
+        help="lint the plan this strategy would execute "
+             f"(default: {DEFAULT_STRATEGY})",
     )
     parser.add_argument(
         "--json", action="store_true",
@@ -427,15 +430,8 @@ def _lint_one(db: Database, sql: str, strategy: str, advice: bool):
     Returns ``(report, cost_certificate, capability_certificate)``.
     """
     from repro.lint import certify_capabilities, certify_plan, lint_plan
-    from repro.unnesting import subquery_to_gmdj
 
-    query = db.sql(sql)
-    plan = query
-    resolved = QueryOptions(strategy=strategy).canonical().strategy
-    if resolved in ("auto", "gmdj_optimized", "cost_based"):
-        plan = subquery_to_gmdj(query, db.catalog, optimize=True)
-    elif resolved in ("gmdj", "gmdj_coalesce", "gmdj_completion"):
-        plan = subquery_to_gmdj(query, db.catalog)
+    plan = plan_for(db.sql(sql), db.catalog, strategy)
     return (lint_plan(plan, db.catalog, advice=advice),
             certify_plan(plan), certify_capabilities(plan, db.catalog))
 
@@ -463,11 +459,10 @@ def _corpus_capability(database: Database, sql: str):
     """The capability certificate of a corpus case's optimized plan."""
     from repro.errors import TranslationError
     from repro.lint import certify_capabilities
-    from repro.unnesting import subquery_to_gmdj
 
     query = database.sql(sql)
     try:
-        plan = subquery_to_gmdj(query, database.catalog, optimize=True)
+        plan = plan_for(query, database.catalog, DEFAULT_STRATEGY)
     except TranslationError:
         plan = query
     return certify_capabilities(plan, database.catalog)
@@ -625,7 +620,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="directory of *.csv files pre-loaded into tenant 'default'",
     )
     parser.add_argument(
-        "--strategy", choices=STRATEGIES, default="auto",
+        "--strategy", choices=STRATEGIES, default=DEFAULT_STRATEGY,
         help="default evaluation strategy for served queries",
     )
     parser.add_argument(
@@ -779,10 +774,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
             return 0
         if args.emit_sql:
             from repro.gmdj.to_sql import plan_to_sql
-            from repro.unnesting import subquery_to_gmdj
 
-            plan = subquery_to_gmdj(db.sql(args.sql), db.catalog,
-                                    optimize=True)
+            plan = plan_for(db.sql(args.sql), db.catalog, DEFAULT_STRATEGY)
             print(plan_to_sql(plan, db.catalog), file=out)
             return 0
         if args.profile:

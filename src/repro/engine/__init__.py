@@ -12,32 +12,27 @@ from repro.engine.mqo import (
     plan_batch,
 )
 from repro.engine.options import QueryOptions
-from repro.engine.planner import STRATEGIES, contains_nested_select, make_executor
+from repro.engine.planner import STRATEGIES, make_executor, plan_for
 from repro.engine.reports import ExecutionReport
 from repro.engine.rollup import RollupStore
-from repro.engine.statistics import ColumnStatistics, TableStatistics, analyze_catalog, analyze_table
 
 __all__ = [
     "BatchItem",
     "BatchPlan",
     "BatchReport",
     "BatchResult",
-    "ColumnStatistics",
     "Database",
     "DatabaseClosedError",
     "PlanCache",
     "QueryOptions",
     "RollupStore",
-    "TableStatistics",
-    "analyze_catalog",
-    "analyze_table",
     "ExecutionReport",
     "STRATEGIES",
-    "contains_nested_select",
     "execute",
     "execute_batch",
     "make_executor",
     "plan_batch",
+    "plan_for",
     "profile",
     "run",
 ]

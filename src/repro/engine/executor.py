@@ -97,14 +97,14 @@ def run(
 
 
 def execute(query: Operator, catalog: Catalog,
-            options: QueryOptions | str = "auto") -> Relation:
+            options: QueryOptions | str | None = None) -> Relation:
     """Evaluate ``query`` under ``options``; returns the result relation."""
     return run(query, catalog, options, profiled=False).result
 
 
 def profile(
     query: Operator, catalog: Catalog,
-    options: QueryOptions | str = "auto",
+    options: QueryOptions | str | None = None,
     trace: bool = False,
 ) -> ExecutionReport:
     """Evaluate ``query`` and capture wall-clock time and work counters."""

@@ -4,8 +4,9 @@
 :meth:`repro.engine.database.Database.execute_batch`.  Given a list of
 queries it:
 
-1. translates each (cache-aware, through the planner's translator) and
-   fingerprints the result (:func:`repro.gmdj.share.fingerprint_plan`);
+1. asks the planner for the plan each would execute (cache-aware,
+   :func:`repro.engine.planner.plan_for`) and fingerprints it
+   (:func:`repro.gmdj.share.fingerprint_plan`);
 2. partitions share-compatible plans into groups
    (:func:`plan_batch`);
 3. at level ``"coalesce"``, fuses each group into one multi-consumer
@@ -43,11 +44,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence, overload
 
 from repro.algebra.operators import Operator
 from repro.engine.options import QueryOptions
-from repro.engine.planner import (
-    _TRANSLATION_FLAGS,
-    _translator,
-    contains_nested_select,
-)
+from repro.engine.planner import lint_gate, plan_for
 from repro.errors import ConfigurationError
 from repro.gmdj.operator import GMDJ
 from repro.gmdj.physical import evaluate_node, select_fragmenter, select_kernel
@@ -94,23 +91,6 @@ def resolve_level(options: QueryOptions) -> str:
     if level is None:
         level = "coalesce"
     return level
-
-
-def _share_strategy(query: Operator, options: QueryOptions) -> str | None:
-    """The GMDJ translation strategy sharing should use, or None.
-
-    Mirrors the planner's ``auto`` resolution; baseline and cost-based
-    strategies never share (they have no GMDJ to merge, or pick their
-    engine per query).
-    """
-    strategy = options.strategy
-    if strategy == "auto":
-        if not contains_nested_select(query):
-            return None
-        return "gmdj_optimized"
-    if strategy in _TRANSLATION_FLAGS:
-        return strategy
-    return None
 
 
 def _plan_decomposable(plan: Operator) -> bool:
@@ -169,14 +149,16 @@ def plan_batch(
     if level == "off" or len(queries) < 2:
         return BatchPlan(level=level, queries=len(queries), groups=[],
                          singletons=indices)
+    translations = cache if canon.use_cache else None
     candidates: list[ShareCandidate | None] = []
     for query in queries:
-        strategy = _share_strategy(query, canon)
-        if strategy is None:
-            candidates.append(None)
-            continue
-        translate = _translator(query, catalog, strategy, canon, cache)
-        plan = translate()
+        # A plan without exactly one GMDJ (every baseline's, a plain
+        # query's) fingerprints to None and stays a singleton.
+        plan = plan_for(query, catalog, canon.strategy, translations)
+        if plan is not query and canon.lint in ("warn", "strict"):
+            # Group members bypass the executor's gate; singletons (an
+            # untranslated plan is always one) meet it in ``db._run``.
+            lint_gate(plan, catalog, canon.lint)
         if not _plan_decomposable(plan):
             # Certificate gate: coalescing stacks every member's blocks
             # onto one shared scan and merges per-member results, which

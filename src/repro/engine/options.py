@@ -64,19 +64,12 @@ STRATEGIES = (
     "unnest_join",
     "unnest_join_noindex",
     "gmdj",
-    "gmdj_coalesce",
-    "gmdj_completion",
     "gmdj_optimized",
-    "cost_based",
-    "auto",
 )
 
 #: Strategies that produce a GMDJ plan — the only ones the kernel and
 #: fragmenter knobs apply to.
-GMDJ_STRATEGIES = frozenset({
-    "gmdj", "gmdj_coalesce", "gmdj_completion", "gmdj_optimized",
-    "auto", "cost_based",
-})
+GMDJ_STRATEGIES = frozenset({"gmdj", "gmdj_optimized"})
 
 #: GMDJ scan kernels.  ``None`` defers to the ``REPRO_BACKEND``
 #: environment hook and then to ``"row"``; ``"auto"`` picks numpy when
@@ -149,7 +142,7 @@ def resolve_kernel(backend: str | None, chunk_size: int | None = None) -> str:
 class QueryOptions:
     """Immutable bundle of execution options for one query run."""
 
-    strategy: str = "auto"
+    strategy: str = "gmdj_optimized"
     backend: str | None = None
     partitions: int | None = None
     workers: int | None = None

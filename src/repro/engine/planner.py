@@ -1,4 +1,4 @@
-"""Strategy selection: how a (possibly nested) query gets evaluated.
+"""Strategy → plan: how a (possibly nested) query gets evaluated.
 
 The planner exposes the strategies the paper's experiments compare:
 
@@ -11,12 +11,19 @@ The planner exposes the strategies the paper's experiments compare:
 ``unnest_join_noindex``  the same modelling an engine without indexes
                     (sort-merge instead of indexed joins);
 ``gmdj``            Algorithm SubqueryToGMDJ, unoptimized;
-``gmdj_coalesce``   SubqueryToGMDJ + coalescing only (ablation);
-``gmdj_completion`` SubqueryToGMDJ + completion only (ablation);
-``gmdj_optimized``  SubqueryToGMDJ + coalescing + completion (Section 4);
-``cost_based``      whichever of the above the static cost model picks;
-``auto``            gmdj_optimized for nested queries, plain evaluation
-                    otherwise.
+``gmdj_optimized``  SubqueryToGMDJ + coalescing + completion (Section 4)
+                    — the default.
+
+:func:`plan_for` is the one place a strategy name becomes an operator
+tree; the executor, MQO share planning, EXPLAIN, ``repro lint`` and the
+fuzz oracle all call it, so what is rendered or verified is the tree
+that runs.  The five baselines evaluate the query as bound.  The two
+GMDJ strategies translate whenever the query holds a subquery form
+(:func:`repro.algebra.has_subquery_form` — WHERE and SELECT-list
+positions alike) and otherwise evaluate it plainly.  The coalescing-only
+and completion-only *ablations* are not strategies: build their plans
+with ``subquery_to_gmdj(..., optimize=True, coalesce=..., completion=...)``
+and run them, pre-translated, under ``gmdj``.
 
 Orthogonally to the strategy, the :class:`~repro.engine.options.QueryOptions`
 pick the physical pipeline every GMDJ node of the translated plan runs
@@ -29,41 +36,43 @@ re-translation of plans the database has seen before.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from repro.engine.rollup import RollupStore
 
-from repro.algebra.nested import NestedSelect
+from repro.algebra.apply_op import has_subquery_form
 from repro.algebra.operators import Operator
-from repro.algebra.rewrite import map_children
 from repro.baselines.join_unnest import evaluate_join_unnest
 from repro.baselines.native import evaluate_native
 from repro.baselines.nested_loop import evaluate_naive
 from repro.engine.cache import PlanCache
-from repro.engine.options import QueryOptions, STRATEGIES
+from repro.engine.options import GMDJ_STRATEGIES, QueryOptions, STRATEGIES
 from repro.errors import PlanError
+from repro.gmdj.operator import GMDJ
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
 from repro.unnesting.translate import subquery_to_gmdj
 
 __all__ = [
     "STRATEGIES",
-    "contains_nested_select",
+    "lint_gate",
     "make_executor",
+    "plan_for",
 ]
 
-#: Translation flags per GMDJ strategy, also the translation-cache key
-#: component (strategy name alone would alias distinct plans).
-_TRANSLATION_FLAGS = {
-    "gmdj": dict(optimize=False),
-    "gmdj_coalesce": dict(optimize=True, coalesce=True, completion=False),
-    "gmdj_completion": dict(optimize=True, coalesce=False, completion=True),
-    "gmdj_optimized": dict(optimize=True),
+#: The baselines evaluate the query as bound, each with its own evaluator.
+_BASELINES: dict[str, Callable[[Operator, Catalog], Relation]] = {
+    "naive": evaluate_naive,
+    "native": partial(evaluate_native, use_indexes=True),
+    "native_noindex": partial(evaluate_native, use_indexes=False),
+    "unnest_join": partial(evaluate_join_unnest, use_indexes=True),
+    "unnest_join_noindex": partial(evaluate_join_unnest, use_indexes=False),
 }
 
 
-def _lint_gate(plan: Operator, catalog: Catalog, level: str) -> None:
+def lint_gate(plan: Operator, catalog: Catalog, level: str) -> None:
     """Fail-fast static verification of a plan about to execute.
 
     Only error-severity diagnostics gate execution (the plan would raise
@@ -92,25 +101,57 @@ def _lint_gate(plan: Operator, catalog: Catalog, level: str) -> None:
     )
 
 
-def contains_nested_select(operator: Operator) -> bool:
-    """True when the tree holds at least one NestedSelect node."""
-    found = False
+def _holds_gmdj(plan: Operator) -> bool:
+    """True for a pre-translated plan (a fused SelectGMDJ's child is
+    its GMDJ)."""
+    return isinstance(plan, GMDJ) or any(
+        _holds_gmdj(child) for child in plan.children()
+    )
 
-    def visit(node: Operator) -> Operator:
-        nonlocal found
-        if isinstance(node, NestedSelect):
-            found = True
-        map_children(node, lambda child: (visit(child), child)[1])
-        return node
 
-    visit(operator)
-    return found
+def _is_plain(query: Operator) -> bool:
+    """Nothing for a GMDJ strategy to do: no subquery form to translate
+    and no GMDJ node to send through the physical pipeline."""
+    return not has_subquery_form(query) and not _holds_gmdj(query)
+
+
+def plan_for(
+    query: Operator,
+    catalog: Catalog,
+    strategy: str,
+    cache: PlanCache | None = None,
+) -> Operator:
+    """The operator tree ``strategy`` executes for ``query``.
+
+    The baselines run the query as bound, so it is returned unchanged —
+    as is a plain query (no subquery form, no GMDJ) under the GMDJ
+    strategies.  Otherwise ``gmdj`` is Algorithm SubqueryToGMDJ and
+    ``gmdj_optimized`` adds the Section 4 optimizations; a pre-translated
+    plan passes through the translator untouched, which is how the
+    ablation plans run under ``gmdj``.  ``cache`` memoizes translations
+    per ``(strategy, normalized query)``.
+    """
+    if strategy not in STRATEGIES:
+        raise PlanError(
+            f"unknown strategy {strategy!r}; choose one of {STRATEGIES}"
+        )
+    if strategy not in GMDJ_STRATEGIES or _is_plain(query):
+        return query
+    optimize = strategy == "gmdj_optimized"
+    if cache is None:
+        return subquery_to_gmdj(query, catalog, optimize=optimize)
+    key = (strategy, PlanCache.plan_key(query))
+    plan = cache.translation(key)
+    if plan is None:
+        plan = subquery_to_gmdj(query, catalog, optimize=optimize)
+        cache.store_translation(key, plan)
+    return plan
 
 
 def make_executor(
     query: Operator,
     catalog: Catalog,
-    options: QueryOptions | str = "auto",
+    options: QueryOptions | str | None = None,
     cache: PlanCache | None = None,
     rollups: RollupStore | None = None,
 ) -> Callable[[], Relation]:
@@ -120,87 +161,65 @@ def make_executor(
     callable as well, matching how the paper's timings include rewrite
     cost (it is negligible; evaluation dominates) — unless ``cache``
     holds the translated plan already.  When tracing is enabled the run
-    is wrapped in a ``query`` span carrying the resolved strategy name
-    (and, for GMDJ strategies, the kernel and fragmenter), so traces
-    attribute all work to what actually ran.
+    is wrapped in a ``query`` span carrying the strategy name — or
+    ``plain`` when a GMDJ strategy had nothing to translate — and, for
+    GMDJ runs, the kernel and fragmenter, so traces attribute all work
+    to what actually ran.
     """
-    options = QueryOptions.of(options)
-    requested = options.strategy
-    options = options.canonical()
-    if options.lint in ("warn", "strict"):
+    options = QueryOptions.of(options).canonical()
+    lint = options.lint if options.lint in ("warn", "strict") else None
+    if lint is not None:
         # Verify the input tree eagerly — this covers the baseline
         # strategies (which execute the query as-is); the GMDJ
         # strategies additionally verify their translated plan inside
-        # the runner (see _translator).
-        _lint_gate(query, catalog, options.lint)
-    resolved, physical, runner = _resolve_executor(
-        query, catalog, options, cache, rollups
-    )
+        # the runner.
+        lint_gate(query, catalog, lint)
+    strategy = options.strategy
+    physical: dict[str, str] = {}
+    runner: Callable[[], Relation]
+    if strategy in _BASELINES:
+        runner = partial(_BASELINES[strategy], query, catalog)
+    elif _is_plain(query):
+        strategy = "plain"
+        runner = partial(query.evaluate, catalog)
+    else:
+        physical["kernel"] = options.kernel()
+        fragmenter = options.fragmenter()
+        if fragmenter is not None:
+            physical["fragmenter"] = fragmenter
+        runner = _gmdj_runner(query, catalog, options, lint, cache, rollups)
 
     def traced() -> Relation:
         from repro.obs.tracer import span
 
-        with span("query", kind="query", strategy=resolved,
-                  requested=requested, **physical):
+        with span("query", kind="query", strategy=strategy, **physical):
             return runner()
 
     return traced
 
 
-def _translator(
-    query: Operator,
-    catalog: Catalog,
-    strategy: str,
-    options: QueryOptions,
-    cache: PlanCache | None,
-) -> Callable[[], Operator]:
-    """A callable producing the translated GMDJ plan, cache-aware.
-
-    With ``options.lint`` active the translated plan passes through the
-    static verifier before it is returned for evaluation — *after* any
-    cache retrieval, since the translation cache is shared across
-    options objects and a cached plan may never have been linted.
-    """
-    flags = _TRANSLATION_FLAGS[strategy]
-    lint = options.lint if options.lint in ("warn", "strict") else None
-
-    def verified(plan: Operator) -> Operator:
-        if lint is not None:
-            _lint_gate(plan, catalog, lint)
-        return plan
-
-    if cache is None or not options.use_cache:
-        return lambda: verified(subquery_to_gmdj(query, catalog, **flags))
-
-    key = (strategy, PlanCache.plan_key(query))
-
-    def translate() -> Operator:
-        plan = cache.translation(key)
-        if plan is None:
-            plan = subquery_to_gmdj(query, catalog, **flags)
-            cache.store_translation(key, plan)
-        return verified(plan)
-
-    return translate
-
-
 def _gmdj_runner(
     query: Operator,
     catalog: Catalog,
-    strategy: str,
     options: QueryOptions,
+    lint: str | None,
     cache: PlanCache | None,
-    rollups: RollupStore | None = None,
+    rollups: RollupStore | None,
 ) -> Callable[[], Relation]:
-    """Build the runner for a GMDJ strategy: translate, then walk the
-    plan through the one physical pipeline the options select."""
+    """Build the runner for a GMDJ strategy: :func:`plan_for`, then walk
+    the plan through the one physical pipeline the options select.
+
+    With ``lint`` active the translated plan passes through the static
+    verifier before evaluation — *after* any cache retrieval, since the
+    translation cache is shared across options objects and a cached
+    plan may never have been linted.
+    """
     from repro.gmdj.physical import (
         evaluate_plan,
         select_fragmenter,
         select_kernel,
     )
 
-    translate = _translator(query, catalog, strategy, options, cache)
     kernel = select_kernel(options.backend, options.chunk_size)
     fragmenter = select_fragmenter(
         options.chunk_budget, options.partitions, options.workers
@@ -208,58 +227,12 @@ def _gmdj_runner(
     hook = None
     if rollups is not None and options.rollup in ("exact", "subsume"):
         hook = rollups.node_hook(catalog, options.rollup == "subsume")
+    translations = cache if options.use_cache else None
 
-    return lambda: evaluate_plan(translate(), catalog, kernel, fragmenter,
-                                 hook)
+    def run() -> Relation:
+        plan = plan_for(query, catalog, options.strategy, translations)
+        if lint is not None:
+            lint_gate(plan, catalog, lint)
+        return evaluate_plan(plan, catalog, kernel, fragmenter, hook)
 
-
-def _resolve_executor(
-    query: Operator, catalog: Catalog, options: QueryOptions,
-    cache: PlanCache | None, rollups: RollupStore | None = None,
-) -> tuple[str, dict[str, str], Callable[[], Relation]]:
-    """Resolve ``auto``/``cost_based`` and build the raw runner.
-
-    Returns ``(strategy, physical, runner)`` — ``physical`` holds the
-    ``kernel`` / ``fragmenter`` query-span attributes of a GMDJ run
-    (empty for plain evaluation and the baselines).
-    """
-    strategy = options.strategy
-    if strategy == "auto":
-        if not contains_nested_select(query):
-            return "plain", {}, lambda: query.evaluate(catalog)
-        strategy = "gmdj_optimized"
-    if strategy == "cost_based":
-        from repro.engine.costmodel import choose_strategy, contains_apply
-
-        if not contains_nested_select(query) and not contains_apply(query):
-            return "plain", {}, lambda: query.evaluate(catalog)
-        strategy = choose_strategy(query, catalog)
-    if strategy == "naive":
-        return strategy, {}, lambda: evaluate_naive(query, catalog)
-    if strategy == "native":
-        return strategy, {}, lambda: evaluate_native(
-            query, catalog, use_indexes=True
-        )
-    if strategy == "native_noindex":
-        return strategy, {}, lambda: evaluate_native(
-            query, catalog, use_indexes=False
-        )
-    if strategy == "unnest_join":
-        return strategy, {}, lambda: evaluate_join_unnest(
-            query, catalog, use_indexes=True
-        )
-    if strategy == "unnest_join_noindex":
-        return strategy, {}, lambda: evaluate_join_unnest(
-            query, catalog, use_indexes=False
-        )
-    if strategy in _TRANSLATION_FLAGS:
-        physical = {"kernel": options.kernel()}
-        fragmenter = options.fragmenter()
-        if fragmenter is not None:
-            physical["fragmenter"] = fragmenter
-        return strategy, physical, _gmdj_runner(
-            query, catalog, strategy, options, cache, rollups
-        )
-    raise PlanError(
-        f"unknown strategy {strategy!r}; choose one of {STRATEGIES}"
-    )
+    return run

@@ -13,7 +13,11 @@ Coverage targets, mapped to the paper:
   detail table, the inputs Proposition 4.1's coalescing wants, plus NOT
   so normalization (negation push-down) stays exercised;
 * NULL-sensitive dressing: IS NULL leaves, NULL literals in local
-  filters, string as well as integer correlation.
+  filters, string as well as integer correlation;
+* SELECT-list aggregate subqueries (the APPLY position, §2.1): one to
+  three per query, usually siblings over one detail table (the shape
+  Proposition 4.1 coalesces into one scan), with ``=`` and ``<>``
+  correlation, beside the WHERE subquery, a plain WHERE, or none.
 
 All randomness flows through the caller's ``random.Random`` so any case
 is reproducible from its seed.
@@ -63,6 +67,7 @@ class GrammarConfig:
     max_depth: int = 3          # linear-nesting depth bound
     nest_probability: float = 0.35
     non_neighbor_probability: float = 0.3
+    select_list_probability: float = 0.3
     value_domain: int = 7
 
     def __post_init__(self):
@@ -197,18 +202,44 @@ class _QueryBuilder:
                 rng.choice(_COMPARISON_OPS), form, self.numeric_ref(outer),
                 Sub(sub.table, sub.alias, sub.where, item=item),
             )
-        function = rng.choice(_AGG_FUNCTIONS)
-        if function == "count" and rng.random() < 0.4:
-            agg = AggSpecIR("count", None)
-        else:
-            column = rng.choice(("k", numeric_column))
-            distinct = (function in ("count", "sum")
-                        and rng.random() < 0.25)
-            agg = AggSpecIR(function, column, distinct)
+        agg = self.aggregate(sub.table)
         return AggCmp(
             rng.choice(_COMPARISON_OPS), self.numeric_ref(outer),
             Sub(sub.table, sub.alias, sub.where, agg=agg),
         )
+
+    def aggregate(self, table: str) -> AggSpecIR:
+        rng = self.rng
+        function = rng.choice(_AGG_FUNCTIONS)
+        if function == "count" and rng.random() < 0.4:
+            return AggSpecIR("count", None)
+        column = rng.choice(("k", _TABLE_COLUMNS[table][0]))
+        distinct = function in ("count", "sum") and rng.random() < 0.25
+        return AggSpecIR(function, column, distinct)
+
+    def select_list(self, scope: _Scope) -> tuple[Sub, ...]:
+        """One to three SELECT-list aggregate subqueries.
+
+        Their blocks are flat (a nested inner predicate keeps the APPLY
+        a loop, which the WHERE forms already exercise), siblings mostly
+        share one detail table, and a ``<>`` correlation joins the usual
+        ``=`` one often enough that scan-partitioned blocks coalesce
+        beside hash-partitioned ones.
+        """
+        rng = self.rng
+        shared = rng.choice(_DETAIL_TABLES) if rng.random() < 0.7 else None
+        subs = []
+        for _ in range(rng.choice((1, 2, 2, 3))):
+            sub = self.subquery([scope], self.config.max_depth, shared)
+            where = sub.where
+            if rng.random() < 0.3:
+                unequal = Cmp("<>", self.numeric_ref(_Scope(sub.alias,
+                                                            sub.table)),
+                              self.numeric_ref(scope))
+                where = unequal if where is None else AndP(where, unequal)
+            subs.append(Sub(sub.table, sub.alias, where,
+                            agg=self.aggregate(sub.table)))
+        return tuple(subs)
 
     # -- outer predicate -----------------------------------------------------
 
@@ -265,4 +296,12 @@ def random_query(
     builder = _QueryBuilder(rng, config)
     scope = _Scope("b", "B")
     predicate = builder.outer_predicate(scope)
-    return QueryIR("B", "b", ("k", "x", "s"), predicate)
+    # Drawn after the predicate, so a seed's WHERE clause is the one it
+    # had before the grammar knew SELECT-list subqueries.
+    select_subs: tuple[Sub, ...] = ()
+    if rng.random() < config.select_list_probability:
+        select_subs = builder.select_list(scope)
+        beside = rng.random()
+        if beside >= 0.5:
+            predicate = builder.plain_leaf(scope) if beside < 0.8 else None
+    return QueryIR("B", "b", ("k", "x", "s"), predicate, select_subs)

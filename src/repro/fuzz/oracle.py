@@ -3,8 +3,11 @@
 A *case* is a (database, query) pair.  The oracle runs the query through
 
 * every SQL-capable planner strategy (``naive``, ``native``,
-  ``unnest_join``, ``gmdj``, ``gmdj_coalesce``, ``gmdj_completion``,
-  ``gmdj_optimized``) and
+  ``unnest_join``, ``gmdj``, ``gmdj_optimized``),
+* the two Section 4 ablations (``gmdj_coalesce``, ``gmdj_completion``):
+  fuzz engines, not strategies — their plans are built with the
+  translator's ``coalesce=`` / ``completion=`` flags and run,
+  pre-translated, under ``gmdj`` — and
 * the plain ``gmdj`` translation at further (kernel, fragmenter) points
   of the physical pipeline — base-chunked, detail-partitioned, python
   batch and numpy kernels (with deliberately tiny budgets so
@@ -38,6 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.engine.database import Database
+from repro.engine.planner import plan_for
 from repro.errors import ReproError, TranslationError
 from repro.fuzz.datagen import DatabaseSpec
 from repro.gmdj.physical import (
@@ -54,10 +58,15 @@ STRATEGY_ENGINES = (
     "native",
     "unnest_join",
     "gmdj",
-    "gmdj_coalesce",
-    "gmdj_completion",
     "gmdj_optimized",
 )
+
+#: Ablation engines: ``subquery_to_gmdj(optimize=True, **flags)`` plans
+#: executed as pre-translated plans under the ``gmdj`` strategy.
+ABLATION_ENGINES = {
+    "gmdj_coalesce": dict(coalesce=True, completion=False),
+    "gmdj_completion": dict(coalesce=False, completion=True),
+}
 
 #: Tiny fragmentation knobs: fuzz databases hold ~10 rows per table, so
 #: these force multiple chunks / partitions / batches on nearly every
@@ -66,28 +75,30 @@ FUZZ_MEMORY_TUPLES = 2
 FUZZ_PARTITIONS = 3
 FUZZ_CHUNK_SIZE = 3
 
-#: Physical-pipeline engines: the ``gmdj`` translation evaluated at one
+#: Physical-pipeline engines: a GMDJ strategy's plan evaluated at one
 #: (kernel, fragmenter) point each, as ``select_kernel`` /
-#: ``select_fragmenter`` keyword arguments, once per ``optimize`` flag of
-#: the third element — ``False`` is the plain translation, ``True`` the
-#: coalesced one with its completion rules, so the array kernel meets
-#: Thm 4.1/4.2 plans under the oracle too.  ``gmdj_numpy`` is recorded
-#: as a skip when the optional numpy extra is not installed.
+#: ``select_fragmenter`` keyword arguments, once per strategy of the
+#: third element — ``gmdj`` is the plain translation, ``gmdj_optimized``
+#: the coalesced one with its completion rules, so the array kernel
+#: meets Thm 4.1/4.2 plans under the oracle too.  ``gmdj_numpy`` is
+#: recorded as a skip when the optional numpy extra is not installed.
 MODE_ENGINES = {
     "gmdj_chunked": (dict(backend="row"),
-                     dict(chunk_budget=FUZZ_MEMORY_TUPLES), (False,)),
+                     dict(chunk_budget=FUZZ_MEMORY_TUPLES), ("gmdj",)),
     "gmdj_parallel": (dict(backend="row"),
-                      dict(partitions=FUZZ_PARTITIONS), (False,)),
-    "gmdj_vectorized": (dict(chunk_size=FUZZ_CHUNK_SIZE), dict(), (False,)),
+                      dict(partitions=FUZZ_PARTITIONS), ("gmdj",)),
+    "gmdj_vectorized": (dict(chunk_size=FUZZ_CHUNK_SIZE), dict(),
+                        ("gmdj",)),
     "gmdj_numpy": (dict(backend="numpy", chunk_size=FUZZ_CHUNK_SIZE),
-                   dict(), (False, True)),
+                   dict(), ("gmdj", "gmdj_optimized")),
 }
 
 #: Cold-then-warm replay through the semantic rollup store
 #: (:mod:`repro.engine.rollup`); divergence kind "rollup-divergence".
 ROLLUP_ENGINES = ("gmdj_rollup_warm",)
 
-ALL_ENGINES = STRATEGY_ENGINES + tuple(MODE_ENGINES) + ROLLUP_ENGINES
+ALL_ENGINES = (STRATEGY_ENGINES + tuple(ABLATION_ENGINES)
+               + tuple(MODE_ENGINES) + ROLLUP_ENGINES)
 
 
 @dataclass
@@ -182,18 +193,15 @@ def lint_findings(database: Database, repro_sql: str) -> list[tuple[str, object]
         # The frontend rejected the SQL; every engine will report that
         # on its own — there is no plan to verify.
         return findings
-    builders = (
-        ("query", lambda: query),
-        ("gmdj", lambda: subquery_to_gmdj(query, database.catalog)),
-        ("gmdj_optimized",
-         lambda: subquery_to_gmdj(query, database.catalog, optimize=True)),
-    )
-    seen: set[tuple[str, str, str]] = set()
-    for label, build in builders:
+    plans = [("query", query)]
+    for strategy in ("gmdj", "gmdj_optimized"):
         try:
-            plan = build()
+            plans.append(
+                (strategy, plan_for(query, database.catalog, strategy)))
         except TranslationError:
             continue
+    seen: set[tuple[str, str, str]] = set()
+    for label, plan in plans:
         report = lint_plan(plan, database.catalog, advice=False)
         for diagnostic in report.errors:
             key = (diagnostic.code, diagnostic.path, diagnostic.message)
@@ -225,14 +233,9 @@ def capability_violations(database: Database, repro_sql: str) -> list[str]:
     except ReproError:
         return []
     problems: list[str] = []
-    builders = (
-        ("gmdj", lambda: subquery_to_gmdj(query, database.catalog)),
-        ("gmdj_optimized",
-         lambda: subquery_to_gmdj(query, database.catalog, optimize=True)),
-    )
-    for label, build in builders:
+    for label in ("gmdj", "gmdj_optimized"):
         try:
-            plan = build()
+            plan = plan_for(query, database.catalog, label)
         except TranslationError:
             continue
         certificate = certify_capabilities(plan, database.catalog)
@@ -365,19 +368,23 @@ def run_differential(
             if engine in MODE_ENGINES:
                 from repro.storage.npcolumns import HAVE_NUMPY
 
-                kernel, fragmenter, optimize_flags = MODE_ENGINES[engine]
+                kernel, fragmenter, strategies = MODE_ENGINES[engine]
                 if kernel.get("backend") == "numpy" and not HAVE_NUMPY:
                     outcome.skipped.append(engine)
                     continue
                 query = database.sql(repro_sql)
                 results = [
                     evaluate_plan(
-                        subquery_to_gmdj(query, database.catalog,
-                                         optimize=optimize),
+                        plan_for(query, database.catalog, strategy),
                         database.catalog, select_kernel(**kernel),
                         select_fragmenter(**fragmenter))
-                    for optimize in optimize_flags
+                    for strategy in strategies
                 ]
+            elif engine in ABLATION_ENGINES:
+                plan = subquery_to_gmdj(
+                    database.sql(repro_sql), database.catalog,
+                    optimize=True, **ABLATION_ENGINES[engine])
+                results = [database.execute(plan, QueryOptions("gmdj"))]
             else:
                 results = [database.execute_sql(repro_sql,
                                                 QueryOptions(engine))]

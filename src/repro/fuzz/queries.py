@@ -107,7 +107,7 @@ class NotP:
 
 @dataclass(frozen=True)
 class AggSpecIR:
-    """The aggregate of an :class:`AggCmp` subquery."""
+    """The aggregate of an :class:`AggCmp` or SELECT-list subquery."""
 
     func: str  # count | sum | avg | min | max
     column: str | None  # None => count(*)
@@ -119,8 +119,9 @@ class Sub:
     """One subquery block: table, alias, optional WHERE, and its role.
 
     ``item`` names the column produced for IN / quantified comparisons;
-    ``agg`` holds the aggregate for scalar comparisons; EXISTS subqueries
-    carry neither and render as ``SELECT *``.
+    ``agg`` holds the aggregate for scalar comparisons and SELECT-list
+    subqueries; EXISTS subqueries carry neither and render as
+    ``SELECT *``.
     """
 
     table: str
@@ -132,12 +133,19 @@ class Sub:
 
 @dataclass(frozen=True)
 class QueryIR:
-    """The outer block: ``SELECT columns FROM table alias WHERE where``."""
+    """The outer block: ``SELECT columns, (select_subs...) FROM table
+    alias [WHERE where]``.
+
+    ``select_subs`` are aggregate subqueries in the SELECT list (each
+    carries ``agg``) — the APPLY position; ``where`` is None for a block
+    without a WHERE clause.
+    """
 
     table: str
     alias: str
     columns: tuple[str, ...]
-    where: object
+    where: object | None
+    select_subs: tuple[Sub, ...] = ()
 
 
 #: Predicate leaves that contain a subquery.
@@ -146,6 +154,8 @@ SUBQUERY_LEAVES = (ExistsP, InP, QuantCmp, AggCmp)
 
 def predicate_size(node) -> int:
     """Node count of a predicate tree — the shrinker's progress metric."""
+    if node is None:
+        return 0
     if isinstance(node, (AndP, OrP)):
         return 1 + predicate_size(node.left) + predicate_size(node.right)
     if isinstance(node, NotP):
@@ -183,11 +193,14 @@ class _Renderer:
     """Common recursive renderer; subclasses override the quantifier."""
 
     def query(self, ir: QueryIR) -> str:
-        select = ", ".join(f"{ir.alias}.{c}" for c in ir.columns)
-        return (
-            f"SELECT {select} FROM {ir.table} {ir.alias} "
-            f"WHERE {self.predicate(ir.where)}"
-        )
+        items = [f"{ir.alias}.{c}" for c in ir.columns]
+        for position, sub in enumerate(ir.select_subs, start=1):
+            agg = _agg_text(sub.agg, sub.alias)
+            items.append(f"({self._sub_select(agg, sub)}) AS a{position}")
+        text = f"SELECT {', '.join(items)} FROM {ir.table} {ir.alias}"
+        if ir.where is not None:
+            text += f" WHERE {self.predicate(ir.where)}"
+        return text
 
     def predicate(self, node) -> str:
         if isinstance(node, AndP):

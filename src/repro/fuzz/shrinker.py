@@ -4,10 +4,11 @@ Classic greedy delta-debugging, specialized to the fuzzer's IR: a move
 either removes table rows (chunks of halving size, then single rows) or
 applies a one-step structural simplification to the predicate tree —
 take one side of an AND/OR, unwrap a NOT, clear a negation flag, drop a
-subquery-local conjunct, or pull an integer literal toward zero.  A move
-is kept only when the shrunk case *still fails* the differential check,
-so the output reproduces the original divergence with as little noise as
-possible.  Progress is measured by (total rows, predicate node count),
+subquery-local conjunct, or pull an integer literal toward zero — or to
+the SELECT list: drop one subquery item, or simplify its block the same
+way.  A move is kept only when the shrunk case *still fails* the
+differential check, so the output reproduces the original divergence
+with as little noise as possible.  Progress is measured by (total rows, predicate node count),
 which strictly decreases except for literal moves (bounded separately),
 so the loop terminates.
 """
@@ -113,9 +114,27 @@ def _literal_weight(node) -> int:
     return 0
 
 
+def _query_candidates(ir: QueryIR) -> Iterator[QueryIR]:
+    """One-step simplifications of the whole query, smaller-first."""
+    subs = ir.select_subs
+    for position in range(len(subs)):
+        yield replace(ir, select_subs=subs[:position] + subs[position + 1:])
+    if ir.where is not None:
+        for where in _predicate_candidates(ir.where):
+            yield replace(ir, where=where)
+    for position, sub in enumerate(subs):
+        for smaller in _sub_candidates(sub):
+            yield replace(ir, select_subs=(
+                subs[:position] + (smaller,) + subs[position + 1:]))
+
+
 def _case_size(dbspec: DatabaseSpec, ir: QueryIR) -> tuple[int, int, int]:
-    return (dbspec.total_rows(), predicate_size(ir.where),
-            _literal_weight(ir.where))
+    wheres = [ir.where] + [sub.where for sub in ir.select_subs]
+    return (
+        dbspec.total_rows(),
+        sum(map(predicate_size, wheres)) + 2 * len(ir.select_subs),
+        sum(_literal_weight(where) for where in wheres if where is not None),
+    )
 
 
 def shrink_case(
@@ -152,8 +171,7 @@ def shrink_case(
                 dbspec = candidate_db
                 improved = True
                 break
-        for where in _predicate_candidates(ir.where):
-            candidate_ir = replace(ir, where=where)
+        for candidate_ir in _query_candidates(ir):
             before = _case_size(dbspec, ir)
             if (_case_size(dbspec, candidate_ir) < before
                     and check(dbspec, candidate_ir)):

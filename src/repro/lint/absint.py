@@ -681,7 +681,7 @@ class _NullabilityPass:
 
     def _env_Apply(self, node: Apply,
                    schema: Schema) -> list[Nullability] | None:
-        resolved = self._child_env(node.child)
+        resolved = self._child_env(node.input)
         if resolved is None:
             return None
         verdicts = list(resolved[1])

@@ -19,10 +19,11 @@ carrying a machine-readable payload behind ``.json()``:
 and IOStats counter deltas — then runs the invariant checker over the
 trace so the paper's cost claims are verified on every analyzed query.
 Multi-worker runs' span subtrees are grafted back into the coordinator
-trace.  For the coalescing strategies (``auto``, ``gmdj_optimized``,
-``gmdj_coalesce``) the renderer derives the Prop. 4.1 expectation
-automatically: any stored table that is the detail of exactly one GMDJ
-in the optimized plan must be detail-scanned exactly once at runtime.
+trace.  Every surface here asks :func:`repro.engine.planner.plan_for`
+for the tree the options execute — what is rendered, linted and
+certified is what runs — and the Prop. 4.1 expectation is read off that
+tree: any stored table that is the detail of exactly one GMDJ in it
+must be detail-scanned exactly once at runtime.
 """
 
 from __future__ import annotations
@@ -55,32 +56,6 @@ class Explain(str):
         """The machine-readable payload behind the text rendering."""
         return self.payload
 
-#: Strategies whose plans claim coalesced (single-scan) evaluation.
-COALESCING_STRATEGIES = frozenset({"auto", "gmdj_optimized", "gmdj_coalesce"})
-
-
-def derive_single_scan_tables(plan) -> frozenset[str]:
-    """Tables that a coalesced plan promises to detail-scan exactly once.
-
-    A stored table appearing as the detail of exactly one GMDJ node is
-    scanned once per Prop. 4.1; a table feeding several GMDJs (a plan
-    the optimizer could not merge) makes no single-scan promise.
-    """
-    from repro.algebra.operators import ScanTable
-    from repro.gmdj.operator import GMDJ
-
-    counts: dict[str, int] = {}
-
-    def visit(node) -> None:
-        if isinstance(node, GMDJ) and isinstance(node.detail, ScanTable):
-            name = node.detail.table_name
-            counts[name] = counts.get(name, 0) + 1
-        for child in node.children():
-            visit(child)
-
-    visit(plan)
-    return frozenset(name for name, count in counts.items() if count == 1)
-
 
 def _coerce(options):
     from repro.engine.options import QueryOptions
@@ -111,9 +86,13 @@ def executed_summary(trace) -> dict:
     """What actually ran, read off the finished trace.
 
     Returns a dict with the executed ``strategy``, ``kernel`` and
-    ``fragmenter`` (from the planner's ``query`` span — this reflects
-    ``auto``/``cost_based`` resolution and the ``REPRO_BACKEND``
-    environment hook, which the requested options alone cannot show)
+    ``fragmenter`` (from the planner's ``query`` span — ``plain`` when a
+    GMDJ strategy had nothing to translate, and the kernel reflects the
+    ``REPRO_BACKEND`` environment hook, which the requested options
+    alone cannot show), ``apply_loops`` — how many APPLY nodes the
+    translator left as tuple-at-a-time loops, with
+    ``apply_loop_reasons`` saying why (from the ``SubqueryToGMDJ`` span,
+    so absent when the translation came from the plan cache) —
     plus, for batch-kernel scans, the total batch ``chunks`` processed
     and the ``chunk_size`` in effect.  When the numpy kernel ran, the
     summary names the ``backend``, says per hash block how its detail
@@ -127,12 +106,18 @@ def executed_summary(trace) -> dict:
     key_lookup: list[str] = []
     shared_keys: list[int] = []
     fallbacks: list[str] = []
+    apply_loops: list[int] = []
+    apply_loop_reasons: list[str] = []
     for span_ in trace.walk():
         if span_.kind == "query":
             summary["strategy"] = span_.attrs.get("strategy")
             for key in ("kernel", "fragmenter"):
                 if key in span_.attrs:
                     summary[key] = span_.attrs[key]
+        elif span_.kind == "translate":
+            apply_loops.append(span_.attrs.get("apply_loops", 0))
+            apply_loop_reasons.extend(
+                span_.attrs.get("apply_loop_reasons", ()))
         elif span_.kind == "detail_scan" and span_.attrs.get("vectorized"):
             summary["chunks"] = (
                 summary.get("chunks", 0) + span_.attrs.get("chunks", 0)
@@ -157,6 +142,10 @@ def executed_summary(trace) -> dict:
         summary["shared_keys"] = shared_keys
     if fallbacks:
         summary["fallbacks"] = fallbacks
+    if apply_loops:
+        summary["apply_loops"] = sum(apply_loops)
+    if apply_loop_reasons:
+        summary["apply_loop_reasons"] = apply_loop_reasons
     return summary
 
 
@@ -188,22 +177,14 @@ def rollup_summary(trace) -> str | None:
             f" — {tier}")
 
 
-def _static_plan(db, query, options):
-    """The plan the given options would statically verify/execute."""
-    options = _coerce(options)
-    resolved = options.canonical().strategy
-    if resolved in ("auto", "gmdj_optimized"):
-        from repro.unnesting.translate import subquery_to_gmdj
+def _plan(db, query, options):
+    """The tree the options execute (:func:`repro.engine.planner.plan_for`)."""
+    from repro.engine.planner import plan_for
 
-        return subquery_to_gmdj(query, db.catalog, optimize=True)
-    if resolved in ("gmdj", "gmdj_coalesce", "gmdj_completion"):
-        from repro.unnesting.translate import subquery_to_gmdj
-
-        return subquery_to_gmdj(query, db.catalog)
-    return query
+    return plan_for(query, db.catalog, _coerce(options).canonical().strategy)
 
 
-def static_report(db, query, options="auto"):
+def static_report(db, query, options=None):
     """Lint + cost-certify the plan the given options would execute.
 
     Returns ``(lint_report, certificate)`` — the
@@ -213,22 +194,8 @@ def static_report(db, query, options="auto"):
     """
     from repro.lint import certify_plan, lint_plan
 
-    plan = _static_plan(db, query, options)
+    plan = _plan(db, query, options)
     return lint_plan(plan, db.catalog), certify_plan(plan)
-
-
-def capability_report(db, query, options="auto"):
-    """The capability certificate of the plan the options would execute.
-
-    The abstract-interpretation companion of :func:`static_report`: the
-    per-output-column nullability lattice, per-aggregate Gray et al.
-    classification, and θ-block predicate facts of the same plan
-    (:func:`repro.lint.absint.certify_capabilities`).
-    """
-    from repro.lint import certify_capabilities
-
-    plan = _static_plan(db, query, options)
-    return certify_capabilities(plan, db.catalog)
 
 
 def _certifiable(canonical) -> bool:
@@ -245,36 +212,37 @@ def _certifiable(canonical) -> bool:
     return canonical.rollup is None and canonical.fragmenter() is None
 
 
-def analyze(db, query, options="auto", strict: bool = False):
+def analyze(db, query, options=None, strict: bool = False):
     """Execute ``query`` under tracing and check invariants.
 
     Returns ``(report, invariants, single_scan_tables)`` where
     ``report`` is the traced
     :class:`~repro.engine.reports.ExecutionReport` and ``invariants``
-    the :class:`~repro.obs.invariants.InvariantReport`.  For
-    coalescing strategies without a fragmenter — every kernel emits the
-    same gmdj/detail_scan span structure and counts — the statically
-    derived
-    :class:`~repro.lint.cost.CostCertificate` is cross-checked against
-    the trace (chunked/partitioned runs produce different span kinds,
-    so their exact counts are not comparable).
+    the :class:`~repro.obs.invariants.InvariantReport`.  The Prop. 4.1
+    expectation and the :class:`~repro.lint.cost.CostCertificate` are
+    both derived from the tree the options execute; without a
+    fragmenter — every kernel emits the same gmdj/detail_scan span
+    structure and counts — they are cross-checked against the trace
+    (chunked/partitioned runs scan a detail once per fragment and
+    produce different span kinds, so their counts are not comparable).
     """
+    from repro.lint import certify_plan
+
     options = _coerce(options)
+    return _run_checked(db, query, options,
+                        certify_plan(_plan(db, query, options)), strict)
+
+
+def _run_checked(db, query, options, certificate, strict: bool):
+    """:func:`analyze` given the executed plan's cost certificate."""
     canonical = options.canonical()
     expectations: frozenset[str] = frozenset()
-    certificate = None
-    if canonical.strategy in COALESCING_STRATEGIES:
-        from repro.lint import certify_plan
-        from repro.unnesting.translate import subquery_to_gmdj
-
-        plan = subquery_to_gmdj(query, db.catalog, optimize=True)
-        expectations = derive_single_scan_tables(plan)
-        if _certifiable(canonical):
-            certificate = certify_plan(plan)
+    if canonical.fragmenter() is None:
+        expectations = certificate.single_scan_tables
     report = db._run(query, options.with_trace(True), profiled=True)
     invariants = check_trace(
         report.trace, single_scan_tables=expectations, strict=strict,
-        certificate=certificate,
+        certificate=certificate if _certifiable(canonical) else None,
     )
     return report, invariants, expectations
 
@@ -311,32 +279,7 @@ def _capability_check(result, capabilities) -> dict | None:
     }
 
 
-#: Inside :func:`explain_report` the ``analyze`` keyword shadows the
-#: function, so the call goes through this alias.
-analyze_query = analyze
-
-
-def _plan_text(db, query, options) -> str:
-    """Render the plan the given options would execute (EXPLAIN proper)."""
-    from repro.algebra.printer import explain as render_plan
-    from repro.engine.options import STRATEGIES
-    from repro.errors import PlanError
-
-    resolved = options.canonical().strategy
-    if resolved in ("auto", "gmdj_optimized"):
-        from repro.unnesting.translate import subquery_to_gmdj
-
-        return render_plan(subquery_to_gmdj(query, db.catalog, optimize=True))
-    if resolved in ("gmdj", "gmdj_coalesce", "gmdj_completion"):
-        from repro.unnesting.translate import subquery_to_gmdj
-
-        return render_plan(subquery_to_gmdj(query, db.catalog))
-    if resolved in STRATEGIES:
-        return render_plan(query)
-    raise PlanError(f"unknown strategy {resolved!r}")
-
-
-def explain_report(db, query, options="auto", *, analyze: bool = False,
+def explain_report(db, query, options=None, *, analyze: bool = False,
                    strict: bool = False) -> Explain:
     """The unified EXPLAIN entry point behind ``Database.explain`` /
     ``explain_analyze`` and the CLI.
@@ -347,10 +290,14 @@ def explain_report(db, query, options="auto", *, analyze: bool = False,
     ``analyze=True`` the query executes **once** under tracing and both
     the text and the payload are derived from that single run.
     """
+    from repro.algebra.printer import explain as render_plan
+    from repro.lint import certify_capabilities, certify_plan, lint_plan
+
     options = _coerce(options)
-    plan_text = _plan_text(db, query, options)
-    lint, certificate = static_report(db, query, options)
-    capabilities = capability_report(db, query, options)
+    plan = _plan(db, query, options)
+    plan_text = render_plan(plan)
+    lint, certificate = lint_plan(plan, db.catalog), certify_plan(plan)
+    capabilities = certify_capabilities(plan, db.catalog)
     canonical = options.canonical()
     payload: dict = {
         "strategy": options.strategy,
@@ -365,8 +312,8 @@ def explain_report(db, query, options="auto", *, analyze: bool = False,
     if not analyze:
         return Explain(plan_text, payload)
 
-    report, invariants, expectations = analyze_query(
-        db, query, options, strict
+    report, invariants, expectations = _run_checked(
+        db, query, options, certificate, strict
     )
     counters = ", ".join(
         f"{key}={value}"
@@ -474,7 +421,7 @@ def explain_batch(db, queries, options=None) -> Explain:
         })
     singles_payload = []
     for index in plan.singletons:
-        text = _plan_text(db, queries[index], options)
+        text = render_plan(_plan(db, queries[index], options))
         lines.append(f"-- query {index} (no sharing)")
         lines.append(text)
         singles_payload.append({"index": index, "plan": text})
@@ -489,7 +436,7 @@ def explain_batch(db, queries, options=None) -> Explain:
     return Explain("\n".join(lines), payload)
 
 
-def explain_analyze(db, query, options="auto", strict: bool = False) -> str:
+def explain_analyze(db, query, options=None, strict: bool = False) -> str:
     """The full EXPLAIN ANALYZE text: plan, trace, counters, invariants.
 
     Thin wrapper over :func:`explain_report` (one execution; the same
@@ -498,7 +445,7 @@ def explain_analyze(db, query, options="auto", strict: bool = False) -> str:
     return explain_report(db, query, options, analyze=True, strict=strict)
 
 
-def explain_analyze_json(db, query, options="auto",
+def explain_analyze_json(db, query, options=None,
                          strict: bool = False) -> dict:
     """Machine-readable EXPLAIN ANALYZE (the ``--json`` trace export)."""
     return explain_report(
@@ -507,12 +454,9 @@ def explain_analyze_json(db, query, options="auto",
 
 
 __all__ = [
-    "COALESCING_STRATEGIES",
     "Explain",
     "InvariantReport",
     "analyze",
-    "capability_report",
-    "derive_single_scan_tables",
     "executed_summary",
     "explain_analyze",
     "explain_analyze_json",

@@ -73,6 +73,9 @@ class _Translator:
         self.catalog = catalog
         self.names = NameGenerator()
         self._push_counter = 0
+        #: One :func:`~repro.algebra.apply_op.loop_reason` per APPLY left
+        #: as a tuple-at-a-time loop.
+        self.apply_loops: list[str] = []
 
     # -- public ---------------------------------------------------------------
 
@@ -81,16 +84,16 @@ class _Translator:
         rebuilt = map_children(operator, self.translate_operator)
         if isinstance(rebuilt, NestedSelect):
             return self._translate_nested_select(rebuilt)
-        from repro.algebra.apply_op import Apply, apply_to_gmdj
+        from repro.algebra.apply_op import Apply, apply_to_gmdj, loop_reason
 
         if isinstance(rebuilt, Apply):
-            try:
-                return apply_to_gmdj(
-                    rebuilt, self.catalog,
-                    count_name=self.names.fresh("cnt"),
-                )
-            except TranslationError:
-                return rebuilt  # scalar / nested APPLY stays a loop
+            reason = loop_reason(rebuilt)
+            if reason is not None:
+                self.apply_loops.append(reason)
+                return rebuilt
+            return apply_to_gmdj(
+                rebuilt, self.catalog, count_name=self.names.fresh("cnt"),
+            )
         return rebuilt
 
     # -- core -----------------------------------------------------------------
@@ -410,15 +413,22 @@ def subquery_to_gmdj(query, catalog: Catalog, optimize: bool = False,
                      coalesce: bool = True, completion: bool = True):
     """Translate a nested query into a GMDJ plan (Algorithm SubqueryToGMDJ).
 
-    ``query`` is any operator tree; every :class:`NestedSelect` inside it
-    is rewritten.  With ``optimize=True`` the Section 4 optimizations
-    (coalescing, completion fusion) are applied to the result; the two
-    flags select them individually for ablation studies.
+    ``query`` is any operator tree; every :class:`NestedSelect` and
+    every APPLY with a counting form inside it is rewritten.  With
+    ``optimize=True`` the Section 4 optimizations (coalescing,
+    completion fusion) are applied to the result; the two flags select
+    them individually for ablation studies.  The ``SubqueryToGMDJ`` span
+    records how many APPLY nodes stayed loops (``apply_loops``) and why
+    (``apply_loop_reasons``).
     """
     from repro.obs.tracer import span
 
-    with span("SubqueryToGMDJ", kind="translate", optimize=optimize):
-        plan = _Translator(catalog).translate_operator(query)
+    with span("SubqueryToGMDJ", kind="translate", optimize=optimize) as sp:
+        translator = _Translator(catalog)
+        plan = translator.translate_operator(query)
+        sp.set(apply_loops=len(translator.apply_loops))
+        if translator.apply_loops:
+            sp.set(apply_loop_reasons=list(translator.apply_loops))
         if optimize:
             from repro.gmdj.optimize import optimize_plan
 

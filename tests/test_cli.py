@@ -131,7 +131,7 @@ class TestExplainSubcommand:
                              "--analyze"])
         assert code == 0
         # Prefix only: REPRO_BACKEND in the environment appends " kernel=...".
-        assert "-- EXPLAIN ANALYZE (strategy=auto" in out
+        assert "-- EXPLAIN ANALYZE (strategy=gmdj_optimized" in out
         assert "detail_scan" not in out  # spans render by name, not kind
         assert "scan [" in out
         assert "tuples_scanned=" in out
@@ -163,7 +163,7 @@ class TestExplainSubcommand:
                              "--analyze", "--json"])
         assert code == 0
         payload = json.loads(out)
-        assert payload["strategy"] == "auto"
+        assert payload["strategy"] == "gmdj_optimized"
         assert payload["invariants"]["violations"] == []
         assert payload["trace"]["spans"][0]["kind"] == "query"
 
@@ -174,7 +174,7 @@ class TestExplainSubcommand:
                              "--json"])
         assert code == 0
         payload = json.loads(out)
-        assert payload["strategy"] == "auto"
+        assert payload["strategy"] == "gmdj_optimized"
         assert "plan" in payload and "certificate" in payload
         assert "trace" not in payload  # nothing executed
 
@@ -211,7 +211,7 @@ class TestServeSubcommand:
         assert args.workers == 4
         assert args.queue_depth == 64
         assert args.deadline_ms == 30_000.0
-        assert args.strategy == "auto"
+        assert args.strategy == "gmdj_optimized"
         assert args.rollup is None
 
     def test_data_must_be_directory(self, tmp_path):

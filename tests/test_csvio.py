@@ -3,7 +3,15 @@
 import pytest
 
 from repro.errors import SchemaError
-from repro.storage import DataType, Relation, load_csv, save_csv
+from repro.storage import (
+    Catalog,
+    DataType,
+    Relation,
+    load_catalog,
+    load_csv,
+    save_catalog,
+    save_csv,
+)
 from repro.storage.schema import Field, Schema
 
 
@@ -82,3 +90,31 @@ class TestErrors:
         path.write_text("x:decimal\n1\n")
         with pytest.raises(SchemaError):
             load_csv(path)
+
+
+class TestCatalogPersistence:
+    def test_round_trip(self, relation, tmp_path):
+        catalog = Catalog()
+        catalog.create_table("A", relation)
+        catalog.create_table("B", Relation.from_columns(
+            [("x", DataType.FLOAT)], [(1.5,), (None,)],
+        ))
+        save_catalog(catalog, tmp_path / "db")
+        loaded = load_catalog(tmp_path / "db")
+        assert loaded.table_names() == ["A", "B"]
+        assert loaded.table("A").bag_equal(catalog.table("A"))
+        assert loaded.table("B").bag_equal(catalog.table("B"))
+
+    def test_save_returns_paths(self, relation, tmp_path):
+        catalog = Catalog()
+        catalog.create_table("A", relation)
+        written = save_catalog(catalog, tmp_path)
+        assert [p.name for p in written] == ["A.csv"]
+
+    def test_indexes_not_persisted(self, relation, tmp_path):
+        catalog = Catalog()
+        catalog.create_table("A", relation)
+        catalog.create_hash_index("A", ["k"])
+        save_catalog(catalog, tmp_path)
+        loaded = load_catalog(tmp_path)
+        assert loaded.hash_index("A", ["k"]) is None

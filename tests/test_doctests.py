@@ -7,7 +7,6 @@ import pytest
 
 MODULES = [
     "repro.engine.database",
-    "repro.engine.statistics",
     "repro.storage.iostats",
 ]
 

@@ -3,17 +3,19 @@
 import pytest
 from repro import QueryOptions
 
+from repro.algebra import has_subquery_form
 from repro.algebra.expressions import col, lit
 from repro.algebra.nested import Exists, NestedSelect, Subquery
 from repro.algebra.operators import ScanTable, Select
 from repro.engine import (
     Database,
     STRATEGIES,
-    contains_nested_select,
     execute,
     make_executor,
+    plan_for,
     profile,
 )
+from repro.unnesting import subquery_to_gmdj
 from repro.errors import BindError, CatalogError, PlanError
 from repro.storage import DataType
 
@@ -68,27 +70,65 @@ class TestDatabaseDDL:
             db.table("missing")
 
 
+#: The Section 4 ablations are translation flags, not strategy names:
+#: their plans run, pre-translated, under ``gmdj``.
+ABLATIONS = {
+    "gmdj_coalesce": dict(coalesce=True, completion=False),
+    "gmdj_completion": dict(coalesce=False, completion=True),
+}
+
+
 class TestStrategies:
-    @pytest.mark.parametrize("strategy", [s for s in STRATEGIES if s != "auto"])
+    def test_the_seven_names(self):
+        assert STRATEGIES == (
+            "naive", "native", "native_noindex", "unnest_join",
+            "unnest_join_noindex", "gmdj", "gmdj_optimized",
+        )
+        assert QueryOptions().strategy == "gmdj_optimized"
+
+    @pytest.mark.parametrize("strategy", STRATEGIES + tuple(ABLATIONS))
     def test_every_strategy_agrees(self, db, strategy):
         expected = db.execute(nested_query(), QueryOptions("naive"))
-        assert expected.bag_equal(db.execute(nested_query(), QueryOptions(strategy)))
+        query = nested_query()
+        if strategy in ABLATIONS:
+            query = subquery_to_gmdj(query, db.catalog, optimize=True,
+                                     **ABLATIONS[strategy])
+            strategy = "gmdj"
+        assert expected.bag_equal(db.execute(query, QueryOptions(strategy)))
 
     def test_auto_on_nested(self, db):
+        # The default options: a nested query goes through the GMDJ.
         expected = db.execute(nested_query(), QueryOptions("naive"))
-        assert expected.bag_equal(db.execute(nested_query(), QueryOptions("auto")))
+        report = db.profile(nested_query(), trace=True)
+        assert expected.bag_equal(report.result)
+        (query_span,) = report.trace.find(kind="query")
+        assert query_span.attrs["strategy"] == "gmdj_optimized"
 
     def test_auto_on_flat(self, db):
+        # ... and a subquery-free one is evaluated plainly.
         query = Select(ScanTable("B", "b"), col("b.X") > lit(2))
-        assert len(db.execute(query, QueryOptions("auto"))) == 2
+        report = db.profile(query, trace=True)
+        assert len(report.result) == 2
+        (query_span,) = report.trace.find(kind="query")
+        assert query_span.attrs == {"strategy": "plain"}
+        assert plan_for(query, db.catalog, "gmdj") is query
 
     def test_unknown_strategy(self, db):
         with pytest.raises(PlanError):
             db.execute(nested_query(), QueryOptions("quantum"))
+        with pytest.raises(PlanError):
+            plan_for(nested_query(), db.catalog, "quantum")
 
-    def test_contains_nested_select(self):
-        assert contains_nested_select(nested_query())
-        assert not contains_nested_select(ScanTable("B", "b"))
+    def test_has_subquery_form(self):
+        from repro.algebra.apply_op import Apply
+
+        assert has_subquery_form(nested_query())
+        assert has_subquery_form(Apply(
+            ScanTable("B", "b"),
+            Subquery(ScanTable("R", "r"), col("r.K") == col("b.K")),
+            "semi",
+        ))
+        assert not has_subquery_form(ScanTable("B", "b"))
 
     def test_module_level_execute(self, db):
         result = execute(nested_query(), db.catalog, "gmdj")

@@ -37,8 +37,7 @@ def test_example_runs(name, capsys):
 
 def test_expected_examples_present():
     assert {"quickstart", "netflow_analysis", "active_users",
-            "tpcr_subqueries", "cost_based_planning",
-            "distributed_gmdj"} <= set(EXAMPLES)
+            "tpcr_subqueries", "distributed_gmdj"} <= set(EXAMPLES)
 
 
 def test_quickstart_shows_figure1_numbers(capsys):

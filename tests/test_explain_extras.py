@@ -14,7 +14,7 @@ from repro.algebra.operators import (
     ScanTable,
 )
 from repro.algebra.printer import explain
-from repro.engine import Database
+from repro.engine import STRATEGIES, Database
 from repro.storage import DataType
 
 
@@ -73,3 +73,69 @@ class TestExplainAnalyze:
         )
         text = db.explain_analyze(query, QueryOptions("naive"))
         assert "NestedSelect" in text
+
+
+class TestExplainShowsThePlanThatRuns:
+    """EXPLAIN, ``static_report``, the analyzed certificate and ``repro
+    lint`` all ask ``planner.plan_for``; so does the runner.  Whatever
+    tree the executor walks is the tree every surface describes."""
+
+    QUERIES = {
+        "where_exists": (
+            "SELECT t.k FROM T t WHERE EXISTS "
+            "(SELECT * FROM U u WHERE u.k = t.k)"),
+        "select_list_siblings": (
+            "SELECT t.k, (SELECT COUNT(*) FROM U u WHERE u.k = t.k) AS n, "
+            "(SELECT MAX(v.k) FROM U v WHERE v.k <> t.k) AS m FROM T t"),
+        "subquery_free": "SELECT t.k FROM T t WHERE t.k > 1",
+    }
+
+    @staticmethod
+    def executed_plan(db, query, options, monkeypatch):
+        """Run ``query`` and return the tree the executor evaluated."""
+        from repro.engine import planner
+        from repro.gmdj import physical
+
+        seen = []
+
+        def recording(evaluator):
+            def evaluate(plan, *args, **kwargs):
+                seen.append(plan)
+                return evaluator(plan, *args, **kwargs)
+            return evaluate
+
+        monkeypatch.setattr(physical, "evaluate_plan",
+                            recording(physical.evaluate_plan))
+        for name, baseline in planner._BASELINES.items():
+            monkeypatch.setitem(planner._BASELINES, name,
+                                recording(baseline))
+        plain = type(query).evaluate
+        monkeypatch.setattr(
+            type(query), "evaluate",
+            lambda self, catalog: (
+                seen.append(self) if self is query else None,
+                plain(self, catalog))[1])
+        db.execute(query, options)
+        return seen[0]
+
+    @pytest.mark.parametrize("shape", sorted(QUERIES))
+    @pytest.mark.parametrize("strategy", ["default", *STRATEGIES])
+    def test_explain_renders_the_executed_tree(self, db, strategy, shape,
+                                               monkeypatch):
+        from repro.cli import _lint_one
+        from repro.obs.explain import static_report
+
+        options = QueryOptions(use_cache=False)
+        if strategy != "default":
+            options = QueryOptions(strategy, use_cache=False)
+        sql = self.QUERIES[shape]
+        query = db.sql(sql)
+        explained = db.explain(query, options)
+        analyzed = db.explain_analyze(query, options).json()
+        _, certificate = static_report(db, query, options)
+        _, linted, _ = _lint_one(db, sql, options.strategy, advice=False)
+        plan = self.executed_plan(db, query, options, monkeypatch)
+        assert explain(plan) == str(explained) == analyzed["plan"]
+        assert (analyzed["certificate"] == certificate.to_json()
+                == linted.to_json())
+        assert analyzed["invariants"]["violations"] == []

@@ -45,6 +45,10 @@ EXISTS_R_THETA = ("SELECT K FROM B WHERE EXISTS "
                   "(SELECT 1 FROM R WHERE R.K = B.K AND R.Y > 4)")
 EXISTS_S = ("SELECT K FROM B WHERE EXISTS "
             "(SELECT 1 FROM S WHERE S.K = B.K)")
+SELECT_LIST_COUNT = ("SELECT b.K, (SELECT COUNT(*) FROM R r "
+                     "WHERE r.K = b.K) AS n FROM B b")
+SELECT_LIST_SUM = ("SELECT b.K, (SELECT SUM(r.Y) FROM R r "
+                   "WHERE r.K = b.K AND r.Y > 4) AS total FROM B b")
 
 
 class TestFingerprint:
@@ -211,6 +215,21 @@ class TestExecuteBatchSurface:
         assert group.certified is True
         assert batch.report.certificate is not None
         assert "R" in batch.report.certificate.single_scan_tables
+
+    def test_select_list_members_share_under_default_options(self, db):
+        # SELECT-list subqueries (APPLY) reach the GMDJ by default, so
+        # two of them over one detail table are one share group.
+        members = [SELECT_LIST_COUNT, SELECT_LIST_SUM]
+        batch = db.execute_sql_batch(members)
+        (group,) = batch.report.groups
+        assert group.coalesced and group.detail_table == "R"
+        assert group.members == [0, 1]
+        assert batch.report.scans_saved >= 1
+        assert group.runtime_detail_scans == 1
+        off = QueryOptions(mqo="off", use_cache=False)
+        assert [r.rows for r in batch] == [
+            db.execute_sql(sql, off).rows for sql in members
+        ]
 
     def test_sequence_protocol(self, db):
         batch = db.execute_sql_batch([EXISTS_R, EXISTS_R_THETA, EXISTS_S])

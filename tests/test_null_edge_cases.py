@@ -24,8 +24,6 @@ from repro.engine import STRATEGIES, Database
 from repro.errors import TranslationError
 from repro.storage import DataType
 
-#: Strategies that execute real plans (``auto``/``cost_based`` delegate
-#: to one of these, but keep them in: delegation bugs count too).
 ALL_STRATEGIES = STRATEGIES
 
 

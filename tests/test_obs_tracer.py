@@ -201,7 +201,7 @@ class TestProfileIntegration:
 
     def test_tracing_not_leaked_after_profile(self):
         db = make_db()
-        profile(db.sql(self.SQL), db.catalog, "auto", trace=True)
+        profile(db.sql(self.SQL), db.catalog, trace=True)
         assert not tracing_enabled()
 
 

@@ -204,7 +204,7 @@ class TestLattice:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_batch_matches_solo(self, kernel, fragmenter):
         db = make_db()
-        options = options_at("auto", kernel, fragmenter)
+        options = options_at("gmdj_optimized", kernel, fragmenter)
         queries = [form_query("exists", bound) for bound in (0, 3)]
         batch = db.execute_batch(queries, options)
         for query, result in zip(queries, batch):
@@ -291,9 +291,13 @@ class TestRemovedSurface:
         with pytest.raises(TypeError):
             QueryOptions(mode="partitioned")
 
-    @pytest.mark.parametrize("name", ["gmdj_chunked", "gmdj_parallel"])
+    @pytest.mark.parametrize("name", [
+        "gmdj_chunked", "gmdj_parallel",
+        "auto", "cost_based", "gmdj_coalesce", "gmdj_completion",
+    ])
     def test_legacy_strategy_names_are_gone(self, name):
-        with pytest.raises(PlanError):
+        # No alias either: the error names the seven that remain.
+        with pytest.raises(PlanError, match="gmdj_optimized"):
             QueryOptions(strategy=name)
 
     def test_chunk_size_needs_a_batch_kernel(self):

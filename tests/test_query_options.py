@@ -30,7 +30,7 @@ SQL = ("SELECT K FROM B b WHERE EXISTS "
 class TestConstruction:
     def test_defaults(self):
         options = QueryOptions()
-        assert options.strategy == "auto"
+        assert options.strategy == "gmdj_optimized"
         assert options.backend is None
         assert options.use_cache is True
         assert options.trace is False
@@ -102,6 +102,7 @@ class TestCanonical:
         assert off.canonical() is off
 
     def test_every_strategy_is_known(self):
+        assert len(STRATEGIES) == 7
         assert GMDJ_STRATEGIES <= set(STRATEGIES)
         for strategy in STRATEGIES:
             QueryOptions(strategy=strategy)  # must not raise

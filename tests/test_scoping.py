@@ -95,22 +95,7 @@ class TestBareNameCapture:
         assert sorted(row[0] for row in result.rows) == [7]
 
 
-class TestSegmentedAndApplyScoping:
-    def test_segmented_apply_bare_names(self, db):
-        from repro.algebra.apply_op import Apply, evaluate_segmented
-        from repro.algebra.expressions import col
-        from repro.algebra.nested import Subquery
-        from repro.algebra.operators import ScanTable
-
-        apply = Apply(
-            ScanTable("T", "t"),
-            Subquery(ScanTable("U"), col("a") == col("t.a")),
-            "semi",
-        )
-        looped = apply.evaluate(db.catalog)
-        segmented = evaluate_segmented(apply, db.catalog)
-        assert looped.bag_equal(segmented)
-
+class TestApplyScoping:
     def test_apply_to_gmdj_bare_names(self, db):
         from repro.algebra.apply_op import Apply, apply_to_gmdj
         from repro.algebra.expressions import col

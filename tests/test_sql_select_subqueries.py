@@ -96,3 +96,44 @@ class TestExecution:
                "FROM customer c")
         result = db.execute_sql(sql, QueryOptions("gmdj_optimized"))
         assert all(row[1] == 99 for row in result.rows)
+
+
+class TestDefaultRouting:
+    """Under default options every subquery form reaches the GMDJ."""
+
+    SQL = TestExecution.SQL
+
+    def test_siblings_coalesce_into_one_scan(self, db):
+        report = db.profile_sql(self.SQL, QueryOptions(trace=True,
+                                                      use_cache=False))
+        expected = db.execute_sql(self.SQL, QueryOptions("native"))
+        assert report.result.rows == expected.rows
+        scans = report.trace.find(kind="detail_scan")
+        assert [s.attrs["relation"] for s in scans] == ["orders"]
+        (translate,) = report.trace.find(kind="translate")
+        assert translate.attrs["apply_loops"] == 0
+        assert "apply_loop_reasons" not in translate.attrs
+
+    def test_same_work_as_explicit_gmdj_optimized(self, db):
+        default = db.profile_sql(self.SQL, QueryOptions(use_cache=False))
+        named = db.profile_sql(
+            self.SQL, QueryOptions("gmdj_optimized", use_cache=False))
+        assert default.result.rows == named.result.rows
+        assert default.counters == named.counters
+
+    @pytest.mark.parametrize("sql, reason", [
+        ("SELECT c.ck, (SELECT o.price FROM orders o WHERE o.ck = c.ck "
+         "AND o.price > 20) AS big FROM customer c", "scalar item"),
+        ("SELECT c.ck, (SELECT count(*) FROM orders o WHERE o.ck = c.ck "
+         "AND EXISTS (SELECT * FROM customer d WHERE d.ck = o.ck)) AS n "
+         "FROM customer c", "nested inner predicate"),
+    ])
+    def test_loops_are_reported_with_their_reason(self, db, sql, reason):
+        options = QueryOptions(use_cache=False)
+        analyzed = db.explain_analyze(db.sql(sql), options)
+        executed = analyzed.json()["executed"]
+        assert executed["apply_loops"] == 1
+        assert executed["apply_loop_reasons"] == [reason]
+        assert f"apply_loops=1 apply_loop_reasons=['{reason}']" in analyzed
+        expected = db.execute_sql(sql, QueryOptions("naive"))
+        assert expected.bag_equal(db.execute_sql(sql, options))
