@@ -62,7 +62,9 @@ from repro.algebra.expressions import (
     TruthLiteral,
 )
 from repro.algebra.truth import Truth
-from repro.storage.npcolumns import NpColumn, numpy as _np
+from repro.storage.columnar import ColumnarRelation
+from repro.storage.npcolumns import NpColumn, column_array, numpy as _np
+from repro.storage.types import DataType
 
 #: Magnitudes beyond which int64 arithmetic may overflow (Python ints
 #: are arbitrary precision) or float64 conversion loses integer
@@ -152,6 +154,85 @@ def value_of_column(column: NpColumn) -> NpValue:
         return NpValue(column.values, null, "str",
                        dictionary=column.dictionary or [])
     return NpValue(column.values, null, _COLUMN_KINDS[column.kind])
+
+
+#: Declared dtype → the column kind an all-NULL column of it takes.
+_NULL_KINDS = {DataType.INTEGER: ("int", "int64"),
+               DataType.FLOAT: ("float", "float64"),
+               DataType.BOOLEAN: ("bool", "bool"),
+               DataType.STRING: ("dict", "int32")}
+
+_DTYPE_KINDS = {"b": "bool", "i": "int", "f": "float"}
+
+
+def column_of_value(value: NpValue, n: int, dtype: DataType) -> NpColumn:
+    """The inverse of :func:`value_of_column`: an expression's value over
+    ``n`` rows as a column an operator can emit.
+
+    Scalars are broadcast; a value that is NULL everywhere (the typeless
+    NULL literal, an aggregate nothing was added to) becomes a fully
+    masked column of the declared ``dtype``.
+    """
+    if value.kind == "null" or value.null is True:
+        kind, storage = _NULL_KINDS[dtype]
+        return NpColumn(kind, _np.zeros(n, dtype=storage),
+                        _np.zeros(n, dtype=bool),
+                        [] if kind == "dict" else None)
+    values = value.values
+    mask = None if value.null is False else ~value.null
+    if value.kind == "str":
+        if not _is_array(values):  # a string literal: a one-word dictionary
+            return NpColumn("dict", _np.zeros(n, dtype=_np.int32), mask,
+                            [values])
+        return NpColumn("dict", values, mask, value.dictionary)
+    if not _is_array(values):
+        values = _np.full(n, values)
+    kind = _DTYPE_KINDS.get(values.dtype.kind)
+    if kind is None or (kind == "int" and values.dtype != _np.int64):
+        raise NpUnsupported(f"no column form for dtype {values.dtype}")
+    return NpColumn(kind, values, mask, None)
+
+
+class Columns:
+    """The columns of one encoded relation as whole-column
+    :class:`NpValue` objects, wrapped on first use; ``resolve`` is the
+    :data:`Resolver` over its schema."""
+
+    __slots__ = ("columnar", "schema", "_by_position", "_by_ref")
+
+    def __init__(self, columnar: ColumnarRelation) -> None:
+        self.columnar = columnar
+        self.schema = columnar.schema
+        self._by_position: dict[int, NpValue] = {}
+        self._by_ref: dict[str, NpValue] = {}
+
+    def by_position(self, position: int) -> NpValue:
+        value = self._by_position.get(position)
+        if value is None:
+            column = column_array(self.columnar, position)
+            if column is None:
+                field = self.schema.fields[position]
+                raise NpUnsupported(
+                    f"object-encoded column {field.full_name}")
+            value = self._by_position[position] = value_of_column(column)
+        return value
+
+    def resolve(self, reference: str) -> NpValue:
+        value = self._by_ref.get(reference)
+        if value is None:
+            position = self.schema.index_of(reference)
+            value = self._by_ref[reference] = self.by_position(position)
+        return value
+
+    def word_codes(self, expression: Expression,
+                   value: NpValue) -> dict[str, int]:
+        """``word -> code`` of the string column ``expression`` evaluated
+        to: the encoding's cached inverse for a plain column reference."""
+        if isinstance(expression, Column):
+            return self.columnar.word_codes(
+                self.schema.index_of(expression.reference))
+        return {word: code
+                for code, word in enumerate(value.dictionary or [])}
 
 
 def value_of_scalar(value: Any) -> NpValue:

@@ -449,9 +449,10 @@ def _nested_matches(
     combined = left.schema.concat(right.schema)
     test = condition.bind(combined)
     stats.record_scan(len(left))
+    right_rows = right.rows
     for left_index, left_row in enumerate(left.rows):
-        stats.record_scan(len(right.rows))
-        for right_row in right.rows:
+        stats.record_scan(len(right_rows))
+        for right_row in right_rows:
             stats.join_pairs_considered += 1
             stats.predicate_evals += 1
             if test(left_row + right_row).is_true:
@@ -519,6 +520,7 @@ def _merge_matches(
         residual = clause if residual is None else (residual & clause)
     combined = left.schema.concat(right.schema)
     test = residual.bind(combined) if residual is not None else None
+    left_rows, right_rows = left.rows, right.rows
     i = j = 0
     while i < len(left_sorted) and j < len(right_sorted):
         lkey, _ = left_sorted[i]
@@ -536,9 +538,9 @@ def _merge_matches(
             while j_end < len(right_sorted) and right_sorted[j_end][0] == rkey:
                 j_end += 1
             for _, li in left_sorted[i:i_end]:
-                left_row = left.rows[li]
+                left_row = left_rows[li]
                 for _, ri in right_sorted[j:j_end]:
-                    right_row = right.rows[ri]
+                    right_row = right_rows[ri]
                     stats.join_pairs_considered += 1
                     if test is None:
                         yield li, right_row
@@ -556,9 +558,10 @@ def _emit_join(
     kind: str,
 ) -> Relation:
     stats = IOStats.ambient()
+    left_rows = left.rows
     if kind == "inner":
         schema = left.schema.concat(right.schema)
-        rows = [left.rows[li] + right_row for li, right_row in matches]
+        rows = [left_rows[li] + right_row for li, right_row in matches]
         stats.tuples_output += len(rows)
         return Relation(schema, rows, validate=False)
     if kind == "left":
@@ -567,9 +570,9 @@ def _emit_join(
         matched: set[int] = set()
         for li, right_row in matches:
             matched.add(li)
-            rows.append(left.rows[li] + right_row)
+            rows.append(left_rows[li] + right_row)
         padding = (None,) * len(right.schema)
-        for li, left_row in enumerate(left.rows):
+        for li, left_row in enumerate(left_rows):
             if li not in matched:
                 rows.append(left_row + padding)
         stats.tuples_output += len(rows)
@@ -577,9 +580,9 @@ def _emit_join(
     # semi / anti keep only left rows.
     matched_set = {li for li, _ in matches}
     if kind == "semi":
-        rows = [row for li, row in enumerate(left.rows) if li in matched_set]
+        rows = [row for li, row in enumerate(left_rows) if li in matched_set]
     else:
-        rows = [row for li, row in enumerate(left.rows) if li not in matched_set]
+        rows = [row for li, row in enumerate(left_rows) if li not in matched_set]
     stats.tuples_output += len(rows)
     return Relation(left.schema, rows, validate=False)
 

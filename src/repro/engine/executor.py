@@ -25,13 +25,19 @@ from repro.storage.iostats import collect
 
 
 def _detached(result: Relation, catalog: Catalog) -> Relation:
-    """``result``, snapshotted if it is a view of a stored table.
+    """``result`` as it leaves the engine: holding its row list, and
+    snapshotted if it is a view of a stored table.
 
-    Scan views share the stored row list, so a plan that only scans
-    (a bare ``SELECT * FROM t``) evaluates to that very list; what
-    leaves the engine must not change under a later ``insert``.
+    This is the one place a column-backed result (the numpy kernel's
+    output and the array-form operators above it) becomes tuples: the
+    read of ``rows`` below transposes it, inside the run's clock, so
+    nothing is deferred to the caller.  Scan views share the stored row
+    list, so a plan that only scans (a bare ``SELECT * FROM t``)
+    evaluates to that very list; what leaves the engine must not change
+    under a later ``insert``.
     """
-    if any(result.rows is catalog.table(name).rows
+    rows = result.rows
+    if any(rows is catalog.table(name).rows
            for name in catalog.table_names()):
         return result.copy()
     return result
@@ -84,8 +90,8 @@ def run(
             trace_obj = tracer.trace()
         else:
             result = runner()
-        elapsed = time.perf_counter() - started
         result = _detached(result, catalog)
+        elapsed = time.perf_counter() - started
     return ExecutionReport(
         strategy=options.strategy,
         elapsed_seconds=elapsed,

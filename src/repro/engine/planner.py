@@ -180,8 +180,13 @@ def make_executor(
     if strategy in _BASELINES:
         runner = partial(_BASELINES[strategy], query, catalog)
     elif _is_plain(query):
+        # Nothing to translate, but the same walk: under the numpy
+        # kernel the flat operators take their array forms.
+        from repro.gmdj.physical import evaluate_plan, select_kernel
+
         strategy = "plain"
-        runner = partial(query.evaluate, catalog)
+        runner = partial(evaluate_plan, query, catalog,
+                         select_kernel(options.backend, options.chunk_size))
     else:
         physical["kernel"] = options.kernel()
         fragmenter = options.fragmenter()

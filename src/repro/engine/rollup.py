@@ -30,6 +30,14 @@ relation again.  :class:`RollupStore` implements exactly that reuse:
   base rows where ``ρ_i(b)`` is TRUE the range is unchanged, so the
   cached aggregates are already correct.
 
+An entry holds the node's output as it was produced: under the numpy
+kernel that is a column-backed relation, whose copies share the
+(immutable) arrays — an exact hit hands one up without touching a row,
+and the subsume tier's base filter and θ-residuals are truth masks over
+the base-prefix columns with ``np.where`` patching the empty-input
+values in (:func:`_serve_columns`); the row loop of :func:`_serve` is
+that form's reference and its fallback.
+
 Anything that cannot be proven servable falls through to a **miss** and
 normal single-scan evaluation (whose result is then stored).  Fused
 :class:`~repro.gmdj.evaluate.SelectGMDJ` nodes are never stored or
@@ -60,6 +68,7 @@ from repro.gmdj.physical import NodeHook
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import span
 from repro.storage.catalog import Catalog
+from repro.storage.columnar import is_encoded
 from repro.storage.iostats import IOStats
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
@@ -348,11 +357,99 @@ def _serve(
 ) -> Relation:
     """Build the finer result from the cached rollup.
 
-    Walks the cached rows once (|B| rows, no detail scan): drops rows
-    whose base prefix fails ``base_filter``, and for each block whose
-    residual is not TRUE on a row's base prefix replaces that block's
-    aggregate slots with empty-input values.
+    Drops rows whose base prefix fails ``base_filter``, and for each
+    block whose residual is not TRUE on a row's base prefix replaces
+    that block's aggregate slots with empty-input values — |B| rows, no
+    detail scan.  A column-backed entry is served on arrays
+    (:func:`_serve_columns`); the row loop below is the reference, and
+    the fallback when a predicate or column has no exact array form.
     """
+    if is_encoded(entry.relation):  # stored column-backed
+        from repro.algebra.npcompile import NpUnsupported
+
+        try:
+            return _serve_columns(entry, base_filter, residuals)
+        except NpUnsupported:
+            pass  # nothing was counted: decide row by row
+    return _serve_rows(entry, base_filter, residuals)
+
+
+def _serve_columns(
+    entry: RollupEntry,
+    base_filter: Expression | None,
+    residuals: list[list[Expression]],
+) -> Relation:
+    """:func:`_serve_rows` over the entry's columns: same rows, order,
+    value types and counters (a residual conjunct is evaluated — and
+    counted — for the rows its block's earlier conjuncts left alive)."""
+    from repro.algebra.npcompile import Columns, NpUnsupported, np_truth_mask
+    from repro.storage.columnar import ColumnData, cached_columnar
+    from repro.storage.npcolumns import (
+        NpColumn,
+        columnar_of,
+        output_columns,
+        relation_of,
+        require_numpy,
+        take_columns,
+    )
+
+    np = require_numpy()
+    cached = entry.relation
+    columnar = cached_columnar(cached)
+    arity = entry.base_arity
+    columns = output_columns(columnar)
+    # The predicates bind against the stored base schema (the prefix of
+    # the entry's), as the row loop binds them.
+    prefix = Columns(columnar_of(entry.base_schema, columns[:arity],
+                                 columnar.length))
+    evals = 0
+    length = columnar.length
+    if base_filter is not None:
+        evals += length
+        picked = np.flatnonzero(
+            np_truth_mask(base_filter, prefix.resolve, length))
+        if len(picked) < length:
+            columns = list(take_columns(columns, picked, length))
+            length = len(picked)
+            prefix = Columns(columnar_of(entry.base_schema, columns[:arity],
+                                         length))
+    offset = arity
+    for block, extras in zip(entry.gmdj.blocks, residuals):
+        width = len(block.aggregates)
+        alive = None
+        for extra in extras:
+            evals += length if alive is None else int(alive.sum())
+            truth = np_truth_mask(extra, prefix.resolve, length)
+            alive = truth if alive is None else alive & truth
+        if alive is not None and not alive.all():
+            for slot, spec in enumerate(block.aggregates, start=offset):
+                column = columns[slot]
+                if isinstance(column, ColumnData):
+                    raise NpUnsupported("object-encoded aggregate column")
+                if spec.function == "count":  # empty input counts 0
+                    mask = column.mask if column.mask is None \
+                        else column.mask | ~alive
+                    columns[slot] = NpColumn(
+                        column.kind, np.where(alive, column.values, 0),
+                        mask, column.dictionary)
+                else:  # ... and every other aggregate is NULL
+                    columns[slot] = NpColumn(
+                        column.kind, column.values,
+                        alive if column.mask is None
+                        else column.mask & alive, column.dictionary)
+        offset += width
+    stats = IOStats.ambient()
+    stats.predicate_evals += evals
+    stats.tuples_output += length
+    return relation_of(cached.schema, columns, length, name=cached.name)
+
+
+def _serve_rows(
+    entry: RollupEntry,
+    base_filter: Expression | None,
+    residuals: list[list[Expression]],
+) -> Relation:
+    """The row loop of :func:`_serve`: one walk over the cached rows."""
     schema = entry.base_schema
     arity = entry.base_arity
     stats = IOStats.ambient()

@@ -15,10 +15,13 @@ kernel (:mod:`repro.gmdj.npkernel`) never builds them — it matches keys
 over the base relation's key *columns*, one structure per distinct key
 list.
 
-Every kernel ends the same way: its per-base-tuple aggregate state is
-finalized into one **column** per aggregate and :func:`_emit_rows`
-assembles base rows ++ aggregate columns for the rows that survive
-(doomed rows dropped, ACTIVE rows held to the fused selection).
+Every kernel finalizes its per-base-tuple aggregate state into one
+**column** per aggregate.  This kernel and the python batch kernel then
+assemble tuples: :func:`_emit_rows` zips base rows ++ aggregate columns
+for the rows that survive (doomed rows dropped, ACTIVE rows held to the
+fused selection).  The array kernel builds none — it hands the gathered
+columns on as a column-backed relation
+(:meth:`repro.gmdj.npkernel.ArrayScan.emit`).
 
 θ blocks with no equality conjunct (e.g. the ``<>`` correlation of the
 paper's Figure 4) degrade to testing every *active* base tuple per detail
@@ -121,7 +124,7 @@ class _BlockRuntime:
 
     __slots__ = ("index", "aggregates", "residual_eval", "right_key_evals",
                  "uses_hash", "invariant", "buckets", "shared_state",
-                 "_base_rows", "_left_key_evals")
+                 "_base", "_left_key_evals")
 
     def __init__(self, index: int, block: ThetaBlock, base: Relation,
                  detail_schema: Schema, combined_schema: Schema,
@@ -143,7 +146,10 @@ class _BlockRuntime:
             self.residual_eval = factored.residual.bind(detail_schema)
         else:
             self.residual_eval = factored.residual.bind(combined_schema)
-        self._base_rows = base.rows
+        # (Read row-wise only by the methods below: the array kernel
+        # calls none of them for a block it takes, so a column-backed
+        # base is never transposed on its account.)
+        self._base = base
         self.buckets: dict[tuple, list[int]] | None = None
         self.shared_state: list[Accumulator] | None = None
         if self.uses_hash:
@@ -157,7 +163,7 @@ class _BlockRuntime:
     def prepare_python_scan(self) -> None:
         """Build what a tuple-at-a-time scan probes (idempotent)."""
         if self.uses_hash and self.buckets is None:
-            self.buckets = _bucket_base_rows(self._base_rows,
+            self.buckets = _bucket_base_rows(self._base.rows,
                                              self._left_key_evals)
         if self.invariant and self.shared_state is None:
             self.shared_state = self.aggregates.new_state()
@@ -165,7 +171,7 @@ class _BlockRuntime:
     def new_states(self) -> list[list[Accumulator]]:
         """Fresh accumulator objects, one list per base tuple."""
         new_state = self.aggregates.new_state
-        return [new_state() for _ in self._base_rows]
+        return [new_state() for _ in range(len(self._base))]
 
     def finalized_columns(
         self, states: list[list[Accumulator]] | None
@@ -173,7 +179,7 @@ class _BlockRuntime:
         """This block's accumulators as one value column per aggregate
         (an invariant block's shared values repeat for every base row)."""
         if self.shared_state is not None:
-            return [[value] * len(self._base_rows)
+            return [[value] * len(self._base)
                     for value in AggregateBlock.finalize(self.shared_state)]
         assert states is not None
         return [[accumulators[position].result() for accumulators in states]

@@ -38,7 +38,14 @@ accumulator state and the emitted aggregates all stay columns.
 * the fused selection of a ``SelectGMDJ`` is one
   :func:`~repro.algebra.npcompile.np_truth_mask` over base columns ++
   finalized aggregate columns, for ACTIVE rows only
-  (:meth:`ArrayScan.surviving_rows`).
+  (:meth:`ArrayScan.surviving_rows`);
+* the node's output is those columns: :meth:`ArrayScan.emit` gathers the
+  base relation's columns (its own encoding — a column-backed base from
+  another array operator is never re-encoded) and the aggregate columns
+  by the keep mask into a column-backed relation.  No tuple is built
+  here; the flat operators above take their array forms
+  (:mod:`repro.algebra.npoperators`) and rows appear once, where the
+  result leaves the engine.
 
 Completion is truncation
 ------------------------
@@ -85,27 +92,31 @@ from typing import Any, Callable, Sequence
 from repro.algebra.aggregates import AggregateSpec
 from repro.algebra.analysis import factor_condition, refers_only_to
 from repro.algebra.compile import compile_batch_values
-from repro.algebra.expressions import Column, Expression
+from repro.algebra.expressions import Expression
 from repro.algebra.npcompile import (
     _FLOAT_EXACT,
     _guard_float_exact,
     _is_floatish,
+    Columns,
     NpUnsupported,
     NpValue,
+    column_of_value,
     np_truth_mask,
     np_value,
-    value_of_column,
 )
 from repro.gmdj.completion import CompletionRule
 from repro.gmdj.evaluate import _ACTIVE, _ASSURED, _DOOMED, _BlockRuntime
 from repro.gmdj.operator import ThetaBlock
-from repro.storage.columnar import (
-    ColumnarRelation,
-    cached_columnar,
-    is_encoded,
-)
+from repro.storage.columnar import ColumnarRelation, cached_columnar
 from repro.storage.iostats import IOStats
-from repro.storage.npcolumns import column_array, require_numpy
+from repro.storage.npcolumns import (
+    OutputColumn,
+    encoded_column,
+    output_column,
+    relation_of,
+    require_numpy,
+    take_columns,
+)
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 
@@ -121,75 +132,6 @@ _NEVER = 2 ** 63 - 1
 #: Int64 magnitude bound above which a sum falls back to exact Python
 #: accumulation (Python ints are unbounded; int64 wraps).
 _SUM_SAFE = 2 ** 63
-
-
-class _Columns:
-    """Whole-column NpValues of one relation, wrapped on first use.
-
-    ``locate(position)`` names the encoding that holds the column and
-    the column's position in it.
-    """
-
-    __slots__ = ("schema", "_locate", "_by_position", "_by_ref")
-
-    def __init__(self, schema: Schema,
-                 locate: Callable[[int], tuple[ColumnarRelation, int]],
-                 ) -> None:
-        self.schema = schema
-        self._locate = locate
-        self._by_position: dict[int, NpValue] = {}
-        self._by_ref: dict[str, NpValue] = {}
-
-    def by_position(self, position: int) -> NpValue:
-        value = self._by_position.get(position)
-        if value is None:
-            column = column_array(*self._locate(position))
-            if column is None:
-                field = self.schema.fields[position]
-                raise NpUnsupported(
-                    f"object-encoded column {field.full_name}")
-            value = self._by_position[position] = value_of_column(column)
-        return value
-
-    def resolve(self, reference: str) -> NpValue:
-        value = self._by_ref.get(reference)
-        if value is None:
-            position = self.schema.index_of(reference)
-            value = self._by_ref[reference] = self.by_position(position)
-        return value
-
-    def word_codes(self, expression: Expression,
-                   value: NpValue) -> dict[str, int]:
-        """``word -> code`` of the string column ``expression`` evaluated
-        to: the encoding's cached inverse for a plain column reference."""
-        if isinstance(expression, Column):
-            columnar, at = self._locate(
-                self.schema.index_of(expression.reference))
-            return columnar.word_codes(at)
-        return {word: code
-                for code, word in enumerate(value.dictionary or [])}
-
-
-def _base_columns(base: Relation) -> _Columns:
-    """The base side of keys, pair residuals and the fused selection.
-
-    A stored table that already carries its encoding shares it; any
-    other base (a derived intermediate) encodes just the columns θ
-    touches, one at a time.
-    """
-    if is_encoded(base):
-        columnar = cached_columnar(base)
-        return _Columns(base.schema, lambda p: (columnar, p))
-    encoded: dict[int, ColumnarRelation] = {}
-
-    def locate(position: int) -> tuple[ColumnarRelation, int]:
-        column = encoded.get(position)
-        if column is None:
-            column = encoded[position] = ColumnarRelation.from_column(
-                base, position)
-        return column, 0
-
-    return _Columns(base.schema, locate)
 
 
 def _gather(value: NpValue, idx: Any, np: Any) -> NpValue:
@@ -215,7 +157,7 @@ class _PairColumns:
     __slots__ = ("base", "detail", "combined_schema", "base_arity",
                  "_positions")
 
-    def __init__(self, base: _Columns, detail: _Columns,
+    def __init__(self, base: Columns, detail: Columns,
                  combined_schema: Schema) -> None:
         self.base = base
         self.detail = detail
@@ -483,7 +425,7 @@ class _SpecArrays:
                  "totals", "seen", "pending", "pending_size", "radix",
                  "private", "value_fn")
 
-    def __init__(self, spec: AggregateSpec, detail: _Columns, groups: int,
+    def __init__(self, spec: AggregateSpec, detail: Columns, groups: int,
                  total: int, np: Any) -> None:
         self.spec = spec
         self.groups = groups
@@ -497,7 +439,7 @@ class _SpecArrays:
         if self.mode not in ("python", "skip"):
             self.counts = np.zeros(groups, dtype=np.int64)
 
-    def _plan(self, spec: AggregateSpec, detail: _Columns, groups: int,
+    def _plan(self, spec: AggregateSpec, detail: Columns, groups: int,
               total: int, np: Any) -> str:
         if spec.distinct and spec.function != "count":
             # First-seen order decides a float SUM/AVG(DISTINCT).
@@ -616,37 +558,33 @@ class _SpecArrays:
         self.pending = []
         self.pending_size = 0
 
-    def finalize(self, np: Any) -> tuple[list, NpValue | None]:
-        """The aggregate's result column over the block's groups: its
-        Python values (None = NULL) and — unless it was accumulated per
-        value in Python — its array form for the fused selection."""
+    def finalize(self, np: Any) -> NpValue | list:
+        """The aggregate's result column over the block's groups, in
+        array form — or, when it was accumulated per value in Python,
+        as the list of those values (None = NULL)."""
         mode, groups = self.mode, self.groups
         counting = self.spec.function == "count"
         if mode == "python":
             column = [0 if counting else None] * groups
             for group, accumulator in self.private.items():
                 column[group] = accumulator.result()
-            return column, None
+            return column
         if mode == "skip":  # every add was a no-op
             if counting:
-                return [0] * groups, NpValue(
-                    np.zeros(groups, dtype=np.int64), False, "num")
-            return [None] * groups, NpValue(None, True, "null")
+                return NpValue(np.zeros(groups, dtype=np.int64), False, "num")
+            return NpValue(None, True, "null")
         if mode == "distinct":
             self._compact(np)
             self.counts = np.bincount(self.seen // self.radix,
                                       minlength=groups)
         if counting:
-            return self.counts.tolist(), NpValue(self.counts, False, "num")
+            return NpValue(self.counts, False, "num")
         unseen = self.counts == 0
         # Unseen groups hold a neutral value under the NULL mask (an
         # extremum's start value would trip the selection's range guards).
         data = np.where(unseen, 0, _exact_mean(self.totals, self.counts, np)
                         if mode == "avg" else self.totals)
-        column = data.astype(object)
-        column[unseen] = None
-        return column.tolist(), NpValue(
-            data, unseen if unseen.any() else False, "num")
+        return NpValue(data, unseen if unseen.any() else False, "num")
 
 
 def _exact_mean(totals: Any, counts: Any, np: Any) -> Any:
@@ -828,28 +766,30 @@ class ArrayScan:
     (no counters, no status changes), to be run on the python kernel;
     ``reasons`` the human-readable block- and spec-level fallback notes
     for EXPLAIN ANALYZE; ``columns[block index]`` a taken block's
-    finalized aggregates, one value list per spec (their array forms are
-    kept by output name for :meth:`surviving_rows`); ``key_lookup`` /
+    finalized aggregates, one per spec: its array form, or a value list
+    when it was accumulated per value in Python; ``key_lookup`` /
     ``shared_keys`` say, per taken hash block, how its detail keys were
-    resolved and how many blocks share its key structure.
+    resolved and how many blocks share its key structure; ``tiles`` is
+    how many detail-row tiles the scan walked.
     """
 
     __slots__ = ("python_blocks", "reasons", "columns", "key_lookup",
-                 "shared_keys", "_forms", "_base", "_np")
+                 "shared_keys", "tiles", "_forms", "_base", "_np")
 
-    def __init__(self, base: _Columns, np: Any) -> None:
+    def __init__(self, base: Columns, np: Any) -> None:
         self.python_blocks: list[tuple[_BlockRuntime, ThetaBlock]] = []
         self.reasons: list[str] = []
-        self.columns: dict[int, list[list]] = {}
+        self.columns: dict[int, list[NpValue | list]] = {}
         self.key_lookup: tuple[str, ...] = ()
         self.shared_keys: tuple[int, ...] = ()
+        self.tiles = 0
         self._forms: dict[str, NpValue] = {}
         self._base = base
         self._np = np
 
     def surviving_rows(self, status: bytearray, selection: Expression,
-                       output_schema: Schema, stats: IOStats) -> bytes | None:
-        """The fused selection over columns: 1/0 per base row.
+                       output_schema: Schema, stats: IOStats) -> Any:
+        """The fused selection over columns: a bool per base row.
 
         Doomed rows are gone, assured rows bypass the selection, and the
         ACTIVE rows are held to it in one
@@ -860,9 +800,8 @@ class ArrayScan:
         counted and None is returned: the caller decides row by row.
         """
         np = self._np
-        if not status:
-            return b""
-        verdicts = np.frombuffer(status, dtype=np.uint8)
+        verdicts = np.frombuffer(status, dtype=np.uint8) if status \
+            else np.empty(0, dtype=np.uint8)
         active = np.flatnonzero(verdicts == _ACTIVE)
         everyone = len(active) == len(verdicts)
         base_arity = len(self._base.schema)
@@ -887,7 +826,43 @@ class ArrayScan:
         stats.predicate_evals += len(active)
         keep = verdicts != _DOOMED
         keep[active[~passed]] = False
-        return keep.tobytes()
+        return keep
+
+    def aggregate_columns(self, aggregates: Sequence[NpValue | list],
+                          output_schema: Schema) -> list[OutputColumn]:
+        """Every output aggregate as a column over the base rows: array
+        forms as they are, per-value lists through the storage encoder."""
+        n_base = self._base.columnar.length
+        fields = output_schema.fields[len(self._base.schema):]
+        return [
+            encoded_column(aggregate, field.dtype)
+            if isinstance(aggregate, list)
+            else column_of_value(aggregate, n_base, field.dtype)
+            for aggregate, field in zip(aggregates, fields)
+        ]
+
+    def emit(self, aggregates: Sequence[OutputColumn], keep: Any,
+             output_schema: Schema, stats: IOStats) -> Relation:
+        """The emit phase on arrays: base columns ++ aggregate columns,
+        gathered by ``keep`` (a truthy/falsy byte or bool per base row;
+        None keeps all), as a column-backed relation.  No tuple is
+        built; the counters are the row emit's, computed from lengths.
+        """
+        np = self._np
+        encoding = self._base.columnar
+        columns: Sequence[OutputColumn] = [
+            output_column(encoding, position)
+            for position in range(len(self._base.schema))
+        ] + list(aggregates)
+        length = encoding.length
+        if keep is not None:
+            if not isinstance(keep, np.ndarray):
+                keep = np.frombuffer(keep, dtype=np.uint8)
+            picked = np.flatnonzero(keep)
+            columns, length = take_columns(columns, picked, length), \
+                len(picked)
+        stats.tuples_output += length
+        return relation_of(output_schema, columns, length)
 
 
 def _broadcast(value: NpValue, n_base: int, np: Any) -> NpValue:
@@ -919,9 +894,16 @@ def run_numpy_scan(
     """
     np = require_numpy()
     total = columnar.length
-    n_base = len(base.rows)
-    detail = _Columns(columnar.schema, lambda p: (columnar, p))
-    pairs = _PairColumns(_base_columns(base), detail, combined_schema)
+    n_base = len(base)
+    # The base as columns — keys, pair residuals, the fused selection and
+    # the emitted base attributes all read them.  One that carries its
+    # encoding (an encoded or ``.cols`` table, the column-backed output
+    # of another array operator) shares it; any other is encoded now and
+    # keeps it: a stored table (scan views share its cache) for every
+    # later query, a row-backed intermediate for this scan.
+    base_encoding = cached_columnar(base, counter="columnar.base_encodes")
+    pairs = _PairColumns(Columns(base_encoding), Columns(columnar),
+                         combined_schema)
     every_block = list(zip(runtimes, blocks))
     result = ArrayScan(pairs.base, np)
     python_blocks, reasons = result.python_blocks, result.reasons
@@ -954,6 +936,7 @@ def run_numpy_scan(
     by_index = {plan.index: plan for plan in live}
     start = 0
     while start < total and live and (rule is None or len(active)):
+        result.tiles += 1
         widest = max(plan.width(len(active)) for plan in live)
         stop = min(total, start + max(1, TILE_PAIRS // max(1, widest)))
         for plan in list(live):
@@ -1007,14 +990,15 @@ def run_numpy_scan(
         stats.aggregate_updates += plan.updates
         columns = result.columns[plan.index] = []
         for spec in plan.specs:
-            values, form = spec.finalize(np)
-            if plan.runtime.invariant:  # one shared group
-                values = values * n_base
-            columns.append(values)
-            if form is not None:
-                result._forms[spec.spec.output_name] = \
-                    _broadcast(form, n_base, np) \
-                    if plan.runtime.invariant else form
+            column = spec.finalize(np)
+            if isinstance(column, list):
+                if plan.runtime.invariant:  # one shared group
+                    column = column * n_base
+            else:
+                if plan.runtime.invariant:
+                    column = _broadcast(column, n_base, np)
+                result._forms[spec.spec.output_name] = column
+            columns.append(column)
             if spec.reason is not None:
                 reasons.append(f"block {plan.index} "
                                f"{spec.spec.output_name}: {spec.reason}")

@@ -27,6 +27,11 @@ and this module evaluates it in a single place:
   materialized :class:`~repro.algebra.operators.TableValue` leaves and
   sending every GMDJ through :func:`evaluate_node`.  Its optional
   per-GMDJ hook is how the rollup store probes/stores around a node.
+  Every other (flat) operator runs under a ``flat`` span; when the
+  kernel is numpy the node's output is a column-backed relation and the
+  flat operators above it take their array forms
+  (:mod:`repro.algebra.npoperators`) — the row-wise ``evaluate`` is the
+  reference and the per-operator fallback, its reason on the span.
 
 Every (kernel × fragmenter) point returns the same rows in the same
 order, and the three kernels agree on every IOStats counter — with a
@@ -42,7 +47,7 @@ import dataclasses
 from functools import partial
 from typing import Callable
 
-from repro.algebra.operators import Operator, TableValue
+from repro.algebra.operators import Operator, Rename, ScanTable, TableValue
 from repro.algebra.rewrite import map_children
 from repro.gmdj.chunked import BaseChunks
 from repro.gmdj.evaluate import SelectGMDJ, run_gmdj
@@ -50,8 +55,10 @@ from repro.gmdj.operator import GMDJ
 from repro.gmdj.parallel import DEFAULT_PARTITIONS, DetailPartitions
 from repro.gmdj.pool import resolve_workers
 from repro.gmdj.vectorized import resolve_chunk_size, run_gmdj_vectorized
-from repro.obs.tracer import span
+from repro.obs.metrics import get_registry
+from repro.obs.tracer import span, tracing_enabled
 from repro.storage.catalog import Catalog
+from repro.storage.columnar import is_encoded
 from repro.storage.iostats import IOStats
 from repro.storage.relation import Relation
 
@@ -147,6 +154,73 @@ def evaluate_node(
         return result
 
 
+#: The flat operators' array forms by operator type, and the exception
+#: one raises when it has no exact answer (``.reason`` says why).
+ArrayForms = tuple[dict[type, Callable[..., Relation]], type[Exception]]
+
+
+def array_forms(kernel: Kernel) -> ArrayForms | None:
+    """The array forms the flat operators around ``kernel`` take: those
+    of :mod:`repro.algebra.npoperators` when it is the numpy kernel
+    :func:`select_kernel` builds (its output is column-backed), none for
+    any other — and the module is not imported then."""
+    if getattr(kernel, "keywords", {}).get("backend") != "numpy":
+        return None
+    from repro.algebra.npcompile import NpUnsupported
+    from repro.algebra.npoperators import ARRAY_FORMS
+
+    return ARRAY_FORMS, NpUnsupported
+
+
+#: Flat operators that evaluate to a view of their input: no row loop
+#: runs whichever kernel is in use.
+_VIEWS = (ScanTable, TableValue, Rename)
+
+
+def evaluate_flat(node: Operator, catalog: Catalog,
+                  forms: ArrayForms | None = None) -> Relation:
+    """One flat operator over materialized children, under a ``flat`` span.
+
+    ``forms`` — given exactly when the kernel is numpy — maps operator
+    types to their array forms and names the exception a form raises
+    (nothing counted yet) when it has no exact answer: the row-wise
+    ``evaluate`` then runs, with the reason on the span (``fallback``),
+    as it does for an operator type without an array form.  ``columnar``
+    says whether the result was produced without a row loop and carries
+    columns (a view — scan, rename, table value — of an encoded relation
+    does); array-form runs and fallbacks are counted in the registry
+    (``flat.columnar`` / ``flat.fallbacks``).
+    """
+    with span(type(node).__name__, kind="flat") as flat:
+        result = reason = None
+        columnar = False
+        if forms is not None and not isinstance(node, _VIEWS):
+            by_type, unsupported = forms
+            form = by_type.get(type(node))
+            if form is None:
+                reason = f"no array form for {type(node).__name__}"
+            else:
+                try:
+                    result = form(node, catalog)
+                    columnar = True
+                except unsupported as exc:
+                    reason = exc.reason
+            get_registry().counter(
+                "flat.columnar" if columnar else "flat.fallbacks").inc()
+        if result is None:
+            result = node.evaluate(catalog)
+            columnar = (forms is not None and reason is None
+                        and is_encoded(result))
+        if tracing_enabled():
+            flat.set(rows_in=sum(len(child.relation)
+                                 for child in node.children()
+                                 if isinstance(child, TableValue)),
+                     rows_out=len(result), columnar=columnar)
+            if reason is not None:
+                flat.set(fallback=reason)
+        return result
+
+
 def evaluate_plan(
     plan: Operator,
     catalog: Catalog,
@@ -167,6 +241,8 @@ def evaluate_plan(
     still reach it.
     """
 
+    forms = array_forms(kernel)
+
     def materialized(child: Operator) -> TableValue:
         return TableValue(walk(child))
 
@@ -185,8 +261,8 @@ def evaluate_plan(
                                      catalog, kernel, fragmenter)
 
             return run() if node_hook is None else node_hook(gmdj, run)
-        rebuilt: Operator = map_children(node, materialized)
-        return rebuilt.evaluate(catalog)
+        return evaluate_flat(map_children(node, materialized), catalog,
+                             forms)
 
     return walk(plan)
 

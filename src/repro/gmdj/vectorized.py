@@ -29,10 +29,14 @@ allocates neither for the blocks the array kernel takes — it matches
 keys over the base relation's key columns (one structure per distinct
 key list), keeps aggregate state in arrays and hands it over as
 finalized columns.  Only a block the array kernel gives up on (a reason
-in ``fallbacks``) gets buckets and accumulator objects.  All kernels
-end in the same emit over columns
-(:func:`repro.gmdj.evaluate._emit_rows`); the numpy route evaluates the
-fused selection over columns too, the others row by row.
+in ``fallbacks``) gets buckets and accumulator objects.  The python
+kernel ends in the row kernel's emit over columns
+(:func:`repro.gmdj.evaluate._emit_rows`), deciding the fused selection
+row by row; the numpy route decides it over columns and builds no tuple
+at all — its output is a column-backed relation
+(:meth:`repro.gmdj.npkernel.ArrayScan.emit`: base columns gathered by
+the keep mask ++ the aggregates' array forms; a column some block
+finalized per value in Python joins them through the storage encoder).
 
 Completion runs (``rule`` set) take one of two routes.  The numpy
 backend evaluates them whole-array (:mod:`repro.gmdj.npkernel`): a base
@@ -63,6 +67,7 @@ from repro.errors import ConfigurationError
 from repro.gmdj.completion import CompletionRule
 from repro.gmdj.evaluate import (
     _ACTIVE,
+    _EMITTED,
     BlockStates,
     _BlockRuntime,
     _emit_rows,
@@ -72,6 +77,7 @@ from repro.gmdj.evaluate import (
 from repro.gmdj.operator import GMDJ, ThetaBlock
 from repro.obs.tracer import span
 from repro.storage.columnar import ColumnarRelation, cached_columnar
+from repro.storage.npcolumns import decoded_column
 from repro.storage.iostats import IOStats
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
@@ -329,17 +335,14 @@ def run_gmdj_vectorized(
                       allow_invariant=rule is None)
         for i, block in enumerate(gmdj.blocks)
     ]
-    base_rows = base.rows
-    status = bytearray(len(base_rows))
+    status = bytearray(len(base))
     total = len(detail)
-    chunks = -(-total // chunk_size) if total else 0
 
     fallbacks: list[str] = []
     arrays = None
     with span("scan", kind="detail_scan",
               relation=getattr(detail, "name", None) or "<derived>",
-              rows=total, chunks=chunks, chunk_size=chunk_size,
-              vectorized=True, backend=resolved_backend,
+              rows=total, vectorized=True, backend=resolved_backend,
               mask_skipped=0) as scan_span:
         stats.record_scan(total)
         # Blocks still to run on the python kernel: all of them, unless
@@ -355,9 +358,15 @@ def run_gmdj_vectorized(
             arrays = run_numpy_scan(columnar, runtimes, gmdj.blocks, base,
                                     combined_schema, status, stats, rule)
             block_pairs, fallbacks = arrays.python_blocks, arrays.reasons
+            # The array scan tiles by candidate pairs (``TILE_PAIRS``);
+            # batch chunks are the python kernel's unit.
+            scan_span.set(tiles=arrays.tiles)
             if arrays.key_lookup:
                 scan_span.set(key_lookup=arrays.key_lookup,
                               shared_keys=arrays.shared_keys)
+        else:
+            scan_span.set(chunks=-(-total // chunk_size) if total else 0,
+                          chunk_size=chunk_size)
         # Hash buckets over B and accumulator objects exist only for
         # the python kernel's blocks.
         state: BlockStates = [None] * len(runtimes)
@@ -370,29 +379,45 @@ def run_gmdj_vectorized(
                 _VectorBlock(runtime, block, base, detail_schema)
                 for runtime, block in block_pairs
             ]
-            _scan_batched(columnar, vblocks, base_rows, state, stats,
+            _scan_batched(columnar, vblocks, base.rows, state, stats,
                           chunk_size)
         elif block_pairs:
             _scan_completing(detail.rows, runtimes, gmdj, base,
                              detail_schema, combined_schema, state, status,
                              stats, rule, chunk_size)
 
-    # One finalized column per output aggregate, whichever kernel
-    # accumulated it.
-    columns: list[list] = []
-    for runtime in runtimes:
-        if arrays is not None and runtime.index in arrays.columns:
-            columns.extend(arrays.columns[runtime.index])
-        else:
-            columns.extend(runtime.finalized_columns(state[runtime.index]))
-    keep: Sequence[int] | None = None
-    if arrays is not None and arrays.columns and selection is not None:
-        keep = arrays.surviving_rows(status, selection, output_schema, stats)
-    if keep is None:
-        keep = _surviving_rows(
-            base_rows, status, columns,
-            None if selection is None
-            else compile_row(selection, output_schema), stats)
+    if arrays is not None and arrays.columns:
+        # The array kernel took blocks: the node's output stays columns.
+        aggregates = arrays.aggregate_columns(
+            [column for runtime in runtimes for column in (
+                arrays.columns[runtime.index]
+                if runtime.index in arrays.columns
+                else runtime.finalized_columns(state[runtime.index]))],
+            output_schema)
+        keep = None
+        if selection is not None:
+            keep = arrays.surviving_rows(status, selection, output_schema,
+                                         stats)
+            if keep is None:  # no array form (the reason is noted)
+                keep = _surviving_rows(
+                    base.rows, status,
+                    [decoded_column(column) for column in aggregates],
+                    compile_row(selection, output_schema), stats)
+        elif any(status):
+            keep = status.translate(_EMITTED)
+        if fallbacks:
+            scan_span.set(fallbacks=tuple(fallbacks))
+        return arrays.emit(aggregates, keep, output_schema, stats)
+
+    # The python kernel ran every block (under the numpy backend: the
+    # array kernel gave the whole scan up, and said why).
     if fallbacks:
         scan_span.set(fallbacks=tuple(fallbacks))
+    columns = [column for runtime in runtimes
+               for column in runtime.finalized_columns(state[runtime.index])]
+    base_rows = base.rows
+    keep = _surviving_rows(
+        base_rows, status, columns,
+        None if selection is None
+        else compile_row(selection, output_schema), stats)
     return _emit_rows(base_rows, columns, keep, output_schema, stats)

@@ -93,19 +93,23 @@ def executed_summary(trace) -> dict:
     translator left as tuple-at-a-time loops, with
     ``apply_loop_reasons`` saying why (from the ``SubqueryToGMDJ`` span,
     so absent when the translation came from the plan cache) —
-    plus, for batch-kernel scans, the total batch ``chunks`` processed
-    and the ``chunk_size`` in effect.  When the numpy kernel ran, the
-    summary names the ``backend``, says per hash block how its detail
-    keys were resolved (``key_lookup``: ``direct`` addressing or
-    ``sorted`` search) and how many blocks share its key structure
-    (``shared_keys``), and lists every per-operator ``fallbacks`` reason
-    the scans recorded (a block or aggregate the numpy kernel handed
-    back to the python kernel).
+    plus, for python-batch-kernel scans, the total batch ``chunks``
+    processed and the ``chunk_size`` in effect.  When the numpy kernel
+    ran, the summary names the ``backend`` and the detail-row ``tiles``
+    its scans walked, says per hash block how its detail keys were
+    resolved (``key_lookup``: ``direct`` addressing or ``sorted``
+    search) and how many blocks share its key structure
+    (``shared_keys``), lists every per-operator ``fallbacks`` reason the
+    scans recorded (a block or aggregate the numpy kernel handed back to
+    the python kernel), and — ``flat_fallbacks`` — every flat operator
+    around the GMDJ that ran its row-wise method instead of its array
+    form, with the reason.
     """
     summary: dict = {}
     key_lookup: list[str] = []
     shared_keys: list[int] = []
     fallbacks: list[str] = []
+    flat_fallbacks: list[str] = []
     apply_loops: list[int] = []
     apply_loop_reasons: list[str] = []
     for span_ in trace.walk():
@@ -119,9 +123,10 @@ def executed_summary(trace) -> dict:
             apply_loop_reasons.extend(
                 span_.attrs.get("apply_loop_reasons", ()))
         elif span_.kind == "detail_scan" and span_.attrs.get("vectorized"):
-            summary["chunks"] = (
-                summary.get("chunks", 0) + span_.attrs.get("chunks", 0)
-            )
+            for count in ("chunks", "tiles"):
+                if count in span_.attrs:
+                    summary[count] = (
+                        summary.get(count, 0) + span_.attrs[count])
             if "chunk_size" in span_.attrs:
                 summary["chunk_size"] = span_.attrs["chunk_size"]
             backend = span_.attrs.get("backend")
@@ -130,6 +135,9 @@ def executed_summary(trace) -> dict:
                 key_lookup.extend(span_.attrs.get("key_lookup", ()))
                 shared_keys.extend(span_.attrs.get("shared_keys", ()))
                 fallbacks.extend(span_.attrs.get("fallbacks", ()))
+        elif span_.kind == "flat" and "fallback" in span_.attrs:
+            flat_fallbacks.append(
+                f"{span_.name}: {span_.attrs['fallback']}")
         elif span_.kind == "rollup_hit":
             tier = span_.attrs.get("tier")
             key = ("rollup_exact_hits" if tier == "exact"
@@ -142,6 +150,8 @@ def executed_summary(trace) -> dict:
         summary["shared_keys"] = shared_keys
     if fallbacks:
         summary["fallbacks"] = fallbacks
+    if flat_fallbacks:
+        summary["flat_fallbacks"] = flat_fallbacks
     if apply_loops:
         summary["apply_loops"] = sum(apply_loops)
     if apply_loop_reasons:

@@ -41,7 +41,9 @@ from repro.errors import ConfigurationError, ReproError
 from repro.obs.metrics import metrics_scope
 from repro.obs.tracer import tracing
 from repro.serve.locks import LockTimeout, ReadWriteLock
+from repro.storage.columnar import cached_columnar, is_encoded
 from repro.storage.iostats import collect
+from repro.storage.relation import Relation
 from repro.storage.types import DataType
 
 
@@ -91,6 +93,21 @@ def remaining(deadline: float | None) -> float | None:
     if left <= 0:
         raise DeadlineExceeded("deadline exceeded before execution")
     return left
+
+
+def json_rows(result: Relation) -> list[list]:
+    """The ``rows`` of a response: one JSON array per result row.
+
+    Encoded from the result's columns when it still carries them (an
+    executed query under the numpy kernel: their decoded value lists
+    were cached when the engine built the row list), from the row list
+    otherwise (a cache hit, a row-kernel run) — the same values, so the
+    same response bytes, either way.
+    """
+    if is_encoded(result) and len(result.schema):
+        return [list(row) for row in
+                zip(*cached_columnar(result).value_columns())]
+    return [list(row) for row in result.rows]
 
 
 def _served_by(registry) -> str:
@@ -144,7 +161,7 @@ class Tenant:
             return {
                 "tenant": self.name,
                 "columns": list(result.schema.names),
-                "rows": [list(row) for row in result.rows],
+                "rows": json_rows(result),
                 "row_count": len(result),
                 "elapsed_ms": round(elapsed * 1000, 3),
                 "served_by": _served_by(metrics),
@@ -197,7 +214,7 @@ class Tenant:
                 results.append({
                     "index": item.index,
                     "columns": list(item.result.schema.names),
-                    "rows": [list(row) for row in item.result.rows],
+                    "rows": json_rows(item.result),
                     "row_count": len(item.result),
                     "elapsed_ms": round(item.elapsed_seconds * 1000, 3),
                     "group": item.group_id,

@@ -94,31 +94,36 @@ class ColumnData:
     def decode(self) -> list:
         """The column as a plain list with ``None`` for NULL.
 
-        Storage may be an ``array``/``bytearray`` (the encoder's output)
-        or an ndarray (memory-mapped binary persistence); ``tolist``
-        normalizes either to plain Python values so decoded rows are
-        byte-for-byte the same regardless of where the column came from.
+        Storage may be an ``array``/``bytearray`` (the encoder's output),
+        a memory-mapped buffer (binary persistence) or an ndarray (a
+        column the array kernel or an array-form operator produced);
+        ``tolist`` normalizes them all to plain Python values so decoded
+        rows are byte-for-byte the same regardless of where the column
+        came from.
         """
+        valid = self.valid
+        if valid is not None and hasattr(valid, "tolist"):
+            valid = valid.tolist()  # an ndarray mask: plain bools
         if self.kind == "dict":
             dictionary = self.dictionary or []
             codes = _plain_list(self.data)
-            if self.valid is None:
+            if valid is None:
                 return [dictionary[code] for code in codes]
             return [dictionary[code] if ok else None
-                    for code, ok in zip(codes, self.valid)]
+                    for code, ok in zip(codes, valid)]
         if self.kind == "bool":
             flags = _plain_list(self.data)
-            if self.valid is None:
+            if valid is None:
                 return [_BOOLS[value] for value in flags]
             return [_BOOLS[value] if ok else None
-                    for value, ok in zip(flags, self.valid)]
+                    for value, ok in zip(flags, valid)]
         if self.kind == "object":
             return list(self.data)
         values = _plain_list(self.data)
-        if self.valid is None:
+        if valid is None:
             return values
         return [value if ok else None
-                for value, ok in zip(values, self.valid)]
+                for value, ok in zip(values, valid)]
 
 
 def _object_column(values: list) -> ColumnData:
@@ -254,14 +259,28 @@ class ColumnarRelation:
         """How many columns were encoded without a validity mask."""
         return sum(1 for column in self.columns if column.mask_free)
 
-    def to_relation(self) -> Relation:
-        """Transpose back; reproduces the source rows exactly, in order."""
+    def with_schema(self, schema: Schema,
+                    name: str | None = None) -> "ColumnarRelation":
+        """The same columns under ``schema`` (a requalified view): typed
+        storage, decoded lists, ndarray views and dictionary inverses
+        are all shared with this instance."""
+        clone = ColumnarRelation(schema, self.columns, self.length, name=name)
+        clone._decoded = self._decoded
+        clone._np_columns = self._np_columns
+        clone._word_codes = self._word_codes
+        return clone
+
+    def to_rows(self) -> list[tuple]:
+        """The rows as tuples of plain Python values, in order."""
         decoded = [self.values(i) for i in range(len(self.columns))]
         if decoded:
-            rows = list(zip(*decoded)) if self.length else []
-        else:
-            rows = [() for _ in range(self.length)]
-        return Relation(self.schema, rows, name=self.name, validate=False)
+            return list(zip(*decoded)) if self.length else []
+        return [() for _ in range(self.length)]
+
+    def to_relation(self) -> Relation:
+        """Transpose back; reproduces the source rows exactly, in order."""
+        return Relation(self.schema, self.to_rows(), name=self.name,
+                        validate=False)
 
     def values(self, position: int) -> list:
         """Decoded value list of column ``position`` (cached)."""
@@ -299,11 +318,15 @@ class ColumnarRelation:
 def is_encoded(relation: Relation) -> bool:
     """Does ``relation`` already carry its columnar encoding?  True for
     a stored table (or a scan view of one) that was encoded or loaded
-    from ``.cols``: :func:`cached_columnar` on it is then a pure hit."""
+    from ``.cols``, and for every column-backed relation — its columns
+    *are* its encoding: :func:`cached_columnar` on it is then a pure
+    hit."""
     return bool(relation._columnar)
 
 
-def cached_columnar(relation: Relation) -> ColumnarRelation:
+def cached_columnar(relation: Relation,
+                    counter: str = "columnar.cache_misses",
+                    ) -> ColumnarRelation:
     """The columnar encoding of ``relation``, cached on the relation.
 
     A stored relation carries at most one encoding (``_columnar``, a
@@ -320,7 +343,10 @@ def cached_columnar(relation: Relation) -> ColumnarRelation:
     shared with the cached instance.
 
     Hit/miss counts surface in the metrics registry as
-    ``columnar.cache_hits`` / ``columnar.cache_misses``.
+    ``columnar.cache_hits`` / ``columnar.cache_misses``; ``counter``
+    names another counter for the miss (the array kernel's base operand
+    is counted as ``columnar.base_encodes``, apart from the detail
+    scans' misses).
     """
     from repro.obs.metrics import get_registry
 
@@ -330,13 +356,9 @@ def cached_columnar(relation: Relation) -> ColumnarRelation:
         get_registry().counter("columnar.cache_hits").inc()
         if hit.schema is relation.schema:
             return hit
-        clone = ColumnarRelation(relation.schema, hit.columns, hit.length,
-                                 name=getattr(relation, "name", None))
-        clone._decoded = hit._decoded
-        clone._np_columns = hit._np_columns
-        clone._word_codes = hit._word_codes
-        return clone
-    get_registry().counter("columnar.cache_misses").inc()
+        return hit.with_schema(relation.schema,
+                               getattr(relation, "name", None))
+    get_registry().counter(counter).inc()
     built = ColumnarRelation.from_relation(relation)
     cache[:] = [built]
     return built

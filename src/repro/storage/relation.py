@@ -5,6 +5,14 @@ list of rows (plain Python tuples).  SQL bag semantics apply throughout —
 duplicates are preserved and ``distinct()`` is explicit.  SQL NULL is the
 Python value ``None``.
 
+A relation may also be **column-backed**
+(:meth:`Relation.column_backed`): it holds a
+:class:`~repro.storage.columnar.ColumnarRelation` and no row list yet.
+The array kernel and the array forms of the flat operators hand such
+relations to each other without ever building a tuple; the first read of
+``rows`` transposes the columns once, and from then on the relation is
+an ordinary row-backed one that also carries its encoding.
+
 Scanning a relation through :meth:`Relation.scan` reports page and tuple
 counts into the ambient :class:`~repro.storage.iostats.IOStats`; iteration
 via ``__iter__`` is free and intended for cheap in-memory inspection (tests,
@@ -27,7 +35,7 @@ Row = tuple
 class Relation:
     """A typed, ordered multiset of tuples."""
 
-    __slots__ = ("schema", "rows", "name", "_columnar")
+    __slots__ = ("schema", "_rows", "name", "_columnar")
 
     def __init__(
         self,
@@ -38,26 +46,52 @@ class Relation:
     ):
         self.schema = schema
         self.name = name
+        # The row list; None while a column-backed relation has not been
+        # read row-wise yet (see the ``rows`` property).
+        self._rows: list[Row] | None
         if validate:
-            self.rows: list[Row] = [self._check_row(row) for row in rows]
+            self._rows = [self._check_row(row) for row in rows]
         elif type(rows) is list:
             # ``validate=False`` vouches for the rows: a list (of tuples)
             # is adopted as it stands — a producer hands over the list it
             # built, a scan view shares the stored one — not re-listed.
-            self.rows = rows
+            self._rows = rows
         else:
-            self.rows = [tuple(row) for row in rows]
+            self._rows = [tuple(row) for row in rows]
         # Columnar-encoding cache (repro.storage.columnar.cached_columnar):
         # empty, or the one encoding.  Scan views share this list so
         # repeated vectorized queries hit one encoding; mutations clear it.
         self._columnar: list = []
+
+    @classmethod
+    def column_backed(cls, columnar: Any,
+                      name: str | None = None) -> "Relation":
+        """A relation over ``columnar`` (a
+        :class:`~repro.storage.columnar.ColumnarRelation`) with no row
+        list: ``columnar`` is its encoding, and ``rows`` is transposed
+        from it on first read."""
+        out = cls.__new__(cls)
+        out.schema = columnar.schema
+        out.name = name
+        out._rows = None
+        out._columnar = [columnar]
+        return out
+
+    @property
+    def rows(self) -> list[Row]:
+        """The row list.  A column-backed relation transposes its
+        columns on the first read and keeps the list from then on."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = self._columnar[0].to_rows()
+        return rows
 
     def __getstate__(self) -> tuple:
         # Worker-pool pickling: ship data, not the encoding cache.
         return (self.schema, self.rows, self.name)
 
     def __setstate__(self, state: tuple) -> None:
-        self.schema, self.rows, self.name = state
+        self.schema, self._rows, self.name = state
         self._columnar = []
 
     def _check_row(self, row: Sequence[Any]) -> Row:
@@ -90,12 +124,18 @@ class Relation:
         Rows are immutable tuples, so a shallow list copy is a full
         defensive copy — mutating the copy's ``rows`` cannot affect the
         original (the cache layers rely on this both when storing and
-        when serving).
+        when serving).  A relation that holds only columns is copied as
+        one: the arrays are immutable and shared, and each copy
+        transposes its own row list if it is ever read row-wise.
         """
-        return Relation(self.schema, list(self.rows), name=self.name,
+        if self._rows is None:
+            return Relation.column_backed(self._columnar[0], name=self.name)
+        return Relation(self.schema, list(self._rows), name=self.name,
                         validate=False)
 
     def insert(self, row: Sequence[Any]) -> None:
+        # (``rows`` first: a column-backed relation transposes before
+        # its encoding is dropped.)
         self.rows.append(self._check_row(row))
         if self._columnar:
             self._columnar.clear()
@@ -107,14 +147,15 @@ class Relation:
     # -- basic properties ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.rows)
+        rows = self._rows
+        return len(rows) if rows is not None else self._columnar[0].length
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)
 
     def __repr__(self) -> str:
         label = self.name or "relation"
-        return f"<Relation {label} {len(self.schema)} cols x {len(self.rows)} rows>"
+        return f"<Relation {label} {len(self.schema)} cols x {len(self)} rows>"
 
     def arity(self) -> int:
         return len(self.schema)
@@ -148,9 +189,15 @@ class Relation:
     def rename(self, qualifier: str) -> "Relation":
         """A view of this relation with every field re-qualified: it
         shares the row list (and the encoding cache), so it sees later
-        inserts; :meth:`copy` is the snapshot."""
-        out = Relation(self.schema.rename(qualifier), self.rows, name=self.name,
-                       validate=False)
+        inserts; :meth:`copy` is the snapshot.  (A view of a relation
+        that holds only columns shares those and no list: it is a
+        snapshot.)"""
+        schema = self.schema.rename(qualifier)
+        if self._rows is None:
+            encoding = self._columnar[0]
+            return Relation.column_backed(
+                encoding.with_schema(schema, self.name), name=self.name)
+        out = Relation(schema, self._rows, name=self.name, validate=False)
         out._columnar = self._columnar  # views share the encoding cache
         return out
 

@@ -13,6 +13,14 @@ keys, its accumulator state and its emitted aggregates as columns:
   structure (``shared_keys``), and EXPLAIN ANALYZE shows both;
 * objects exist only where a reason is reported: a per-value aggregate
   or a block that gives up brings its ``fallbacks`` entry along.
+
+Nothing per tuple in Python *around* the node either: the node's output
+is a column-backed relation, the ``Select`` / ``Project`` above it (and
+a subquery-free filter over an encoded table, and the rollup store's
+exact and subsume tiers) run their array forms, and tuples are built
+once, where the result leaves the engine — the figures answer with
+``Select.evaluate``, ``Project.evaluate``, ``evaluate._emit_rows`` and
+the rollup store's row loop all patched to raise.
 """
 
 from __future__ import annotations
@@ -23,10 +31,14 @@ import pytest
 
 pytest.importorskip("numpy", exc_type=ImportError)
 
+import repro.engine.rollup as rollup
 import repro.gmdj.evaluate as evaluate
+import repro.gmdj.vectorized as vectorized
 from repro import Database, DataType, QueryOptions
 from repro.algebra.aggregates import AggregateSpec
+from repro.algebra.operators import Project, Select
 from repro.obs.tracer import Tracer, tracing
+from repro.storage.columnar import ColumnarRelation
 
 FIG2 = ("SELECT c.custkey FROM customer c WHERE EXISTS "
         "(SELECT * FROM orders o WHERE o.custkey = c.custkey "
@@ -188,3 +200,122 @@ def test_objects_exist_only_where_a_reason_is_reported(monkeypatch):
     assert result.rows == expected
     assert any("DISTINCT" in reason
                for scan in scans for reason in scan.attrs["fallbacks"])
+
+
+# -- nothing per tuple around the node -----------------------------------------
+
+FILTER = "SELECT orderkey, totalprice FROM orders WHERE totalprice > 300000"
+
+
+def forbid_per_tuple_python(monkeypatch):
+    """The row-wise operator methods, the row emit and the rollup
+    store's row loop: each ran once per tuple before the change."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-tuple Python ran outside the node")
+
+    monkeypatch.setattr(Select, "evaluate", refuse)
+    monkeypatch.setattr(Project, "evaluate", refuse)
+    monkeypatch.setattr(evaluate, "_emit_rows", refuse)
+    monkeypatch.setattr(vectorized, "_emit_rows", refuse)
+    monkeypatch.setattr(rollup, "_serve_rows", refuse)
+
+
+def flat_spans(db: Database, sql: str, options: QueryOptions):
+    tracer = Tracer()
+    with tracing(tracer):
+        result = db.execute_sql(sql, options)
+    return result, tracer.trace().find(kind="flat")
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURES))
+def test_figures_run_no_row_loop_around_the_node(monkeypatch, figure):
+    db = make_db()
+    sql = FIGURES[figure]
+    expected = db.execute_sql(sql, ROW).rows
+    forbid_per_base_tuple_python(monkeypatch)
+    forbid_per_tuple_python(monkeypatch)
+    result, spans = flat_spans(db, sql, NUMPY)
+    assert result.rows == expected
+    above = [span for span in spans if span.name != "ScanTable"]
+    assert above and all(span.attrs["columnar"] for span in above)
+    assert not any("fallback" in span.attrs for span in spans)
+
+
+def test_plain_filter_over_an_encoded_table_is_one_mask(monkeypatch):
+    db = make_db()
+    expected = db.execute_sql(FILTER, ROW).rows
+    assert 0 < len(expected) < 600
+    db.execute_sql(FIG2, NUMPY)  # the detail scan encodes orders
+    forbid_per_tuple_python(monkeypatch)
+    result, spans = flat_spans(db, FILTER, NUMPY)
+    assert result.rows == expected
+    assert [(span.name, span.attrs["columnar"]) for span in spans] == [
+        ("ScanTable", True), ("Select", True), ("Project", True)]
+    select = spans[1]
+    assert (select.attrs["rows_in"], select.attrs["rows_out"]) \
+        == (600, len(expected))
+
+
+def test_a_table_without_an_encoding_says_so_and_loops(monkeypatch):
+    # The patch is not vacuous, and the reason lands on the span.
+    db = make_db()
+    result, spans = flat_spans(db, FILTER, NUMPY)
+    assert result.rows == db.execute_sql(FILTER, ROW).rows
+    select = next(span for span in spans if span.name == "Select")
+    assert select.attrs["columnar"] is False
+    assert select.attrs["fallback"] == "input carries no encoding"
+    forbid_per_tuple_python(monkeypatch)
+    with pytest.raises(AssertionError, match="per-tuple"):
+        db.execute_sql(FILTER, NUMPY)
+
+
+def test_rows_are_built_once_where_the_result_leaves_the_engine(monkeypatch):
+    db = make_db()
+    expected = db.execute_sql(FIG3, ROW).rows
+    result = db.execute_sql(FIG3, NUMPY)
+    monkeypatch.setattr(
+        ColumnarRelation, "to_rows",
+        lambda self: pytest.fail("transposed on the caller's read"))
+    assert result.rows == expected
+
+
+def test_rollup_tiers_serve_columns(monkeypatch):
+    # Fig 3's node is a plain GMDJ (no completion), so the store takes
+    # it; the finer factor is the same node under another Select.
+    db = make_db()
+    exact = QueryOptions(backend="numpy", use_cache=False, rollup="exact")
+    expected = db.execute_sql(FIG3, ROW).rows
+    assert db.execute_sql(FIG3, exact).rows == expected  # stores
+    forbid_per_tuple_python(monkeypatch)
+    result, spans = flat_spans(db, FIG3, exact)
+    assert result.rows == expected
+    assert db.rollups.stats()["exact_hits"] == 1
+    assert all(span.attrs["columnar"] for span in spans)
+
+
+def test_rollup_subsumption_is_masks_over_the_prefix(monkeypatch):
+    from repro.algebra.aggregates import agg, count_star
+    from repro.algebra.expressions import col, lit
+    from repro.algebra.operators import ScanTable
+    from repro.gmdj import md
+
+    db = make_db()
+    theta = col("o.custkey") == col("c.custkey")
+    aggregates = [[count_star("n"), agg("avg", col("o.totalprice"), "a")]]
+    coarse = md(ScanTable("customer", "c"), ScanTable("orders", "o"),
+                aggregates, [theta])
+    fine = md(Select(ScanTable("customer", "c"),
+                     col("c.custkey") > lit(10)),
+              ScanTable("orders", "o"), aggregates,
+              [theta & (col("c.acctbal") > lit(0.0))])
+    off = QueryOptions(strategy="gmdj", backend="row", use_cache=False,
+                       rollup="off")
+    warm = QueryOptions(strategy="gmdj", backend="numpy", use_cache=False,
+                        rollup="subsume")
+    expected = db.execute(fine, off).rows
+    assert any(row[-2] == 0 and row[-1] is None for row in expected)
+    db.execute(coarse, warm)
+    forbid_per_tuple_python(monkeypatch)
+    served = db.execute(fine, warm)
+    assert db.rollups.stats()["subsume_hits"] == 1
+    assert served.rows == expected

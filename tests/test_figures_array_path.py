@@ -1,0 +1,88 @@
+"""Figures 2 to 5 never leave the array kernel.
+
+The paper's own plans under the default strategy, through the CLI's
+``repro explain --backend numpy --analyze --json``: EXISTS (Thm 4.1
+assurance), the scalar AVG comparison (an unfused GMDJ: aggregate state
+finalized as columns, no completion), ``>= ALL`` with a ``<>``
+correlation (the pairwise doom Thm 4.2 generalizes to) and two coalesced
+EXISTS.  Every detail scan must run on the numpy backend with no
+per-operator fallback, the customer x orders scans must resolve their
+dense custkey range by direct addressing, and every flat operator above
+the node must have taken its array form (``columnar=true``, no
+``fallback``).  (The CI workflow runs this file as its own step.)
+"""
+
+from __future__ import annotations
+
+import io
+import json
+
+import pytest
+
+pytest.importorskip("numpy", exc_type=ImportError)
+
+from repro.bench.workloads import build_fig2, build_fig4
+from repro.cli import main
+from repro.storage import save_catalog
+
+FIGURES = {
+    "fig2": "SELECT c.custkey FROM customer c WHERE EXISTS "
+            "(SELECT * FROM orders o WHERE o.custkey = c.custkey "
+            "AND o.totalprice > 300000)",
+    "fig3": "SELECT c.custkey FROM customer c WHERE c.acctbal * 50 > "
+            "(SELECT AVG(o.totalprice) FROM orders o "
+            "WHERE o.custkey = c.custkey)",
+    "fig4": "SELECT p.partkey FROM part1 p WHERE p.retailprice >= ALL "
+            "(SELECT q.retailprice FROM part2 q "
+            "WHERE q.partkey <> p.partkey)",
+    "fig5": "SELECT c.custkey FROM customer c WHERE EXISTS "
+            "(SELECT * FROM orders o1 WHERE o1.custkey = c.custkey "
+            "AND o1.totalprice > 300000) AND EXISTS "
+            "(SELECT * FROM orders o2 WHERE o2.custkey = c.custkey "
+            "AND o2.orderpriority = '1-URGENT')",
+}
+
+
+@pytest.fixture(scope="module")
+def data_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("figs_csv")
+    save_catalog(build_fig2(2000).catalog, directory)
+    save_catalog(build_fig4(300).catalog, directory)
+    return directory
+
+
+def walk(span):
+    yield span
+    for child in span["children"]:
+        yield from walk(child)
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURES))
+def test_figure_stays_on_arrays(data_dir, figure):
+    out = io.StringIO()
+    code = main(["explain", FIGURES[figure], "--data", str(data_dir),
+                 "--backend", "numpy", "--analyze", "--json"], out=out)
+    assert code == 0
+    payload = json.loads(out.getvalue())
+    spans = [span for root in payload["trace"]["spans"]
+             for span in walk(root)]
+    scans = [span for span in spans if span["kind"] == "detail_scan"]
+    assert scans, "no detail scan in the trace"
+    for scan in scans:
+        attrs = scan["attrs"]
+        assert attrs["backend"] == "numpy", attrs
+        assert not attrs.get("fallbacks"), attrs
+        assert attrs["tiles"] >= 1 and "chunks" not in attrs, attrs
+        if attrs["relation"] == "orders":
+            assert set(attrs["key_lookup"]) == {"direct"}, attrs
+    fused = any(span["kind"] == "gmdj" and span["attrs"]["completion"]
+                for span in spans)
+    completed = payload["counters"].get("completed_tuples", 0)
+    assert (completed > 0) == fused, (completed, fused)
+    above = [span for span in spans
+             if span["kind"] == "flat" and span["name"] != "ScanTable"]
+    assert above, "no flat operator above the node"
+    for span in above:
+        assert span["attrs"]["columnar"] is True, span
+        assert "fallback" not in span["attrs"], span
+    assert "flat_fallbacks" not in payload["executed"]
