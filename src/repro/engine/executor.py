@@ -28,13 +28,12 @@ def _detached(result: Relation, catalog: Catalog) -> Relation:
     """``result`` as it leaves the engine: holding its row list, and
     snapshotted if it is a view of a stored table.
 
-    This is the one place a column-backed result (the numpy kernel's
-    output and the array-form operators above it) becomes tuples: the
-    read of ``rows`` below transposes it, inside the run's clock, so
-    nothing is deferred to the caller.  Scan views share the stored row
-    list, so a plan that only scans (a bare ``SELECT * FROM t``)
-    evaluates to that very list; what leaves the engine must not change
-    under a later ``insert``.
+    The runner :func:`make_executor` builds has already turned a
+    column-backed result into tuples (inside the run's clock: nothing is
+    deferred to the caller), so ``rows`` below is the list itself.  Scan
+    views share the stored row list, so a plan that only scans (a bare
+    ``SELECT * FROM t``) evaluates to that very list; what leaves the
+    engine must not change under a later ``insert``.
     """
     rows = result.rows
     if any(rows is catalog.table(name).rows

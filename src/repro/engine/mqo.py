@@ -459,6 +459,9 @@ def execute_batch(
             lambda gmdj: evaluate_node(gmdj, db.catalog, kernel, fragmenter),
             group,
         )
+        # split_result reads tuples: a column-backed result (the numpy
+        # kernel's) is transposed here, once, inside the shared clock.
+        shared_result.rows
         shared_elapsed = time.perf_counter() - t0
         shared_delta = _delta(before, ambient.snapshot())
         _merge_io(totals, shared_delta)

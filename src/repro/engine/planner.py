@@ -164,7 +164,10 @@ def make_executor(
     is wrapped in a ``query`` span carrying the strategy name — or
     ``plain`` when a GMDJ strategy had nothing to translate — and, for
     GMDJ runs, the kernel and fragmenter, so traces attribute all work
-    to what actually ran.
+    to what actually ran.  The relation it returns holds its row list:
+    a column-backed result (the numpy kernel's output, the array-form
+    operators above it) becomes tuples here, once, inside the call —
+    whoever times the callable times the whole query.
     """
     options = QueryOptions.of(options).canonical()
     lint = options.lint if options.lint in ("warn", "strict") else None
@@ -198,7 +201,9 @@ def make_executor(
         from repro.obs.tracer import span
 
         with span("query", kind="query", strategy=strategy, **physical):
-            return runner()
+            result = runner()
+            result.rows  # the one transposition of a column-backed result
+            return result
 
     return traced
 

@@ -901,7 +901,7 @@ def run_numpy_scan(
     # of another array operator) shares it; any other is encoded now and
     # keeps it: a stored table (scan views share its cache) for every
     # later query, a row-backed intermediate for this scan.
-    base_encoding = cached_columnar(base, counter="columnar.base_encodes")
+    base_encoding = cached_columnar(base)
     pairs = _PairColumns(Columns(base_encoding), Columns(columnar),
                          combined_schema)
     every_block = list(zip(runtimes, blocks))

@@ -44,12 +44,14 @@ interpreter is the tests' reference).
 from __future__ import annotations
 
 import dataclasses
-from functools import partial
+from dataclasses import dataclass
 from typing import Callable
 
-from repro.algebra.operators import Operator, Rename, ScanTable, TableValue
+from repro.algebra.expressions import Expression
+from repro.algebra.operators import Operator, TableValue
 from repro.algebra.rewrite import map_children
 from repro.gmdj.chunked import BaseChunks
+from repro.gmdj.completion import CompletionRule
 from repro.gmdj.evaluate import SelectGMDJ, run_gmdj
 from repro.gmdj.operator import GMDJ
 from repro.gmdj.parallel import DEFAULT_PARTITIONS, DetailPartitions
@@ -61,6 +63,7 @@ from repro.storage.catalog import Catalog
 from repro.storage.columnar import is_encoded
 from repro.storage.iostats import IOStats
 from repro.storage.relation import Relation
+from repro.storage.schema import Schema
 
 Kernel = Callable[..., Relation]
 Fragmenter = BaseChunks | DetailPartitions
@@ -68,6 +71,24 @@ Fragmenter = BaseChunks | DetailPartitions
 #: with the *original* node and a thunk that evaluates it (children
 #: first); returns the node's relation.
 NodeHook = Callable[[GMDJ, Callable[[], Relation]], Relation]
+
+
+@dataclass(frozen=True)
+class BatchKernel:
+    """:func:`run_gmdj_vectorized` bound to one ``backend`` — the kernel
+    says which it is, so the walk around it need not guess."""
+
+    backend: str
+    chunk_size: int
+
+    def __call__(
+        self, base: Relation, detail: Relation, gmdj: GMDJ,
+        output_schema: Schema, rule: CompletionRule | None = None,
+        selection: Expression | None = None,
+    ) -> Relation:
+        return run_gmdj_vectorized(
+            base, detail, gmdj, output_schema, rule, selection,
+            chunk_size=self.chunk_size, backend=self.backend)
 
 
 def select_kernel(backend: str | None = None,
@@ -85,8 +106,7 @@ def select_kernel(backend: str | None = None,
     name = resolve_kernel(backend, chunk_size)
     if name == "row":
         return run_gmdj
-    return partial(run_gmdj_vectorized,
-                   chunk_size=resolve_chunk_size(chunk_size), backend=name)
+    return BatchKernel(name, resolve_chunk_size(chunk_size))
 
 
 def select_fragmenter(
@@ -161,20 +181,15 @@ ArrayForms = tuple[dict[type, Callable[..., Relation]], type[Exception]]
 
 def array_forms(kernel: Kernel) -> ArrayForms | None:
     """The array forms the flat operators around ``kernel`` take: those
-    of :mod:`repro.algebra.npoperators` when it is the numpy kernel
-    :func:`select_kernel` builds (its output is column-backed), none for
+    of :mod:`repro.algebra.npoperators` when it names itself the numpy
+    kernel (``kernel.backend``: its output is column-backed), none for
     any other — and the module is not imported then."""
-    if getattr(kernel, "keywords", {}).get("backend") != "numpy":
+    if getattr(kernel, "backend", None) != "numpy":
         return None
     from repro.algebra.npcompile import NpUnsupported
     from repro.algebra.npoperators import ARRAY_FORMS
 
     return ARRAY_FORMS, NpUnsupported
-
-
-#: Flat operators that evaluate to a view of their input: no row loop
-#: runs whichever kernel is in use.
-_VIEWS = (ScanTable, TableValue, Rename)
 
 
 def evaluate_flat(node: Operator, catalog: Catalog,
@@ -184,38 +199,32 @@ def evaluate_flat(node: Operator, catalog: Catalog,
     ``forms`` — given exactly when the kernel is numpy — maps operator
     types to their array forms and names the exception a form raises
     (nothing counted yet) when it has no exact answer: the row-wise
-    ``evaluate`` then runs, with the reason on the span (``fallback``),
-    as it does for an operator type without an array form.  ``columnar``
-    says whether the result was produced without a row loop and carries
-    columns (a view — scan, rename, table value — of an encoded relation
-    does); array-form runs and fallbacks are counted in the registry
-    (``flat.columnar`` / ``flat.fallbacks``).
+    ``evaluate`` then runs, with the reason on the span (``fallback``)
+    and a ``flat.fallbacks`` count; an array-form run counts in
+    ``flat.columnar``.  An operator type without an array form (a view —
+    scan, rename, table value — or one that reads ``rows`` by design:
+    join, group-by, order-by, ...) just evaluates: neither counter, no
+    ``fallback``.  ``columnar`` says the result carries columns.
     """
     with span(type(node).__name__, kind="flat") as flat:
         result = reason = None
-        columnar = False
-        if forms is not None and not isinstance(node, _VIEWS):
+        if forms is not None and type(node) in forms[0]:
             by_type, unsupported = forms
-            form = by_type.get(type(node))
-            if form is None:
-                reason = f"no array form for {type(node).__name__}"
-            else:
-                try:
-                    result = form(node, catalog)
-                    columnar = True
-                except unsupported as exc:
-                    reason = exc.reason
+            try:
+                result = by_type[type(node)](node, catalog)
+            except unsupported as exc:
+                reason = str(exc)
             get_registry().counter(
-                "flat.columnar" if columnar else "flat.fallbacks").inc()
+                "flat.fallbacks" if result is None else "flat.columnar"
+            ).inc()
         if result is None:
             result = node.evaluate(catalog)
-            columnar = (forms is not None and reason is None
-                        and is_encoded(result))
         if tracing_enabled():
             flat.set(rows_in=sum(len(child.relation)
                                  for child in node.children()
                                  if isinstance(child, TableValue)),
-                     rows_out=len(result), columnar=columnar)
+                     rows_out=len(result),
+                     columnar=forms is not None and is_encoded(result))
             if reason is not None:
                 flat.set(fallback=reason)
         return result

@@ -41,7 +41,6 @@ from repro.errors import ConfigurationError, ReproError
 from repro.obs.metrics import metrics_scope
 from repro.obs.tracer import tracing
 from repro.serve.locks import LockTimeout, ReadWriteLock
-from repro.storage.columnar import cached_columnar, is_encoded
 from repro.storage.iostats import collect
 from repro.storage.relation import Relation
 from repro.storage.types import DataType
@@ -98,15 +97,9 @@ def remaining(deadline: float | None) -> float | None:
 def json_rows(result: Relation) -> list[list]:
     """The ``rows`` of a response: one JSON array per result row.
 
-    Encoded from the result's columns when it still carries them (an
-    executed query under the numpy kernel: their decoded value lists
-    were cached when the engine built the row list), from the row list
-    otherwise (a cache hit, a row-kernel run) — the same values, so the
-    same response bytes, either way.
+    The engine hands over a relation that already holds its row list
+    (``executor._detached``), so this is one pass over it.
     """
-    if is_encoded(result) and len(result.schema):
-        return [list(row) for row in
-                zip(*cached_columnar(result).value_columns())]
     return [list(row) for row in result.rows]
 
 

@@ -242,19 +242,6 @@ class ColumnarRelation:
         return cls(schema, columns, n,
                    name=getattr(relation, "name", None))
 
-    @classmethod
-    def from_column(cls, relation: Relation,
-                    position: int) -> "ColumnarRelation":
-        """Encode one attribute of ``relation`` alone (never cached).
-
-        For a kernel that needs a single column of a derived relation:
-        the other columns are neither transposed nor type-checked.
-        """
-        field = relation.schema.fields[position]
-        values = [row[position] for row in relation.rows]
-        return cls(Schema([field]), [_encode_column(values, field.dtype)],
-                   len(values), name=getattr(relation, "name", None))
-
     def mask_free_columns(self) -> int:
         """How many columns were encoded without a validity mask."""
         return sum(1 for column in self.columns if column.mask_free)
@@ -324,9 +311,7 @@ def is_encoded(relation: Relation) -> bool:
     return bool(relation._columnar)
 
 
-def cached_columnar(relation: Relation,
-                    counter: str = "columnar.cache_misses",
-                    ) -> ColumnarRelation:
+def cached_columnar(relation: Relation) -> ColumnarRelation:
     """The columnar encoding of ``relation``, cached on the relation.
 
     A stored relation carries at most one encoding (``_columnar``, a
@@ -343,10 +328,10 @@ def cached_columnar(relation: Relation,
     shared with the cached instance.
 
     Hit/miss counts surface in the metrics registry as
-    ``columnar.cache_hits`` / ``columnar.cache_misses``; ``counter``
-    names another counter for the miss (the array kernel's base operand
-    is counted as ``columnar.base_encodes``, apart from the detail
-    scans' misses).
+    ``columnar.cache_hits`` / ``columnar.cache_misses`` — the array
+    kernel encodes its base operand through here too, so a row-backed
+    base (an in-memory table's first scan, a ``chunk_budget`` fragment)
+    is a miss like any other.
     """
     from repro.obs.metrics import get_registry
 
@@ -358,7 +343,7 @@ def cached_columnar(relation: Relation,
             return hit
         return hit.with_schema(relation.schema,
                                getattr(relation, "name", None))
-    get_registry().counter(counter).inc()
+    get_registry().counter("columnar.cache_misses").inc()
     built = ColumnarRelation.from_relation(relation)
     cache[:] = [built]
     return built

@@ -31,6 +31,7 @@ import pytest
 
 pytest.importorskip("numpy", exc_type=ImportError)
 
+import repro.engine.mqo as mqo
 import repro.engine.rollup as rollup
 import repro.gmdj.evaluate as evaluate
 import repro.gmdj.vectorized as vectorized
@@ -277,6 +278,49 @@ def test_rows_are_built_once_where_the_result_leaves_the_engine(monkeypatch):
         ColumnarRelation, "to_rows",
         lambda self: pytest.fail("transposed on the caller's read"))
     assert result.rows == expected
+
+
+def test_the_runner_hands_back_a_relation_holding_its_rows(monkeypatch):
+    # Whoever times make_executor's callable (benchmarks/) times the
+    # transposition too: it does not wait for the first ``rows`` read.
+    from repro.engine import make_executor
+
+    db = make_db()
+    expected = db.execute_sql(FIG3, ROW).rows
+    result = make_executor(db.sql(FIG3), db.catalog, NUMPY)()
+    monkeypatch.setattr(
+        ColumnarRelation, "to_rows",
+        lambda self: pytest.fail("transposed on the caller's read"))
+    assert result.rows == expected
+
+
+def test_a_coalesced_batch_builds_rows_inside_its_clock(monkeypatch):
+    # The shared node's result is transposed before the shared clock
+    # stops, not by split_result after it: no member's result (nor the
+    # split) transposes once execute_batch has returned.
+    db = make_db()
+    members = [FIG2, FIG2.replace("300000", "100000")]
+    expected = [db.execute_sql(sql, ROW).rows for sql in members]
+    calls = []
+    to_rows = ColumnarRelation.to_rows
+    split = mqo.split_result
+
+    def counted(self):
+        calls.append("to_rows")
+        return to_rows(self)
+
+    def split_after(*args):
+        calls.append("split")
+        return split(*args)
+
+    monkeypatch.setattr(ColumnarRelation, "to_rows", counted)
+    monkeypatch.setattr(mqo, "split_result", split_after)
+    batch = db.execute_sql_batch(members, QueryOptions(
+        backend="numpy", use_cache=False, rollup="off", mqo="coalesce"))
+    assert batch.report.groups and batch.report.groups[0].coalesced
+    assert calls == ["to_rows", "split", "split"]
+    assert [result.rows for result in batch] == expected
+    assert calls == ["to_rows", "split", "split"]
 
 
 def test_rollup_tiers_serve_columns(monkeypatch):

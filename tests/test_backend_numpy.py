@@ -794,7 +794,9 @@ class TestColumnarEncodingCache:
                 gmdj, catalog, select_kernel(backend), BaseChunks(4))
             misses = registry.counter("columnar.cache_misses").value
             hits = registry.counter("columnar.cache_hits").value
-        assert misses == 1
+        # The array kernel reads its base as columns too: each fragment
+        # is its own row-backed relation, encoded once for its scan.
+        assert misses == 1 + (fragments if backend == "numpy" else 0)
         assert hits == fragments - 1
         plain = gmdj.evaluate(catalog)
         assert plain.bag_equal(chunked)

@@ -157,7 +157,11 @@ class TestLoadedEncodingCache:
                                    use_cache=False, rollup="off")
             with metrics_scope() as registry:
                 assert database.execute_sql(sql, options).rows == expected
-                assert registry.counter("columnar.cache_misses").value == 0
+                # R is never re-encoded.  The array kernel also reads
+                # its base as columns: B, created in memory, is encoded
+                # on that first scan (and keeps the encoding).
+                assert registry.counter("columnar.cache_misses").value \
+                    == (1 if backend == "numpy" else 0)
                 assert registry.counter("columnar.cache_hits").value >= 1
         # Still exactly one encoding, and it is the memory-mapped one.
         assert database.table("R")._columnar == [mapped]

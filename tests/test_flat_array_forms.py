@@ -45,6 +45,7 @@ from repro.errors import ExpressionError
 from repro.fuzz.datagen import random_database
 from repro.gmdj.operator import md
 from repro.gmdj.physical import evaluate_plan, select_kernel
+from repro.obs.metrics import metrics_scope
 from repro.obs.tracer import Tracer, tracing
 from repro.storage import collect
 from repro.storage.catalog import Catalog
@@ -343,8 +344,14 @@ def test_operators_without_an_array_form_keep_reading_rows():
     catalog = edge_catalog()
     plan = OrderBy(Distinct(Project(T, ["t.s", "t.i"])), [("t.s", False)])
     assert_forms_agree(plan, catalog)
-    _, _, spans = run(plan, catalog, NUMPY_KERNEL)
+    with metrics_scope() as registry:
+        _, _, spans = run(plan, catalog, NUMPY_KERNEL)
     by_name = {span.name: span.attrs for span in spans}
     assert by_name["Project"]["columnar"] is True
-    assert by_name["Distinct"]["fallback"] == "no array form for Distinct"
-    assert by_name["OrderBy"]["fallback"] == "no array form for OrderBy"
+    # Reading rows by design is not a fallback: not on the span, not in
+    # the counter.
+    for name in ("Distinct", "OrderBy"):
+        assert by_name[name]["columnar"] is False
+        assert "fallback" not in by_name[name]
+    assert registry.counters["flat.columnar"].value == 1
+    assert "flat.fallbacks" not in registry.counters

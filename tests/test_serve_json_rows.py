@@ -1,10 +1,10 @@
 """The JSON ``rows`` of ``/query`` and ``/batch`` responses.
 
-``serve.state.json_rows`` is the one encoder behind both endpoints: from
-the result's columns while it still carries them (an executed query
-under the numpy kernel), from the row list otherwise (a row-kernel run,
-a result-cache hit).  The response bytes must not depend on which — over
-NULLs, floats, strings, booleans and an empty result.
+``serve.state.json_rows`` is the one encoder behind both endpoints; it
+reads the row list the engine built at its boundary.  The response bytes
+must not depend on whether the result also carries columns (an executed
+query under the numpy kernel) or not (a row-kernel run, a result-cache
+hit) — over NULLs, floats, strings, booleans and an empty result.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def test_query_rows_bytes_do_not_depend_on_the_backend(sql, backend):
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="needs the numpy kernel")
-def test_columns_and_rows_encode_the_same_bytes():
+def test_column_backed_and_row_backed_results_encode_the_same_bytes():
     db = make_db()
     for sql in QUERIES:
         result = db.execute_sql(sql, options("numpy"))
