@@ -14,12 +14,21 @@ though nothing changed.  :class:`PlanCache` memoizes both layers:
   to the finished relation — re-running skips the scan entirely.
 
 Both are bounded LRU maps.  Staleness is handled by *explicit
-invalidation*: every :class:`~repro.engine.database.Database` DDL entry
-point (``create_table``, ``register``, ``load_csv``, ``create_index``,
-``drop_indexes``) clears the cache, because any of them can change what
-a plan means (schemas, data, access paths).  Mutating a
-:class:`~repro.storage.relation.Relation` object in place behind the
-catalog's back bypasses this — go through ``register`` to swap data.
+invalidation*, scoped to what a write can change:
+
+* ``Database.insert(T)`` changes the rows of one table and nothing
+  else, so it drops the cached **results** whose plan reads ``T``
+  (:meth:`PlanCache.invalidate_table`; every entry records
+  :func:`scanned_tables` of its query) and keeps the rest.  It never
+  drops a **translation**: ``subquery_to_gmdj`` reads schemas, not rows.
+* DDL that changes a schema or an access path — ``create_table``,
+  ``register``, ``load_csv``, ``load_binary``, ``drop_table``,
+  ``create_index``, ``drop_indexes`` — can change what a plan *means*,
+  and clears everything (:meth:`PlanCache.invalidate`).
+
+Mutating a :class:`~repro.storage.relation.Relation` object in place
+behind the catalog's back bypasses both — go through ``insert`` or
+``register``.
 
 Profiled runs (``Database.profile``, EXPLAIN ANALYZE) never consult the
 result cache: their purpose is to measure the work, and a cache hit
@@ -36,9 +45,56 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable
+from dataclasses import is_dataclass
+from enum import Enum
+from typing import Any, Callable, Hashable
 
+from repro.algebra.operators import ScanTable
+from repro.obs.metrics import get_registry
 from repro.storage.relation import Relation
+
+
+#: What a plan holds besides nodes and containers: plain values, and the
+#: relation *value* inside a ``TableValue`` — nothing a later write to
+#: the catalog changes.
+_LEAVES = (str, bytes, int, float, bool, type(None), Enum, Relation)
+
+
+def scanned_tables(plan: Any) -> frozenset[str] | None:
+    """The stored tables ``plan`` reads: the name of every ``ScanTable``
+    reachable from it — through operator children, GMDJ θ-blocks, and
+    the subqueries inside nested predicates and APPLY nodes alike.
+
+    Operators, expressions, blocks and subqueries are all dataclasses,
+    so the walk follows fields (and the containers in them) rather than
+    knowing each node type.  It fails closed: on anything it cannot see
+    into — an object that is neither a dataclass, a container nor one of
+    ``_LEAVES`` — the answer is ``None``, "may read any table", and
+    :func:`reads` drops such an entry on every insert rather than risk
+    serving it stale.
+    """
+    tables: set[str] = set()
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ScanTable):
+            tables.add(node.table_name)
+        elif isinstance(node, (tuple, list, set, frozenset)):
+            stack.extend(node)
+        elif isinstance(node, dict):
+            stack.extend(node)
+            stack.extend(node.values())
+        elif is_dataclass(node) and not isinstance(node, type):
+            stack.extend(getattr(node, name)
+                         for name in node.__dataclass_fields__)
+        elif not isinstance(node, _LEAVES):
+            return None
+    return frozenset(tables)
+
+
+def reads(tables: frozenset[str] | None, table: str) -> bool:
+    """Whether a plan with these :func:`scanned_tables` reads ``table``."""
+    return tables is None or table in tables
 
 
 class _LRU:
@@ -67,6 +123,15 @@ class _LRU:
         with self._lock:
             self._entries.clear()
 
+    def discard(self, stale: Callable[[Any], bool]) -> int:
+        """Drop the entries whose value is ``stale``; returns how many."""
+        with self._lock:
+            dropped = [key for key, entry in self._entries.items()
+                       if stale(entry)]
+            for key in dropped:
+                del self._entries[key]
+            return len(dropped)
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -88,6 +153,10 @@ class PlanCache:
         self.result_hits = 0
         self.result_misses = 0
         self.invalidations = 0
+        self.table_invalidations = 0
+        #: Results the last ``invalidate_table`` kept / dropped.
+        self.last_insert_kept = 0
+        self.last_insert_dropped = 0
 
     # -- keys ------------------------------------------------------------------
 
@@ -116,10 +185,8 @@ class PlanCache:
 
     def result(self, key: Hashable) -> Relation | None:
         """A cached result relation (defensively copied), or None."""
-        from repro.obs.metrics import get_registry
-
-        cached = self._results.get(key)
-        if cached is None:
+        entry = self._results.get(key)
+        if entry is None:
             self.result_misses += 1
             get_registry().counter("cache.result_misses").inc()
             return None
@@ -127,19 +194,34 @@ class PlanCache:
         get_registry().counter("cache.result_hits").inc()
         # Copy rows so a caller mutating the returned relation cannot
         # corrupt later hits.
-        return cached.copy()
+        return entry[0].copy()
 
-    def store_result(self, key: Hashable, relation: Relation) -> None:
+    def store_result(self, key: Hashable, relation: Relation,
+                     tables: frozenset[str] | None) -> None:
+        """Cache ``relation`` as the answer to ``key``, whose plan reads
+        the stored ``tables`` (:func:`scanned_tables`)."""
         # Snapshot: the caller holds (and may mutate) the original.
-        self._results.put(key, relation.copy())
+        self._results.put(key, (relation.copy(), tables))
 
     # -- lifecycle -------------------------------------------------------------
 
     def invalidate(self) -> None:
-        """Drop every cached artifact (called on any DDL change)."""
+        """Drop every cached artifact (DDL that changes a schema or an
+        access path: any plan may mean something else now)."""
         self._translations.clear()
         self._results.clear()
         self.invalidations += 1
+        get_registry().counter("cache.invalidations").inc()
+
+    def invalidate_table(self, table: str) -> None:
+        """Rows were appended to ``table``: drop the results whose plan
+        reads it.  Other results still hold, and so does every
+        translation (a rewrite depends on schemas, never on rows)."""
+        dropped = self._results.discard(lambda entry: reads(entry[1], table))
+        self.table_invalidations += 1
+        self.last_insert_dropped = dropped
+        self.last_insert_kept = len(self._results)
+        get_registry().counter("cache.table_invalidations").inc()
 
     def stats(self) -> dict[str, int]:
         return {
@@ -150,4 +232,7 @@ class PlanCache:
             "result_hits": self.result_hits,
             "result_misses": self.result_misses,
             "invalidations": self.invalidations,
+            "table_invalidations": self.table_invalidations,
+            "last_insert_kept": self.last_insert_kept,
+            "last_insert_dropped": self.last_insert_dropped,
         }

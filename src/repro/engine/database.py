@@ -20,7 +20,13 @@ the thin single-query wrapper ``execute_batch([q])[0]``.
 Every query runs through one internal path (:meth:`Database._run`),
 which also fronts the database's :class:`~repro.engine.cache.PlanCache`:
 repeated queries skip re-translation (and, for plain ``execute``,
-re-scanning).  All DDL entry points invalidate the cache.
+re-scanning).  A write invalidates what it can have changed:
+``insert(T)`` drops the cached results and rollups that read ``T`` and
+keeps every translation, the table's encoding (extended, not rebuilt)
+and its indexes; DDL that changes a schema or an access path
+(``create_table``, ``register``, ``load_csv``, ``load_binary``,
+``drop_table``, ``create_index``, ``drop_indexes``) drops everything
+derived.
 
 >>> from repro import Database, DataType
 >>> db = Database()
@@ -34,7 +40,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.algebra.operators import Operator
-from repro.engine.cache import PlanCache
+from repro.engine.cache import PlanCache, scanned_tables
 from repro.engine.executor import run
 from repro.engine.rollup import RollupStore
 from repro.engine.options import QueryOptions
@@ -140,14 +146,20 @@ class Database:
         Copy-on-write: the catalog entry is *replaced* by an extended
         copy rather than mutated in place, so an in-flight reader that
         already resolved the old relation keeps scanning a consistent
-        snapshot.  Like every mutation entry point this invalidates the
-        plan/result cache and the rollup store.
+        snapshot — its row list, its columnar arrays and its indexes.
+        The copy's encoding is the old one ``appended`` with the new
+        rows (no re-encode), the table's indexes are carried over, and
+        only what read this table is invalidated: cached results and
+        rollups of plans that scan ``name``.  Translations survive (a
+        rewrite reads schemas, never rows), as does everything derived
+        from other tables.
         """
         self._check_open()
-        relation = self.catalog.table(name).copy()
-        relation.extend(rows)
-        self._invalidate()
-        return self.catalog.replace_table(name, relation)
+        relation = self.catalog.table(name).extended(rows)
+        self.catalog.extend_table(name, relation)
+        self.cache.invalidate_table(name)
+        self.rollups.invalidate_table(name)
+        return relation
 
     def load_csv(self, name: str, path: str | Path) -> Relation:
         """Create a table from a CSV written by ``repro.storage.save_csv``."""
@@ -241,7 +253,8 @@ class Database:
             report = run(query, self.catalog, options, cache=self.cache,
                          profiled=profiled, rollups=self.rollups)
         if result_key is not None:
-            self.cache.store_result(result_key, report.result)
+            self.cache.store_result(result_key, report.result,
+                                    scanned_tables(query))
         return report
 
     def execute(

@@ -45,8 +45,15 @@ served: their completion output carries partial aggregates on assured
 rows, so it is not a reusable rollup.
 
 Staleness is handled the same way as :class:`~repro.engine.cache.PlanCache`:
-every :class:`~repro.engine.database.Database` DDL entry point calls
-:meth:`RollupStore.invalidate`.  Signatures are computed on the
+every entry records the stored tables its node reads
+(:func:`~repro.engine.cache.scanned_tables`), ``Database.insert(T)``
+drops exactly the entries that read ``T``
+(:meth:`RollupStore.invalidate_table`), and DDL that changes a schema or
+an access path drops them all (:meth:`RollupStore.invalidate`).
+Maintaining an entry under an insert instead of dropping it (Gray et
+al.: fold ΔR into the distributive/algebraic scratchpads) is not done —
+a rebuild is one detail scan, cheaper at this scale than the per-entry
+set-up of a ΔR scan.  Signatures are computed on the
 *original* translated subtrees (before the plan walker rebuilds children
 as anonymous materialized tables), so they are stable across runs of the
 same logical plan.
@@ -62,6 +69,7 @@ from typing import Callable, Sequence
 from repro.algebra.analysis import refers_only_to
 from repro.algebra.expressions import Expression, conjuncts_of
 from repro.algebra.operators import Operator, Select
+from repro.engine.cache import reads, scanned_tables
 from repro.errors import ReproError
 from repro.gmdj.operator import GMDJ, ThetaBlock
 from repro.gmdj.physical import NodeHook
@@ -113,6 +121,9 @@ class RollupEntry:
     base_text: str
     detail_text: str
     base_schema: Schema
+    #: Stored tables the node reads (None: any); an insert into one
+    #: drops the entry.
+    tables: frozenset[str] | None
 
     @property
     def base_arity(self) -> int:
@@ -138,6 +149,10 @@ class RollupStore:
         self.misses = 0
         self.stores = 0
         self.invalidations = 0
+        self.table_invalidations = 0
+        #: Entries the last ``invalidate_table`` kept / dropped.
+        self.last_insert_kept = 0
+        self.last_insert_dropped = 0
 
     # -- store -----------------------------------------------------------------
 
@@ -153,6 +168,7 @@ class RollupStore:
         entry = RollupEntry(
             gmdj=node, relation=relation.copy(), base_text=base_text,
             detail_text=detail_text, base_schema=base_schema,
+            tables=scanned_tables(node),
         )
         with self._lock:
             if signature not in self._entries:
@@ -298,12 +314,28 @@ class RollupStore:
     # -- lifecycle -------------------------------------------------------------
 
     def invalidate(self) -> None:
-        """Drop every rollup (called on any DDL change)."""
+        """Drop every rollup (DDL that changes a schema or an access
+        path)."""
         with self._lock:
             self._entries.clear()
             self._shapes.clear()
             self.invalidations += 1
         get_registry().counter("rollup.invalidations").inc()
+
+    def invalidate_table(self, table: str) -> None:
+        """Rows were appended to ``table``: drop the rollups whose node
+        reads it; every other entry still answers."""
+        with self._lock:
+            stale = [(signature, entry)
+                     for signature, entry in self._entries.items()
+                     if reads(entry.tables, table)]
+            for signature, entry in stale:
+                del self._entries[signature]
+                self._unindex(signature, entry)
+            self.table_invalidations += 1
+            self.last_insert_dropped = len(stale)
+            self.last_insert_kept = len(self._entries)
+        get_registry().counter("rollup.table_invalidations").inc()
 
     def __len__(self) -> int:
         with self._lock:
@@ -317,6 +349,9 @@ class RollupStore:
             "misses": self.misses,
             "stores": self.stores,
             "invalidations": self.invalidations,
+            "table_invalidations": self.table_invalidations,
+            "last_insert_kept": self.last_insert_kept,
+            "last_insert_dropped": self.last_insert_dropped,
         }
 
 

@@ -52,12 +52,22 @@ from repro.lint.diagnostics import LintReport
 MUTATING_CALLS = frozenset({
     "apply_ddl",
     "create_table",
+    "register",
     "drop_table",
     "create_index",
     "drop_indexes",
     "load_csv",
+    "load_binary",
     "invalidate",
+    "invalidate_table",
 })
+
+#: Mutations whose names ``list`` shares: C301 matches them only on a
+#: receiver that is a database or a stored table (``db`` / ``database``,
+#: ``<x>.db`` / ``<x>.database``, ``<x>.table(...)``), so growing a local
+#: list inside a reader region stays quiet.
+RECEIVER_CHECKED_CALLS = frozenset({"insert", "extend"})
+_DATABASE_NAMES = frozenset({"db", "database"})
 
 #: The tenant-level DDL entry point C302 tracks.  Helpers named
 #: ``apply_*`` are the documented lock-free layer underneath it.
@@ -81,6 +91,20 @@ def _call_name(func: ast.expr) -> str | None:
     if isinstance(func, ast.Attribute):
         return func.attr
     return None
+
+
+def _mutates_state(call: ast.Call) -> bool:
+    """Whether ``call`` is a known mutation of tenant/database state."""
+    name = _call_name(call.func)
+    if name in MUTATING_CALLS:
+        return True
+    if name not in RECEIVER_CHECKED_CALLS or not isinstance(
+            call.func, ast.Attribute):
+        return False
+    receiver = call.func.value
+    if isinstance(receiver, ast.Call):
+        return _call_name(receiver.func) == "table"
+    return _call_name(receiver) in _DATABASE_NAMES
 
 
 def _local_nodes(function: _FunctionNode) -> Iterator[ast.AST]:
@@ -220,8 +244,8 @@ class _ModuleChecker:
 
         for call in calls:
             name = _call_name(call.func)
-            if name in MUTATING_CALLS and _in_regions(call.lineno,
-                                                      read_regions):
+            if _mutates_state(call) and _in_regions(call.lineno,
+                                                     read_regions):
                 self.report.add(
                     "C301",
                     f"{name}() mutates tenant state under a reader lock",
@@ -358,6 +382,7 @@ __all__ = [
     "DDL_ENTRY",
     "ISOLATING_CALLS",
     "MUTATING_CALLS",
+    "RECEIVER_CHECKED_CALLS",
     "SUBMIT_METHODS",
     "lint_concurrency_paths",
     "lint_concurrency_source",

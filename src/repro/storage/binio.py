@@ -53,7 +53,11 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigurationError, SchemaError
-from repro.storage.columnar import ColumnarRelation, ColumnData
+from repro.storage.columnar import (
+    ColumnarRelation,
+    ColumnData,
+    cached_columnar,
+)
 from repro.storage.relation import Relation
 from repro.storage.schema import Field, Schema
 from repro.storage.types import DataType
@@ -158,14 +162,17 @@ def _load_column_values(path: Path, descr: str, rows: int) -> memoryview:
 def save_binary(relation: Relation, path: str | Path) -> Path:
     """Write ``relation`` as a binary column directory (``<path>``).
 
-    Columns the encoder found NULL-free get no mask file.  Returns the
-    directory written.
+    What is written is the encoding the relation carries
+    (:func:`~repro.storage.columnar.cached_columnar`: built now only if
+    nothing encoded it yet), so a table that was loaded, scanned or
+    appended to saves the very buffers it scans.  Columns the encoder
+    found NULL-free get no mask file.  Returns the directory written.
     """
     path = Path(path)
     if path.suffix != TABLE_SUFFIX:
         path = path.with_name(path.name + TABLE_SUFFIX)
     path.mkdir(parents=True, exist_ok=True)
-    columnar = ColumnarRelation.from_relation(relation)
+    columnar = cached_columnar(relation)
     fields = []
     for position, (field, column) in enumerate(
             zip(relation.schema.fields, columnar.columns)):

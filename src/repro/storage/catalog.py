@@ -45,6 +45,24 @@ class Catalog:
         }
         return relation
 
+    def extend_table(self, name: str, relation: Relation) -> Relation:
+        """Install ``relation`` — table ``name``'s rows followed by
+        appended ones — and carry the table's indexes over to it.
+
+        Each index is replaced by its ``extended`` twin over the new
+        relation; the old index objects keep answering for the old
+        relation, so a reader that resolved either keeps a consistent
+        pair.  (:meth:`replace_table` is for an unrelated relation and
+        drops the indexes.)
+        """
+        start = len(self.table(name))
+        relation.name = name
+        self._tables[name] = relation
+        for registry in (self._hash_indexes, self._sorted_indexes):
+            for key in [key for key in registry if key[0] == name]:
+                registry[key] = registry[key].extended(relation, start)
+        return relation
+
     def drop_table(self, name: str) -> None:
         if name not in self._tables:
             raise CatalogError(f"no such table {name!r}")

@@ -25,6 +25,13 @@ one encoder and one encoding per stored relation
 (:func:`cached_columnar`); nothing upstream tells storage which columns
 are NULL-free.
 
+An encoding is a value: nothing writes to one after it is built.  A
+write to the table makes the next one — :meth:`ColumnarRelation.appended`
+copies each typed buffer once and concatenates the encoder's output for
+the new rows, so an insert costs a memcpy per column, not a
+re-transposition of every row, and a reader that already resolved the
+old encoding keeps scanning exactly the arrays it had.
+
 The batch GMDJ kernels (:mod:`repro.gmdj.vectorized`) do not read the
 typed arrays element-wise in their hot loops — they ask for
 :meth:`ColumnarRelation.values`, a decoded plain list with ``None`` for
@@ -136,6 +143,42 @@ def _mask(valid: bytearray) -> bytearray | None:
     return valid if 0 in valid else None
 
 
+#: ``array`` typecode of each typed kind's buffer (booleans are a
+#: ``bytearray``).
+_TYPECODES = {"int": "q", "float": "d", "dict": "i"}
+
+
+def _raw(data: Any) -> memoryview:
+    """The bytes of typed storage — an ``array``, a ``bytearray``, a
+    read-only mapped buffer or an ndarray — viewed in place."""
+    return memoryview(data).cast("B")
+
+
+def _grown(kind: str, data: Any, extra: Any) -> Any:
+    """A fresh ``array`` / ``bytearray`` holding ``data`` followed by
+    ``extra`` (the encoder's storage of the same kind): one copy of the
+    old buffer, which is read and never written."""
+    if kind == "bool":
+        out = bytearray(_raw(data))
+    else:
+        out = array(_TYPECODES[kind])
+        out.frombytes(_raw(data))
+    out.extend(extra)
+    return out
+
+
+def _grown_mask(column: ColumnData, delta: ColumnData) -> bytearray | None:
+    """The validity mask of ``column`` followed by ``delta``: still None
+    while neither holds a NULL, materialized the moment one arrives."""
+    if column.valid is None and delta.valid is None:
+        return None
+    mask = (bytearray(b"\x01") * len(column) if column.valid is None
+            else bytearray(_raw(column.valid)))
+    mask.extend(b"\x01" * len(delta) if delta.valid is None
+                else delta.valid)
+    return mask
+
+
 def _encode_column(values: list, dtype: DataType) -> ColumnData:
     """Build typed storage for one column.
 
@@ -242,6 +285,85 @@ class ColumnarRelation:
         return cls(schema, columns, n,
                    name=getattr(relation, "name", None))
 
+    def appended(self, rows: Sequence[tuple]) -> "ColumnarRelation":
+        """This encoding followed by ``rows``, as a *new* encoding.
+
+        Column by column the result equals ``from_relation`` over all
+        the rows — kind, buffer bytes, mask, dictionary order — without
+        reading the old ones again: each typed buffer is copied once and
+        the encoder's output for ``rows`` concatenated.  The encoder's
+        contracts carry over: a NULL arriving in a mask-free column
+        materializes the mask then; a new string extends a *copy* of the
+        dictionary, in first-seen order; a value the typed buffer cannot
+        hold (a >64-bit int, a mistyped value) re-encodes that one
+        column, and only that one, from its values
+        (``columnar.append_reencodes``, column and reason on the span).
+        ``self`` — its buffers, masks and dictionaries, mapped or not —
+        is never written, so whoever holds it keeps a consistent
+        snapshot.
+        """
+        if not rows:
+            return self
+        from repro.obs.metrics import get_registry
+        from repro.obs.tracer import span
+
+        registry = get_registry()
+        registry.counter("columnar.appends").inc()
+        columns: list[ColumnData] = []
+        word_codes: list[dict[str, int] | None] = []
+        reencoded: list[str] = []
+        with span("append", kind="columnar_append", relation=self.name,
+                  rows=len(rows)) as record:
+            for position, (column, field, raw) in enumerate(
+                    zip(self.columns, self.schema.fields, zip(*rows))):
+                values = list(raw)
+                delta = _encode_column(values, field.dtype)
+                codes = None
+                if delta.kind != column.kind or column.kind == "object":
+                    # No buffer to extend: encode the column's values
+                    # afresh (an object column stays one).
+                    if column.kind != "object":
+                        reencoded.append(
+                            f"{field.full_name}: {column.kind} buffer "
+                            f"cannot hold the new rows "
+                            f"(they encode as {delta.kind})")
+                    grown = _encode_column(column.decode() + values,
+                                           field.dtype)
+                elif column.kind == "dict":
+                    codes = self.word_codes(position)
+                    dictionary = column.dictionary or []
+                    fresh = [word for word in delta.dictionary
+                             if word not in codes]
+                    if fresh:
+                        codes = dict(codes)
+                        for word in fresh:
+                            codes[word] = len(codes)
+                        dictionary = dictionary + fresh
+                    remap = [codes[word] for word in delta.dictionary]
+                    if delta.valid is None:
+                        extra = [remap[code] for code in delta.data]
+                    else:  # a NULL slot keeps the encoder's 0
+                        extra = [remap[code] if ok else 0 for code, ok
+                                 in zip(delta.data, delta.valid)]
+                    grown = ColumnData(
+                        "dict", _grown("dict", column.data, extra),
+                        _grown_mask(column, delta), dictionary)
+                else:
+                    grown = ColumnData(
+                        column.kind,
+                        _grown(column.kind, column.data, delta.data),
+                        _grown_mask(column, delta))
+                columns.append(grown)
+                word_codes.append(codes)
+            if reencoded:
+                registry.counter("columnar.append_reencodes").inc(
+                    len(reencoded))
+                record.set(reencoded=reencoded)
+        out = ColumnarRelation(self.schema, columns,
+                               self.length + len(rows), name=self.name)
+        out._word_codes = word_codes
+        return out
+
     def mask_free_columns(self) -> int:
         """How many columns were encoded without a validity mask."""
         return sum(1 for column in self.columns if column.mask_free)
@@ -317,9 +439,13 @@ def cached_columnar(relation: Relation) -> ColumnarRelation:
     A stored relation carries at most one encoding (``_columnar``, a
     zero-or-one-element list), so repeated vectorized queries — and the
     base fragments of a ``chunk_budget`` run — transpose and encode it
-    once.  It is invalidated exactly like the plan cache:
-    ``insert``/``extend`` clear it, and DDL installs a fresh relation
-    object (see ``Catalog.replace_table``).
+    once.  A write keeps it current instead of dropping it:
+    ``Relation.extend`` (and ``insert``) replace it with
+    :meth:`ColumnarRelation.appended` of the new rows, and
+    ``Database.insert`` does the same on a copy it then installs, so the
+    scan after a write is a hit like any other; only DDL that installs
+    an unrelated relation object (``register``, ``create_table``,
+    ``load_*``) starts from nothing.
 
     Scan views (``ScanTable``/``rename``) share the stored relation's
     cache list, so a requalified view hits the same encoding — the

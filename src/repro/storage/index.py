@@ -49,6 +49,22 @@ class HashIndex:
             return None
         return key
 
+    def extended(self, relation: Relation, start: int) -> "HashIndex":
+        """The index over ``relation``, which holds this index's rows
+        followed by the rows from position ``start`` on.  Copy-on-write
+        like the insert it serves: this index, still answering for the
+        old relation, is untouched (a grown bucket is a new list)."""
+        out = HashIndex.__new__(HashIndex)
+        out.relation = relation
+        out.key_references = self.key_references
+        out._key_positions = self._key_positions
+        out._buckets = buckets = dict(self._buckets)
+        for position in range(start, len(relation.rows)):
+            key = self._key_of(relation.rows[position])
+            if key is not None:
+                buckets[key] = buckets.get(key, []) + [position]
+        return out
+
     def __len__(self) -> int:
         return len(self._buckets)
 
@@ -92,6 +108,23 @@ class SortedIndex:
         entries.sort(key=lambda e: e[0])
         self._entries = entries
         IOStats.ambient().index_builds += 1
+
+    def extended(self, relation: Relation, start: int) -> "SortedIndex":
+        """The index over ``relation`` — this index's rows followed by
+        the rows from ``start`` on — leaving this one untouched.  A new
+        entry goes after its equals, where the stable build sort would
+        have put its larger position."""
+        out = SortedIndex.__new__(SortedIndex)
+        out.relation = relation
+        out.key_reference = self.key_reference
+        out._key_position = self._key_position
+        out._entries = entries = list(self._entries)
+        for position in range(start, len(relation.rows)):
+            key = relation.rows[position][self._key_position]
+            if key is not None:
+                bisect.insort_right(entries, (key, position),
+                                    key=lambda entry: entry[0])
+        return out
 
     def __len__(self) -> int:
         return len(self._entries)

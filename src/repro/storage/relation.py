@@ -60,7 +60,8 @@ class Relation:
             self._rows = [tuple(row) for row in rows]
         # Columnar-encoding cache (repro.storage.columnar.cached_columnar):
         # empty, or the one encoding.  Scan views share this list so
-        # repeated vectorized queries hit one encoding; mutations clear it.
+        # repeated vectorized queries hit one encoding; ``extend``
+        # replaces it with the encoding of the grown relation.
         self._columnar: list = []
 
     @classmethod
@@ -133,16 +134,40 @@ class Relation:
         return Relation(self.schema, list(self._rows), name=self.name,
                         validate=False)
 
-    def insert(self, row: Sequence[Any]) -> None:
-        # (``rows`` first: a column-backed relation transposes before
-        # its encoding is dropped.)
-        self.rows.append(self._check_row(row))
-        if self._columnar:
-            self._columnar.clear()
-
     def extend(self, rows: Iterable[Sequence[Any]]) -> None:
-        for row in rows:
-            self.insert(row)
+        """Append ``rows`` — the one mutation.
+
+        Every row is validated and the grown encoding computed before
+        anything changes, so a bad row — or a buffer ``appended`` cannot
+        copy — leaves the relation as it was, row list and encoding
+        still the same length.  Whatever form the relation holds grows:
+        the row list in place, the columnar encoding by being *replaced*
+        with ``appended(delta)`` (one buffer copy per column; see
+        :meth:`~repro.storage.columnar.ColumnarRelation.appended`), so
+        the next scan reads current arrays without re-encoding and
+        whoever resolved the old encoding keeps it intact.
+        """
+        delta = [self._check_row(row) for row in rows]
+        grown = self._columnar[0].appended(delta) if self._columnar else None
+        if self._rows is not None:
+            self._rows.extend(delta)
+        if grown is not None:
+            self._columnar[0] = grown
+
+    def insert(self, row: Sequence[Any]) -> None:
+        self.extend([row])
+
+    def extended(self, rows: Iterable[Sequence[Any]]) -> "Relation":
+        """Copy-on-write :meth:`extend`: a new relation holding this
+        one's rows followed by ``rows``.  This relation — row list and
+        encoding — is untouched; the new one starts from the same
+        encoding (a value nobody writes) and ``extend`` gives it its
+        own, so a table that was encoded stays encoded across a write.
+        """
+        out = self.copy()
+        out._columnar = list(self._columnar)
+        out.extend(rows)
+        return out
 
     # -- basic properties ----------------------------------------------------
 

@@ -363,3 +363,43 @@ def test_rollup_subsumption_is_masks_over_the_prefix(monkeypatch):
     served = db.execute(fine, warm)
     assert db.rollups.stats()["subsume_hits"] == 1
     assert served.rows == expected
+
+
+@pytest.mark.parametrize("backend", ["numpy", "python", "auto"])
+def test_an_insert_into_a_loaded_table_never_re_encodes_it(
+        monkeypatch, tmp_path, backend):
+    # A write extends the mapped encoding (a NULL into mask-free
+    # columns and a new dictionary word included): the Fig 2 scan after
+    # it reads current arrays, and the encoder never sees the table
+    # again — on any kernel.
+    from repro.storage import save_catalog_binary
+
+    reference = make_db()
+    before = reference.execute_sql(FIG2, ROW).rows
+    newcomer = min(set(range(1, 41)) - {key for (key,) in before})
+    new_rows = [(9001, None, 440000.0, "1-URGENT"), (9002, 3, None, "2-HIGH"),
+                (9003, newcomer, 440000.0, "0-NEW")]
+    reference.insert("orders", new_rows)
+    expected = reference.execute_sql(FIG2, ROW).rows
+    assert sorted(expected) == sorted(before + [(newcomer,)])
+
+    save_catalog_binary(make_db().catalog, tmp_path)
+    db = Database()
+    for name in ("customer", "orders"):
+        db.load_binary(name, tmp_path / f"{name}.cols")
+    mapped = db.table("orders")._columnar[0]
+    assert mapped.mask_free_columns() == 4
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stored table was re-encoded from its rows")
+
+    monkeypatch.setattr(ColumnarRelation, "from_relation", refuse)
+    db.insert("orders", new_rows)
+    options = QueryOptions(backend=backend, use_cache=False, rollup="off")
+    result, scans = detail_scans(db, FIG2, options)
+    assert result.rows == expected
+    assert all(not scan.attrs.get("fallbacks") for scan in scans)
+    (current,) = db.table("orders")._columnar
+    assert current is not mapped and current.length == mapped.length + 3
+    assert current.mask_free_columns() == 2
+    assert current.columns[3].dictionary[-1] == "0-NEW"

@@ -769,14 +769,19 @@ class TestColumnarEncodingCache:
             assert registry.counter("columnar.cache_hits").value == 1
             assert hit.schema is view.schema
 
-    def test_mutation_invalidates(self):
+    def test_mutation_extends(self):
+        # A write replaces the encoding with ``appended(delta)``; it is
+        # never dropped, so the scan after an insert is a hit.
         _, _, detail = null_heavy_catalog()
         with metrics_scope() as registry:
-            cached_columnar(detail)
+            before = cached_columnar(detail)
             detail.insert((0, 1, "red", 0.5))
             rebuilt = cached_columnar(detail)
-            assert registry.counter("columnar.cache_misses").value == 2
-            assert rebuilt.length == len(detail)
+            assert registry.counter("columnar.cache_misses").value == 1
+            assert registry.counter("columnar.appends").value == 1
+            assert rebuilt is not before
+            assert rebuilt.length == len(detail) == before.length + 1
+            assert rebuilt.to_rows() == detail.rows
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_chunked_fragments_encode_once(self, backend):

@@ -169,6 +169,100 @@ class TestLoadedEncodingCache:
             assert isinstance(column.data, memoryview)
             assert isinstance(column.data.obj, mmap.mmap)
 
+    def test_an_appended_table_saves_the_buffers_it_scans(
+            self, tmp_path, monkeypatch):
+        # load -> insert (a NULL into a mask-free column, a new
+        # dictionary word) -> save -> load: same rows, masks, dictionary.
+        from repro.storage.columnar import ColumnarRelation
+
+        original = Relation.from_columns(
+            [("K", DataType.INTEGER), ("S", DataType.STRING)],
+            [(i, ["b", "a"][i % 2]) for i in range(6)], name="t")
+        database = Database()
+        database.load_binary("T", save_binary(original, tmp_path / "t"))
+        assert database.table("T")._columnar[0].mask_free_columns() == 2
+        database.insert("T", [(None, "zz"), (7, None)])
+        (scanned,) = database.table("T")._columnar
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("save_binary re-encoded the relation")
+
+        monkeypatch.setattr(ColumnarRelation, "from_relation", refuse)
+        back = load_binary(save_binary(database.table("T"), tmp_path / "t2"))
+        monkeypatch.undo()
+        assert back.rows == original.rows + [(None, "zz"), (7, None)]
+        (restored,) = back._columnar
+        for saved, loaded in zip(scanned.columns, restored.columns):
+            assert loaded.kind == saved.kind
+            assert bytes(loaded.data) == bytes(saved.data)
+            assert loaded.valid == saved.valid
+            assert loaded.valid is not None  # both columns hold a NULL now
+            assert loaded.dictionary == saved.dictionary
+        assert restored.columns[1].dictionary == ["b", "a", "zz"]
+        # ... which is what encoding the rows afresh would have written.
+        fresh = ColumnarRelation.from_relation(back)
+        assert [bytes(c.data) for c in fresh.columns] \
+            == [bytes(c.data) for c in restored.columns]
+
+    def test_first_query_and_post_insert_query_hit_the_mapped_encoding(
+            self, tmp_path):
+        # (Was an inline script of the CI binary-persistence smoke.)  The
+        # mapped columns are the one encoding of a loaded table: the
+        # first query over it hits and never re-encodes — completion
+        # included, gmdj_optimized fuses Thm 4.1 into this scan — and so
+        # does the query after an insert, which extended a *copy*: the
+        # mapped files are read, never written.
+        from repro import QueryOptions
+        from repro.bench.workloads import build_fig2
+        from repro.cli import load_data_directory
+        from repro.obs.metrics import metrics_scope
+
+        workload = build_fig2(400)
+        save_catalog_binary(workload.catalog, tmp_path)
+
+        def file_bytes():
+            return {path.relative_to(tmp_path): path.read_bytes()
+                    for path in sorted(tmp_path.rglob("*")) if path.is_file()}
+
+        on_disk = file_bytes()
+        database = Database()
+        load_data_directory(database, tmp_path)
+        sql = ("SELECT c.custkey FROM customer c WHERE EXISTS "
+               "(SELECT * FROM orders o WHERE o.custkey = c.custkey "
+               "AND o.totalprice > 300000)")
+        # (Without numpy the batch kernel stands in; it reads the
+        # encoding on completion-free plans.)
+        options = (QueryOptions(backend="numpy", use_cache=False)
+                   if HAVE_NUMPY else QueryOptions(
+                       strategy="gmdj", backend="python", use_cache=False))
+        row = QueryOptions(strategy=options.strategy, backend="row",
+                           use_cache=False)
+        with metrics_scope() as registry:
+            first = database.execute_sql(sql, options).rows
+            assert registry.counter("columnar.cache_misses").value == 0
+            assert registry.counter("columnar.cache_hits").value >= 1
+        assert first == database.execute_sql(sql, row).rows
+        (mapped,) = database.table("orders")._columnar
+        assert all(isinstance(column.data, memoryview)
+                   for column in mapped.columns)
+        template = database.table("orders").rows[0]
+        newcomer = max({key for key, *_ in database.table("customer").rows}
+                       - {key for (key,) in first})
+        custkey = database.table("orders").schema.index_of("custkey")
+        price = database.table("orders").schema.index_of("totalprice")
+        inserted = list(template)
+        inserted[custkey], inserted[price] = newcomer, 999999.0
+        with metrics_scope() as registry:
+            database.insert("orders", [tuple(inserted)])
+            after = database.execute_sql(sql, options).rows
+            assert registry.counter("columnar.cache_misses").value == 0
+            assert registry.counter("columnar.appends").value == 1
+        assert after == database.execute_sql(sql, row).rows
+        assert sorted(after) == sorted(first + [(newcomer,)])
+        assert file_bytes() == on_disk
+        assert database.table("orders")._columnar[0] is not mapped
+        assert mapped.length == len(workload.catalog.table("orders"))
+
     def test_vectorized_query_over_loaded_table(self, tmp_path):
         from repro.algebra.expressions import col, lit
         from repro.algebra.nested import Exists, NestedSelect, Subquery

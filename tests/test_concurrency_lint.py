@@ -52,6 +52,47 @@ def refresh(tenant, lock):
     assert "C301" in codes_of(source)
 
 
+@pytest.mark.parametrize("call", [
+    'db.insert("t", [(1,)])',
+    'tenant.db.insert("t", [(1,)])',
+    'self.database.insert("t", [(1,)])',
+    'db.register("t", relation)',
+    'db.load_binary("t", path)',
+    'db.table("t").extend(rows)',
+    'db.cache.invalidate_table("t")',
+    'db.rollups.invalidate_table("t")',
+])
+def test_c301_every_write_entry_point_is_a_mutation(call):
+    # Seeded violation: a write slipped into a reader region.  (`insert`,
+    # `register`, `load_binary` and `extend` were missing from
+    # MUTATING_CALLS, so C301 stayed quiet on exactly these.)
+    firing = f"""
+def serve(self, db, tenant, lock, relation, rows, path):
+    with lock.read():
+        {call}
+"""
+    assert "C301" in codes_of(firing)
+    assert "C301" not in codes_of(firing.replace("lock.read()",
+                                                 "lock.write()"))
+
+
+@pytest.mark.parametrize("call", [
+    "rows.extend(more)",
+    "pending.insert(0, more)",
+    "self.rows.extend(more)",
+    "report.result.rows.extend(more)",
+])
+def test_c301_growing_a_list_under_a_reader_lock_is_quiet(call):
+    # `insert` / `extend` are also `list` methods: C301 matches them
+    # only on a database or a stored table, not on a bare name.
+    quiet = f"""
+def serve(self, lock, rows, pending, report, more):
+    with lock.read():
+        {call}
+"""
+    assert "C301" not in codes_of(quiet)
+
+
 # -- C302: apply_ddl without the writer lock ----------------------------------
 
 C302_FIRING = """

@@ -145,6 +145,95 @@ class TestInsert:
         assert db.cache.stats()["results"] == 0
         assert len(db.rollups) == 0
 
+    def test_insert_drops_only_what_read_the_table(self):
+        # Two tables of facts; an insert into one leaves every result
+        # and rollup computed from the other served, and no translation
+        # is ever dropped (a rewrite reads schemas, not rows).
+        from repro.obs.metrics import metrics_scope
+        from repro.obs.tracer import tracing
+
+        db = make_db([(1,)])
+        db.create_table("S", [("K", DataType.INTEGER)], [(2,)])
+        over_s = SQL.replace("FROM R r", "FROM S r")
+        warm = QueryOptions(strategy="gmdj", rollup="subsume",
+                            use_cache=False)
+        for sql in (SQL, over_s):
+            db.execute_sql(sql)
+            db.execute_sql(sql, warm)
+        translations = db.cache.stats()["translations"]
+        wholesale = db.cache.stats()["invalidations"]  # the create_tables
+        assert (translations, db.cache.stats()["results"],
+                len(db.rollups)) == (2, 2, 2)
+        with metrics_scope() as registry:
+            db.insert("R", [(3,)])
+            counters = {name: counter.value
+                        for name, counter in registry.counters.items()}
+        assert counters["cache.table_invalidations"] == 1
+        assert counters["rollup.table_invalidations"] == 1
+        assert "cache.invalidations" not in counters
+        assert "rollup.invalidations" not in counters
+        for stats in (db.cache.stats(), db.rollups.stats()):
+            assert (stats["last_insert_kept"],
+                    stats["last_insert_dropped"]) == (1, 1)
+            assert (stats["table_invalidations"],
+                    stats["invalidations"]) == (1, wholesale)
+        assert db.cache.stats()["translations"] == translations
+        # What did not read R is still served: no detail scan at all.
+        hits = db.cache.stats()["result_hits"]
+        assert db.execute_sql(over_s).rows == [(2,)]
+        assert db.cache.stats()["result_hits"] == hits + 1
+        with tracing() as tracer:
+            assert db.execute_sql(over_s, warm).rows == [(2,)]
+        assert tracer.trace().find(kind="rollup_hit")
+        assert not tracer.trace().find(kind="detail_scan")
+        # What did is recomputed, from a translation that survived.
+        misses = db.cache.stats()["translation_misses"]
+        assert sorted(db.execute_sql(SQL).rows) == [(1,), (3,)]
+        with tracing() as tracer:
+            assert sorted(db.execute_sql(SQL, warm).rows) == [(1,), (3,)]
+        assert tracer.trace().find(kind="detail_scan")
+        assert db.cache.stats()["translation_misses"] == misses
+        # An insert into the *base* table is a read too.
+        db.insert("B", [(7,)])
+        assert db.cache.stats()["results"] == len(db.rollups) == 0
+
+    def test_insert_carries_the_indexes(self):
+        # replace_table used to drop them silently, turning `native`
+        # into `native_noindex` on any table that was ever written.
+        from repro.storage import collect
+
+        db = make_db([(1,), (2,), (None,)])
+        db.create_index("R", "K")
+        db.catalog.create_sorted_index("R", "K")
+        old_hash = db.catalog.hash_index("R", ["K"])
+        old_sorted = db.catalog.sorted_index("R", "K")
+        snapshot = db.table("R")
+        db.insert("R", [(3,), (1,), (None,)])
+        assert db.catalog.indexed_attributes("R") == {"K"}
+        index = db.catalog.hash_index("R", ["K"])
+        assert index is not old_hash and index.relation is db.table("R")
+        assert index.probe([1]) == [(1,), (1,)] and index.probe([3]) == [(3,)]
+        ordered = db.catalog.sorted_index("R", "K")
+        assert list(ordered.range()) == [(1,), (1,), (2,), (3,)]
+        assert ordered._entries == sorted(
+            ordered._entries, key=lambda entry: entry[0])
+        # The old pair still answers for the old relation.
+        assert old_hash.relation is snapshot and old_hash.probe([3]) == []
+        assert old_hash.probe([1]) == [(1,)]
+        assert list(old_sorted.range()) == [(1,), (2,)]
+        # ... and the extended index equals one built from scratch.
+        from repro.storage.index import HashIndex, SortedIndex
+
+        assert index._buckets == HashIndex(db.table("R"), ["K"])._buckets
+        assert ordered._entries == SortedIndex(db.table("R"), "K")._entries
+        options = QueryOptions(strategy="native", use_cache=False)
+        with collect() as stats:
+            rows = db.execute_sql(SQL, options).rows
+        assert stats.index_probes > 0
+        assert rows == db.execute_sql(SQL, QueryOptions(
+            strategy="native_noindex", use_cache=False)).rows
+        assert sorted(rows) == [(1,), (2,), (3,)]
+
     def test_insert_is_copy_on_write(self):
         db = make_db([(1,)])
         snapshot = db.catalog.table("R")

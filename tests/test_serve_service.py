@@ -224,6 +224,27 @@ class TestEndpoints:
         assert metrics["tenants"]["default"]["queries"] == 1
         assert metrics["registry"]["counters"]["serve.requests"] >= 3
 
+    def test_metrics_show_what_an_insert_cost_and_dropped(self, live_server):
+        server = live_server()
+        sql = server.create_tables()
+        options = {"strategy": "gmdj", "backend": "python", "rollup": "off"}
+        server.post("/query", {"sql": sql, "options": options})  # encodes R
+        status, _ = server.post("/ddl", {"statement": {
+            "op": "insert", "name": "R", "rows": [[3, 2 ** 70]]}})
+        assert status == 200
+        _, metrics = server.get("/metrics")
+        counters = metrics["registry"]["counters"]
+        for name in ("columnar.appends", "columnar.append_reencodes",
+                     "cache.table_invalidations",
+                     "rollup.table_invalidations"):
+            assert counters[name] >= 1, name
+        tenant = metrics["tenants"]["default"]
+        assert tenant["cache"]["table_invalidations"] == 1
+        assert tenant["cache"]["last_insert_dropped"] == 1
+        assert tenant["cache"]["last_insert_kept"] == 0
+        assert tenant["rollups"]["table_invalidations"] == 1
+        assert tenant["rollups"]["last_insert_dropped"] == 0
+
     def test_tenant_isolation(self, live_server):
         server = live_server()
         server.create_tables(tenant="alpha")
