@@ -228,9 +228,14 @@ class Database:
         )
 
     def _run(
-        self, query: Operator, options: QueryOptions, profiled: bool
+        self, query: Operator, options: QueryOptions, profiled: bool,
+        plan: Operator | None = None,
     ) -> ExecutionReport:
         """The single execution path behind execute/profile/EXPLAIN ANALYZE.
+
+        ``plan`` is the tree a batch already planned for ``query`` (see
+        :func:`repro.engine.planner.make_executor`); the result cache
+        still keys on the query.
 
         Plain (unprofiled) cached runs are served straight from the
         result cache; profiled runs always execute (their purpose is
@@ -251,7 +256,7 @@ class Database:
                 )
         with pooling(self.pools):
             report = run(query, self.catalog, options, cache=self.cache,
-                         profiled=profiled, rollups=self.rollups)
+                         profiled=profiled, rollups=self.rollups, plan=plan)
         if result_key is not None:
             self.cache.store_result(result_key, report.result,
                                     scanned_tables(query))

@@ -49,6 +49,7 @@ def run(
     cache: PlanCache | None = None,
     profiled: bool = True,
     rollups: RollupStore | None = None,
+    plan: Operator | None = None,
 ) -> ExecutionReport:
     """Evaluate ``query`` under ``options``; the one execution path.
 
@@ -59,7 +60,8 @@ def run(
     *outside* the traced region so every span snapshots the same ambient
     stats object it diffs against.  Without ``profiled`` the query just
     runs: no counter swap (the caller may be collecting), no tracer
-    installation, and the report carries only the result.
+    installation, and the report carries only the result.  ``plan`` is
+    :func:`~repro.engine.planner.make_executor`'s.
     """
     options = QueryOptions.of(options)
     if rollups is not None and options.rollup is None and not profiled:
@@ -73,7 +75,7 @@ def run(
 
             options = dataclasses.replace(options, rollup=environment)
     runner = make_executor(query, catalog, options, cache=cache,
-                           rollups=rollups)
+                           rollups=rollups, plan=plan)
     if not profiled:
         return ExecutionReport(
             strategy=options.strategy, elapsed_seconds=0.0,

@@ -13,7 +13,14 @@ queries it:
    GMDJ (:func:`repro.gmdj.share.merge_group`), executes it with a
    **single detail scan** on the options' kernel and fragmenter
    (:func:`repro.gmdj.physical.evaluate_node`), then splits
-   the shared result back per consumer and evaluates each residual plan;
+   the shared result back per consumer
+   (:func:`repro.gmdj.share.split_result`: column picks of the numpy
+   kernel's column-backed result) and evaluates each residual plan on
+   the walk a single query takes
+   (:func:`repro.gmdj.physical.evaluate_plan`: array forms of
+   ``Select`` / ``Project`` / ``Limit`` under the numpy kernel, one
+   ``flat`` span per operator), building a member's tuples once, inside
+   that member's own clock;
 4. statically certifies every shared plan
    (:func:`repro.lint.cost.certify_plan` — exactly one detail scan per
    detail table per group) and cross-checks the claim against the
@@ -47,7 +54,12 @@ from repro.engine.options import QueryOptions
 from repro.engine.planner import lint_gate, plan_for
 from repro.errors import ConfigurationError
 from repro.gmdj.operator import GMDJ
-from repro.gmdj.physical import evaluate_node, select_fragmenter, select_kernel
+from repro.gmdj.physical import (
+    evaluate_node,
+    evaluate_plan,
+    select_fragmenter,
+    select_kernel,
+)
 from repro.gmdj.share import (
     ShareCandidate,
     SharedGMDJPlan,
@@ -59,6 +71,7 @@ from repro.gmdj.share import (
 from repro.lint.cost import CostCertificate, certify_batch, certify_plan
 from repro.obs.tracer import Tracer, span, tracing, tracing_enabled
 from repro.storage.catalog import Catalog
+from repro.storage.columnar import is_encoded
 from repro.storage.iostats import IOStats
 from repro.storage.relation import Relation
 
@@ -126,6 +139,11 @@ class BatchPlan:
     queries: int
     groups: list[PlannedGroup]
     singletons: list[int]
+    #: The tree each member executes, by index — built (and, under
+    #: ``lint``, gated) here once, so a member that runs alone is not
+    #: planned again; None where nothing was planned (level ``off``, a
+    #: batch of one).
+    plans: list[Operator | None]
 
     @property
     def grouped_indices(self) -> set[int]:
@@ -148,16 +166,19 @@ def plan_batch(
     indices = list(range(len(queries)))
     if level == "off" or len(queries) < 2:
         return BatchPlan(level=level, queries=len(queries), groups=[],
-                         singletons=indices)
+                         singletons=indices, plans=[None] * len(queries))
     translations = cache if canon.use_cache else None
+    plans: list[Operator | None] = []
     candidates: list[ShareCandidate | None] = []
     for query in queries:
         # A plan without exactly one GMDJ (every baseline's, a plain
         # query's) fingerprints to None and stays a singleton.
         plan = plan_for(query, catalog, canon.strategy, translations)
+        plans.append(plan)
         if plan is not query and canon.lint in ("warn", "strict"):
-            # Group members bypass the executor's gate; singletons (an
-            # untranslated plan is always one) meet it in ``db._run``.
+            # The one gate of a translated plan: group members bypass
+            # the executor, and a singleton's run is handed this plan
+            # (the executor still gates the query as written).
             lint_gate(plan, catalog, canon.lint)
         if not _plan_decomposable(plan):
             # Certificate gate: coalescing stacks every member's blocks
@@ -188,6 +209,7 @@ def plan_batch(
         queries=len(queries),
         groups=groups,
         singletons=[index for index in indices if index not in grouped],
+        plans=plans,
     )
 
 
@@ -235,7 +257,9 @@ class BatchItem:
     ``io`` over all items reproduces the batch totals.  ``detail_scans``
     is the analogous fractional share of runtime ``detail_scan`` spans
     (None for singletons run without an ambient tracer, where nothing
-    counted them).
+    counted them).  ``elapsed_seconds`` is the same attribution of time:
+    a singleton's own run, or a 1/k share of the shared scan plus this
+    member's split, residual and row build.
     """
 
     index: int
@@ -370,6 +394,7 @@ def _run_traced_group(
         with tracing(tracer):
             with span("mqo_group", kind="mqo_group", **attrs) as group_span:
                 result = runner(group.shared.gmdj)
+    group_span.set(columnar=is_encoded(result))
     scans = sum(
         1 for span_ in group_span.walk() if span_.kind == "detail_scan"
     )
@@ -408,6 +433,10 @@ def execute_batch(
     report = BatchReport(mqo=plan.level, queries=len(queries))
 
     def run_single(index: int, group_id: int | None = None) -> None:
+        def run() -> Relation:
+            return db._run(queries[index], options, profiled=False,
+                           plan=plan.plans[index]).result
+
         before = ambient.snapshot()
         t0 = time.perf_counter()
         scans: float | None = None
@@ -417,15 +446,13 @@ def execute_batch(
             # detail scans under a marker span.
             with span("mqo_single", kind="mqo_single",
                       index=index) as single_span:
-                result = db._run(
-                    queries[index], options, profiled=False
-                ).result
+                result = run()
             scans = float(sum(
                 1 for span_ in single_span.walk()
                 if span_.kind == "detail_scan"
             ))
         else:
-            result = db._run(queries[index], options, profiled=False).result
+            result = run()
         elapsed = time.perf_counter() - t0
         delta = _delta(before, ambient.snapshot())
         _merge_io(totals, delta)
@@ -459,9 +486,6 @@ def execute_batch(
             lambda gmdj: evaluate_node(gmdj, db.catalog, kernel, fragmenter),
             group,
         )
-        # split_result reads tuples: a column-backed result (the numpy
-        # kernel's) is transposed here, once, inside the shared clock.
-        shared_result.rows
         shared_elapsed = time.perf_counter() - t0
         shared_delta = _delta(before, ambient.snapshot())
         _merge_io(totals, shared_delta)
@@ -476,14 +500,21 @@ def execute_batch(
             )
         base_width = len(group.shared.gmdj.base.schema(db.catalog))
         for index, slot in zip(group.indices, group.shared.slots):
-            consumer_schema = slot.candidate.gmdj.schema(db.catalog)
-            piece = split_result(
-                shared_result, slot, base_width, consumer_schema
-            )
-            residual = graft_consumer(slot, piece)
             before_residual = ambient.snapshot()
             t1 = time.perf_counter()
-            result = residual.evaluate(db.catalog)
+            with span("mqo_member", kind="mqo_member", index=index,
+                      group=group.group_id):
+                piece = split_result(
+                    shared_result, slot, base_width,
+                    slot.candidate.gmdj.schema(db.catalog),
+                )
+                # The residual is a single query's plan above its node:
+                # the same walk, so on the numpy kernel its operators
+                # take their array forms over the piece's columns.
+                result = evaluate_plan(
+                    graft_consumer(slot, piece), db.catalog, kernel
+                )
+                result.rows  # this member's one transposition
             residual_elapsed = time.perf_counter() - t1
             residual_delta = _delta(
                 before_residual, ambient.snapshot()

@@ -154,6 +154,7 @@ def make_executor(
     options: QueryOptions | str | None = None,
     cache: PlanCache | None = None,
     rollups: RollupStore | None = None,
+    plan: Operator | None = None,
 ) -> Callable[[], Relation]:
     """Return a zero-argument callable that evaluates ``query``.
 
@@ -168,6 +169,11 @@ def make_executor(
     a column-backed result (the numpy kernel's output, the array-form
     operators above it) becomes tuples here, once, inside the call —
     whoever times the callable times the whole query.
+
+    ``plan`` is what :func:`plan_for` returned for ``query`` under these
+    options, when the caller holds it already (a batch plans every
+    member to find its share groups — and gates what it translated): a
+    GMDJ run then walks it as it is instead of planning again.
     """
     options = QueryOptions.of(options).canonical()
     lint = options.lint if options.lint in ("warn", "strict") else None
@@ -195,7 +201,8 @@ def make_executor(
         fragmenter = options.fragmenter()
         if fragmenter is not None:
             physical["fragmenter"] = fragmenter
-        runner = _gmdj_runner(query, catalog, options, lint, cache, rollups)
+        runner = _gmdj_runner(query, catalog, options, lint, cache, rollups,
+                              plan)
 
     def traced() -> Relation:
         from repro.obs.tracer import span
@@ -215,6 +222,7 @@ def _gmdj_runner(
     lint: str | None,
     cache: PlanCache | None,
     rollups: RollupStore | None,
+    planned: Operator | None = None,
 ) -> Callable[[], Relation]:
     """Build the runner for a GMDJ strategy: :func:`plan_for`, then walk
     the plan through the one physical pipeline the options select.
@@ -222,7 +230,8 @@ def _gmdj_runner(
     With ``lint`` active the translated plan passes through the static
     verifier before evaluation — *after* any cache retrieval, since the
     translation cache is shared across options objects and a cached
-    plan may never have been linted.
+    plan may never have been linted.  A plan handed in (``planned``)
+    was built, and gated, by the caller under these same options.
     """
     from repro.gmdj.physical import (
         evaluate_plan,
@@ -240,9 +249,11 @@ def _gmdj_runner(
     translations = cache if options.use_cache else None
 
     def run() -> Relation:
-        plan = plan_for(query, catalog, options.strategy, translations)
-        if lint is not None:
-            lint_gate(plan, catalog, lint)
+        plan = planned
+        if plan is None:
+            plan = plan_for(query, catalog, options.strategy, translations)
+            if lint is not None:
+                lint_gate(plan, catalog, lint)
         return evaluate_plan(plan, catalog, kernel, fragmenter, hook)
 
     return run

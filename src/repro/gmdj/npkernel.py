@@ -33,8 +33,13 @@ accumulator state and the emitted aggregates all stay columns.
   sequential addition order bit-for-bit — into per-spec arrays that are
   *finalized as columns* after the last tile (counts; SUM/MIN/MAX with
   NULL where nothing was seen; AVG divided exactly as Python divides).
-  ``COUNT(DISTINCT x)`` is a sorted unique over ``(base, value-code)``
-  pairs.  No accumulator object exists for a block this kernel takes;
+  ``COUNT(DISTINCT x)`` is the set of ``(base, value-code)`` pairs: a
+  bitmap with one byte per pair when base tuples × codes fit in the
+  pair buffer's own size, a sorted unique over the pairs otherwise
+  (value codes are ``x - lo`` for an integer ``x`` of narrow range, by
+  the keys' direct-addressing rule, else ranks among the sorted
+  distinct values).  No accumulator object exists for a block this
+  kernel takes;
 * the fused selection of a ``SelectGMDJ`` is one
   :func:`~repro.algebra.npcompile.np_truth_mask` over base columns ++
   finalized aggregate columns, for ACTIVE rows only
@@ -409,12 +414,36 @@ class _HashMatch:
 # -- aggregate accumulation ----------------------------------------------------
 
 
+def _value_codes(values: Any, present: Any, slots: int,
+                 np: Any) -> tuple[Any, int]:
+    """Dense codes for a ``COUNT(DISTINCT)`` argument, and their radix.
+
+    ``values`` is the whole argument column (an array, or a constant),
+    ``present`` its non-NULL values.  Two present values get the same
+    code exactly when they are equal: ``value - lo`` when they are
+    integers (dictionary codes and bools included) whose range fits in
+    ``slots`` — the rule :func:`_int_codes` applies to keys, read off
+    the column — else their rank among the sorted distinct values.
+    (Codes at NULL positions mean nothing; the mask drops them.)
+    """
+    if isinstance(values, np.ndarray) and len(present) \
+            and present.dtype.kind in "ib":
+        lo, hi = int(present.min()), int(present.max())
+        if hi - lo + 1 <= slots:
+            return values.astype(np.int64, copy=False) - lo, hi - lo + 1
+    distinct = np.unique(present)
+    return np.searchsorted(distinct, values), max(1, len(distinct))
+
+
 class _SpecArrays:
     """One aggregate's accumulators as arrays over the block's groups.
 
     ``mode`` is the array reduction in use — ``"star"``, ``"count"``,
-    ``"sum"``, ``"avg"``, ``"min"``, ``"max"``, ``"distinct"`` (count
-    only) or ``"skip"`` (a NULL argument: every add is a no-op) — or
+    ``"sum"``, ``"avg"``, ``"min"``, ``"max"``, ``"bitmap"`` /
+    ``"distinct"`` (``COUNT(DISTINCT)``: the seen (group, value-code)
+    pairs as one byte per pair, or — when that many bytes would outgrow
+    the pair buffer — as compacted pair lists) or ``"skip"`` (a NULL
+    argument: every add is a no-op) — or
     ``"python"``: per-value accumulation into private accumulator
     objects, for anything without an exact array form.  ``reason`` says
     why, for the fallback report.  Either way the state leaves as one
@@ -461,14 +490,19 @@ class _SpecArrays:
             if is_float and np.isnan(present).any():
                 self.reason = "NaN under COUNT(DISTINCT)"
                 return "python"
-            distinct = np.unique(present)
-            if groups * max(1, len(distinct)) >= _SUM_SAFE:
+            codes, self.radix = _value_codes(values, present,
+                                             groups + total, np)
+            slots = groups * self.radix
+            if slots >= _SUM_SAFE:
                 self.reason = "COUNT(DISTINCT) code space beyond int64"
                 return "python"
             # The argument becomes its value code; NULLs keep their mask.
-            self.value = NpValue(
-                np.searchsorted(distinct, values), value.null, "num")
-            self.radix = max(1, len(distinct))
+            self.value = NpValue(codes, value.null, "num")
+            if slots <= max(total, 8 * TILE_PAIRS):
+                # The set of (group, code) pairs as one byte per slot:
+                # never larger than the pair buffer `add` compacts at.
+                self.seen = np.zeros(slots, dtype=bool)
+                return "bitmap"
             self.seen = np.empty(0, dtype=np.int64)
             self.pending: list[Any] = []
             self.pending_size = 0
@@ -536,6 +570,9 @@ class _SpecArrays:
         values = value.values
         values = values[r] if isinstance(values, np.ndarray) \
             else np.full(len(r), values)
+        if mode == "bitmap":
+            self.seen[b * self.radix + values] = True
+            return
         if mode == "distinct":
             self.pending.append(b * self.radix + values)
             self.pending_size += len(b)
@@ -573,7 +610,10 @@ class _SpecArrays:
             if counting:
                 return NpValue(np.zeros(groups, dtype=np.int64), False, "num")
             return NpValue(None, True, "null")
-        if mode == "distinct":
+        if mode == "bitmap":
+            self.counts = np.count_nonzero(
+                self.seen.reshape(groups, self.radix), axis=1)
+        elif mode == "distinct":
             self._compact(np)
             self.counts = np.bincount(self.seen // self.radix,
                                       minlength=groups)

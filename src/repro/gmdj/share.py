@@ -50,6 +50,8 @@ from repro.algebra.rewrite import transform_bottom_up
 from repro.gmdj.coalesce import _block_requalified, _detail_table
 from repro.gmdj.evaluate import SelectGMDJ
 from repro.gmdj.operator import GMDJ, ThetaBlock
+from repro.storage.columnar import cached_columnar, is_encoded
+from repro.storage.npcolumns import output_column, relation_of
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 
@@ -307,12 +309,26 @@ def split_result(
     base prefix and gathers the consumer's aggregate columns in its
     original order, renamed back via the slot's routing.  Row order is
     preserved — the shared GMDJ emits one row per base tuple in base
-    order, exactly as the consumer's own GMDJ would have.
+    order, exactly as the consumer's own GMDJ would have.  The piece
+    has the shared result's form: column picks of a column-backed one
+    (the numpy kernel's), a row list of a row-backed one (the other
+    kernels', a fragmenter's merge).
     """
     positions = [
         shared_result.schema.index_of(shared_name)
         for shared_name, _ in slot.outputs
     ]
+    if is_encoded(shared_result):
+        # The array kernel's result: the consumer's piece is those very
+        # columns under its own schema — nothing is copied, no tuple
+        # built; the residual's array operators read them as they are.
+        columnar = cached_columnar(shared_result)
+        return relation_of(
+            consumer_schema,
+            [output_column(columnar, position)
+             for position in [*range(base_width), *positions]],
+            columnar.length,
+        )
     rows = [
         tuple(row[:base_width]) + tuple(row[position] for position in positions)
         for row in shared_result.rows

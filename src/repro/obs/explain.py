@@ -431,7 +431,8 @@ def explain_batch(db, queries, options=None) -> Explain:
         })
     singles_payload = []
     for index in plan.singletons:
-        text = render_plan(_plan(db, queries[index], options))
+        text = render_plan(plan.plans[index]
+                           or _plan(db, queries[index], options))
         lines.append(f"-- query {index} (no sharing)")
         lines.append(text)
         singles_payload.append({"index": index, "plan": text})

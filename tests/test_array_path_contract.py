@@ -26,6 +26,7 @@ the rollup store's row loop all patched to raise.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -294,33 +295,162 @@ def test_the_runner_hands_back_a_relation_holding_its_rows(monkeypatch):
     assert result.rows == expected
 
 
+COALESCE = QueryOptions(backend="numpy", use_cache=False, rollup="off",
+                        mqo="coalesce")
+
+
 def test_a_coalesced_batch_builds_rows_inside_its_clock(monkeypatch):
-    # The shared node's result is transposed before the shared clock
-    # stops, not by split_result after it: no member's result (nor the
-    # split) transposes once execute_batch has returned.
+    # The shared result stays columns — split_result picks them, the
+    # residuals run on them — and each member's own result is transposed
+    # once, after its residual, inside that member's elapsed_seconds;
+    # nothing transposes once execute_batch has returned.
+    from repro.storage.columnar import cached_columnar
+
     db = make_db()
-    members = [FIG2, FIG2.replace("300000", "100000")]
+    members = [FIG2, FIG2.replace("300000", "100000"),
+               FIG2.replace("300000", "200000")]
     expected = [db.execute_sql(sql, ROW).rows for sql in members]
-    calls = []
+    shared, transposed = [], []
     to_rows = ColumnarRelation.to_rows
     split = mqo.split_result
 
     def counted(self):
-        calls.append("to_rows")
+        transposed.append(self)
+        time.sleep(0.02)
         return to_rows(self)
 
-    def split_after(*args):
-        calls.append("split")
-        return split(*args)
+    def split_seen(shared_result, *args):
+        shared.append(shared_result)
+        return split(shared_result, *args)
 
     monkeypatch.setattr(ColumnarRelation, "to_rows", counted)
-    monkeypatch.setattr(mqo, "split_result", split_after)
-    batch = db.execute_sql_batch(members, QueryOptions(
-        backend="numpy", use_cache=False, rollup="off", mqo="coalesce"))
+    monkeypatch.setattr(mqo, "split_result", split_seen)
+    batch = db.execute_sql_batch(members, COALESCE)
     assert batch.report.groups and batch.report.groups[0].coalesced
-    assert calls == ["to_rows", "split", "split"]
+    assert len(transposed) == len(members)
+    assert len(shared) == len(members) and all(
+        result is shared[0] for result in shared)
+    assert all(columns is not cached_columnar(shared[0])
+               for columns in transposed)
+    assert all(item.elapsed_seconds >= 0.02 for item in batch.items)
     assert [result.rows for result in batch] == expected
-    assert calls == ["to_rows", "split", "split"]
+    assert len(transposed) == len(members)
+
+
+#: Two share groups over ``orders``: four AVG comparisons over one base
+#: (they dedup to one block; a customer without orders makes its column
+#: carry a NULL mask) and three EXISTS over another alias of it, whose
+#: consumers are fused SelectGMDJs — the completion selection comes back
+#: as a Select over the split piece.  The base carries a string column.
+BATCH = [
+    FIG3.replace("* 50 >", f"* {factor} {op}")
+    for factor, op in ((50, ">"), (40, "<="), (60, ">="), (30, "<"))
+] + [
+    FIG2.replace("customer c", "customer k").replace("c.custkey", "k.custkey")
+    .replace("300000", cut) for cut in ("300000", "200000", "420000")
+]
+
+
+def batch_db() -> Database:
+    db = make_db()
+    db.insert("customer", [(1000, "Customer#1000", 25.0)])
+    return db
+
+
+def run_batch(db: Database, options: QueryOptions):
+    from repro.storage import collect
+
+    tracer = Tracer()
+    with collect() as stats, tracing(tracer):
+        batch = db.execute_sql_batch(BATCH, options)
+    return batch, stats.snapshot(), tracer.trace()
+
+
+def test_a_coalesced_batch_runs_no_row_loop(monkeypatch):
+    from repro.gmdj.evaluate import SelectGMDJ
+
+    db = batch_db()
+    alone = [db.execute_sql(sql, ROW).rows for sql in BATCH]
+    # AVG over no orders is NULL: UNKNOWN under every comparison.
+    assert all(alone) and not any((1000,) in rows for rows in alone)
+    plan = mqo.plan_batch([db.sql(sql) for sql in BATCH], db.catalog,
+                          COALESCE)
+    assert [len(group.indices) for group in plan.groups] == [4, 3]
+    assert all(isinstance(candidate.node, SelectGMDJ)
+               for candidate in plan.groups[1].candidates)
+    row_batch, row_stats, _ = run_batch(
+        db, QueryOptions(backend="row", use_cache=False, rollup="off",
+                         mqo="coalesce"))
+    assert [result.rows for result in row_batch] == alone
+    forbid_per_base_tuple_python(monkeypatch)
+    forbid_per_tuple_python(monkeypatch)
+    batch, stats, _ = run_batch(db, COALESCE)
+    assert [result.rows for result in batch] == alone
+    assert [result.schema.names for result in batch] \
+        == [result.schema.names for result in row_batch]
+    assert stats == row_stats
+    assert [item.io for item in batch.items] \
+        == [item.io for item in row_batch.items]
+    assert [group.coalesced for group in batch.report.groups] == [True, True]
+
+
+def test_a_batch_trace_shows_each_members_residual_operators():
+    # One mqo_member span per coalesced member, holding one flat span
+    # per residual operator; the group span says the shared result was
+    # columns.  On the row kernel: the same spans, columnar=False.
+    db = batch_db()
+    for options, columnar in (
+            (COALESCE, True),
+            (QueryOptions(backend="row", use_cache=False, rollup="off",
+                          mqo="coalesce"), False)):
+        _, _, trace = run_batch(db, options)
+        groups = trace.find(kind="mqo_group")
+        assert [span.attrs["columnar"] for span in groups] \
+            == [columnar, columnar]
+        members = trace.find(kind="mqo_member")
+        assert sorted(span.attrs["index"] for span in members) \
+            == list(range(len(BATCH)))
+        for member in members:
+            flat = [span for span in member.walk() if span.kind == "flat"]
+            names = [span.name for span in flat]
+            assert names.count("TableValue") == 1 and "Project" in names
+            # A fused consumer's completion selection is a Select again.
+            assert ("Select" in names) or member.attrs["group"] == 0
+            operators = [span for span in flat if span.name != "TableValue"]
+            assert all(span.attrs["columnar"] is columnar
+                       for span in operators)
+            assert all({"rows_in", "rows_out"} <= set(span.attrs)
+                       for span in operators)
+            assert not any("fallback" in span.attrs for span in flat)
+
+
+def test_a_members_fallback_reaches_the_executed_summary():
+    # An int compared with a float beyond 2**53 has no exact array
+    # form: that member's Select runs row-wise, says why on its span,
+    # and executed_summary (the ``-- executed:`` line) carries it.
+    from repro.obs.explain import executed_summary
+    from repro.obs.metrics import metrics_scope
+
+    db = batch_db()
+    members = [
+        "SELECT c.custkey FROM customer c WHERE c.custkey + "
+        f"{bound} > (SELECT AVG(o.totalprice) "
+        "FROM orders o WHERE o.custkey = c.custkey)"
+        for bound in (2 ** 60, 5)]
+    expected = [db.execute_sql(sql, ROW).rows for sql in members]
+    tracer = Tracer()
+    with metrics_scope() as metrics, tracing(tracer):
+        batch = db.execute_sql_batch(members, COALESCE)
+    assert [result.rows for result in batch] == expected
+    assert batch.report.groups[0].coalesced
+    executed = executed_summary(tracer.trace())
+    # (The Projects above a row-wise Select find no encoding to read.)
+    assert executed["flat_fallbacks"] == [
+        "Select: int/float comparison beyond exact float range",
+        "Project: input carries no encoding",
+        "Project: input carries no encoding"]
+    assert metrics.counter("flat.fallbacks").value == 3
+    assert metrics.counter("flat.columnar").value == 3
 
 
 def test_rollup_tiers_serve_columns(monkeypatch):

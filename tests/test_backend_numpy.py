@@ -459,37 +459,44 @@ def completion_cases(draw):
     return gmdj, rule, selection, reported
 
 
+def three_kernel_scans(catalog, gmdj, rule, selection):
+    """Run one node on the row, python and numpy kernels — the last at
+    tile sizes that cut every base tuple's pairs mid-way and at the real
+    one — asserting the row kernel's rows (so: order, and the partial
+    aggregates of assured tuples) and its full IOStats snapshot each
+    time; yields ``(tile, detail_scan span)`` per numpy run."""
+    base = gmdj.base.evaluate(catalog)
+    detail = gmdj.detail.evaluate(catalog)
+    schema = gmdj.schema(catalog)
+    with collect() as row_stats:
+        expected = run_gmdj(base, detail, gmdj, schema, rule, selection)
+    with collect() as python_stats:
+        python_result = run_gmdj_vectorized(
+            base, detail, gmdj, schema, rule, selection,
+            chunk_size=3, backend="python")
+    assert python_result.rows == expected.rows
+    assert python_stats.snapshot() == row_stats.snapshot()
+    for tile in (1, 2, 7, npkernel.TILE_PAIRS):
+        tracer = Tracer()
+        with pytest.MonkeyPatch.context() as patch, \
+                collect() as numpy_stats, tracing(tracer):
+            patch.setattr(npkernel, "TILE_PAIRS", tile)
+            numpy_result = run_gmdj_vectorized(
+                base, detail, gmdj, schema, rule, selection,
+                backend="numpy")
+        assert numpy_result.rows == expected.rows, tile
+        assert numpy_stats.snapshot() == row_stats.snapshot(), tile
+        (scan,) = tracer.trace().find(kind="detail_scan")
+        yield tile, scan
+
+
 class TestCompletionOnArrays:
     @settings(max_examples=250, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(catalog=dense_databases(), case=completion_cases())
     def test_numpy_equals_python_equals_row(self, catalog, case):
-        # Rows (so: order, and the partial aggregates of assured tuples)
-        # and the full IOStats snapshot, at tile sizes that cut every
-        # base tuple's pairs mid-way and at the real one.
         gmdj, rule, selection, reported = case
-        base = gmdj.base.evaluate(catalog)
-        detail = gmdj.detail.evaluate(catalog)
-        schema = gmdj.schema(catalog)
-        with collect() as row_stats:
-            expected = run_gmdj(base, detail, gmdj, schema, rule, selection)
-        with collect() as python_stats:
-            python_result = run_gmdj_vectorized(
-                base, detail, gmdj, schema, rule, selection,
-                chunk_size=3, backend="python")
-        assert python_result.rows == expected.rows
-        assert python_stats.snapshot() == row_stats.snapshot()
-        for tile in (1, 2, 7, npkernel.TILE_PAIRS):
-            tracer = Tracer()
-            with pytest.MonkeyPatch.context() as patch, \
-                    collect() as numpy_stats, tracing(tracer):
-                patch.setattr(npkernel, "TILE_PAIRS", tile)
-                numpy_result = run_gmdj_vectorized(
-                    base, detail, gmdj, schema, rule, selection,
-                    backend="numpy")
-            assert numpy_result.rows == expected.rows, tile
-            assert numpy_stats.snapshot() == row_stats.snapshot(), tile
-            (scan,) = tracer.trace().find(kind="detail_scan")
+        for tile, scan in three_kernel_scans(catalog, gmdj, rule, selection):
             # Objects exist only where a reason is reported.  (Whether
             # the residual over r.H is ever evaluated depends on the
             # data: an empty side never reaches it.)
@@ -805,3 +812,145 @@ class TestColumnarEncodingCache:
         assert hits == fragments - 1
         plain = gmdj.evaluate(catalog)
         assert plain.bag_equal(chunked)
+
+
+# -- COUNT(DISTINCT) without sorting ---------------------------------------------
+
+#: Integer domains ``(lo, widths)`` for the COUNT(DISTINCT) argument: at
+#: most 14 + 6 rows are drawn, so a value range of 0-40 lies on both
+#: sides of the ``hi - lo + 1 <= |R| + |B|`` coding rule; ``lo`` moves
+#: it below zero and to the edges of int64, where ``hi - lo`` itself
+#: does not fit.
+DISTINCT_DOMAINS = [
+    (0, st.integers(0, 40)),
+    (-7, st.integers(0, 40)),
+    (-2 ** 63, st.sampled_from([0, 1, 3, 2 ** 64 - 1])),
+    (2 ** 63 - 4, st.integers(0, 3)),
+]
+
+#: The argument columns: a drawn-range int, bool, float (-0.0 beside
+#: 0.0), dictionary string, an int column that holds only NULL, and an
+#: int expression (its codes are computed, not read off storage).
+DISTINCT_ARGUMENTS = [col("r.Y"), col("r.P"), col("r.G"), col("r.T"),
+                      col("r.N"), col("r.K") * lit(9) - lit(4)]
+
+
+@st.composite
+def distinct_cases(draw):
+    """``(catalog, gmdj, rule, selection)``: every block carries a
+    ``COUNT(DISTINCT)`` beside its ``count(*)`` — over a hash block, a
+    scan block, or a detail-only one (one group without a rule) — with
+    or without a completion rule."""
+    lo, widths = draw(st.sampled_from(DISTINCT_DOMAINS))
+    width = draw(widths)
+    value = st.one_of(st.none(), st.integers(lo, lo + width))
+    key = st.one_of(st.none(), st.integers(0, 2))
+    flag = st.one_of(st.none(), st.booleans())
+    real = st.one_of(st.none(), st.sampled_from([-1.5, -0.0, 0.0, 2.25]))
+    word = st.one_of(st.none(), st.sampled_from(["aa", "bb", "cc"]))
+    catalog = Catalog()
+    catalog.create_table("B", Relation.from_columns(
+        [("K", DataType.INTEGER), ("X", DataType.INTEGER)],
+        draw(st.lists(st.tuples(key, key), max_size=6))))
+    catalog.create_table("R", Relation.from_columns(
+        [("K", DataType.INTEGER), ("Y", DataType.INTEGER),
+         ("P", DataType.BOOLEAN), ("G", DataType.FLOAT),
+         ("T", DataType.STRING), ("N", DataType.INTEGER)],
+        draw(st.lists(st.tuples(key, value, flag, real, word, st.none()),
+                      max_size=14))))
+    thetas = [col("b.K") == col("r.K"), col("r.K") != col("b.K"),
+              col("r.K") >= lit(1),
+              (col("b.K") == col("r.K")) & (col("r.K") > col("b.X"))]
+    n_blocks = draw(st.integers(1, 3))
+    argument = st.sampled_from(DISTINCT_ARGUMENTS)
+    gmdj = md(
+        ScanTable("B", "b"), ScanTable("R", "r"),
+        [[count_star(f"c{i}"),
+          AggregateSpec("count", draw(argument), f"d{i}", True)]
+         for i in range(n_blocks)],
+        [draw(st.sampled_from(thetas)) for _ in range(n_blocks)])
+    block = st.integers(0, n_blocks - 1)
+    rule = draw(st.sampled_from([None, None, "zero", "at_least"]))
+    if rule == "zero":
+        rule = CompletionRule(must_be_zero=[draw(block)])
+    elif rule == "at_least":
+        rule = CompletionRule(
+            need_at_least=[(draw(block), draw(st.integers(1, 3)))],
+            exhaustive=True, aggregates_projected=True)
+    selection = draw(st.sampled_from(
+        [None, col("d0") >= lit(1), col("d0") < col("c0")]))
+    return catalog, gmdj, rule, selection
+
+
+class TestCountDistinctForms:
+    """``COUNT(DISTINCT)`` on arrays is a set of (group, value-code)
+    pairs in one of 2 x 2 forms — codes by direct addressing or by
+    sorted rank, the set as a bitmap or as compacted pair lists — chosen
+    by sizes read off the operands.  Whichever it is: the row kernel's
+    rows, order and counters."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=distinct_cases())
+    def test_three_kernels_agree_in_every_form(self, case):
+        # Tile sizes 1/2/7 put the bitmap-vs-pending threshold
+        # (max(|R|, 8 * TILE_PAIRS)) at 8-56 slots, inside the drawn
+        # groups x radix products, and cut a rule scan mid-tuple.
+        catalog, gmdj, rule, selection = case
+        for tile, scan in three_kernel_scans(catalog, gmdj, rule, selection):
+            assert not scan.attrs.get("fallbacks"), tile
+
+    @staticmethod
+    def planned(values, groups, argument=None, tile=None):
+        """The ``_SpecArrays`` a COUNT(DISTINCT) over a one-column detail
+        relation of ``values`` plans for ``groups`` groups."""
+        import numpy as np
+        from repro.algebra.npcompile import Columns
+
+        dtype = {bool: DataType.BOOLEAN, str: DataType.STRING,
+                 float: DataType.FLOAT}.get(
+            next((type(v) for v in values if v is not None), int),
+            DataType.INTEGER)
+        detail = Relation.from_columns([("Y", dtype)],
+                                       [(v,) for v in values], qualifier="r")
+        spec = AggregateSpec("count", argument or col("r.Y"), "d", True)
+        with pytest.MonkeyPatch.context() as patch:
+            if tile is not None:
+                patch.setattr(npkernel, "TILE_PAIRS", tile)
+            return npkernel._SpecArrays(
+                spec, Columns(cached_columnar(detail)), groups, len(values),
+                np)
+
+    def test_codes_are_direct_while_the_range_fits_the_operands(self):
+        # |R| + |B| = 10 + 2 slots: a range of 12 is addressed, 13 ranked.
+        for top, direct in ((11, True), (12, False)):
+            values = [0, top, None, 5, 5, 0, top, 5, None, 0]
+            state = self.planned(values, groups=2)
+            assert state.mode == "bitmap"
+            assert state.radix == (top + 1 if direct else 3)
+        # Negative and extreme ranges measure hi - lo in Python ints.
+        assert self.planned([-5, -3, None], groups=1).radix == 3
+        assert self.planned([-2 ** 63, 2 ** 63 - 1], groups=1).radix == 2
+        # Bools and dictionary codes are integers too; floats are ranked,
+        # as are computed arguments whose range outgrew the operands.
+        assert self.planned([True, None, True], groups=1).radix == 1
+        assert self.planned(["b", "a", None, "b"], groups=1).radix == 2
+        assert self.planned([0.5, 7.5, 7.5], groups=1).radix == 2
+        assert self.planned([1, 9], groups=1,
+                            argument=col("r.Y") * lit(100)).radix == 2
+        # Every value NULL: nothing to code, one slot per group.
+        state = self.planned([None, None], groups=3)
+        assert (state.mode, state.radix) == ("bitmap", 1)
+
+    def test_the_set_is_a_bitmap_while_it_fits_the_pair_buffer(self):
+        # radix 4, |R| = 4: 16 groups x 4 = 64 slots = 8 * TILE_PAIRS at
+        # tile 8; one more group and the pairs are kept as lists.
+        values = [0, 1, 2, 3]
+        bitmap = self.planned(values, groups=16, tile=8)
+        assert bitmap.mode == "bitmap" and bitmap.seen.dtype == bool
+        assert len(bitmap.seen) == 64
+        lists = self.planned(values, groups=17, tile=8)
+        assert lists.mode == "distinct" and lists.seen.dtype.kind == "i"
+        # A long detail relation raises the threshold to |R|.
+        assert self.planned(values * 20, groups=20, tile=8).mode == "bitmap"
+        assert self.planned(values * 20, groups=21, tile=8).mode == "distinct"

@@ -123,8 +123,9 @@ KERNELS = ["row", "python"] + (["numpy"] if HAVE_NUMPY else [])
 
 class TestOnEveryKernel:
     """DISTINCT aggregates through each scan kernel of the pipeline; the
-    numpy kernel counts distinct values on arrays (a sorted unique over
-    (base, value-code) pairs) and must not report a fallback for it."""
+    numpy kernel counts distinct values on arrays (the set of (base,
+    value-code) pairs, as a bitmap or as sorted pair lists) and must not
+    report a fallback for it."""
 
     @pytest.fixture
     def wide_db(self) -> Database:

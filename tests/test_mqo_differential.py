@@ -259,3 +259,39 @@ class TestSeededOverMerge:
         batch = db.execute_batch(queries, NO_CACHE)
         for query, result in zip(queries, batch):
             assert result.rows == db.execute(query, NO_CACHE).rows
+
+
+# -- the numpy x coalesce point: column split, array residuals ----------------
+
+
+class TestColumnSplitDifferential:
+    """On the numpy kernel a coalesced batch never leaves columns until
+    each member's result does: the split is column picks, the residuals
+    array operators.  Same rows, order, schema and IOStats — in total
+    and per member — as the row kernel's batch, and the same rows as
+    each member run alone."""
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_numpy_coalesce_matches_row_coalesce_and_alone(self, form):
+        pytest.importorskip("numpy", exc_type=ImportError)
+        from repro.storage import collect
+
+        db = make_db()
+        queries = [form_query(form, bound) for bound in (0, 2, 4, 6)]
+        runs = {}
+        for backend in ("row", "numpy"):
+            options = QueryOptions(backend=backend, use_cache=False,
+                                   mqo="coalesce")
+            with collect() as stats:
+                batch = db.execute_batch(queries, options)
+            assert [g.coalesced for g in batch.report.groups] == [True]
+            runs[backend] = (batch, stats.snapshot())
+        (row_batch, row_stats), (batch, stats) = runs["row"], runs["numpy"]
+        assert stats == row_stats
+        alone = QueryOptions(backend="row", use_cache=False, mqo="off")
+        for query, item, row_item in zip(queries, batch.items,
+                                         row_batch.items):
+            expected = db.execute(query, alone)
+            assert item.result.schema.names == expected.schema.names
+            assert item.result.rows == expected.rows == row_item.result.rows
+            assert item.io == row_item.io
