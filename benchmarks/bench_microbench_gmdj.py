@@ -5,7 +5,6 @@ figures rely on, at the operator level:
 
 * hash-partitioned vs scan-partitioned θ blocks;
 * the invariant-block optimization (uncorrelated θ computed once);
-* memory-bounded base chunking: cost steps with ceil(|B|/M);
 * partitioned (parallel-style) evaluation vs single scan;
 * coalescing width: k blocks in one GMDJ vs k stacked GMDJs;
 * row interpreter vs columnar batch (vectorized) kernel vs the numpy
@@ -26,7 +25,6 @@ from repro.algebra.aggregates import agg, count_star
 from repro.algebra.expressions import TRUE, col, lit
 from repro.algebra.operators import ScanTable
 from repro.gmdj import (
-    evaluate_gmdj_chunked,
     evaluate_gmdj_partitioned,
     evaluate_plan_vectorized,
     md,
@@ -112,16 +110,6 @@ def test_invariant_block_shared(benchmark):
     # Shared state: one aggregate update per qualifying detail tuple,
     # not per (base, detail) pair.
     assert stats.aggregate_updates < DETAIL_ROWS + 1
-
-
-@pytest.mark.parametrize("budget", [50, 100, 300])
-def test_chunked_evaluation(benchmark, budget):
-    catalog = _setup()
-    result = benchmark.pedantic(
-        lambda: evaluate_gmdj_chunked(hash_plan(), catalog, budget),
-        rounds=1, iterations=1,
-    )
-    assert len(result) == BASE_ROWS
 
 
 @pytest.mark.parametrize("partitions", [1, 4])
@@ -241,7 +229,8 @@ def test_vectorized_vs_row_kernel(benchmark):
             row_wall, row_result = _timed(lambda: plan.evaluate(catalog))
         with collect() as vec_stats:
             vec_wall, vec_result = _timed(
-                lambda: evaluate_plan_vectorized(plan, catalog)
+                lambda: evaluate_plan_vectorized(
+                    plan, catalog, backend="python")
             )
         return row_wall, vec_wall, row_stats, vec_stats, row_result, vec_result
 
@@ -254,7 +243,8 @@ def test_vectorized_vs_row_kernel(benchmark):
         plan, catalog, lambda: plan.evaluate(catalog)) == "pass"
     assert _certificate_status(
         plan, catalog,
-        lambda: evaluate_plan_vectorized(plan, catalog)) == "pass"
+        lambda: evaluate_plan_vectorized(
+            plan, catalog, backend="python")) == "pass"
     speedup = row_wall / vec_wall
     assert speedup >= 2.0, (
         f"vectorized kernel only {speedup:.2f}x over the row interpreter "
@@ -295,7 +285,8 @@ def test_vectorized_report(benchmark):
                 row_wall, row_result = _timed(lambda: plan.evaluate(catalog))
             with collect() as vec_stats:
                 vec_wall, vec_result = _timed(
-                    lambda: evaluate_plan_vectorized(plan, catalog)
+                    lambda: evaluate_plan_vectorized(
+                        plan, catalog, backend="python")
                 )
             identical = (
                 vec_result.rows == row_result.rows
@@ -321,7 +312,8 @@ def test_vectorized_report(benchmark):
                         plan, catalog, lambda: plan.evaluate(catalog)),
                     "gmdj_vectorized": _certificate_status(
                         plan, catalog,
-                        lambda: evaluate_plan_vectorized(plan, catalog)),
+                        lambda: evaluate_plan_vectorized(
+                            plan, catalog, backend="python")),
                 },
             }
             line = (
@@ -487,13 +479,6 @@ def test_microbench_report(benchmark):
             invariant_plan().evaluate(catalog)
         lines.append(f"invariant block: scans={stats.relation_scans} "
                      f"updates={stats.aggregate_updates} (shared)")
-        for budget in (50, 150, 300):
-            with collect() as stats:
-                evaluate_gmdj_chunked(hash_plan(), catalog, budget)
-            lines.append(
-                f"chunked M={budget:4d}: detail scans="
-                f"{stats.relation_scans - 1}"
-            )
         with collect() as stats:
             evaluate_gmdj_partitioned(hash_plan(), catalog, 4)
         lines.append(f"partitioned x4:  tuples={stats.tuples_scanned} "

@@ -122,7 +122,7 @@ def test_mqo_report(benchmark):
                     assert result.rows == expected.rows, (
                         f"{name}[{size}]: batch result diverged"
                     )
-                groups = [g for g in batch.report.groups if g.coalesced]
+                groups = batch.report.groups
                 certified = all(g.certified for g in groups)
                 blocks = (
                     f"{sum(g.consumer_blocks for g in groups)}->"

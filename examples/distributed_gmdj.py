@@ -1,27 +1,17 @@
-"""Distributed and memory-bounded GMDJ evaluation.
+"""Distributed GMDJ evaluation.
 
-Two evaluation regimes the paper points at beyond the single-node,
-in-memory case:
-
-* **Partitioned (parallel) evaluation** — split the detail relation into
-  fragments, evaluate each independently against a replicated base, and
-  merge the mergeable accumulator states.  Same total scan volume as a
-  single pass, so horizontal scale-out is "free" in data touched.
-* **Memory-bounded base chunking** — when the base-values table exceeds
-  memory, scan the detail once per base fragment: a *well-defined* cost
-  of ceil(|B|/M) detail scans instead of unpredictable thrashing
-  (Section 2.3).
+The evaluation regime the paper points at beyond the single-node case:
+**partitioned (parallel) evaluation** — split the detail relation into
+fragments, evaluate each independently against a replicated base, and
+merge the mergeable accumulator states.  Same total scan volume as a
+single pass, so horizontal scale-out is "free" in data touched.
 
 Run:  python examples/distributed_gmdj.py
 """
 
 from repro import Database, agg, col, count_star, lit, md, scan
 from repro.data import NetflowConfig, build_netflow_catalog
-from repro.gmdj import (
-    detail_scans_required,
-    evaluate_gmdj_chunked,
-    evaluate_gmdj_partitioned,
-)
+from repro.gmdj import evaluate_gmdj_partitioned
 from repro.storage import collect
 
 
@@ -63,19 +53,6 @@ def main() -> None:
         print(f"  {partitions} partition(s): tuples scanned "
               f"{stats.tuples_scanned:7d} (single-scan volume: "
               f"{single_stats.tuples_scanned})")
-    print()
-
-    print("Memory-bounded evaluation (base chunking):")
-    base_rows = len(db.table("Hours"))
-    for budget in (48, 16, 8, 4):
-        with collect() as stats:
-            result = evaluate_gmdj_chunked(build_plan(), db.catalog, budget)
-        assert result.bag_equal(single)
-        predicted = detail_scans_required(base_rows, budget)
-        print(f"  memory for {budget:2d} base tuples: "
-              f"{stats.relation_scans - 1} detail scans "
-              f"(formula says {predicted}), "
-              f"{stats.pages_read} pages")
     print()
 
     print("Hourly profile (first 6 hours):")

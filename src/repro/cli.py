@@ -7,13 +7,12 @@ Usage::
          (SELECT * FROM orders o WHERE o.custkey = c.custkey)" \\
         --strategy gmdj_optimized --profile
 
-Parallel and memory-bounded GMDJ execution hang off the same flags:
-``--workers N`` evaluates detail partitions on a worker pool
-(``--partitions`` controls the fragment count), ``--chunk-budget``
-switches to memory-bounded chunked evaluation, ``--backend`` picks the
-scan kernel (``row`` interpreter, ``python`` columnar batches, ``numpy``
-whole-array buffers; ``--chunk-size`` sizes the batches), and
-``--no-cache`` bypasses the database's plan/result cache.
+Physical GMDJ execution hangs off the same flags: ``--backend`` picks
+the scan kernel (``auto`` by default: ``numpy`` whole-array buffers when
+installed, else ``python`` columnar batches; ``row`` is the reference
+interpreter), ``--workers N`` evaluates detail partitions on a worker
+pool (``--partitions`` controls the fragment count), and ``--no-cache``
+bypasses the database's plan/result cache.
 
 Every ``*.csv`` file in ``--data`` (written by
 :func:`repro.storage.save_csv`, i.e. with a typed ``name:type`` header)
@@ -107,20 +106,11 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
              "(also via REPRO_WORKERS)",
     )
     parser.add_argument(
-        "--chunk-budget", type=int, default=None, metavar="TUPLES",
-        help="in-memory tuple budget for chunked evaluation",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=None, metavar="ROWS",
-        help="detail rows per batch for the batch kernels "
-             "(alone it selects --backend python)",
-    )
-    parser.add_argument(
         "--backend", choices=("row", "python", "numpy", "auto"),
         default=None,
-        help="GMDJ scan kernel: the row interpreter (default), python "
-             "columnar batches, whole-array numpy, or 'auto' (numpy when "
-             "installed); also via REPRO_BACKEND",
+        help="GMDJ scan kernel: 'auto' (default: numpy when installed, "
+             "else python), whole-array numpy, python columnar batches, "
+             "or the row reference interpreter; also via REPRO_BACKEND",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -133,7 +123,7 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
              "coarser stored rollup); also via REPRO_ROLLUP",
     )
     parser.add_argument(
-        "--mqo", choices=("off", "fingerprint", "coalesce"), default=None,
+        "--mqo", choices=("off", "coalesce"), default=None,
         help="batch multi-query optimization level: share detail scans "
              "across compatible queries in a batch (default coalesce "
              "for batches; also via REPRO_MQO)",
@@ -146,8 +136,6 @@ def query_options(args) -> QueryOptions:
         strategy=args.strategy,
         partitions=args.partitions,
         workers=args.workers,
-        chunk_budget=args.chunk_budget,
-        chunk_size=args.chunk_size,
         backend=args.backend,
         use_cache=not args.no_cache,
         rollup=args.rollup,

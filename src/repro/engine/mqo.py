@@ -9,8 +9,8 @@ queries it:
    (:func:`repro.gmdj.share.fingerprint_plan`);
 2. partitions share-compatible plans into groups
    (:func:`plan_batch`);
-3. at level ``"coalesce"``, fuses each group into one multi-consumer
-   GMDJ (:func:`repro.gmdj.share.merge_group`), executes it with a
+3. fuses each group into one multi-consumer GMDJ
+   (:func:`repro.gmdj.share.merge_group`), executes it with a
    **single detail scan** on the options' kernel and fragmenter
    (:func:`repro.gmdj.physical.evaluate_node`), then splits
    the shared result back per consumer
@@ -30,11 +30,9 @@ queries it:
    (the serve tier's ``/metrics`` consistency depends on this).
 
 MQO levels (``QueryOptions.mqo`` / ``REPRO_MQO`` / batch default):
-
-* ``"off"``          — every member executes independently;
-* ``"fingerprint"``  — groups are formed and reported (what *would*
-  share) but execution stays per-query;
-* ``"coalesce"``     — groups execute through the shared plan.
+``"coalesce"`` runs steps 1–5, ``"off"`` executes every member
+independently.  :func:`repro.obs.explain.explain_batch` renders the
+groups a batch would form without executing anything.
 
 Shared groups bypass the per-query result cache in both directions: a
 cached result would mask a buggy merge from the differential suite, and
@@ -218,34 +216,32 @@ def plan_batch(
 
 @dataclass
 class ShareGroupReport:
-    """What one share group did (or would do, at level fingerprint)."""
+    """What one share group did."""
 
     group_id: int
     detail_table: str
     members: list[int]
     consumer_blocks: int
     shared_blocks: int
-    coalesced: bool
     scans_saved: int
-    certificate: CostCertificate | None = None
-    runtime_detail_scans: int | None = None
-    certified: bool | None = None
+    certificate: CostCertificate
+    runtime_detail_scans: int
+    #: The runtime scan count matches the certificate; None under a
+    #: fragmenter, whose fragments multiply the ``detail_scan`` spans.
+    certified: bool | None
 
     def to_json(self) -> dict:
-        payload = {
+        return {
             "group": self.group_id,
             "detail_table": self.detail_table,
             "members": list(self.members),
             "consumer_blocks": self.consumer_blocks,
             "shared_blocks": self.shared_blocks,
-            "coalesced": self.coalesced,
             "scans_saved": self.scans_saved,
             "runtime_detail_scans": self.runtime_detail_scans,
             "certified": self.certified,
+            "certificate": self.certificate.to_json(),
         }
-        if self.certificate is not None:
-            payload["certificate"] = self.certificate.to_json()
-        return payload
 
 
 @dataclass
@@ -420,10 +416,8 @@ def execute_batch(
         )
     options = options or QueryOptions()
     canon = options.canonical()
-    kernel = select_kernel(canon.backend, canon.chunk_size)
-    fragmenter = select_fragmenter(
-        canon.chunk_budget, canon.partitions, canon.workers
-    )
+    kernel = select_kernel(canon.backend)
+    fragmenter = select_fragmenter(canon.partitions, canon.workers)
     queries = list(queries)
     started = time.perf_counter()
     plan = plan_batch(queries, db.catalog, options, cache=db.cache)
@@ -432,7 +426,7 @@ def execute_batch(
     items: list[BatchItem | None] = [None] * len(queries)
     report = BatchReport(mqo=plan.level, queries=len(queries))
 
-    def run_single(index: int, group_id: int | None = None) -> None:
+    def run_single(index: int) -> None:
         def run() -> Relation:
             return db._run(queries[index], options, profiled=False,
                            plan=plan.plans[index]).result
@@ -458,27 +452,12 @@ def execute_batch(
         _merge_io(totals, delta)
         items[index] = BatchItem(
             index=index, result=result, elapsed_seconds=elapsed,
-            group_id=group_id, shared=False, io=dict(delta),
+            group_id=None, shared=False, io=dict(delta),
             detail_scans=scans,
         )
 
-    shared_certificates = []
     for group in plan.groups:
-        if plan.level != "coalesce":
-            for index in group.indices:
-                run_single(index, group_id=group.group_id)
-            report.groups.append(ShareGroupReport(
-                group_id=group.group_id,
-                detail_table=group.shared.detail_table,
-                members=list(group.indices),
-                consumer_blocks=group.shared.consumer_blocks,
-                shared_blocks=group.shared.shared_blocks,
-                coalesced=False,
-                scans_saved=0,
-            ))
-            continue
         certificate = certify_plan(group.shared.gmdj)
-        shared_certificates.append(certificate)
         consumers = len(group.indices)
         before = ambient.snapshot()
         t0 = time.perf_counter()
@@ -489,15 +468,9 @@ def execute_batch(
         shared_elapsed = time.perf_counter() - t0
         shared_delta = _delta(before, ambient.snapshot())
         _merge_io(totals, shared_delta)
-        # Runtime detail_scan spans are count-comparable to the static
-        # certificate only without a fragmenter (base chunks and detail
-        # partitions multiply the per-GMDJ scan spans).
-        certified = None
-        if fragmenter is None:
-            certified = (
-                runtime_scans
-                == certificate.scan_counts.get(group.shared.detail_table, 0)
-            )
+        certified = None if fragmenter is not None else (
+            runtime_scans
+            == certificate.scan_counts.get(group.shared.detail_table, 0))
         base_width = len(group.shared.gmdj.base.schema(db.catalog))
         for index, slot in zip(group.indices, group.shared.slots):
             before_residual = ambient.snapshot()
@@ -536,7 +509,6 @@ def execute_batch(
             members=list(group.indices),
             consumer_blocks=group.shared.consumer_blocks,
             shared_blocks=group.shared.shared_blocks,
-            coalesced=True,
             scans_saved=consumers - 1,
             certificate=certificate,
             runtime_detail_scans=runtime_scans,
@@ -546,8 +518,9 @@ def execute_batch(
     for index in plan.singletons:
         run_single(index)
 
-    if shared_certificates:
-        report.certificate = certify_batch(shared_certificates)
+    if report.groups:
+        report.certificate = certify_batch(
+            [group.certificate for group in report.groups])
     report.elapsed_seconds = time.perf_counter() - started
     report.io_totals = totals
     return BatchResult(

@@ -12,12 +12,9 @@ frozen dataclass, :class:`QueryOptions`:
   columnar batch kernel (:mod:`repro.gmdj.vectorized`), ``"numpy"``
   the whole-array kernel (:mod:`repro.gmdj.npkernel`), ``"auto"``
   numpy when importable, else python.  ``None`` defers to the
-  ``REPRO_BACKEND`` environment hook and then to ``"row"``.
-* ``chunk_size``    — detail rows per batch for the batch kernels
-  (alone it selects the python batch kernel).
-* ``chunk_budget``  — the base-chunking *fragmenter* (§2.3): at most
-  this many base tuples in memory, one detail scan per chunk.
-* ``partitions``    — the detail-partitioning fragmenter: fragment
+  ``REPRO_BACKEND`` environment hook and then to ``"auto"``; ``"row"``
+  is the reference the other kernels are tested against.
+* ``partitions``    — the detail-partitioning *fragmenter*: fragment
   count for partition-and-merge evaluation.
 * ``workers``       — worker-pool size for the partitioned fragmenter
   (1 = sequential fragments; defaults to ``REPRO_WORKERS``).
@@ -35,15 +32,21 @@ frozen dataclass, :class:`QueryOptions`:
   ``"strict"`` raises :class:`~repro.errors.LintError` fail-fast.
 * ``mqo``           — multi-query optimization for batch execution
   (:mod:`repro.engine.mqo`): ``"off"`` runs every batch member
-  independently, ``"fingerprint"`` forms share groups and reports them
-  but still executes per query, ``"coalesce"`` merges each group into
-  one multi-consumer GMDJ over a single detail scan.  ``None`` defers
+  independently, ``"coalesce"`` merges each share group into one
+  multi-consumer GMDJ over a single detail scan.  ``None`` defers
   to the ``REPRO_MQO`` environment hook and then to the batch default
   (``"coalesce"``).  Only ``Database.execute_batch`` /
   ``execute_sql_batch`` consult it; single-query entry points ignore it.
 
-Kernel and fragmenter compose freely (any kernel under either
-fragmenter, or none); :meth:`QueryOptions.kernel` and
+Construction checks every value: ``partitions`` / ``workers`` must be
+positive ``int`` (not ``bool``), ``trace`` / ``use_cache`` ``bool``, the
+rest one of their listed names — anything else is a
+:class:`~repro.errors.ConfigurationError` (an unknown strategy a
+:class:`~repro.errors.PlanError`), so a JSON request body can never
+smuggle in ``"2"`` or ``"no"``.
+
+Kernel and fragmenter compose freely (any kernel, partitioned or
+not); :meth:`QueryOptions.kernel` and
 :meth:`QueryOptions.fragmenter` are the one place that derives what a
 set of options will run, which EXPLAIN, the cache key, the MQO
 certificate check and the planner all read.
@@ -72,7 +75,7 @@ STRATEGIES = (
 GMDJ_STRATEGIES = frozenset({"gmdj", "gmdj_optimized"})
 
 #: GMDJ scan kernels.  ``None`` defers to the ``REPRO_BACKEND``
-#: environment hook and then to ``"row"``; ``"auto"`` picks numpy when
+#: environment hook and then to ``"auto"``, which picks numpy when
 #: importable, else python.
 BACKENDS = (None, "row", "python", "numpy", "auto")
 
@@ -84,11 +87,11 @@ LINT_LEVELS = (None, "off", "warn", "strict")
 
 ROLLUP_LEVELS = (None, "off", "exact", "subsume")
 
-MQO_LEVELS = (None, "off", "fingerprint", "coalesce")
+MQO_LEVELS = (None, "off", "coalesce")
 
-#: Environment hook forcing a batch-MQO level (``off`` / ``fingerprint``
-#: / ``coalesce``) for batches whose options left ``mqo`` unset — the CI
-#: matrix leg's override.  An explicit ``mqo=...`` always wins.
+#: Environment hook forcing a batch-MQO level (``off`` / ``coalesce``)
+#: for batches whose options left ``mqo`` unset — the CI matrix leg's
+#: override.  An explicit ``mqo=...`` always wins.
 REPRO_MQO_ENV = "REPRO_MQO"
 
 #: Environment hook letting a harness (e.g. the CI rollup leg) force the
@@ -114,23 +117,19 @@ def _environment_choice(variable: str, choices: tuple) -> str | None:
     return value
 
 
-def resolve_kernel(backend: str | None, chunk_size: int | None = None) -> str:
-    """The kernel a ``backend`` / ``chunk_size`` pair runs: ``"row"``,
-    ``"python"`` or ``"numpy"``.
+def resolve_kernel(backend: str | None) -> str:
+    """The kernel a ``backend`` runs: ``"row"``, ``"python"`` or
+    ``"numpy"``.
 
     Resolution order: explicit option > ``REPRO_BACKEND`` environment
-    variable > the row interpreter.  A ``chunk_size`` only means
-    something to the batch kernels, so with one set the row default
-    becomes ``"python"``.  ``"auto"`` picks numpy when the optional
-    extra is importable; asking for ``"numpy"`` without it is a clean
-    :class:`~repro.errors.ConfigurationError`.
+    variable > ``"auto"``, which picks numpy when the optional extra is
+    importable, else python; asking for ``"numpy"`` without it is a
+    clean :class:`~repro.errors.ConfigurationError`.
     """
     from repro.storage.npcolumns import HAVE_NUMPY, require_numpy
 
     if backend is None:
-        backend = QueryOptions.environment_backend()
-    if backend is None or backend == "row":
-        return "row" if chunk_size is None else "python"
+        backend = QueryOptions.environment_backend() or "auto"
     if backend == "auto":
         return "numpy" if HAVE_NUMPY else "python"
     if backend == "numpy":
@@ -146,8 +145,6 @@ class QueryOptions:
     backend: str | None = None
     partitions: int | None = None
     workers: int | None = None
-    chunk_budget: int | None = None
-    chunk_size: int | None = None
     trace: bool = False
     use_cache: bool = True
     lint: str | None = None
@@ -185,17 +182,25 @@ class QueryOptions:
                 f"unknown mqo level {self.mqo!r}; "
                 f"choose one of {MQO_LEVELS}"
             )
-        for name in ("partitions", "workers", "chunk_budget", "chunk_size"):
+        for name in ("partitions", "workers"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value is None:
+                continue
+            # bool is an int subclass; ``workers=True`` is a typo.
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
+            if value < 1:
                 raise ConfigurationError(
                     f"{name} must be >= 1, got {value}"
                 )
-        if self.backend == "row" and self.chunk_size is not None:
-            raise ConfigurationError(
-                "chunk_size batches the detail scan; the row kernel "
-                "(backend='row') reads it tuple-at-a-time"
-            )
+        for name in ("trace", "use_cache"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigurationError(
+                    f"{name} must be a boolean, got {value!r}"
+                )
 
     @classmethod
     def of(cls, value: "QueryOptions | str | None") -> "QueryOptions":
@@ -218,26 +223,14 @@ class QueryOptions:
         )
 
     def canonical(self) -> "QueryOptions":
-        """Validate the knob combination and normalize ``rollup="off"``.
-
-        * ``chunk_budget`` and ``partitions``/``workers`` select
-          different fragmenters, so setting both is an error;
-        * a kernel or fragmenter knob on a non-GMDJ strategy is an
-          error — the baselines have no GMDJ nodes to run it on.
-        """
-        partitioned = self.partitions is not None or self.workers is not None
-        if self.chunk_budget is not None and partitioned:
-            raise ConfigurationError(
-                "chunk_budget (base chunking) and partitions/workers "
-                "(detail partitioning) select different fragmenters; "
-                "set one"
-            )
+        """Validate the knob combination and normalize ``rollup="off"``:
+        a kernel or fragmenter knob on a non-GMDJ strategy is an error —
+        the baselines have no GMDJ nodes to run it on."""
         if self.strategy not in GMDJ_STRATEGIES and (
-                partitioned or self.chunk_budget is not None
-                or self.chunk_size is not None or self.backend is not None):
+                self.fragmenter() is not None or self.backend is not None):
             raise ConfigurationError(
-                f"backend/chunk_size/chunk_budget/partitions/workers apply "
-                f"only to GMDJ strategies, not {self.strategy!r}"
+                f"backend/partitions/workers apply only to GMDJ "
+                f"strategies, not {self.strategy!r}"
             )
         if self.rollup != "off":
             return self
@@ -246,14 +239,12 @@ class QueryOptions:
     def kernel(self) -> str:
         """The kernel GMDJ scans run on under these options: ``"row"``,
         ``"python"`` or ``"numpy"`` (see :func:`resolve_kernel`)."""
-        return resolve_kernel(self.backend, self.chunk_size)
+        return resolve_kernel(self.backend)
 
     def fragmenter(self) -> str | None:
-        """How each GMDJ is fragmented around the kernel: ``"chunked"``
-        (base chunks, one detail scan each), ``"partitioned"`` (detail
-        fragments merged columnwise), or None for one scan per GMDJ."""
-        if self.chunk_budget is not None:
-            return "chunked"
+        """How each GMDJ is fragmented around the kernel:
+        ``"partitioned"`` (detail fragments merged columnwise), or None
+        for one scan per GMDJ."""
         if self.partitions is not None or self.workers is not None:
             return "partitioned"
         return None
@@ -298,11 +289,10 @@ class QueryOptions:
 
         ``lint`` participates because a lint-gated run that would have
         raised must not be satisfied from a result another options
-        object cached.
+        object cached.  ``mqo`` does not: a shared group bypasses the
+        result cache, and a singleton runs the plan it would run alone.
         """
         canon = self.canonical()
         lint = None if canon.lint == "off" else canon.lint
-        mqo = None if canon.mqo == "off" else canon.mqo
-        return (canon.strategy, canon.kernel(), canon.chunk_size,
-                canon.fragmenter(), canon.partitions, canon.workers,
-                canon.chunk_budget, lint, canon.rollup, mqo)
+        return (canon.strategy, canon.kernel(), canon.fragmenter(),
+                canon.partitions, canon.workers, lint, canon.rollup)

@@ -27,11 +27,11 @@ and run them, pre-translated, under ``gmdj``.
 
 Orthogonally to the strategy, the :class:`~repro.engine.options.QueryOptions`
 pick the physical pipeline every GMDJ node of the translated plan runs
-through (:mod:`repro.gmdj.physical`): ``backend`` / ``chunk_size`` name
-the kernel, ``chunk_budget`` or ``partitions`` / ``workers`` the
-fragmenter, ``rollup`` hooks the semantic rollup store around each node —
-and ``use_cache`` lets a :class:`~repro.engine.cache.PlanCache` skip
-re-translation of plans the database has seen before.
+through (:mod:`repro.gmdj.physical`): ``backend`` names the kernel,
+``partitions`` / ``workers`` the fragmenter, ``rollup`` hooks the
+semantic rollup store around each node — and ``use_cache`` lets a
+:class:`~repro.engine.cache.PlanCache` skip re-translation of plans the
+database has seen before.
 """
 
 from __future__ import annotations
@@ -195,7 +195,7 @@ def make_executor(
 
         strategy = "plain"
         runner = partial(evaluate_plan, query, catalog,
-                         select_kernel(options.backend, options.chunk_size))
+                         select_kernel(options.backend))
     else:
         physical["kernel"] = options.kernel()
         fragmenter = options.fragmenter()
@@ -239,10 +239,8 @@ def _gmdj_runner(
         select_kernel,
     )
 
-    kernel = select_kernel(options.backend, options.chunk_size)
-    fragmenter = select_fragmenter(
-        options.chunk_budget, options.partitions, options.workers
-    )
+    kernel = select_kernel(options.backend)
+    fragmenter = select_fragmenter(options.partitions, options.workers)
     hook = None
     if rollups is not None and options.rollup in ("exact", "subsume"):
         hook = rollups.node_hook(catalog, options.rollup == "subsume")

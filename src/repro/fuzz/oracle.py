@@ -3,14 +3,15 @@
 A *case* is a (database, query) pair.  The oracle runs the query through
 
 * every SQL-capable planner strategy (``naive``, ``native``,
-  ``unnest_join``, ``gmdj``, ``gmdj_optimized``),
+  ``unnest_join``, ``gmdj``, ``gmdj_optimized`` — the GMDJ two on the
+  ``row`` reference kernel),
 * the two Section 4 ablations (``gmdj_coalesce``, ``gmdj_completion``):
   fuzz engines, not strategies — their plans are built with the
   translator's ``coalesce=`` / ``completion=`` flags and run,
   pre-translated, under ``gmdj`` — and
 * the plain ``gmdj`` translation at further (kernel, fragmenter) points
-  of the physical pipeline — base-chunked, detail-partitioned, python
-  batch and numpy kernels (with deliberately tiny budgets so
+  of the physical pipeline — detail-partitioned, python batch and numpy
+  kernels (with deliberately tiny partitions and batches so
   fragmentation and multi-batch scans actually happen on fuzz-sized
   data), and
 * the rollup-warm replay engine (``gmdj_rollup_warm``): the query runs
@@ -36,11 +37,11 @@ crashes as findings.
 from __future__ import annotations
 
 import sqlite3
-from repro import QueryOptions
 from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.engine.database import Database
+from repro.engine.options import GMDJ_STRATEGIES, QueryOptions
 from repro.engine.planner import plan_for
 from repro.errors import ReproError, TranslationError
 from repro.fuzz.datagen import DatabaseSpec
@@ -69,9 +70,7 @@ ABLATION_ENGINES = {
 }
 
 #: Tiny fragmentation knobs: fuzz databases hold ~10 rows per table, so
-#: these force multiple chunks / partitions / batches on nearly every
-#: case.
-FUZZ_MEMORY_TUPLES = 2
+#: these force multiple partitions / batches on nearly every case.
 FUZZ_PARTITIONS = 3
 FUZZ_CHUNK_SIZE = 3
 
@@ -83,12 +82,10 @@ FUZZ_CHUNK_SIZE = 3
 #: meets Thm 4.1/4.2 plans under the oracle too.  ``gmdj_numpy`` is
 #: recorded as a skip when the optional numpy extra is not installed.
 MODE_ENGINES = {
-    "gmdj_chunked": (dict(backend="row"),
-                     dict(chunk_budget=FUZZ_MEMORY_TUPLES), ("gmdj",)),
     "gmdj_parallel": (dict(backend="row"),
                       dict(partitions=FUZZ_PARTITIONS), ("gmdj",)),
-    "gmdj_vectorized": (dict(chunk_size=FUZZ_CHUNK_SIZE), dict(),
-                        ("gmdj",)),
+    "gmdj_vectorized": (dict(backend="python", chunk_size=FUZZ_CHUNK_SIZE),
+                        dict(), ("gmdj",)),
     "gmdj_numpy": (dict(backend="numpy", chunk_size=FUZZ_CHUNK_SIZE),
                    dict(), ("gmdj", "gmdj_optimized")),
 }
@@ -243,7 +240,8 @@ def capability_violations(database: Database, repro_sql: str) -> list[str]:
             (label, lambda: plan.evaluate(database.catalog)),
             (f"{label}/vectorized",
              lambda: evaluate_plan_vectorized(
-                 plan, database.catalog, FUZZ_CHUNK_SIZE)),
+                 plan, database.catalog, FUZZ_CHUNK_SIZE,
+                 backend="python")),
         ]
         if HAVE_NUMPY:
             runs.append((f"{label}/numpy",
@@ -279,10 +277,11 @@ def _rollup_warm_divergence(
     engine exists to catch.
     """
     cold_options = QueryOptions(
-        strategy="gmdj", rollup="subsume", use_cache=False,
+        strategy="gmdj", backend="row", rollup="subsume", use_cache=False,
     )
     optimized_options = QueryOptions(
-        strategy="gmdj_optimized", rollup="subsume", use_cache=False,
+        strategy="gmdj_optimized", backend="row", rollup="subsume",
+        use_cache=False,
     )
     cold = normalize_rows(
         database.execute_sql(repro_sql, cold_options).rows)
@@ -384,10 +383,12 @@ def run_differential(
                 plan = subquery_to_gmdj(
                     database.sql(repro_sql), database.catalog,
                     optimize=True, **ABLATION_ENGINES[engine])
-                results = [database.execute(plan, QueryOptions("gmdj"))]
+                results = [database.execute(
+                    plan, QueryOptions("gmdj", backend="row"))]
             else:
-                results = [database.execute_sql(repro_sql,
-                                                QueryOptions(engine))]
+                backend = "row" if engine in GMDJ_STRATEGIES else None
+                results = [database.execute_sql(
+                    repro_sql, QueryOptions(engine, backend=backend))]
         except TranslationError:
             outcome.skipped.append(engine)
             continue

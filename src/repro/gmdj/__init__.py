@@ -1,6 +1,5 @@
 """The GMDJ operator, its evaluator, and the Section-4 optimizations."""
 
-from repro.gmdj.chunked import BaseChunks, detail_scans_required
 from repro.gmdj.coalesce import coalesce_plan, merge_stacked, pull_up_base_selection
 from repro.gmdj.completion import CompletionRule, derive_completion_rule
 from repro.gmdj.evaluate import SelectGMDJ, run_gmdj
@@ -8,7 +7,6 @@ from repro.gmdj.operator import GMDJ, ThetaBlock, md
 from repro.gmdj.optimize import fuse_completion, optimize_plan, push_base_selections
 from repro.gmdj.parallel import DetailPartitions, partition_rows
 from repro.gmdj.physical import (
-    evaluate_gmdj_chunked,
     evaluate_gmdj_partitioned,
     evaluate_node,
     evaluate_plan,
@@ -33,7 +31,6 @@ from repro.gmdj.to_sql import expression_to_sql, gmdj_to_sql, plan_to_sql
 from repro.gmdj.vectorized import DEFAULT_CHUNK_SIZE, run_gmdj_vectorized
 
 __all__ = [
-    "BaseChunks",
     "CompletionRule",
     "DEFAULT_CHUNK_SIZE",
     "DetailPartitions",
@@ -45,8 +42,6 @@ __all__ = [
     "coalesce_plan",
     "default_workers",
     "derive_completion_rule",
-    "detail_scans_required",
-    "evaluate_gmdj_chunked",
     "embed_base_in_detail",
     "evaluate_gmdj_partitioned",
     "evaluate_node",

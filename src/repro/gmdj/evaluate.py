@@ -202,7 +202,7 @@ def _scan_detail(
 ) -> list[int] | None:
     """The single pass over the detail rows (the hot loop).
 
-    Returns the (possibly compacted) active list so a chunked caller —
+    Returns the (possibly compacted) active list so a batching caller —
     the vectorized kernel's completion path scans chunk by chunk — can
     carry the shrinking set across calls.
     """

@@ -1,24 +1,23 @@
 """The one physical GMDJ pipeline: fragmenter → kernel → merge → finalize.
 
 The paper defines a single operator — ``MD(B, R, l, θ)`` evaluated in
-one scan of R (Def. 2.1), base-chunked when B outgrows memory (§2.3),
-detail-partitioned because per-base-tuple partials merge (conclusion) —
-and this module evaluates it in a single place:
+one scan of R (Def. 2.1), detail-partitioned because per-base-tuple
+partials merge (conclusion) — and this module evaluates it in a single
+place:
 
 * a **kernel** is any callable with the signature
   :func:`~repro.gmdj.evaluate.run_gmdj` and
   :func:`~repro.gmdj.vectorized.run_gmdj_vectorized` share —
   ``(base, detail, gmdj, output_schema, rule, selection) -> Relation``
   over materialized operands.  :func:`select_kernel` is the one place a
-  ``backend`` / ``chunk_size`` pair becomes one (the batch kernel bound
-  once to its knobs with :func:`functools.partial`, so it pickles for
-  process workers);
-* a **fragmenter** wraps kernel calls: :class:`~repro.gmdj.chunked.
-  BaseChunks` scans R once per base chunk,
-  :class:`~repro.gmdj.parallel.DetailPartitions` scans each detail
-  fragment (sequentially or on a pool) and merges the partials
-  columnwise; ``None`` is the plain single scan.
-  :func:`select_fragmenter` is the one place knobs become one;
+  ``backend`` becomes one (the batch kernel bound once to its name as a
+  :class:`BatchKernel`, which pickles for process workers);
+* the **fragmenter**, :class:`~repro.gmdj.parallel.DetailPartitions`,
+  wraps kernel calls: it scans each detail fragment (sequentially or on
+  a pool) and merges the partials columnwise; ``None`` is the plain
+  single scan.  :func:`select_fragmenter` is the one place knobs become
+  one.  (§2.3's "well-defined cost" when B outgrows memory is the array
+  kernel's tiling by candidate pairs, ``TILE_PAIRS``, with output ≤ |B|);
 * :func:`evaluate_node` materializes a node's operands, records the
   base scan and opens the owner span exactly once — for ``GMDJ`` and
   fused ``SelectGMDJ`` alike — then applies the fragmenter around the
@@ -50,7 +49,6 @@ from typing import Callable
 from repro.algebra.expressions import Expression
 from repro.algebra.operators import Operator, TableValue
 from repro.algebra.rewrite import map_children
-from repro.gmdj.chunked import BaseChunks
 from repro.gmdj.completion import CompletionRule
 from repro.gmdj.evaluate import SelectGMDJ, run_gmdj
 from repro.gmdj.operator import GMDJ
@@ -66,7 +64,6 @@ from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 
 Kernel = Callable[..., Relation]
-Fragmenter = BaseChunks | DetailPartitions
 #: ``hook(node, evaluate)``: called for every GMDJ node of a walked plan
 #: with the *original* node and a thunk that evaluates it (children
 #: first); returns the node's relation.
@@ -76,7 +73,8 @@ NodeHook = Callable[[GMDJ, Callable[[], Relation]], Relation]
 @dataclass(frozen=True)
 class BatchKernel:
     """:func:`run_gmdj_vectorized` bound to one ``backend`` — the kernel
-    says which it is, so the walk around it need not guess."""
+    says which it is, so the walk around it need not guess.  The python
+    kernel scans ``chunk_size`` detail rows per batch."""
 
     backend: str
     chunk_size: int
@@ -93,35 +91,33 @@ class BatchKernel:
 
 def select_kernel(backend: str | None = None,
                   chunk_size: int | None = None) -> Kernel:
-    """The kernel a ``backend`` / ``chunk_size`` pair names.
+    """The kernel ``backend`` names; ``chunk_size`` sizes the python
+    kernel's batches (default :data:`~repro.gmdj.vectorized.
+    DEFAULT_CHUNK_SIZE`; tests shrink it to force batch boundaries).
 
-    Resolution (explicit > ``REPRO_BACKEND`` > row interpreter; a bare
-    ``chunk_size`` means the python batch kernel) is
+    Resolution (explicit > ``REPRO_BACKEND`` > ``auto``) is
     :func:`repro.engine.options.resolve_kernel`'s.
     """
     # Imported here: repro.engine pulls in the planner, which pulls in
     # repro.gmdj — a module-level import would close the cycle.
     from repro.engine.options import resolve_kernel
 
-    name = resolve_kernel(backend, chunk_size)
+    name = resolve_kernel(backend)
     if name == "row":
         return run_gmdj
     return BatchKernel(name, resolve_chunk_size(chunk_size))
 
 
 def select_fragmenter(
-    chunk_budget: int | None = None,
     partitions: int | None = None,
     workers: int | None = None,
     executor: str | None = None,
-) -> Fragmenter | None:
+) -> DetailPartitions | None:
     """The fragmenter the knobs name, or None for one scan per GMDJ.
 
     ``workers`` defaults to the ``REPRO_WORKERS`` environment variable
     (else 1 = sequential fragments).
     """
-    if chunk_budget is not None:
-        return BaseChunks(chunk_budget)
     if partitions is not None or workers is not None:
         return DetailPartitions(
             DEFAULT_PARTITIONS if partitions is None else partitions,
@@ -134,7 +130,7 @@ def evaluate_node(
     node: GMDJ | SelectGMDJ,
     catalog: Catalog,
     kernel: Kernel = run_gmdj,
-    fragmenter: Fragmenter | None = None,
+    fragmenter: DetailPartitions | None = None,
 ) -> Relation:
     """Materialize a GMDJ node's operands and run it through the pipeline."""
     if isinstance(node, SelectGMDJ):
@@ -234,7 +230,7 @@ def evaluate_plan(
     plan: Operator,
     catalog: Catalog,
     kernel: Kernel = run_gmdj,
-    fragmenter: Fragmenter | None = None,
+    fragmenter: DetailPartitions | None = None,
     node_hook: NodeHook | None = None,
 ) -> Relation:
     """Evaluate ``plan`` with every GMDJ node run by :func:`evaluate_node`.
@@ -283,19 +279,9 @@ def evaluate_plan_vectorized(
     plan: Operator, catalog: Catalog, chunk_size: int | None = None,
     backend: str | None = None,
 ) -> Relation:
-    """Evaluate ``plan`` with every GMDJ on a columnar batch kernel
-    (``backend`` unset: ``REPRO_BACKEND``, else python)."""
-    return evaluate_plan(
-        plan, catalog, select_kernel(backend, resolve_chunk_size(chunk_size))
-    )
-
-
-def evaluate_gmdj_chunked(
-    gmdj: GMDJ, catalog: Catalog, memory_tuples: int,
-    kernel: Kernel = run_gmdj,
-) -> Relation:
-    """Evaluate one GMDJ holding at most ``memory_tuples`` base tuples."""
-    return evaluate_node(gmdj, catalog, kernel, BaseChunks(memory_tuples))
+    """Evaluate ``plan`` with every GMDJ on the kernel ``backend`` names
+    (see :func:`select_kernel`)."""
+    return evaluate_plan(plan, catalog, select_kernel(backend, chunk_size))
 
 
 def evaluate_gmdj_partitioned(

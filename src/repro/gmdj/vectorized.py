@@ -160,8 +160,8 @@ def _scan_batched(columnar: ColumnarRelation, vblocks: list[_VectorBlock],
                   stats: IOStats, chunk_size: int) -> None:
     """The completion-free batch scan: every base tuple stays active.
 
-    Operates on a pre-built columnar encoding so chunked fragments and
-    the numpy backend's per-block fallbacks reuse one transposition
+    Operates on a pre-built columnar encoding so the numpy backend's
+    per-block fallbacks reuse the array kernel's transposition
     (see :func:`repro.storage.columnar.cached_columnar`).
     """
     cols = columnar.value_columns()
@@ -306,12 +306,15 @@ def run_gmdj_vectorized(
     rule: CompletionRule | None = None,
     selection: Expression | None = None,
     chunk_size: int | None = None,
-    backend: str | None = None,
+    backend: str = "python",
 ) -> Relation:
     """Batch-evaluate a GMDJ: :func:`run_gmdj`'s rows, in its order, with
     its counters (probes, predicate evaluations, aggregate updates,
     completed tuples, pages, tuples) — with or without a completion rule.
 
+    ``backend`` is a resolved kernel name (:func:`repro.gmdj.physical.
+    select_kernel` resolves ``auto`` and the environment hook): the
+    python kernel scans ``chunk_size`` detail rows per batch;
     ``backend="numpy"`` routes the θ blocks through the whole-array
     kernel (:mod:`repro.gmdj.npkernel`), completion, aggregate state and
     the fused selection included; blocks or aggregates without an exact
@@ -320,13 +323,7 @@ def run_gmdj_vectorized(
     the ``detail_scan`` span for EXPLAIN ANALYZE, next to how each hash
     block resolved its keys (``key_lookup``, ``shared_keys``).
     """
-    # Imported here: repro.engine pulls in the planner, which pulls in
-    # repro.gmdj — a module-level import would close the cycle.
-    from repro.engine.options import resolve_kernel
-
     chunk_size = resolve_chunk_size(chunk_size)
-    # With a chunk size in hand the row default resolves to "python".
-    resolved_backend = resolve_kernel(backend, chunk_size)
     stats = IOStats.ambient()
     detail_schema = detail.schema
     combined_schema = base.schema.concat(detail_schema)
@@ -342,17 +339,17 @@ def run_gmdj_vectorized(
     arrays = None
     with span("scan", kind="detail_scan",
               relation=getattr(detail, "name", None) or "<derived>",
-              rows=total, vectorized=True, backend=resolved_backend,
+              rows=total, vectorized=True, backend=backend,
               mask_skipped=0) as scan_span:
         stats.record_scan(total)
         # Blocks still to run on the python kernel: all of them, unless
         # the array kernel takes some (or, under a rule, all) of them.
         block_pairs = list(zip(runtimes, gmdj.blocks))
         columnar = None
-        if resolved_backend == "numpy" or rule is None:
+        if backend == "numpy" or rule is None:
             columnar = cached_columnar(detail)
             scan_span.set(mask_skipped=columnar.mask_free_columns())
-        if resolved_backend == "numpy":
+        if backend == "numpy":
             from repro.gmdj.npkernel import run_numpy_scan
 
             arrays = run_numpy_scan(columnar, runtimes, gmdj.blocks, base,

@@ -65,7 +65,7 @@ def _coerce(options):
 
 def _label(options) -> str:
     """The human-facing ``strategy=... [kernel=...] [fragmenter=...]``
-    header fragment (the row kernel and single-scan defaults are
+    header fragment (the row reference kernel and the single scan are
     implied)."""
     from repro.engine.options import GMDJ_STRATEGIES
 
@@ -211,9 +211,8 @@ def static_report(db, query, options=None):
 def _certifiable(canonical) -> bool:
     """True when the run's span tree matches the static cost certificate.
 
-    Every kernel's single-scan run does; base-chunking or partitioning
-    multiply the per-GMDJ detail scans and change the owning span
-    kinds.  A run with
+    Every kernel's single-scan run does; partitioning multiplies the
+    per-GMDJ detail scans and changes the owning span kind.  A run with
     the rollup tier active is never certifiable: a rollup hit answers a
     GMDJ with *zero* gmdj/detail_scan spans, so the static certificate's
     counts cannot match (the dedicated rollup invariant — zero detail
@@ -233,8 +232,8 @@ def analyze(db, query, options=None, strict: bool = False):
     both derived from the tree the options execute; without a
     fragmenter — every kernel emits the same gmdj/detail_scan span
     structure and counts — they are cross-checked against the trace
-    (chunked/partitioned runs scan a detail once per fragment and
-    produce different span kinds, so their counts are not comparable).
+    (partitioned runs scan a detail once per fragment under a different
+    span kind, so their counts are not comparable).
     """
     from repro.lint import certify_plan
 

@@ -10,8 +10,6 @@ The GMDJ's selling points are checkable statements about a trace:
 * **Completion is free** (Thms. 4.1/4.2): fusing a completion rule
   never adds detail scans; the span structure of a ``SelectGMDJ`` must
   show the same single scan as the plain operator.
-* **Well-defined chunked cost** (§2.3): base-chunked evaluation scans
-  the detail exactly ``ceil(|B| / M)`` times.
 * **Partitioning costs no volume**: partitioned evaluation scans, in
   total, exactly the detail's tuple count — fragments never overlap.
 * **Query-level single scan** (Prop. 4.1, caller-supplied): when the
@@ -37,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lint.absint import CapabilityCertificate
 
 #: Span kinds that own the detail scans performed beneath them.
-_OWNER_KINDS = frozenset({"gmdj", "gmdj_chunked", "gmdj_partitioned"})
+_OWNER_KINDS = frozenset({"gmdj", "gmdj_partitioned"})
 
 
 @dataclass
@@ -130,15 +128,6 @@ def check_trace(
                     f"|B|-bound: GMDJ over {owner.attrs.get('relation')!r} "
                     f"emitted {output_rows} rows from a "
                     f"{base_rows}-row base"
-                )
-        elif owner.kind == "gmdj_chunked":
-            report.checked += 1
-            expected = owner.attrs.get("expected_scans")
-            if expected is not None and len(scans) != expected:
-                report.violations.append(
-                    f"chunked-cost: budget {owner.attrs.get('budget')} over "
-                    f"{owner.attrs.get('base_rows')} base rows should scan "
-                    f"the detail {expected} times, saw {len(scans)}"
                 )
         elif owner.kind == "gmdj_partitioned":
             report.checked += 1

@@ -69,7 +69,9 @@ def parse_options(payload, defaults: QueryOptions) -> QueryOptions:
 
     ``payload`` is the request body's ``options`` object (or None).
     Unknown keys raise — a typo silently falling back to defaults would
-    make a load test measure the wrong engine.
+    make a load test measure the wrong engine — and so do values of the
+    wrong type (``QueryOptions`` checks them on construction), so a bad
+    body is a 400 and never runs.
     """
     if payload is None:
         return defaults

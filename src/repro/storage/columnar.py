@@ -437,9 +437,8 @@ def cached_columnar(relation: Relation) -> ColumnarRelation:
     """The columnar encoding of ``relation``, cached on the relation.
 
     A stored relation carries at most one encoding (``_columnar``, a
-    zero-or-one-element list), so repeated vectorized queries — and the
-    base fragments of a ``chunk_budget`` run — transpose and encode it
-    once.  A write keeps it current instead of dropping it:
+    zero-or-one-element list), so repeated vectorized queries transpose
+    and encode it once.  A write keeps it current instead of dropping it:
     ``Relation.extend`` (and ``insert``) replace it with
     :meth:`ColumnarRelation.appended` of the new rows, and
     ``Database.insert`` does the same on a copy it then installs, so the
@@ -456,8 +455,8 @@ def cached_columnar(relation: Relation) -> ColumnarRelation:
     Hit/miss counts surface in the metrics registry as
     ``columnar.cache_hits`` / ``columnar.cache_misses`` — the array
     kernel encodes its base operand through here too, so a row-backed
-    base (an in-memory table's first scan, a ``chunk_budget`` fragment)
-    is a miss like any other.
+    base (an in-memory table's first scan, a derived relation) is a miss
+    like any other.
     """
     from repro.obs.metrics import get_registry
 

@@ -2,9 +2,10 @@
 
 Covers the knobs and edges the property suite cannot pin one by one:
 
-* backend resolution (explicit > ``REPRO_BACKEND`` env > python;
-  ``auto``; clean :class:`~repro.errors.ConfigurationError` without the
-  optional numpy extra);
+* backend resolution (explicit > ``REPRO_BACKEND`` env > ``auto``,
+  numpy when installed; a clean
+  :class:`~repro.errors.ConfigurationError` without the optional numpy
+  extra);
 * per-operator fallback to the python kernel — holistic DISTINCT
   ``SUM``/``AVG`` aggregates, object-encoded columns (>64-bit ints),
   int-sum overflow guards, NaN min/max — each recorded on the
@@ -14,8 +15,8 @@ Covers the knobs and edges the property suite cannot pin one by one:
   fallback and equal the row kernel on rows, order, every counter and
   the partial aggregates of assured tuples at any tile size, and an
   :class:`NpUnsupported` under a rule leaves no partial state;
-* the relation-level columnar-encoding cache (hit/miss counters, reuse
-  across chunked fragments, invalidation on mutation).
+* the relation-level columnar-encoding cache (hit/miss counters, scan
+  views, extension on mutation).
 """
 
 from __future__ import annotations
@@ -35,11 +36,9 @@ from repro.algebra.operators import ScanTable
 from repro.errors import ConfigurationError
 from repro.engine.options import resolve_kernel
 from repro.gmdj import (
-    BaseChunks,
     evaluate_plan,
     evaluate_plan_vectorized,
     md,
-    select_kernel,
 )
 from repro.gmdj import npkernel
 from repro.gmdj.completion import CompletionRule
@@ -110,10 +109,9 @@ def assert_identical(gmdj, catalog, expect_fallback=None):
 
 
 class TestResolveKernel:
-    def test_default_is_row_and_chunk_size_means_python(self, monkeypatch):
+    def test_default_is_auto(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_kernel(None) == "row"
-        assert resolve_kernel(None, chunk_size=8) == "python"
+        assert resolve_kernel(None) == "numpy"  # extra is installed
 
     def test_explicit_values(self):
         assert resolve_kernel("python") == "python"
@@ -789,29 +787,6 @@ class TestColumnarEncodingCache:
             assert rebuilt is not before
             assert rebuilt.length == len(detail) == before.length + 1
             assert rebuilt.to_rows() == detail.rows
-
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_chunked_fragments_encode_once(self, backend):
-        # chunk_budget splits the base into fragments; every fragment
-        # scans the same detail relation, so the columnar encoding must
-        # be built exactly once and served from the cache after that.
-        catalog, base, _ = null_heavy_catalog()
-        gmdj = md(ScanTable("B", "b"), ScanTable("R", "r"),
-                  [[count_star("c")]],
-                  [col("b.K") == col("r.K")])
-        fragments = -(-len(base) // 4)
-        assert fragments > 1
-        with metrics_scope() as registry:
-            chunked = evaluate_plan(
-                gmdj, catalog, select_kernel(backend), BaseChunks(4))
-            misses = registry.counter("columnar.cache_misses").value
-            hits = registry.counter("columnar.cache_hits").value
-        # The array kernel reads its base as columns too: each fragment
-        # is its own row-backed relation, encoded once for its scan.
-        assert misses == 1 + (fragments if backend == "numpy" else 0)
-        assert hits == fragments - 1
-        plain = gmdj.evaluate(catalog)
-        assert plain.bag_equal(chunked)
 
 
 # -- COUNT(DISTINCT) without sorting ---------------------------------------------

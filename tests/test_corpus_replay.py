@@ -4,7 +4,8 @@ Every ``tests/corpus/*.json`` file is a shrunk counterexample from a
 past fuzzing campaign (or a hand-distilled NULL pitfall), stored in the
 exact format ``repro fuzz`` writes.  Replaying one runs its query
 through every engine against the SQLite oracle; a clean outcome means
-the bug it once witnessed stays fixed.
+the bug it once witnessed stays fixed.  Each case's optimized plan must
+also return identical rows, in identical order, on every kernel.
 
 To add a case: run ``repro fuzz``, take the JSON it writes on a
 divergence, fix the bug, confirm the replay is clean, and move the file
@@ -18,7 +19,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine import plan_for
 from repro.fuzz import replay_case
+from repro.fuzz.datagen import DatabaseSpec
+from repro.gmdj import evaluate_plan, select_kernel
+from repro.sql import compile_sql
+from repro.storage.npcolumns import HAVE_NUMPY
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.json"))
@@ -41,3 +47,24 @@ def test_corpus_case_replays_clean(path):
         f"{path.name} regressed — {data.get('description', '')}\n{details}"
     )
     assert outcome.engines_run > 0
+
+
+@pytest.mark.parametrize("kernel", [
+    "python",
+    pytest.param("numpy", marks=pytest.mark.skipif(
+        not HAVE_NUMPY, reason="numpy extra not installed")),
+])
+@pytest.mark.parametrize(
+    "path", CORPUS_FILES, ids=lambda path: path.stem,
+)
+def test_corpus_case_rows_identical_on_every_kernel(path, kernel):
+    # The kernel contract is row identity with the row interpreter —
+    # values, duplicates, order; python batches of 3 rows put batch
+    # boundaries in every case.
+    data = json.loads(path.read_text())
+    catalog = DatabaseSpec.from_json(data["tables"]).build_catalog()
+    plan = plan_for(compile_sql(data["sql"], catalog), catalog,
+                    "gmdj_optimized")
+    expected = evaluate_plan(plan, catalog, select_kernel("row")).rows
+    actual = evaluate_plan(plan, catalog, select_kernel(kernel, 3)).rows
+    assert actual == expected

@@ -6,8 +6,8 @@ in the same order* as ``run_gmdj`` — and perform the same accounted
 work, down to identical IOStats counter snapshots (predicate_evals,
 aggregate_updates, index_probes, pages, tuples).  These tests pin that
 contract on every access path (hash, scan, invariant), on multi-block
-coalesced plans, under completion, and composed with the chunked and
-partitioned/pooled execution regimes.
+coalesced plans, under completion, and composed with the
+partitioned/pooled execution regime.
 """
 
 import random
@@ -230,29 +230,22 @@ class TestEndToEnd:
             query = subquery_to_gmdj(query, db.catalog, optimize=True,
                                      coalesce=False)
             strategy = "gmdj"
-        expected = db.execute(query, QueryOptions(strategy=strategy))
+        expected = db.execute(query, QueryOptions(strategy=strategy,
+                                                  backend="row"))
         actual = db.execute(
-            query, QueryOptions(strategy=strategy, chunk_size=7)
-        )
-        assert expected.bag_equal(actual)
-
-    def test_composes_with_chunk_budget(self):
-        db = fuzzy_database()
-        expected = db.execute_sql(SQL_EXISTS, QueryOptions(strategy="gmdj"))
-        actual = db.execute_sql(
-            SQL_EXISTS,
-            QueryOptions(strategy="gmdj", chunk_budget=4, chunk_size=9),
+            query, QueryOptions(strategy=strategy, backend="python")
         )
         assert expected.bag_equal(actual)
 
     def test_composes_with_partitions_and_pool(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "thread")
         db = fuzzy_database()
-        expected = db.execute_sql(SQL_EXISTS, QueryOptions(strategy="gmdj"))
+        expected = db.execute_sql(SQL_EXISTS, QueryOptions(strategy="gmdj",
+                                                           backend="row"))
         actual = db.execute_sql(
             SQL_EXISTS,
             QueryOptions(strategy="gmdj", partitions=3, workers=2,
-                         chunk_size=9),
+                         backend="python"),
         )
         assert expected.bag_equal(actual)
 
@@ -268,7 +261,7 @@ class TestEndToEnd:
         with collect() as batch_stats:
             db.execute_sql(
                 SQL_EXISTS,
-                QueryOptions(strategy="gmdj", chunk_size=11,
+                QueryOptions(strategy="gmdj", backend="python",
                              use_cache=False, rollup="off"),
             )
         assert batch_stats.snapshot() == row_stats.snapshot()
@@ -279,14 +272,13 @@ class TestExplainAnalyze:
         db = fuzzy_database()
         text = db.explain_analyze(
             db.sql(SQL_EXISTS),
-            QueryOptions(strategy="gmdj_optimized", backend="python",
-                         chunk_size=16),
+            QueryOptions(strategy="gmdj_optimized", backend="python"),
             strict=True,
         )
         assert "(strategy=gmdj_optimized kernel=python)" in text
         assert "-- executed:" in text
         assert "chunks=" in text
-        assert "chunk_size=16" in text
+        assert f"chunk_size={DEFAULT_CHUNK_SIZE}" in text
         # Single-scan vectorized runs keep the cost certificate check.
         assert "all hold" in text
 
@@ -296,21 +288,19 @@ class TestExplainAnalyze:
         db = fuzzy_database()
         payload = explain_analyze_json(
             db, db.sql(SQL_EXISTS),
-            QueryOptions(strategy="gmdj_optimized", backend="python",
-                         chunk_size=16),
+            QueryOptions(strategy="gmdj_optimized", backend="python"),
         )
         executed = payload["executed"]
         assert executed["kernel"] == "python"
         assert "fragmenter" not in executed
-        assert executed["chunk_size"] == 16
+        assert executed["chunk_size"] == DEFAULT_CHUNK_SIZE
         assert executed["chunks"] >= 1
 
     def test_row_mode_has_no_chunk_fields(self):
         from repro.obs.explain import explain_analyze_json
 
         db = fuzzy_database()
-        # backend="row" pins the row interpreter even when REPRO_BACKEND
-        # would default the run to a batch kernel.
+        # backend="row" pins the row interpreter (unset means auto).
         payload = explain_analyze_json(
             db, db.sql(SQL_EXISTS),
             QueryOptions(strategy="gmdj", backend="row"),

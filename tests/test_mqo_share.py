@@ -154,7 +154,7 @@ class TestPlanBatch:
 
 class TestMqoOption:
     def test_levels(self):
-        assert set(MQO_LEVELS) == {None, "off", "fingerprint", "coalesce"}
+        assert MQO_LEVELS == (None, "off", "coalesce")
 
     def test_invalid_level_raises(self):
         with pytest.raises(ConfigurationError, match="mqo"):
@@ -163,10 +163,6 @@ class TestMqoOption:
     def test_explicit_beats_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_MQO", "off")
         assert resolve_level(QueryOptions(mqo="coalesce")) == "coalesce"
-
-    def test_environment_beats_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MQO", "fingerprint")
-        assert resolve_level(QueryOptions()) == "fingerprint"
 
     def test_environment_off_suppresses_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_MQO", "off")
@@ -181,35 +177,22 @@ class TestMqoOption:
         with pytest.raises(ConfigurationError, match="REPRO_MQO"):
             QueryOptions.environment_mqo()
 
-    def test_cache_key_carries_mqo(self):
-        assert (QueryOptions(mqo="fingerprint").cache_key()
-                != QueryOptions(mqo="coalesce").cache_key())
-        # "off" and unset hash alike: both mean per-query execution.
-        assert (QueryOptions(mqo="off").cache_key()
-                == QueryOptions().cache_key())
+    def test_cache_key_ignores_mqo(self, db):
+        # Shared groups bypass the result cache and a singleton runs the
+        # plan it would run alone: the level never splits an entry.
+        assert len({QueryOptions(mqo=level).cache_key()
+                    for level in MQO_LEVELS}) == 1
+        db.execute_sql(EXISTS_R, QueryOptions(mqo="coalesce"))
+        hits = db.cache.result_hits
+        db.execute_sql(EXISTS_R, QueryOptions())
+        assert db.cache.result_hits == hits + 1
 
 
 class TestExecuteBatchSurface:
-    def test_fingerprint_level_reports_without_sharing(self, db):
-        batch = db.execute_sql_batch(
-            [EXISTS_R, EXISTS_R_THETA], QueryOptions(mqo="fingerprint")
-        )
-        assert batch.report.mqo == "fingerprint"
-        assert len(batch.report.groups) == 1
-        group = batch.report.groups[0]
-        assert not group.coalesced
-        assert group.scans_saved == 0
-        assert batch.report.scans_saved == 0
-        assert [sorted(r.rows) for r in batch] == [
-            sorted(db.execute_sql(EXISTS_R).rows),
-            sorted(db.execute_sql(EXISTS_R_THETA).rows),
-        ]
-
     def test_coalesce_level_saves_scans(self, db):
         batch = db.execute_sql_batch([EXISTS_R, EXISTS_R_THETA])
         assert batch.report.mqo == "coalesce"
         group = batch.report.groups[0]
-        assert group.coalesced
         assert group.scans_saved == 1
         assert group.runtime_detail_scans == 1
         assert group.certified is True
@@ -222,7 +205,7 @@ class TestExecuteBatchSurface:
         members = [SELECT_LIST_COUNT, SELECT_LIST_SUM]
         batch = db.execute_sql_batch(members)
         (group,) = batch.report.groups
-        assert group.coalesced and group.detail_table == "R"
+        assert group.detail_table == "R"
         assert group.members == [0, 1]
         assert batch.report.scans_saved >= 1
         assert group.runtime_detail_scans == 1

@@ -33,16 +33,6 @@ class TestTable1Invariants:
         assert report.ok
         assert report.checked >= 3  # single-scan, |B|-bound, Prop. 4.1
 
-    def test_chunked_run_holds(self, table1_catalog):
-        query = table1_queries()["exists"]
-        with tracing() as tracer:
-            execute(query, table1_catalog,
-                    QueryOptions(strategy="gmdj", chunk_budget=16))
-        report = check_trace(tracer.trace(), strict=True)
-        assert report.ok
-        chunked = tracer.trace().find(kind="gmdj_chunked")
-        assert chunked and chunked[0].attrs["expected_scans"] == 3
-
     def test_partitioned_run_holds(self, table1_catalog):
         query = table1_queries()["exists"]
         with tracing() as tracer:
@@ -124,18 +114,6 @@ class TestFabricatedViolations:
 
         report = check_trace(fabricate(build))
         assert any(v.startswith("|B|-bound:") and "7 rows" in v
-                   for v in report.violations)
-
-    def test_chunked_scan_count(self):
-        def build():
-            with span("GMDJ(chunked)", kind="gmdj_chunked",
-                      budget=10, base_rows=30, expected_scans=3):
-                for _ in range(2):
-                    with span("scan", kind="detail_scan", rows=5):
-                        pass
-
-        report = check_trace(fabricate(build))
-        assert any(v.startswith("chunked-cost:") and "saw 2" in v
                    for v in report.violations)
 
     def test_partition_volume(self):

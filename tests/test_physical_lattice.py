@@ -6,8 +6,8 @@ option lattice instead of one suite per feature pair:
 
 * **kernel** — row interpreter / python batch / numpy whole-array (when
   the extra is installed);
-* **fragmenter** — none / base-chunked / detail-partitioned with
-  sequential fragments / detail-partitioned on a 2-worker thread pool;
+* **fragmenter** — none / detail-partitioned with sequential fragments /
+  detail-partitioned on a 2-worker thread pool;
 * **rollup** — off / subsumption tier (cold run, then warm).
 
 Every point must return the row interpreter's rows *in its order* for
@@ -44,7 +44,7 @@ from repro.algebra.nested import (
     not_in_predicate,
 )
 from repro.algebra.operators import ScanTable
-from repro.errors import ConfigurationError, PlanError
+from repro.errors import PlanError
 from repro.gmdj import evaluate_plan, select_fragmenter, select_kernel
 from repro.obs.invariants import check_trace
 from repro.obs.tracer import tracing
@@ -58,7 +58,6 @@ KERNELS = ["row", "python"] + (["numpy"] if HAVE_NUMPY else [])
 
 FRAGMENTERS = {
     "none": {},
-    "chunked": dict(chunk_budget=4),
     "partitioned-w1": dict(partitions=3, workers=1),
     "partitioned-w2": dict(partitions=3, workers=2),
 }
@@ -210,11 +209,10 @@ class TestLattice:
         for query, result in zip(queries, batch):
             assert result.rows == db.execute(query, options).rows
         for group in batch.report.groups:
-            if group.coalesced:
-                # The scan-count certificate is checkable only when no
-                # fragmenter multiplies the detail_scan spans.
-                assert group.certified is (
-                    True if fragmenter == "none" else None)
+            # The scan-count certificate is checkable only when no
+            # fragmenter multiplies the detail_scan spans.
+            assert group.certified is (
+                True if fragmenter == "none" else None)
 
 
 # -- random lattice points ------------------------------------------------------
@@ -227,8 +225,6 @@ SETTINGS = settings(
 
 fragmenters = st.one_of(
     st.none(),
-    st.builds(lambda budget: dict(chunk_budget=budget),
-              st.integers(min_value=1, max_value=5)),
     st.builds(lambda partitions, workers: dict(
         partitions=partitions, workers=workers, executor="thread"),
         st.integers(min_value=1, max_value=8), st.sampled_from([1, 2, 4])),
@@ -284,25 +280,21 @@ class TestRandomLatticePoints:
 
 
 class TestRemovedSurface:
-    """``mode``, the legacy strategy names and the row/chunk_size
-    contradiction are rejected, not silently reinterpreted."""
+    """``mode`` and the legacy strategy names are rejected, not silently
+    reinterpreted."""
 
     def test_mode_field_is_gone(self):
         with pytest.raises(TypeError):
             QueryOptions(mode="partitioned")
 
     @pytest.mark.parametrize("name", [
-        "gmdj_chunked", "gmdj_parallel",
+        "gmdj_parallel",
         "auto", "cost_based", "gmdj_coalesce", "gmdj_completion",
     ])
     def test_legacy_strategy_names_are_gone(self, name):
         # No alias either: the error names the seven that remain.
         with pytest.raises(PlanError, match="gmdj_optimized"):
             QueryOptions(strategy=name)
-
-    def test_chunk_size_needs_a_batch_kernel(self):
-        with pytest.raises(ConfigurationError):
-            QueryOptions(backend="row", chunk_size=4)
 
 
 # -- typed-data generators (shared with test_property_backend) -----------------

@@ -23,7 +23,7 @@ from repro.algebra.nested import (
 from repro.algebra.operators import ScanTable
 from repro.baselines import evaluate_join_unnest, evaluate_naive, evaluate_native
 from repro.errors import TranslationError
-from repro.gmdj import BaseChunks, evaluate_plan, select_fragmenter
+from repro.gmdj import evaluate_plan, select_fragmenter
 from repro.storage import Catalog, DataType, Relation
 from repro.unnesting import subquery_to_gmdj
 
@@ -164,27 +164,14 @@ class TestTranslationEquivalence:
 
 
 class TestFragmentedEvaluation:
-    """The evaluation *modes* preserve the same master invariant.
+    """Partitioned (parallel merge) execution preserves the master
+    invariant.
 
-    Chunked (memory-bounded) and partitioned (parallel merge) execution
-    of the translated plan must agree with the tuple-iteration reference
-    on the exact same random inputs the strategy tests use — including
-    the partitioned AVG reconstruction (SUM/COUNT recombination) and
-    empty fragments when partitions exceed the detail cardinality.
+    It must agree with the tuple-iteration reference on the exact same
+    random inputs the strategy tests use — including the partitioned AVG
+    reconstruction (SUM/COUNT recombination) and empty fragments when
+    partitions exceed the detail cardinality.
     """
-
-    @SETTINGS
-    @given(catalog=databases(), predicate=predicates(),
-           memory_tuples=st.integers(min_value=1, max_value=5))
-    def test_chunked_matches_reference(self, catalog, predicate,
-                                       memory_tuples):
-        query = NestedSelect(ScanTable("B", "b"), predicate)
-        expected = evaluate_naive(NestedSelect(ScanTable("B", "b"), predicate),
-                                  catalog)
-        plan = subquery_to_gmdj(query, catalog)
-        chunked = evaluate_plan(plan, catalog,
-                                fragmenter=BaseChunks(memory_tuples))
-        assert expected.bag_equal(chunked)
 
     @SETTINGS
     @given(catalog=databases(), predicate=predicates(),
@@ -206,9 +193,8 @@ class TestFragmentedEvaluation:
         query = NestedSelect(ScanTable("B", "b"), predicate)
         plan = subquery_to_gmdj(query, catalog, optimize=True)
         expected = plan.evaluate(catalog)
-        for fragmenter in (BaseChunks(2), select_fragmenter(partitions=3)):
-            assert expected.bag_equal(
-                evaluate_plan(plan, catalog, fragmenter=fragmenter))
+        assert expected.bag_equal(evaluate_plan(
+            plan, catalog, fragmenter=select_fragmenter(partitions=3)))
 
 
 class TestLinearNestingProperty:

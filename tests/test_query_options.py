@@ -44,11 +44,19 @@ class TestConstruction:
         with pytest.raises(PlanError):
             QueryOptions(strategy="quantum")
 
-    @pytest.mark.parametrize("field", ["partitions", "workers",
-                                       "chunk_budget"])
+    @pytest.mark.parametrize("field", ["partitions", "workers"])
     def test_nonpositive_knobs_rejected(self, field):
         with pytest.raises(ConfigurationError):
             QueryOptions(**{field: 0})
+
+    @pytest.mark.parametrize("knob", [
+        dict(partitions="2"), dict(workers=1.5), dict(partitions=2.5),
+        dict(workers=True), dict(use_cache="no"), dict(trace=1),
+    ], ids=repr)
+    def test_wrongly_typed_values_rejected(self, knob):
+        # A JSON body cannot smuggle in "2" for 2 or "no" for False.
+        with pytest.raises(ConfigurationError, match=next(iter(knob))):
+            QueryOptions(**knob)
 
     def test_of_coerces_none_string_and_options(self):
         assert QueryOptions.of(None) == QueryOptions()
@@ -77,18 +85,9 @@ class TestCanonical:
     def test_partitions_imply_partitioned(self):
         assert QueryOptions(partitions=3).fragmenter() == "partitioned"
 
-    def test_chunk_budget_implies_chunked(self):
-        assert QueryOptions(chunk_budget=10).fragmenter() == "chunked"
-
-    def test_two_fragmenters_rejected(self):
-        with pytest.raises(ConfigurationError):
-            QueryOptions(workers=2, chunk_budget=10).canonical()
-        with pytest.raises(ConfigurationError):
-            QueryOptions(partitions=2, chunk_budget=10).canonical()
-
     @pytest.mark.parametrize("knob", [
-        dict(partitions=2), dict(workers=2), dict(chunk_budget=4),
-        dict(chunk_size=8), dict(backend="python"),
+        dict(partitions=2), dict(workers=2), dict(backend="row"),
+        dict(backend="auto"), dict(backend="python"),
     ])
     def test_physical_knobs_on_baseline_rejected(self, knob):
         with pytest.raises(ConfigurationError):
@@ -109,25 +108,13 @@ class TestCanonical:
 
 
 class TestKernelSelection:
-    def test_default_kernel_is_the_row_interpreter(self, monkeypatch):
+    def test_default_kernel_is_auto(self, monkeypatch):
+        from repro.storage.npcolumns import HAVE_NUMPY
+
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert QueryOptions().kernel() == "row"
+        assert QueryOptions().kernel() == ("numpy" if HAVE_NUMPY
+                                           else "python")
         assert QueryOptions(backend="row").kernel() == "row"
-
-    def test_chunk_size_alone_means_python_batches(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        options = QueryOptions(chunk_size=16).canonical()
-        assert options.kernel() == "python"
-        assert options.chunk_size == 16
-
-    def test_chunk_size_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            QueryOptions(chunk_size=0)
-
-    def test_kernel_composes_with_chunk_budget(self):
-        canon = QueryOptions(backend="python", chunk_budget=8).canonical()
-        assert (canon.kernel(), canon.fragmenter()) == ("python", "chunked")
-        assert canon.chunk_budget == 8
 
     def test_kernel_composes_with_partitions_and_workers(self):
         canon = QueryOptions(backend="python", partitions=3,
@@ -136,42 +123,31 @@ class TestKernelSelection:
             "python", "partitioned")
         assert (canon.partitions, canon.workers) == (3, 2)
 
-    def test_cache_key_includes_chunk_size(self):
-        small = QueryOptions(backend="python", chunk_size=4)
-        large = QueryOptions(backend="python", chunk_size=64)
-        assert small.cache_key() != large.cache_key()
-
     def test_cache_key_tells_kernels_and_fragmenters_apart(self):
         keys = {
             QueryOptions(backend="row").cache_key(),
             QueryOptions(backend="python").cache_key(),
-            QueryOptions(backend="row", chunk_budget=4).cache_key(),
             QueryOptions(backend="row", partitions=4).cache_key(),
         }
-        assert len(keys) == 4
+        assert len(keys) == 3
 
     def test_batch_kernel_execution_matches_row_kernel(self, db):
-        expected = db.execute_sql(SQL, QueryOptions(strategy="gmdj"))
+        expected = db.execute_sql(SQL, QueryOptions(strategy="gmdj",
+                                                    backend="row"))
         result = db.execute_sql(
-            SQL, QueryOptions(strategy="gmdj", backend="python",
-                              chunk_size=5)
+            SQL, QueryOptions(strategy="gmdj", backend="python")
         )
         assert expected.bag_equal(result)
 
 
 class TestEnvironmentBackend:
     def test_env_supplies_default_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        assert QueryOptions().kernel() == "python"
+        monkeypatch.setenv("REPRO_BACKEND", "row")
+        assert QueryOptions().kernel() == "row"
 
     def test_explicit_row_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "python")
         assert QueryOptions(backend="row").kernel() == "row"
-
-    def test_env_row_with_chunk_size_means_python(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "row")
-        assert QueryOptions().kernel() == "row"
-        assert QueryOptions(chunk_size=4).kernel() == "python"
 
     def test_baseline_strategies_accept_env(self, monkeypatch):
         # The hook sets a default, not a knob: it must not trip the
@@ -188,14 +164,15 @@ class TestEnvironmentBackend:
         from repro.obs import tracing
 
         expected = db.execute_sql(SQL, QueryOptions(strategy="naive"))
-        monkeypatch.setenv("REPRO_BACKEND", "python")
+        monkeypatch.setenv("REPRO_BACKEND", "row")
         with tracing() as tracer:
             result = db.execute_sql(
                 SQL, QueryOptions(strategy="gmdj", use_cache=False,
                                   rollup="off"))
         assert expected.bag_equal(result)
         scans = tracer.trace().find(kind="detail_scan")
-        assert scans and all(scan.attrs.get("vectorized") for scan in scans)
+        assert scans and not any(scan.attrs.get("vectorized")
+                                 for scan in scans)
 
 
 class TestDatabaseAcceptsOptions:

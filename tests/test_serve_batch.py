@@ -89,10 +89,10 @@ class TestBatchEndpoint:
         server.create_tables()
         status, payload = server.post("/batch", {
             "queries": COMPATIBLE[:2],
-            "options": {"mqo": "fingerprint"},
+            "options": {"mqo": "off"},
         })
         assert status == 200
-        assert payload["batch"]["mqo"] == "fingerprint"
+        assert payload["batch"]["mqo"] == "off"
         assert payload["scans_saved"] == 0
 
     def test_bad_bodies_are_400(self, live_server):

@@ -328,6 +328,18 @@ class TestErrorPaths:
         assert status == 400
         assert field in payload["error"]
 
+    @pytest.mark.parametrize("options", [
+        {"partitions": "2"}, {"workers": 1.5}, {"partitions": 2.5},
+        {"workers": True}, {"use_cache": "no"},
+    ], ids=repr)
+    def test_wrongly_typed_option_is_400(self, live_server, options):
+        server = live_server()
+        server.create_tables()
+        status, payload = server.post(
+            "/query", {"sql": SQL, "options": options})
+        assert status == 400
+        assert next(iter(options)) in payload["error"]
+
     def test_bad_tenant_name_is_400(self, live_server):
         assert live_server().post(
             "/query", {"tenant": "no spaces!", "sql": "SELECT 1"})[0] == 400
