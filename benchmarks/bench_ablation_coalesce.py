@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import write_report
+from conftest import scaled, write_report
 from repro.bench import build_example23, compare_strategies, print_series
 from repro.engine import make_executor
 from repro.unnesting import subquery_to_gmdj
@@ -27,7 +27,7 @@ _workload = None
 def _setup():
     global _workload
     if _workload is None:
-        _workload = build_example23()
+        _workload = build_example23(flows=scaled(4000))
     return _workload
 
 

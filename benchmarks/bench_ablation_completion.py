@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import write_report
+from conftest import scaled, write_report
 from repro.bench import FIG4_SIZES, build_fig4, compare_strategies, print_series
 from repro.engine import make_executor
 from repro.unnesting import subquery_to_gmdj
 
 STRATEGIES = ("gmdj", "gmdj_completion")
-SIZES = FIG4_SIZES[:2]
+SIZES = tuple(map(scaled, FIG4_SIZES[:2]))
 _workloads = {}
 
 

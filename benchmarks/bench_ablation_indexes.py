@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import write_report
-from repro.bench import build_fig2, compare_strategies, print_series
+from conftest import scaled, write_report
+from repro.bench import FIG2_OUTER_SIZE, build_fig2, compare_strategies, print_series
 from repro.engine import make_executor
 
-INNER = 12000
+INNER = scaled(12000)
 PAIRS = (
     ("native", "native_noindex"),
     ("unnest_join", "unnest_join_noindex"),
@@ -26,7 +26,8 @@ _workloads = {}
 
 def _setup(indexes: bool):
     if indexes not in _workloads:
-        _workloads[indexes] = build_fig2(INNER, indexes=indexes)
+        _workloads[indexes] = build_fig2(
+            INNER, outer_size=scaled(FIG2_OUTER_SIZE), indexes=indexes)
     return _workloads[indexes]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import write_report
+from conftest import scaled, write_report
 from repro.algebra.expressions import col, lit
 from repro.algebra.nested import Exists, NestedSelect, Subquery
 from repro.algebra.operators import ScanTable
@@ -21,8 +21,8 @@ from repro.engine import make_executor
 from repro.gmdj.evaluate import invariant_sharing
 from repro.storage import Catalog, collect
 
-OUTER = 400
-INNER = 8000
+OUTER = scaled(400)
+INNER = scaled(8000)
 _catalog = None
 
 

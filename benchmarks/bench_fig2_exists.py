@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import WorkloadCache, write_report
+from conftest import WorkloadCache, scaled, write_report
 from repro.bench import (
     FIG2_INNER_SIZES,
+    FIG2_OUTER_SIZE,
     build_fig2,
     compare_strategies,
     print_series,
@@ -23,7 +24,9 @@ from repro.bench import (
 from repro.engine import make_executor
 
 STRATEGIES = ("native", "unnest_join", "gmdj", "gmdj_optimized")
-_workloads = WorkloadCache(build_fig2)
+SIZES = tuple(map(scaled, FIG2_INNER_SIZES))
+_workloads = WorkloadCache(
+    lambda inner: build_fig2(inner, outer_size=scaled(FIG2_OUTER_SIZE)))
 _reference = {}
 
 
@@ -36,7 +39,7 @@ def _expected(inner_size: int):
     return _reference[inner_size]
 
 
-@pytest.mark.parametrize("inner_size", FIG2_INNER_SIZES)
+@pytest.mark.parametrize("inner_size", SIZES)
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_fig2_exists(benchmark, inner_size, strategy):
     workload = _workloads.get(inner_size)
@@ -49,7 +52,7 @@ def test_fig2_series_report(benchmark):
     def run():
         return [
             compare_strategies(_workloads.get(size), list(STRATEGIES))
-            for size in FIG2_INNER_SIZES
+            for size in SIZES
         ]
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

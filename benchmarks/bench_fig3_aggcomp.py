@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import WorkloadCache, write_report
+from conftest import WorkloadCache, scaled, write_report
 from repro.bench import FIG3_POINTS, build_fig3, compare_strategies, print_series
 from repro.engine import make_executor
 
 STRATEGIES = ("naive", "unnest_join", "gmdj", "gmdj_optimized")
+POINTS = tuple((scaled(outer), scaled(inner)) for outer, inner in FIG3_POINTS)
 _workloads = WorkloadCache(build_fig3)
 _reference = {}
 
@@ -32,8 +33,8 @@ def _expected(point):
     return _reference[point]
 
 
-@pytest.mark.parametrize("point", FIG3_POINTS,
-                         ids=[f"{o}x{i}" for o, i in FIG3_POINTS])
+@pytest.mark.parametrize("point", POINTS,
+                         ids=[f"{o}x{i}" for o, i in POINTS])
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_fig3_aggcomp(benchmark, point, strategy):
     workload = _workloads.get(*point)
@@ -46,7 +47,7 @@ def test_fig3_series_report(benchmark):
     def run():
         return [
             compare_strategies(_workloads.get(*point), list(STRATEGIES))
-            for point in FIG3_POINTS
+            for point in POINTS
         ]
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

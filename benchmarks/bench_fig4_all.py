@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import WorkloadCache, write_report
+from conftest import WorkloadCache, scaled, write_report
 from repro.bench import FIG4_SIZES, build_fig4, compare_strategies, print_series
 from repro.engine import make_executor
 
 STRATEGIES = ("native", "unnest_join", "gmdj", "gmdj_optimized")
-JOIN_CUTOFF = FIG4_SIZES[1]  # join unnesting only below/at this size
+SIZES = tuple(map(scaled, FIG4_SIZES))
+JOIN_CUTOFF = SIZES[1]  # join unnesting only below/at this size
 _workloads = WorkloadCache(build_fig4)
 _reference = {}
 
@@ -41,7 +42,7 @@ def _strategies_for(size):
     return list(STRATEGIES)
 
 
-@pytest.mark.parametrize("size", FIG4_SIZES)
+@pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_fig4_all(benchmark, size, strategy):
     if strategy == "unnest_join" and size > JOIN_CUTOFF:
@@ -58,7 +59,7 @@ def test_fig4_series_report(benchmark):
     def run():
         return [
             compare_strategies(_workloads.get(size), _strategies_for(size))
-            for size in FIG4_SIZES
+            for size in SIZES
         ]
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import WorkloadCache, write_report
+from conftest import WorkloadCache, scaled, write_report
 from repro.bench import (
     FIG5_INNER_SIZES,
+    FIG5_OUTER_SIZE,
     build_fig5,
     compare_strategies,
     print_series,
@@ -29,7 +30,9 @@ from repro.engine import make_executor
 INDEXED = ("native", "unnest_join", "gmdj", "gmdj_optimized")
 UNINDEXED = ("native_noindex", "unnest_join_noindex", "gmdj_optimized")
 
-_workloads = WorkloadCache(lambda size, indexes: build_fig5(size, indexes=indexes))
+SIZES = tuple(map(scaled, FIG5_INNER_SIZES))
+_workloads = WorkloadCache(lambda size, indexes: build_fig5(
+    size, outer_size=scaled(FIG5_OUTER_SIZE), indexes=indexes))
 _reference = {}
 
 
@@ -43,7 +46,7 @@ def _expected(size, indexes):
     return _reference[key]
 
 
-@pytest.mark.parametrize("inner_size", FIG5_INNER_SIZES)
+@pytest.mark.parametrize("inner_size", SIZES)
 @pytest.mark.parametrize("strategy", INDEXED)
 def test_fig5_indexed(benchmark, inner_size, strategy):
     workload = _workloads.get(inner_size, True)
@@ -52,7 +55,7 @@ def test_fig5_indexed(benchmark, inner_size, strategy):
     assert result.bag_equal(_expected(inner_size, True))
 
 
-@pytest.mark.parametrize("inner_size", FIG5_INNER_SIZES)
+@pytest.mark.parametrize("inner_size", SIZES)
 @pytest.mark.parametrize("strategy", UNINDEXED)
 def test_fig5_unindexed(benchmark, inner_size, strategy):
     workload = _workloads.get(inner_size, False)
@@ -66,7 +69,7 @@ def test_fig5_series_report(benchmark):
 
     def run():
         results = []
-        for size in FIG5_INNER_SIZES:
+        for size in SIZES:
             indexed = compare_strategies(_workloads.get(size, True), list(INDEXED))
             unindexed = compare_strategies(
                 _workloads.get(size, False), list(UNINDEXED)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import write_report
+from conftest import scaled, write_report
 from repro.bench import build_table1_catalog, table1_queries
 from repro.engine import make_executor, profile
 
@@ -22,7 +22,7 @@ _queries = None
 def _setup():
     global _catalog, _queries
     if _catalog is None:
-        _catalog = build_table1_catalog()
+        _catalog = build_table1_catalog(outer=scaled(120), inner=scaled(2400))
         _queries = table1_queries()
     return _catalog, _queries
 

@@ -5,13 +5,43 @@ cache), benchmarks each (point, strategy) pair as its own pytest-benchmark
 case, and emits a paper-style series table via :func:`write_report` — both
 printed and saved under ``benchmark_results/`` so the series survives
 pytest's output capture.
+
+``REPRO_BENCH_SCALE`` (default 1) grows every table: each module passes
+its sizes through :func:`scaled`.  The workload builders themselves build
+exactly the sizes they are given.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from pathlib import Path
 
+import pytest
+
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "benchmark_results"
+
+
+def _bench_scale() -> float:
+    raw = os.environ.get("REPRO_BENCH_SCALE", "1")
+    try:
+        scale = float(raw)
+    except ValueError:
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0):
+        raise pytest.UsageError(
+            f"REPRO_BENCH_SCALE must be a finite positive number, got {raw!r}")
+    return scale
+
+
+def pytest_configure(config):
+    """Refuse a bad ``REPRO_BENCH_SCALE`` before anything is collected."""
+    _bench_scale()
+
+
+def scaled(n: int) -> int:
+    """``n`` grown by ``REPRO_BENCH_SCALE``, at least 1."""
+    return max(1, int(n * _bench_scale()))
 
 
 def write_report(name: str, text: str) -> Path:
@@ -19,16 +49,6 @@ def write_report(name: str, text: str) -> Path:
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
-    return path
-
-
-def write_json(name: str, payload) -> Path:
-    """Persist one experiment's machine-readable result set."""
-    import json
-
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 

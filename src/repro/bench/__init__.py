@@ -4,11 +4,12 @@ from repro.bench.runner import ComparisonResult, compare_strategies
 from repro.bench.reporting import print_series, series_summary
 from repro.bench.workloads import (
     FIG2_INNER_SIZES,
+    FIG2_OUTER_SIZE,
     FIG3_POINTS,
     FIG4_SIZES,
     FIG5_INNER_SIZES,
+    FIG5_OUTER_SIZE,
     Workload,
-    bench_scale,
     build_example23,
     build_fig2,
     build_fig3,
@@ -21,11 +22,12 @@ from repro.bench.workloads import (
 __all__ = [
     "ComparisonResult",
     "FIG2_INNER_SIZES",
+    "FIG2_OUTER_SIZE",
     "FIG3_POINTS",
     "FIG4_SIZES",
     "FIG5_INNER_SIZES",
+    "FIG5_OUTER_SIZE",
     "Workload",
-    "bench_scale",
     "build_example23",
     "build_fig2",
     "build_fig3",

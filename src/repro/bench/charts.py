@@ -70,14 +70,13 @@ def chart_results(
     title: str,
     results: Sequence[ComparisonResult],
     strategies: Sequence[str],
-    metric: str = "work",
 ) -> str:
-    """Build an ascii chart straight from ComparisonResult sweeps."""
+    """Build an ascii work chart straight from ComparisonResult sweeps."""
     from repro.bench.reporting import _point_label, series_summary
 
     labels = [_point_label(result) for result in results]
     series = {
-        strategy: series_summary(results, strategy, metric)
+        strategy: series_summary(results, strategy)
         for strategy in strategies
     }
-    return ascii_chart(title, labels, series, unit=metric)
+    return ascii_chart(title, labels, series)

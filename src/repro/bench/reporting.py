@@ -19,7 +19,6 @@ def print_series(
     results: Sequence[ComparisonResult],
     strategies: Sequence[str],
     x_label: str = "point",
-    chart: bool = True,
 ) -> str:
     """Render (and return) the series table (plus an ASCII shape chart)
     for one experiment."""
@@ -48,12 +47,10 @@ def print_series(
                 )
         lines.append(row)
     text = "\n".join(lines)
-    if chart and len(results) >= 1:
+    if results:
         from repro.bench.charts import chart_results
 
-        text += "\n\n" + chart_results(
-            f"shape: {title}", results, strategies, metric="work"
-        )
+        text += "\n\n" + chart_results(f"shape: {title}", results, strategies)
     print(text)
     return text
 
@@ -68,20 +65,11 @@ def _point_label(result: ComparisonResult) -> str:
 
 
 def series_summary(
-    results: Sequence[ComparisonResult], strategy: str, metric: str = "work"
+    results: Sequence[ComparisonResult], strategy: str
 ) -> list[float]:
-    """Extract one strategy's series (for shape assertions in tests)."""
-    series = []
-    for result in results:
-        report = result.reports.get(strategy)
-        if report is None:
-            series.append(float("inf"))
-        elif metric == "work":
-            series.append(float(report.total_work))
-        elif metric == "time":
-            series.append(report.elapsed_seconds)
-        elif metric == "pages":
-            series.append(float(report.pages_read))
-        else:
-            series.append(float(report.counters.get(metric, 0)))
-    return series
+    """One strategy's work series; ``inf`` where it did not run."""
+    return [
+        float(result.reports[strategy].total_work)
+        if strategy in result.reports else float("inf")
+        for result in results
+    ]

@@ -22,19 +22,10 @@ class ComparisonResult:
     reports: dict[str, ExecutionReport] = field(default_factory=dict)
     failures: dict[str, str] = field(default_factory=dict)
 
-    def work(self, strategy: str) -> int | None:
-        report = self.reports.get(strategy)
-        return report.total_work if report else None
-
-    def elapsed_ms(self, strategy: str) -> float | None:
-        report = self.reports.get(strategy)
-        return report.elapsed_seconds * 1000 if report else None
-
 
 def compare_strategies(
     workload: Workload,
     strategies: list[str],
-    check_equivalence: bool = True,
     plans: Mapping[str, Operator] | None = None,
 ) -> ComparisonResult:
     """Profile the workload under each strategy.
@@ -48,9 +39,9 @@ def compare_strategies(
     rather than aborting the sweep — matching how the paper reports the
     join baseline as infeasible on Figure 4.
 
-    When ``check_equivalence`` is set, all successful strategies must
-    return the same bag of rows; a mismatch raises immediately because a
-    wrong answer invalidates the whole comparison.
+    All successful strategies must return the same bag of rows; a
+    mismatch raises immediately because a wrong answer invalidates the
+    whole comparison.
     """
     result = ComparisonResult(workload)
     registry = get_registry()
@@ -72,15 +63,14 @@ def compare_strategies(
         registry.histogram(f"bench.elapsed_ms.{strategy}").observe(
             report.elapsed_seconds * 1000
         )
-        if check_equivalence:
-            if reference is None:
-                reference = report.result
-                reference_strategy = strategy
-            elif not reference.bag_equal(report.result):
-                raise AssertionError(
-                    f"strategy {strategy!r} disagrees with "
-                    f"{reference_strategy!r} on workload {workload.name} "
-                    f"{workload.params}: {len(report.result)} vs "
-                    f"{len(reference)} rows"
-                )
+        if reference is None:
+            reference = report.result
+            reference_strategy = strategy
+        elif not reference.bag_equal(report.result):
+            raise AssertionError(
+                f"strategy {strategy!r} disagrees with "
+                f"{reference_strategy!r} on workload {workload.name} "
+                f"{workload.params}: {len(report.result)} vs "
+                f"{len(reference)} rows"
+            )
     return result

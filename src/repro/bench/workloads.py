@@ -2,9 +2,8 @@
 
 Each builder returns ``(catalog, query)`` for one parameter point of one
 experiment.  Sizes default to laptop scale but preserve the paper's
-outer/inner *ratios* trajectory; the common scale knob is the
-``REPRO_BENCH_SCALE`` environment variable (1.0 = the defaults below,
-larger values grow every table proportionally).
+outer/inner *ratios* trajectory.  A builder builds exactly the sizes it
+is given; scaling up is the benchmark scripts' business.
 
 Paper parameter points:
 
@@ -18,7 +17,6 @@ Paper parameter points:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.algebra.expressions import col, lit
@@ -42,18 +40,6 @@ from repro.storage.relation import Relation
 from repro.storage.types import DataType
 
 
-def bench_scale() -> float:
-    """The global size multiplier (env ``REPRO_BENCH_SCALE``, default 1)."""
-    try:
-        return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-    except ValueError:
-        return 1.0
-
-
-def _scaled(value: int) -> int:
-    return max(1, int(value * bench_scale()))
-
-
 @dataclass
 class Workload:
     """One experiment point: a catalog, the nested query, and labels."""
@@ -70,11 +56,9 @@ FIG2_INNER_SIZES = (6000, 12000, 18000, 24000)
 FIG2_OUTER_SIZE = 200
 
 
-def build_fig2(inner_size: int, outer_size: int | None = None,
+def build_fig2(inner_size: int, outer_size: int = FIG2_OUTER_SIZE,
                indexes: bool = True, seed: int = 11) -> Workload:
     """``σ[∃ orders(custkey = c.custkey ∧ totalprice > P)] customer``."""
-    outer_size = outer_size or _scaled(FIG2_OUTER_SIZE)
-    inner_size = _scaled(inner_size)
     catalog = Catalog()
     catalog.create_table("customer", generate_customer(outer_size, seed))
     catalog.create_table(
@@ -103,8 +87,6 @@ FIG3_POINTS = ((50, 3000), (100, 6000), (150, 9000), (200, 12000))
 def build_fig3(outer_size: int, inner_size: int, indexes: bool = True,
                seed: int = 12) -> Workload:
     """``σ[c.acctbal * 50 > (SELECT avg(totalprice) ... correlated)] customer``."""
-    outer_size = _scaled(outer_size)
-    inner_size = _scaled(inner_size)
     catalog = Catalog()
     catalog.create_table("customer", generate_customer(outer_size, seed))
     catalog.create_table(
@@ -138,7 +120,6 @@ def build_fig4(size: int, seed: int = 13) -> Workload:
     Both tables have ``size`` rows; the ``<>`` correlation defeats hash
     partitioning, which is the whole point of the experiment.
     """
-    size = _scaled(size)
     catalog = Catalog()
     catalog.create_table("part1", generate_part(size, seed))
     part2 = generate_part(size, seed + 1)
@@ -162,7 +143,7 @@ FIG5_INNER_SIZES = (6000, 12000, 18000, 24000)
 FIG5_OUTER_SIZE = 200
 
 
-def build_fig5(inner_size: int, outer_size: int | None = None,
+def build_fig5(inner_size: int, outer_size: int = FIG5_OUTER_SIZE,
                indexes: bool = True, seed: int = 14) -> Workload:
     """Two EXISTS subqueries over the same large table, disjoint filters.
 
@@ -171,8 +152,6 @@ def build_fig5(inner_size: int, outer_size: int | None = None,
     cannot be combined, while coalescing folds both subqueries into one
     GMDJ scan.
     """
-    outer_size = outer_size or _scaled(FIG5_OUTER_SIZE)
-    inner_size = _scaled(inner_size)
     catalog = Catalog()
     catalog.create_table("customer", generate_customer(outer_size, seed))
     catalog.create_table(
@@ -213,8 +192,6 @@ def build_table1_catalog(outer: int = 120, inner: int = 2400,
     ``nulls`` is set, so the three-valued-logic corners are live.
     """
     rng = make_rng(seed, "table1")
-    outer = _scaled(outer)
-    inner = _scaled(inner)
 
     def maybe_null(value):
         if nulls and rng.random() < 0.08:
@@ -289,7 +266,7 @@ def build_example23(flows: int = 4000, sources: int = 60,
     from repro.data.netflow import NetflowConfig, build_netflow_catalog
     from repro.algebra.operators import Project
 
-    config = NetflowConfig(flows=_scaled(flows), users=sources, seed=seed)
+    config = NetflowConfig(flows=flows, users=sources, seed=seed)
     catalog = build_netflow_catalog(config)
     base = Project(ScanTable("Flow", "F0"), ["F0.SourceIP"], distinct=True)
 

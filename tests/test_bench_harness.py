@@ -12,7 +12,6 @@ from repro.bench import (
     print_series,
     series_summary,
 )
-from repro.bench.workloads import bench_scale
 from repro.engine import make_executor
 
 
@@ -53,17 +52,10 @@ class TestWorkloadBuilders:
         workload = build_example23(flows=500, sources=10)
         assert workload.params["flows"] == 500
 
-    def test_bench_scale_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
-        assert bench_scale() == 1.0
-
-    def test_bench_scale_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "2.5")
-        assert bench_scale() == 2.5
-
-    def test_bench_scale_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "lots")
-        assert bench_scale() == 1.0
+    def test_builders_ignore_bench_scale(self, monkeypatch):
+        # Only the benchmark scripts scale; a builder builds what it is given.
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "2")
+        assert len(build_fig2(600, outer_size=30).catalog.table("orders")) == 600
 
 
 class TestRunner:
@@ -100,12 +92,6 @@ class TestRunner:
         assert "unnest_join" in result.failures
         assert "gmdj" in result.reports
 
-    def test_accessors(self, tiny_fig2):
-        result = compare_strategies(tiny_fig2, ["gmdj"])
-        assert result.work("gmdj") > 0
-        assert result.elapsed_ms("gmdj") >= 0
-        assert result.work("missing") is None
-
 
 class TestReporting:
     def test_print_series_layout(self, tiny_fig2, capsys):
@@ -123,9 +109,5 @@ class TestReporting:
 
     def test_series_summary_metrics(self, tiny_fig2):
         result = compare_strategies(tiny_fig2, ["gmdj"])
-        work = series_summary([result], "gmdj", "work")
-        pages = series_summary([result], "gmdj", "pages")
-        time = series_summary([result], "gmdj", "time")
-        missing = series_summary([result], "absent", "work")
-        assert work[0] > 0 and pages[0] > 0 and time[0] >= 0
-        assert missing[0] == float("inf")
+        assert series_summary([result], "gmdj")[0] > 0
+        assert series_summary([result], "absent") == [float("inf")]

@@ -244,16 +244,31 @@ class TestServeSubcommand:
                     port = int(match.group(1))
                     break
             assert port, "serve banner with port never appeared"
-            request = urllib.request.Request(
-                f"http://127.0.0.1:{port}/query",
-                data=json.dumps({
-                    "sql": "SELECT SourceIP FROM flow WHERE NumBytes > 60",
-                }).encode(),
-                method="POST",
-            )
-            with urllib.request.urlopen(request, timeout=30) as response:
-                payload = json.loads(response.read())
+
+            def call(path, body=None):
+                request = urllib.request.Request(
+                    f"http://127.0.0.1:{port}{path}",
+                    data=None if body is None else json.dumps(body).encode(),
+                )
+                with urllib.request.urlopen(request, timeout=30) as response:
+                    return response.status, json.loads(response.read())
+
+            _, payload = call("/query", {
+                "sql": "SELECT SourceIP FROM flow WHERE NumBytes > 60"})
             assert payload["rows"] == [["10.0.0.1"]]
+            # Plain gmdj keeps EXISTS unfused, so the rollup store keeps
+            # it and the second run reads no detail.
+            exists = {
+                "sql": "SELECT f.SourceIP FROM flow f WHERE EXISTS "
+                       "(SELECT * FROM users u WHERE u.IPAddress = f.SourceIP)",
+                "options": {"strategy": "gmdj", "rollup": "subsume",
+                            "use_cache": False},
+            }
+            call("/query", exists)
+            _, hit = call("/query", exists)
+            assert hit["served_by"] == "rollup"
+            assert hit["detail_scans"] == 0
+            assert call("/metrics")[0] == 200
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=30) == 0
         finally:

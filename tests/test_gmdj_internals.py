@@ -96,6 +96,20 @@ class TestAccessPathSelection:
         restored = runtime_for(col("r.V") > lit(3), base, detail_schema)
         assert restored.invariant
 
+    def test_invariant_block_updates_once_per_qualifying_detail_tuple(self):
+        # Shared state: six updates for six qualifying rows, not 8 x 6.
+        catalog = Catalog()
+        catalog.create_table("B", Relation.from_columns(
+            [("K", DataType.INTEGER)], [(i,) for i in range(8)]))
+        catalog.create_table("R", Relation.from_columns(
+            [("V", DataType.INTEGER)], [(v,) for v in range(10)]))
+        plan = md(ScanTable("B", "b"), ScanTable("R", "r"),
+                  [[count_star("c")]], [col("r.V") > lit(3)])
+        with collect() as stats:
+            result = plan.evaluate(catalog)
+        assert [row[-1] for row in result.rows] == [6] * 8
+        assert stats.aggregate_updates == 6
+
     def test_null_base_keys_not_bucketed(self):
         base = Relation.from_columns(
             [("K", DataType.INTEGER)], [(1,), (None,), (2,)], qualifier="b",

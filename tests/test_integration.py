@@ -7,7 +7,12 @@ from repro import QueryOptions, Database
 from repro.algebra.expressions import col, lit
 from repro.algebra.nested import Exists, NestedSelect, Subquery
 from repro.algebra.operators import Project, ScanTable
-from repro.bench import build_table1_catalog, table1_queries
+from repro.bench import (
+    build_fig2,
+    build_table1_catalog,
+    compare_strategies,
+    table1_queries,
+)
 from repro.data import (
     NetflowConfig,
     TpcrSizes,
@@ -67,6 +72,15 @@ TPCR_SQL = [
     "SELECT c.custkey FROM customer c WHERE 2 <= "
     "(SELECT COUNT(*) FROM orders o WHERE o.custkey = c.custkey AND "
     "o.orderpriority = '1-URGENT')",
+
+    "SELECT c.custkey, "
+    "(SELECT COUNT(*) FROM orders o WHERE o.custkey = c.custkey) n, "
+    "(SELECT MAX(o2.totalprice) FROM orders o2 WHERE "
+    "o2.custkey = c.custkey) top FROM customer c",
+
+    "SELECT c.custkey FROM customer c WHERE 3 <= "
+    "(SELECT COUNT(DISTINCT o.orderpriority) FROM orders o WHERE "
+    "o.custkey = c.custkey)",
 ]
 
 
@@ -180,3 +194,27 @@ class TestStatsShapes:
         naive = tpcr_db.profile_sql(sql, QueryOptions("naive"))
         gmdj = tpcr_db.profile_sql(sql, QueryOptions("gmdj_optimized"))
         assert naive.total_work > gmdj.total_work * 10
+
+
+class TestScalingLaw:
+    """Work, not time: one detail scan keeps the GMDJ linear in each
+    dimension, and the nested loop grows at least as steeply."""
+
+    @pytest.mark.parametrize("points", [
+        [(20, 500), (20, 1000), (20, 2000)],
+        [(10, 1000), (20, 1000), (40, 1000)],
+    ], ids=["detail", "base"])
+    def test_work_growth_per_doubling(self, points):
+        results = [
+            compare_strategies(build_fig2(inner, outer_size=outer),
+                               ["naive", "gmdj_optimized"])
+            for outer, inner in points
+        ]
+
+        def growth(strategy):
+            work = [r.reports[strategy].total_work for r in results]
+            return [after / before for before, after in zip(work, work[1:])]
+
+        gmdj, naive = growth("gmdj_optimized"), growth("naive")
+        assert all(ratio < 2.9 for ratio in gmdj), gmdj
+        assert all(n >= 0.9 * g for n, g in zip(naive, gmdj)), (naive, gmdj)
