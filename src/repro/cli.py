@@ -85,6 +85,7 @@ import sys
 from pathlib import Path
 
 from repro.engine import STRATEGIES, Database, QueryOptions, plan_for
+from repro.engine.options import BACKENDS, MQO_LEVELS, ROLLUP_LEVELS
 from repro.errors import ReproError
 
 DEFAULT_STRATEGY = QueryOptions().strategy
@@ -102,31 +103,28 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker pool size for partitioned evaluation "
-             "(also via REPRO_WORKERS)",
+        help="worker pool size for partitioned evaluation (default 1)",
     )
     parser.add_argument(
-        "--backend", choices=("row", "python", "numpy", "auto"),
-        default=None,
+        "--backend", choices=BACKENDS, default="auto",
         help="GMDJ scan kernel: 'auto' (default: numpy when installed, "
              "else python), whole-array numpy, python columnar batches, "
-             "or the row reference interpreter; also via REPRO_BACKEND",
+             "or the row reference interpreter",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
         help="bypass the plan/result cache for this run",
     )
     parser.add_argument(
-        "--rollup", choices=("off", "exact", "subsume"), default=None,
+        "--rollup", choices=ROLLUP_LEVELS, default="off",
         help="semantic rollup tier: answer GMDJ nodes from materialized "
              "rollups (exact signature match, or subsumption from a "
-             "coarser stored rollup); also via REPRO_ROLLUP",
+             "coarser stored rollup); default off",
     )
     parser.add_argument(
-        "--mqo", choices=("off", "coalesce"), default=None,
+        "--mqo", choices=MQO_LEVELS, default="coalesce",
         help="batch multi-query optimization level: share detail scans "
-             "across compatible queries in a batch (default coalesce "
-             "for batches; also via REPRO_MQO)",
+             "across compatible queries in a batch (default coalesce)",
     )
 
 
@@ -612,8 +610,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="default evaluation strategy for served queries",
     )
     parser.add_argument(
-        "--rollup", choices=("off", "exact", "subsume"), default=None,
-        help="default rollup serving tier for served queries",
+        "--rollup", choices=ROLLUP_LEVELS, default="off",
+        help="default rollup serving tier for served queries "
+             "(default off)",
     )
     parser.add_argument(
         "--batch-window-ms", type=float, default=0.0, metavar="MS",

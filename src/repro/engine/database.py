@@ -286,10 +286,10 @@ class Database:
         Share-compatible members (same detail table, same base values —
         see :mod:`repro.engine.mqo`) are coalesced into one
         multi-consumer GMDJ over a single detail scan, per the
-        ``options.mqo`` level (default ``"coalesce"``, overridable via
-        ``REPRO_MQO``).  Returns a :class:`~repro.engine.mqo.BatchResult`
-        — index it for per-query relations, read ``.report`` for share
-        groups, scans saved, and cost certificates.
+        ``options.mqo`` level (default ``"coalesce"``).  Returns a
+        :class:`~repro.engine.mqo.BatchResult` — index it for per-query
+        relations, read ``.report`` for share groups, scans saved, and
+        cost certificates.
         """
         from repro.engine.mqo import execute_batch
 

@@ -64,16 +64,6 @@ def run(
     :func:`~repro.engine.planner.make_executor`'s.
     """
     options = QueryOptions.of(options)
-    if rollups is not None and options.rollup is None and not profiled:
-        # The REPRO_ROLLUP forced-on hook: unprofiled runs that left the
-        # knob unset pick up the environment default.  Profiled runs are
-        # exempt (they measure real work), and an explicit
-        # ``rollup="off"`` opts out.
-        environment = QueryOptions.environment_rollup()
-        if environment is not None:
-            import dataclasses
-
-            options = dataclasses.replace(options, rollup=environment)
     runner = make_executor(query, catalog, options, cache=cache,
                            rollups=rollups, plan=plan)
     if not profiled:

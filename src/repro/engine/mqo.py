@@ -29,10 +29,10 @@ queries it:
    consumer) so per-query accounting still reconciles with batch totals
    (the serve tier's ``/metrics`` consistency depends on this).
 
-MQO levels (``QueryOptions.mqo`` / ``REPRO_MQO`` / batch default):
-``"coalesce"`` runs steps 1–5, ``"off"`` executes every member
-independently.  :func:`repro.obs.explain.explain_batch` renders the
-groups a batch would form without executing anything.
+MQO levels (``QueryOptions.mqo``): ``"coalesce"`` (the default) runs
+steps 1–5, ``"off"`` executes every member independently.
+:func:`repro.obs.explain.explain_batch` renders the groups a batch
+would form without executing anything.
 
 Shared groups bypass the per-query result cache in both directions: a
 cached result would mask a buggy merge from the differential suite, and
@@ -86,22 +86,7 @@ __all__ = [
     "ShareGroupReport",
     "execute_batch",
     "plan_batch",
-    "resolve_level",
 ]
-
-
-def resolve_level(options: QueryOptions) -> str:
-    """The MQO level in force: explicit option > ``REPRO_MQO`` > default.
-
-    The batch default is ``"coalesce"`` — a caller who built a batch
-    asked for sharing; ``mqo="off"`` (or the environment) opts out.
-    """
-    level = options.mqo
-    if level is None:
-        level = QueryOptions.environment_mqo()
-    if level is None:
-        level = "coalesce"
-    return level
 
 
 def _plan_decomposable(plan: Operator) -> bool:
@@ -160,7 +145,7 @@ def plan_batch(
     batch of one) every query is a singleton.
     """
     canon = options.canonical()
-    level = resolve_level(canon)
+    level = canon.mqo
     indices = list(range(len(queries)))
     if level == "off" or len(queries) < 2:
         return BatchPlan(level=level, queries=len(queries), groups=[],
@@ -173,7 +158,7 @@ def plan_batch(
         # query's) fingerprints to None and stays a singleton.
         plan = plan_for(query, catalog, canon.strategy, translations)
         plans.append(plan)
-        if plan is not query and canon.lint in ("warn", "strict"):
+        if plan is not query and canon.lint != "off":
             # The one gate of a translated plan: group members bypass
             # the executor, and a singleton's run is handed this plan
             # (the executor still gates the query as written).

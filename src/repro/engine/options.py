@@ -11,36 +11,38 @@ frozen dataclass, :class:`QueryOptions`:
   (:mod:`repro.gmdj.evaluate`), ``"python"`` the dependency-free
   columnar batch kernel (:mod:`repro.gmdj.vectorized`), ``"numpy"``
   the whole-array kernel (:mod:`repro.gmdj.npkernel`), ``"auto"``
-  numpy when importable, else python.  ``None`` defers to the
-  ``REPRO_BACKEND`` environment hook and then to ``"auto"``; ``"row"``
-  is the reference the other kernels are tested against.
+  numpy when importable, else python (the default).  ``"row"`` is the
+  reference the other kernels are tested against.
 * ``partitions``    — the detail-partitioning *fragmenter*: fragment
   count for partition-and-merge evaluation.
 * ``workers``       — worker-pool size for the partitioned fragmenter
-  (1 = sequential fragments; defaults to ``REPRO_WORKERS``).
+  (1 = sequential fragments, the default).
 * ``trace``         — record an operator span tree during profiling.
 * ``use_cache``     — consult the database's plan/result cache.
 * ``rollup``        — the semantic rollup tier
-  (:mod:`repro.engine.rollup`): ``None``/``"off"`` disables it,
+  (:mod:`repro.engine.rollup`): ``"off"`` (the default) disables it,
   ``"exact"`` answers GMDJ nodes whose signature was materialized
   verbatim, ``"subsume"`` additionally answers finer queries from
   coarser stored rollups via residual filtering.  Orthogonal to
   ``use_cache`` (which caches whole query results by exact key).
 * ``lint``          — run the static plan verifier (:mod:`repro.lint`)
-  over the translated plan before executing it: ``None``/``"off"``
-  skips it, ``"warn"`` surfaces error diagnostics as Python warnings,
-  ``"strict"`` raises :class:`~repro.errors.LintError` fail-fast.
+  over the translated plan before executing it: ``"off"`` (the
+  default) skips it, ``"warn"`` surfaces error diagnostics as Python
+  warnings, ``"strict"`` raises :class:`~repro.errors.LintError`
+  fail-fast.
 * ``mqo``           — multi-query optimization for batch execution
   (:mod:`repro.engine.mqo`): ``"off"`` runs every batch member
   independently, ``"coalesce"`` merges each share group into one
-  multi-consumer GMDJ over a single detail scan.  ``None`` defers
-  to the ``REPRO_MQO`` environment hook and then to the batch default
-  (``"coalesce"``).  Only ``Database.execute_batch`` /
-  ``execute_sql_batch`` consult it; single-query entry points ignore it.
+  multi-consumer GMDJ over a single detail scan (the default).  Only
+  ``Database.execute_batch`` / ``execute_sql_batch`` consult it;
+  single-query entry points ignore it.
 
-Construction checks every value: ``partitions`` / ``workers`` must be
-positive ``int`` (not ``bool``), ``trace`` / ``use_cache`` ``bool``, the
-rest one of their listed names — anything else is a
+``backend``, ``lint``, ``rollup`` and ``mqo`` default to one of their
+own listed names, never ``None``: options come from the call, not the
+process environment.  Construction checks every value: ``partitions``
+/ ``workers`` must be positive ``int`` (not ``bool``), ``trace`` /
+``use_cache`` ``bool``, the rest one of their listed names — anything
+else is a
 :class:`~repro.errors.ConfigurationError` (an unknown strategy a
 :class:`~repro.errors.PlanError`), so a JSON request body can never
 smuggle in ``"2"`` or ``"no"``.
@@ -55,7 +57,6 @@ certificate check and the planner all read.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, PlanError
@@ -74,62 +75,27 @@ STRATEGIES = (
 #: fragmenter knobs apply to.
 GMDJ_STRATEGIES = frozenset({"gmdj", "gmdj_optimized"})
 
-#: GMDJ scan kernels.  ``None`` defers to the ``REPRO_BACKEND``
-#: environment hook and then to ``"auto"``, which picks numpy when
-#: importable, else python.
-BACKENDS = (None, "row", "python", "numpy", "auto")
+#: GMDJ scan kernels.  ``"auto"`` picks numpy when importable, else
+#: python.
+BACKENDS = ("row", "python", "numpy", "auto")
 
-#: Environment hook supplying the *default* kernel for GMDJ scans whose
-#: options left ``backend`` unset (the CI kernel matrix legs set it).
-REPRO_BACKEND_ENV = "REPRO_BACKEND"
+LINT_LEVELS = ("off", "warn", "strict")
 
-LINT_LEVELS = (None, "off", "warn", "strict")
+ROLLUP_LEVELS = ("off", "exact", "subsume")
 
-ROLLUP_LEVELS = (None, "off", "exact", "subsume")
-
-MQO_LEVELS = (None, "off", "coalesce")
-
-#: Environment hook forcing a batch-MQO level (``off`` / ``coalesce``)
-#: for batches whose options left ``mqo`` unset — the CI matrix leg's
-#: override.  An explicit ``mqo=...`` always wins.
-REPRO_MQO_ENV = "REPRO_MQO"
-
-#: Environment hook letting a harness (e.g. the CI rollup leg) force the
-#: rollup tier on.  Only consulted for *unprofiled* runs that did not set
-#: ``rollup`` explicitly — profiled runs measure real work, and a
-#: harness-injected cache hit would measure nothing (mirroring how
-#: profiled runs never consult the result cache).  ``rollup="off"``
-#: explicitly opts a run out even under the environment override.
-REPRO_ROLLUP_ENV = "REPRO_ROLLUP"
+MQO_LEVELS = ("off", "coalesce")
 
 
-def _environment_choice(variable: str, choices: tuple) -> str | None:
-    """The value of an environment hook, or None when unset; anything
-    outside ``choices`` (whose leading None means "unset") is an error."""
-    value = os.environ.get(variable)
-    if not value:
-        return None
-    if value not in choices:
-        raise ConfigurationError(
-            f"{variable}={value!r} is not valid; "
-            f"choose one of {choices[1:]}"
-        )
-    return value
-
-
-def resolve_kernel(backend: str | None) -> str:
+def resolve_kernel(backend: str) -> str:
     """The kernel a ``backend`` runs: ``"row"``, ``"python"`` or
     ``"numpy"``.
 
-    Resolution order: explicit option > ``REPRO_BACKEND`` environment
-    variable > ``"auto"``, which picks numpy when the optional extra is
-    importable, else python; asking for ``"numpy"`` without it is a
-    clean :class:`~repro.errors.ConfigurationError`.
+    ``"auto"`` picks numpy when the optional extra is importable, else
+    python; asking for ``"numpy"`` without it is a clean
+    :class:`~repro.errors.ConfigurationError`.
     """
     from repro.storage.npcolumns import HAVE_NUMPY, require_numpy
 
-    if backend is None:
-        backend = QueryOptions.environment_backend() or "auto"
     if backend == "auto":
         return "numpy" if HAVE_NUMPY else "python"
     if backend == "numpy":
@@ -142,14 +108,14 @@ class QueryOptions:
     """Immutable bundle of execution options for one query run."""
 
     strategy: str = "gmdj_optimized"
-    backend: str | None = None
+    backend: str = "auto"
     partitions: int | None = None
     workers: int | None = None
     trace: bool = False
     use_cache: bool = True
-    lint: str | None = None
-    rollup: str | None = None
-    mqo: str | None = None
+    lint: str = "off"
+    rollup: str = "off"
+    mqo: str = "coalesce"
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -223,18 +189,16 @@ class QueryOptions:
         )
 
     def canonical(self) -> "QueryOptions":
-        """Validate the knob combination and normalize ``rollup="off"``:
-        a kernel or fragmenter knob on a non-GMDJ strategy is an error —
-        the baselines have no GMDJ nodes to run it on."""
+        """These options, once the knob combination is validated: a
+        kernel or fragmenter knob off its default on a non-GMDJ strategy
+        is an error — the baselines have no GMDJ nodes to run it on."""
         if self.strategy not in GMDJ_STRATEGIES and (
-                self.fragmenter() is not None or self.backend is not None):
+                self.fragmenter() is not None or self.backend != "auto"):
             raise ConfigurationError(
                 f"backend/partitions/workers apply only to GMDJ "
                 f"strategies, not {self.strategy!r}"
             )
-        if self.rollup != "off":
-            return self
-        return dataclasses.replace(self, rollup=None)
+        return self
 
     def kernel(self) -> str:
         """The kernel GMDJ scans run on under these options: ``"row"``,
@@ -248,36 +212,6 @@ class QueryOptions:
         if self.partitions is not None or self.workers is not None:
             return "partitioned"
         return None
-
-    @staticmethod
-    def environment_rollup() -> str | None:
-        """The ``REPRO_ROLLUP`` forced-rollup override, validated.
-
-        Returns a canonical level (``"off"`` maps to ``None``); the
-        executor applies it only to unprofiled runs whose options left
-        ``rollup`` unset.
-        """
-        value = _environment_choice(REPRO_ROLLUP_ENV, ROLLUP_LEVELS)
-        return None if value == "off" else value
-
-    @staticmethod
-    def environment_mqo() -> str | None:
-        """The ``REPRO_MQO`` batch-MQO override, validated.
-
-        Returns the raw level (``"off"`` stays ``"off"`` — it must
-        suppress the batch default, unlike an unset variable), or None
-        when the environment leaves the batch default in force.
-        """
-        return _environment_choice(REPRO_MQO_ENV, MQO_LEVELS)
-
-    @staticmethod
-    def environment_backend() -> str | None:
-        """The ``REPRO_BACKEND`` default-kernel override, validated.
-
-        Consulted by :func:`resolve_kernel` when ``backend`` was left
-        unset; an explicit ``backend=...`` always wins.
-        """
-        return _environment_choice(REPRO_BACKEND_ENV, BACKENDS)
 
     def with_trace(self, trace: bool) -> "QueryOptions":
         if trace == self.trace:
@@ -293,6 +227,5 @@ class QueryOptions:
         result cache, and a singleton runs the plan it would run alone.
         """
         canon = self.canonical()
-        lint = None if canon.lint == "off" else canon.lint
         return (canon.strategy, canon.kernel(), canon.fragmenter(),
-                canon.partitions, canon.workers, lint, canon.rollup)
+                canon.partitions, canon.workers, canon.lint, canon.rollup)

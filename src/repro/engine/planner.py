@@ -176,8 +176,8 @@ def make_executor(
     GMDJ run then walks it as it is instead of planning again.
     """
     options = QueryOptions.of(options).canonical()
-    lint = options.lint if options.lint in ("warn", "strict") else None
-    if lint is not None:
+    lint = options.lint
+    if lint != "off":
         # Verify the input tree eagerly — this covers the baseline
         # strategies (which execute the query as-is); the GMDJ
         # strategies additionally verify their translated plan inside
@@ -219,7 +219,7 @@ def _gmdj_runner(
     query: Operator,
     catalog: Catalog,
     options: QueryOptions,
-    lint: str | None,
+    lint: str,
     cache: PlanCache | None,
     rollups: RollupStore | None,
     planned: Operator | None = None,
@@ -250,7 +250,7 @@ def _gmdj_runner(
         plan = planned
         if plan is None:
             plan = plan_for(query, catalog, options.strategy, translations)
-            if lint is not None:
+            if lint != "off":
                 lint_gate(plan, catalog, lint)
         return evaluate_plan(plan, catalog, kernel, fragmenter, hook)
 

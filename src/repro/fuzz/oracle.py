@@ -386,7 +386,7 @@ def run_differential(
                 results = [database.execute(
                     plan, QueryOptions("gmdj", backend="row"))]
             else:
-                backend = "row" if engine in GMDJ_STRATEGIES else None
+                backend = "row" if engine in GMDJ_STRATEGIES else "auto"
                 results = [database.execute_sql(
                     repro_sql, QueryOptions(engine, backend=backend))]
         except TranslationError:

@@ -15,9 +15,9 @@ from repro.gmdj.physical import (
     select_kernel,
 )
 from repro.gmdj.pool import (
+    DEFAULT_WORKERS,
     PoolRegistry,
     choose_executor,
-    default_workers,
     map_partitions,
     pooling,
     resolve_workers,
@@ -33,6 +33,7 @@ from repro.gmdj.vectorized import DEFAULT_CHUNK_SIZE, run_gmdj_vectorized
 __all__ = [
     "CompletionRule",
     "DEFAULT_CHUNK_SIZE",
+    "DEFAULT_WORKERS",
     "DetailPartitions",
     "GMDJ",
     "SelectGMDJ",
@@ -40,7 +41,6 @@ __all__ = [
     "PoolRegistry",
     "choose_executor",
     "coalesce_plan",
-    "default_workers",
     "derive_completion_rule",
     "embed_base_in_detail",
     "evaluate_gmdj_partitioned",

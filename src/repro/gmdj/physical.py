@@ -89,14 +89,14 @@ class BatchKernel:
             chunk_size=self.chunk_size, backend=self.backend)
 
 
-def select_kernel(backend: str | None = None,
+def select_kernel(backend: str = "auto",
                   chunk_size: int | None = None) -> Kernel:
     """The kernel ``backend`` names; ``chunk_size`` sizes the python
     kernel's batches (default :data:`~repro.gmdj.vectorized.
     DEFAULT_CHUNK_SIZE`; tests shrink it to force batch boundaries).
 
-    Resolution (explicit > ``REPRO_BACKEND`` > ``auto``) is
-    :func:`repro.engine.options.resolve_kernel`'s.
+    What ``auto`` picks is :func:`repro.engine.options.resolve_kernel`'s
+    decision.
     """
     # Imported here: repro.engine pulls in the planner, which pulls in
     # repro.gmdj — a module-level import would close the cycle.
@@ -115,8 +115,8 @@ def select_fragmenter(
 ) -> DetailPartitions | None:
     """The fragmenter the knobs name, or None for one scan per GMDJ.
 
-    ``workers`` defaults to the ``REPRO_WORKERS`` environment variable
-    (else 1 = sequential fragments).
+    ``workers`` defaults to 1 (sequential fragments); ``partitions`` to
+    :data:`DEFAULT_PARTITIONS`.
     """
     if partitions is not None or workers is not None:
         return DetailPartitions(
@@ -277,7 +277,7 @@ def evaluate_plan(
 
 def evaluate_plan_vectorized(
     plan: Operator, catalog: Catalog, chunk_size: int | None = None,
-    backend: str | None = None,
+    backend: str = "auto",
 ) -> Relation:
     """Evaluate ``plan`` with every GMDJ on the kernel ``backend`` names
     (see :func:`select_kernel`)."""

@@ -39,11 +39,6 @@ in that context reuses the registry's executors instead of paying pool
 start-up per query.  The registry owns those executors and
 :meth:`PoolRegistry.shutdown` (reached via ``Database.close()`` and the
 server's graceful drain) is the deterministic teardown path.
-
-Environment knobs (read at call time, so CI can force them suite-wide):
-
-* ``REPRO_WORKERS``   — default worker count when none is requested.
-* ``REPRO_EXECUTOR``  — force ``thread``/``process``/``auto``.
 """
 
 from __future__ import annotations
@@ -76,27 +71,14 @@ PROCESS_MIN_DETAIL_ROWS = 20_000
 
 _EXECUTOR_KINDS = ("auto", "thread", "process")
 
-
-def default_workers() -> int:
-    """The worker count used when none is requested (``REPRO_WORKERS``)."""
-    raw = os.environ.get("REPRO_WORKERS")
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_WORKERS must be an integer, got {raw!r}"
-        ) from None
-    if workers < 1:
-        raise ConfigurationError(f"REPRO_WORKERS must be >= 1, got {workers}")
-    return workers
+#: The worker count used when none is requested: sequential fragments.
+DEFAULT_WORKERS = 1
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Validate an explicit worker count or fall back to the env default."""
+    """Validate an explicit worker count or fall back to the default."""
     if workers is None:
-        return default_workers()
+        return DEFAULT_WORKERS
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     return workers
@@ -104,13 +86,14 @@ def resolve_workers(workers: int | None) -> int:
 
 def choose_executor(kind: str | None, detail_rows: int,
                     task_sample: object) -> str:
-    """Resolve ``auto`` to a concrete executor kind for this input.
+    """Resolve ``kind`` (None means ``auto``) to a concrete executor
+    kind for this input.
 
     ``task_sample`` is any object that must survive pickling for the
     process path (the shadow plan and the kernel); unpicklable ones
     degrade to threads rather than failing.
     """
-    kind = kind or os.environ.get("REPRO_EXECUTOR") or "auto"
+    kind = kind or "auto"
     if kind not in _EXECUTOR_KINDS:
         raise ConfigurationError(
             f"executor must be one of {_EXECUTOR_KINDS}, got {kind!r}"

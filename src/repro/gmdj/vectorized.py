@@ -313,7 +313,7 @@ def run_gmdj_vectorized(
     completed tuples, pages, tuples) — with or without a completion rule.
 
     ``backend`` is a resolved kernel name (:func:`repro.gmdj.physical.
-    select_kernel` resolves ``auto`` and the environment hook): the
+    select_kernel` resolves ``auto``): the
     python kernel scans ``chunk_size`` detail rows per batch;
     ``backend="numpy"`` routes the θ blocks through the whole-array
     kernel (:mod:`repro.gmdj.npkernel`), completion, aggregate state and

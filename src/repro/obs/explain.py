@@ -77,7 +77,7 @@ def _label(options) -> str:
             label += f" kernel={kernel}"
         if fragmenter is not None:
             label += f" fragmenter={fragmenter}"
-    if canonical.rollup is not None:
+    if canonical.rollup != "off":
         label += f" rollup={canonical.rollup}"
     return label
 
@@ -87,9 +87,8 @@ def executed_summary(trace) -> dict:
 
     Returns a dict with the executed ``strategy``, ``kernel`` and
     ``fragmenter`` (from the planner's ``query`` span — ``plain`` when a
-    GMDJ strategy had nothing to translate, and the kernel reflects the
-    ``REPRO_BACKEND`` environment hook, which the requested options
-    alone cannot show), ``apply_loops`` — how many APPLY nodes the
+    GMDJ strategy had nothing to translate, and the kernel is what
+    ``auto`` resolved to), ``apply_loops`` — how many APPLY nodes the
     translator left as tuple-at-a-time loops, with
     ``apply_loop_reasons`` saying why (from the ``SubqueryToGMDJ`` span,
     so absent when the translation came from the plan cache) —
@@ -218,7 +217,7 @@ def _certifiable(canonical) -> bool:
     counts cannot match (the dedicated rollup invariant — zero detail
     scans under every hit — covers that case instead).
     """
-    return canonical.rollup is None and canonical.fragmenter() is None
+    return canonical.rollup == "off" and canonical.fragmenter() is None
 
 
 def analyze(db, query, options=None, strict: bool = False):

@@ -2,8 +2,8 @@
 
 Covers the knobs and edges the property suite cannot pin one by one:
 
-* backend resolution (explicit > ``REPRO_BACKEND`` env > ``auto``,
-  numpy when installed; a clean
+* backend resolution (``auto``, the default, is numpy when installed; a
+  clean
   :class:`~repro.errors.ConfigurationError` without the optional numpy
   extra);
 * per-operator fallback to the python kernel — holistic DISTINCT
@@ -109,25 +109,13 @@ def assert_identical(gmdj, catalog, expect_fallback=None):
 
 
 class TestResolveKernel:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_kernel(None) == "numpy"  # extra is installed
+    def test_default_is_auto(self):
+        assert QueryOptions().kernel() == "numpy"  # extra is installed
 
     def test_explicit_values(self):
         assert resolve_kernel("python") == "python"
         assert resolve_kernel("numpy") == "numpy"
         assert resolve_kernel("auto") == "numpy"  # extra is installed
-
-    def test_environment_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert resolve_kernel(None) == "numpy"
-        # The explicit option always wins over the environment.
-        assert resolve_kernel("python") == "python"
-
-    def test_environment_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "cuda")
-        with pytest.raises(ConfigurationError):
-            resolve_kernel(None)
 
     def test_numpy_backend_without_numpy(self, monkeypatch):
         from repro.storage import npcolumns

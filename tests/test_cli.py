@@ -130,8 +130,7 @@ class TestExplainSubcommand:
         code, out = run_cli(["explain", self.SQL, "--data", str(data_dir),
                              "--analyze"])
         assert code == 0
-        # Prefix only: REPRO_BACKEND in the environment appends " kernel=...".
-        assert "-- EXPLAIN ANALYZE (strategy=gmdj_optimized" in out
+        assert "-- EXPLAIN ANALYZE (strategy=gmdj_optimized kernel=" in out
         assert "detail_scan" not in out  # spans render by name, not kind
         assert "scan [" in out
         assert "tuples_scanned=" in out
@@ -212,7 +211,7 @@ class TestServeSubcommand:
         assert args.queue_depth == 64
         assert args.deadline_ms == 30_000.0
         assert args.strategy == "gmdj_optimized"
-        assert args.rollup is None
+        assert args.rollup == "off"
 
     def test_data_must_be_directory(self, tmp_path):
         code, _ = run_cli(["serve", "--data", str(tmp_path / "missing")])

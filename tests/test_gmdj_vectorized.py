@@ -21,6 +21,7 @@ from repro.algebra.operators import ScanTable
 from repro.errors import ConfigurationError
 from repro.gmdj import md
 from repro.gmdj.evaluate import run_gmdj
+from repro.gmdj.physical import evaluate_plan, select_fragmenter, select_kernel
 from repro.gmdj.vectorized import (
     DEFAULT_CHUNK_SIZE,
     resolve_chunk_size,
@@ -237,22 +238,19 @@ class TestEndToEnd:
         )
         assert expected.bag_equal(actual)
 
-    def test_composes_with_partitions_and_pool(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
+    def test_composes_with_partitions_and_pool(self):
         db = fuzzy_database()
-        expected = db.execute_sql(SQL_EXISTS, QueryOptions(strategy="gmdj",
-                                                           backend="row"))
-        actual = db.execute_sql(
-            SQL_EXISTS,
-            QueryOptions(strategy="gmdj", partitions=3, workers=2,
-                         backend="python"),
-        )
+        plan = subquery_to_gmdj(db.sql(SQL_EXISTS), db.catalog,
+                                optimize=False)
+        expected = evaluate_plan(plan, db.catalog, select_kernel("row"))
+        actual = evaluate_plan(
+            plan, db.catalog, select_kernel("python"),
+            select_fragmenter(partitions=3, workers=2, executor="thread"))
         assert expected.bag_equal(actual)
 
     def test_identical_io_accounting_end_to_end(self):
         # rollup="off": this test compares the raw work both kernels
-        # perform, so neither run may be served from the rollup store
-        # (the REPRO_ROLLUP CI leg would otherwise serve the second).
+        # perform, so neither run may be served from the rollup store.
         db = fuzzy_database()
         with collect() as row_stats:
             db.execute_sql(SQL_EXISTS,

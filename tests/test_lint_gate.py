@@ -67,7 +67,9 @@ class TestOptions:
     def test_lint_level_validation(self):
         with pytest.raises(ConfigurationError):
             QueryOptions(lint="loud")
-        for level in (None, "off", "warn", "strict"):
+        with pytest.raises(ConfigurationError):
+            QueryOptions(lint=None)
+        for level in ("off", "warn", "strict"):
             QueryOptions(lint=level)
 
     def test_off_normalizes_to_none_in_cache_key(self):

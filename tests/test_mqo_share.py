@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Database, DataType, QueryOptions
-from repro.engine.mqo import plan_batch, resolve_level
+from repro.engine.mqo import plan_batch
 from repro.engine.options import MQO_LEVELS
 from repro.errors import ConfigurationError
 from repro.gmdj.share import (
@@ -154,28 +154,17 @@ class TestPlanBatch:
 
 class TestMqoOption:
     def test_levels(self):
-        assert MQO_LEVELS == (None, "off", "coalesce")
+        assert MQO_LEVELS == ("off", "coalesce")
 
     def test_invalid_level_raises(self):
         with pytest.raises(ConfigurationError, match="mqo"):
             QueryOptions(mqo="always")
 
-    def test_explicit_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MQO", "off")
-        assert resolve_level(QueryOptions(mqo="coalesce")) == "coalesce"
-
-    def test_environment_off_suppresses_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MQO", "off")
-        assert resolve_level(QueryOptions()) == "off"
-
-    def test_default_is_coalesce(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MQO", raising=False)
-        assert resolve_level(QueryOptions()) == "coalesce"
-
-    def test_bad_environment_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MQO", "nope")
-        with pytest.raises(ConfigurationError, match="REPRO_MQO"):
-            QueryOptions.environment_mqo()
+    def test_default_is_coalesce(self, db):
+        assert QueryOptions().mqo == "coalesce"
+        queries = [db.sql(EXISTS_R), db.sql(EXISTS_R)]
+        assert plan_batch(queries, db.catalog, QueryOptions()).level \
+            == "coalesce"
 
     def test_cache_key_ignores_mqo(self, db):
         # Shared groups bypass the result cache and a singleton runs the

@@ -1,4 +1,5 @@
-"""One differential over the physical lattice: kernel × fragmenter × rollup.
+"""One differential over the physical lattice: kernel × fragmenter × rollup
+× result cache × MQO.
 
 The engine has one physical GMDJ pipeline (:mod:`repro.gmdj.physical`);
 this module holds it to the identity contract at every point of the
@@ -7,8 +8,12 @@ option lattice instead of one suite per feature pair:
 * **kernel** — row interpreter / python batch / numpy whole-array (when
   the extra is installed);
 * **fragmenter** — none / detail-partitioned with sequential fragments /
-  detail-partitioned on a 2-worker thread pool;
-* **rollup** — off / subsumption tier (cold run, then warm).
+  detail-partitioned on a 2-worker pool (threads: every table here is
+  below ``PROCESS_MIN_DETAIL_ROWS``, so ``auto`` picks them);
+* **rollup** — off / subsumption tier (cold run, then warm);
+* **result cache** — off / on (cold run, then a warm run the cache
+  serves);
+* **MQO** — a batch run ``off`` / ``coalesce``.
 
 Every point must return the row interpreter's rows *in its order* for
 all six Table 1 subquery forms and the Figure 4 ``>= ALL`` / ``<>``
@@ -17,7 +22,12 @@ reproduce the reference ``IOStats`` snapshot wherever the contract
 promises it (kernel swaps on completion-free plans; python vs numpy
 always; scan volume under partitioning; pooled == sequential).  Two
 hypothesis properties then draw random databases, predicates and
-lattice points, and a batch check holds MQO to the same points.
+lattice points, a batch check holds both MQO levels to the same points,
+and one test stacks numpy, a coalesced batch, a warm rollup store and a
+warm result cache.
+
+Options come only from the call: this lattice, not a rerun of the whole
+suite under another configuration, is where configurations are compared.
 
 The typed-data generators at the bottom half are shared with
 ``test_property_backend`` (which needs numpy and adds the
@@ -44,6 +54,7 @@ from repro.algebra.nested import (
     not_in_predicate,
 )
 from repro.algebra.operators import ScanTable
+from repro.engine.options import MQO_LEVELS
 from repro.errors import PlanError
 from repro.gmdj import evaluate_plan, select_fragmenter, select_kernel
 from repro.obs.invariants import check_trace
@@ -100,9 +111,11 @@ for _function in ("count", "avg", "min", "max"):
     CASES[f"agg_{_function}"] = aggregate_comparison(_function)
 
 
-def options_at(strategy, kernel, fragmenter, rollup="off"):
-    return QueryOptions(strategy=strategy, backend=kernel, use_cache=False,
-                        rollup=rollup, **FRAGMENTERS[fragmenter])
+def options_at(strategy, kernel, fragmenter, rollup="off", use_cache=False,
+               mqo="coalesce"):
+    return QueryOptions(strategy=strategy, backend=kernel,
+                        use_cache=use_cache, rollup=rollup, mqo=mqo,
+                        **FRAGMENTERS[fragmenter])
 
 
 def run_checked(db, query, options):
@@ -122,13 +135,6 @@ def reference(case, strategy):
     result, snapshot, _ = run_checked(
         make_db(), CASES[case], options_at(strategy, "row", "none"))
     return result.schema.names, result.rows, snapshot
-
-
-@pytest.fixture(autouse=True)
-def thread_pools(monkeypatch):
-    # The lattice's pooled point is "w2 thread"; keep `auto` from ever
-    # picking processes.
-    monkeypatch.setenv("REPRO_EXECUTOR", "thread")
 
 
 class TestLattice:
@@ -173,6 +179,22 @@ class TestLattice:
             assert warm_trace.find(kind="rollup_hit")
             assert not warm_trace.find(kind="detail_scan")
 
+    @pytest.mark.parametrize("fragmenter", FRAGMENTERS)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("case", CASES)
+    def test_result_cache_cold_and_warm(self, case, strategy, kernel,
+                                        fragmenter):
+        _, rows, _ = reference(case, strategy)
+        db = make_db()
+        options = options_at(strategy, kernel, fragmenter, use_cache=True)
+        cold, _, _ = run_checked(db, CASES[case], options)
+        hits = db.cache.result_hits
+        warm, _, _ = run_checked(db, CASES[case], options)
+        assert db.cache.result_hits == hits + 1
+        assert cold.rows == rows
+        assert warm.rows == rows
+
     @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy extra not installed")
     @pytest.mark.parametrize("fragmenter", FRAGMENTERS)
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -197,22 +219,55 @@ class TestLattice:
         _, pooled, trace = run_checked(
             make_db(), query, options_at("gmdj", kernel, "partitioned-w2"))
         assert pooled == sequential
-        assert trace.find(kind="pool")
+        # The executor is left at ``auto``: these tables are far below
+        # PROCESS_MIN_DETAIL_ROWS, so it picks threads.
+        assert {pool.attrs["executor"]
+                for pool in trace.find(kind="pool")} == {"thread"}
 
     @pytest.mark.parametrize("fragmenter", FRAGMENTERS)
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_batch_matches_solo(self, kernel, fragmenter):
-        db = make_db()
-        options = options_at("gmdj_optimized", kernel, fragmenter)
         queries = [form_query("exists", bound) for bound in (0, 3)]
-        batch = db.execute_batch(queries, options)
-        for query, result in zip(queries, batch):
-            assert result.rows == db.execute(query, options).rows
-        for group in batch.report.groups:
-            # The scan-count certificate is checkable only when no
-            # fragmenter multiplies the detail_scan spans.
-            assert group.certified is (
-                True if fragmenter == "none" else None)
+        for mqo in MQO_LEVELS:
+            db = make_db()
+            options = options_at("gmdj_optimized", kernel, fragmenter,
+                                 mqo=mqo)
+            batch = db.execute_batch(queries, options)
+            for query, result in zip(queries, batch):
+                assert result.rows == db.execute(query, options).rows, mqo
+            assert len(batch.report.groups) == (mqo == "coalesce")
+            for group in batch.report.groups:
+                # The scan-count certificate is checkable only when no
+                # fragmenter multiplies the detail_scan spans.
+                assert group.certified is (
+                    True if fragmenter == "none" else None)
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy extra not installed")
+    def test_every_warm_tier_at_once(self):
+        # numpy × coalesced batch × warm rollup store × warm result
+        # cache.  The cases coalesce into one group; a query with its
+        # own base stays a singleton, so the warm tiers answer it: the
+        # result cache by its exact text, the rollup store when the
+        # same GMDJ comes back spelled differently.
+        db = make_db()
+        options = options_at("gmdj_optimized", "numpy", "none",
+                             rollup="subsume", use_cache=True)
+        maximum = aggregate_comparison("max")
+        filtered = col("b.X") > lit(1)
+        alone = NestedSelect(maximum.child, maximum.predicate & filtered)
+        respelled = NestedSelect(maximum.child, filtered & maximum.predicate)
+        alone_rows = make_db().execute(
+            alone, options_at("gmdj_optimized", "row", "none")).rows
+        for run, singleton, hits in (("cold", alone, (0, 0)),
+                                     ("cached", alone, (1, 0)),
+                                     ("rollup", respelled, (1, 1))):
+            batch = db.execute_batch([*CASES.values(), singleton], options)
+            assert len(batch.report.groups) == 1, run
+            for case, result in zip(CASES, batch):
+                assert result.rows == reference(case, "gmdj_optimized")[1], (
+                    run, case)
+            assert batch[-1].rows == alone_rows, run
+            assert (db.cache.result_hits, db.rollups.exact_hits) == hits, run
 
 
 # -- random lattice points ------------------------------------------------------

@@ -63,9 +63,11 @@ class TestChooseExecutor:
             "auto", PROCESS_MIN_DETAIL_ROWS, lambda: None
         ) == "thread"
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
-        assert choose_executor(None, 10**9, None) == "thread"
+    def test_unset_kind_is_auto(self):
+        assert choose_executor(None, 100, None) == "thread"
+        assert choose_executor(
+            None, PROCESS_MIN_DETAIL_ROWS, {"plan": 1}
+        ) == "process"
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -293,32 +295,29 @@ class TestDeadWorker:
         )
         return db
 
-    def test_killed_worker_raises_typed_error_and_pool_recovers(
-            self, monkeypatch):
-        from repro import QueryOptions
+    def test_killed_worker_raises_typed_error_and_pool_recovers(self):
         from repro.errors import ReproError, WorkerPoolError
         from repro.gmdj.pool import pooling
 
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        options = QueryOptions(strategy="gmdj", partitions=2, workers=2,
-                               use_cache=False, rollup="off")
+        def on_processes(kernel=run_gmdj):
+            with pooling(db.pools):
+                return evaluate_gmdj_partitioned(
+                    full_gmdj(), db.catalog, partitions=2, workers=2,
+                    executor="process", kernel=kernel)
+
         with self.make_db() as db:
-            expected = db.execute_sql(self.SQL, QueryOptions(strategy="naive"))
+            expected = full_gmdj().evaluate(db.catalog)
             # Warm the database's ("process", 2) executor, then kill one
             # of its workers mid-map.
-            assert db.execute_sql(self.SQL, options).bag_equal(expected)
+            assert on_processes().bag_equal(expected)
             broken = db.pools.get("process", 2)
-            with pooling(db.pools):
-                with pytest.raises(WorkerPoolError) as error:
-                    evaluate_gmdj_partitioned(
-                        full_gmdj(), db.catalog, partitions=2, workers=2,
-                        kernel=_dying_kernel,
-                    )
+            with pytest.raises(WorkerPoolError) as error:
+                on_processes(_dying_kernel)
             assert isinstance(error.value, ReproError)
-            # The broken executor left the registry: the next query on
-            # the same database gets a fresh pool and the right answer.
+            # The broken executor left the registry: the next run on the
+            # same database gets a fresh pool and the right answer.
             assert len(db.pools) == 0
-            assert db.execute_sql(self.SQL, options).bag_equal(expected)
+            assert on_processes().bag_equal(expected)
             assert db.pools.get("process", 2) is not broken
 
     def test_per_call_pool_raises_the_same_typed_error(self, catalog):

@@ -7,7 +7,6 @@ import pytest
 from repro import Database, DataType, QueryOptions
 from repro.engine.options import GMDJ_STRATEGIES, STRATEGIES
 from repro.errors import ConfigurationError, PlanError
-from repro.gmdj.pool import default_workers, resolve_workers
 
 
 @pytest.fixture
@@ -31,7 +30,9 @@ class TestConstruction:
     def test_defaults(self):
         options = QueryOptions()
         assert options.strategy == "gmdj_optimized"
-        assert options.backend is None
+        assert options.backend == "auto"
+        assert (options.lint, options.rollup, options.mqo) == (
+            "off", "off", "coalesce")
         assert options.use_cache is True
         assert options.trace is False
 
@@ -87,7 +88,7 @@ class TestCanonical:
 
     @pytest.mark.parametrize("knob", [
         dict(partitions=2), dict(workers=2), dict(backend="row"),
-        dict(backend="auto"), dict(backend="python"),
+        dict(partitions=1, workers=1), dict(backend="python"),
     ])
     def test_physical_knobs_on_baseline_rejected(self, knob):
         with pytest.raises(ConfigurationError):
@@ -96,9 +97,14 @@ class TestCanonical:
     def test_canonical_is_idempotent_and_cheap(self):
         options = QueryOptions(strategy="gmdj", partitions=2)
         assert options.canonical() is options
-        off = QueryOptions(strategy="gmdj", rollup="off").canonical()
-        assert off.rollup is None
-        assert off.canonical() is off
+        assert QueryOptions(strategy="naive").canonical().backend == "auto"
+
+    @pytest.mark.parametrize("field", ["backend", "lint", "rollup", "mqo"])
+    def test_none_is_not_a_value(self, field):
+        # Each default is one of the field's own names, so a JSON null
+        # in a request body is a typing error like any other.
+        with pytest.raises(ConfigurationError):
+            QueryOptions(**{field: None})
 
     def test_every_strategy_is_known(self):
         assert len(STRATEGIES) == 7
@@ -108,10 +114,10 @@ class TestCanonical:
 
 
 class TestKernelSelection:
-    def test_default_kernel_is_auto(self, monkeypatch):
+    def test_default_kernel_is_auto(self):
         from repro.storage.npcolumns import HAVE_NUMPY
 
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        assert QueryOptions().backend == "auto"
         assert QueryOptions().kernel() == ("numpy" if HAVE_NUMPY
                                            else "python")
         assert QueryOptions(backend="row").kernel() == "row"
@@ -140,41 +146,6 @@ class TestKernelSelection:
         assert expected.bag_equal(result)
 
 
-class TestEnvironmentBackend:
-    def test_env_supplies_default_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "row")
-        assert QueryOptions().kernel() == "row"
-
-    def test_explicit_row_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        assert QueryOptions(backend="row").kernel() == "row"
-
-    def test_baseline_strategies_accept_env(self, monkeypatch):
-        # The hook sets a default, not a knob: it must not trip the
-        # "physical knobs need a GMDJ strategy" check.
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        QueryOptions(strategy="naive").canonical()
-
-    def test_invalid_env_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "warp")
-        with pytest.raises(ConfigurationError):
-            QueryOptions().kernel()
-
-    def test_env_backend_drives_execution(self, db, monkeypatch):
-        from repro.obs import tracing
-
-        expected = db.execute_sql(SQL, QueryOptions(strategy="naive"))
-        monkeypatch.setenv("REPRO_BACKEND", "row")
-        with tracing() as tracer:
-            result = db.execute_sql(
-                SQL, QueryOptions(strategy="gmdj", use_cache=False,
-                                  rollup="off"))
-        assert expected.bag_equal(result)
-        scans = tracer.trace().find(kind="detail_scan")
-        assert scans and not any(scan.attrs.get("vectorized")
-                                 for scan in scans)
-
-
 class TestDatabaseAcceptsOptions:
     def test_execute_sql_with_options(self, db):
         plain = db.execute_sql(SQL, QueryOptions(strategy="naive"))
@@ -199,8 +170,7 @@ class TestDatabaseAcceptsOptions:
             QueryOptions(strategy="gmdj", partitions=2, workers=2),
             strict=True,
         )
-        # REPRO_BACKEND in the environment adds " kernel=..." between.
-        assert "(strategy=gmdj" in text
+        assert "(strategy=gmdj kernel=" in text
         assert "fragmenter=partitioned" in text
         assert "all hold" in text
 
@@ -244,33 +214,3 @@ class TestRemovedShims:
         assert len(batch) == 1
         assert batch[0].rows == single.rows
         assert batch.report.queries == 1
-
-
-class TestEnvironmentDefaults:
-    def test_default_workers_without_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert default_workers() == 1
-
-    def test_default_workers_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert default_workers() == 3
-        assert resolve_workers(None) == 3
-
-    def test_explicit_workers_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert resolve_workers(2) == 2
-
-    @pytest.mark.parametrize("raw", ["zero", "-1", "0"])
-    def test_bad_env_values_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_WORKERS", raw)
-        with pytest.raises(ConfigurationError):
-            default_workers()
-
-    def test_env_workers_drive_execution(self, db, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
-        expected = db.execute_sql(SQL, QueryOptions(strategy="naive"))
-        result = db.execute_sql(
-            SQL, QueryOptions(strategy="gmdj", partitions=4)
-        )
-        assert expected.bag_equal(result)

@@ -4,10 +4,9 @@ The classic failure mode of semantic caching is the wrong-but-plausible
 hit: a stored rollup that *almost* answers the probe, served anyway.
 Every test here therefore compares a rollup-served result against
 direct evaluation of the same query with the store disabled
-(``rollup="off"`` — which opts out even under the ``REPRO_ROLLUP`` CI
-leg), asserting **row- and order-identity**, not just bag equality: a
-GMDJ emits one tuple per base tuple in base order, and a served rollup
-must reproduce that exactly, NULLs included.
+(``rollup="off"``), asserting **row- and order-identity**, not just
+bag equality: a GMDJ emits one tuple per base tuple in base order, and
+a served rollup must reproduce that exactly, NULLs included.
 
 Three serving tiers are exercised, on hand-built GMDJ pairs and on
 hypothesis-driven NULL-heavy databases from the fuzzer's generator:

@@ -331,6 +331,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("options", [
         {"partitions": "2"}, {"workers": 1.5}, {"partitions": 2.5},
         {"workers": True}, {"use_cache": "no"},
+        {"rollup": None},
     ], ids=repr)
     def test_wrongly_typed_option_is_400(self, live_server, options):
         server = live_server()
