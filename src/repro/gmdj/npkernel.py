@@ -25,7 +25,13 @@ accumulator state and the emitted aggregates all stay columns.
   every block of the GMDJ with the same correlating key list
   (Prop 4.1's coalesced blocks over one key); a key component with a
   constant side (``r.prio = '1-URGENT'``) is that block's own row or
-  base mask on top of it.  No Python dict over B is ever built here;
+  base mask on top of it.  Between two stored tables whose key sides
+  are plain columns the structure is a *join index*: it depends on
+  those columns alone, not on the query, so the detail encoding keeps
+  the last few it was built for (:func:`_join_index`) and every later
+  scan over the same pair of encodings reuses it.  A write makes a new
+  encoding, so it never sees a stale one.  No Python dict over B is
+  ever built here;
 * distributive/algebraic aggregates (Gray et al.) have fixed-size
   scratchpads, so a base tuple's state is a few array slots: they
   reduce grouped over the surviving pairs with ``ufunc.at`` — which
@@ -66,11 +72,17 @@ arrays at ``t_b``: residual evaluations are the candidate pairs with
 (doom) or ``r <= t_b`` (assure, whose partial aggregates are thereby
 exact), and the completion-free scan is the same code with
 ``t_b = ∞``.  Completed tuples leave the candidate set between tiles,
-so θ work physically shrinks as the paper describes, while the
+so θ work physically shrinks as the paper describes.  A completion
+scan over hash blocks walks its first tile at ``TILE_PAIRS`` pairs —
+where an EXISTS tuple usually completes — and the rest of R in tiles
+of ``8 * TILE_PAIRS`` (the bound the accumulators already compact at),
+since every later tile re-filters and re-truncates its pairs by
+``t_b``; a scan block (``<>``), whose pairs are active bases × rows,
+and a completion-free scan keep ``TILE_PAIRS`` throughout.  The
 :class:`~repro.storage.iostats.IOStats` counters stay the *logical*
 ones — identical to the row kernel's whatever the tile size
 (``index_builds``/``index_probes`` count one build and \\|R\\| probes per
-hash block, however many blocks share a key structure).
+hash block, however many blocks or scans share a key structure).
 
 Identity contract
 -----------------
@@ -97,7 +109,7 @@ from typing import Any, Callable, Sequence
 from repro.algebra.aggregates import AggregateSpec
 from repro.algebra.analysis import factor_condition, refers_only_to
 from repro.algebra.compile import compile_batch_values
-from repro.algebra.expressions import Expression
+from repro.algebra.expressions import Column, Expression
 from repro.algebra.npcompile import (
     _FLOAT_EXACT,
     _guard_float_exact,
@@ -112,6 +124,7 @@ from repro.algebra.npcompile import (
 from repro.gmdj.completion import CompletionRule
 from repro.gmdj.evaluate import _ACTIVE, _ASSURED, _DOOMED, _BlockRuntime
 from repro.gmdj.operator import ThetaBlock
+from repro.obs.metrics import get_registry
 from repro.storage.columnar import ColumnarRelation, cached_columnar
 from repro.storage.iostats import IOStats
 from repro.storage.npcolumns import (
@@ -411,6 +424,55 @@ class _HashMatch:
         return self.bases[np.repeat(self.starts[bucket], sizes) + within], r
 
 
+#: Join indexes one detail encoding keeps; a new one displaces the oldest.
+JOIN_INDEXES_KEPT = 4
+
+
+def _join_index(pairs: _PairColumns,
+                keys: Sequence[tuple[Expression, Expression]],
+                components: Sequence[tuple[NpValue, NpValue, Callable]],
+                base_filter: Any, n_base: int, total: int,
+                np: Any) -> tuple[_HashMatch, str]:
+    """The key structure over ``components`` (``keys`` are their
+    expressions), and whether it was ``"built"`` now or ``"reused"``.
+
+    Between two stored tables (encodings that carry a table name; an
+    array operator's output carries none) whose key sides are plain
+    columns, the structure depends on nothing but those columns, so it
+    is a join index: kept on the detail encoding — shared with its
+    scan views, gone with it — under the base encoding's column storage
+    and the key column positions.  Both are compared by identity, and
+    an encoding is never written after it is built (an insert makes a
+    new one), so a kept index is never stale.  A constant key side
+    (``base_filter``) is per query and is never kept.  Scans on other
+    threads share the list unlocked: each entry is immutable and added
+    or dropped by one list operation, so two scans that miss together
+    each build an index — one wasted build, never a wrong entry.
+    """
+    base, detail = pairs.base.columnar, pairs.detail.columnar
+    kept = positions = None
+    if base_filter is None and base.name is not None \
+            and detail.name is not None and all(
+                isinstance(side, Column) for key in keys for side in key):
+        kept = detail._join_indexes
+        positions = tuple((base.schema.index_of(left.reference),
+                           detail.schema.index_of(right.reference))
+                          for left, right in keys)
+        for columns, known, match in tuple(kept):
+            if columns is base.columns and known == positions:
+                get_registry().counter("npkernel.join_index_reuses").inc()
+                return match, "reused"
+    match = _HashMatch(components, base_filter, n_base, total, np)
+    get_registry().counter("npkernel.join_index_builds").inc()
+    if kept is not None:
+        for array in (match.row_bucket, match.starts, match.sizes,
+                      match.bases):
+            array.flags.writeable = False  # shared by every later scan
+        kept.append((base.columns, positions, match))
+        del kept[:-JOIN_INDEXES_KEPT]
+    return match, "built"
+
+
 # -- aggregate accumulation ----------------------------------------------------
 
 
@@ -647,10 +709,12 @@ class _NpBlock:
     """One θ block planned for the tiled scan."""
 
     __slots__ = ("runtime", "index", "residual", "detail_only", "match",
-                 "row_bucket", "specs", "evals", "updates", "cand", "hits")
+                 "join_index", "row_bucket", "specs", "evals", "updates",
+                 "cand", "hits")
 
     def __init__(self, runtime: _BlockRuntime, block: ThetaBlock,
-                 pairs: _PairColumns, matches: dict[tuple, _HashMatch],
+                 pairs: _PairColumns,
+                 matches: dict[tuple, tuple[_HashMatch, str]],
                  n_base: int, total: int, np: Any) -> None:
         self.runtime = runtime
         self.index = runtime.index
@@ -661,6 +725,7 @@ class _NpBlock:
         self.detail_only = self.residual is not None and refers_only_to(
             self.residual, detail.schema)
         self.match: _HashMatch | None = None
+        self.join_index: str | None = None
         self.row_bucket = None
         if runtime.uses_hash:
             self._plan_match(factored.left_keys, factored.right_keys, pairs,
@@ -675,14 +740,16 @@ class _NpBlock:
 
     def _plan_match(self, left_keys: Sequence[Expression],
                     right_keys: Sequence[Expression], pairs: _PairColumns,
-                    matches: dict[tuple, _HashMatch], n_base: int,
-                    total: int, np: Any) -> None:
+                    matches: dict[tuple, tuple[_HashMatch, str]],
+                    n_base: int, total: int, np: Any) -> None:
         """One :class:`_HashMatch` over every key component that reads
         the base — shared with the blocks whose such components are the
-        same — and, for components whose base side is a constant
-        (``r.x = 3``), this block's own mask over its rows."""
+        same, and a join index across scans (:func:`_join_index`) — and,
+        for components whose base side is a constant (``r.x = 3``), this
+        block's own mask over its rows."""
         base, detail = pairs.base, pairs.detail
-        correlating, base_filter, row_filter, shared_by = [], None, None, []
+        correlating, keys, shared_by = [], [], []
+        base_filter = row_filter = None
         for left_key, right_key in zip(left_keys, right_keys):
             left = np_value(left_key, base.resolve)
             right = np_value(right_key, detail.resolve)
@@ -694,19 +761,20 @@ class _NpBlock:
             shared_by.append((repr(left_key), repr(right_key)))
             if isinstance(right.values, np.ndarray):
                 correlating.append((left, right, detail_codes))
+                keys.append((left_key, right_key))
             else:
                 keep = _equals_constant(
                     left, right, partial(base.word_codes, left_key, left),
                     n_base, np)
                 base_filter = keep if base_filter is None \
                     else base_filter & keep
-        match = matches.get(tuple(shared_by))
-        if match is None:
-            match = matches[tuple(shared_by)] = _HashMatch(
-                correlating, base_filter, n_base, total, np)
-        self.match = match
-        self.row_bucket = match.row_bucket if row_filter is None else \
-            np.where(row_filter, match.row_bucket, -1)
+        found = matches.get(tuple(shared_by))
+        if found is None:
+            found = matches[tuple(shared_by)] = _join_index(
+                pairs, keys, correlating, base_filter, n_base, total, np)
+        self.match, self.join_index = found
+        self.row_bucket = self.match.row_bucket if row_filter is None else \
+            np.where(row_filter, self.match.row_bucket, -1)
 
     def width(self, n_active: int) -> int:
         """Candidate pairs one detail row can contribute."""
@@ -808,13 +876,15 @@ class ArrayScan:
     for EXPLAIN ANALYZE; ``columns[block index]`` a taken block's
     finalized aggregates, one per spec: its array form, or a value list
     when it was accumulated per value in Python; ``key_lookup`` /
-    ``shared_keys`` say, per taken hash block, how its detail keys were
-    resolved and how many blocks share its key structure; ``tiles`` is
-    how many detail-row tiles the scan walked.
+    ``shared_keys`` / ``join_index`` say, per taken hash block, how its
+    detail keys were resolved, how many blocks share its key structure
+    and whether this scan ``built`` that structure or ``reused`` a join
+    index; ``tiles`` is how many detail-row tiles the scan walked.
     """
 
     __slots__ = ("python_blocks", "reasons", "columns", "key_lookup",
-                 "shared_keys", "tiles", "_forms", "_base", "_np")
+                 "shared_keys", "join_index", "tiles", "_forms", "_base",
+                 "_np")
 
     def __init__(self, base: Columns, np: Any) -> None:
         self.python_blocks: list[tuple[_BlockRuntime, ThetaBlock]] = []
@@ -822,6 +892,7 @@ class ArrayScan:
         self.columns: dict[int, list[NpValue | list]] = {}
         self.key_lookup: tuple[str, ...] = ()
         self.shared_keys: tuple[int, ...] = ()
+        self.join_index: tuple[str, ...] = ()
         self.tiles = 0
         self._forms: dict[str, NpValue] = {}
         self._base = base
@@ -948,7 +1019,7 @@ def run_numpy_scan(
     result = ArrayScan(pairs.base, np)
     python_blocks, reasons = result.python_blocks, result.reasons
     live: list[_NpBlock] = []
-    matches: dict[tuple, _HashMatch] = {}
+    matches: dict[tuple, tuple[_HashMatch, str]] = {}
 
     def give_up(runtime: _BlockRuntime, exc: NpUnsupported) -> bool:
         """Hand a block to the python kernel; True when that takes the
@@ -974,11 +1045,20 @@ def run_numpy_scan(
     t = np.full(n_base, _NEVER, dtype=np.int64)
     active = np.arange(n_base, dtype=np.int64)
     by_index = {plan.index: plan for plan in live}
+    # Past its first tile a completion scan over hash blocks walks the
+    # rest in tiles of the accumulators' compaction bound: each tile
+    # re-filters its pairs by t_b, and what completes early has left by
+    # then.  Scan blocks and rule-free scans keep TILE_PAIRS (larger
+    # tiles measured slower on both).
+    later_tiles = 8 * TILE_PAIRS if rule is not None and all(
+        plan.match is not None for plan in live) else TILE_PAIRS
+    tile_pairs = TILE_PAIRS
     start = 0
     while start < total and live and (rule is None or len(active)):
         result.tiles += 1
         widest = max(plan.width(len(active)) for plan in live)
-        stop = min(total, start + max(1, TILE_PAIRS // max(1, widest)))
+        stop = min(total, start + max(1, tile_pairs // max(1, widest)))
+        tile_pairs = later_tiles
         for plan in list(live):
             try:
                 plan.scan(start, stop, active, t, len(active) < n_base,
@@ -1019,10 +1099,11 @@ def run_numpy_scan(
 
     # Counters and status bytes are written only now, so an
     # NpUnsupported above never leaves partial state behind.
-    matched = [plan.match for plan in live if plan.match is not None]
-    sharing = Counter(map(id, matched))
-    result.key_lookup = tuple(match.lookup for match in matched)
-    result.shared_keys = tuple(sharing[id(match)] for match in matched)
+    hashed = [plan for plan in live if plan.match is not None]
+    sharing = Counter(id(plan.match) for plan in hashed)
+    result.key_lookup = tuple(plan.match.lookup for plan in hashed)
+    result.shared_keys = tuple(sharing[id(plan.match)] for plan in hashed)
+    result.join_index = tuple(plan.join_index for plan in hashed)
     for plan in live:
         if plan.match is not None:
             stats.index_probes += total

@@ -321,7 +321,8 @@ def run_gmdj_vectorized(
     array form fall back per operator (a whole completion scan falls
     back together: the rule couples its blocks) and the reasons land on
     the ``detail_scan`` span for EXPLAIN ANALYZE, next to how each hash
-    block resolved its keys (``key_lookup``, ``shared_keys``).
+    block resolved its keys (``key_lookup``, ``shared_keys``,
+    ``join_index``).
     """
     chunk_size = resolve_chunk_size(chunk_size)
     stats = IOStats.ambient()
@@ -360,7 +361,8 @@ def run_gmdj_vectorized(
             scan_span.set(tiles=arrays.tiles)
             if arrays.key_lookup:
                 scan_span.set(key_lookup=arrays.key_lookup,
-                              shared_keys=arrays.shared_keys)
+                              shared_keys=arrays.shared_keys,
+                              join_index=arrays.join_index)
         else:
             scan_span.set(chunks=-(-total // chunk_size) if total else 0,
                           chunk_size=chunk_size)

@@ -97,16 +97,18 @@ def executed_summary(trace) -> dict:
     ran, the summary names the ``backend`` and the detail-row ``tiles``
     its scans walked, says per hash block how its detail keys were
     resolved (``key_lookup``: ``direct`` addressing or ``sorted``
-    search) and how many blocks share its key structure
-    (``shared_keys``), lists every per-operator ``fallbacks`` reason the
-    scans recorded (a block or aggregate the numpy kernel handed back to
-    the python kernel), and — ``flat_fallbacks`` — every flat operator
-    around the GMDJ that ran its row-wise method instead of its array
-    form, with the reason.
+    search), how many blocks share its key structure (``shared_keys``)
+    and whether the scan ``built`` that structure or ``reused`` the join
+    index a scan over the same two tables left (``join_index``), lists
+    every per-operator ``fallbacks`` reason the scans recorded (a block
+    or aggregate the numpy kernel handed back to the python kernel),
+    and — ``flat_fallbacks`` — every flat operator around the GMDJ that
+    ran its row-wise method instead of its array form, with the reason.
     """
     summary: dict = {}
     key_lookup: list[str] = []
     shared_keys: list[int] = []
+    join_index: list[str] = []
     fallbacks: list[str] = []
     flat_fallbacks: list[str] = []
     apply_loops: list[int] = []
@@ -133,6 +135,7 @@ def executed_summary(trace) -> dict:
                 summary["backend"] = backend
                 key_lookup.extend(span_.attrs.get("key_lookup", ()))
                 shared_keys.extend(span_.attrs.get("shared_keys", ()))
+                join_index.extend(span_.attrs.get("join_index", ()))
                 fallbacks.extend(span_.attrs.get("fallbacks", ()))
         elif span_.kind == "flat" and "fallback" in span_.attrs:
             flat_fallbacks.append(
@@ -147,6 +150,7 @@ def executed_summary(trace) -> dict:
     if key_lookup:
         summary["key_lookup"] = key_lookup
         summary["shared_keys"] = shared_keys
+        summary["join_index"] = join_index
     if fallbacks:
         summary["fallbacks"] = fallbacks
     if flat_fallbacks:

@@ -248,7 +248,7 @@ class ColumnarRelation:
     """A relation transposed into typed columns (see module docstring)."""
 
     __slots__ = ("schema", "name", "length", "columns", "_decoded",
-                 "_np_columns", "_word_codes")
+                 "_np_columns", "_word_codes", "_join_indexes")
 
     def __init__(self, schema: Schema, columns: list[ColumnData],
                  length: int, name: str | None = None) -> None:
@@ -264,6 +264,11 @@ class ColumnarRelation:
         # Lazily-built ``word -> code`` inverses of the string
         # dictionaries (see :meth:`word_codes`).
         self._word_codes: list[dict[str, int] | None] = [None] * len(columns)
+        # What the array kernel derived from these columns and another
+        # encoding's (repro.gmdj.npkernel's join indexes), opaque here:
+        # storage only shares the list with views and never carries it
+        # into a new encoding, so it dies with this one.
+        self._join_indexes: list = []
 
     def __len__(self) -> int:
         return self.length
@@ -371,12 +376,13 @@ class ColumnarRelation:
     def with_schema(self, schema: Schema,
                     name: str | None = None) -> "ColumnarRelation":
         """The same columns under ``schema`` (a requalified view): typed
-        storage, decoded lists, ndarray views and dictionary inverses
-        are all shared with this instance."""
+        storage, decoded lists, ndarray views, dictionary inverses and
+        join indexes are all shared with this instance."""
         clone = ColumnarRelation(schema, self.columns, self.length, name=name)
         clone._decoded = self._decoded
         clone._np_columns = self._np_columns
         clone._word_codes = self._word_codes
+        clone._join_indexes = self._join_indexes
         return clone
 
     def to_rows(self) -> list[tuple]:

@@ -32,7 +32,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import Database, DataType, QueryOptions
 from repro.algebra.aggregates import AggregateSpec, agg, count_star
 from repro.algebra.expressions import col, lit
-from repro.algebra.operators import ScanTable
+from repro.algebra.operators import ScanTable, Select
 from repro.errors import ConfigurationError
 from repro.engine.options import resolve_kernel
 from repro.gmdj import (
@@ -450,7 +450,10 @@ def three_kernel_scans(catalog, gmdj, rule, selection):
     tile sizes that cut every base tuple's pairs mid-way and at the real
     one — asserting the row kernel's rows (so: order, and the partial
     aggregates of assured tuples) and its full IOStats snapshot each
-    time; yields ``(tile, detail_scan span)`` per numpy run."""
+    time; yields ``(tile, detail_scan span)`` per numpy run.  At 1, 2
+    and 7 a completion scan over hash blocks walks both phases of its
+    schedule on a few dozen rows: a first tile of that many pairs, then
+    tiles of 8x as many."""
     base = gmdj.base.evaluate(catalog)
     detail = gmdj.detail.evaluate(catalog)
     schema = gmdj.schema(catalog)
@@ -520,6 +523,28 @@ class TestCompletionOnArrays:
         assert result.rows == expected.rows == [(0, 1, 4)]
         assert numpy_stats.snapshot() == row_stats.snapshot()
 
+    def test_both_phases_of_the_tile_schedule_keep_rows_and_counters(self):
+        # Fanout 1 over 40 rows: at tile t the first tile holds t rows and
+        # every later one 8t.  Base 1 has no detail row, so the scan walks
+        # to the end; bases 0 and 2 complete inside the second phase (their
+        # third match is row 6 / 7), with partial sums and truncated
+        # residual evaluations the row kernel's.
+        catalog = Catalog()
+        catalog.create_table("B", Relation.from_columns(
+            [("K", DataType.INTEGER), ("X", DataType.INTEGER)],
+            [(0, -1), (1, -1), (2, -1)]))
+        catalog.create_table("R", Relation.from_columns(
+            [("K", DataType.INTEGER), ("Y", DataType.INTEGER)],
+            [((0, 2, 5)[i % 3], i) for i in range(40)]))
+        gmdj = md(ScanTable("B", "b"), ScanTable("R", "r"),
+                  [[count_star("c0"), agg("sum", col("r.Y"), "s0")]],
+                  [(col("b.K") == col("r.K")) & (col("r.Y") > col("b.X"))])
+        rule = CompletionRule(need_at_least=[(0, 3)], exhaustive=True,
+                              aggregates_projected=True)
+        tiles = {tile: scan.attrs["tiles"] for tile, scan in
+                 three_kernel_scans(catalog, gmdj, rule, None)}
+        assert tiles == {1: 6, 2: 4, 7: 2, npkernel.TILE_PAIRS: 1}
+
     @staticmethod
     def _scan_directly(catalog, gmdj, rule):
         """Call the array kernel the way ``run_gmdj_vectorized`` does."""
@@ -565,8 +590,9 @@ class TestCompletionOnArrays:
                                          selection, backend="numpy")
         assert result.rows == expected.rows
         assert numpy_stats.snapshot() == row_stats.snapshot()
-        (scan,) = tracer.trace().find(kind="detail_scan")
-        assert scan.attrs["fallbacks"] == tuple(reasons)
+        (span,) = tracer.trace().find(kind="detail_scan")
+        assert span.attrs["fallbacks"] == tuple(reasons)
+        return scan
 
     def test_unsupported_theta_under_a_rule_leaves_no_partial_state(self):
         # An object-encoded (>64-bit) column in θ has no array form.
@@ -607,9 +633,11 @@ class TestCompletionOnArrays:
                    & (col("r.V") * col("b.X") > lit(10)),
                    (col("b.K") == col("r.K")) & (col("r.V") < lit(0))])
         # Block 1 never matches, so every base tuple is still active
-        # (and has accumulated into block 0) when the guard trips.
-        self.assert_untouched_then_identical(
+        # (and has accumulated into block 0) when the guard trips — in
+        # the second tile, the first of the schedule's larger ones.
+        scan = self.assert_untouched_then_identical(
             catalog, gmdj, CompletionRule(must_be_zero=[1]), "overflow")
+        assert scan.tiles == 2
 
 
 class TestKeysStateAndRowsStayColumns:
@@ -741,6 +769,154 @@ class TestKeysStateAndRowsStayColumns:
         _, scan = self.run(catalog, gmdj, None, col("m") >= lit("g"))
         assert any(r.startswith("selection: ")
                    for r in scan.attrs["fallbacks"])
+
+
+def test_only_a_completion_scan_over_hash_blocks_grows_its_tiles():
+    # Three tiles' worth of rows at the real TILE_PAIRS.  Base key 9 has
+    # no detail row, so no scan ends before its last row.
+    rows = 3 * npkernel.TILE_PAIRS
+    catalog = Catalog()
+    catalog.create_table("B", Relation.from_columns(
+        [("K", DataType.INTEGER)], [(k,) for k in range(10)]))
+    catalog.create_table("R", Relation.from_columns(
+        [("K", DataType.INTEGER), ("Y", DataType.INTEGER)],
+        [(i % 9, i % 1000) for i in range(rows)]))
+
+    def tiles(theta, rule, selection):
+        gmdj = md(ScanTable("B", "b"), ScanTable("R", "r"),
+                  [[count_star("c")]], [theta])
+        _, scan = TestKeysStateAndRowsStayColumns.run(catalog, gmdj, rule,
+                                                      selection)
+        assert not scan.attrs.get("fallbacks")
+        return scan.attrs["tiles"]
+
+    # Figure 2's shape: one TILE_PAIRS tile, then the rest in one of 8x.
+    exists = CompletionRule(need_positive=[0], exhaustive=True,
+                            aggregates_projected=True)
+    hashed = (col("b.K") == col("r.K")) & (col("r.Y") > lit(990))
+    assert tiles(hashed, exists, col("c") > lit(0)) == 2
+    # The same block without a rule keeps TILE_PAIRS throughout ...
+    assert tiles(hashed, None, col("c") > lit(0)) == 3
+    # ... and so does Figure 4's ``<>`` under Thm 4.2 with a doom that
+    # never comes: ten active bases x rows per tile, all the way.
+    scanned = (col("r.K") != col("b.K")) & (col("r.Y") < lit(0))
+    assert tiles(scanned, CompletionRule(must_be_zero=[0]),
+                 col("c") == lit(0)) \
+        == -(-rows // (npkernel.TILE_PAIRS // 10))
+
+
+class TestJoinIndex:
+    """The key structure between two stored tables is a join index: the
+    detail encoding keeps it, and every later scan over the same pair of
+    encodings and key columns reuses it, whatever the query.  What is
+    per query — a derived operand, a computed key, a constant key side —
+    is built every time and never kept."""
+
+    @staticmethod
+    def catalog():
+        return TestKeysStateAndRowsStayColumns.catalog(
+            [(1, "x"), (2, "y"), (2, "x"), (None, "x")],
+            [(1, 5, "x"), (2, 7, "y"), (3, 1, "x"), (2, 0, None)])
+
+    @staticmethod
+    def join_index(catalog, base, thetas):
+        gmdj = md(base, ScanTable("R", "r"),
+                  [[count_star(f"c{i}")] for i in range(len(thetas))],
+                  thetas)
+        _, scan = TestKeysStateAndRowsStayColumns.run(catalog, gmdj)
+        return scan.attrs["join_index"]
+
+    def test_scans_over_one_key_share_one_index(self):
+        catalog = self.catalog()
+        key = col("b.K") == col("r.K")
+        with metrics_scope() as registry:
+            assert self.join_index(catalog, ScanTable("B", "b"), [key]) \
+                == ("built",)
+            # Another residual, another alias, two blocks on the key.
+            assert self.join_index(
+                catalog, ScanTable("B", "c"),
+                [(col("c.K") == col("r.K")) & (col("r.Y") > lit(2))]) \
+                == ("reused",)
+            assert self.join_index(
+                catalog, ScanTable("B", "b"),
+                [key, key & (col("r.T") == lit("x"))]) \
+                == ("reused", "reused")
+            # Another key column pair is another index.
+            assert self.join_index(catalog, ScanTable("B", "b"),
+                                   [col("b.S") == col("r.T")]) == ("built",)
+            assert registry.counter("npkernel.join_index_builds").value == 2
+            assert registry.counter("npkernel.join_index_reuses").value == 2
+        assert len(cached_columnar(catalog.table("R"))._join_indexes) == 2
+
+    @pytest.mark.parametrize("base, theta", [
+        (Select(ScanTable("B", "b"), col("b.K") > lit(0)),
+         col("b.K") == col("r.K")),
+        (ScanTable("B", "b"), col("b.K") + lit(0) == col("r.K")),
+        (ScanTable("B", "b"),
+         (col("b.K") == col("r.K")) & (col("b.S") == lit("x"))),
+    ], ids=["derived base", "computed key", "constant base side"])
+    def test_what_is_per_query_is_never_kept(self, base, theta):
+        catalog = self.catalog()
+        assert self.join_index(catalog, base, [theta]) == ("built",)
+        assert self.join_index(catalog, base, [theta]) == ("built",)
+        assert cached_columnar(catalog.table("R"))._join_indexes == []
+
+    def test_threads_racing_on_one_detail_encoding_get_their_own_rows(self):
+        # More threads than cores, a short switch interval and more base
+        # tables than the detail encoding keeps: scans race each other on
+        # misses, hits and evictions.  Each base table holds other keys,
+        # so an index served to the wrong base would change the rows.
+        import sys
+        import threading
+
+        catalog = Catalog()
+        names = [f"B{i}" for i in range(npkernel.JOIN_INDEXES_KEPT + 2)]
+        for shift, name in enumerate(names):
+            catalog.create_table(name, Relation.from_columns(
+                [("K", DataType.INTEGER)],
+                [(k + shift,) for k in range(6)] + [(None,)]))
+        catalog.create_table("R", Relation.from_columns(
+            [("K", DataType.INTEGER), ("Y", DataType.INTEGER)],
+            [(i % 11, i) for i in range(60)]))
+        nodes = []
+        for name in names:
+            gmdj = md(ScanTable(name, "b"), ScanTable("R", "r"),
+                      [[count_star("c"), agg("sum", col("r.Y"), "s")]],
+                      [col("b.K") == col("r.K")])
+            base = gmdj.base.evaluate(catalog)
+            detail = gmdj.detail.evaluate(catalog)
+            schema = gmdj.schema(catalog)
+            nodes.append((base, detail, gmdj, schema,
+                          run_gmdj(base, detail, gmdj, schema).rows))
+        failures = []
+
+        def scan(offset):
+            try:
+                for step in range(30):
+                    base, detail, gmdj, schema, expected = \
+                        nodes[(offset + step) % len(nodes)]
+                    rows = run_gmdj_vectorized(base, detail, gmdj, schema,
+                                               backend="numpy").rows
+                    if rows != expected:
+                        failures.append((gmdj.base, rows))
+            except Exception as exc:  # surfaced by the assert below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=scan, args=(offset,))
+                   for offset in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        kept = cached_columnar(catalog.table("R"))._join_indexes
+        assert 0 < len(kept) <= npkernel.JOIN_INDEXES_KEPT
 
 
 class TestColumnarEncodingCache:

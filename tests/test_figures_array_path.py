@@ -9,7 +9,15 @@ EXISTS.  Every detail scan must run on the numpy backend with no
 per-operator fallback, the customer x orders scans must resolve their
 dense custkey range by direct addressing, and every flat operator above
 the node must have taken its array form (``columnar=true``, no
-``fallback``).  (The CI workflow runs this file as its own step.)
+``fallback``).
+
+Over one database loaded from ``.cols``, a second run of each figure
+query must reuse the customer x orders join index the first one built,
+and the completion scans of Figures 2 and 5 — 2,000 customers and
+20,000 orders, so some customers never complete and the scan runs to
+the last row — must walk two tiles: ``TILE_PAIRS`` pairs, then the rest
+in one tile of 8x that.
+(The CI workflow runs this file as its own step.)
 """
 
 from __future__ import annotations
@@ -21,9 +29,16 @@ import pytest
 
 pytest.importorskip("numpy", exc_type=ImportError)
 
+from repro import Database, QueryOptions
 from repro.bench.workloads import build_fig2, build_fig4
 from repro.cli import main
+from repro.gmdj.npkernel import TILE_PAIRS
 from repro.storage import save_catalog
+from repro.storage.binio import (
+    binary_tables,
+    save_catalog_binary,
+    table_stem,
+)
 
 FIGURES = {
     "fig2": "SELECT c.custkey FROM customer c WHERE EXISTS "
@@ -42,12 +57,30 @@ FIGURES = {
             "AND o2.orderpriority = '1-URGENT')",
 }
 
+#: Customers, and orders rows: more than two tiles of ``TILE_PAIRS``, so
+#: the completion scans' two-phase schedule shows against one tile size
+#: throughout.
+CUSTOMERS, ORDERS = 2_000, 20_000
+
 
 @pytest.fixture(scope="module")
-def data_dir(tmp_path_factory):
+def catalogs():
+    return build_fig2(ORDERS, CUSTOMERS).catalog, build_fig4(300).catalog
+
+
+@pytest.fixture(scope="module")
+def data_dir(tmp_path_factory, catalogs):
     directory = tmp_path_factory.mktemp("figs_csv")
-    save_catalog(build_fig2(2000).catalog, directory)
-    save_catalog(build_fig4(300).catalog, directory)
+    for catalog in catalogs:
+        save_catalog(catalog, directory)
+    return directory
+
+
+@pytest.fixture(scope="module")
+def cols_dir(tmp_path_factory, catalogs):
+    directory = tmp_path_factory.mktemp("figs_cols")
+    for catalog in catalogs:
+        save_catalog_binary(catalog, directory)
     return directory
 
 
@@ -86,3 +119,21 @@ def test_figure_stays_on_arrays(data_dir, figure):
         assert span["attrs"]["columnar"] is True, span
         assert "fallback" not in span["attrs"], span
     assert "flat_fallbacks" not in payload["executed"]
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURES))
+def test_a_second_run_reuses_the_join_index(cols_dir, figure):
+    db = Database()
+    for path in binary_tables(cols_dir):
+        db.load_binary(table_stem(path), path)
+    query = db.sql(FIGURES[figure])
+    options = QueryOptions(backend="numpy", use_cache=False)
+    first, second = (db.explain_analyze(query, options).payload["executed"]
+                     for _ in range(2))
+    if figure == "fig4":  # the <> scan block has no key structure
+        assert "join_index" not in first and "join_index" not in second
+        return
+    assert set(first["join_index"]) == {"built"}, first
+    assert set(second["join_index"]) == {"reused"}, second
+    tiles = -(-ORDERS // TILE_PAIRS) if figure == "fig3" else 2
+    assert first["tiles"] == second["tiles"] == tiles, (first, second)

@@ -20,6 +20,7 @@ from repro.gmdj.operator import GMDJ, ThetaBlock
 from repro.lint import CostCertificate, GMDJCostEntry, certify_plan
 from repro.obs.explain import analyze, static_report
 from repro.obs.invariants import check_trace
+from repro.storage.npcolumns import HAVE_NUMPY
 
 
 def count_star(name: str) -> AggregateSpec:
@@ -120,11 +121,18 @@ class TestRuntimeCrossCheck:
     SQL = ("SELECT B.K FROM B WHERE B.X > "
            "(SELECT AVG(R.Y) FROM R WHERE R.K = B.K)")
 
-    def test_certificate_holds_on_traced_run(self, db):
+    @pytest.mark.parametrize("backend", [
+        "row", "python",
+        pytest.param("numpy", marks=pytest.mark.skipif(
+            not HAVE_NUMPY, reason="numpy extra not installed")),
+    ])
+    def test_certificate_holds_on_traced_run(self, db, backend):
         query = db.sql(self.SQL)
         report, invariants, _ = analyze(
-            db, query, QueryOptions(strategy="gmdj_optimized")
+            db, query, QueryOptions(strategy="gmdj_optimized",
+                                    backend=backend)
         )
+        assert report.trace.find(kind="query")[0].attrs["kernel"] == backend
         assert invariants.violations == []
         assert invariants.checked >= 1
 

@@ -10,15 +10,23 @@ lattice's points (``tests/test_physical_lattice.py``: strategy × kernel
 and compares every answer, rows *and order*, with a database rebuilt
 from scratch out of the rows inserted so far and asked with everything
 off.
+
+The array kernel's join index — the hash key structure it keeps on the
+detail table's encoding for the next scan over the same two tables — is
+one more such state: after every kind of write to either side the next
+query must build it afresh (and return the row kernel's rows), the one
+after that reuse it, and base-side writes must not pile indexes up on
+the detail encoding.
 """
 
 from __future__ import annotations
 
 from dataclasses import is_dataclass
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import Database, DataType, QueryOptions
+from repro import Database, DataType, QueryOptions, Relation
 from repro.algebra.expressions import Expression
 from repro.algebra.nested import Subquery
 from repro.algebra.operators import Operator, ProjectItem, ScanTable, Select
@@ -27,7 +35,10 @@ from repro.engine.cache import PlanCache, reads, scanned_tables
 from repro.gmdj.completion import CompletionRule
 from repro.gmdj.operator import ThetaBlock
 from repro.obs.tracer import tracing
+from repro.storage import save_binary
 from repro.storage.catalog import Catalog
+from repro.storage.columnar import cached_columnar
+from repro.storage.npcolumns import HAVE_NUMPY
 from tests.test_physical_lattice import CASES, FRAGMENTERS, KERNELS
 
 #: NULL-heavy like the lattice's data, but *sensitive*: half the base
@@ -106,6 +117,85 @@ def test_every_answer_is_the_rebuilt_databases_answer(points, writes):
         contents[table] = contents[table] + rows
         rebuilt = build(contents)
     assert live.catalog.indexed_attributes("R") == {"K"}
+
+
+#: The join index's data: R key 3 has no base tuple yet, base key 4 no
+#: detail row, and each side holds a NULL key.
+JOIN_B = [(1, 0), (2, 1), (None, 2), (4, 3)]
+JOIN_R = [(1, 5), (3, 2), (1, 0), (None, 7), (2, 3), (3, 9)]
+#: Two shapes over the one key pair B.K = R.K: the Figure 2 completion
+#: scan and an unfused COUNT comparison.
+JOIN_QUERIES = (
+    "SELECT b.K, b.X FROM B b WHERE EXISTS "
+    "(SELECT * FROM R r WHERE r.K = b.K AND r.Y > 2)",
+    "SELECT b.K FROM B b WHERE b.X < "
+    "(SELECT COUNT(*) FROM R r WHERE r.K = b.K)",
+)
+
+
+def _reload(name, rows):
+    def write(db, directory):
+        path = save_binary(Relation.from_columns(SCHEMAS[name], rows),
+                           directory / f"{name}.cols")
+        db.drop_table(name)
+        db.load_binary(name, path)
+    return write
+
+
+def _recreate(name, rows):
+    def write(db, directory):
+        db.drop_table(name)
+        db.create_table(name, SCHEMAS[name], rows)
+    return write
+
+
+JOIN_WRITES = {
+    "R insert, existing key": lambda db, _: db.insert("R", [(1, 6)]),
+    "R insert, new key": lambda db, _: db.insert("R", [(8, 6)]),
+    "R insert, NULL key": lambda db, _: db.insert("R", [(None, 6)]),
+    "B insert, key R rows match": lambda db, _: db.insert("B", [(3, 0)]),
+    "B insert, duplicate key": lambda db, _: db.insert("B", [(1, -1)]),
+    "R create_table": _recreate("R", JOIN_R + [(4, 8)]),
+    "B create_table": _recreate("B", JOIN_B + [(3, 1)]),
+    "R load_binary": _reload("R", JOIN_R[1:]),
+    "B load_binary": _reload("B", JOIN_B[::-1]),
+}
+
+
+def join_index_of(db, sql):
+    """The numpy run's ``join_index``, its rows held to the row kernel's."""
+    expected = db.execute_sql(
+        sql, QueryOptions(backend="row", use_cache=False)).rows
+    with tracing() as tracer:
+        rows = db.execute_sql(
+            sql, QueryOptions(backend="numpy", use_cache=False)).rows
+    assert rows == expected
+    (scan,) = tracer.trace().find(kind="detail_scan")
+    return scan.attrs["join_index"]
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy extra not installed")
+@pytest.mark.parametrize("write", list(JOIN_WRITES))
+def test_a_write_on_either_side_rebuilds_the_join_index(write, tmp_path):
+    db = build({"B": JOIN_B, "R": JOIN_R})
+    assert [join_index_of(db, sql) for sql in JOIN_QUERIES] \
+        == [("built",), ("reused",)]
+    JOIN_WRITES[write](db, tmp_path)
+    assert [join_index_of(db, sql) for sql in JOIN_QUERIES] \
+        == [("built",), ("reused",)]
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy extra not installed")
+def test_base_inserts_leave_at_most_the_bound_on_the_detail_encoding():
+    from repro.gmdj.npkernel import JOIN_INDEXES_KEPT
+
+    db = build({"B": JOIN_B, "R": JOIN_R})
+    for k in range(JOIN_INDEXES_KEPT + 2):
+        db.insert("B", [(k, k)])
+        assert join_index_of(db, JOIN_QUERIES[0]) == ("built",)
+        assert join_index_of(db, JOIN_QUERIES[1]) == ("reused",)
+    kept = cached_columnar(db.table("R"))._join_indexes
+    assert len(kept) == JOIN_INDEXES_KEPT
 
 
 def test_an_unread_table_invalidates_nothing():
