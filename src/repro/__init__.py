@@ -50,7 +50,6 @@ from repro.engine import (
 from repro.errors import (
     CertificateViolation,
     InvariantViolation,
-    LintError,
     ReproError,
 )
 from repro.gmdj import GMDJ, md, optimize_plan
@@ -75,7 +74,6 @@ __all__ = [
     "GMDJ",
     "CertificateViolation",
     "InvariantViolation",
-    "LintError",
     "LintReport",
     "NestedSelect",
     "QuantifiedComparison",

@@ -21,12 +21,13 @@ Every query runs through one internal path (:meth:`Database._run`),
 which also fronts the database's :class:`~repro.engine.cache.PlanCache`:
 repeated queries skip re-translation (and, for plain ``execute``,
 re-scanning).  A write invalidates what it can have changed:
-``insert(T)`` drops the cached results and rollups that read ``T`` and
-keeps every translation, the table's encoding (extended, not rebuilt)
-and its indexes; DDL that changes a schema or an access path
-(``create_table``, ``register``, ``load_csv``, ``load_binary``,
-``drop_table``, ``create_index``, ``drop_indexes``) drops everything
-derived.
+``insert(T)`` drops every cached result and rollup and keeps every
+translation, the table's encoding (extended, not rebuilt) and its
+indexes; DDL that changes a schema or an access path (``create_table``,
+``register``, ``load_csv``, ``load_binary``, ``drop_table``,
+``create_index``, ``drop_indexes``) drops everything derived.  Every
+write changes the catalog first and invalidates second, so a read that
+began before it stores nothing (see :mod:`repro.engine.cache`).
 
 >>> from repro import Database, DataType
 >>> db = Database()
@@ -40,7 +41,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.algebra.operators import Operator
-from repro.engine.cache import PlanCache, scanned_tables
+from repro.engine.cache import PlanCache
 from repro.engine.executor import run
 from repro.engine.rollup import RollupStore
 from repro.engine.options import QueryOptions
@@ -115,10 +116,12 @@ class Database:
         if self._closed:
             raise DatabaseClosedError("database is closed")
 
-    def _invalidate(self) -> None:
-        """Drop everything derived from the catalog's current contents."""
+    def _invalidate(self, written: Any = None) -> Any:
+        """Drop everything derived from the catalog's contents, once a
+        write has changed them; returns ``written``."""
         self.cache.invalidate()
         self.rollups.invalidate()
+        return written
 
     # -- DDL -----------------------------------------------------------------
 
@@ -131,14 +134,12 @@ class Database:
         """Create a table from ``(name, dtype)`` pairs and initial rows."""
         self._check_open()
         relation = Relation.from_columns(columns, rows, name=name)
-        self._invalidate()
-        return self.catalog.create_table(name, relation)
+        return self._invalidate(self.catalog.create_table(name, relation))
 
     def register(self, name: str, relation: Relation) -> Relation:
         """Install an existing relation as a table (replaces silently)."""
         self._check_open()
-        self._invalidate()
-        return self.catalog.replace_table(name, relation)
+        return self._invalidate(self.catalog.replace_table(name, relation))
 
     def insert(self, name: str, rows: Iterable[Sequence[Any]]) -> Relation:
         """Append rows to an existing table.
@@ -149,23 +150,21 @@ class Database:
         snapshot — its row list, its columnar arrays and its indexes.
         The copy's encoding is the old one ``appended`` with the new
         rows (no re-encode), the table's indexes are carried over, and
-        only what read this table is invalidated: cached results and
-        rollups of plans that scan ``name``.  Translations survive (a
-        rewrite reads schemas, never rows), as does everything derived
-        from other tables.
+        every cached result and rollup is dropped.  Translations survive
+        (a rewrite reads schemas, never rows).
         """
         self._check_open()
         relation = self.catalog.table(name).extended(rows)
         self.catalog.extend_table(name, relation)
-        self.cache.invalidate_table(name)
-        self.rollups.invalidate_table(name)
+        self.cache.invalidate_results()
+        self.rollups.invalidate_results()
         return relation
 
     def load_csv(self, name: str, path: str | Path) -> Relation:
         """Create a table from a CSV written by ``repro.storage.save_csv``."""
         self._check_open()
-        self._invalidate()
-        return self.catalog.create_table(name, load_csv(path, name=name))
+        return self._invalidate(
+            self.catalog.create_table(name, load_csv(path, name=name)))
 
     def load_binary(self, name: str, path: str | Path) -> Relation:
         """Create a table from a ``.cols`` binary column directory.
@@ -178,27 +177,26 @@ class Database:
         from repro.storage.binio import load_binary
 
         self._check_open()
-        self._invalidate()
-        return self.catalog.create_table(name, load_binary(path, name=name))
+        return self._invalidate(
+            self.catalog.create_table(name, load_binary(path, name=name)))
 
     def create_index(self, table: str, attribute: str) -> None:
         """Create a single-attribute hash index (conventional engines'
         correlation lookups and indexed joins use these)."""
         self._check_open()
-        self._invalidate()
         self.catalog.create_hash_index(table, [attribute])
+        self._invalidate()
 
     def drop_table(self, name: str) -> None:
         """Remove a table (and its indexes) from the catalog."""
         self._check_open()
-        self._invalidate()
         self.catalog.drop_table(name)
+        self._invalidate()
 
     def drop_indexes(self, table: str | None = None) -> int:
         """Drop indexes to study strategy stability (Figure 5)."""
         self._check_open()
-        self._invalidate()
-        return self.catalog.drop_all_indexes(table)
+        return self._invalidate(self.catalog.drop_all_indexes(table))
 
     def table(self, name: str) -> Relation:
         return self.catalog.table(name)
@@ -243,8 +241,10 @@ class Database:
         runs with this database's :class:`~repro.gmdj.pool.PoolRegistry`
         installed, so pooled partitioned evaluation reuses executors
         across queries (``close()`` is their deterministic teardown).
+        The result is stored only if no write landed while it ran.
         """
         self._check_open()
+        generation = self.catalog.generation
         result_key = None
         if not profiled and options.use_cache:
             result_key = (options.cache_key(), PlanCache.plan_key(query))
@@ -258,8 +258,8 @@ class Database:
             report = run(query, self.catalog, options, cache=self.cache,
                          profiled=profiled, rollups=self.rollups, plan=plan)
         if result_key is not None:
-            self.cache.store_result(result_key, report.result,
-                                    scanned_tables(query))
+            self.cache.store_result(result_key, report.result, self.catalog,
+                                    generation)
         return report
 
     def execute(
@@ -301,18 +301,14 @@ class Database:
         self,
         query: Operator,
         options: QueryOptions | None = None,
-        *,
-        trace: bool | None = None,
     ) -> ExecutionReport:
         """Evaluate and return timing plus work counters.
 
-        With ``trace`` (or ``QueryOptions(trace=True)``) the run also
-        records an operator span tree (attached as ``report.trace``) for
-        EXPLAIN ANALYZE and the invariant checker.
+        Under ``QueryOptions(trace=True)`` the run also records an
+        operator span tree (attached as ``report.trace``) for EXPLAIN
+        ANALYZE and the invariant checker.
         """
         options = self._require_options(options, "profile")
-        if trace is not None:
-            options = options.with_trace(trace)
         return self._run(query, options, profiled=True)
 
     def explain(

@@ -102,10 +102,7 @@ def execute(query: Operator, catalog: Catalog,
 def profile(
     query: Operator, catalog: Catalog,
     options: QueryOptions | str | None = None,
-    trace: bool = False,
 ) -> ExecutionReport:
-    """Evaluate ``query`` and capture wall-clock time and work counters."""
-    options = QueryOptions.of(options)
-    if trace:
-        options = options.with_trace(True)
+    """Evaluate ``query`` and capture wall-clock time and work counters
+    (and, under ``QueryOptions(trace=True)``, the span tree)."""
     return run(query, catalog, options)

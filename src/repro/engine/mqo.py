@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence, overload
 
 from repro.algebra.operators import Operator
 from repro.engine.options import QueryOptions
-from repro.engine.planner import lint_gate, plan_for
+from repro.engine.planner import plan_for
 from repro.errors import ConfigurationError
 from repro.gmdj.operator import GMDJ
 from repro.gmdj.physical import (
@@ -122,10 +122,9 @@ class BatchPlan:
     queries: int
     groups: list[PlannedGroup]
     singletons: list[int]
-    #: The tree each member executes, by index — built (and, under
-    #: ``lint``, gated) here once, so a member that runs alone is not
-    #: planned again; None where nothing was planned (level ``off``, a
-    #: batch of one).
+    #: The tree each member executes, by index — built here once, so a
+    #: member that runs alone is not planned again; None where nothing
+    #: was planned (level ``off``, a batch of one).
     plans: list[Operator | None]
 
     @property
@@ -158,11 +157,6 @@ def plan_batch(
         # query's) fingerprints to None and stays a singleton.
         plan = plan_for(query, catalog, canon.strategy, translations)
         plans.append(plan)
-        if plan is not query and canon.lint != "off":
-            # The one gate of a translated plan: group members bypass
-            # the executor, and a singleton's run is handed this plan
-            # (the executor still gates the query as written).
-            lint_gate(plan, catalog, canon.lint)
         if not _plan_decomposable(plan):
             # Certificate gate: coalescing stacks every member's blocks
             # onto one shared scan and merges per-member results, which

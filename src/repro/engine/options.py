@@ -21,15 +21,10 @@ frozen dataclass, :class:`QueryOptions`:
 * ``use_cache``     — consult the database's plan/result cache.
 * ``rollup``        — the semantic rollup tier
   (:mod:`repro.engine.rollup`): ``"off"`` (the default) disables it,
-  ``"exact"`` answers GMDJ nodes whose signature was materialized
-  verbatim, ``"subsume"`` additionally answers finer queries from
-  coarser stored rollups via residual filtering.  Orthogonal to
-  ``use_cache`` (which caches whole query results by exact key).
-* ``lint``          — run the static plan verifier (:mod:`repro.lint`)
-  over the translated plan before executing it: ``"off"`` (the
-  default) skips it, ``"warn"`` surfaces error diagnostics as Python
-  warnings, ``"strict"`` raises :class:`~repro.errors.LintError`
-  fail-fast.
+  ``"subsume"`` answers GMDJ nodes from stored rollups — a verbatim
+  signature match first (the exact tier), then finer queries from
+  coarser rollups via residual filtering.  Orthogonal to ``use_cache``
+  (which caches whole query results by exact key).
 * ``mqo``           — multi-query optimization for batch execution
   (:mod:`repro.engine.mqo`): ``"off"`` runs every batch member
   independently, ``"coalesce"`` merges each share group into one
@@ -37,8 +32,8 @@ frozen dataclass, :class:`QueryOptions`:
   ``Database.execute_batch`` / ``execute_sql_batch`` consult it;
   single-query entry points ignore it.
 
-``backend``, ``lint``, ``rollup`` and ``mqo`` default to one of their
-own listed names, never ``None``: options come from the call, not the
+``backend``, ``rollup`` and ``mqo`` default to one of their own listed
+names, never ``None``: options come from the call, not the
 process environment.  Construction checks every value: ``partitions``
 / ``workers`` must be positive ``int`` (not ``bool``), ``trace`` /
 ``use_cache`` ``bool``, the rest one of their listed names — anything
@@ -79,9 +74,7 @@ GMDJ_STRATEGIES = frozenset({"gmdj", "gmdj_optimized"})
 #: python.
 BACKENDS = ("row", "python", "numpy", "auto")
 
-LINT_LEVELS = ("off", "warn", "strict")
-
-ROLLUP_LEVELS = ("off", "exact", "subsume")
+ROLLUP_LEVELS = ("off", "subsume")
 
 MQO_LEVELS = ("off", "coalesce")
 
@@ -113,7 +106,6 @@ class QueryOptions:
     workers: int | None = None
     trace: bool = False
     use_cache: bool = True
-    lint: str = "off"
     rollup: str = "off"
     mqo: str = "coalesce"
 
@@ -133,11 +125,6 @@ class QueryOptions:
             from repro.storage.npcolumns import require_numpy
 
             require_numpy()
-        if self.lint not in LINT_LEVELS:
-            raise ConfigurationError(
-                f"unknown lint level {self.lint!r}; "
-                f"choose one of {LINT_LEVELS}"
-            )
         if self.rollup not in ROLLUP_LEVELS:
             raise ConfigurationError(
                 f"unknown rollup level {self.rollup!r}; "
@@ -221,11 +208,9 @@ class QueryOptions:
     def cache_key(self) -> tuple:
         """The options components that affect a query's cached artifacts.
 
-        ``lint`` participates because a lint-gated run that would have
-        raised must not be satisfied from a result another options
-        object cached.  ``mqo`` does not: a shared group bypasses the
-        result cache, and a singleton runs the plan it would run alone.
+        ``mqo`` does not: a shared group bypasses the result cache, and a
+        singleton runs the plan it would run alone.
         """
         canon = self.canonical()
         return (canon.strategy, canon.kernel(), canon.fragmenter(),
-                canon.partitions, canon.workers, canon.lint, canon.rollup)
+                canon.partitions, canon.workers, canon.rollup)

@@ -57,7 +57,6 @@ from repro.unnesting.translate import subquery_to_gmdj
 
 __all__ = [
     "STRATEGIES",
-    "lint_gate",
     "make_executor",
     "plan_for",
 ]
@@ -70,35 +69,6 @@ _BASELINES: dict[str, Callable[[Operator, Catalog], Relation]] = {
     "unnest_join": partial(evaluate_join_unnest, use_indexes=True),
     "unnest_join_noindex": partial(evaluate_join_unnest, use_indexes=False),
 }
-
-
-def lint_gate(plan: Operator, catalog: Catalog, level: str) -> None:
-    """Fail-fast static verification of a plan about to execute.
-
-    Only error-severity diagnostics gate execution (the plan would raise
-    or silently diverge from SQL semantics); warnings and advice belong
-    to the CLI/EXPLAIN surfaces, not the hot path.
-    """
-    from repro.lint import lint_plan
-    from repro.lint.diagnostics import LintWarning
-
-    report = lint_plan(plan, catalog, advice=False)
-    if report.ok:
-        return
-    rendered = "; ".join(d.render() for d in report.errors)
-    if level == "strict":
-        from repro.errors import LintError
-
-        raise LintError(
-            f"static plan verification failed: {rendered}",
-            diagnostics=report.errors,
-        )
-    import warnings
-
-    warnings.warn(
-        f"static plan verification found errors: {rendered}",
-        LintWarning, stacklevel=3,
-    )
 
 
 def _holds_gmdj(plan: Operator) -> bool:
@@ -129,7 +99,8 @@ def plan_for(
     ``gmdj_optimized`` adds the Section 4 optimizations; a pre-translated
     plan passes through the translator untouched, which is how the
     ablation plans run under ``gmdj``.  ``cache`` memoizes translations
-    per ``(strategy, normalized query)``.
+    per ``(strategy, normalized query)``; a translation is not kept if
+    the catalog was written while it ran.
     """
     if strategy not in STRATEGIES:
         raise PlanError(
@@ -143,8 +114,9 @@ def plan_for(
     key = (strategy, PlanCache.plan_key(query))
     plan = cache.translation(key)
     if plan is None:
+        generation = catalog.generation
         plan = subquery_to_gmdj(query, catalog, optimize=optimize)
-        cache.store_translation(key, plan)
+        cache.store_translation(key, plan, catalog, generation)
     return plan
 
 
@@ -172,17 +144,10 @@ def make_executor(
 
     ``plan`` is what :func:`plan_for` returned for ``query`` under these
     options, when the caller holds it already (a batch plans every
-    member to find its share groups — and gates what it translated): a
-    GMDJ run then walks it as it is instead of planning again.
+    member to find its share groups): a GMDJ run then walks it as it is
+    instead of planning again.
     """
     options = QueryOptions.of(options).canonical()
-    lint = options.lint
-    if lint != "off":
-        # Verify the input tree eagerly — this covers the baseline
-        # strategies (which execute the query as-is); the GMDJ
-        # strategies additionally verify their translated plan inside
-        # the runner.
-        lint_gate(query, catalog, lint)
     strategy = options.strategy
     physical: dict[str, str] = {}
     runner: Callable[[], Relation]
@@ -201,8 +166,7 @@ def make_executor(
         fragmenter = options.fragmenter()
         if fragmenter is not None:
             physical["fragmenter"] = fragmenter
-        runner = _gmdj_runner(query, catalog, options, lint, cache, rollups,
-                              plan)
+        runner = _gmdj_runner(query, catalog, options, cache, rollups, plan)
 
     def traced() -> Relation:
         from repro.obs.tracer import span
@@ -219,19 +183,14 @@ def _gmdj_runner(
     query: Operator,
     catalog: Catalog,
     options: QueryOptions,
-    lint: str,
     cache: PlanCache | None,
     rollups: RollupStore | None,
     planned: Operator | None = None,
 ) -> Callable[[], Relation]:
     """Build the runner for a GMDJ strategy: :func:`plan_for`, then walk
-    the plan through the one physical pipeline the options select.
-
-    With ``lint`` active the translated plan passes through the static
-    verifier before evaluation — *after* any cache retrieval, since the
-    translation cache is shared across options objects and a cached
-    plan may never have been linted.  A plan handed in (``planned``)
-    was built, and gated, by the caller under these same options.
+    the plan through the one physical pipeline the options select.  A
+    plan handed in (``planned``) was built by the caller under these
+    same options.
     """
     from repro.gmdj.physical import (
         evaluate_plan,
@@ -242,16 +201,14 @@ def _gmdj_runner(
     kernel = select_kernel(options.backend)
     fragmenter = select_fragmenter(options.partitions, options.workers)
     hook = None
-    if rollups is not None and options.rollup in ("exact", "subsume"):
-        hook = rollups.node_hook(catalog, options.rollup == "subsume")
+    if rollups is not None and options.rollup == "subsume":
+        hook = rollups.node_hook(catalog)
     translations = cache if options.use_cache else None
 
     def run() -> Relation:
         plan = planned
         if plan is None:
             plan = plan_for(query, catalog, options.strategy, translations)
-            if lint != "off":
-                lint_gate(plan, catalog, lint)
         return evaluate_plan(plan, catalog, kernel, fragmenter, hook)
 
     return run

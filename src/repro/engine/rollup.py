@@ -45,11 +45,11 @@ served: their completion output carries partial aggregates on assured
 rows, so it is not a reusable rollup.
 
 Staleness is handled the same way as :class:`~repro.engine.cache.PlanCache`:
-every entry records the stored tables its node reads
-(:func:`~repro.engine.cache.scanned_tables`), ``Database.insert(T)``
-drops exactly the entries that read ``T``
-(:meth:`RollupStore.invalidate_table`), and DDL that changes a schema or
-an access path drops them all (:meth:`RollupStore.invalidate`).
+every write drops every entry — ``Database.insert`` through
+:meth:`RollupStore.invalidate_results`, DDL that changes a schema or an
+access path through :meth:`RollupStore.invalidate` — and an entry whose
+evaluation began before a write landed is not stored (the hook records
+the catalog's generation when the run starts).
 Maintaining an entry under an insert instead of dropping it (Gray et
 al.: fold ΔR into the distributive/algebraic scratchpads) is not done —
 a rebuild is one detail scan, cheaper at this scale than the per-entry
@@ -69,7 +69,6 @@ from typing import Callable, Sequence
 from repro.algebra.analysis import refers_only_to
 from repro.algebra.expressions import Expression, conjuncts_of
 from repro.algebra.operators import Operator, Select
-from repro.engine.cache import reads, scanned_tables
 from repro.errors import ReproError
 from repro.gmdj.operator import GMDJ, ThetaBlock
 from repro.gmdj.physical import NodeHook
@@ -121,9 +120,6 @@ class RollupEntry:
     base_text: str
     detail_text: str
     base_schema: Schema
-    #: Stored tables the node reads (None: any); an insert into one
-    #: drops the entry.
-    tables: frozenset[str] | None
 
     @property
     def base_arity(self) -> int:
@@ -150,14 +146,14 @@ class RollupStore:
         self.stores = 0
         self.invalidations = 0
         self.table_invalidations = 0
-        #: Entries the last ``invalidate_table`` kept / dropped.
-        self.last_insert_kept = 0
-        self.last_insert_dropped = 0
 
     # -- store -----------------------------------------------------------------
 
-    def store(self, node: GMDJ, relation: Relation, catalog: Catalog) -> None:
-        """Snapshot ``relation`` as the rollup for ``node``."""
+    def store(self, node: GMDJ, relation: Relation, catalog: Catalog,
+              generation: int) -> None:
+        """Snapshot ``relation`` as the rollup for ``node`` unless
+        ``catalog`` was written since ``generation``, when its
+        evaluation began."""
         try:
             base_schema = node.base.schema(catalog)
         except ReproError:
@@ -168,9 +164,10 @@ class RollupStore:
         entry = RollupEntry(
             gmdj=node, relation=relation.copy(), base_text=base_text,
             detail_text=detail_text, base_schema=base_schema,
-            tables=scanned_tables(node),
         )
         with self._lock:
+            if catalog.generation != generation:
+                return
             if signature not in self._entries:
                 self._shapes.setdefault(
                     (base_text, detail_text), []
@@ -197,14 +194,12 @@ class RollupStore:
 
     # -- probe -----------------------------------------------------------------
 
-    def probe(
-        self, node: GMDJ, catalog: Catalog, subsume: bool,
-    ) -> tuple[Relation, str] | None:
+    def probe(self, node: GMDJ) -> tuple[Relation, str] | None:
         """Try to answer ``node`` from stored rollups.
 
-        Returns ``(relation, tier)`` — tier ``"exact"`` or ``"subsume"``
-        — or ``None`` on a miss.  The returned relation is always an
-        independent copy.
+        Returns ``(relation, tier)`` — tier ``"exact"`` for a verbatim
+        signature match, else ``"subsume"`` — or ``None`` on a miss.
+        The returned relation is always an independent copy.
         """
         base_text = _plan_text(node.base)
         detail_text = _plan_text(node.detail)
@@ -216,10 +211,9 @@ class RollupStore:
                 self.exact_hits += 1
                 get_registry().counter("rollup.exact_hits").inc()
                 return entry.relation.copy(), "exact"
-            if subsume:
-                served = self._probe_subsume(node, detail_text, base_text)
-                if served is not None:
-                    return served, "subsume"
+            served = self._probe_subsume(node, detail_text, base_text)
+            if served is not None:
+                return served, "subsume"
             self.misses += 1
         get_registry().counter("rollup.misses").inc()
         return None
@@ -286,7 +280,7 @@ class RollupStore:
 
     # -- plan-walker hook ------------------------------------------------------
 
-    def node_hook(self, catalog: Catalog, subsume: bool) -> NodeHook:
+    def node_hook(self, catalog: Catalog) -> NodeHook:
         """The per-GMDJ hook for :func:`repro.gmdj.physical.evaluate_plan`.
 
         The walker hands the hook each *original* node, whose base/detail
@@ -294,11 +288,13 @@ class RollupStore:
         children are anonymous materialized tables and would not make
         stable signatures.  Hits emit a ``rollup_hit`` span (with the
         tier that answered) and never call ``evaluate``; misses wrap the
-        evaluation in a ``rollup_miss`` span and store the fresh result.
+        evaluation in a ``rollup_miss`` span and store the fresh result,
+        unless the catalog was written since the hook was made.
         """
+        generation = catalog.generation
 
         def hook(node: GMDJ, evaluate: Callable[[], Relation]) -> Relation:
-            served = self.probe(node, catalog, subsume=subsume)
+            served = self.probe(node)
             if served is not None:
                 relation, tier = served
                 with span("rollup", kind="rollup_hit", tier=tier,
@@ -306,7 +302,7 @@ class RollupStore:
                     return relation
             with span("rollup", kind="rollup_miss"):
                 result = evaluate()
-            self.store(node, result, catalog)
+            self.store(node, result, catalog, generation)
             return result
 
         return hook
@@ -322,19 +318,13 @@ class RollupStore:
             self.invalidations += 1
         get_registry().counter("rollup.invalidations").inc()
 
-    def invalidate_table(self, table: str) -> None:
-        """Rows were appended to ``table``: drop the rollups whose node
-        reads it; every other entry still answers."""
+    def invalidate_results(self) -> None:
+        """Rows were appended to a table: drop every rollup, counted as
+        a table invalidation."""
         with self._lock:
-            stale = [(signature, entry)
-                     for signature, entry in self._entries.items()
-                     if reads(entry.tables, table)]
-            for signature, entry in stale:
-                del self._entries[signature]
-                self._unindex(signature, entry)
+            self._entries.clear()
+            self._shapes.clear()
             self.table_invalidations += 1
-            self.last_insert_dropped = len(stale)
-            self.last_insert_kept = len(self._entries)
         get_registry().counter("rollup.table_invalidations").inc()
 
     def __len__(self) -> int:
@@ -350,8 +340,6 @@ class RollupStore:
             "stores": self.stores,
             "invalidations": self.invalidations,
             "table_invalidations": self.table_invalidations,
-            "last_insert_kept": self.last_insert_kept,
-            "last_insert_dropped": self.last_insert_dropped,
         }
 
 

@@ -93,20 +93,6 @@ class CertificateViolation(InvariantViolation):
     """
 
 
-class LintError(ReproError):
-    """The static plan verifier found an error-severity diagnostic.
-
-    Raised by the planner's fail-fast lint pass
-    (``QueryOptions(lint="strict")``) before any operator executes; the
-    offending :class:`~repro.lint.diagnostics.PlanDiagnostic` list is
-    attached as ``diagnostics``.
-    """
-
-    def __init__(self, message: str, diagnostics: tuple = ()):
-        super().__init__(message)
-        self.diagnostics = tuple(diagnostics)
-
-
 class SQLSyntaxError(ReproError):
     """The SQL lexer or parser rejected the input text."""
 

@@ -45,7 +45,6 @@ from repro.lint.cost import CostCertificate, GMDJCostEntry, certify_batch, certi
 from repro.lint.diagnostics import (
     DIAGNOSTIC_CODES,
     LintReport,
-    LintWarning,
     PlanDiagnostic,
     Severity,
     plan_codes,
@@ -78,7 +77,6 @@ __all__ = [
     "GMDJCapabilityEntry",
     "GMDJCostEntry",
     "LintReport",
-    "LintWarning",
     "Nullability",
     "PlanDiagnostic",
     "PlanTyper",

@@ -59,7 +59,7 @@ MUTATING_CALLS = frozenset({
     "load_csv",
     "load_binary",
     "invalidate",
-    "invalidate_table",
+    "invalidate_results",
 })
 
 #: Mutations whose names ``list`` shares: C301 matches them only on a

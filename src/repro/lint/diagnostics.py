@@ -22,10 +22,6 @@ import enum
 from dataclasses import dataclass, field
 
 
-class LintWarning(UserWarning):
-    """Emitted by ``QueryOptions(lint="warn")`` for error diagnostics."""
-
-
 class Severity(enum.IntEnum):
     """Diagnostic severity, ordered so ``max()`` picks the worst."""
 

@@ -23,6 +23,10 @@ class Catalog:
         self._tables: dict[str, Relation] = {}
         self._hash_indexes: dict[tuple[str, tuple[str, ...]], HashIndex] = {}
         self._sorted_indexes: dict[tuple[str, str], SortedIndex] = {}
+        #: Bumped by every table or index write, once it is visible; what
+        #: is derived from the contents is kept only if it did not move
+        #: (see :mod:`repro.engine.cache`).
+        self.generation = 0
 
     # -- tables ----------------------------------------------------------------
 
@@ -31,6 +35,7 @@ class Catalog:
             raise CatalogError(f"table {name!r} already exists")
         relation.name = name
         self._tables[name] = relation
+        self.generation += 1
         return relation
 
     def replace_table(self, name: str, relation: Relation) -> Relation:
@@ -43,6 +48,7 @@ class Catalog:
         self._sorted_indexes = {
             key: idx for key, idx in self._sorted_indexes.items() if key[0] != name
         }
+        self.generation += 1
         return relation
 
     def extend_table(self, name: str, relation: Relation) -> Relation:
@@ -61,6 +67,7 @@ class Catalog:
         for registry in (self._hash_indexes, self._sorted_indexes):
             for key in [key for key in registry if key[0] == name]:
                 registry[key] = registry[key].extended(relation, start)
+        self.generation += 1
         return relation
 
     def drop_table(self, name: str) -> None:
@@ -73,6 +80,7 @@ class Catalog:
         self._sorted_indexes = {
             key: idx for key, idx in self._sorted_indexes.items() if key[0] != name
         }
+        self.generation += 1
 
     def table(self, name: str) -> Relation:
         try:
@@ -95,6 +103,7 @@ class Catalog:
             raise CatalogError(f"hash index on {key} already exists")
         index = HashIndex(relation, attributes)
         self._hash_indexes[key] = index
+        self.generation += 1
         return index
 
     def create_sorted_index(self, table: str, attribute: str) -> SortedIndex:
@@ -104,6 +113,7 @@ class Catalog:
             raise CatalogError(f"sorted index on {key} already exists")
         index = SortedIndex(relation, attribute)
         self._sorted_indexes[key] = index
+        self.generation += 1
         return index
 
     def hash_index(self, table: str, attributes: Sequence[str]) -> HashIndex | None:
@@ -137,4 +147,5 @@ class Catalog:
             dropped += len(stale)
             for key in stale:
                 del registry[key]
+        self.generation += 1
         return dropped

@@ -457,13 +457,13 @@ def test_rollup_tiers_serve_columns(monkeypatch):
     # Fig 3's node is a plain GMDJ (no completion), so the store takes
     # it; the finer factor is the same node under another Select.
     db = make_db()
-    exact = QueryOptions(backend="numpy", use_cache=False, rollup="exact")
+    warm = QueryOptions(backend="numpy", use_cache=False, rollup="subsume")
     expected = db.execute_sql(FIG3, ROW).rows
-    assert db.execute_sql(FIG3, exact).rows == expected  # stores
+    assert db.execute_sql(FIG3, warm).rows == expected  # stores
     forbid_per_tuple_python(monkeypatch)
-    result, spans = flat_spans(db, FIG3, exact)
+    result, spans = flat_spans(db, FIG3, warm)
     assert result.rows == expected
-    assert db.rollups.stats()["exact_hits"] == 1
+    assert db.rollups.stats()["exact_hits"] == 1  # the verbatim tier
     assert all(span.attrs["columnar"] for span in spans)
 
 

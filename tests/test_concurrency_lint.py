@@ -59,8 +59,8 @@ def refresh(tenant, lock):
     'db.register("t", relation)',
     'db.load_binary("t", path)',
     'db.table("t").extend(rows)',
-    'db.cache.invalidate_table("t")',
-    'db.rollups.invalidate_table("t")',
+    'db.cache.invalidate_results()',
+    'db.rollups.invalidate_results()',
 ])
 def test_c301_every_write_entry_point_is_a_mutation(call):
     # Seeded violation: a write slipped into a reader region.  (`insert`,

@@ -99,7 +99,7 @@ class TestStrategies:
     def test_auto_on_nested(self, db):
         # The default options: a nested query goes through the GMDJ.
         expected = db.execute(nested_query(), QueryOptions("naive"))
-        report = db.profile(nested_query(), trace=True)
+        report = db.profile(nested_query(), QueryOptions(trace=True))
         assert expected.bag_equal(report.result)
         (query_span,) = report.trace.find(kind="query")
         assert query_span.attrs["strategy"] == "gmdj_optimized"
@@ -107,7 +107,7 @@ class TestStrategies:
     def test_auto_on_flat(self, db):
         # ... and a subquery-free one is evaluated plainly.
         query = Select(ScanTable("B", "b"), col("b.X") > lit(2))
-        report = db.profile(query, trace=True)
+        report = db.profile(query, QueryOptions(trace=True))
         assert len(report.result) == 2
         (query_span,) = report.trace.find(kind="query")
         assert query_span.attrs == {"strategy": "plain"}

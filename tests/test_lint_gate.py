@@ -1,168 +1,29 @@
-"""The planner's fail-fast lint gate, ``repro lint`` CLI, and tooling config.
+"""The ``repro lint`` CLI, ``lint_plan`` on a query, and tooling config.
 
-``QueryOptions(lint=...)`` threads the static verifier into every
-execution path: ``strict`` refuses to run a plan with error-severity
-diagnostics (raising :class:`~repro.errors.LintError` *before* any
-tuple is touched), ``warn`` downgrades them to :class:`LintWarning`.
-The gate re-checks translations served from the plan cache, since the
-translation cache key is options-independent.
+The verifier is a tool, not an execution gate: ``repro lint``, EXPLAIN's
+lint panel and the fuzz oracle's ``lint`` pseudo-engine run it, and a
+query runs without it.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import warnings
 
 import pytest
 
-from repro import Database, DataType, LintError, QueryOptions
-from repro.algebra.expressions import Comparison
+from repro import Database, DataType, lint_plan
 from repro.cli import main
-from repro.errors import ConfigurationError
-from repro.lint import LintWarning
 from repro.storage import Relation, save_csv
-from repro.unnesting import translate
-
-CORRELATED_SQL = (
-    "SELECT C.CID FROM CUSTOMER C WHERE EXISTS "
-    "(SELECT O.OID FROM ORDERS O WHERE O.CID = C.CID AND O.AMT > "
-    "(SELECT AVG(P.AMT) FROM PAYMENTS P WHERE P.CID = C.CID))"
-)
 
 
-@pytest.fixture
-def typed_db() -> Database:
+def test_lint_plan_flags_a_string_compared_with_a_number():
     db = Database()
-    db.create_table(
-        "T", [("S", DataType.STRING), ("N", DataType.INTEGER)], []
-    )
-    return db
-
-
-@pytest.fixture
-def orders_db() -> Database:
-    db = Database()
-    db.create_table(
-        "CUSTOMER",
-        [("CID", DataType.INTEGER), ("GRADE", DataType.INTEGER)],
-        [(1, 10), (2, None), (3, 30)],
-    )
-    db.create_table(
-        "ORDERS",
-        [("OID", DataType.INTEGER), ("CID", DataType.INTEGER),
-         ("AMT", DataType.INTEGER)],
-        [(1, 1, 5), (2, 2, 7), (3, 3, 9)],
-    )
-    db.create_table(
-        "PAYMENTS",
-        [("PID", DataType.INTEGER), ("CID", DataType.INTEGER),
-         ("AMT", DataType.INTEGER)],
-        [(1, 1, 4), (2, 2, 6)],
-    )
-    return db
-
-
-class TestOptions:
-    def test_lint_level_validation(self):
-        with pytest.raises(ConfigurationError):
-            QueryOptions(lint="loud")
-        with pytest.raises(ConfigurationError):
-            QueryOptions(lint=None)
-        for level in ("off", "warn", "strict"):
-            QueryOptions(lint=level)
-
-    def test_off_normalizes_to_none_in_cache_key(self):
-        assert (QueryOptions(lint="off").cache_key()
-                == QueryOptions().cache_key())
-
-    def test_lint_level_partitions_result_cache(self):
-        assert (QueryOptions(lint="strict").cache_key()
-                != QueryOptions().cache_key())
-        assert (QueryOptions(lint="strict").cache_key()
-                != QueryOptions(lint="warn").cache_key())
-
-
-class TestGate:
-    BAD_SQL = "SELECT T.S FROM T WHERE T.S = 1"
-
-    def test_off_executes(self, typed_db):
-        # Zero rows: the runtime never evaluates the broken predicate.
-        result = typed_db.execute_sql(self.BAD_SQL)
-        assert len(result) == 0
-
-    def test_strict_raises_before_execution(self, typed_db):
-        with pytest.raises(LintError) as excinfo:
-            typed_db.execute_sql(
-                self.BAD_SQL, QueryOptions(lint="strict")
-            )
-        assert any(d.code == "L003" for d in excinfo.value.diagnostics)
-        assert "static plan verification failed" in str(excinfo.value)
-
-    def test_warn_warns_and_executes(self, typed_db):
-        with pytest.warns(LintWarning):
-            result = typed_db.execute_sql(
-                self.BAD_SQL, QueryOptions(lint="warn")
-            )
-        assert len(result) == 0
-
-    def test_clean_query_passes_strict(self, typed_db):
-        result = typed_db.execute_sql(
-            "SELECT T.N FROM T WHERE T.N > 1", QueryOptions(lint="strict")
-        )
-        assert len(result) == 0
-
-    def test_gate_covers_baseline_strategies(self, typed_db):
-        with pytest.raises(LintError):
-            typed_db.execute_sql(
-                self.BAD_SQL,
-                QueryOptions(strategy="naive", lint="strict"),
-            )
-
-    def test_strict_catches_seeded_translation_bug(self, orders_db,
-                                                   monkeypatch):
-        """The query itself is clean; only the translated plan is broken."""
-        monkeypatch.setattr(
-            translate, "_null_safe_equal",
-            lambda left, right: Comparison("=", left, right),
-        )
-        with pytest.raises(LintError) as excinfo:
-            orders_db.execute_sql(
-                CORRELATED_SQL,
-                QueryOptions(strategy="gmdj", lint="strict"),
-            )
-        assert any(d.code == "L007" for d in excinfo.value.diagnostics)
-
-    def test_gate_rechecks_cached_translations(self, orders_db, monkeypatch):
-        """A buggy plan cached by an unlinted run cannot sneak past."""
-        monkeypatch.setattr(
-            translate, "_null_safe_equal",
-            lambda left, right: Comparison("=", left, right),
-        )
-        options = QueryOptions(strategy="gmdj")
-        # First run translates (and caches) the buggy plan without lint.
-        orders_db.execute_sql(CORRELATED_SQL, options)
-        with pytest.raises(LintError):
-            orders_db.execute_sql(
-                CORRELATED_SQL,
-                QueryOptions(strategy="gmdj", lint="strict"),
-            )
-
-    def test_healthy_translation_passes_strict(self, orders_db):
-        result = orders_db.execute_sql(
-            CORRELATED_SQL, QueryOptions(strategy="gmdj", lint="strict")
-        )
-        baseline = orders_db.execute_sql(
-            CORRELATED_SQL, QueryOptions(strategy="naive")
-        )
-        assert sorted(result.rows) == sorted(baseline.rows)
-
-    def test_warn_mode_emits_no_warning_on_clean_plan(self, orders_db):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", LintWarning)
-            orders_db.execute_sql(
-                CORRELATED_SQL, QueryOptions(strategy="gmdj", lint="warn")
-            )
+    db.create_table("T", [("S", DataType.STRING), ("N", DataType.INTEGER)])
+    report = lint_plan(db.sql("SELECT T.S FROM T WHERE T.S = 1"), db.catalog)
+    assert [d.code for d in report.errors] == ["L003"]
+    # ... and the query still runs: zero rows, the predicate never met.
+    assert len(db.execute_sql("SELECT T.S FROM T WHERE T.S = 1")) == 0
 
 
 @pytest.fixture

@@ -236,9 +236,9 @@ class TestExecuteBatchSurface:
 
 
 class TestABatchPlansEachMemberOnce:
-    """``plan_batch`` translates (and, under ``lint``, gates) every
-    member to find the share groups; a member that then runs alone is
-    handed that plan instead of being planned again."""
+    """``plan_batch`` translates every member to find the share groups;
+    a member that then runs alone is handed that plan instead of being
+    planned again."""
 
     #: Seven shareable members and one COUNT(DISTINCT) singleton.
     MEMBERS = [
@@ -270,40 +270,3 @@ class TestABatchPlansEachMemberOnce:
         assert len(calls) == len(self.MEMBERS)
         assert [sorted(result.rows) for result in batch] \
             == [sorted(rows) for rows in expected]
-
-    def test_strict_lint_gates_the_singleton_once(self, db, monkeypatch):
-        import repro.engine.mqo as mqo
-        import repro.engine.planner as planner
-        from repro.engine.planner import _holds_gmdj
-
-        gated: list = []
-        self.counted(monkeypatch, mqo, "lint_gate", gated)
-        self.counted(monkeypatch, planner, "lint_gate", gated)
-        db.execute_sql_batch(
-            self.MEMBERS, QueryOptions(use_cache=False, lint="strict"))
-        translated = [plan for plan in gated if _holds_gmdj(plan)]
-        # Every member's plan once — the singleton's included — plus the
-        # singleton's query as written, at the executor's door.
-        assert len(translated) == len(self.MEMBERS)
-        assert len({id(plan) for plan in translated}) == len(self.MEMBERS)
-        assert len(gated) == len(self.MEMBERS) + 1
-
-    def test_the_gate_still_stops_a_singleton(self, db, monkeypatch):
-        # The query is clean; only its translation is broken (a plain
-        # '=' identity link).  Two GMDJs: unshareable, so it runs alone
-        # on the plan the batch built — which the batch gated.
-        from repro.algebra.expressions import Comparison
-        from repro.errors import LintError
-        from repro.unnesting import translate
-
-        nested = ("SELECT B.K FROM B WHERE EXISTS (SELECT R.K FROM R "
-                  "WHERE R.K = B.K AND R.Y > (SELECT AVG(S.Z) FROM S "
-                  "WHERE S.K = B.K))")
-        options = QueryOptions(strategy="gmdj", use_cache=False,
-                               lint="strict")
-        assert len(db.execute_sql_batch([nested, EXISTS_R], options)) == 2
-        monkeypatch.setattr(
-            translate, "_null_safe_equal",
-            lambda left, right: Comparison("=", left, right))
-        with pytest.raises(LintError):
-            db.execute_sql_batch([nested, EXISTS_R], options)

@@ -1,6 +1,6 @@
 """Unit tests for the span tracer (repro.obs.tracer)."""
 
-from repro.engine import Database, profile
+from repro.engine import Database, QueryOptions, profile
 from repro.obs.tracer import (
     _NOOP_SPAN,
     Span,
@@ -191,8 +191,8 @@ class TestProfileIntegration:
 
     def test_profile_with_trace_attaches_query_span(self):
         db = make_db()
-        report = profile(db.sql(self.SQL), db.catalog, "gmdj_optimized",
-                         trace=True)
+        report = profile(db.sql(self.SQL), db.catalog,
+                         QueryOptions(trace=True))
         assert report.trace is not None
         queries = report.trace.find(kind="query")
         assert len(queries) == 1
@@ -201,7 +201,7 @@ class TestProfileIntegration:
 
     def test_tracing_not_leaked_after_profile(self):
         db = make_db()
-        profile(db.sql(self.SQL), db.catalog, trace=True)
+        profile(db.sql(self.SQL), db.catalog, QueryOptions(trace=True))
         assert not tracing_enabled()
 
 

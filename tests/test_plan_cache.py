@@ -7,8 +7,8 @@ point invalidates, so re-executing after ``register``/``create_table``/
 """
 
 
-from repro import Database, DataType, QueryOptions, Relation
-from repro.engine.cache import PlanCache, _LRU
+from repro import Catalog, Database, DataType, QueryOptions, Relation
+from repro.engine.cache import PlanCache
 from repro.storage import save_csv
 
 SQL = ("SELECT K FROM B b WHERE EXISTS "
@@ -25,17 +25,17 @@ def make_db(r_rows) -> Database:
 
 class TestLRU:
     def test_eviction_order(self):
-        lru = _LRU(2)
-        lru.put("a", 1)
-        lru.put("b", 2)
-        lru.get("a")          # refresh: b is now least recent
-        lru.put("c", 3)
-        assert "a" in lru and "c" in lru and "b" not in lru
+        cache, catalog = PlanCache(capacity=2), Catalog()
+        for key in ("a", "b"):
+            cache.store_translation(key, key, catalog, 0)
+        cache.translation("a")  # refresh: b is now least recent
+        cache.store_translation("c", "c", catalog, 0)
+        assert [cache.translation(key) for key in "abc"] == ["a", None, "c"]
 
     def test_capacity_bound(self):
-        cache = PlanCache(capacity=3)
+        cache, catalog = PlanCache(capacity=3), Catalog()
         for i in range(10):
-            cache.store_translation(("gmdj", str(i)), object())
+            cache.store_translation(("gmdj", str(i)), object(), catalog, 0)
         assert cache.stats()["translations"] == 3
 
 

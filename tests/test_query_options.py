@@ -31,10 +31,20 @@ class TestConstruction:
         options = QueryOptions()
         assert options.strategy == "gmdj_optimized"
         assert options.backend == "auto"
-        assert (options.lint, options.rollup, options.mqo) == (
-            "off", "off", "coalesce")
+        assert (options.rollup, options.mqo) == ("off", "coalesce")
         assert options.use_cache is True
         assert options.trace is False
+
+    def test_eight_fields_and_two_rollup_levels(self):
+        from repro.engine.options import ROLLUP_LEVELS
+
+        assert [field.name for field in dataclasses.fields(QueryOptions)] == [
+            "strategy", "backend", "partitions", "workers", "trace",
+            "use_cache", "rollup", "mqo"]
+        assert ROLLUP_LEVELS == ("off", "subsume")
+        for gone in (dict(lint="strict"), dict(rollup="exact")):
+            with pytest.raises((TypeError, ConfigurationError)):
+                QueryOptions(**gone)
 
     def test_frozen(self):
         options = QueryOptions()
@@ -99,7 +109,7 @@ class TestCanonical:
         assert options.canonical() is options
         assert QueryOptions(strategy="naive").canonical().backend == "auto"
 
-    @pytest.mark.parametrize("field", ["backend", "lint", "rollup", "mqo"])
+    @pytest.mark.parametrize("field", ["backend", "rollup", "mqo"])
     def test_none_is_not_a_value(self, field):
         # Each default is one of the field's own names, so a JSON null
         # in a request body is a typing error like any other.

@@ -85,11 +85,19 @@ class TestServingTiers:
         return db
 
     def test_exact_tier_round_trip(self):
+        # A verbatim signature match is tried first: the stored fine
+        # rollup answers itself although the coarse one could subsume it.
         db = self._db()
-        cold = db.execute(coarse_gmdj(), WARM)
-        warm = db.execute(coarse_gmdj(), WARM)
-        assert warm.rows == cold.rows
+        fine = md(scan("B", "b"), scan("R", "r"), AGGS,
+                  [THETA & (col("b.x") > lit(2))])
+        cold = db.execute(fine, WARM)
+        db.execute(coarse_gmdj(), WARM)
+        report = db.profile(fine, WARM.with_trace(True))
+        assert report.result.rows == cold.rows
+        (hit,) = report.trace.find(kind="rollup_hit")
+        assert hit.attrs["tier"] == "exact"
         assert db.rollups.stats()["exact_hits"] == 1
+        assert db.rollups.stats()["subsume_hits"] == 0
 
     def test_theta_residual_subsumption(self):
         db = self._db()
@@ -176,17 +184,6 @@ class TestRefusals:
         assert db.rollups.stats()["subsume_hits"] == 0
         assert served.rows == db.execute(other, OFF).rows
 
-    def test_exact_level_never_subsumes(self):
-        db = TestServingTiers()._db()
-        exact_only = QueryOptions(strategy="gmdj", rollup="exact",
-                                  use_cache=False)
-        db.execute(coarse_gmdj(), exact_only)
-        fine = md(scan("B", "b"), scan("R", "r"), AGGS,
-                  [THETA & (col("b.x") > lit(2))])
-        served = db.execute(fine, exact_only)
-        assert db.rollups.stats()["subsume_hits"] == 0
-        assert served.rows == db.execute(fine, OFF).rows
-
 
 class TestPropertyDifferential:
     """Coarse-store → fine-probe pairs over fuzz-generated databases."""
@@ -246,7 +243,7 @@ class TestZeroDetailScanCertificate:
         fine = md(scan("B", "b"), scan("R", "r"), AGGS,
                   [THETA & (col("b.x") > lit(2))])
         db.execute(coarse_gmdj(), WARM)
-        report = db.profile(fine, WARM, trace=True)
+        report = db.profile(fine, WARM.with_trace(True))
         hits = [s for s in report.trace.walk() if s.kind == "rollup_hit"]
         assert len(hits) == 1 and hits[0].attrs["tier"] == "subsume"
         assert not [s for s in report.trace.walk()
@@ -269,7 +266,7 @@ class TestZeroDetailScanCertificate:
 
     def test_miss_trace_records_miss_and_store(self):
         db = TestServingTiers()._db()
-        report = db.profile(coarse_gmdj(), WARM, trace=True)
+        report = db.profile(coarse_gmdj(), WARM.with_trace(True))
         assert [s for s in report.trace.walk() if s.kind == "rollup_miss"]
         assert db.rollups.stats()["stores"] == 1
 

@@ -240,10 +240,8 @@ class TestEndpoints:
             assert counters[name] >= 1, name
         tenant = metrics["tenants"]["default"]
         assert tenant["cache"]["table_invalidations"] == 1
-        assert tenant["cache"]["last_insert_dropped"] == 1
-        assert tenant["cache"]["last_insert_kept"] == 0
+        assert tenant["cache"]["results"] == 0
         assert tenant["rollups"]["table_invalidations"] == 1
-        assert tenant["rollups"]["last_insert_dropped"] == 0
 
     def test_tenant_isolation(self, live_server):
         server = live_server()
@@ -319,6 +317,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("field, value", [
         ("trace", True),              # the server's decision
         ("mode", "gmdj_vectorized"),  # removed: kernel/fragmenter knobs
+        ("lint", "strict"),           # removed: the execution gate
     ])
     def test_unknown_option_field_is_400(self, live_server, field, value):
         server = live_server()
@@ -331,7 +330,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("options", [
         {"partitions": "2"}, {"workers": 1.5}, {"partitions": 2.5},
         {"workers": True}, {"use_cache": "no"},
-        {"rollup": None},
+        {"rollup": None}, {"rollup": "exact"},
     ], ids=repr)
     def test_wrongly_typed_option_is_400(self, live_server, options):
         server = live_server()
