@@ -9,11 +9,22 @@ accumulator state and the emitted aggregates all stay columns.
 
 * the detail relation is walked in row *tiles*; per tile every θ block
   materializes its candidate pairs (a hash block from the key match
-  below, a scan block as active-bases × tile-rows, an invariant block
-  as the rows themselves), evaluates its residual **once** over the
-  gathered pair arrays (:mod:`repro.algebra.npcompile`; base columns
-  come from the base relation's columnar encoding) and keeps the
-  matching pairs;
+  below, a scan block the range form declines as active-bases ×
+  tile-rows, an invariant block as the rows themselves), evaluates its
+  residual **once** over the gathered pair arrays
+  (:mod:`repro.algebra.npcompile`; base columns come from the base
+  relation's columnar encoding) and keeps the matching pairs;
+* a *scan block* — no equality to hash — whose θ is at most one ``<>``
+  and one one-sided range between a base and a detail column, plus
+  conjuncts over one side, builds no pairs at all: it takes the
+  **range form** (:func:`_take_ranges`).  Its detail rows are sorted by
+  the range column into a :class:`_RangeIndex`, so a base tuple's
+  matches are a suffix (``np.searchsorted``) less the rows whose ``<>``
+  key equals its own.  Counts and integer sums subtract (Gray et al.:
+  distributive aggregates do), ``min``/``max`` and ``t_b`` keep the best
+  of the two best distinct keys per suffix, so the block costs
+  O((|B| + |R|) log |R|) instead of |B|·|R|.  The index reads detail
+  columns only and is kept beside the join indexes;
 * hash matching (§2.3's "hash B on θ's equality attributes") is built
   from the base relation's key **columns**: the distinct base keys
   become buckets with a CSR table of their base positions (duplicate
@@ -77,12 +88,19 @@ scan over hash blocks walks its first tile at ``TILE_PAIRS`` pairs —
 where an EXISTS tuple usually completes — and the rest of R in tiles
 of ``8 * TILE_PAIRS`` (the bound the accumulators already compact at),
 since every later tile re-filters and re-truncates its pairs by
-``t_b``; a scan block (``<>``), whose pairs are active bases × rows,
-and a completion-free scan keep ``TILE_PAIRS`` throughout.  The
+``t_b``; a declined scan block, whose pairs are active bases × rows,
+and a completion-free scan keep ``TILE_PAIRS`` throughout.  A scan in
+range form computes ``t_b`` without a walk — the first match of a
+``must_be_zero`` block, the first row of a ``pair_equal`` weak block
+its restrictive range does not admit (a suffix of a *doom* index), the
+first match of a one-block ``need_positive`` — and under any other rule
+the whole scan walks pairs, because the rule couples its blocks.  The
 :class:`~repro.storage.iostats.IOStats` counters stay the *logical*
-ones — identical to the row kernel's whatever the tile size
+ones — identical to the row kernel's whatever the tile size or form
 (``index_builds``/``index_probes`` count one build and \\|R\\| probes per
-hash block, however many blocks or scans share a key structure).
+hash block, however many blocks or scans share a key structure; a
+range-form block derives its evaluations and updates from ``t_b`` in
+1-D, :func:`_finish_ranges`).
 
 Identity contract
 -----------------
@@ -103,13 +121,18 @@ surface them: objects exist only where a reason is reported.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Sequence
 
 from repro.algebra.aggregates import AggregateSpec
-from repro.algebra.analysis import factor_condition, refers_only_to
+from repro.algebra.analysis import (
+    factor_condition,
+    is_trivially_true,
+    refers_only_to,
+)
 from repro.algebra.compile import compile_batch_values
-from repro.algebra.expressions import Column, Expression
+from repro.algebra.expressions import MIRROR, Column, Expression, conjuncts_of
 from repro.algebra.npcompile import (
     _FLOAT_EXACT,
     _guard_float_exact,
@@ -124,6 +147,7 @@ from repro.algebra.npcompile import (
 from repro.gmdj.completion import CompletionRule
 from repro.gmdj.evaluate import _ACTIVE, _ASSURED, _DOOMED, _BlockRuntime
 from repro.gmdj.operator import ThetaBlock
+from repro.lint.absint import classify_conjunct
 from repro.obs.metrics import get_registry
 from repro.storage.columnar import ColumnarRelation, cached_columnar
 from repro.storage.iostats import IOStats
@@ -702,6 +726,595 @@ def _exact_mean(totals: Any, counts: Any, np: Any) -> Any:
     return mean
 
 
+# -- the range form ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RangeShape:
+    """A scan block's θ as the range form reads it.
+
+    ``neq`` is ``(base column, detail column)`` of its one ``<>``;
+    ``band`` is ``(detail column, op, base column, conjunct repr)`` of
+    its one one-sided range, oriented ``r.y op b.x``; ``detail_only`` /
+    ``base_only`` are the conjuncts over one side (a row mask, a base
+    mask); ``conjuncts`` are the reprs of all of θ's conjuncts, the sets
+    :mod:`repro.gmdj.completion` compares blocks by.
+    """
+
+    neq: tuple[Column, Column] | None
+    band: tuple[Column, str, Column, str] | None
+    detail_only: tuple[Expression, ...]
+    base_only: tuple[Expression, ...]
+    conjuncts: frozenset[str]
+
+    @property
+    def has_residual(self) -> bool:
+        return bool(self.neq or self.band or self.detail_only
+                    or self.base_only)
+
+
+def range_shape(condition: Expression, base_schema: Schema,
+                detail_schema: Schema) -> RangeShape | str:
+    """Factor a scan block's θ for the range form, or say why it cannot.
+
+    Conjunct classes are :func:`repro.lint.absint.classify_conjunct`'s: a
+    conjunct over both sides must be an ``inequality`` or a ``range``
+    between a base and a detail column, at most one of each.
+    """
+    neq = band = None
+    detail_only: list[Expression] = []
+    base_only: list[Expression] = []
+    for conjunct in conjuncts_of(condition):
+        if is_trivially_true(conjunct):
+            continue
+        if refers_only_to(conjunct, detail_schema):
+            detail_only.append(conjunct)
+            continue
+        if refers_only_to(conjunct, base_schema):
+            base_only.append(conjunct)
+            continue
+        klass, _ = classify_conjunct(conjunct)
+        if klass not in ("inequality", "range"):
+            return f"{conjunct!r} is neither a <> nor a one-sided range"
+        detail_side, op, base_side = conjunct.left, conjunct.op, conjunct.right
+        if base_schema.has(detail_side.reference):
+            detail_side, op, base_side = base_side, MIRROR[op], detail_side
+        if klass == "inequality":
+            if neq is not None:
+                return "two <> conjuncts"
+            neq = (base_side, detail_side)
+        elif band is not None:
+            return "a two-sided band"
+        else:
+            band = (detail_side, op, base_side, repr(conjunct))
+    return RangeShape(neq, band, tuple(detail_only), tuple(base_only),
+                      frozenset(map(repr, conjuncts_of(condition))))
+
+
+def _truth_of(conjuncts: Sequence[Expression], resolve: Callable, n: int,
+              np: Any) -> Any:
+    """Where every one of ``conjuncts`` is TRUE, as a bool mask."""
+    mask = np.ones(n, dtype=bool)
+    for conjunct in conjuncts:
+        mask = mask & np_truth_mask(conjunct, resolve, n)
+    return mask
+
+
+def _suffix_best_two(values: Any, codes: Any, sentinel: Any, least: bool,
+                     np: Any) -> tuple[Any, Any, Any]:
+    """Per suffix start ``s`` in ``0..len(values)``: the best value of
+    ``values[s:]`` (least, or greatest), its code, and the best value
+    whose code differs from that one; ``sentinel`` where there is none.
+
+    "Best of two distinct keys" is associative, so the suffix scan is a
+    doubling scan: log2 n whole-array steps, none per element.
+    """
+    n = len(values)
+    best = np.append(values, sentinel)
+    code = np.append(codes, -3)  # no row's code
+    other = np.full(n + 1, sentinel, dtype=best.dtype)
+    beats = np.less if least else np.greater
+    keep = np.minimum if least else np.maximum
+    step = 1
+    while step <= n:
+        head = n + 1 - step
+        later = beats(best[step:], best[:head])
+        won_code = np.where(later, code[step:], code[:head])
+        lost, lost_code, lost_other = (
+            np.where(later, array[:head], array[step:])
+            for array in (best, code, other))
+        runner_up = keep(np.where(later, other[step:], other[:head]),
+                         np.where(lost_code != won_code, lost, lost_other))
+        best = np.concatenate(
+            (np.where(later, best[step:], best[:head]), best[head:]))
+        code = np.concatenate((won_code, code[head:]))
+        other = np.concatenate((runner_up, other[head:]))
+        step *= 2
+    return best, code, other
+
+
+def _sentinel(dtype: Any, least: bool, np: Any) -> Any:
+    """The value every real one beats at a least / greatest search."""
+    if dtype.kind == "f":
+        return np.inf if least else -np.inf
+    info = np.iinfo(dtype)
+    return info.max if least else info.min
+
+
+class _RangeIndex:
+    """Detail rows of one scan block in *suffix order*: the rows a base
+    tuple's range admits are a suffix of ``order``.
+
+    With a range ``r.y op b.x`` the rows that have a ``y`` are sorted by
+    it — ascending for ``>``/``>=``, descending for ``<``/``<=`` — and
+    ``values`` keeps their ``y`` ascending for ``np.searchsorted``
+    (``valued`` of them).  A *doom* index reverses that order and appends
+    the rows whose ``y`` is NULL, so that the rows where the range is
+    *not* TRUE form a suffix as well.  Without a range the order is
+    ascending row position and every base tuple's suffix starts at 0.
+    ``codes`` are the ``<>`` key's codes in that order — the detail
+    column coded against itself by :func:`_component_codes`, -1 for a
+    value (NaN) equal to nothing — and ``reps`` one row per code;
+    ``by_code`` sorts the codes with their positions, so the rows of one
+    key inside a suffix lie between two ``searchsorted`` results.  It
+    reads detail columns only, so between stored tables it is kept like
+    a join index (:func:`_range_index`).
+    """
+
+    __slots__ = ("order", "values", "valued", "codes", "reps", "by_code",
+                 "_firsts")
+
+    def __init__(self, live: Any, key: tuple[NpValue, Callable] | None,
+                 y: NpValue | None, descending: bool, doom: bool,
+                 np: Any) -> None:
+        codes = self.codes = self.reps = self.by_code = self.values = None
+        if key is not None:
+            right, word_codes = key
+            codes, _, n_codes, _ = _component_codes(right, right, word_codes,
+                                                    np)
+            coded = np.flatnonzero(codes >= 0)
+            self.reps = np.zeros(n_codes, dtype=np.int64)
+            self.reps[codes[coded]] = coded
+        if y is None:
+            order = np.flatnonzero(live)
+            self.valued = len(order)
+        else:
+            valued = live if y.null is False else live & ~y.null
+            rows = np.flatnonzero(valued)
+            ys = y.values[rows]
+            if ys.dtype.kind == "b":
+                ys = ys.astype(np.int64)
+            ranked = np.argsort(ys, kind="stable")
+            self.values = ys[ranked]
+            order = rows[ranked]
+            if descending != doom:
+                order = order[::-1]
+            if doom:
+                order = np.concatenate(
+                    (order, np.flatnonzero(live & ~valued)))
+            self.valued = len(rows)
+        self.order = order
+        if codes is not None:
+            self.codes = codes[order]
+            # Stable: positions ascend within a code, so the combined
+            # (code, position) keys are sorted.
+            by_code = np.argsort(self.codes, kind="stable")
+            self.by_code = (by_code,
+                            (self.codes[by_code] + 1) * (len(order) + 1)
+                            + by_code)
+        self._firsts: tuple | None = None
+
+    def freeze(self) -> None:
+        """Write-protect the arrays: the index is shared by later scans."""
+        for array in (self.order, self.values, self.codes, self.reps,
+                      *(self.by_code or ())):
+            if array is not None:
+                array.flags.writeable = False
+
+    def starts(self, x: Any, op: str, np: Any) -> Any:
+        """Where the rows ``r.y op x`` admit begin, per value of ``x``."""
+        cut = np.searchsorted(self.values, x,
+                              side="right" if op in (">", "<=") else "left")
+        return cut if op in (">", ">=") else self.valued - cut
+
+    def base_codes(self, left: NpValue, right: NpValue,
+                   word_codes: Callable, np: Any) -> Any:
+        """Each base key (``left``) as a code of this index, by
+        :func:`_component_codes` against one detail row per code; -2 for
+        a key equal to no detail row's (NULL included)."""
+        n_base = len(left.values)
+        if not len(self.reps):
+            return np.full(n_base, -2, dtype=np.int64)
+        base_rank, rep_rank, n_codes, _ = _component_codes(
+            left, _gather(right, self.reps, np), word_codes, np)
+        to_code = np.full(max(1, n_codes), -2, dtype=np.int64)
+        hit = rep_rank >= 0
+        to_code[rep_rank[hit]] = np.flatnonzero(hit)
+        return np.where(base_rank >= 0,
+                        to_code[np.maximum(base_rank, 0)], -2)
+
+    def _span(self, start: Any, code: Any, np: Any) -> tuple[Any, Any]:
+        """Where the rows of ``code`` from position ``start`` on lie in
+        ``by_code``."""
+        width = len(self.order) + 1
+        ranked = self.by_code[1]
+        return (np.searchsorted(ranked, (code + 1) * width + start),
+                np.searchsorted(ranked, (code + 2) * width))
+
+    def count_from(self, start: Any, code: Any, np: Any) -> Any:
+        """Rows from position ``start`` on whose key is not ``code``."""
+        count = len(self.order) - start
+        if code is None:
+            return count
+        lo, hi = self._span(start, code, np)
+        return count - (hi - lo)
+
+    def sum_from(self, values: Any, start: Any, code: Any, np: Any) -> Any:
+        """``values`` (int64, one per detail row) summed over the rows
+        :meth:`count_from` counts: a suffix sum less the key's own."""
+        ordered = values[self.order]
+        total = np.concatenate(([0], np.cumsum(ordered)))
+        result = total[-1] - total[start]
+        if code is None:
+            return result
+        by_key = np.concatenate(([0], np.cumsum(ordered[self.by_code[0]])))
+        lo, hi = self._span(start, code, np)
+        return result - (by_key[hi] - by_key[lo])
+
+    def best_from(self, values: Any, start: Any, code: Any, least: bool,
+                  sentinel: Any, np: Any) -> Any:
+        """The least (greatest) of ``values`` over the rows
+        :meth:`count_from` counts; ``sentinel`` where there is none."""
+        ordered = values[self.order]
+        if code is None:
+            pick = np.minimum if least else np.maximum
+            return np.append(pick.accumulate(ordered[::-1])[::-1],
+                             sentinel)[start]
+        best, best_code, other = _suffix_best_two(ordered, self.codes,
+                                                  sentinel, least, np)
+        return np.where(best_code[start] != code, best[start], other[start])
+
+    def first_from(self, start: Any, code: Any, np: Any) -> Any:
+        """The earliest detail row among those :meth:`count_from` counts
+        (``_NEVER``: none) — built on first use, then kept."""
+        firsts = self._firsts
+        if firsts is None:
+            if self.codes is None:
+                firsts = (np.append(
+                    np.minimum.accumulate(self.order[::-1])[::-1], _NEVER),)
+            else:
+                firsts = _suffix_best_two(self.order, self.codes, _NEVER,
+                                          True, np)
+            self._firsts = firsts
+        if code is None:
+            return firsts[0][start]
+        best, best_code, other = firsts
+        return np.where(best_code[start] != code, best[start], other[start])
+
+
+#: Marks a range index among ``ColumnarRelation._join_indexes`` entries,
+#: whose first item is otherwise a join index's base column storage.
+_RANGE = object()
+
+
+def _range_index(pairs: _PairColumns, kept_key: tuple | None, live: Any,
+                 key: tuple[NpValue, Callable] | None, y: NpValue | None,
+                 descending: bool, doom: bool,
+                 np: Any) -> tuple[_RangeIndex, str]:
+    """The :class:`_RangeIndex` over ``live`` rows, and whether it was
+    ``"built"`` now or ``"reused"``.
+
+    ``kept_key`` (key and range column positions, the order) is given
+    when the index depends on those stored columns alone — no
+    detail-only conjunct masks the rows.  It is then kept like a join
+    index (:func:`_join_index`): on the detail encoding of a stored table,
+    under the same FIFO bound, never carried into the encoding a write
+    makes.
+    """
+    detail = pairs.detail.columnar
+    kept = None
+    if kept_key is not None and detail.name is not None:
+        kept, kept_key = detail._join_indexes, (*kept_key, doom)
+        for owner, known, index in tuple(kept):
+            if owner is _RANGE and known == kept_key:
+                get_registry().counter("npkernel.range_index_reuses").inc()
+                return index, "reused"
+    index = _RangeIndex(live, key, y, descending, doom, np)
+    get_registry().counter("npkernel.range_index_builds").inc()
+    if kept is not None:
+        index.freeze()
+        kept.append((_RANGE, kept_key, index))
+        del kept[:-JOIN_INDEXES_KEPT]
+    return index, "built"
+
+
+class _RangeBlock:
+    """One scan block answered in range form, without candidate pairs.
+
+    Per base tuple: ``ok`` (its base-only conjuncts hold and its ``<>``
+    key is not NULL), ``code`` (that key in the index's codes), and for
+    a range ``x_ok`` (``b.x`` neither NULL nor NaN) and ``cut`` (where
+    the admitted rows begin); ``start`` folds them into one suffix start
+    of the match index, its length where nothing matches.  ``index_state``
+    is ``"built"`` when any index the block used was built by this scan.
+    """
+
+    __slots__ = ("runtime", "index", "shape", "specs", "ok", "code", "x_ok",
+                 "cut", "start", "match", "index_state", "_source",
+                 "_matches")
+
+    def __init__(self, runtime: _BlockRuntime, block: ThetaBlock,
+                 shape: RangeShape, pairs: _PairColumns, n_base: int,
+                 total: int, np: Any) -> None:
+        self.runtime = runtime
+        self.index = runtime.index
+        self.shape = shape
+        base, detail = pairs.base, pairs.detail
+        self.specs = [_SpecArrays(spec, detail, n_base, total, np)
+                      for spec in block.aggregates]
+        for spec in self.specs:
+            name = spec.spec.output_name
+            if spec.mode in ("python", "bitmap", "distinct"):
+                raise NpUnsupported(
+                    f"{name}: {spec.reason or 'COUNT(DISTINCT)'}")
+            if spec.mode in ("sum", "avg") and spec.totals.dtype.kind == "f":
+                # A difference of suffix sums is not ufunc.at's
+                # sequential addition, bit for bit.
+                raise NpUnsupported(f"{name}: float {spec.mode}")
+        live = _truth_of(shape.detail_only, detail.resolve, total, np)
+        self.ok = _truth_of(shape.base_only, base.resolve, n_base, np)
+        key = left = None
+        if shape.neq is not None:
+            base_side, detail_side = shape.neq
+            left = np_value(base_side, base.resolve)
+            right = np_value(detail_side, detail.resolve)
+            if left.kind != right.kind:
+                raise NpUnsupported("<> between a string and a number")
+            if right.null is not False:
+                live = live & ~right.null
+            if left.null is not False:
+                self.ok = self.ok & ~left.null
+            key = (right, partial(detail.word_codes, detail_side, right))
+        y = op = None
+        descending = False
+        if shape.band is not None:
+            detail_side, op, base_side, _ = shape.band
+            y = np_value(detail_side, detail.resolve)
+            x = np_value(base_side, base.resolve)
+            if y.kind != "num" or x.kind != "num":
+                raise NpUnsupported("a range over strings")
+            _guard_float_exact(x, y, "range")
+            present = y.values if y.null is False else y.values[~y.null]
+            if present.dtype.kind == "f" and np.isnan(present).any():
+                raise NpUnsupported("NaN in the range column")
+            descending = op in ("<", "<=")
+        kept_key = None
+        if not shape.detail_only:
+            kept_key = tuple(
+                None if side is None
+                else detail.schema.index_of(side.reference)
+                for side in (shape.neq and shape.neq[1],
+                             shape.band and shape.band[0])) + (descending,)
+        self._source = (pairs, kept_key, live, key, y, descending)
+        self.match, self.index_state = _range_index(
+            pairs, kept_key, live, key, y, descending, False, np)
+        self.code = None if key is None else self.match.base_codes(
+            left, key[0], key[1], np)
+        empty = len(self.match.order)
+        self.x_ok = self.cut = None
+        reach = self.ok
+        if shape.band is not None:
+            values = x.values
+            if values.dtype.kind == "b":
+                values = values.astype(np.int64)
+            self.x_ok = np.ones(n_base, dtype=bool) if x.null is False \
+                else ~x.null
+            if values.dtype.kind == "f":
+                self.x_ok = self.x_ok & ~np.isnan(values)
+            self.cut = self.match.starts(values, op, np)
+            reach = reach & self.x_ok
+        self.start = np.where(reach, 0 if self.cut is None else self.cut,
+                              empty)
+        self._matches = None
+
+    def first_match(self, np: Any) -> Any:
+        """Each base tuple's first matching detail row (``_NEVER``: none)."""
+        return self.match.first_from(self.start, self.code, np)
+
+    def first_escape(self, np: Any) -> Any:
+        """Each base tuple's first row that matches this block without
+        its range — the pair_equal doom when this block is the weak one
+        plus that range — from the doom index, where those rows are a
+        suffix (all of it when ``b.x`` is NULL or NaN)."""
+        pairs, kept_key, live, key, y, descending = self._source
+        doom, state = _range_index(pairs, kept_key, live, key, y,
+                                   descending, True, np)
+        if state == "built":
+            self.index_state = state
+        start = np.where(self.ok, np.where(self.x_ok, doom.valued - self.cut,
+                                           0), len(doom.order))
+        return doom.first_from(start, self.code, np)
+
+    def matches(self, np: Any) -> Any:
+        """Each base tuple's number of matching detail rows."""
+        if self._matches is None:
+            self._matches = self.match.count_from(self.start, self.code, np)
+        return self._matches
+
+    def matches_before(self, t: Any, np: Any) -> Any:
+        """Matching rows before row ``t_b`` — for a block without a range,
+        whose index is in row order, so that is a 1-D count."""
+        cut = np.maximum(np.searchsorted(self.match.order, t), self.start)
+        return self.matches(np) - self.match.count_from(cut, self.code, np)
+
+    def columns(self, t: Any, n_base: int, total: int,
+                np: Any) -> list[NpValue]:
+        """The finalized aggregates: over every match — or, with ``t``
+        (assurance), over row ``t_b`` alone, the one row an assured
+        tuple's single threshold block accumulated."""
+        for spec in self.specs:
+            mode = spec.mode
+            if mode == "skip":
+                continue
+            if mode == "star":
+                spec.counts = self.matches(np) if t is None \
+                    else (t != _NEVER).astype(np.int64)
+                continue
+            value = spec.value
+            present = np.ones(total, dtype=bool) if value.null is False \
+                else ~value.null
+            values = value.values if isinstance(value.values, np.ndarray) \
+                else np.full(total, value.values)
+            if t is not None:
+                hit = np.flatnonzero(t != _NEVER)
+                rows = t[hit]
+                spec.counts = np.zeros(n_base, dtype=np.int64)
+                spec.counts[hit] = present[rows]
+                if mode != "count":
+                    spec.totals = np.zeros(n_base, dtype=spec.totals.dtype)
+                    spec.totals[hit] = values[rows]
+                continue
+            spec.counts = self.match.sum_from(present.astype(np.int64),
+                                              self.start, self.code, np)
+            if mode in ("sum", "avg"):
+                spec.totals = self.match.sum_from(
+                    np.where(present, values, 0).astype(np.int64),
+                    self.start, self.code, np)
+            elif mode in ("min", "max"):
+                least = mode == "min"
+                sentinel = _sentinel(spec.totals.dtype, least, np)
+                spec.totals = self.match.best_from(
+                    np.where(present, values, sentinel), self.start,
+                    self.code, least, sentinel, np)
+        return [spec.finalize(np) for spec in self.specs]
+
+
+def _range_completion(rule: CompletionRule, blocks: dict[int, _RangeBlock],
+                      n_base: int, np: Any) -> tuple[Any, dict | None]:
+    """Every base tuple's ``t_b`` under ``rule``, and per block the
+    range-free block whose matches before ``t_b`` are its aggregate
+    updates (None: it has none) — None for assurance, where they are one
+    per assured tuple.  Raises :class:`NpUnsupported` for a rule the
+    range form does not take: only ``must_be_zero`` blocks, ``pair_equal``
+    pairs whose restrictive block is the weak one plus at most one range
+    (how SubqueryToGMDJ builds ALL) and ``need_positive`` on a one-block
+    GMDJ have a ``t_b`` and counters with 1-D derivations.
+    """
+    if not rule.can_doom:
+        if rule.need_at_least or len(blocks) != 1:
+            raise NpUnsupported(
+                "assurance beyond need_positive on a one-block GMDJ")
+        (plan,) = blocks.values()
+        return plan.first_match(np), None
+    t = np.full(n_base, _NEVER, dtype=np.int64)
+    zero = set(rule.must_be_zero)
+    for index in zero:
+        t = np.minimum(t, blocks[index].first_match(np))
+    weak_of: dict[int, _RangeBlock] = {}
+    for restrictive, weak in rule.pair_equal:
+        strict, loose = blocks[restrictive], blocks[weak]
+        extra = strict.shape.conjuncts - loose.shape.conjuncts
+        if not loose.shape.conjuncts <= strict.shape.conjuncts \
+                or loose.shape.band is not None \
+                or (extra and (strict.shape.band is None
+                               or extra != {strict.shape.band[3]})):
+            raise NpUnsupported("a pair_equal whose restrictive block is "
+                                "not its weak block plus one range")
+        if extra:
+            t = np.minimum(t, strict.first_escape(np))
+        weak_of.setdefault(restrictive, loose)
+    counted: dict[int, _RangeBlock | None] = {}
+    for index, plan in blocks.items():
+        if index in zero:
+            counted[index] = None  # t_b comes no later than its first match
+        elif plan.shape.band is None:
+            counted[index] = plan
+        elif index in weak_of:
+            # Before t_b every weak match is a restrictive one too.
+            counted[index] = weak_of[index]
+        else:
+            raise NpUnsupported("a range block's updates cut at t_b need "
+                                "a dominance count")
+    return t, counted
+
+
+def _take_ranges(every_block: Sequence[tuple[_BlockRuntime, ThetaBlock]],
+                 rule: CompletionRule | None, pairs: _PairColumns,
+                 n_base: int, total: int, np: Any,
+                 ) -> tuple[dict[int, _RangeBlock], tuple | None, list[str]]:
+    """The scan blocks the range form answers, by block index; under a
+    completion rule ``(t, counted)`` of :func:`_range_completion`; and
+    why each scan block it does not answer was declined.
+
+    Blocks are independent without a rule (or under one that can neither
+    doom nor assure), so each is taken or declined alone.  A rule couples
+    them: the range form then takes every block or none.
+    """
+    taken: dict[int, _RangeBlock] = {}
+    declined: list[str] = []
+    for runtime, block in every_block:
+        if runtime.uses_hash or runtime.invariant:
+            continue
+        shape = range_shape(block.condition, pairs.base.schema,
+                            pairs.detail.schema)
+        try:
+            if isinstance(shape, str):
+                raise NpUnsupported(shape)
+            taken[runtime.index] = _RangeBlock(runtime, block, shape, pairs,
+                                               n_base, total, np)
+        except NpUnsupported as exc:
+            declined.append(f"block {runtime.index}: {exc.reason}")
+    if not taken or rule is None or not rule.useful:
+        return taken, None, declined
+    try:
+        if len(taken) < len(every_block):
+            raise NpUnsupported("completion couples it to a block the "
+                                "range form does not take")
+        completion = _range_completion(rule, taken, n_base, np)
+    except NpUnsupported as exc:
+        declined.extend(f"block {index}: {exc.reason}" for index in taken)
+        return {}, None, declined
+    return taken, completion, declined
+
+
+def _finish_ranges(ranged: dict[int, _RangeBlock], completion: tuple | None,
+                   result: "ArrayScan", stats: IOStats, n_base: int,
+                   total: int, np: Any) -> None:
+    """Counters and finalized columns of the range-form blocks.
+
+    The counters are the row kernel's logical ones, derived per base
+    tuple in 1-D: a block with a residual evaluates it against every
+    row up to ``t_b`` (Σ_b min(t_b, |R| − 1) + 1; |B|·|R| without
+    completion), and updates one accumulator per spec for each match —
+    all of them without completion, those before ``t_b`` under a doom,
+    the one at ``t_b`` under assurance.  No ``index_*`` counter moves:
+    a scan block has no key structure.
+    """
+    t, counted = completion if completion is not None else (None, None)
+    evaluated = n_base * total if t is None \
+        else int(np.sum(np.minimum(t, total - 1) + 1))
+    for index in sorted(ranged):
+        plan = ranged[index]
+        if plan.shape.has_residual:
+            stats.predicate_evals += evaluated
+        if t is None:
+            updates = int(np.sum(plan.matches(np)))
+        elif counted is None:
+            updates = int(np.count_nonzero(t != _NEVER))
+        else:
+            source = counted[index]
+            updates = 0 if source is None \
+                else int(np.sum(source.matches_before(t, np)))
+        stats.aggregate_updates += updates * len(plan.specs)
+        columns = result.columns[index] = plan.columns(
+            t if counted is None else None,  # t only under assurance
+            n_base, total, np)
+        for spec, column in zip(plan.specs, columns):
+            result._forms[spec.spec.output_name] = column
+    result.range_index = tuple(ranged[index].index_state
+                               for index in sorted(ranged))
+
+
 # -- the tiled scan ------------------------------------------------------------
 
 
@@ -879,12 +1492,17 @@ class ArrayScan:
     ``shared_keys`` / ``join_index`` say, per taken hash block, how its
     detail keys were resolved, how many blocks share its key structure
     and whether this scan ``built`` that structure or ``reused`` a join
-    index; ``tiles`` is how many detail-row tiles the scan walked.
+    index; ``forms`` says, per block the kernel ran, whether it walked
+    ``pairs`` or was answered in ``range`` form, ``range_index`` per
+    range-form block whether its sorted index was ``built`` or
+    ``reused``, and ``range_declined`` why each other scan block was
+    not; ``tiles`` is how many detail-row tiles the scan walked (a scan
+    whose blocks all took the range form reads R once, as one tile).
     """
 
     __slots__ = ("python_blocks", "reasons", "columns", "key_lookup",
-                 "shared_keys", "join_index", "tiles", "_forms", "_base",
-                 "_np")
+                 "shared_keys", "join_index", "forms", "range_index",
+                 "range_declined", "tiles", "_forms", "_base", "_np")
 
     def __init__(self, base: Columns, np: Any) -> None:
         self.python_blocks: list[tuple[_BlockRuntime, ThetaBlock]] = []
@@ -893,6 +1511,9 @@ class ArrayScan:
         self.key_lookup: tuple[str, ...] = ()
         self.shared_keys: tuple[int, ...] = ()
         self.join_index: tuple[str, ...] = ()
+        self.forms: tuple[str, ...] = ()
+        self.range_index: tuple[str, ...] = ()
+        self.range_declined: tuple[str, ...] = ()
         self.tiles = 0
         self._forms: dict[str, NpValue] = {}
         self._base = base
@@ -1001,7 +1622,8 @@ def run_numpy_scan(
     Blocks with no exact array form come back untouched in
     :attr:`ArrayScan.python_blocks` — all of them when ``rule`` couples
     the blocks through completion; every other block's aggregates come
-    back finalized as columns.
+    back finalized as columns.  Scan blocks the range form answers
+    (:func:`_take_ranges`) build no pairs at all.
     """
     np = require_numpy()
     total = columnar.length
@@ -1031,7 +1653,12 @@ def run_numpy_scan(
         python_blocks.append((runtime, blocks[runtime.index]))
         return False
 
+    ranged, completion, declined = _take_ranges(every_block, rule, pairs,
+                                                n_base, total, np)
+    result.range_declined = tuple(declined)
     for runtime, block in every_block:
+        if runtime.index in ranged:
+            continue
         try:
             live.append(_NpBlock(runtime, block, pairs, matches, n_base,
                                  total, np))
@@ -1123,6 +1750,15 @@ def run_numpy_scan(
             if spec.reason is not None:
                 reasons.append(f"block {plan.index} "
                                f"{spec.spec.output_name}: {spec.reason}")
+    if ranged:
+        _finish_ranges(ranged, completion, result, stats, n_base, total, np)
+        if completion is not None:
+            t = completion[0]
+        if not live and total:
+            result.tiles = 1
+    result.forms = tuple("range" if index in ranged else "pairs"
+                         for index in sorted({plan.index for plan in live}
+                                             | set(ranged)))
     if rule is not None:
         finished = np.flatnonzero(t != _NEVER)
         if len(finished):

@@ -322,7 +322,8 @@ def run_gmdj_vectorized(
     back together: the rule couples its blocks) and the reasons land on
     the ``detail_scan`` span for EXPLAIN ANALYZE, next to how each hash
     block resolved its keys (``key_lookup``, ``shared_keys``,
-    ``join_index``).
+    ``join_index``) and how each block ran (``forms``: ``pairs`` or
+    ``range``, with ``range_index`` and ``range_declined``).
     """
     chunk_size = resolve_chunk_size(chunk_size)
     stats = IOStats.ambient()
@@ -363,6 +364,12 @@ def run_gmdj_vectorized(
                 scan_span.set(key_lookup=arrays.key_lookup,
                               shared_keys=arrays.shared_keys,
                               join_index=arrays.join_index)
+            if arrays.forms:
+                scan_span.set(forms=arrays.forms)
+            if arrays.range_index:
+                scan_span.set(range_index=arrays.range_index)
+            if arrays.range_declined:
+                scan_span.set(range_declined=arrays.range_declined)
         else:
             scan_span.set(chunks=-(-total // chunk_size) if total else 0,
                           chunk_size=chunk_size)

@@ -7,7 +7,9 @@
   other input and the GMDJ's base can push into the base
   (Theorem 3.4), keeping the GMDJ's base-values relation small.
 * **A203** — a θ-block carries no equality conjunct linking base and
-  detail, so hash grouping is unavailable and evaluation degrades to a
+  detail, and its shape is not one the array kernel's range form
+  answers (at most one ``<>`` and one one-sided range between base and
+  detail, plus one-sided conjuncts), so evaluation degrades to a
   per-base-tuple scan of the active list (the Figure 4 regime).
 * **A204** — a scalar comparison against a MIN/MAX aggregate subquery
   with an inequality looks like the classic extremum shortcut for a
@@ -23,6 +25,7 @@ from repro.algebra.analysis import factor_condition, is_trivially_true
 from repro.algebra.nested import ScalarComparison
 from repro.algebra.operators import Join, Select
 from repro.gmdj.coalesce import merge_stacked, pull_up_base_selection
+from repro.gmdj.npkernel import range_shape
 from repro.gmdj.operator import GMDJ
 from repro.lint.diagnostics import LintReport
 from repro.storage.schema import Schema
@@ -89,7 +92,8 @@ def check_theta_hashability(
     report: LintReport,
     path: str,
 ) -> None:
-    """A203: θ has no equality conjunct, so hash grouping cannot apply."""
+    """A203: θ has no equality conjunct to hash, nor a shape the array
+    kernel's range form answers by sorted search."""
     for position, block in enumerate(gmdj.blocks):
         condition = block.condition
         if is_trivially_true(condition):
@@ -103,16 +107,21 @@ def check_theta_hashability(
             factored = factor_condition(condition, base_schema, detail_schema)
         except Exception:
             continue
-        if not factored.has_equality:
+        if factored.has_equality:
+            continue
+        shape = range_shape(condition, base_schema, detail_schema)
+        if isinstance(shape, str):
             report.add(
                 "A203",
                 f"theta block {position} has no base=detail equality "
-                f"conjunct; evaluation degrades to scanning every "
-                f"active base tuple per detail row (Figure 4 regime)",
+                f"conjunct and the range form declines it ({shape}); "
+                f"evaluation scans every active base tuple per detail "
+                f"row (Figure 4 regime)",
                 f"{path}:blocks[{position}]:condition",
-                hint="an equality correlation enables hash grouping of "
-                     "base tuples; this is inherent for <>/range-only "
-                     "correlations",
+                hint="correlate on an equality, or keep to at most one "
+                     "<> and one one-sided range between base and detail "
+                     "columns plus conjuncts over one side: that shape "
+                     "is answered by sorted search, not pairs",
             )
 
 

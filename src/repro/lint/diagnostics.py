@@ -56,7 +56,7 @@ DIAGNOSTIC_CODES: dict[str, str] = {
     "W102": "comparison against a NULL literal is always UNKNOWN",
     "A201": "stacked GMDJs over the same detail table (Prop 4.1)",
     "A202": "join over a GMDJ base could push down (Thm 3.4)",
-    "A203": "theta block has no equality conjunct (hash grouping unavailable)",
+    "A203": "theta block has neither an equality to hash nor a range-form shape",
     "A204": "quantifier emulated via MIN/MAX extremum (footnote 2 hazard)",
     "C301": "state mutation under a reader lock",
     "C302": "DDL path reached without the writer lock",

@@ -99,7 +99,11 @@ def executed_summary(trace) -> dict:
     resolved (``key_lookup``: ``direct`` addressing or ``sorted``
     search), how many blocks share its key structure (``shared_keys``)
     and whether the scan ``built`` that structure or ``reused`` the join
-    index a scan over the same two tables left (``join_index``), lists
+    index a scan over the same two tables left (``join_index``), says
+    per block whether it walked ``pairs`` or took the ``range`` form
+    (``forms``), per range-form block whether its sorted index was
+    ``built`` or ``reused`` (``range_index``) and why each other scan
+    block was declined (``range_declined``), lists
     every per-operator ``fallbacks`` reason the scans recorded (a block
     or aggregate the numpy kernel handed back to the python kernel),
     and — ``flat_fallbacks`` — every flat operator around the GMDJ that
@@ -109,6 +113,8 @@ def executed_summary(trace) -> dict:
     key_lookup: list[str] = []
     shared_keys: list[int] = []
     join_index: list[str] = []
+    ranges: dict[str, list[str]] = {
+        "forms": [], "range_index": [], "range_declined": []}
     fallbacks: list[str] = []
     flat_fallbacks: list[str] = []
     apply_loops: list[int] = []
@@ -136,6 +142,8 @@ def executed_summary(trace) -> dict:
                 key_lookup.extend(span_.attrs.get("key_lookup", ()))
                 shared_keys.extend(span_.attrs.get("shared_keys", ()))
                 join_index.extend(span_.attrs.get("join_index", ()))
+                for key, values in ranges.items():
+                    values.extend(span_.attrs.get(key, ()))
                 fallbacks.extend(span_.attrs.get("fallbacks", ()))
         elif span_.kind == "flat" and "fallback" in span_.attrs:
             flat_fallbacks.append(
@@ -151,6 +159,7 @@ def executed_summary(trace) -> dict:
         summary["key_lookup"] = key_lookup
         summary["shared_keys"] = shared_keys
         summary["join_index"] = join_index
+    summary.update((key, values) for key, values in ranges.items() if values)
     if fallbacks:
         summary["fallbacks"] = fallbacks
     if flat_fallbacks:

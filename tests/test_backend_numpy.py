@@ -15,6 +15,9 @@ Covers the knobs and edges the property suite cannot pin one by one:
   fallback and equal the row kernel on rows, order, every counter and
   the partial aggregates of assured tuples at any tile size, and an
   :class:`NpUnsupported` under a rule leaves no partial state;
+* the range form: scan blocks of Figure 4's shape answered by sorted
+  search, with the row kernel's rows and counters under every rule it
+  takes, and the pair walk for the shapes and data it declines;
 * the relation-level columnar-encoding cache (hit/miss counters, scan
   views, extension on mutation).
 """
@@ -294,14 +297,34 @@ def _walk(node):
 
 # -- completion on arrays -------------------------------------------------------
 
+NEQ = col("r.K") != col("b.K")
+
+#: ``(restrictive, weak)`` θ of the ALL translation over Figure 4's
+#: ``<>``: the weak block plus one range, in either orientation.
+FIGURE4_PAIRS = [(NEQ & (col("r.Y") > col("b.X")), NEQ),
+                 (NEQ & (col("b.X") >= col("r.Y")), NEQ)]
+
+#: Scan blocks (no equality to hash): Figure 4's ``<>`` alone and with
+#: either orientation of a one-sided range (the ALL pair's two blocks,
+#: the NOT EXISTS twin), a range alone, a range over a float column that
+#: sometimes holds NaN (declined to the pair walk then), and a
+#: detail-only residual (a scan block under a rule, an invariant block
+#: without one).  A case drawn from these alone can take the range form
+#: under a completion rule, which couples every block.
+SCAN_THETAS = [
+    NEQ,
+    *(restrictive for restrictive, _ in FIGURE4_PAIRS),
+    col("r.Y") >= col("b.X"),
+    NEQ & (col("r.Z") < col("b.X")),
+    col("r.Y") > lit(2),
+]
+
 #: θ shapes the property mixes in one GMDJ: single- and two-component
 #: hash keys (int and dictionary-coded), hash + pair residual, key
 #: components with a constant side (a row mask / a base mask on top of
-#: the shared key structure; a constant-only key list), the Figure 4
-#: ``<>`` scan block, a pair inequality, and a detail-only residual (a
-#: scan block under a rule, an invariant block without one).  Several
-#: of them factor to the same key list ``b.K = r.K`` and so share one
-#: key structure beside the ones that do not.
+#: the shared key structure; a constant-only key list), and the scan
+#: blocks.  Several of them factor to the same key list ``b.K = r.K``
+#: and so share one key structure beside the ones that do not.
 THETAS = [
     col("b.K") == col("r.K"),
     (col("b.K") == col("r.K")) & (col("r.Y") > col("b.X")),
@@ -310,9 +333,7 @@ THETAS = [
     (col("b.K") == col("r.K")) & (col("b.S") == lit("bb")),
     col("b.S") == col("r.T"),
     lit(1) == col("r.K"),
-    col("r.K") != col("b.K"),
-    col("r.Y") >= col("b.X"),
-    col("r.Y") > lit(2),
+    *SCAN_THETAS,
 ]
 
 #: A residual over the always-object-encoded ``r.H``: no array form, so
@@ -367,7 +388,7 @@ def dense_databases(draw):
     tuples with several matches are the rule, not the exception; either
     side may be empty.  ``zz`` is a base word the detail dictionary
     never holds; ``r.Y`` is sometimes large enough that sums pass
-    2**53; ``r.H`` is always object-encoded."""
+    2**53; ``r.H`` is always object-encoded; ``r.Z`` may hold NaN."""
     base_type, detail_type, values = KEY_DOMAINS[
         draw(st.sampled_from(sorted(KEY_DOMAINS)))]
     key = st.one_of(st.none(), st.sampled_from(values))
@@ -377,11 +398,12 @@ def dense_databases(draw):
     word = st.one_of(st.none(), st.sampled_from(["aa", "bb"]))
     base_word = st.one_of(word, st.just("zz"))
     real = st.one_of(st.none(), st.sampled_from([-1.5, 0.0, 0.1, 2.25]))
+    maybe_nan = st.one_of(real, st.just(float("nan")))
     huge = st.just(2 ** 70)
     base_rows = draw(st.lists(st.tuples(key, number, base_word), max_size=6))
     detail_rows = draw(st.lists(
         st.tuples(key, draw(st.sampled_from([number, large])), word, real,
-                  huge), max_size=14))
+                  huge, maybe_nan), max_size=14))
     catalog = Catalog()
     catalog.create_table("B", Relation.from_columns(
         [("K", base_type), ("X", DataType.INTEGER), ("S", DataType.STRING)],
@@ -389,7 +411,7 @@ def dense_databases(draw):
     catalog.create_table("R", Relation.from_columns(
         [("K", detail_type), ("Y", DataType.INTEGER),
          ("T", DataType.STRING), ("G", DataType.FLOAT),
-         ("H", DataType.INTEGER)],
+         ("H", DataType.INTEGER), ("Z", DataType.FLOAT)],
         [(_typed(detail_type, k), *rest) for k, *rest in detail_rows]))
     return catalog
 
@@ -400,24 +422,30 @@ def completion_cases(draw):
     (or none: a fused selection without completion, invariant blocks
     allowed) and whether the case holds something the array kernel
     reports in ``fallbacks`` — a per-value rider, a block that gives
-    up."""
+    up).  Half the cases hold scan blocks only, with riders the range
+    form sums exactly, one block under ``need_positive`` alone, and a
+    pair often in Figure 4's ALL shape: so the range form meets every
+    rule it takes."""
     shape = draw(st.sampled_from(
         ["zero", "pair", "zero+pair", "positive", "at_least",
          "positive+at_least", "inert", "none", "none"]))
-    n_blocks = draw(st.integers(2 if "pair" in shape else 1, 4))
-    blocks = st.integers(0, n_blocks - 1)
     reported = draw(st.sampled_from([None, None, "rider", "block"]))
+    scanned = reported is None and draw(st.booleans())
+    n_blocks = 1 if scanned and shape == "positive" \
+        else draw(st.integers(2 if "pair" in shape else 1, 4))
+    blocks = st.integers(0, n_blocks - 1)
     odd_one = draw(blocks)
     specs, thetas = [], []
     for i in range(n_blocks):
-        rider = draw(st.sampled_from(RIDERS))
+        rider = draw(st.sampled_from(RIDERS[:1] + RIDERS[2:] if scanned
+                                     else RIDERS))
         if reported == "rider" and i == odd_one:
             rider = per_value_rider
         specs.append([count_star(f"c{i}")]
                      + ([rider(i)] if rider else []))
         thetas.append(GIVES_UP if reported == "block" and i == odd_one
-                      else draw(st.sampled_from(THETAS)))
-    gmdj = md(ScanTable("B", "b"), ScanTable("R", "r"), specs, thetas)
+                      else draw(st.sampled_from(
+                          SCAN_THETAS if scanned else THETAS)))
     rule = None if shape == "none" else CompletionRule()
     if "zero" in shape:
         rule.must_be_zero = draw(st.lists(blocks, min_size=1, max_size=2))
@@ -425,6 +453,11 @@ def completion_cases(draw):
         rule.pair_equal = draw(st.lists(
             st.permutations(range(n_blocks)).map(lambda p: tuple(p[:2])),
             min_size=1, max_size=2))
+        if scanned and draw(st.booleans()):
+            restrictive, weak = rule.pair_equal[0]
+            thetas[restrictive], thetas[weak] = draw(
+                st.sampled_from(FIGURE4_PAIRS))
+    gmdj = md(ScanTable("B", "b"), ScanTable("R", "r"), specs, thetas)
     if "positive" in shape:
         rule.need_positive = draw(st.lists(blocks, min_size=1, max_size=2))
     if "at_least" in shape:
@@ -640,6 +673,77 @@ class TestCompletionOnArrays:
         assert scan.tiles == 2
 
 
+class TestRangeForm:
+    """Scan blocks answered by sorted search instead of pairs, held to
+    the row kernel's rows and every counter under each rule the range
+    form takes, over NULL keys on both sides, NULL ``y`` and ``x``, NaN
+    base ``x`` and duplicate detail keys."""
+
+    @staticmethod
+    def catalog(nan=False):
+        catalog = Catalog()
+        catalog.create_table("B", Relation.from_columns(
+            [("K", DataType.INTEGER), ("X", DataType.FLOAT)],
+            [(1, 2.0), (2, 0.5), (None, 1.0), (3, None), (1, 4.0),
+             (4, -1.0)] + [(5, float("nan"))] * nan))
+        catalog.create_table("R", Relation.from_columns(
+            [("K", DataType.INTEGER), ("Y", DataType.INTEGER),
+             ("T", DataType.STRING)],
+            [(1, 3, "aa"), (2, 1, None), (None, 5, "bb"), (1, None, "aa"),
+             (3, 4, "bb"), (1, 0, None), (4, 2, "aa"), (2, None, "cc"),
+             (3, 1, "aa")]))
+        return catalog
+
+    RIDERS = [count_star("c0"), agg("sum", col("r.Y"), "s"),
+              agg("min", col("r.Y"), "lo"), agg("max", col("r.Y"), "hi"),
+              agg("avg", col("r.Y"), "a"), agg("count", col("r.T"), "n")]
+
+    @pytest.mark.parametrize("theta", [
+        NEQ, *(restrictive for restrictive, _ in FIGURE4_PAIRS),
+        col("r.Y") >= col("b.X"), NEQ & (col("r.Y") < col("b.X")),
+        NEQ & (col("r.T") != lit("bb")) & (col("b.X") > lit(0)),
+    ], ids=repr)
+    @pytest.mark.parametrize("rule", [
+        None, CompletionRule(must_be_zero=[0]),
+        CompletionRule(need_positive=[0], exhaustive=True,
+                       aggregates_projected=True),
+    ], ids=["no rule", "doom", "assure"])
+    def test_one_block(self, theta, rule):
+        gmdj = md(ScanTable("B", "b"), ScanTable("R", "r"),
+                  [self.RIDERS], [theta])
+        for _, scan in three_kernel_scans(self.catalog(), gmdj, rule,
+                                          col("c0") >= lit(1)):
+            assert scan.attrs["forms"] == ("range",)
+
+    @pytest.mark.parametrize("restrictive, weak", FIGURE4_PAIRS, ids=repr)
+    def test_figure4_all_pair(self, restrictive, weak):
+        gmdj = md(ScanTable("B", "b"), ScanTable("R", "r"),
+                  [[count_star("c0"), agg("max", col("r.Y"), "hi")],
+                   [count_star("c1")]], [restrictive, weak])
+        rule = CompletionRule(pair_equal=[(0, 1)])
+        for _, scan in three_kernel_scans(self.catalog(), gmdj, rule,
+                                          col("c0") == col("c1")):
+            assert scan.attrs["forms"] == ("range", "range")
+
+    def test_nan_base_x_matches_nothing_and_dooms_on_every_row(self):
+        # (NaN never equals itself, so rows are compared by repr.)
+        catalog = self.catalog(nan=True)
+        gmdj = md(ScanTable("B", "b"), ScanTable("R", "r"),
+                  [[count_star("c0"), agg("min", col("r.Y"), "lo")],
+                   [count_star("c1")]], list(FIGURE4_PAIRS[1]))
+        fused = SelectGMDJ(gmdj, col("c0") == col("c1"),
+                           CompletionRule(pair_equal=[(0, 1)]))
+        for plan, nan_row in [(gmdj, "(5, nan, 0, None, 8)"), (fused, None)]:
+            with collect() as row_stats:
+                row_rows = repr(evaluate_plan(plan, catalog).rows)
+            with collect() as numpy_stats:
+                numpy_rows = repr(evaluate_plan_vectorized(
+                    plan, catalog, None, backend="numpy").rows)
+            assert numpy_rows == row_rows
+            assert numpy_stats.snapshot() == row_stats.snapshot()
+            assert (nan_row in row_rows) if nan_row else "nan" not in row_rows
+
+
 class TestKeysStateAndRowsStayColumns:
     """Directed twins of the property's corners: what the array kernel
     reports about its key structures, and the emit's exactness."""
@@ -782,13 +886,16 @@ def test_only_a_completion_scan_over_hash_blocks_grows_its_tiles():
         [("K", DataType.INTEGER), ("Y", DataType.INTEGER)],
         [(i % 9, i % 1000) for i in range(rows)]))
 
-    def tiles(theta, rule, selection):
+    def scan_of(theta, rule, selection):
         gmdj = md(ScanTable("B", "b"), ScanTable("R", "r"),
                   [[count_star("c")]], [theta])
         _, scan = TestKeysStateAndRowsStayColumns.run(catalog, gmdj, rule,
                                                       selection)
         assert not scan.attrs.get("fallbacks")
-        return scan.attrs["tiles"]
+        return scan.attrs
+
+    def tiles(theta, rule, selection):
+        return scan_of(theta, rule, selection)["tiles"]
 
     # Figure 2's shape: one TILE_PAIRS tile, then the rest in one of 8x.
     exists = CompletionRule(need_positive=[0], exhaustive=True,
@@ -797,12 +904,19 @@ def test_only_a_completion_scan_over_hash_blocks_grows_its_tiles():
     assert tiles(hashed, exists, col("c") > lit(0)) == 2
     # The same block without a rule keeps TILE_PAIRS throughout ...
     assert tiles(hashed, None, col("c") > lit(0)) == 3
-    # ... and so does Figure 4's ``<>`` under Thm 4.2 with a doom that
-    # never comes: ten active bases x rows per tile, all the way.
+    # ... Figure 4's ``<>`` under Thm 4.2 with a doom that never comes
+    # builds no pairs: the range form reads R once ...
+    doom = CompletionRule(must_be_zero=[0])
     scanned = (col("r.K") != col("b.K")) & (col("r.Y") < lit(0))
-    assert tiles(scanned, CompletionRule(must_be_zero=[0]),
-                 col("c") == lit(0)) \
-        == -(-rows // (npkernel.TILE_PAIRS // 10))
+    attrs = scan_of(scanned, doom, col("c") == lit(0))
+    assert (attrs["forms"], attrs["tiles"]) == (("range",), 1)
+    # ... and a twin it declines (two ``<>``) walks ten active bases x
+    # rows per tile at TILE_PAIRS, all the way.
+    declined = scanned & (col("r.Y") != col("b.K"))
+    attrs = scan_of(declined, doom, col("c") == lit(0))
+    assert attrs["forms"] == ("pairs",)
+    assert attrs["range_declined"] == ("block 0: two <> conjuncts",)
+    assert attrs["tiles"] == -(-rows // (npkernel.TILE_PAIRS // 10))
 
 
 class TestJoinIndex:
@@ -866,6 +980,9 @@ class TestJoinIndex:
         # tables than the detail encoding keeps: scans race each other on
         # misses, hits and evictions.  Each base table holds other keys,
         # so an index served to the wrong base would change the rows.
+        # Figure 4's ALL pair over each base shares the range indexes —
+        # and the first-row scan one builds on first use — on the same
+        # encoding, in the same bounded list.
         import sys
         import threading
 
@@ -877,25 +994,35 @@ class TestJoinIndex:
                 [(k + shift,) for k in range(6)] + [(None,)]))
         catalog.create_table("R", Relation.from_columns(
             [("K", DataType.INTEGER), ("Y", DataType.INTEGER)],
-            [(i % 11, i) for i in range(60)]))
+            [(i % 11, i % 7) for i in range(60)]))
+        neq = col("r.K") != col("b.K")
+        shapes = [
+            ([[count_star("c"), agg("sum", col("r.Y"), "s")]],
+             [col("b.K") == col("r.K")], None, None),
+            ([[count_star("c0")], [count_star("c1")]],
+             [neq & (col("r.Y") > col("b.K")), neq],
+             CompletionRule(pair_equal=[(0, 1)]), col("c0") == col("c1")),
+        ]
         nodes = []
         for name in names:
-            gmdj = md(ScanTable(name, "b"), ScanTable("R", "r"),
-                      [[count_star("c"), agg("sum", col("r.Y"), "s")]],
-                      [col("b.K") == col("r.K")])
-            base = gmdj.base.evaluate(catalog)
-            detail = gmdj.detail.evaluate(catalog)
-            schema = gmdj.schema(catalog)
-            nodes.append((base, detail, gmdj, schema,
-                          run_gmdj(base, detail, gmdj, schema).rows))
+            for specs, thetas, rule, selection in shapes:
+                gmdj = md(ScanTable(name, "b"), ScanTable("R", "r"), specs,
+                          thetas)
+                base = gmdj.base.evaluate(catalog)
+                detail = gmdj.detail.evaluate(catalog)
+                schema = gmdj.schema(catalog)
+                nodes.append((base, detail, gmdj, schema, rule, selection,
+                              run_gmdj(base, detail, gmdj, schema, rule,
+                                       selection).rows))
         failures = []
 
         def scan(offset):
             try:
                 for step in range(30):
-                    base, detail, gmdj, schema, expected = \
+                    base, detail, gmdj, schema, rule, selection, expected = \
                         nodes[(offset + step) % len(nodes)]
                     rows = run_gmdj_vectorized(base, detail, gmdj, schema,
+                                               rule, selection,
                                                backend="numpy").rows
                     if rows != expected:
                         failures.append((gmdj.base, rows))

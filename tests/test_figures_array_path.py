@@ -11,12 +11,14 @@ dense custkey range by direct addressing, and every flat operator above
 the node must have taken its array form (``columnar=true``, no
 ``fallback``).
 
-Over one database loaded from ``.cols``, a second run of each figure
-query must reuse the customer x orders join index the first one built,
-and the completion scans of Figures 2 and 5 — 2,000 customers and
-20,000 orders, so some customers never complete and the scan runs to
-the last row — must walk two tiles: ``TILE_PAIRS`` pairs, then the rest
-in one tile of 8x that.
+Figure 4's two ``<>`` blocks must take the range form (sorted search
+over a detail index, no candidate pairs).  Over one database loaded from
+``.cols``, a second run of each figure query must reuse the customer x
+orders join index — for Figure 4, the part2 range indexes — the first
+one built, and the completion scans of Figures 2 and 5 — 2,000
+customers and 20,000 orders, so some customers never complete and the
+scan runs to the last row — must walk two tiles: ``TILE_PAIRS`` pairs,
+then the rest in one tile of 8x that.
 (The CI workflow runs this file as its own step.)
 """
 
@@ -108,6 +110,8 @@ def test_figure_stays_on_arrays(data_dir, figure):
         assert attrs["tiles"] >= 1 and "chunks" not in attrs, attrs
         if attrs["relation"] == "orders":
             assert set(attrs["key_lookup"]) == {"direct"}, attrs
+        if figure == "fig4":  # ALL's pair of <> blocks, no pair walk
+            assert attrs["forms"] == ["range", "range"], attrs
     fused = any(span["kind"] == "gmdj" and span["attrs"]["completion"]
                 for span in spans)
     completed = payload["counters"].get("completed_tuples", 0)
@@ -130,8 +134,12 @@ def test_a_second_run_reuses_the_join_index(cols_dir, figure):
     options = QueryOptions(backend="numpy", use_cache=False)
     first, second = (db.explain_analyze(query, options).payload["executed"]
                      for _ in range(2))
-    if figure == "fig4":  # the <> scan block has no key structure
+    if figure == "fig4":  # <> scan blocks: sorted detail indexes, no keys
         assert "join_index" not in first and "join_index" not in second
+        assert first["forms"] == second["forms"] == ["range", "range"]
+        assert set(first["range_index"]) == {"built"}, first
+        assert set(second["range_index"]) == {"reused"}, second
+        assert first["tiles"] == second["tiles"] == 1, (first, second)
         return
     assert set(first["join_index"]) == {"built"}, first
     assert set(second["join_index"]) == {"reused"}, second

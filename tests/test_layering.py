@@ -3,8 +3,10 @@
 Storage is the bottom layer: it decides its own encodings (validity
 masks included) and may not reach up into the static analyses, the
 engine or the GMDJ kernels — function-local imports count.  The GMDJ
-kernels consult lint for exactly one thing, the per-spec aggregate
-classification that gates partition-and-merge; nothing data-dependent.
+kernels consult lint for exactly two static classifications: the
+per-spec aggregate class that gates partition-and-merge, and the
+per-conjunct class the array kernel's range form reads; nothing
+data-dependent.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ def test_storage_imports_nothing_above_it():
         assert from_package(names, upper) == set(), upper
 
 
-def test_gmdj_takes_only_the_aggregate_classification_from_lint():
+def test_gmdj_takes_only_static_classifications_from_lint():
     lint_imports = from_package(imported_names("gmdj"), "lint")
-    assert {name for _, name in lint_imports} == {"decomposable_aggregates"}
+    assert {name for _, name in lint_imports} \
+        == {"decomposable_aggregates", "classify_conjunct"}

@@ -146,11 +146,12 @@ def _fixture_plans(kv_catalog, string_catalog):
             Comparison("=", Column("B2.K"), Column("B.K")),
         ),
     )
-    plans["A203"] = (
+    plans["A203"] = (  # two <> conjuncts: the range form declines it
         kv_catalog,
         GMDJ(B, R, [ThetaBlock(
             [count_star("cnt")],
-            Comparison("<>", Column("B.K"), Column("R.K")),
+            And(Comparison("<>", Column("B.K"), Column("R.K")),
+                Comparison("<>", Column("B.X"), Column("R.Y"))),
         )]),
     )
     plans["A204"] = (
@@ -284,6 +285,16 @@ class TestTargetedBehaviour:
         plan = GMDJ(ScanTable("B"), ScanTable("R"), [ThetaBlock(
             [count_star("cnt")],
             Comparison(">", Column("R.Y"), Literal(3)),
+        )])
+        report = lint_plan(plan, kv_catalog)
+        assert "A203" not in report.codes(), report.render()
+
+    def test_a203_skips_shapes_the_range_form_answers(self, kv_catalog):
+        """Figure 4's ``<>`` plus a one-sided range is sorted search."""
+        plan = GMDJ(ScanTable("B"), ScanTable("R"), [ThetaBlock(
+            [count_star("cnt")],
+            And(Comparison("<>", Column("B.K"), Column("R.K")),
+                Comparison(">=", Column("B.X"), Column("R.Y"))),
         )])
         report = lint_plan(plan, kv_catalog)
         assert "A203" not in report.codes(), report.render()

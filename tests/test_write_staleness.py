@@ -19,7 +19,9 @@ detail table's encoding for the next scan over the same two tables — is
 one more such state: after every kind of write to either side the next
 query must build it afresh (and return the row kernel's rows), the one
 after that reuse it, and base-side writes must not pile indexes up on
-the detail encoding.
+the detail encoding.  Its range index — the sorted detail rows a ``<>``
+scan block is answered from — reads the detail side alone: a write to
+the detail table rebuilds it, a write to the base table keeps it.
 """
 
 from __future__ import annotations
@@ -192,6 +194,45 @@ def test_base_inserts_leave_at_most_the_bound_on_the_detail_encoding():
         assert join_index_of(db, JOIN_QUERIES[1]) == ("reused",)
     kept = cached_columnar(db.table("R"))._join_indexes
     assert len(kept) == JOIN_INDEXES_KEPT
+
+
+#: Figure 4's two shapes over B.K <> R.K: ALL (a pair of range-form
+#: blocks plus its doom index) and the NOT EXISTS twin.
+RANGE_QUERIES = (
+    "SELECT b.K FROM B b WHERE b.X >= ALL "
+    "(SELECT r.Y FROM R r WHERE r.K <> b.K)",
+    "SELECT b.K FROM B b WHERE NOT EXISTS "
+    "(SELECT * FROM R r WHERE r.K <> b.K AND r.Y > b.X)",
+)
+
+
+def range_index_of(db, sql):
+    """The numpy run's ``range_index`` states, its rows held to the row
+    kernel's."""
+    expected = db.execute_sql(
+        sql, QueryOptions(backend="row", use_cache=False)).rows
+    with tracing() as tracer:
+        rows = db.execute_sql(
+            sql, QueryOptions(backend="numpy", use_cache=False)).rows
+    assert rows == expected
+    (scan,) = tracer.trace().find(kind="detail_scan")
+    assert set(scan.attrs["forms"]) == {"range"}, scan.attrs
+    return set(scan.attrs["range_index"])
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy extra not installed")
+@pytest.mark.parametrize("write", list(JOIN_WRITES))
+def test_only_a_write_on_the_detail_side_rebuilds_the_range_index(
+        write, tmp_path):
+    # The range index reads detail columns only: a base-side write keeps
+    # it, any write to R makes a new encoding that holds none.
+    db = build({"B": JOIN_B, "R": JOIN_R})
+    assert [range_index_of(db, sql) for sql in RANGE_QUERIES * 2] \
+        == [{"built"}] * 2 + [{"reused"}] * 2
+    JOIN_WRITES[write](db, tmp_path)
+    after = "built" if write.startswith("R ") else "reused"
+    assert [range_index_of(db, sql) for sql in RANGE_QUERIES * 2] \
+        == [{after}] * 2 + [{"reused"}] * 2
 
 
 def test_an_insert_into_an_unread_table_still_clears_results_and_rollups():
