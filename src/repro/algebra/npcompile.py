@@ -15,7 +15,7 @@ Scalars travel as :class:`NpValue` — ``(values, null, kind)``:
   broadcasting unifies the two.
 * ``null`` is the SQL NULL mask: a bool ndarray, or the Python bool
   ``False``/``True`` kept *symbolic* so NULL-free columns
-  (``mask is None`` in columnar storage) never materialize or combine
+  (``valid is None`` in columnar storage) never materialize or combine
   masks at all.
 * ``kind`` is ``"num"`` (ints/floats/bools), ``"str"``
   (dictionary-encoded codes plus the decoded dictionary), or ``"null"``
@@ -48,6 +48,8 @@ from __future__ import annotations
 import operator
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.algebra.expressions import (
     And,
     Arithmetic,
@@ -62,8 +64,7 @@ from repro.algebra.expressions import (
     TruthLiteral,
 )
 from repro.algebra.truth import Truth
-from repro.storage.columnar import ColumnarRelation
-from repro.storage.npcolumns import NpColumn, column_array, numpy as _np
+from repro.storage.columnar import ColumnarRelation, ColumnData
 from repro.storage.types import DataType
 
 #: Magnitudes beyond which int64 arithmetic may overflow (Python ints
@@ -138,22 +139,22 @@ def _not(a: Any) -> Any:
 def mask_of(flag: Any, n: int) -> Any:
     """Materialize a symbolic bool as an ndarray mask of length ``n``."""
     if flag is True:
-        return _np.ones(n, dtype=bool)
+        return np.ones(n, dtype=bool)
     if flag is False:
-        return _np.zeros(n, dtype=bool)
+        return np.zeros(n, dtype=bool)
     return flag
 
 
 _COLUMN_KINDS = {"int": "num", "float": "num", "bool": "num"}
 
 
-def value_of_column(column: NpColumn) -> NpValue:
-    """Wrap an ndarray column view as an :class:`NpValue`."""
-    null = False if column.mask is None else ~column.mask
+def value_of_column(column: ColumnData) -> NpValue:
+    """Wrap a (typed, not object) column as an :class:`NpValue`."""
+    null = False if column.valid is None else ~column.valid
     if column.kind == "dict":
-        return NpValue(column.values, null, "str",
+        return NpValue(column.data, null, "str",
                        dictionary=column.dictionary or [])
-    return NpValue(column.values, null, _COLUMN_KINDS[column.kind])
+    return NpValue(column.data, null, _COLUMN_KINDS[column.kind])
 
 
 #: Declared dtype → the column kind an all-NULL column of it takes.
@@ -165,7 +166,8 @@ _NULL_KINDS = {DataType.INTEGER: ("int", "int64"),
 _DTYPE_KINDS = {"b": "bool", "i": "int", "f": "float"}
 
 
-def column_of_value(value: NpValue, n: int, dtype: DataType) -> NpColumn:
+def column_of_value(value: NpValue, n: int,
+                    dtype: DataType) -> ColumnData:
     """The inverse of :func:`value_of_column`: an expression's value over
     ``n`` rows as a column an operator can emit.
 
@@ -175,22 +177,22 @@ def column_of_value(value: NpValue, n: int, dtype: DataType) -> NpColumn:
     """
     if value.kind == "null" or value.null is True:
         kind, storage = _NULL_KINDS[dtype]
-        return NpColumn(kind, _np.zeros(n, dtype=storage),
-                        _np.zeros(n, dtype=bool),
-                        [] if kind == "dict" else None)
+        return ColumnData(kind, np.zeros(n, dtype=storage),
+                          np.zeros(n, dtype=bool),
+                          [] if kind == "dict" else None)
     values = value.values
     mask = None if value.null is False else ~value.null
     if value.kind == "str":
         if not _is_array(values):  # a string literal: a one-word dictionary
-            return NpColumn("dict", _np.zeros(n, dtype=_np.int32), mask,
-                            [values])
-        return NpColumn("dict", values, mask, value.dictionary)
+            return ColumnData("dict", np.zeros(n, dtype=np.int32), mask,
+                              [values])
+        return ColumnData("dict", values, mask, value.dictionary)
     if not _is_array(values):
-        values = _np.full(n, values)
+        values = np.full(n, values)
     kind = _DTYPE_KINDS.get(values.dtype.kind)
-    if kind is None or (kind == "int" and values.dtype != _np.int64):
+    if kind is None or (kind == "int" and values.dtype != np.int64):
         raise NpUnsupported(f"no column form for dtype {values.dtype}")
-    return NpColumn(kind, values, mask, None)
+    return ColumnData(kind, values, mask, None)
 
 
 class Columns:
@@ -209,8 +211,8 @@ class Columns:
     def by_position(self, position: int) -> NpValue:
         value = self._by_position.get(position)
         if value is None:
-            column = column_array(self.columnar, position)
-            if column is None:
+            column = self.columnar.columns[position]
+            if column.kind == "object":
                 field = self.schema.fields[position]
                 raise NpUnsupported(
                     f"object-encoded column {field.full_name}")
@@ -254,7 +256,7 @@ Resolver = Callable[[str], NpValue]
 
 
 def _is_array(value: Any) -> bool:
-    return isinstance(value, _np.ndarray)
+    return isinstance(value, np.ndarray)
 
 
 def _is_floatish(value: NpValue) -> bool:
@@ -278,7 +280,7 @@ def _max_abs(value: NpValue) -> float:
         if v.dtype.kind == "b":
             return 1.0
         return float(max(-int(v.min()), int(v.max()))) \
-            if v.dtype.kind in "iu" else float(_np.abs(v).max())
+            if v.dtype.kind in "iu" else float(np.abs(v).max())
     return float(abs(v))
 
 
@@ -317,30 +319,30 @@ def _string_compare(op: str, left: NpValue, right: NpValue) -> Any:
     if not left_arr and not right_arr:
         return cmp(left.values, right.values)
     if left_arr and not right_arr:
-        table = _np.fromiter(
+        table = np.fromiter(
             (cmp(word, right.values) for word in left.dictionary or []),
             dtype=bool, count=len(left.dictionary or []))
         return table[left.values] if len(table) else \
-            _np.zeros(len(left.values), dtype=bool)
+            np.zeros(len(left.values), dtype=bool)
     if right_arr and not left_arr:
-        table = _np.fromiter(
+        table = np.fromiter(
             (cmp(left.values, word) for word in right.dictionary or []),
             dtype=bool, count=len(right.dictionary or []))
         return table[right.values] if len(table) else \
-            _np.zeros(len(right.values), dtype=bool)
+            np.zeros(len(right.values), dtype=bool)
     # dict column vs dict column: compare merged-dictionary ranks.
     merged = sorted(set(left.dictionary or []) | set(right.dictionary or []))
     rank = {word: position for position, word in enumerate(merged)}
-    left_ranks = _np.fromiter((rank[w] for w in left.dictionary or []),
-                              dtype=_np.int64,
+    left_ranks = np.fromiter((rank[w] for w in left.dictionary or []),
+                              dtype=np.int64,
                               count=len(left.dictionary or []))
-    right_ranks = _np.fromiter((rank[w] for w in right.dictionary or []),
-                               dtype=_np.int64,
+    right_ranks = np.fromiter((rank[w] for w in right.dictionary or []),
+                               dtype=np.int64,
                                count=len(right.dictionary or []))
     left_vals = left_ranks[left.values] if len(left_ranks) else \
-        _np.zeros(len(left.values), dtype=_np.int64)
+        np.zeros(len(left.values), dtype=np.int64)
     right_vals = right_ranks[right.values] if len(right_ranks) else \
-        _np.zeros(len(right.values), dtype=_np.int64)
+        np.zeros(len(right.values), dtype=np.int64)
     return cmp(left_vals, right_vals)
 
 
@@ -379,9 +381,9 @@ def _arithmetic(op: str, left: NpValue, right: NpValue) -> NpValue:
                     raise NpUnsupported(
                         "integer division beyond exact float range")
         zero = b == 0
-        with _np.errstate(divide="ignore", invalid="ignore"):
-            values = _np.true_divide(a, b)
-        return NpValue(values, _or(null, zero if _np.any(zero) else False),
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = np.true_divide(a, b)
+        return NpValue(values, _or(null, zero if np.any(zero) else False),
                        "num")
     both_int = _is_intish(left) and _is_intish(right)
     bound_left, bound_right = _max_abs(left), _max_abs(right)
@@ -393,9 +395,9 @@ def _arithmetic(op: str, left: NpValue, right: NpValue) -> NpValue:
         if overflow:
             raise NpUnsupported("int64 arithmetic may overflow")
         if isinstance(a, bool) or (_is_array(a) and a.dtype.kind == "b"):
-            a = _np.asarray(a, dtype=_np.int64) if _is_array(a) else int(a)
+            a = np.asarray(a, dtype=np.int64) if _is_array(a) else int(a)
         if isinstance(b, bool) or (_is_array(b) and b.dtype.kind == "b"):
-            b = _np.asarray(b, dtype=_np.int64) if _is_array(b) else int(b)
+            b = np.asarray(b, dtype=np.int64) if _is_array(b) else int(b)
     else:
         _guard_float_exact(left, right, "arithmetic")
     func = {"+": operator.add, "-": operator.sub, "*": operator.mul}[op]
@@ -426,7 +428,7 @@ def _coalesce(first: NpValue, second: NpValue) -> NpValue:
         raise NpUnsupported("COALESCE over mixed numeric types")
     take_second = mask_of(first.null, len(first.values)
                           if _is_array(first.values) else 1)
-    values = _np.where(take_second, second.values, first.values)
+    values = np.where(take_second, second.values, first.values)
     null = _and(first.null, second.null)
     return NpValue(values, null, "num")
 

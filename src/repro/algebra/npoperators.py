@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from repro.algebra.analysis import is_trivially_true
 from repro.algebra.expressions import Column
 from repro.algebra.npcompile import (
@@ -52,17 +54,11 @@ from repro.storage.columnar import (
     ColumnData,
     cached_columnar,
     is_encoded,
-)
-from repro.storage.iostats import IOStats
-from repro.storage.npcolumns import (
-    OutputColumn,
-    output_column,
-    output_columns,
     relation_of,
-    require_numpy,
     slice_column,
     take_columns,
 )
+from repro.storage.iostats import IOStats
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 
@@ -84,12 +80,11 @@ def select_columns(op: Select, catalog: Catalog) -> Relation:
     source = op.child.evaluate(catalog)
     if is_trivially_true(op.predicate):
         return source
-    np = require_numpy()
     columnar = _encoding(source)
     total = columnar.length
     keep = np_truth_mask(op.predicate, Columns(columnar).resolve, total)
     picked = np.flatnonzero(keep)
-    columns = take_columns(output_columns(columnar), picked, total)
+    columns = take_columns(columnar.columns, picked, total)
     stats = IOStats.ambient()
     stats.record_scan(total)
     stats.predicate_evals += total
@@ -97,12 +92,12 @@ def select_columns(op: Select, catalog: Catalog) -> Relation:
     return relation_of(source.schema, columns, len(picked))
 
 
-def _row_codes(column: OutputColumn, np: Any) -> tuple[Any, int]:
+def _row_codes(column: ColumnData) -> tuple[Any, int]:
     """Dense codes of one column, equal exactly where Python compares
     the values equal (NULL equals NULL under DISTINCT), and their count."""
-    if isinstance(column, ColumnData):
+    if column.kind == "object":
         raise NpUnsupported("object-encoded column under DISTINCT")
-    values, mask = column.values, column.mask
+    values, mask = column.data, column.valid
     if column.kind == "dict":
         # One dictionary per column, its words distinct: codes compare
         # as the strings do.
@@ -119,14 +114,14 @@ def _row_codes(column: OutputColumn, np: Any) -> tuple[Any, int]:
     return codes, max(1, radix)
 
 
-def _first_seen(columns: Sequence[OutputColumn], total: int, np: Any) -> Any:
+def _first_seen(columns: Sequence[ColumnData], total: int) -> Any:
     """Positions of the first occurrence of each distinct row, ascending:
     the rows ``seen``-set deduplication keeps, in the order it keeps them."""
     if not columns:  # zero attributes: every row is the empty tuple
         return np.arange(min(total, 1))
-    codes, radix = _row_codes(columns[0], np)
+    codes, radix = _row_codes(columns[0])
     for column in columns[1:]:
-        part, part_radix = _row_codes(column, np)
+        part, part_radix = _row_codes(column)
         if radix * part_radix >= _CODE_SPACE:
             distinct, codes = np.unique(codes, return_inverse=True)
             radix = max(1, len(distinct))
@@ -140,22 +135,20 @@ def project_columns(op: Project, catalog: Catalog) -> Relation:
     """π[items]: bare columns are picked as they are, computed items are
     whole-array expressions, ``distinct`` keeps first occurrences."""
     source = op.child.evaluate(catalog)
-    np = require_numpy()
     columnar = _encoding(source)
     total = length = columnar.length
     items = op._resolved_items()
     schema = Schema(item.output_field(source.schema) for item in items)
     resolve = Columns(columnar).resolve
-    columns: Sequence[OutputColumn] = [
-        output_column(columnar,
-                      source.schema.index_of(item.expression.reference))
+    columns: Sequence[ColumnData] = [
+        columnar.columns[source.schema.index_of(item.expression.reference)]
         if isinstance(item.expression, Column)
         else column_of_value(np_value(item.expression, resolve), total,
                              field.dtype)
         for item, field in zip(items, schema.fields)
     ]
     if op.distinct:
-        picked = _first_seen(columns, total, np)
+        picked = _first_seen(columns, total)
         columns, length = take_columns(columns, picked, total), len(picked)
     stats = IOStats.ambient()
     stats.record_scan(total)
@@ -170,7 +163,7 @@ def limit_columns(op: Limit, catalog: Catalog) -> Relation:
     window = slice(op.offset, op.offset + op.count)
     length = len(range(*window.indices(columnar.length)))
     columns = [slice_column(column, window)
-               for column in output_columns(columnar)]
+               for column in columnar.columns]
     IOStats.ambient().tuples_output += length
     return relation_of(source.schema, columns, length)
 

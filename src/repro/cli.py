@@ -8,8 +8,8 @@ Usage::
         --strategy gmdj_optimized --profile
 
 Physical GMDJ execution hangs off the same flags: ``--backend`` picks
-the scan kernel (``auto`` by default: ``numpy`` whole-array buffers when
-installed, else ``python`` columnar batches; ``row`` is the reference
+the scan kernel (``auto`` by default, which is ``numpy``: whole-array
+scans; ``python`` runs columnar batches, ``row`` is the reference
 interpreter), ``--workers N`` evaluates detail partitions on a worker
 pool (``--partitions`` controls the fragment count), and ``--no-cache``
 bypasses the database's plan/result cache.
@@ -107,8 +107,8 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend", choices=BACKENDS, default="auto",
-        help="GMDJ scan kernel: 'auto' (default: numpy when installed, "
-             "else python), whole-array numpy, python columnar batches, "
+        help="GMDJ scan kernel: 'auto' (default, the same as numpy), "
+             "whole-array numpy, python columnar batches, "
              "or the row reference interpreter",
     )
     parser.add_argument(

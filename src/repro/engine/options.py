@@ -8,11 +8,11 @@ frozen dataclass, :class:`QueryOptions`:
   :data:`STRATEGIES`; the planner's docstring describes each).
 * ``backend``       — the *kernel* every GMDJ detail scan runs on:
   ``"row"`` is the tuple-at-a-time interpreter
-  (:mod:`repro.gmdj.evaluate`), ``"python"`` the dependency-free
-  columnar batch kernel (:mod:`repro.gmdj.vectorized`), ``"numpy"``
-  the whole-array kernel (:mod:`repro.gmdj.npkernel`), ``"auto"``
-  numpy when importable, else python (the default).  ``"row"`` is the
-  reference the other kernels are tested against.
+  (:mod:`repro.gmdj.evaluate`), ``"python"`` the columnar batch
+  kernel (:mod:`repro.gmdj.vectorized`), ``"numpy"`` the whole-array
+  kernel (:mod:`repro.gmdj.npkernel`), ``"auto"`` (the default) the
+  same as ``"numpy"``.  ``"row"`` is the reference the other kernels
+  are tested against.
 * ``partitions``    — the detail-partitioning *fragmenter*: fragment
   count for partition-and-merge evaluation.
 * ``workers``       — worker-pool size for the partitioned fragmenter
@@ -70,8 +70,7 @@ STRATEGIES = (
 #: fragmenter knobs apply to.
 GMDJ_STRATEGIES = frozenset({"gmdj", "gmdj_optimized"})
 
-#: GMDJ scan kernels.  ``"auto"`` picks numpy when importable, else
-#: python.
+#: GMDJ scan kernels.  ``"auto"`` is ``"numpy"``.
 BACKENDS = ("row", "python", "numpy", "auto")
 
 ROLLUP_LEVELS = ("off", "subsume")
@@ -81,19 +80,8 @@ MQO_LEVELS = ("off", "coalesce")
 
 def resolve_kernel(backend: str) -> str:
     """The kernel a ``backend`` runs: ``"row"``, ``"python"`` or
-    ``"numpy"``.
-
-    ``"auto"`` picks numpy when the optional extra is importable, else
-    python; asking for ``"numpy"`` without it is a clean
-    :class:`~repro.errors.ConfigurationError`.
-    """
-    from repro.storage.npcolumns import HAVE_NUMPY, require_numpy
-
-    if backend == "auto":
-        return "numpy" if HAVE_NUMPY else "python"
-    if backend == "numpy":
-        require_numpy()
-    return backend
+    ``"numpy"`` (which ``"auto"`` always is)."""
+    return "numpy" if backend == "auto" else backend
 
 
 @dataclass(frozen=True)
@@ -120,11 +108,6 @@ class QueryOptions:
                 f"unknown backend {self.backend!r}; "
                 f"choose one of {BACKENDS}"
             )
-        if self.backend == "numpy":
-            # Fail fast with a clean error instead of at kernel dispatch.
-            from repro.storage.npcolumns import require_numpy
-
-            require_numpy()
         if self.rollup not in ROLLUP_LEVELS:
             raise ConfigurationError(
                 f"unknown rollup level {self.rollup!r}; "

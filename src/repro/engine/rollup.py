@@ -66,6 +66,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.algebra.analysis import refers_only_to
 from repro.algebra.expressions import Expression, conjuncts_of
 from repro.algebra.operators import Operator, Select
@@ -75,7 +77,14 @@ from repro.gmdj.physical import NodeHook
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import span
 from repro.storage.catalog import Catalog
-from repro.storage.columnar import is_encoded
+from repro.storage.columnar import (
+    ColumnarRelation,
+    ColumnData,
+    cached_columnar,
+    is_encoded,
+    relation_of,
+    take_columns,
+)
 from repro.storage.iostats import IOStats
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
@@ -406,25 +415,15 @@ def _serve_columns(
     value types and counters (a residual conjunct is evaluated — and
     counted — for the rows its block's earlier conjuncts left alive)."""
     from repro.algebra.npcompile import Columns, NpUnsupported, np_truth_mask
-    from repro.storage.columnar import ColumnData, cached_columnar
-    from repro.storage.npcolumns import (
-        NpColumn,
-        columnar_of,
-        output_columns,
-        relation_of,
-        require_numpy,
-        take_columns,
-    )
 
-    np = require_numpy()
     cached = entry.relation
     columnar = cached_columnar(cached)
     arity = entry.base_arity
-    columns = output_columns(columnar)
+    columns = list(columnar.columns)
     # The predicates bind against the stored base schema (the prefix of
     # the entry's), as the row loop binds them.
-    prefix = Columns(columnar_of(entry.base_schema, columns[:arity],
-                                 columnar.length))
+    prefix = Columns(ColumnarRelation(entry.base_schema, columns[:arity],
+                                      columnar.length))
     evals = 0
     length = columnar.length
     if base_filter is not None:
@@ -434,8 +433,8 @@ def _serve_columns(
         if len(picked) < length:
             columns = list(take_columns(columns, picked, length))
             length = len(picked)
-            prefix = Columns(columnar_of(entry.base_schema, columns[:arity],
-                                         length))
+            prefix = Columns(ColumnarRelation(entry.base_schema,
+                                              columns[:arity], length))
     offset = arity
     for block, extras in zip(entry.gmdj.blocks, residuals):
         width = len(block.aggregates)
@@ -447,19 +446,19 @@ def _serve_columns(
         if alive is not None and not alive.all():
             for slot, spec in enumerate(block.aggregates, start=offset):
                 column = columns[slot]
-                if isinstance(column, ColumnData):
+                if column.kind == "object":
                     raise NpUnsupported("object-encoded aggregate column")
                 if spec.function == "count":  # empty input counts 0
-                    mask = column.mask if column.mask is None \
-                        else column.mask | ~alive
-                    columns[slot] = NpColumn(
-                        column.kind, np.where(alive, column.values, 0),
+                    mask = column.valid if column.valid is None \
+                        else column.valid | ~alive
+                    columns[slot] = ColumnData(
+                        column.kind, np.where(alive, column.data, 0),
                         mask, column.dictionary)
                 else:  # ... and every other aggregate is NULL
-                    columns[slot] = NpColumn(
-                        column.kind, column.values,
-                        alive if column.mask is None
-                        else column.mask & alive, column.dictionary)
+                    columns[slot] = ColumnData(
+                        column.kind, column.data,
+                        alive if column.valid is None
+                        else column.valid & alive, column.dictionary)
         offset += width
     stats = IOStats.ambient()
     stats.predicate_evals += evals

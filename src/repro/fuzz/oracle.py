@@ -79,8 +79,7 @@ FUZZ_CHUNK_SIZE = 3
 #: ``select_fragmenter`` keyword arguments, once per strategy of the
 #: third element — ``gmdj`` is the plain translation, ``gmdj_optimized``
 #: the coalesced one with its completion rules, so the array kernel
-#: meets Thm 4.1/4.2 plans under the oracle too.  ``gmdj_numpy`` is
-#: recorded as a skip when the optional numpy extra is not installed.
+#: meets Thm 4.1/4.2 plans under the oracle too.
 MODE_ENGINES = {
     "gmdj_parallel": (dict(backend="row"),
                       dict(partitions=FUZZ_PARTITIONS), ("gmdj",)),
@@ -223,7 +222,6 @@ def capability_violations(database: Database, repro_sql: str) -> list[str]:
     """
     from repro.lint.absint import certify_capabilities
     from repro.obs.invariants import check_capabilities
-    from repro.storage.npcolumns import HAVE_NUMPY
 
     try:
         query = database.sql(repro_sql)
@@ -242,12 +240,11 @@ def capability_violations(database: Database, repro_sql: str) -> list[str]:
              lambda: evaluate_plan_vectorized(
                  plan, database.catalog, FUZZ_CHUNK_SIZE,
                  backend="python")),
+            (f"{label}/numpy",
+             lambda: evaluate_plan_vectorized(
+                 plan, database.catalog, FUZZ_CHUNK_SIZE,
+                 backend="numpy")),
         ]
-        if HAVE_NUMPY:
-            runs.append((f"{label}/numpy",
-                         lambda: evaluate_plan_vectorized(
-                             plan, database.catalog, FUZZ_CHUNK_SIZE,
-                             backend="numpy")))
         for run_label, run in runs:
             try:
                 rows = run().rows
@@ -365,12 +362,7 @@ def run_differential(
                     outcome.divergences.append(divergence)
                 continue
             if engine in MODE_ENGINES:
-                from repro.storage.npcolumns import HAVE_NUMPY
-
                 kernel, fragmenter, strategies = MODE_ENGINES[engine]
-                if kernel.get("backend") == "numpy" and not HAVE_NUMPY:
-                    outcome.skipped.append(engine)
-                    continue
                 query = database.sql(repro_sql)
                 results = [
                     evaluate_plan(

@@ -125,6 +125,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from repro.algebra.aggregates import AggregateSpec
 from repro.algebra.analysis import (
     factor_condition,
@@ -149,16 +151,15 @@ from repro.gmdj.evaluate import _ACTIVE, _ASSURED, _DOOMED, _BlockRuntime
 from repro.gmdj.operator import ThetaBlock
 from repro.lint.absint import classify_conjunct
 from repro.obs.metrics import get_registry
-from repro.storage.columnar import ColumnarRelation, cached_columnar
-from repro.storage.iostats import IOStats
-from repro.storage.npcolumns import (
-    OutputColumn,
-    encoded_column,
-    output_column,
+from repro.storage.columnar import (
+    ColumnarRelation,
+    ColumnData,
+    cached_columnar,
+    encode_column,
     relation_of,
-    require_numpy,
     take_columns,
 )
+from repro.storage.iostats import IOStats
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 
@@ -176,7 +177,7 @@ _NEVER = 2 ** 63 - 1
 _SUM_SAFE = 2 ** 63
 
 
-def _gather(value: NpValue, idx: Any, np: Any) -> NpValue:
+def _gather(value: NpValue, idx: Any) -> NpValue:
     """Restrict a whole-column NpValue to ``idx`` (index array/slice)."""
     values = value.values
     if isinstance(values, np.ndarray):
@@ -207,23 +208,23 @@ class _PairColumns:
         self.base_arity = len(base.schema)
         self._positions: dict[str, int] = {}
 
-    def resolver(self, b: Any, r: Any, np: Any) -> Callable[[str], NpValue]:
+    def resolver(self, b: Any, r: Any) -> Callable[[str], NpValue]:
         def resolve(reference: str) -> NpValue:
             position = self._positions.get(reference)
             if position is None:
                 position = self._positions[reference] = \
                     self.combined_schema.index_of(reference)
             if position < self.base_arity:
-                return _gather(self.base.by_position(position), b, np)
+                return _gather(self.base.by_position(position), b)
             return _gather(
-                self.detail.by_position(position - self.base_arity), r, np)
+                self.detail.by_position(position - self.base_arity), r)
         return resolve
 
 
 # -- hash matching -------------------------------------------------------------
 
 
-def _lookup(distinct: Any, codes: Any, np: Any) -> Any:
+def _lookup(distinct: Any, codes: Any) -> Any:
     """Position of each code in sorted ``distinct``; -1 where absent."""
     if not len(distinct):
         return np.full(len(codes), -1, dtype=np.int64)
@@ -232,7 +233,7 @@ def _lookup(distinct: Any, codes: Any, np: Any) -> Any:
     return np.where(distinct[position] == codes, position, -1)
 
 
-def _distinct(values: Any, np: Any) -> Any:
+def _distinct(values: Any) -> Any:
     """Sorted distinct values (``np.unique`` without its hashing set-up,
     which dominates on the <= |B| keys this is called with)."""
     ordered = np.sort(values)
@@ -249,18 +250,18 @@ def _is_missing(value: NpValue) -> bool:
     return value.kind == "null" or value.null is True
 
 
-def _nobody(n_base: int, total: int, np: Any) -> tuple[Any, Any, int, bool]:
+def _nobody(n_base: int, total: int) -> tuple[Any, Any, int, bool]:
     return (np.full(n_base, -1, dtype=np.int64),
             np.full(total, -1, dtype=np.int64), 0, True)
 
 
-def _only(live: Any, codes: Any, np: Any) -> Any:
+def _only(live: Any, codes: Any) -> Any:
     """``codes`` with -1 ("matches nothing") outside ``live`` (None = all)."""
     return codes if live is None else np.where(live, codes, -1)
 
 
 def _int_codes(base_values: Any, base_live: Any, row_values: Any,
-               row_live: Any, np: Any) -> tuple[Any, Any, int, bool]:
+               row_live: Any) -> tuple[Any, Any, int, bool]:
     """Dense codes for one int64 domain on both sides of an equality.
 
     ``*_live`` masks the positions that can match at all (None = all).
@@ -272,9 +273,9 @@ def _int_codes(base_values: Any, base_live: Any, row_values: Any,
     """
     n_base, total = len(base_values), len(row_values)
     distinct = _distinct(base_values if base_live is None
-                         else base_values[base_live], np)
+                         else base_values[base_live])
     if not len(distinct):
-        return _nobody(n_base, total, np)
+        return _nobody(n_base, total)
     lo, hi = int(distinct[0]), int(distinct[-1])
     span = hi - lo + 1
     direct = span <= n_base + total
@@ -293,15 +294,15 @@ def _int_codes(base_values: Any, base_live: Any, row_values: Any,
             np.minimum(offset, np.uint64(span), out=offset)
             codes = table.take(offset.view(np.int64))
         else:
-            codes = _lookup(distinct, values, np)
-        return _only(live, codes, np)
+            codes = _lookup(distinct, values)
+        return _only(live, codes)
 
     return (code(base_values, base_live), code(row_values, row_live),
             len(distinct), direct)
 
 
 def _component_codes(left: NpValue, right: NpValue, detail_codes: Callable,
-                     np: Any) -> tuple[Any, Any, int, bool]:
+                     ) -> tuple[Any, Any, int, bool]:
     """Code one correlating key component on both sides of the equality.
 
     ``left`` spans the base rows, ``right`` the detail rows (both
@@ -311,7 +312,7 @@ def _component_codes(left: NpValue, right: NpValue, detail_codes: Callable,
     nothing) and -1 marks "matches nothing".
     """
     if _is_missing(left) or _is_missing(right) or left.kind != right.kind:
-        return _nobody(len(left.values), len(right.values), np)
+        return _nobody(len(left.values), len(right.values))
     base_live = None if left.null is False else ~left.null
     row_live = None if right.null is False else ~right.null
     if left.kind == "str":
@@ -319,7 +320,7 @@ def _component_codes(left: NpValue, right: NpValue, detail_codes: Callable,
         # one dict probe per distinct base word, then table lookups.
         words = left.dictionary or []
         used = _distinct(left.values if base_live is None
-                         else left.values[base_live], np)
+                         else left.values[base_live])
         code_of = detail_codes()
         wanted = np.array([code_of.get(words[code], -1)
                            for code in used.tolist()], dtype=np.int64)
@@ -330,49 +331,49 @@ def _component_codes(left: NpValue, right: NpValue, detail_codes: Callable,
         row_table = np.full(max(1, len(right.dictionary or [])), -1,
                             dtype=np.int64)
         row_table[wanted[present]] = np.arange(n_codes)
-        return (_only(base_live, base_table[left.values], np),
-                _only(row_live, row_table[right.values], np), n_codes, True)
+        return (_only(base_live, base_table[left.values]),
+                _only(row_live, row_table[right.values]), n_codes, True)
     if _is_floatish(left) or _is_floatish(right):
         # The equality runs in float64; an int beyond 2**53 on either
         # side would round where Python compares exactly.
         _guard_float_exact(left, right, "key equality")
         base_values = left.values.astype(np.float64, copy=False)
         distinct = _distinct(base_values if base_live is None
-                             else base_values[base_live], np)
+                             else base_values[base_live])
         row_values = right.values.astype(np.float64, copy=False)
         # (NaN equals nothing, itself included: _lookup finds it nowhere.)
-        return (_only(base_live, _lookup(distinct, base_values, np), np),
-                _only(row_live, _lookup(distinct, row_values, np), np),
+        return (_only(base_live, _lookup(distinct, base_values)),
+                _only(row_live, _lookup(distinct, row_values)),
                 len(distinct), False)
     return _int_codes(left.values.astype(np.int64, copy=False), base_live,
-                      right.values.astype(np.int64, copy=False), row_live, np)
+                      right.values.astype(np.int64, copy=False), row_live)
 
 
 def _key_codes(components: Sequence[tuple[NpValue, NpValue, Callable]],
-               n_base: int, total: int, np: Any) -> tuple[Any, Any, int, bool]:
+               n_base: int, total: int) -> tuple[Any, Any, int, bool]:
     """Code a whole list of correlating key components: equal codes
     exactly for equal key tuples (see :func:`_component_codes`)."""
     if not components:  # the empty key list: one bucket of every base row
         return (np.zeros(n_base, dtype=np.int64),
                 np.zeros(total, dtype=np.int64), 1, True)
     base_code, row_code, n_codes, direct = _component_codes(
-        *components[0], np)
+        *components[0])
     for left, right, detail_codes in components[1:]:
         part_base, part_row, radix, part_direct = _component_codes(
-            left, right, detail_codes, np)
+            left, right, detail_codes)
         # Re-densify against the live key prefixes: codes stay below
         # |B| whatever the number of components.
         base_code, row_code, n_codes, dense = _int_codes(
             base_code * radix + part_base,
             (base_code >= 0) & (part_base >= 0),
             row_code * radix + part_row,
-            (row_code >= 0) & (part_row >= 0), np)
+            (row_code >= 0) & (part_row >= 0))
         direct = direct and part_direct and dense
     return base_code, row_code, n_codes, direct
 
 
 def _equals_constant(column: NpValue, constant: NpValue,
-                     codes: Callable, size: int, np: Any) -> Any:
+                     codes: Callable, size: int) -> Any:
     """Where ``column`` (an array, or itself a constant) equals the
     constant key side, as Python compares them; a bool mask."""
     nowhere = np.zeros(size, dtype=bool)
@@ -409,16 +410,15 @@ class _HashMatch:
                  "lookup")
 
     def __init__(self, components: Sequence[tuple[NpValue, NpValue, Callable]],
-                 base_filter: Any, n_base: int, total: int,
-                 np: Any) -> None:
+                 base_filter: Any, n_base: int, total: int) -> None:
         base_code, row_code, n_codes, direct = _key_codes(
-            components, n_base, total, np)
+            components, n_base, total)
         if base_filter is not None:
             # Base tuples a constant key component rules out (``b.x = 3``)
             # are in no bucket; buckets they alone held disappear.
             base_code, row_code, n_codes, _ = _int_codes(
                 base_code, (base_code >= 0) & base_filter,
-                row_code, row_code >= 0, np)
+                row_code, row_code >= 0)
         live = np.flatnonzero(base_code >= 0)
         codes = base_code[live]
         self.bases = live[np.argsort(codes, kind="stable")]
@@ -431,8 +431,7 @@ class _HashMatch:
             np.full(total, -1, dtype=np.int64)
         self.lookup = "direct" if direct else "sorted"
 
-    def pairs(self, row_bucket: Any, start: int, stop: int,
-              np: Any) -> tuple[Any, Any]:
+    def pairs(self, row_bucket: Any, start: int, stop: int) -> tuple[Any, Any]:
         """Candidate pairs of rows ``[start, stop)``, row-major;
         ``row_bucket`` is this structure's, or a block's masked copy."""
         bucket = row_bucket[start:stop]
@@ -456,7 +455,7 @@ def _join_index(pairs: _PairColumns,
                 keys: Sequence[tuple[Expression, Expression]],
                 components: Sequence[tuple[NpValue, NpValue, Callable]],
                 base_filter: Any, n_base: int, total: int,
-                np: Any) -> tuple[_HashMatch, str]:
+                ) -> tuple[_HashMatch, str]:
     """The key structure over ``components`` (``keys`` are their
     expressions), and whether it was ``"built"`` now or ``"reused"``.
 
@@ -486,7 +485,7 @@ def _join_index(pairs: _PairColumns,
             if columns is base.columns and known == positions:
                 get_registry().counter("npkernel.join_index_reuses").inc()
                 return match, "reused"
-    match = _HashMatch(components, base_filter, n_base, total, np)
+    match = _HashMatch(components, base_filter, n_base, total)
     get_registry().counter("npkernel.join_index_builds").inc()
     if kept is not None:
         for array in (match.row_bucket, match.starts, match.sizes,
@@ -500,8 +499,7 @@ def _join_index(pairs: _PairColumns,
 # -- aggregate accumulation ----------------------------------------------------
 
 
-def _value_codes(values: Any, present: Any, slots: int,
-                 np: Any) -> tuple[Any, int]:
+def _value_codes(values: Any, present: Any, slots: int) -> tuple[Any, int]:
     """Dense codes for a ``COUNT(DISTINCT)`` argument, and their radix.
 
     ``values`` is the whole argument column (an array, or a constant),
@@ -541,7 +539,7 @@ class _SpecArrays:
                  "private", "value_fn")
 
     def __init__(self, spec: AggregateSpec, detail: Columns, groups: int,
-                 total: int, np: Any) -> None:
+                 total: int) -> None:
         self.spec = spec
         self.groups = groups
         self.reason: str | None = None
@@ -550,12 +548,12 @@ class _SpecArrays:
         self.private: dict[int, Any] = {}
         self.value_fn = None
         self.mode = "star" if spec.argument is None else \
-            self._plan(spec, detail, groups, total, np)
+            self._plan(spec, detail, groups, total)
         if self.mode not in ("python", "skip"):
             self.counts = np.zeros(groups, dtype=np.int64)
 
     def _plan(self, spec: AggregateSpec, detail: Columns, groups: int,
-              total: int, np: Any) -> str:
+              total: int) -> str:
         if spec.distinct and spec.function != "count":
             # First-seen order decides a float SUM/AVG(DISTINCT).
             self.reason = "holistic DISTINCT aggregate"
@@ -577,7 +575,7 @@ class _SpecArrays:
                 self.reason = "NaN under COUNT(DISTINCT)"
                 return "python"
             codes, self.radix = _value_codes(values, present,
-                                             groups + total, np)
+                                             groups + total)
             slots = groups * self.radix
             if slots >= _SUM_SAFE:
                 self.reason = "COUNT(DISTINCT) code space beyond int64"
@@ -624,8 +622,7 @@ class _SpecArrays:
                               dtype=present.dtype)
         return function
 
-    def add(self, b: Any, r: Any, columnar: ColumnarRelation,
-            np: Any) -> None:
+    def add(self, b: Any, r: Any, columnar: ColumnarRelation) -> None:
         """Fold surviving pairs (per group in ascending row order)."""
         mode = self.mode
         if mode == "skip" or not len(b):
@@ -663,7 +660,7 @@ class _SpecArrays:
             self.pending.append(b * self.radix + values)
             self.pending_size += len(b)
             if self.pending_size > max(len(self.seen), 8 * TILE_PAIRS):
-                self._compact(np)  # keeps memory O(distinct pairs)
+                self._compact()  # keeps memory O(distinct pairs)
             return
         np.add.at(self.counts, b, 1)
         if mode == "min":
@@ -676,12 +673,12 @@ class _SpecArrays:
             np.add.at(self.totals, b, values.astype(np.int64)
                       if values.dtype.kind == "b" else values)
 
-    def _compact(self, np: Any) -> None:
+    def _compact(self) -> None:
         self.seen = np.unique(np.concatenate([self.seen, *self.pending]))
         self.pending = []
         self.pending_size = 0
 
-    def finalize(self, np: Any) -> NpValue | list:
+    def finalize(self) -> NpValue | list:
         """The aggregate's result column over the block's groups, in
         array form — or, when it was accumulated per value in Python,
         as the list of those values (None = NULL)."""
@@ -700,7 +697,7 @@ class _SpecArrays:
             self.counts = np.count_nonzero(
                 self.seen.reshape(groups, self.radix), axis=1)
         elif mode == "distinct":
-            self._compact(np)
+            self._compact()
             self.counts = np.bincount(self.seen // self.radix,
                                       minlength=groups)
         if counting:
@@ -708,12 +705,12 @@ class _SpecArrays:
         unseen = self.counts == 0
         # Unseen groups hold a neutral value under the NULL mask (an
         # extremum's start value would trip the selection's range guards).
-        data = np.where(unseen, 0, _exact_mean(self.totals, self.counts, np)
+        data = np.where(unseen, 0, _exact_mean(self.totals, self.counts)
                         if mode == "avg" else self.totals)
         return NpValue(data, unseen if unseen.any() else False, "num")
 
 
-def _exact_mean(totals: Any, counts: Any, np: Any) -> Any:
+def _exact_mean(totals: Any, counts: Any) -> Any:
     """``total / count`` per group exactly as Python divides (0 where
     nothing was counted).  float64 division is correctly rounded and so
     is Python's ``int / int`` — they agree while the int64 total converts
@@ -791,8 +788,8 @@ def range_shape(condition: Expression, base_schema: Schema,
                       frozenset(map(repr, conjuncts_of(condition))))
 
 
-def _truth_of(conjuncts: Sequence[Expression], resolve: Callable, n: int,
-              np: Any) -> Any:
+def _truth_of(conjuncts: Sequence[Expression], resolve: Callable,
+              n: int) -> Any:
     """Where every one of ``conjuncts`` is TRUE, as a bool mask."""
     mask = np.ones(n, dtype=bool)
     for conjunct in conjuncts:
@@ -801,7 +798,7 @@ def _truth_of(conjuncts: Sequence[Expression], resolve: Callable, n: int,
 
 
 def _suffix_best_two(values: Any, codes: Any, sentinel: Any, least: bool,
-                     np: Any) -> tuple[Any, Any, Any]:
+                     ) -> tuple[Any, Any, Any]:
     """Per suffix start ``s`` in ``0..len(values)``: the best value of
     ``values[s:]`` (least, or greatest), its code, and the best value
     whose code differs from that one; ``sentinel`` where there is none.
@@ -833,7 +830,7 @@ def _suffix_best_two(values: Any, codes: Any, sentinel: Any, least: bool,
     return best, code, other
 
 
-def _sentinel(dtype: Any, least: bool, np: Any) -> Any:
+def _sentinel(dtype: Any, least: bool) -> Any:
     """The value every real one beats at a least / greatest search."""
     if dtype.kind == "f":
         return np.inf if least else -np.inf
@@ -865,13 +862,11 @@ class _RangeIndex:
                  "_firsts")
 
     def __init__(self, live: Any, key: tuple[NpValue, Callable] | None,
-                 y: NpValue | None, descending: bool, doom: bool,
-                 np: Any) -> None:
+                 y: NpValue | None, descending: bool, doom: bool) -> None:
         codes = self.codes = self.reps = self.by_code = self.values = None
         if key is not None:
             right, word_codes = key
-            codes, _, n_codes, _ = _component_codes(right, right, word_codes,
-                                                    np)
+            codes, _, n_codes, _ = _component_codes(right, right, word_codes)
             coded = np.flatnonzero(codes >= 0)
             self.reps = np.zeros(n_codes, dtype=np.int64)
             self.reps[codes[coded]] = coded
@@ -911,14 +906,14 @@ class _RangeIndex:
             if array is not None:
                 array.flags.writeable = False
 
-    def starts(self, x: Any, op: str, np: Any) -> Any:
+    def starts(self, x: Any, op: str) -> Any:
         """Where the rows ``r.y op x`` admit begin, per value of ``x``."""
         cut = np.searchsorted(self.values, x,
                               side="right" if op in (">", "<=") else "left")
         return cut if op in (">", ">=") else self.valued - cut
 
     def base_codes(self, left: NpValue, right: NpValue,
-                   word_codes: Callable, np: Any) -> Any:
+                   word_codes: Callable) -> Any:
         """Each base key (``left``) as a code of this index, by
         :func:`_component_codes` against one detail row per code; -2 for
         a key equal to no detail row's (NULL included)."""
@@ -926,14 +921,14 @@ class _RangeIndex:
         if not len(self.reps):
             return np.full(n_base, -2, dtype=np.int64)
         base_rank, rep_rank, n_codes, _ = _component_codes(
-            left, _gather(right, self.reps, np), word_codes, np)
+            left, _gather(right, self.reps), word_codes)
         to_code = np.full(max(1, n_codes), -2, dtype=np.int64)
         hit = rep_rank >= 0
         to_code[rep_rank[hit]] = np.flatnonzero(hit)
         return np.where(base_rank >= 0,
                         to_code[np.maximum(base_rank, 0)], -2)
 
-    def _span(self, start: Any, code: Any, np: Any) -> tuple[Any, Any]:
+    def _span(self, start: Any, code: Any) -> tuple[Any, Any]:
         """Where the rows of ``code`` from position ``start`` on lie in
         ``by_code``."""
         width = len(self.order) + 1
@@ -941,15 +936,15 @@ class _RangeIndex:
         return (np.searchsorted(ranked, (code + 1) * width + start),
                 np.searchsorted(ranked, (code + 2) * width))
 
-    def count_from(self, start: Any, code: Any, np: Any) -> Any:
+    def count_from(self, start: Any, code: Any) -> Any:
         """Rows from position ``start`` on whose key is not ``code``."""
         count = len(self.order) - start
         if code is None:
             return count
-        lo, hi = self._span(start, code, np)
+        lo, hi = self._span(start, code)
         return count - (hi - lo)
 
-    def sum_from(self, values: Any, start: Any, code: Any, np: Any) -> Any:
+    def sum_from(self, values: Any, start: Any, code: Any) -> Any:
         """``values`` (int64, one per detail row) summed over the rows
         :meth:`count_from` counts: a suffix sum less the key's own."""
         ordered = values[self.order]
@@ -958,11 +953,11 @@ class _RangeIndex:
         if code is None:
             return result
         by_key = np.concatenate(([0], np.cumsum(ordered[self.by_code[0]])))
-        lo, hi = self._span(start, code, np)
+        lo, hi = self._span(start, code)
         return result - (by_key[hi] - by_key[lo])
 
     def best_from(self, values: Any, start: Any, code: Any, least: bool,
-                  sentinel: Any, np: Any) -> Any:
+                  sentinel: Any) -> Any:
         """The least (greatest) of ``values`` over the rows
         :meth:`count_from` counts; ``sentinel`` where there is none."""
         ordered = values[self.order]
@@ -971,10 +966,10 @@ class _RangeIndex:
             return np.append(pick.accumulate(ordered[::-1])[::-1],
                              sentinel)[start]
         best, best_code, other = _suffix_best_two(ordered, self.codes,
-                                                  sentinel, least, np)
+                                                  sentinel, least)
         return np.where(best_code[start] != code, best[start], other[start])
 
-    def first_from(self, start: Any, code: Any, np: Any) -> Any:
+    def first_from(self, start: Any, code: Any) -> Any:
         """The earliest detail row among those :meth:`count_from` counts
         (``_NEVER``: none) — built on first use, then kept."""
         firsts = self._firsts
@@ -984,7 +979,7 @@ class _RangeIndex:
                     np.minimum.accumulate(self.order[::-1])[::-1], _NEVER),)
             else:
                 firsts = _suffix_best_two(self.order, self.codes, _NEVER,
-                                          True, np)
+                                          True)
             self._firsts = firsts
         if code is None:
             return firsts[0][start]
@@ -999,8 +994,7 @@ _RANGE = object()
 
 def _range_index(pairs: _PairColumns, kept_key: tuple | None, live: Any,
                  key: tuple[NpValue, Callable] | None, y: NpValue | None,
-                 descending: bool, doom: bool,
-                 np: Any) -> tuple[_RangeIndex, str]:
+                 descending: bool, doom: bool) -> tuple[_RangeIndex, str]:
     """The :class:`_RangeIndex` over ``live`` rows, and whether it was
     ``"built"`` now or ``"reused"``.
 
@@ -1019,7 +1013,7 @@ def _range_index(pairs: _PairColumns, kept_key: tuple | None, live: Any,
             if owner is _RANGE and known == kept_key:
                 get_registry().counter("npkernel.range_index_reuses").inc()
                 return index, "reused"
-    index = _RangeIndex(live, key, y, descending, doom, np)
+    index = _RangeIndex(live, key, y, descending, doom)
     get_registry().counter("npkernel.range_index_builds").inc()
     if kept is not None:
         index.freeze()
@@ -1045,12 +1039,12 @@ class _RangeBlock:
 
     def __init__(self, runtime: _BlockRuntime, block: ThetaBlock,
                  shape: RangeShape, pairs: _PairColumns, n_base: int,
-                 total: int, np: Any) -> None:
+                 total: int) -> None:
         self.runtime = runtime
         self.index = runtime.index
         self.shape = shape
         base, detail = pairs.base, pairs.detail
-        self.specs = [_SpecArrays(spec, detail, n_base, total, np)
+        self.specs = [_SpecArrays(spec, detail, n_base, total)
                       for spec in block.aggregates]
         for spec in self.specs:
             name = spec.spec.output_name
@@ -1061,8 +1055,8 @@ class _RangeBlock:
                 # A difference of suffix sums is not ufunc.at's
                 # sequential addition, bit for bit.
                 raise NpUnsupported(f"{name}: float {spec.mode}")
-        live = _truth_of(shape.detail_only, detail.resolve, total, np)
-        self.ok = _truth_of(shape.base_only, base.resolve, n_base, np)
+        live = _truth_of(shape.detail_only, detail.resolve, total)
+        self.ok = _truth_of(shape.base_only, base.resolve, n_base)
         key = left = None
         if shape.neq is not None:
             base_side, detail_side = shape.neq
@@ -1097,9 +1091,9 @@ class _RangeBlock:
                              shape.band and shape.band[0])) + (descending,)
         self._source = (pairs, kept_key, live, key, y, descending)
         self.match, self.index_state = _range_index(
-            pairs, kept_key, live, key, y, descending, False, np)
+            pairs, kept_key, live, key, y, descending, False)
         self.code = None if key is None else self.match.base_codes(
-            left, key[0], key[1], np)
+            left, key[0], key[1])
         empty = len(self.match.order)
         self.x_ok = self.cut = None
         reach = self.ok
@@ -1111,44 +1105,43 @@ class _RangeBlock:
                 else ~x.null
             if values.dtype.kind == "f":
                 self.x_ok = self.x_ok & ~np.isnan(values)
-            self.cut = self.match.starts(values, op, np)
+            self.cut = self.match.starts(values, op)
             reach = reach & self.x_ok
         self.start = np.where(reach, 0 if self.cut is None else self.cut,
                               empty)
         self._matches = None
 
-    def first_match(self, np: Any) -> Any:
+    def first_match(self) -> Any:
         """Each base tuple's first matching detail row (``_NEVER``: none)."""
-        return self.match.first_from(self.start, self.code, np)
+        return self.match.first_from(self.start, self.code)
 
-    def first_escape(self, np: Any) -> Any:
+    def first_escape(self) -> Any:
         """Each base tuple's first row that matches this block without
         its range — the pair_equal doom when this block is the weak one
         plus that range — from the doom index, where those rows are a
         suffix (all of it when ``b.x`` is NULL or NaN)."""
         pairs, kept_key, live, key, y, descending = self._source
         doom, state = _range_index(pairs, kept_key, live, key, y,
-                                   descending, True, np)
+                                   descending, True)
         if state == "built":
             self.index_state = state
         start = np.where(self.ok, np.where(self.x_ok, doom.valued - self.cut,
                                            0), len(doom.order))
-        return doom.first_from(start, self.code, np)
+        return doom.first_from(start, self.code)
 
-    def matches(self, np: Any) -> Any:
+    def matches(self) -> Any:
         """Each base tuple's number of matching detail rows."""
         if self._matches is None:
-            self._matches = self.match.count_from(self.start, self.code, np)
+            self._matches = self.match.count_from(self.start, self.code)
         return self._matches
 
-    def matches_before(self, t: Any, np: Any) -> Any:
+    def matches_before(self, t: Any) -> Any:
         """Matching rows before row ``t_b`` — for a block without a range,
         whose index is in row order, so that is a 1-D count."""
         cut = np.maximum(np.searchsorted(self.match.order, t), self.start)
-        return self.matches(np) - self.match.count_from(cut, self.code, np)
+        return self.matches() - self.match.count_from(cut, self.code)
 
-    def columns(self, t: Any, n_base: int, total: int,
-                np: Any) -> list[NpValue]:
+    def columns(self, t: Any, n_base: int, total: int) -> list[NpValue]:
         """The finalized aggregates: over every match — or, with ``t``
         (assurance), over row ``t_b`` alone, the one row an assured
         tuple's single threshold block accumulated."""
@@ -1157,7 +1150,7 @@ class _RangeBlock:
             if mode == "skip":
                 continue
             if mode == "star":
-                spec.counts = self.matches(np) if t is None \
+                spec.counts = self.matches() if t is None \
                     else (t != _NEVER).astype(np.int64)
                 continue
             value = spec.value
@@ -1175,22 +1168,22 @@ class _RangeBlock:
                     spec.totals[hit] = values[rows]
                 continue
             spec.counts = self.match.sum_from(present.astype(np.int64),
-                                              self.start, self.code, np)
+                                              self.start, self.code)
             if mode in ("sum", "avg"):
                 spec.totals = self.match.sum_from(
                     np.where(present, values, 0).astype(np.int64),
-                    self.start, self.code, np)
+                    self.start, self.code)
             elif mode in ("min", "max"):
                 least = mode == "min"
-                sentinel = _sentinel(spec.totals.dtype, least, np)
+                sentinel = _sentinel(spec.totals.dtype, least)
                 spec.totals = self.match.best_from(
                     np.where(present, values, sentinel), self.start,
-                    self.code, least, sentinel, np)
-        return [spec.finalize(np) for spec in self.specs]
+                    self.code, least, sentinel)
+        return [spec.finalize() for spec in self.specs]
 
 
 def _range_completion(rule: CompletionRule, blocks: dict[int, _RangeBlock],
-                      n_base: int, np: Any) -> tuple[Any, dict | None]:
+                      n_base: int) -> tuple[Any, dict | None]:
     """Every base tuple's ``t_b`` under ``rule``, and per block the
     range-free block whose matches before ``t_b`` are its aggregate
     updates (None: it has none) — None for assurance, where they are one
@@ -1205,11 +1198,11 @@ def _range_completion(rule: CompletionRule, blocks: dict[int, _RangeBlock],
             raise NpUnsupported(
                 "assurance beyond need_positive on a one-block GMDJ")
         (plan,) = blocks.values()
-        return plan.first_match(np), None
+        return plan.first_match(), None
     t = np.full(n_base, _NEVER, dtype=np.int64)
     zero = set(rule.must_be_zero)
     for index in zero:
-        t = np.minimum(t, blocks[index].first_match(np))
+        t = np.minimum(t, blocks[index].first_match())
     weak_of: dict[int, _RangeBlock] = {}
     for restrictive, weak in rule.pair_equal:
         strict, loose = blocks[restrictive], blocks[weak]
@@ -1221,7 +1214,7 @@ def _range_completion(rule: CompletionRule, blocks: dict[int, _RangeBlock],
             raise NpUnsupported("a pair_equal whose restrictive block is "
                                 "not its weak block plus one range")
         if extra:
-            t = np.minimum(t, strict.first_escape(np))
+            t = np.minimum(t, strict.first_escape())
         weak_of.setdefault(restrictive, loose)
     counted: dict[int, _RangeBlock | None] = {}
     for index, plan in blocks.items():
@@ -1240,7 +1233,7 @@ def _range_completion(rule: CompletionRule, blocks: dict[int, _RangeBlock],
 
 def _take_ranges(every_block: Sequence[tuple[_BlockRuntime, ThetaBlock]],
                  rule: CompletionRule | None, pairs: _PairColumns,
-                 n_base: int, total: int, np: Any,
+                 n_base: int, total: int,
                  ) -> tuple[dict[int, _RangeBlock], tuple | None, list[str]]:
     """The scan blocks the range form answers, by block index; under a
     completion rule ``(t, counted)`` of :func:`_range_completion`; and
@@ -1261,7 +1254,7 @@ def _take_ranges(every_block: Sequence[tuple[_BlockRuntime, ThetaBlock]],
             if isinstance(shape, str):
                 raise NpUnsupported(shape)
             taken[runtime.index] = _RangeBlock(runtime, block, shape, pairs,
-                                               n_base, total, np)
+                                               n_base, total)
         except NpUnsupported as exc:
             declined.append(f"block {runtime.index}: {exc.reason}")
     if not taken or rule is None or not rule.useful:
@@ -1270,7 +1263,7 @@ def _take_ranges(every_block: Sequence[tuple[_BlockRuntime, ThetaBlock]],
         if len(taken) < len(every_block):
             raise NpUnsupported("completion couples it to a block the "
                                 "range form does not take")
-        completion = _range_completion(rule, taken, n_base, np)
+        completion = _range_completion(rule, taken, n_base)
     except NpUnsupported as exc:
         declined.extend(f"block {index}: {exc.reason}" for index in taken)
         return {}, None, declined
@@ -1279,7 +1272,7 @@ def _take_ranges(every_block: Sequence[tuple[_BlockRuntime, ThetaBlock]],
 
 def _finish_ranges(ranged: dict[int, _RangeBlock], completion: tuple | None,
                    result: "ArrayScan", stats: IOStats, n_base: int,
-                   total: int, np: Any) -> None:
+                   total: int) -> None:
     """Counters and finalized columns of the range-form blocks.
 
     The counters are the row kernel's logical ones, derived per base
@@ -1298,17 +1291,17 @@ def _finish_ranges(ranged: dict[int, _RangeBlock], completion: tuple | None,
         if plan.shape.has_residual:
             stats.predicate_evals += evaluated
         if t is None:
-            updates = int(np.sum(plan.matches(np)))
+            updates = int(np.sum(plan.matches()))
         elif counted is None:
             updates = int(np.count_nonzero(t != _NEVER))
         else:
             source = counted[index]
             updates = 0 if source is None \
-                else int(np.sum(source.matches_before(t, np)))
+                else int(np.sum(source.matches_before(t)))
         stats.aggregate_updates += updates * len(plan.specs)
         columns = result.columns[index] = plan.columns(
             t if counted is None else None,  # t only under assurance
-            n_base, total, np)
+            n_base, total)
         for spec, column in zip(plan.specs, columns):
             result._forms[spec.spec.output_name] = column
     result.range_index = tuple(ranged[index].index_state
@@ -1328,7 +1321,7 @@ class _NpBlock:
     def __init__(self, runtime: _BlockRuntime, block: ThetaBlock,
                  pairs: _PairColumns,
                  matches: dict[tuple, tuple[_HashMatch, str]],
-                 n_base: int, total: int, np: Any) -> None:
+                 n_base: int, total: int) -> None:
         self.runtime = runtime
         self.index = runtime.index
         detail = pairs.detail
@@ -1342,9 +1335,9 @@ class _NpBlock:
         self.row_bucket = None
         if runtime.uses_hash:
             self._plan_match(factored.left_keys, factored.right_keys, pairs,
-                             matches, n_base, total, np)
+                             matches, n_base, total)
         groups = 1 if runtime.invariant else n_base
-        self.specs = [_SpecArrays(spec, detail, groups, total, np)
+        self.specs = [_SpecArrays(spec, detail, groups, total)
                       for spec in block.aggregates]
         self.evals = 0
         self.updates = 0
@@ -1354,7 +1347,7 @@ class _NpBlock:
     def _plan_match(self, left_keys: Sequence[Expression],
                     right_keys: Sequence[Expression], pairs: _PairColumns,
                     matches: dict[tuple, tuple[_HashMatch, str]],
-                    n_base: int, total: int, np: Any) -> None:
+                    n_base: int, total: int) -> None:
         """One :class:`_HashMatch` over every key component that reads
         the base — shared with the blocks whose such components are the
         same, and a join index across scans (:func:`_join_index`) — and,
@@ -1368,7 +1361,7 @@ class _NpBlock:
             right = np_value(right_key, detail.resolve)
             detail_codes = partial(detail.word_codes, right_key, right)
             if not isinstance(left.values, np.ndarray):
-                keep = _equals_constant(right, left, detail_codes, total, np)
+                keep = _equals_constant(right, left, detail_codes, total)
                 row_filter = keep if row_filter is None else row_filter & keep
                 continue
             shared_by.append((repr(left_key), repr(right_key)))
@@ -1378,13 +1371,13 @@ class _NpBlock:
             else:
                 keep = _equals_constant(
                     left, right, partial(base.word_codes, left_key, left),
-                    n_base, np)
+                    n_base)
                 base_filter = keep if base_filter is None \
                     else base_filter & keep
         found = matches.get(tuple(shared_by))
         if found is None:
             found = matches[tuple(shared_by)] = _join_index(
-                pairs, keys, correlating, base_filter, n_base, total, np)
+                pairs, keys, correlating, base_filter, n_base, total)
         self.match, self.join_index = found
         self.row_bucket = self.match.row_bucket if row_filter is None else \
             np.where(row_filter, self.match.row_bucket, -1)
@@ -1396,13 +1389,13 @@ class _NpBlock:
         return self.match.fanout if self.match is not None else n_active
 
     def scan(self, start: int, stop: int, active: Any, t: Any,
-             shrunk: bool, pairs: _PairColumns, np: Any) -> None:
+             shrunk: bool, pairs: _PairColumns) -> None:
         """Candidates and θ-matches of rows ``[start, stop)``."""
         if self.runtime.invariant:
             r = np.arange(start, stop)
             b = np.zeros(stop - start, dtype=np.int64)
         elif self.match is not None:
-            b, r = self.match.pairs(self.row_bucket, start, stop, np)
+            b, r = self.match.pairs(self.row_bucket, start, stop)
             if shrunk:
                 keep = t[b] == _NEVER
                 b, r = b[keep], r[keep]
@@ -1416,17 +1409,17 @@ class _NpBlock:
                 rows = slice(start, stop)
                 keep = np_truth_mask(
                     self.residual,
-                    lambda ref: _gather(pairs.detail.resolve(ref), rows, np),
+                    lambda ref: _gather(pairs.detail.resolve(ref), rows),
                     stop - start)[r - start]
             else:
                 keep = np_truth_mask(self.residual,
-                                     pairs.resolver(b, r, np), len(b))
+                                     pairs.resolver(b, r), len(b))
             b, r = b[keep], r[keep]
         self.hits = (b, r)
 
 
 def _doom_events(blocks: dict[int, _NpBlock], rule: CompletionRule,
-                 start: int, stop: int, np: Any) -> tuple[Any, Any]:
+                 start: int, stop: int) -> tuple[Any, Any]:
     """The tile's dooming pairs: Thm 4.2 matches and weak-only matches."""
     events = [blocks[index].hits for index in rule.must_be_zero]
     span = stop - start
@@ -1446,13 +1439,13 @@ class _Assurance:
 
     __slots__ = ("needs", "open", "latest")
 
-    def __init__(self, rule: CompletionRule, n_base: int, np: Any) -> None:
+    def __init__(self, rule: CompletionRule, n_base: int) -> None:
         self.needs = {index: np.full(n_base, count, dtype=np.int64)
                       for index, count in rule.thresholds().items()}
         self.open = np.full(n_base, len(self.needs), dtype=np.int64)
         self.latest = np.full(n_base, -1, dtype=np.int64)
 
-    def assured(self, blocks: dict[int, _NpBlock], np: Any,
+    def assured(self, blocks: dict[int, _NpBlock],
                 ) -> tuple[Any, Any]:
         """Bases whose last threshold this tile reaches, and at which row."""
         done = []
@@ -1502,9 +1495,9 @@ class ArrayScan:
 
     __slots__ = ("python_blocks", "reasons", "columns", "key_lookup",
                  "shared_keys", "join_index", "forms", "range_index",
-                 "range_declined", "tiles", "_forms", "_base", "_np")
+                 "range_declined", "tiles", "_forms", "_base")
 
-    def __init__(self, base: Columns, np: Any) -> None:
+    def __init__(self, base: Columns) -> None:
         self.python_blocks: list[tuple[_BlockRuntime, ThetaBlock]] = []
         self.reasons: list[str] = []
         self.columns: dict[int, list[NpValue | list]] = {}
@@ -1517,7 +1510,6 @@ class ArrayScan:
         self.tiles = 0
         self._forms: dict[str, NpValue] = {}
         self._base = base
-        self._np = np
 
     def surviving_rows(self, status: bytearray, selection: Expression,
                        output_schema: Schema, stats: IOStats) -> Any:
@@ -1531,7 +1523,6 @@ class ArrayScan:
         kernel ran — has no array form, the reason is noted, nothing is
         counted and None is returned: the caller decides row by row.
         """
-        np = self._np
         verdicts = np.frombuffer(status, dtype=np.uint8) if status \
             else np.empty(0, dtype=np.uint8)
         active = np.flatnonzero(verdicts == _ACTIVE)
@@ -1548,7 +1539,7 @@ class ArrayScan:
                     raise NpUnsupported(
                         f"aggregate {name} was finalized per value")
                 value = self._forms[name]
-            return value if everyone else _gather(value, active, np)
+            return value if everyone else _gather(value, active)
 
         try:
             passed = np_truth_mask(selection, resolve, len(active))
@@ -1561,31 +1552,28 @@ class ArrayScan:
         return keep
 
     def aggregate_columns(self, aggregates: Sequence[NpValue | list],
-                          output_schema: Schema) -> list[OutputColumn]:
+                          output_schema: Schema) -> list[ColumnData]:
         """Every output aggregate as a column over the base rows: array
         forms as they are, per-value lists through the storage encoder."""
         n_base = self._base.columnar.length
         fields = output_schema.fields[len(self._base.schema):]
         return [
-            encoded_column(aggregate, field.dtype)
+            encode_column(aggregate, field.dtype)
             if isinstance(aggregate, list)
             else column_of_value(aggregate, n_base, field.dtype)
             for aggregate, field in zip(aggregates, fields)
         ]
 
-    def emit(self, aggregates: Sequence[OutputColumn], keep: Any,
+    def emit(self, aggregates: Sequence[ColumnData], keep: Any,
              output_schema: Schema, stats: IOStats) -> Relation:
         """The emit phase on arrays: base columns ++ aggregate columns,
         gathered by ``keep`` (a truthy/falsy byte or bool per base row;
         None keeps all), as a column-backed relation.  No tuple is
         built; the counters are the row emit's, computed from lengths.
         """
-        np = self._np
         encoding = self._base.columnar
-        columns: Sequence[OutputColumn] = [
-            output_column(encoding, position)
-            for position in range(len(self._base.schema))
-        ] + list(aggregates)
+        columns: Sequence[ColumnData] = list(encoding.columns) \
+            + list(aggregates)
         length = encoding.length
         if keep is not None:
             if not isinstance(keep, np.ndarray):
@@ -1597,7 +1585,7 @@ class ArrayScan:
         return relation_of(output_schema, columns, length)
 
 
-def _broadcast(value: NpValue, n_base: int, np: Any) -> NpValue:
+def _broadcast(value: NpValue, n_base: int) -> NpValue:
     """An invariant block's one shared value, repeated per base row."""
     if not isinstance(value.values, np.ndarray):
         return value
@@ -1625,7 +1613,6 @@ def run_numpy_scan(
     back finalized as columns.  Scan blocks the range form answers
     (:func:`_take_ranges`) build no pairs at all.
     """
-    np = require_numpy()
     total = columnar.length
     n_base = len(base)
     # The base as columns — keys, pair residuals, the fused selection and
@@ -1638,7 +1625,7 @@ def run_numpy_scan(
     pairs = _PairColumns(Columns(base_encoding), Columns(columnar),
                          combined_schema)
     every_block = list(zip(runtimes, blocks))
-    result = ArrayScan(pairs.base, np)
+    result = ArrayScan(pairs.base)
     python_blocks, reasons = result.python_blocks, result.reasons
     live: list[_NpBlock] = []
     matches: dict[tuple, tuple[_HashMatch, str]] = {}
@@ -1654,20 +1641,20 @@ def run_numpy_scan(
         return False
 
     ranged, completion, declined = _take_ranges(every_block, rule, pairs,
-                                                n_base, total, np)
+                                                n_base, total)
     result.range_declined = tuple(declined)
     for runtime, block in every_block:
         if runtime.index in ranged:
             continue
         try:
             live.append(_NpBlock(runtime, block, pairs, matches, n_base,
-                                 total, np))
+                                 total))
         except NpUnsupported as exc:
             if give_up(runtime, exc):
                 return result
 
     dooming = rule is not None and rule.can_doom
-    assurance = _Assurance(rule, n_base, np) \
+    assurance = _Assurance(rule, n_base) \
         if rule is not None and rule.can_assure else None
     t = np.full(n_base, _NEVER, dtype=np.int64)
     active = np.arange(n_base, dtype=np.int64)
@@ -1689,18 +1676,18 @@ def run_numpy_scan(
         for plan in list(live):
             try:
                 plan.scan(start, stop, active, t, len(active) < n_base,
-                          pairs, np)
+                          pairs)
             except NpUnsupported as exc:
                 if give_up(plan.runtime, exc):
                     return result
                 live.remove(plan)
         cut = 0  # did a tuple complete in this tile?
         if dooming:
-            doomed, rows = _doom_events(by_index, rule, start, stop, np)
+            doomed, rows = _doom_events(by_index, rule, start, stop)
             np.minimum.at(t, doomed, rows)
             cut = len(doomed)
         elif assurance is not None:
-            assured, rows = assurance.assured(by_index, np)
+            assured, rows = assurance.assured(by_index)
             t[assured] = rows
             cut = len(assured)
         for plan in live:
@@ -1719,7 +1706,7 @@ def run_numpy_scan(
                 plan.evals += len(plan.cand[0])
             plan.updates += len(b) * len(plan.specs)
             for spec in plan.specs:
-                spec.add(b, r, columnar, np)
+                spec.add(b, r, columnar)
         if cut:
             active = active[t[active] == _NEVER]
         start = stop
@@ -1738,20 +1725,20 @@ def run_numpy_scan(
         stats.aggregate_updates += plan.updates
         columns = result.columns[plan.index] = []
         for spec in plan.specs:
-            column = spec.finalize(np)
+            column = spec.finalize()
             if isinstance(column, list):
                 if plan.runtime.invariant:  # one shared group
                     column = column * n_base
             else:
                 if plan.runtime.invariant:
-                    column = _broadcast(column, n_base, np)
+                    column = _broadcast(column, n_base)
                 result._forms[spec.spec.output_name] = column
             columns.append(column)
             if spec.reason is not None:
                 reasons.append(f"block {plan.index} "
                                f"{spec.spec.output_name}: {spec.reason}")
     if ranged:
-        _finish_ranges(ranged, completion, result, stats, n_base, total, np)
+        _finish_ranges(ranged, completion, result, stats, n_base, total)
         if completion is not None:
             t = completion[0]
         if not live and total:

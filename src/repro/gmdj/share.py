@@ -50,8 +50,7 @@ from repro.algebra.rewrite import transform_bottom_up
 from repro.gmdj.coalesce import _block_requalified, _detail_table
 from repro.gmdj.evaluate import SelectGMDJ
 from repro.gmdj.operator import GMDJ, ThetaBlock
-from repro.storage.columnar import cached_columnar, is_encoded
-from repro.storage.npcolumns import output_column, relation_of
+from repro.storage.columnar import cached_columnar, is_encoded, relation_of
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 
@@ -325,7 +324,7 @@ def split_result(
         columnar = cached_columnar(shared_result)
         return relation_of(
             consumer_schema,
-            [output_column(columnar, position)
+            [columnar.columns[position]
              for position in [*range(base_width), *positions]],
             columnar.length,
         )

@@ -77,7 +77,6 @@ from repro.gmdj.evaluate import (
 from repro.gmdj.operator import GMDJ, ThetaBlock
 from repro.obs.tracer import span
 from repro.storage.columnar import ColumnarRelation, cached_columnar
-from repro.storage.npcolumns import decoded_column
 from repro.storage.iostats import IOStats
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
@@ -407,7 +406,7 @@ def run_gmdj_vectorized(
             if keep is None:  # no array form (the reason is noted)
                 keep = _surviving_rows(
                     base.rows, status,
-                    [decoded_column(column) for column in aggregates],
+                    [column.decode() for column in aggregates],
                     compile_row(selection, output_schema), stats)
         elif any(status):
             keep = status.translate(_EMITTED)

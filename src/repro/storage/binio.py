@@ -10,18 +10,13 @@ A table saved with :func:`save_binary` becomes a directory::
         c1.npy
         ...
 
-The column files are standard NPY version-1 arrays, so any numpy
-installation reads them directly, but the format is **dependency-free**:
-this module carries its own NPY v1 reader/writer (the header is a
-``repr``'d dict; ``ast.literal_eval`` parses it back), and
-:func:`load_binary` has one reader for both kernels — zero-copy
-``memoryview`` casts over ``mmap``.  The python batch kernel decodes
-those through the same ``tolist`` path it uses for in-memory ``array``
-storage; the numpy kernel wraps them with ``np.frombuffer``
-(:mod:`repro.storage.npcolumns`), still without moving a byte.
+The column files are standard NPY version-1 arrays, written and parsed
+by numpy's own ``numpy.lib.format``; :func:`load_binary` memory-maps
+each value file and views it with ``np.frombuffer`` — no byte is moved,
+and a slice of a mapped column is a plain ndarray like any other.
 
 What is persisted is the engine's own columnar encoding
-(:mod:`repro.storage.columnar`): typed buffers, out-of-band validity
+(:mod:`repro.storage.columnar`): value arrays, out-of-band validity
 masks, dictionary-encoded strings (the dictionary rides in the
 manifest — OLAP dimension strings keep it tiny).  A mask file exists
 only for a column that holds a NULL; the others are stored and come
@@ -29,10 +24,17 @@ back mask-free.  Object-encoded columns (mixed types, >64-bit ints)
 have no array representation; their values are stored in the manifest
 as JSON.
 
+Loading trusts nothing it reads: a file that is not NPY, a version,
+``descr``, row count or length the manifest does not promise, a
+``kind`` its field's type cannot take, a mask or bool byte other than
+0/1 and a dictionary code outside the dictionary all raise
+:class:`~repro.errors.SchemaError` — one vectorized pass per column —
+so corrupt data never loads as wrong rows.
+
 The loaded :class:`~repro.storage.relation.Relation` materializes its
 row list once (``tolist`` + ``zip`` — no text parsing), and the loaded
 columnar encoding *is* the relation's one cached encoding, so every
-vectorized query scans the memory-mapped buffers directly instead of
+vectorized query scans the memory-mapped arrays directly instead of
 re-transposing the rows.
 
 Parquet interchange (:func:`save_parquet` / :func:`load_parquet`) is
@@ -43,14 +45,14 @@ native format above never needs it.
 
 from __future__ import annotations
 
-import ast
 import json
 import mmap
 import os
-import struct
-import sys
 from pathlib import Path
 from typing import Any
+
+import numpy as np
+from numpy.lib import format as npy
 
 from repro.errors import ConfigurationError, SchemaError
 from repro.storage.columnar import (
@@ -65,95 +67,62 @@ from repro.storage.types import DataType
 #: Directory suffix marking a binary table (``<name>.cols/``).
 TABLE_SUFFIX = ".cols"
 
-_MAGIC = b"\x93NUMPY"
-
 #: NPY descr per column kind — all little-endian on disk.
 _KIND_DESCR = {"int": "<i8", "float": "<f8", "bool": "|u1", "dict": "<i4"}
 
-#: descr → (struct/memoryview typecode, itemsize) for the pure-python path.
-_DESCR_CODES = {"<i8": ("q", 8), "<f8": ("d", 8),
-                "|u1": ("B", 1), "<i4": ("i", 4)}
+#: The field type each typed kind encodes (an object column may hold any).
+_KIND_DTYPE = {"int": DataType.INTEGER, "float": DataType.FLOAT,
+               "bool": DataType.BOOLEAN, "dict": DataType.STRING}
+
+_HEADER_READERS = {1: npy.read_array_header_1_0,
+                   2: npy.read_array_header_2_0}
 
 
-# -- NPY v1, dependency-free ----------------------------------------------
-
-
-def _write_npy(path: Path, descr: str, payload: bytes, count: int) -> None:
-    """Write a 1-D NPY v1 file numpy's own ``np.load`` accepts."""
-    header = (f"{{'descr': {descr!r}, 'fortran_order': False, "
-              f"'shape': ({count},), }}")
-    # magic(6) + version(2) + headerlen(2) + header, padded so the data
-    # start is 64-byte aligned, terminated by a newline (NPY spec).
-    base = len(_MAGIC) + 2 + 2
-    total = base + len(header) + 1
-    padding = (64 - total % 64) % 64
-    text = header + " " * padding + "\n"
-    with path.open("wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(bytes((1, 0)))
-        handle.write(struct.pack("<H", len(text)))
-        handle.write(text.encode("latin1"))
-        handle.write(payload)
-
-
-def _read_npy_header(handle) -> tuple[str, int, int]:
-    """Parse an NPY header; returns ``(descr, count, data_offset)``."""
-    magic = handle.read(6)
-    if magic != _MAGIC:
-        raise SchemaError(f"{handle.name} is not an NPY file")
-    major, _minor = handle.read(2)
-    if major == 1:
-        (header_len,) = struct.unpack("<H", handle.read(2))
-        offset = 10 + header_len
-    elif major == 2:
-        (header_len,) = struct.unpack("<I", handle.read(4))
-        offset = 12 + header_len
-    else:
-        raise SchemaError(f"unsupported NPY version {major} in {handle.name}")
-    header = ast.literal_eval(handle.read(header_len).decode("latin1"))
-    descr = header["descr"]
-    if header.get("fortran_order"):
-        raise SchemaError(f"{handle.name}: fortran-order arrays unsupported")
-    shape = header["shape"]
-    if len(shape) != 1:
-        raise SchemaError(f"{handle.name}: expected a 1-D column, "
-                          f"got shape {shape}")
-    return descr, shape[0], offset
-
-
-def _column_payload(data: Any) -> bytes:
-    """The raw little-endian bytes of one column's typed storage."""
-    if sys.byteorder != "little":  # pragma: no cover - big-endian only
-        raise ConfigurationError(
-            "save_binary writes little-endian NPY; big-endian hosts "
-            "are not supported")
-    return bytes(memoryview(data).cast("B"))
-
-
-def _load_column_values(path: Path, descr: str, rows: int) -> memoryview:
-    """One column file as a zero-copy typed ``memoryview`` over ``mmap``.
+def _load_array(path: Path, descr: str, rows: int) -> Any:
+    """One column file as an ndarray over its ``mmap``, zero-copy.
 
     The file must be what the manifest says it is: same ``descr``, one
     value per table row, and long enough to hold them.
     """
-    code, itemsize = _DESCR_CODES[descr]
     with path.open("rb") as handle:
-        file_descr, count, offset = _read_npy_header(handle)
-        if file_descr != descr:
+        try:
+            major, _minor = npy.read_magic(handle)
+        except ValueError:
+            raise SchemaError(f"{path} is not an NPY file") from None
+        read_header = _HEADER_READERS.get(major)
+        if read_header is None:
+            raise SchemaError(f"unsupported NPY version {major} in {path}")
+        try:
+            shape, fortran_order, dtype = read_header(handle)
+        except ValueError as error:
+            raise SchemaError(f"{path}: bad NPY header ({error})") from None
+        offset = handle.tell()
+        if dtype.str != descr:
             raise SchemaError(
-                f"{path}: manifest says {descr}, file says {file_descr}")
-        if count != rows:
+                f"{path}: manifest says {descr}, file says {dtype.str}")
+        if fortran_order or len(shape) != 1:
+            raise SchemaError(f"{path}: expected a 1-D column, "
+                              f"got shape {shape}")
+        if shape[0] != rows:
             raise SchemaError(
-                f"{path}: holds {count} values for a {rows}-row table")
-        end = offset + count * itemsize
+                f"{path}: holds {shape[0]} values for a {rows}-row table")
+        end = offset + rows * dtype.itemsize
         if os.fstat(handle.fileno()).st_size < end:
             raise SchemaError(
-                f"{path}: truncated, {count} {descr} values need {end} bytes")
-        if count == 0:
-            return memoryview(b"").cast(code)
+                f"{path}: truncated, {rows} {descr} values need {end} bytes")
+        if rows == 0:
+            return np.empty(0, dtype=dtype)
         mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    # The memoryview keeps the mmap alive; casting preserves that.
-    return memoryview(mapped)[offset:end].cast(code)
+    # The array keeps the mmap alive.
+    return np.frombuffer(mapped, dtype=dtype, count=rows, offset=offset)
+
+
+def _load_flags(path: Path, rows: int) -> Any:
+    """A ``|u1`` file of 0/1 bytes (a mask or bool column) as bools."""
+    flags = _load_array(path, "|u1", rows)
+    if flags.max(initial=0) > 1:
+        raise SchemaError(f"{path}: a flag byte is neither 0 nor 1")
+    return flags.view(np.bool_)
 
 
 # -- save -----------------------------------------------------------------
@@ -165,7 +134,7 @@ def save_binary(relation: Relation, path: str | Path) -> Path:
     What is written is the encoding the relation carries
     (:func:`~repro.storage.columnar.cached_columnar`: built now only if
     nothing encoded it yet), so a table that was loaded, scanned or
-    appended to saves the very buffers it scans.  Columns the encoder
+    appended to saves the very arrays it scans.  Columns the encoder
     found NULL-free get no mask file.  Returns the directory written.
     """
     path = Path(path)
@@ -187,17 +156,15 @@ def save_binary(relation: Relation, path: str | Path) -> Path:
             # values (arbitrary-precision ints survive JSON).
             descriptor["values"] = column.data
         else:
-            descr = _KIND_DESCR[column.kind]
             file_name = f"c{position}.npy"
-            _write_npy(path / file_name, descr,
-                       _column_payload(column.data), len(column))
+            np.save(path / file_name,
+                    column.data.astype(_KIND_DESCR[column.kind], copy=False))
             descriptor["file"] = file_name
             if column.dictionary is not None:
                 descriptor["dictionary"] = column.dictionary
         if column.valid is not None:
             mask_name = f"c{position}.mask.npy"
-            _write_npy(path / mask_name, "|u1", bytes(column.valid),
-                       len(column.valid))
+            np.save(path / mask_name, column.valid.astype("|u1"))
             descriptor["mask"] = mask_name
         fields.append(descriptor)
     manifest = {
@@ -214,22 +181,29 @@ def save_binary(relation: Relation, path: str | Path) -> Path:
 # -- load -----------------------------------------------------------------
 
 
-def _load_column(path: Path, descriptor: dict, rows: int) -> ColumnData:
+def _load_column(path: Path, descriptor: dict, dtype: DataType,
+                 rows: int) -> ColumnData:
     kind = descriptor["kind"]
-    valid = None
+    if kind != "object" and _KIND_DTYPE.get(kind) is not dtype:
+        raise SchemaError(f"{path}: column {descriptor['name']!r} of type "
+                          f"{dtype.value} cannot be kind {kind!r}")
     mask_name = descriptor.get("mask")
-    if mask_name is not None:
-        # Masks come back as real bytearrays: they are mutated by no one
-        # but summed/zipped everywhere, and at one byte per row the copy
-        # is immaterial next to keeping the value buffers mapped.
-        valid = bytearray(_load_column_values(path / mask_name, "|u1", rows))
+    valid = None if mask_name is None else _load_flags(path / mask_name, rows)
     if kind == "object":
-        values = [None if v is None else v for v in descriptor["values"]]
-        return ColumnData("object", values, valid)
-    values = _load_column_values(path / descriptor["file"],
-                                 _KIND_DESCR[kind], rows)
-    return ColumnData(kind, values, valid,
-                      descriptor.get("dictionary"))
+        return ColumnData("object", list(descriptor["values"]), valid)
+    if kind == "bool":
+        return ColumnData(kind, _load_flags(path / descriptor["file"], rows),
+                          valid)
+    values = _load_array(path / descriptor["file"], _KIND_DESCR[kind], rows)
+    dictionary = descriptor.get("dictionary")
+    if kind == "dict":
+        codes = values if valid is None else values[valid]
+        if len(codes) and (codes.min() < 0
+                           or codes.max() >= len(dictionary or ())):
+            raise SchemaError(
+                f"{path}: column {descriptor['name']!r} holds a code "
+                f"outside its {len(dictionary or ())}-word dictionary")
+    return ColumnData(kind, values, valid, dictionary)
 
 
 def load_binary(path: str | Path, name: str | None = None) -> Relation:
@@ -238,7 +212,7 @@ def load_binary(path: str | Path, name: str | None = None) -> Relation:
     The returned relation's rows reproduce the saved rows exactly (same
     values, same order, NULLs included).  The memory-mapped columns are
     its one columnar encoding, so vectorized evaluation scans the mapped
-    buffers without re-encoding.
+    arrays without re-encoding.
     """
     path = Path(path)
     manifest_path = path / "manifest.json"
@@ -258,8 +232,9 @@ def load_binary(path: str | Path, name: str | None = None) -> Relation:
               descriptor["qualifier"])
         for descriptor in manifest["fields"]
     )
-    columns = [_load_column(path, descriptor, rows)
-               for descriptor in manifest["fields"]]
+    columns = [_load_column(path, descriptor, field.dtype, rows)
+               for descriptor, field in zip(manifest["fields"],
+                                            schema.fields)]
     table_name = name or manifest.get("name") or table_stem(path)
     columnar = ColumnarRelation(schema, columns, rows, name=table_name)
     relation = columnar.to_relation()
@@ -316,7 +291,7 @@ def _require_pyarrow() -> Any:
         raise ConfigurationError(
             "parquet interchange requires the optional pyarrow extra; "
             "install it with: pip install repro[parquet] "
-            "(the native .cols binary format needs no dependencies)"
+            "(the native .cols binary format does not need it)"
         ) from None
     return pyarrow  # pragma: no cover
 

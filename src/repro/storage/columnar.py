@@ -1,21 +1,24 @@
-"""Column-major relation storage for batch execution.
+"""Column-major relation storage: one ndarray per column.
 
 A :class:`ColumnarRelation` holds the same bag of tuples as a
 :class:`~repro.storage.relation.Relation`, transposed into per-attribute
-columns with compact typed storage:
+:class:`ColumnData` columns, each one ndarray of values:
 
-* ``INTEGER`` → ``array('q')`` (falls back to a plain object list when a
-  Python int overflows 64 bits — SQL semantics keep arbitrary precision);
-* ``FLOAT``   → ``array('d')``;
-* ``BOOLEAN`` → a ``bytearray`` of 0/1;
-* ``STRING``  → dictionary encoding: an ``array('i')`` of codes plus the
-  list of distinct values (OLAP detail tables repeat their dimension
-  strings heavily, so the dictionary is tiny relative to the column).
+* ``INTEGER`` → ``int64`` (an *object* column — a plain list — when a
+  Python int overflows 64 bits: SQL semantics keep arbitrary precision);
+* ``FLOAT``   → ``float64``;
+* ``BOOLEAN`` → ``bool``;
+* ``STRING``  → dictionary encoding: ``int32`` codes plus the list of
+  distinct values (OLAP detail tables repeat their dimension strings
+  heavily, so the dictionary is tiny relative to the column).
 
-NULLs are carried out-of-band in a per-column validity ``bytearray``
-(1 = present), so the typed arrays never need an in-band sentinel.  The
-conversion is lossless in both directions: ``to_relation`` reproduces the
-original rows exactly, duplicates and NULLs included, in the same order.
+NULLs are carried out-of-band in a per-column bool validity ndarray
+(True = present), so the value arrays never need an in-band sentinel.
+The conversion is lossless in both directions: ``to_relation``
+reproduces the original rows exactly, duplicates and NULLs included, in
+the same order.  A column whose values have no array form (mixed types,
+>64-bit ints) is an object column; the array operators fall back to
+rows for expressions that touch it.
 
 Whether a column needs a mask is this module's decision alone: the
 encoder reads every value anyway, so a typed column in which it saw no
@@ -27,22 +30,26 @@ are NULL-free.
 
 An encoding is a value: nothing writes to one after it is built.  A
 write to the table makes the next one — :meth:`ColumnarRelation.appended`
-copies each typed buffer once and concatenates the encoder's output for
-the new rows, so an insert costs a memcpy per column, not a
-re-transposition of every row, and a reader that already resolved the
-old encoding keeps scanning exactly the arrays it had.
+concatenates each column with the encoder's output for the new rows, so
+an insert costs one copy per column, not a re-transposition of every
+row, and a reader that already resolved the old encoding keeps scanning
+exactly the arrays it had.
 
-The batch GMDJ kernels (:mod:`repro.gmdj.vectorized`) do not read the
-typed arrays element-wise in their hot loops — they ask for
-:meth:`ColumnarRelation.values`, a decoded plain list with ``None`` for
-NULL, computed once per column and cached.  That keeps the per-element
-access a single list index while the relation itself stays compact.
+The row-at-a-time consumers (row output, the python batch kernel) ask
+for :meth:`ColumnarRelation.values`, a decoded plain list with ``None``
+for NULL, computed once per column and cached.  The columns an array
+operator produces are :class:`ColumnData` too: :func:`relation_of`
+wraps them as a column-backed relation, and :func:`take_columns` /
+:func:`slice_column` are the two ways an operator restricts them to
+some of their rows.
 """
 
 from __future__ import annotations
 
 from array import array
 from typing import Any, Sequence
+
+import numpy as np
 
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
@@ -51,34 +58,20 @@ from repro.storage.types import DataType
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
 
-#: bytearray booleans decode through this table so ``to_relation``
-#: restores real ``bool`` objects, not 0/1 ints.
-_BOOLS = (False, True)
-
-
-def _plain_list(data: Any) -> list:
-    """Typed storage as a list of plain Python values.
-
-    ``array`` and ndarray expose ``tolist`` (which converts numpy
-    scalars to Python ints/floats/bools); ``bytearray`` iterates to
-    ints directly.
-    """
-    tolist = getattr(data, "tolist", None)
-    if tolist is not None:
-        return tolist()
-    return list(data)
-
 
 class ColumnData:
-    """One attribute's values: typed storage plus a validity mask.
+    """One attribute's values: an ndarray plus a validity mask.
 
-    ``valid=None`` means "every value present": the encoder saw no
-    NULL, so the mask would be all ones and is not materialized.
+    ``data`` is an ``int64`` / ``float64`` / ``bool`` / ``int32``
+    (dictionary codes, with ``dictionary`` the decoded string table)
+    ndarray for the typed kinds, a plain list for ``"object"``.
+    ``valid`` is a bool ndarray (True = present), or ``None`` when the
+    encoder saw no NULL and the all-True mask is not materialized.
     """
 
     __slots__ = ("kind", "data", "valid", "dictionary")
 
-    def __init__(self, kind: str, data: Any, valid: bytearray | None,
+    def __init__(self, kind: str, data: Any, valid: Any,
                  dictionary: list | None = None) -> None:
         self.kind = kind  # "int" | "float" | "bool" | "dict" | "object"
         self.data = data
@@ -96,37 +89,25 @@ class ColumnData:
     def null_count(self) -> int:
         if self.valid is None:
             return 0
-        return len(self.valid) - sum(self.valid)
+        return len(self.valid) - int(np.count_nonzero(self.valid))
 
     def decode(self) -> list:
         """The column as a plain list with ``None`` for NULL.
 
-        Storage may be an ``array``/``bytearray`` (the encoder's output),
-        a memory-mapped buffer (binary persistence) or an ndarray (a
-        column the array kernel or an array-form operator produced);
-        ``tolist`` normalizes them all to plain Python values so decoded
-        rows are byte-for-byte the same regardless of where the column
-        came from.
+        ``tolist`` turns numpy scalars into Python ints / floats / bools,
+        so decoded rows are the same whether the arrays came from the
+        encoder, a memory-mapped file or an array operator.
         """
-        valid = self.valid
-        if valid is not None and hasattr(valid, "tolist"):
-            valid = valid.tolist()  # an ndarray mask: plain bools
-        if self.kind == "dict":
-            dictionary = self.dictionary or []
-            codes = _plain_list(self.data)
-            if valid is None:
-                return [dictionary[code] for code in codes]
-            return [dictionary[code] if ok else None
-                    for code, ok in zip(codes, valid)]
-        if self.kind == "bool":
-            flags = _plain_list(self.data)
-            if valid is None:
-                return [_BOOLS[value] for value in flags]
-            return [_BOOLS[value] if ok else None
-                    for value, ok in zip(flags, valid)]
         if self.kind == "object":
             return list(self.data)
-        values = _plain_list(self.data)
+        values = self.data.tolist()
+        valid = None if self.valid is None else self.valid.tolist()
+        if self.kind == "dict":
+            dictionary = self.dictionary or []
+            if valid is None:
+                return [dictionary[code] for code in values]
+            return [dictionary[code] if ok else None
+                    for code, ok in zip(values, valid)]
         if valid is None:
             return values
         return [value if ok else None
@@ -134,53 +115,18 @@ class ColumnData:
 
 
 def _object_column(values: list) -> ColumnData:
-    return ColumnData("object", list(values), bytearray(
-        0 if v is None else 1 for v in values))
+    return ColumnData("object", list(values), np.array(
+        [v is not None for v in values], dtype=bool))
 
 
-def _mask(valid: bytearray) -> bytearray | None:
-    """``valid`` if it marks a NULL, else None (no mask needed)."""
-    return valid if 0 in valid else None
+def _mask(valid: bytearray) -> Any:
+    """``valid`` as a bool ndarray if it marks a NULL, else None (no
+    mask needed)."""
+    return np.frombuffer(valid, dtype=bool) if 0 in valid else None
 
 
-#: ``array`` typecode of each typed kind's buffer (booleans are a
-#: ``bytearray``).
-_TYPECODES = {"int": "q", "float": "d", "dict": "i"}
-
-
-def _raw(data: Any) -> memoryview:
-    """The bytes of typed storage — an ``array``, a ``bytearray``, a
-    read-only mapped buffer or an ndarray — viewed in place."""
-    return memoryview(data).cast("B")
-
-
-def _grown(kind: str, data: Any, extra: Any) -> Any:
-    """A fresh ``array`` / ``bytearray`` holding ``data`` followed by
-    ``extra`` (the encoder's storage of the same kind): one copy of the
-    old buffer, which is read and never written."""
-    if kind == "bool":
-        out = bytearray(_raw(data))
-    else:
-        out = array(_TYPECODES[kind])
-        out.frombytes(_raw(data))
-    out.extend(extra)
-    return out
-
-
-def _grown_mask(column: ColumnData, delta: ColumnData) -> bytearray | None:
-    """The validity mask of ``column`` followed by ``delta``: still None
-    while neither holds a NULL, materialized the moment one arrives."""
-    if column.valid is None and delta.valid is None:
-        return None
-    mask = (bytearray(b"\x01") * len(column) if column.valid is None
-            else bytearray(_raw(column.valid)))
-    mask.extend(b"\x01" * len(delta) if delta.valid is None
-                else delta.valid)
-    return mask
-
-
-def _encode_column(values: list, dtype: DataType) -> ColumnData:
-    """Build typed storage for one column.
+def encode_column(values: list, dtype: DataType) -> ColumnData:
+    """Build the column of one attribute's values (None = NULL).
 
     Intermediate relations are constructed with ``validate=False``, so a
     column's *declared* dtype is not a guarantee about the Python types
@@ -189,8 +135,10 @@ def _encode_column(values: list, dtype: DataType) -> ColumnData:
     any mismatch falls back to an object column — the round trip must be
     lossless for whatever bag of values the relation really holds.
 
-    The validity mask starts all-present and each NULL clears its byte;
-    a typed column that cleared none returns ``valid=None``.
+    Values are written into a typed buffer that the ndarray then adopts
+    without a copy.  The validity mask starts all-present and each NULL
+    clears its byte; a typed column that cleared none gets
+    ``valid=None``.
     """
     n = len(values)
     valid = bytearray(b"\x01") * n
@@ -204,7 +152,8 @@ def _encode_column(values: list, dtype: DataType) -> ColumnData:
                     or value < _INT64_MIN or value > _INT64_MAX):
                 return _object_column(values)
             data[position] = value
-        return ColumnData("int", data, _mask(valid))
+        return ColumnData("int", np.frombuffer(data, dtype=np.int64),
+                          _mask(valid))
     if dtype is DataType.FLOAT:
         data = array("d", bytes(8 * n))
         for position, value in enumerate(values):
@@ -214,7 +163,8 @@ def _encode_column(values: list, dtype: DataType) -> ColumnData:
             if type(value) is not float:
                 return _object_column(values)
             data[position] = value
-        return ColumnData("float", data, _mask(valid))
+        return ColumnData("float", np.frombuffer(data, dtype=np.float64),
+                          _mask(valid))
     if dtype is DataType.BOOLEAN:
         flags = bytearray(n)
         for position, value in enumerate(values):
@@ -224,7 +174,8 @@ def _encode_column(values: list, dtype: DataType) -> ColumnData:
             if type(value) is not bool:
                 return _object_column(values)
             flags[position] = 1 if value else 0
-        return ColumnData("bool", flags, _mask(valid))
+        return ColumnData("bool", np.frombuffer(flags, dtype=bool),
+                          _mask(valid))
     if dtype is DataType.STRING:
         codes = array("i", bytes(4 * n))
         dictionary: list = []
@@ -240,15 +191,46 @@ def _encode_column(values: list, dtype: DataType) -> ColumnData:
                 code = seen[value] = len(dictionary)
                 dictionary.append(value)
             codes[position] = code
-        return ColumnData("dict", codes, _mask(valid), dictionary)
+        return ColumnData("dict", np.frombuffer(codes, dtype=np.int32),
+                          _mask(valid), dictionary)
     return _object_column(values)
+
+
+def take_column(column: ColumnData, picked: Any) -> ColumnData:
+    """``column`` restricted to the row positions ``picked`` (an int
+    ndarray), in that order."""
+    if column.kind == "object":
+        values = column.data
+        return _object_column([values[i] for i in picked.tolist()])
+    return ColumnData(column.kind, column.data.take(picked),
+                      None if column.valid is None
+                      else column.valid.take(picked),
+                      column.dictionary)
+
+
+def take_columns(columns: Sequence[ColumnData], picked: Any,
+                 length: int) -> Sequence[ColumnData]:
+    """``columns`` (of ``length`` rows) restricted to the ascending row
+    positions ``picked`` — themselves, untouched, when every row is."""
+    if len(picked) == length:
+        return columns
+    return [take_column(column, picked) for column in columns]
+
+
+def slice_column(column: ColumnData, window: slice) -> ColumnData:
+    """``column`` restricted to a contiguous row range (views, no copy)."""
+    if column.kind == "object":
+        return _object_column(column.data[window])
+    return ColumnData(column.kind, column.data[window],
+                      None if column.valid is None else column.valid[window],
+                      column.dictionary)
 
 
 class ColumnarRelation:
     """A relation transposed into typed columns (see module docstring)."""
 
     __slots__ = ("schema", "name", "length", "columns", "_decoded",
-                 "_np_columns", "_word_codes", "_join_indexes")
+                 "_word_codes", "_join_indexes")
 
     def __init__(self, schema: Schema, columns: list[ColumnData],
                  length: int, name: str | None = None) -> None:
@@ -257,10 +239,6 @@ class ColumnarRelation:
         self.length = length
         self.name = name
         self._decoded: list[list | None] = [None] * len(columns)
-        # Lazily-built ndarray views (repro.storage.npcolumns); ``False``
-        # marks "not built yet" so a built-but-unsupported column can
-        # cache its ``None``.
-        self._np_columns: list[Any] = [False] * len(columns)
         # Lazily-built ``word -> code`` inverses of the string
         # dictionaries (see :meth:`word_codes`).
         self._word_codes: list[dict[str, int] | None] = [None] * len(columns)
@@ -284,7 +262,7 @@ class ColumnarRelation:
         else:
             raw_columns = [[] for _ in schema.fields]
         columns = [
-            _encode_column(list(raw), field.dtype)
+            encode_column(list(raw), field.dtype)
             for raw, field in zip(raw_columns, schema.fields)
         ]
         return cls(schema, columns, n,
@@ -294,16 +272,16 @@ class ColumnarRelation:
         """This encoding followed by ``rows``, as a *new* encoding.
 
         Column by column the result equals ``from_relation`` over all
-        the rows — kind, buffer bytes, mask, dictionary order — without
-        reading the old ones again: each typed buffer is copied once and
-        the encoder's output for ``rows`` concatenated.  The encoder's
+        the rows — kind, array bytes, mask, dictionary order — without
+        reading the old ones again: each column is one ``np.concatenate``
+        of the old array and the encoder's output for ``rows``.  The encoder's
         contracts carry over: a NULL arriving in a mask-free column
         materializes the mask then; a new string extends a *copy* of the
-        dictionary, in first-seen order; a value the typed buffer cannot
+        dictionary, in first-seen order; a value the typed array cannot
         hold (a >64-bit int, a mistyped value) re-encodes that one
         column, and only that one, from its values
         (``columnar.append_reencodes``, column and reason on the span).
-        ``self`` — its buffers, masks and dictionaries, mapped or not —
+        ``self`` — its arrays, masks and dictionaries, mapped or not —
         is never written, so whoever holds it keeps a consistent
         snapshot.
         """
@@ -322,42 +300,47 @@ class ColumnarRelation:
             for position, (column, field, raw) in enumerate(
                     zip(self.columns, self.schema.fields, zip(*rows))):
                 values = list(raw)
-                delta = _encode_column(values, field.dtype)
+                delta = encode_column(values, field.dtype)
                 codes = None
                 if delta.kind != column.kind or column.kind == "object":
-                    # No buffer to extend: encode the column's values
+                    # No array to extend: encode the column's values
                     # afresh (an object column stays one).
                     if column.kind != "object":
                         reencoded.append(
                             f"{field.full_name}: {column.kind} buffer "
                             f"cannot hold the new rows "
                             f"(they encode as {delta.kind})")
-                    grown = _encode_column(column.decode() + values,
-                                           field.dtype)
-                elif column.kind == "dict":
-                    codes = self.word_codes(position)
-                    dictionary = column.dictionary or []
-                    fresh = [word for word in delta.dictionary
-                             if word not in codes]
-                    if fresh:
-                        codes = dict(codes)
-                        for word in fresh:
-                            codes[word] = len(codes)
-                        dictionary = dictionary + fresh
-                    remap = [codes[word] for word in delta.dictionary]
-                    if delta.valid is None:
-                        extra = [remap[code] for code in delta.data]
-                    else:  # a NULL slot keeps the encoder's 0
-                        extra = [remap[code] if ok else 0 for code, ok
-                                 in zip(delta.data, delta.valid)]
-                    grown = ColumnData(
-                        "dict", _grown("dict", column.data, extra),
-                        _grown_mask(column, delta), dictionary)
+                    grown = encode_column(column.decode() + values,
+                                          field.dtype)
                 else:
+                    extra, dictionary = delta.data, column.dictionary
+                    if column.kind == "dict":
+                        codes = self.word_codes(position)
+                        fresh = [word for word in delta.dictionary
+                                 if word not in codes]
+                        if fresh:
+                            codes = dict(codes)
+                            for word in fresh:
+                                codes[word] = len(codes)
+                            dictionary = (dictionary or []) + fresh
+                        if delta.dictionary:  # else every new row is NULL
+                            extra = np.array(
+                                [codes[word] for word in delta.dictionary],
+                                dtype=np.int32)[extra]
+                            if delta.valid is not None:
+                                # A NULL slot keeps the encoder's 0.
+                                extra = np.where(delta.valid, extra, 0)
+                    # The mask stays None while neither part holds a
+                    # NULL and is materialized the moment one arrives.
+                    valid = None
+                    if column.valid is not None or delta.valid is not None:
+                        valid = np.concatenate([
+                            np.ones(len(part), dtype=bool)
+                            if part.valid is None else part.valid
+                            for part in (column, delta)])
                     grown = ColumnData(
-                        column.kind,
-                        _grown(column.kind, column.data, delta.data),
-                        _grown_mask(column, delta))
+                        column.kind, np.concatenate([column.data, extra]),
+                        valid, dictionary)
                 columns.append(grown)
                 word_codes.append(codes)
             if reencoded:
@@ -375,12 +358,11 @@ class ColumnarRelation:
 
     def with_schema(self, schema: Schema,
                     name: str | None = None) -> "ColumnarRelation":
-        """The same columns under ``schema`` (a requalified view): typed
-        storage, decoded lists, ndarray views, dictionary inverses and
-        join indexes are all shared with this instance."""
+        """The same columns under ``schema`` (a requalified view):
+        arrays, decoded lists, dictionary inverses and join indexes are
+        all shared with this instance."""
         clone = ColumnarRelation(schema, self.columns, self.length, name=name)
         clone._decoded = self._decoded
-        clone._np_columns = self._np_columns
         clone._word_codes = self._word_codes
         clone._join_indexes = self._join_indexes
         return clone
@@ -454,9 +436,9 @@ def cached_columnar(relation: Relation) -> ColumnarRelation:
 
     Scan views (``ScanTable``/``rename``) share the stored relation's
     cache list, so a requalified view hits the same encoding — the
-    typed columns are qualifier-independent; only the ``schema`` on the
-    returned wrapper differs, and decoded lists plus ndarray views are
-    shared with the cached instance.
+    columns are qualifier-independent; only the ``schema`` on the
+    returned wrapper differs, and decoded lists are shared with the
+    cached instance.
 
     Hit/miss counts surface in the metrics registry as
     ``columnar.cache_hits`` / ``columnar.cache_misses`` — the array
@@ -478,3 +460,12 @@ def cached_columnar(relation: Relation) -> ColumnarRelation:
     built = ColumnarRelation.from_relation(relation)
     cache[:] = [built]
     return built
+
+
+def relation_of(schema: Schema, columns: Sequence[ColumnData], length: int,
+                name: str | None = None) -> Relation:
+    """``columns`` as a column-backed relation: no row list until its
+    ``rows`` are first read."""
+    return Relation.column_backed(
+        ColumnarRelation(schema, list(columns), length, name=name),
+        name=name)

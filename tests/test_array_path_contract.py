@@ -30,8 +30,6 @@ import time
 
 import pytest
 
-pytest.importorskip("numpy", exc_type=ImportError)
-
 import repro.engine.mqo as mqo
 import repro.engine.rollup as rollup
 import repro.gmdj.evaluate as evaluate

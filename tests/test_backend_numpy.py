@@ -2,10 +2,8 @@
 
 Covers the knobs and edges the property suite cannot pin one by one:
 
-* backend resolution (``auto``, the default, is numpy when installed; a
-  clean
-  :class:`~repro.errors.ConfigurationError` without the optional numpy
-  extra);
+* backend resolution (``auto``, the default, is numpy; an unknown name
+  is a :class:`~repro.errors.ConfigurationError`);
 * per-operator fallback to the python kernel — holistic DISTINCT
   ``SUM``/``AVG`` aggregates, object-encoded columns (>64-bit ints),
   int-sum overflow guards, NaN min/max — each recorded on the
@@ -28,11 +26,9 @@ import random
 
 import pytest
 
-pytest.importorskip("numpy", exc_type=ImportError)
-
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import Database, DataType, QueryOptions
+from repro import DataType, QueryOptions
 from repro.algebra.aggregates import AggregateSpec, agg, count_star
 from repro.algebra.expressions import col, lit
 from repro.algebra.operators import ScanTable, Select
@@ -47,7 +43,7 @@ from repro.gmdj import npkernel
 from repro.gmdj.completion import CompletionRule
 from repro.gmdj.evaluate import SelectGMDJ, _BlockRuntime, run_gmdj
 from repro.gmdj.vectorized import run_gmdj_vectorized
-from repro.obs.metrics import get_registry, metrics_scope
+from repro.obs.metrics import metrics_scope
 from repro.obs.tracer import Tracer, tracing
 from repro.storage import Catalog, Relation, collect
 from repro.storage.columnar import cached_columnar
@@ -113,22 +109,12 @@ def assert_identical(gmdj, catalog, expect_fallback=None):
 
 class TestResolveKernel:
     def test_default_is_auto(self):
-        assert QueryOptions().kernel() == "numpy"  # extra is installed
+        assert QueryOptions().kernel() == "numpy"
 
     def test_explicit_values(self):
         assert resolve_kernel("python") == "python"
         assert resolve_kernel("numpy") == "numpy"
-        assert resolve_kernel("auto") == "numpy"  # extra is installed
-
-    def test_numpy_backend_without_numpy(self, monkeypatch):
-        from repro.storage import npcolumns
-
-        monkeypatch.setattr(npcolumns, "numpy", None)
-        monkeypatch.setattr(npcolumns, "HAVE_NUMPY", False)
-        with pytest.raises(ConfigurationError, match="optional numpy"):
-            resolve_kernel("numpy")
-        # auto degrades to python instead of raising.
-        assert resolve_kernel("auto") == "python"
+        assert resolve_kernel("auto") == "numpy"
 
     def test_options_validate_backend(self):
         with pytest.raises(ConfigurationError):
@@ -1170,7 +1156,6 @@ class TestCountDistinctForms:
     def planned(values, groups, argument=None, tile=None):
         """The ``_SpecArrays`` a COUNT(DISTINCT) over a one-column detail
         relation of ``values`` plans for ``groups`` groups."""
-        import numpy as np
         from repro.algebra.npcompile import Columns
 
         dtype = {bool: DataType.BOOLEAN, str: DataType.STRING,
@@ -1184,8 +1169,7 @@ class TestCountDistinctForms:
             if tile is not None:
                 patch.setattr(npkernel, "TILE_PAIRS", tile)
             return npkernel._SpecArrays(
-                spec, Columns(cached_columnar(detail)), groups, len(values),
-                np)
+                spec, Columns(cached_columnar(detail)), groups, len(values))
 
     def test_codes_are_direct_while_the_range_fits_the_operands(self):
         # |R| + |B| = 10 + 2 slots: a range of 12 is addressed, 13 ranked.

@@ -3,16 +3,22 @@
 The format contract: ``load_binary(save_binary(r)) `` reproduces the
 relation's rows exactly — values, duplicates, order, NULLs, and value
 *types* — for every column kind (int64, float64, bool, dictionary
-string, object fallback), through one stdlib ``mmap`` reader that needs
-no numpy, and the loaded relation's one columnar encoding is the mapped
-one, so vectorized queries scan the mapped buffers.
+string, object fallback); the loaded relation's one columnar encoding
+is ndarrays over the ``mmap``'d files, so vectorized queries scan the
+mapped arrays.  The files are byte-for-byte what the format has always
+been (``tests/data/compat.cols``), and corrupt ones fail closed with a
+:class:`SchemaError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import mmap
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.engine.database import Database
@@ -27,7 +33,8 @@ from repro.storage import (
     save_catalog_binary,
 )
 from repro.storage import binio
-from repro.storage.npcolumns import HAVE_NUMPY
+
+COMPAT = Path(__file__).parent / "data" / "compat.cols"
 
 
 def sample_relation(rows=120, seed=9):
@@ -46,6 +53,12 @@ def sample_relation(rows=120, seed=9):
          for _ in range(rows)],
         name="t", qualifier="t",
     )
+
+
+def is_mapped(array):
+    """Is ``array`` a view over an ``mmap`` (not a copy)?"""
+    base = array.base
+    return isinstance(getattr(base, "obj", base), mmap.mmap)
 
 
 def assert_round_trip(relation, path):
@@ -94,7 +107,6 @@ class TestRoundTrip:
                 == [True, True, False])
 
     def test_files_are_standard_npy(self, tmp_path):
-        np = pytest.importorskip("numpy")
         relation = sample_relation()
         path = save_binary(relation, tmp_path / "t")
         values = np.load(path / "c0.npy")
@@ -106,6 +118,13 @@ class TestRoundTrip:
     def test_suffix_appended(self, tmp_path):
         path = save_binary(sample_relation(rows=3), tmp_path / "plain")
         assert path.name == "plain.cols"
+
+    def test_all_null_string_column(self, tmp_path):
+        # Every code is a NULL slot's 0 and the dictionary is empty.
+        relation = Relation.from_columns(
+            [("K", DataType.INTEGER), ("S", DataType.STRING)],
+            [(1, None), (2, None)], name="nulls")
+        assert_round_trip(relation, tmp_path / "nulls")
 
     def test_catalog_round_trip(self, tmp_path):
         catalog = Catalog()
@@ -131,8 +150,6 @@ class TestLoadedEncodingCache:
         assert columnar.to_relation().rows == back.rows
 
     def test_queries_scan_the_one_mapped_encoding(self, tmp_path):
-        import mmap
-
         from repro import QueryOptions
         from repro.obs.metrics import metrics_scope
 
@@ -152,7 +169,7 @@ class TestLoadedEncodingCache:
                "(SELECT * FROM R r WHERE r.K = b.K AND r.F > 0.0)")
         expected = database.execute_sql(sql, QueryOptions(
             strategy="gmdj", backend="row", use_cache=False)).rows
-        for backend in (["python", "numpy"] if HAVE_NUMPY else ["python"]):
+        for backend in ("python", "numpy"):
             options = QueryOptions(strategy="gmdj", backend=backend,
                                    use_cache=False, rollup="off")
             with metrics_scope() as registry:
@@ -166,8 +183,8 @@ class TestLoadedEncodingCache:
         # Still exactly one encoding, and it is the memory-mapped one.
         assert database.table("R")._columnar == [mapped]
         for column in mapped.columns:
-            assert isinstance(column.data, memoryview)
-            assert isinstance(column.data.obj, mmap.mmap)
+            assert isinstance(column.data, np.ndarray)
+            assert is_mapped(column.data)
 
     def test_an_appended_table_saves_the_buffers_it_scans(
             self, tmp_path, monkeypatch):
@@ -195,8 +212,8 @@ class TestLoadedEncodingCache:
         for saved, loaded in zip(scanned.columns, restored.columns):
             assert loaded.kind == saved.kind
             assert bytes(loaded.data) == bytes(saved.data)
-            assert loaded.valid == saved.valid
             assert loaded.valid is not None  # both columns hold a NULL now
+            assert loaded.valid.tolist() == saved.valid.tolist()
             assert loaded.dictionary == saved.dictionary
         assert restored.columns[1].dictionary == ["b", "a", "zz"]
         # ... which is what encoding the rows afresh would have written.
@@ -230,11 +247,7 @@ class TestLoadedEncodingCache:
         sql = ("SELECT c.custkey FROM customer c WHERE EXISTS "
                "(SELECT * FROM orders o WHERE o.custkey = c.custkey "
                "AND o.totalprice > 300000)")
-        # (Without numpy the batch kernel stands in; it reads the
-        # encoding on completion-free plans.)
-        options = (QueryOptions(backend="numpy", use_cache=False)
-                   if HAVE_NUMPY else QueryOptions(
-                       strategy="gmdj", backend="python", use_cache=False))
+        options = QueryOptions(backend="numpy", use_cache=False)
         row = QueryOptions(strategy=options.strategy, backend="row",
                            use_cache=False)
         with metrics_scope() as registry:
@@ -243,8 +256,7 @@ class TestLoadedEncodingCache:
             assert registry.counter("columnar.cache_hits").value >= 1
         assert first == database.execute_sql(sql, row).rows
         (mapped,) = database.table("orders")._columnar
-        assert all(isinstance(column.data, memoryview)
-                   for column in mapped.columns)
+        assert all(is_mapped(column.data) for column in mapped.columns)
         template = database.table("orders").rows[0]
         newcomer = max({key for key, *_ in database.table("customer").rows}
                        - {key for (key,) in first})
@@ -284,13 +296,51 @@ class TestLoadedEncodingCache:
         )
         plan = subquery_to_gmdj(query, database.catalog, optimize=True)
         expected = plan.evaluate(database.catalog)
-        for backend in (["python", "numpy"] if HAVE_NUMPY else ["python"]):
+        for backend in ("python", "numpy"):
             result = evaluate_plan_vectorized(
                 plan, database.catalog, None, backend=backend)
             assert expected.bag_equal(result)
 
 
+def _set_value(path, position, value):
+    values = np.load(path)
+    values[position] = value
+    np.save(path, values)
+
+
+def _edit_field(path, position, **changes):
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["fields"][position].update(changes)
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+#: Corruptions of a saved ``[(1, "a", False), (None, "b", True)]`` that
+#: would otherwise load as wrong rows or fail with a bare Python error.
+CORRUPTIONS = {
+    "dict code -1": lambda path: _set_value(path / "c1.npy", 0, -1),
+    "dict code past the dictionary":
+        lambda path: _set_value(path / "c1.npy", 0, 2),
+    "mask byte 2": lambda path: _set_value(path / "c0.mask.npy", 1, 2),
+    "bool byte 7": lambda path: _set_value(path / "c2.npy", 0, 7),
+    "unknown kind": lambda path: _edit_field(path, 0, kind="decimal"),
+    "kind disagrees with dtype":
+        lambda path: _edit_field(path, 0, dtype="string"),
+}
+
+
 class TestManifestErrors:
+    @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+    def test_corrupt_column_contents_fail_closed(self, tmp_path, corruption):
+        relation = Relation.from_columns(
+            [("K", DataType.INTEGER), ("S", DataType.STRING),
+             ("B", DataType.BOOLEAN)],
+            [(1, "a", False), (None, "b", True)], name="t")
+        path = save_binary(relation, tmp_path / "t")
+        assert load_binary(path).rows == relation.rows
+        CORRUPTIONS[corruption](path)
+        with pytest.raises(SchemaError):
+            load_binary(path)
+
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "x.cols").mkdir()
         with pytest.raises(SchemaError, match="manifest"):
@@ -328,6 +378,15 @@ class TestManifestErrors:
         with pytest.raises(SchemaError, match="not an NPY file"):
             load_binary(path)
 
+    def test_unsupported_npy_version(self, tmp_path):
+        path = save_binary(sample_relation(rows=4), tmp_path / "t")
+        target = path / "c0.npy"
+        data = bytearray(target.read_bytes())
+        data[6] = 9  # the major version byte after the magic
+        target.write_bytes(bytes(data))
+        with pytest.raises(SchemaError, match="unsupported NPY version 9"):
+            load_binary(path)
+
     @pytest.mark.parametrize("name", ["c0.npy", "c0.mask.npy"])
     def test_truncated_column_file(self, tmp_path, name):
         path = save_binary(sample_relation(rows=10), tmp_path / "t")
@@ -342,6 +401,46 @@ class TestManifestErrors:
         (path / "c0.npy").write_bytes((path / "c2.npy").read_bytes())
         with pytest.raises(SchemaError, match="manifest says <i8"):
             load_binary(path)
+
+
+def compat_relation():
+    """What ``tests/data/compat.cols`` holds: ±0.0, a NULL-bearing int,
+    unicode strings, a NULL-bearing bool and a >64-bit object column."""
+    return Relation.from_columns(
+        [("id", DataType.INTEGER), ("price", DataType.FLOAT),
+         ("qty", DataType.INTEGER), ("city", DataType.STRING),
+         ("flag", DataType.BOOLEAN), ("big", DataType.INTEGER)],
+        [(1, 0.0, 5, "Zürich", True, 2 ** 70),
+         (2, -0.0, None, "東京", False, -(2 ** 90)),
+         (3, 1.5, -7, "Zürich", None, None),
+         (4, -2.25, 2 ** 63 - 1, "", True, 3)],
+        name="compat", qualifier="compat")
+
+
+class TestFormatCompatibility:
+    """``tests/data/compat.cols`` was written by the hand-written NPY v1
+    writer the format shipped with (commit 254bbc8); the reader and the
+    writer must both still agree with it byte for byte."""
+
+    def test_checked_in_directory_loads_to_its_rows(self):
+        expected = compat_relation()
+        back = load_binary(COMPAT)
+        assert back.rows == expected.rows
+        for original, restored in zip(expected.rows, back.rows):
+            for a, b in zip(original, restored):
+                assert type(a) is type(b)
+        assert [math.copysign(1.0, row[1]) for row in back.rows] \
+            == [1.0, -1.0, 1.0, -1.0]
+        assert [column.kind for column in back._columnar[0].columns] \
+            == ["int", "float", "int", "dict", "bool", "object"]
+
+    def test_save_binary_writes_the_same_bytes(self, tmp_path):
+        path = save_binary(compat_relation(), tmp_path / "compat")
+        written = sorted(entry.name for entry in path.iterdir())
+        assert written == sorted(entry.name for entry in COMPAT.iterdir())
+        for name in written:
+            assert (path / name).read_bytes() \
+                == (COMPAT / name).read_bytes(), name
 
 
 class TestParquetGate:

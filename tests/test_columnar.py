@@ -1,7 +1,6 @@
 """Unit tests for repro.storage.columnar (lossless columnar transpose)."""
 
-from array import array
-
+import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.storage.columnar import ColumnarRelation, ColumnData
@@ -72,14 +71,15 @@ class TestTypedEncodings:
                                  [(1,), (None,), (-5,)])
         column = ColumnarRelation.from_relation(relation).columns[0]
         assert column.kind == "int"
-        assert isinstance(column.data, array) and column.data.typecode == "q"
+        assert isinstance(column.data, np.ndarray)
+        assert column.data.dtype == np.int64
         assert column.null_count() == 1
 
     def test_float_column_uses_double_array(self):
         relation = make_relation([("v", DataType.FLOAT)], [(0.5,), (None,)])
         column = ColumnarRelation.from_relation(relation).columns[0]
         assert column.kind == "float"
-        assert column.data.typecode == "d"
+        assert column.data.dtype == np.float64
 
     def test_string_column_dictionary_encodes(self):
         relation = make_relation(
@@ -140,9 +140,11 @@ class TestValidityMasks:
             [(1, None, "a", None), (None, -0.5, None, False)],
         )
         columnar = ColumnarRelation.from_relation(relation)
-        assert ([column.valid for column in columnar.columns]
-                == [bytearray([1, 0]), bytearray([0, 1]),
-                    bytearray([1, 0]), bytearray([0, 1])])
+        assert all(column.valid.dtype == np.bool_
+                   for column in columnar.columns)
+        assert ([column.valid.tolist() for column in columnar.columns]
+                == [[True, False], [False, True],
+                    [True, False], [False, True]])
         assert columnar.mask_free_columns() == 0
         assert columnar.to_relation().rows == relation.rows
 
@@ -168,8 +170,8 @@ class TestValidityMasks:
             column = ColumnarRelation.from_relation(relation).columns[0]
             assert column.kind == "object"
             assert column.data == [row[0] for row in rows]
-            assert column.valid == bytearray(
-                row[0] is not None for row in rows)
+            assert column.valid.tolist() == [
+                row[0] is not None for row in rows]
 
 
 class TestAccessors:
@@ -195,7 +197,8 @@ class TestAccessors:
         assert columnar.row(1) == (None, None)
 
     def test_len_and_null_count(self):
-        data = ColumnData("int", array("q", [0, 5]), bytearray([0, 1]))
+        data = ColumnData("int", np.array([0, 5], dtype=np.int64),
+                          np.array([False, True]))
         assert len(data) == 2
         assert data.null_count() == 1
         assert data.decode() == [None, 5]

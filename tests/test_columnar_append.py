@@ -1,17 +1,18 @@
 """A write extends the table's columnar encoding instead of dropping it.
 
 ``ColumnarRelation.appended(rows)`` must be indistinguishable from a
-fresh ``from_relation`` over all the rows — kind, buffer bytes, mask
-present iff a NULL was seen, dictionary order, the ``object`` fallback —
-for any sequence of deltas, and must never write to the encoding it
-started from: a reader that resolved the old arrays keeps exactly those.
-Nothing here needs numpy; the kernels read whatever buffers these are.
+fresh ``from_relation`` over all the rows — kind, array dtype and
+bytes, mask present iff a NULL was seen, dictionary order, the
+``object`` fallback — for any sequence of deltas, and must never write
+to the encoding it started from: a reader that resolved the old arrays
+keeps exactly those.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fuzz.datagen import random_database
@@ -35,8 +36,8 @@ def column_state(columnar):
     return [
         (column.kind,
          list(column.data) if column.kind == "object"
-         else bytes(memoryview(column.data).cast("B")),
-         None if column.valid is None else bytes(column.valid),
+         else (column.data.dtype.str, column.data.tobytes()),
+         None if column.valid is None else column.valid.tobytes(),
          column.dictionary)
         for column in columnar.columns
     ]
@@ -98,9 +99,9 @@ class TestEncoderContractsCarryOver:
             relation_of([(1, 2, "a", 0.5, True), (2, 3, "b", 1.5, False)]))
         assert encoding.mask_free_columns() == 5
         grown = encoding.appended([(None, 4, "a", None, True)])
-        assert [c.valid for c in grown.columns] == [
-            bytearray(b"\x01\x01\x00"), None, None,
-            bytearray(b"\x01\x01\x00"), None]
+        assert [None if c.valid is None else c.valid.tolist()
+                for c in grown.columns] == [
+            [True, True, False], None, None, [True, True, False], None]
         assert encoding.mask_free_columns() == 5
 
     def test_new_word_extends_a_copy_of_the_dictionary(self):
@@ -231,12 +232,9 @@ class TestRelationExtend:
 
 
 def test_a_registered_array_result_extends_its_ndarray_columns():
-    # A numpy-kernel result carries ndarrays as its typed storage (bool
-    # masks included); registered as a table it is extended like any
-    # other encoding, into plain ``array`` / ``bytearray`` buffers.
-    import pytest
-
-    pytest.importorskip("numpy", exc_type=ImportError)
+    # A numpy-kernel result carries the ndarrays the kernel gathered
+    # (bool masks included); registered as a table it is extended like
+    # any other encoding, into arrays of the encoder's dtypes.
     from repro import Database, QueryOptions
 
     db = Database()
@@ -247,7 +245,6 @@ def test_a_registered_array_result_extends_its_ndarray_columns():
     cached_columnar(db.table("T"))  # an encoded table filters on arrays
     result = db.execute_sql("SELECT * FROM T t WHERE t.x > 2", options)
     (encoding,) = result._columnar
-    assert type(encoding.columns[0].data).__module__ == "numpy"
     db.register("U", result)
     db.insert("U", [(7, None, "c", 2.5, True)])
     (grown,) = db.table("U")._columnar
@@ -257,8 +254,8 @@ def test_a_registered_array_result_extends_its_ndarray_columns():
     # (Not byte-equal to a fresh encode: a filtered column keeps its
     # source's whole dictionary, unused words included.)
     assert grown.columns[2].dictionary == ["a", "b", "c"]
-    assert [type(column.data).__name__ for column in grown.columns] == [
-        "array", "array", "array", "array", "bytearray"]
-    assert all(type(column.valid) is bytearray for column in grown.columns)
+    assert [column.data.dtype for column in grown.columns] == [
+        np.int64, np.int64, np.int32, np.float64, np.bool_]
+    assert all(column.valid.dtype == np.bool_ for column in grown.columns)
     assert db.execute_sql("SELECT u.k FROM U u WHERE u.f > 2.0",
                           options).rows == [(7,)]

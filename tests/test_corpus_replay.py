@@ -27,7 +27,6 @@ from repro.fuzz import replay_case
 from repro.fuzz.datagen import DatabaseSpec
 from repro.gmdj import evaluate_plan, select_kernel
 from repro.sql import compile_sql
-from repro.storage.npcolumns import HAVE_NUMPY
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.json"))
@@ -61,8 +60,7 @@ def test_corpus_case_replays_clean(path):
 
 @pytest.mark.parametrize("kernel", [
     "python",
-    pytest.param("numpy", marks=pytest.mark.skipif(
-        not HAVE_NUMPY, reason="numpy extra not installed")),
+    "numpy",
 ])
 @pytest.mark.parametrize(
     "path", CORPUS_FILES, ids=lambda path: path.stem,

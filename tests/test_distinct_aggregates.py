@@ -16,7 +16,6 @@ from repro.gmdj import (
 )
 from repro.obs.tracer import tracing
 from repro.storage import DataType, collect
-from repro.storage.npcolumns import HAVE_NUMPY
 
 
 def spec(function, distinct=True, name="v"):
@@ -118,7 +117,7 @@ class TestThroughSQL:
             db.sql("SELECT count(DISTINCT *) FROM R")
 
 
-KERNELS = ["row", "python"] + (["numpy"] if HAVE_NUMPY else [])
+KERNELS = ["row", "python", "numpy"]
 
 
 class TestOnEveryKernel:

@@ -29,8 +29,6 @@ import json
 
 import pytest
 
-pytest.importorskip("numpy", exc_type=ImportError)
-
 from repro import Database, QueryOptions
 from repro.bench.workloads import build_fig2, build_fig4
 from repro.cli import main

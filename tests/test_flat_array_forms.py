@@ -18,10 +18,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
-pytest.importorskip("numpy", exc_type=ImportError)
-
 from hypothesis import given, settings, strategies as st
 
 from repro import Database, DataType, QueryOptions

@@ -20,7 +20,6 @@ from repro.gmdj.operator import GMDJ, ThetaBlock
 from repro.lint import CostCertificate, GMDJCostEntry, certify_plan
 from repro.obs.explain import analyze, static_report
 from repro.obs.invariants import check_trace
-from repro.storage.npcolumns import HAVE_NUMPY
 
 
 def count_star(name: str) -> AggregateSpec:
@@ -122,9 +121,7 @@ class TestRuntimeCrossCheck:
            "(SELECT AVG(R.Y) FROM R WHERE R.K = B.K)")
 
     @pytest.mark.parametrize("backend", [
-        "row", "python",
-        pytest.param("numpy", marks=pytest.mark.skipif(
-            not HAVE_NUMPY, reason="numpy extra not installed")),
+        "row", "python", "numpy",
     ])
     def test_certificate_holds_on_traced_run(self, db, backend):
         query = db.sql(self.SQL)

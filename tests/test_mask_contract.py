@@ -21,9 +21,8 @@ import pytest
 import repro.lint.absint as absint
 from repro import Database, DataType, QueryOptions
 from repro.obs.tracer import Tracer, tracing
-from repro.storage.npcolumns import HAVE_NUMPY
 
-BACKENDS = ["row", "python"] + (["numpy"] if HAVE_NUMPY else [])
+BACKENDS = ["row", "python", "numpy"]
 
 EXISTS_SQL = ("SELECT b.K FROM B b WHERE EXISTS "
               "(SELECT * FROM R r WHERE r.K = b.K AND r.V > 15)")

@@ -273,7 +273,6 @@ class TestColumnSplitDifferential:
 
     @pytest.mark.parametrize("form", FORMS)
     def test_numpy_coalesce_matches_row_coalesce_and_alone(self, form):
-        pytest.importorskip("numpy", exc_type=ImportError)
         from repro.storage import collect
 
         db = make_db()

@@ -5,8 +5,7 @@ The engine has one physical GMDJ pipeline (:mod:`repro.gmdj.physical`);
 this module holds it to the identity contract at every point of the
 option lattice instead of one suite per feature pair:
 
-* **kernel** — row interpreter / python batch / numpy whole-array (when
-  the extra is installed);
+* **kernel** — row interpreter / python batch / numpy whole-array;
 * **fragmenter** — none / detail-partitioned with sequential fragments /
   detail-partitioned on a 2-worker pool (threads: every table here is
   below ``PROCESS_MIN_DETAIL_ROWS``, so ``auto`` picks them);
@@ -22,16 +21,14 @@ reproduce the reference ``IOStats`` snapshot wherever the contract
 promises it (kernel swaps on completion-free plans; python vs numpy
 always; scan volume under partitioning; pooled == sequential).  Two
 hypothesis properties then draw random databases, predicates and
-lattice points, a batch check holds both MQO levels to the same points,
-and one test stacks numpy, a coalesced batch, a warm rollup store and a
-warm result cache.
+lattice points — the typed one also invariant-block sharing on or off
+and each kernel's rows against the plan's capability certificate — a
+batch check holds both MQO levels to the same points, and one test
+stacks numpy, a coalesced batch, a warm rollup store and a warm result
+cache.
 
 Options come only from the call: this lattice, not a rerun of the whole
 suite under another configuration, is where configurations are compared.
-
-The typed-data generators at the bottom half are shared with
-``test_property_backend`` (which needs numpy and adds the
-invariant-sharing and certificate properties).
 """
 
 from __future__ import annotations
@@ -57,15 +54,16 @@ from repro.algebra.operators import ScanTable
 from repro.engine.options import MQO_LEVELS
 from repro.errors import PlanError
 from repro.gmdj import evaluate_plan, select_fragmenter, select_kernel
-from repro.obs.invariants import check_trace
+from repro.gmdj.evaluate import invariant_sharing
+from repro.lint.absint import certify_capabilities
+from repro.obs.invariants import check_capabilities, check_trace
 from repro.obs.tracer import tracing
 from repro.storage import Catalog, DataType, Relation, collect
-from repro.storage.npcolumns import HAVE_NUMPY
 from repro.unnesting import subquery_to_gmdj
 from tests.test_mqo_differential import FORMS, form_query, make_db
 from tests.test_property_equivalence import databases, predicates
 
-KERNELS = ["row", "python"] + (["numpy"] if HAVE_NUMPY else [])
+KERNELS = ["row", "python", "numpy"]
 
 FRAGMENTERS = {
     "none": {},
@@ -195,7 +193,6 @@ class TestLattice:
         assert cold.rows == rows
         assert warm.rows == rows
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy extra not installed")
     @pytest.mark.parametrize("fragmenter", FRAGMENTERS)
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("case", CASES)
@@ -242,7 +239,6 @@ class TestLattice:
                 assert group.certified is (
                     True if fragmenter == "none" else None)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy extra not installed")
     def test_every_warm_tier_at_once(self):
         # numpy × coalesced batch × warm rollup store × warm result
         # cache.  The cases coalesce into one group; a query with its
@@ -306,32 +302,39 @@ class TestRandomLatticePoints:
         assert result.rows == expected.rows
 
     @SETTINGS
-    @given(data=st.data(), optimize=st.booleans(),
+    @given(data=st.data(), optimize=st.booleans(), sharing=st.booleans(),
            chunk_size=st.one_of(st.none(), st.integers(1, 6)))
-    def test_kernels_identical_on_typed_data(self, data, optimize,
+    def test_kernels_identical_on_typed_data(self, data, optimize, sharing,
                                              chunk_size):
         # Strings (dictionary-coded keys), floats and NULLs in every
         # column: each kernel must return the row interpreter's exact
         # row list; python and numpy must also agree on every counter,
-        # and on completion-free plans all three do.
+        # and on completion-free plans all three do.  Invariant-block
+        # sharing off turns invariant blocks into scan blocks: every
+        # kernel must flip identically.  And every kernel's rows uphold
+        # the plan's capability certificate.
         catalog = data.draw(typed_databases())
         predicate = data.draw(typed_predicates())
         query = NestedSelect(ScanTable("B", "b"), predicate)
         plan = subquery_to_gmdj(query, catalog, optimize=optimize)
         snapshots = {}
         rows = {}
-        for kernel in KERNELS:
-            run = select_kernel(
-                kernel, None if kernel == "row" else chunk_size)
-            with collect() as stats:
-                rows[kernel] = evaluate_plan(plan, catalog, run).rows
-            snapshots[kernel] = stats.snapshot()
+        with invariant_sharing(sharing):
+            for kernel in KERNELS:
+                run = select_kernel(
+                    kernel, None if kernel == "row" else chunk_size)
+                with collect() as stats:
+                    rows[kernel] = evaluate_plan(plan, catalog, run).rows
+                snapshots[kernel] = stats.snapshot()
         for kernel in KERNELS[1:]:
             assert rows[kernel] == rows["row"], kernel
         if not optimize:
             assert snapshots["python"] == snapshots["row"]
-        if HAVE_NUMPY:
-            assert snapshots["numpy"] == snapshots["python"]
+        assert snapshots["numpy"] == snapshots["python"]
+        certificate = certify_capabilities(plan, catalog)
+        for kernel in KERNELS:
+            report = check_capabilities(rows[kernel], certificate)
+            assert not report.violations, (kernel, report.violations)
 
 
 class TestRemovedSurface:
@@ -352,7 +355,7 @@ class TestRemovedSurface:
             QueryOptions(strategy=name)
 
 
-# -- typed-data generators (shared with test_property_backend) -----------------
+# -- typed-data generators ------------------------------------------------------
 
 small_int = st.one_of(st.none(), st.integers(min_value=0, max_value=6))
 small_str = st.one_of(st.none(), st.sampled_from(["aa", "bb", "cc"]))

@@ -125,11 +125,8 @@ class TestCanonical:
 
 class TestKernelSelection:
     def test_default_kernel_is_auto(self):
-        from repro.storage.npcolumns import HAVE_NUMPY
-
         assert QueryOptions().backend == "auto"
-        assert QueryOptions().kernel() == ("numpy" if HAVE_NUMPY
-                                           else "python")
+        assert QueryOptions().kernel() == "numpy"
         assert QueryOptions(backend="row").kernel() == "row"
 
     def test_kernel_composes_with_partitions_and_workers(self):

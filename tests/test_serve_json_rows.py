@@ -17,7 +17,6 @@ from repro import Database, DataType, QueryOptions
 from repro.serve.http import json_response
 from repro.serve.state import Tenant, json_rows
 from repro.storage.columnar import is_encoded
-from repro.storage.npcolumns import HAVE_NUMPY
 
 QUERIES = [
     # NULLs, floats (whole, fractional, negative zero), strings, bools.
@@ -58,7 +57,7 @@ def reference_rows(sql: str) -> list[list]:
 
 @pytest.mark.parametrize("sql", QUERIES)
 @pytest.mark.parametrize(
-    "backend", ["row", "python"] + (["numpy"] if HAVE_NUMPY else []))
+    "backend", ["row", "python", "numpy"])
 def test_query_rows_bytes_do_not_depend_on_the_backend(sql, backend):
     tenant = Tenant(name="t", db=make_db())
     tenant.run_query(sql, options(backend))  # encodes what a scan touches
@@ -70,7 +69,6 @@ def test_query_rows_bytes_do_not_depend_on_the_backend(sql, backend):
     assert json.dumps(expected).encode() in body
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="needs the numpy kernel")
 def test_column_backed_and_row_backed_results_encode_the_same_bytes():
     db = make_db()
     for sql in QUERIES:
@@ -90,9 +88,8 @@ def test_column_backed_and_row_backed_results_encode_the_same_bytes():
 
 
 def test_batch_members_use_the_same_encoder():
-    backend = "numpy" if HAVE_NUMPY else "python"
     tenant = Tenant(name="t", db=make_db())
-    payload = tenant.run_batch(QUERIES, options(backend))
+    payload = tenant.run_batch(QUERIES, options("numpy"))
     for sql, member in zip(QUERIES, payload["results"]):
         assert json.dumps(member["rows"]) \
             == json.dumps(reference_rows(sql)), sql

@@ -165,8 +165,6 @@ class TestEndpoints:
             self, live_server, monkeypatch, backend):
         from tests.test_mask_contract import forbid_certification
 
-        if backend == "numpy":
-            pytest.importorskip("numpy")
         server = live_server()
         sql = server.create_tables()
         forbid_certification(monkeypatch)

@@ -36,7 +36,6 @@ from repro import Database, DataType, QueryOptions, Relation
 from repro.obs.tracer import tracing
 from repro.storage import save_binary
 from repro.storage.columnar import cached_columnar
-from repro.storage.npcolumns import HAVE_NUMPY
 from tests.test_physical_lattice import CASES, FRAGMENTERS, KERNELS
 
 #: NULL-heavy like the lattice's data, but *sensitive*: half the base
@@ -172,7 +171,6 @@ def join_index_of(db, sql):
     return scan.attrs["join_index"]
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy extra not installed")
 @pytest.mark.parametrize("write", list(JOIN_WRITES))
 def test_a_write_on_either_side_rebuilds_the_join_index(write, tmp_path):
     db = build({"B": JOIN_B, "R": JOIN_R})
@@ -183,7 +181,6 @@ def test_a_write_on_either_side_rebuilds_the_join_index(write, tmp_path):
         == [("built",), ("reused",)]
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy extra not installed")
 def test_base_inserts_leave_at_most_the_bound_on_the_detail_encoding():
     from repro.gmdj.npkernel import JOIN_INDEXES_KEPT
 
@@ -220,7 +217,6 @@ def range_index_of(db, sql):
     return set(scan.attrs["range_index"])
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy extra not installed")
 @pytest.mark.parametrize("write", list(JOIN_WRITES))
 def test_only_a_write_on_the_detail_side_rebuilds_the_range_index(
         write, tmp_path):
