@@ -281,15 +281,20 @@ def agg(function: str, argument: Expression | None, output_name: str) -> Aggrega
 
 
 class AggregateBlock:
-    """A bound list of aggregates updated together (one GMDJ θ's ``l_i``)."""
+    """A list of aggregates updated together (one GMDJ θ's ``l_i``).
 
-    __slots__ = ("specs", "_evaluators")
+    The argument evaluators are bound on the first :meth:`update`: the
+    array kernel reads only ``specs``.
+    """
+
+    __slots__ = ("specs", "_detail_schema", "_evaluators")
 
     def __init__(
         self, specs: list[AggregateSpec], detail_schema: Schema
     ) -> None:
         self.specs = specs
-        self._evaluators = [spec.bind_argument(detail_schema) for spec in specs]
+        self._detail_schema = detail_schema
+        self._evaluators: list[Evaluator | None] | None = None
 
     def new_state(self) -> list[Accumulator]:
         return [spec.make_accumulator() for spec in self.specs]
@@ -308,8 +313,12 @@ class AggregateBlock:
         ]
 
     def update(self, state: list[Accumulator], detail_row: tuple) -> None:
+        evaluators = self._evaluators
+        if evaluators is None:
+            evaluators = self._evaluators = [
+                spec.bind_argument(self._detail_schema) for spec in self.specs]
         stats = IOStats.ambient()
-        for accumulator, evaluator in zip(state, self._evaluators):
+        for accumulator, evaluator in zip(state, evaluators):
             stats.aggregate_updates += 1
             if evaluator is None:
                 accumulator.add(None)  # count(*): value is irrelevant

@@ -11,6 +11,7 @@ same table).
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Callable
 
 from repro.algebra.expressions import (
@@ -30,20 +31,26 @@ _CHILD_FIELDS = ("child", "left", "right", "base", "detail", "gmdj",
                  "source", "input")
 
 
+@functools.cache
+def _child_names(cls: type) -> tuple[str, ...]:
+    """The fields of ``cls`` that may hold a child (none when it is not
+    a dataclass), read once per class: a walk reflects on no node."""
+    if not dataclasses.is_dataclass(cls):
+        return ()
+    return tuple(field.name for field in dataclasses.fields(cls)
+                 if field.name in _CHILD_FIELDS)
+
+
 def map_children(node: Any, transform: Callable) -> Any:
     """Rebuild ``node`` with ``transform`` applied to operator-valued fields."""
-    if not dataclasses.is_dataclass(node):
-        return node
     changes = {}
-    for field in dataclasses.fields(node):
-        if field.name not in _CHILD_FIELDS:
-            continue
-        value = getattr(node, field.name)
+    for name in _child_names(type(node)):
+        value = getattr(node, name)
         if value is None or not _is_operator_like(value):
             continue
         replacement = transform(value)
         if replacement is not value:
-            changes[field.name] = replacement
+            changes[name] = replacement
     if not changes:
         return node
     return dataclasses.replace(node, **changes)

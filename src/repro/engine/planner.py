@@ -132,9 +132,12 @@ def make_executor(
 
     Translation-time work (for the GMDJ strategies) happens inside the
     callable as well, matching how the paper's timings include rewrite
-    cost (it is negligible; evaluation dominates) — unless ``cache``
-    holds the translated plan already.  When tracing is enabled the run
-    is wrapped in a ``query`` span carrying the strategy name — or
+    cost — unless ``cache`` holds the translated plan already.  That
+    cost is not negligible on small tables: over perfbench's
+    ``small_query`` texts (tables of at most 1,000 rows) tokenize, parse,
+    bind and SubqueryToGMDJ + optimize are about a third of a cold op
+    (DESIGN.md §5, "The per-query constant").  When tracing is enabled
+    the run is wrapped in a ``query`` span carrying the strategy name — or
     ``plain`` when a GMDJ strategy had nothing to translate — and, for
     GMDJ runs, the kernel and fragmenter, so traces attribute all work
     to what actually ran.  The relation it returns holds its row list:

@@ -114,24 +114,30 @@ class _BlockRuntime:
     engaged when no completion rule is active (completion bookkeeping is
     per-base-tuple).
 
+    ``factored`` is the block's θ split into hash-key conjuncts and a
+    residual, once per scan; every kernel reads it.  The row evaluators
+    (``residual_eval`` and the key evaluators of both sides),
     ``buckets`` — the Python hash table of a hash block — and
-    ``shared_state`` — an invariant block's one accumulator list — stay
-    None until :meth:`prepare_python_scan`: the row and python kernels
-    call it before their scan and read both per detail tuple, the array
-    kernel never builds either.  ``index_builds`` counts the logical
-    build, one per hash block, whichever kernel runs.
+    ``shared_state`` — an invariant block's one accumulator list — are
+    built by :meth:`prepare_python_scan`, and the aggregate arguments on
+    the block's first :meth:`AggregateBlock.update`: the row and python
+    kernels do both before or during their scan, the array kernel
+    neither.  ``index_builds`` counts the logical build, one per hash
+    block, whichever kernel runs.
     """
 
-    __slots__ = ("index", "aggregates", "residual_eval", "right_key_evals",
-                 "uses_hash", "invariant", "buckets", "shared_state",
-                 "_base", "_left_key_evals")
+    __slots__ = ("index", "aggregates", "factored", "residual_eval",
+                 "right_key_evals", "uses_hash", "invariant", "buckets",
+                 "shared_state", "_base", "_detail_schema",
+                 "_combined_schema", "_left_key_evals", "_rows_bound")
 
     def __init__(self, index: int, block: ThetaBlock, base: Relation,
                  detail_schema: Schema, combined_schema: Schema,
                  allow_invariant: bool):
         self.index = index
         self.aggregates = AggregateBlock(block.aggregates, detail_schema)
-        factored = factor_condition(block.condition, base.schema, detail_schema)
+        self.factored = factored = factor_condition(
+            block.condition, base.schema, detail_schema)
         self.uses_hash = factored.has_equality
         self.invariant = (
             allow_invariant
@@ -140,28 +146,39 @@ class _BlockRuntime:
             and (factored.residual is None
                  or refers_only_to(factored.residual, detail_schema))
         )
-        if factored.residual is None:
-            self.residual_eval = None
-        elif self.invariant:
-            self.residual_eval = factored.residual.bind(detail_schema)
-        else:
-            self.residual_eval = factored.residual.bind(combined_schema)
         # (Read row-wise only by the methods below: the array kernel
         # calls none of them for a block it takes, so a column-backed
         # base is never transposed on its account.)
         self._base = base
+        self._detail_schema = detail_schema
+        self._combined_schema = combined_schema
+        self.residual_eval: Callable | None = None
+        self.right_key_evals: list[Callable] = []
+        self._left_key_evals: list[Callable] = []
+        self._rows_bound = False
         self.buckets: dict[tuple, list[int]] | None = None
         self.shared_state: list[Accumulator] | None = None
         if self.uses_hash:
-            self._left_key_evals = [k.bind(base.schema)
-                                    for k in factored.left_keys]
-            self.right_key_evals = [k.bind(detail_schema) for k in factored.right_keys]
             IOStats.ambient().index_builds += 1
-        else:
-            self.right_key_evals = None
+
+    def _bind_rows(self) -> None:
+        """Bind the residual and both sides' key evaluators to rows."""
+        self._rows_bound = True
+        factored = self.factored
+        if factored.residual is not None:
+            self.residual_eval = factored.residual.bind(
+                self._detail_schema if self.invariant
+                else self._combined_schema)
+        if self.uses_hash:
+            self._left_key_evals = [key.bind(self._base.schema)
+                                    for key in factored.left_keys]
+            self.right_key_evals = [key.bind(self._detail_schema)
+                                    for key in factored.right_keys]
 
     def prepare_python_scan(self) -> None:
         """Build what a tuple-at-a-time scan probes (idempotent)."""
+        if not self._rows_bound:
+            self._bind_rows()
         if self.uses_hash and self.buckets is None:
             self.buckets = _bucket_base_rows(self._base.rows,
                                              self._left_key_evals)

@@ -128,11 +128,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.algebra.aggregates import AggregateSpec
-from repro.algebra.analysis import (
-    factor_condition,
-    is_trivially_true,
-    refers_only_to,
-)
+from repro.algebra.analysis import is_trivially_true, refers_only_to
 from repro.algebra.compile import compile_batch_values
 from repro.algebra.expressions import MIRROR, Column, Expression, conjuncts_of
 from repro.algebra.npcompile import (
@@ -1325,8 +1321,7 @@ class _NpBlock:
         self.runtime = runtime
         self.index = runtime.index
         detail = pairs.detail
-        factored = factor_condition(block.condition, pairs.base.schema,
-                                    detail.schema)
+        factored = runtime.factored
         self.residual = factored.residual
         self.detail_only = self.residual is not None and refers_only_to(
             self.residual, detail.schema)

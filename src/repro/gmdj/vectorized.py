@@ -54,7 +54,6 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.algebra.aggregates import CountStar
-from repro.algebra.analysis import factor_condition
 from repro.algebra.compile import (
     compile_batch_keys,
     compile_batch_values,
@@ -106,8 +105,7 @@ class _VectorBlock:
     def __init__(self, runtime: _BlockRuntime, block: ThetaBlock,
                  base: Relation, detail_schema: Schema) -> None:
         self.runtime = runtime
-        factored = factor_condition(block.condition, base.schema,
-                                    detail_schema)
+        factored = runtime.factored
         self.key_batch = (
             compile_batch_keys(factored.right_keys, detail_schema)
             if runtime.uses_hash else None
@@ -224,8 +222,8 @@ def _scan_batched(columnar: ColumnarRelation, vblocks: list[_VectorBlock],
                                      vblock.value_fns, cols, matches, stats)
 
 
-def _recompile_runtimes(runtimes: list[_BlockRuntime], gmdj: GMDJ,
-                        base: Relation, detail_schema: Schema,
+def _recompile_runtimes(runtimes: list[_BlockRuntime],
+                        detail_schema: Schema,
                         combined_schema: Schema) -> None:
     """Swap codegen'd row evaluators into row-kernel block runtimes.
 
@@ -233,9 +231,8 @@ def _recompile_runtimes(runtimes: list[_BlockRuntime], gmdj: GMDJ,
     the row kernel's, but every residual, hash key, and aggregate
     argument runs as one compiled frame instead of a closure chain.
     """
-    for runtime, block in zip(runtimes, gmdj.blocks):
-        factored = factor_condition(block.condition, base.schema,
-                                    detail_schema)
+    for runtime in runtimes:
+        factored = runtime.factored
         if factored.residual is not None:
             schema = detail_schema if runtime.invariant else combined_schema
             runtime.residual_eval = compile_row(factored.residual, schema)
@@ -251,7 +248,6 @@ def _recompile_runtimes(runtimes: list[_BlockRuntime], gmdj: GMDJ,
 def _scan_completing(
     detail_rows: Sequence[tuple],
     runtimes: list[_BlockRuntime],
-    gmdj: GMDJ,
     base: Relation,
     detail_schema: Schema,
     combined_schema: Schema,
@@ -265,8 +261,7 @@ def _scan_completing(
     ``_scan_detail`` chunk by chunk, with codegen'd row evaluators
     swapped in and the active set filtered between chunks — counter-
     identical to the row kernel by construction."""
-    _recompile_runtimes(runtimes, gmdj, base, detail_schema,
-                        combined_schema)
+    _recompile_runtimes(runtimes, detail_schema, combined_schema)
     n_base = len(base.rows)
     must_be_zero = frozenset(rule.must_be_zero)
     pair_equal = tuple(rule.pair_equal)
@@ -387,7 +382,7 @@ def run_gmdj_vectorized(
             _scan_batched(columnar, vblocks, base.rows, state, stats,
                           chunk_size)
         elif block_pairs:
-            _scan_completing(detail.rows, runtimes, gmdj, base,
+            _scan_completing(detail.rows, runtimes, base,
                              detail_schema, combined_schema, state, status,
                              stats, rule, chunk_size)
 

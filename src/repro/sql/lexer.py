@@ -2,11 +2,18 @@
 
 Produces a flat token stream for the recursive-descent parser.  Keywords
 are case-insensitive; identifiers keep their original spelling.  String
-literals use single quotes with ``''`` as the escape.
+literals use single quotes with ``''`` as the escape.  A number is ASCII
+digits with at most one fractional part (``1``, ``2.5``, ``.5``); other
+Unicode digits (``²``, ``٣``) are not numbers, and they cannot start an
+identifier either.
+
+One compiled pattern covers every token class; :func:`tokenize` walks
+its matches and dispatches on the name of the alternative that matched.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.errors import SQLSyntaxError
@@ -22,8 +29,23 @@ KEYWORDS = {
 OPERATORS = ("<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", ".",
              "*", "+", "-", "/")
 
+#: Alternatives in priority order.  Whitespace and ``--`` comments come
+#: before the ``-`` operator and a number before the ``.`` operator; a
+#: string's closing quote is never followed by another, so ``'a''`` is
+#: unterminated rather than ``'a'`` and a stray quote; ``BAD`` takes any
+#: character nothing else does, so the matches tile the text.
+_TOKEN = re.compile("|".join((
+    r"(?P<SKIP>(?:\s+|--[^\n]*)+)",
+    r"(?P<NUMBER>[0-9]+(?:\.[0-9]+)?|\.[0-9]+)",
+    r"(?P<WORD>\w+)",
+    r"(?P<STRING>'[^']*(?:''[^']*)*'(?!'))",
+    r"(?P<UNTERMINATED>')",
+    "(?P<OP>" + "|".join(map(re.escape, OPERATORS)) + ")",
+    r"(?P<BAD>.)",
+)), re.DOTALL)
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True)
 class Token:
     kind: str  # KEYWORD | IDENT | NUMBER | STRING | OP | EOF
     text: str
@@ -39,71 +61,33 @@ class Token:
 def tokenize(text: str) -> list[Token]:
     """Split ``text`` into tokens; raises :class:`SQLSyntaxError` on junk."""
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    append = tokens.append
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "SKIP":
             continue
-        if ch == "-" and text.startswith("--", i):
-            newline = text.find("\n", i)
-            i = n if newline < 0 else newline + 1
-            continue
-        if ch == "'":
-            j = i + 1
-            pieces: list[str] = []
-            while True:
-                if j >= n:
-                    raise SQLSyntaxError("unterminated string literal", i)
-                if text[j] == "'":
-                    if j + 1 < n and text[j + 1] == "'":
-                        pieces.append("'")
-                        j += 2
-                        continue
-                    break
-                pieces.append(text[j])
-                j += 1
-            tokens.append(Token("STRING", "".join(pieces), i))
-            i = j + 1
-            continue
-        if ch.isdigit() or (
-            ch == "." and i + 1 < n and text[i + 1].isdigit()
-        ):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    # A dot not followed by a digit terminates the number
-                    # (e.g. ``t.1`` is malformed anyway, but ``1.x`` never
-                    # happens; qualified refs never start with a digit).
-                    if j + 1 >= n or not text[j + 1].isdigit():
-                        break
-                    seen_dot = True
-                j += 1
-            tokens.append(Token("NUMBER", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            upper = word.upper()
+        value = match.group()
+        start = match.start()
+        if kind == "WORD":
+            first = value[0]
+            if not (first.isalpha() or first == "_"):
+                # A Unicode digit (``٣``, ``²``) is a word character but
+                # starts neither a number nor an identifier.
+                raise SQLSyntaxError(f"unexpected character {first!r}", start)
+            upper = value.upper()
             if upper in KEYWORDS:
-                tokens.append(Token("KEYWORD", upper, i))
+                append(Token("KEYWORD", upper, start))
             else:
-                tokens.append(Token("IDENT", word, i))
-            i = j
-            continue
-        matched = False
-        for op in OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token("OP", "<>" if op == "!=" else op, i))
-                i += len(op)
-                matched = True
-                break
-        if not matched:
-            raise SQLSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("EOF", "", n))
+                append(Token("IDENT", value, start))
+        elif kind == "OP":
+            append(Token("OP", "<>" if value == "!=" else value, start))
+        elif kind == "NUMBER":
+            append(Token("NUMBER", value, start))
+        elif kind == "STRING":
+            append(Token("STRING", value[1:-1].replace("''", "'"), start))
+        elif kind == "UNTERMINATED":
+            raise SQLSyntaxError("unterminated string literal", start)
+        else:
+            raise SQLSyntaxError(f"unexpected character {value!r}", start)
+    append(Token("EOF", "", len(text)))
     return tokens

@@ -57,20 +57,22 @@ class Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.position = 0
+        #: ``tokens[position]``, kept in step by :meth:`advance` and by
+        #: the backtrack in :meth:`_primary_predicate` (the EOF token is
+        #: never advanced over).
+        self.current: Token = self.tokens[0]
 
     # -- token plumbing ------------------------------------------------------------
-
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.position]
 
     def advance(self) -> Token:
         token = self.current
         self.position += 1
+        self.current = self.tokens[self.position]
         return token
 
     def accept_keyword(self, word: str) -> bool:
-        if self.current.is_keyword(word):
+        token = self.current
+        if token.kind == "KEYWORD" and token.text == word:
             self.advance()
             return True
         return False
@@ -80,7 +82,8 @@ class Parser:
             self._fail(f"expected {word}")
 
     def accept_op(self, op: str) -> bool:
-        if self.current.is_op(op):
+        token = self.current
+        if token.kind == "OP" and token.text == op:
             self.advance()
             return True
         return False
@@ -157,13 +160,9 @@ class Parser:
         limit = None
         offset = 0
         if self.accept_keyword("LIMIT"):
-            if self.current.kind != "NUMBER":
-                self._fail("expected a number after LIMIT")
-            limit = int(self.advance().text)
+            limit = self._count("LIMIT")
             if self.accept_keyword("OFFSET"):
-                if self.current.kind != "NUMBER":
-                    self._fail("expected a number after OFFSET")
-                offset = int(self.advance().text)
+                offset = self._count("OFFSET")
         return SelectStatement(
             items=tuple(items),
             tables=tuple(tables),
@@ -175,6 +174,14 @@ class Parser:
             limit=limit,
             offset=offset,
         )
+
+    def _count(self, clause: str) -> int:
+        """The integer literal after ``LIMIT`` / ``OFFSET``."""
+        token = self.current
+        if token.kind != "NUMBER" or not token.text.isdigit():
+            self._fail(f"expected an integer after {clause}")
+        self.advance()
+        return int(token.text)
 
     def _select_item(self) -> SelectItem:
         expression = self.parse_expression()
@@ -264,6 +271,7 @@ class Parser:
                 return inner
             except SQLSyntaxError:
                 self.position = saved
+                self.current = self.tokens[saved]
         expression = self.parse_expression()
         return self._predicate_tail(expression)
 

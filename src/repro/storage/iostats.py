@@ -80,11 +80,9 @@ class IOStats:
         return previous
 
     def reset(self) -> None:
-        for fld in dataclass_fields(self):
-            if fld.name == "extra":
-                self.extra = {}
-            elif fld.type == "int" or isinstance(getattr(self, fld.name), int):
-                setattr(self, fld.name, 0)
+        for name in _COUNTERS:
+            setattr(self, name, 0)
+        self.extra = {}
 
     def record_scan(self, tuple_count: int) -> None:
         """Account for a full pass over a stored relation."""
@@ -99,18 +97,18 @@ class IOStats:
         keys are ignored so snapshots survive schema drift between
         coordinator and worker versions.
         """
-        for fld in dataclass_fields(self):
-            value = snapshot.get(fld.name)
-            if isinstance(value, int) and isinstance(getattr(self, fld.name), int):
-                setattr(self, fld.name, getattr(self, fld.name) + value)
+        for name in _COUNTERS:
+            value = snapshot.get(name)
+            if isinstance(value, int) and isinstance(getattr(self, name), int):
+                setattr(self, name, getattr(self, name) + value)
 
     def snapshot(self) -> dict:
         """A plain-dict copy of all integer counters (for reporting)."""
         result = {}
-        for fld in dataclass_fields(self):
-            value = getattr(self, fld.name)
+        for name in _COUNTERS:
+            value = getattr(self, name)
             if isinstance(value, int):
-                result[fld.name] = value
+                result[name] = value
         return result
 
     def total_work(self) -> int:
@@ -126,6 +124,11 @@ class IOStats:
             + self.aggregate_updates
             + self.join_pairs_considered
         )
+
+
+#: The counter fields, in declaration order (every field but ``extra``).
+_COUNTERS = tuple(fld.name for fld in dataclass_fields(IOStats)
+                  if fld.name != "extra")
 
 
 class collect:

@@ -54,10 +54,20 @@ class Field:
         return Field(self.name, self.dtype, qualifier)
 
 
-class Schema:
-    """An ordered list of fields with unambiguous-resolution helpers."""
+#: How many re-qualified schemas one schema keeps (:meth:`Schema.rename`);
+#: a memo that is full starts over, so a stream of distinct aliases over
+#: one table cannot grow it.
+RENAME_MEMO_LIMIT = 32
 
-    __slots__ = ("fields", "_exact")
+
+class Schema:
+    """An ordered list of fields with unambiguous-resolution helpers.
+
+    A schema never changes once built, so :meth:`rename` hands back the
+    schema it built for a qualifier before.
+    """
+
+    __slots__ = ("fields", "_exact", "_renamed")
 
     def __init__(self, fields: Iterable[Field]):
         self.fields: tuple[Field, ...] = tuple(fields)
@@ -68,6 +78,11 @@ class Schema:
                 raise SchemaError(f"duplicate attribute {field.full_name!r}")
             seen.add(key)
         self._exact = {field.full_name: i for i, field in enumerate(self.fields)}
+        self._renamed: dict[str, Schema] = {}
+
+    def __reduce__(self) -> tuple:
+        # Pickles (pool tasks) carry the fields, not the rename memo.
+        return Schema, (self.fields,)
 
     @staticmethod
     def of(*pairs: tuple[str, DataType], qualifier: str | None = None) -> "Schema":
@@ -103,7 +118,7 @@ class Schema:
         exact = self._exact.get(reference)
         if exact is not None:
             return exact
-        matches = [i for i, field in enumerate(self.fields) if field.matches(reference)]
+        matches = self._matches(reference)
         if not matches:
             raise UnknownAttributeError(
                 f"unknown attribute {reference!r}; schema has {list(self.names)}"
@@ -118,13 +133,13 @@ class Schema:
     def field_of(self, reference: str) -> Field:
         return self.fields[self.index_of(reference)]
 
+    def _matches(self, reference: str) -> list[int]:
+        return [i for i, field in enumerate(self.fields)
+                if field.matches(reference)]
+
     def has(self, reference: str) -> bool:
         """True when ``reference`` resolves (unambiguously) in this schema."""
-        try:
-            self.index_of(reference)
-        except (UnknownAttributeError, AmbiguousAttributeError):
-            return False
-        return True
+        return reference in self._exact or len(self._matches(reference)) == 1
 
     def qualifiers(self) -> set[str]:
         """The set of non-None qualifiers appearing in this schema."""
@@ -132,7 +147,14 @@ class Schema:
 
     def rename(self, qualifier: str) -> "Schema":
         """Replace the qualifier of every field (``Flow -> F``)."""
-        return Schema(field.with_qualifier(qualifier) for field in self.fields)
+        renamed = self._renamed.get(qualifier)
+        if renamed is None:
+            renamed = Schema(field.with_qualifier(qualifier)
+                             for field in self.fields)
+            if len(self._renamed) >= RENAME_MEMO_LIMIT:
+                self._renamed.clear()
+            self._renamed[qualifier] = renamed
+        return renamed
 
     def concat(self, other: "Schema") -> "Schema":
         """Schema of a product/join of two relations."""

@@ -26,10 +26,12 @@ the rollup store's row loop all patched to raise.
 from __future__ import annotations
 
 import random
+import sys
 import time
 
 import pytest
 
+import repro.algebra.analysis as analysis
 import repro.engine.mqo as mqo
 import repro.engine.rollup as rollup
 import repro.gmdj.evaluate as evaluate
@@ -148,6 +150,48 @@ def test_the_forbidden_paths_are_the_other_kernels_paths(monkeypatch):
     with pytest.raises(AssertionError, match="per-base-tuple"):
         db.execute_sql(FIG2, QueryOptions(backend="python", use_cache=False,
                                           rollup="off"))
+
+
+def forbid_row_closures(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("row closures bound on the array path")
+
+    monkeypatch.setattr(evaluate._BlockRuntime, "_bind_rows", refuse)
+    monkeypatch.setattr(AggregateSpec, "bind_argument", refuse)
+
+
+def count_factoring(monkeypatch) -> list:
+    """Every θ factoring a GMDJ kernel module asks for, by condition."""
+    calls: list = []
+    original = analysis.factor_condition
+
+    def counted(condition, *args, **kwargs):
+        calls.append(condition)
+        return original(condition, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.gmdj") \
+                and getattr(module, "factor_condition", None) is original:
+            monkeypatch.setattr(module, "factor_condition", counted)
+    return calls
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURES))
+def test_figures_bind_no_row_closures_and_factor_once(monkeypatch, figure):
+    # The array kernel reads a block's factored θ and its specs; it
+    # calls no row evaluator, so none is bound, and each block's θ is
+    # factored once per scan.
+    db = make_db()
+    sql = FIGURES[figure]
+    expected = db.execute_sql(sql, ROW).rows
+    forbid_row_closures(monkeypatch)
+    factored = count_factoring(monkeypatch)
+    result, scans = detail_scans(db, sql, NUMPY)
+    assert result.rows == expected
+    assert len(factored) == sum(len(scan.attrs["forms"]) for scan in scans)
+    # The patch is not vacuous: the row kernel binds both.
+    with pytest.raises(AssertionError, match="row closures"):
+        db.execute_sql(sql, ROW)
 
 
 def test_coalesced_blocks_share_one_key_structure():

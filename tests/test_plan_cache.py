@@ -130,6 +130,38 @@ class TestTranslationCache:
         db.execute_sql(SQL, QueryOptions(strategy="gmdj", partitions=2))
         assert db.cache.stats()["translation_hits"] > hits_before
 
+    def test_use_cache_false_runs_every_frontend_step_each_time(
+            self, monkeypatch):
+        # Nothing on the way from SQL text to the plan is kept across
+        # runs when the options say not to: each run tokenizes, binds
+        # and translates again.
+        import repro.engine.planner as planner
+        import repro.sql.parser as parser
+        from repro.sql.binder import Binder
+
+        calls = {"tokenize": 0, "bind_statement": 0, "subquery_to_gmdj": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(parser, "tokenize",
+                            counting("tokenize", parser.tokenize))
+        monkeypatch.setattr(Binder, "bind_statement",
+                            counting("bind_statement", Binder.bind_statement))
+        monkeypatch.setattr(planner, "subquery_to_gmdj",
+                            counting("subquery_to_gmdj",
+                                     planner.subquery_to_gmdj))
+        db = make_db([(1,), (2,)])
+        cold = QueryOptions(use_cache=False)
+        first = db.execute_sql(SQL, cold)
+        second = db.execute_sql(SQL, cold)
+        assert first.rows == second.rows == [(1,), (2,)]
+        assert calls == {"tokenize": 2, "bind_statement": 2,
+                         "subquery_to_gmdj": 2}
+
     def test_translation_keyed_by_strategy_flags(self):
         db = make_db([(1,)])
         db.execute_sql(SQL, QueryOptions(strategy="gmdj"))

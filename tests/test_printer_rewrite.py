@@ -1,5 +1,10 @@
 """Tests for plan printing and generic tree rewriting."""
 
+import dataclasses
+import sys
+
+import repro.algebra.rewrite as rewrite
+from repro import Database, DataType, QueryOptions
 from repro.algebra.aggregates import count_star
 from repro.algebra.expressions import col, lit
 from repro.algebra.operators import (
@@ -122,3 +127,32 @@ class TestFingerprintAndRequalify:
         expression = IsNull(col("a.x") + col("c.y"))
         rewritten = requalify_expression(expression, "a", "z")
         assert rewritten.references() == {"z.x", "c.y"}
+
+
+class TestNoReflectionPerWalk:
+    def test_an_op_reads_no_dataclass_fields_in_rewrite(self, monkeypatch):
+        # map_children reads each node class's child fields once; a
+        # query over classes already seen reflects on none of them.
+        db = Database()
+        db.create_table("B", [("K", DataType.INTEGER)], [(1,), (2,)])
+        db.create_table("R", [("K", DataType.INTEGER)], [(1,)])
+        sql = ("SELECT K FROM B b WHERE EXISTS "
+               "(SELECT * FROM R r WHERE r.K = b.K)")
+        cold = QueryOptions(use_cache=False)
+        db.execute_sql(sql, cold)
+        reflected, walked = [], []
+        fields, child_names = dataclasses.fields, rewrite._child_names
+
+        def counted_fields(obj):
+            if sys._getframe(1).f_code.co_filename == rewrite.__file__:
+                reflected.append(obj)
+            return fields(obj)
+
+        def counted_child_names(cls):
+            walked.append(cls)
+            return child_names(cls)
+
+        monkeypatch.setattr(dataclasses, "fields", counted_fields)
+        monkeypatch.setattr(rewrite, "_child_names", counted_child_names)
+        assert db.execute_sql(sql, cold).rows == [(1,)]
+        assert walked and reflected == []

@@ -7,7 +7,7 @@ from repro.errors import (
     SchemaError,
     UnknownAttributeError,
 )
-from repro.storage.schema import Field, Schema
+from repro.storage.schema import RENAME_MEMO_LIMIT, Field, Schema
 from repro.storage.types import DataType
 
 
@@ -78,6 +78,17 @@ class TestResolution:
         assert flow_schema.has("F.StartTime")
         assert not flow_schema.has("F.Nothing")
 
+    def test_has_raises_nothing_on_a_miss(self, monkeypatch):
+        # A miss is a lookup, not a formatted-and-caught error.
+        schema = Schema([
+            Field("k", DataType.INTEGER, "A"),
+            Field("k", DataType.INTEGER, "B"),
+        ])
+        monkeypatch.setattr(Schema, "index_of", None)
+        assert not schema.has("k")  # ambiguous
+        assert not schema.has("A.nothing")
+        assert schema.has("B.k")
+
     def test_duplicate_fields_rejected(self):
         with pytest.raises(SchemaError):
             Schema([
@@ -93,6 +104,24 @@ class TestTransforms:
     def test_rename_changes_all_qualifiers(self, flow_schema):
         renamed = flow_schema.rename("G")
         assert renamed.names == ("G.StartTime", "G.Protocol", "G.NumBytes")
+
+    def test_rename_hands_back_the_schema_it_built(self, flow_schema):
+        assert flow_schema.rename("G") is flow_schema.rename("G")
+        assert flow_schema.rename("H") is not flow_schema.rename("G")
+
+    def test_rename_memo_is_bounded(self, flow_schema):
+        # A server fed a stream of distinct aliases over one table.
+        for i in range(10_000):
+            renamed = flow_schema.rename(f"alias{i}")
+            assert renamed.names[0] == f"alias{i}.StartTime"
+        assert len(flow_schema._renamed) <= RENAME_MEMO_LIMIT
+
+    def test_pickle_carries_no_rename_memo(self, flow_schema):
+        import pickle
+
+        flow_schema.rename("G")
+        copy = pickle.loads(pickle.dumps(flow_schema))
+        assert copy == flow_schema and copy._renamed == {}
 
     def test_concat(self, flow_schema):
         other = Schema([Field("id", DataType.INTEGER, "U")])

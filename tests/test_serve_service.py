@@ -309,6 +309,22 @@ class TestErrorPaths:
         assert status == 400
         assert "sql" in payload["error"]
 
+    @pytest.mark.parametrize("tail, message", [
+        # SUPERSCRIPT TWO and ARABIC-INDIC DIGIT THREE are not numbers.
+        ("WHERE K = \u00b2", "unexpected character"),
+        ("WHERE K = \u0663", "unexpected character"),
+        ("LIMIT 1.5", "expected an integer after LIMIT"),
+        ("LIMIT 1 OFFSET 0.5", "expected an integer after OFFSET"),
+    ])
+    def test_malformed_numeric_literal_is_400(self, live_server, tail,
+                                              message):
+        server = live_server()
+        server.create_tables()
+        status, payload = server.post(
+            "/query", {"sql": f"SELECT K FROM B {tail}"})
+        assert status == 400
+        assert message in payload["error"]
+
     def test_non_object_body_is_400(self, live_server):
         assert live_server().post("/query", [1, 2])[0] == 400
 

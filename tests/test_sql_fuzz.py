@@ -24,6 +24,52 @@ _catalog.create_table("U", Relation.from_columns(
     [("a", DataType.INTEGER)], [(1,), (3,)],
 ))
 
+#: Words of the whole frontend's fuzz: clauses the parser property's
+#: letters cannot spell (LIMIT, OFFSET), numbers with and without a
+#: fractional part, and Unicode digits that are not numbers.
+_FRONTEND_TOKENS = [
+    "SELECT", "DISTINCT", "FROM", "WHERE", "AND", "OR", "NOT", "EXISTS",
+    "IN", "IS", "NULL", "ALL", "SOME", "GROUP", "BY", "HAVING", "ORDER",
+    "DESC", "LIMIT", "OFFSET", "UNION", "AS", "count", "max", "T", "U",
+    "t", "u", "a", "b", "T.a", "U.a", "t.b", ".", ",", "(", ")", "*",
+    "=", "<>", "<", ">=", "+", "-", "/", "0", "2", "17", "2.5", ".5",
+    "1.", "'x'", "\u00b2", "\u0663", "\u00bd",
+]
+
+_VALUES = ["0", "2", "17", "2.5", ".5", "1.", "'x'", "NULL", "a", "T.b",
+           "\u00b2", "\u0663"]
+
+
+@st.composite
+def frontend_texts(draw):
+    """Token soup, or a statement the grammar accepts with a value drawn
+    into each literal slot and a few words then replaced, dropped or
+    inserted — so that LIMIT, OFFSET and WHERE are reached often."""
+    words = st.sampled_from(_FRONTEND_TOKENS)
+    if draw(st.booleans()):
+        soup = draw(st.lists(words, max_size=24))
+    else:
+        value = st.sampled_from(_VALUES)
+        soup = ["SELECT", draw(st.sampled_from(["a", "*", "count(*)"])),
+                "FROM", draw(st.sampled_from(["T", "U u", "T t"]))]
+        if draw(st.booleans()):
+            soup += ["WHERE", draw(st.sampled_from(["a", "b"])),
+                     draw(st.sampled_from(["=", "<", "<>"])), draw(value)]
+        if draw(st.booleans()):
+            soup += ["LIMIT", draw(value)]
+            if draw(st.booleans()):
+                soup += ["OFFSET", draw(value)]
+        for _ in range(draw(st.integers(0, 3))):
+            at = draw(st.integers(0, len(soup)))
+            edit = draw(st.sampled_from(["replace", "drop", "insert"]))
+            if edit == "insert" or at == len(soup):
+                soup.insert(at, draw(words))
+            elif edit == "drop":
+                del soup[at]
+            else:
+                soup[at] = draw(words)
+    return draw(st.sampled_from([" ", ""])).join(soup)
+
 
 class TestGarbageInput:
     @SETTINGS
@@ -46,6 +92,21 @@ class TestGarbageInput:
             pass
         except RecursionError:
             pass  # pathological nesting depth is acceptable to refuse
+
+    @SETTINGS
+    @given(text=frontend_texts())
+    def test_frontend_never_crashes_unexpectedly(self, text):
+        """Lexer, parser and binder together: any token soup fails as a
+        :class:`ReproError`, never as a bare ``ValueError`` from a
+        literal the lexer should not have called a number."""
+        from repro.sql import compile_sql
+
+        try:
+            compile_sql(text, _catalog)
+        except ReproError:
+            pass
+        except RecursionError:
+            pass
 
 
 @st.composite

@@ -205,3 +205,25 @@ class TestBetweenPrecedence:
         assert isinstance(where, ast.BetweenPredicate)
         assert isinstance(where.low, ast.BinaryOp)
         assert isinstance(where.high, ast.BinaryOp)
+
+
+class TestNumericLiterals:
+    """A number is ASCII digits, and LIMIT / OFFSET take an integer:
+    everything else is a syntax error at the offending token."""
+
+    @pytest.mark.parametrize("sql, position", [
+        ("SELECT a FROM T WHERE a = ٣", 26),  # ARABIC-INDIC DIGIT THREE
+        ("SELECT a FROM T WHERE a = ²", 26),  # SUPERSCRIPT TWO
+        ("SELECT a FROM T LIMIT 2.5", 22),
+        ("SELECT a FROM T LIMIT .5", 22),
+        ("SELECT a FROM T LIMIT 2 OFFSET 1.5", 31),
+        ("SELECT a FROM T LIMIT ٣", 22),
+    ])
+    def test_rejected_with_a_position(self, sql, position):
+        with pytest.raises(SQLSyntaxError) as info:
+            parse_sql(sql)
+        assert info.value.position == position
+
+    def test_integer_limit_and_offset(self):
+        statement = parse_sql("SELECT a FROM T LIMIT 2 OFFSET 10")
+        assert (statement.limit, statement.offset) == (2, 10)
