@@ -7,13 +7,22 @@ completion rule — over arrays of candidate ``(base, row)`` **pairs**,
 and nothing in it runs once per base tuple in Python: base keys,
 accumulator state and the emitted aggregates all stay columns.
 
-* the detail relation is walked in row *tiles*; per tile every θ block
-  materializes its candidate pairs (a hash block from the key match
-  below, a scan block the range form declines as active-bases ×
-  tile-rows, an invariant block as the rows themselves), evaluates its
-  residual **once** over the gathered pair arrays
-  (:mod:`repro.algebra.npcompile`; base columns come from the base
-  relation's columnar encoding) and keeps the matching pairs;
+* a *hash block* narrows R before any pair exists: its key bucket, its
+  constant key components (``r.prio = '1-URGENT'``) and every residual
+  conjunct that reads detail columns alone (Figure 2's
+  ``o.totalprice > 430000``) become one row mask, evaluated once over R
+  per scan, and pairs are built for the **admitted rows** only — one
+  gather through the join index's row → base map at fanout <= 1, the
+  CSR table's expansion otherwise; the conjuncts that read the base
+  run over those pairs alone;
+* the detail relation is walked in row *tiles* cut by the pairs that
+  exist; per tile every θ block materializes its pairs (a hash block
+  from its admitted rows, a scan block the range form declines as
+  active-bases × tile-rows, an invariant block as the rows
+  themselves), evaluates what is left of its residual **once** over
+  the gathered pair arrays (:mod:`repro.algebra.npcompile`; base
+  columns come from the base relation's columnar encoding) and keeps
+  the matching pairs;
 * a *scan block* — no equality to hash — whose θ is at most one ``<>``
   and one one-sided range between a base and a detail column, plus
   conjuncts over one side, builds no pairs at all: it takes the
@@ -32,11 +41,12 @@ accumulator state and the emitted aggregates all stay columns.
   keys resolve to buckets by *direct addressing* — ``table[key - lo]``
   — whenever the base keys' own range ``hi - lo`` fits in
   \\|R\\| + \\|B\\| slots, by ``np.searchsorted`` into the sorted distinct
-  keys otherwise (sparse or float domains).  One such structure serves
-  every block of the GMDJ with the same correlating key list
-  (Prop 4.1's coalesced blocks over one key); a key component with a
-  constant side (``r.prio = '1-URGENT'``) is that block's own row or
-  base mask on top of it.  Between two stored tables whose key sides
+  keys otherwise (sparse or float domains); when no key fans out, each
+  detail row's one base tuple is kept as well (``row_base``).  One such
+  structure serves every block of the GMDJ with the same correlating
+  key list (Prop 4.1's coalesced blocks over one key); a key component
+  with a constant side (``r.prio = '1-URGENT'``) is that block's own
+  row or base mask on top of it.  Between two stored tables whose key sides
   are plain columns the structure is a *join index*: it depends on
   those columns alone, not on the query, so the detail encoding keeps
   the last few it was built for (:func:`_join_index`) and every later
@@ -77,19 +87,25 @@ arrays: its **first completion row** ``t_b`` is the earliest row that
 matches a ``must_be_zero`` block or a ``pair_equal`` weak block without
 its restrictive one (doom), or the row at which the last
 ``need_positive``/``need_at_least`` threshold is reached (assure).
-Everything the row kernel would have done follows by cutting the pair
-arrays at ``t_b``: residual evaluations are the candidate pairs with
-``r <= t_b``, aggregate updates the matching pairs with ``r < t_b``
-(doom) or ``r <= t_b`` (assure, whose partial aggregates are thereby
-exact), and the completion-free scan is the same code with
-``t_b = ∞``.  Completed tuples leave the candidate set between tiles,
-so θ work physically shrinks as the paper describes.  A completion
-scan over hash blocks walks its first tile at ``TILE_PAIRS`` pairs —
-where an EXISTS tuple usually completes — and the rest of R in tiles
-of ``8 * TILE_PAIRS`` (the bound the accumulators already compact at),
-since every later tile re-filters and re-truncates its pairs by
-``t_b``; a declined scan block, whose pairs are active bases × rows,
-and a completion-free scan keep ``TILE_PAIRS`` throughout.  A scan in
+Everything the row kernel would have done follows by cutting the
+admitted matches at ``t_b``: aggregate updates are the matching pairs
+with ``r < t_b`` (doom) or ``r <= t_b`` (assure, whose partial
+aggregates are thereby exact), and the completion-free scan is the same
+code with ``t_b = ∞``.  A ``need_positive`` threshold is reached at a
+base tuple's first match (``np.minimum.at``, no sort); only
+``need_at_least`` ranks matches.  Residual evaluations are the
+*candidate* pairs — key matches, admitted or not — with ``r <= t_b``;
+a hash block counts them after the walk from its bucket's rows
+(:meth:`_HashMatch.evaluations`), without building them.  Completed
+tuples leave the candidate set between tiles, so θ work physically
+shrinks as the paper describes.  ``TILE_PAIRS`` bounds the pairs one
+block builds per tile: a completion scan over hash blocks walks its
+first tile at ``TILE_PAIRS`` admitted pairs — where an EXISTS tuple
+usually completes — and the rest in tiles of ``8 * TILE_PAIRS`` (the
+bound the accumulators already compact at), since every later tile
+re-filters and re-truncates its pairs by ``t_b``; a declined scan
+block, whose pairs are active bases × rows, and a completion-free scan
+keep ``TILE_PAIRS`` throughout.  A scan in
 range form computes ``t_b`` without a walk — the first match of a
 ``must_be_zero`` block, the first row of a ``pair_equal`` weak block
 its restrictive range does not admit (a suffix of a *doom* index), the
@@ -130,7 +146,13 @@ import numpy as np
 from repro.algebra.aggregates import AggregateSpec
 from repro.algebra.analysis import is_trivially_true, refers_only_to
 from repro.algebra.compile import compile_batch_values
-from repro.algebra.expressions import MIRROR, Column, Expression, conjuncts_of
+from repro.algebra.expressions import (
+    MIRROR,
+    Column,
+    Expression,
+    conjoin,
+    conjuncts_of,
+)
 from repro.algebra.npcompile import (
     _FLOAT_EXACT,
     _guard_float_exact,
@@ -398,12 +420,14 @@ class _HashMatch:
     ``row_bucket[r]`` is the bucket detail row ``r`` falls in (-1: NULL
     key component or no equal base key); bucket ``k`` holds base indices
     ``bases[starts[k]:starts[k] + sizes[k]]`` in ascending order, so
-    duplicate base keys fan out.  ``lookup`` records how the rows were
-    resolved (``"direct"`` addressing or ``"sorted"`` search).
+    duplicate base keys fan out.  When no key fans out (``fanout`` <= 1)
+    ``row_base[r]`` is the one base tuple row ``r`` pairs with (-1: none),
+    so a block's pairs are one gather.  ``lookup`` records how the rows
+    were resolved (``"direct"`` addressing or ``"sorted"`` search).
     """
 
     __slots__ = ("row_bucket", "starts", "sizes", "bases", "fanout",
-                 "lookup")
+                 "row_base", "lookup", "_matched", "_by_bucket")
 
     def __init__(self, components: Sequence[tuple[NpValue, NpValue, Callable]],
                  base_filter: Any, n_base: int, total: int) -> None:
@@ -425,22 +449,82 @@ class _HashMatch:
         # except the empty key list's one bucket over an empty base.
         self.row_bucket = row_code if len(live) else \
             np.full(total, -1, dtype=np.int64)
-        self.lookup = "direct" if direct else "sorted"
-
-    def pairs(self, row_bucket: Any, start: int, stop: int) -> tuple[Any, Any]:
-        """Candidate pairs of rows ``[start, stop)``, row-major;
-        ``row_bucket`` is this structure's, or a block's masked copy."""
-        bucket = row_bucket[start:stop]
-        hit = np.flatnonzero(bucket >= 0)
-        bucket = bucket[hit]
-        r = hit + start
+        self.row_base = None
         if self.fanout <= 1:
-            return self.bases[self.starts[bucket]], r
+            # Each bucket's one base tuple; the spare last slot is -1's.
+            owner = np.full(n_codes + 1, -1, dtype=np.int64)
+            owner[codes] = live
+            self.row_base = owner.take(self.row_bucket)
+        self.lookup = "direct" if direct else "sorted"
+        self._matched: Any = None
+        self._by_bucket: tuple[Any, ...] | None = None
+
+    def freeze(self) -> None:
+        """Write-protect the arrays: the structure is shared by later
+        scans as a join index."""
+        for array in (self.row_bucket, self.starts, self.sizes, self.bases,
+                      self.row_base):
+            if array is not None:
+                array.flags.writeable = False
+
+    def matched(self) -> Any:
+        """The detail rows in some bucket, ascending — built on first
+        use, then kept like :meth:`evaluations`' keys."""
+        if self._matched is None:
+            matched = np.flatnonzero(self.row_bucket >= 0)
+            matched.flags.writeable = False
+            self._matched = matched
+        return self._matched
+
+    def pairs(self, rows: Any) -> tuple[Any, Any]:
+        """The ``(base, row)`` pairs of ``rows`` (ascending, each in a
+        bucket), row-major."""
+        if self.row_base is not None:
+            return self.row_base[rows], rows
+        bucket = self.row_bucket[rows]
         sizes = self.sizes[bucket]
-        r = np.repeat(r, sizes)
+        r = np.repeat(rows, sizes)
         within = np.arange(len(r)) - np.repeat(np.cumsum(sizes) - sizes,
                                                sizes)
         return self.bases[np.repeat(self.starts[bucket], sizes) + within], r
+
+    def evaluations(self, t: Any, row_filter: Any) -> int:
+        """The candidate pairs a residual is evaluated on, counted without
+        building them: per base tuple, the rows of its bucket that
+        ``row_filter`` admits (None: every row) up to and including its
+        completion row ``t_b`` (``t`` None: no completion).
+
+        Per bucket, its rows in ascending order are a run of the sorted
+        ``bucket * (|R| + 1) + row`` keys, so a base tuple's count is the
+        distance between two positions in them (``first`` / ``last`` per
+        entry of ``bases``) — for a completed one, ``last`` is one
+        ``np.searchsorted``.  All of this depends on the key columns
+        alone, so it is built on first use and kept with the structure
+        (two scans that build it together store equal arrays).
+        """
+        width = len(self.row_bucket) + 1
+        if self._by_bucket is None:
+            matched = self.matched()
+            keys = np.sort(self.row_bucket[matched] * width + matched)
+            codes = np.repeat(np.arange(len(self.sizes)), self.sizes)
+            bounds = np.searchsorted(
+                keys, np.arange(len(self.sizes) + 1) * width)
+            self._by_bucket = (keys, codes * width, bounds[codes],
+                               bounds[codes + 1])
+            for array in self._by_bucket:
+                array.flags.writeable = False
+        keys, origins, first, last = self._by_bucket
+        if t is not None:
+            at = t[self.bases]
+            done = np.flatnonzero(at != _NEVER)
+            last = last.copy()
+            last[done] = np.searchsorted(keys, origins[done] + at[done],
+                                         side="right")
+        if row_filter is None:
+            return int(np.sum(last - first))
+        admitted = np.concatenate(
+            ([0], np.cumsum(row_filter[keys % width])))
+        return int(np.sum(admitted[last] - admitted[first]))
 
 
 #: Join indexes one detail encoding keeps; a new one displaces the oldest.
@@ -464,9 +548,12 @@ def _join_index(pairs: _PairColumns,
     an encoding is never written after it is built (an insert makes a
     new one), so a kept index is never stale.  A constant key side
     (``base_filter``) is per query and is never kept.  Scans on other
-    threads share the list unlocked: each entry is immutable and added
-    or dropped by one list operation, so two scans that miss together
-    each build an index — one wasted build, never a wrong entry.
+    threads share the list unlocked: each entry's arrays are read-only,
+    an entry is added or dropped by one list operation, and what an
+    entry derives on first use (:meth:`_HashMatch.matched`,
+    :meth:`_HashMatch.evaluations`) is stored by one attribute
+    assignment and equal whoever derives it, so two scans that miss
+    together each build — one wasted build, never a wrong entry.
     """
     base, detail = pairs.base.columnar, pairs.detail.columnar
     kept = positions = None
@@ -484,9 +571,7 @@ def _join_index(pairs: _PairColumns,
     match = _HashMatch(components, base_filter, n_base, total)
     get_registry().counter("npkernel.join_index_builds").inc()
     if kept is not None:
-        for array in (match.row_bucket, match.starts, match.sizes,
-                      match.bases):
-            array.flags.writeable = False  # shared by every later scan
+        match.freeze()
         kept.append((base.columns, positions, match))
         del kept[:-JOIN_INDEXES_KEPT]
     return match, "built"
@@ -1308,11 +1393,22 @@ def _finish_ranges(ranged: dict[int, _RangeBlock], completion: tuple | None,
 
 
 class _NpBlock:
-    """One θ block planned for the tiled scan."""
+    """One θ block planned for the tiled scan.
+
+    A hash block narrows R before any pair exists: ``rows`` are the
+    detail rows θ can admit — in a bucket, through the constant key
+    components' ``row_filter``, and TRUE under every residual conjunct
+    that reads detail columns alone — found once per scan; ``reach`` the
+    pairs they expand to, cumulatively (None at fanout <= 1: one each);
+    ``residual`` the rest, which reads the base and runs over those
+    pairs only.  Its residual evaluations are counted after the walk
+    (:meth:`_HashMatch.evaluations`).  A scan or invariant block keeps
+    its whole residual, over its pairs or (``detail_only``) its rows.
+    """
 
     __slots__ = ("runtime", "index", "residual", "detail_only", "match",
-                 "join_index", "row_bucket", "specs", "evals", "updates",
-                 "cand", "hits")
+                 "join_index", "row_filter", "rows", "reach", "next_row",
+                 "pairs_built", "specs", "evals", "updates", "cand", "hits")
 
     def __init__(self, runtime: _BlockRuntime, block: ThetaBlock,
                  pairs: _PairColumns,
@@ -1323,19 +1419,23 @@ class _NpBlock:
         detail = pairs.detail
         factored = runtime.factored
         self.residual = factored.residual
-        self.detail_only = self.residual is not None and refers_only_to(
-            self.residual, detail.schema)
+        self.detail_only = False
         self.match: _HashMatch | None = None
         self.join_index: str | None = None
-        self.row_bucket = None
+        self.row_filter = None
         if runtime.uses_hash:
             self._plan_match(factored.left_keys, factored.right_keys, pairs,
                              matches, n_base, total)
+            self._admit(detail, total)
+        else:
+            self.detail_only = self.residual is not None and refers_only_to(
+                self.residual, detail.schema)
         groups = 1 if runtime.invariant else n_base
         self.specs = [_SpecArrays(spec, detail, groups, total)
                       for spec in block.aggregates]
         self.evals = 0
         self.updates = 0
+        self.pairs_built = 0
         self.cand: tuple[Any, Any] | None = None
         self.hits: tuple[Any, Any] = (None, None)
 
@@ -1374,14 +1474,51 @@ class _NpBlock:
             found = matches[tuple(shared_by)] = _join_index(
                 pairs, keys, correlating, base_filter, n_base, total)
         self.match, self.join_index = found
-        self.row_bucket = self.match.row_bucket if row_filter is None else \
-            np.where(row_filter, self.match.row_bucket, -1)
+        self.row_filter = row_filter
 
-    def width(self, n_active: int) -> int:
-        """Candidate pairs one detail row can contribute."""
+    def _admit(self, detail: Columns, total: int) -> None:
+        """The rows θ can admit, once over R, and the residual left for
+        their pairs."""
+        match = self.match
+        masks = [] if self.row_filter is None else [self.row_filter]
+        on_pairs = []
+        if self.residual is not None:
+            for conjunct in conjuncts_of(self.residual):
+                if refers_only_to(conjunct, detail.schema):
+                    masks.append(np_truth_mask(conjunct, detail.resolve,
+                                               total))
+                else:
+                    on_pairs.append(conjunct)
+        self.residual = conjoin(on_pairs) if on_pairs else None
+        if masks:
+            admit = match.row_bucket >= 0
+            for mask in masks:
+                admit &= mask
+            self.rows = np.flatnonzero(admit)
+        else:
+            self.rows = match.matched()
+        self.reach = None if match.row_base is not None else np.cumsum(
+            match.sizes[match.row_bucket[self.rows]])
+        self.next_row = 0
+
+    def stop(self, start: int, budget: int, n_active: int,
+             total: int) -> int:
+        """Where a tile from row ``start`` ends so that this block builds
+        at most ``budget`` pairs in it (one row's, if it alone has more)."""
         if self.runtime.invariant:
-            return 1
-        return self.match.fanout if self.match is not None else n_active
+            return start + budget
+        if self.match is None:
+            return start + max(1, budget // max(1, n_active))
+        first, rows = self.next_row, self.rows
+        if first == len(rows):
+            return total  # no admitted row left: nothing to build
+        if self.reach is None:
+            end = first + budget
+        else:
+            built = self.reach[first - 1] if first else 0
+            end = max(first + 1, int(np.searchsorted(
+                self.reach, built + budget, side="right")))
+        return total if end >= len(rows) else int(rows[end])
 
     def scan(self, start: int, stop: int, active: Any, t: Any,
              shrunk: bool, pairs: _PairColumns) -> None:
@@ -1390,7 +1527,10 @@ class _NpBlock:
             r = np.arange(start, stop)
             b = np.zeros(stop - start, dtype=np.int64)
         elif self.match is not None:
-            b, r = self.match.pairs(self.row_bucket, start, stop)
+            first = self.next_row
+            self.next_row = last = int(np.searchsorted(self.rows, stop))
+            b, r = self.match.pairs(self.rows[first:last])
+            self.pairs_built += len(b)
             if shrunk:
                 keep = t[b] == _NEVER
                 b, r = b[keep], r[keep]
@@ -1399,7 +1539,8 @@ class _NpBlock:
             r = np.tile(np.arange(start, stop), len(active))
         self.cand = None
         if self.residual is not None and len(b):
-            self.cand = (b, r)
+            if self.match is None:
+                self.cand = (b, r)
             if self.detail_only:
                 rows = slice(start, stop)
                 keep = np_truth_mask(
@@ -1432,11 +1573,14 @@ def _doom_events(blocks: dict[int, _NpBlock], rule: CompletionRule,
 class _Assurance:
     """Thm 4.1 bookkeeping: matches still needed, per threshold block."""
 
-    __slots__ = ("needs", "open", "latest")
+    __slots__ = ("needs", "ones", "open", "latest")
 
     def __init__(self, rule: CompletionRule, n_base: int) -> None:
+        thresholds = rule.thresholds()
         self.needs = {index: np.full(n_base, count, dtype=np.int64)
-                      for index, count in rule.thresholds().items()}
+                      for index, count in thresholds.items()}
+        self.ones = {index for index, count in thresholds.items()
+                     if count == 1}
         self.open = np.full(n_base, len(self.needs), dtype=np.int64)
         self.latest = np.full(n_base, -1, dtype=np.int64)
 
@@ -1450,15 +1594,23 @@ class _Assurance:
             b, r = b[waiting], r[waiting]
             if not len(b):
                 continue
-            order = np.argsort(b, kind="stable")  # keeps rows ascending
-            b, r = b[order], r[order]
-            first = np.flatnonzero(np.concatenate(
-                ([True], b[1:] != b[:-1])))
-            sizes = np.diff(np.append(first, len(b)))
-            rank = np.arange(len(b)) - np.repeat(first, sizes)
-            reached = rank == needs[b] - 1  # the k-th match of this block
-            bases, rows = b[reached], r[reached]
-            needs[b[first]] = np.maximum(needs[b[first]] - sizes, 0)
+            if index in self.ones:
+                # EXISTS: a base's first match (pairs are row-major).
+                first = np.full(len(needs), _NEVER, dtype=np.int64)
+                np.minimum.at(first, b, r)
+                bases = np.flatnonzero(first != _NEVER)
+                rows = first[bases]
+                needs[bases] = 0
+            else:
+                order = np.argsort(b, kind="stable")  # keeps rows ascending
+                b, r = b[order], r[order]
+                first = np.flatnonzero(np.concatenate(
+                    ([True], b[1:] != b[:-1])))
+                sizes = np.diff(np.append(first, len(b)))
+                rank = np.arange(len(b)) - np.repeat(first, sizes)
+                reached = rank == needs[b] - 1  # the k-th match of this block
+                bases, rows = b[reached], r[reached]
+                needs[b[first]] = np.maximum(needs[b[first]] - sizes, 0)
             self.latest[bases] = np.maximum(self.latest[bases], rows)
             self.open[bases] -= 1
             done.append(bases[self.open[bases] == 0])
@@ -1478,19 +1630,23 @@ class ArrayScan:
     finalized aggregates, one per spec: its array form, or a value list
     when it was accumulated per value in Python; ``key_lookup`` /
     ``shared_keys`` / ``join_index`` say, per taken hash block, how its
-    detail keys were resolved, how many blocks share its key structure
-    and whether this scan ``built`` that structure or ``reused`` a join
-    index; ``forms`` says, per block the kernel ran, whether it walked
-    ``pairs`` or was answered in ``range`` form, ``range_index`` per
-    range-form block whether its sorted index was ``built`` or
-    ``reused``, and ``range_declined`` why each other scan block was
-    not; ``tiles`` is how many detail-row tiles the scan walked (a scan
-    whose blocks all took the range form reads R once, as one tile).
+    detail keys were resolved, how many blocks share its key structure,
+    whether this scan ``built`` that structure or ``reused`` a join
+    index, how many detail rows θ admitted (``rows_admitted``) and how
+    many ``(base, row)`` pairs the walk built from them
+    (``pairs_built``); ``forms`` says, per block the kernel ran, whether
+    it walked ``pairs`` or was answered in ``range`` form,
+    ``range_index`` per range-form block whether its sorted index was
+    ``built`` or ``reused``, and ``range_declined`` why each other scan
+    block was not; ``tiles`` is how many detail-row tiles the scan
+    walked (a scan whose blocks all took the range form reads R once,
+    as one tile).
     """
 
     __slots__ = ("python_blocks", "reasons", "columns", "key_lookup",
-                 "shared_keys", "join_index", "forms", "range_index",
-                 "range_declined", "tiles", "_forms", "_base")
+                 "shared_keys", "join_index", "rows_admitted", "pairs_built",
+                 "forms", "range_index", "range_declined", "tiles", "_forms",
+                 "_base")
 
     def __init__(self, base: Columns) -> None:
         self.python_blocks: list[tuple[_BlockRuntime, ThetaBlock]] = []
@@ -1499,6 +1655,8 @@ class ArrayScan:
         self.key_lookup: tuple[str, ...] = ()
         self.shared_keys: tuple[int, ...] = ()
         self.join_index: tuple[str, ...] = ()
+        self.rows_admitted: tuple[int, ...] = ()
+        self.pairs_built: tuple[int, ...] = ()
         self.forms: tuple[str, ...] = ()
         self.range_index: tuple[str, ...] = ()
         self.range_declined: tuple[str, ...] = ()
@@ -1665,8 +1823,8 @@ def run_numpy_scan(
     start = 0
     while start < total and live and (rule is None or len(active)):
         result.tiles += 1
-        widest = max(plan.width(len(active)) for plan in live)
-        stop = min(total, start + max(1, tile_pairs // max(1, widest)))
+        stop = min(total, *(plan.stop(start, tile_pairs, len(active), total)
+                            for plan in live))
         tile_pairs = later_tiles
         for plan in list(live):
             try:
@@ -1713,9 +1871,14 @@ def run_numpy_scan(
     result.key_lookup = tuple(plan.match.lookup for plan in hashed)
     result.shared_keys = tuple(sharing[id(plan.match)] for plan in hashed)
     result.join_index = tuple(plan.join_index for plan in hashed)
+    result.rows_admitted = tuple(len(plan.rows) for plan in hashed)
+    result.pairs_built = tuple(plan.pairs_built for plan in hashed)
+    for plan in hashed:
+        stats.index_probes += total
+        if plan.runtime.factored.residual is not None:
+            plan.evals = plan.match.evaluations(
+                None if rule is None else t, plan.row_filter)
     for plan in live:
-        if plan.match is not None:
-            stats.index_probes += total
         stats.predicate_evals += plan.evals
         stats.aggregate_updates += plan.updates
         columns = result.columns[plan.index] = []

@@ -316,7 +316,8 @@ def run_gmdj_vectorized(
     back together: the rule couples its blocks) and the reasons land on
     the ``detail_scan`` span for EXPLAIN ANALYZE, next to how each hash
     block resolved its keys (``key_lookup``, ``shared_keys``,
-    ``join_index``) and how each block ran (``forms``: ``pairs`` or
+    ``join_index``) and what θ admitted (``rows_admitted``,
+    ``pairs_built``), and how each block ran (``forms``: ``pairs`` or
     ``range``, with ``range_index`` and ``range_declined``).
     """
     chunk_size = resolve_chunk_size(chunk_size)
@@ -357,7 +358,9 @@ def run_gmdj_vectorized(
             if arrays.key_lookup:
                 scan_span.set(key_lookup=arrays.key_lookup,
                               shared_keys=arrays.shared_keys,
-                              join_index=arrays.join_index)
+                              join_index=arrays.join_index,
+                              rows_admitted=arrays.rows_admitted,
+                              pairs_built=arrays.pairs_built)
             if arrays.forms:
                 scan_span.set(forms=arrays.forms)
             if arrays.range_index:

@@ -99,7 +99,10 @@ def executed_summary(trace) -> dict:
     resolved (``key_lookup``: ``direct`` addressing or ``sorted``
     search), how many blocks share its key structure (``shared_keys``)
     and whether the scan ``built`` that structure or ``reused`` the join
-    index a scan over the same two tables left (``join_index``), says
+    index a scan over the same two tables left (``join_index``), how
+    many detail rows θ admitted before any pair was built
+    (``rows_admitted``) and how many pairs the walk built from them
+    (``pairs_built``), says
     per block whether it walked ``pairs`` or took the ``range`` form
     (``forms``), per range-form block whether its sorted index was
     ``built`` or ``reused`` (``range_index``) and why each other scan
@@ -110,9 +113,9 @@ def executed_summary(trace) -> dict:
     ran its row-wise method instead of its array form, with the reason.
     """
     summary: dict = {}
-    key_lookup: list[str] = []
-    shared_keys: list[int] = []
-    join_index: list[str] = []
+    hashed: dict[str, list] = {
+        "key_lookup": [], "shared_keys": [], "join_index": [],
+        "rows_admitted": [], "pairs_built": []}
     ranges: dict[str, list[str]] = {
         "forms": [], "range_index": [], "range_declined": []}
     fallbacks: list[str] = []
@@ -139,10 +142,7 @@ def executed_summary(trace) -> dict:
             backend = span_.attrs.get("backend")
             if backend and backend != "python":
                 summary["backend"] = backend
-                key_lookup.extend(span_.attrs.get("key_lookup", ()))
-                shared_keys.extend(span_.attrs.get("shared_keys", ()))
-                join_index.extend(span_.attrs.get("join_index", ()))
-                for key, values in ranges.items():
+                for key, values in (*hashed.items(), *ranges.items()):
                     values.extend(span_.attrs.get(key, ()))
                 fallbacks.extend(span_.attrs.get("fallbacks", ()))
         elif span_.kind == "flat" and "fallback" in span_.attrs:
@@ -155,10 +155,8 @@ def executed_summary(trace) -> dict:
             summary[key] = summary.get(key, 0) + 1
         elif span_.kind == "rollup_miss":
             summary["rollup_misses"] = summary.get("rollup_misses", 0) + 1
-    if key_lookup:
-        summary["key_lookup"] = key_lookup
-        summary["shared_keys"] = shared_keys
-        summary["join_index"] = join_index
+    if hashed["key_lookup"]:
+        summary.update(hashed)
     summary.update((key, values) for key, values in ranges.items() if values)
     if fallbacks:
         summary["fallbacks"] = fallbacks

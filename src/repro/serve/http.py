@@ -3,9 +3,11 @@
 The project has zero runtime dependencies, so the service speaks just
 enough HTTP itself: request line + headers + ``Content-Length`` body in,
 JSON responses with keep-alive out.  Deliberately *not* supported (each
-answered with the right status rather than misparsed): chunked request
-bodies (501), bodies over the configured cap (413), header blocks over
-32 KiB (431), and non-1.x protocol versions (505).
+answered with the right status rather than misparsed): any
+``Transfer-Encoding`` — chunked or otherwise (501), bodies over the
+configured cap (413), header blocks over 32 KiB (431), and non-1.x
+protocol versions (505).  Framing fails closed: a ``Content-Length``
+that is not ASCII digits alone, or one given twice, is a 400.
 
 Everything here is transport; routing and semantics live in
 :mod:`repro.serve.service`.
@@ -97,9 +99,15 @@ async def read_request(
         name, separator, value = line.partition(":")
         if not separator:
             raise HttpError(400, f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
-    if "chunked" in headers.get("transfer-encoding", "").lower():
-        raise HttpError(501, "chunked request bodies are not supported")
+        name = name.strip().lower()
+        if name == "content-length" and name in headers:
+            raise HttpError(400, "repeated Content-Length")
+        headers[name] = value.strip()
+    if "transfer-encoding" in headers:
+        # Only a Content-Length frames a body here; reading a coded body
+        # as identity would misparse it.
+        raise HttpError(501, "transfer-coded request bodies are not "
+                             "supported")
     split = urlsplit(target)
     query = {
         key: values[-1]
@@ -108,12 +116,11 @@ async def read_request(
     body = b""
     raw_length = headers.get("content-length")
     if raw_length is not None:
-        try:
-            length = int(raw_length)
-        except ValueError:
-            raise HttpError(400, f"bad Content-Length {raw_length!r}") from None
-        if length < 0:
+        # RFC 9110 §8.6: 1*DIGIT — not int()'s signs, underscores or
+        # non-ASCII digits.
+        if not (raw_length.isascii() and raw_length.isdigit()):
             raise HttpError(400, f"bad Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > max_body:
             raise HttpError(
                 413, f"body of {length} bytes exceeds the {max_body} cap"

@@ -306,14 +306,22 @@ SCAN_THETAS = [
 ]
 
 #: θ shapes the property mixes in one GMDJ: single- and two-component
-#: hash keys (int and dictionary-coded), hash + pair residual, key
-#: components with a constant side (a row mask / a base mask on top of
-#: the shared key structure; a constant-only key list), and the scan
-#: blocks.  Several of them factor to the same key list ``b.K = r.K``
-#: and so share one key structure beside the ones that do not.
+#: hash keys (int and dictionary-coded), hash + pair residual, hash + a
+#: detail-only residual (Figure 2's ``o.totalprice > 430000``), alone
+#: and beside a conjunct that reads the base, key components with a
+#: constant side (a row mask / a base mask on top of the shared key
+#: structure, also next to a detail-only conjunct; a constant-only key
+#: list), and the scan blocks.  Several of them factor to the same key
+#: list ``b.K = r.K`` and so share one key structure beside the ones
+#: that do not.
 THETAS = [
     col("b.K") == col("r.K"),
     (col("b.K") == col("r.K")) & (col("r.Y") > col("b.X")),
+    (col("b.K") == col("r.K")) & (col("r.Y") > lit(2)),
+    (col("b.K") == col("r.K")) & (col("r.Y") > lit(2))
+    & (col("r.Z") < col("b.X")),
+    (col("b.K") == col("r.K")) & (col("r.T") == lit("aa"))
+    & (col("r.G") > lit(0)),
     (col("b.K") == col("r.K")) & (col("b.S") == col("r.T")),
     (col("b.K") == col("r.K")) & (col("r.T") == lit("aa")),
     (col("b.K") == col("r.K")) & (col("b.S") == lit("bb")),
@@ -371,10 +379,12 @@ def _typed(dtype, value):
 @st.composite
 def dense_databases(draw):
     """B/R over tiny domains: NULL keys, duplicate base keys and base
-    tuples with several matches are the rule, not the exception; either
-    side may be empty.  ``zz`` is a base word the detail dictionary
-    never holds; ``r.Y`` is sometimes large enough that sums pass
-    2**53; ``r.H`` is always object-encoded; ``r.Z`` may hold NaN."""
+    tuples with several matches are the rule, not the exception (half
+    the draws hold a key at least two base tuples share, so a hash
+    block fans out); either side may be empty.  ``zz`` is a base word
+    the detail dictionary never holds; ``r.Y`` is sometimes large
+    enough that sums pass 2**53; ``r.H`` is always object-encoded;
+    ``r.Z`` may hold NaN."""
     base_type, detail_type, values = KEY_DOMAINS[
         draw(st.sampled_from(sorted(KEY_DOMAINS)))]
     key = st.one_of(st.none(), st.sampled_from(values))
@@ -387,6 +397,12 @@ def dense_databases(draw):
     maybe_nan = st.one_of(real, st.just(float("nan")))
     huge = st.just(2 ** 70)
     base_rows = draw(st.lists(st.tuples(key, number, base_word), max_size=6))
+    if draw(st.booleans()):
+        # A key two base tuples share: its detail rows fan out to both.
+        twin = draw(st.sampled_from(values))
+        base_rows += draw(st.lists(st.tuples(st.just(twin), number,
+                                             base_word),
+                                   min_size=2, max_size=2))
     detail_rows = draw(st.lists(
         st.tuples(key, draw(st.sampled_from([number, large])), word, real,
                   huge, maybe_nan), max_size=14))
@@ -543,11 +559,14 @@ class TestCompletionOnArrays:
         assert numpy_stats.snapshot() == row_stats.snapshot()
 
     def test_both_phases_of_the_tile_schedule_keep_rows_and_counters(self):
-        # Fanout 1 over 40 rows: at tile t the first tile holds t rows and
-        # every later one 8t.  Base 1 has no detail row, so the scan walks
-        # to the end; bases 0 and 2 complete inside the second phase (their
-        # third match is row 6 / 7), with partial sums and truncated
-        # residual evaluations the row kernel's.
+        # Fanout 1 over 40 rows, 27 of them admitted (key 5 has no base
+        # tuple): at tile t the first tile builds t pairs and every later
+        # one 8t, so the scan walks 1 + ceil((27 - t) / 8t) tiles.  Base
+        # 1 has no detail row, so the scan walks to the end; bases 0 and
+        # 2 complete inside the second phase (their third match is row
+        # 6 / 7), with partial sums and truncated residual evaluations —
+        # counted over every candidate row, admitted or not — the row
+        # kernel's.
         catalog = Catalog()
         catalog.create_table("B", Relation.from_columns(
             [("K", DataType.INTEGER), ("X", DataType.INTEGER)],
@@ -562,7 +581,7 @@ class TestCompletionOnArrays:
                               aggregates_projected=True)
         tiles = {tile: scan.attrs["tiles"] for tile, scan in
                  three_kernel_scans(catalog, gmdj, rule, None)}
-        assert tiles == {1: 6, 2: 4, 7: 2, npkernel.TILE_PAIRS: 1}
+        assert tiles == {1: 5, 2: 3, 7: 2, npkernel.TILE_PAIRS: 1}
 
     @staticmethod
     def _scan_directly(catalog, gmdj, rule):
@@ -863,7 +882,8 @@ class TestKeysStateAndRowsStayColumns:
 
 def test_only_a_completion_scan_over_hash_blocks_grows_its_tiles():
     # Three tiles' worth of rows at the real TILE_PAIRS.  Base key 9 has
-    # no detail row, so no scan ends before its last row.
+    # no detail row, so no scan ends before its last row.  A hash block's
+    # tiles are cut by the pairs θ admits, not by rows.
     rows = 3 * npkernel.TILE_PAIRS
     catalog = Catalog()
     catalog.create_table("B", Relation.from_columns(
@@ -880,16 +900,23 @@ def test_only_a_completion_scan_over_hash_blocks_grows_its_tiles():
         assert not scan.attrs.get("fallbacks")
         return scan.attrs
 
-    def tiles(theta, rule, selection):
-        return scan_of(theta, rule, selection)["tiles"]
-
-    # Figure 2's shape: one TILE_PAIRS tile, then the rest in one of 8x.
     exists = CompletionRule(need_positive=[0], exhaustive=True,
                             aggregates_projected=True)
-    hashed = (col("b.K") == col("r.K")) & (col("r.Y") > lit(990))
-    assert tiles(hashed, exists, col("c") > lit(0)) == 2
-    # The same block without a rule keeps TILE_PAIRS throughout ...
-    assert tiles(hashed, None, col("c") > lit(0)) == 3
+    # Figure 2's shape: θ admits the 216 rows with Y > 990 (9 a
+    # thousand), one pair each, so the scan is one tile, rule or none.
+    sparse = (col("b.K") == col("r.K")) & (col("r.Y") > lit(990))
+    for rule in (exists, None):
+        attrs = scan_of(sparse, rule, col("c") > lit(0))
+        assert attrs["rows_admitted"] == attrs["pairs_built"] == (216,)
+        assert attrs["tiles"] == 1
+    # Every row admitted: a completion scan takes one TILE_PAIRS tile,
+    # then the rest of its pairs in one of 8x ...
+    dense = (col("b.K") == col("r.K")) & (col("r.Y") >= lit(0))
+    attrs = scan_of(dense, exists, col("c") > lit(0))
+    assert attrs["rows_admitted"] == attrs["pairs_built"] == (rows,)
+    assert attrs["tiles"] == 2
+    # ... the same block without a rule keeps TILE_PAIRS throughout ...
+    assert scan_of(dense, None, col("c") > lit(0))["tiles"] == 3
     # ... Figure 4's ``<>`` under Thm 4.2 with a doom that never comes
     # builds no pairs: the range form reads R once ...
     doom = CompletionRule(must_be_zero=[0])

@@ -15,10 +15,11 @@ Figure 4's two ``<>`` blocks must take the range form (sorted search
 over a detail index, no candidate pairs).  Over one database loaded from
 ``.cols``, a second run of each figure query must reuse the customer x
 orders join index — for Figure 4, the part2 range indexes — the first
-one built, and the completion scans of Figures 2 and 5 — 2,000
-customers and 20,000 orders, so some customers never complete and the
-scan runs to the last row — must walk two tiles: ``TILE_PAIRS`` pairs,
-then the rest in one tile of 8x that.
+one built.  Tiles are cut by the pairs θ admits — one per order that
+has a customer and passes the block's own conjuncts (custkey is unique)
+— so over 2,000 customers and 20,000 orders the completion scans of
+Figures 2 and 5 walk one ``TILE_PAIRS`` tile and Figure 3 one per
+``TILE_PAIRS`` orders that have a customer.
 (The CI workflow runs this file as its own step.)
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import io
 import json
 
+import numpy as np
 import pytest
 
 from repro import Database, QueryOptions
@@ -57,9 +59,9 @@ FIGURES = {
             "AND o2.orderpriority = '1-URGENT')",
 }
 
-#: Customers, and orders rows: more than two tiles of ``TILE_PAIRS``, so
-#: the completion scans' two-phase schedule shows against one tile size
-#: throughout.
+#: Customers, and orders rows: more than two tiles of ``TILE_PAIRS``, and
+#: half the orders have a customer, so Figure 3's ten thousand pairs take
+#: two tiles.
 CUSTOMERS, ORDERS = 2_000, 20_000
 
 
@@ -141,5 +143,36 @@ def test_a_second_run_reuses_the_join_index(cols_dir, figure):
         return
     assert set(first["join_index"]) == {"built"}, first
     assert set(second["join_index"]) == {"reused"}, second
-    tiles = -(-ORDERS // TILE_PAIRS) if figure == "fig3" else 2
+    # One pair per admitted row; tiles of TILE_PAIRS of them — fewer
+    # than that admitted per block by Figures 2 and 5.
+    assert first["pairs_built"] == first["rows_admitted"], first
+    assert second["pairs_built"] == first["pairs_built"], second
+    tiles = -(-max(first["pairs_built"]) // TILE_PAIRS)
+    assert tiles == (2 if figure == "fig3" else 1), first
     assert first["tiles"] == second["tiles"] == tiles, (first, second)
+
+
+def test_the_scan_says_what_theta_admitted(cols_dir, catalogs):
+    # Figure 2's hash block admits the orders that have a customer and
+    # pass the threshold — counted here from the generated rows alone —
+    # and builds one pair per admitted row: custkey is unique.
+    customer, orders = (catalogs[0].table(name)
+                        for name in ("customer", "orders"))
+    custkeys = np.array([row[customer.schema.index_of("custkey")]
+                         for row in customer.rows])
+    keys = np.array([row[orders.schema.index_of("custkey")]
+                     for row in orders.rows])
+    prices = np.array([row[orders.schema.index_of("totalprice")]
+                       for row in orders.rows])
+    admitted = int(np.count_nonzero(np.isin(keys, custkeys)
+                                    & (prices > 300000)))
+    assert len(np.unique(custkeys)) == len(custkeys)
+    assert 0 < admitted < np.count_nonzero(np.isin(keys, custkeys))
+    db = Database()
+    for path in binary_tables(cols_dir):
+        db.load_binary(table_stem(path), path)
+    executed = db.explain_analyze(
+        db.sql(FIGURES["fig2"]),
+        QueryOptions(backend="numpy", use_cache=False)).payload["executed"]
+    assert executed["rows_admitted"] == [admitted], executed
+    assert executed["pairs_built"] == executed["rows_admitted"], executed

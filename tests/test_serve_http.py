@@ -3,9 +3,9 @@
 These feed byte streams straight into :func:`repro.serve.http.
 read_request` through an in-memory ``StreamReader`` — no sockets — so
 every malformed-input branch is pinned deterministically: truncation,
-oversized heads and bodies, bad Content-Length, chunked refusal, and
-protocol version checks all map to their specific status codes instead
-of misparses.
+oversized heads and bodies, bad or repeated Content-Length, refusal of
+any transfer coding, and protocol version checks all map to their
+specific status codes instead of misparses.
 """
 
 from __future__ import annotations
@@ -105,6 +105,15 @@ class TestReadRequest:
             parse(request_bytes(headers=[("Transfer-Encoding", "chunked")]))
         assert error.value.status == 501
 
+    @pytest.mark.parametrize("coding", ["gzip", "identity"])
+    def test_any_transfer_coding_is_501(self, coding):
+        # Not only chunked, and even beside a Content-Length that would
+        # frame the body.
+        with pytest.raises(HttpError) as error:
+            parse(request_bytes(headers=[("Transfer-Encoding", coding)],
+                                body=b"abc"))
+        assert error.value.status == 501
+
     def test_oversized_head_is_431(self):
         filler = "x" * (MAX_HEADER_BYTES + 10)
         with pytest.raises(HttpError) as error:
@@ -116,6 +125,23 @@ class TestReadRequest:
             with pytest.raises(HttpError) as error:
                 parse(request_bytes(headers=[("Content-Length", bad)]))
             assert error.value.status == 400
+
+    @pytest.mark.parametrize("bad", ["1_0", "+10", "-0"])
+    def test_content_length_is_ascii_digits_only(self, bad):
+        # int() takes each of them; RFC 9110 §8.6 takes none.
+        raw = request_bytes(headers=[("Content-Length", bad)]) \
+            + b"0123456789"
+        with pytest.raises(HttpError) as error:
+            parse(raw)
+        assert error.value.status == 400
+
+    @pytest.mark.parametrize("lengths", [("3", "10"), ("10", "10")])
+    def test_repeated_content_length_is_400(self, lengths):
+        raw = request_bytes(headers=[("Content-Length", length)
+                                     for length in lengths]) + b"0123456789"
+        with pytest.raises(HttpError) as error:
+            parse(raw)
+        assert error.value.status == 400
 
     def test_body_over_cap_is_413(self):
         raw = request_bytes(body=b"x" * 64)
