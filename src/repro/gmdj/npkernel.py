@@ -79,7 +79,7 @@ accumulator state and the emitted aggregates all stay columns.
   (:mod:`repro.algebra.npoperators`) and rows appear once, where the
   result leaves the engine.
 
-Completion is truncation
+Completion is accounting
 ------------------------
 A base tuple's completion (Thm 4.1/4.2) depends only on *its own*
 θ-matches in detail-row order, so it is a pure function of the pair
@@ -87,30 +87,31 @@ arrays: its **first completion row** ``t_b`` is the earliest row that
 matches a ``must_be_zero`` block or a ``pair_equal`` weak block without
 its restrictive one (doom), or the row at which the last
 ``need_positive``/``need_at_least`` threshold is reached (assure).
-Everything the row kernel would have done follows by cutting the
-admitted matches at ``t_b``: aggregate updates are the matching pairs
-with ``r < t_b`` (doom) or ``r <= t_b`` (assure, whose partial
-aggregates are thereby exact), and the completion-free scan is the same
-code with ``t_b = ∞``.  A ``need_positive`` threshold is reached at a
-base tuple's first match (``np.minimum.at``, no sort); only
-``need_at_least`` ranks matches.  Residual evaluations are the
-*candidate* pairs — key matches, admitted or not — with ``r <= t_b``;
-a hash block counts them after the walk from its bucket's rows
-(:meth:`_HashMatch.evaluations`), without building them.  Completed
-tuples leave the candidate set between tiles, so θ work physically
-shrinks as the paper describes.  ``TILE_PAIRS`` bounds the pairs one
-block builds per tile: a completion scan over hash blocks walks its
-first tile at ``TILE_PAIRS`` admitted pairs — where an EXISTS tuple
-usually completes — and the rest in tiles of ``8 * TILE_PAIRS`` (the
-bound the accumulators already compact at), since every later tile
-re-filters and re-truncates its pairs by ``t_b``; a declined scan
-block, whose pairs are active bases × rows, and a completion-free scan
-keep ``TILE_PAIRS`` throughout.  A scan in
-range form computes ``t_b`` without a walk — the first match of a
-``must_be_zero`` block, the first row of a ``pair_equal`` weak block
-its restrictive range does not admit (a suffix of a *doom* index), the
-first match of a one-block ``need_positive`` — and under any other rule
-the whole scan walks pairs, because the rule couples its blocks.  The
+:class:`_CompletionRows` keeps one event row per atom as the tiles go
+by: a running ``np.minimum.at`` for a doom and for a first match, a
+stable sort only for ``need_at_least``'s k-th match.  A rule changes
+what the walk accumulates and counts, not how it walks R: every tile
+keeps the matching pairs with ``r < t_b`` (doom) or ``r <= t_b``
+(assure, whose partial aggregates are thereby the row kernel's), and
+the completion-free scan walks the same tiles with nothing cut.
+Residual evaluations are derived after the walk from ``t_b``: a hash
+block's are its *candidate* pairs — key matches, admitted or not — with
+``r <= t_b``, counted from its bucket's rows
+(:meth:`_HashMatch.evaluations`); a scan or invariant block's are
+Σ_b min(t_b, |R| − 1) + 1 (:func:`_row_evaluations`).  Completed tuples
+leave the active set between tiles, which shrinks a declined scan
+block's active-bases × rows pairs, and the walk ends once every tuple
+has completed.  ``TILE_PAIRS`` bounds the pairs one block builds per
+tile: a scan over hash blocks alone walks its first tile at
+``TILE_PAIRS`` admitted pairs and the rest in tiles of ``8 *
+TILE_PAIRS`` (the bound the accumulators already compact at), with or
+without a rule; a scan with a declined scan block keeps ``TILE_PAIRS``
+throughout.  A scan in range form computes ``t_b`` without a walk — the
+first match of a ``must_be_zero`` block, the first row of a
+``pair_equal`` weak block its restrictive range does not admit (a
+suffix of a *doom* index), the first match of a one-block
+``need_positive`` — and under any other rule the whole scan walks pairs,
+because the rule couples its blocks.  The
 :class:`~repro.storage.iostats.IOStats` counters stay the *logical*
 ones — identical to the row kernel's whatever the tile size or form
 (``index_builds``/``index_probes`` count one build and \\|R\\| probes per
@@ -1351,6 +1352,17 @@ def _take_ranges(every_block: Sequence[tuple[_BlockRuntime, ThetaBlock]],
     return taken, completion, declined
 
 
+def _row_evaluations(t: Any, n_base: int, total: int) -> int:
+    """Residual evaluations of a block that tests every detail row against
+    each base tuple — a scan block in either form, an invariant block
+    (``n_base`` 1) — derived in 1-D: per base tuple the rows up to and
+    including its completion row ``t_b``, Σ_b min(t_b, |R| − 1) + 1;
+    |B|·|R| without completion (``t`` None)."""
+    if t is None:
+        return n_base * total
+    return int(np.sum(np.minimum(t, total - 1) + 1))
+
+
 def _finish_ranges(ranged: dict[int, _RangeBlock], completion: tuple | None,
                    result: "ArrayScan", stats: IOStats, n_base: int,
                    total: int) -> None:
@@ -1358,15 +1370,14 @@ def _finish_ranges(ranged: dict[int, _RangeBlock], completion: tuple | None,
 
     The counters are the row kernel's logical ones, derived per base
     tuple in 1-D: a block with a residual evaluates it against every
-    row up to ``t_b`` (Σ_b min(t_b, |R| − 1) + 1; |B|·|R| without
-    completion), and updates one accumulator per spec for each match —
+    row up to ``t_b`` (:func:`_row_evaluations`), and updates one
+    accumulator per spec for each match —
     all of them without completion, those before ``t_b`` under a doom,
     the one at ``t_b`` under assurance.  No ``index_*`` counter moves:
     a scan block has no key structure.
     """
     t, counted = completion if completion is not None else (None, None)
-    evaluated = n_base * total if t is None \
-        else int(np.sum(np.minimum(t, total - 1) + 1))
+    evaluated = _row_evaluations(t, n_base, total)
     for index in sorted(ranged):
         plan = ranged[index]
         if plan.shape.has_residual:
@@ -1401,14 +1412,15 @@ class _NpBlock:
     that reads detail columns alone — found once per scan; ``reach`` the
     pairs they expand to, cumulatively (None at fanout <= 1: one each);
     ``residual`` the rest, which reads the base and runs over those
-    pairs only.  Its residual evaluations are counted after the walk
-    (:meth:`_HashMatch.evaluations`).  A scan or invariant block keeps
-    its whole residual, over its pairs or (``detail_only``) its rows.
+    pairs only.  A scan or invariant block keeps its whole residual,
+    over its pairs or (``detail_only``) its rows.  No block counts its
+    residual evaluations while it walks: they are derived afterwards
+    (:meth:`_HashMatch.evaluations`, :func:`_row_evaluations`).
     """
 
     __slots__ = ("runtime", "index", "residual", "detail_only", "match",
                  "join_index", "row_filter", "rows", "reach", "next_row",
-                 "pairs_built", "specs", "evals", "updates", "cand", "hits")
+                 "pairs_built", "specs", "updates", "hits")
 
     def __init__(self, runtime: _BlockRuntime, block: ThetaBlock,
                  pairs: _PairColumns,
@@ -1433,10 +1445,8 @@ class _NpBlock:
         groups = 1 if runtime.invariant else n_base
         self.specs = [_SpecArrays(spec, detail, groups, total)
                       for spec in block.aggregates]
-        self.evals = 0
         self.updates = 0
         self.pairs_built = 0
-        self.cand: tuple[Any, Any] | None = None
         self.hits: tuple[Any, Any] = (None, None)
 
     def _plan_match(self, left_keys: Sequence[Expression],
@@ -1520,9 +1530,9 @@ class _NpBlock:
                 self.reach, built + budget, side="right")))
         return total if end >= len(rows) else int(rows[end])
 
-    def scan(self, start: int, stop: int, active: Any, t: Any,
-             shrunk: bool, pairs: _PairColumns) -> None:
-        """Candidates and θ-matches of rows ``[start, stop)``."""
+    def scan(self, start: int, stop: int, active: Any,
+             pairs: _PairColumns) -> None:
+        """The θ-matches of rows ``[start, stop)``."""
         if self.runtime.invariant:
             r = np.arange(start, stop)
             b = np.zeros(stop - start, dtype=np.int64)
@@ -1531,16 +1541,10 @@ class _NpBlock:
             self.next_row = last = int(np.searchsorted(self.rows, stop))
             b, r = self.match.pairs(self.rows[first:last])
             self.pairs_built += len(b)
-            if shrunk:
-                keep = t[b] == _NEVER
-                b, r = b[keep], r[keep]
         else:
             b = np.repeat(active, stop - start)
             r = np.tile(np.arange(start, stop), len(active))
-        self.cand = None
         if self.residual is not None and len(b):
-            if self.match is None:
-                self.cand = (b, r)
             if self.detail_only:
                 rows = slice(start, stop)
                 keep = np_truth_mask(
@@ -1554,70 +1558,64 @@ class _NpBlock:
         self.hits = (b, r)
 
 
-def _doom_events(blocks: dict[int, _NpBlock], rule: CompletionRule,
-                 start: int, stop: int) -> tuple[Any, Any]:
-    """The tile's dooming pairs: Thm 4.2 matches and weak-only matches."""
-    events = [blocks[index].hits for index in rule.must_be_zero]
-    span = stop - start
-    for restrictive, weak in rule.pair_equal:
-        b, r = blocks[weak].hits
-        strict_b, strict_r = blocks[restrictive].hits
-        alone = np.isin(b * span + (r - start),
-                        strict_b * span + (strict_r - start),
-                        assume_unique=True, invert=True)
-        events.append((b[alone], r[alone]))
-    return (np.concatenate([b for b, _ in events]),
-            np.concatenate([r for _, r in events]))
+class _CompletionRows:
+    """Each base tuple's completion row ``t_b`` (Thm 4.1/4.2), kept as one
+    event row per atom and updated from every tile's θ-matches.
 
+    Under a doom the one event is the earliest ``must_be_zero`` match or
+    ``pair_equal`` weak-only match (a running ``np.minimum.at``), and it
+    is ``t_b``.  Under assurance each threshold block keeps the row of
+    its k-th match — its first for k = 1; for ``need_at_least`` a stable
+    sort ranks each tile's matches after the ``seen`` ones — and ``t_b``
+    is the latest of those rows, ``_NEVER`` until every threshold block
+    has one.  Matches past a tuple's ``t_b`` may keep arriving (the walk
+    does not drop them); they move no event row.
+    """
 
-class _Assurance:
-    """Thm 4.1 bookkeeping: matches still needed, per threshold block."""
-
-    __slots__ = ("needs", "ones", "open", "latest")
+    __slots__ = ("rule", "needs", "rows", "seen", "t")
 
     def __init__(self, rule: CompletionRule, n_base: int) -> None:
-        thresholds = rule.thresholds()
-        self.needs = {index: np.full(n_base, count, dtype=np.int64)
-                      for index, count in thresholds.items()}
-        self.ones = {index for index, count in thresholds.items()
-                     if count == 1}
-        self.open = np.full(n_base, len(self.needs), dtype=np.int64)
-        self.latest = np.full(n_base, -1, dtype=np.int64)
+        self.rule = rule
+        self.needs = {} if rule.can_doom else rule.thresholds()
+        self.rows = {index: np.full(n_base, _NEVER, dtype=np.int64)
+                     for index in self.needs}
+        self.seen = {index: np.zeros(n_base, dtype=np.int64)
+                     for index, count in self.needs.items() if count > 1}
+        self.t = np.full(n_base, _NEVER, dtype=np.int64)
 
-    def assured(self, blocks: dict[int, _NpBlock],
-                ) -> tuple[Any, Any]:
-        """Bases whose last threshold this tile reaches, and at which row."""
-        done = []
-        for index, needs in self.needs.items():
+    def update(self, blocks: dict[int, _NpBlock], start: int,
+               stop: int) -> None:
+        """Fold in the matches of rows ``[start, stop)``."""
+        rule = self.rule
+        if rule.can_doom:
+            for index in rule.must_be_zero:
+                np.minimum.at(self.t, *blocks[index].hits)
+            span = stop - start
+            for restrictive, weak in rule.pair_equal:
+                b, r = blocks[weak].hits
+                strict_b, strict_r = blocks[restrictive].hits
+                alone = np.isin(b * span + (r - start),
+                                strict_b * span + (strict_r - start),
+                                assume_unique=True, invert=True)
+                np.minimum.at(self.t, b[alone], r[alone])
+            return
+        for index, count in self.needs.items():
             b, r = blocks[index].hits
-            waiting = needs[b] > 0
-            b, r = b[waiting], r[waiting]
-            if not len(b):
-                continue
-            if index in self.ones:
-                # EXISTS: a base's first match (pairs are row-major).
-                first = np.full(len(needs), _NEVER, dtype=np.int64)
-                np.minimum.at(first, b, r)
-                bases = np.flatnonzero(first != _NEVER)
-                rows = first[bases]
-                needs[bases] = 0
-            else:
+            if count > 1 and len(b):
                 order = np.argsort(b, kind="stable")  # keeps rows ascending
                 b, r = b[order], r[order]
                 first = np.flatnonzero(np.concatenate(
                     ([True], b[1:] != b[:-1])))
                 sizes = np.diff(np.append(first, len(b)))
-                rank = np.arange(len(b)) - np.repeat(first, sizes)
-                reached = rank == needs[b] - 1  # the k-th match of this block
-                bases, rows = b[reached], r[reached]
-                needs[b[first]] = np.maximum(needs[b[first]] - sizes, 0)
-            self.latest[bases] = np.maximum(self.latest[bases], rows)
-            self.open[bases] -= 1
-            done.append(bases[self.open[bases] == 0])
-        if not done:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        bases = np.concatenate(done)
-        return bases, self.latest[bases]
+                seen = self.seen[index]
+                rank = np.arange(len(b)) - np.repeat(first - seen[b[first]],
+                                                     sizes)
+                seen[b[first]] += sizes
+                reached = rank == count - 1  # the k-th match of this block
+                b, r = b[reached], r[reached]
+            np.minimum.at(self.rows[index], b, r)
+        rows = list(self.rows.values())
+        self.t = rows[0] if len(rows) == 1 else np.maximum.reduce(rows)
 
 
 class ArrayScan:
@@ -1806,19 +1804,18 @@ def run_numpy_scan(
             if give_up(runtime, exc):
                 return result
 
+    completion_rows = _CompletionRows(rule, n_base) \
+        if rule is not None and rule.useful else None
     dooming = rule is not None and rule.can_doom
-    assurance = _Assurance(rule, n_base) \
-        if rule is not None and rule.can_assure else None
-    t = np.full(n_base, _NEVER, dtype=np.int64)
+    t = None if completion_rows is None else completion_rows.t
     active = np.arange(n_base, dtype=np.int64)
     by_index = {plan.index: plan for plan in live}
-    # Past its first tile a completion scan over hash blocks walks the
-    # rest in tiles of the accumulators' compaction bound: each tile
-    # re-filters its pairs by t_b, and what completes early has left by
-    # then.  Scan blocks and rule-free scans keep TILE_PAIRS (larger
-    # tiles measured slower on both).
-    later_tiles = 8 * TILE_PAIRS if rule is not None and all(
-        plan.match is not None for plan in live) else TILE_PAIRS
+    # Past its first tile a scan over hash blocks alone walks the rest in
+    # tiles of the accumulators' compaction bound.  A scan block's pairs
+    # are active bases x rows: it keeps TILE_PAIRS (larger tiles measured
+    # slower there).
+    hashed_only = all(plan.match is not None for plan in live)
+    later_tiles = 8 * TILE_PAIRS if hashed_only else TILE_PAIRS
     tile_pairs = TILE_PAIRS
     start = 0
     while start < total and live and (rule is None or len(active)):
@@ -1828,40 +1825,31 @@ def run_numpy_scan(
         tile_pairs = later_tiles
         for plan in list(live):
             try:
-                plan.scan(start, stop, active, t, len(active) < n_base,
-                          pairs)
+                plan.scan(start, stop, active, pairs)
             except NpUnsupported as exc:
                 if give_up(plan.runtime, exc):
                     return result
                 live.remove(plan)
-        cut = 0  # did a tuple complete in this tile?
-        if dooming:
-            doomed, rows = _doom_events(by_index, rule, start, stop)
-            np.minimum.at(t, doomed, rows)
-            cut = len(doomed)
-        elif assurance is not None:
-            assured, rows = assurance.assured(by_index)
-            t[assured] = rows
-            cut = len(assured)
+        if completion_rows is not None:
+            completion_rows.update(by_index, start, stop)
+            t = completion_rows.t
         for plan in live:
             b, r = plan.hits
-            if cut:
+            if t is not None:
                 # Truncation at t_b: the row kernel stops evaluating a
                 # tuple after its completion row, and a doomed tuple's
                 # completion row itself updates nothing.
-                if plan.cand is not None:
-                    cand_b, cand_r = plan.cand
-                    plan.evals += int(np.count_nonzero(
-                        cand_r <= t[cand_b]))
                 keep = r < t[b] if dooming else r <= t[b]
                 b, r = b[keep], r[keep]
-            elif plan.cand is not None:
-                plan.evals += len(plan.cand[0])
             plan.updates += len(b) * len(plan.specs)
             for spec in plan.specs:
                 spec.add(b, r, columnar)
-        if cut:
-            active = active[t[active] == _NEVER]
+        if t is not None:
+            if t.max() != _NEVER:
+                break  # every tuple has completed
+            if not hashed_only:
+                # A scan block pairs the tuples still open, and only them.
+                active = active[t[active] == _NEVER]
         start = stop
 
     # Counters and status bytes are written only now, so an
@@ -1873,13 +1861,15 @@ def run_numpy_scan(
     result.join_index = tuple(plan.join_index for plan in hashed)
     result.rows_admitted = tuple(len(plan.rows) for plan in hashed)
     result.pairs_built = tuple(plan.pairs_built for plan in hashed)
-    for plan in hashed:
-        stats.index_probes += total
-        if plan.runtime.factored.residual is not None:
-            plan.evals = plan.match.evaluations(
-                None if rule is None else t, plan.row_filter)
     for plan in live:
-        stats.predicate_evals += plan.evals
+        if plan.match is not None:
+            stats.index_probes += total
+            if plan.runtime.factored.residual is not None:
+                stats.predicate_evals += plan.match.evaluations(
+                    t, plan.row_filter)
+        elif plan.residual is not None:
+            stats.predicate_evals += _row_evaluations(
+                t, 1 if plan.runtime.invariant else n_base, total)
         stats.aggregate_updates += plan.updates
         columns = result.columns[plan.index] = []
         for spec in plan.specs:
@@ -1904,7 +1894,7 @@ def run_numpy_scan(
     result.forms = tuple("range" if index in ranged else "pairs"
                          for index in sorted({plan.index for plan in live}
                                              | set(ranged)))
-    if rule is not None:
+    if t is not None:
         finished = np.flatnonzero(t != _NEVER)
         if len(finished):
             stats.completed_tuples += len(finished)

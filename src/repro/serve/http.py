@@ -45,6 +45,10 @@ class HttpError(Exception):
         self.message = message
 
 
+def _not_json(token: str):
+    raise HttpError(400, f"invalid JSON body: {token} is not JSON")
+
+
 @dataclass
 class HttpRequest:
     """One parsed request."""
@@ -60,11 +64,13 @@ class HttpRequest:
         return self.headers.get("connection", "").lower() != "close"
 
     def json(self):
-        """The body decoded as JSON (400 on garbage)."""
+        """The body decoded as JSON (400 on garbage, and on the
+        ``NaN`` / ``Infinity`` / ``-Infinity`` tokens, which are not
+        JSON)."""
         if not self.body:
             return {}
         try:
-            return json.loads(self.body)
+            return json.loads(self.body, parse_constant=_not_json)
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise HttpError(400, f"invalid JSON body: {error}") from None
 

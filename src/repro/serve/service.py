@@ -34,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -342,13 +343,21 @@ class QueryService:
             future.set_result(member)
 
     def _deadline_seconds(self, request: HttpRequest, body: dict) -> float | None:
+        """The request's deadline: a finite number of milliseconds that is
+        not a boolean, from the body or the header (400 otherwise), else
+        the server's default."""
         raw = body.get("deadline_ms", request.headers.get("x-repro-deadline-ms"))
         if raw is None:
-            raw = self.config.deadline_ms
-        try:
-            deadline_ms = float(raw)
-        except (TypeError, ValueError):
-            raise HttpError(400, f"bad deadline_ms {raw!r}") from None
+            deadline_ms = self.config.deadline_ms
+        else:
+            deadline_ms = math.nan
+            if isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
+                try:
+                    deadline_ms = float(raw)
+                except (ValueError, OverflowError):
+                    pass
+            if not math.isfinite(deadline_ms):
+                raise HttpError(400, f"bad deadline_ms {raw!r}")
         if deadline_ms <= 0:
             return None  # explicit 0/negative disables the deadline
         return deadline_ms / 1000.0

@@ -54,7 +54,7 @@ class TenantLimitError(Exception):
     """Creating one more tenant would exceed the configured cap."""
 
 
-_TENANT_NAME = re.compile(r"^[A-Za-z0-9_.\-]{1,64}$")
+_TENANT_NAME = re.compile(r"[A-Za-z0-9_.\-]{1,64}")
 
 #: QueryOptions fields a request body may set: all of them except
 #: ``trace`` (tracing is the server's decision).  Anything else is
@@ -387,7 +387,7 @@ class TenantRegistry:
 
     def get(self, name: str) -> Tenant:
         """The tenant, created on first reference."""
-        if not _TENANT_NAME.match(name or ""):
+        if not isinstance(name, str) or not _TENANT_NAME.fullmatch(name):
             raise ReproError(
                 f"invalid tenant name {name!r} (1-64 chars of "
                 f"[A-Za-z0-9_.-])"

@@ -579,9 +579,12 @@ class TestCompletionOnArrays:
                   [(col("b.K") == col("r.K")) & (col("r.Y") > col("b.X"))])
         rule = CompletionRule(need_at_least=[(0, 3)], exhaustive=True,
                               aggregates_projected=True)
-        tiles = {tile: scan.attrs["tiles"] for tile, scan in
-                 three_kernel_scans(catalog, gmdj, rule, None)}
-        assert tiles == {1: 5, 2: 3, 7: 2, npkernel.TILE_PAIRS: 1}
+        for twin in (rule, None):
+            # The rule-free twin walks the same tiles: completion does
+            # not shape the walk.
+            tiles = {tile: scan.attrs["tiles"] for tile, scan in
+                     three_kernel_scans(catalog, gmdj, twin, None)}
+            assert tiles == {1: 5, 2: 3, 7: 2, npkernel.TILE_PAIRS: 1}
 
     @staticmethod
     def _scan_directly(catalog, gmdj, rule):
@@ -880,7 +883,7 @@ class TestKeysStateAndRowsStayColumns:
                    for r in scan.attrs["fallbacks"])
 
 
-def test_only_a_completion_scan_over_hash_blocks_grows_its_tiles():
+def test_a_rule_does_not_change_how_hash_blocks_tile_the_scan():
     # Three tiles' worth of rows at the real TILE_PAIRS.  Base key 9 has
     # no detail row, so no scan ends before its last row.  A hash block's
     # tiles are cut by the pairs θ admits, not by rows.
@@ -909,14 +912,13 @@ def test_only_a_completion_scan_over_hash_blocks_grows_its_tiles():
         attrs = scan_of(sparse, rule, col("c") > lit(0))
         assert attrs["rows_admitted"] == attrs["pairs_built"] == (216,)
         assert attrs["tiles"] == 1
-    # Every row admitted: a completion scan takes one TILE_PAIRS tile,
-    # then the rest of its pairs in one of 8x ...
+    # Every row admitted: the scan takes one TILE_PAIRS tile, then the
+    # rest of its pairs in one of 8x, with and without a rule ...
     dense = (col("b.K") == col("r.K")) & (col("r.Y") >= lit(0))
-    attrs = scan_of(dense, exists, col("c") > lit(0))
-    assert attrs["rows_admitted"] == attrs["pairs_built"] == (rows,)
-    assert attrs["tiles"] == 2
-    # ... the same block without a rule keeps TILE_PAIRS throughout ...
-    assert scan_of(dense, None, col("c") > lit(0))["tiles"] == 3
+    for rule in (exists, None):
+        attrs = scan_of(dense, rule, col("c") > lit(0))
+        assert attrs["rows_admitted"] == attrs["pairs_built"] == (rows,)
+        assert attrs["tiles"] == 2
     # ... Figure 4's ``<>`` under Thm 4.2 with a doom that never comes
     # builds no pairs: the range form reads R once ...
     doom = CompletionRule(must_be_zero=[0])

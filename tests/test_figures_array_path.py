@@ -143,11 +143,12 @@ def test_a_second_run_reuses_the_join_index(cols_dir, figure):
         return
     assert set(first["join_index"]) == {"built"}, first
     assert set(second["join_index"]) == {"reused"}, second
-    # One pair per admitted row; tiles of TILE_PAIRS of them — fewer
-    # than that admitted per block by Figures 2 and 5.
+    # One pair per admitted row; a first tile of TILE_PAIRS of them —
+    # more than Figures 2 and 5 admit per block — then tiles of 8x.
     assert first["pairs_built"] == first["rows_admitted"], first
     assert second["pairs_built"] == first["pairs_built"], second
-    tiles = -(-max(first["pairs_built"]) // TILE_PAIRS)
+    tiles = 1 + -(-(max(first["pairs_built"]) - TILE_PAIRS)
+                  // (8 * TILE_PAIRS))
     assert tiles == (2 if figure == "fig3" else 1), first
     assert first["tiles"] == second["tiles"] == tiles, (first, second)
 

@@ -66,7 +66,8 @@ class LiveServer:
         connection = http.client.HTTPConnection(
             "127.0.0.1", self.service.port, timeout=timeout)
         try:
-            body = None if payload is None else json.dumps(payload)
+            body = payload if payload is None or isinstance(payload, str) \
+                else json.dumps(payload)
             connection.request(method, path, body=body,
                                headers=headers or {})
             response = connection.getresponse()
@@ -358,15 +359,50 @@ class TestErrorPaths:
         assert live_server().post(
             "/query", {"tenant": "no spaces!", "sql": "SELECT 1"})[0] == 400
 
+    @pytest.mark.parametrize("path", ["/query", "/batch", "/ddl", "/explain"])
+    @pytest.mark.parametrize("tenant", [5, "t1\n"], ids=repr)
+    def test_tenant_that_is_not_a_whole_name_is_400(self, live_server, path,
+                                                     tenant):
+        # A number is no name; ``$`` alone would admit a trailing newline.
+        server = live_server()
+        status, payload = server.post(path, {
+            "tenant": tenant, "sql": "SELECT 1", "sqls": ["SELECT 1"],
+            "statement": {"op": "drop_table", "name": "B"}})
+        assert status == 400, payload
+        assert "invalid tenant name" in payload["error"]
+        assert server.get("/healthz")[1]["tenants"] == 0
+
     def test_bad_ddl_op_is_400(self, live_server):
         status, payload = live_server().post(
             "/ddl", {"statement": {"op": "truncate"}})
         assert status == 400
         assert "unknown ddl op" in payload["error"]
 
-    def test_bad_deadline_is_400(self, live_server):
-        assert live_server().post(
-            "/query", {"sql": "SELECT 1", "deadline_ms": "soon"})[0] == 400
+    @pytest.mark.parametrize("where, deadline", [
+        ("body", '"soon"'),
+        ("body", "NaN"),        # not JSON
+        ("body", "Infinity"),   # not JSON
+        ("body", "-Infinity"),  # not JSON
+        ("body", "1e309"),      # parses as inf
+        ("body", "true"),       # a boolean, not 1 ms
+        pytest.param("body", "1" + "0" * 400, id="body-10**400"),  # no float
+        ("header", "nan"),
+        ("header", "-nan"),
+        ("header", "inf"),
+        ("header", "1e309"),
+    ])
+    def test_bad_deadline_is_400(self, live_server, where, deadline):
+        server = live_server()
+        body = json.dumps({"sql": server.create_tables()})
+        headers = None
+        if where == "body":
+            body = body[:-1] + f', "deadline_ms": {deadline}}}'
+        else:
+            headers = {"x-repro-deadline-ms": deadline}
+        status, payload = server.post("/query", body, headers=headers)
+        assert status == 400, payload
+        assert "deadline_ms" in payload["error"] \
+            or "is not JSON" in payload["error"], payload
 
     def test_oversized_body_is_413(self, live_server):
         server = live_server(max_body=128)
