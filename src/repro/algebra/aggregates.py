@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.errors import ExpressionError
+from repro.errors import ExpressionError, TypeCheckError
 from repro.algebra.expressions import Evaluator, Expression
 from repro.storage.iostats import IOStats
 from repro.storage.schema import Field, Schema
@@ -236,16 +236,15 @@ class AggregateSpec:
     def _output_dtype(self, input_schema: Schema) -> DataType:
         if self.function == "count":
             return DataType.INTEGER
-        if self.function == "avg":
-            return DataType.FLOAT
-        # sum/min/max follow the argument's type when it is a plain column.
+        # sum/min/max follow the argument's type when it is a plain column;
+        # sum/avg over a STRING column is rejected before any row is read.
         refs = self.argument.references() if self.argument else set()
-        if len(refs) == 1:
-            field = input_schema.field_of(next(iter(refs)))
-            if self.function == "sum" and field.dtype is DataType.INTEGER:
-                return DataType.INTEGER
-            return field.dtype
-        return DataType.FLOAT
+        dtype = (input_schema.field_of(next(iter(refs))).dtype
+                 if len(refs) == 1 else DataType.FLOAT)
+        if self.function in ("sum", "avg") and dtype is DataType.STRING:
+            raise TypeCheckError(
+                f"{self.function}() over STRING argument {self.argument!r}")
+        return DataType.FLOAT if self.function == "avg" else dtype
 
     def make_accumulator(self) -> Accumulator:
         if self.function == "count":

@@ -614,6 +614,9 @@ class GroupBy(Operator):
         stats = IOStats.ambient()
         key_positions = [source.schema.index_of(key) for key in self.keys]
         argument_evals = [spec.bind_argument(source.schema) for spec in self.aggregates]
+        # Output fields first: a mistyped aggregate fails before any row.
+        fields = [source.schema.field_of(key) for key in self.keys]
+        fields.extend(spec.output_field(source.schema) for spec in self.aggregates)
         groups: dict[tuple, list] = {}
         order: list[tuple] = []
         for row in source.scan():
@@ -629,8 +632,6 @@ class GroupBy(Operator):
         if not self.keys and not groups:
             groups[()] = [spec.make_accumulator() for spec in self.aggregates]
             order.append(())
-        fields = [source.schema.field_of(key) for key in self.keys]
-        fields.extend(spec.output_field(source.schema) for spec in self.aggregates)
         rows = [
             key + tuple(acc.result() for acc in groups[key]) for key in order
         ]

@@ -37,11 +37,11 @@ The ``lint`` subcommand statically verifies plans without executing::
     python -m repro lint "SELECT ..." --data warehouse_dir/
     python -m repro lint --corpus tests/corpus --json
 
-It runs the static plan verifier (:mod:`repro.lint`) over the bound
-query and its GMDJ translations, printing every diagnostic (scope/type
-errors, 3VL NULL hazards, missed-rewrite advice) plus the structural
-cost certificate.  Exit status is 0 when no error-severity diagnostic
-fired, 1 otherwise.  With ``--corpus DIR`` it verifies every fuzz
+It runs the static plan verifier (:mod:`repro.lint`) over the plan the
+strategy would execute, printing every diagnostic (the engine's own
+error as ``L000``, type mismatches, 3VL NULL hazards, missed-rewrite
+advice) plus the structural cost certificate.  Exit status is 0 when no
+error-severity diagnostic fired, 1 otherwise.  With ``--corpus DIR`` it verifies every fuzz
 corpus case in DIR instead of a single statement.
 
 The ``serve`` subcommand boots the async multi-tenant query service
@@ -413,13 +413,28 @@ def build_lint_parser() -> argparse.ArgumentParser:
 def _lint_one(db: Database, sql: str, strategy: str, advice: bool):
     """Lint the plan ``strategy`` would run.
 
-    Returns ``(report, cost_certificate, capability_certificate)``.
+    Returns ``(report, cost_certificate, capability_certificate)``.  When
+    the engine rejects the statement — the binder, the translator, or
+    the plan's own schema derivation and binding — the report holds that
+    error as ``L000`` and there are no certificates.
     """
-    from repro.lint import certify_capabilities, certify_plan, lint_plan
+    from repro.lint import (
+        LintReport,
+        certify_capabilities,
+        certify_plan,
+        lint_plan,
+    )
 
-    plan = plan_for(db.sql(sql), db.catalog, strategy)
-    return (lint_plan(plan, db.catalog, advice=advice),
-            certify_plan(plan), certify_capabilities(plan, db.catalog))
+    try:
+        plan = plan_for(db.sql(sql), db.catalog, strategy)
+    except ReproError as error:
+        report = LintReport()
+        report.add("L000", f"{type(error).__name__}: {error}", strategy)
+        return report, None, None
+    report = lint_plan(plan, db.catalog, advice=advice)
+    if "L000" in report.codes():
+        return report, None, None
+    return report, certify_plan(plan), certify_capabilities(plan, db.catalog)
 
 
 def _lint_concurrency(paths, as_json: bool, out) -> int:
@@ -546,16 +561,17 @@ def lint_main(argv: list[str], out) -> int:
 
             payload = {
                 "lint": report.to_json(),
-                "certificate": certificate.to_json(),
+                "certificate": certificate and certificate.to_json(),
             }
             if args.capabilities:
-                payload["capabilities"] = capabilities.to_json()
+                payload["capabilities"] = capabilities and capabilities.to_json()
             print(json.dumps(payload, indent=2), file=out)
         else:
             print(report.render(), file=out)
-            print(certificate.summary(), file=out)
-            if args.capabilities:
-                print(capabilities.summary(), file=out)
+            if certificate is not None:
+                print(certificate.summary(), file=out)
+                if args.capabilities:
+                    print(capabilities.summary(), file=out)
         return 0 if report.ok else 1
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

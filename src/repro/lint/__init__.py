@@ -1,11 +1,18 @@
-"""Static plan verification: schema/type inference, 3VL lints, cost bounds.
+"""Static plan verification: the engine's own errors, 3VL lints, cost bounds.
 
 :func:`lint_plan` walks a (possibly nested, possibly translated) algebra
 tree *without executing it* and returns a
-:class:`~repro.lint.diagnostics.LintReport` of typed diagnostics —
-scope/type errors, NULL-semantics hazards, and advisory notes about
-paper rewrites the plan missed.  :func:`certify_plan` derives the
-structural cost bounds (output ≤ |B|, single detail scan) as a
+:class:`~repro.lint.diagnostics.LintReport` of typed diagnostics.  What
+the engine itself rejects before reading a row — an unknown or
+ambiguous name, a set-operation arity, a duplicate output, ``SUM`` over
+a string — is obtained from the engine's own schema derivation and
+binder and reported as ``L000`` with the engine's message.  The rules
+proper are only those the engine does not enforce: a string compared
+with a number (``L003``, which the engine hits only on a row), the 3VL
+hazards of valid SQL (``W101``/``W102``) and advisory notes about paper
+rewrites the plan missed.  DESIGN.md's mutation table is each rule's
+justification.  :func:`certify_plan` derives the structural cost bounds
+(output ≤ |B|, single detail scan) as a
 :class:`~repro.lint.cost.CostCertificate` that
 :func:`repro.obs.invariants.check_trace` cross-checks against runtime
 counters.
@@ -59,7 +66,8 @@ def lint_plan(
 ) -> LintReport:
     """Statically verify one plan against the given catalog.
 
-    With ``advice=False`` the advisory (``Axxx``) rules are skipped —
+    The engine's own typed errors come back as ``L000``; with
+    ``advice=False`` the advisory (``Axxx``) rules are skipped —
     useful when linting deliberately un-optimized plans, whose missed
     rewrites are the point.
     """

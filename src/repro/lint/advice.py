@@ -3,9 +3,6 @@
 * **A201** — stacked GMDJs over the same detail table would coalesce
   into a single operator (Proposition 4.1), halving detail scans; the
   plan was built or translated without ``optimize=True``.
-* **A202** — a join over a GMDJ whose condition only touches the join's
-  other input and the GMDJ's base can push into the base
-  (Theorem 3.4), keeping the GMDJ's base-values relation small.
 * **A203** — a θ-block carries no equality conjunct linking base and
   detail, and its shape is not one the array kernel's range form
   answers (at most one ``<>`` and one one-sided range between base and
@@ -19,19 +16,14 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.algebra.analysis import factor_condition, is_trivially_true
 from repro.algebra.nested import ScalarComparison
-from repro.algebra.operators import Join, Select
+from repro.algebra.operators import Select
 from repro.gmdj.coalesce import merge_stacked, pull_up_base_selection
 from repro.gmdj.npkernel import range_shape
 from repro.gmdj.operator import GMDJ
 from repro.lint.diagnostics import LintReport
 from repro.storage.schema import Schema
-
-if TYPE_CHECKING:
-    from repro.lint.infer import PlanTyper
 
 
 def check_missed_coalesce(gmdj: GMDJ, report: LintReport, path: str) -> None:
@@ -54,34 +46,6 @@ def check_missed_coalesce(gmdj: GMDJ, report: LintReport, path: str) -> None:
             path,
             hint="translate with optimize=True or run "
                  "repro.gmdj.coalesce.coalesce_plan",
-        )
-
-
-def check_join_pushdown(
-    join: Join, left_schema: Schema, typer: PlanTyper, path: str
-) -> None:
-    """A202: ``T ⋈_C MD(B, R)`` with C over T ∪ B pushes down (Thm 3.4)."""
-    gmdj = join.right
-    if not isinstance(gmdj, GMDJ):
-        return
-    if is_trivially_true(join.condition):
-        return
-    references = join.condition.references()
-    if not references:
-        return
-    try:
-        base_schema = gmdj.base.schema(typer.catalog)
-        pushed = left_schema.concat(base_schema)
-    except Exception:
-        return
-    if all(pushed.has(ref) for ref in references):
-        typer.report.add(
-            "A202",
-            "join condition references only the left input and the "
-            "GMDJ's base; Theorem 3.4 allows pushing the join into the "
-            "base, keeping the base-values relation small",
-            path,
-            hint="rewrite with repro.gmdj.pushdown.push_join_into_base",
         )
 
 

@@ -1,9 +1,9 @@
-"""AST-based concurrency lint for the serve/pool tier.
+"""AST-based concurrency lint for the serve tier.
 
-The serve tier's correctness rests on three disciplines that nothing in
-the type system enforces, so this lint checks them statically over the
+The serve tier's correctness rests on a locking discipline that nothing
+in the type system enforces, so this lint checks it statically over the
 Python source (``repro lint --concurrency PATH``, and CI over
-``src/repro/serve`` + ``src/repro/gmdj/pool.py``):
+``src/repro/serve``):
 
 * **RW-lock discipline** — tenant state mutates only under the writer
   lock.  *C301* fires on a call to a known mutating operation
@@ -15,24 +15,9 @@ Python source (``repro lint --concurrency PATH``, and CI over
   ``apply_*``, the convention for lock-free helpers documented as
   "must be called with the writer lock held".
 
-* **ContextVar isolation** — work shipped to a pool runs with its own
-  Tracer/IOStats/metrics context, never racing the coordinator's.
-  *C303* fires on an executor submission (``.submit``/``.map``/
-  ``.run_in_executor``) whose worker entry point demonstrably installs
-  no isolation: a resolvable local function that calls none of
-  ``collect``/``tracing``/``metrics_scope``, or a bare lambda — unless
-  the call site wraps the work in ``contextvars.copy_context()`` or
-  hands over a ``Context.run`` bound method.  Unresolvable callables
-  (imported names) are left alone: like
-  :meth:`~repro.lint.infer.PlanTyper.column_possibly_null`, the rule is
-  conservative in the quiet direction and only fires on provable
-  violations.
-
-* **No shared-mutable capture** — *C304* fires when the callable
-  submitted to a pool is a closure (lambda or nested ``def``) that
-  references a name bound to a mutable literal (list/dict/set display
-  or comprehension) in the enclosing function: the workers would share
-  one unsynchronized object.
+A DDL path taking the read lock is a bug that no test and no
+differential catches (DESIGN.md, mutant M17), which is why these rules
+exist.
 
 Findings are ordinary :class:`~repro.lint.diagnostics.PlanDiagnostic`
 objects with ``path = "filename:line"`` so the report/render/JSON
@@ -72,14 +57,6 @@ _DATABASE_NAMES = frozenset({"db", "database"})
 #: The tenant-level DDL entry point C302 tracks.  Helpers named
 #: ``apply_*`` are the documented lock-free layer underneath it.
 DDL_ENTRY = "apply_ddl"
-
-#: Calls that install per-worker context isolation.
-ISOLATING_CALLS = frozenset({
-    "collect", "tracing", "metrics_scope", "copy_context",
-})
-
-#: Executor submission methods -> position of the callable argument.
-SUBMIT_METHODS = {"submit": 0, "map": 0, "run_in_executor": 1}
 
 _FunctionNode = ast.FunctionDef | ast.AsyncFunctionDef
 
@@ -165,42 +142,6 @@ def _in_regions(line: int, regions: list[tuple[int, int]]) -> bool:
                for start, end in regions)
 
 
-def _mutable_names(function: _FunctionNode) -> frozenset[str]:
-    """Names the function binds to mutable literals/comprehensions."""
-    mutable: set[str] = set()
-    literal_types = (ast.List, ast.Dict, ast.Set,
-                     ast.ListComp, ast.DictComp, ast.SetComp)
-    for node in _local_nodes(function):
-        if isinstance(node, ast.Assign) and isinstance(node.value,
-                                                       literal_types):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    mutable.add(target.id)
-    return frozenset(mutable)
-
-
-def _referenced_names(node: ast.AST) -> set[str]:
-    return {child.id for child in ast.walk(node)
-            if isinstance(child, ast.Name)}
-
-
-def _calls_isolator(function_or_lambda: ast.AST) -> bool:
-    return any(
-        isinstance(node, ast.Call)
-        and _call_name(node.func) in ISOLATING_CALLS
-        for node in ast.walk(function_or_lambda)
-    )
-
-
-def _unwrap_partial(callable_arg: ast.expr) -> ast.expr:
-    """``functools.partial(f, ...)`` submits ``f``."""
-    if (isinstance(callable_arg, ast.Call)
-            and _call_name(callable_arg.func) == "partial"
-            and callable_arg.args):
-        return callable_arg.args[0]
-    return callable_arg
-
-
 class _ModuleChecker:
     """One source file's concurrency-lint pass."""
 
@@ -209,13 +150,6 @@ class _ModuleChecker:
         self.tree = tree
         self.filename = filename
         self.report = report
-        #: Module-level function definitions, for resolving the worker
-        #: entry point a submission names.
-        self.functions: dict[str, _FunctionNode] = {
-            node.name: node
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
 
     def run(self) -> None:
         for node in ast.walk(self.tree):
@@ -227,11 +161,6 @@ class _ModuleChecker:
 
     def _check_function(self, function: _FunctionNode) -> None:
         calls = _local_calls(function)
-        nested = {
-            node.name: node for node in ast.walk(function)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node is not function
-        }
         read_regions = (
             _paired_regions(calls, "acquire_read", "release_read")
             + _with_regions(function, "read")
@@ -268,80 +197,6 @@ class _ModuleChecker:
                         hint="wrap the DDL path in acquire_write/"
                              "release_write (or `with lock.write():`)",
                     )
-
-        self._check_submissions(function, calls, nested)
-
-    def _check_submissions(
-        self, function: _FunctionNode, calls: list[ast.Call],
-        nested: dict[str, _FunctionNode],
-    ) -> None:
-        caller_isolates = any(
-            _call_name(call.func) == "copy_context" for call in calls
-        )
-        shared = _mutable_names(function)
-        for call in calls:
-            if not isinstance(call.func, ast.Attribute):
-                continue  # builtin map()/submit() shadowing, not a pool
-            position = SUBMIT_METHODS.get(call.func.attr)
-            if position is None or len(call.args) <= position:
-                continue
-            worker = _unwrap_partial(call.args[position])
-            self._check_worker_isolation(
-                call, worker, nested, caller_isolates,
-            )
-            self._check_shared_capture(call, worker, nested, shared)
-
-    def _check_worker_isolation(
-        self, call: ast.Call, worker: ast.expr,
-        nested: dict[str, _FunctionNode], caller_isolates: bool,
-    ) -> None:
-        if caller_isolates:
-            return
-        if isinstance(worker, ast.Attribute) and worker.attr == "run":
-            return  # a Context.run bound method carries its own context
-        target: ast.AST | None = None
-        if isinstance(worker, ast.Lambda):
-            target = worker
-        elif isinstance(worker, ast.Name):
-            target = nested.get(worker.id) or self.functions.get(worker.id)
-        if target is None:
-            return  # unresolvable: stay quiet rather than guess
-        if _calls_isolator(target):
-            return
-        label = (worker.id if isinstance(worker, ast.Name) else "lambda")
-        self.report.add(
-            "C303",
-            f"pool submission of {label} installs no ContextVar "
-            f"isolation (collect/tracing/metrics_scope)",
-            self._at(call.lineno),
-            hint="isolate worker state with collect()/tracing()/"
-                 "metrics_scope(), or submit through "
-                 "contextvars.copy_context().run",
-        )
-
-    def _check_shared_capture(
-        self, call: ast.Call, worker: ast.expr,
-        nested: dict[str, _FunctionNode], shared: frozenset[str],
-    ) -> None:
-        if not shared:
-            return
-        body: ast.AST | None = None
-        if isinstance(worker, ast.Lambda):
-            body = worker.body
-        elif isinstance(worker, ast.Name) and worker.id in nested:
-            body = nested[worker.id]
-        if body is None:
-            return
-        captured = sorted(_referenced_names(body) & shared)
-        if captured:
-            self.report.add(
-                "C304",
-                f"pool submission captures shared mutable "
-                f"{', '.join(captured)} from the enclosing scope",
-                self._at(call.lineno),
-                hint="pass data into the worker as an argument and "
-                     "merge results on the coordinator",
-            )
 
 
 def lint_concurrency_source(
@@ -380,10 +235,8 @@ def lint_concurrency_paths(
 
 __all__ = [
     "DDL_ENTRY",
-    "ISOLATING_CALLS",
     "MUTATING_CALLS",
     "RECEIVER_CHECKED_CALLS",
-    "SUBMIT_METHODS",
     "lint_concurrency_paths",
     "lint_concurrency_source",
 ]

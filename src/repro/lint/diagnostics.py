@@ -8,8 +8,8 @@ A :class:`LintReport` aggregates the findings of one
 
 Severity semantics:
 
-* ``ERROR``   — the plan is wrong: it will raise at run time, or silently
-  compute something other than SQL semantics (the 3VL hazards).
+* ``ERROR``   — the plan is wrong: the engine rejects it (``L000``), or
+  it raises once a row reaches a mistyped expression (``L003``).
 * ``WARNING`` — the plan is suspicious under the paper's NULL analysis
   (e.g. ``NOT IN`` over a column that currently holds NULLs).
 * ``ADVICE``  — the plan is correct but misses a Section 3/4 rewrite
@@ -34,34 +34,27 @@ class Severity(enum.IntEnum):
         return self.name.lower()
 
 
-#: Every rule the linter can emit, keyed by its stable code.  Codes are
-#: grouped by severity band: ``Lxxx`` errors, ``Wxxx`` warnings, ``Axxx``
-#: advisories, ``Cxxx`` concurrency errors (source-level, emitted by
-#: :mod:`repro.lint.concurrency` rather than :func:`lint_plan`).  Tests
-#: assert each code has at least one triggering fixture — a plan fixture
-#: for plan codes, a source fixture for ``Cxxx`` — so additions here
-#: must come with a fixture.
+#: Every code the linter can emit.  Codes are grouped by severity band:
+#: ``Lxxx`` errors, ``Wxxx`` warnings, ``Axxx`` advisories, ``Cxxx``
+#: concurrency errors (source-level, emitted by
+#: :mod:`repro.lint.concurrency` rather than :func:`lint_plan`).  ``L000``
+#: is not a rule: it carries the engine's own typed error (schema
+#: derivation, expression binding) with the engine's message.  Every
+#: other code stays only while DESIGN.md's mutation table shows it
+#: catching a mutant nothing else catches, or firing on SQL the engine
+#: answers without a typed error; tests assert each code has a
+#: triggering fixture (a plan fixture for plan codes, a source fixture
+#: for ``Cxxx``), so additions here must come with both.
 DIAGNOSTIC_CODES: dict[str, str] = {
-    "L001": "unknown attribute reference",
-    "L002": "ambiguous attribute reference",
+    "L000": "the engine rejects the plan (its own typed error)",
     "L003": "type mismatch in expression",
-    "L004": "arity mismatch in set operation",
-    "L005": "duplicate output attribute",
-    "L006": "theta-block reference escapes base and detail scope",
-    "L007": "NULL-unsafe identity link in pushed-down correlation",
-    "L008": "unknown table",
-    "L009": "aggregate over non-numeric argument",
-    "L010": "non-predicate expression used as a filter",
     "W101": "ALL/NOT IN quantifier over a column containing NULLs",
     "W102": "comparison against a NULL literal is always UNKNOWN",
     "A201": "stacked GMDJs over the same detail table (Prop 4.1)",
-    "A202": "join over a GMDJ base could push down (Thm 3.4)",
     "A203": "theta block has neither an equality to hash nor a range-form shape",
     "A204": "quantifier emulated via MIN/MAX extremum (footnote 2 hazard)",
     "C301": "state mutation under a reader lock",
     "C302": "DDL path reached without the writer lock",
-    "C303": "pool submission without ContextVar isolation",
-    "C304": "shared mutable captured into a pool submission",
 }
 
 _SEVERITY_BY_PREFIX = {
@@ -107,7 +100,7 @@ class PlanDiagnostic:
         return severity_of(self.code)
 
     def render(self) -> str:
-        """One-line human rendering: ``[L001] path: message (hint)``."""
+        """One-line human rendering: ``[L003] path: message (hint)``."""
         text = f"[{self.code}] {self.path}: {self.message}"
         if self.hint:
             text += f" (hint: {self.hint})"

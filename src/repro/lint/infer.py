@@ -1,34 +1,32 @@
-"""Non-executing schema and type inference over algebra/GMDJ plans.
+"""Non-executing plan walk: the engine's own checks, then the rules.
 
-:class:`PlanTyper` walks a plan tree and re-derives every operator's
-output schema *without evaluating anything*, mirroring the composition
-rules the operators apply at run time (``Schema.concat``/``extend``,
-projection item fields, aggregate output fields).  Where the runtime
-would raise — an unresolvable reference, a string/number comparison, a
-union arity mismatch — the typer records a
-:class:`~repro.lint.diagnostics.PlanDiagnostic` instead and keeps going,
-so one lint run reports every problem in the plan.
+:class:`PlanTyper` walks a plan tree without reading a row.  At every
+operator it first asks the engine what the engine would check before
+the first row: the operator's schema derivation
+(:meth:`~repro.algebra.operators.Operator.schema`) and the binding of
+each expression the operator evaluates (:meth:`Expression.bind
+<repro.algebra.expressions.Expression.bind>` over the operator's input;
+inside a subquery, :func:`~repro.algebra.nested.substitute_free` over
+the enclosing scopes first, as tuple iteration does).  A typed
+:class:`~repro.errors.ReproError` from any of them is reported as
+``L000`` with the engine's own message; nothing here re-derives what the
+engine enforces.
 
-Scoping follows the engine's two regimes:
+Over what the engine accepts, the walk runs the rules the engine does
+not enforce, because they concern values rather than names:
 
-* **flat operators** bind expressions against their own input schema
-  only (``Expression.bind``); a reference that escapes is an error;
-* **nested predicates** (``NestedSelect`` / ``Subquery`` trees) resolve
-  references through the stack of enclosing scopes, innermost first,
-  exactly like :func:`repro.algebra.nested.substitute_free` does with
-  its environment.
-
-The typer also collects the structural facts the rule modules need
-(GMDJ block scopes, quantified-comparison sites) and invokes the checks
-in :mod:`repro.lint.rules` / :mod:`repro.lint.advice` at the matching
-nodes.
+* **L003** — a string compared with a number, or arithmetic over a
+  string.  The engine fails only when a row reaches the expression, so
+  the same query over an empty table answers.
+* **W101 / W102** — the 3VL hazards of valid SQL (:mod:`repro.lint.rules`).
+* the advisories of :mod:`repro.lint.advice`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
-from repro.algebra.aggregates import AggregateSpec
 from repro.algebra.apply_op import Apply
 from repro.algebra.expressions import (
     And,
@@ -44,18 +42,19 @@ from repro.algebra.expressions import (
     TruthLiteral,
 )
 from repro.algebra.nested import (
+    Environment,
     Exists,
     NestedSelect,
     QuantifiedComparison,
     ScalarComparison,
     Subquery,
     SubqueryPredicate,
+    env_with_row,
+    substitute_free,
 )
 from repro.algebra.operators import (
-    Difference,
     Distinct,
     GroupBy,
-    Intersect,
     Join,
     Limit,
     Operator,
@@ -66,12 +65,11 @@ from repro.algebra.operators import (
     ScanTable,
     Select,
     TableValue,
-    Union,
 )
+from repro.algebra.rewrite import map_children
 from repro.errors import (
     AmbiguousAttributeError,
     CatalogError,
-    ExpressionError,
     ReproError,
     SchemaError,
     TypeCheckError,
@@ -81,8 +79,11 @@ from repro.gmdj.evaluate import SelectGMDJ
 from repro.gmdj.operator import GMDJ
 from repro.lint.diagnostics import LintReport
 from repro.storage.catalog import Catalog
-from repro.storage.schema import Field, Schema
+from repro.storage.relation import Relation
+from repro.storage.schema import Schema
 from repro.storage.types import DataType
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -102,78 +103,17 @@ class Frame:
 _ORDER_PRESERVING = (Select, Distinct, OrderBy, Limit, Rename, NestedSelect)
 
 
-class _ScopedResolver:
-    """Reference resolution through a scope stack, innermost first.
-
-    Mirrors the runtime environment semantics of
-    :func:`~repro.algebra.nested.env_with_row`: a bare name that is
-    ambiguous in an enclosing scope poisons the lookup rather than
-    falling through to a further-out scope.
-    """
-
-    def __init__(
-        self,
-        report: LintReport,
-        frames: list[Frame],
-        path: str,
-        unknown_code: str = "L001",
-        scope_note: str = "",
-    ) -> None:
-        self.report = report
-        self.frames = frames
-        self.path = path
-        self.unknown_code = unknown_code
-        self.scope_note = scope_note
-
-    def resolve(self, reference: str) -> tuple[Frame, Field] | None:
-        local_ambiguous = False
-        for depth, frame in enumerate(self.frames):
-            try:
-                field = frame.schema.field_of(reference)
-            except AmbiguousAttributeError:
-                if depth == 0:
-                    # The runtime skips an ambiguous *local* match and
-                    # consults the environment, so keep looking outward.
-                    local_ambiguous = True
-                    continue
-                self.report.add(
-                    "L002",
-                    f"reference {reference!r} is ambiguous in an "
-                    f"enclosing scope",
-                    self.path,
-                    hint="qualify the reference with its relation alias",
-                )
-                return None
-            except UnknownAttributeError:
-                continue
-            return frame, field
-        if local_ambiguous:
-            self.report.add(
-                "L002",
-                f"ambiguous reference {reference!r}",
-                self.path,
-                hint="qualify the reference with its relation alias",
-            )
-        else:
-            visible = [
-                name for frame in self.frames for name in frame.schema.names
-            ]
-            note = f" {self.scope_note}" if self.scope_note else ""
-            self.report.add(
-                self.unknown_code,
-                f"unresolved reference {reference!r}{note}; "
-                f"visible attributes: {visible}",
-                self.path,
-            )
-        return None
-
-    def resolve_type(self, reference: str) -> DataType | None:
-        resolved = self.resolve(reference)
-        return resolved[1].dtype if resolved is not None else None
+def _environment(frames: list[Frame]) -> Environment:
+    """The enclosing scopes as tuple iteration binds them, outermost
+    first; the values are placeholders, only the names matter."""
+    env: Environment = {}
+    for frame in reversed(frames):
+        env = env_with_row(env, frame.schema, (None,) * len(frame.schema))
+    return env
 
 
 class PlanTyper:
-    """One lint run's inference state over one plan tree."""
+    """One lint run's walk over one plan tree."""
 
     def __init__(self, catalog: Catalog, report: LintReport,
                  advice: bool = True) -> None:
@@ -181,211 +121,101 @@ class PlanTyper:
         self.report = report
         self.advice = advice
 
+    def engine_check(self, check: Callable[[], _T], path: str) -> _T | None:
+        """Run one of the engine's own checks: its result, or None and
+        ``L000`` with the engine's message when it raises."""
+        try:
+            return check()
+        except ReproError as error:
+            self.report.add("L000", f"{type(error).__name__}: {error}", path)
+            return None
+
     # -- operator walk ------------------------------------------------------
 
     def infer(self, node: Operator, path: str = "") -> Schema | None:
-        """Schema of ``node``, or None when an error makes it unknowable."""
+        """Schema of ``node``, or None when the engine rejects the subtree.
+
+        The engine derives ``node``'s schema with each child standing in
+        as an empty relation of the schema already derived for it, so
+        every subtree is derived once, not once per ancestor (an
+        ``Apply``'s subquery source, not a child, is derived once more
+        by ``Apply.schema``).
+        """
         name = type(node).__name__
         path = f"{path}/{name}" if path else name
-        method = getattr(self, f"_infer_{name}", None)
-        if method is not None:
-            return method(node, path)
-        return self._infer_generic(node, path)
-
-    def _infer_generic(self, node: Operator, path: str) -> Schema | None:
-        """Unknown node type: trust its own schema method, guarded."""
-        for child in node.children():
-            self.infer(child, path)
-        try:
-            return node.schema(self.catalog)
-        except ReproError as error:
-            self.report.add(
-                "L001",
-                f"cannot derive a schema for {type(node).__name__}: {error}",
-                path,
-            )
-            return None
-
-    def _infer_ScanTable(self, node: ScanTable, path: str) -> Schema | None:
-        try:
-            relation = self.catalog.table(node.table_name)
-        except CatalogError:
-            self.report.add(
-                "L008",
-                f"table {node.table_name!r} does not exist; catalog has "
-                f"{self.catalog.table_names()}",
-                path,
-            )
-            return None
-        return relation.schema.rename(node.alias or node.table_name)
-
-    def _infer_TableValue(self, node: TableValue, path: str) -> Schema | None:
-        schema = node.relation.schema
-        return schema.rename(node.alias) if node.alias is not None else schema
-
-    def _infer_Select(self, node: Select, path: str) -> Schema | None:
-        schema = self.infer(node.child, path)
-        if schema is not None:
-            self.check_predicate(
-                node.predicate, [Frame(schema, node.child)],
-                f"{path}:predicate",
-            )
+        if isinstance(node, GMDJ):
+            children = [(node.base, f"{path}/base"),
+                        (node.detail, f"{path}/detail")]
+        else:
+            children = [(child, path) for child in node.children()]
+        inputs: list[Schema] = []
+        for child, child_path in children:
+            schema = self.infer(child, child_path)
+            if schema is None:
+                return None
+            inputs.append(schema)
+        derived = {
+            id(child): TableValue(Relation(child_schema, [], validate=False))
+            for (child, _), child_schema in zip(children, inputs)
+        }
+        local = map_children(node, lambda child: derived.get(id(child), child))
+        schema = self.engine_check(lambda: local.schema(self.catalog), path)
+        check = getattr(self, f"_check_{name}", None)
+        if schema is not None and check is not None:
+            check(node, inputs, schema, path)
         return schema
 
-    def _infer_Project(self, node: Project, path: str) -> Schema | None:
-        child_schema = self.infer(node.child, path)
-        if child_schema is None:
-            return None
-        fields = []
-        frames = [Frame(child_schema, node.child)]
+    def _check_Select(self, node: Select, inputs: list[Schema],
+                      schema: Schema, path: str) -> None:
+        self.check_expression(node.predicate, [Frame(inputs[0], node.child)],
+                              f"{path}:predicate")
+
+    def _check_Project(self, node: Project, inputs: list[Schema],
+                       schema: Schema, path: str) -> None:
+        frames = [Frame(inputs[0], node.child)]
         for position, raw in enumerate(node.items):
-            item_path = f"{path}:items[{position}]"
-            try:
-                item = ProjectItem.of(raw)
-            except ExpressionError as error:
-                self.report.add("L010", str(error), item_path)
-                continue
-            self.check_expression(item.expression, frames, item_path)
-            try:
-                fields.append(item.output_field(child_schema))
-            except ReproError:
-                fields.append(Field(item.name, DataType.FLOAT))
-        return self._build_schema(fields, path)
+            self.check_expression(ProjectItem.of(raw).expression, frames,
+                                  f"{path}:items[{position}]")
 
-    def _infer_Rename(self, node: Rename, path: str) -> Schema | None:
-        schema = self.infer(node.child, path)
-        return schema.rename(node.qualifier) if schema is not None else None
-
-    def _infer_Distinct(self, node: Distinct, path: str) -> Schema | None:
-        return self.infer(node.child, path)
-
-    def _infer_Limit(self, node: Limit, path: str) -> Schema | None:
-        return self.infer(node.child, path)
-
-    def _infer_OrderBy(self, node: OrderBy, path: str) -> Schema | None:
-        schema = self.infer(node.child, path)
-        if schema is None:
-            return None
-        resolver = _ScopedResolver(
-            self.report, [Frame(schema, node.child)], f"{path}:keys"
-        )
+    def _check_OrderBy(self, node: OrderBy, inputs: list[Schema],
+                       schema: Schema, path: str) -> None:
         for reference, _descending in node.keys:
-            resolver.resolve(reference)
-        return schema
+            self.engine_check(lambda: inputs[0].index_of(reference),
+                              f"{path}:keys")
 
-    def _infer_setop(
-        self, node: Union | Difference | Intersect, path: str
-    ) -> Schema | None:
-        left = self.infer(node.left, path)
-        right = self.infer(node.right, path)
-        if left is None or right is None:
-            return left
-        if len(left) != len(right):
-            self.report.add(
-                "L004",
-                f"{type(node).__name__.lower()} arity mismatch: "
-                f"{len(left)} vs {len(right)} columns",
-                path,
-                hint="project both inputs to the same column list",
-            )
-        return left
-
-    _infer_Union = _infer_setop
-    _infer_Difference = _infer_setop
-    _infer_Intersect = _infer_setop
-
-    def _infer_Join(self, node: Join, path: str) -> Schema | None:
-        left = self.infer(node.left, path)
-        right = self.infer(node.right, path)
-        if left is None or right is None:
-            return None
-        combined = self._concat_schemas(left, right, path)
+    def _check_Join(self, node: Join, inputs: list[Schema],
+                    schema: Schema, path: str) -> None:
+        combined = self.engine_check(
+            lambda: inputs[0].concat(inputs[1]), path)
         if combined is not None:
-            self.check_predicate(
-                node.condition, [Frame(combined, None)], f"{path}:condition"
-            )
-        if self.advice:
-            from repro.lint.advice import check_join_pushdown
+            self.check_expression(node.condition, [Frame(combined)],
+                                  f"{path}:condition")
 
-            check_join_pushdown(node, left, self, path)
-        if node.kind in ("semi", "anti"):
-            return left
-        return combined
-
-    def _infer_GroupBy(self, node: GroupBy, path: str) -> Schema | None:
-        child_schema = self.infer(node.child, path)
-        if child_schema is None:
-            return None
-        resolver = _ScopedResolver(
-            self.report, [Frame(child_schema, node.child)], f"{path}:keys"
-        )
-        fields = []
-        for key in node.keys:
-            resolved = resolver.resolve(key)
-            if resolved is not None:
-                fields.append(resolved[1])
+    def _check_GroupBy(self, node: GroupBy, inputs: list[Schema],
+                       schema: Schema, path: str) -> None:
+        frames = [Frame(inputs[0], node.child)]
         for position, spec in enumerate(node.aggregates):
-            agg_path = f"{path}:aggregates[{position}]"
-            self.check_aggregate(
-                spec, [Frame(child_schema, node.child)], agg_path
-            )
-            fields.append(self._aggregate_field(spec, child_schema))
-        return self._build_schema(fields, path)
+            if spec.argument is not None:
+                self.check_expression(
+                    spec.argument, frames,
+                    f"{path}:aggregates[{position}]:{spec.output_name}")
 
-    def _infer_NestedSelect(self, node: NestedSelect, path: str) -> Schema | None:
-        schema = self.infer(node.child, path)
-        if schema is not None:
-            self.check_nested_predicate(
-                node.predicate, [Frame(schema, node.child)],
-                f"{path}:predicate",
-            )
-        return schema
-
-    def _infer_Apply(self, node: Apply, path: str) -> Schema | None:
-        input_schema = self.infer(node.input, path)
-        if input_schema is None:
-            return None
-        self._check_subquery_block(
-            node.subquery, [Frame(input_schema, node.input)],
-            f"{path}:subquery",
-        )
-        if node.mode in ("semi", "anti"):
-            return input_schema
-        try:
-            return node.schema(self.catalog)
-        except ReproError:
-            return input_schema.extend(
-                [Field(node.output_name, DataType.FLOAT)]
-            )
-
-    def _infer_GMDJ(self, node: GMDJ, path: str) -> Schema | None:
-        base_schema = self.infer(node.base, f"{path}/base")
-        detail_schema = self.infer(node.detail, f"{path}/detail")
-        if base_schema is None or detail_schema is None:
-            return None
-        combined = self._concat_schemas(base_schema, detail_schema, path)
-        output_fields: list[Field] = []
+    def _check_GMDJ(self, node: GMDJ, inputs: list[Schema],
+                    schema: Schema, path: str) -> None:
+        base_schema, detail_schema = inputs
+        combined = self.engine_check(
+            lambda: base_schema.concat(detail_schema), path)
+        if combined is None:
+            return
         for position, block in enumerate(node.blocks):
             block_path = f"{path}:blocks[{position}]"
-            if combined is not None:
-                self.check_predicate(
-                    block.condition, [Frame(combined, None)],
-                    f"{block_path}:condition",
-                    unknown_code="L006",
-                    scope_note="(theta must reference only base and "
-                               "detail attributes — attr(θ) ⊆ B ∪ R)",
-                )
+            self.check_expression(block.condition, [Frame(combined)],
+                                  f"{block_path}:condition")
             for spec in block.aggregates:
-                self.check_aggregate(
-                    spec, [Frame(detail_schema, node.detail)], block_path,
-                    unknown_code="L006",
-                    scope_note="(aggregate arguments range over the "
-                               "detail relation only)",
-                )
-                output_fields.append(self._aggregate_field(spec, detail_schema))
-        from repro.lint.rules import check_gmdj_blocks
-
-        check_gmdj_blocks(node, base_schema, detail_schema, self.report, path)
+                if spec.argument is not None:
+                    self.check_expression(
+                        spec.argument, [Frame(detail_schema, node.detail)],
+                        f"{block_path}:{spec.output_name}")
         if self.advice:
             from repro.lint.advice import (
                 check_missed_coalesce,
@@ -396,90 +226,57 @@ class PlanTyper:
             check_theta_hashability(
                 node, base_schema, detail_schema, self.report, path
             )
-        try:
-            return base_schema.extend(output_fields)
-        except SchemaError as error:
-            self.report.add("L005", str(error), path)
-            return None
 
-    def _infer_SelectGMDJ(self, node: SelectGMDJ, path: str) -> Schema | None:
-        schema = self.infer(node.gmdj, path)
-        if schema is not None:
-            self.check_predicate(
-                node.selection, [Frame(schema, node.gmdj)],
-                f"{path}:selection",
-            )
-        return schema
+    def _check_SelectGMDJ(self, node: SelectGMDJ, inputs: list[Schema],
+                          schema: Schema, path: str) -> None:
+        self.check_expression(node.selection, [Frame(schema, node.gmdj)],
+                              f"{path}:selection")
 
-    # -- schema assembly helpers --------------------------------------------
-
-    def _build_schema(self, fields: list[Field], path: str) -> Schema | None:
-        try:
-            return Schema(fields)
-        except SchemaError as error:
-            self.report.add("L005", str(error), path)
-            return None
-
-    def _concat_schemas(
-        self, left: Schema, right: Schema, path: str
-    ) -> Schema | None:
-        try:
-            return left.concat(right)
-        except SchemaError as error:
-            self.report.add("L005", str(error), path)
-            return None
-
-    def _aggregate_field(self, spec: AggregateSpec, schema: Schema) -> Field:
-        try:
-            return spec.output_field(schema)
-        except ReproError:
-            return Field(spec.output_name, DataType.FLOAT)
-
-    # -- expression checking ------------------------------------------------
-
-    def check_predicate(
-        self,
-        expression: Expression,
-        frames: list[Frame],
-        path: str,
-        unknown_code: str = "L001",
-        scope_note: str = "",
-    ) -> None:
-        """Type-check a filter; it must be a predicate expression."""
-        if not expression.is_predicate:
-            self.report.add(
-                "L010",
-                f"{expression!r} is not a predicate; filters must produce "
-                f"a truth value",
-                path,
-                hint="compare the expression against a value, or test "
-                     "IS NULL",
-            )
-            return
-        self.check_expression(
-            expression, frames, path, unknown_code=unknown_code,
-            scope_note=scope_note,
+    def _check_NestedSelect(self, node: NestedSelect, inputs: list[Schema],
+                            schema: Schema, path: str) -> None:
+        self.check_nested_predicate(
+            node.predicate, [Frame(inputs[0], node.child)],
+            f"{path}:predicate",
         )
+
+    def _check_Apply(self, node: Apply, inputs: list[Schema],
+                     schema: Schema, path: str) -> None:
+        self._check_subquery_block(
+            node.subquery, [Frame(inputs[0], node.input)],
+            f"{path}:subquery",
+        )
+
+    # -- expressions ----------------------------------------------------------
 
     def check_expression(
-        self,
-        expression: Expression,
-        frames: list[Frame],
-        path: str,
-        unknown_code: str = "L001",
-        scope_note: str = "",
+        self, expression: Expression, frames: list[Frame], path: str
     ) -> DataType | None:
-        """Infer an expression's type, reporting mismatches on the way."""
-        resolver = _ScopedResolver(
-            self.report, frames, path, unknown_code, scope_note
-        )
-        return self._type_of(expression, resolver, path)
+        """Bind ``expression`` as the engine would in the innermost scope
+        of ``frames``, then infer its type, reporting L003/W102 on the
+        way; None when the type is unknown or the engine rejects it."""
+        local = frames[0].schema
+        if len(frames) == 1:
+            bound = self.engine_check(lambda: expression.bind(local), path)
+        else:
+            env = _environment(frames[1:])
+            bound = self.engine_check(
+                lambda: substitute_free(expression, local, env).bind(local),
+                path,
+            )
+        if bound is None:
+            return None
+        return self._type_of(expression, frames, path)
 
     def _type_of(
-        self, expression: Expression, resolver: _ScopedResolver, path: str
+        self, expression: Expression, frames: list[Frame], path: str
     ) -> DataType | None:
         if isinstance(expression, Column):
-            return resolver.resolve_type(expression.reference)
+            for frame in frames:
+                try:
+                    return frame.schema.field_of(expression.reference).dtype
+                except SchemaError:
+                    continue
+            return None
         if isinstance(expression, Literal):
             if expression.value is None:
                 return None
@@ -491,85 +288,47 @@ class PlanTyper:
         if isinstance(expression, TruthLiteral):
             return DataType.BOOLEAN
         if isinstance(expression, Arithmetic):
-            left = self._type_of(expression.left, resolver, path)
-            right = self._type_of(expression.right, resolver, path)
-            for side in (left, right):
-                if side is DataType.STRING:
-                    self.report.add(
-                        "L003",
-                        f"arithmetic {expression.op!r} over a STRING "
-                        f"operand in {expression!r}",
-                        path,
-                    )
-                    return None
+            left = self._type_of(expression.left, frames, path)
+            right = self._type_of(expression.right, frames, path)
+            if DataType.STRING in (left, right):
+                self.report.add(
+                    "L003",
+                    f"arithmetic {expression.op!r} over a STRING "
+                    f"operand in {expression!r}",
+                    path,
+                )
+                return None
             if expression.op == "/":
                 return DataType.FLOAT
             if left is DataType.INTEGER and right is DataType.INTEGER:
                 return DataType.INTEGER
             return DataType.FLOAT
         if isinstance(expression, Comparison):
-            self._check_comparison(expression, resolver, path)
+            left = self._type_of(expression.left, frames, path)
+            right = self._type_of(expression.right, frames, path)
+            self._check_comparable(left, right, expression, path)
+            for side in (expression.left, expression.right):
+                if isinstance(side, Literal) and side.value is None:
+                    self.report.add(
+                        "W102",
+                        f"comparison {expression!r} against a NULL literal "
+                        f"is always UNKNOWN and never satisfies a filter",
+                        path,
+                        hint="use IS NULL / IS NOT NULL",
+                    )
             return DataType.BOOLEAN
         if isinstance(expression, (And, Or)):
-            for side in (expression.left, expression.right):
-                if not side.is_predicate:
-                    self.report.add(
-                        "L010",
-                        f"{side!r} is not a predicate but is an operand "
-                        f"of {type(expression).__name__.upper()}",
-                        path,
-                    )
-                else:
-                    self._type_of(side, resolver, path)
+            self._type_of(expression.left, frames, path)
+            self._type_of(expression.right, frames, path)
             return DataType.BOOLEAN
-        if isinstance(expression, Not):
-            if not expression.operand.is_predicate:
-                self.report.add(
-                    "L010",
-                    f"{expression.operand!r} is not a predicate but is "
-                    f"negated by NOT",
-                    path,
-                )
-            else:
-                self._type_of(expression.operand, resolver, path)
-            return DataType.BOOLEAN
-        if isinstance(expression, IsNull):
-            self._type_of(expression.operand, resolver, path)
+        if isinstance(expression, (Not, IsNull)):
+            self._type_of(expression.operand, frames, path)
             return DataType.BOOLEAN
         if isinstance(expression, Coalesce):
-            first = self._type_of(expression.first, resolver, path)
-            second = self._type_of(expression.second, resolver, path)
+            first = self._type_of(expression.first, frames, path)
+            second = self._type_of(expression.second, frames, path)
             return first if first is not None else second
-        if isinstance(expression, SubqueryPredicate):
-            self.report.add(
-                "L010",
-                f"subquery predicate {expression!r} cannot be bound by a "
-                f"flat operator",
-                path,
-                hint="wrap the selection in a NestedSelect or translate "
-                     "the subquery away first",
-            )
-            return DataType.BOOLEAN
-        # Unknown expression node: resolve its references, type unknown.
-        for reference in expression.references():
-            resolver.resolve(reference)
         return None
-
-    def _check_comparison(
-        self, expression: Comparison, resolver: _ScopedResolver, path: str
-    ) -> None:
-        left = self._type_of(expression.left, resolver, path)
-        right = self._type_of(expression.right, resolver, path)
-        self._check_comparable(left, right, expression, path)
-        for side in (expression.left, expression.right):
-            if isinstance(side, Literal) and side.value is None:
-                self.report.add(
-                    "W102",
-                    f"comparison {expression!r} against a NULL literal is "
-                    f"always UNKNOWN and never satisfies a filter",
-                    path,
-                    hint="use IS NULL / IS NOT NULL",
-                )
 
     def _check_comparable(
         self,
@@ -578,7 +337,7 @@ class PlanTyper:
         expression: Expression,
         path: str,
     ) -> None:
-        """Mirror the runtime rule: string vs non-string cannot compare."""
+        """L003: the runtime raises on string vs non-string, per row."""
         if left is None or right is None:
             return
         if (left is DataType.STRING) != (right is DataType.STRING):
@@ -590,32 +349,6 @@ class PlanTyper:
                 hint="cast one side or fix the column reference",
             )
 
-    # -- aggregates ----------------------------------------------------------
-
-    def check_aggregate(
-        self,
-        spec: AggregateSpec,
-        frames: list[Frame],
-        path: str,
-        unknown_code: str = "L001",
-        scope_note: str = "",
-    ) -> None:
-        if spec.argument is None:
-            return
-        dtype = self.check_expression(
-            spec.argument, frames, f"{path}:{spec.output_name}",
-            unknown_code=unknown_code, scope_note=scope_note,
-        )
-        if spec.function in ("sum", "avg") and dtype is DataType.STRING:
-            self.report.add(
-                "L009",
-                f"{spec.function}() over STRING argument "
-                f"{spec.argument!r}",
-                f"{path}:{spec.output_name}",
-                hint="sum/avg need a numeric argument; min/max/count "
-                     "accept strings",
-            )
-
     # -- nested predicates ----------------------------------------------------
 
     def check_nested_predicate(
@@ -624,24 +357,13 @@ class PlanTyper:
         """Check a predicate that may contain subquery leaves."""
         if isinstance(predicate, SubqueryPredicate):
             self._check_subquery_leaf(predicate, frames, path)
-            return
-        if isinstance(predicate, (And, Or)):
-            kind = type(predicate).__name__.upper()
-            for side in (predicate.left, predicate.right):
-                if not side.is_predicate:
-                    self.report.add(
-                        "L010",
-                        f"{side!r} is not a predicate but is an operand "
-                        f"of {kind}",
-                        path,
-                    )
-                else:
-                    self.check_nested_predicate(side, frames, path)
-            return
-        if isinstance(predicate, Not):
+        elif isinstance(predicate, (And, Or)):
+            self.check_nested_predicate(predicate.left, frames, path)
+            self.check_nested_predicate(predicate.right, frames, path)
+        elif isinstance(predicate, Not):
             self.check_nested_predicate(predicate.operand, frames, path)
-            return
-        self.check_predicate(predicate, frames, path)
+        else:
+            self.check_expression(predicate, frames, path)
 
     def _check_subquery_leaf(
         self, leaf: SubqueryPredicate, frames: list[Frame], path: str
@@ -649,32 +371,32 @@ class PlanTyper:
         inner_frames = self._check_subquery_block(
             leaf.subquery, frames, f"{path}/subquery"
         )
-        if isinstance(leaf, Exists):
+        if isinstance(leaf, Exists) or inner_frames is None:
             return
-        outer_type = self.check_expression(
-            getattr(leaf, "outer"), frames, f"{path}:outer"
+        assert isinstance(leaf, (ScalarComparison, QuantifiedComparison))
+        outer_type = self.check_expression(leaf.outer, frames,
+                                           f"{path}:outer")
+        self._check_comparable(
+            outer_type, self._subquery_value_type(leaf.subquery, inner_frames),
+            leaf, path,
         )
-        inner_type = self._subquery_value_type(leaf.subquery, inner_frames,
-                                               path)
-        self._check_comparable(outer_type, inner_type, leaf, path)
         if isinstance(leaf, QuantifiedComparison):
             from repro.lint.rules import check_quantifier_nullability
 
             check_quantifier_nullability(leaf, frames, inner_frames, self,
                                          path)
-        if isinstance(leaf, ScalarComparison):
+        elif self.advice:
             from repro.lint.advice import check_extremum_quantifier
 
-            if self.advice:
-                check_extremum_quantifier(leaf, self.report, path)
+            check_extremum_quantifier(leaf, self.report, path)
 
     def _check_subquery_block(
         self, subquery: Subquery, frames: list[Frame], path: str
-    ) -> list[Frame]:
+    ) -> list[Frame] | None:
         """Check one subquery block; returns the extended scope stack."""
         source_schema = self.infer(subquery.source, f"{path}/source")
         if source_schema is None:
-            return frames
+            return None
         inner_frames = [Frame(source_schema, subquery.source)] + frames
         self.check_nested_predicate(
             subquery.predicate, inner_frames, f"{path}:predicate"
@@ -682,29 +404,25 @@ class PlanTyper:
         if subquery.item is not None:
             self.check_expression(subquery.item, inner_frames,
                                   f"{path}:item")
-        if subquery.aggregate is not None:
-            self.check_aggregate(subquery.aggregate, inner_frames,
-                                 f"{path}:aggregate")
+        aggregate = subquery.aggregate
+        if aggregate is not None and aggregate.argument is not None:
+            self.check_expression(aggregate.argument, inner_frames,
+                                  f"{path}:aggregate")
         return inner_frames
 
     def _subquery_value_type(
-        self, subquery: Subquery, inner_frames: list[Frame], path: str
+        self, subquery: Subquery, inner_frames: list[Frame]
     ) -> DataType | None:
         """The type of a subquery's produced value (item or aggregate)."""
-        resolver = _ScopedResolver(self.report, inner_frames, path)
+        value = subquery.item
         if subquery.aggregate is not None:
-            spec = subquery.aggregate
-            if spec.function == "count":
+            if subquery.aggregate.function == "count":
                 return DataType.INTEGER
-            if spec.function == "avg":
+            if subquery.aggregate.function == "avg":
                 return DataType.FLOAT
-            if isinstance(spec.argument, Column):
-                resolved = resolver.resolve(spec.argument.reference)
-                return resolved[1].dtype if resolved else None
-            return None
-        if subquery.item is not None and isinstance(subquery.item, Column):
-            resolved = resolver.resolve(subquery.item.reference)
-            return resolved[1].dtype if resolved else None
+            value = subquery.aggregate.argument
+        if isinstance(value, Column):
+            return self._type_of(value, inner_frames, "")
         return None
 
     # -- nullability oracle ----------------------------------------------------

@@ -1,28 +1,20 @@
-"""Correctness lints: scope validation and 3VL NULL-safety.
+"""The W101 quantifier rule, and the null-safe link matcher absint reads.
 
-Two families of checks live here (scope/type errors are emitted directly
-by :class:`~repro.lint.infer.PlanTyper`):
-
-* :func:`check_gmdj_blocks` — structural checks over a GMDJ's θ-blocks,
-  in particular the **L007** NULL-unsafe identity-link detector.  The
-  translator's push-down machinery (Theorems 3.3/3.4) joins a copy of an
-  outer base into a plan level and re-links it upward with *identity
-  conjuncts* over every attribute of the copy.  Those links must use the
-  null-safe equality ``a = b OR (a IS NULL AND b IS NULL)``; a plain
-  ``=`` is UNKNOWN on NULL/NULL and silently drops every base row
-  containing a NULL — the regression PR 1 fixed, re-detected statically
-  here.
 * :func:`check_quantifier_nullability` — **W101**, the Table 1
   ALL/NOT-IN hazard: a universal quantifier over a column whose stored
   data currently holds NULLs has counter-intuitive SQL semantics (one
   NULL poisons ``NOT IN`` into an empty result).  The GMDJ count-pair
   translation reproduces SQL exactly, so this is a warning about the
   query, not the plan.
+* :func:`match_null_safe_equal` — recognizes the translator's null-safe
+  identity link ``a = b OR (a IS NULL AND b IS NULL)`` (Theorems
+  3.3/3.4), which :mod:`repro.lint.absint` classifies as an equality.
+  Whether the translator emits that form is checked by the corpus case
+  ``null_identity_link`` and the fuzz smoke, not by a lint rule.
 """
 
 from __future__ import annotations
 
-import re
 from typing import TYPE_CHECKING
 
 from repro.algebra.expressions import (
@@ -32,23 +24,11 @@ from repro.algebra.expressions import (
     Expression,
     IsNull,
     Or,
-    conjuncts_of,
 )
 from repro.algebra.nested import QuantifiedComparison
-from repro.gmdj.operator import GMDJ
-from repro.lint.diagnostics import LintReport
-from repro.storage.schema import Schema
 
 if TYPE_CHECKING:
     from repro.lint.infer import Frame, PlanTyper
-
-#: Qualifiers the translator invents for pushed-down base copies:
-#: ``__pN`` (translate.py) and ``__bN`` (pushdown.py, Theorem 3.3).
-_INTERNAL_QUALIFIER = re.compile(r"^__[pb]\d+$")
-
-
-def is_internal_qualifier(qualifier: str | None) -> bool:
-    return qualifier is not None and bool(_INTERNAL_QUALIFIER.match(qualifier))
 
 
 def match_null_safe_equal(
@@ -75,96 +55,6 @@ def match_null_safe_equal(
     if expected != actual:
         return None
     return eq.left, eq.right
-
-
-def _orient_link(
-    left: Column, right: Column, base: Schema, detail: Schema
-) -> tuple[Column, Column] | None:
-    """Orient a candidate link as (base-side, detail-side copy).
-
-    Identity links always place the pushed-down copy (internal
-    qualifier) on the *detail* side of the GMDJ; correlation conjuncts
-    substituted by non-neighboring resolution place their copy on the
-    *base* side, which keeps them out of this detector.
-    """
-    for base_col, detail_col in ((left, right), (right, left)):
-        if not is_internal_qualifier(detail_col.qualifier):
-            continue
-        if not any(
-            f.qualifier == detail_col.qualifier and f.name == detail_col.bare_name
-            for f in detail.fields
-        ):
-            continue
-        if not base.has(base_col.reference):
-            continue
-        if base_col.bare_name != detail_col.bare_name:
-            continue
-        return base_col, detail_col
-    return None
-
-
-def check_gmdj_blocks(
-    gmdj: GMDJ,
-    base_schema: Schema,
-    detail_schema: Schema,
-    report: LintReport,
-    path: str,
-) -> None:
-    """Run the θ-block structural rules on one GMDJ node (L007)."""
-    for position, block in enumerate(gmdj.blocks):
-        block_path = f"{path}:blocks[{position}]:condition"
-        _check_identity_links(
-            block.condition, base_schema, detail_schema, report, block_path
-        )
-
-
-def _check_identity_links(
-    condition: Expression,
-    base_schema: Schema,
-    detail_schema: Schema,
-    report: LintReport,
-    path: str,
-) -> None:
-    safe: dict[tuple[str | None, str], set[str]] = {}
-    unsafe: dict[tuple[str | None, str], set[str]] = {}
-    for conjunct in conjuncts_of(condition):
-        matched = match_null_safe_equal(conjunct)
-        if matched is not None:
-            bucket = safe
-            left, right = matched
-        elif (isinstance(conjunct, Comparison) and conjunct.op == "="
-              and isinstance(conjunct.left, Column)
-              and isinstance(conjunct.right, Column)):
-            bucket = unsafe
-            left, right = conjunct.left, conjunct.right
-        else:
-            continue
-        oriented = _orient_link(left, right, base_schema, detail_schema)
-        if oriented is None:
-            continue
-        base_col, detail_col = oriented
-        key = (base_col.qualifier, detail_col.qualifier)
-        bucket.setdefault(key, set()).add(detail_col.bare_name)
-    for key, unsafe_names in unsafe.items():
-        copy_qualifier = key[1]
-        copy_fields = {
-            f.name for f in detail_schema.fields
-            if f.qualifier == copy_qualifier
-        }
-        covered = unsafe_names | safe.get(key, set())
-        if copy_fields and covered >= copy_fields:
-            names = ", ".join(sorted(unsafe_names))
-            report.add(
-                "L007",
-                f"identity link to pushed-down copy {copy_qualifier!r} "
-                f"uses plain '=' on attribute(s) {names}; NULL/NULL "
-                f"compares UNKNOWN, so base rows containing NULLs are "
-                f"silently dropped",
-                path,
-                hint="use the null-safe form a = b OR "
-                     "(a IS NULL AND b IS NULL) for every identity "
-                     "conjunct (Theorems 3.3/3.4 push-down)",
-            )
 
 
 def check_quantifier_nullability(

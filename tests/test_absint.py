@@ -18,12 +18,14 @@ from repro import Database
 from repro.algebra.aggregates import AggregateSpec
 from repro.algebra.expressions import (
     TRUE,
+    And,
     Arithmetic,
     Coalesce,
     Column,
     Comparison,
     IsNull,
     Literal,
+    Or,
 )
 from repro.errors import TranslationError
 from repro.fuzz.datagen import DatabaseSpec
@@ -187,6 +189,10 @@ class TestThetaClassification:
             (Comparison("<>", Column("B.K"), Column("R.K")), "inequality"),
             (Comparison(">", Column("R.Y"), Literal(5)), "range"),
             (IsNull(Column("R.Y")), "null-test"),
+            # The translator's null-safe identity link (Thms 3.3/3.4).
+            (Or(Comparison("=", Column("B.K"), Column("__p1.K")),
+                And(IsNull(Column("B.K")), IsNull(Column("__p1.K")))),
+             "equality"),
             (TRUE, "constant"),
             (Comparison(">", Arithmetic("+", Column("R.Y"), Literal(1)),
                         Literal(5)), "opaque"),

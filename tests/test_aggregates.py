@@ -8,8 +8,9 @@ from repro.algebra.aggregates import (
     agg,
     count_star,
 )
+from repro import Database, QueryOptions
 from repro.algebra.expressions import col
-from repro.errors import ExpressionError
+from repro.errors import ExpressionError, TypeCheckError
 from repro.storage.schema import Field, Schema
 from repro.storage.types import DataType
 
@@ -107,6 +108,37 @@ class TestSpec:
 
     def test_repr(self):
         assert "count(*)" in repr(count_star())
+
+
+class TestStringArgument:
+    """SUM/AVG over a STRING column is a typed error on every kernel,
+    raised before any row is read (an empty table answers the same)."""
+
+    @pytest.fixture
+    def db(self):
+        db = Database()
+        db.create_table("T", [("K", DataType.INTEGER),
+                              ("S", DataType.STRING)], [(1, "a"), (2, None)])
+        db.create_table("U", [("K", DataType.INTEGER),
+                              ("S", DataType.STRING)], [(1, "b")])
+        return db
+
+    @pytest.mark.parametrize("function", ["sum", "avg"])
+    def test_output_field_rejects_string(self, function):
+        schema = Schema([Field("s", DataType.STRING, "R")])
+        with pytest.raises(TypeCheckError, match="over STRING"):
+            agg(function, col("R.s"), "x").output_field(schema)
+
+    @pytest.mark.parametrize("backend", ["row", "numpy"])
+    @pytest.mark.parametrize("sql", [
+        "SELECT SUM(T.S) FROM T",
+        "SELECT T.K FROM T WHERE T.K > "
+        "(SELECT AVG(U.S) FROM U WHERE U.K = T.K)",
+    ])
+    def test_query_is_rejected(self, db, backend, sql):
+        options = QueryOptions(backend=backend, use_cache=False)
+        with pytest.raises(TypeCheckError, match="over STRING"):
+            db.execute_sql(sql, options)
 
 
 class TestAggregateBlock:

@@ -124,75 +124,6 @@ def apply_statement(tenant, statement):
     assert "C302" not in codes_of(source)
 
 
-# -- C303: pool submission without ContextVar isolation -----------------------
-
-C303_FIRING = """
-def fan_out(pool, fragments):
-    def worker(fragment):
-        return evaluate(fragment)
-    return [pool.submit(worker, f) for f in fragments]
-"""
-
-C303_OK_ISOLATOR = """
-def fan_out(pool, fragments):
-    def worker(fragment):
-        with collect() as spans:
-            return evaluate(fragment), spans
-    return [pool.submit(worker, f) for f in fragments]
-"""
-
-C303_OK_COPY_CONTEXT = """
-def fan_out(pool, fragments):
-    def worker(fragment):
-        return evaluate(fragment)
-    context = copy_context()
-    return [pool.submit(context.run, worker, f) for f in fragments]
-"""
-
-
-def test_c303_unisolated_worker():
-    assert "C303" in codes_of(C303_FIRING)
-
-
-def test_c303_quiet_with_isolator():
-    assert "C303" not in codes_of(C303_OK_ISOLATOR)
-
-
-def test_c303_quiet_with_copied_context():
-    assert "C303" not in codes_of(C303_OK_COPY_CONTEXT)
-
-
-# -- C304: shared mutable capture ---------------------------------------------
-
-C304_FIRING = """
-def fan_out(pool, fragments):
-    results = []
-    def worker(fragment):
-        with collect():
-            results.append(evaluate(fragment))
-    for f in fragments:
-        pool.submit(worker, f)
-    return results
-"""
-
-C304_OK = """
-def fan_out(pool, fragments):
-    def worker(fragment):
-        with collect():
-            return evaluate(fragment)
-    futures = [pool.submit(worker, f) for f in fragments]
-    return [f.result() for f in futures]
-"""
-
-
-def test_c304_shared_mutable_capture():
-    assert "C304" in codes_of(C304_FIRING)
-
-
-def test_c304_quiet_when_results_merge_on_coordinator():
-    assert "C304" not in codes_of(C304_OK)
-
-
 # -- cross-cutting ------------------------------------------------------------
 
 def test_syntax_error_reports_instead_of_raising():
@@ -201,10 +132,7 @@ def test_syntax_error_reports_instead_of_raising():
 
 
 def test_every_concurrency_code_has_a_firing_fixture():
-    fired = (
-        codes_of(C301_FIRING) | codes_of(C302_FIRING)
-        | codes_of(C303_FIRING) | codes_of(C304_FIRING)
-    )
+    fired = codes_of(C301_FIRING) | codes_of(C302_FIRING)
     concurrency_codes = {
         code for code in DIAGNOSTIC_CODES if code.startswith("C3")
     }

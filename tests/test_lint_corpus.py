@@ -5,14 +5,15 @@ Three angles:
 * every checked-in fuzz corpus case — queries the SQLite oracle accepts —
   lints clean at error severity, for the bound query and both GMDJ
   translations;
-* the PR 1 translator regression (NULL-unsafe identity links) is caught
-  *statically* when re-seeded via monkeypatch;
+* the PR 1 translator regression (NULL-unsafe identity links), re-seeded
+  via monkeypatch, is caught by its corpus case;
 * the differential fuzz runner surfaces lint findings as divergences of
   the pseudo-engine ``"lint"`` and survives a crashing linter.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from repro import Database, DataType
 from repro.algebra.expressions import Comparison
 from repro.fuzz.datagen import DatabaseSpec
 from repro.fuzz.oracle import lint_findings, run_differential
-from repro.fuzz.runner import load_corpus
+from repro.fuzz.runner import load_corpus, replay_case
 from repro.lint import lint_plan
 from repro.unnesting import translate
 from repro.unnesting.translate import subquery_to_gmdj
@@ -56,7 +57,8 @@ def test_corpus_is_not_empty():
 
 
 class TestSeededTranslatorBug:
-    """Re-seed the identity-link bug PR 1 fixed; the linter must see it."""
+    """The identity-link bug PR 1 fixed: its healthy translation lints
+    clean, and re-seeded, the differential catches it."""
 
     SQL = (
         "SELECT C.CID FROM CUSTOMER C WHERE EXISTS "
@@ -91,18 +93,16 @@ class TestSeededTranslatorBug:
         report = lint_plan(plan, orders_db.catalog, advice=False)
         assert report.ok, report.render()
 
-    def test_seeded_bug_caught_statically(self, orders_db, monkeypatch):
+    def test_seeded_bug_caught_by_the_corpus(self, monkeypatch):
+        """Plain ``=`` identity links drop base rows holding a NULL; the
+        corpus case pinned for that bug reports the missing rows."""
         monkeypatch.setattr(
             translate, "_null_safe_equal",
             lambda left, right: Comparison("=", left, right),
         )
-        plan = subquery_to_gmdj(orders_db.sql(self.SQL), orders_db.catalog)
-        report = lint_plan(plan, orders_db.catalog, advice=False)
-        assert not report.ok
-        assert {d.code for d in report.errors} == {"L007"}
-        (diag,) = report.errors
-        assert "__p1" in diag.message
-        assert "NULL" in diag.message
+        data = json.loads((CORPUS_DIR / "null_identity_link.json").read_text())
+        outcome = replay_case(data)
+        assert any(d.kind == "mismatch" for d in outcome.divergences)
 
 
 class TestFuzzRunnerHook:
@@ -124,7 +124,7 @@ class TestFuzzRunnerHook:
         from repro.fuzz import oracle
         from repro.lint import PlanDiagnostic
 
-        fake = PlanDiagnostic("L007", "seeded for the hook test", "plan")
+        fake = PlanDiagnostic("L003", "seeded for the hook test", "plan")
         monkeypatch.setattr(
             oracle, "lint_findings", lambda db, sql: [("gmdj", fake)]
         )
@@ -135,7 +135,7 @@ class TestFuzzRunnerHook:
         ]
         assert len(lint_divergences) == 1
         assert lint_divergences[0].kind == "lint-error"
-        assert "L007" in lint_divergences[0].detail
+        assert "L003" in lint_divergences[0].detail
         # The pseudo-engine must not count toward engines_run.
         baseline = run_differential(dbspec, case["sql"], case["sqlite_sql"])
         assert outcome.engines_run == baseline.engines_run

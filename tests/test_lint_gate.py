@@ -60,6 +60,28 @@ class TestLintCLI:
         assert code == 1
         assert "[L003]" in out
 
+    @pytest.mark.parametrize("sql, error", [
+        ("SELECT T.X FROM T", "UnknownAttributeError"),
+        ("SELECT S FROM T, U", "AmbiguousAttributeError"),
+        ("SELECT T.K FROM T UNION SELECT U.K, U.V FROM U", "SchemaError"),
+        ("SELECT T.S, T.S FROM T", "SchemaError"),
+        ("SELECT T.K FROM T WHERE EXISTS "
+         "(SELECT * FROM U WHERE U.X = T.K)", "TranslationError"),
+        ("SELECT SUM(T.S) FROM T", "TypeCheckError"),
+        ("SELECT T.K FROM T WHERE T.K", "SQLSyntaxError"),
+    ])
+    def test_engine_error_exits_one(self, tmp_path, sql, error):
+        save_csv(Relation.from_columns(
+            [("K", DataType.INTEGER), ("S", DataType.STRING)], [(1, "a")],
+        ), tmp_path / "T.csv")
+        save_csv(Relation.from_columns(
+            [("K", DataType.INTEGER), ("S", DataType.STRING),
+             ("V", DataType.INTEGER)], [(1, "b", 2)],
+        ), tmp_path / "U.csv")
+        code, out = run_cli(["lint", sql, "--data", str(tmp_path)])
+        assert code == 1
+        assert "[L000] " in out and f": {error}: " in out, out
+
     def test_json_output(self, data_dir):
         code, out = run_cli([
             "lint", "SELECT SourceIP FROM flow WHERE NumBytes > 30",

@@ -19,6 +19,7 @@ from repro.algebra.expressions import (
     Literal,
 )
 from repro.algebra.nested import (
+    Exists,
     NestedSelect,
     QuantifiedComparison,
     ScalarComparison,
@@ -65,16 +66,9 @@ def _fixture_plans(kv_catalog, string_catalog):
     B = ScanTable("B")
     R = ScanTable("R")
     plans = {}
-    plans["L001"] = (
+    plans["L000"] = (
         kv_catalog,
         Select(B, Comparison("=", Column("B.NOPE"), Literal(1))),
-    )
-    plans["L002"] = (
-        kv_catalog,
-        Select(
-            Join(B, R, TRUE),
-            Comparison("=", Column("K"), Literal(1)),
-        ),
     )
     plans["L003"] = (
         string_catalog,
@@ -83,40 +77,6 @@ def _fixture_plans(kv_catalog, string_catalog):
             Comparison("=", Column("Flow.Protocol"), Literal(1)),
         ),
     )
-    plans["L004"] = (
-        kv_catalog,
-        Union(B, Project(R, ["R.K"])),
-    )
-    plans["L005"] = (
-        kv_catalog,
-        Project(B, [(Column("B.K"), "K"), (Column("B.X"), "K")]),
-    )
-    plans["L006"] = (
-        kv_catalog,
-        GMDJ(B, R, [ThetaBlock(
-            [count_star("cnt")],
-            Comparison("=", Column("B.K"), Column("Q.Z")),
-        )]),
-    )
-    plans["L007"] = (
-        kv_catalog,
-        GMDJ(B, ScanTable("B", alias="__p1"), [ThetaBlock(
-            [count_star("cnt")],
-            And(
-                Comparison("=", Column("B.K"), Column("__p1.K")),
-                Comparison("=", Column("B.X"), Column("__p1.X")),
-            ),
-        )]),
-    )
-    plans["L008"] = (kv_catalog, ScanTable("Nope"))
-    plans["L009"] = (
-        string_catalog,
-        GroupBy(
-            ScanTable("Flow"), [],
-            [AggregateSpec("sum", Column("Flow.Protocol"), "s")],
-        ),
-    )
-    plans["L010"] = (kv_catalog, Select(B, Column("B.K")))
     plans["W101"] = (
         kv_catalog,
         NestedSelect(B, QuantifiedComparison(
@@ -135,17 +95,6 @@ def _fixture_plans(kv_catalog, string_catalog):
         GMDJ(inner, ScanTable("R", "__p2"),
              [ThetaBlock([count_star("c2")], TRUE)]),
     )
-    plans["A202"] = (
-        kv_catalog,
-        Join(
-            ScanTable("B", alias="B2"),
-            GMDJ(B, R, [ThetaBlock(
-                [count_star("cnt")],
-                Comparison("=", Column("B.K"), Column("R.K")),
-            )]),
-            Comparison("=", Column("B2.K"), Column("B.K")),
-        ),
-    )
     plans["A203"] = (  # two <> conjuncts: the range form declines it
         kv_catalog,
         GMDJ(B, R, [ThetaBlock(
@@ -163,6 +112,35 @@ def _fixture_plans(kv_catalog, string_catalog):
         )),
     )
     return plans
+
+
+def _engine_error_plans(kv_catalog, string_catalog):
+    """``what the engine rejects -> (catalog, plan)``: each is reported as
+    L000 carrying the engine's own error class."""
+    B = ScanTable("B")
+    R = ScanTable("R")
+    return {
+        "ambiguous reference": (kv_catalog, Select(
+            Join(B, R, TRUE), Comparison("=", Column("K"), Literal(1)),
+        ), "AmbiguousAttributeError"),
+        "union arity": (kv_catalog, Union(B, Project(R, ["R.K"])),
+                        "SchemaError"),
+        "duplicate output": (kv_catalog, Project(
+            B, [(Column("B.K"), "K"), (Column("B.X"), "K")],
+        ), "SchemaError"),
+        "theta escapes base and detail": (kv_catalog, GMDJ(B, R, [ThetaBlock(
+            [count_star("cnt")],
+            Comparison("=", Column("B.K"), Column("Q.Z")),
+        )]), "UnknownAttributeError"),
+        "unknown table": (kv_catalog, ScanTable("Nope"), "CatalogError"),
+        "sum over a string": (string_catalog, GroupBy(
+            ScanTable("Flow"), [],
+            [AggregateSpec("sum", Column("Flow.Protocol"), "s")],
+        ), "TypeCheckError"),
+        "unresolved inner reference": (kv_catalog, NestedSelect(B, Exists(
+            Subquery(R, Comparison("=", Column("R.NOPE"), Column("B.K"))),
+        )), "UnknownAttributeError"),
+    }
 
 
 @pytest.fixture
@@ -189,10 +167,15 @@ class TestEachCodeHasAFixture:
             triggered |= lint_plan(plan, catalog).codes()
         assert triggered == plan_codes()
 
-    def test_l007_fixture_fires_nothing_else(self, fixture_plans):
-        catalog, plan = fixture_plans["L007"]
-        report = lint_plan(plan, catalog)
-        assert report.codes() == {"L007"}
+    @pytest.mark.parametrize("case", sorted(
+        _engine_error_plans(None, None)))
+    def test_engine_error_is_l000(self, case, kv_catalog, string_catalog):
+        catalog, plan, error = _engine_error_plans(
+            kv_catalog, string_catalog)[case]
+        report = lint_plan(plan, catalog, advice=False)
+        assert report.codes() == {"L000"}, report.render()
+        (diagnostic,) = report.errors
+        assert diagnostic.message.startswith(f"{error}: ")
 
 
 class TestTargetedBehaviour:
@@ -203,60 +186,6 @@ class TestTargetedBehaviour:
         report = lint_plan(plan, kv_catalog)
         assert report.ok
         assert report.diagnostics == []
-
-    def test_null_safe_identity_link_passes(self, kv_catalog):
-        """The correct translator output (null-safe links) does not trip L007."""
-        from repro.algebra.expressions import IsNull, Or
-
-        def safe(left: str, right: str):
-            return Or(
-                Comparison("=", Column(left), Column(right)),
-                And(IsNull(Column(left)), IsNull(Column(right))),
-            )
-
-        plan = GMDJ(
-            ScanTable("B"), ScanTable("B", alias="__p1"),
-            [ThetaBlock(
-                [count_star("cnt")],
-                And(safe("B.K", "__p1.K"), safe("B.X", "__p1.X")),
-            )],
-        )
-        report = lint_plan(plan, kv_catalog)
-        assert "L007" not in report.codes(), report.render()
-
-    def test_partially_unsafe_link_still_fires(self, kv_catalog):
-        """One plain '=' conjunct among null-safe ones is still a bug."""
-        from repro.algebra.expressions import IsNull, Or
-
-        safe_k = Or(
-            Comparison("=", Column("B.K"), Column("__p1.K")),
-            And(IsNull(Column("B.K")), IsNull(Column("__p1.K"))),
-        )
-        plan = GMDJ(
-            ScanTable("B"), ScanTable("B", alias="__p1"),
-            [ThetaBlock(
-                [count_star("cnt")],
-                And(safe_k, Comparison("=", Column("B.X"), Column("__p1.X"))),
-            )],
-        )
-        report = lint_plan(plan, kv_catalog)
-        assert "L007" in report.codes()
-
-    def test_base_side_copy_is_exempt(self, kv_catalog):
-        """Correlation substitutions put the copy on the *base* side —
-        those plain equalities are correlations, not identity links."""
-        plan = GMDJ(
-            ScanTable("B", alias="__p1"), ScanTable("B", alias="D"),
-            [ThetaBlock(
-                [count_star("cnt")],
-                And(
-                    Comparison("=", Column("__p1.K"), Column("D.K")),
-                    Comparison("=", Column("__p1.X"), Column("D.X")),
-                ),
-            )],
-        )
-        report = lint_plan(plan, kv_catalog)
-        assert "L007" not in report.codes(), report.render()
 
     def test_w101_silent_without_stored_nulls(self):
         """W101 only fires when the traced column demonstrably holds NULLs."""
@@ -273,8 +202,29 @@ class TestTargetedBehaviour:
         report = lint_plan(plan, catalog)
         assert "W101" not in report.codes(), report.render()
 
+    def test_each_subtree_is_derived_once(self, kv_catalog, monkeypatch):
+        """The engine derives each node's schema over its children's
+        derived schemas: a deep chain asks for the scan's schema once,
+        not once per ancestor."""
+        derivations = []
+        derive = ScanTable.schema
+
+        def counting(node, catalog):
+            derivations.append(node)
+            return derive(node, catalog)
+
+        monkeypatch.setattr(ScanTable, "schema", counting)
+        plan = ScanTable("B")
+        for _ in range(20):
+            plan = Project(
+                Select(plan, Comparison(">", Column("B.X"), Literal(2))),
+                ["B.K", "B.X"],
+            )
+        assert lint_plan(plan, kv_catalog).ok
+        assert len(derivations) == 1
+
     def test_advice_false_suppresses_advisories(self, fixture_plans):
-        for code in ("A201", "A202", "A203", "A204"):
+        for code in ("A201", "A203", "A204"):
             catalog, plan = fixture_plans[code]
             report = lint_plan(plan, catalog, advice=False)
             assert code not in report.codes()
@@ -302,7 +252,7 @@ class TestTargetedBehaviour:
 
 class TestDiagnosticPlumbing:
     def test_severity_bands(self):
-        assert severity_of("L007") is Severity.ERROR
+        assert severity_of("L003") is Severity.ERROR
         assert severity_of("W101") is Severity.WARNING
         assert severity_of("A201") is Severity.ADVICE
         with pytest.raises(ValueError):
@@ -313,18 +263,18 @@ class TestDiagnosticPlumbing:
             PlanDiagnostic("L999", "nope", "path")
 
     def test_render_and_json(self, fixture_plans):
-        catalog, plan = fixture_plans["L001"]
+        catalog, plan = fixture_plans["L000"]
         report = lint_plan(plan, catalog)
         (diag,) = report.errors
-        assert diag.render().startswith("[L001] ")
+        assert diag.render().startswith("[L000] ")
         payload = diag.to_json()
-        assert payload["code"] == "L001"
+        assert payload["code"] == "L000"
         assert payload["severity"] == "error"
         assert report.to_json()["ok"] is False
 
     def test_report_sorted_worst_first(self, kv_catalog, fixture_plans):
         report = lint_plan(*reversed(fixture_plans["A204"]))
-        report.add("L001", "synthetic", "p")
+        report.add("L000", "synthetic", "p")
         ordered = report.sorted()
         assert [d.severity for d in ordered] == sorted(
             (d.severity for d in ordered), reverse=True

@@ -326,6 +326,17 @@ class TestErrorPaths:
         assert status == 400
         assert message in payload["error"]
 
+    def test_sum_over_a_string_column_is_400(self, live_server):
+        server = live_server()
+        status, _ = server.post("/ddl", {"statement": {
+            "op": "create_table", "name": "S",
+            "columns": [["N", "string"]], "rows": [["a"], ["b"]]}})
+        assert status == 200
+        status, payload = server.post(
+            "/query", {"sql": "SELECT SUM(S.N) FROM S"})
+        assert status == 400
+        assert "over STRING" in payload["error"]
+
     def test_non_object_body_is_400(self, live_server):
         assert live_server().post("/query", [1, 2])[0] == 400
 
