@@ -24,7 +24,7 @@ queries it:
 4. statically certifies every shared plan
    (:func:`repro.lint.cost.certify_plan` — exactly one detail scan per
    detail table per group) and cross-checks the claim against the
-   runtime trace's ``detail_scan`` spans;
+   scan count the run's IOStats delta records (``detail_scans``);
 5. attributes the shared scan's IOStats *fractionally* (1/k per
    consumer) so per-query accounting still reconciles with batch totals
    (the serve tier's ``/metrics`` consistency depends on this).
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence, overload
+from typing import TYPE_CHECKING, Iterator, Sequence, overload
 
 from repro.algebra.operators import Operator
 from repro.engine.options import QueryOptions
@@ -67,7 +67,7 @@ from repro.gmdj.share import (
     split_result,
 )
 from repro.lint.cost import CostCertificate, certify_batch, certify_plan
-from repro.obs.tracer import Tracer, span, tracing, tracing_enabled
+from repro.obs.tracer import span
 from repro.storage.catalog import Catalog
 from repro.storage.columnar import is_encoded
 from repro.storage.iostats import IOStats
@@ -206,7 +206,7 @@ class ShareGroupReport:
     certificate: CostCertificate
     runtime_detail_scans: int
     #: The runtime scan count matches the certificate; None under a
-    #: fragmenter, whose fragments multiply the ``detail_scan`` spans.
+    #: fragmenter, which scans once per fragment.
     certified: bool | None
 
     def to_json(self) -> dict:
@@ -229,12 +229,11 @@ class BatchItem:
 
     ``io`` is this query's IOStats attribution: its residual/singleton
     work exactly, plus a 1/k share of its group's shared scan — summing
-    ``io`` over all items reproduces the batch totals.  ``detail_scans``
-    is the analogous fractional share of runtime ``detail_scan`` spans
-    (None for singletons run without an ambient tracer, where nothing
-    counted them).  ``elapsed_seconds`` is the same attribution of time:
-    a singleton's own run, or a 1/k share of the shared scan plus this
-    member's split, residual and row build.
+    ``io`` over all items reproduces the batch totals, and
+    ``detail_scans`` is its count of detail scans.  ``elapsed_seconds``
+    is the same attribution of time: a singleton's own run, or a 1/k
+    share of the shared scan plus this member's split, residual and row
+    build.
     """
 
     index: int
@@ -243,7 +242,10 @@ class BatchItem:
     group_id: int | None
     shared: bool
     io: dict[str, float]
-    detail_scans: float | None = None
+
+    @property
+    def detail_scans(self) -> float:
+        return float(self.io.get("detail_scans", 0))
 
     def io_json(self) -> dict:
         return {
@@ -346,36 +348,6 @@ def _merge_io(target: dict, delta: dict, scale: float = 1.0) -> None:
         target[key] = target.get(key, 0) + value * scale
 
 
-def _run_traced_group(
-    runner: Callable[[GMDJ], Relation], group: PlannedGroup
-) -> tuple[Relation, int]:
-    """Run one shared GMDJ under a tracer; returns (result, scan count).
-
-    With an ambient tracer (the serve tier, EXPLAIN ANALYZE) the group
-    span joins the existing trace; otherwise a private tracer is
-    installed so the scan count is observable either way.
-    """
-    attrs = dict(
-        group=group.group_id,
-        consumers=len(group.indices),
-        detail=group.shared.detail_table,
-        blocks=group.shared.shared_blocks,
-    )
-    if tracing_enabled():
-        with span("mqo_group", kind="mqo_group", **attrs) as group_span:
-            result = runner(group.shared.gmdj)
-    else:
-        tracer = Tracer()
-        with tracing(tracer):
-            with span("mqo_group", kind="mqo_group", **attrs) as group_span:
-                result = runner(group.shared.gmdj)
-    group_span.set(columnar=is_encoded(result))
-    scans = sum(
-        1 for span_ in group_span.walk() if span_.kind == "detail_scan"
-    )
-    return result, scans
-
-
 def execute_batch(
     db: Database,
     queries: Sequence[Operator],
@@ -405,47 +377,20 @@ def execute_batch(
     items: list[BatchItem | None] = [None] * len(queries)
     report = BatchReport(mqo=plan.level, queries=len(queries))
 
-    def run_single(index: int) -> None:
-        def run() -> Relation:
-            return db._run(queries[index], options, profiled=False,
-                           plan=plan.plans[index]).result
-
-        before = ambient.snapshot()
-        t0 = time.perf_counter()
-        scans: float | None = None
-        if tracing_enabled():
-            # An ambient tracer (the serve tier, EXPLAIN ANALYZE) wants
-            # per-member scan attribution; count this member's own
-            # detail scans under a marker span.
-            with span("mqo_single", kind="mqo_single",
-                      index=index) as single_span:
-                result = run()
-            scans = float(sum(
-                1 for span_ in single_span.walk()
-                if span_.kind == "detail_scan"
-            ))
-        else:
-            result = run()
-        elapsed = time.perf_counter() - t0
-        delta = _delta(before, ambient.snapshot())
-        _merge_io(totals, delta)
-        items[index] = BatchItem(
-            index=index, result=result, elapsed_seconds=elapsed,
-            group_id=None, shared=False, io=dict(delta),
-            detail_scans=scans,
-        )
-
     for group in plan.groups:
         certificate = certify_plan(group.shared.gmdj)
         consumers = len(group.indices)
         before = ambient.snapshot()
         t0 = time.perf_counter()
-        shared_result, runtime_scans = _run_traced_group(
-            lambda gmdj: evaluate_node(gmdj, db.catalog, kernel, fragmenter),
-            group,
-        )
+        with span("mqo_group", kind="mqo_group", group=group.group_id,
+                  consumers=consumers, detail=group.shared.detail_table,
+                  blocks=group.shared.shared_blocks) as group_span:
+            shared_result = evaluate_node(group.shared.gmdj, db.catalog,
+                                          kernel, fragmenter)
+        group_span.set(columnar=is_encoded(shared_result))
         shared_elapsed = time.perf_counter() - t0
         shared_delta = _delta(before, ambient.snapshot())
+        runtime_scans = shared_delta.get("detail_scans", 0)
         _merge_io(totals, shared_delta)
         certified = None if fragmenter is not None else (
             runtime_scans
@@ -480,7 +425,6 @@ def execute_batch(
                     shared_elapsed / consumers + residual_elapsed
                 ),
                 group_id=group.group_id, shared=True, io=io,
-                detail_scans=runtime_scans / consumers,
             )
         report.groups.append(ShareGroupReport(
             group_id=group.group_id,
@@ -495,7 +439,17 @@ def execute_batch(
         ))
 
     for index in plan.singletons:
-        run_single(index)
+        before = ambient.snapshot()
+        t0 = time.perf_counter()
+        result = db._run(queries[index], options, profiled=False,
+                         plan=plan.plans[index]).result
+        elapsed = time.perf_counter() - t0
+        delta = _delta(before, ambient.snapshot())
+        _merge_io(totals, delta)
+        items[index] = BatchItem(
+            index=index, result=result, elapsed_seconds=elapsed,
+            group_id=None, shared=False, io=dict(delta),
+        )
 
     if report.groups:
         report.certificate = certify_batch(

@@ -398,6 +398,7 @@ def run_gmdj(
               relation=getattr(detail, "name", None) or "<derived>",
               rows=len(detail)):
         stats.record_scan(len(detail))
+        stats.detail_scans += 1
         _scan_detail(
             detail.rows, runtimes, base_rows, state, status, stats,
             must_be_zero, pair_equal, can_doom, can_assure,

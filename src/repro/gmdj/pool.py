@@ -164,12 +164,11 @@ def run_partition(task: PartitionTask) -> PartitionResult:
 class PoolRegistry:
     """Reusable executors keyed by ``(kind, workers)``.
 
-    One registry belongs to one owner (a :class:`~repro.engine.database.
-    Database`, or the serve tier's dispatcher); executors are created on
-    first use and reused until :meth:`shutdown`, which waits for
-    in-flight work and then releases every worker.  All methods are
-    thread-safe — the serve tier calls :meth:`get` from concurrent
-    request threads.
+    One registry belongs to one :class:`~repro.engine.database.Database`;
+    executors are created on first use and reused until :meth:`shutdown`,
+    which waits for in-flight work and then releases every worker.  All
+    methods are thread-safe — the serve tier's request threads query one
+    tenant database concurrently.
     """
 
     def __init__(self) -> None:

@@ -339,6 +339,7 @@ def run_gmdj_vectorized(
               rows=total, vectorized=True, backend=backend,
               mask_skipped=0) as scan_span:
         stats.record_scan(total)
+        stats.detail_scans += 1
         # Blocks still to run on the python kernel: all of them, unless
         # the array kernel takes some (or, under a rule, all) of them.
         block_pairs = list(zip(runtimes, gmdj.blocks))

@@ -69,28 +69,25 @@ from repro.algebra.expressions import (
     TruthLiteral,
     conjuncts_of,
 )
-from repro.algebra.nested import NestedSelect
 from repro.algebra.operators import (
     Difference,
-    Distinct,
     GroupBy,
     Intersect,
     Join,
-    Limit,
     Operator,
-    OrderBy,
     Project,
-    Rename,
     ScanTable,
-    Select,
     TableValue,
     Union,
 )
 from repro.errors import ReproError
 from repro.gmdj.evaluate import SelectGMDJ
 from repro.gmdj.operator import GMDJ, ThetaBlock
+from repro.lint.infer import over_stand_ins
 from repro.lint.rules import match_null_safe_equal
 from repro.storage.catalog import Catalog
+from repro.storage.columnar import cached_columnar
+from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 from repro.storage.types import DataType
 
@@ -113,31 +110,33 @@ MAYBE = Nullability.MAYBE
 ALWAYS = Nullability.ALWAYS
 
 
+def _verdict(nulls: int, total: int) -> Nullability:
+    """NEVER without a NULL (an empty column is vacuously NEVER-null),
+    ALWAYS when every value is NULL, MAYBE otherwise."""
+    if nulls == 0:
+        return NEVER
+    return ALWAYS if nulls == total else MAYBE
+
+
 def stored_nullability(rows: Sequence[Sequence[Any]],
                        arity: int) -> list[Nullability]:
-    """Data-dependent base facts: one verdict per column of stored rows.
-
-    An empty relation is vacuously NEVER-null in every column; a column
-    that is entirely NULL over non-empty rows is ALWAYS.
-    """
-    if not rows:
-        return [NEVER] * arity
-    verdicts: list[Nullability] = []
-    total = len(rows)
-    for position in range(arity):
-        nulls = sum(1 for row in rows if row[position] is None)
-        if nulls == 0:
-            verdicts.append(NEVER)
-        elif nulls == total:
-            verdicts.append(ALWAYS)
-        else:
-            verdicts.append(MAYBE)
-    return verdicts
+    """Data-dependent facts: one verdict per column of ``rows`` (what a
+    result's rows actually show, for the runtime cross-check)."""
+    return [
+        _verdict(sum(1 for row in rows if row[position] is None), len(rows))
+        for position in range(arity)
+    ]
 
 
-#: Alias for the runtime cross-check direction: what the rows actually
-#: show, computed with the same vocabulary the certificate speaks.
-observed_nullability = stored_nullability
+def relation_nullability(relation: Relation) -> list[Nullability]:
+    """:func:`stored_nullability` of a stored relation, read off the
+    validity masks of its columnar encoding (:func:`cached_columnar`,
+    the one every numpy scan of it builds and keeps): no row walk, and
+    a column-backed relation is never transposed."""
+    return [
+        _verdict(column.null_count(), len(relation))
+        for column in cached_columnar(relation).columns
+    ]
 
 
 def _coalesce_transfer(first: Nullability,
@@ -525,11 +524,31 @@ class CapabilityCertificate:
 
 
 class _NullabilityPass:
-    """One certification run's state: catalog plus a completeness bit."""
+    """One certification run's state: catalog, a completeness bit, and
+    each node's derived schema and verdicts, so a node is derived once
+    per pass however many ancestors (and ``_gmdj_entries``) ask."""
 
     def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
         self.complete = True
+        self._schemas: dict[int, Schema | ReproError] = {}
+        self._envs: dict[int, tuple[Schema, list[Nullability]] | None] = {}
+
+    def schema(self, node: Operator) -> Schema:
+        """``node``'s schema over stand-ins of its children's (raises the
+        engine's ReproError when it cannot be derived)."""
+        key = id(node)
+        if key not in self._schemas:
+            try:
+                self._schemas[key] = over_stand_ins(
+                    node, [self.schema(child) for child in node.children()]
+                ).schema(self.catalog)
+            except ReproError as error:
+                self._schemas[key] = error
+        schema = self._schemas[key]
+        if isinstance(schema, ReproError):
+            raise schema
+        return schema
 
     def env(
         self, node: Operator,
@@ -540,8 +559,16 @@ class _NullabilityPass:
         cannot be derived; an operator without a dedicated transfer
         function degrades to all-MAYBE, also clearing ``complete``.
         """
+        key = id(node)
+        if key not in self._envs:
+            self._envs[key] = self._derive(node)
+        return self._envs[key]
+
+    def _derive(
+        self, node: Operator,
+    ) -> tuple[Schema, list[Nullability]] | None:
         try:
-            schema = node.schema(self.catalog)
+            schema = self.schema(node)
         except ReproError:
             self.complete = False
             return None
@@ -555,30 +582,25 @@ class _NullabilityPass:
             return schema, [MAYBE] * len(schema.fields)
         return schema, verdicts
 
-    def _child_env(
-        self, child: Operator,
-    ) -> tuple[Schema, list[Nullability]] | None:
-        return self.env(child)
-
     # -- base facts (data-dependent, like column_possibly_null) ---------------
 
     def _env_ScanTable(self, node: ScanTable,
                        schema: Schema) -> list[Nullability] | None:
         try:
-            rows = self.catalog.table(node.table_name).rows
+            relation = self.catalog.table(node.table_name)
         except ReproError:
             return None
-        return stored_nullability(rows, len(schema.fields))
+        return relation_nullability(relation)
 
     def _env_TableValue(self, node: TableValue,
                         schema: Schema) -> list[Nullability] | None:
-        return stored_nullability(node.relation.rows, len(schema.fields))
+        return relation_nullability(node.relation)
 
     # -- row-filtering / order-preserving operators: verdicts pass through ----
 
     def _passthrough(self, node: Operator,
                      schema: Schema) -> list[Nullability] | None:
-        resolved = self._child_env(node.child)  # type: ignore[attr-defined]
+        resolved = self.env(node.child)  # type: ignore[attr-defined]
         return None if resolved is None else resolved[1]
 
     _env_Select = _passthrough
@@ -590,7 +612,7 @@ class _NullabilityPass:
 
     def _env_Project(self, node: Project,
                      schema: Schema) -> list[Nullability] | None:
-        resolved = self._child_env(node.child)
+        resolved = self.env(node.child)
         if resolved is None:
             return None
         child_schema, env = resolved
@@ -601,30 +623,30 @@ class _NullabilityPass:
 
     def _env_Union(self, node: Union,
                    schema: Schema) -> list[Nullability] | None:
-        left = self._child_env(node.left)
-        right = self._child_env(node.right)
+        left = self.env(node.left)
+        right = self.env(node.right)
         if left is None or right is None:
             return None
         return [Nullability.join(a, b) for a, b in zip(left[1], right[1])]
 
     def _env_Intersect(self, node: Intersect,
                        schema: Schema) -> list[Nullability] | None:
-        resolved = self._child_env(node.left)
+        resolved = self.env(node.left)
         return None if resolved is None else resolved[1]
 
     def _env_Difference(self, node: Difference,
                         schema: Schema) -> list[Nullability] | None:
-        resolved = self._child_env(node.left)
+        resolved = self.env(node.left)
         return None if resolved is None else resolved[1]
 
     def _env_Join(self, node: Join,
                   schema: Schema) -> list[Nullability] | None:
-        left = self._child_env(node.left)
+        left = self.env(node.left)
         if left is None:
             return None
         if node.kind in ("semi", "anti"):
             return left[1]
-        right = self._child_env(node.right)
+        right = self.env(node.right)
         if right is None:
             return None
         if node.kind == "left":
@@ -640,7 +662,7 @@ class _NullabilityPass:
 
     def _env_GroupBy(self, node: GroupBy,
                      schema: Schema) -> list[Nullability] | None:
-        resolved = self._child_env(node.child)
+        resolved = self.env(node.child)
         if resolved is None:
             return None
         child_schema, env = resolved
@@ -659,8 +681,8 @@ class _NullabilityPass:
 
     def _env_GMDJ(self, node: GMDJ,
                   schema: Schema) -> list[Nullability] | None:
-        base = self._child_env(node.base)
-        detail = self._child_env(node.detail)
+        base = self.env(node.base)
+        detail = self.env(node.detail)
         if base is None or detail is None:
             return None
         detail_schema, detail_env = detail
@@ -681,7 +703,7 @@ class _NullabilityPass:
 
     def _env_Apply(self, node: Apply,
                    schema: Schema) -> list[Nullability] | None:
-        resolved = self._child_env(node.input)
+        resolved = self.env(node.input)
         if resolved is None:
             return None
         verdicts = list(resolved[1])
@@ -829,6 +851,5 @@ __all__ = [
     "current_capabilities",
     "decomposable_aggregates",
     "expression_nullability",
-    "observed_nullability",
     "stored_nullability",
 ]

@@ -112,6 +112,17 @@ def _environment(frames: list[Frame]) -> Environment:
     return env
 
 
+def over_stand_ins(node: Operator, schemas: list[Schema]) -> Operator:
+    """``node`` with each child (in ``children()`` order) standing in as
+    an empty relation of the schema already derived for it, so the
+    schema of the result derives no subtree again."""
+    stand_ins = {
+        id(child): TableValue(Relation(schema, [], validate=False))
+        for child, schema in zip(node.children(), schemas)
+    }
+    return map_children(node, lambda child: stand_ins.get(id(child), child))
+
+
 class PlanTyper:
     """One lint run's walk over one plan tree."""
 
@@ -154,11 +165,7 @@ class PlanTyper:
             if schema is None:
                 return None
             inputs.append(schema)
-        derived = {
-            id(child): TableValue(Relation(child_schema, [], validate=False))
-            for (child, _), child_schema in zip(children, inputs)
-        }
-        local = map_children(node, lambda child: derived.get(id(child), child))
+        local = over_stand_ins(node, inputs)
         schema = self.engine_check(lambda: local.schema(self.catalog), path)
         check = getattr(self, f"_check_{name}", None)
         if schema is not None and check is not None:

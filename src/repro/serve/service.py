@@ -7,11 +7,11 @@ engines:
   (:mod:`repro.serve.http`), makes the admission decision
   (:mod:`repro.serve.admission`), and enforces deadlines.  It never
   executes a query.
-* Admitted requests are dispatched to a **worker thread pool** (drawn
-  from the same :class:`~repro.gmdj.pool.PoolRegistry` machinery the
-  GMDJ partition workers use) via ``run_in_executor``, with the calling
-  context copied so the request's metrics scope and the tenant's pool
-  registry resolve inside the thread.
+* Admitted requests are dispatched to a **worker thread pool** (one
+  :class:`~concurrent.futures.ThreadPoolExecutor` of ``workers``
+  threads, shut down on drain) via ``run_in_executor``, with the calling
+  context copied so the request's metrics scope resolves inside the
+  thread.
 * The thread runs the tiered serving path
   (:meth:`repro.serve.state.Tenant.run_query`): result cache, rollup
   store, then execution — under the tenant's reader-writer lock.
@@ -36,11 +36,11 @@ import contextvars
 import functools
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.engine.options import QueryOptions
 from repro.errors import ReproError, WorkerPoolError
-from repro.gmdj.pool import PoolRegistry
 from repro.obs.metrics import get_registry
 from repro.serve.admission import AdmissionController, QueueFull
 from repro.serve.http import (
@@ -105,11 +105,10 @@ class QueryService:
             workers=self.config.workers,
             queue_depth=self.config.queue_depth,
         )
-        #: The dispatcher executors; shut down on drain.  Thread workers
-        #: — tenant databases live in this process — while partitioned
-        #: GMDJ evaluation below may still fan out to process pools.
-        self.pools = PoolRegistry()
-        self._executor = self.pools.get("thread", self.config.workers)
+        #: The dispatcher; shut down on drain.  Thread workers — tenant
+        #: databases live in this process — while partitioned GMDJ
+        #: evaluation below may still fan out to process pools.
+        self._executor = ThreadPoolExecutor(max_workers=self.config.workers)
         self._server: asyncio.base_events.Server | None = None
         self._draining = False
         self._started_at = time.time()
@@ -143,9 +142,9 @@ class QueryService:
         Safe to call more than once.  Order matters: flip the draining
         flag (new requests get 503), wait for admitted requests to
         complete (bounded by ``drain_grace_s``), then stop the listener,
-        shut down the dispatcher executors, and close every tenant
-        database — which in turn shuts down the tenants' pooled GMDJ
-        executors via ``Database.close()``.
+        shut down the dispatcher, and close every tenant database — which
+        in turn shuts down the tenants' pooled GMDJ executors via
+        ``Database.close()``.
         """
         if self._draining:
             return
@@ -154,7 +153,7 @@ class QueryService:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        self.pools.shutdown(wait=True)
+        self._executor.shutdown(wait=True)
         self.tenants.close_all()
 
     @property

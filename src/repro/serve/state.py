@@ -17,14 +17,16 @@ one read-lock hold:
    (exact signature or subsumption), zero detail scans on a hit;
 3. **execution** — the normal planner/kernel path, whose pooled
    partitioned evaluation reuses the tenant database's persistent
-   executors (:class:`~repro.gmdj.pool.PoolRegistry`).
+   executors.
 
-Which tier answered is read off the request's private metrics registry
+A ``/query`` runs as a batch of one, so ``/query`` and ``/batch`` share
+one request body (:meth:`Tenant._serve`).  Which tier answered is read
+off the request's private metrics registry
 (:class:`~repro.obs.metrics.metrics_scope` isolates it from interleaved
-requests).  Every query also runs under its own tracer, and the count
-of ``detail_scan`` spans plus the request's IOStats delta ride along in
-the response — so a client, or the CI smoke leg, can verify the
-zero-detail-scan invariant for rollup-served requests over plain HTTP.
+requests).  The request's IOStats delta rides along in the response,
+its ``detail_scans`` counter included — so a client, or the CI smoke
+leg, can verify the zero-detail-scan invariant for rollup-served
+requests over plain HTTP.  Nothing here installs a tracer.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from repro.engine.database import Database
 from repro.engine.options import QueryOptions
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.metrics import metrics_scope
-from repro.obs.tracer import tracing
 from repro.serve.locks import LockTimeout, ReadWriteLock
 from repro.storage.iostats import collect
 from repro.storage.relation import Relation
@@ -136,44 +137,18 @@ class Tenant:
 
     def run_query(self, sql: str, options: QueryOptions,
                   deadline: float | None = None) -> dict:
-        """Tiered query execution under the shared read lock."""
-        try:
-            self.lock.acquire_read(timeout=remaining(deadline))
-        except LockTimeout as error:
-            raise DeadlineExceeded(str(error)) from None
-        try:
-            remaining(deadline)  # a read that queued past its budget
-            with metrics_scope() as metrics:
-                with collect() as stats, tracing() as tracer:
-                    started = time.perf_counter()
-                    result = self.db.execute_sql(sql, options)
-                    elapsed = time.perf_counter() - started
-            detail_scans = sum(
-                1 for span_ in tracer.trace().walk()
-                if span_.kind == "detail_scan"
-            )
-            self.queries += 1
+        """Tiered query execution under the shared read lock: a batch of
+        one, as ``Database.execute_sql`` runs it."""
+        def respond(batch, metrics) -> dict:
+            result = batch[0]
             return {
-                "tenant": self.name,
                 "columns": list(result.schema.names),
                 "rows": json_rows(result),
                 "row_count": len(result),
-                "elapsed_ms": round(elapsed * 1000, 3),
                 "served_by": _served_by(metrics),
-                "detail_scans": detail_scans,
-                "io": {
-                    key: value
-                    for key, value in stats.snapshot().items() if value
-                },
-                "metrics": {
-                    "counters": {
-                        name: counter.value
-                        for name, counter in sorted(metrics.counters.items())
-                    },
-                },
             }
-        finally:
-            self.lock.release_read()
+
+        return self._serve([sql], options, deadline, respond)
 
     def run_batch(self, sqls: list[str], options: QueryOptions,
                   deadline: float | None = None) -> dict:
@@ -187,26 +162,10 @@ class Tenant:
         here, so ``/metrics`` stays consistent with per-request
         certificates.
         """
-        try:
-            self.lock.acquire_read(timeout=remaining(deadline))
-        except LockTimeout as error:
-            raise DeadlineExceeded(str(error)) from None
-        try:
-            remaining(deadline)
-            with metrics_scope() as metrics:
-                with collect() as stats, tracing() as tracer:
-                    started = time.perf_counter()
-                    batch = self.db.execute_sql_batch(sqls, options)
-                    elapsed = time.perf_counter() - started
-            detail_scans = sum(
-                1 for span_ in tracer.trace().walk()
-                if span_.kind == "detail_scan"
-            )
-            self.queries += len(sqls)
+        def respond(batch, metrics) -> dict:
             report = batch.report
-            results = []
-            for item in batch.items:
-                results.append({
+            return {
+                "results": [{
                     "index": item.index,
                     "columns": list(item.result.schema.names),
                     "rows": json_rows(item.result),
@@ -216,14 +175,35 @@ class Tenant:
                     "shared": item.shared,
                     "detail_scans": item.detail_scans,
                     "io": item.io_json(),
-                })
-            return {
-                "tenant": self.name,
-                "results": results,
+                } for item in batch.items],
                 "batch": report.to_json(),
                 "scans_saved": report.scans_saved,
+            }
+
+        return self._serve(sqls, options, deadline, respond)
+
+    def _serve(self, sqls: list[str], options: QueryOptions,
+               deadline: float | None, respond) -> dict:
+        """One request: ``sqls`` as one batch under the read lock, timed
+        (parse and bind included) inside a private metrics registry and
+        IOStats collection; ``respond(batch, metrics)`` supplies the
+        payload fields particular to the endpoint."""
+        try:
+            self.lock.acquire_read(timeout=remaining(deadline))
+        except LockTimeout as error:
+            raise DeadlineExceeded(str(error)) from None
+        try:
+            remaining(deadline)  # a read that queued past its budget
+            with metrics_scope() as metrics, collect() as stats:
+                started = time.perf_counter()
+                batch = self.db.execute_sql_batch(sqls, options)
+                elapsed = time.perf_counter() - started
+            self.queries += len(sqls)
+            return {
+                "tenant": self.name,
+                **respond(batch, metrics),
                 "elapsed_ms": round(elapsed * 1000, 3),
-                "detail_scans": detail_scans,
+                "detail_scans": stats.detail_scans,
                 "io": {
                     key: value
                     for key, value in stats.snapshot().items() if value

@@ -9,6 +9,8 @@ the cost proxies the paper reasons with:
   cost in OLAP; the GMDJ's selling point is a single scan of the detail
   relation).
 * ``relation_scans`` — number of full passes started over stored relations.
+* ``detail_scans`` — GMDJ detail scans (the paper's claim is one per GMDJ;
+  a fragmented run scans once per fragment).
 * ``predicate_evals`` — how many times a θ/selection condition was evaluated
   (tuple-iteration semantics explodes this counter).
 * ``index_probes`` / ``index_builds`` — index usage.
@@ -55,6 +57,7 @@ class IOStats:
     tuples_scanned: int = 0
     pages_read: int = 0
     relation_scans: int = 0
+    detail_scans: int = 0
     predicate_evals: int = 0
     index_probes: int = 0
     index_builds: int = 0

@@ -27,6 +27,7 @@ from repro.algebra.expressions import (
     Literal,
     Or,
 )
+from repro.algebra.operators import Project, ScanTable, Select
 from repro.errors import TranslationError
 from repro.fuzz.datagen import DatabaseSpec
 from repro.gmdj.operator import GMDJ, ThetaBlock
@@ -47,6 +48,7 @@ from repro.lint.absint import (
     stored_nullability,
 )
 from repro.storage import DataType, Relation
+from repro.storage.columnar import ColumnarRelation, cached_columnar
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -57,6 +59,18 @@ def kv_schema():
     ).schema
 
 
+#: One column of each encoding kind: its type, three non-NULL values,
+#: and the kind the encoder gives them (a >64-bit int has no array form).
+KINDS = {
+    "int": (DataType.INTEGER, [1, 2, 3]),
+    "float": (DataType.FLOAT, [1.5, -2.0, 0.0]),
+    "dict": (DataType.STRING, ["a", "b", "a"]),
+    "bool": (DataType.BOOLEAN, [True, False, True]),
+    "object": (DataType.INTEGER, [1, 2, 2 ** 70]),
+}
+NULLS = {"none": (0, NEVER), "some": (1, MAYBE), "all": (3, ALWAYS)}
+
+
 class TestStoredNullability:
     def test_empty_relation_is_vacuously_never(self):
         assert stored_nullability([], 3) == [NEVER, NEVER, NEVER]
@@ -64,6 +78,44 @@ class TestStoredNullability:
     def test_mixed_columns(self):
         rows = [(1, None, None), (2, 5, None)]
         assert stored_nullability(rows, 3) == [NEVER, MAYBE, ALWAYS]
+
+    @pytest.mark.parametrize("nulls", NULLS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_stored_table_verdicts(self, kind, nulls):
+        # A stored table's verdicts come from its encoding's validity
+        # masks; they equal what its rows show.
+        dtype, values = KINDS[kind]
+        count, expected = NULLS[nulls]
+        db = Database()
+        db.create_table("T", [("A", dtype), ("K", DataType.INTEGER)], [
+            (None if position < count else value, position)
+            for position, value in enumerate(values)
+        ])
+        certificate = certify_capabilities(ScanTable("T"), db.catalog)
+        assert [column.nullability for column in certificate.columns] == (
+            [expected, NEVER])
+        if nulls != "all":
+            assert cached_columnar(db.table("T")).columns[0].kind == kind
+
+    def test_empty_table_is_vacuously_never(self):
+        db = Database()
+        db.create_table("T", [("A", DataType.INTEGER),
+                              ("S", DataType.STRING)], [])
+        certificate = certify_capabilities(ScanTable("T"), db.catalog)
+        assert [column.nullability for column in certificate.columns] == (
+            [NEVER, NEVER])
+
+    def test_column_backed_table_is_not_transposed(self):
+        db = Database()
+        stored = Relation.from_columns(
+            [("K", DataType.INTEGER), ("V", DataType.STRING)],
+            [(1, "x"), (2, None)])
+        db.register("T", Relation.column_backed(
+            ColumnarRelation.from_relation(stored), name="T"))
+        certificate = certify_capabilities(ScanTable("T"), db.catalog)
+        assert [column.nullability for column in certificate.columns] == (
+            [NEVER, MAYBE])
+        assert db.table("T")._rows is None
 
 
 class TestExpressionNullability:
@@ -236,6 +288,33 @@ class TestPlanCertification:
         from repro.unnesting.translate import subquery_to_gmdj
 
         return subquery_to_gmdj(db.sql(sql), db.catalog, optimize=True)
+
+    def test_each_node_is_derived_once(self, monkeypatch):
+        # A deep chain asks for the scan's schema once, not once per
+        # ancestor; the GMDJ entries reuse the pass's detail verdicts.
+        derivations = []
+        derive = ScanTable.schema
+
+        def counting(node, catalog):
+            derivations.append(node.table_name)
+            return derive(node, catalog)
+
+        monkeypatch.setattr(ScanTable, "schema", counting)
+        db = self.make_db()
+        plan = self.translate(
+            db,
+            "SELECT b.K FROM B b WHERE EXISTS "
+            "(SELECT * FROM R r WHERE r.K = b.K)",
+        )
+        for _ in range(20):
+            plan = Project(
+                Select(plan, Comparison(">", Column("b.K"), Literal(0))),
+                ["b.K"],
+            )
+        derivations.clear()
+        certificate = certify_capabilities(plan, db.catalog)
+        assert certificate.complete
+        assert sorted(derivations) == ["B", "R"]
 
     def test_exists_plan_certifies_never_null_key(self):
         db = self.make_db()

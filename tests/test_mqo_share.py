@@ -224,6 +224,19 @@ class TestExecuteBatchSurface:
         for key, total in batch.report.io_totals.items():
             assert summed.get(key, 0) == pytest.approx(total)
 
+    def test_untraced_members_count_their_detail_scans(self, db):
+        # No tracer is installed: the counts come from IOStats.
+        batch = db.execute_sql_batch(
+            [EXISTS_R, EXISTS_R_THETA, EXISTS_S],
+            QueryOptions(use_cache=False),
+        )
+        shared = [item for item in batch.items if item.shared]
+        (single,) = [item for item in batch.items if not item.shared]
+        assert [item.detail_scans for item in shared] == [0.5, 0.5]
+        assert single.detail_scans == 1.0
+        total = sum(item.detail_scans for item in batch.items)
+        assert total == batch.report.io_totals["detail_scans"] == 2
+
     def test_string_options_rejected(self, db):
         with pytest.raises(ConfigurationError):
             db.execute_sql_batch([EXISTS_R], "gmdj")

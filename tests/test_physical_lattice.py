@@ -118,11 +118,18 @@ def options_at(strategy, kernel, fragmenter, rollup="off", use_cache=False,
 
 def run_checked(db, query, options):
     """Execute under tracing + IOStats collection; the trace must be clean."""
+    return traced(lambda: db.execute(query, options))
+
+
+def traced(run):
+    """``run()`` under tracing + IOStats collection: the trace must be
+    clean, and the ``detail_scans`` counter must count its detail scans."""
     with tracing() as tracer, collect() as stats:
-        result = db.execute(query, options)
+        result = run()
     trace = tracer.trace()
     report = check_trace(trace)
     assert report.ok, report.violations
+    assert stats.detail_scans == len(trace.find(kind="detail_scan"))
     return result, stats.snapshot(), trace
 
 
@@ -168,14 +175,14 @@ class TestLattice:
         db = make_db()
         options = options_at(strategy, kernel, fragmenter, rollup="subsume")
         cold, _, _ = run_checked(db, CASES[case], options)
-        warm, _, warm_trace = run_checked(db, CASES[case], options)
+        warm, warm_stats, warm_trace = run_checked(db, CASES[case], options)
         assert cold.rows == rows
         assert warm.rows == rows
         if strategy == "gmdj":
             # Every node is a plain GMDJ the cold run stored: the warm
             # run is served without touching the detail relation.
             assert warm_trace.find(kind="rollup_hit")
-            assert not warm_trace.find(kind="detail_scan")
+            assert warm_stats["detail_scans"] == 0
 
     @pytest.mark.parametrize("fragmenter", FRAGMENTERS)
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -188,8 +195,9 @@ class TestLattice:
         options = options_at(strategy, kernel, fragmenter, use_cache=True)
         cold, _, _ = run_checked(db, CASES[case], options)
         hits = db.cache.result_hits
-        warm, _, _ = run_checked(db, CASES[case], options)
+        warm, warm_stats, _ = run_checked(db, CASES[case], options)
         assert db.cache.result_hits == hits + 1
+        assert warm_stats["detail_scans"] == 0
         assert cold.rows == rows
         assert warm.rows == rows
 
@@ -229,13 +237,16 @@ class TestLattice:
             db = make_db()
             options = options_at("gmdj_optimized", kernel, fragmenter,
                                  mqo=mqo)
-            batch = db.execute_batch(queries, options)
+            batch, stats, _ = traced(
+                lambda: db.execute_batch(queries, options))
+            assert sum(item.detail_scans for item in batch.items) == (
+                pytest.approx(stats["detail_scans"]))
             for query, result in zip(queries, batch):
                 assert result.rows == db.execute(query, options).rows, mqo
             assert len(batch.report.groups) == (mqo == "coalesce")
             for group in batch.report.groups:
                 # The scan-count certificate is checkable only when no
-                # fragmenter multiplies the detail_scan spans.
+                # fragmenter multiplies the detail scans.
                 assert group.certified is (
                     True if fragmenter == "none" else None)
 

@@ -60,9 +60,8 @@ class TestBatchEndpoint:
         members = payload["results"]
         shared = [m for m in members if m["shared"]]
         assert shared, "expected shared members in a compatible batch"
-        # Per-member fractional detail scans sum to the trace's total.
-        total = sum(m["detail_scans"] for m in members
-                    if m["detail_scans"] is not None)
+        # Per-member fractional detail scans sum to the request's total.
+        total = sum(m["detail_scans"] for m in members)
         assert total == pytest.approx(payload["detail_scans"])
         # Per-member io sums reconcile with the batch io totals (the
         # wire payload rounds each fraction to 4 decimals, so allow
@@ -149,3 +148,36 @@ class TestBatchWindow:
         assert payload["served_by"] == "batch"
         assert payload["batch_queries"] == 1
         assert sorted(payload["rows"]) == [[1], [2]]
+
+
+QUERY_KEYS = {"tenant", "columns", "rows", "row_count", "elapsed_ms",
+              "served_by", "detail_scans", "io", "metrics"}
+BATCH_KEYS = {"tenant", "results", "batch", "scans_saved", "elapsed_ms",
+              "detail_scans", "io", "metrics"}
+MEMBER_KEYS = {"index", "columns", "rows", "row_count", "elapsed_ms",
+               "group", "shared", "detail_scans", "io"}
+
+
+class TestResponseKeys:
+    def test_query_and_batch_keys(self, live_server):
+        server = live_server()
+        sql = server.create_tables()
+        _, executed = server.post("/query", {"sql": sql})
+        _, cached = server.post("/query", {"sql": sql})
+        assert set(executed) == set(cached) == QUERY_KEYS
+        assert (executed["served_by"], cached["served_by"]) == (
+            "execute", "cache")
+        assert executed["detail_scans"] >= 1
+        assert cached["detail_scans"] == 0
+        _, batch = server.post("/batch", {"queries": COMPATIBLE})
+        assert set(batch) == BATCH_KEYS
+        for member in batch["results"]:
+            assert set(member) == MEMBER_KEYS
+
+    def test_window_member_keys(self, live_server):
+        server = live_server(batch_window_ms=50.0)
+        sql = server.create_tables()
+        _, payload = server.post("/query", {"sql": sql})
+        assert set(payload) == MEMBER_KEYS | {
+            "tenant", "served_by", "batch_queries", "batch_scans_saved"}
+        assert payload["detail_scans"] >= 1

@@ -582,4 +582,5 @@ class TestLifecycle:
         assert server.service.draining
         assert tenant.db.closed
         assert tenant.db.pools.closed
-        assert server.service.pools.closed
+        with pytest.raises(RuntimeError):  # the dispatcher takes no more work
+            server.service._executor.submit(lambda: None)

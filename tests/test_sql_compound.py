@@ -1,6 +1,8 @@
 """Tests for compound SELECTs (UNION/EXCEPT/INTERSECT), LIMIT/OFFSET,
 and the Intersect/Limit operators."""
 
+import sqlite3
+
 import pytest
 
 from repro.algebra.operators import Intersect, Limit, ScanTable
@@ -124,3 +126,47 @@ class TestExecution:
         reference = execute(plan, catalog, "naive")
         for strategy in ("native", "gmdj", "gmdj_optimized"):
             assert reference.bag_equal(execute(plan, catalog, strategy))
+
+
+# Two columns per table, so a member bound without its projection (or
+# with its columns in the wrong order) changes the rows or the arity.
+PAIRS_T = [(1, 10), (1, 10), (2, 20), (3, None), (4, 4), (5, 50)]
+PAIRS_U = [(10, 1), (30, 3), (4, 4), (None, 3), (20, 5)]
+
+
+@pytest.fixture
+def pairs() -> Catalog:
+    cat = Catalog()
+    for name, rows in (("T", PAIRS_T), ("U", PAIRS_U)):
+        cat.create_table(name, Relation.from_columns(
+            [("a", DataType.INTEGER), ("b", DataType.INTEGER)], rows,
+        ))
+    return cat
+
+
+def sqlite_rows(sql: str) -> list:
+    connection = sqlite3.connect(":memory:")
+    for name, rows in (("T", PAIRS_T), ("U", PAIRS_U)):
+        connection.execute(f"CREATE TABLE {name} (a INTEGER, b INTEGER)")
+        connection.executemany(f"INSERT INTO {name} VALUES (?, ?)", rows)
+    try:
+        return connection.execute(sql).fetchall()
+    finally:
+        connection.close()
+
+
+def bag(rows) -> list:
+    return sorted(rows, key=lambda row: tuple((v is None, v or 0)
+                                              for v in row))
+
+
+class TestMembersOfTwoColumnTables:
+    @pytest.mark.parametrize("sql", [
+        "SELECT a, b FROM T UNION ALL SELECT b, a FROM U",
+        "SELECT a, b FROM T UNION SELECT b, a FROM U",
+        "SELECT b FROM T EXCEPT SELECT a FROM U",
+        "SELECT b FROM T INTERSECT SELECT a FROM U",
+    ])
+    def test_each_member_keeps_its_projection(self, pairs, sql):
+        result = compile_sql(sql, pairs).evaluate(pairs)
+        assert bag(result.rows) == bag(sqlite_rows(sql))
