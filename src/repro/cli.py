@@ -48,14 +48,15 @@ The ``serve`` subcommand boots the async multi-tenant query service
 (:mod:`repro.serve`)::
 
     python -m repro serve --port 8125 --workers 4 --queue-depth 64 \\
-        --data warehouse_dir/ --rollup subsume
+        --data warehouse_dir/
 
-It exposes ``/query``, ``/ddl``, ``/explain``, ``/metrics`` and
-``/healthz`` as JSON-over-HTTP endpoints with bounded-queue admission
+It exposes ``/query``, ``/batch``, ``/ddl``, ``/explain``, ``/metrics``
+and ``/healthz`` as JSON-over-HTTP endpoints with bounded-queue admission
 control (429 on overload), per-request deadlines (408), and graceful
 drain on SIGINT/SIGTERM (503 while draining).  ``--data`` pre-loads a
 CSV directory into the ``default`` tenant; other tenants are created on
-first reference.
+first reference.  The server sets no execution options: a request's own
+``options`` object is the only one.
 
 The ``convert`` subcommand rewrites a data directory between the CSV
 interchange format and the binary ``.cols`` column format::
@@ -85,7 +86,7 @@ import sys
 from pathlib import Path
 
 from repro.engine import STRATEGIES, Database, QueryOptions, plan_for
-from repro.engine.options import BACKENDS, MQO_LEVELS, ROLLUP_LEVELS
+from repro.engine.options import BACKENDS, ROLLUP_LEVELS
 from repro.errors import ReproError
 
 DEFAULT_STRATEGY = QueryOptions().strategy
@@ -121,11 +122,6 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
              "rollups (exact signature match, or subsumption from a "
              "coarser stored rollup); default off",
     )
-    parser.add_argument(
-        "--mqo", choices=MQO_LEVELS, default="coalesce",
-        help="batch multi-query optimization level: share detail scans "
-             "across compatible queries in a batch (default coalesce)",
-    )
 
 
 def query_options(args) -> QueryOptions:
@@ -137,7 +133,6 @@ def query_options(args) -> QueryOptions:
         backend=args.backend,
         use_cache=not args.no_cache,
         rollup=args.rollup,
-        mqo=args.mqo,
     )
 
 
@@ -621,21 +616,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--data", type=Path, default=None,
         help="directory of *.csv files pre-loaded into tenant 'default'",
     )
-    parser.add_argument(
-        "--strategy", choices=STRATEGIES, default=DEFAULT_STRATEGY,
-        help="default evaluation strategy for served queries",
-    )
-    parser.add_argument(
-        "--rollup", choices=ROLLUP_LEVELS, default="off",
-        help="default rollup serving tier for served queries "
-             "(default off)",
-    )
-    parser.add_argument(
-        "--batch-window-ms", type=float, default=0.0, metavar="MS",
-        help="when > 0, hold /query requests up to this long and flush "
-             "same-tenant same-options arrivals together through the "
-             "MQO batch path (default 0: disabled)",
-    )
     return parser
 
 
@@ -652,8 +632,6 @@ def serve_main(argv: list[str], out) -> int:
             deadline_ms=args.deadline_ms,
             max_tenants=args.max_tenants,
             drain_grace_s=args.drain_grace,
-            batch_window_ms=args.batch_window_ms,
-            options=QueryOptions(strategy=args.strategy, rollup=args.rollup),
         )
         if args.data is not None and not args.data.is_dir():
             print(f"error: {args.data} is not a directory", file=sys.stderr)

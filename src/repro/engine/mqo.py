@@ -29,10 +29,10 @@ queries it:
    consumer) so per-query accounting still reconciles with batch totals
    (the serve tier's ``/metrics`` consistency depends on this).
 
-MQO levels (``QueryOptions.mqo``): ``"coalesce"`` (the default) runs
-steps 1–5, ``"off"`` executes every member independently.
-:func:`repro.obs.explain.explain_batch` renders the groups a batch
-would form without executing anything.
+Every batch runs steps 1–5; no option turns sharing off.  The unshared
+reference is each member run alone (``Database.execute`` is a batch of
+one, which plans no group).  :func:`repro.obs.explain.explain_batch`
+renders the groups a batch would form without executing anything.
 
 Shared groups bypass the per-query result cache in both directions: a
 cached result would mask a buggy merge from the differential suite, and
@@ -118,13 +118,12 @@ class PlannedGroup:
 class BatchPlan:
     """The sharing decision for one batch, before any execution."""
 
-    level: str
     queries: int
     groups: list[PlannedGroup]
     singletons: list[int]
     #: The tree each member executes, by index — built here once, so a
     #: member that runs alone is not planned again; None where nothing
-    #: was planned (level ``off``, a batch of one).
+    #: was planned (a batch of one).
     plans: list[Operator | None]
 
     @property
@@ -140,14 +139,12 @@ def plan_batch(
 ) -> BatchPlan:
     """Translate, fingerprint, and partition a batch into share groups.
 
-    Pure planning — nothing is executed.  At level ``"off"`` (or for a
-    batch of one) every query is a singleton.
+    Pure planning — nothing is executed.  A batch of one is a singleton.
     """
     canon = options.canonical()
-    level = canon.mqo
     indices = list(range(len(queries)))
-    if level == "off" or len(queries) < 2:
-        return BatchPlan(level=level, queries=len(queries), groups=[],
+    if len(queries) < 2:
+        return BatchPlan(queries=len(queries), groups=[],
                          singletons=indices, plans=[None] * len(queries))
     translations = cache if canon.use_cache else None
     plans: list[Operator | None] = []
@@ -182,7 +179,6 @@ def plan_batch(
         ))
     grouped = {index for group in groups for index in group.indices}
     return BatchPlan(
-        level=level,
         queries=len(queries),
         groups=groups,
         singletons=[index for index in indices if index not in grouped],
@@ -258,7 +254,6 @@ class BatchItem:
 class BatchReport:
     """The batch-level account: groups, savings, certificates, totals."""
 
-    mqo: str
     queries: int
     groups: list[ShareGroupReport] = field(default_factory=list)
     elapsed_seconds: float = 0.0
@@ -276,13 +271,11 @@ class BatchReport:
     def summary(self) -> str:
         return (
             f"batch: {self.queries} queries, {len(self.groups)} share "
-            f"group(s), {self.scans_saved} detail scan(s) saved "
-            f"(mqo={self.mqo})"
+            f"group(s), {self.scans_saved} detail scan(s) saved"
         )
 
     def to_json(self) -> dict:
         payload = {
-            "mqo": self.mqo,
             "queries": self.queries,
             "share_groups": [group.to_json() for group in self.groups],
             "scans_saved": self.scans_saved,
@@ -375,7 +368,7 @@ def execute_batch(
     ambient = IOStats.ambient()
     totals: dict[str, int] = {}
     items: list[BatchItem | None] = [None] * len(queries)
-    report = BatchReport(mqo=plan.level, queries=len(queries))
+    report = BatchReport(queries=len(queries))
 
     for group in plan.groups:
         certificate = certify_plan(group.shared.gmdj)

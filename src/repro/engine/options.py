@@ -25,22 +25,19 @@ frozen dataclass, :class:`QueryOptions`:
   signature match first (the exact tier), then finer queries from
   coarser rollups via residual filtering.  Orthogonal to ``use_cache``
   (which caches whole query results by exact key).
-* ``mqo``           — multi-query optimization for batch execution
-  (:mod:`repro.engine.mqo`): ``"off"`` runs every batch member
-  independently, ``"coalesce"`` merges each share group into one
-  multi-consumer GMDJ over a single detail scan (the default).  Only
-  ``Database.execute_batch`` / ``execute_sql_batch`` consult it;
-  single-query entry points ignore it.
 
-``backend``, ``rollup`` and ``mqo`` default to one of their own listed
-names, never ``None``: options come from the call, not the
-process environment.  Construction checks every value: ``partitions``
-/ ``workers`` must be positive ``int`` (not ``bool``), ``trace`` /
+No option shapes a batch: ``Database.execute_batch`` always coalesces
+its share groups (:mod:`repro.engine.mqo`), and a member run alone is
+a batch of one.
+
+``backend`` and ``rollup`` default to one of their own listed names,
+never ``None``: options come from the call, not the process
+environment.  Construction checks every value: ``partitions`` /
+``workers`` must be positive ``int`` (not ``bool``), ``trace`` /
 ``use_cache`` ``bool``, the rest one of their listed names — anything
-else is a
-:class:`~repro.errors.ConfigurationError` (an unknown strategy a
-:class:`~repro.errors.PlanError`), so a JSON request body can never
-smuggle in ``"2"`` or ``"no"``.
+else is a :class:`~repro.errors.ConfigurationError` (an unknown
+strategy a :class:`~repro.errors.PlanError`), so a JSON request body
+can never smuggle in ``"2"`` or ``"no"``.
 
 Kernel and fragmenter compose freely (any kernel, partitioned or
 not); :meth:`QueryOptions.kernel` and
@@ -75,8 +72,6 @@ BACKENDS = ("row", "python", "numpy", "auto")
 
 ROLLUP_LEVELS = ("off", "subsume")
 
-MQO_LEVELS = ("off", "coalesce")
-
 
 def resolve_kernel(backend: str) -> str:
     """The kernel a ``backend`` runs: ``"row"``, ``"python"`` or
@@ -95,7 +90,6 @@ class QueryOptions:
     trace: bool = False
     use_cache: bool = True
     rollup: str = "off"
-    mqo: str = "coalesce"
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -112,11 +106,6 @@ class QueryOptions:
             raise ConfigurationError(
                 f"unknown rollup level {self.rollup!r}; "
                 f"choose one of {ROLLUP_LEVELS}"
-            )
-        if self.mqo not in MQO_LEVELS:
-            raise ConfigurationError(
-                f"unknown mqo level {self.mqo!r}; "
-                f"choose one of {MQO_LEVELS}"
             )
         for name in ("partitions", "workers"):
             value = getattr(self, name)
@@ -189,11 +178,7 @@ class QueryOptions:
         return dataclasses.replace(self, trace=trace)
 
     def cache_key(self) -> tuple:
-        """The options components that affect a query's cached artifacts.
-
-        ``mqo`` does not: a shared group bypasses the result cache, and a
-        singleton runs the plan it would run alone.
-        """
+        """The options components that affect a query's cached artifacts."""
         canon = self.canonical()
         return (canon.strategy, canon.kernel(), canon.fragmenter(),
                 canon.partitions, canon.workers, canon.rollup)

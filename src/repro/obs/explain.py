@@ -411,10 +411,7 @@ def explain_batch(db, queries, options=None) -> Explain:
 
     options = _coerce(options)
     plan = plan_batch(queries, db.catalog, options, cache=db.cache)
-    lines = [
-        f"-- EXPLAIN BATCH ({len(queries)} queries, mqo={plan.level}, "
-        f"{_label(options)})"
-    ]
+    lines = [f"-- EXPLAIN BATCH ({len(queries)} queries, {_label(options)})"]
     groups_payload = []
     for group in plan.groups:
         certificate = certify_plan(group.shared.gmdj)
@@ -446,7 +443,6 @@ def explain_batch(db, queries, options=None) -> Explain:
         lines.append(text)
         singles_payload.append({"index": index, "plan": text})
     payload = {
-        "mqo": plan.level,
         "queries": len(queries),
         "strategy": options.strategy,
         "share_groups": groups_payload,

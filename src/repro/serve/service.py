@@ -37,9 +37,8 @@ import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.engine.options import QueryOptions
 from repro.errors import ReproError, WorkerPoolError
 from repro.obs.metrics import get_registry
 from repro.serve.admission import AdmissionController, QueueFull
@@ -73,23 +72,6 @@ class ServeConfig:
     max_tenants: int = 16
     cache_size: int = 128
     drain_grace_s: float = 10.0
-    #: When > 0, ``/query`` requests wait up to this long for other
-    #: requests with the same tenant and options, then execute together
-    #: through the MQO batch path (one admission slot per flush).
-    batch_window_ms: float = 0.0
-    #: Server-side execution defaults; request ``options`` override.
-    options: QueryOptions = field(default_factory=QueryOptions)
-
-
-@dataclass
-class _BatchWindow:
-    """One open batch window's accumulating requests (event-loop only)."""
-
-    tenant: object
-    options: QueryOptions
-    sqls: list = field(default_factory=list)
-    futures: list = field(default_factory=list)
-    deadline_s: float | None = None
 
 
 class QueryService:
@@ -114,9 +96,6 @@ class QueryService:
         self._started_at = time.time()
         self.port: int | None = None
         self.statuses: dict[int, int] = {}
-        #: Open batch windows, keyed by (tenant, options); each flushes
-        #: once via ``loop.call_later`` after ``batch_window_ms``.
-        self._windows: dict[tuple, _BatchWindow] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -240,27 +219,22 @@ class QueryService:
         body = request.json()
         if not isinstance(body, dict):
             raise HttpError(400, "request body must be a JSON object")
+        options = parse_options(body.get("options"))
         tenant = self.tenants.get(body.get("tenant", "default"))
         deadline_s = self._deadline_seconds(request, body)
         if request.path == "/query":
-            sql = self._sql(body)
-            options = parse_options(body.get("options"), self.config.options)
-            if self.config.batch_window_ms > 0:
-                return await self._through_window(
-                    tenant, sql, options, deadline_s
-                )
-            worker = functools.partial(tenant.run_query, sql, options)
-        elif request.path == "/batch":
-            sqls = self._sqls(body)
-            options = parse_options(body.get("options"), self.config.options)
-            worker = functools.partial(tenant.run_batch, sqls, options)
-        elif request.path == "/explain":
-            sql = self._sql(body)
-            options = parse_options(body.get("options"), self.config.options)
             worker = functools.partial(
-                tenant.run_explain, sql, options,
-                bool(body.get("analyze", False)),
-            )
+                tenant.run_query, self._sql(body), options)
+        elif request.path == "/batch":
+            worker = functools.partial(
+                tenant.run_batch, self._sqls(body), options)
+        elif request.path == "/explain":
+            analyze = body.get("analyze", False)
+            if not isinstance(analyze, bool):
+                raise HttpError(
+                    400, f"'analyze' must be true or false, not {analyze!r}")
+            worker = functools.partial(
+                tenant.run_explain, self._sql(body), options, analyze)
         else:  # /ddl
             statement = body.get("statement")
             worker = functools.partial(tenant.run_ddl, statement)
@@ -280,66 +254,6 @@ class QueryService:
                 400, "batch needs 'queries': a non-empty list of SQL strings"
             )
         return sqls
-
-    # -- batch window --------------------------------------------------------
-
-    async def _through_window(self, tenant, sql: str,
-                              options: QueryOptions,
-                              deadline_s: float | None) -> dict:
-        """Hold a ``/query`` in the open batch window and await its slice.
-
-        Requests landing within ``batch_window_ms`` of each other with
-        the same tenant and options flush as one MQO batch under a
-        single admission slot; each waiter gets a per-query payload cut
-        from the batch response.  Failures fan out to every waiter.
-        """
-        loop = asyncio.get_running_loop()
-        key = (tenant.name, options)
-        window = self._windows.get(key)
-        if window is None:
-            window = self._windows[key] = _BatchWindow(
-                tenant=tenant, options=options
-            )
-            loop.call_later(
-                self.config.batch_window_ms / 1000.0,
-                lambda: loop.create_task(self._flush_window(key)),
-            )
-        window.sqls.append(sql)
-        if deadline_s is not None:
-            window.deadline_s = (
-                deadline_s if window.deadline_s is None
-                else max(window.deadline_s, deadline_s)
-            )
-        future: asyncio.Future = loop.create_future()
-        window.futures.append(future)
-        return await future
-
-    async def _flush_window(self, key: tuple) -> None:
-        window = self._windows.pop(key, None)
-        if window is None:
-            return
-        worker = functools.partial(
-            window.tenant.run_batch, window.sqls, window.options
-        )
-        try:
-            payload = await self._run_with_slot(worker, window.deadline_s)
-        except BaseException as error:  # noqa: BLE001 - fan out to waiters
-            for future in window.futures:
-                if not future.done():
-                    future.set_exception(error)
-            return
-        batch = payload.get("batch", {})
-        for index, future in enumerate(window.futures):
-            if future.done():
-                continue
-            member = dict(payload["results"][index])
-            member.update(
-                tenant=payload["tenant"],
-                served_by="batch",
-                batch_queries=batch.get("queries"),
-                batch_scans_saved=batch.get("scans_saved"),
-            )
-            future.set_result(member)
 
     def _deadline_seconds(self, request: HttpRequest, body: dict) -> float | None:
         """The request's deadline: a finite number of milliseconds that is

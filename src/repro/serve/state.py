@@ -57,16 +57,19 @@ class TenantLimitError(Exception):
 
 _TENANT_NAME = re.compile(r"[A-Za-z0-9_.\-]{1,64}")
 
-#: QueryOptions fields a request body may set: all of them except
-#: ``trace`` (tracing is the server's decision).  Anything else is
-#: rejected.
-OPTION_FIELDS = frozenset(
-    field.name for field in dataclasses.fields(QueryOptions)
-) - {"trace"}
+#: QueryOptions fields a request body may set.  ``trace`` and the
+#: fragmenter knobs ``partitions`` / ``workers`` are the server's
+#: decision: neither count has an upper bound, and a fragment count
+#: builds one relation per fragment, a worker count one cached pool.
+#: Anything else is rejected.
+OPTION_FIELDS = frozenset({"strategy", "backend", "use_cache", "rollup"})
+
+#: The options of a request that sends none; shared, never rebuilt.
+DEFAULT_OPTIONS = QueryOptions()
 
 
-def parse_options(payload, defaults: QueryOptions) -> QueryOptions:
-    """Build the request's QueryOptions over the server defaults.
+def parse_options(payload) -> QueryOptions:
+    """Build the request's QueryOptions over :data:`DEFAULT_OPTIONS`.
 
     ``payload`` is the request body's ``options`` object (or None).
     Unknown keys raise — a typo silently falling back to defaults would
@@ -75,7 +78,7 @@ def parse_options(payload, defaults: QueryOptions) -> QueryOptions:
     body is a 400 and never runs.
     """
     if payload is None:
-        return defaults
+        return DEFAULT_OPTIONS
     if not isinstance(payload, dict):
         raise ConfigurationError("options must be a JSON object")
     unknown = set(payload) - OPTION_FIELDS
@@ -84,7 +87,7 @@ def parse_options(payload, defaults: QueryOptions) -> QueryOptions:
             f"unknown option field(s) {sorted(unknown)}; "
             f"allowed: {sorted(OPTION_FIELDS)}"
         )
-    return dataclasses.replace(defaults, **payload)
+    return dataclasses.replace(DEFAULT_OPTIONS, **payload)
 
 
 def remaining(deadline: float | None) -> float | None:
@@ -295,9 +298,12 @@ def _columns(spec) -> list[tuple[str, DataType]]:
 
 
 def _rows(spec) -> list[tuple]:
+    """Parse ``[[1, "a"], ...]``: a list whose every row is an array, so
+    a string or an object is never spread into a row."""
     if spec is None:
         return []
-    if not isinstance(spec, list):
+    if not isinstance(spec, list) or not all(
+            isinstance(row, list) for row in spec):
         raise ConfigurationError("rows must be a list of row arrays")
     return [tuple(row) for row in spec]
 

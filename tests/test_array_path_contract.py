@@ -337,8 +337,7 @@ def test_the_runner_hands_back_a_relation_holding_its_rows(monkeypatch):
     assert result.rows == expected
 
 
-COALESCE = QueryOptions(backend="numpy", use_cache=False, rollup="off",
-                        mqo="coalesce")
+COALESCE = QueryOptions(backend="numpy", use_cache=False, rollup="off")
 
 
 def test_a_coalesced_batch_builds_rows_inside_its_clock(monkeypatch):
@@ -421,8 +420,7 @@ def test_a_coalesced_batch_runs_no_row_loop(monkeypatch):
     assert all(isinstance(candidate.node, SelectGMDJ)
                for candidate in plan.groups[1].candidates)
     row_batch, row_stats, _ = run_batch(
-        db, QueryOptions(backend="row", use_cache=False, rollup="off",
-                         mqo="coalesce"))
+        db, QueryOptions(backend="row", use_cache=False, rollup="off"))
     assert [result.rows for result in row_batch] == alone
     forbid_per_base_tuple_python(monkeypatch)
     forbid_per_tuple_python(monkeypatch)
@@ -443,8 +441,8 @@ def test_a_batch_trace_shows_each_members_residual_operators():
     db = batch_db()
     for options, columnar in (
             (COALESCE, True),
-            (QueryOptions(backend="row", use_cache=False, rollup="off",
-                          mqo="coalesce"), False)):
+            (QueryOptions(backend="row", use_cache=False, rollup="off"),
+             False)):
         _, _, trace = run_batch(db, options)
         groups = trace.find(kind="mqo_group")
         assert [span.attrs["columnar"] for span in groups] \

@@ -213,8 +213,14 @@ class TestServeSubcommand:
         assert args.workers == 4
         assert args.queue_depth == 64
         assert args.deadline_ms == 30_000.0
-        assert args.strategy == "gmdj_optimized"
-        assert args.rollup == "off"
+        # The server sets no execution options: each request's own
+        # ``options`` are the only ones, and /batch is the only batch.
+        for gone in ("strategy", "rollup", "batch_window_ms"):
+            assert not hasattr(args, gone)
+        for flag, value in (("--strategy", "gmdj"), ("--rollup", "subsume"),
+                            ("--batch-window-ms", "50")):
+            with pytest.raises(SystemExit):
+                build_serve_parser().parse_args([flag, value])
 
     def test_data_must_be_directory(self, tmp_path):
         code, _ = run_cli(["serve", "--data", str(tmp_path / "missing")])

@@ -83,7 +83,7 @@ class TestNoCertificationOnExecutePaths:
         expected = [db.execute_sql(sql, ROW).rows for sql in sqls]
         forbid_certification(monkeypatch)
         options = QueryOptions(strategy="gmdj", backend=backend,
-                               mqo="coalesce", use_cache=False)
+                               use_cache=False)
         batch = db.execute_sql_batch(sqls, options)
         assert [item.result.rows for item in batch.items] == expected
 
@@ -127,17 +127,17 @@ class TestMaskSkippedDescribesTheScannedEncoding:
     def test_solo_shared_and_pooled_runs_agree(self):
         db = make_db(null_every=7)
         solo = scan_masks(lambda: db.execute_sql(
-            COUNT_SQL, QueryOptions(mqo="off", **self.BASE)))
+            COUNT_SQL, QueryOptions(**self.BASE)))
         assert solo == [1]
 
         def shared():
             batch = db.execute_sql_batch(
                 [COUNT_SQL, EXISTS_SQL],
-                QueryOptions(mqo="coalesce", **self.BASE))
+                QueryOptions(**self.BASE))
             assert batch.report.scans_saved >= 1
 
         assert scan_masks(shared) == solo
         pooled = scan_masks(lambda: db.execute_sql(
             COUNT_SQL,
-            QueryOptions(partitions=2, workers=2, mqo="off", **self.BASE)))
+            QueryOptions(partitions=2, workers=2, **self.BASE)))
         assert pooled == solo * 2

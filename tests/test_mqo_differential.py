@@ -279,15 +279,14 @@ class TestColumnSplitDifferential:
         queries = [form_query(form, bound) for bound in (0, 2, 4, 6)]
         runs = {}
         for backend in ("row", "numpy"):
-            options = QueryOptions(backend=backend, use_cache=False,
-                                   mqo="coalesce")
+            options = QueryOptions(backend=backend, use_cache=False)
             with collect() as stats:
                 batch = db.execute_batch(queries, options)
             assert len(batch.report.groups) == 1
             runs[backend] = (batch, stats.snapshot())
         (row_batch, row_stats), (batch, stats) = runs["row"], runs["numpy"]
         assert stats == row_stats
-        alone = QueryOptions(backend="row", use_cache=False, mqo="off")
+        alone = QueryOptions(backend="row", use_cache=False)
         for query, item, row_item in zip(queries, batch.items,
                                          row_batch.items):
             expected = db.execute(query, alone)

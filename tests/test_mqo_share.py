@@ -7,7 +7,6 @@ import pytest
 
 from repro import Database, DataType, QueryOptions
 from repro.engine.mqo import plan_batch
-from repro.engine.options import MQO_LEVELS
 from repro.errors import ConfigurationError
 from repro.gmdj.share import (
     block_key,
@@ -134,12 +133,6 @@ class TestPlanBatch:
         assert plan.groups[0].indices == [0, 1]
         assert plan.singletons == [2]
 
-    def test_off_level_disables_grouping(self, db):
-        queries = [db.sql(EXISTS_R), db.sql(EXISTS_R)]
-        plan = plan_batch(queries, db.catalog, QueryOptions(mqo="off"))
-        assert plan.groups == []
-        assert plan.singletons == [0, 1]
-
     def test_batch_of_one_never_groups(self, db):
         plan = plan_batch([db.sql(EXISTS_R)], db.catalog, QueryOptions())
         assert plan.groups == []
@@ -153,34 +146,33 @@ class TestPlanBatch:
 
 
 class TestMqoOption:
-    def test_levels(self):
-        assert MQO_LEVELS == ("off", "coalesce")
+    """There is no MQO level: a batch always coalesces, and the unshared
+    reference is each member run alone."""
+
+    def test_levels(self, capsys):
+        from repro.cli import build_explain_parser, build_parser
+
+        for parser in (build_parser(), build_explain_parser()):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["SELECT 1", "--mqo", "off"])
+        assert "--mqo" in capsys.readouterr().err
 
     def test_invalid_level_raises(self):
-        with pytest.raises(ConfigurationError, match="mqo"):
-            QueryOptions(mqo="always")
+        for level in ("off", "coalesce"):
+            with pytest.raises(TypeError, match="mqo"):
+                QueryOptions(mqo=level)
 
     def test_default_is_coalesce(self, db):
-        assert QueryOptions().mqo == "coalesce"
         queries = [db.sql(EXISTS_R), db.sql(EXISTS_R)]
-        assert plan_batch(queries, db.catalog, QueryOptions()).level \
-            == "coalesce"
-
-    def test_cache_key_ignores_mqo(self, db):
-        # Shared groups bypass the result cache and a singleton runs the
-        # plan it would run alone: the level never splits an entry.
-        assert len({QueryOptions(mqo=level).cache_key()
-                    for level in MQO_LEVELS}) == 1
-        db.execute_sql(EXISTS_R, QueryOptions(mqo="coalesce"))
-        hits = db.cache.result_hits
-        db.execute_sql(EXISTS_R, QueryOptions())
-        assert db.cache.result_hits == hits + 1
+        plan = plan_batch(queries, db.catalog, QueryOptions())
+        assert [group.indices for group in plan.groups] == [[0, 1]]
+        assert not hasattr(plan, "level")
 
 
 class TestExecuteBatchSurface:
     def test_coalesce_level_saves_scans(self, db):
         batch = db.execute_sql_batch([EXISTS_R, EXISTS_R_THETA])
-        assert batch.report.mqo == "coalesce"
+        assert "mqo" not in batch.report.to_json()
         group = batch.report.groups[0]
         assert group.scans_saved == 1
         assert group.runtime_detail_scans == 1
@@ -198,9 +190,9 @@ class TestExecuteBatchSurface:
         assert group.members == [0, 1]
         assert batch.report.scans_saved >= 1
         assert group.runtime_detail_scans == 1
-        off = QueryOptions(mqo="off", use_cache=False)
+        alone = QueryOptions(use_cache=False)
         assert [r.rows for r in batch] == [
-            db.execute_sql(sql, off).rows for sql in members
+            db.execute_sql(sql, alone).rows for sql in members
         ]
 
     def test_sequence_protocol(self, db):
@@ -246,6 +238,33 @@ class TestExecuteBatchSurface:
         text = batch.report.summary()
         assert "1 share group" in text
         assert "1 detail scan(s) saved" in text
+
+
+class TestExplainBatch:
+    def test_renders_groups_and_singletons_without_executing(self, db):
+        from repro.storage.iostats import collect
+
+        # COUNT(DISTINCT) is holistic: that member cannot join the group.
+        distinct = ("SELECT K FROM B b WHERE 1 <= (SELECT COUNT(DISTINCT "
+                    "r.Y) FROM R r WHERE r.K = b.K)")
+        queries = [db.sql(sql) for sql in (EXISTS_R, EXISTS_R_THETA,
+                                           distinct)]
+        with collect() as stats:
+            explained = db.explain_batch(queries, QueryOptions())
+        assert stats.detail_scans == 0
+        assert explained.startswith("-- EXPLAIN BATCH (3 queries, ")
+        assert "mqo=" not in explained
+        assert "-- share group 0: queries [0, 1] on R" in explained
+        assert "1 scan(s) saved" in explained
+        assert "-- query 2 (no sharing)" in explained
+        payload = explained.json()
+        assert "mqo" not in payload
+        (group,) = payload["share_groups"]
+        assert group["members"] == [0, 1]
+        assert group["scans_saved"] == 1
+        assert group["certificate"]["detail_scan_counts"] == {"R": 1}
+        assert [single["index"] for single in payload["singletons"]] == [2]
+        assert payload["scans_saved"] == 1
 
 
 class TestABatchPlansEachMemberOnce:

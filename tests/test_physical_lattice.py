@@ -1,5 +1,5 @@
 """One differential over the physical lattice: kernel × fragmenter × rollup
-× result cache × MQO.
+× result cache, plus a coalesced batch against its members run alone.
 
 The engine has one physical GMDJ pipeline (:mod:`repro.gmdj.physical`);
 this module holds it to the identity contract at every point of the
@@ -11,8 +11,7 @@ option lattice instead of one suite per feature pair:
   below ``PROCESS_MIN_DETAIL_ROWS``, so ``auto`` picks them);
 * **rollup** — off / subsumption tier (cold run, then warm);
 * **result cache** — off / on (cold run, then a warm run the cache
-  serves);
-* **MQO** — a batch run ``off`` / ``coalesce``.
+  serves).
 
 Every point must return the row interpreter's rows *in its order* for
 all six Table 1 subquery forms and the Figure 4 ``>= ALL`` / ``<>``
@@ -23,7 +22,8 @@ always; scan volume under partitioning; pooled == sequential).  Two
 hypothesis properties then draw random databases, predicates and
 lattice points — the typed one also invariant-block sharing on or off
 and each kernel's rows against the plan's capability certificate — a
-batch check holds both MQO levels to the same points, and one test
+batch check holds a coalesced batch to its members run alone at every
+kernel × fragmenter point, and one test
 stacks numpy, a coalesced batch, a warm rollup store and a warm result
 cache.
 
@@ -51,7 +51,6 @@ from repro.algebra.nested import (
     not_in_predicate,
 )
 from repro.algebra.operators import ScanTable
-from repro.engine.options import MQO_LEVELS
 from repro.errors import PlanError
 from repro.gmdj import evaluate_plan, select_fragmenter, select_kernel
 from repro.gmdj.evaluate import invariant_sharing
@@ -109,10 +108,9 @@ for _function in ("count", "avg", "min", "max"):
     CASES[f"agg_{_function}"] = aggregate_comparison(_function)
 
 
-def options_at(strategy, kernel, fragmenter, rollup="off", use_cache=False,
-               mqo="coalesce"):
+def options_at(strategy, kernel, fragmenter, rollup="off", use_cache=False):
     return QueryOptions(strategy=strategy, backend=kernel,
-                        use_cache=use_cache, rollup=rollup, mqo=mqo,
+                        use_cache=use_cache, rollup=rollup,
                         **FRAGMENTERS[fragmenter])
 
 
@@ -232,23 +230,20 @@ class TestLattice:
     @pytest.mark.parametrize("fragmenter", FRAGMENTERS)
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_batch_matches_solo(self, kernel, fragmenter):
+        # The coalesced batch against its members run alone (each a
+        # batch of one, which plans no group).
         queries = [form_query("exists", bound) for bound in (0, 3)]
-        for mqo in MQO_LEVELS:
-            db = make_db()
-            options = options_at("gmdj_optimized", kernel, fragmenter,
-                                 mqo=mqo)
-            batch, stats, _ = traced(
-                lambda: db.execute_batch(queries, options))
-            assert sum(item.detail_scans for item in batch.items) == (
-                pytest.approx(stats["detail_scans"]))
-            for query, result in zip(queries, batch):
-                assert result.rows == db.execute(query, options).rows, mqo
-            assert len(batch.report.groups) == (mqo == "coalesce")
-            for group in batch.report.groups:
-                # The scan-count certificate is checkable only when no
-                # fragmenter multiplies the detail scans.
-                assert group.certified is (
-                    True if fragmenter == "none" else None)
+        db = make_db()
+        options = options_at("gmdj_optimized", kernel, fragmenter)
+        batch, stats, _ = traced(lambda: db.execute_batch(queries, options))
+        assert sum(item.detail_scans for item in batch.items) == (
+            pytest.approx(stats["detail_scans"]))
+        for query, result in zip(queries, batch):
+            assert result.rows == db.execute(query, options).rows
+        (group,) = batch.report.groups
+        # The scan-count certificate is checkable only when no
+        # fragmenter multiplies the detail scans.
+        assert group.certified is (True if fragmenter == "none" else None)
 
     def test_every_warm_tier_at_once(self):
         # numpy × coalesced batch × warm rollup store × warm result

@@ -31,18 +31,19 @@ class TestConstruction:
         options = QueryOptions()
         assert options.strategy == "gmdj_optimized"
         assert options.backend == "auto"
-        assert (options.rollup, options.mqo) == ("off", "coalesce")
+        assert options.rollup == "off"
         assert options.use_cache is True
         assert options.trace is False
 
-    def test_eight_fields_and_two_rollup_levels(self):
+    def test_seven_fields_and_two_rollup_levels(self):
         from repro.engine.options import ROLLUP_LEVELS
 
         assert [field.name for field in dataclasses.fields(QueryOptions)] == [
             "strategy", "backend", "partitions", "workers", "trace",
-            "use_cache", "rollup", "mqo"]
+            "use_cache", "rollup"]
         assert ROLLUP_LEVELS == ("off", "subsume")
-        for gone in (dict(lint="strict"), dict(rollup="exact")):
+        for gone in (dict(lint="strict"), dict(rollup="exact"),
+                     dict(mqo="off"), dict(mqo="coalesce")):
             with pytest.raises((TypeError, ConfigurationError)):
                 QueryOptions(**gone)
 
@@ -109,7 +110,7 @@ class TestCanonical:
         assert options.canonical() is options
         assert QueryOptions(strategy="naive").canonical().backend == "auto"
 
-    @pytest.mark.parametrize("field", ["backend", "rollup", "mqo"])
+    @pytest.mark.parametrize("field", ["backend", "rollup"])
     def test_none_is_not_a_value(self, field):
         # Each default is one of the field's own names, so a JSON null
         # in a request body is a typing error like any other.

@@ -1,16 +1,15 @@
 """End-to-end tests for the serving tier's batch MQO path.
 
-Covers the ``/batch`` endpoint (shared-scan execution over HTTP, with
+Covers the ``/batch`` endpoint: shared-scan execution over HTTP, with
 fractional per-member attribution that reconciles against the batch
-totals — the ``/metrics`` consistency contract) and the opt-in
-``batch_window_ms`` coalescing of concurrent ``/query`` requests."""
+totals — the ``/metrics`` consistency contract.  ``/batch`` is the one
+way to send a batch: a ``/query`` is never held back to join others."""
 
 from __future__ import annotations
 
-import concurrent.futures
-
 import pytest
 
+from repro.serve import ServeConfig
 from tests.test_serve_service import LiveServer
 
 COMPATIBLE = [
@@ -44,7 +43,7 @@ class TestBatchEndpoint:
         status, payload = server.post("/batch", {"queries": COMPATIBLE})
         assert status == 200
         assert payload["scans_saved"] >= 1
-        assert payload["batch"]["mqo"] == "coalesce"
+        assert "mqo" not in payload["batch"]
         assert len(payload["results"]) == len(COMPATIBLE)
         for sql, member in zip(COMPATIBLE, payload["results"]):
             q_status, single = server.post(
@@ -83,16 +82,17 @@ class TestBatchEndpoint:
         certificate = payload["batch"]["certificate"]
         assert certificate["detail_scan_counts"] == {"R": 1}
 
-    def test_mqo_option_accepted_over_http(self, live_server):
+    def test_mqo_option_rejected_over_http(self, live_server):
+        # A batch always shares; no request can turn that off.
         server = live_server()
         server.create_tables()
-        status, payload = server.post("/batch", {
-            "queries": COMPATIBLE[:2],
-            "options": {"mqo": "off"},
-        })
-        assert status == 200
-        assert payload["batch"]["mqo"] == "off"
-        assert payload["scans_saved"] == 0
+        for path, body in (("/batch", {"queries": COMPATIBLE[:2]}),
+                           ("/query", {"sql": COMPATIBLE[0]})):
+            status, payload = server.post(
+                path, dict(body, options={"mqo": "off"}))
+            assert status == 400
+            assert "mqo" in payload["error"]
+        assert server.service.tenants.get("default").queries == 0
 
     def test_bad_bodies_are_400(self, live_server):
         server = live_server()
@@ -109,45 +109,15 @@ class TestBatchEndpoint:
 
 
 class TestBatchWindow:
-    def test_window_coalesces_concurrent_queries(self, live_server):
-        server = live_server(batch_window_ms=250.0)
-        server.create_tables()
-
-        def post(sql):
-            return server.post("/query", {"sql": sql})
-
-        with concurrent.futures.ThreadPoolExecutor(3) as pool:
-            futures = [pool.submit(post, sql) for sql in COMPATIBLE]
-            responses = [f.result(30) for f in futures]
-        payloads = []
-        for status, payload in responses:
-            assert status == 200
-            assert payload["served_by"] == "batch"
-            payloads.append(payload)
-        # All three landed in one window: each saw the full batch.
-        assert {p["batch_queries"] for p in payloads} == {3}
-        assert all(p["batch_scans_saved"] >= 1 for p in payloads)
-        # Per-member results still correct.
-        _, single = server.post(
-            "/batch", {"queries": COMPATIBLE,
-                       "options": {"use_cache": False}})
-        for member, windowed in zip(single["results"], payloads):
-            assert windowed["rows"] == member["rows"]
-
     def test_window_off_by_default(self, live_server):
+        # There is no batch window: ServeConfig has no setting for one,
+        # and a /query is answered alone, never as a batch member.
+        with pytest.raises(TypeError, match="batch_window_ms"):
+            ServeConfig(batch_window_ms=50.0)
         server = live_server()
         sql = server.create_tables()
         _, payload = server.post("/query", {"sql": sql})
         assert payload["served_by"] == "execute"
-
-    def test_single_request_window_still_answers(self, live_server):
-        server = live_server(batch_window_ms=50.0)
-        sql = server.create_tables()
-        status, payload = server.post("/query", {"sql": sql})
-        assert status == 200
-        assert payload["served_by"] == "batch"
-        assert payload["batch_queries"] == 1
-        assert sorted(payload["rows"]) == [[1], [2]]
 
 
 QUERY_KEYS = {"tenant", "columns", "rows", "row_count", "elapsed_ms",
@@ -173,11 +143,3 @@ class TestResponseKeys:
         assert set(batch) == BATCH_KEYS
         for member in batch["results"]:
             assert set(member) == MEMBER_KEYS
-
-    def test_window_member_keys(self, live_server):
-        server = live_server(batch_window_ms=50.0)
-        sql = server.create_tables()
-        _, payload = server.post("/query", {"sql": sql})
-        assert set(payload) == MEMBER_KEYS | {
-            "tenant", "served_by", "batch_queries", "batch_scans_saved"}
-        assert payload["detail_scans"] >= 1

@@ -17,6 +17,7 @@ threads in a known state, then read the admission counters through
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import http.client
 import json
 import threading
@@ -24,7 +25,7 @@ import time
 
 import pytest
 
-from repro.serve import QueryService, ServeConfig
+from repro.serve import QueryService, ServeConfig, parse_options
 
 SQL = ("SELECT K FROM B b WHERE EXISTS "
        "(SELECT * FROM R r WHERE r.K = b.K)")
@@ -342,16 +343,27 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("field, value", [
         ("trace", True),              # the server's decision
+        ("partitions", 2),            # the server's decision: unbounded
+        ("workers", 2),               # the server's decision: unbounded
         ("mode", "gmdj_vectorized"),  # removed: kernel/fragmenter knobs
         ("lint", "strict"),           # removed: the execution gate
     ])
     def test_unknown_option_field_is_400(self, live_server, field, value):
+        # Counts of 2 only: the point is the rejection, not the fan-out.
         server = live_server()
         server.create_tables()
-        status, payload = server.post(
-            "/query", {"sql": SQL, "options": {field: value}})
-        assert status == 400
-        assert field in payload["error"]
+        tenant = server.service.tenants.get("default")
+        admitted = server.service.admission.admitted
+        for path in ("/query", "/batch", "/explain"):
+            status, payload = server.post(path, {
+                "sql": SQL, "queries": [SQL, SQL],
+                "options": {field: value}})
+            assert status == 400
+            assert field in payload["error"]
+            assert "allowed" in payload["error"]
+        assert server.service.admission.admitted == admitted
+        assert tenant.queries == 0
+        assert tenant.db.pools._pools == {}
 
     @pytest.mark.parametrize("options", [
         {"partitions": "2"}, {"workers": 1.5}, {"partitions": 2.5},
@@ -419,6 +431,58 @@ class TestErrorPaths:
         server = live_server(max_body=128)
         status, _ = server.post("/query", {"sql": "x" * 1024})
         assert status == 413
+
+
+class TestFailClosed:
+    """A request chooses what it runs, not how the server runs it, and a
+    body field the server cannot read exactly is a 400 that executes,
+    inserts and pools nothing."""
+
+    def test_request_option_fields(self):
+        from repro.serve.state import DEFAULT_OPTIONS, OPTION_FIELDS
+
+        assert OPTION_FIELDS == {"strategy", "backend", "use_cache",
+                                 "rollup"}
+        assert parse_options(None) is DEFAULT_OPTIONS
+        assert parse_options({"backend": "row"}).backend == "row"
+        # The server has no execution options of its own to fall back to.
+        assert [field.name for field in dataclasses.fields(ServeConfig)] == [
+            "host", "port", "workers", "queue_depth", "deadline_ms",
+            "max_body", "max_tenants", "cache_size", "drain_grace_s"]
+
+    @pytest.mark.parametrize("analyze", ["false", "no", "true", 1, 0, None],
+                             ids=repr)
+    def test_analyze_that_is_not_a_boolean_is_400(self, live_server,
+                                                  analyze):
+        server = live_server()
+        sql = server.create_tables()
+        admitted = server.service.admission.admitted
+        status, payload = server.post(
+            "/explain", {"sql": sql, "analyze": analyze})
+        assert status == 400, payload
+        assert "analyze" in payload["error"]
+        assert server.service.admission.admitted == admitted
+
+    @pytest.mark.parametrize("op", ["insert", "create_table"])
+    def test_ddl_row_that_is_not_an_array_is_400(self, live_server, op):
+        server = live_server()
+        columns = [["P", "string"], ["Q", "string"], ["R", "string"]]
+        status, _ = server.post("/ddl", {"statement": {
+            "op": "create_table", "name": "T", "columns": columns,
+            "rows": [["a", "b", "c"]]}})
+        assert status == 200
+        # tuple() would spread a string or an object into a row
+        # ('x', 'y', 'z'), ('p', 'q', 'r'); the valid first row must not
+        # land either.
+        rows = [["d", "e", "f"], "xyz", {"p": 1, "q": 2, "r": 3}]
+        name = "T" if op == "insert" else "U"
+        status, payload = server.post("/ddl", {"statement": {
+            "op": op, "name": name, "columns": columns, "rows": rows}})
+        assert status == 400, payload
+        assert "row arrays" in payload["error"]
+        db = server.service.tenants.get("default").db
+        assert len(db.table("T")) == 1
+        assert "U" not in db.catalog.table_names()
 
 
 class TestOverloadAndDeadlines:
