@@ -75,8 +75,9 @@ The ``fuzz`` subcommand runs the differential fuzzer instead::
 Failing cases are shrunk and written as JSON under ``--out`` (default
 ``fuzz_failures/``); promote them into ``tests/corpus/`` to pin the
 regression.  ``--metrics PATH`` additionally writes the campaign's
-metrics registry as JSON.  Exit status is 0 when every engine agreed
-with the SQLite oracle on every case, 1 otherwise.
+metrics registry as JSON.  Exit status is 0 when every point agreed
+with the SQLite oracle, and every lattice point with the row kernel's
+rows and counters, on every case; 1 otherwise.
 """
 
 from __future__ import annotations
@@ -254,7 +255,8 @@ def convert_main(argv: list[str], out) -> int:
 def build_fuzz_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro fuzz",
-        description="Differential SQL fuzzing against a SQLite oracle.",
+        description="Differential SQL fuzzing: lattice points against a "
+                    "SQLite oracle and the row kernel's rows and counters.",
     )
     parser.add_argument(
         "--seed", type=int, default=0,
@@ -314,7 +316,7 @@ def fuzz_main(argv: list[str], out) -> int:
         for path, data in cases:
             outcome = replay_case(data)
             if outcome.ok:
-                print(f"{path.name}: OK ({outcome.engines_run} engines, "
+                print(f"{path.name}: OK ({outcome.engines_run} points, "
                       f"{len(outcome.skipped)} skipped)", file=out)
             else:
                 failures += 1

@@ -2,12 +2,13 @@
 
 The package generates random subquery SQL (all six Table-1 forms, linear
 nesting, non-neighboring correlation, coalescing-eligible conjunctions)
-over random NULL-heavy databases, executes each query under every
-evaluation strategy the planner knows plus further kernel/fragmenter
-points of the physical GMDJ pipeline, and compares all of them against stdlib ``sqlite3`` as an
-external ground truth.  Failing cases are shrunk to minimal reproducible
-(query, database) pairs and saved as JSON for the regression corpus in
-``tests/corpus/``.
+over random NULL-heavy databases, executes each query under the
+baseline strategies and at points of the GMDJ lattice (translation ×
+kernel × fragmenting × rollup × result cache × batch), and compares
+every result against stdlib ``sqlite3`` as an external ground truth and
+every lattice point against the row kernel's rows and counters.
+Failing cases are shrunk to minimal reproducible (query, database) pairs
+and saved as JSON for the regression corpus in ``tests/corpus/``.
 
 Entry points: ``repro fuzz`` on the command line, or::
 
@@ -18,7 +19,6 @@ Entry points: ``repro fuzz`` on the command line, or::
 from repro.fuzz.datagen import DatabaseSpec, TableSpec, random_database
 from repro.fuzz.generator import GrammarConfig, random_query
 from repro.fuzz.oracle import (
-    ALL_ENGINES,
     CaseOutcome,
     Divergence,
     run_differential,
@@ -35,7 +35,6 @@ from repro.fuzz.runner import (
 from repro.fuzz.shrinker import shrink_case
 
 __all__ = [
-    "ALL_ENGINES",
     "CaseOutcome",
     "Counterexample",
     "DatabaseSpec",

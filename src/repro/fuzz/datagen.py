@@ -157,9 +157,6 @@ def random_database(
             _maybe_null(rng, rng.choice(STRING_POOL), null_rate),
         )
 
-    def detail_row():
-        return base_row()
-
     def second_detail_row():
         return (
             _maybe_null(rng, _skewed_key(rng, key_domain), null_rate),
@@ -175,7 +172,7 @@ def random_database(
         ),
         "R": TableSpec(
             "R", (("k", integer), ("y", integer), ("s", string)),
-            _random_rows(rng, detail_row, max_rows, duplicate_rate),
+            _random_rows(rng, base_row, max_rows, duplicate_rate),
         ),
         "S": TableSpec(
             "S", (("k", integer), ("z", integer)),

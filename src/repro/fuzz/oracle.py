@@ -1,109 +1,125 @@
-"""The differential oracle: every engine vs. SQLite ground truth.
+"""The differential oracle: lattice points vs. the row kernel and SQLite.
 
-A *case* is a (database, query) pair.  The oracle runs the query through
+A *case* is a (database, query) pair.  The oracle runs the query at
+:class:`Point`\\ s, each through ``Database.execute_batch`` (a query
+sent alone is a batch of one): the baselines ``naive``, ``native`` and
+``unnest_join``, and lattice points — a *translation* (``gmdj``,
+``gmdj_optimized``, or a Section 4 ablation ``gmdj_coalesce`` /
+``gmdj_completion``, built with the translator's ``coalesce=`` /
+``completion=`` flags and run pre-translated under ``gmdj``) at one
+:class:`~repro.engine.options.QueryOptions` (kernel row / python /
+numpy, unfragmented or ``partitions=3`` on 1 or 2 workers, rollup off
+or subsume, result cache off or on), sent alone or as a two-member
+batch.
 
-* every SQL-capable planner strategy (``naive``, ``native``,
-  ``unnest_join``, ``gmdj``, ``gmdj_optimized`` — the GMDJ two on the
-  ``row`` reference kernel),
-* the two Section 4 ablations (``gmdj_coalesce``, ``gmdj_completion``):
-  fuzz engines, not strategies — their plans are built with the
-  translator's ``coalesce=`` / ``completion=`` flags and run,
-  pre-translated, under ``gmdj`` — and
-* the plain ``gmdj`` translation at further (kernel, fragmenter) points
-  of the physical pipeline — detail-partitioned, python batch and numpy
-  kernels (with deliberately tiny partitions and batches so
-  fragmentation and multi-batch scans actually happen on fuzz-sized
-  data), and
-* the rollup-warm replay engine (``gmdj_rollup_warm``): the query runs
-  cold with the semantic rollup tier on, then warm against the now-
-  populated store, then once more under ``gmdj_optimized`` whose
-  base-selection pushdown gives the subsumption matcher real work — a
-  warm result differing from its cold twin is the classic semantic-
-  cache failure mode and is reported with the dedicated divergence
-  kind ``"rollup-divergence"``,
-
-and compares each result bag against stdlib ``sqlite3`` executing an
-independently rendered query.  Comparison is NULL-aware bag equality
-over *normalized* rows, so ``2`` and ``2.0`` agree and float noise below
-1e-9 is ignored.
-
-Baselines that legitimately cannot express a query (join unnesting on
-disjunctions or non-neighboring correlation raises
-:class:`~repro.errors.TranslationError`) are recorded as skips, never as
-divergences; any other exception *is* a divergence — the fuzzer treats
-crashes as findings.
+Every result is compared against stdlib ``sqlite3`` executing an
+independently rendered query (NULL-aware bag equality over *normalized*
+rows: ``2`` equals ``2.0``, float noise below 1e-9 is ignored), and
+every lattice point is held to :func:`identity_violations`, the one
+statement of the physical identity contract.  A
+:class:`~repro.errors.TranslationError` (join unnesting on disjunctions
+or non-neighboring correlation) is a skip; any other exception is a
+divergence.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import sqlite3
 from collections import Counter
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
+from repro.algebra.operators import Operator
 from repro.engine.database import Database
-from repro.engine.options import GMDJ_STRATEGIES, QueryOptions
+from repro.engine.options import ROLLUP_LEVELS, QueryOptions
 from repro.engine.planner import plan_for
 from repro.errors import ReproError, TranslationError
 from repro.fuzz.datagen import DatabaseSpec
-from repro.gmdj.physical import (
-    evaluate_plan,
-    evaluate_plan_vectorized,
-    select_fragmenter,
-    select_kernel,
-)
+from repro.storage import collect
 from repro.unnesting.translate import subquery_to_gmdj
 
-#: Planner strategies the oracle drives through the SQL frontend.
-STRATEGY_ENGINES = (
-    "naive",
-    "native",
-    "unnest_join",
-    "gmdj",
-    "gmdj_optimized",
-)
+if TYPE_CHECKING:
+    from repro.lint import PlanDiagnostic
 
-#: Ablation engines: ``subquery_to_gmdj(optimize=True, **flags)`` plans
-#: executed as pre-translated plans under the ``gmdj`` strategy.
-ABLATION_ENGINES = {
+#: The Section 4 ablations: ``subquery_to_gmdj(optimize=True, **flags)``.
+ABLATIONS = {
     "gmdj_coalesce": dict(coalesce=True, completion=False),
     "gmdj_completion": dict(coalesce=False, completion=True),
 }
 
-#: Tiny fragmentation knobs: fuzz databases hold ~10 rows per table, so
-#: these force multiple partitions / batches on nearly every case.
-FUZZ_PARTITIONS = 3
-FUZZ_CHUNK_SIZE = 3
+TRANSLATIONS = ("gmdj", "gmdj_optimized", *ABLATIONS)
 
-#: Physical-pipeline engines: a GMDJ strategy's plan evaluated at one
-#: (kernel, fragmenter) point each, as ``select_kernel`` /
-#: ``select_fragmenter`` keyword arguments, once per strategy of the
-#: third element — ``gmdj`` is the plain translation, ``gmdj_optimized``
-#: the coalesced one with its completion rules, so the array kernel
-#: meets Thm 4.1/4.2 plans under the oracle too.
-MODE_ENGINES = {
-    "gmdj_parallel": (dict(backend="row"),
-                      dict(partitions=FUZZ_PARTITIONS), ("gmdj",)),
-    "gmdj_vectorized": (dict(backend="python", chunk_size=FUZZ_CHUNK_SIZE),
-                        dict(), ("gmdj",)),
-    "gmdj_numpy": (dict(backend="numpy", chunk_size=FUZZ_CHUNK_SIZE),
-                   dict(), ("gmdj", "gmdj_optimized")),
-}
+KERNELS = ("row", "python", "numpy")
 
-#: Cold-then-warm replay through the semantic rollup store
-#: (:mod:`repro.engine.rollup`); divergence kind "rollup-divergence".
-ROLLUP_ENGINES = ("gmdj_rollup_warm",)
+#: ``(partitions, workers)``: fuzz tables hold ~10 rows, so three
+#: partitions split nearly every case.
+FRAGMENTINGS: tuple[tuple[int | None, int | None], ...] = (
+    (None, None), (3, 1), (3, 2))
 
-ALL_ENGINES = (STRATEGY_ENGINES + tuple(ABLATION_ENGINES)
-               + tuple(MODE_ENGINES) + ROLLUP_ENGINES)
+
+@dataclass(frozen=True)
+class Point:
+    """Where a query runs: its translation (or baseline strategy), its
+    options, and whether it is sent alone or as a two-member batch."""
+
+    translation: str
+    options: QueryOptions
+    batched: bool = False
+
+    @property
+    def name(self) -> str:
+        """The label a divergence carries, e.g. ``gmdj/numpy/p3w2/cache``."""
+        if self.translation not in TRANSLATIONS:
+            return self.translation
+        o = self.options
+        flags = {f"p{o.partitions}w{o.workers}": o.partitions is not None,
+                 o.rollup: o.rollup != "off", "cache": o.use_cache,
+                 "batch": self.batched}
+        return "/".join([self.translation, o.backend,
+                         *(flag for flag, on in flags.items() if on)])
+
+    def reference(self) -> Point:
+        """Its translation on the row kernel at the same ``partitions``,
+        sequentially, cold and alone."""
+        partitions = self.options.partitions
+        return point(self.translation, partitions=partitions,
+                     workers=None if partitions is None else 1)
+
+    def unfragmented(self) -> Point:
+        return point(self.translation)
+
+
+def point(translation: str, backend: str = "row", rollup: str = "off",
+          use_cache: bool = False, batched: bool = False,
+          partitions: int | None = None,
+          workers: int | None = None) -> Point:
+    """The lattice point of ``translation`` at these options."""
+    strategy = "gmdj" if translation in ABLATIONS else translation
+    return Point(translation, QueryOptions(
+        strategy, backend=backend, partitions=partitions, workers=workers,
+        rollup=rollup, use_cache=use_cache), batched)
+
+
+BASELINES = tuple(Point(name, QueryOptions(name))
+                  for name in ("naive", "native", "unnest_join"))
+
+LATTICE = tuple(
+    point(translation, backend, rollup, use_cache, batched, *fragmenting)
+    for translation, backend, fragmenting, rollup, use_cache, batched
+    in itertools.product(TRANSLATIONS, KERNELS, FRAGMENTINGS, ROLLUP_LEVELS,
+                         (False, True), (False, True))
+)
 
 
 @dataclass
 class Divergence:
-    """One engine disagreeing with the oracle (or blowing up)."""
+    """One point disagreeing with the oracle (or blowing up)."""
 
     engine: str
-    kind: str  # "mismatch" | "error" | "lint-error"
-    #          | "rollup-divergence" | "certificate-violation"
+    kind: str  # mismatch | identity | error | lint-error | certificate-violation
     detail: str
     expected: list | None = None
     actual: list | None = None
@@ -120,7 +136,7 @@ class Divergence:
 
 @dataclass
 class CaseOutcome:
-    """Result of one differential case across every engine."""
+    """Result of one differential case across every point."""
 
     divergences: list[Divergence] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
@@ -131,7 +147,7 @@ class CaseOutcome:
         return not self.divergences
 
 
-def normalize_value(value):
+def normalize_value(value: object) -> object:
     """Collapse cross-engine representation differences.
 
     Booleans become ints (SQLite has no boolean storage class), and
@@ -148,7 +164,7 @@ def normalize_value(value):
     return value
 
 
-def normalize_rows(rows) -> Counter:
+def normalize_rows(rows: Iterable[Sequence[object]]) -> Counter:
     """Rows as a NULL-aware multiset of normalized tuples."""
     return Counter(tuple(normalize_value(v) for v in row) for row in rows)
 
@@ -172,7 +188,16 @@ def sqlite_oracle_rows(dbspec: DatabaseSpec, sqlite_sql: str) -> Counter:
     return normalize_rows(rows)
 
 
-def lint_findings(database: Database, repro_sql: str) -> list[tuple[str, object]]:
+def _case_database(dbspec: DatabaseSpec) -> Database:
+    """A fresh engine database holding the case's tables."""
+    database = Database()
+    for name, table_spec in dbspec.tables.items():
+        database.create_table(name, list(table_spec.columns), table_spec.rows)
+    return database
+
+
+def lint_findings(database: Database,
+                  repro_sql: str) -> list[tuple[str, PlanDiagnostic]]:
     """Error-severity lint diagnostics for a query and its translations.
 
     Statically verifies the bound query tree plus both GMDJ translations
@@ -182,11 +207,11 @@ def lint_findings(database: Database, repro_sql: str) -> list[tuple[str, object]
     """
     from repro.lint import lint_plan
 
-    findings: list[tuple[str, object]] = []
+    findings: list[tuple[str, PlanDiagnostic]] = []
     try:
         query = database.sql(repro_sql)
     except ReproError:
-        # The frontend rejected the SQL; every engine will report that
+        # The frontend rejected the SQL; every point will report that
         # on its own — there is no plan to verify.
         return findings
     plans = [("query", query)]
@@ -208,17 +233,20 @@ def lint_findings(database: Database, repro_sql: str) -> list[tuple[str, object]
     return findings
 
 
-def capability_violations(database: Database, repro_sql: str) -> list[str]:
+def capability_violations(
+        database: Database, repro_sql: str,
+        observed: Mapping[Point, Observation] | None = None) -> list[str]:
     """Cross-check capability certificates against actual evaluation.
 
     Both GMDJ translations of the query are certified
-    (:func:`repro.lint.absint.certify_capabilities`) and evaluated —
-    on the row kernel and on each vectorized kernel — and the observed
-    rows are checked against the certified per-column nullability.
-    Returns human-readable violation strings; the certificate's
-    soundness contract is that this list is empty for every
-    oracle-accepted query, so the fuzzer reports each entry as a
-    divergence of the pseudo-engine ``"capability"``.
+    (:func:`repro.lint.absint.certify_capabilities`), and the rows of
+    their plain row, python and numpy points are checked against the
+    certified per-column nullability: the rows ``observed`` there, or,
+    without ``observed``, those of running each point here through
+    ``Database.execute``.  The certificate's soundness contract is that
+    this list is empty for every oracle-accepted query, so the fuzzer
+    reports each entry as a divergence of the pseudo-engine
+    ``"capability"``.
     """
     from repro.lint.absint import certify_capabilities
     from repro.obs.invariants import check_capabilities
@@ -234,175 +262,212 @@ def capability_violations(database: Database, repro_sql: str) -> list[str]:
         except TranslationError:
             continue
         certificate = certify_capabilities(plan, database.catalog)
-        runs = [
-            (label, lambda: plan.evaluate(database.catalog)),
-            (f"{label}/vectorized",
-             lambda: evaluate_plan_vectorized(
-                 plan, database.catalog, FUZZ_CHUNK_SIZE,
-                 backend="python")),
-            (f"{label}/numpy",
-             lambda: evaluate_plan_vectorized(
-                 plan, database.catalog, FUZZ_CHUNK_SIZE,
-                 backend="numpy")),
-        ]
-        for run_label, run in runs:
+        for kernel in KERNELS:
             try:
-                rows = run().rows
+                rows = (observed[point(label, kernel)].rows[0]
+                        if observed is not None
+                        else database.execute(plan, QueryOptions(
+                            "gmdj", backend=kernel, use_cache=False)).rows)
             except Exception:
-                # Engine failures are the engine loop's findings, not
+                # Engine failures (a point missing from ``observed``
+                # included) are the point loop's findings, not
                 # certificate unsoundness.
                 continue
             report = check_capabilities(rows, certificate)
             problems.extend(
-                f"{run_label}: {violation}"
+                f"{label}/{kernel}: {violation}"
                 for violation in report.violations
             )
     return problems
 
 
-def _rollup_warm_divergence(
-    database: Database, repro_sql: str, expected: Counter,
-) -> Divergence | None:
-    """Cold/warm/optimized-warm replay through the rollup store.
+#: The points whose rows :func:`capability_violations` checks; every
+#: :func:`run_differential` call runs them.
+CAPABILITY_POINTS = tuple(point(translation, kernel)
+                          for translation in ("gmdj", "gmdj_optimized")
+                          for kernel in KERNELS)
 
-    Three runs against the case database: cold under ``gmdj`` with the
-    rollup tier on (this populates the store), warm with the same
-    options (exact-tier serving), and once under ``gmdj_optimized``
-    whose pushed-down base selections exercise subsumption matching.
-    A warm result differing from its cold twin — or from the SQLite
-    oracle — is a stale/unsound cache hit, the failure class this
-    engine exists to catch.
+
+@dataclass
+class Observation:
+    """One point's column names, each member's rows (one member when sent
+    alone) and the cold run's IOStats snapshot; then, where the result
+    cache or rollup store keeps state, the warm pass's rows and snapshot
+    (which counts the run that primed the store, if any), and whether
+    the result cache served every member."""
+
+    columns: tuple
+    rows: list[list]
+    io: dict
+    warm: list[list] | None = None
+    warm_io: dict | None = None
+    cache_served: bool = False
+
+
+def observe(point: Point, query: Operator,
+            fresh: Callable[[], Database]) -> Observation:
+    """Run ``query`` at ``point`` on a database from ``fresh()``: cold,
+    then warm if the point turns the result cache or rollup store on.
+
+    A ``gmdj_optimized`` point with the rollup store on runs warm on a
+    second fresh database whose store a plain ``gmdj`` run at the same
+    options primed: its pushed-down base selections then meet the
+    coarser stored rollups, which only the subsumption matcher answers.
     """
-    cold_options = QueryOptions(
-        strategy="gmdj", backend="row", rollup="subsume", use_cache=False,
-    )
-    optimized_options = QueryOptions(
-        strategy="gmdj_optimized", backend="row", rollup="subsume",
-        use_cache=False,
-    )
-    cold = normalize_rows(
-        database.execute_sql(repro_sql, cold_options).rows)
-    warm = normalize_rows(
-        database.execute_sql(repro_sql, cold_options).rows)
-    optimized = normalize_rows(
-        database.execute_sql(repro_sql, optimized_options).rows)
-    if cold != expected:
-        missing = expected - cold
-        extra = cold - expected
-        return Divergence(
-            engine="gmdj_rollup_warm", kind="mismatch",
-            detail=(f"cold run: {sum(missing.values())} row(s) missing, "
-                    f"{sum(extra.values())} unexpected"),
-            expected=_bag_repr(expected), actual=_bag_repr(cold),
-        )
-    if warm != cold:
-        return Divergence(
-            engine="gmdj_rollup_warm", kind="rollup-divergence",
-            detail="warm replay diverged from its own cold evaluation",
-            expected=_bag_repr(cold), actual=_bag_repr(warm),
-        )
-    if optimized != expected:
-        return Divergence(
-            engine="gmdj_rollup_warm", kind="rollup-divergence",
-            detail=("rollup-warm gmdj_optimized run diverged from the "
-                    "oracle"),
-            expected=_bag_repr(expected), actual=_bag_repr(optimized),
-        )
+    with ExitStack() as stack:
+        database = stack.enter_context(fresh())
+        if point.translation in ABLATIONS:
+            query = subquery_to_gmdj(query, database.catalog, optimize=True,
+                                     **ABLATIONS[point.translation])
+        members = [query, query] if point.batched else [query]
+
+        def run(database: Database,
+                options: QueryOptions) -> tuple[tuple, list[list]]:
+            batch = database.execute_batch(members, options)
+            return (tuple(batch[0].schema.names),
+                    [result.rows for result in batch])
+
+        with collect() as stats:
+            columns, rows = run(database, point.options)
+        seen = Observation(columns, rows, stats.snapshot())
+        if point.options.use_cache or point.options.rollup != "off":
+            with collect() as stats:
+                if (point.translation == "gmdj_optimized"
+                        and point.options.rollup != "off"):
+                    database = stack.enter_context(fresh())
+                    run(database, replace(point.options, strategy="gmdj"))
+                hits = database.cache.result_hits
+                _, seen.warm = run(database, point.options)
+            seen.warm_io = stats.snapshot()
+            seen.cache_served = (database.cache.result_hits - hits
+                                 == len(members))
+        return seen
+
+
+def identity_violations(point: Point, seen: Observation,
+                        reference: Observation,
+                        unfragmented: Observation) -> list[str]:
+    """The identity rule every lattice point is held to, given the point's
+    observation and those of ``point.reference()`` and
+    ``point.unfragmented()``; returns what broke.
+
+    * A cold run gives the reference's columns and rows, in its order,
+      and its full IOStats snapshot; its ``tuples_scanned`` equals the
+      unfragmented run's (fragments tile the detail).
+    * A warm run repeats the cold rows (a ``gmdj_optimized`` one served
+      by subsumption from plain ``gmdj``'s rollups included), and scans
+      no detail table when the result cache served every member or when
+      ``gmdj``'s rollup store did (every node of the plain translation
+      is stored, and a query sent alone reaches the store; a coalesced
+      batch does not).
+    * A batch member returns the rows it returns when run alone.
+    """
+    problems = []
+    if seen.columns != reference.columns or any(
+            rows != reference.rows[0] for rows in seen.rows):
+        problems.append(f"columns, rows or their order differ from "
+                        f"{point.reference().name}")
+    if not point.batched:
+        differing = {key: (seen.io[key], value)
+                     for key, value in reference.io.items()
+                     if seen.io[key] != value}
+        if differing:
+            problems.append(f"IOStats (here, row kernel): {differing}")
+        scanned = seen.io["tuples_scanned"], unfragmented.io["tuples_scanned"]
+        if scanned[0] != scanned[1]:
+            problems.append(f"tuples_scanned (here, unfragmented): {scanned}")
+    if seen.warm is not None and seen.warm_io is not None:
+        if seen.warm != seen.rows:
+            problems.append("the warm run's rows differ from the cold run's")
+        served = seen.cache_served or (
+            point.translation == "gmdj" and point.options.rollup != "off"
+            and not point.batched)
+        if served and seen.warm_io["detail_scans"]:
+            problems.append(f"the served warm run scanned "
+                            f"{seen.warm_io['detail_scans']} detail table(s)")
+    return problems
+
+
+def _divergence(point: Point, seen: Observation, expected: Counter,
+                observed: dict[Point, Observation]) -> Divergence | None:
+    for rows in seen.rows + (seen.warm or []):
+        actual = normalize_rows(rows)
+        if actual != expected:
+            missing, extra = expected - actual, actual - expected
+            return Divergence(
+                point.name, "mismatch",
+                f"{sum(missing.values())} row(s) missing, "
+                f"{sum(extra.values())} unexpected",
+                _bag_repr(expected), _bag_repr(actual),
+            )
+    reference = observed.get(point.reference())
+    unfragmented = observed.get(point.unfragmented())
+    if point.translation in TRANSLATIONS and reference and unfragmented:
+        problems = identity_violations(point, seen, reference, unfragmented)
+        if problems:
+            return Divergence(point.name, "identity", "; ".join(problems))
     return None
+
+
+def _with_references(points: Sequence[Point]) -> list[Point]:
+    """:data:`CAPABILITY_POINTS`, then ``points``, each once, and each
+    lattice point after the row-kernel points its identity rule
+    compares against."""
+    ordered: dict[Point, None] = {}
+    for each in (*CAPABILITY_POINTS, *points):
+        if each.translation in TRANSLATIONS:
+            ordered.setdefault(each.unfragmented())
+            ordered.setdefault(each.reference())
+        ordered.setdefault(each)
+    return list(ordered)
 
 
 def run_differential(
     dbspec: DatabaseSpec,
     repro_sql: str,
     sqlite_sql: str,
-    engines=ALL_ENGINES,
+    points: Sequence[Point] = BASELINES + LATTICE,
 ) -> CaseOutcome:
-    """Run one case through every engine and diff against SQLite.
-
-    Besides executing, the case is *statically verified*: the linter
-    (:mod:`repro.lint`) runs over the query and its GMDJ translations,
-    and any error-severity diagnostic is reported as a divergence of the
-    pseudo-engine ``"lint"`` — the linter's soundness contract is that
-    it never fires at error severity on an oracle-accepted query.
-    """
+    """Run one case at ``points``, their references and
+    :data:`CAPABILITY_POINTS`: each result against SQLite, each lattice
+    point against the identity rule, then the query through
+    :func:`lint_findings` and the points' rows through
+    :func:`capability_violations` (pseudo-engines ``lint`` and
+    ``capability``)."""
     expected = sqlite_oracle_rows(dbspec, sqlite_sql)
     outcome = CaseOutcome()
-    database = Database()
-    for name, table_spec in dbspec.tables.items():
-        database.create_table(name, list(table_spec.columns), table_spec.rows)
-    try:
-        for label, diagnostic in lint_findings(database, repro_sql):
-            outcome.divergences.append(Divergence(
-                engine="lint", kind="lint-error",
-                detail=f"{label}: {diagnostic.render()}",
-            ))
-    except Exception as error:  # the linter itself must never crash
-        outcome.divergences.append(Divergence(
-            engine="lint", kind="lint-error",
-            detail=f"linter crashed: {type(error).__name__}: {error}",
-        ))
-    try:
-        for problem in capability_violations(database, repro_sql):
-            outcome.divergences.append(Divergence(
-                engine="capability", kind="certificate-violation",
-                detail=problem,
-            ))
-    except Exception as error:  # nor must the certifier
-        outcome.divergences.append(Divergence(
-            engine="capability", kind="certificate-violation",
-            detail=f"certifier crashed: {type(error).__name__}: {error}",
-        ))
-    for engine in engines:
+    database = _case_database(dbspec)
+    observed: dict[Point, Observation] = {}
+    # Bound once; a frontend error is raised again at every point.
+    bound = functools.cache(lambda: database.sql(repro_sql))
+    for each in _with_references(points):
         try:
-            if engine in ROLLUP_ENGINES:
-                divergence = _rollup_warm_divergence(
-                    database, repro_sql, expected)
-                outcome.engines_run += 1
-                if divergence is not None:
-                    outcome.divergences.append(divergence)
-                continue
-            if engine in MODE_ENGINES:
-                kernel, fragmenter, strategies = MODE_ENGINES[engine]
-                query = database.sql(repro_sql)
-                results = [
-                    evaluate_plan(
-                        plan_for(query, database.catalog, strategy),
-                        database.catalog, select_kernel(**kernel),
-                        select_fragmenter(**fragmenter))
-                    for strategy in strategies
-                ]
-            elif engine in ABLATION_ENGINES:
-                plan = subquery_to_gmdj(
-                    database.sql(repro_sql), database.catalog,
-                    optimize=True, **ABLATION_ENGINES[engine])
-                results = [database.execute(
-                    plan, QueryOptions("gmdj", backend="row"))]
-            else:
-                backend = "row" if engine in GMDJ_STRATEGIES else "auto"
-                results = [database.execute_sql(
-                    repro_sql, QueryOptions(engine, backend=backend))]
+            seen = observe(each, bound(), lambda: _case_database(dbspec))
         except TranslationError:
-            outcome.skipped.append(engine)
+            outcome.skipped.append(each.name)
             continue
         except (Exception, RecursionError) as error:
             outcome.engines_run += 1
             outcome.divergences.append(Divergence(
-                engine=engine, kind="error",
-                detail=f"{type(error).__name__}: {error}",
-            ))
+                each.name, "error", f"{type(error).__name__}: {error}"))
             continue
         outcome.engines_run += 1
-        for result in results:
-            actual = normalize_rows(result.rows)
-            if actual != expected:
-                missing = expected - actual
-                extra = actual - expected
-                outcome.divergences.append(Divergence(
-                    engine=engine, kind="mismatch",
-                    detail=(f"{sum(missing.values())} row(s) missing, "
-                            f"{sum(extra.values())} unexpected"),
-                    expected=_bag_repr(expected),
-                    actual=_bag_repr(actual),
-                ))
-                break
+        observed[each] = seen
+        divergence = _divergence(each, seen, expected, observed)
+        if divergence is not None:
+            outcome.divergences.append(divergence)
+    static_checks = (
+        ("lint", "lint-error", "linter", lambda: [
+            f"{label}: {diagnostic.render()}"
+            for label, diagnostic in lint_findings(database, repro_sql)]),
+        ("capability", "certificate-violation", "certifier",
+         lambda: capability_violations(database, repro_sql, observed)),
+    )
+    for engine, kind, checker, check in static_checks:
+        try:
+            details = check()
+        except Exception as error:  # a checker itself must never crash
+            details = [f"{checker} crashed: {type(error).__name__}: {error}"]
+        outcome.divergences += [Divergence(engine, kind, detail)
+                                for detail in details]
     return outcome

@@ -148,10 +148,6 @@ class QueryIR:
     select_subs: tuple[Sub, ...] = ()
 
 
-#: Predicate leaves that contain a subquery.
-SUBQUERY_LEAVES = (ExistsP, InP, QuantCmp, AggCmp)
-
-
 def predicate_size(node) -> int:
     """Node count of a predicate tree — the shrinker's progress metric."""
     if node is None:

@@ -14,10 +14,11 @@ self-contained JSON counterexamples::
       "divergences": [{"engine": "...", "kind": "...", "detail": "..."}]
     }
 
-The same format is the regression corpus under ``tests/corpus/``:
-:func:`replay_case` rebuilds the database, reruns every engine, and
-returns the fresh :class:`~repro.fuzz.oracle.CaseOutcome`, which the
-pytest replay test asserts clean.
+Each case runs :data:`FIXED_POINTS` and :data:`DRAWN_POINTS` lattice
+points drawn from a stream of their own per ``(seed, i)``, which leaves
+the cases themselves as they were; the shrinker reruns only the points
+that failed.  The same format is the regression corpus under
+``tests/corpus/``: :func:`replay_case` reruns a case at every point.
 """
 
 from __future__ import annotations
@@ -27,11 +28,20 @@ import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.fuzz.datagen import DatabaseSpec, random_database
 from repro.fuzz.generator import GrammarConfig, random_query
-from repro.fuzz.oracle import ALL_ENGINES, CaseOutcome, run_differential
+from repro.fuzz.oracle import (
+    BASELINES,
+    LATTICE,
+    TRANSLATIONS,
+    CaseOutcome,
+    Point,
+    point,
+    run_differential,
+)
 from repro.fuzz.queries import QueryIR, render_repro_sql, render_sqlite_sql
 from repro.fuzz.shrinker import shrink_case
 
@@ -45,9 +55,8 @@ class FuzzConfig:
     max_rows: int = 10
     shrink: bool = True
     grammar: GrammarConfig = field(default_factory=GrammarConfig)
-    engines: tuple[str, ...] = ALL_ENGINES
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         if self.iterations < 0:
             raise ConfigurationError(
                 f"iterations must be >= 0, got {self.iterations}"
@@ -55,12 +64,6 @@ class FuzzConfig:
         if self.max_rows < 0:
             raise ConfigurationError(
                 f"max_rows must be >= 0, got {self.max_rows}"
-            )
-        unknown = set(self.engines) - set(ALL_ENGINES)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown engines {sorted(unknown)}; "
-                f"choose from {list(ALL_ENGINES)}"
             )
 
 
@@ -112,7 +115,7 @@ class FuzzReport:
                   else f"{len(self.counterexamples)} DIVERGENCE(S)")
         return (
             f"fuzz: {self.iterations_run} iteration(s), "
-            f"{self.engines_run} engine run(s), {self.skips} skip(s), "
+            f"{self.engines_run} point run(s), {self.skips} skip(s), "
             f"{self.certificate_violations} certificate violation(s), "
             f"{self.elapsed_seconds:.1f}s — {status}"
         )
@@ -134,15 +137,34 @@ def generate_case(
     return dbspec, ir
 
 
+#: Lattice points each case draws beyond the fixed ones.
+DRAWN_POINTS = 3
+
+#: The points every case runs: the baselines, the row references and
+#: the plain python and numpy points of both GMDJ translations.
+FIXED_POINTS = BASELINES + tuple(
+    point(translation, backend) for translation in TRANSLATIONS
+    for backend in ("row", "python", "numpy")
+    if backend == "row" or translation in ("gmdj", "gmdj_optimized"))
+
+
+def case_points(seed: int, iteration: int) -> tuple[Point, ...]:
+    """The points iteration ``iteration`` of a campaign runs."""
+    rng = random.Random(f"points {seed} {iteration}")
+    return FIXED_POINTS + tuple(rng.sample(LATTICE, DRAWN_POINTS))
+
+
 def _run_ir_case(
-    dbspec: DatabaseSpec, ir: QueryIR, engines
+    dbspec: DatabaseSpec, ir: QueryIR, points: Sequence[Point]
 ) -> CaseOutcome:
     return run_differential(
-        dbspec, render_repro_sql(ir), render_sqlite_sql(ir), engines,
+        dbspec, render_repro_sql(ir), render_sqlite_sql(ir), points,
     )
 
 
-def run_fuzz(config: FuzzConfig, log=None) -> FuzzReport:
+def run_fuzz(
+    config: FuzzConfig, log: Callable[[str], None] | None = None
+) -> FuzzReport:
     """Run a campaign; returns the report (never raises on divergence)."""
     from repro.obs.metrics import get_registry
 
@@ -152,7 +174,8 @@ def run_fuzz(config: FuzzConfig, log=None) -> FuzzReport:
     for iteration in range(config.iterations):
         case_started = time.perf_counter()
         dbspec, ir = generate_case(config, iteration)
-        outcome = _run_ir_case(dbspec, ir, config.engines)
+        points = case_points(config.seed, iteration)
+        outcome = _run_ir_case(dbspec, ir, points)
         report.iterations_run += 1
         report.engines_run += outcome.engines_run
         report.skips += len(outcome.skipped)
@@ -177,17 +200,20 @@ def run_fuzz(config: FuzzConfig, log=None) -> FuzzReport:
                 f"{len(outcome.divergences)} divergence(s), shrinking...")
         if config.shrink:
             failing_engines = {d.engine for d in outcome.divergences}
+            failing = [each for each in points
+                       if each.name in failing_engines]
 
-            def still_fails(candidate_db, candidate_ir):
-                candidate = _run_ir_case(candidate_db, candidate_ir,
-                                         config.engines)
+            def still_fails(
+                candidate_db: DatabaseSpec, candidate_ir: QueryIR
+            ) -> bool:
+                candidate = _run_ir_case(candidate_db, candidate_ir, failing)
                 return bool(
                     failing_engines
                     & {d.engine for d in candidate.divergences}
                 )
 
             dbspec, ir = shrink_case(dbspec, ir, still_fails)
-            outcome = _run_ir_case(dbspec, ir, config.engines)
+            outcome = _run_ir_case(dbspec, ir, points)
         report.counterexamples.append(Counterexample(
             seed=config.seed,
             iteration=iteration,
@@ -219,9 +245,9 @@ def load_corpus(directory: Path) -> list[tuple[Path, dict]]:
     ]
 
 
-def replay_case(data: dict, engines=ALL_ENGINES) -> CaseOutcome:
-    """Re-run a persisted case through every engine vs. the oracle."""
+def replay_case(data: dict) -> CaseOutcome:
+    """Re-run a persisted case at every point vs. the oracle."""
     dbspec = DatabaseSpec.from_json(data["tables"])
     return run_differential(
-        dbspec, data["sql"], data["sqlite_sql"], engines,
+        dbspec, data["sql"], data["sqlite_sql"],
     )

@@ -34,8 +34,8 @@ from repro.fuzz.queries import (
     predicate_size,
 )
 
-#: Re-checks are cheap (tiny cases) but each runs ~10 engines; cap the
-#: total so pathological cases cannot stall a campaign.
+#: Re-checks are cheap (tiny cases, only the points that failed); cap
+#: the total so pathological cases cannot stall a campaign.
 DEFAULT_MAX_CHECKS = 400
 
 

@@ -38,6 +38,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import ReproError, WorkerPoolError
 from repro.obs.metrics import get_registry
@@ -51,9 +52,11 @@ from repro.serve.http import (
 )
 from repro.serve.state import (
     DeadlineExceeded,
+    Tenant,
     TenantLimitError,
     TenantRegistry,
     parse_options,
+    tenant_name,
 )
 
 DEFAULT_PORT = 8125
@@ -216,28 +219,33 @@ class QueryService:
     # -- admitted endpoints --------------------------------------------------
 
     async def _admitted(self, request: HttpRequest) -> dict:
+        # Every body check runs before the tenant lookup: a lookup
+        # creates the tenant, and tenants never expire, so a request
+        # refused afterwards would keep its tenant slot for good.
         body = request.json()
         if not isinstance(body, dict):
             raise HttpError(400, "request body must be a JSON object")
+        name = tenant_name(body.get("tenant", "default"))
         options = parse_options(body.get("options"))
-        tenant = self.tenants.get(body.get("tenant", "default"))
         deadline_s = self._deadline_seconds(request, body)
+        run: Callable[..., dict]
+        args: tuple
         if request.path == "/query":
-            worker = functools.partial(
-                tenant.run_query, self._sql(body), options)
+            run, args = Tenant.run_query, (self._sql(body), options)
         elif request.path == "/batch":
-            worker = functools.partial(
-                tenant.run_batch, self._sqls(body), options)
+            run, args = Tenant.run_batch, (self._sqls(body), options)
         elif request.path == "/explain":
             analyze = body.get("analyze", False)
             if not isinstance(analyze, bool):
                 raise HttpError(
                     400, f"'analyze' must be true or false, not {analyze!r}")
-            worker = functools.partial(
-                tenant.run_explain, self._sql(body), options, analyze)
+            run, args = Tenant.run_explain, (self._sql(body), options, analyze)
         else:  # /ddl
             statement = body.get("statement")
-            worker = functools.partial(tenant.run_ddl, statement)
+            if not isinstance(statement, dict):
+                raise HttpError(400, "ddl statement must be a JSON object")
+            run, args = Tenant.run_ddl, (statement,)
+        worker = functools.partial(run, self.tenants.get(name), *args)
         return await self._run_with_slot(worker, deadline_s)
 
     def _sql(self, body: dict) -> str:

@@ -90,6 +90,14 @@ def parse_options(payload) -> QueryOptions:
     return dataclasses.replace(DEFAULT_OPTIONS, **payload)
 
 
+def tenant_name(name: object) -> str:
+    """``name`` if it names a tenant; a :class:`ReproError` otherwise."""
+    if not isinstance(name, str) or not _TENANT_NAME.fullmatch(name):
+        raise ReproError(
+            f"invalid tenant name {name!r} (1-64 chars of [A-Za-z0-9_.-])")
+    return name
+
+
 def remaining(deadline: float | None) -> float | None:
     """Seconds left until ``deadline`` (monotonic); raises when spent."""
     if deadline is None:
@@ -373,11 +381,7 @@ class TenantRegistry:
 
     def get(self, name: str) -> Tenant:
         """The tenant, created on first reference."""
-        if not isinstance(name, str) or not _TENANT_NAME.fullmatch(name):
-            raise ReproError(
-                f"invalid tenant name {name!r} (1-64 chars of "
-                f"[A-Za-z0-9_.-])"
-            )
+        tenant_name(name)
         with self._lock:
             tenant = self._tenants.get(name)
             if tenant is None:

@@ -44,6 +44,7 @@ from repro.fuzz.queries import (
 )
 from repro.fuzz.runner import (
     Counterexample,
+    case_points,
     generate_case,
     load_corpus,
     save_counterexample,
@@ -214,6 +215,27 @@ class TestOracle:
         assert {d.kind for d in outcome.divergences} == {"mismatch"}
         assert len(outcome.divergences) == outcome.engines_run
 
+    def test_counters_only_kernel_bug_is_caught(self, monkeypatch):
+        # Mutant M10 of DESIGN.md §6: the numpy kernel undercounts a scan
+        # block's residual evaluations (no ``+ 1`` per base tuple) yet
+        # returns the right rows, so SQLite cannot see it; the identity
+        # rule against the row kernel's counters does.
+        from repro.gmdj import npkernel
+
+        row_evaluations = npkernel._row_evaluations
+        monkeypatch.setattr(
+            npkernel, "_row_evaluations",
+            lambda t, n_base, total: row_evaluations(t, n_base, total)
+            - (0 if t is None else len(t)))
+        config = FuzzConfig(seed=20260806)
+        dbspec, ir = generate_case(config, 170)
+        outcome = run_differential(
+            dbspec, render_repro_sql(ir), render_sqlite_sql(ir),
+            case_points(config.seed, 170))
+        failing = {d.engine.split("/")[1] for d in outcome.divergences}
+        assert failing == {"numpy"}
+        assert {d.kind for d in outcome.divergences} == {"identity"}
+
     def test_divergence_json_is_self_contained(self):
         ir = exists_query()
         outcome = run_differential(
@@ -287,7 +309,7 @@ class TestRunner:
         with pytest.raises(ConfigurationError):
             FuzzConfig(iterations=-1)
         with pytest.raises(ConfigurationError):
-            FuzzConfig(engines=("naive", "warp_drive"))
+            FuzzConfig(max_rows=-1)
 
     def test_small_campaign_is_clean(self):
         report = run_fuzz(FuzzConfig(seed=11, iterations=8))

@@ -13,19 +13,17 @@ option lattice instead of one suite per feature pair:
 * **result cache** — off / on (cold run, then a warm run the cache
   serves).
 
-Every point must return the row interpreter's rows *in its order* for
-all six Table 1 subquery forms and the Figure 4 ``>= ALL`` / ``<>``
-completion query over NULL-heavy data, keep ``check_trace`` clean, and
-reproduce the reference ``IOStats`` snapshot wherever the contract
-promises it (kernel swaps on completion-free plans; python vs numpy
-always; scan volume under partitioning; pooled == sequential).  Two
-hypothesis properties then draw random databases, predicates and
+Every point runs all six Table 1 subquery forms and the Figure 4
+``>= ALL`` / ``<>`` completion query over NULL-heavy data, keeps
+``check_trace`` clean, and keeps the identity rule ``repro fuzz``
+checks too (:func:`~repro.fuzz.oracle.identity_violations`: the row
+interpreter's rows in its order and its IOStats, warm runs, batches).
+Two hypothesis properties then draw random databases, predicates and
 lattice points — the typed one also invariant-block sharing on or off
 and each kernel's rows against the plan's capability certificate — a
 batch check holds a coalesced batch to its members run alone at every
-kernel × fragmenter point, and one test
-stacks numpy, a coalesced batch, a warm rollup store and a warm result
-cache.
+kernel × fragmenter point, and one test stacks numpy, a coalesced
+batch, a warm rollup store and a warm result cache.
 
 Options come only from the call: this lattice, not a rerun of the whole
 suite under another configuration, is where configurations are compared.
@@ -52,6 +50,7 @@ from repro.algebra.nested import (
 )
 from repro.algebra.operators import ScanTable
 from repro.errors import PlanError
+from repro.fuzz.oracle import Point, identity_violations, observe, point
 from repro.gmdj import evaluate_plan, select_fragmenter, select_kernel
 from repro.gmdj.evaluate import invariant_sharing
 from repro.lint.absint import certify_capabilities
@@ -70,13 +69,10 @@ FRAGMENTERS = {
     "partitioned-w2": dict(partitions=3, workers=2),
 }
 
-#: ``gmdj`` keeps every subquery a plain GMDJ node (completion-free, so
-#: full IOStats identity is promised and the rollup store sees every
-#: node); ``gmdj_optimized`` coalesces and fuses completion rules.
+#: ``gmdj`` keeps every subquery a plain GMDJ node (the rollup store
+#: sees every node); ``gmdj_optimized`` coalesces and fuses completion
+#: rules.
 STRATEGIES = ("gmdj", "gmdj_optimized")
-
-#: The scan-volume counters every lattice point must reproduce.
-VOLUME = ("tuples_scanned", "relation_scans", "pages_read")
 
 
 def fig4_all() -> NestedSelect:
@@ -108,36 +104,31 @@ for _function in ("count", "avg", "min", "max"):
     CASES[f"agg_{_function}"] = aggregate_comparison(_function)
 
 
-def options_at(strategy, kernel, fragmenter, rollup="off", use_cache=False):
-    return QueryOptions(strategy=strategy, backend=kernel,
-                        use_cache=use_cache, rollup=rollup,
-                        **FRAGMENTERS[fragmenter])
-
-
-def run_checked(db, query, options):
-    """Execute under tracing + IOStats collection; the trace must be clean."""
-    return traced(lambda: db.execute(query, options))
-
-
-def traced(run):
-    """``run()`` under tracing + IOStats collection: the trace must be
-    clean, and the ``detail_scans`` counter must count its detail scans."""
-    with tracing() as tracer, collect() as stats:
-        result = run()
-    trace = tracer.trace()
-    report = check_trace(trace)
-    assert report.ok, report.violations
-    assert stats.detail_scans == len(trace.find(kind="detail_scan"))
-    return result, stats.snapshot(), trace
+def at(strategy, kernel, fragmenter, **knobs) -> Point:
+    return point(strategy, kernel, **knobs, **FRAGMENTERS[fragmenter])
 
 
 @functools.cache
-def reference(case, strategy):
-    """The row interpreter's answer (single scan, rollup off) for a case:
-    ``(column names, rows, IOStats snapshot)``."""
-    result, snapshot, _ = run_checked(
-        make_db(), CASES[case], options_at(strategy, "row", "none"))
-    return result.schema.names, result.rows, snapshot
+def observed(case, where: Point):
+    return observe(where, CASES[case], make_db)
+
+
+def checked(case, where: Point):
+    """Observe a case at a point under tracing: the trace must be clean,
+    the ``detail_scans`` counter must count its detail scans, and the
+    point must keep the identity rule."""
+    with tracing() as tracer:
+        seen = observe(where, CASES[case], make_db)
+    trace = tracer.trace()
+    report = check_trace(trace)
+    assert report.ok, report.violations
+    scans = seen.io["detail_scans"] + (seen.warm_io or {}).get(
+        "detail_scans", 0)
+    assert scans == len(trace.find(kind="detail_scan"))
+    assert identity_violations(
+        where, seen, observed(case, where.reference()),
+        observed(case, where.unfragmented())) == []
+    return seen, trace
 
 
 class TestLattice:
@@ -147,40 +138,23 @@ class TestLattice:
     @pytest.mark.parametrize("case", CASES)
     def test_rows_order_iostats_and_trace(self, case, strategy, kernel,
                                           fragmenter):
-        names, rows, expected = reference(case, strategy)
-        result, snapshot, _ = run_checked(
-            make_db(), CASES[case], options_at(strategy, kernel, fragmenter))
-        assert result.schema.names == names
-        assert result.rows == rows  # values, duplicates, order
-        if fragmenter == "none":
-            if strategy == "gmdj":
-                # Completion-free: batching reorders work without
-                # changing how much of it happens.
-                assert snapshot == expected
-            else:
-                assert {k: snapshot.get(k) for k in VOLUME} == {
-                    k: expected.get(k) for k in VOLUME}
-        elif fragmenter.startswith("partitioned"):
-            # Fragments tile the detail: parallelism adds no passes.
-            assert snapshot["tuples_scanned"] == expected["tuples_scanned"]
+        _, trace = checked(case, at(strategy, kernel, fragmenter))
+        if strategy == "gmdj" and fragmenter == "partitioned-w2":
+            # The executor is left at ``auto``: these tables are far
+            # below PROCESS_MIN_DETAIL_ROWS, so it picks threads.
+            assert {pool.attrs["executor"]
+                    for pool in trace.find(kind="pool")} == {"thread"}
 
     @pytest.mark.parametrize("fragmenter", FRAGMENTERS)
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("case", CASES)
     def test_rollup_cold_and_warm(self, case, strategy, kernel, fragmenter):
-        _, rows, _ = reference(case, strategy)
-        db = make_db()
-        options = options_at(strategy, kernel, fragmenter, rollup="subsume")
-        cold, _, _ = run_checked(db, CASES[case], options)
-        warm, warm_stats, warm_trace = run_checked(db, CASES[case], options)
-        assert cold.rows == rows
-        assert warm.rows == rows
+        _, trace = checked(
+            case, at(strategy, kernel, fragmenter, rollup="subsume"))
         if strategy == "gmdj":
-            # Every node is a plain GMDJ the cold run stored: the warm
-            # run is served without touching the detail relation.
-            assert warm_trace.find(kind="rollup_hit")
-            assert warm_stats["detail_scans"] == 0
+            # The rule's zero-scan warm run is the store's doing.
+            assert trace.find(kind="rollup_hit")
 
     @pytest.mark.parametrize("fragmenter", FRAGMENTERS)
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -188,44 +162,9 @@ class TestLattice:
     @pytest.mark.parametrize("case", CASES)
     def test_result_cache_cold_and_warm(self, case, strategy, kernel,
                                         fragmenter):
-        _, rows, _ = reference(case, strategy)
-        db = make_db()
-        options = options_at(strategy, kernel, fragmenter, use_cache=True)
-        cold, _, _ = run_checked(db, CASES[case], options)
-        hits = db.cache.result_hits
-        warm, warm_stats, _ = run_checked(db, CASES[case], options)
-        assert db.cache.result_hits == hits + 1
-        assert warm_stats["detail_scans"] == 0
-        assert cold.rows == rows
-        assert warm.rows == rows
-
-    @pytest.mark.parametrize("fragmenter", FRAGMENTERS)
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("case", CASES)
-    def test_numpy_counters_identical_to_python(self, case, strategy,
-                                                fragmenter):
-        # The backend switch is an array-kernel substitution inside one
-        # scan algorithm: completion or not, every counter agrees.
-        query = CASES[case]
-        _, python, _ = run_checked(
-            make_db(), query, options_at(strategy, "python", fragmenter))
-        _, numpy, _ = run_checked(
-            make_db(), query, options_at(strategy, "numpy", fragmenter))
-        assert numpy == python
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("case", CASES)
-    def test_pooled_counters_match_sequential(self, case, kernel):
-        query = CASES[case]
-        _, sequential, _ = run_checked(
-            make_db(), query, options_at("gmdj", kernel, "partitioned-w1"))
-        _, pooled, trace = run_checked(
-            make_db(), query, options_at("gmdj", kernel, "partitioned-w2"))
-        assert pooled == sequential
-        # The executor is left at ``auto``: these tables are far below
-        # PROCESS_MIN_DETAIL_ROWS, so it picks threads.
-        assert {pool.attrs["executor"]
-                for pool in trace.find(kind="pool")} == {"thread"}
+        seen, _ = checked(
+            case, at(strategy, kernel, fragmenter, use_cache=True))
+        assert seen.cache_served
 
     @pytest.mark.parametrize("fragmenter", FRAGMENTERS)
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -234,10 +173,13 @@ class TestLattice:
         # batch of one, which plans no group).
         queries = [form_query("exists", bound) for bound in (0, 3)]
         db = make_db()
-        options = options_at("gmdj_optimized", kernel, fragmenter)
-        batch, stats, _ = traced(lambda: db.execute_batch(queries, options))
+        options = at("gmdj_optimized", kernel, fragmenter).options
+        with tracing() as tracer, collect() as stats:
+            batch = db.execute_batch(queries, options)
+        assert stats.detail_scans == len(
+            tracer.trace().find(kind="detail_scan"))
         assert sum(item.detail_scans for item in batch.items) == (
-            pytest.approx(stats["detail_scans"]))
+            pytest.approx(stats.detail_scans))
         for query, result in zip(queries, batch):
             assert result.rows == db.execute(query, options).rows
         (group,) = batch.report.groups
@@ -252,22 +194,22 @@ class TestLattice:
         # result cache by its exact text, the rollup store when the
         # same GMDJ comes back spelled differently.
         db = make_db()
-        options = options_at("gmdj_optimized", "numpy", "none",
-                             rollup="subsume", use_cache=True)
+        options = at("gmdj_optimized", "numpy", "none",
+                     rollup="subsume", use_cache=True).options
         maximum = aggregate_comparison("max")
         filtered = col("b.X") > lit(1)
         alone = NestedSelect(maximum.child, maximum.predicate & filtered)
         respelled = NestedSelect(maximum.child, filtered & maximum.predicate)
         alone_rows = make_db().execute(
-            alone, options_at("gmdj_optimized", "row", "none")).rows
+            alone, at("gmdj_optimized", "row", "none").options).rows
         for run, singleton, hits in (("cold", alone, (0, 0)),
                                      ("cached", alone, (1, 0)),
                                      ("rollup", respelled, (1, 1))):
             batch = db.execute_batch([*CASES.values(), singleton], options)
             assert len(batch.report.groups) == 1, run
             for case, result in zip(CASES, batch):
-                assert result.rows == reference(case, "gmdj_optimized")[1], (
-                    run, case)
+                expected = observed(case, at("gmdj_optimized", "row", "none"))
+                assert result.rows == expected.rows[0], (run, case)
             assert batch[-1].rows == alone_rows, run
             assert (db.cache.result_hits, db.rollups.exact_hits) == hits, run
 

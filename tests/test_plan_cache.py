@@ -231,8 +231,8 @@ class TestRollupStaleness:
             self, monkeypatch):
         # Seeded bug: DDL no longer clears the rollup store.  The
         # differential discipline (warm serve vs. rollup-off direct
-        # evaluation) must expose the stale read — this is exactly the
-        # check the fuzzer's gmdj_rollup_warm engine automates.
+        # evaluation) must expose the stale read — the check the fuzzer's
+        # rollup lattice points make, cold then warm.
         db = make_db([(1,)])
         monkeypatch.setattr(db.rollups, "invalidate", lambda: None)
         assert db.execute_sql(SQL, ROLLUP).rows == [(1,)]

@@ -7,6 +7,9 @@ way to send a batch: a ``/query`` is never held back to join others."""
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.serve import ServeConfig
@@ -106,6 +109,51 @@ class TestBatchEndpoint:
         server = live_server()
         status, _ = server.get("/batch")
         assert status == 405
+
+    def test_ddl_waits_for_a_batch_in_flight(self, live_server, monkeypatch):
+        # An insert racing a /batch queues behind the batch's read lock:
+        # every member answers from the pre-insert catalog, and the next
+        # batch sees the row (no stale cache or rollup serves it).
+        server = live_server()
+        server.create_tables()
+        tenant = server.service.tenants.get("default")
+        entered, release = threading.Event(), threading.Event()
+        execute = tenant.db.execute_sql_batch
+
+        def held(*args, **kwargs):
+            entered.set()
+            assert release.wait(30)
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(tenant.db, "execute_sql_batch", held)
+        body = {"queries": COMPATIBLE[:2], "options": {"rollup": "subsume"}}
+        answers, ddl = [], []
+        batch = threading.Thread(
+            target=lambda: answers.append(server.post("/batch", body)))
+        batch.start()
+        assert entered.wait(30)
+        insert = threading.Thread(target=lambda: ddl.append(server.post(
+            "/ddl", {"statement": {"op": "insert", "name": "R",
+                                   "rows": [[3, 9]]}})))
+        insert.start()
+        deadline = time.monotonic() + 30
+        while tenant.lock.snapshot()["writers_waiting"] != 1:
+            assert time.monotonic() < deadline, "the insert never queued"
+            time.sleep(0.01)
+        assert ddl == []
+        release.set()
+        batch.join(30)
+        insert.join(30)
+
+        def rows(answer):
+            status, payload = answer
+            assert status == 200
+            return [sorted(member["rows"]) for member in payload["results"]]
+
+        assert rows(answers[0]) == [[[1], [2]], [[1]]]
+        assert ddl[0][0] == 200
+        assert rows(server.post("/batch", body)) == [[[1], [2], [3]],
+                                                     [[1], [3]]]
 
 
 class TestBatchWindow:

@@ -311,6 +311,19 @@ class TestErrorPaths:
         assert status == 400
         assert "sql" in payload["error"]
 
+    def test_refused_body_takes_no_tenant_slot(self, live_server):
+        # Tenants never expire: a body refused after the tenant lookup
+        # would keep its slot for good.
+        server = live_server(max_tenants=2)
+        for tenant in ("t0", "t1"):
+            status, _ = server.post("/query", {"tenant": tenant, "sql": ""})
+            assert status == 400
+        assert server.get("/healthz")[1]["tenants"] == 0
+        status, _ = server.post("/ddl", {"tenant": "t2", "statement": {
+            "op": "create_table", "name": "B", "columns": [["K", "integer"]],
+        }})
+        assert status == 200
+
     @pytest.mark.parametrize("tail, message", [
         # SUPERSCRIPT TWO and ARABIC-INDIC DIGIT THREE are not numbers.
         ("WHERE K = \u00b2", "unexpected character"),
