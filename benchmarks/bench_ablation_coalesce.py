@@ -13,11 +13,13 @@ claim of Section 4.1.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from conftest import scaled, write_report
 from repro.bench import build_example23, compare_strategies, print_series
-from repro.engine import make_executor
+from repro.engine import execute
 from repro.unnesting import subquery_to_gmdj
 
 STRATEGIES = ("gmdj", "gmdj_coalesce", "gmdj_optimized")
@@ -40,12 +42,12 @@ def _plans(workload):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_example23(benchmark, strategy):
     workload = _setup()
-    expected = make_executor(workload.query, workload.catalog, "naive")()
+    expected = execute(workload.query, workload.catalog, "naive")
     plans = _plans(workload)
     if strategy in plans:
-        runner = make_executor(plans[strategy], workload.catalog, "gmdj")
+        runner = partial(execute, plans[strategy], workload.catalog, "gmdj")
     else:
-        runner = make_executor(workload.query, workload.catalog, strategy)
+        runner = partial(execute, workload.query, workload.catalog, strategy)
     result = benchmark.pedantic(runner, rounds=1, iterations=1)
     assert result.bag_equal(expected)
 

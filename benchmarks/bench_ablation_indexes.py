@@ -9,11 +9,13 @@ compares each strategy against itself.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from conftest import scaled, write_report
 from repro.bench import FIG2_OUTER_SIZE, build_fig2, compare_strategies, print_series
-from repro.engine import make_executor
+from repro.engine import execute
 
 INNER = scaled(12000)
 PAIRS = (
@@ -36,8 +38,8 @@ def _setup(indexes: bool):
 def test_index_ablation(benchmark, indexes, pair):
     strategy = pair[0] if indexes else pair[1]
     workload = _setup(indexes)
-    expected = make_executor(workload.query, workload.catalog, "gmdj")()
-    runner = make_executor(workload.query, workload.catalog, strategy)
+    expected = execute(workload.query, workload.catalog, "gmdj")
+    runner = partial(execute, workload.query, workload.catalog, strategy)
     result = benchmark.pedantic(runner, rounds=1, iterations=1)
     assert result.bag_equal(expected)
 

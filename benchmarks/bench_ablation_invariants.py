@@ -10,6 +10,8 @@ correlated and one uncorrelated subquery.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from conftest import scaled, write_report
@@ -17,7 +19,7 @@ from repro.algebra.expressions import col, lit
 from repro.algebra.nested import Exists, NestedSelect, Subquery
 from repro.algebra.operators import ScanTable
 from repro.data.tpcr import generate_customer, generate_orders
-from repro.engine import make_executor
+from repro.engine import execute
 from repro.gmdj.evaluate import invariant_sharing
 from repro.storage import Catalog, collect
 
@@ -56,20 +58,20 @@ def query():
                          ids=("shared", "per-tuple"))
 def test_invariant_sharing(benchmark, sharing):
     catalog = _setup()
-    runner = make_executor(query(), catalog, "gmdj")
+    runner = partial(execute, query(), catalog, "gmdj")
 
     def run():
         with invariant_sharing(sharing):
             return runner()
 
-    baseline = make_executor(query(), catalog, "naive")()
+    baseline = execute(query(), catalog, "naive")
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.bag_equal(baseline)
 
 
 def test_invariant_ablation_report(benchmark):
     catalog = _setup()
-    runner = make_executor(query(), catalog, "gmdj")
+    runner = partial(execute, query(), catalog, "gmdj")
 
     def run():
         measurements = {}

@@ -11,6 +11,8 @@ strategies, and a series report in ``benchmark_results/fig2_exists.txt``.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from conftest import WorkloadCache, scaled, write_report
@@ -21,7 +23,7 @@ from repro.bench import (
     compare_strategies,
     print_series,
 )
-from repro.engine import make_executor
+from repro.engine import execute
 
 STRATEGIES = ("native", "unnest_join", "gmdj", "gmdj_optimized")
 SIZES = tuple(map(scaled, FIG2_INNER_SIZES))
@@ -33,9 +35,9 @@ _reference = {}
 def _expected(inner_size: int):
     if inner_size not in _reference:
         workload = _workloads.get(inner_size)
-        _reference[inner_size] = make_executor(
+        _reference[inner_size] = execute(
             workload.query, workload.catalog, "gmdj"
-        )()
+        )
     return _reference[inner_size]
 
 
@@ -43,7 +45,7 @@ def _expected(inner_size: int):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_fig2_exists(benchmark, inner_size, strategy):
     workload = _workloads.get(inner_size)
-    runner = make_executor(workload.query, workload.catalog, strategy)
+    runner = partial(execute, workload.query, workload.catalog, strategy)
     result = benchmark.pedantic(runner, rounds=1, iterations=1)
     assert result.bag_equal(_expected(inner_size))
 

@@ -12,11 +12,13 @@ and within a constant factor of the join plan throughout.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from conftest import WorkloadCache, scaled, write_report
 from repro.bench import FIG3_POINTS, build_fig3, compare_strategies, print_series
-from repro.engine import make_executor
+from repro.engine import execute
 
 STRATEGIES = ("naive", "unnest_join", "gmdj", "gmdj_optimized")
 POINTS = tuple((scaled(outer), scaled(inner)) for outer, inner in FIG3_POINTS)
@@ -27,9 +29,9 @@ _reference = {}
 def _expected(point):
     if point not in _reference:
         workload = _workloads.get(*point)
-        _reference[point] = make_executor(
+        _reference[point] = execute(
             workload.query, workload.catalog, "gmdj"
-        )()
+        )
     return _reference[point]
 
 
@@ -38,7 +40,7 @@ def _expected(point):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_fig3_aggcomp(benchmark, point, strategy):
     workload = _workloads.get(*point)
-    runner = make_executor(workload.query, workload.catalog, strategy)
+    runner = partial(execute, workload.query, workload.catalog, strategy)
     result = benchmark.pedantic(runner, rounds=1, iterations=1)
     assert result.bag_equal(_expected(point))
 

@@ -14,11 +14,13 @@ measurement and is reported as infeasible beyond).
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from conftest import WorkloadCache, scaled, write_report
 from repro.bench import FIG4_SIZES, build_fig4, compare_strategies, print_series
-from repro.engine import make_executor
+from repro.engine import execute
 
 STRATEGIES = ("native", "unnest_join", "gmdj", "gmdj_optimized")
 SIZES = tuple(map(scaled, FIG4_SIZES))
@@ -30,9 +32,9 @@ _reference = {}
 def _expected(size):
     if size not in _reference:
         workload = _workloads.get(size)
-        _reference[size] = make_executor(
+        _reference[size] = execute(
             workload.query, workload.catalog, "gmdj_optimized"
-        )()
+        )
     return _reference[size]
 
 
@@ -50,7 +52,7 @@ def test_fig4_all(benchmark, size, strategy):
             "join unnesting is infeasible at this size (paper: >7h at 20k)"
         )
     workload = _workloads.get(size)
-    runner = make_executor(workload.query, workload.catalog, strategy)
+    runner = partial(execute, workload.query, workload.catalog, strategy)
     result = benchmark.pedantic(runner, rounds=1, iterations=1)
     assert result.bag_equal(_expected(size))
 

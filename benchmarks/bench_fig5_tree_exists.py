@@ -15,6 +15,8 @@ unindexed.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from conftest import WorkloadCache, scaled, write_report
@@ -25,7 +27,7 @@ from repro.bench import (
     compare_strategies,
     print_series,
 )
-from repro.engine import make_executor
+from repro.engine import execute
 
 INDEXED = ("native", "unnest_join", "gmdj", "gmdj_optimized")
 UNINDEXED = ("native_noindex", "unnest_join_noindex", "gmdj_optimized")
@@ -40,9 +42,9 @@ def _expected(size, indexes):
     key = (size, indexes)
     if key not in _reference:
         workload = _workloads.get(size, indexes)
-        _reference[key] = make_executor(
+        _reference[key] = execute(
             workload.query, workload.catalog, "gmdj"
-        )()
+        )
     return _reference[key]
 
 
@@ -50,7 +52,7 @@ def _expected(size, indexes):
 @pytest.mark.parametrize("strategy", INDEXED)
 def test_fig5_indexed(benchmark, inner_size, strategy):
     workload = _workloads.get(inner_size, True)
-    runner = make_executor(workload.query, workload.catalog, strategy)
+    runner = partial(execute, workload.query, workload.catalog, strategy)
     result = benchmark.pedantic(runner, rounds=1, iterations=1)
     assert result.bag_equal(_expected(inner_size, True))
 
@@ -59,7 +61,7 @@ def test_fig5_indexed(benchmark, inner_size, strategy):
 @pytest.mark.parametrize("strategy", UNINDEXED)
 def test_fig5_unindexed(benchmark, inner_size, strategy):
     workload = _workloads.get(inner_size, False)
-    runner = make_executor(workload.query, workload.catalog, strategy)
+    runner = partial(execute, workload.query, workload.catalog, strategy)
     result = benchmark.pedantic(runner, rounds=1, iterations=1)
     assert result.bag_equal(_expected(inner_size, False))
 

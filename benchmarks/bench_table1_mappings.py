@@ -9,11 +9,13 @@ against the naive evaluation for reference.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from conftest import scaled, write_report
 from repro.bench import build_table1_catalog, table1_queries
-from repro.engine import make_executor, profile
+from repro.engine import execute, profile
 
 _catalog = None
 _queries = None
@@ -36,8 +38,8 @@ STRATEGIES = ("naive", "gmdj", "gmdj_optimized")
 def test_table1_rule(benchmark, rule, strategy):
     catalog, queries = _setup()
     query = queries[rule]
-    expected = make_executor(query, catalog, "naive")()
-    runner = make_executor(query, catalog, strategy)
+    expected = execute(query, catalog, "naive")
+    runner = partial(execute, query, catalog, strategy)
     result = benchmark.pedantic(runner, rounds=1, iterations=1)
     assert result.bag_equal(expected), (
         f"Table 1 rule {rule!r} violated by strategy {strategy!r}"

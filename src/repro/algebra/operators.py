@@ -93,7 +93,7 @@ class ScanTable(Operator):
         # qualifier-independent, so every query over this table reuses
         # one encoding until the table mutates.  A result that *is* this
         # list is snapshotted where it leaves the engine
-        # (:func:`repro.engine.executor.run`).
+        # (:func:`repro.engine.executor.execute`).
         out = Relation(relation.schema.rename(qualifier), relation.rows,
                        name=self.table_name, validate=False)
         out._columnar = relation._columnar

@@ -2,7 +2,7 @@
 
 from repro.engine.cache import PlanCache
 from repro.engine.database import Database, DatabaseClosedError
-from repro.engine.executor import execute, profile, run
+from repro.engine.executor import execute, profile
 from repro.engine.mqo import (
     BatchItem,
     BatchPlan,
@@ -12,7 +12,7 @@ from repro.engine.mqo import (
     plan_batch,
 )
 from repro.engine.options import QueryOptions
-from repro.engine.planner import STRATEGIES, make_executor, plan_for
+from repro.engine.planner import STRATEGIES, plan_for
 from repro.engine.reports import ExecutionReport
 from repro.engine.rollup import RollupStore
 
@@ -30,9 +30,7 @@ __all__ = [
     "STRATEGIES",
     "execute",
     "execute_batch",
-    "make_executor",
     "plan_batch",
     "plan_for",
     "profile",
-    "run",
 ]

@@ -17,10 +17,11 @@ cross-query scan sharing (:mod:`repro.engine.mqo`) and returns per-query
 results plus a :class:`~repro.engine.mqo.BatchReport`; ``execute(q)`` is
 the thin single-query wrapper ``execute_batch([q])[0]``.
 
-Every query runs through one internal path (:meth:`Database._run`),
-which also fronts the database's :class:`~repro.engine.cache.PlanCache`:
-repeated queries skip re-translation (and, for plain ``execute``,
-re-scanning).  A write invalidates what it can have changed:
+Every unprofiled query runs through that batch path, which fronts the
+database's :class:`~repro.engine.cache.PlanCache` and
+:class:`~repro.engine.rollup.RollupStore`: repeated queries skip
+re-translation and, under ``use_cache``, re-scanning — grouped members
+and singletons alike.  A write invalidates what it can have changed:
 ``insert(T)`` drops every cached result and rollup and keeps every
 translation, the table's encoding (extended, not rebuilt) and its
 indexes; DDL that changes a schema or an access path (``create_table``,
@@ -41,11 +42,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.algebra.operators import Operator
+from repro.engine import executor
 from repro.engine.cache import PlanCache
-from repro.engine.executor import run
-from repro.engine.rollup import RollupStore
 from repro.engine.options import QueryOptions
 from repro.engine.reports import ExecutionReport
+from repro.engine.rollup import RollupStore
 from repro.errors import ConfigurationError, ReproError
 from repro.gmdj.pool import PoolRegistry, pooling
 from repro.storage.catalog import Catalog
@@ -207,13 +208,9 @@ class Database:
     def _require_options(
         options: QueryOptions | None, caller: str
     ) -> QueryOptions:
-        """The strict options surface: QueryOptions or None, nothing else.
-
-        The PR-3 string-strategy shims (``db.execute(query, "gmdj")``,
-        ``strategy=`` keywords) were removed after their deprecation
-        cycle; passing anything but a :class:`QueryOptions` now raises
-        :class:`~repro.errors.ConfigurationError` with the migration
-        spelled out.
+        """The strict options surface: QueryOptions or None, nothing else
+        (the string-strategy shims are gone; anything else raises
+        :class:`~repro.errors.ConfigurationError` naming the migration).
         """
         if options is None:
             return QueryOptions()
@@ -225,43 +222,6 @@ class Database:
             f"QueryOptions(strategy=...) instead of {options!r}"
         )
 
-    def _run(
-        self, query: Operator, options: QueryOptions, profiled: bool,
-        plan: Operator | None = None,
-    ) -> ExecutionReport:
-        """The single execution path behind execute/profile/EXPLAIN ANALYZE.
-
-        ``plan`` is the tree a batch already planned for ``query`` (see
-        :func:`repro.engine.planner.make_executor`); the result cache
-        still keys on the query.
-
-        Plain (unprofiled) cached runs are served straight from the
-        result cache; profiled runs always execute (their purpose is
-        measurement) but still share the translation cache.  Execution
-        runs with this database's :class:`~repro.gmdj.pool.PoolRegistry`
-        installed, so pooled partitioned evaluation reuses executors
-        across queries (``close()`` is their deterministic teardown).
-        The result is stored only if no write landed while it ran.
-        """
-        self._check_open()
-        generation = self.catalog.generation
-        result_key = None
-        if not profiled and options.use_cache:
-            result_key = (options.cache_key(), PlanCache.plan_key(query))
-            cached = self.cache.result(result_key)
-            if cached is not None:
-                return ExecutionReport(
-                    strategy=options.strategy, elapsed_seconds=0.0,
-                    result=cached, options=options,
-                )
-        with pooling(self.pools):
-            report = run(query, self.catalog, options, cache=self.cache,
-                         profiled=profiled, rollups=self.rollups, plan=plan)
-        if result_key is not None:
-            self.cache.store_result(result_key, report.result, self.catalog,
-                                    generation)
-        return report
-
     def execute(
         self,
         query: Operator,
@@ -272,9 +232,7 @@ class Database:
         Thin wrapper over the canonical batch path:
         ``execute(q, opts)`` is ``execute_batch([q], opts)[0]``.
         """
-        return self.execute_batch(
-            [query], self._require_options(options, "execute")
-        )[0]
+        return self.execute_batch([query], options)[0]
 
     def execute_batch(
         self,
@@ -294,7 +252,8 @@ class Database:
 
         options = self._require_options(options, "execute_batch")
         self._check_open()
-        return execute_batch(self, list(queries), options)
+        with pooling(self.pools):
+            return execute_batch(self, list(queries), options)
 
     def profile(
         self,
@@ -305,10 +264,17 @@ class Database:
 
         Under ``QueryOptions(trace=True)`` the run also records an
         operator span tree (attached as ``report.trace``) for EXPLAIN
-        ANALYZE and the invariant checker.
+        ANALYZE and the invariant checker.  A profiled run always
+        executes — its purpose is measurement — so it skips the result
+        cache; it still shares the translation cache and the rollup
+        store.  Pooled partitioned evaluation reuses this database's
+        worker executors, as every run does.
         """
         options = self._require_options(options, "profile")
-        return self._run(query, options, profiled=True)
+        self._check_open()
+        with pooling(self.pools):
+            return executor.profile(query, self.catalog, options,
+                                    cache=self.cache, rollups=self.rollups)
 
     def explain(
         self,
@@ -370,7 +336,6 @@ class Database:
         options: QueryOptions | None = None,
     ) -> Relation:
         """Parse, bind, and evaluate a SQL query."""
-        options = self._require_options(options, "execute_sql")
         return self.execute_batch([self.sql(text)], options)[0]
 
     def execute_sql_batch(
@@ -380,15 +345,12 @@ class Database:
     ) -> BatchResult:
         """Parse, bind, and evaluate a batch of SQL queries with
         cross-query scan sharing; see :meth:`execute_batch`."""
-        options = self._require_options(options, "execute_sql_batch")
-        return self.execute_batch(
-            [self.sql(text) for text in texts], options
-        )
+        return self.execute_batch([self.sql(text) for text in texts],
+                                  options)
 
     def profile_sql(
         self,
         text: str,
         options: QueryOptions | None = None,
     ) -> ExecutionReport:
-        options = self._require_options(options, "profile_sql")
-        return self._run(self.sql(text), options, profiled=True)
+        return self.profile(self.sql(text), options)

@@ -1,44 +1,37 @@
 """Batch multi-query optimization: share groups, shared execution.
 
-:func:`execute_batch` is the engine behind
-:meth:`repro.engine.database.Database.execute_batch`.  Given a list of
-queries it:
+:func:`execute_batch` is the body of
+:meth:`repro.engine.database.Database.execute_batch`, and so of every
+unprofiled query (``Database.execute`` is a batch of one).  It:
 
-1. asks the planner for the plan each would execute (cache-aware,
-   :func:`repro.engine.planner.plan_for`) and fingerprints it
-   (:func:`repro.gmdj.share.fingerprint_plan`);
-2. partitions share-compatible plans into groups
+1. answers each member the result cache holds, under ``use_cache``;
+2. plans each miss (:func:`repro.engine.planner.plan_for`),
+   fingerprints the plan (:func:`repro.gmdj.share.fingerprint_plan`)
+   and partitions share-compatible plans into groups
    (:func:`plan_batch`);
 3. fuses each group into one multi-consumer GMDJ
-   (:func:`repro.gmdj.share.merge_group`), executes it with a
-   **single detail scan** on the options' kernel and fragmenter
-   (:func:`repro.gmdj.physical.evaluate_node`), then splits
-   the shared result back per consumer
-   (:func:`repro.gmdj.share.split_result`: column picks of the numpy
-   kernel's column-backed result) and evaluates each residual plan on
-   the walk a single query takes
-   (:func:`repro.gmdj.physical.evaluate_plan`: array forms of
-   ``Select`` / ``Project`` / ``Limit`` under the numpy kernel, one
-   ``flat`` span per operator), building a member's tuples once, inside
-   that member's own clock;
-4. statically certifies every shared plan
-   (:func:`repro.lint.cost.certify_plan` — exactly one detail scan per
-   detail table per group) and cross-checks the claim against the
-   scan count the run's IOStats delta records (``detail_scans``);
+   (:func:`repro.gmdj.share.merge_group`) and runs it with a **single
+   detail scan** on the options' kernel and fragmenter
+   (:func:`repro.gmdj.physical.evaluate_node`) — through the rollup
+   store's node hook, as every GMDJ node is — then splits the shared
+   result per consumer (:func:`repro.gmdj.share.split_result`: column
+   picks of the numpy kernel's result) and walks each residual plan as
+   a single query's (:func:`repro.gmdj.physical.evaluate_plan`),
+   building a member's tuples once, inside its own clock; a singleton
+   runs :func:`repro.engine.executor.execute`;
+4. certifies every shared plan (:func:`repro.lint.cost.certify_plan` —
+   one detail scan per detail table per group) and cross-checks the
+   claim against the run's ``detail_scans`` counter;
 5. attributes the shared scan's IOStats *fractionally* (1/k per
-   consumer) so per-query accounting still reconciles with batch totals
-   (the serve tier's ``/metrics`` consistency depends on this).
+   consumer), so per-query accounting reconciles with batch totals
+   (the serve tier's ``/metrics`` consistency depends on this);
+6. stores each miss's result under the catalog generation read when
+   the batch started.
 
-Every batch runs steps 1–5; no option turns sharing off.  The unshared
-reference is each member run alone (``Database.execute`` is a batch of
-one, which plans no group).  :func:`repro.obs.explain.explain_batch`
-renders the groups a batch would form without executing anything.
-
-Shared groups bypass the per-query result cache in both directions: a
-cached result would mask a buggy merge from the differential suite, and
-split results are cheap to rebuild from the shared scan anyway.
-Singleton members run through the ordinary ``Database._run`` path and
-keep full cache/rollup tiering.
+No option turns sharing off.  The unshared reference is each member run
+alone (a batch of one plans no group);
+:func:`repro.obs.explain.explain_batch` renders the groups a batch
+would form without executing anything.
 """
 
 from __future__ import annotations
@@ -48,11 +41,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Sequence, overload
 
 from repro.algebra.operators import Operator
+from repro.engine.cache import PlanCache
+from repro.engine.executor import execute
 from repro.engine.options import QueryOptions
 from repro.engine.planner import plan_for
-from repro.errors import ConfigurationError
 from repro.gmdj.operator import GMDJ
 from repro.gmdj.physical import (
+    NodeHook,
     evaluate_node,
     evaluate_plan,
     select_fragmenter,
@@ -74,7 +69,6 @@ from repro.storage.iostats import IOStats
 from repro.storage.relation import Relation
 
 if TYPE_CHECKING:
-    from repro.engine.cache import PlanCache
     from repro.engine.database import Database
 
 __all__ = [
@@ -118,17 +112,12 @@ class PlannedGroup:
 class BatchPlan:
     """The sharing decision for one batch, before any execution."""
 
-    queries: int
     groups: list[PlannedGroup]
     singletons: list[int]
     #: The tree each member executes, by index — built here once, so a
     #: member that runs alone is not planned again; None where nothing
     #: was planned (a batch of one).
     plans: list[Operator | None]
-
-    @property
-    def grouped_indices(self) -> set[int]:
-        return {index for group in self.groups for index in group.indices}
 
 
 def plan_batch(
@@ -144,8 +133,8 @@ def plan_batch(
     canon = options.canonical()
     indices = list(range(len(queries)))
     if len(queries) < 2:
-        return BatchPlan(queries=len(queries), groups=[],
-                         singletons=indices, plans=[None] * len(queries))
+        return BatchPlan(groups=[], singletons=indices,
+                         plans=[None] * len(queries))
     translations = cache if canon.use_cache else None
     plans: list[Operator | None] = []
     candidates: list[ShareCandidate | None] = []
@@ -179,7 +168,6 @@ def plan_batch(
         ))
     grouped = {index for group in groups for index in group.indices}
     return BatchPlan(
-        queries=len(queries),
         groups=groups,
         singletons=[index for index in indices if index not in grouped],
         plans=plans,
@@ -202,7 +190,8 @@ class ShareGroupReport:
     certificate: CostCertificate
     runtime_detail_scans: int
     #: The runtime scan count matches the certificate; None under a
-    #: fragmenter, which scans once per fragment.
+    #: fragmenter, which scans once per fragment, and when the rollup
+    #: store answered the group, which scans nothing.
     certified: bool | None
 
     def to_json(self) -> dict:
@@ -264,10 +253,6 @@ class BatchReport:
     def scans_saved(self) -> int:
         return sum(group.scans_saved for group in self.groups)
 
-    @property
-    def shared_queries(self) -> int:
-        return sum(len(group.members) for group in self.groups)
-
     def summary(self) -> str:
         return (
             f"batch: {self.queries} queries, {len(self.groups)} share "
@@ -317,9 +302,7 @@ class BatchResult(Sequence):
     def __getitem__(self, index: slice) -> list[Relation]: ...
 
     def __getitem__(self, index: int | slice) -> Relation | list[Relation]:
-        if isinstance(index, slice):
-            return [item.result for item in self.items[index]]
-        return self.items[index].result
+        return self.results[index]
 
     def __iter__(self) -> Iterator[Relation]:
         return iter(self.results)
@@ -329,11 +312,8 @@ class BatchResult(Sequence):
 
 
 def _delta(before: dict, after: dict) -> dict[str, int]:
-    return {
-        key: after.get(key, 0) - before.get(key, 0)
-        for key in after
-        if after.get(key, 0) != before.get(key, 0)
-    }
+    return {key: value - before.get(key, 0) for key, value in after.items()
+            if value != before.get(key, 0)}
 
 
 def _merge_io(target: dict, delta: dict, scale: float = 1.0) -> None:
@@ -341,101 +321,132 @@ def _merge_io(target: dict, delta: dict, scale: float = 1.0) -> None:
         target[key] = target.get(key, 0) + value * scale
 
 
+def _run_group(
+    db: Database,
+    group: PlannedGroup,
+    members: list[int],
+    options: QueryOptions,
+    hook: NodeHook | None,
+    items: list[BatchItem | None],
+    totals: dict[str, int],
+) -> ShareGroupReport:
+    """Evaluate one share group: its merged GMDJ once — through the
+    rollup hook like any other GMDJ node — then each member's split and
+    residual.  ``members`` are the group's batch indices."""
+    kernel = select_kernel(options.backend)
+    fragmenter = select_fragmenter(options.partitions, options.workers)
+    shared = group.shared
+    certificate = certify_plan(shared.gmdj)
+    consumers = len(members)
+    ambient = IOStats.ambient()
+    scanned = False
+
+    def scan() -> Relation:
+        nonlocal scanned
+        scanned = True
+        return evaluate_node(shared.gmdj, db.catalog, kernel, fragmenter)
+
+    before = ambient.snapshot()
+    t0 = time.perf_counter()
+    with span("mqo_group", kind="mqo_group", group=group.group_id,
+              consumers=consumers, detail=shared.detail_table,
+              blocks=shared.shared_blocks) as group_span:
+        shared_result = scan() if hook is None else hook(shared.gmdj, scan)
+    group_span.set(columnar=is_encoded(shared_result))
+    shared_elapsed = time.perf_counter() - t0
+    shared_delta = _delta(before, ambient.snapshot())
+    runtime_scans = shared_delta.get("detail_scans", 0)
+    _merge_io(totals, shared_delta)
+    certified = None if fragmenter is not None or not scanned else (
+        runtime_scans == certificate.scan_counts.get(shared.detail_table, 0))
+    base_width = len(shared.gmdj.base.schema(db.catalog))
+    for index, slot in zip(members, shared.slots):
+        before_residual = ambient.snapshot()
+        t1 = time.perf_counter()
+        with span("mqo_member", kind="mqo_member", index=index,
+                  group=group.group_id):
+            piece = split_result(
+                shared_result, slot, base_width,
+                slot.candidate.gmdj.schema(db.catalog),
+            )
+            # The residual is a single query's plan above its node: the
+            # same walk, so on the numpy kernel its operators take their
+            # array forms over the piece's columns.
+            result = evaluate_plan(
+                graft_consumer(slot, piece), db.catalog, kernel
+            )
+            result.rows  # this member's one transposition
+        residual_elapsed = time.perf_counter() - t1
+        residual_delta = _delta(before_residual, ambient.snapshot())
+        _merge_io(totals, residual_delta)
+        io: dict[str, float] = dict(residual_delta)
+        _merge_io(io, shared_delta, scale=1.0 / consumers)
+        items[index] = BatchItem(
+            index=index, result=result,
+            elapsed_seconds=shared_elapsed / consumers + residual_elapsed,
+            group_id=group.group_id, shared=True, io=io,
+        )
+    return ShareGroupReport(
+        group_id=group.group_id,
+        detail_table=shared.detail_table,
+        members=members,
+        consumer_blocks=shared.consumer_blocks,
+        shared_blocks=shared.shared_blocks,
+        scans_saved=consumers - 1,
+        certificate=certificate,
+        runtime_detail_scans=runtime_scans,
+        certified=certified,
+    )
+
+
 def execute_batch(
     db: Database,
     queries: Sequence[Operator],
-    options: QueryOptions | None = None,
+    options: QueryOptions,
 ) -> BatchResult:
-    """Execute a batch of queries with cross-query scan sharing.
-
-    ``db`` is a :class:`~repro.engine.database.Database`; this function
-    is its ``execute_batch`` body (kept here so the engine layer owns
-    the MQO logic).  Results are returned per query, row- and
-    order-identical to running each query through ``execute`` alone.
-    """
-    if options is not None and not isinstance(options, QueryOptions):
-        raise ConfigurationError(
-            "execute_batch takes QueryOptions or None; "
-            f"got {options!r}"
-        )
-    options = options or QueryOptions()
+    """Execute a batch of queries with cross-query scan sharing (the
+    module docstring's steps); ``db`` is the
+    :class:`~repro.engine.database.Database` whose ``execute_batch``
+    this is.  Results are returned per query, row- and order-identical
+    to running each query alone."""
     canon = options.canonical()
-    kernel = select_kernel(canon.backend)
-    fragmenter = select_fragmenter(canon.partitions, canon.workers)
+    hook = (db.rollups.node_hook(db.catalog)
+            if canon.rollup == "subsume" else None)
     queries = list(queries)
     started = time.perf_counter()
-    plan = plan_batch(queries, db.catalog, options, cache=db.cache)
+    generation = db.catalog.generation
     ambient = IOStats.ambient()
     totals: dict[str, int] = {}
     items: list[BatchItem | None] = [None] * len(queries)
+    keys: list[tuple | None] = [None] * len(queries)
     report = BatchReport(queries=len(queries))
 
-    for group in plan.groups:
-        certificate = certify_plan(group.shared.gmdj)
-        consumers = len(group.indices)
-        before = ambient.snapshot()
+    misses = []
+    for index, query in enumerate(queries):
         t0 = time.perf_counter()
-        with span("mqo_group", kind="mqo_group", group=group.group_id,
-                  consumers=consumers, detail=group.shared.detail_table,
-                  blocks=group.shared.shared_blocks) as group_span:
-            shared_result = evaluate_node(group.shared.gmdj, db.catalog,
-                                          kernel, fragmenter)
-        group_span.set(columnar=is_encoded(shared_result))
-        shared_elapsed = time.perf_counter() - t0
-        shared_delta = _delta(before, ambient.snapshot())
-        runtime_scans = shared_delta.get("detail_scans", 0)
-        _merge_io(totals, shared_delta)
-        certified = None if fragmenter is not None else (
-            runtime_scans
-            == certificate.scan_counts.get(group.shared.detail_table, 0))
-        base_width = len(group.shared.gmdj.base.schema(db.catalog))
-        for index, slot in zip(group.indices, group.shared.slots):
-            before_residual = ambient.snapshot()
-            t1 = time.perf_counter()
-            with span("mqo_member", kind="mqo_member", index=index,
-                      group=group.group_id):
-                piece = split_result(
-                    shared_result, slot, base_width,
-                    slot.candidate.gmdj.schema(db.catalog),
-                )
-                # The residual is a single query's plan above its node:
-                # the same walk, so on the numpy kernel its operators
-                # take their array forms over the piece's columns.
-                result = evaluate_plan(
-                    graft_consumer(slot, piece), db.catalog, kernel
-                )
-                result.rows  # this member's one transposition
-            residual_elapsed = time.perf_counter() - t1
-            residual_delta = _delta(
-                before_residual, ambient.snapshot()
-            )
-            _merge_io(totals, residual_delta)
-            io: dict[str, float] = dict(residual_delta)
-            _merge_io(io, shared_delta, scale=1.0 / consumers)
-            items[index] = BatchItem(
-                index=index, result=result,
-                elapsed_seconds=(
-                    shared_elapsed / consumers + residual_elapsed
-                ),
-                group_id=group.group_id, shared=True, io=io,
-            )
-        report.groups.append(ShareGroupReport(
-            group_id=group.group_id,
-            detail_table=group.shared.detail_table,
-            members=list(group.indices),
-            consumer_blocks=group.shared.consumer_blocks,
-            shared_blocks=group.shared.shared_blocks,
-            scans_saved=consumers - 1,
-            certificate=certificate,
-            runtime_detail_scans=runtime_scans,
-            certified=certified,
-        ))
+        if canon.use_cache:
+            keys[index] = (canon.cache_key(), PlanCache.plan_key(query))
+        cached = None if keys[index] is None else db.cache.result(keys[index])
+        if cached is None:
+            misses.append(index)
+        else:
+            items[index] = BatchItem(index, cached, time.perf_counter() - t0,
+                                     group_id=None, shared=False, io={})
+    plan = plan_batch([queries[index] for index in misses], db.catalog,
+                      canon, cache=db.cache)
 
-    for index in plan.singletons:
+    for group in plan.groups:
+        report.groups.append(_run_group(
+            db, group, [misses[index] for index in group.indices],
+            canon, hook, items, totals))
+
+    for position in plan.singletons:
+        index = misses[position]
         before = ambient.snapshot()
         t0 = time.perf_counter()
-        result = db._run(queries[index], options, profiled=False,
-                         plan=plan.plans[index]).result
+        result = execute(queries[index], db.catalog, canon,
+                         plan=plan.plans[position], cache=db.cache,
+                         rollups=db.rollups)
         elapsed = time.perf_counter() - t0
         delta = _delta(before, ambient.snapshot())
         _merge_io(totals, delta)
@@ -444,12 +455,15 @@ def execute_batch(
             group_id=None, shared=False, io=dict(delta),
         )
 
+    done = [item for item in items if item is not None]
+    for index in misses:
+        key = keys[index]
+        if key is not None:
+            db.cache.store_result(key, done[index].result, db.catalog,
+                                  generation)
     if report.groups:
         report.certificate = certify_batch(
             [group.certificate for group in report.groups])
     report.elapsed_seconds = time.perf_counter() - started
     report.io_totals = totals
-    return BatchResult(
-        items=[item for item in items if item is not None],
-        report=report,
-    )
+    return BatchResult(items=done, report=report)

@@ -131,9 +131,11 @@ class QueryOptions:
     def of(cls, value: "QueryOptions | str | None") -> "QueryOptions":
         """Coerce ``None`` / a strategy string / an options object.
 
-        The string form is for engine-internal callers naming a bare
-        strategy (:func:`repro.engine.executor.execute`, the fuzz
-        oracle); the ``Database`` entry points accept only
+        The string form is for callers of the function-level entry
+        points naming a bare strategy
+        (:func:`repro.engine.executor.execute` and
+        :func:`~repro.engine.executor.profile`, as the benchmark sweeps
+        call them); the ``Database`` entry points accept only
         :class:`QueryOptions` or ``None``.
         """
         if value is None:

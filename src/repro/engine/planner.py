@@ -36,39 +36,19 @@ database has seen before.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import TYPE_CHECKING, Callable
-
-if TYPE_CHECKING:
-    from repro.engine.rollup import RollupStore
-
 from repro.algebra.apply_op import has_subquery_form
 from repro.algebra.operators import Operator
-from repro.baselines.join_unnest import evaluate_join_unnest
-from repro.baselines.native import evaluate_native
-from repro.baselines.nested_loop import evaluate_naive
 from repro.engine.cache import PlanCache
-from repro.engine.options import GMDJ_STRATEGIES, QueryOptions, STRATEGIES
+from repro.engine.options import GMDJ_STRATEGIES, STRATEGIES
 from repro.errors import PlanError
 from repro.gmdj.operator import GMDJ
 from repro.storage.catalog import Catalog
-from repro.storage.relation import Relation
 from repro.unnesting.translate import subquery_to_gmdj
 
 __all__ = [
     "STRATEGIES",
-    "make_executor",
     "plan_for",
 ]
-
-#: The baselines evaluate the query as bound, each with its own evaluator.
-_BASELINES: dict[str, Callable[[Operator, Catalog], Relation]] = {
-    "naive": evaluate_naive,
-    "native": partial(evaluate_native, use_indexes=True),
-    "native_noindex": partial(evaluate_native, use_indexes=False),
-    "unnest_join": partial(evaluate_join_unnest, use_indexes=True),
-    "unnest_join_noindex": partial(evaluate_join_unnest, use_indexes=False),
-}
 
 
 def _holds_gmdj(plan: Operator) -> bool:
@@ -118,100 +98,3 @@ def plan_for(
         plan = subquery_to_gmdj(query, catalog, optimize=optimize)
         cache.store_translation(key, plan, catalog, generation)
     return plan
-
-
-def make_executor(
-    query: Operator,
-    catalog: Catalog,
-    options: QueryOptions | str | None = None,
-    cache: PlanCache | None = None,
-    rollups: RollupStore | None = None,
-    plan: Operator | None = None,
-) -> Callable[[], Relation]:
-    """Return a zero-argument callable that evaluates ``query``.
-
-    Translation-time work (for the GMDJ strategies) happens inside the
-    callable as well, matching how the paper's timings include rewrite
-    cost — unless ``cache`` holds the translated plan already.  That
-    cost is not negligible on small tables: over perfbench's
-    ``small_query`` texts (tables of at most 1,000 rows) tokenize, parse,
-    bind and SubqueryToGMDJ + optimize are about a third of a cold op
-    (DESIGN.md §5, "The per-query constant").  When tracing is enabled
-    the run is wrapped in a ``query`` span carrying the strategy name — or
-    ``plain`` when a GMDJ strategy had nothing to translate — and, for
-    GMDJ runs, the kernel and fragmenter, so traces attribute all work
-    to what actually ran.  The relation it returns holds its row list:
-    a column-backed result (the numpy kernel's output, the array-form
-    operators above it) becomes tuples here, once, inside the call —
-    whoever times the callable times the whole query.
-
-    ``plan`` is what :func:`plan_for` returned for ``query`` under these
-    options, when the caller holds it already (a batch plans every
-    member to find its share groups): a GMDJ run then walks it as it is
-    instead of planning again.
-    """
-    options = QueryOptions.of(options).canonical()
-    strategy = options.strategy
-    physical: dict[str, str] = {}
-    runner: Callable[[], Relation]
-    if strategy in _BASELINES:
-        runner = partial(_BASELINES[strategy], query, catalog)
-    elif _is_plain(query):
-        # Nothing to translate, but the same walk: under the numpy
-        # kernel the flat operators take their array forms.
-        from repro.gmdj.physical import evaluate_plan, select_kernel
-
-        strategy = "plain"
-        runner = partial(evaluate_plan, query, catalog,
-                         select_kernel(options.backend))
-    else:
-        physical["kernel"] = options.kernel()
-        fragmenter = options.fragmenter()
-        if fragmenter is not None:
-            physical["fragmenter"] = fragmenter
-        runner = _gmdj_runner(query, catalog, options, cache, rollups, plan)
-
-    def traced() -> Relation:
-        from repro.obs.tracer import span
-
-        with span("query", kind="query", strategy=strategy, **physical):
-            result = runner()
-            result.rows  # the one transposition of a column-backed result
-            return result
-
-    return traced
-
-
-def _gmdj_runner(
-    query: Operator,
-    catalog: Catalog,
-    options: QueryOptions,
-    cache: PlanCache | None,
-    rollups: RollupStore | None,
-    planned: Operator | None = None,
-) -> Callable[[], Relation]:
-    """Build the runner for a GMDJ strategy: :func:`plan_for`, then walk
-    the plan through the one physical pipeline the options select.  A
-    plan handed in (``planned``) was built by the caller under these
-    same options.
-    """
-    from repro.gmdj.physical import (
-        evaluate_plan,
-        select_fragmenter,
-        select_kernel,
-    )
-
-    kernel = select_kernel(options.backend)
-    fragmenter = select_fragmenter(options.partitions, options.workers)
-    hook = None
-    if rollups is not None and options.rollup == "subsume":
-        hook = rollups.node_hook(catalog)
-    translations = cache if options.use_cache else None
-
-    def run() -> Relation:
-        plan = planned
-        if plan is None:
-            plan = plan_for(query, catalog, options.strategy, translations)
-        return evaluate_plan(plan, catalog, kernel, fragmenter, hook)
-
-    return run

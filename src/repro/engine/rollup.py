@@ -70,7 +70,8 @@ import numpy as np
 
 from repro.algebra.analysis import refers_only_to
 from repro.algebra.expressions import Expression, conjuncts_of
-from repro.algebra.operators import Operator, Select
+from repro.algebra.operators import Select
+from repro.engine.cache import PlanCache
 from repro.errors import ReproError
 from repro.gmdj.operator import GMDJ, ThetaBlock
 from repro.gmdj.physical import NodeHook
@@ -88,13 +89,6 @@ from repro.storage.columnar import (
 from repro.storage.iostats import IOStats
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
-
-
-def _plan_text(node: Operator) -> str:
-    """The deterministic rendering that identifies a subtree."""
-    from repro.algebra.printer import explain
-
-    return explain(node)
 
 
 def _block_aggs(block: ThetaBlock) -> tuple[str, ...]:
@@ -167,8 +161,8 @@ class RollupStore:
             base_schema = node.base.schema(catalog)
         except ReproError:
             return
-        base_text = _plan_text(node.base)
-        detail_text = _plan_text(node.detail)
+        base_text = PlanCache.plan_key(node.base)
+        detail_text = PlanCache.plan_key(node.detail)
         signature = _signature(base_text, detail_text, node.blocks)
         entry = RollupEntry(
             gmdj=node, relation=relation.copy(), base_text=base_text,
@@ -210,8 +204,8 @@ class RollupStore:
         signature match, else ``"subsume"`` — or ``None`` on a miss.
         The returned relation is always an independent copy.
         """
-        base_text = _plan_text(node.base)
-        detail_text = _plan_text(node.detail)
+        base_text = PlanCache.plan_key(node.base)
+        detail_text = PlanCache.plan_key(node.detail)
         signature = _signature(base_text, detail_text, node.blocks)
         with self._lock:
             entry = self._entries.get(signature)
@@ -234,7 +228,7 @@ class RollupStore:
         inner_text = base_text
         if isinstance(node.base, Select):
             base_filter = node.base.predicate
-            inner_text = _plan_text(node.base.child)
+            inner_text = PlanCache.plan_key(node.base.child)
         for signature in self._shapes.get((inner_text, detail_text), ()):
             entry = self._entries.get(signature)
             if entry is None:
@@ -321,20 +315,19 @@ class RollupStore:
     def invalidate(self) -> None:
         """Drop every rollup (DDL that changes a schema or an access
         path)."""
-        with self._lock:
-            self._entries.clear()
-            self._shapes.clear()
-            self.invalidations += 1
-        get_registry().counter("rollup.invalidations").inc()
+        self._clear("invalidations")
 
     def invalidate_results(self) -> None:
         """Rows were appended to a table: drop every rollup, counted as
         a table invalidation."""
+        self._clear("table_invalidations")
+
+    def _clear(self, counter: str) -> None:
         with self._lock:
             self._entries.clear()
             self._shapes.clear()
-            self.table_invalidations += 1
-        get_registry().counter("rollup.table_invalidations").inc()
+            setattr(self, counter, getattr(self, counter) + 1)
+        get_registry().counter(f"rollup.{counter}").inc()
 
     def __len__(self) -> int:
         with self._lock:

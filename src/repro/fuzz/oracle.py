@@ -358,8 +358,7 @@ def identity_violations(point: Point, seen: Observation,
       by subsumption from plain ``gmdj``'s rollups included), and scans
       no detail table when the result cache served every member or when
       ``gmdj``'s rollup store did (every node of the plain translation
-      is stored, and a query sent alone reaches the store; a coalesced
-      batch does not).
+      is stored, a coalesced batch's merged node too).
     * A batch member returns the rows it returns when run alone.
     """
     problems = []
@@ -380,8 +379,7 @@ def identity_violations(point: Point, seen: Observation,
         if seen.warm != seen.rows:
             problems.append("the warm run's rows differ from the cold run's")
         served = seen.cache_served or (
-            point.translation == "gmdj" and point.options.rollup != "off"
-            and not point.batched)
+            point.translation == "gmdj" and point.options.rollup != "off")
         if served and seen.warm_io["detail_scans"]:
             problems.append(f"the served warm run scanned "
                             f"{seen.warm_io['detail_scans']} detail table(s)")

@@ -244,8 +244,9 @@ class pooling:
 
     Every :func:`map_partitions` call inside the context draws its
     executor from the registry instead of creating (and destroying) a
-    private pool.  ``Database._run`` wraps execution in this, so each
-    database's pooled queries share that database's executors.
+    private pool.  ``Database.execute_batch`` and ``Database.profile``
+    wrap execution in this, so each database's pooled queries share that
+    database's executors.
     """
 
     def __init__(self, registry: PoolRegistry):

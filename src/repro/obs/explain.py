@@ -258,7 +258,7 @@ def _run_checked(db, query, options, certificate, strict: bool):
     expectations: frozenset[str] = frozenset()
     if canonical.fragmenter() is None:
         expectations = certificate.single_scan_tables
-    report = db._run(query, options.with_trace(True), profiled=True)
+    report = db.profile(query, options.with_trace(True))
     invariants = check_trace(
         report.trace, single_scan_tables=expectations, strict=strict,
         certificate=certificate if _certifiable(canonical) else None,

@@ -219,9 +219,9 @@ class QueryService:
     # -- admitted endpoints --------------------------------------------------
 
     async def _admitted(self, request: HttpRequest) -> dict:
-        # Every body check runs before the tenant lookup: a lookup
-        # creates the tenant, and tenants never expire, so a request
-        # refused afterwards would keep its tenant slot for good.
+        # Every body check runs before the tenant lookup, and a tenant
+        # this request creates goes again if the request fails: tenants
+        # never expire, so a refused request would keep its slot for good.
         body = request.json()
         if not isinstance(body, dict):
             raise HttpError(400, "request body must be a JSON object")
@@ -245,8 +245,9 @@ class QueryService:
             if not isinstance(statement, dict):
                 raise HttpError(400, "ddl statement must be a JSON object")
             run, args = Tenant.run_ddl, (statement,)
-        worker = functools.partial(run, self.tenants.get(name), *args)
-        return await self._run_with_slot(worker, deadline_s)
+        with self.tenants.holding(name) as tenant:
+            return await self._run_with_slot(
+                functools.partial(run, tenant, *args), deadline_s)
 
     def _sql(self, body: dict) -> str:
         sql = body.get("sql")

@@ -35,7 +35,9 @@ import dataclasses
 import re
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.engine.database import Database
 from repro.engine.options import QueryOptions
@@ -367,7 +369,13 @@ def _required(statement: dict, key: str) -> str:
 
 
 class TenantRegistry:
-    """Get-or-create tenants by name, bounded by ``max_tenants``."""
+    """Get-or-create tenants by name, bounded by ``max_tenants``.
+
+    Tenants never expire, so a request that fails must not keep a
+    tenant it created: such a tenant is *provisional* — held by a count
+    of the requests on it — until one of them succeeds, and goes again
+    when the last of them has failed (:meth:`holding`).
+    """
 
     def __init__(self, max_tenants: int = 16, cache_size: int = 128):
         if max_tenants < 1:
@@ -377,23 +385,57 @@ class TenantRegistry:
         self.max_tenants = max_tenants
         self.cache_size = cache_size
         self._tenants: dict[str, Tenant] = {}
+        #: Provisional tenant name -> requests holding it.
+        self._provisional: dict[str, int] = {}
         self._lock = threading.Lock()
+
+    def _lookup(self, name: str) -> tuple[Tenant, bool]:
+        """The tenant and whether it was created now (callers hold
+        ``_lock``)."""
+        tenant = self._tenants.get(name)
+        if tenant is not None:
+            return tenant, False
+        if len(self._tenants) >= self.max_tenants:
+            raise TenantLimitError(
+                f"tenant limit reached ({self.max_tenants}); "
+                f"not creating {name!r}"
+            )
+        tenant = self._tenants[name] = Tenant(
+            name=name, db=Database(cache_size=self.cache_size)
+        )
+        return tenant, True
 
     def get(self, name: str) -> Tenant:
         """The tenant, created on first reference."""
         tenant_name(name)
         with self._lock:
-            tenant = self._tenants.get(name)
-            if tenant is None:
-                if len(self._tenants) >= self.max_tenants:
-                    raise TenantLimitError(
-                        f"tenant limit reached ({self.max_tenants}); "
-                        f"not creating {name!r}"
-                    )
-                tenant = self._tenants[name] = Tenant(
-                    name=name, db=Database(cache_size=self.cache_size)
-                )
-            return tenant
+            return self._lookup(name)[0]
+
+    @contextmanager
+    def holding(self, name: str) -> Iterator[Tenant]:
+        """The tenant for the span of one request, created on first
+        reference; one created here stays only if a request on it
+        succeeds."""
+        tenant_name(name)
+        with self._lock:
+            tenant, created = self._lookup(name)
+            if created:
+                self._provisional[name] = 0
+            if name in self._provisional:
+                self._provisional[name] += 1
+        succeeded = False
+        try:
+            yield tenant
+            succeeded = True
+        finally:
+            with self._lock:
+                if name in self._provisional:
+                    self._provisional[name] -= 1
+                    if succeeded:
+                        del self._provisional[name]
+                    elif not self._provisional[name]:
+                        del self._provisional[name]
+                        del self._tenants[name]
 
     def adopt(self, name: str, db: Database) -> Tenant:
         """Install a pre-built database (the CLI's ``--data`` tenant)."""

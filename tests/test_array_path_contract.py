@@ -324,13 +324,13 @@ def test_rows_are_built_once_where_the_result_leaves_the_engine(monkeypatch):
 
 
 def test_the_runner_hands_back_a_relation_holding_its_rows(monkeypatch):
-    # Whoever times make_executor's callable (benchmarks/) times the
+    # Whoever times ``execute`` (benchmarks/) times the
     # transposition too: it does not wait for the first ``rows`` read.
-    from repro.engine import make_executor
+    from repro.engine import execute
 
     db = make_db()
     expected = db.execute_sql(FIG3, ROW).rows
-    result = make_executor(db.sql(FIG3), db.catalog, NUMPY)()
+    result = execute(db.sql(FIG3), db.catalog, NUMPY)
     monkeypatch.setattr(
         ColumnarRelation, "to_rows",
         lambda self: pytest.fail("transposed on the caller's read"))

@@ -12,7 +12,7 @@ from repro.bench import (
     print_series,
     series_summary,
 )
-from repro.engine import make_executor
+from repro.engine import execute
 
 
 @pytest.fixture(scope="module")
@@ -33,13 +33,12 @@ class TestWorkloadBuilders:
 
     def test_fig3_answer_nontrivial(self):
         workload = build_fig3(30, 600)
-        result = make_executor(workload.query, workload.catalog, "gmdj")()
+        result = execute(workload.query, workload.catalog, "gmdj")
         assert 0 < len(result) < 30
 
     def test_fig4_diamond_answer_small(self):
         workload = build_fig4(60)
-        result = make_executor(workload.query, workload.catalog,
-                               "gmdj_optimized")()
+        result = execute(workload.query, workload.catalog, "gmdj_optimized")
         assert 1 <= len(result) <= 5  # only near-maximal prices survive
 
     def test_fig5_two_subqueries(self):

@@ -11,7 +11,6 @@ from repro.engine import (
     Database,
     STRATEGIES,
     execute,
-    make_executor,
     plan_for,
     profile,
 )
@@ -202,6 +201,5 @@ class TestSQLIntegration:
         with pytest.raises(BindError):
             db.execute_sql("SELECT * FROM nonexistent")
 
-    def test_make_executor_returns_callable(self, db):
-        runner = make_executor(nested_query(), db.catalog, "gmdj")
-        assert len(runner()) == 2
+    def test_execute_returns_the_result(self, db):
+        assert len(execute(nested_query(), db.catalog, "gmdj")) == 2

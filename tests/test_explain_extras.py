@@ -93,8 +93,7 @@ class TestExplainShowsThePlanThatRuns:
     @staticmethod
     def executed_plan(db, query, options, monkeypatch):
         """Run ``query`` and return the tree the executor evaluated."""
-        from repro.engine import planner
-        from repro.gmdj import physical
+        from repro.engine import executor
 
         seen = []
 
@@ -104,10 +103,10 @@ class TestExplainShowsThePlanThatRuns:
                 return evaluator(plan, *args, **kwargs)
             return evaluate
 
-        monkeypatch.setattr(physical, "evaluate_plan",
-                            recording(physical.evaluate_plan))
-        for name, baseline in planner._BASELINES.items():
-            monkeypatch.setitem(planner._BASELINES, name,
+        monkeypatch.setattr(executor, "evaluate_plan",
+                            recording(executor.evaluate_plan))
+        for name, baseline in executor._BASELINES.items():
+            monkeypatch.setitem(executor._BASELINES, name,
                                 recording(baseline))
         plain = type(query).evaluate
         monkeypatch.setattr(

@@ -19,7 +19,7 @@ from repro.data import (
     build_netflow_catalog,
     build_tpcr_catalog,
 )
-from repro.engine import make_executor
+from repro.engine import execute
 
 STRATEGIES = ("naive", "native", "unnest_join", "gmdj", "gmdj_optimized")
 
@@ -158,9 +158,9 @@ class TestTable1Harness:
     def test_rule_workload_equivalence(self, setup, rule):
         catalog, queries = setup
         query = queries[rule]
-        expected = make_executor(query, catalog, "naive")()
+        expected = execute(query, catalog, "naive")
         for strategy in ("native", "gmdj", "gmdj_optimized"):
-            result = make_executor(query, catalog, strategy)()
+            result = execute(query, catalog, strategy)
             assert expected.bag_equal(result), (rule, strategy)
 
 

@@ -2,9 +2,13 @@
 
 ``execute_batch`` must be a pure scheduling change: for every batch,
 each member's result is row- AND order-identical to what ``execute``
-returns for it alone — across all six Table 1 subquery forms over
-NULL-heavy data, with the lint certificates proving one detail scan per
-detail table per share group and the runtime trace confirming it.
+returns for it alone.  The lattice (``tests/test_physical_lattice.py``)
+holds all six Table 1 subquery forms over NULL-heavy data to that at
+every kernel × fragmenter point; here the lint certificates prove one
+detail scan per detail table per share group and the runtime counter
+confirms it, random compatible/incompatible mixes keep their rows, and
+a repeated batch goes through the result cache and the rollup store as
+a query sent alone does.
 
 The seeded-bug test demonstrates the suite has teeth: an over-eager
 fingerprint that ignores θ conjuncts referencing only the base relation
@@ -24,81 +28,18 @@ from repro.algebra.nested import (
     NestedSelect,
     QuantifiedComparison,
     ScalarComparison,
-    Subquery,
     in_predicate,
     not_in_predicate,
 )
 from repro.algebra.operators import ScanTable
+from repro.obs import metrics_scope
+from repro.storage import collect
+from tests.test_physical_lattice import FORMS, form_query, make_db, subquery
 
 NO_CACHE = QueryOptions(use_cache=False)
 
-#: NULL-heavy fixed data: NULLs in join keys, outer columns, and the
-#: subquery item/aggregate column, so three-valued logic is exercised
-#: on every form.
-B_ROWS = [(1, 10), (2, None), (3, 30), (None, 40), (2, 20), (None, None)]
-R_ROWS = [(1, 5), (1, None), (2, 2), (3, None), (None, 1), (None, None),
-          (2, 7), (3, 3)]
-
-
-def make_db():
-    db = Database()
-    db.create_table(
-        "B", [("K", DataType.INTEGER), ("X", DataType.INTEGER)], B_ROWS
-    )
-    db.create_table(
-        "R", [("K", DataType.INTEGER), ("Y", DataType.INTEGER)], R_ROWS
-    )
-    return db
-
-
-def subquery(theta, **kwargs):
-    return Subquery(ScanTable("R", "r"), theta, **kwargs)
-
-
-def form_query(form: str, bound: int) -> NestedSelect:
-    """One Table 1 subquery form, parameterized so same-form queries are
-    share-compatible (same base, different θ constants)."""
-    theta = (col("r.K") == col("b.K")) & (col("r.Y") > lit(bound))
-    if form == "exists":
-        predicate = Exists(subquery(theta))
-    elif form == "not_exists":
-        predicate = Exists(subquery(theta), negated=True)
-    elif form == "in":
-        predicate = in_predicate(
-            col("b.X"), subquery(theta, item=col("r.Y"))
-        )
-    elif form == "not_in":
-        predicate = not_in_predicate(
-            col("b.X"), subquery(theta, item=col("r.Y"))
-        )
-    elif form == "quantified":
-        predicate = QuantifiedComparison(
-            ">", "all", col("b.X"), subquery(theta, item=col("r.Y"))
-        )
-    elif form == "agg":
-        predicate = ScalarComparison(
-            ">=", col("b.X"),
-            subquery(theta, aggregate=agg("sum", col("r.Y"), "v")),
-        )
-    else:  # pragma: no cover - guarded by FORMS
-        raise AssertionError(form)
-    return NestedSelect(ScanTable("B", "b"), predicate)
-
-
-FORMS = ("exists", "not_exists", "in", "not_in", "quantified", "agg")
-
 
 class TestSixFormsDifferential:
-    @pytest.mark.parametrize("form", FORMS)
-    def test_batch_identical_to_sequential(self, form):
-        db = make_db()
-        queries = [form_query(form, bound) for bound in (0, 2, 4, 6)]
-        batch = db.execute_batch(queries, NO_CACHE)
-        for query, result in zip(queries, batch):
-            expected = db.execute(query, NO_CACHE)
-            assert result.schema.names == expected.schema.names
-            assert result.rows == expected.rows  # row- AND order-identical
-
     @pytest.mark.parametrize("form", FORMS)
     def test_group_certificate_single_scan(self, form):
         db = make_db()
@@ -195,6 +136,50 @@ class TestBatchProperty:
             assert expected.bag_equal(result)
 
 
+# -- a repeated batch: the same serving tiers as a query sent alone ----------
+
+EXISTS_SQL = ("SELECT b.K, b.X FROM B b WHERE EXISTS "
+              "(SELECT * FROM R r WHERE r.K = b.K AND r.Y > 2)")
+
+
+class TestWarmBatch:
+    """Every member probes the result cache, and a share group's merged
+    GMDJ meets the rollup store as any GMDJ node does: a batch run again
+    scans nothing, as the same query sent alone does."""
+
+    @pytest.mark.parametrize("strategy", ["gmdj", "gmdj_optimized"])
+    @pytest.mark.parametrize("knobs", [
+        dict(use_cache=True, rollup="subsume"),
+        dict(use_cache=True),
+        dict(rollup="subsume", use_cache=False),
+    ], ids=["cache-rollup", "cache", "rollup"])
+    def test_warm_batch_scans_nothing(self, strategy, knobs):
+        db = make_db()
+        options = QueryOptions(strategy, **knobs)
+        cold = db.execute_sql_batch([EXISTS_SQL, EXISTS_SQL], options)
+        assert len(cold.report.groups) == 1
+        with collect() as stats:
+            warm = db.execute_sql_batch([EXISTS_SQL, EXISTS_SQL], options)
+        assert stats.detail_scans == 0
+        assert [result.rows for result in warm] == [
+            result.rows for result in cold]
+
+    def test_merged_node_is_stored_and_served(self):
+        db = make_db()
+        options = QueryOptions("gmdj", rollup="subsume", use_cache=False)
+        cold = db.execute_sql_batch([EXISTS_SQL, EXISTS_SQL], options)
+        (group,) = cold.report.groups
+        assert group.certified is True
+        with metrics_scope(merge=False) as registry:
+            warm = db.execute_sql_batch([EXISTS_SQL, EXISTS_SQL], options)
+        assert registry.counters["rollup.exact_hits"].value == 1
+        (group,) = warm.report.groups
+        assert group.certified is None
+        assert group.runtime_detail_scans == 0
+        assert [result.rows for result in warm] == [
+            result.rows for result in cold]
+
+
 # -- the seeded bug: over-eager fingerprint ignoring base-only conjuncts ------
 
 
@@ -259,37 +244,3 @@ class TestSeededOverMerge:
         batch = db.execute_batch(queries, NO_CACHE)
         for query, result in zip(queries, batch):
             assert result.rows == db.execute(query, NO_CACHE).rows
-
-
-# -- the numpy x coalesce point: column split, array residuals ----------------
-
-
-class TestColumnSplitDifferential:
-    """On the numpy kernel a coalesced batch never leaves columns until
-    each member's result does: the split is column picks, the residuals
-    array operators.  Same rows, order, schema and IOStats — in total
-    and per member — as the row kernel's batch, and the same rows as
-    each member run alone."""
-
-    @pytest.mark.parametrize("form", FORMS)
-    def test_numpy_coalesce_matches_row_coalesce_and_alone(self, form):
-        from repro.storage import collect
-
-        db = make_db()
-        queries = [form_query(form, bound) for bound in (0, 2, 4, 6)]
-        runs = {}
-        for backend in ("row", "numpy"):
-            options = QueryOptions(backend=backend, use_cache=False)
-            with collect() as stats:
-                batch = db.execute_batch(queries, options)
-            assert len(batch.report.groups) == 1
-            runs[backend] = (batch, stats.snapshot())
-        (row_batch, row_stats), (batch, stats) = runs["row"], runs["numpy"]
-        assert stats == row_stats
-        alone = QueryOptions(backend="row", use_cache=False)
-        for query, item, row_item in zip(queries, batch.items,
-                                         row_batch.items):
-            expected = db.execute(query, alone)
-            assert item.result.schema.names == expected.schema.names
-            assert item.result.rows == expected.rows == row_item.result.rows
-            assert item.io == row_item.io

@@ -21,9 +21,12 @@ interpreter's rows in its order and its IOStats, warm runs, batches).
 Two hypothesis properties then draw random databases, predicates and
 lattice points — the typed one also invariant-block sharing on or off
 and each kernel's rows against the plan's capability certificate — a
-batch check holds a coalesced batch to its members run alone at every
-kernel × fragmenter point, and one test stacks numpy, a coalesced
-batch, a warm rollup store and a warm result cache.
+batch check holds each form's coalesced batch to its members run alone
+and to the row kernel's batch (rows, order, every item's IOStats) at
+every kernel × fragmenter point, and unfragmented to a warm run that
+the result cache or the rollup store answers unscanned; one test
+stacks numpy, a coalesced batch, a warm rollup store and a warm result
+cache.
 
 Options come only from the call: this lattice, not a rerun of the whole
 suite under another configuration, is where configurations are compared.
@@ -36,7 +39,7 @@ import functools
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import QueryOptions
+from repro import Database, DataType, QueryOptions
 from repro.algebra.aggregates import agg
 from repro.algebra.expressions import TRUE, Comparison, Not, col, lit
 from repro.algebra.nested import (
@@ -56,10 +59,66 @@ from repro.gmdj.evaluate import invariant_sharing
 from repro.lint.absint import certify_capabilities
 from repro.obs.invariants import check_capabilities, check_trace
 from repro.obs.tracer import tracing
-from repro.storage import Catalog, DataType, Relation, collect
+from repro.storage import Catalog, Relation, collect
 from repro.unnesting import subquery_to_gmdj
-from tests.test_mqo_differential import FORMS, form_query, make_db
 from tests.test_property_equivalence import databases, predicates
+
+#: NULL-heavy fixed data: NULLs in join keys, outer columns, and the
+#: subquery item/aggregate column, so three-valued logic is exercised
+#: on every form.
+B_ROWS = [(1, 10), (2, None), (3, 30), (None, 40), (2, 20), (None, None)]
+R_ROWS = [(1, 5), (1, None), (2, 2), (3, None), (None, 1), (None, None),
+          (2, 7), (3, 3)]
+
+
+def make_db():
+    db = Database()
+    db.create_table(
+        "B", [("K", DataType.INTEGER), ("X", DataType.INTEGER)], B_ROWS
+    )
+    db.create_table(
+        "R", [("K", DataType.INTEGER), ("Y", DataType.INTEGER)], R_ROWS
+    )
+    return db
+
+
+def subquery(theta, **kwargs):
+    return Subquery(ScanTable("R", "r"), theta, **kwargs)
+
+
+#: All six Table 1 subquery forms.
+FORMS = ("exists", "not_exists", "in", "not_in", "quantified", "agg")
+
+
+def form_query(form: str, bound: int) -> NestedSelect:
+    """One Table 1 subquery form, parameterized so same-form queries are
+    share-compatible (same base, different θ constants)."""
+    theta = (col("r.K") == col("b.K")) & (col("r.Y") > lit(bound))
+    if form == "exists":
+        predicate = Exists(subquery(theta))
+    elif form == "not_exists":
+        predicate = Exists(subquery(theta), negated=True)
+    elif form == "in":
+        predicate = in_predicate(
+            col("b.X"), subquery(theta, item=col("r.Y"))
+        )
+    elif form == "not_in":
+        predicate = not_in_predicate(
+            col("b.X"), subquery(theta, item=col("r.Y"))
+        )
+    elif form == "quantified":
+        predicate = QuantifiedComparison(
+            ">", "all", col("b.X"), subquery(theta, item=col("r.Y"))
+        )
+    elif form == "agg":
+        predicate = ScalarComparison(
+            ">=", col("b.X"),
+            subquery(theta, aggregate=agg("sum", col("r.Y"), "v")),
+        )
+    else:  # pragma: no cover - guarded by FORMS
+        raise AssertionError(form)
+    return NestedSelect(ScanTable("B", "b"), predicate)
+
 
 KERNELS = ["row", "python", "numpy"]
 
@@ -169,30 +228,62 @@ class TestLattice:
     @pytest.mark.parametrize("fragmenter", FRAGMENTERS)
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_batch_matches_solo(self, kernel, fragmenter):
-        # The coalesced batch against its members run alone (each a
-        # batch of one, which plans no group).
-        queries = [form_query("exists", bound) for bound in (0, 3)]
-        db = make_db()
-        options = at("gmdj_optimized", kernel, fragmenter).options
-        with tracing() as tracer, collect() as stats:
-            batch = db.execute_batch(queries, options)
-        assert stats.detail_scans == len(
-            tracer.trace().find(kind="detail_scan"))
-        assert sum(item.detail_scans for item in batch.items) == (
-            pytest.approx(stats.detail_scans))
-        for query, result in zip(queries, batch):
-            assert result.rows == db.execute(query, options).rows
-        (group,) = batch.report.groups
-        # The scan-count certificate is checkable only when no
-        # fragmenter multiplies the detail scans.
-        assert group.certified is (True if fragmenter == "none" else None)
+        # Each form coalesced at two bounds against its members run
+        # alone (each a batch of one, which plans no group), and against
+        # the row kernel's batch: rows, order, and every item's IOStats.
+        # Unfragmented, the batch runs warm again with the result cache
+        # on, then with the rollup store on: both answer it unscanned.
+        tiers = [{}]
+        if fragmenter == "none":
+            tiers += [dict(use_cache=True), dict(rollup="subsume")]
+        for form in FORMS:
+            queries = [form_query(form, bound) for bound in (0, 3)]
+            reference = batch_reference(form, fragmenter)
+            for knobs in tiers:
+                db = make_db()
+                options = at("gmdj_optimized", kernel, fragmenter,
+                             **knobs).options
+                alone = [make_db().execute(query, options)
+                         for query in queries]
+                with tracing() as tracer, collect() as stats:
+                    batch = db.execute_batch(queries, options)
+                assert stats.detail_scans == len(
+                    tracer.trace().find(kind="detail_scan"))
+                assert sum(item.detail_scans for item in batch.items) == (
+                    pytest.approx(stats.detail_scans))
+                for item, solo, expected in zip(batch.items, alone,
+                                                reference):
+                    assert item.result.schema.names == solo.schema.names
+                    assert item.result.rows == solo.rows, form
+                    assert item.io == expected.io, form
+                (group,) = batch.report.groups
+                # The scan-count certificate is checkable only when no
+                # fragmenter multiplies the detail scans.
+                assert group.certified is (
+                    True if fragmenter == "none" else None)
+                if not knobs:
+                    continue
+                with collect() as stats:
+                    warm = db.execute_batch(queries, options)
+                assert stats.detail_scans == 0, (form, knobs)
+                assert [result.rows for result in warm] == [
+                    result.rows for result in batch], (form, knobs)
+                if knobs.get("use_cache"):
+                    assert not warm.report.groups
+                else:
+                    (group,) = warm.report.groups
+                    assert group.certified is None
+                    assert group.runtime_detail_scans == 0
 
     def test_every_warm_tier_at_once(self):
         # numpy × coalesced batch × warm rollup store × warm result
         # cache.  The cases coalesce into one group; a query with its
-        # own base stays a singleton, so the warm tiers answer it: the
-        # result cache by its exact text, the rollup store when the
-        # same GMDJ comes back spelled differently.
+        # own base stays a singleton.  Every member probes the result
+        # cache first, and the group's merged GMDJ meets the rollup
+        # store as the singleton's GMDJ does: warm, the cache serves
+        # each exact text, the rollup store the singleton's GMDJ spelled
+        # differently, and — once the results are dropped — the group's
+        # merged GMDJ too.  No warm run scans.
         db = make_db()
         options = at("gmdj_optimized", "numpy", "none",
                      rollup="subsume", use_cache=True).options
@@ -202,16 +293,34 @@ class TestLattice:
         respelled = NestedSelect(maximum.child, filtered & maximum.predicate)
         alone_rows = make_db().execute(
             alone, at("gmdj_optimized", "row", "none").options).rows
-        for run, singleton, hits in (("cold", alone, (0, 0)),
-                                     ("cached", alone, (1, 0)),
-                                     ("rollup", respelled, (1, 1))):
-            batch = db.execute_batch([*CASES.values(), singleton], options)
-            assert len(batch.report.groups) == 1, run
+        members = len(CASES) + 1
+        for run, singleton, groups, hits in (
+                ("cold", alone, 1, (0, 0)),
+                ("cached", alone, 0, (members, 0)),
+                ("rollup", respelled, 0, (2 * members - 1, 1)),
+                ("merged rollup", alone, 1, (2 * members - 1, 3))):
+            if run == "merged rollup":
+                db.cache.invalidate_results()
+            with collect() as stats:
+                batch = db.execute_batch([*CASES.values(), singleton],
+                                         options)
+            assert len(batch.report.groups) == groups, run
+            assert (stats.detail_scans == 0) is (run != "cold"), run
             for case, result in zip(CASES, batch):
                 expected = observed(case, at("gmdj_optimized", "row", "none"))
                 assert result.rows == expected.rows[0], (run, case)
             assert batch[-1].rows == alone_rows, run
             assert (db.cache.result_hits, db.rollups.exact_hits) == hits, run
+        (group,) = batch.report.groups
+        assert group.certified is None
+
+
+@functools.cache
+def batch_reference(form: str, fragmenter: str) -> tuple:
+    """The row kernel's cold batch of ``form`` at two bounds: its items."""
+    options = at("gmdj_optimized", "row", fragmenter).options
+    return tuple(make_db().execute_batch(
+        [form_query(form, bound) for bound in (0, 3)], options).items)
 
 
 # -- random lattice points ------------------------------------------------------
@@ -357,9 +466,6 @@ def inner_conditions(draw, alias="r"):
         predicate = predicate & extra
     return predicate
 
-
-#: All six Table 1 subquery forms.
-FORMS = ("exists", "not_exists", "in", "not_in", "quantified", "agg")
 
 #: Inner item / aggregate argument columns, covering every array dtype.
 ITEM_COLUMNS = ("Y", "T", "G")

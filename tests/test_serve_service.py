@@ -20,12 +20,13 @@ import asyncio
 import dataclasses
 import http.client
 import json
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.serve import QueryService, ServeConfig, parse_options
+from repro.serve import QueryService, ServeConfig, TenantRegistry, parse_options
 
 SQL = ("SELECT K FROM B b WHERE EXISTS "
        "(SELECT * FROM R r WHERE r.K = b.K)")
@@ -41,11 +42,11 @@ class LiveServer:
         self.service = QueryService(self.config)
         self.loop = asyncio.new_event_loop()
         self._ready = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread = threading.Thread(target=self._loop_forever, daemon=True)
         self._thread.start()
         assert self._ready.wait(10), "service failed to start"
 
-    def _run(self):
+    def _loop_forever(self):
         asyncio.set_event_loop(self.loop)
         self.loop.run_until_complete(self.service.start())
         self._ready.set()
@@ -267,9 +268,10 @@ class TestEndpoints:
     def test_tenant_cap_is_429(self, live_server):
         server = live_server(max_tenants=1)
         server.get("/healthz")
-        status, _ = server.post(
-            "/query", {"tenant": "first", "sql": "SELECT 1"})
-        assert status != 429  # first tenant fits (status is a 400: no tables)
+        status, _ = server.post("/ddl", {"tenant": "first", "statement": {
+            "op": "create_table", "name": "B", "columns": [["K", "integer"]],
+        }})
+        assert status == 200  # the first tenant fits, and stays
         status, payload = server.post(
             "/query", {"tenant": "second", "sql": "SELECT 1"})
         assert status == 429
@@ -323,6 +325,30 @@ class TestErrorPaths:
             "op": "create_table", "name": "B", "columns": [["K", "integer"]],
         }})
         assert status == 200
+
+    def test_failed_request_keeps_no_tenant_it_created(self, live_server):
+        # Bodies that pass admission and fail in the tenant: an unknown
+        # ddl op, an insert into a missing table.
+        server = live_server(max_tenants=2)
+        for tenant, statement in (
+                ("t0", {"op": "nope"}),
+                ("t1", {"op": "insert", "name": "missing", "rows": [[1]]})):
+            status, _ = server.post("/ddl", {"tenant": tenant,
+                                             "statement": statement})
+            assert status == 400, tenant
+        status, _ = server.post("/ddl", {"tenant": "t2", "statement": {
+            "op": "create_table", "name": "B", "columns": [["K", "integer"]],
+        }})
+        assert status == 200
+        assert server.get("/healthz")[1]["tenants"] == 1
+        # A query against a fresh tenant fails the same way; a tenant a
+        # request did keep stays when a later request on it fails.
+        for tenant, path, body in (
+                ("t3", "/query", {"sql": "SELECT K FROM missing"}),
+                ("t2", "/ddl", {"statement": {"op": "nope"}})):
+            status, _ = server.post(path, {"tenant": tenant, **body})
+            assert status == 400, tenant
+        assert server.get("/healthz")[1]["tenants"] == 1
 
     @pytest.mark.parametrize("tail, message", [
         # SUPERSCRIPT TWO and ARABIC-INDIC DIGIT THREE are not numbers.
@@ -444,6 +470,44 @@ class TestErrorPaths:
         server = live_server(max_body=128)
         status, _ = server.post("/query", {"sql": "x" * 1024})
         assert status == 413
+
+
+class TestTenantRegistry:
+    def test_racing_requests_keep_exactly_the_tenants_one_succeeded_on(self):
+        # More threads than cores create, hold and release eight tenants
+        # at a shortened switch interval; each thread succeeds only on
+        # its own even-numbered tenant and fails everywhere else.  A
+        # tenant some request succeeded on stays, one every request on
+        # it failed goes, and no holder count is lost.
+        registry = TenantRegistry(max_tenants=8)
+        names = [f"t{i}" for i in range(8)]
+        barrier = threading.Barrier(8)
+
+        def requests(worker: int) -> None:
+            barrier.wait(10)
+            for step in range(400):
+                name = names[(worker + step) % len(names)]
+                try:
+                    with registry.holding(name):
+                        if name != names[worker] or worker % 2:
+                            raise ValueError("refused")
+                except ValueError:
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=requests, args=(worker,))
+                       for worker in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [name for name, _ in registry.items()] == names[::2]
+        assert registry._provisional == {}
 
 
 class TestFailClosed:
