@@ -11,7 +11,7 @@ Run:  python examples/distributed_gmdj.py
 
 from repro import Database, agg, col, count_star, lit, md, scan
 from repro.data import NetflowConfig, build_netflow_catalog
-from repro.gmdj import evaluate_gmdj_partitioned
+from repro.gmdj import evaluate_gmdj_partitioned, evaluate_plan, select_kernel
 from repro.storage import collect
 
 
@@ -40,15 +40,17 @@ def main() -> None:
     print(f"Warehouse: {len(db.table('Flow'))} flows over "
           f"{len(db.table('Hours'))} hours\n")
 
+    # Every scan runs on the numpy whole-array kernel.
+    kernel = select_kernel("numpy")
     plan = build_plan()
     with collect() as single_stats:
-        single = plan.evaluate(db.catalog)
+        single = evaluate_plan(plan, db.catalog, kernel)
 
     print("Partitioned evaluation (simulated scale-out):")
     for partitions in (1, 2, 4, 8):
         with collect() as stats:
             result = evaluate_gmdj_partitioned(build_plan(), db.catalog,
-                                               partitions)
+                                               partitions, kernel=kernel)
         assert result.bag_equal(single)
         print(f"  {partitions} partition(s): tuples scanned "
               f"{stats.tuples_scanned:7d} (single-scan volume: "

@@ -34,13 +34,14 @@ from dataclasses import dataclass
 from repro.algebra.aggregates import AggregateSpec, count_star
 from repro.algebra.expressions import Column, Comparison, Literal
 from repro.algebra.nested import (
+    LoopEvaluator,
     NestedSelect,
     Subquery,
     env_with_row,
     has_subqueries,
 )
 from repro.algebra.operators import Operator, Project, Select
-from repro.errors import CardinalityError, PlanError, TranslationError
+from repro.errors import PlanError, TranslationError
 from repro.gmdj.operator import GMDJ, ThetaBlock
 from repro.storage.catalog import Catalog
 from repro.storage.iostats import IOStats
@@ -96,33 +97,17 @@ class Apply(Operator):
 
     def evaluate(self, catalog: Catalog) -> Relation:
         source = self.input.evaluate(catalog)
+        loop = LoopEvaluator(catalog, early_exit=True)
         stats = IOStats.ambient()
         stats.record_scan(len(source))
         rows = []
         for row in source.rows:
             env = env_with_row({}, source.schema, row)
             if self.mode in ("semi", "anti"):
-                matched = False
-                for _ in self.subquery.matching_rows(catalog, env):
-                    matched = True
-                    break
-                if matched == (self.mode == "semi"):
+                if loop.exists(self.subquery, env) == (self.mode == "semi"):
                     rows.append(row)
-                continue
-            values = self.subquery.values(catalog, env)
-            if self.mode == "aggregate":
-                spec = self.subquery.aggregate
-                assert spec is not None
-                state = spec.make_accumulator()
-                for value in values:
-                    state.add(value)
-                rows.append(row + (state.result(),))
-            else:  # scalar
-                if len(values) > 1:
-                    raise CardinalityError(
-                        f"scalar APPLY returned {len(values)} rows"
-                    )
-                rows.append(row + (values[0] if values else None,))
+            else:
+                rows.append(row + (loop.scalar(self.subquery, env),))
         stats.tuples_output += len(rows)
         return Relation(self.schema(catalog), rows, validate=False)
 

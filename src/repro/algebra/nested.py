@@ -14,17 +14,19 @@ A :class:`Subquery` block records its *source* (R), its *predicate* θ
 and may itself contain subquery predicates: linear nesting), an optional
 selected item ``y`` and an optional aggregate ``f(y)``.
 
-``NestedSelect.evaluate`` implements **tuple-iteration semantics** — the
-naive nested-loop evaluation the paper uses as the semantic definition and
-as the slowest baseline.  Every other evaluation strategy in this library
-(GMDJ translation, join unnesting, smart native loops) is tested for
-bag-equivalence against it.
+:class:`LoopEvaluator` implements **tuple-iteration semantics**, the
+nested-loop evaluation the paper uses as the semantic definition, once:
+``NestedSelect.evaluate`` and ``Apply.evaluate`` run it with early exit,
+and the ``naive`` / ``native`` baselines run it with and without early
+exit and index probes.  Every other evaluation strategy in this library
+(GMDJ translation, join unnesting) is tested for bag-equivalence against
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.algebra.aggregates import AggregateSpec
 from repro.algebra.expressions import (
@@ -37,7 +39,11 @@ from repro.algebra.expressions import (
     Not,
     Or,
     TruthLiteral,
+    _compare,
+    conjuncts_of,
 )
+from repro.algebra.operators import ScanTable, TableValue
+from repro.algebra.rewrite import map_children
 from repro.algebra.truth import Truth
 from repro.errors import CardinalityError, ExpressionError, UnknownAttributeError
 from repro.storage.catalog import Catalog
@@ -128,7 +134,7 @@ def substitute_free(
         )
     if isinstance(expression, SubqueryPredicate):
         raise ExpressionError(
-            "subquery predicates must be evaluated via evaluate_predicate, "
+            "subquery predicates are evaluated by LoopEvaluator.predicate, "
             "not substituted"
         )
     raise ExpressionError(f"cannot substitute into {expression!r}")
@@ -167,43 +173,6 @@ class Subquery:
         head += "]"
         return f"Subquery({head} sigma[{self.predicate!r}] {self.source!r})"
 
-    def matching_rows(
-        self, catalog: Catalog, env: Environment
-    ) -> Iterator[tuple[Row, Schema]]:
-        """Tuple-iteration semantics: yield source rows satisfying θ.
-
-        The subquery's own nested predicates are evaluated recursively;
-        ``env`` supplies the values of enclosing scopes.
-        """
-        source = self.source.evaluate(catalog)
-        schema = source.schema
-        stats = IOStats.ambient()
-        stats.record_scan(len(source))
-        for row in source.rows:
-            stats.predicate_evals += 1
-            verdict = evaluate_predicate(
-                self.predicate, schema, row, catalog, env
-            )
-            if verdict.is_true:
-                yield row, schema
-
-    def values(self, catalog: Catalog, env: Environment) -> list[Any]:
-        """All values of the selected item over matching rows."""
-        if self.item is None and self.aggregate is None:
-            raise ExpressionError("EXISTS subqueries produce no values")
-        out: list[Any] = []
-        for row, schema in self.matching_rows(catalog, env):
-            expression = self.item
-            if expression is None:
-                assert self.aggregate is not None
-                expression = self.aggregate.argument
-            if expression is None:  # count(*): value irrelevant
-                out.append(None)
-            else:
-                closed = substitute_free(expression, schema, env)
-                out.append(closed.bind(schema)(row))
-        return out
-
 
 class SubqueryPredicate(Expression):
     """Base class for predicate leaves that contain a subquery."""
@@ -214,17 +183,8 @@ class SubqueryPredicate(Expression):
     def bind(self, schema: Schema) -> Evaluator:
         raise ExpressionError(
             "subquery predicates cannot be bound directly; evaluate them "
-            "with evaluate_predicate or translate them away first"
+            "with LoopEvaluator.predicate or translate them away first"
         )
-
-    def evaluate_for(
-        self,
-        outer_schema: Schema,
-        outer_row: Row,
-        catalog: Catalog,
-        env: Environment,
-    ) -> Truth:
-        raise NotImplementedError
 
     def outer_references(self) -> set[str]:
         """References in the outer operand expression (if any)."""
@@ -241,18 +201,6 @@ class Exists(SubqueryPredicate):
 
     def references(self) -> set[str]:
         return set()
-
-    def evaluate_for(
-        self,
-        outer_schema: Schema,
-        outer_row: Row,
-        catalog: Catalog,
-        env: Environment,
-    ) -> Truth:
-        inner_env = env_with_row(env, outer_schema, outer_row)
-        for _ in self.subquery.matching_rows(catalog, inner_env):
-            return Truth.of(not self.negated)
-        return Truth.of(self.negated)
 
     def __repr__(self) -> str:
         symbol = "NOT EXISTS" if self.negated else "EXISTS"
@@ -278,32 +226,6 @@ class ScalarComparison(SubqueryPredicate):
 
     def outer_references(self) -> set[str]:
         return self.outer.references()
-
-    def evaluate_for(
-        self,
-        outer_schema: Schema,
-        outer_row: Row,
-        catalog: Catalog,
-        env: Environment,
-    ) -> Truth:
-        inner_env = env_with_row(env, outer_schema, outer_row)
-        values = self.subquery.values(catalog, inner_env)
-        if self.subquery.aggregate is not None:
-            state = self.subquery.aggregate.make_accumulator()
-            for value in values:
-                state.add(value)
-            scalar = state.result()
-        else:
-            if len(values) > 1:
-                raise CardinalityError(
-                    f"scalar subquery returned {len(values)} rows"
-                )
-            scalar = values[0] if values else None
-        closed = substitute_free(self.outer, outer_schema, env)
-        outer_value = closed.bind(outer_schema)(outer_row)
-        return Comparison(self.op, Literal(outer_value), Literal(scalar)).bind(
-            Schema(())
-        )(())
 
     def __repr__(self) -> str:
         return f"({self.outer!r} {self.op} {self.subquery!r})"
@@ -335,42 +257,6 @@ class QuantifiedComparison(SubqueryPredicate):
     def outer_references(self) -> set[str]:
         return self.outer.references()
 
-    def evaluate_for(
-        self,
-        outer_schema: Schema,
-        outer_row: Row,
-        catalog: Catalog,
-        env: Environment,
-    ) -> Truth:
-        inner_env = env_with_row(env, outer_schema, outer_row)
-        closed = substitute_free(self.outer, outer_schema, env)
-        outer_value = closed.bind(outer_schema)(outer_row)
-        saw_unknown = False
-        saw_any = False
-        empty_schema = Schema(())
-        for value in self.subquery.values(catalog, inner_env):
-            saw_any = True
-            verdict = Comparison(
-                self.op, Literal(outer_value), Literal(value)
-            ).bind(empty_schema)(())
-            if self.quantifier == "some":
-                if verdict is Truth.TRUE:
-                    return Truth.TRUE
-                if verdict is Truth.UNKNOWN:
-                    saw_unknown = True
-            else:  # all
-                if verdict is Truth.FALSE:
-                    return Truth.FALSE
-                if verdict is Truth.UNKNOWN:
-                    saw_unknown = True
-        if self.quantifier == "some":
-            if not saw_any:
-                return Truth.FALSE
-            return Truth.UNKNOWN if saw_unknown else Truth.FALSE
-        if not saw_any:
-            return Truth.TRUE
-        return Truth.UNKNOWN if saw_unknown else Truth.TRUE
-
     def __repr__(self) -> str:
         return f"({self.outer!r} {self.op}_{self.quantifier} {self.subquery!r})"
 
@@ -383,41 +269,6 @@ def in_predicate(outer: Expression, subquery: Subquery) -> QuantifiedComparison:
 def not_in_predicate(outer: Expression, subquery: Subquery) -> QuantifiedComparison:
     """``x NOT IN S  ≡  x <>_all S``."""
     return QuantifiedComparison("<>", "all", outer, subquery)
-
-
-def evaluate_predicate(
-    predicate: Expression,
-    schema: Schema,
-    row: Row,
-    catalog: Catalog,
-    env: Environment,
-) -> Truth:
-    """Evaluate a (possibly nested) predicate for one tuple.
-
-    This is the semantic definition of nested query evaluation: ordinary
-    comparisons are closed against the environment and evaluated; subquery
-    leaves re-run their subquery for this tuple (tuple iteration).
-    """
-    if isinstance(predicate, SubqueryPredicate):
-        return predicate.evaluate_for(schema, row, catalog, env)
-    if isinstance(predicate, And):
-        left = evaluate_predicate(predicate.left, schema, row, catalog, env)
-        if left is Truth.FALSE:
-            return Truth.FALSE
-        right = evaluate_predicate(predicate.right, schema, row, catalog, env)
-        return left.and_(right)
-    if isinstance(predicate, Or):
-        left = evaluate_predicate(predicate.left, schema, row, catalog, env)
-        if left is Truth.TRUE:
-            return Truth.TRUE
-        right = evaluate_predicate(predicate.right, schema, row, catalog, env)
-        return left.or_(right)
-    if isinstance(predicate, Not):
-        return evaluate_predicate(
-            predicate.operand, schema, row, catalog, env
-        ).not_()
-    closed = substitute_free(predicate, schema, env)
-    return closed.bind(schema)(row)
 
 
 @dataclass
@@ -439,23 +290,224 @@ class NestedSelect:
         return self.child.schema(catalog)
 
     def evaluate(self, catalog: Catalog) -> Relation:
-        return self.evaluate_in(catalog, {})
+        return LoopEvaluator(catalog, early_exit=True).select(self, {})
 
-    def evaluate_in(self, catalog: Catalog, env: Environment) -> Relation:
-        """Tuple-iteration evaluation under an enclosing environment."""
-        source = self.child.evaluate(catalog)
+
+class LoopEvaluator:
+    """Tuple-iteration semantics: for every outer tuple, each subquery
+    block runs over its source under the tuple's bindings.
+
+    ``early_exit``   stop scanning an inner block as soon as the subquery
+                     predicate's outcome is decided (EXISTS on the first
+                     match, SOME / ALL on the first deciding row); without
+                     it every inner block is scanned to its end — the
+                     paper's naive loop.
+    ``use_indexes``  when the inner block is a plain table scan and the
+                     catalog holds a hash index matching an equality
+                     correlation conjunct, probe the index instead of
+                     scanning — a conventional engine's correlation lookup.
+
+    Each closed atom evaluated counts one ``predicate_evals``: an outer
+    predicate's comparisons per outer tuple, a block's θ per inner tuple.
+    """
+
+    def __init__(self, catalog: Catalog, early_exit: bool = False,
+                 use_indexes: bool = False) -> None:
+        self.catalog = catalog
+        self.early_exit = early_exit
+        self.use_indexes = use_indexes
+
+    def evaluate(self, query: Any) -> Relation:
+        """Evaluate ``query``, running every NestedSelect in the tree with
+        this evaluator (wrappers such as Project pass through)."""
+        return self._rewrite(query).evaluate(self.catalog)
+
+    def _rewrite(self, operator: Any) -> Any:
+        rebuilt = map_children(operator, self._rewrite)
+        if isinstance(rebuilt, NestedSelect):
+            return TableValue(self.select(rebuilt, {}))
+        return rebuilt
+
+    def select(self, nested: NestedSelect, env: Environment) -> Relation:
+        """The tuples of ``nested``'s child that its predicate keeps."""
+        from repro.obs.tracer import span
+
+        with span("NestedSelect", kind="nested_loop",
+                  early_exit=self.early_exit,
+                  use_indexes=self.use_indexes) as sp:
+            child = nested.child
+            if isinstance(child, NestedSelect):
+                source = self.select(child, env)
+            else:
+                with span("outer", kind="materialize"):
+                    source = child.evaluate(self.catalog)
+            stats = IOStats.ambient()
+            stats.record_scan(len(source))
+            rows = [row for row in source.rows
+                    if self.predicate(nested.predicate, source.schema, row,
+                                      env).is_true]
+            stats.tuples_output += len(rows)
+            sp.set(outer_rows=len(source), output_rows=len(rows))
+            return Relation(source.schema, rows, validate=False)
+
+    def predicate(self, predicate: Expression, schema: Schema, row: Row,
+                  env: Environment) -> Truth:
+        """A (possibly nested) predicate's truth for one tuple."""
+        if isinstance(predicate, Exists):
+            inner_env = env_with_row(env, schema, row)
+            return Truth.of(self.exists(predicate.subquery, inner_env)
+                            != predicate.negated)
+        if isinstance(predicate, ScalarComparison):
+            outer = substitute_free(predicate.outer, schema, env).bind(schema)
+            value = outer(row)
+            inner_env = env_with_row(env, schema, row)
+            return _compare(predicate.op, value,
+                            self.scalar(predicate.subquery, inner_env))
+        if isinstance(predicate, QuantifiedComparison):
+            return self._quantified(predicate, schema, row, env)
+        if isinstance(predicate, And):
+            left = self.predicate(predicate.left, schema, row, env)
+            if left is Truth.FALSE:
+                return Truth.FALSE
+            return left.and_(self.predicate(predicate.right, schema, row, env))
+        if isinstance(predicate, Or):
+            left = self.predicate(predicate.left, schema, row, env)
+            if left is Truth.TRUE:
+                return Truth.TRUE
+            return left.or_(self.predicate(predicate.right, schema, row, env))
+        if isinstance(predicate, Not):
+            return self.predicate(predicate.operand, schema, row, env).not_()
+        IOStats.ambient().predicate_evals += 1
+        return substitute_free(predicate, schema, env).bind(schema)(row)
+
+    # -- the subquery forms ----------------------------------------------------
+
+    def exists(self, subquery: Subquery, env: Environment) -> bool:
+        """Whether ``subquery`` yields a row under ``env``."""
+        found = False
+        for _ in self._inner_rows(subquery, env):
+            found = True
+            if self.early_exit:
+                break
+        return found
+
+    def scalar(self, subquery: Subquery, env: Environment) -> Any:
+        """The block's one value under ``env``: its aggregate over the
+        qualifying rows, or its item (NULL on no row; more than one row
+        raises :class:`CardinalityError`)."""
+        values = self._values(subquery, env)
+        if subquery.aggregate is not None:
+            state = subquery.aggregate.make_accumulator()
+            for value in values:
+                state.add(value)
+            return state.result()
+        scalar = None
+        for count, value in enumerate(values):
+            if count:
+                raise CardinalityError("scalar subquery returned multiple rows")
+            scalar = value
+        return scalar
+
+    def _quantified(self, leaf: QuantifiedComparison, schema: Schema,
+                    row: Row, env: Environment) -> Truth:
+        """``x φ_some S`` is TRUE on a TRUE comparison, FALSE when S is
+        empty or every comparison is FALSE, UNKNOWN otherwise; ``x φ_all
+        S`` is its dual (TRUE on an empty S)."""
+        outer_value = substitute_free(leaf.outer, schema, env).bind(schema)(row)
+        deciding = Truth.TRUE if leaf.quantifier == "some" else Truth.FALSE
+        decided = False
+        saw_unknown = False
+        for value in self._values(leaf.subquery, env_with_row(env, schema, row)):
+            verdict = _compare(leaf.op, outer_value, value)
+            if verdict is deciding:
+                if self.early_exit:
+                    return deciding
+                decided = True
+            elif verdict is Truth.UNKNOWN:
+                saw_unknown = True
+        if decided:
+            return deciding
+        return Truth.UNKNOWN if saw_unknown else deciding.not_()
+
+    # -- inner block access ----------------------------------------------------
+
+    def _values(self, subquery: Subquery, env: Environment) -> Iterator[Any]:
+        """The block's item (or aggregate argument) over its qualifying
+        rows; None per row for ``count(*)``."""
+        item = subquery.item
+        if item is None and subquery.aggregate is not None:
+            item = subquery.aggregate.argument
+        value: Evaluator | None = None
+        for row, schema in self._inner_rows(subquery, env):
+            if item is None:
+                yield None
+                continue
+            if value is None:
+                value = substitute_free(item, schema, env).bind(schema)
+            yield value(row)
+
+    def _qualifying(self, theta: Expression, rows: Iterable[Row],
+                    schema: Schema,
+                    env: Environment) -> Iterator[tuple[Row, Schema]]:
+        """The (row, schema) pairs of ``rows`` that θ keeps under ``env``;
+        a θ without subquery leaves is closed and bound once."""
+        closed = (None if has_subqueries(theta)
+                  else substitute_free(theta, schema, env).bind(schema))
         stats = IOStats.ambient()
-        stats.record_scan(len(source))
-        rows = []
-        for row in source.rows:
-            stats.predicate_evals += 1
-            verdict = evaluate_predicate(
-                self.predicate, source.schema, row, catalog, env
-            )
-            if verdict.is_true:
-                rows.append(row)
-        stats.tuples_output += len(rows)
-        return Relation(source.schema, rows, validate=False)
+        for row in rows:
+            if closed is not None:
+                stats.predicate_evals += 1
+                keep = closed(row).is_true
+            else:
+                keep = self.predicate(theta, schema, row, env).is_true
+            if keep:
+                yield row, schema
+
+    def _inner_rows(self, subquery: Subquery,
+                    env: Environment) -> Iterator[tuple[Row, Schema]]:
+        """The block's qualifying (row, schema) pairs: a scan of its
+        source, or under ``use_indexes`` a probe when an equality
+        correlation conjunct meets a catalog hash index."""
+        source = subquery.source
+        if self.use_indexes and isinstance(source, ScanTable):
+            probed = self._index_probe(subquery, source, env)
+            if probed is not None:
+                return self._qualifying(subquery.predicate, probed,
+                                        source.schema(self.catalog), env)
+        relation = source.evaluate(self.catalog)
+        IOStats.ambient().record_scan(len(relation))
+        return self._qualifying(subquery.predicate, relation.rows,
+                                relation.schema, env)
+
+    def _index_probe(self, subquery: Subquery, source: ScanTable,
+                     env: Environment) -> list[Row] | None:
+        """The stored rows an index returns for the first equality
+        correlation conjunct ``inner column = closed outer expression``
+        whose column is indexed, or None (scan instead).  Only plain
+        conjunctions qualify, as in a conventional engine's rewrite."""
+        alias_schema = source.schema(self.catalog)
+        for conjunct in conjuncts_of(subquery.predicate):
+            if not isinstance(conjunct, Comparison) or conjunct.op != "=":
+                continue
+            for inner_side, outer_side in (
+                (conjunct.left, conjunct.right),
+                (conjunct.right, conjunct.left),
+            ):
+                if not isinstance(inner_side, Column):
+                    continue
+                if not alias_schema.has(inner_side.reference):
+                    continue
+                outer_refs = outer_side.references()
+                if any(alias_schema.has(ref) for ref in outer_refs):
+                    continue
+                bare = alias_schema.field_of(inner_side.reference).name
+                index = self.catalog.hash_index(source.table_name, (bare,))
+                if index is None or not all(ref in env for ref in outer_refs):
+                    continue
+                empty = Schema(())
+                value = substitute_free(outer_side, empty, env).bind(empty)(())
+                return index.probe((value,))
+        return None
 
 
 def collect_subquery_predicates(predicate: Expression) -> list[SubqueryPredicate]:

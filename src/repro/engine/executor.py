@@ -15,8 +15,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.algebra.operators import Operator
 from repro.baselines.join_unnest import evaluate_join_unnest
-from repro.baselines.native import evaluate_native
-from repro.baselines.nested_loop import evaluate_naive
+from repro.baselines.native import evaluate_naive, evaluate_native
 from repro.engine.cache import PlanCache
 from repro.engine.options import QueryOptions
 from repro.engine.planner import _is_plain, plan_for

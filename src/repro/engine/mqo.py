@@ -4,7 +4,9 @@
 :meth:`repro.engine.database.Database.execute_batch`, and so of every
 unprofiled query (``Database.execute`` is a batch of one).  It:
 
-1. answers each member the result cache holds, under ``use_cache``;
+1. answers each member the result cache holds, under ``use_cache``; a
+   member repeating an earlier miss's key is answered once that miss is
+   stored, unless the two run in one group;
 2. plans each miss (:func:`repro.engine.planner.plan_for`),
    fingerprints the plan (:func:`repro.gmdj.share.fingerprint_plan`)
    and partitions share-compatible plans into groups
@@ -25,8 +27,8 @@ unprofiled query (``Database.execute`` is a batch of one).  It:
 5. attributes the shared scan's IOStats *fractionally* (1/k per
    consumer), so per-query accounting reconciles with batch totals
    (the serve tier's ``/metrics`` consistency depends on this);
-6. stores each miss's result under the catalog generation read when
-   the batch started.
+6. stores each miss's result, as soon as it has run, under the catalog
+   generation read when the batch started.
 
 No option turns sharing off.  The unshared reference is each member run
 alone (a batch of one plans no group);
@@ -421,14 +423,29 @@ def execute_batch(
     keys: list[tuple | None] = [None] * len(queries)
     report = BatchReport(queries=len(queries))
 
+    def store(index: int) -> None:
+        key, item = keys[index], items[index]
+        if key is not None and item is not None:
+            db.cache.store_result(key, item.result, db.catalog, generation)
+
     misses = []
+    # A member whose key an earlier member missed on waits for that
+    # member's stored result, as it would running after it.
+    repeats: set[int] = set()
+    missed: set[tuple] = set()
     for index, query in enumerate(queries):
         t0 = time.perf_counter()
         if canon.use_cache:
             keys[index] = (canon.cache_key(), PlanCache.plan_key(query))
-        cached = None if keys[index] is None else db.cache.result(keys[index])
+        key = keys[index]
+        if key in missed:
+            repeats.add(index)
+        cached = (None if key is None or index in repeats
+                  else db.cache.result(key))
         if cached is None:
             misses.append(index)
+            if key is not None:
+                missed.add(key)
         else:
             items[index] = BatchItem(index, cached, time.perf_counter() - t0,
                                      group_id=None, shared=False, io={})
@@ -436,14 +453,22 @@ def execute_batch(
                       canon, cache=db.cache)
 
     for group in plan.groups:
+        members = [misses[index] for index in group.indices]
         report.groups.append(_run_group(
-            db, group, [misses[index] for index in group.indices],
-            canon, hook, items, totals))
+            db, group, members, canon, hook, items, totals))
+        for index in members:
+            if index not in repeats:
+                store(index)
 
     for position in plan.singletons:
         index = misses[position]
-        before = ambient.snapshot()
         t0 = time.perf_counter()
+        cached = db.cache.result(keys[index]) if index in repeats else None
+        if cached is not None:
+            items[index] = BatchItem(index, cached, time.perf_counter() - t0,
+                                     group_id=None, shared=False, io={})
+            continue
+        before = ambient.snapshot()
         result = execute(queries[index], db.catalog, canon,
                          plan=plan.plans[position], cache=db.cache,
                          rollups=db.rollups)
@@ -454,13 +479,9 @@ def execute_batch(
             index=index, result=result, elapsed_seconds=elapsed,
             group_id=None, shared=False, io=dict(delta),
         )
+        store(index)
 
     done = [item for item in items if item is not None]
-    for index in misses:
-        key = keys[index]
-        if key is not None:
-            db.cache.store_result(key, done[index].result, db.catalog,
-                                  generation)
     if report.groups:
         report.certificate = certify_batch(
             [group.certificate for group in report.groups])

@@ -36,11 +36,6 @@ row list once (``tolist`` + ``zip`` — no text parsing), and the loaded
 columnar encoding *is* the relation's one cached encoding, so every
 vectorized query scans the memory-mapped arrays directly instead of
 re-transposing the rows.
-
-Parquet interchange (:func:`save_parquet` / :func:`load_parquet`) is
-gated behind the optional ``pyarrow`` extra and raises a clean
-:class:`~repro.errors.ConfigurationError` when it is not installed; the
-native format above never needs it.
 """
 
 from __future__ import annotations
@@ -54,7 +49,7 @@ from typing import Any
 import numpy as np
 from numpy.lib import format as npy
 
-from repro.errors import ConfigurationError, SchemaError
+from repro.errors import SchemaError
 from repro.storage.columnar import (
     ColumnarRelation,
     ColumnData,
@@ -279,56 +274,3 @@ def load_catalog_binary(directory: str | Path):
         catalog.create_table(table_stem(table_dir), load_binary(table_dir))
     return catalog
 
-
-# -- optional parquet interchange (pyarrow extra) -------------------------
-
-
-def _require_pyarrow() -> Any:
-    try:  # pragma: no cover - depends on environment
-        import pyarrow
-        import pyarrow.parquet  # noqa: F401
-    except ImportError:
-        raise ConfigurationError(
-            "parquet interchange requires the optional pyarrow extra; "
-            "install it with: pip install repro[parquet] "
-            "(the native .cols binary format does not need it)"
-        ) from None
-    return pyarrow  # pragma: no cover
-
-
-_ARROW_TYPES = {
-    DataType.INTEGER: "int64",
-    DataType.FLOAT: "float64",
-    DataType.BOOLEAN: "bool_",
-    DataType.STRING: "string",
-}
-
-
-def save_parquet(relation: Relation, path: str | Path) -> Path:
-    """Write ``relation`` as a Parquet file (requires pyarrow)."""
-    pa = _require_pyarrow()
-    import pyarrow.parquet as pq  # pragma: no cover
-
-    path = Path(path)  # pragma: no cover
-    arrays = [  # pragma: no cover
-        pa.array(relation.column(field.full_name),
-                 type=getattr(pa, _ARROW_TYPES[field.dtype])())
-        for field in relation.schema.fields
-    ]
-    table = pa.table(arrays,  # pragma: no cover
-                     names=[field.full_name
-                            for field in relation.schema.fields])
-    pq.write_table(table, path)  # pragma: no cover
-    return path  # pragma: no cover
-
-
-def load_parquet(path: str | Path, schema: Schema,
-                 name: str | None = None) -> Relation:
-    """Read a Parquet file into ``schema`` (requires pyarrow)."""
-    _require_pyarrow()
-    import pyarrow.parquet as pq  # pragma: no cover
-
-    table = pq.read_table(Path(path))  # pragma: no cover
-    rows = zip(*(column.to_pylist()  # pragma: no cover
-                 for column in table.columns))
-    return Relation(schema, rows, name=name)  # pragma: no cover

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.engine.database import Database
-from repro.errors import ConfigurationError, SchemaError
+from repro.errors import SchemaError
 from repro.storage import (
     Catalog,
     DataType,
@@ -32,7 +32,6 @@ from repro.storage import (
     save_binary,
     save_catalog_binary,
 )
-from repro.storage import binio
 
 COMPAT = Path(__file__).parent / "data" / "compat.cols"
 
@@ -442,16 +441,3 @@ class TestFormatCompatibility:
             assert (path / name).read_bytes() \
                 == (COMPAT / name).read_bytes(), name
 
-
-class TestParquetGate:
-    def test_parquet_requires_pyarrow(self, tmp_path):
-        try:
-            import pyarrow  # noqa: F401
-            pytest.skip("pyarrow installed; gate cannot fire")
-        except ImportError:
-            pass
-        with pytest.raises(ConfigurationError, match="pyarrow"):
-            binio.save_parquet(sample_relation(rows=2), tmp_path / "t.parquet")
-        with pytest.raises(ConfigurationError, match="pyarrow"):
-            binio.load_parquet(tmp_path / "t.parquet",
-                               sample_relation(rows=1).schema)

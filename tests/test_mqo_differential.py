@@ -164,6 +164,21 @@ class TestWarmBatch:
         assert [result.rows for result in warm] == [
             result.rows for result in cold]
 
+    def test_repeated_member_is_answered_from_the_cache(self):
+        # A holistic COUNT(DISTINCT) forms no group: the second copy is
+        # answered by the first's stored result, as when run in order.
+        db = make_db()
+        sql = ("SELECT b.K FROM B b WHERE b.X > (SELECT COUNT(DISTINCT r.Y) "
+               "FROM R r WHERE r.K = b.K)")
+        with collect() as stats:
+            batch = db.execute_sql_batch([sql, sql],
+                                         QueryOptions(use_cache=True))
+        assert not batch.report.groups
+        assert stats.detail_scans == 1
+        assert (db.cache.result_hits, db.cache.result_misses) == (1, 1)
+        alone = db.execute_sql(sql, NO_CACHE).rows
+        assert [result.rows for result in batch] == [alone, alone]
+
     def test_merged_node_is_stored_and_served(self):
         db = make_db()
         options = QueryOptions("gmdj", rollup="subsume", use_cache=False)

@@ -18,9 +18,10 @@ Every point runs all six Table 1 subquery forms and the Figure 4
 ``check_trace`` clean, and keeps the identity rule ``repro fuzz``
 checks too (:func:`~repro.fuzz.oracle.identity_violations`: the row
 interpreter's rows in its order and its IOStats, warm runs, batches).
-Two hypothesis properties then draw random databases, predicates and
-lattice points — the typed one also invariant-block sharing on or off
-and each kernel's rows against the plan's capability certificate — a
+Two hypothesis properties then draw random databases (the first also
+the fuzzer's NULL-heavy ones), predicates and lattice points — the
+typed one also invariant-block sharing on or off and each kernel's
+rows against the plan's capability certificate — a
 batch check holds each form's coalesced batch to its members run alone
 and to the row kernel's batch (rows, order, every item's IOStats) at
 every kernel × fragmenter point, and unfragmented to a warm run that
@@ -35,6 +36,7 @@ suite under another configuration, is where configurations are compared.
 from __future__ import annotations
 
 import functools
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -53,6 +55,7 @@ from repro.algebra.nested import (
 )
 from repro.algebra.operators import ScanTable
 from repro.errors import PlanError
+from repro.fuzz.datagen import random_database
 from repro.fuzz.oracle import Point, identity_violations, observe, point
 from repro.gmdj import evaluate_plan, select_fragmenter, select_kernel
 from repro.gmdj.evaluate import invariant_sharing
@@ -339,9 +342,29 @@ fragmenters = st.one_of(
 )
 
 
+def fuzzer_catalog(seed: int) -> Catalog:
+    """The fuzzer's NULL-heavy database for ``seed`` (skewed keys,
+    duplicate rows, 40% NULLs in every column), rebuilt under the
+    property grammar's ``B(K, X)`` / ``R(K, Y)`` schema, data unchanged."""
+    generated = random_database(random.Random(seed), max_rows=12,
+                                null_rate=0.4).build_catalog()
+    catalog = Catalog()
+    for name, value in (("B", "X"), ("R", "Y")):
+        catalog.create_table(name, Relation.from_columns(
+            [("K", DataType.INTEGER), (value, DataType.INTEGER)],
+            [(row[0], row[1]) for row in generated.table(name).rows],
+        ))
+    return catalog
+
+
+catalogs = st.one_of(databases(),
+                     st.integers(min_value=0, max_value=10_000).map(
+                         fuzzer_catalog))
+
+
 class TestRandomLatticePoints:
     @SETTINGS
-    @given(catalog=databases(), predicate=predicates(),
+    @given(catalog=catalogs, predicate=predicates(),
            optimize=st.booleans(), kernel=st.sampled_from(KERNELS),
            chunk_size=st.one_of(st.none(), st.integers(1, 6)),
            fragmenter=fragmenters)
