@@ -13,6 +13,10 @@ SQL rules implemented here and exercised by the paper:
 * ``SUM``/``AVG``/``MIN``/``MAX`` ignore NULLs and return NULL on empty (or
   all-NULL) input — this is the footnote-2 pitfall: ``x > MAX(empty)`` is
   UNKNOWN, while ``x >ALL empty`` is TRUE, so ALL cannot be reduced to MAX.
+* ``single(y)`` is a non-aggregate scalar subquery's value: NULL on no
+  row, the row's ``y`` on one row, :class:`CardinalityError` on a second
+  row.  It is holistic (Gray et al.): a partition's state is a row, not
+  a value two partitions can merge without seeing both.
 """
 
 from __future__ import annotations
@@ -20,14 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.errors import ExpressionError, TypeCheckError
+from repro.errors import CardinalityError, ExpressionError, TypeCheckError
 from repro.algebra.expressions import Evaluator, Expression
 from repro.storage.iostats import IOStats
 from repro.storage.schema import Field, Schema
 from repro.storage.types import DataType
 
 #: Names accepted by :func:`make_accumulator`.
-AGGREGATE_NAMES = ("count", "sum", "avg", "min", "max")
+AGGREGATE_NAMES = ("count", "sum", "avg", "min", "max", "single")
 
 
 class Accumulator:
@@ -163,6 +167,26 @@ class Max(Accumulator):
         return self.best
 
 
+class Single(Accumulator):
+    """A scalar subquery's one value: raises on a second row.  Holistic,
+    so it has no :meth:`merge`: nothing splits its input."""
+
+    __slots__ = ("value", "seen")
+
+    def __init__(self) -> None:
+        self.value = None
+        self.seen = False
+
+    def add(self, value: Any) -> None:
+        if self.seen:
+            raise CardinalityError("scalar subquery returned multiple rows")
+        self.value = value
+        self.seen = True
+
+    def result(self) -> Any:
+        return self.value
+
+
 class DistinctWrapper(Accumulator):
     """DISTINCT modifier: feed each distinct non-NULL value once.
 
@@ -198,6 +222,7 @@ _FACTORIES: dict[str, Callable[[], Accumulator]] = {
     "avg": Avg,
     "min": Min,
     "max": Max,
+    "single": Single,
 }
 
 
@@ -236,6 +261,10 @@ class AggregateSpec:
     def _output_dtype(self, input_schema: Schema) -> DataType:
         if self.function == "count":
             return DataType.INTEGER
+        if self.function == "single":
+            from repro.algebra.operators import infer_dtype
+
+            return infer_dtype(self.argument, input_schema)
         # sum/min/max follow the argument's type when it is a plain column;
         # sum/avg over a STRING column is rejected before any row is read.
         refs = self.argument.references() if self.argument else set()
@@ -272,6 +301,11 @@ class AggregateSpec:
 def count_star(output_name: str = "cnt") -> AggregateSpec:
     """The workhorse of the paper: ``count(*) -> output_name``."""
     return AggregateSpec("count", None, output_name)
+
+
+def single(argument: Expression, output_name: str = "single") -> AggregateSpec:
+    """``single(y) -> output_name``: a non-aggregate scalar subquery."""
+    return AggregateSpec("single", argument, output_name)
 
 
 def agg(function: str, argument: Expression | None, output_name: str) -> AggregateSpec:

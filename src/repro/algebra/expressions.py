@@ -34,6 +34,8 @@ from repro.errors import ExpressionError
 from repro.storage.schema import Schema
 
 Evaluator = Callable[[tuple], Any]
+#: How a node binds its operands: memoized, or afresh for a one-off root.
+Binder = Callable[["Expression", Schema], Evaluator]
 
 #: Bound-evaluator memoization, keyed per (expression, schema) *object*
 #: pair.  Chunked, partitioned, and pool evaluation re-bind the same
@@ -78,6 +80,14 @@ def _bind_memoized(expression: "Expression", schema: Schema) -> Evaluator:
         while len(_bind_cache) > _BIND_CACHE_LIMIT:
             _bind_cache.popitem(last=False)
     return evaluator
+
+
+def bind_one_off(expression: "Expression", schema: Schema) -> Evaluator:
+    """Bind ``expression`` and its subtrees without the memo: for an
+    expression built for one use (a per-tuple substitution), whose entry
+    would only evict the ones worth keeping."""
+    return expression._bind(schema, bind_one_off)
+
 
 #: Comparison operator names in the paper's φ set.
 COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
@@ -125,8 +135,9 @@ class Expression:
         """
         return _bind_memoized(self, schema)
 
-    def _bind(self, schema: Schema) -> Evaluator:
-        """Actually compile this node (implemented by subclasses)."""
+    def _bind(self, schema: Schema, bind: Binder = _bind_memoized) -> Evaluator:
+        """Actually compile this node (implemented by subclasses), each
+        operand through ``bind``: memoized or not, as the root was."""
         raise NotImplementedError
 
     def references(self) -> set[str]:
@@ -203,7 +214,7 @@ class Literal(Expression):
 
     value: Any
 
-    def _bind(self, schema: Schema) -> Evaluator:
+    def _bind(self, schema: Schema, bind: Binder = _bind_memoized) -> Evaluator:
         value = self.value
         return lambda row: value
 
@@ -220,7 +231,7 @@ class Column(Expression):
 
     reference: str
 
-    def _bind(self, schema: Schema) -> Evaluator:
+    def _bind(self, schema: Schema, bind: Binder = _bind_memoized) -> Evaluator:
         position = schema.index_of(self.reference)
         return lambda row: row[position]
 
@@ -259,10 +270,10 @@ class Arithmetic(Expression):
         "/": operator.truediv,
     }
 
-    def _bind(self, schema: Schema) -> Evaluator:
+    def _bind(self, schema: Schema, bind: Binder = _bind_memoized) -> Evaluator:
         func = self._FUNCS[self.op]
-        left = self.left.bind(schema)
-        right = self.right.bind(schema)
+        left = bind(self.left, schema)
+        right = bind(self.right, schema)
 
         def run(row: tuple) -> Any:
             a = left(row)
@@ -295,10 +306,10 @@ class Comparison(Expression):
         if self.op not in _PY_COMPARE:
             raise ExpressionError(f"unknown comparison operator {self.op!r}")
 
-    def _bind(self, schema: Schema) -> Evaluator:
+    def _bind(self, schema: Schema, bind: Binder = _bind_memoized) -> Evaluator:
         op_name = self.op
-        left = self.left.bind(schema)
-        right = self.right.bind(schema)
+        left = bind(self.left, schema)
+        right = bind(self.right, schema)
         return lambda row: _compare(op_name, left(row), right(row))
 
     def references(self) -> set[str]:
@@ -322,9 +333,9 @@ class And(Expression):
     right: Expression
     is_predicate = True
 
-    def _bind(self, schema: Schema) -> Evaluator:
-        left = self.left.bind(schema)
-        right = self.right.bind(schema)
+    def _bind(self, schema: Schema, bind: Binder = _bind_memoized) -> Evaluator:
+        left = bind(self.left, schema)
+        right = bind(self.right, schema)
 
         def run(row: tuple) -> Truth:
             a = left(row)
@@ -347,9 +358,9 @@ class Or(Expression):
     right: Expression
     is_predicate = True
 
-    def _bind(self, schema: Schema) -> Evaluator:
-        left = self.left.bind(schema)
-        right = self.right.bind(schema)
+    def _bind(self, schema: Schema, bind: Binder = _bind_memoized) -> Evaluator:
+        left = bind(self.left, schema)
+        right = bind(self.right, schema)
 
         def run(row: tuple) -> Truth:
             a = left(row)
@@ -371,8 +382,8 @@ class Not(Expression):
     operand: Expression
     is_predicate = True
 
-    def _bind(self, schema: Schema) -> Evaluator:
-        operand = self.operand.bind(schema)
+    def _bind(self, schema: Schema, bind: Binder = _bind_memoized) -> Evaluator:
+        operand = bind(self.operand, schema)
         return lambda row: operand(row).not_()
 
     def references(self) -> set[str]:
@@ -390,8 +401,8 @@ class IsNull(Expression):
     negated: bool = False
     is_predicate = True
 
-    def _bind(self, schema: Schema) -> Evaluator:
-        operand = self.operand.bind(schema)
+    def _bind(self, schema: Schema, bind: Binder = _bind_memoized) -> Evaluator:
+        operand = bind(self.operand, schema)
         if self.negated:
             return lambda row: Truth.of(operand(row) is not None)
         return lambda row: Truth.of(operand(row) is None)
@@ -415,9 +426,9 @@ class Coalesce(Expression):
     first: Expression
     second: Expression
 
-    def _bind(self, schema: Schema) -> Evaluator:
-        first = self.first.bind(schema)
-        second = self.second.bind(schema)
+    def _bind(self, schema: Schema, bind: Binder = _bind_memoized) -> Evaluator:
+        first = bind(self.first, schema)
+        second = bind(self.second, schema)
 
         def run(row: tuple) -> Any:
             value = first(row)
@@ -439,7 +450,7 @@ class TruthLiteral(Expression):
     value: Truth
     is_predicate = True
 
-    def _bind(self, schema: Schema) -> Evaluator:
+    def _bind(self, schema: Schema, bind: Binder = _bind_memoized) -> Evaluator:
         value = self.value
         return lambda row: value
 
@@ -452,6 +463,29 @@ class TruthLiteral(Expression):
 
 TRUE = TruthLiteral(Truth.TRUE)
 FALSE = TruthLiteral(Truth.FALSE)
+
+
+def map_columns(expression: Expression,
+                column: Callable[[Column], Expression]) -> Expression:
+    """``expression`` rebuilt with each column reference ``c`` replaced by
+    ``column(c)``; literals and any other leaf are kept as they are."""
+
+    def walk(node: Expression) -> Expression:
+        if isinstance(node, Column):
+            return column(node)
+        if isinstance(node, (Comparison, Arithmetic)):
+            return type(node)(node.op, walk(node.left), walk(node.right))
+        if isinstance(node, (And, Or)):
+            return type(node)(walk(node.left), walk(node.right))
+        if isinstance(node, Coalesce):
+            return Coalesce(walk(node.first), walk(node.second))
+        if isinstance(node, Not):
+            return Not(walk(node.operand))
+        if isinstance(node, IsNull):
+            return IsNull(walk(node.operand), node.negated)
+        return node
+
+    return walk(expression)
 
 
 def col(reference: str) -> Column:

@@ -3,8 +3,9 @@
 A :class:`NestedSelect` is a selection whose predicate may contain
 *subquery predicates* in addition to ordinary comparisons:
 
-* ``ScalarComparison``      — ``σ[x φ S]B`` where S yields a single value
-  (a projected attribute, or an aggregate ``f(y)``);
+* ``ScalarComparison``      — ``σ[x φ S]B`` where S yields a single value:
+  an aggregate ``f(y)``, or a projected attribute ``y`` read as the
+  aggregate ``single(y)`` (NULL on no row, an error on a second);
 * ``QuantifiedComparison``  — ``σ[x φ_some S]B`` / ``σ[x φ_all S]B``
   (``IN``/``NOT IN`` are the ``=_some`` / ``<>_all`` sugar);
 * ``Exists``                — ``σ[∃S]B`` / ``σ[∄S]B``.
@@ -12,7 +13,8 @@ A :class:`NestedSelect` is a selection whose predicate may contain
 A :class:`Subquery` block records its *source* (R), its *predicate* θ
 (which may reference attributes of enclosing blocks — *free references* —
 and may itself contain subquery predicates: linear nesting), an optional
-selected item ``y`` and an optional aggregate ``f(y)``.
+selected item ``y`` and an optional aggregate ``f(y)``.  An
+:class:`Apply` holds one in the SELECT list.
 
 :class:`LoopEvaluator` implements **tuple-iteration semantics**, the
 nested-loop evaluation the paper uses as the semantic definition, once:
@@ -20,7 +22,8 @@ nested-loop evaluation the paper uses as the semantic definition, once:
 and the ``naive`` / ``native`` baselines run it with and without early
 exit and index probes.  Every other evaluation strategy in this library
 (GMDJ translation, join unnesting) is tested for bag-equivalence against
-it.
+it.  Around a ``single`` block it takes no shortcut (see
+:class:`LoopEvaluator`), so it raises where the GMDJ translation does.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
-from repro.algebra.aggregates import AggregateSpec
+from repro.algebra.aggregates import AggregateSpec, single
 from repro.algebra.expressions import (
     And,
     Column,
@@ -38,23 +41,25 @@ from repro.algebra.expressions import (
     Literal,
     Not,
     Or,
-    TruthLiteral,
     _compare,
+    bind_one_off,
     conjuncts_of,
+    map_columns,
 )
-from repro.algebra.operators import ScanTable, TableValue
+from repro.algebra.operators import Operator, ScanTable, TableValue
 from repro.algebra.rewrite import map_children
 from repro.algebra.truth import Truth
-from repro.errors import CardinalityError, ExpressionError, UnknownAttributeError
+from repro.errors import ExpressionError, UnknownAttributeError
 from repro.storage.catalog import Catalog
 from repro.storage.iostats import IOStats
 from repro.storage.relation import Relation, Row
-from repro.storage.schema import Schema
+from repro.storage.schema import Field, Schema
 
 # An environment maps attribute spellings (qualified and bare) of enclosing
 # scopes to values.  A bare name that is ambiguous in its scope maps to
 # _AMBIGUOUS and raises only if actually referenced.
 _AMBIGUOUS = object()
+_UNBOUND = object()
 
 Environment = dict
 
@@ -85,59 +90,23 @@ def substitute_free(
     else must be bound by ``env`` or an :class:`UnknownAttributeError` is
     raised.  The result is a closed expression over ``schema``.
     """
-    if isinstance(expression, Column):
-        if schema.has(expression.reference):
-            return expression
-        if expression.reference in env:
-            value = env[expression.reference]
-            if value is _AMBIGUOUS:
-                raise UnknownAttributeError(
-                    f"ambiguous outer reference {expression.reference!r}"
-                )
-            return Literal(value)
-        raise UnknownAttributeError(
-            f"unresolved reference {expression.reference!r} "
-            f"(not in local schema, not bound by enclosing scopes)"
-        )
-    if isinstance(expression, (Literal, TruthLiteral)):
-        return expression
-    if isinstance(expression, Comparison):
-        return Comparison(
-            expression.op,
-            substitute_free(expression.left, schema, env),
-            substitute_free(expression.right, schema, env),
-        )
-    if isinstance(expression, And):
-        return And(
-            substitute_free(expression.left, schema, env),
-            substitute_free(expression.right, schema, env),
-        )
-    if isinstance(expression, Or):
-        return Or(
-            substitute_free(expression.left, schema, env),
-            substitute_free(expression.right, schema, env),
-        )
-    if isinstance(expression, Not):
-        return Not(substitute_free(expression.operand, schema, env))
-    # Arithmetic, IsNull and any other composite: rebuild generically.
-    from repro.algebra.expressions import Arithmetic, IsNull
 
-    if isinstance(expression, Arithmetic):
-        return Arithmetic(
-            expression.op,
-            substitute_free(expression.left, schema, env),
-            substitute_free(expression.right, schema, env),
-        )
-    if isinstance(expression, IsNull):
-        return IsNull(
-            substitute_free(expression.operand, schema, env), expression.negated
-        )
-    if isinstance(expression, SubqueryPredicate):
-        raise ExpressionError(
-            "subquery predicates are evaluated by LoopEvaluator.predicate, "
-            "not substituted"
-        )
-    raise ExpressionError(f"cannot substitute into {expression!r}")
+    def closed(node: Column) -> Expression:
+        if schema.has(node.reference):
+            return node
+        value = env.get(node.reference, _UNBOUND)
+        if value is _UNBOUND:
+            raise UnknownAttributeError(
+                f"unresolved reference {node.reference!r} "
+                f"(not in local schema, not bound by enclosing scopes)"
+            )
+        if value is _AMBIGUOUS:
+            raise UnknownAttributeError(
+                f"ambiguous outer reference {node.reference!r}"
+            )
+        return Literal(value)
+
+    return map_columns(expression, closed)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -164,6 +133,13 @@ class Subquery:
     def source_schema(self, catalog: Catalog) -> Schema:
         return self.source.schema(catalog)
 
+    @property
+    def scalar_aggregate(self) -> AggregateSpec:
+        """A scalar block's aggregate (an item is bound as ``single(y)``:
+        :func:`single_valued`)."""
+        assert self.aggregate is not None
+        return self.aggregate
+
     def __repr__(self) -> str:
         head = "pi["
         if self.aggregate is not None:
@@ -172,6 +148,18 @@ class Subquery:
             head += repr(self.item)
         head += "]"
         return f"Subquery({head} sigma[{self.predicate!r}] {self.source!r})"
+
+
+def single_valued(subquery: Subquery) -> Subquery:
+    """A scalar block as an aggregate block: ``π[y]`` becomes
+    ``π[single(y)]``; an aggregate block is returned as it is."""
+    if subquery.aggregate is not None:
+        return subquery
+    if subquery.item is None:
+        raise ExpressionError("a scalar subquery selects an item or an "
+                              "aggregate")
+    return Subquery(subquery.source, subquery.predicate,
+                    aggregate=single(subquery.item))
 
 
 class SubqueryPredicate(Expression):
@@ -209,17 +197,18 @@ class Exists(SubqueryPredicate):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class ScalarComparison(SubqueryPredicate):
-    """``x φ S`` where S must yield at most one row (else a run-time error).
-
-    When the subquery block carries an ``aggregate``, S is the aggregate
-    value (always exactly one row, possibly NULL) — the
-    ``σ[B.x φ π[f(R.y)]σ[θ](R)]B`` form of Table 1.
+    """``x φ S`` where S is one value: the block's aggregate — the
+    ``σ[B.x φ π[f(R.y)]σ[θ](R)]B`` form of Table 1 — with a selected item
+    ``y`` bound as ``single(y)`` (:func:`single_valued`).
     """
 
     op: str
     outer: Expression
     subquery: Subquery
     is_predicate = True
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "subquery", single_valued(self.subquery))
 
     def references(self) -> set[str]:
         return self.outer.references()
@@ -293,9 +282,58 @@ class NestedSelect:
         return LoopEvaluator(catalog, early_exit=True).select(self, {})
 
 
+@dataclass
+class Apply(Operator):
+    """``input APPLY subquery`` (Galindo-Legaria & Joshi, VLDB 2001): each
+    input tuple extended with the subquery's value as ``output_name`` —
+    a SELECT-list scalar subquery.
+
+    §2.1 of the paper: "we could map to GMDJs from the APPLY operator …
+    in the same way"; Algorithm SubqueryToGMDJ translates it with the
+    leaf step of a WHERE subquery, into ``MD(input, R, f(y) → name, θ)``.
+    ``subquery``'s predicate may reference the input (the correlation)
+    and hold subquery predicates of its own; a selected item ``y`` is
+    bound as ``single(y)`` (:func:`single_valued`).
+    """
+
+    input: Operator
+    subquery: Subquery
+    output_name: str = "value"
+
+    def __post_init__(self) -> None:
+        self.subquery = single_valued(self.subquery)
+
+    def children(self) -> tuple[Operator, ...]:
+        return (self.input,)
+
+    def schema(self, catalog: Catalog) -> Schema:
+        spec = self.subquery.scalar_aggregate
+        dtype = spec.output_field(self.subquery.source_schema(catalog)).dtype
+        return self.input.schema(catalog).extend(
+            [Field(self.output_name, dtype)])
+
+    def evaluate(self, catalog: Catalog) -> Relation:
+        return LoopEvaluator(catalog, early_exit=True).evaluate(self)
+
+
+def has_subquery_form(plan: Any) -> bool:
+    """True when ``plan`` holds a subquery the binder left in place: a
+    :class:`NestedSelect` (WHERE position) or an :class:`Apply`
+    (SELECT-list position).  Algorithm SubqueryToGMDJ has work to do
+    exactly when this holds."""
+    return isinstance(plan, (NestedSelect, Apply)) or any(
+        has_subquery_form(child) for child in plan.children()
+    )
+
+
 class LoopEvaluator:
     """Tuple-iteration semantics: for every outer tuple, each subquery
     block runs over its source under the tuple's bindings.
+
+    A ``single`` block raises iff some tuple of its GMDJ's base has two
+    or more θ-rows (DESIGN.md), so within a predicate that holds one
+    nothing is skipped: neither ``AND`` / ``OR`` short-circuits, nor an
+    inner block exits early or probes an index, whatever the switches.
 
     ``early_exit``   stop scanning an inner block as soon as the subquery
                      predicate's outcome is decided (EXISTS on the first
@@ -316,6 +354,7 @@ class LoopEvaluator:
         self.catalog = catalog
         self.early_exit = early_exit
         self.use_indexes = use_indexes
+        self._holds: dict[int, bool] = {}
 
     def evaluate(self, query: Any) -> Relation:
         """Evaluate ``query``, running every NestedSelect in the tree with
@@ -326,7 +365,21 @@ class LoopEvaluator:
         rebuilt = map_children(operator, self._rewrite)
         if isinstance(rebuilt, NestedSelect):
             return TableValue(self.select(rebuilt, {}))
+        if isinstance(rebuilt, Apply):
+            return TableValue(self.apply(rebuilt))
         return rebuilt
+
+    def apply(self, apply: Apply) -> Relation:
+        """The tuples of ``apply``'s input, each extended with its
+        subquery's value."""
+        source = apply.input.evaluate(self.catalog)
+        stats = IOStats.ambient()
+        stats.record_scan(len(source))
+        rows = [row + (self.scalar(apply.subquery,
+                                   env_with_row({}, source.schema, row)),)
+                for row in source.rows]
+        stats.tuples_output += len(rows)
+        return Relation(apply.schema(self.catalog), rows, validate=False)
 
     def select(self, nested: NestedSelect, env: Environment) -> Relation:
         """The tuples of ``nested``'s child that its predicate keeps."""
@@ -358,8 +411,7 @@ class LoopEvaluator:
             return Truth.of(self.exists(predicate.subquery, inner_env)
                             != predicate.negated)
         if isinstance(predicate, ScalarComparison):
-            outer = substitute_free(predicate.outer, schema, env).bind(schema)
-            value = outer(row)
+            value = _closed(predicate.outer, schema, env)(row)
             inner_env = env_with_row(env, schema, row)
             return _compare(predicate.op, value,
                             self.scalar(predicate.subquery, inner_env))
@@ -367,60 +419,66 @@ class LoopEvaluator:
             return self._quantified(predicate, schema, row, env)
         if isinstance(predicate, And):
             left = self.predicate(predicate.left, schema, row, env)
-            if left is Truth.FALSE:
+            if left is Truth.FALSE and not self._holds_single(predicate.right):
                 return Truth.FALSE
             return left.and_(self.predicate(predicate.right, schema, row, env))
         if isinstance(predicate, Or):
             left = self.predicate(predicate.left, schema, row, env)
-            if left is Truth.TRUE:
+            if left is Truth.TRUE and not self._holds_single(predicate.right):
                 return Truth.TRUE
             return left.or_(self.predicate(predicate.right, schema, row, env))
         if isinstance(predicate, Not):
             return self.predicate(predicate.operand, schema, row, env).not_()
         IOStats.ambient().predicate_evals += 1
-        return substitute_free(predicate, schema, env).bind(schema)(row)
+        return _closed(predicate, schema, env)(row)
+
+    def _holds_single(self, predicate: Expression) -> bool:
+        """:func:`holds_single`, memoized per predicate object."""
+        known = self._holds.get(id(predicate))
+        if known is None:
+            known = self._holds[id(predicate)] = holds_single(predicate)
+        return known
 
     # -- the subquery forms ----------------------------------------------------
 
     def exists(self, subquery: Subquery, env: Environment) -> bool:
         """Whether ``subquery`` yields a row under ``env``."""
         found = False
+        early_exit = self._may_skip(subquery)
         for _ in self._inner_rows(subquery, env):
             found = True
-            if self.early_exit:
+            if early_exit:
                 break
         return found
 
     def scalar(self, subquery: Subquery, env: Environment) -> Any:
-        """The block's one value under ``env``: its aggregate over the
-        qualifying rows, or its item (NULL on no row; more than one row
-        raises :class:`CardinalityError`)."""
-        values = self._values(subquery, env)
-        if subquery.aggregate is not None:
-            state = subquery.aggregate.make_accumulator()
-            for value in values:
-                state.add(value)
-            return state.result()
-        scalar = None
-        for count, value in enumerate(values):
-            if count:
-                raise CardinalityError("scalar subquery returned multiple rows")
-            scalar = value
-        return scalar
+        """The block's aggregate over its qualifying rows under ``env``
+        (``single`` raises :class:`~repro.errors.CardinalityError` on a
+        second row)."""
+        state = subquery.scalar_aggregate.make_accumulator()
+        for value in self._values(subquery, env):
+            state.add(value)
+        return state.result()
+
+    def _may_skip(self, subquery: Subquery) -> bool:
+        """Early exit holds for ``subquery`` unless its θ holds a
+        ``single`` block."""
+        return self.early_exit and not self._holds_single(subquery.predicate)
 
     def _quantified(self, leaf: QuantifiedComparison, schema: Schema,
                     row: Row, env: Environment) -> Truth:
         """``x φ_some S`` is TRUE on a TRUE comparison, FALSE when S is
         empty or every comparison is FALSE, UNKNOWN otherwise; ``x φ_all
         S`` is its dual (TRUE on an empty S)."""
-        outer_value = substitute_free(leaf.outer, schema, env).bind(schema)(row)
+        outer_value = _closed(leaf.outer, schema, env)(row)
+        early_exit = self._may_skip(leaf.subquery)
         deciding = Truth.TRUE if leaf.quantifier == "some" else Truth.FALSE
         decided = False
         saw_unknown = False
         for value in self._values(leaf.subquery, env_with_row(env, schema, row)):
             verdict = _compare(leaf.op, outer_value, value)
             if verdict is deciding:
-                if self.early_exit:
+                if early_exit:
                     return deciding
                 decided = True
             elif verdict is Truth.UNKNOWN:
@@ -443,7 +501,7 @@ class LoopEvaluator:
                 yield None
                 continue
             if value is None:
-                value = substitute_free(item, schema, env).bind(schema)
+                value = _closed(item, schema, env)
             yield value(row)
 
     def _qualifying(self, theta: Expression, rows: Iterable[Row],
@@ -452,7 +510,7 @@ class LoopEvaluator:
         """The (row, schema) pairs of ``rows`` that θ keeps under ``env``;
         a θ without subquery leaves is closed and bound once."""
         closed = (None if has_subqueries(theta)
-                  else substitute_free(theta, schema, env).bind(schema))
+                  else _closed(theta, schema, env))
         stats = IOStats.ambient()
         for row in rows:
             if closed is not None:
@@ -469,7 +527,8 @@ class LoopEvaluator:
         source, or under ``use_indexes`` a probe when an equality
         correlation conjunct meets a catalog hash index."""
         source = subquery.source
-        if self.use_indexes and isinstance(source, ScanTable):
+        if (self.use_indexes and isinstance(source, ScanTable)
+                and not self._holds_single(subquery.predicate)):
             probed = self._index_probe(subquery, source, env)
             if probed is not None:
                 return self._qualifying(subquery.predicate, probed,
@@ -504,10 +563,17 @@ class LoopEvaluator:
                 index = self.catalog.hash_index(source.table_name, (bare,))
                 if index is None or not all(ref in env for ref in outer_refs):
                     continue
-                empty = Schema(())
-                value = substitute_free(outer_side, empty, env).bind(empty)(())
+                value = _closed(outer_side, Schema(()), env)(())
                 return index.probe((value,))
         return None
+
+
+def _closed(expression: Expression, schema: Schema,
+            env: Environment) -> Evaluator:
+    """``expression`` with ``env``'s values substituted, bound over
+    ``schema`` once: a per-tuple expression stays out of the shared bind
+    cache, which it would only flood."""
+    return bind_one_off(substitute_free(expression, schema, env), schema)
 
 
 def collect_subquery_predicates(predicate: Expression) -> list[SubqueryPredicate]:
@@ -527,6 +593,16 @@ def has_subqueries(predicate: Expression) -> bool:
     return bool(collect_subquery_predicates(predicate))
 
 
+def holds_single(predicate: Expression) -> bool:
+    """Whether a ``single`` block sits anywhere in ``predicate``, nested
+    blocks included."""
+    return any(
+        (isinstance(leaf, ScalarComparison)
+         and leaf.subquery.scalar_aggregate.function == "single")
+        or holds_single(leaf.subquery.predicate)
+        for leaf in collect_subquery_predicates(predicate))
+
+
 def free_references(
     subquery: Subquery, catalog: Catalog
 ) -> set[str]:
@@ -538,34 +614,21 @@ def free_references(
     predicates are discovered.
     """
     schema = subquery.source_schema(catalog)
-    return _free_references_in(subquery.predicate, schema, catalog) | (
-        _free_references_in(subquery.item, schema, catalog)
-        if subquery.item is not None
-        else set()
-    ) | (
-        _free_references_in(subquery.aggregate.argument, schema, catalog)
-        if subquery.aggregate is not None and subquery.aggregate.argument is not None
-        else set()
-    )
+    parts = (subquery.predicate, subquery.item,
+             subquery.aggregate and subquery.aggregate.argument)
+    return set().union(*(_free_references_in(part, schema, catalog)
+                         for part in parts if part is not None))
 
 
 def _free_references_in(
     predicate: Expression, schema: Schema, catalog: Catalog
 ) -> set[str]:
     if isinstance(predicate, SubqueryPredicate):
-        free = {
-            ref
-            for ref in predicate.outer_references()
-            if not schema.has(ref)
-        }
-        inner_schema = predicate.subquery.source_schema(catalog)
         # References free in the inner block that this block also cannot
         # resolve remain free here (non-neighboring candidates).
-        for ref in free_references(predicate.subquery, catalog):
-            if not schema.has(ref):
-                free.add(ref)
-        del inner_schema
-        return free
+        return {ref for ref in (predicate.outer_references()
+                                | free_references(predicate.subquery, catalog))
+                if not schema.has(ref)}
     if isinstance(predicate, (And, Or)):
         return _free_references_in(predicate.left, schema, catalog) | (
             _free_references_in(predicate.right, schema, catalog)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.algebra.nested import NestedSelect
+from repro.algebra.nested import Apply, NestedSelect
 from repro.algebra.operators import (
     Difference,
     Distinct,
@@ -105,14 +105,8 @@ def _render(node: Operator, indent: int, lines: list[str]) -> None:
             f"{pad}SelectGMDJ [{node.selection!r}] completion={node.rule!r}"
         )
         _render(node.gmdj, indent + 1, lines)
+    elif isinstance(node, Apply):
+        lines.append(f"{pad}Apply -> {node.output_name} [{node.subquery!r}]")
+        _render(node.input, indent + 1, lines)
     else:
-        from repro.algebra.apply_op import Apply
-
-        if isinstance(node, Apply):
-            lines.append(
-                f"{pad}Apply {node.mode} -> {node.output_name} "
-                f"[{node.subquery!r}]"
-            )
-            _render(node.input, indent + 1, lines)
-        else:
-            lines.append(f"{pad}{node!r}")
+        lines.append(f"{pad}{node!r}")

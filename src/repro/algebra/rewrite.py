@@ -14,16 +14,7 @@ import dataclasses
 import functools
 from typing import Any, Callable
 
-from repro.algebra.expressions import (
-    And,
-    Arithmetic,
-    Column,
-    Comparison,
-    Expression,
-    IsNull,
-    Not,
-    Or,
-)
+from repro.algebra.expressions import Column, Expression, map_columns
 from repro.algebra.operators import Operator
 from repro.storage.schema import Schema
 
@@ -94,67 +85,20 @@ def qualify_references(expression: Expression, schema: Schema) -> Expression:
     non-resolving references pass through untouched.
     """
 
-    def walk(node: Expression) -> Expression:
-        if isinstance(node, Column):
-            if schema.has(node.reference):
-                full = schema.field_of(node.reference).full_name
-                if full != node.reference:
-                    return Column(full)
-            return node
-        if isinstance(node, Comparison):
-            return Comparison(node.op, walk(node.left), walk(node.right))
-        if isinstance(node, And):
-            return And(walk(node.left), walk(node.right))
-        if isinstance(node, Or):
-            return Or(walk(node.left), walk(node.right))
-        if isinstance(node, Not):
-            return Not(walk(node.operand))
-        if isinstance(node, Arithmetic):
-            return Arithmetic(node.op, walk(node.left), walk(node.right))
-        if isinstance(node, IsNull):
-            return IsNull(walk(node.operand), node.negated)
+    def qualified(node: Column) -> Expression:
+        if schema.has(node.reference):
+            full = schema.field_of(node.reference).full_name
+            if full != node.reference:
+                return Column(full)
         return node
 
-    return walk(expression)
+    return map_columns(expression, qualified)
 
 
 def requalify_expression(
     expression: Expression, old_qualifier: str, new_qualifier: str
 ) -> Expression:
     """Rewrite ``old.x`` references to ``new.x`` throughout an expression."""
-    if isinstance(expression, Column):
-        if expression.qualifier == old_qualifier:
-            return expression.requalified(new_qualifier)
-        return expression
-    if isinstance(expression, Comparison):
-        return Comparison(
-            expression.op,
-            requalify_expression(expression.left, old_qualifier, new_qualifier),
-            requalify_expression(expression.right, old_qualifier, new_qualifier),
-        )
-    if isinstance(expression, And):
-        return And(
-            requalify_expression(expression.left, old_qualifier, new_qualifier),
-            requalify_expression(expression.right, old_qualifier, new_qualifier),
-        )
-    if isinstance(expression, Or):
-        return Or(
-            requalify_expression(expression.left, old_qualifier, new_qualifier),
-            requalify_expression(expression.right, old_qualifier, new_qualifier),
-        )
-    if isinstance(expression, Not):
-        return Not(
-            requalify_expression(expression.operand, old_qualifier, new_qualifier)
-        )
-    if isinstance(expression, Arithmetic):
-        return Arithmetic(
-            expression.op,
-            requalify_expression(expression.left, old_qualifier, new_qualifier),
-            requalify_expression(expression.right, old_qualifier, new_qualifier),
-        )
-    if isinstance(expression, IsNull):
-        return IsNull(
-            requalify_expression(expression.operand, old_qualifier, new_qualifier),
-            expression.negated,
-        )
-    return expression
+    return map_columns(expression, lambda node: (
+        node.requalified(new_qualifier)
+        if node.qualifier == old_qualifier else node))

@@ -15,7 +15,9 @@ the (locally filtered) subquery table:
 * ``x φ (aggregate S)``   → group the subquery table on its correlation
   attributes, aggregate, **left outer join** (empty groups must yield
   NULL/0), filter — with ``COALESCE(count, 0)`` repairing the classic
-  COUNT bug of Kim's algorithm.
+  COUNT bug of Kim's algorithm.  These leaves go first, each extending
+  every row of the block with its value, so a ``single(y)`` leaf checks
+  its cardinality over the whole block, as the GMDJ does.
 
 Join methods model a 2002 commercial engine: equality correlations use a
 hash join when the catalog holds an index on the inner attribute (standing
@@ -33,7 +35,7 @@ conventional optimizers do.
 
 from __future__ import annotations
 
-from repro.algebra.aggregates import AggregateSpec
+from repro.algebra.aggregates import AggregateSpec, count_star
 from repro.algebra.expressions import (
     Coalesce,
     Column,
@@ -61,7 +63,7 @@ from repro.algebra.operators import (
     Select,
     TableValue,
 )
-from repro.errors import TranslationError
+from repro.errors import CardinalityError, TranslationError
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
@@ -100,12 +102,21 @@ class JoinUnnester:
         current = base
         base_schema = base.schema
         for leaf in leaves:
-            current = self._apply_leaf(current, base_schema, leaf)
+            if isinstance(leaf, ScalarComparison):
+                current, comparison = self._scalar_value(current,
+                                                         base_schema, leaf)
+                plain.append(comparison)
+        for leaf in leaves:
+            if not isinstance(leaf, ScalarComparison):
+                current = self._apply_leaf(current, base_schema, leaf)
         if plain:
             current = Select(TableValue(current), conjoin(plain)).evaluate(
                 self.catalog
             )
-        return current
+        if current.schema is base_schema:
+            return current
+        return Project(TableValue(current), list(base_schema.names)).evaluate(
+            self.catalog)
 
     def _split_conjuncts(self, predicate: Expression):
         plain: list[Expression] = []
@@ -128,7 +139,7 @@ class JoinUnnester:
                     leaf: SubqueryPredicate) -> Relation:
         from repro.algebra.rewrite import qualify_references
 
-        inner, local, correlated = self._prepare_inner(base_schema, leaf.subquery)
+        inner, _, correlated = self._prepare_inner(base_schema, leaf.subquery)
         if isinstance(leaf, Exists):
             return self._exists(current, inner, correlated, leaf.negated)
         # Join conditions mix outer and inner expressions over a combined
@@ -150,14 +161,6 @@ class JoinUnnester:
             escape = violation | IsNull(outer) | IsNull(item)
             condition = conjoin(correlated + [escape])
             return self._join(current, inner, condition, "anti")
-        if isinstance(leaf, ScalarComparison):
-            if leaf.subquery.aggregate is not None:
-                return self._aggregate_scalar(current, inner, correlated,
-                                              leaf, outer)
-            condition = conjoin(
-                correlated + [Comparison(leaf.op, outer, item)]
-            )
-            return self._join(current, inner, condition, "semi")
         raise TranslationError(f"join unnesting cannot handle {leaf!r}")
 
     def _prepare_inner(self, base_schema: Schema, subquery: Subquery):
@@ -246,13 +249,19 @@ class JoinUnnester:
             return Relation(current.schema, rows, validate=False)
         return self._join(current, inner, conjoin(correlated), kind)
 
-    def _aggregate_scalar(self, current: Relation, inner: Relation,
-                          correlated: list[Expression],
-                          leaf: ScalarComparison,
-                          outer: Expression) -> Relation:
-        """Aggregate-then-outer-join (Muralikrishna), with the COUNT fix."""
-        aggregate = leaf.subquery.aggregate
-        assert aggregate is not None
+    def _scalar_value(self, current: Relation, base_schema: Schema,
+                      leaf: ScalarComparison) -> tuple[Relation, Expression]:
+        """Aggregate-then-outer-join (Muralikrishna), with the COUNT fix:
+        ``current`` with the leaf's value as a column (one row per row),
+        and the comparison that replaces the leaf.  ``single(y)`` groups
+        as ``count(*)`` and ``min(y)`` (its value where the count is 1)
+        and raises where a *joined* row counts two."""
+        from repro.algebra.rewrite import qualify_references
+
+        inner, _, correlated = self._prepare_inner(base_schema,
+                                                   leaf.subquery)
+        outer = qualify_references(leaf.outer, current.schema)
+        aggregate = leaf.subquery.scalar_aggregate
         value_name = self._fresh_name("val")
         inner_schema = inner.schema
         group_keys: list[str] = []
@@ -281,15 +290,16 @@ class JoinUnnester:
             join_conjuncts.append(
                 Comparison("=", outer_side, Column(inner_side.reference))
             )
-        from repro.algebra.rewrite import qualify_references
-
         argument = (
             qualify_references(aggregate.argument, inner_schema)
             if aggregate.argument is not None else None
         )
-        spec = AggregateSpec(aggregate.function, argument, value_name,
-                             aggregate.distinct)
-        grouped = GroupBy(TableValue(inner), group_keys, [spec]).evaluate(
+        single = aggregate.function == "single"
+        specs = [AggregateSpec("min" if single else aggregate.function,
+                               argument, value_name, aggregate.distinct)]
+        if single:
+            specs.append(count_star(self._fresh_name("rows")))
+        grouped = GroupBy(TableValue(inner), group_keys, specs).evaluate(
             self.catalog
         )
         if group_keys:
@@ -300,21 +310,21 @@ class JoinUnnester:
             ).evaluate(self.catalog)
         else:
             # Uncorrelated: the single aggregate row applies to every tuple.
-            padding = grouped.rows[0] if grouped.rows else (None,)
+            padding = grouped.rows[0] if grouped.rows else (None,) * len(specs)
             joined = Relation(
                 current.schema.concat(grouped.schema),
                 [row + padding for row in current.rows],
                 validate=False,
             )
+        if single and any((row[-1] or 0) > 1 for row in joined.rows):
+            raise CardinalityError("scalar subquery returned multiple rows")
         value_expr: Expression = Column(value_name)
         if aggregate.function == "count":
             value_expr = Coalesce(value_expr, Literal(0))
-        filtered = Select(
-            TableValue(joined), Comparison(leaf.op, outer, value_expr)
-        ).evaluate(self.catalog)
-        return Project(
-            TableValue(filtered), list(current.schema.names)
-        ).evaluate(self.catalog)
+        extended = Project(TableValue(joined),
+                           [*current.schema.names, value_name])
+        return (extended.evaluate(self.catalog),
+                Comparison(leaf.op, outer, value_expr))
 
     def _fresh_name(self, kind: str) -> str:
         self._fresh += 1

@@ -17,10 +17,3 @@ def make_rng(seed: int, stream: str = "") -> random.Random:
     master seed, so growing one table never perturbs another.
     """
     return random.Random(f"{seed}/{stream}")
-
-
-def pick_weighted(rng: random.Random, choices: list[tuple[object, float]]):
-    """Choose among ``(value, weight)`` pairs."""
-    values = [value for value, _ in choices]
-    weights = [weight for _, weight in choices]
-    return rng.choices(values, weights=weights, k=1)[0]

@@ -36,7 +36,7 @@ database has seen before.
 
 from __future__ import annotations
 
-from repro.algebra.apply_op import has_subquery_form
+from repro.algebra.nested import has_subquery_form
 from repro.algebra.operators import Operator
 from repro.engine.cache import PlanCache
 from repro.engine.options import GMDJ_STRATEGIES, STRATEGIES

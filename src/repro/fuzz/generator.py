@@ -2,8 +2,10 @@
 
 Coverage targets, mapped to the paper:
 
-* all six Table-1 subquery forms — scalar-aggregate comparison,
-  ``SOME``, ``ALL``, ``EXISTS`` / ``NOT EXISTS``, ``IN`` / ``NOT IN``;
+* all six Table-1 subquery forms — scalar comparison (over an
+  aggregate, or over a plain item, which raises where it meets two
+  rows), ``SOME``, ``ALL``, ``EXISTS`` / ``NOT EXISTS``, ``IN`` /
+  ``NOT IN``;
 * linear nesting: a subquery whose WHERE itself holds a subquery
   predicate (Theorem 3.2), up to a configurable depth;
 * non-neighboring correlation: an inner block referencing an alias two
@@ -14,10 +16,14 @@ Coverage targets, mapped to the paper:
   so normalization (negation push-down) stays exercised;
 * NULL-sensitive dressing: IS NULL leaves, NULL literals in local
   filters, string as well as integer correlation;
-* SELECT-list aggregate subqueries (the APPLY position, §2.1): one to
-  three per query, usually siblings over one detail table (the shape
-  Proposition 4.1 coalesces into one scan), with ``=`` and ``<>``
-  correlation, beside the WHERE subquery, a plain WHERE, or none.
+* SELECT-list scalar subqueries (the APPLY position, §2.1): one to
+  three per query, aggregates or plain items, usually siblings over one
+  detail table (the shape Proposition 4.1 coalesces into one scan),
+  with ``=`` and ``<>`` correlation and nested inner predicates, beside
+  the WHERE subquery, a plain WHERE, or none.
+
+The data's correlation keys repeat (:mod:`repro.fuzz.datagen`), so a
+plain scalar item raises in some cases and not in others.
 
 All randomness flows through the caller's ``random.Random`` so any case
 is reproducible from its seed.
@@ -30,7 +36,6 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.fuzz.queries import (
-    AggCmp,
     AggSpecIR,
     AndP,
     ColRef,
@@ -43,13 +48,14 @@ from repro.fuzz.queries import (
     OrP,
     QuantCmp,
     QueryIR,
+    ScalarCmp,
     Sub,
 )
 
 _COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
 _STRING_OPS = ("=", "<>")
 _AGG_FUNCTIONS = ("count", "sum", "avg", "min", "max")
-_FORMS = ("exists", "not_exists", "in", "not_in", "some", "all", "agg")
+_FORMS = ("exists", "not_exists", "in", "not_in", "some", "all", "scalar")
 
 #: Per-table column roles: (numeric value column, string column or None).
 _TABLE_COLUMNS = {
@@ -99,11 +105,6 @@ class _QueryBuilder:
 
     def int_literal(self) -> Lit:
         return Lit(self.rng.randint(0, self.config.value_domain))
-
-    def string_literal(self) -> Lit:
-        from repro.fuzz.datagen import STRING_POOL
-
-        return Lit(self.rng.choice(STRING_POOL))
 
     def numeric_ref(self, scope: _Scope) -> ColRef:
         column = self.rng.choice(("k", _TABLE_COLUMNS[scope.table][0]))
@@ -202,11 +203,17 @@ class _QueryBuilder:
                 rng.choice(_COMPARISON_OPS), form, self.numeric_ref(outer),
                 Sub(sub.table, sub.alias, sub.where, item=item),
             )
-        agg = self.aggregate(sub.table)
-        return AggCmp(
-            rng.choice(_COMPARISON_OPS), self.numeric_ref(outer),
-            Sub(sub.table, sub.alias, sub.where, agg=agg),
-        )
+        return ScalarCmp(rng.choice(_COMPARISON_OPS), self.numeric_ref(outer),
+                         self.scalar_value(sub))
+
+    def scalar_value(self, sub: Sub) -> Sub:
+        """``sub`` selecting one value: a plain item (about one time in
+        three) or an aggregate."""
+        if self.rng.random() < 0.35:
+            item = self.rng.choice(("k", _TABLE_COLUMNS[sub.table][0]))
+            return Sub(sub.table, sub.alias, sub.where, item=item)
+        return Sub(sub.table, sub.alias, sub.where,
+                   agg=self.aggregate(sub.table))
 
     def aggregate(self, table: str) -> AggSpecIR:
         rng = self.rng
@@ -218,10 +225,9 @@ class _QueryBuilder:
         return AggSpecIR(function, column, distinct)
 
     def select_list(self, scope: _Scope) -> tuple[Sub, ...]:
-        """One to three SELECT-list aggregate subqueries.
+        """One to three SELECT-list scalar subqueries.
 
-        Their blocks are flat (a nested inner predicate keeps the APPLY
-        a loop, which the WHERE forms already exercise), siblings mostly
+        Their blocks may nest as a WHERE subquery's do, siblings mostly
         share one detail table, and a ``<>`` correlation joins the usual
         ``=`` one often enough that scan-partitioned blocks coalesce
         beside hash-partitioned ones.
@@ -230,15 +236,14 @@ class _QueryBuilder:
         shared = rng.choice(_DETAIL_TABLES) if rng.random() < 0.7 else None
         subs = []
         for _ in range(rng.choice((1, 2, 2, 3))):
-            sub = self.subquery([scope], self.config.max_depth, shared)
+            sub = self.subquery([scope], 1, shared)
             where = sub.where
             if rng.random() < 0.3:
                 unequal = Cmp("<>", self.numeric_ref(_Scope(sub.alias,
                                                             sub.table)),
                               self.numeric_ref(scope))
                 where = unequal if where is None else AndP(where, unequal)
-            subs.append(Sub(sub.table, sub.alias, where,
-                            agg=self.aggregate(sub.table)))
+            subs.append(self.scalar_value(Sub(sub.table, sub.alias, where)))
         return tuple(subs)
 
     # -- outer predicate -----------------------------------------------------
@@ -279,7 +284,7 @@ class _QueryBuilder:
 
 
 def _first_sub_table(node) -> str | None:
-    if isinstance(node, (ExistsP, InP, QuantCmp, AggCmp)):
+    if isinstance(node, (ExistsP, InP, QuantCmp, ScalarCmp)):
         return node.sub.table
     if isinstance(node, NotP):
         return _first_sub_table(node.operand)

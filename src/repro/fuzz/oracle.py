@@ -19,7 +19,11 @@ every lattice point is held to :func:`identity_violations`, the one
 statement of the physical identity contract.  A
 :class:`~repro.errors.TranslationError` (join unnesting on disjunctions
 or non-neighboring correlation) is a skip; any other exception is a
-divergence.
+divergence, except as :func:`raise_divergence` rules for a scalar
+subquery that meets two rows: SQLite takes the first of them, so where
+:data:`REFERENCE` raises :class:`~repro.errors.CardinalityError` every
+point must raise it too, and SQLite judges only the cases that do not
+raise.
 """
 
 from __future__ import annotations
@@ -32,13 +36,21 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
+from repro.algebra.expressions import Expression
+from repro.algebra.nested import (
+    Apply,
+    NestedSelect,
+    ScalarComparison,
+    collect_subquery_predicates,
+)
 from repro.algebra.operators import Operator
+from repro.baselines.native import evaluate_naive
 from repro.engine.database import Database
 from repro.engine.options import ROLLUP_LEVELS, QueryOptions
 from repro.engine.planner import plan_for
-from repro.errors import ReproError, TranslationError
+from repro.errors import CardinalityError, ReproError, TranslationError
 from repro.fuzz.datagen import DatabaseSpec
-from repro.storage import collect
+from repro.storage import Catalog, collect
 from repro.unnesting.translate import subquery_to_gmdj
 
 if TYPE_CHECKING:
@@ -106,6 +118,9 @@ def point(translation: str, backend: str = "row", rollup: str = "off",
 BASELINES = tuple(Point(name, QueryOptions(name))
                   for name in ("naive", "native", "unnest_join"))
 
+#: Tuple iteration: where it raises, every point must.
+REFERENCE = BASELINES[0]
+
 LATTICE = tuple(
     point(translation, backend, rollup, use_cache, batched, *fragmenting)
     for translation, backend, fragmenting, rollup, use_cache, batched
@@ -141,6 +156,8 @@ class CaseOutcome:
     divergences: list[Divergence] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
     engines_run: int = 0
+    #: Whether :data:`REFERENCE` raised CardinalityError.
+    raised: bool = False
 
     @property
     def ok(self) -> bool:
@@ -407,12 +424,80 @@ def _divergence(point: Point, seen: Observation, expected: Counter,
     return None
 
 
+def unreached_single(query: Operator, catalog: Catalog) -> bool:
+    """Whether a ``single`` block's holder sits inside a block that
+    iterates no row of ``catalog``: only there may a translation raise
+    where :data:`REFERENCE` does not, as it evaluates the block over its
+    holder's own FROM (Thm 3.2), which tuple iteration never reaches
+    (DESIGN.md §5).  A block iterates all of its FROM (nothing is skipped
+    in a predicate holding a ``single`` leaf); a SELECT-list item's block
+    iterates its Apply's input."""
+
+    def below(predicate: Expression, outer_empty: bool,
+              source: Operator) -> bool:
+        leaves = collect_subquery_predicates(predicate)
+        inner_empty = bool(leaves) and (
+            outer_empty or not evaluate_naive(source, catalog).rows)
+        return any((outer_empty and isinstance(leaf, ScalarComparison)
+                    and leaf.subquery.scalar_aggregate.function == "single")
+                   or below(leaf.subquery.predicate, inner_empty,
+                            leaf.subquery.source) for leaf in leaves)
+
+    if isinstance(query, NestedSelect) and below(query.predicate, False,
+                                                 query.child):
+        return True
+    if isinstance(query, Apply) and below(
+            query.subquery.predicate,
+            not evaluate_naive(query.input, catalog).rows,
+            query.subquery.source):
+        return True
+    return any(unreached_single(child, catalog)
+               for child in query.children())
+
+
+def raise_divergence(point: Point, error: BaseException | None,
+                     raised: Mapping[Point, type],
+                     unreached: Callable[[], bool]) -> Divergence | None:
+    """Hold ``point``'s outcome — ``error``, or None when it returned
+    rows — to the raise rule, given the classes the points run before it
+    ``raised`` (:data:`REFERENCE` and ``point.reference()`` among them).
+
+    * Where the reference raised CardinalityError, the point raises the
+      same class.
+    * A lattice point raises iff its translation's row kernel raises,
+      and the same class.
+    * Otherwise an error is a divergence, unless it is CardinalityError
+      and ``unreached()`` — a ``single`` block's holder sits under a
+      block that iterates no row (:func:`unreached_single`): a case left
+      to the translation.
+    """
+    own = None if error is None else type(error)
+    expected = raised.get(REFERENCE)
+    if expected is not None and issubclass(expected, CardinalityError):
+        if own is expected:
+            return None
+        return Divergence(point.name, "mismatch" if error is None else "error",
+                          f"{own.__name__ if own else 'rows'} where "
+                          f"{REFERENCE.name} raised {expected.__name__}")
+    if point.translation in TRANSLATIONS:
+        row = raised.get(point.reference())
+        if own is not row:
+            return Divergence(point.name, "identity",
+                              f"{own.__name__ if own else 'rows'} where "
+                              f"{point.reference().name} gave "
+                              f"{row.__name__ if row else 'rows'}")
+    if error is None or (isinstance(error, CardinalityError)
+                         and unreached()):
+        return None
+    return Divergence(point.name, "error", f"{type(error).__name__}: {error}")
+
+
 def _with_references(points: Sequence[Point]) -> list[Point]:
-    """:data:`CAPABILITY_POINTS`, then ``points``, each once, and each
-    lattice point after the row-kernel points its identity rule
-    compares against."""
+    """:data:`REFERENCE` and :data:`CAPABILITY_POINTS`, then ``points``,
+    each once, and each lattice point after the row-kernel points its
+    identity rule compares against."""
     ordered: dict[Point, None] = {}
-    for each in (*CAPABILITY_POINTS, *points):
+    for each in (REFERENCE, *CAPABILITY_POINTS, *points):
         if each.translation in TRANSLATIONS:
             ordered.setdefault(each.unfragmented())
             ordered.setdefault(each.reference())
@@ -426,8 +511,9 @@ def run_differential(
     sqlite_sql: str,
     points: Sequence[Point] = BASELINES + LATTICE,
 ) -> CaseOutcome:
-    """Run one case at ``points``, their references and
-    :data:`CAPABILITY_POINTS`: each result against SQLite, each lattice
+    """Run one case at :data:`REFERENCE`, ``points``, their references
+    and :data:`CAPABILITY_POINTS`: each outcome against the raise rule
+    (:func:`raise_divergence`), each result against SQLite, each lattice
     point against the identity rule, then the query through
     :func:`lint_findings` and the points' rows through
     :func:`capability_violations` (pseudo-engines ``lint`` and
@@ -436,8 +522,11 @@ def run_differential(
     outcome = CaseOutcome()
     database = _case_database(dbspec)
     observed: dict[Point, Observation] = {}
+    raised: dict[Point, type] = {}
     # Bound once; a frontend error is raised again at every point.
     bound = functools.cache(lambda: database.sql(repro_sql))
+    unreached = functools.cache(
+        lambda: unreached_single(bound(), database.catalog))
     for each in _with_references(points):
         try:
             seen = observe(each, bound(), lambda: _case_database(dbspec))
@@ -446,14 +535,17 @@ def run_differential(
             continue
         except (Exception, RecursionError) as error:
             outcome.engines_run += 1
-            outcome.divergences.append(Divergence(
-                each.name, "error", f"{type(error).__name__}: {error}"))
-            continue
-        outcome.engines_run += 1
-        observed[each] = seen
-        divergence = _divergence(each, seen, expected, observed)
+            raised[each] = type(error)
+            divergence = raise_divergence(each, error, raised, unreached)
+        else:
+            outcome.engines_run += 1
+            observed[each] = seen
+            divergence = (raise_divergence(each, None, raised, unreached)
+                          or _divergence(each, seen, expected, observed))
         if divergence is not None:
             outcome.divergences.append(divergence)
+    outcome.raised = REFERENCE in raised and issubclass(
+        raised[REFERENCE], CardinalityError)
     static_checks = (
         ("lint", "lint-error", "linter", lambda: [
             f"{label}: {diagnostic.render()}"

@@ -80,8 +80,9 @@ class QuantCmp:
 
 
 @dataclass(frozen=True)
-class AggCmp:
-    """``left op (SELECT agg(...) FROM ...)`` — always single-row."""
+class ScalarCmp:
+    """``left op (SELECT agg(...) | item FROM ...)``: an aggregate, or an
+    item that raises where it meets two rows (SQLite takes the first)."""
 
     op: str
     left: object
@@ -107,7 +108,7 @@ class NotP:
 
 @dataclass(frozen=True)
 class AggSpecIR:
-    """The aggregate of an :class:`AggCmp` or SELECT-list subquery."""
+    """The aggregate of a :class:`ScalarCmp` or SELECT-list subquery."""
 
     func: str  # count | sum | avg | min | max
     column: str | None  # None => count(*)
@@ -118,10 +119,10 @@ class AggSpecIR:
 class Sub:
     """One subquery block: table, alias, optional WHERE, and its role.
 
-    ``item`` names the column produced for IN / quantified comparisons;
-    ``agg`` holds the aggregate for scalar comparisons and SELECT-list
-    subqueries; EXISTS subqueries carry neither and render as
-    ``SELECT *``.
+    ``item`` names the column produced for IN / quantified comparisons,
+    and for a non-aggregate scalar comparison or SELECT-list subquery;
+    ``agg`` holds the aggregate of an aggregate one; EXISTS subqueries
+    carry neither and render as ``SELECT *``.
     """
 
     table: str
@@ -136,9 +137,9 @@ class QueryIR:
     """The outer block: ``SELECT columns, (select_subs...) FROM table
     alias [WHERE where]``.
 
-    ``select_subs`` are aggregate subqueries in the SELECT list (each
-    carries ``agg``) — the APPLY position; ``where`` is None for a block
-    without a WHERE clause.
+    ``select_subs`` are scalar subqueries in the SELECT list (each
+    carries ``agg`` or ``item``) — the APPLY position; ``where`` is None
+    for a block without a WHERE clause.
     """
 
     table: str
@@ -156,7 +157,7 @@ def predicate_size(node) -> int:
         return 1 + predicate_size(node.left) + predicate_size(node.right)
     if isinstance(node, NotP):
         return 1 + predicate_size(node.operand)
-    if isinstance(node, (ExistsP, InP, QuantCmp, AggCmp)):
+    if isinstance(node, (ExistsP, InP, QuantCmp, ScalarCmp)):
         inner = node.sub.where
         return 2 + (predicate_size(inner) if inner is not None else 0)
     return 1
@@ -178,11 +179,15 @@ def _render_operand(operand) -> str:
     raise TypeError(f"not a scalar operand: {operand!r}")
 
 
-def _agg_text(agg: AggSpecIR, alias: str) -> str:
+def _value_text(sub: Sub) -> str:
+    """A scalar subquery's SELECT list: its aggregate or its item."""
+    agg = sub.agg
+    if agg is None:
+        return f"{sub.alias}.{sub.item}"
     if agg.column is None:
         return "count(*)"
     prefix = "DISTINCT " if agg.distinct else ""
-    return f"{agg.func}({prefix}{alias}.{agg.column})"
+    return f"{agg.func}({prefix}{sub.alias}.{agg.column})"
 
 
 class _Renderer:
@@ -191,8 +196,8 @@ class _Renderer:
     def query(self, ir: QueryIR) -> str:
         items = [f"{ir.alias}.{c}" for c in ir.columns]
         for position, sub in enumerate(ir.select_subs, start=1):
-            agg = _agg_text(sub.agg, sub.alias)
-            items.append(f"({self._sub_select(agg, sub)}) AS a{position}")
+            value = _value_text(sub)
+            items.append(f"({self._sub_select(value, sub)}) AS a{position}")
         text = f"SELECT {', '.join(items)} FROM {ir.table} {ir.alias}"
         if ir.where is not None:
             text += f" WHERE {self.predicate(ir.where)}"
@@ -223,11 +228,10 @@ class _Renderer:
                 f"({_render_operand(node.left)} {maybe_not}IN "
                 f"({self._sub_select(item, node.sub)}))"
             )
-        if isinstance(node, AggCmp):
-            agg = _agg_text(node.sub.agg, node.sub.alias)
+        if isinstance(node, ScalarCmp):
             return (
                 f"({_render_operand(node.left)} {node.op} "
-                f"({self._sub_select(agg, node.sub)}))"
+                f"({self._sub_select(_value_text(node.sub), node.sub)}))"
             )
         if isinstance(node, QuantCmp):
             return self.quantified(node)

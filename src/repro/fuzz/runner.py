@@ -100,6 +100,8 @@ class FuzzReport:
 
     config: FuzzConfig
     iterations_run: int = 0
+    #: Iterations whose reference raised CardinalityError.
+    raised: int = 0
     engines_run: int = 0
     skips: int = 0
     certificate_violations: int = 0
@@ -114,7 +116,8 @@ class FuzzReport:
         status = ("OK" if self.ok
                   else f"{len(self.counterexamples)} DIVERGENCE(S)")
         return (
-            f"fuzz: {self.iterations_run} iteration(s), "
+            f"fuzz: {self.iterations_run} iteration(s) "
+            f"({self.raised} raising), "
             f"{self.engines_run} point run(s), {self.skips} skip(s), "
             f"{self.certificate_violations} certificate violation(s), "
             f"{self.elapsed_seconds:.1f}s — {status}"
@@ -177,6 +180,7 @@ def run_fuzz(
         points = case_points(config.seed, iteration)
         outcome = _run_ir_case(dbspec, ir, points)
         report.iterations_run += 1
+        report.raised += outcome.raised
         report.engines_run += outcome.engines_run
         report.skips += len(outcome.skipped)
         registry.counter("fuzz.iterations").inc()

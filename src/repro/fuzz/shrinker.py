@@ -20,7 +20,6 @@ from typing import Callable, Iterator
 
 from repro.fuzz.datagen import DatabaseSpec, TableSpec
 from repro.fuzz.queries import (
-    AggCmp,
     AndP,
     Cmp,
     ExistsP,
@@ -30,6 +29,7 @@ from repro.fuzz.queries import (
     OrP,
     QuantCmp,
     QueryIR,
+    ScalarCmp,
     Sub,
     predicate_size,
 )
@@ -57,7 +57,7 @@ def _predicate_candidates(node) -> Iterator:
             yield replace(node, negated=False)
         yield from (replace(node, sub=sub)
                     for sub in _sub_candidates(node.sub))
-    elif isinstance(node, (QuantCmp, AggCmp)):
+    elif isinstance(node, (QuantCmp, ScalarCmp)):
         yield from (replace(node, sub=sub)
                     for sub in _sub_candidates(node.sub))
     elif isinstance(node, Cmp):
@@ -102,7 +102,7 @@ def _literal_weight(node) -> int:
         return _literal_weight(node.left) + _literal_weight(node.right)
     if isinstance(node, NotP):
         return _literal_weight(node.operand)
-    if isinstance(node, (ExistsP, InP, QuantCmp, AggCmp)):
+    if isinstance(node, (ExistsP, InP, QuantCmp, ScalarCmp)):
         inner = node.sub.where
         return _literal_weight(inner) if inner is not None else 0
     if isinstance(node, Cmp):

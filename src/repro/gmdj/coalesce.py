@@ -104,10 +104,11 @@ def pull_up_base_selection(gmdj: GMDJ) -> Select | None:
     filtering base tuples before or after aggregation yields the same
     surviving rows.  Applying it trades extra aggregate work for the
     chance to coalesce scans — the planner only uses it when a merge
-    follows.
+    follows.  A GMDJ holding ``single`` declines: more base rows could
+    raise where fewer did not.
     """
     base = gmdj.base
-    if not isinstance(base, Select):
+    if not isinstance(base, Select) or gmdj.holds_single:
         return None
     lifted = GMDJ(base.child, gmdj.detail, gmdj.blocks)
     return Select(lifted, base.predicate)

@@ -144,8 +144,12 @@ def derive_completion_rule(
     Unrecognized conjuncts are permitted — they simply leave ``exhaustive``
     False, which disables assurance but keeps dooming sound (a tuple that
     falsifies one conjunct of a conjunction fails the whole selection).
+    A GMDJ holding ``single`` gets the empty rule: a completed tuple
+    would stop short of the second θ-row that raises.
     """
     rule = CompletionRule(aggregates_projected=aggregates_projected)
+    if gmdj.holds_single:
+        return rule
     exhaustive = True
     for conjunct in conjuncts_of(selection):
         if not _classify_conjunct(conjunct, gmdj, rule):

@@ -112,7 +112,8 @@ class _BlockRuntime:
     is identical for every base tuple, so its aggregates are computed
     once over the detail scan and shared.  Invariant sharing is only
     engaged when no completion rule is active (completion bookkeeping is
-    per-base-tuple).
+    per-base-tuple), and never for a block holding ``single``, which
+    raises per base tuple (an empty base raises nothing).
 
     ``factored`` is the block's θ split into hash-key conjuncts and a
     residual, once per scan; every kernel reads it.  The row evaluators
@@ -143,6 +144,7 @@ class _BlockRuntime:
             allow_invariant
             and _INVARIANT_SHARING
             and not self.uses_hash
+            and not block.holds_single
             and (factored.residual is None
                  or refers_only_to(factored.residual, detail_schema))
         )

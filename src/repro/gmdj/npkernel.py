@@ -165,6 +165,7 @@ from repro.algebra.npcompile import (
     np_truth_mask,
     np_value,
 )
+from repro.errors import CardinalityError
 from repro.gmdj.completion import CompletionRule
 from repro.gmdj.evaluate import _ACTIVE, _ASSURED, _DOOMED, _BlockRuntime
 from repro.gmdj.operator import ThetaBlock
@@ -605,7 +606,9 @@ class _SpecArrays:
     """One aggregate's accumulators as arrays over the block's groups.
 
     ``mode`` is the array reduction in use — ``"star"``, ``"count"``,
-    ``"sum"``, ``"avg"``, ``"min"``, ``"max"``, ``"bitmap"`` /
+    ``"sum"``, ``"avg"``, ``"min"``, ``"max"``, ``"single"`` (rows per
+    group and one scatter of the admitted row; a group with two raises
+    at :meth:`finalize`), ``"bitmap"`` /
     ``"distinct"`` (``COUNT(DISTINCT)``: the seen (group, value-code)
     pairs as one byte per pair, or — when that many bytes would outgrow
     the pair buffer — as compacted pair lists) or ``"skip"`` (a NULL
@@ -645,6 +648,9 @@ class _SpecArrays:
         except NpUnsupported as exc:
             self.reason = exc.reason
             return "python"
+        if spec.function == "single":  # a NULL value is still a row
+            self.totals = np.zeros(groups, dtype=np.int64)
+            return "single"
         if value.kind == "null" or value.null is True:
             return "skip"
         values = value.values
@@ -725,6 +731,10 @@ class _SpecArrays:
                     accumulator = private[group] = make()
                 accumulator.add(item)
             return
+        if mode == "single":
+            np.add.at(self.counts, b, 1)
+            self.totals[b] = r
+            return
         value = self.value
         if value.null is not False:
             keep = ~value.null[r]
@@ -771,6 +781,8 @@ class _SpecArrays:
             for group, accumulator in self.private.items():
                 column[group] = accumulator.result()
             return column
+        if mode == "single":
+            return self._single()
         if mode == "skip":  # every add was a no-op
             if counting:
                 return NpValue(np.zeros(groups, dtype=np.int64), False, "num")
@@ -790,6 +802,18 @@ class _SpecArrays:
         data = np.where(unseen, 0, _exact_mean(self.totals, self.counts)
                         if mode == "avg" else self.totals)
         return NpValue(data, unseen if unseen.any() else False, "num")
+
+    def _single(self) -> NpValue:
+        """Each group's one admitted row's value (NULL where none was);
+        a group that admitted two raises."""
+        if (self.counts > 1).any():
+            raise CardinalityError("scalar subquery returned multiple rows")
+        unseen = self.counts == 0
+        if unseen.all():
+            return NpValue(None, True, "null")
+        value = _gather(self.value, np.where(unseen, 0, self.totals))
+        null = unseen if value.null is False else unseen | value.null
+        return NpValue(value.values, null, value.kind, value.dictionary)
 
 
 def _exact_mean(totals: Any, counts: Any) -> Any:
@@ -1234,6 +1258,9 @@ class _RangeBlock:
             if mode == "star":
                 spec.counts = self.matches() if t is None \
                     else (t != _NEVER).astype(np.int64)
+                continue
+            if mode == "single":  # no rule completes a single block
+                spec.counts, spec.totals = self.matches(), self.first_match()
                 continue
             value = spec.value
             present = np.ones(total, dtype=bool) if value.null is False \

@@ -41,6 +41,11 @@ class ThetaBlock:
     def output_fields(self, detail_schema: Schema) -> list[Field]:
         return [spec.output_field(detail_schema) for spec in self.aggregates]
 
+    @property
+    def holds_single(self) -> bool:
+        """Whether a ``single`` aggregate raises per base tuple here."""
+        return any(spec.function == "single" for spec in self.aggregates)
+
 
 @dataclass
 class GMDJ(Operator):
@@ -63,6 +68,12 @@ class GMDJ(Operator):
 
     def children(self) -> tuple[Operator, ...]:
         return (self.base, self.detail)
+
+    @property
+    def holds_single(self) -> bool:
+        """Whether a block holds ``single``: it raises iff some base tuple
+        has two θ-rows, so no rewrite may change the base rows it sees."""
+        return any(block.holds_single for block in self.blocks)
 
     def output_names(self) -> list[str]:
         """The aggregate output attribute names, in schema order."""

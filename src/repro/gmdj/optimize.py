@@ -134,13 +134,15 @@ def push_base_selections(plan: Operator, catalog: Catalog) -> Operator:
     the base before the detail scan (fewer hash entries, fewer
     scan-partition candidates).  Mixed selections are split: base-only
     conjuncts sink, the rest (typically the count conditions) stay above
-    for completion fusion.
+    for completion fusion.  A GMDJ holding ``single`` keeps its base: a
+    base row the selection drops may be the one that raises.
     """
     from repro.algebra.expressions import conjoin, conjuncts_of
     from repro.algebra.rewrite import transform_bottom_up
 
     def step(node: Operator) -> Operator:
-        if not (isinstance(node, Select) and isinstance(node.child, GMDJ)):
+        if not (isinstance(node, Select) and isinstance(node.child, GMDJ)) \
+                or node.child.holds_single:
             return node
         gmdj = node.child
         base_schema = gmdj.base.schema(catalog)

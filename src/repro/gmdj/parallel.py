@@ -166,9 +166,9 @@ class DetailPartitions:
     ) -> Relation:
         # Certificate gate: partition-and-merge is sound only for
         # decomposable (distributive/algebraic) aggregates.  Holistic
-        # ones — today exactly the DISTINCT specs — finalize to
+        # ones — the DISTINCT specs and single() — finalize to
         # unmergeable values; evaluate them in one scan (a distributed
-        # engine would ship value sets).
+        # engine would ship value sets, or rows).
         from repro.lint.absint import decomposable_aggregates
 
         if (self.partitions == 1 or len(detail) == 0

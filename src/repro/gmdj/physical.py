@@ -44,10 +44,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Callable
 
 from repro.algebra.expressions import Expression
-from repro.algebra.operators import Operator, TableValue
+from repro.algebra.operators import Distinct, Operator, TableValue
+from repro.algebra.printer import explain
 from repro.algebra.rewrite import map_children
 from repro.gmdj.completion import CompletionRule
 from repro.gmdj.evaluate import SelectGMDJ, run_gmdj
@@ -244,32 +246,54 @@ def evaluate_plan(
     Fused ``SelectGMDJ`` nodes bypass the hook (their completion output
     carries partial aggregates), though GMDJs nested in their inputs
     still reach it.
+
+    A GMDJ (fused or not) below a ``Distinct`` — the pushed-down copy of
+    an outer block's input (Thms 3.3/3.4) repeats that input's GMDJs —
+    that renders like one already evaluated is served its result, so
+    each runs once.  Renderings are made only when a copy asks.
     """
 
     forms = array_forms(kernel)
+    evaluated: list[tuple[Callable[[], str], Relation]] = []
 
-    def materialized(child: Operator) -> TableValue:
-        return TableValue(walk(child))
+    def materialized(child: Operator, copy: bool = False) -> TableValue:
+        return TableValue(walk(child, copy))
 
-    def walk(node: Operator) -> Relation:
+    def walk(node: Operator, copy: bool = False) -> Relation:
+        if copy and isinstance(node, (GMDJ, SelectGMDJ)) and not _holds_value(node):
+            key = explain(node)
+            for rendered, result in evaluated:
+                if rendered() == key:
+                    return result
+        descend = partial(materialized,
+                          copy=copy or isinstance(node, Distinct))
         if isinstance(node, SelectGMDJ):
             # Rebuild the inner GMDJ's operands, not the GMDJ itself:
             # the fused node owns that scan.
-            inner = map_children(node.gmdj, materialized)
-            return evaluate_node(dataclasses.replace(node, gmdj=inner),
-                                 catalog, kernel, fragmenter)
-        if isinstance(node, GMDJ):
+            inner = map_children(node.gmdj, descend)
+            result = evaluate_node(dataclasses.replace(node, gmdj=inner),
+                                   catalog, kernel, fragmenter)
+        elif isinstance(node, GMDJ):
             gmdj = node
 
             def run() -> Relation:
-                return evaluate_node(map_children(gmdj, materialized),
+                return evaluate_node(map_children(gmdj, descend),
                                      catalog, kernel, fragmenter)
 
-            return run() if node_hook is None else node_hook(gmdj, run)
-        return evaluate_flat(map_children(node, materialized), catalog,
-                             forms)
+            result = run() if node_hook is None else node_hook(gmdj, run)
+        else:
+            return evaluate_flat(map_children(node, descend), catalog,
+                                 forms)
+        evaluated.append((cache(partial(explain, node)), result))
+        return result
 
     return walk(plan)
+
+
+def _holds_value(node: Operator) -> bool:
+    """A materialized leaf renders its size only: no key to share by."""
+    return isinstance(node, TableValue) or any(
+        map(_holds_value, node.children()))
 
 
 # -- named entries into the pipeline -------------------------------------------

@@ -21,7 +21,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.algebra.expressions import Column, Comparison, Expression, conjoin
+from repro.algebra.expressions import (
+    Column,
+    Comparison,
+    Expression,
+    conjoin,
+    map_columns,
+)
 from repro.algebra.operators import Join
 from repro.gmdj.operator import GMDJ, ThetaBlock
 from repro.storage.catalog import Catalog
@@ -101,39 +107,14 @@ def _rewrite_block_condition(
     condition: Expression, base_schema: Schema, qualifier: str
 ) -> Expression:
     """Re-point base-side references in θ at the embedded base copy."""
-    from repro.algebra.expressions import (
-        And,
-        Arithmetic,
-        IsNull,
-        Literal,
-        Not,
-        Or,
-        TruthLiteral,
-    )
 
-    def walk(expr: Expression) -> Expression:
-        if isinstance(expr, Column):
-            if base_schema.has(expr.reference):
-                field = base_schema.field_of(expr.reference)
-                return Column(f"{qualifier}.{field.name}")
-            return expr
-        if isinstance(expr, Comparison):
-            return Comparison(expr.op, walk(expr.left), walk(expr.right))
-        if isinstance(expr, And):
-            return And(walk(expr.left), walk(expr.right))
-        if isinstance(expr, Or):
-            return Or(walk(expr.left), walk(expr.right))
-        if isinstance(expr, Not):
-            return Not(walk(expr.operand))
-        if isinstance(expr, Arithmetic):
-            return Arithmetic(expr.op, walk(expr.left), walk(expr.right))
-        if isinstance(expr, IsNull):
-            return IsNull(walk(expr.operand), expr.negated)
-        if isinstance(expr, (Literal, TruthLiteral)):
-            return expr
-        return expr
+    def repointed(node: Column) -> Expression:
+        if base_schema.has(node.reference):
+            field = base_schema.field_of(node.reference)
+            return Column(f"{qualifier}.{field.name}")
+        return node
 
-    return walk(condition)
+    return map_columns(condition, repointed)
 
 
 def push_join_into_base(join: Join) -> GMDJ:

@@ -22,6 +22,10 @@ This emitter exists for interoperability and documentation: it lets a
 translated plan be inspected as, or shipped to, an ordinary SQL engine.
 The emitted text targets generic SQL-92; this library's own SQL subset
 does not parse CASE, so the emitter is exercised structurally in tests.
+
+No SQL aggregate raises on a second row, so ``single(y)`` renders as
+``MIN`` (its value wherever it does not raise) beside its θ-row count
+``<output>__rows``: the engine raises CardinalityError where it exceeds 1.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from repro.algebra.expressions import (
     Or,
     TruthLiteral,
     disjoin,
+    map_columns,
 )
 from repro.algebra.operators import Operator, Project, ScanTable, Select
 from repro.algebra.truth import Truth
@@ -96,9 +101,12 @@ def _aggregate_to_sql(spec: AggregateSpec, condition: Expression) -> str:
         return (f"COUNT(CASE WHEN {predicate} THEN 1 END) "
                 f"AS {spec.output_name}")
     argument = expression_to_sql(spec.argument)
-    function = spec.function.upper()
-    return (f"{function}(CASE WHEN {predicate} THEN {argument} END) "
-            f"AS {spec.output_name}")
+    if spec.function == "single":
+        return (f"MIN(CASE WHEN {predicate} THEN {argument} END) "
+                f"AS {spec.output_name},\n       COUNT(CASE WHEN "
+                f"{predicate} THEN 1 END) AS {spec.output_name}__rows")
+    return (f"{spec.function.upper()}(CASE WHEN {predicate} THEN "
+            f"{argument} END) AS {spec.output_name}")
 
 
 def _source_to_sql(operator: Operator, catalog: Catalog) -> str:
@@ -118,26 +126,7 @@ def _unqualify(expression: Expression) -> Expression:
     ``gmdj_result``, whose columns carry the *bare* base-attribute names
     — the original qualifiers are not in scope there.
     """
-    if isinstance(expression, Column):
-        return Column(expression.reference.rpartition(".")[2])
-    if isinstance(expression, Comparison):
-        return Comparison(expression.op, _unqualify(expression.left),
-                          _unqualify(expression.right))
-    if isinstance(expression, And):
-        return And(_unqualify(expression.left), _unqualify(expression.right))
-    if isinstance(expression, Or):
-        return Or(_unqualify(expression.left), _unqualify(expression.right))
-    if isinstance(expression, Not):
-        return Not(_unqualify(expression.operand))
-    if isinstance(expression, Arithmetic):
-        return Arithmetic(expression.op, _unqualify(expression.left),
-                          _unqualify(expression.right))
-    if isinstance(expression, IsNull):
-        return IsNull(_unqualify(expression.operand), expression.negated)
-    if isinstance(expression, Coalesce):
-        return Coalesce(_unqualify(expression.first),
-                        _unqualify(expression.second))
-    return expression
+    return map_columns(expression, lambda node: Column(node.bare_name))
 
 
 def gmdj_to_sql(gmdj: GMDJ, catalog: Catalog) -> str:

@@ -54,7 +54,6 @@ from enum import Enum
 from typing import Any, Iterable, Sequence
 
 from repro.algebra.aggregates import AggregateSpec
-from repro.algebra.apply_op import Apply
 from repro.algebra.expressions import (
     And,
     Arithmetic,
@@ -69,6 +68,7 @@ from repro.algebra.expressions import (
     TruthLiteral,
     conjuncts_of,
 )
+from repro.algebra.nested import Apply
 from repro.algebra.operators import (
     Difference,
     GroupBy,
@@ -278,12 +278,14 @@ def classify_aggregate(spec: AggregateSpec) -> AggregateCapability:
     DISTINCT wraps any function into a holistic one: the auxiliary
     state is the value set itself, and finalized values do not merge
     (the partitioned evaluator forces a single scan for exactly this
-    reason).  AVG is algebraic — :func:`repro.gmdj.parallel.
-    _shadow_plan` decomposes it into the mergeable (sum, count) pair.
+    reason).  ``single`` is holistic too: whether it raises depends on
+    every partition's rows at once.  AVG is algebraic —
+    :func:`repro.gmdj.parallel._shadow_plan` decomposes it into the
+    mergeable (sum, count) pair.
     """
-    if spec.distinct:
+    if spec.distinct or spec.function == "single":
         return AggregateCapability(
-            spec=repr(spec), function=spec.function, distinct=True,
+            spec=repr(spec), function=spec.function, distinct=spec.distinct,
             klass="holistic", merge=None,
         )
     if spec.function == "avg":

@@ -15,18 +15,17 @@ Both facts are visible in the plan tree alone, so a
 * ``single_scan_tables`` — the Prop. 4.1 subset scanned exactly once.
 
 The certificate is *complete* only when the tree holds no un-translated
-residue (:class:`~repro.algebra.nested.NestedSelect` or
-:class:`~repro.algebra.apply_op.Apply` nodes): those evaluate their
-inner plans once per outer row, so per-plan span counts are no longer
-predictable from structure.  :func:`repro.obs.invariants.check_trace`
-only cross-checks exact counts for complete certificates.
+residue (:class:`~repro.algebra.nested.NestedSelect` nodes): those
+evaluate their inner plans once per outer row, so per-plan span counts
+are no longer predictable from structure.
+:func:`repro.obs.invariants.check_trace` only cross-checks exact counts
+for complete certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.algebra.apply_op import Apply
 from repro.algebra.nested import NestedSelect
 from repro.algebra.operators import Operator, ScanTable
 from repro.gmdj.evaluate import SelectGMDJ
@@ -63,7 +62,7 @@ class CostCertificate:
     """Structurally derived cost bounds for one plan.
 
     ``complete`` is False when the plan still contains nested residue
-    (Apply / NestedSelect), in which case only the per-operator bounds
+    (a NestedSelect), in which case only the per-operator bounds
     hold and the whole-trace scan counts are not certified.
     """
 
@@ -116,7 +115,7 @@ def certify_plan(plan: Operator) -> CostCertificate:
             # (Thms. 4.1/4.2: fusing adds no detail scans).
             visit(node.gmdj, path, True)
             return
-        if isinstance(node, (NestedSelect, Apply)):
+        if isinstance(node, NestedSelect):
             residue = True
         if isinstance(node, GMDJ):
             relation = (

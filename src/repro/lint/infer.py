@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
-from repro.algebra.apply_op import Apply
 from repro.algebra.expressions import (
     And,
     Arithmetic,
@@ -42,6 +41,7 @@ from repro.algebra.expressions import (
     TruthLiteral,
 )
 from repro.algebra.nested import (
+    Apply,
     Environment,
     Exists,
     NestedSelect,

@@ -88,12 +88,8 @@ def executed_summary(trace) -> dict:
     Returns a dict with the executed ``strategy``, ``kernel`` and
     ``fragmenter`` (from the planner's ``query`` span — ``plain`` when a
     GMDJ strategy had nothing to translate, and the kernel is what
-    ``auto`` resolved to), ``apply_loops`` — how many APPLY nodes the
-    translator left as tuple-at-a-time loops, with
-    ``apply_loop_reasons`` saying why (from the ``SubqueryToGMDJ`` span,
-    so absent when the translation came from the plan cache) —
-    plus, for python-batch-kernel scans, the total batch ``chunks``
-    processed and the ``chunk_size`` in effect.  When the numpy kernel
+    ``auto`` resolved to), plus, for python-batch-kernel scans, the
+    total batch ``chunks`` processed and the ``chunk_size`` in effect.  When the numpy kernel
     ran, the summary names the ``backend`` and the detail-row ``tiles``
     its scans walked, says per hash block how its detail keys were
     resolved (``key_lookup``: ``direct`` addressing or ``sorted``
@@ -120,18 +116,12 @@ def executed_summary(trace) -> dict:
         "forms": [], "range_index": [], "range_declined": []}
     fallbacks: list[str] = []
     flat_fallbacks: list[str] = []
-    apply_loops: list[int] = []
-    apply_loop_reasons: list[str] = []
     for span_ in trace.walk():
         if span_.kind == "query":
             summary["strategy"] = span_.attrs.get("strategy")
             for key in ("kernel", "fragmenter"):
                 if key in span_.attrs:
                     summary[key] = span_.attrs[key]
-        elif span_.kind == "translate":
-            apply_loops.append(span_.attrs.get("apply_loops", 0))
-            apply_loop_reasons.extend(
-                span_.attrs.get("apply_loop_reasons", ()))
         elif span_.kind == "detail_scan" and span_.attrs.get("vectorized"):
             for count in ("chunks", "tiles"):
                 if count in span_.attrs:
@@ -162,10 +152,6 @@ def executed_summary(trace) -> dict:
         summary["fallbacks"] = fallbacks
     if flat_fallbacks:
         summary["flat_fallbacks"] = flat_fallbacks
-    if apply_loops:
-        summary["apply_loops"] = sum(apply_loops)
-    if apply_loop_reasons:
-        summary["apply_loop_reasons"] = apply_loop_reasons
     return summary
 
 

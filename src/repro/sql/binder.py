@@ -21,6 +21,7 @@ from repro.algebra.expressions import (
     TRUE,
 )
 from repro.algebra.nested import (
+    Apply,
     Exists,
     NestedSelect,
     QuantifiedComparison,
@@ -144,10 +145,8 @@ class Binder:
                     plan = Select(plan, having_expr)
         elif statement.having is not None:
             raise BindError("HAVING requires GROUP BY or aggregates")
-        for subquery, mode, output_name in applies:
-            from repro.algebra.apply_op import Apply
-
-            plan = Apply(plan, subquery, mode, output_name)
+        for subquery, output_name in applies:
+            plan = Apply(plan, subquery, output_name)
         items = [
             ProjectItem(expression, name,
                         preserve=isinstance(expression, Column) and
@@ -184,9 +183,8 @@ class Binder:
                     "scalar subqueries are not allowed in this context"
                 )
             subquery = self._bind_subquery(node.query, need_item=True)
-            mode = "aggregate" if subquery.aggregate is not None else "scalar"
             name = self._fresh_name("sq")
-            applies.append((subquery, mode, name))
+            applies.append((subquery, name))
             return Column(name)
         if isinstance(node, ast.BinaryOp):
             return Arithmetic(

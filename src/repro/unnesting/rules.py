@@ -12,7 +12,7 @@ The six rows of the paper's Table 1:
 =============================================  ===============================================
 Nested form                                    GMDJ translation
 =============================================  ===============================================
-``σ[x φ π[y]σ[θ]R] B``                         ``σ[cnt = 1]  MD(B, R, count(*)→cnt, θ ∧ x φ y)``
+``σ[x φ π[y]σ[θ]R] B``                         ``σ[x φ v]    MD(B, R, single(y)→v, θ)``
 ``σ[x φ π[f(y)]σ[θ]R] B``                      ``σ[x φ fy]   MD(B, R, f(y)→fy, θ)``
 ``σ[x φ_some π[y]σ[θ]R] B``                    ``σ[cnt > 0]  MD(B, R, count(*)→cnt, θ ∧ x φ y)``
 ``σ[x φ_all π[y]σ[θ]R] B``                     ``σ[cnt1 = cnt2] MD(B, R, ((cnt1),(cnt2)), ((θ ∧ x φ y), θ))``
@@ -23,7 +23,12 @@ Nested form                                    GMDJ translation
 Counting is the central mechanism: every quantified/existential form turns
 into a plain comparison over a ``count(*)``, which is trivially correct
 under three-valued logic because only TRUE rows are counted (where-clause
-truncation).
+truncation).  The first row is the second one's with the aggregate
+``single(y)``: NULL on an empty range, ``y`` on one row, and a
+:class:`~repro.errors.CardinalityError` where a base tuple has two —
+SQL's scalar subquery, where the paper's ``cnt = 1`` assumed at most one
+row.  A SELECT-list value (``B APPLY π[f(y)]σ[θ]R``) is that block with
+no selection: ``MD(B, R, f(y)→name, θ)``.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from dataclasses import dataclass
 
 from repro.algebra.aggregates import AggregateSpec, count_star
 from repro.algebra.expressions import (
+    TRUE,
     Column,
     Comparison,
     Expression,
@@ -39,6 +45,7 @@ from repro.algebra.expressions import (
     conjoin,
 )
 from repro.algebra.nested import (
+    Apply,
     Exists,
     QuantifiedComparison,
     ScalarComparison,
@@ -70,11 +77,12 @@ class LeafMapping:
 
 
 def map_leaf(
-    leaf: SubqueryPredicate,
+    leaf: SubqueryPredicate | Apply,
     inner_condition: Expression,
     names: NameGenerator,
 ) -> LeafMapping:
-    """Apply the Table 1 row matching ``leaf``.
+    """Apply the Table 1 row matching ``leaf`` (an Apply's value block
+    replaces nothing: its condition is TRUE).
 
     ``inner_condition`` is the subquery's predicate with any nested
     subqueries already replaced by count conditions (Theorem 3.2) — i.e.
@@ -91,28 +99,17 @@ def map_leaf(
             replacement = Comparison(">", Column(name), Literal(0))
         return LeafMapping([block], replacement, [name])
 
-    if isinstance(leaf, ScalarComparison):
-        subquery = leaf.subquery
-        if subquery.aggregate is not None:
+    if isinstance(leaf, (ScalarComparison, Apply)):
+        aggregate = leaf.subquery.scalar_aggregate
+        if isinstance(leaf, Apply):
+            name, replacement = leaf.output_name, TRUE
+        else:
             name = names.fresh("agg")
-            spec = AggregateSpec(
-                subquery.aggregate.function, subquery.aggregate.argument,
-                name, subquery.aggregate.distinct,
-            )
-            block = ThetaBlock([spec], inner_condition)
             replacement = Comparison(leaf.op, leaf.outer, Column(name))
-            return LeafMapping([block], replacement, [name])
-        if subquery.item is None:
-            raise TranslationError(
-                "scalar comparison subquery must select an item or aggregate"
-            )
-        name = names.fresh("cnt")
-        condition = conjoin(
-            [inner_condition, Comparison(leaf.op, leaf.outer, subquery.item)]
-        )
-        block = ThetaBlock([count_star(name)], condition)
-        replacement = Comparison("=", Column(name), Literal(1))
-        return LeafMapping([block], replacement, [name])
+        spec = AggregateSpec(aggregate.function, aggregate.argument, name,
+                             aggregate.distinct)
+        return LeafMapping([ThetaBlock([spec], inner_condition)],
+                           replacement, [name])
 
     if isinstance(leaf, QuantifiedComparison):
         subquery = leaf.subquery

@@ -10,7 +10,9 @@ algebra plan whose only exotic operator is the GMDJ:
    count/aggregate columns (Table 1, :mod:`repro.unnesting.rules`),
    stacking one GMDJ onto the base per leaf.  Leaves whose subqueries are
    themselves nested are flattened first, so the inner GMDJ extends the
-   *detail* relation of the outer one (Theorem 3.2).
+   *detail* relation of the outer one (Theorem 3.2).  A SELECT-list
+   :class:`~repro.algebra.nested.Apply` is one such leaf over its
+   input, whose GMDJ adds the value column.
 3. **Push down** — when a θ condition references a scope more than one
    level out (a *non-neighboring* correlation predicate), the referenced
    base table is joined into the base of the GMDJ where the reference
@@ -37,10 +39,18 @@ from repro.algebra.expressions import (
     Not,
     Or,
     conjoin,
+    map_columns,
 )
 from repro.algebra.expressions import TRUE
-from repro.algebra.nested import NestedSelect, SubqueryPredicate
-from repro.algebra.operators import Join, Operator, Project, Rename, Select
+from repro.algebra.nested import Apply, NestedSelect, SubqueryPredicate
+from repro.algebra.operators import (
+    Distinct,
+    Join,
+    Operator,
+    Project,
+    Rename,
+    Select,
+)
 from repro.algebra.rewrite import map_children
 from repro.errors import TranslationError
 from repro.gmdj.operator import GMDJ, ThetaBlock
@@ -73,30 +83,28 @@ class _Translator:
         self.catalog = catalog
         self.names = NameGenerator()
         self._push_counter = 0
-        #: One :func:`~repro.algebra.apply_op.loop_reason` per APPLY left
-        #: as a tuple-at-a-time loop.
-        self.apply_loops: list[str] = []
 
     # -- public ---------------------------------------------------------------
 
     def translate_operator(self, operator: Operator) -> Operator:
-        """Replace every NestedSelect (and flattenable APPLY) bottom-up."""
+        """Replace every NestedSelect and Apply bottom-up."""
         rebuilt = map_children(operator, self.translate_operator)
         if isinstance(rebuilt, NestedSelect):
             return self._translate_nested_select(rebuilt)
-        from repro.algebra.apply_op import Apply, apply_to_gmdj, loop_reason
-
         if isinstance(rebuilt, Apply):
-            reason = loop_reason(rebuilt)
-            if reason is not None:
-                self.apply_loops.append(reason)
-                return rebuilt
-            return apply_to_gmdj(
-                rebuilt, self.catalog, count_name=self.names.fresh("cnt"),
-            )
+            return self._translate_apply(rebuilt)
         return rebuilt
 
     # -- core -----------------------------------------------------------------
+
+    def _translate_apply(self, apply: Apply) -> Operator:
+        """The Apply's subquery is one leaf over its input: the GMDJ it
+        stacks there carries the value column."""
+        schema = apply.input.schema(self.catalog)
+        state = _block_state(apply.input, schema)
+        self._process_leaf(apply, state, _ContextLevel(apply.input, schema),
+                           context=[])
+        return state["source"]
 
     def _translate_nested_select(self, nested: NestedSelect) -> Operator:
         child = self.translate_operator(nested.child)
@@ -126,12 +134,7 @@ class _Translator:
         """Replace subquery leaves in ``predicate``, stacking GMDJs on
         ``source``.  Returns the extended source, the flattened predicate,
         and pendings that callers at outer levels must resolve."""
-        state = {
-            "source": source,
-            "schema": source_schema,
-            "pendings": [],
-            "embedded": {},  # level -> qualifier already joined into source
-        }
+        state = _block_state(source, source_schema)
         original = _ContextLevel(source, source_schema)
 
         def walk(node: Expression) -> Expression:
@@ -150,7 +153,7 @@ class _Translator:
 
     def _process_leaf(
         self,
-        leaf: SubqueryPredicate,
+        leaf: SubqueryPredicate | Apply,
         state: dict,
         original: _ContextLevel,
         context: list[_ContextLevel],
@@ -256,10 +259,11 @@ class _Translator:
                 qualifier = self._embed(state, level, None, context)
                 level_schema = context[level].schema
                 substitutions = {
-                    ref: f"{qualifier}.{level_schema.field_of(ref).name}"
+                    ref: Column(f"{qualifier}.{level_schema.field_of(ref).name}")
                     for ref in refs
                 }
-                condition = _substitute_references(condition, substitutions)
+                condition = map_columns(condition, lambda node: (
+                    substitutions.get(node.reference, node)))
                 base_schema = state["schema"]
             resolved.append(ThetaBlock(block.aggregates, condition))
         return resolved
@@ -299,9 +303,11 @@ class _Translator:
         embedded: dict[int, str] = state["embedded"]
         original = pending.original if pending is not None else context[level].source
         schema = pending.schema if pending is not None else context[level].schema
+        # The copy is a set: an identity link must meet one copy of a
+        # base tuple, however often the tuple repeats.
         state["source"] = Join(
-            Rename(original, qualifier), state["source"], TRUE, kind="inner",
-            method="nested",
+            Rename(Distinct(original), qualifier), state["source"], TRUE,
+            kind="inner", method="nested",
         )
         state["schema"] = state["source"].schema(self.catalog)
         embedded[level] = qualifier
@@ -312,8 +318,8 @@ class _Translator:
         return qualifier
 
     @staticmethod
-    def _qualified_leaf(leaf: SubqueryPredicate, base_schema: Schema,
-                        detail_schema: Schema) -> SubqueryPredicate:
+    def _qualified_leaf(leaf: SubqueryPredicate | Apply, base_schema: Schema,
+                        detail_schema: Schema) -> SubqueryPredicate | Apply:
         """Qualify a leaf's outer operand (against the base) and its item /
         aggregate argument (against the detail) so the Table 1 mapping can
         mix them in one condition without capture."""
@@ -341,6 +347,8 @@ class _Translator:
             )
         rebuilt = Subquery(subquery.source, subquery.predicate, item,
                            aggregate)
+        if isinstance(leaf, Apply):
+            return Apply(leaf.input, rebuilt, leaf.output_name)
         if isinstance(leaf, Exists):
             return Exists(rebuilt, leaf.negated)
         outer = qualify_references(leaf.outer, base_schema)
@@ -360,6 +368,14 @@ class _Translator:
         )
 
 
+def _block_state(source: Operator, schema: Schema) -> dict:
+    """What a block's leaves extend: its source (GMDJs stack on it), its
+    schema, the pendings raised for outer levels, and the outer levels
+    already joined into it (level -> qualifier)."""
+    return {"source": source, "schema": schema, "pendings": [],
+            "embedded": {}}
+
+
 def _null_safe_equal(left: Expression, right: Expression) -> Expression:
     """``left IS NOT DISTINCT FROM right`` — TRUE on NULL/NULL.
 
@@ -376,59 +392,21 @@ def _null_safe_equal(left: Expression, right: Expression) -> Expression:
     )
 
 
-def _substitute_references(
-    expression: Expression, substitutions: dict[str, str]
-) -> Expression:
-    from repro.algebra.expressions import (
-        Arithmetic,
-        IsNull,
-        Literal,
-        TruthLiteral,
-    )
-
-    def walk(node: Expression) -> Expression:
-        if isinstance(node, Column):
-            target = substitutions.get(node.reference)
-            return Column(target) if target is not None else node
-        if isinstance(node, Comparison):
-            return Comparison(node.op, walk(node.left), walk(node.right))
-        if isinstance(node, And):
-            return And(walk(node.left), walk(node.right))
-        if isinstance(node, Or):
-            return Or(walk(node.left), walk(node.right))
-        if isinstance(node, Not):
-            return Not(walk(node.operand))
-        if isinstance(node, Arithmetic):
-            return Arithmetic(node.op, walk(node.left), walk(node.right))
-        if isinstance(node, IsNull):
-            return IsNull(walk(node.operand), node.negated)
-        if isinstance(node, (Literal, TruthLiteral)):
-            return node
-        return node
-
-    return walk(expression)
-
-
 def subquery_to_gmdj(query, catalog: Catalog, optimize: bool = False,
                      coalesce: bool = True, completion: bool = True):
     """Translate a nested query into a GMDJ plan (Algorithm SubqueryToGMDJ).
 
     ``query`` is any operator tree; every :class:`NestedSelect` and
-    every APPLY with a counting form inside it is rewritten.  With
-    ``optimize=True`` the Section 4 optimizations (coalescing,
+    every :class:`~repro.algebra.nested.Apply` inside it is rewritten.
+    With ``optimize=True`` the Section 4 optimizations (coalescing,
     completion fusion) are applied to the result; the two flags select
-    them individually for ablation studies.  The ``SubqueryToGMDJ`` span
-    records how many APPLY nodes stayed loops (``apply_loops``) and why
-    (``apply_loop_reasons``).
+    them individually for ablation studies.
     """
     from repro.obs.tracer import span
 
-    with span("SubqueryToGMDJ", kind="translate", optimize=optimize) as sp:
+    with span("SubqueryToGMDJ", kind="translate", optimize=optimize):
         translator = _Translator(catalog)
         plan = translator.translate_operator(query)
-        sp.set(apply_loops=len(translator.apply_loops))
-        if translator.apply_loops:
-            sp.set(apply_loop_reasons=list(translator.apply_loops))
         if optimize:
             from repro.gmdj.optimize import optimize_plan
 

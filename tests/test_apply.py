@@ -1,14 +1,15 @@
-"""Tests for the APPLY operator and its GMDJ-based correlation removal."""
+"""Tests for the APPLY operator and its GMDJ translation."""
 
 import pytest
 
-from repro.algebra.aggregates import agg
-from repro.algebra.apply_op import Apply, apply_to_gmdj
+from repro.algebra.aggregates import agg, count_star
 from repro.algebra.expressions import col, lit
-from repro.algebra.nested import Exists, Subquery
+from repro.algebra.nested import Apply, Exists, Subquery
 from repro.algebra.operators import ScanTable
-from repro.errors import CardinalityError, PlanError, TranslationError
+from repro.errors import CardinalityError, ExpressionError
+from repro.gmdj.operator import GMDJ
 from repro.storage import Catalog, DataType, Relation
+from repro.unnesting.translate import subquery_to_gmdj
 
 
 @pytest.fixture
@@ -23,19 +24,18 @@ def sub(item=None, aggregate=None, predicate=None):
                     item=item, aggregate=aggregate)
 
 
+def gmdjs(plan) -> list[GMDJ]:
+    found = [plan] if isinstance(plan, GMDJ) else []
+    for child in plan.children():
+        found += gmdjs(child)
+    return found
+
+
 class TestApplySemantics:
-    def test_semi(self, catalog):
-        result = Apply(ScanTable("B", "b"), sub(), "semi").evaluate(catalog)
-        assert sorted(row[0] for row in result.rows) == [0, 1, 2, 4]
-
-    def test_anti(self, catalog):
-        result = Apply(ScanTable("B", "b"), sub(), "anti").evaluate(catalog)
-        assert sorted(row[0] for row in result.rows) == [3, 5]
-
     def test_aggregate_extends_schema(self, catalog):
         apply = Apply(ScanTable("B", "b"),
                       sub(aggregate=agg("sum", col("r.Y"), "s")),
-                      "aggregate", output_name="total")
+                      output_name="total")
         result = apply.evaluate(catalog)
         assert result.schema.names == ("b.K", "b.X", "total")
         values = {row[0]: row[2] for row in result.rows}
@@ -45,27 +45,19 @@ class TestApplySemantics:
         unique = sub(item=col("r.Y"),
                      predicate=(col("r.K") == col("b.K"))
                      & (col("r.Y") == lit(4)))
-        result = Apply(ScanTable("B", "b"), unique, "scalar",
-                       output_name="v").evaluate(catalog)
-        values = {row[0]: row[2] for row in result.rows}
+        apply = Apply(ScanTable("B", "b"), unique, output_name="v")
+        assert apply.subquery.aggregate.function == "single"
+        values = {row[0]: row[2] for row in apply.evaluate(catalog).rows}
         assert values[1] == 4 and values[0] is None
 
     def test_scalar_cardinality_error(self, catalog):
-        apply = Apply(ScanTable("B", "b"), sub(item=col("r.Y")), "scalar")
+        apply = Apply(ScanTable("B", "b"), sub(item=col("r.Y")))
         with pytest.raises(CardinalityError):
             apply.evaluate(catalog)
 
-    def test_bad_mode(self):
-        with pytest.raises(PlanError):
-            Apply(ScanTable("B", "b"), sub(), "cross")
-
     def test_scalar_needs_item(self):
-        with pytest.raises(PlanError):
-            Apply(ScanTable("B", "b"), sub(), "scalar")
-
-    def test_aggregate_needs_aggregate(self):
-        with pytest.raises(PlanError):
-            Apply(ScanTable("B", "b"), sub(item=col("r.Y")), "aggregate")
+        with pytest.raises(ExpressionError):
+            Apply(ScanTable("B", "b"), sub())
 
     def test_output_preserved_for_duplicates(self):
         catalog = Catalog()
@@ -76,46 +68,58 @@ class TestApplySemantics:
         catalog.create_table("R", Relation.from_columns(
             [("K", DataType.INTEGER), ("Y", DataType.INTEGER)], [(1, 2)],
         ))
-        result = Apply(ScanTable("B", "b"), sub(), "semi").evaluate(catalog)
-        assert len(result) == 2
+        apply = Apply(ScanTable("B", "b"), sub(item=col("r.Y")))
+        assert apply.evaluate(catalog).rows == [(1, 1, 2), (1, 1, 2)]
 
 
 class TestApplyToGmdj:
-    @pytest.mark.parametrize("mode", ["semi", "anti"])
-    def test_semi_anti_rewrite_equivalent(self, catalog, mode):
-        apply = Apply(ScanTable("B", "b"), sub(), mode)
-        rewritten = apply_to_gmdj(apply, catalog)
-        assert apply.evaluate(catalog).bag_equal(rewritten.evaluate(catalog))
+    """An Apply translates to one GMDJ carrying its value column."""
 
     def test_aggregate_rewrite_equivalent(self, catalog):
         apply = Apply(ScanTable("B", "b"),
                       sub(aggregate=agg("avg", col("r.Y"), "a")),
-                      "aggregate", output_name="avgy")
-        rewritten = apply_to_gmdj(apply, catalog)
+                      output_name="avgy")
+        rewritten = subquery_to_gmdj(apply, catalog)
         assert apply.evaluate(catalog).bag_equal(rewritten.evaluate(catalog))
         assert rewritten.schema(catalog).names == ("b.K", "b.X", "avgy")
 
-    def test_scalar_rewrite_rejected(self, catalog):
-        apply = Apply(ScanTable("B", "b"), sub(item=col("r.Y")), "scalar")
-        with pytest.raises(TranslationError):
-            apply_to_gmdj(apply, catalog)
+    def test_scalar_rewrite_equivalent(self, catalog):
+        unique = sub(item=col("r.Y"),
+                     predicate=(col("r.K") == col("b.K"))
+                     & (col("r.Y") > lit(7)))
+        apply = Apply(ScanTable("B", "b"), unique, output_name="v")
+        rewritten = subquery_to_gmdj(apply, catalog)
+        [gmdj] = gmdjs(rewritten)
+        assert [spec.function for spec in gmdj.blocks[0].aggregates] \
+            == ["single"]
+        assert apply.evaluate(catalog).bag_equal(rewritten.evaluate(catalog))
+        with pytest.raises(CardinalityError):
+            subquery_to_gmdj(Apply(ScanTable("B", "b"), sub(item=col("r.Y"))),
+                             catalog).evaluate(catalog)
 
-    def test_nested_predicate_rejected(self, catalog):
+    def test_nested_predicate_rewrite_equivalent(self, catalog):
         nested = Subquery(
             ScanTable("R", "r1"),
             (col("r1.K") == col("b.K"))
             & Exists(Subquery(ScanTable("R", "r2"),
-                              col("r2.K") == col("r1.K"))),
+                              (col("r2.K") == col("r1.K"))
+                              & (col("r2.Y") > col("r1.Y")))),
+            aggregate=count_star("n"),
         )
-        apply = Apply(ScanTable("B", "b"), nested, "semi")
-        with pytest.raises(TranslationError):
-            apply_to_gmdj(apply, catalog)
+        apply = Apply(ScanTable("B", "b"), nested, output_name="n")
+        rewritten = subquery_to_gmdj(apply, catalog)
+        # Inner first (Thm 3.2): the EXISTS block's GMDJ is the detail of
+        # the Apply's.
+        outer, inner = gmdjs(rewritten)
+        assert outer.detail is inner
+        assert apply.evaluate(catalog).bag_equal(rewritten.evaluate(catalog))
 
     def test_rewrite_does_fewer_scans(self, catalog):
         from repro.storage import collect
 
-        apply = Apply(ScanTable("B", "b"), sub(), "semi")
-        rewritten = apply_to_gmdj(apply, catalog)
+        apply = Apply(ScanTable("B", "b"), sub(aggregate=count_star("n")),
+                      output_name="n")
+        rewritten = subquery_to_gmdj(apply, catalog)
         with collect() as loop_stats:
             apply.evaluate(catalog)
         with collect() as gmdj_stats:

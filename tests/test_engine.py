@@ -5,7 +5,7 @@ from repro import QueryOptions
 
 from repro.algebra import has_subquery_form
 from repro.algebra.expressions import col, lit
-from repro.algebra.nested import Exists, NestedSelect, Subquery
+from repro.algebra.nested import Apply, Exists, NestedSelect, Subquery
 from repro.algebra.operators import ScanTable, Select
 from repro.engine import (
     Database,
@@ -119,13 +119,11 @@ class TestStrategies:
             plan_for(nested_query(), db.catalog, "quantum")
 
     def test_has_subquery_form(self):
-        from repro.algebra.apply_op import Apply
-
         assert has_subquery_form(nested_query())
         assert has_subquery_form(Apply(
             ScanTable("B", "b"),
-            Subquery(ScanTable("R", "r"), col("r.K") == col("b.K")),
-            "semi",
+            Subquery(ScanTable("R", "r"), col("r.K") == col("b.K"),
+                     item=col("r.Y")),
         ))
         assert not has_subquery_form(ScanTable("B", "b"))
 

@@ -4,9 +4,8 @@ explain_analyze."""
 import pytest
 from repro import QueryOptions
 
-from repro.algebra.apply_op import Apply
 from repro.algebra.expressions import col
-from repro.algebra.nested import Exists, NestedSelect, Subquery
+from repro.algebra.nested import Apply, Exists, NestedSelect, Subquery
 from repro.algebra.operators import (
     Intersect,
     Limit,
@@ -42,11 +41,13 @@ class TestPrinterExtras:
     def test_apply(self):
         node = Apply(
             ScanTable("T", "t"),
-            Subquery(ScanTable("U", "u"), col("u.k") == col("t.k")),
-            "semi",
+            Subquery(ScanTable("U", "u"), col("u.k") == col("t.k"),
+                     item=col("u.k")),
+            output_name="v",
         )
         text = explain(node)
-        assert text.startswith("Apply semi")
+        assert text.startswith("Apply -> v [")
+        assert "single(" in text
         assert "Scan T -> t" in text
 
     def test_sql_compound_plan_renders(self, db):

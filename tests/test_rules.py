@@ -11,7 +11,7 @@ from repro.algebra.nested import (
     Subquery,
 )
 from repro.algebra.operators import ScanTable
-from repro.errors import TranslationError
+from repro.errors import ExpressionError, TranslationError
 from repro.unnesting.rules import NameGenerator, map_leaf
 
 THETA = col("r.K") == col("b.K")
@@ -46,13 +46,16 @@ class TestExistsRules:
 
 
 class TestScalarRules:
-    def test_plain_scalar_counts_theta_and_phi(self, names):
+    def test_plain_scalar_is_single_over_theta(self, names):
         leaf = ScalarComparison("<", col("b.X"), sub(item=col("r.Y")))
         mapping = map_leaf(leaf, THETA, names)
-        assert mapping.replacement.op == "="
-        assert mapping.replacement.right.value == 1
-        condition_refs = mapping.blocks[0].condition.references()
-        assert "b.X" in condition_refs and "r.Y" in condition_refs
+        # Table 1 row 1 is row 2 with single(y): theta alone selects the
+        # rows, and the comparison sits in the replacement condition.
+        [spec] = mapping.blocks[0].aggregates
+        assert spec.function == "single" and spec.argument.same_as(col("r.Y"))
+        assert mapping.blocks[0].condition.same_as(THETA)
+        assert mapping.replacement.op == "<"
+        assert mapping.replacement.right.reference == spec.output_name
 
     def test_aggregate_scalar_keeps_comparison_outside(self, names):
         leaf = ScalarComparison(
@@ -67,8 +70,8 @@ class TestScalarRules:
         assert isinstance(mapping.replacement.right, Column)
 
     def test_scalar_without_item_rejected(self, names):
-        with pytest.raises(TranslationError):
-            map_leaf(ScalarComparison("=", col("b.X"), sub()), THETA, names)
+        with pytest.raises(ExpressionError):
+            ScalarComparison("=", col("b.X"), sub())
 
 
 class TestQuantifiedRules:

@@ -97,16 +97,18 @@ class TestBareNameCapture:
 
 class TestApplyScoping:
     def test_apply_to_gmdj_bare_names(self, db):
-        from repro.algebra.apply_op import Apply, apply_to_gmdj
+        from repro.algebra.aggregates import count_star
         from repro.algebra.expressions import col
-        from repro.algebra.nested import Subquery
+        from repro.algebra.nested import Apply, Subquery
         from repro.algebra.operators import ScanTable
+        from repro.unnesting.translate import subquery_to_gmdj
 
         apply = Apply(
             ScanTable("T", "t"),
-            Subquery(ScanTable("U"), col("a") == col("t.a")),
-            "anti",
+            Subquery(ScanTable("U"), col("a") == col("t.a"),
+                     aggregate=count_star("n")),
+            output_name="n",
         )
         looped = apply.evaluate(db.catalog)
-        rewritten = apply_to_gmdj(apply, db.catalog).evaluate(db.catalog)
+        rewritten = subquery_to_gmdj(apply, db.catalog).evaluate(db.catalog)
         assert looped.bag_equal(rewritten)

@@ -3,7 +3,7 @@
 import pytest
 from repro import QueryOptions
 
-from repro.algebra.apply_op import Apply
+from repro.algebra.nested import Apply
 from repro.algebra.operators import Project
 from repro.engine import Database
 from repro.errors import BindError
@@ -34,7 +34,7 @@ class TestBinding:
         )
         assert isinstance(plan, Project)
         assert isinstance(plan.child, Apply)
-        assert plan.child.mode == "aggregate"
+        assert plan.child.subquery.aggregate.function == "count"
 
     def test_mixing_with_group_by_rejected(self, db):
         with pytest.raises(BindError):
@@ -110,9 +110,6 @@ class TestDefaultRouting:
         assert report.result.rows == expected.rows
         scans = report.trace.find(kind="detail_scan")
         assert [s.attrs["relation"] for s in scans] == ["orders"]
-        (translate,) = report.trace.find(kind="translate")
-        assert translate.attrs["apply_loops"] == 0
-        assert "apply_loop_reasons" not in translate.attrs
 
     def test_same_work_as_explicit_gmdj_optimized(self, db):
         default = db.profile_sql(self.SQL, QueryOptions(use_cache=False))
@@ -121,19 +118,26 @@ class TestDefaultRouting:
         assert default.result.rows == named.result.rows
         assert default.counters == named.counters
 
-    @pytest.mark.parametrize("sql, reason", [
-        ("SELECT c.ck, (SELECT o.price FROM orders o WHERE o.ck = c.ck "
-         "AND o.price > 20) AS big FROM customer c", "scalar item"),
-        ("SELECT c.ck, (SELECT count(*) FROM orders o WHERE o.ck = c.ck "
-         "AND EXISTS (SELECT * FROM customer d WHERE d.ck = o.ck)) AS n "
-         "FROM customer c", "nested inner predicate"),
+    @pytest.mark.parametrize("sql, subqueries", [
+        pytest.param("SELECT c.ck, (SELECT o.price FROM orders o "
+                     "WHERE o.ck = c.ck AND o.price > 20) AS big "
+                     "FROM customer c", 1, id="scalar_item"),
+        pytest.param("SELECT c.ck, (SELECT count(*) FROM orders o "
+                     "WHERE o.ck = c.ck AND EXISTS (SELECT * FROM customer d "
+                     "WHERE d.ck = o.ck)) AS n FROM customer c", 2,
+                     id="nested_inner_predicate"),
     ])
-    def test_loops_are_reported_with_their_reason(self, db, sql, reason):
-        options = QueryOptions(use_cache=False)
-        analyzed = db.explain_analyze(db.sql(sql), options)
-        executed = analyzed.json()["executed"]
-        assert executed["apply_loops"] == 1
-        assert executed["apply_loop_reasons"] == [reason]
-        assert f"apply_loops=1 apply_loop_reasons=['{reason}']" in analyzed
+    def test_both_shapes_translate(self, db, sql, subqueries):
+        from repro.engine import plan_for
+
+        def nodes(node):
+            yield node
+            for child in node.children():
+                yield from nodes(child)
+
+        plan = plan_for(db.sql(sql), db.catalog, "gmdj_optimized")
+        kinds = [type(node) for node in nodes(plan)]
+        assert kinds.count(GMDJ) == subqueries and Apply not in kinds
         expected = db.execute_sql(sql, QueryOptions("naive"))
-        assert expected.bag_equal(db.execute_sql(sql, options))
+        assert expected.bag_equal(
+            db.execute_sql(sql, QueryOptions(use_cache=False)))

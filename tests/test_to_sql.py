@@ -103,3 +103,37 @@ class TestPlanReduction:
     def test_unsupported_plan_rejected(self, catalog):
         with pytest.raises(TranslationError):
             plan_to_sql(ScanTable("B", "b"), catalog)
+
+
+class TestSingleReduction:
+    """``single(y)`` has no SQL aggregate: the reduction returns MIN's
+    value where the engine raises, and shows the θ-row count that says
+    where."""
+
+    def test_min_beside_its_row_count(self):
+        import sqlite3
+
+        from repro.errors import CardinalityError
+
+        cat = Catalog()
+        cat.create_table("B", Relation.from_columns(
+            [("K", DataType.INTEGER)], [(1,), (2,)]))
+        cat.create_table("R", Relation.from_columns(
+            [("K", DataType.INTEGER), ("Y", DataType.INTEGER)],
+            [(1, 3), (1, 4), (2, 5)]))
+        plan = md(ScanTable("B", "b"), ScanTable("R", "r"),
+                  [[agg("single", col("r.Y"), "v")]],
+                  [col("b.K") == col("r.K")])
+        sql = gmdj_to_sql(plan, cat)
+        assert "MIN(CASE WHEN b.K = r.K THEN r.Y END) AS v" in sql
+        assert "COUNT(CASE WHEN b.K = r.K THEN 1 END) AS v__rows" in sql
+        connection = sqlite3.connect(":memory:")
+        connection.execute("CREATE TABLE B (K)")
+        connection.execute("CREATE TABLE R (K, Y)")
+        connection.executemany("INSERT INTO B VALUES (?)", [(1,), (2,)])
+        connection.executemany("INSERT INTO R VALUES (?, ?)",
+                               [(1, 3), (1, 4), (2, 5)])
+        assert sorted(connection.execute(sql).fetchall()) == [
+            (1, 3, 2), (2, 5, 1)]
+        with pytest.raises(CardinalityError):
+            plan.evaluate(cat)

@@ -116,6 +116,60 @@ class TestRicherShapes:
                        negated=True)
         assert_translates(NestedSelect(ScanTable("B", "b"), outer), catalog)
 
+    def test_pushed_down_copy_counts_a_repeated_base_tuple_once(self):
+        """Thm 3.3/3.4's copy of B is linked to B by identity: with B's
+        tuple repeated, each repeat must still meet one copy."""
+        catalog = Catalog()
+        for name, rows in (("B", [(1, 7), (1, 7)]), ("R", [(2, 2)]),
+                           ("S", [(2, 4)])):
+            catalog.create_table(name, Relation.from_columns(
+                [("K", DataType.INTEGER), ("X", DataType.INTEGER)], rows))
+        non_neighbor = Subquery(
+            ScanTable("S", "s"),
+            QuantifiedComparison(">=", "some", col("s.K"), Subquery(
+                ScanTable("R", "r"), col("r.X") != col("b.K"),
+                item=col("r.X"))),
+            aggregate=agg("count", None, "n"))
+        query = NestedSelect(
+            ScanTable("B", "b"), ScalarComparison("=", lit(1), non_neighbor))
+        assert len(assert_translates(query, catalog)) == 2
+
+    @pytest.mark.parametrize("where", ["EXISTS (SELECT * FROM R r1)",
+                                       "b.X > 0"])
+    def test_a_copy_runs_no_gmdj_twice(self, where):
+        """A SELECT-list item's pushed-down copy is of its input's rows,
+        which hold the GMDJs of its WHERE block and of earlier items:
+        each is evaluated once, at every rollup level."""
+        from repro import QueryOptions
+        from repro.engine import Database, plan_for
+        from repro.gmdj import GMDJ
+        from repro.storage import collect
+
+        db = Database()
+        for name in ("B", "R"):
+            db.create_table(name, [("K", DataType.INTEGER),
+                                   ("X", DataType.INTEGER)],
+                            [(1, 7), (2, 3), (3, 3)])
+        sql = ("SELECT b.K, (SELECT COUNT(*) FROM R r3 WHERE r3.X <> b.K) n, "
+               "(SELECT SUM(r.X) FROM R r WHERE EXISTS (SELECT * FROM R r2 "
+               f"WHERE r2.K < b.X AND r2.X = r.X)) s FROM B b WHERE {where}")
+
+        def nodes(node):
+            yield node
+            for child in node.children():
+                yield from nodes(child)
+
+        plan = plan_for(db.sql(sql), db.catalog, "gmdj")
+        gmdjs = {repr(node) for node in nodes(plan) if isinstance(node, GMDJ)}
+        naive = db.execute_sql(sql, QueryOptions("naive")).rows
+        for rollup in ("off", "subsume"):
+            with collect() as stats:
+                rows = db.execute_sql(sql, QueryOptions(
+                    "gmdj", backend="row", rollup=rollup,
+                    use_cache=False)).rows
+            assert sorted(rows) == sorted(naive)
+            assert stats.detail_scans == len(gmdjs), rollup
+
 
 class TestRandomizedNesting:
     @settings(max_examples=40, deadline=None,
