@@ -54,7 +54,7 @@ from repro.errors import (
 )
 from repro.gmdj import GMDJ, md, optimize_plan
 from repro.lint import CostCertificate, LintReport, certify_plan, lint_plan
-from repro.obs import Explain, Tracer, check_trace, explain_analyze, tracing
+from repro.obs import Explain, Tracer, explain_analyze, tracing
 from repro.storage import Catalog, DataType, Relation, Schema, collect
 from repro.unnesting import subquery_to_gmdj
 
@@ -87,7 +87,6 @@ __all__ = [
     "Tracer",
     "agg",
     "certify_plan",
-    "check_trace",
     "col",
     "collect",
     "count_star",

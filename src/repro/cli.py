@@ -27,9 +27,9 @@ The ``explain`` subcommand renders plans, optionally executed::
 
 Plain ``explain`` prints the plan the strategy would run;
 ``--analyze`` executes it under operator tracing and annotates every
-span with wall-clock and IOStats counter deltas, then checks the
-paper's cost invariants over the finished trace (``--strict-invariants``
-turns violations into a non-zero exit).  ``--json`` emits the full
+span with wall-clock and IOStats counter deltas, then holds the run's
+counters to the plan's cost certificate (``--strict-invariants`` turns
+violations into a non-zero exit).  ``--json`` emits the full
 trace as machine-readable JSON.
 
 The ``lint`` subcommand statically verifies plans without executing::
@@ -672,7 +672,7 @@ def build_explain_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--strict-invariants", action="store_true",
-        help="with --analyze: exit non-zero when a trace violates one "
+        help="with --analyze: exit non-zero when a run violates one "
              "of the paper's cost invariants",
     )
     return parser

@@ -71,12 +71,12 @@ class WorkerPoolError(ReproError):
 
 
 class InvariantViolation(ReproError):
-    """A finished trace contradicts one of the paper's cost guarantees.
+    """A run contradicts one of the paper's cost guarantees.
 
-    Raised by the strict mode of :func:`repro.obs.invariants.check_trace`
-    when, e.g., a GMDJ span shows more than one scan of its detail
-    relation (Prop. 4.1), emits more rows than its base has (Def. 2.1),
-    or base-tuple completion changed the scan count (Thms. 4.1/4.2).
+    Raised by :func:`repro.gmdj.physical.evaluate_node` when a GMDJ
+    emits more rows than its base has (Def. 2.1), and by strict EXPLAIN
+    ANALYZE when a run's ``detail_scans`` differs from its plan's cost
+    certificate (one scan per GMDJ evaluation, Prop. 4.1, Thms. 4.1/4.2).
     """
 
 
@@ -86,7 +86,7 @@ class CertificateViolation(InvariantViolation):
     Raised when a column the abstract interpreter certified NEVER-null
     (:func:`repro.lint.absint.certify_capabilities`) is observed holding
     a NULL by the strict mode of
-    :func:`repro.obs.invariants.check_capabilities` over result rows.
+    :func:`repro.lint.absint.check_capabilities` over result rows.
     A certificate violation is always an
     analysis bug (or a deliberately seeded one in the fuzz harness),
     never a data error: the lattice is meant to over-approximate.

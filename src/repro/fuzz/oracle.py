@@ -16,7 +16,9 @@ Every result is compared against stdlib ``sqlite3`` executing an
 independently rendered query (NULL-aware bag equality over *normalized*
 rows: ``2`` equals ``2.0``, float noise below 1e-9 is ignored), and
 every lattice point is held to :func:`identity_violations`, the one
-statement of the physical identity contract.  A
+statement of the physical identity contract; each translation's cold
+row-kernel run, unfragmented and alone, is also held to its plan's cost
+certificate (:func:`scan_divergence`).  A
 :class:`~repro.errors.TranslationError` (join unnesting on disjunctions
 or non-neighboring correlation) is a skip; any other exception is a
 divergence, except as :func:`raise_divergence` rules for a scalar
@@ -50,6 +52,7 @@ from repro.engine.options import ROLLUP_LEVELS, QueryOptions
 from repro.engine.planner import plan_for
 from repro.errors import CardinalityError, ReproError, TranslationError
 from repro.fuzz.datagen import DatabaseSpec
+from repro.lint.cost import certify_plan
 from repro.storage import Catalog, collect
 from repro.unnesting.translate import subquery_to_gmdj
 
@@ -252,7 +255,8 @@ def lint_findings(database: Database,
 
 def capability_violations(
         database: Database, repro_sql: str,
-        observed: Mapping[Point, Observation] | None = None) -> list[str]:
+        observed: Mapping[Point, Observation] | None = None,
+        plan: Callable[[str], Operator] | None = None) -> list[str]:
     """Cross-check capability certificates against actual evaluation.
 
     Both GMDJ translations of the query are certified
@@ -260,40 +264,41 @@ def capability_violations(
     their plain row, python and numpy points are checked against the
     certified per-column nullability: the rows ``observed`` there, or,
     without ``observed``, those of running each point here through
-    ``Database.execute``.  The certificate's soundness contract is that
+    ``Database.execute``; ``plan(label)`` is the plan (:func:`plan_of`
+    by default).  The certificate's soundness contract is that
     this list is empty for every oracle-accepted query, so the fuzzer
     reports each entry as a divergence of the pseudo-engine
     ``"capability"``.
     """
-    from repro.lint.absint import certify_capabilities
-    from repro.obs.invariants import check_capabilities
+    from repro.lint.absint import certify_capabilities, check_capabilities
 
     try:
         query = database.sql(repro_sql)
     except ReproError:
         return []
     problems: list[str] = []
+    translate = plan or functools.partial(plan_of, query=query,
+                                          catalog=database.catalog)
     for label in ("gmdj", "gmdj_optimized"):
         try:
-            plan = plan_for(query, database.catalog, label)
+            translated = translate(label)
         except TranslationError:
             continue
-        certificate = certify_capabilities(plan, database.catalog)
+        certificate = certify_capabilities(translated, database.catalog)
         for kernel in KERNELS:
             try:
                 rows = (observed[point(label, kernel)].rows[0]
                         if observed is not None
-                        else database.execute(plan, QueryOptions(
+                        else database.execute(translated, QueryOptions(
                             "gmdj", backend=kernel, use_cache=False)).rows)
             except Exception:
                 # Engine failures (a point missing from ``observed``
                 # included) are the point loop's findings, not
                 # certificate unsoundness.
                 continue
-            report = check_capabilities(rows, certificate)
             problems.extend(
                 f"{label}/{kernel}: {violation}"
-                for violation in report.violations
+                for violation in check_capabilities(rows, certificate)
             )
     return problems
 
@@ -325,6 +330,7 @@ def observe(point: Point, query: Operator,
             fresh: Callable[[], Database]) -> Observation:
     """Run ``query`` at ``point`` on a database from ``fresh()``: cold,
     then warm if the point turns the result cache or rollup store on.
+    For an ablation point ``query`` is its plan (:func:`plan_of`).
 
     A ``gmdj_optimized`` point with the rollup store on runs warm on a
     second fresh database whose store a plain ``gmdj`` run at the same
@@ -333,9 +339,6 @@ def observe(point: Point, query: Operator,
     """
     with ExitStack() as stack:
         database = stack.enter_context(fresh())
-        if point.translation in ABLATIONS:
-            query = subquery_to_gmdj(query, database.catalog, optimize=True,
-                                     **ABLATIONS[point.translation])
         members = [query, query] if point.batched else [query]
 
         def run(database: Database,
@@ -359,6 +362,27 @@ def observe(point: Point, query: Operator,
             seen.cache_served = (database.cache.result_hits - hits
                                  == len(members))
         return seen
+
+
+def plan_of(translation: str, query: Operator, catalog: Catalog) -> Operator:
+    """The plan ``translation`` runs for ``query``: an ablation's
+    translator flags, else :func:`~repro.engine.planner.plan_for`."""
+    if translation in ABLATIONS:
+        return subquery_to_gmdj(query, catalog, optimize=True,
+                                **ABLATIONS[translation])
+    return plan_for(query, catalog, translation)
+
+
+def scan_divergence(point: Point, seen: Observation,
+                    plan: Callable[[str], Operator]) -> Divergence | None:
+    """At a translation's cold row-kernel point (unfragmented, rollup
+    off, alone: one the cost certificate counts), ``detail_scans``
+    against the certificate of ``plan(point.translation)``."""
+    if point.translation not in TRANSLATIONS or point != point.unfragmented():
+        return None
+    problems = certify_plan(plan(point.translation)).violations(seen.io)
+    return (Divergence(point.name, "certificate-violation",
+                       "; ".join(problems)) if problems else None)
 
 
 def identity_violations(point: Point, seen: Observation,
@@ -514,7 +538,8 @@ def run_differential(
     """Run one case at :data:`REFERENCE`, ``points``, their references
     and :data:`CAPABILITY_POINTS`: each outcome against the raise rule
     (:func:`raise_divergence`), each result against SQLite, each lattice
-    point against the identity rule, then the query through
+    point against the identity rule, each cold row-kernel point against
+    its cost certificate (:func:`scan_divergence`), then the query through
     :func:`lint_findings` and the points' rows through
     :func:`capability_violations` (pseudo-engines ``lint`` and
     ``capability``)."""
@@ -527,9 +552,15 @@ def run_differential(
     bound = functools.cache(lambda: database.sql(repro_sql))
     unreached = functools.cache(
         lambda: unreached_single(bound(), database.catalog))
+    # Each translation once, for the ablation points and both checks.
+    plan = functools.cache(
+        lambda translation: plan_of(translation, bound(), database.catalog))
     for each in _with_references(points):
         try:
-            seen = observe(each, bound(), lambda: _case_database(dbspec))
+            seen = observe(
+                each, plan(each.translation)
+                if each.translation in ABLATIONS else bound(),
+                lambda: _case_database(dbspec))
         except TranslationError:
             outcome.skipped.append(each.name)
             continue
@@ -541,7 +572,8 @@ def run_differential(
             outcome.engines_run += 1
             observed[each] = seen
             divergence = (raise_divergence(each, None, raised, unreached)
-                          or _divergence(each, seen, expected, observed))
+                          or _divergence(each, seen, expected, observed)
+                          or scan_divergence(each, seen, plan))
         if divergence is not None:
             outcome.divergences.append(divergence)
     outcome.raised = REFERENCE in raised and issubclass(
@@ -551,7 +583,8 @@ def run_differential(
             f"{label}: {diagnostic.render()}"
             for label, diagnostic in lint_findings(database, repro_sql)]),
         ("capability", "certificate-violation", "certifier",
-         lambda: capability_violations(database, repro_sql, observed)),
+         lambda: capability_violations(database, repro_sql, observed,
+                                       plan)),
     )
     for engine, kind, checker, check in static_checks:
         try:

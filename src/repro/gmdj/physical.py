@@ -24,7 +24,8 @@ place:
   kernel;
 * :func:`evaluate_plan` walks an operator tree, rebuilding children as
   materialized :class:`~repro.algebra.operators.TableValue` leaves and
-  sending every GMDJ through :func:`evaluate_node`.  Its optional
+  sending every GMDJ through :func:`evaluate_node` — except those
+  :func:`served_from` says reuse an earlier node's result.  Its optional
   per-GMDJ hook is how the rollup store probes/stores around a node.
   Every other (flat) operator runs under a ``flat`` span; when the
   kernel is numpy the node's output is a column-backed relation and the
@@ -51,6 +52,7 @@ from repro.algebra.expressions import Expression
 from repro.algebra.operators import Distinct, Operator, TableValue
 from repro.algebra.printer import explain
 from repro.algebra.rewrite import map_children
+from repro.errors import InvariantViolation
 from repro.gmdj.completion import CompletionRule
 from repro.gmdj.evaluate import SelectGMDJ, run_gmdj
 from repro.gmdj.operator import GMDJ
@@ -134,7 +136,11 @@ def evaluate_node(
     kernel: Kernel = run_gmdj,
     fragmenter: DetailPartitions | None = None,
 ) -> Relation:
-    """Materialize a GMDJ node's operands and run it through the pipeline."""
+    """Materialize a GMDJ node's operands and run it through the pipeline.
+
+    Raises :class:`~repro.errors.InvariantViolation` when the result
+    holds more rows than the base (Def. 2.1: output ≤ |B|), traced or not.
+    """
     if isinstance(node, SelectGMDJ):
         # Completion dooms base tuples by global scan order, so a fused
         # node stays a single scan under any fragmenter.
@@ -158,8 +164,8 @@ def evaluate_node(
             base = gmdj.base.evaluate(catalog)
         with span("detail", kind="materialize"):
             detail = gmdj.detail.evaluate(catalog)
-        sp.set(base_rows=len(base), detail_rows=len(detail),
-               relation=getattr(detail, "name", None) or "<derived>")
+        relation = getattr(detail, "name", None) or "<derived>"
+        sp.set(base_rows=len(base), detail_rows=len(detail), relation=relation)
         IOStats.ambient().record_scan(len(base))
         output_schema = gmdj.schema(catalog)
         if fragmenter is None:
@@ -169,6 +175,10 @@ def evaluate_node(
             result = fragmenter.run(kernel, base, detail, gmdj,
                                     output_schema, sp.set)
         sp.set(output_rows=len(result))
+        if len(result) > len(base):
+            raise InvariantViolation(
+                f"|B|-bound (Def. 2.1): a GMDJ over {relation!r} emitted "
+                f"{len(result)} rows from a {len(base)}-row base")
         return result
 
 
@@ -245,26 +255,24 @@ def evaluate_plan(
     are walked, and decides whether to call the evaluation thunk at all.
     Fused ``SelectGMDJ`` nodes bypass the hook (their completion output
     carries partial aggregates), though GMDJs nested in their inputs
-    still reach it.
-
-    A GMDJ (fused or not) below a ``Distinct`` — the pushed-down copy of
-    an outer block's input (Thms 3.3/3.4) repeats that input's GMDJs —
-    that renders like one already evaluated is served its result, so
-    each runs once.  Renderings are made only when a copy asks.
+    still reach it.  A GMDJ :func:`served_from` names is served its
+    source's result once the source has one.
     """
 
     forms = array_forms(kernel)
-    evaluated: list[tuple[Callable[[], str], Relation]] = []
+    results: dict[int, Relation] = {}
+    served: dict[int, Operator] | None = None
 
     def materialized(child: Operator, copy: bool = False) -> TableValue:
         return TableValue(walk(child, copy))
 
     def walk(node: Operator, copy: bool = False) -> Relation:
-        if copy and isinstance(node, (GMDJ, SelectGMDJ)) and not _holds_value(node):
-            key = explain(node)
-            for rendered, result in evaluated:
-                if rendered() == key:
-                    return result
+        nonlocal served
+        if copy and isinstance(node, (GMDJ, SelectGMDJ)):
+            served = served_from(plan) if served is None else served
+            source = served.get(id(node))
+            if source is not None and id(source) in results:
+                return results[id(source)]
         descend = partial(materialized,
                           copy=copy or isinstance(node, Distinct))
         if isinstance(node, SelectGMDJ):
@@ -284,10 +292,41 @@ def evaluate_plan(
         else:
             return evaluate_flat(map_children(node, descend), catalog,
                                  forms)
-        evaluated.append((cache(partial(explain, node)), result))
+        results[id(node)] = result
         return result
 
     return walk(plan)
+
+
+def served_from(plan: Operator) -> dict[int, Operator]:
+    """The GMDJ nodes of ``plan`` that reuse a result instead of running,
+    by ``id``, each mapped to the node it reuses: a GMDJ (fused or not)
+    below a ``Distinct`` — the pushed-down copy of an outer block's input
+    (Thms 3.3/3.4) repeats that input's GMDJs — that renders like one the
+    walk evaluates before it (children first).  A node may sit in the tree
+    twice, and the rollup store answers a node without walking its
+    children, so a caller reuses a source only once it has run.  Renders
+    only below a ``Distinct``.  :func:`evaluate_plan` and
+    :func:`repro.lint.cost.certify_plan` both read it."""
+    served: dict[int, Operator] = {}
+    evaluated: list[tuple[Callable[[], str], Operator]] = []
+
+    def visit(node: Operator, copy: bool) -> None:
+        is_gmdj = isinstance(node, (GMDJ, SelectGMDJ))
+        if is_gmdj and copy and not _holds_value(node):
+            key = explain(node)
+            for rendered, source in evaluated:
+                if rendered() == key:
+                    served[id(node)] = source
+                    return
+        inner = node.gmdj if isinstance(node, SelectGMDJ) else node
+        for child in inner.children():
+            visit(child, copy or isinstance(node, Distinct))
+        if is_gmdj:
+            evaluated.append((cache(partial(explain, node)), node))
+
+    visit(plan, False)
+    return served
 
 
 def _holds_value(node: Operator) -> bool:

@@ -12,10 +12,10 @@ with a number (``L003``, which the engine hits only on a row), the 3VL
 hazards of valid SQL (``W101``/``W102``) and advisory notes about paper
 rewrites the plan missed.  DESIGN.md's mutation table is each rule's
 justification.  :func:`certify_plan` derives the structural cost bounds
-(output ≤ |B|, single detail scan) as a
-:class:`~repro.lint.cost.CostCertificate` that
-:func:`repro.obs.invariants.check_trace` cross-checks against runtime
-counters.
+(output ≤ |B|, one detail scan per GMDJ evaluation) as a
+:class:`~repro.lint.cost.CostCertificate`, whose
+:meth:`~repro.lint.cost.CostCertificate.violations` holds a run's
+IOStats counters to them.
 
 >>> from repro import Database, DataType
 >>> from repro.lint import lint_plan

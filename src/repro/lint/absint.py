@@ -15,8 +15,8 @@ assumption:
   Like :meth:`~repro.lint.infer.PlanTyper.column_possibly_null`, base
   facts are *data-dependent*: a column is NEVER-null because the rows it
   is computed from hold no NULLs right now, which is exactly the claim
-  the runtime cross-check (:func:`repro.obs.invariants.
-  check_capabilities`) verifies on every certified execution.
+  the runtime cross-check (:func:`check_capabilities`) verifies on
+  every certified execution.
 
 * **Aggregate classification** — every :class:`~repro.algebra.
   aggregates.AggregateSpec` is placed in Gray et al.'s Data Cube
@@ -80,7 +80,7 @@ from repro.algebra.operators import (
     TableValue,
     Union,
 )
-from repro.errors import ReproError
+from repro.errors import CertificateViolation, ReproError
 from repro.gmdj.evaluate import SelectGMDJ
 from repro.gmdj.operator import GMDJ, ThetaBlock
 from repro.lint.infer import over_stand_ins
@@ -463,7 +463,7 @@ class CapabilityCertificate:
     """The machine-checkable capability claims of one plan.
 
     ``columns`` is positional over the plan's output schema — exactly
-    what :func:`repro.obs.invariants.check_capabilities` cross-checks
+    what :func:`check_capabilities` cross-checks
     against executed rows.  ``complete`` is False when some subtree
     could not be analyzed (unknown schema, unrecognized operator); the
     verdicts that were produced are still sound — unanalyzable regions
@@ -800,6 +800,50 @@ def certify_capabilities(plan: Operator,
     )
 
 
+def check_capabilities(
+    rows: Iterable[Sequence[object]],
+    certificate: CapabilityCertificate,
+    strict: bool = False,
+) -> list[str]:
+    """Cross-check a capability certificate against observed result rows.
+
+    The runtime counterpart of :func:`certify_capabilities`: the lattice
+    claims are sound over-approximations, so observing a NULL in a
+    NEVER-null column — or a non-NULL in an ALWAYS-null column — is a
+    hard analysis bug.  ``MAYBE`` columns make no checkable claim.
+    Returns the violations, stopping after the first offending row;
+    with ``strict`` a violation raises
+    :class:`~repro.errors.CertificateViolation`.
+    """
+    checkable = [
+        (position, column)
+        for position, column in enumerate(certificate.columns)
+        if column.nullability in (NEVER, ALWAYS)
+    ]
+    violations: list[str] = []
+    for row in rows if checkable else ():
+        for position, column in checkable:
+            value = row[position]
+            if column.nullability is NEVER and value is None:
+                violations.append(
+                    f"nullability: column {column.name!r} certified "
+                    f"NEVER-null, observed NULL"
+                )
+            elif column.nullability is ALWAYS and value is not None:
+                violations.append(
+                    f"nullability: column {column.name!r} certified "
+                    f"ALWAYS-null, observed {value!r}"
+                )
+        if violations:
+            break
+    if strict and violations:
+        raise CertificateViolation(
+            "observed rows violate the capability certificate:\n"
+            + "\n".join(f"  - {v}" for v in violations)
+        )
+    return violations
+
+
 # -- ambient certificate -------------------------------------------------------
 #
 # No engine code reads this; kept for the benchmark's replay chain
@@ -847,6 +891,7 @@ __all__ = [
     "aggregate_nullability",
     "capability_scope",
     "certify_capabilities",
+    "check_capabilities",
     "classify_aggregate",
     "classify_condition",
     "classify_conjunct",

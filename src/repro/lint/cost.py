@@ -3,33 +3,33 @@
 The paper's cost claims are *structural*: Definition 2.1 bounds a GMDJ's
 output by its base cardinality no matter what the θ-blocks say, and the
 evaluation algorithm of §2.2 consumes the detail relation in exactly one
-scan per evaluation regardless of how many blocks coalescing packed in.
-Both facts are visible in the plan tree alone, so a
+scan per evaluation regardless of how many blocks coalescing packed in
+(a completion-fused node too, Thms. 4.1/4.2; one scan of a coalesced
+detail, Prop. 4.1).  Both facts are visible in the plan tree alone, so a
 :class:`CostCertificate` can be derived without executing anything:
 
-* one :class:`GMDJCostEntry` per GMDJ operator, carrying the claims
-  ``output_rows ≤ base_rows`` and "one detail scan per evaluation";
+* one :class:`GMDJCostEntry` per GMDJ evaluation the plan walk makes —
+  a GMDJ that a pushed-down copy repeats runs once
+  (:func:`repro.gmdj.physical.served_from` decides which), carrying
+  the claims ``output_rows ≤ base_rows`` and "one detail scan per
+  evaluation";
 * ``detail_scan_counts`` — for every stored table appearing as a GMDJ
-  detail, the exact number of ``detail_scan`` spans an unfragmented run of
-  the certified plan must produce (one per GMDJ over it);
+  detail, the number of scans an unfragmented run makes of it;
 * ``single_scan_tables`` — the Prop. 4.1 subset scanned exactly once.
 
-The certificate is *complete* only when the tree holds no un-translated
-residue (:class:`~repro.algebra.nested.NestedSelect` nodes): those
-evaluate their inner plans once per outer row, so per-plan span counts
-are no longer predictable from structure.
-:func:`repro.obs.invariants.check_trace` only cross-checks exact counts
-for complete certificates.
+:meth:`CostCertificate.violations` holds an unfragmented, rollup-free
+run's IOStats to the scan claim; :func:`repro.gmdj.physical.
+evaluate_node` raises past output ≤ |B| on every run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.algebra.nested import NestedSelect
-from repro.algebra.operators import Operator, ScanTable
+from repro.algebra.operators import Distinct, Operator, ScanTable
 from repro.gmdj.evaluate import SelectGMDJ
 from repro.gmdj.operator import GMDJ
+from repro.gmdj.physical import served_from
 
 
 @dataclass(frozen=True)
@@ -59,21 +59,26 @@ class GMDJCostEntry:
 
 @dataclass(frozen=True)
 class CostCertificate:
-    """Structurally derived cost bounds for one plan.
-
-    ``complete`` is False when the plan still contains nested residue
-    (a NestedSelect), in which case only the per-operator bounds
-    hold and the whole-trace scan counts are not certified.
-    """
+    """Structurally derived cost bounds for one plan."""
 
     entries: tuple[GMDJCostEntry, ...]
     detail_scan_counts: tuple[tuple[str, int], ...]
     single_scan_tables: frozenset[str]
-    complete: bool
 
     @property
     def scan_counts(self) -> dict[str, int]:
         return dict(self.detail_scan_counts)
+
+    def violations(self, counters: dict) -> list[str]:
+        """What an unfragmented, rollup-free run's IOStats ``counters``
+        contradict: each certified GMDJ evaluation scans its detail
+        exactly once, so ``detail_scans`` equals their count."""
+        scans = counters.get("detail_scans", 0)
+        if scans == len(self.entries):
+            return []
+        return [f"single-scan: the plan certifies {len(self.entries)} "
+                f"GMDJ evaluation(s), one detail scan each (§2.2, "
+                f"Prop. 4.1), IOStats counted {scans} detail scan(s)"]
 
     def summary(self) -> str:
         if not self.entries:
@@ -81,18 +86,16 @@ class CostCertificate:
         scans = ", ".join(
             f"{table}×{count}" for table, count in self.detail_scan_counts
         )
-        qualifier = "" if self.complete else " (incomplete: nested residue)"
         text = (
             f"cost certificate: {len(self.entries)} GMDJ operator(s), "
             f"output ≤ |B| each"
         )
         if scans:
             text += f"; detail scans: {scans}"
-        return text + qualifier
+        return text
 
     def to_json(self) -> dict:
         return {
-            "complete": self.complete,
             "entries": [entry.to_json() for entry in self.entries],
             "detail_scan_counts": {
                 table: count for table, count in self.detail_scan_counts
@@ -102,50 +105,51 @@ class CostCertificate:
 
 
 def certify_plan(plan: Operator) -> CostCertificate:
-    """Derive the cost certificate of a translated plan structurally."""
+    """Derive the cost certificate of a translated plan structurally:
+    one entry per GMDJ evaluation, in the walk's order."""
     entries: list[GMDJCostEntry] = []
     counts: dict[str, int] = {}
-    residue = False
+    served: dict[int, Operator] | None = None
+    ran: set[int] = set()
 
-    def visit(node: Operator, path: str, completion: bool) -> None:
-        nonlocal residue
-        if isinstance(node, SelectGMDJ):
-            # The fused operator evaluates its inner GMDJ directly; the
-            # pair certifies as one operator with the completion claim
+    def visit(node: Operator, path: str, copy: bool) -> None:
+        nonlocal served
+        if isinstance(node, (GMDJ, SelectGMDJ)):
+            if copy:
+                served = served_from(plan) if served is None else served
+                source = served.get(id(node))
+                if source is not None and id(source) in ran:
+                    return
+            # A fused node evaluates its inner GMDJ directly: the pair
+            # certifies as one operator with the completion claim
             # (Thms. 4.1/4.2: fusing adds no detail scans).
-            visit(node.gmdj, path, True)
-            return
-        if isinstance(node, NestedSelect):
-            residue = True
-        if isinstance(node, GMDJ):
-            relation = (
-                node.detail.table_name
-                if isinstance(node.detail, ScanTable) else None
-            )
-            entries.append(GMDJCostEntry(
-                path=path or "plan",
-                relation=relation,
-                blocks=len(node.blocks),
-                completion=completion,
-            ))
+            gmdj = node.gmdj if isinstance(node, SelectGMDJ) else node
+            visit(gmdj.base, f"{path}/base", copy)
+            visit(gmdj.detail, f"{path}/detail", copy)
+            detail = gmdj.detail
+            relation = detail.table_name if isinstance(detail, ScanTable) else None
+            entries.append(GMDJCostEntry(path or "plan", relation,
+                                         len(gmdj.blocks), gmdj is not node))
             if relation is not None:
                 counts[relation] = counts.get(relation, 0) + 1
-            visit(node.base, f"{path}/base", False)
-            visit(node.detail, f"{path}/detail", False)
+            ran.add(id(node))
             return
         for position, child in enumerate(node.children()):
             visit(child, f"{path}/{type(node).__name__.lower()}[{position}]",
-                  False)
+                  copy or isinstance(node, Distinct))
 
     visit(plan, "", False)
-    single = frozenset(
-        table for table, count in counts.items() if count == 1
-    )
+    return _certificate(entries, counts)
+
+
+def _certificate(entries: list[GMDJCostEntry],
+                 counts: dict[str, int]) -> CostCertificate:
     return CostCertificate(
         entries=tuple(entries),
         detail_scan_counts=tuple(sorted(counts.items())),
-        single_scan_tables=single,
-        complete=not residue,
+        single_scan_tables=frozenset(
+            table for table, count in counts.items() if count == 1
+        ),
     )
 
 
@@ -161,7 +165,6 @@ def certify_batch(certificates) -> CostCertificate:
     """
     entries: list[GMDJCostEntry] = []
     counts: dict[str, int] = {}
-    complete = True
     for position, certificate in enumerate(certificates):
         for entry in certificate.entries:
             entries.append(GMDJCostEntry(
@@ -172,12 +175,4 @@ def certify_batch(certificates) -> CostCertificate:
             ))
         for table, count in certificate.detail_scan_counts:
             counts[table] = counts.get(table, 0) + count
-        complete = complete and certificate.complete
-    return CostCertificate(
-        entries=tuple(entries),
-        detail_scan_counts=tuple(sorted(counts.items())),
-        single_scan_tables=frozenset(
-            table for table, count in counts.items() if count == 1
-        ),
-        complete=complete,
-    )
+    return _certificate(entries, counts)

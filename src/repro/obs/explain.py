@@ -16,19 +16,21 @@ carrying a machine-readable payload behind ``.json()``:
   executing anything.
 
 ``EXPLAIN ANALYZE`` shows what actually happened — per-span wall-clock
-and IOStats counter deltas — then runs the invariant checker over the
-trace so the paper's cost claims are verified on every analyzed query.
+and IOStats counter deltas — then holds the run's counters to the
+plan's :class:`~repro.lint.cost.CostCertificate`
+(:meth:`~repro.lint.cost.CostCertificate.violations`: one detail scan
+per GMDJ evaluation, §2.2 and Prop. 4.1) wherever the certificate
+counts them: unfragmented, rollup off.  Output ≤ |B| needs no check
+here: :func:`repro.gmdj.physical.evaluate_node` raises on every run.
 Multi-worker runs' span subtrees are grafted back into the coordinator
 trace.  Every surface here asks :func:`repro.engine.planner.plan_for`
 for the tree the options execute — what is rendered, linted and
-certified is what runs — and the Prop. 4.1 expectation is read off that
-tree: any stored table that is the detail of exactly one GMDJ in it
-must be detail-scanned exactly once at runtime.
+certified is what runs.
 """
 
 from __future__ import annotations
 
-from repro.obs.invariants import InvariantReport, check_trace
+from repro.errors import InvariantViolation
 
 
 class Explain(str):
@@ -205,31 +207,24 @@ def static_report(db, query, options=None):
 
 
 def _certifiable(canonical) -> bool:
-    """True when the run's span tree matches the static cost certificate.
+    """True when the run's IOStats must match the static cost certificate.
 
-    Every kernel's single-scan run does; partitioning multiplies the
-    per-GMDJ detail scans and changes the owning span kind.  A run with
-    the rollup tier active is never certifiable: a rollup hit answers a
-    GMDJ with *zero* gmdj/detail_scan spans, so the static certificate's
-    counts cannot match (the dedicated rollup invariant — zero detail
-    scans under every hit — covers that case instead).
+    Every kernel's single-scan run does; partitioning scans a detail
+    once per fragment.  A run with the rollup tier active is never
+    certifiable: a rollup hit answers a GMDJ with *zero* detail scans
+    (the fuzz identity rule holds a served warm run to zero instead).
     """
     return canonical.rollup == "off" and canonical.fragmenter() is None
 
 
 def analyze(db, query, options=None, strict: bool = False):
-    """Execute ``query`` under tracing and check invariants.
+    """Execute ``query`` under tracing and check its scans.
 
-    Returns ``(report, invariants, single_scan_tables)`` where
-    ``report`` is the traced
-    :class:`~repro.engine.reports.ExecutionReport` and ``invariants``
-    the :class:`~repro.obs.invariants.InvariantReport`.  The Prop. 4.1
-    expectation and the :class:`~repro.lint.cost.CostCertificate` are
-    both derived from the tree the options execute; without a
-    fragmenter — every kernel emits the same gmdj/detail_scan span
-    structure and counts — they are cross-checked against the trace
-    (partitioned runs scan a detail once per fragment under a different
-    span kind, so their counts are not comparable).
+    Returns ``(report, violations)``: the traced
+    :class:`~repro.engine.reports.ExecutionReport` and what its counters
+    contradict in the :class:`~repro.lint.cost.CostCertificate` of the
+    tree the options execute — ``None`` where :func:`_certifiable`
+    says the certificate does not count the run's scans.
     """
     from repro.lint import certify_plan
 
@@ -239,17 +234,32 @@ def analyze(db, query, options=None, strict: bool = False):
 
 
 def _run_checked(db, query, options, certificate, strict: bool):
-    """:func:`analyze` given the executed plan's cost certificate."""
-    canonical = options.canonical()
-    expectations: frozenset[str] = frozenset()
-    if canonical.fragmenter() is None:
-        expectations = certificate.single_scan_tables
+    """:func:`analyze` given the executed plan's cost certificate;
+    ``strict`` raises :class:`~repro.errors.InvariantViolation` on a
+    violation."""
     report = db.profile(query, options.with_trace(True))
-    invariants = check_trace(
-        report.trace, single_scan_tables=expectations, strict=strict,
-        certificate=certificate if _certifiable(canonical) else None,
-    )
-    return report, invariants, expectations
+    if not _certifiable(options.canonical()):
+        return report, None
+    violations = certificate.violations(report.counters)
+    if strict and violations:
+        raise InvariantViolation(
+            "counters violate the cost certificate:\n" + "\n".join(
+                f"  - {violation}" for violation in violations))
+    return report, violations
+
+
+def _invariants(violations: list[str] | None) -> tuple[int, str]:
+    """``(checked, summary line)`` for :func:`_run_checked`'s outcome: a
+    run that returned held output ≤ |B| (every GMDJ evaluation raises
+    past it), and its scan count where certified."""
+    checked = 1 if violations is None else 2
+    if violations:
+        return checked, "\n".join([
+            f"invariants: {checked} checked, {len(violations)} VIOLATED",
+            *(f"  !! {v}" for v in violations)])
+    scans = ("detail_scans as certified" if violations is not None else
+             "a fragmented or rollup run's detail scans are not certified")
+    return checked, f"invariants: {checked} checked, all hold (output ≤ |B|; {scans})"
 
 
 def _capability_check(result, capabilities) -> dict | None:
@@ -260,24 +270,23 @@ def _capability_check(result, capabilities) -> dict | None:
     interpreter could not fully type) — there is nothing meaningful to
     compare then.
     """
-    from repro.lint.absint import stored_nullability
-    from repro.obs.invariants import check_capabilities
+    from repro.lint.absint import check_capabilities, stored_nullability
 
     columns = capabilities.columns
     if not columns or len(result.schema.fields) != len(columns):
         return None
     observed = stored_nullability(result.rows, len(columns))
-    checked = check_capabilities(result.rows, capabilities)
+    violations = check_capabilities(result.rows, capabilities)
     return {
-        "ok": checked.ok,
-        "violations": list(checked.violations),
+        "ok": not violations,
+        "violations": violations,
         "columns": [
             {
                 "name": column.name,
                 "certified": column.nullability.value,
                 "observed": verdict.value,
                 "ok": not any(column.name in violation
-                              for violation in checked.violations),
+                              for violation in violations),
             }
             for column, verdict in zip(columns, observed)
         ],
@@ -317,9 +326,11 @@ def explain_report(db, query, options=None, *, analyze: bool = False,
     if not analyze:
         return Explain(plan_text, payload)
 
-    report, invariants, expectations = _run_checked(
+    report, violations = _run_checked(
         db, query, options, certificate, strict
     )
+    expectations = (certificate.single_scan_tables
+                    if violations is not None else frozenset())
     counters = ", ".join(
         f"{key}={value}"
         for key, value in sorted(report.counters.items())
@@ -363,7 +374,8 @@ def explain_report(db, query, options=None, *, analyze: bool = False,
                 f"observed={column['observed']} — {verdict}"
             )
         payload["capability_check"] = capability_check
-    lines.append(f"-- {invariants.summary()}")
+    checked, summary = _invariants(violations)
+    lines.append(f"-- {summary}")
     payload.update({
         "executed": executed,
         "rows": report.row_count,
@@ -374,8 +386,8 @@ def explain_report(db, query, options=None, *, analyze: bool = False,
         },
         "single_scan_expectation": sorted(expectations),
         "invariants": {
-            "checked": invariants.checked,
-            "violations": list(invariants.violations),
+            "checked": checked,
+            "violations": violations or [],
         },
         "trace": report.trace.to_json(),
     })
@@ -439,7 +451,7 @@ def explain_batch(db, queries, options=None) -> Explain:
 
 
 def explain_analyze(db, query, options=None, strict: bool = False) -> str:
-    """The full EXPLAIN ANALYZE text: plan, trace, counters, invariants.
+    """The full EXPLAIN ANALYZE text: plan, trace, counters, checks.
 
     Thin wrapper over :func:`explain_report` (one execution; the same
     :class:`Explain` also carries the JSON payload).
@@ -457,7 +469,6 @@ def explain_analyze_json(db, query, options=None,
 
 __all__ = [
     "Explain",
-    "InvariantReport",
     "analyze",
     "executed_summary",
     "explain_analyze",

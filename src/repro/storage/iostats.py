@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields
 
 #: Simulated page capacity used for page accounting.
 TUPLES_PER_PAGE = 100
@@ -65,7 +65,6 @@ class IOStats:
     aggregate_updates: int = 0
     join_pairs_considered: int = 0
     completed_tuples: int = 0
-    extra: dict = field(default_factory=dict)
 
     @classmethod
     def ambient(cls) -> "IOStats":
@@ -85,7 +84,6 @@ class IOStats:
     def reset(self) -> None:
         for name in _COUNTERS:
             setattr(self, name, 0)
-        self.extra = {}
 
     def record_scan(self, tuple_count: int) -> None:
         """Account for a full pass over a stored relation."""
@@ -102,17 +100,12 @@ class IOStats:
         """
         for name in _COUNTERS:
             value = snapshot.get(name)
-            if isinstance(value, int) and isinstance(getattr(self, name), int):
+            if isinstance(value, int):
                 setattr(self, name, getattr(self, name) + value)
 
     def snapshot(self) -> dict:
         """A plain-dict copy of all integer counters (for reporting)."""
-        result = {}
-        for name in _COUNTERS:
-            value = getattr(self, name)
-            if isinstance(value, int):
-                result[name] = value
-        return result
+        return {name: getattr(self, name) for name in _COUNTERS}
 
     def total_work(self) -> int:
         """A single scalar summarizing work done, used for coarse ordering.
@@ -129,9 +122,8 @@ class IOStats:
         )
 
 
-#: The counter fields, in declaration order (every field but ``extra``).
-_COUNTERS = tuple(fld.name for fld in dataclass_fields(IOStats)
-                  if fld.name != "extra")
+#: The counter fields, in declaration order.
+_COUNTERS = tuple(fld.name for fld in dataclass_fields(IOStats))
 
 
 class collect:

@@ -21,8 +21,8 @@ from repro.fuzz.oracle import capability_violations, sqlite_oracle_rows
 from repro.lint.absint import (
     NEVER,
     certify_capabilities,
+    check_capabilities,
 )
-from repro.obs.invariants import check_capabilities
 from repro.storage import Catalog, Relation
 from repro.unnesting.translate import subquery_to_gmdj
 
@@ -76,8 +76,8 @@ class TestCertificateSoundnessProperty:
             plan = subquery_to_gmdj(db.sql(sql), db.catalog, optimize=True)
             certificate = certify_capabilities(plan, db.catalog)
             oracle_rows = list(sqlite_oracle_rows(spec, sql).elements())
-            report = check_capabilities(oracle_rows, certificate)
-            assert not report.violations, (sql, report.violations)
+            violations = check_capabilities(oracle_rows, certificate)
+            assert not violations, (sql, violations)
 
 
 def coalesce_catalog():
@@ -106,8 +106,7 @@ class TestSeededCoalesceBug:
         certificate = certify_capabilities(plan, catalog)
         assert "padded" not in certificate.never_null_columns
         rows = plan.evaluate(catalog).rows
-        report = check_capabilities(rows, certificate)
-        assert not report.violations
+        assert not check_capabilities(rows, certificate)
 
     def test_broken_transfer_is_caught_by_runtime_check(self, monkeypatch):
         import repro.lint.absint as absint
@@ -122,9 +121,7 @@ class TestSeededCoalesceBug:
         rows = plan.evaluate(catalog).rows
         # ...and the differential layer refuses it instead of letting
         # downstream optimizations trust it.
-        report = check_capabilities(rows, certificate)
-        assert report.violations
-        assert any("NEVER-null" in violation
-                   for violation in report.violations)
+        violations = check_capabilities(rows, certificate)
+        assert any("NEVER-null" in violation for violation in violations)
         with pytest.raises(CertificateViolation):
             check_capabilities(rows, certificate, strict=True)

@@ -82,11 +82,9 @@ class TestReset:
         stats = IOStats()
         stats.record_scan(500)
         stats.predicate_evals = 7
-        stats.extra["note"] = 1
         stats.reset()
         assert stats.pages_read == 0
         assert stats.predicate_evals == 0
-        assert stats.extra == {}
 
     def test_snapshot_contains_integer_counters(self):
         stats = IOStats()

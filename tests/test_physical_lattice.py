@@ -14,8 +14,9 @@ option lattice instead of one suite per feature pair:
   serves).
 
 Every point runs all six Table 1 subquery forms and the Figure 4
-``>= ALL`` / ``<>`` completion query over NULL-heavy data, keeps
-``check_trace`` clean, and keeps the identity rule ``repro fuzz``
+``>= ALL`` / ``<>`` completion query over NULL-heavy data, scans as
+its plan's cost certificate says where that counts the run (alone,
+unfragmented, rollup off), and keeps the identity rule ``repro fuzz``
 checks too (:func:`~repro.fuzz.oracle.identity_violations`: the row
 interpreter's rows in its order and its IOStats, warm runs, batches).
 Two hypothesis properties then draw random databases (the first also
@@ -56,11 +57,17 @@ from repro.algebra.nested import (
 from repro.algebra.operators import ScanTable
 from repro.errors import PlanError
 from repro.fuzz.datagen import random_database
-from repro.fuzz.oracle import Point, identity_violations, observe, point
+from repro.fuzz.oracle import (
+    Point,
+    identity_violations,
+    observe,
+    plan_of,
+    point,
+)
 from repro.gmdj import evaluate_plan, select_fragmenter, select_kernel
 from repro.gmdj.evaluate import invariant_sharing
-from repro.lint.absint import certify_capabilities
-from repro.obs.invariants import check_capabilities, check_trace
+from repro.lint.absint import certify_capabilities, check_capabilities
+from repro.lint.cost import certify_plan
 from repro.obs.tracer import tracing
 from repro.storage import Catalog, Relation, collect
 from repro.unnesting import subquery_to_gmdj
@@ -176,14 +183,18 @@ def observed(case, where: Point):
 
 
 def checked(case, where: Point):
-    """Observe a case at a point under tracing: the trace must be clean,
-    the ``detail_scans`` counter must count its detail scans, and the
-    point must keep the identity rule."""
+    """Observe a case at a point under tracing: the ``detail_scans``
+    counter must count its detail scans, a run the cost certificate
+    counts must scan as it says, and the point must keep the identity
+    rule."""
     with tracing() as tracer:
         seen = observe(where, CASES[case], make_db)
     trace = tracer.trace()
-    report = check_trace(trace)
-    assert report.ok, report.violations
+    options = where.options
+    if (not where.batched and options.partitions is None
+            and options.rollup == "off"):
+        plan = plan_of(where.translation, CASES[case], make_db().catalog)
+        assert certify_plan(plan).violations(seen.io) == []
     scans = seen.io["detail_scans"] + (seen.warm_io or {}).get(
         "detail_scans", 0)
     assert scans == len(trace.find(kind="detail_scan"))
@@ -413,8 +424,8 @@ class TestRandomLatticePoints:
         assert snapshots["numpy"] == snapshots["python"]
         certificate = certify_capabilities(plan, catalog)
         for kernel in KERNELS:
-            report = check_capabilities(rows[kernel], certificate)
-            assert not report.violations, (kernel, report.violations)
+            violations = check_capabilities(rows[kernel], certificate)
+            assert not violations, (kernel, violations)
 
 
 class TestRemovedSurface:

@@ -37,7 +37,6 @@ from repro.algebra.expressions import col, lit
 from repro.algebra.operators import ScanTable, Select
 from repro.fuzz.datagen import random_database
 from repro.gmdj.operator import md
-from repro.obs.invariants import check_trace
 
 WARM = QueryOptions(strategy="gmdj", rollup="subsume", use_cache=False)
 OFF = QueryOptions(strategy="gmdj", rollup="off", use_cache=False)
@@ -248,9 +247,7 @@ class TestZeroDetailScanCertificate:
         assert len(hits) == 1 and hits[0].attrs["tier"] == "subsume"
         assert not [s for s in report.trace.walk()
                     if s.kind == "detail_scan"]
-        # strict: the rollup invariants raise on any scan under a hit.
-        invariants = check_trace(report.trace, strict=True)
-        assert invariants.checked >= 2 and invariants.ok
+        assert report.counters["detail_scans"] == 0
 
     def test_explain_analyze_reports_serving_tier(self):
         db = seeded_db(20260808)
