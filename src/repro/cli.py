@@ -471,7 +471,7 @@ def _lint_corpus(args, out) -> int:
     import json
 
     from repro.fuzz.datagen import DatabaseSpec
-    from repro.fuzz.oracle import lint_findings
+    from repro.fuzz.oracle import case_database, lint_findings
     from repro.fuzz.runner import load_corpus
 
     cases = load_corpus(args.corpus)
@@ -481,12 +481,7 @@ def _lint_corpus(args, out) -> int:
     failures = 0
     results = []
     for path, data in cases:
-        dbspec = DatabaseSpec.from_json(data["tables"])
-        database = Database()
-        for name, table_spec in dbspec.tables.items():
-            database.create_table(
-                name, list(table_spec.columns), table_spec.rows
-            )
+        database = case_database(DatabaseSpec.from_json(data["tables"]))
         findings = lint_findings(database, data["sql"])
         capability = (
             _corpus_capability(database, data["sql"])

@@ -8,22 +8,22 @@ unprofiled query (``Database.execute`` is a batch of one).  It:
    member repeating an earlier miss's key is answered once that miss is
    stored, unless the two run in one group;
 2. plans each miss (:func:`repro.engine.planner.plan_for`),
-   fingerprints the plan (:func:`repro.gmdj.share.fingerprint_plan`)
-   and partitions share-compatible plans into groups
-   (:func:`plan_batch`);
-3. fuses each group into one multi-consumer GMDJ
-   (:func:`repro.gmdj.share.merge_group`) and runs it with a **single
-   detail scan** on the options' kernel and fragmenter
-   (:func:`repro.gmdj.physical.evaluate_node`) — through the rollup
-   store's node hook, as every GMDJ node is — then splits the shared
-   result per consumer (:func:`repro.gmdj.share.split_result`: column
-   picks of the numpy kernel's result) and walks each residual plan as
-   a single query's (:func:`repro.gmdj.physical.evaluate_plan`),
-   building a member's tuples once, inside its own clock; a singleton
-   runs :func:`repro.engine.executor.execute`;
-4. certifies every shared plan (:func:`repro.lint.cost.certify_plan` —
-   one detail scan per detail table per group) and cross-checks the
-   claim against the run's ``detail_scans`` counter;
+   fingerprints the plan (:func:`repro.gmdj.share.fingerprint_plan`),
+   partitions share-compatible plans into groups and fuses each group
+   into one multi-consumer GMDJ (:func:`repro.gmdj.share.merge_group`),
+   certified once (:func:`repro.lint.cost.certify_plan`) —
+   :func:`plan_batch`;
+3. runs each group's merged GMDJ with a **single detail scan** on the
+   options' kernel and fragmenter (:func:`repro.gmdj.physical.
+   evaluate_node`) — through the rollup store's node hook, as every
+   GMDJ node is — then runs each member through
+   :func:`repro.engine.executor.execute`, as a singleton runs, over its
+   own plan with the GMDJ replaced by a projection of the shared result
+   (:func:`repro.gmdj.share.graft_consumer`: column picks of the numpy
+   kernel's result), so a member's tuples are built once, inside its
+   own clock;
+4. holds the shared scan's ``detail_scans`` counter to the group's
+   certificate (:meth:`repro.lint.cost.CostCertificate.violations`);
 5. attributes the shared scan's IOStats *fractionally* (1/k per
    consumer), so per-query accounting reconciles with batch totals
    (the serve tier's ``/metrics`` consistency depends on this);
@@ -38,6 +38,7 @@ would form without executing anything.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Sequence, overload
@@ -51,17 +52,14 @@ from repro.gmdj.operator import GMDJ
 from repro.gmdj.physical import (
     NodeHook,
     evaluate_node,
-    evaluate_plan,
     select_fragmenter,
     select_kernel,
 )
 from repro.gmdj.share import (
     ShareCandidate,
-    SharedGMDJPlan,
     fingerprint_plan,
     graft_consumer,
     merge_group,
-    split_result,
 )
 from repro.lint.cost import CostCertificate, certify_batch, certify_plan
 from repro.obs.tracer import span
@@ -79,7 +77,6 @@ __all__ = [
     "BatchReport",
     "BatchResult",
     "PlannedGroup",
-    "ShareGroupReport",
     "execute_batch",
     "plan_batch",
 ]
@@ -102,12 +99,61 @@ def _plan_decomposable(plan: Operator) -> bool:
 
 @dataclass
 class PlannedGroup:
-    """One share group (≥ 2 compatible plans) before execution."""
+    """One share group: ≥ 2 compatible plans fused into one
+    multi-consumer GMDJ, certified once.
+
+    :func:`plan_batch` returns it unexecuted, ``indices`` the members'
+    positions in the planned list.  The run report holds it again under
+    batch indices, with ``runtime_detail_scans`` — the shared scan's
+    ``detail_scans`` count — and ``certified``: whether that count
+    matched the certificate; None under a fragmenter, which scans once
+    per fragment, and when the rollup store answered the group, which
+    scans nothing.
+    """
 
     group_id: int
     indices: list[int]
     candidates: list[ShareCandidate]
-    shared: SharedGMDJPlan
+    gmdj: GMDJ
+    certificate: CostCertificate
+    runtime_detail_scans: int | None = None
+    certified: bool | None = None
+
+    @property
+    def detail_table(self) -> str:
+        return self.candidates[0].fingerprint.detail_table
+
+    @property
+    def consumer_blocks(self) -> int:
+        """θ-blocks the consumers brought in total."""
+        return sum(len(candidate.gmdj.blocks)
+                   for candidate in self.candidates)
+
+    @property
+    def shared_blocks(self) -> int:
+        """Distinct θ-blocks after deduplication."""
+        return len(self.gmdj.blocks)
+
+    @property
+    def scans_saved(self) -> int:
+        return len(self.indices) - 1
+
+    def to_json(self) -> dict:
+        """The group as EXPLAIN BATCH prints it; once run, with
+        ``runtime_detail_scans`` and ``certified``."""
+        payload = {
+            "group": self.group_id,
+            "detail_table": self.detail_table,
+            "members": list(self.indices),
+            "consumer_blocks": self.consumer_blocks,
+            "shared_blocks": self.shared_blocks,
+            "scans_saved": self.scans_saved,
+            "certificate": self.certificate.to_json(),
+        }
+        if self.runtime_detail_scans is not None:
+            payload["runtime_detail_scans"] = self.runtime_detail_scans
+            payload["certified"] = self.certified
+        return payload
 
 
 @dataclass
@@ -161,12 +207,13 @@ def plan_batch(
     for members in by_fingerprint.values():
         if len(members) < 2:
             continue
-        group_candidates = [candidates[index] for index in members]
+        gmdj, routed = merge_group([candidates[index] for index in members])
         groups.append(PlannedGroup(
             group_id=len(groups),
             indices=list(members),
-            candidates=group_candidates,
-            shared=merge_group(group_candidates),
+            candidates=routed,
+            gmdj=gmdj,
+            certificate=certify_plan(gmdj),
         ))
     grouped = {index for group in groups for index in group.indices}
     return BatchPlan(
@@ -180,37 +227,6 @@ def plan_batch(
 
 
 @dataclass
-class ShareGroupReport:
-    """What one share group did."""
-
-    group_id: int
-    detail_table: str
-    members: list[int]
-    consumer_blocks: int
-    shared_blocks: int
-    scans_saved: int
-    certificate: CostCertificate
-    runtime_detail_scans: int
-    #: The runtime scan count matches the certificate; None under a
-    #: fragmenter, which scans once per fragment, and when the rollup
-    #: store answered the group, which scans nothing.
-    certified: bool | None
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.group_id,
-            "detail_table": self.detail_table,
-            "members": list(self.members),
-            "consumer_blocks": self.consumer_blocks,
-            "shared_blocks": self.shared_blocks,
-            "scans_saved": self.scans_saved,
-            "runtime_detail_scans": self.runtime_detail_scans,
-            "certified": self.certified,
-            "certificate": self.certificate.to_json(),
-        }
-
-
-@dataclass
 class BatchItem:
     """Per-query execution record inside a batch.
 
@@ -219,8 +235,7 @@ class BatchItem:
     ``io`` over all items reproduces the batch totals, and
     ``detail_scans`` is its count of detail scans.  ``elapsed_seconds``
     is the same attribution of time: a singleton's own run, or a 1/k
-    share of the shared scan plus this member's split, residual and row
-    build.
+    share of the shared scan plus this member's own run over it.
     """
 
     index: int
@@ -246,7 +261,7 @@ class BatchReport:
     """The batch-level account: groups, savings, certificates, totals."""
 
     queries: int
-    groups: list[ShareGroupReport] = field(default_factory=list)
+    groups: list[PlannedGroup] = field(default_factory=list)
     elapsed_seconds: float = 0.0
     io_totals: dict[str, int] = field(default_factory=dict)
     certificate: CostCertificate | None = None
@@ -327,18 +342,17 @@ def _run_group(
     db: Database,
     group: PlannedGroup,
     members: list[int],
+    queries: list[Operator],
     options: QueryOptions,
     hook: NodeHook | None,
     items: list[BatchItem | None],
     totals: dict[str, int],
-) -> ShareGroupReport:
+) -> PlannedGroup:
     """Evaluate one share group: its merged GMDJ once — through the
-    rollup hook like any other GMDJ node — then each member's split and
-    residual.  ``members`` are the group's batch indices."""
-    kernel = select_kernel(options.backend)
+    rollup hook like any other GMDJ node — then each member through
+    :func:`execute` over its grafted plan.  ``members`` are the group's
+    batch indices; returns the group as run, under them."""
     fragmenter = select_fragmenter(options.partitions, options.workers)
-    shared = group.shared
-    certificate = certify_plan(shared.gmdj)
     consumers = len(members)
     ambient = IOStats.ambient()
     scanned = False
@@ -346,59 +360,44 @@ def _run_group(
     def scan() -> Relation:
         nonlocal scanned
         scanned = True
-        return evaluate_node(shared.gmdj, db.catalog, kernel, fragmenter)
+        return evaluate_node(group.gmdj, db.catalog,
+                             select_kernel(options.backend), fragmenter)
 
     before = ambient.snapshot()
     t0 = time.perf_counter()
     with span("mqo_group", kind="mqo_group", group=group.group_id,
-              consumers=consumers, detail=shared.detail_table,
-              blocks=shared.shared_blocks) as group_span:
-        shared_result = scan() if hook is None else hook(shared.gmdj, scan)
+              consumers=consumers, detail=group.detail_table,
+              blocks=group.shared_blocks) as group_span:
+        shared_result = scan() if hook is None else hook(group.gmdj, scan)
     group_span.set(columnar=is_encoded(shared_result))
     shared_elapsed = time.perf_counter() - t0
     shared_delta = _delta(before, ambient.snapshot())
-    runtime_scans = shared_delta.get("detail_scans", 0)
     _merge_io(totals, shared_delta)
     certified = None if fragmenter is not None or not scanned else (
-        runtime_scans == certificate.scan_counts.get(shared.detail_table, 0))
-    base_width = len(shared.gmdj.base.schema(db.catalog))
-    for index, slot in zip(members, shared.slots):
-        before_residual = ambient.snapshot()
+        not group.certificate.violations(shared_delta))
+    base_width = len(group.gmdj.base.schema(db.catalog))
+    for index, candidate in zip(members, group.candidates):
+        before_member = ambient.snapshot()
         t1 = time.perf_counter()
         with span("mqo_member", kind="mqo_member", index=index,
                   group=group.group_id):
-            piece = split_result(
-                shared_result, slot, base_width,
-                slot.candidate.gmdj.schema(db.catalog),
-            )
-            # The residual is a single query's plan above its node: the
-            # same walk, so on the numpy kernel its operators take their
-            # array forms over the piece's columns.
-            result = evaluate_plan(
-                graft_consumer(slot, piece), db.catalog, kernel
-            )
-            result.rows  # this member's one transposition
-        residual_elapsed = time.perf_counter() - t1
-        residual_delta = _delta(before_residual, ambient.snapshot())
-        _merge_io(totals, residual_delta)
-        io: dict[str, float] = dict(residual_delta)
+            result = execute(
+                queries[index], db.catalog, options,
+                plan=graft_consumer(candidate, shared_result, base_width))
+        member_elapsed = time.perf_counter() - t1
+        member_delta = _delta(before_member, ambient.snapshot())
+        _merge_io(totals, member_delta)
+        io: dict[str, float] = dict(member_delta)
         _merge_io(io, shared_delta, scale=1.0 / consumers)
         items[index] = BatchItem(
             index=index, result=result,
-            elapsed_seconds=shared_elapsed / consumers + residual_elapsed,
+            elapsed_seconds=shared_elapsed / consumers + member_elapsed,
             group_id=group.group_id, shared=True, io=io,
         )
-    return ShareGroupReport(
-        group_id=group.group_id,
-        detail_table=shared.detail_table,
-        members=members,
-        consumer_blocks=shared.consumer_blocks,
-        shared_blocks=shared.shared_blocks,
-        scans_saved=consumers - 1,
-        certificate=certificate,
-        runtime_detail_scans=runtime_scans,
-        certified=certified,
-    )
+    return dataclasses.replace(
+        group, indices=members,
+        runtime_detail_scans=shared_delta.get("detail_scans", 0),
+        certified=certified)
 
 
 def execute_batch(
@@ -455,7 +454,7 @@ def execute_batch(
     for group in plan.groups:
         members = [misses[index] for index in group.indices]
         report.groups.append(_run_group(
-            db, group, members, canon, hook, items, totals))
+            db, group, members, queries, canon, hook, items, totals))
         for index in members:
             if index not in repeats:
                 store(index)

@@ -208,7 +208,7 @@ def sqlite_oracle_rows(dbspec: DatabaseSpec, sqlite_sql: str) -> Counter:
     return normalize_rows(rows)
 
 
-def _case_database(dbspec: DatabaseSpec) -> Database:
+def case_database(dbspec: DatabaseSpec) -> Database:
     """A fresh engine database holding the case's tables."""
     database = Database()
     for name, table_spec in dbspec.tables.items():
@@ -216,14 +216,15 @@ def _case_database(dbspec: DatabaseSpec) -> Database:
     return database
 
 
-def lint_findings(database: Database,
-                  repro_sql: str) -> list[tuple[str, PlanDiagnostic]]:
+def lint_findings(database: Database, repro_sql: str,
+                  plan: Callable[[str], Operator] | None = None,
+                  ) -> list[tuple[str, PlanDiagnostic]]:
     """Error-severity lint diagnostics for a query and its translations.
 
     Statically verifies the bound query tree plus both GMDJ translations
-    (plain and optimized).  Returns ``(plan_label, diagnostic)`` pairs —
-    an oracle-accepted query must produce none, so the fuzzer reports
-    each as a divergence of the pseudo-engine ``"lint"``.
+    (``plan(label)``, :func:`plan_of` by default).  Returns ``(plan_label,
+    diagnostic)`` pairs — an oracle-accepted query must produce none, so
+    the fuzzer reports each as a divergence of the pseudo-engine ``"lint"``.
     """
     from repro.lint import lint_plan
 
@@ -235,10 +236,10 @@ def lint_findings(database: Database,
         # on its own — there is no plan to verify.
         return findings
     plans = [("query", query)]
+    translate = plan or (lambda label: plan_of(label, query, database.catalog))
     for strategy in ("gmdj", "gmdj_optimized"):
         try:
-            plans.append(
-                (strategy, plan_for(query, database.catalog, strategy)))
+            plans.append((strategy, translate(strategy)))
         except TranslationError:
             continue
     seen: set[tuple[str, str, str]] = set()
@@ -277,8 +278,7 @@ def capability_violations(
     except ReproError:
         return []
     problems: list[str] = []
-    translate = plan or functools.partial(plan_of, query=query,
-                                          catalog=database.catalog)
+    translate = plan or (lambda label: plan_of(label, query, database.catalog))
     for label in ("gmdj", "gmdj_optimized"):
         try:
             translated = translate(label)
@@ -545,7 +545,7 @@ def run_differential(
     ``capability``)."""
     expected = sqlite_oracle_rows(dbspec, sqlite_sql)
     outcome = CaseOutcome()
-    database = _case_database(dbspec)
+    database = case_database(dbspec)
     observed: dict[Point, Observation] = {}
     raised: dict[Point, type] = {}
     # Bound once; a frontend error is raised again at every point.
@@ -560,7 +560,7 @@ def run_differential(
             seen = observe(
                 each, plan(each.translation)
                 if each.translation in ABLATIONS else bound(),
-                lambda: _case_database(dbspec))
+                lambda: case_database(dbspec))
         except TranslationError:
             outcome.skipped.append(each.name)
             continue
@@ -581,7 +581,7 @@ def run_differential(
     static_checks = (
         ("lint", "lint-error", "linter", lambda: [
             f"{label}: {diagnostic.render()}"
-            for label, diagnostic in lint_findings(database, repro_sql)]),
+            for label, diagnostic in lint_findings(database, repro_sql, plan)]),
         ("capability", "certificate-violation", "certifier",
          lambda: capability_violations(database, repro_sql, observed,
                                        plan)),

@@ -7,19 +7,19 @@ optimization of Roy et al. and Kathuria & Sudarshan): plans whose single
 GMDJ reads the same stored detail table over the same base-values
 relation are *share-compatible*; their θ-blocks are requalified onto one
 shared detail alias, deduplicated, and packed into one multi-consumer
-GMDJ that is evaluated with a single detail scan.  Each consumer then
-projects its own aggregate columns back out of the shared result and
-grafts them into its residual plan as a :class:`TableValue`.
+GMDJ that is evaluated with a single detail scan.  Each consumer's plan
+then reads its own columns of the shared result through a projection
+that takes its GMDJ's place, and runs as a single query's plan.
 
 The three stages are deliberately separable (each is unit-testable, and
 :mod:`repro.engine.mqo` orchestrates them per batch):
 
 * :func:`fingerprint_plan` — is this plan shareable, and under which
   :class:`ShareFingerprint`?
-* :func:`merge_group` — fuse the candidates of one fingerprint into a
-  :class:`SharedGMDJPlan` (one GMDJ, per-consumer output routing);
-* :func:`split_result` / :func:`graft_consumer` — route the shared
-  result back into each consumer's residual plan.
+* :func:`merge_group` — fuse the candidates of one fingerprint into one
+  GMDJ, recording on each candidate the shared columns it reads;
+* :func:`graft_consumer` — the consumer's plan with its GMDJ replaced
+  by ``π[base columns, its renamed aggregates](shared result)``.
 
 Soundness notes:
 
@@ -34,36 +34,39 @@ Soundness notes:
 * θ-blocks are deduplicated by their *entire* requalified condition
   (:func:`block_key`); dropping base-only conjuncts from the key would
   over-merge distinct subqueries — the seeded-bug test in
-  ``tests/test_mqo_differential.py`` proves the differential suite
+  ``tests/test_mqo_share.py`` proves the batch-against-alone comparison
   catches exactly that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+from dataclasses import dataclass, field
 
 from repro.algebra.aggregates import AggregateSpec
-from repro.algebra.expressions import Expression
-from repro.algebra.operators import Operator, ScanTable, Select, TableValue
+from repro.algebra.expressions import Column, Expression
+from repro.algebra.operators import (
+    Operator,
+    Project,
+    ProjectItem,
+    ScanTable,
+    Select,
+    TableValue,
+)
 from repro.algebra.printer import explain as render_plan
 from repro.algebra.rewrite import transform_bottom_up
 from repro.gmdj.coalesce import _block_requalified, _detail_table
 from repro.gmdj.evaluate import SelectGMDJ
 from repro.gmdj.operator import GMDJ, ThetaBlock
-from repro.storage.columnar import cached_columnar, is_encoded, relation_of
 from repro.storage.relation import Relation
-from repro.storage.schema import Schema
 
 __all__ = [
     "ShareCandidate",
     "ShareFingerprint",
-    "SharedGMDJPlan",
-    "ConsumerSlot",
     "block_key",
     "fingerprint_plan",
     "graft_consumer",
     "merge_group",
-    "split_result",
 ]
 
 
@@ -80,7 +83,13 @@ class ShareFingerprint:
 
 @dataclass
 class ShareCandidate:
-    """One shareable plan: its single GMDJ and how it sits in the plan."""
+    """One shareable plan: its single GMDJ and how it sits in the plan.
+
+    ``outputs`` — set by :func:`merge_group` — pairs each shared
+    aggregate column this consumer reads with the output name its own
+    GMDJ produced, in its own block/spec order, so the grafted
+    projection's schema is its GMDJ's.
+    """
 
     plan: Operator
     node: Operator            # the GMDJ or SelectGMDJ node inside ``plan``
@@ -88,31 +97,7 @@ class ShareCandidate:
     selection: Expression | None  # SelectGMDJ's predicate, when unfused
     detail_alias: str
     fingerprint: ShareFingerprint
-
-
-@dataclass
-class ConsumerSlot:
-    """One consumer's routing through the shared GMDJ's output columns.
-
-    ``outputs`` pairs each shared aggregate column with the output name
-    the consumer's original GMDJ produced, in the consumer's original
-    block/spec order — so the split result's schema matches the
-    consumer's residual plan exactly.
-    """
-
-    candidate: ShareCandidate
-    outputs: list[tuple[str, str]]
-
-
-@dataclass
-class SharedGMDJPlan:
-    """One share group fused into a single multi-consumer GMDJ."""
-
-    gmdj: GMDJ
-    detail_table: str
-    slots: list[ConsumerSlot]
-    consumer_blocks: int    # θ-blocks the consumers brought in total
-    shared_blocks: int      # distinct θ-blocks after deduplication
+    outputs: list[tuple[str, str]] = field(default_factory=list)
 
 
 def _gmdj_like_nodes(plan: Operator) -> list[Operator]:
@@ -236,15 +221,18 @@ def _plan_qualifiers(plan: Operator) -> set[str]:
     return qualifiers
 
 
-def merge_group(candidates: list[ShareCandidate]) -> SharedGMDJPlan:
+def merge_group(
+    candidates: list[ShareCandidate],
+) -> tuple[GMDJ, list[ShareCandidate]]:
     """Fuse share-compatible candidates into one multi-consumer GMDJ.
 
     Every consumer's θ-blocks are requalified from its private detail
     alias onto one fresh shared alias; blocks with identical conditions
     (:func:`block_key`) merge, and identical aggregate specs within a
     merged block are computed once.  Shared aggregate columns get fresh
-    ``mqo_N`` names (consumers' original names may collide); each
-    :class:`ConsumerSlot` records the shared→original name routing.
+    ``mqo_N`` names (consumers' original names may collide).  Returns
+    the GMDJ and the candidates, each with its shared→original name
+    routing as ``outputs``.
     """
     first = candidates[0].fingerprint
     table = first.detail_table
@@ -252,7 +240,7 @@ def merge_group(candidates: list[ShareCandidate]) -> SharedGMDJPlan:
     # key -> (condition, spec_key -> shared name, shared specs)
     merged: dict[str, tuple[Expression, dict[tuple, str], list[AggregateSpec]]] = {}
     order: list[str] = []
-    slots: list[ConsumerSlot] = []
+    routed: list[ShareCandidate] = []
     fresh = 0
     for candidate in candidates:
         outputs: list[tuple[str, str]] = []
@@ -277,7 +265,7 @@ def merge_group(candidates: list[ShareCandidate]) -> SharedGMDJPlan:
                         spec.distinct,
                     ))
                 outputs.append((shared_name, original.output_name))
-        slots.append(ConsumerSlot(candidate=candidate, outputs=outputs))
+        routed.append(dataclasses.replace(candidate, outputs=outputs))
     blocks = [
         ThetaBlock(list(merged[key][2]), merged[key][0]) for key in order
     ]
@@ -286,65 +274,31 @@ def merge_group(candidates: list[ShareCandidate]) -> SharedGMDJPlan:
         detail=ScanTable(table, alias),
         blocks=blocks,
     )
-    return SharedGMDJPlan(
-        gmdj=shared,
-        detail_table=table,
-        slots=slots,
-        consumer_blocks=sum(len(c.gmdj.blocks) for c in candidates),
-        shared_blocks=len(blocks),
-    )
+    return shared, routed
 
 
-def split_result(
-    shared_result: Relation,
-    slot: ConsumerSlot,
-    base_width: int,
-    consumer_schema: Schema,
-) -> Relation:
-    """Project one consumer's GMDJ output back out of the shared result.
+def graft_consumer(candidate: ShareCandidate, shared_result: Relation,
+                   base_width: int) -> Operator:
+    """The consumer's plan with its GMDJ node replaced by its columns of
+    the shared result.
 
-    Base columns come first in both schemas (the shared GMDJ and every
-    consumer GMDJ extend the *same* base schema), so the split keeps the
-    base prefix and gathers the consumer's aggregate columns in its
-    original order, renamed back via the slot's routing.  Row order is
-    preserved — the shared GMDJ emits one row per base tuple in base
-    order, exactly as the consumer's own GMDJ would have.  The piece
-    has the shared result's form: column picks of a column-backed one
-    (the numpy kernel's), a row list of a row-backed one (the other
-    kernels', a fragmenter's merge).
+    The node becomes ``π[items](TableValue(shared_result))``: the first
+    ``base_width`` columns — the base both GMDJs extend — pass through
+    with their qualifiers, and each shared aggregate column the
+    consumer reads is renamed back to its own output name, in its own
+    order.  Row order is the base's in both.  On column-backed input the
+    projection's array form picks those columns without copying them.
+    A fused consumer gets its completion selection re-applied as an
+    ordinary ``Select`` over the now-exact aggregates.
     """
-    positions = [
-        shared_result.schema.index_of(shared_name)
-        for shared_name, _ in slot.outputs
+    items = [
+        ProjectItem(Column(field.full_name), field.name, preserve=True)
+        for field in shared_result.schema.fields[:base_width]
+    ] + [
+        ProjectItem(Column(shared_name), original)
+        for shared_name, original in candidate.outputs
     ]
-    if is_encoded(shared_result):
-        # The array kernel's result: the consumer's piece is those very
-        # columns under its own schema — nothing is copied, no tuple
-        # built; the residual's array operators read them as they are.
-        columnar = cached_columnar(shared_result)
-        return relation_of(
-            consumer_schema,
-            [columnar.columns[position]
-             for position in [*range(base_width), *positions]],
-            columnar.length,
-        )
-    rows = [
-        tuple(row[:base_width]) + tuple(row[position] for position in positions)
-        for row in shared_result.rows
-    ]
-    return Relation(consumer_schema, rows, validate=False)
-
-
-def graft_consumer(slot: ConsumerSlot, consumer_result: Relation) -> Operator:
-    """The consumer's residual plan with its GMDJ replaced by the result.
-
-    The original GMDJ (or fused SelectGMDJ) node is swapped for a
-    :class:`TableValue` holding the split relation; a fused consumer
-    gets its completion selection re-applied as an ordinary ``Select``
-    over the now-exact aggregates.
-    """
-    candidate = slot.candidate
-    replacement: Operator = TableValue(consumer_result)
+    replacement: Operator = Project(TableValue(shared_result), items)
     if candidate.selection is not None:
         replacement = Select(replacement, candidate.selection)
 

@@ -398,41 +398,31 @@ def explain_batch(db, queries, options=None) -> Explain:
     """EXPLAIN for a batch: share groups and coalesced plans, unexecuted.
 
     Runs the MQO planner (:func:`repro.engine.mqo.plan_batch`) over the
-    batch and renders, per share group, the members, the single
-    multi-consumer GMDJ the group would execute, and its single-scan
-    cost certificate; singleton members get their ordinary per-query
-    plan text.
+    batch and renders, per share group, its record
+    (:meth:`~repro.engine.mqo.PlannedGroup.to_json`: members, the
+    certificate of the single multi-consumer GMDJ it would execute) and
+    that GMDJ's plan text; singleton members get their ordinary
+    per-query plan text.
     """
     from repro.algebra.printer import explain as render_plan
     from repro.engine.mqo import plan_batch
-    from repro.lint import certify_plan
 
     options = _coerce(options)
     plan = plan_batch(queries, db.catalog, options, cache=db.cache)
     lines = [f"-- EXPLAIN BATCH ({len(queries)} queries, {_label(options)})"]
     groups_payload = []
     for group in plan.groups:
-        certificate = certify_plan(group.shared.gmdj)
-        coalesced = render_plan(group.shared.gmdj)
+        coalesced = render_plan(group.gmdj)
         lines.append(
             f"-- share group {group.group_id}: queries "
-            f"{group.indices} on {group.shared.detail_table} "
-            f"({group.shared.consumer_blocks} consumer block(s) -> "
-            f"{group.shared.shared_blocks} shared, "
-            f"{len(group.indices) - 1} scan(s) saved)"
+            f"{group.indices} on {group.detail_table} "
+            f"({group.consumer_blocks} consumer block(s) -> "
+            f"{group.shared_blocks} shared, "
+            f"{group.scans_saved} scan(s) saved)"
         )
         lines.append(coalesced)
-        lines.append(f"-- {certificate.summary()}")
-        groups_payload.append({
-            "group": group.group_id,
-            "members": list(group.indices),
-            "detail_table": group.shared.detail_table,
-            "consumer_blocks": group.shared.consumer_blocks,
-            "shared_blocks": group.shared.shared_blocks,
-            "scans_saved": len(group.indices) - 1,
-            "plan": coalesced,
-            "certificate": certificate.to_json(),
-        })
+        lines.append(f"-- {group.certificate.summary()}")
+        groups_payload.append({**group.to_json(), "plan": coalesced})
     singles_payload = []
     for index in plan.singletons:
         text = render_plan(plan.plans[index]

@@ -341,11 +341,12 @@ COALESCE = QueryOptions(backend="numpy", use_cache=False, rollup="off")
 
 
 def test_a_coalesced_batch_builds_rows_inside_its_clock(monkeypatch):
-    # The shared result stays columns — split_result picks them, the
-    # residuals run on them — and each member's own result is transposed
-    # once, after its residual, inside that member's elapsed_seconds;
-    # nothing transposes once execute_batch has returned.
-    from repro.storage.columnar import cached_columnar
+    # The shared result stays columns — each member's grafted
+    # projection picks them, its plan runs on them — and each member's
+    # own result is transposed once, at the end of its ``execute``,
+    # inside that member's elapsed_seconds; nothing transposes once
+    # execute_batch has returned.
+    from repro.storage.columnar import cached_columnar, is_encoded
 
     db = make_db()
     members = [FIG2, FIG2.replace("300000", "100000"),
@@ -353,24 +354,25 @@ def test_a_coalesced_batch_builds_rows_inside_its_clock(monkeypatch):
     expected = [db.execute_sql(sql, ROW).rows for sql in members]
     shared, transposed = [], []
     to_rows = ColumnarRelation.to_rows
-    split = mqo.split_result
+    graft = mqo.graft_consumer
 
     def counted(self):
         transposed.append(self)
         time.sleep(0.02)
         return to_rows(self)
 
-    def split_seen(shared_result, *args):
+    def graft_seen(candidate, shared_result, *args):
         shared.append(shared_result)
-        return split(shared_result, *args)
+        return graft(candidate, shared_result, *args)
 
     monkeypatch.setattr(ColumnarRelation, "to_rows", counted)
-    monkeypatch.setattr(mqo, "split_result", split_seen)
+    monkeypatch.setattr(mqo, "graft_consumer", graft_seen)
     batch = db.execute_sql_batch(members, COALESCE)
     assert batch.report.groups
     assert len(transposed) == len(members)
     assert len(shared) == len(members) and all(
         result is shared[0] for result in shared)
+    assert is_encoded(shared[0])
     assert all(columns is not cached_columnar(shared[0])
                for columns in transposed)
     assert all(item.elapsed_seconds >= 0.02 for item in batch.items)
@@ -484,13 +486,15 @@ def test_a_members_fallback_reaches_the_executed_summary():
     assert [result.rows for result in batch] == expected
     assert batch.report.groups
     executed = executed_summary(tracer.trace())
-    # (The Projects above a row-wise Select find no encoding to read.)
+    # (The Projects above a row-wise Select find no encoding to read.
+    # Each member's plan starts with the array-form projection of its
+    # columns of the shared result: 2 of the 5 columnar operators.)
     assert executed["flat_fallbacks"] == [
         "Select: int/float comparison beyond exact float range",
         "Project: input carries no encoding",
         "Project: input carries no encoding"]
     assert metrics.counter("flat.fallbacks").value == 3
-    assert metrics.counter("flat.columnar").value == 3
+    assert metrics.counter("flat.columnar").value == 5
 
 
 def test_rollup_tiers_serve_columns(monkeypatch):

@@ -19,7 +19,7 @@ from repro.algebra.operators import Project, ScanTable, Select
 from repro.gmdj.evaluate import SelectGMDJ
 from repro.gmdj.operator import GMDJ, ThetaBlock
 from repro.engine import plan_for
-from repro.fuzz.oracle import _case_database
+from repro.fuzz.oracle import case_database
 from repro.fuzz.queries import render_repro_sql
 from repro.fuzz.runner import FuzzConfig, generate_case
 from repro.gmdj.physical import served_from
@@ -165,7 +165,7 @@ class TestRuntimeCrossCheck:
     def test_certificate_counts_a_repeated_gmdj_once(self, iteration,
                                                      backend):
         dbspec, ir = generate_case(FuzzConfig(seed=20260806), iteration)
-        db = _case_database(dbspec)
+        db = case_database(dbspec)
         query = db.sql(render_repro_sql(ir))
         for strategy in ("gmdj", "gmdj_optimized"):
             plan = plan_for(query, db.catalog, strategy)

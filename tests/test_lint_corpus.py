@@ -21,7 +21,7 @@ import pytest
 from repro import Database, DataType
 from repro.algebra.expressions import Comparison
 from repro.fuzz.datagen import DatabaseSpec
-from repro.fuzz.oracle import lint_findings, run_differential
+from repro.fuzz.oracle import case_database, lint_findings, run_differential
 from repro.fuzz.runner import load_corpus, replay_case
 from repro.lint import lint_plan
 from repro.unnesting import translate
@@ -31,11 +31,7 @@ CORPUS_DIR = Path(__file__).parent / "corpus"
 
 
 def _database_of(data: dict) -> Database:
-    dbspec = DatabaseSpec.from_json(data["tables"])
-    database = Database()
-    for name, spec in dbspec.tables.items():
-        database.create_table(name, list(spec.columns), spec.rows)
-    return database
+    return case_database(DatabaseSpec.from_json(data["tables"]))
 
 
 def _corpus_cases():
@@ -126,7 +122,7 @@ class TestFuzzRunnerHook:
 
         fake = PlanDiagnostic("L003", "seeded for the hook test", "plan")
         monkeypatch.setattr(
-            oracle, "lint_findings", lambda db, sql: [("gmdj", fake)]
+            oracle, "lint_findings", lambda db, sql, plan: [("gmdj", fake)]
         )
         dbspec = DatabaseSpec.from_json(case["tables"])
         outcome = run_differential(dbspec, case["sql"], case["sqlite_sql"])
@@ -143,7 +139,7 @@ class TestFuzzRunnerHook:
     def test_crashing_linter_becomes_divergence(self, case, monkeypatch):
         from repro.fuzz import oracle
 
-        def boom(db, sql):
+        def boom(db, sql, plan):
             raise RuntimeError("deliberately broken linter")
 
         monkeypatch.setattr(oracle, "lint_findings", boom)

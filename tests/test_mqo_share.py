@@ -1,11 +1,16 @@
 """Unit tests for cross-query GMDJ scan sharing (repro.gmdj.share)
-and the batch MQO planner/report plumbing (repro.engine.mqo)."""
+and the batch MQO planner/report plumbing (repro.engine.mqo), and a
+seeded over-merge that the batch-against-alone comparison catches."""
 
 from __future__ import annotations
 
 import pytest
 
+import repro.gmdj.share as share
 from repro import Database, DataType, QueryOptions
+from repro.algebra.expressions import col, conjuncts_of, lit
+from repro.algebra.nested import Exists, NestedSelect, Subquery
+from repro.algebra.operators import ScanTable
 from repro.engine.mqo import plan_batch
 from repro.errors import ConfigurationError
 from repro.gmdj.share import (
@@ -14,6 +19,8 @@ from repro.gmdj.share import (
     merge_group,
 )
 from repro.unnesting import subquery_to_gmdj
+
+NO_CACHE = QueryOptions(use_cache=False)
 
 
 @pytest.fixture
@@ -82,39 +89,44 @@ class TestMergeGroup:
     def group(self, db, *sqls):
         return [fingerprint_plan(translated(db, sql)) for sql in sqls]
 
+    @staticmethod
+    def planned(db, *sqls):
+        (group,) = plan_batch([db.sql(sql) for sql in sqls], db.catalog,
+                              QueryOptions()).groups
+        return group
+
     def test_identical_blocks_deduplicate(self, db):
-        shared = merge_group(self.group(db, EXISTS_R, EXISTS_R))
-        assert shared.consumer_blocks == 2
-        assert shared.shared_blocks == 1
-        assert len(shared.gmdj.blocks) == 1
+        group = self.planned(db, EXISTS_R, EXISTS_R)
+        assert group.consumer_blocks == 2
+        assert group.shared_blocks == 1
+        assert len(group.gmdj.blocks) == 1
 
     def test_distinct_thetas_stay_separate(self, db):
-        shared = merge_group(self.group(db, EXISTS_R, EXISTS_R_THETA))
-        assert shared.consumer_blocks == 2
-        assert shared.shared_blocks == 2
+        group = self.planned(db, EXISTS_R, EXISTS_R_THETA)
+        assert group.consumer_blocks == 2
+        assert group.shared_blocks == 2
 
-    def test_slots_route_every_consumer_output(self, db):
-        candidates = self.group(db, EXISTS_R, EXISTS_R_THETA)
-        shared = merge_group(candidates)
-        names = set(shared.gmdj.output_names())
-        for slot, candidate in zip(shared.slots, candidates):
-            assert len(slot.outputs) == sum(
+    def test_candidates_route_every_consumer_output(self, db):
+        gmdj, routed = merge_group(self.group(db, EXISTS_R, EXISTS_R_THETA))
+        names = set(gmdj.output_names())
+        for candidate in routed:
+            assert len(candidate.outputs) == sum(
                 len(b.aggregates) for b in candidate.gmdj.blocks
             )
-            for shared_name, original in slot.outputs:
+            for shared_name, original in candidate.outputs:
                 assert shared_name in names
                 assert original in candidate.gmdj.output_names()
 
     def test_fresh_alias_avoids_collision(self, db):
         sql = ("SELECT K FROM B WHERE EXISTS "
                "(SELECT 1 FROM R mqo_r WHERE mqo_r.K = B.K)")
-        shared = merge_group(self.group(db, sql, sql))
-        alias = shared.gmdj.detail.alias
+        gmdj, _ = merge_group(self.group(db, sql, sql))
+        alias = gmdj.detail.alias
         assert alias != "mqo_r"
         # The requalified condition must reference the fresh alias.
         assert any(
             alias == ref.rpartition(".")[0]
-            for block in shared.gmdj.blocks
+            for block in gmdj.blocks
             for ref in block.condition.references()
         )
 
@@ -187,7 +199,7 @@ class TestExecuteBatchSurface:
         batch = db.execute_sql_batch(members)
         (group,) = batch.report.groups
         assert group.detail_table == "R"
-        assert group.members == [0, 1]
+        assert group.indices == [0, 1]
         assert batch.report.scans_saved >= 1
         assert group.runtime_detail_scans == 1
         alone = QueryOptions(use_cache=False)
@@ -229,6 +241,22 @@ class TestExecuteBatchSurface:
         total = sum(item.detail_scans for item in batch.items)
         assert total == batch.report.io_totals["detail_scans"] == 2
 
+    def test_each_member_runs_through_execute(self, db):
+        # A grouped member is one ``query`` span, as a singleton is: its
+        # plan, GMDJ replaced by a projection of the shared result, runs
+        # through executor.execute.
+        from repro.obs.tracer import tracing
+
+        with tracing() as tracer:
+            batch = db.execute_sql_batch([EXISTS_R, EXISTS_R_THETA,
+                                          SELECT_LIST_COUNT, SELECT_LIST_SUM],
+                                         NO_CACHE)
+        assert [item.shared for item in batch.items] == [True] * 4
+        members = tracer.trace().find(kind="mqo_member")
+        assert len(members) == 4
+        for member in members:
+            assert [span.kind for span in member.walk()].count("query") == 1
+
     def test_string_options_rejected(self, db):
         with pytest.raises(ConfigurationError):
             db.execute_sql_batch([EXISTS_R], "gmdj")
@@ -266,6 +294,22 @@ class TestExplainBatch:
         assert [single["index"] for single in payload["singletons"]] == [2]
         assert payload["scans_saved"] == 1
 
+    def test_explained_group_is_the_run_reports_group(self, db):
+        # One record per group: EXPLAIN BATCH prints it with the plan
+        # text, the run report with what the run measured.
+        queries = [db.sql(sql) for sql in (EXISTS_R, EXISTS_R_THETA,
+                                           EXISTS_S, EXISTS_S)]
+        explained = db.explain_batch(queries, NO_CACHE).json()
+        batch = db.execute_batch(queries, NO_CACHE)
+        assert len(explained["share_groups"]) == len(batch.report.groups) == 2
+        for planned, group in zip(explained["share_groups"],
+                                  batch.report.groups):
+            assert planned.pop("plan")
+            ran = group.to_json()
+            assert (ran.pop("runtime_detail_scans"), ran.pop("certified")) \
+                == (1, True)
+            assert planned == ran
+
 
 class TestABatchPlansEachMemberOnce:
     """``plan_batch`` translates every member to find the share groups;
@@ -302,3 +346,57 @@ class TestABatchPlansEachMemberOnce:
         assert len(calls) == len(self.MEMBERS)
         assert [sorted(result.rows) for result in batch] \
             == [sorted(rows) for rows in expected]
+
+
+class TestSeededOverMerge:
+    """An MQO merge keyed only on detail-referencing θ conjuncts merges
+    blocks that differ in base-only conjuncts — routing one consumer's
+    aggregates through another consumer's θ.  Comparing the batch with
+    its members run alone must catch it."""
+
+    @staticmethod
+    def buggy_block_key(block):
+        def touches_detail(conjunct):
+            return any(
+                ref.rpartition(".")[0].startswith("mqo_")
+                for ref in conjunct.references()
+            )
+
+        kept = [c for c in conjuncts_of(block.condition)
+                if touches_detail(c)]
+        return repr([repr(c) for c in kept])
+
+    def queries(self):
+        # Same detail θ; the *base-only* conjunct (b.X > bound) differs.
+        def query(bound):
+            theta = ((col("r.K") == col("b.K"))
+                     & (col("b.X") > lit(bound)))
+            return NestedSelect(ScanTable("B", "b"),
+                                Exists(Subquery(ScanTable("R", "r"), theta)))
+
+        return [query(5), query(35)]
+
+    def test_blocks_do_merge_under_the_bug(self, db, monkeypatch):
+        monkeypatch.setattr(share, "block_key", self.buggy_block_key)
+        plan = plan_batch(self.queries(), db.catalog, NO_CACHE)
+        assert len(plan.groups) == 1
+        assert plan.groups[0].shared_blocks == 1  # over-merged
+
+    def test_differential_catches_the_over_merge(self, db, monkeypatch):
+        monkeypatch.setattr(share, "block_key", self.buggy_block_key)
+        queries = self.queries()
+        batch = db.execute_batch(queries, NO_CACHE)
+        diverged = any(
+            batch[i].rows != db.execute(queries[i], NO_CACHE).rows
+            for i in range(len(queries))
+        )
+        assert diverged, (
+            "the seeded over-merge produced identical results; the "
+            "batch-against-alone comparison would not catch this bug class"
+        )
+
+    def test_correct_key_passes_the_same_comparison(self, db):
+        queries = self.queries()
+        batch = db.execute_batch(queries, NO_CACHE)
+        for query, result in zip(queries, batch):
+            assert result.rows == db.execute(query, NO_CACHE).rows

@@ -19,16 +19,17 @@ its plan's cost certificate says where that counts the run (alone,
 unfragmented, rollup off), and keeps the identity rule ``repro fuzz``
 checks too (:func:`~repro.fuzz.oracle.identity_violations`: the row
 interpreter's rows in its order and its IOStats, warm runs, batches).
-Two hypothesis properties then draw random databases (the first also
-the fuzzer's NULL-heavy ones), predicates and lattice points — the
-typed one also invariant-block sharing on or off and each kernel's
-rows against the plan's capability certificate — a
-batch check holds each form's coalesced batch to its members run alone
-and to the row kernel's batch (rows, order, every item's IOStats) at
-every kernel × fragmenter point, and unfragmented to a warm run that
-the result cache or the rollup store answers unscanned; one test
-stacks numpy, a coalesced batch, a warm rollup store and a warm result
-cache.
+Three hypothesis properties then draw random databases (the first two
+also the fuzzer's NULL-heavy ones), predicates and lattice points — the
+second a random batch against its members run alone, the typed one
+also invariant-block sharing on or off and each kernel's rows against
+the plan's capability certificate — a batch check holds each form's
+coalesced batch, under both strategies, to its members run alone, to
+the row kernel's batch (rows, order, every item's IOStats) and to its
+group's certificate at every kernel × fragmenter point, and
+unfragmented to a warm run that the result cache or the rollup store
+answers unscanned; one test stacks numpy, a coalesced batch, a warm
+rollup store and a warm result cache.
 
 Options come only from the call: this lattice, not a rerun of the whole
 suite under another configuration, is where configurations are compared.
@@ -37,6 +38,7 @@ suite under another configuration, is where configurations are compared.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -242,52 +244,67 @@ class TestLattice:
     @pytest.mark.parametrize("fragmenter", FRAGMENTERS)
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_batch_matches_solo(self, kernel, fragmenter):
-        # Each form coalesced at two bounds against its members run
-        # alone (each a batch of one, which plans no group), and against
-        # the row kernel's batch: rows, order, and every item's IOStats.
+        # Each form coalesced at two bounds, under both strategies,
+        # against its members run alone (each a batch of one, which
+        # plans no group), and against the row kernel's batch: rows,
+        # order, and every item's IOStats.  The group's certificate
+        # claims one scan of R, which the run confirms unfragmented.
         # Unfragmented, the batch runs warm again with the result cache
         # on, then with the rollup store on: both answer it unscanned.
         tiers = [{}]
         if fragmenter == "none":
             tiers += [dict(use_cache=True), dict(rollup="subsume")]
-        for form in FORMS:
+        for strategy, form, knobs in itertools.product(STRATEGIES, FORMS,
+                                                       tiers):
             queries = [form_query(form, bound) for bound in (0, 3)]
-            reference = batch_reference(form, fragmenter)
-            for knobs in tiers:
-                db = make_db()
-                options = at("gmdj_optimized", kernel, fragmenter,
-                             **knobs).options
-                alone = [make_db().execute(query, options)
-                         for query in queries]
-                with tracing() as tracer, collect() as stats:
-                    batch = db.execute_batch(queries, options)
-                assert stats.detail_scans == len(
-                    tracer.trace().find(kind="detail_scan"))
-                assert sum(item.detail_scans for item in batch.items) == (
-                    pytest.approx(stats.detail_scans))
-                for item, solo, expected in zip(batch.items, alone,
-                                                reference):
-                    assert item.result.schema.names == solo.schema.names
-                    assert item.result.rows == solo.rows, form
-                    assert item.io == expected.io, form
-                (group,) = batch.report.groups
-                # The scan-count certificate is checkable only when no
-                # fragmenter multiplies the detail scans.
-                assert group.certified is (
-                    True if fragmenter == "none" else None)
-                if not knobs:
-                    continue
-                with collect() as stats:
-                    warm = db.execute_batch(queries, options)
-                assert stats.detail_scans == 0, (form, knobs)
-                assert [result.rows for result in warm] == [
-                    result.rows for result in batch], (form, knobs)
-                if knobs.get("use_cache"):
-                    assert not warm.report.groups
-                else:
-                    (group,) = warm.report.groups
-                    assert group.certified is None
-                    assert group.runtime_detail_scans == 0
+            reference = batch_reference(strategy, form, fragmenter)
+            db = make_db()
+            options = at(strategy, kernel, fragmenter, **knobs).options
+            alone = [make_db().execute(query, options) for query in queries]
+            with tracing() as tracer, collect() as stats:
+                batch = db.execute_batch(queries, options)
+            assert stats.detail_scans == len(
+                tracer.trace().find(kind="detail_scan"))
+            assert sum(item.detail_scans for item in batch.items) == (
+                pytest.approx(stats.detail_scans))
+            for item, solo, expected in zip(batch.items, alone, reference):
+                assert item.result.schema.names == solo.schema.names
+                assert item.result.rows == solo.rows, form
+                assert item.io == expected.io, form
+            (group,) = batch.report.groups
+            assert group.certificate.scan_counts == {"R": 1}
+            assert group.scans_saved == len(queries) - 1
+            # The scan-count certificate is checkable only when no
+            # fragmenter multiplies the detail scans.
+            assert group.certified is (True if fragmenter == "none" else None)
+            if not knobs:
+                continue
+            with collect() as stats:
+                warm = db.execute_batch(queries, options)
+            assert stats.detail_scans == 0, (form, knobs)
+            assert [result.rows for result in warm] == [
+                result.rows for result in batch], (form, knobs)
+            if knobs.get("use_cache"):
+                assert not warm.report.groups
+            else:
+                (group,) = warm.report.groups
+                assert group.certified is None
+                assert group.runtime_detail_scans == 0
+
+    def test_repeated_member_is_answered_from_the_cache(self):
+        # A holistic COUNT(DISTINCT) forms no group: the second copy is
+        # answered by the first's stored result, as when run in order.
+        db = make_db()
+        sql = ("SELECT b.K FROM B b WHERE b.X > (SELECT COUNT(DISTINCT r.Y) "
+               "FROM R r WHERE r.K = b.K)")
+        with collect() as stats:
+            batch = db.execute_sql_batch([sql, sql],
+                                         QueryOptions(use_cache=True))
+        assert not batch.report.groups
+        assert stats.detail_scans == 1
+        assert (db.cache.result_hits, db.cache.result_misses) == (1, 1)
+        alone = db.execute_sql(sql, QueryOptions(use_cache=False)).rows
+        assert [result.rows for result in batch] == [alone, alone]
 
     def test_every_warm_tier_at_once(self):
         # numpy × coalesced batch × warm rollup store × warm result
@@ -330,9 +347,9 @@ class TestLattice:
 
 
 @functools.cache
-def batch_reference(form: str, fragmenter: str) -> tuple:
+def batch_reference(strategy: str, form: str, fragmenter: str) -> tuple:
     """The row kernel's cold batch of ``form`` at two bounds: its items."""
-    options = at("gmdj_optimized", "row", fragmenter).options
+    options = at(strategy, "row", fragmenter).options
     return tuple(make_db().execute_batch(
         [form_query(form, bound) for bound in (0, 3)], options).items)
 
@@ -391,6 +408,25 @@ class TestRandomLatticePoints:
             plan, catalog, select_kernel(kernel, chunk_size),
             select_fragmenter(**(fragmenter or {})))
         assert result.rows == expected.rows
+
+    @SETTINGS
+    @given(catalog=catalogs, kernel=st.sampled_from(KERNELS),
+           predicates=st.lists(st.one_of(predicates(), st.builds(
+               lambda bound: col("b.X") > lit(bound), st.integers(0, 6))),
+               min_size=2, max_size=5))
+    def test_batch_matches_members_alone(self, catalog, kernel, predicates):
+        # Random compatible and incompatible members (a flat one never
+        # shares): each member of the batch returns the rows, in order,
+        # that the row kernel returns for it alone.
+        db = Database()
+        db.catalog = catalog
+        queries = [NestedSelect(ScanTable("B", "b"), predicate)
+                   for predicate in predicates]
+        batch = db.execute_batch(
+            queries, QueryOptions(backend=kernel, use_cache=False))
+        for query, result in zip(queries, batch):
+            assert result.rows == db.execute(query, QueryOptions(
+                backend="row", use_cache=False)).rows
 
     @SETTINGS
     @given(data=st.data(), optimize=st.booleans(), sharing=st.booleans(),
