@@ -6,7 +6,7 @@ join unnesting and the GMDJ rewrite beat the native engine's specialized
 EXISTS algorithm, with GMDJ ≈ join even on this simplest unnesting case.
 
 Here: outer 200 rows, inner 6k/12k/18k/24k (same sweep trajectory), four
-strategies, and a series report in ``benchmark_results/fig2_exists.txt``.
+strategies, and a series report in ``benchmark_results/latest/fig2_exists.txt``.
 """
 
 from __future__ import annotations

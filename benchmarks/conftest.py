@@ -3,8 +3,10 @@
 Every figure module builds its workloads once per parameter point (module
 cache), benchmarks each (point, strategy) pair as its own pytest-benchmark
 case, and emits a paper-style series table via :func:`write_report` — both
-printed and saved under ``benchmark_results/`` so the series survives
-pytest's output capture.
+printed and saved under ``benchmark_results/latest/`` (ignored by git)
+so the series survives pytest's output capture.  The tables committed
+in ``benchmark_results/`` are the record a run is compared with; a run
+never rewrites them.
 
 ``REPRO_BENCH_SCALE`` (default 1) grows every table: each module passes
 its sizes through :func:`scaled`.  The workload builders themselves build
@@ -19,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "benchmark_results"
+RESULTS_DIR = (Path(__file__).resolve().parent.parent
+               / "benchmark_results" / "latest")
 
 
 def _bench_scale() -> float:
@@ -46,7 +49,7 @@ def scaled(n: int) -> int:
 
 def write_report(name: str, text: str) -> Path:
     """Persist one experiment's series table."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     return path
@@ -71,5 +74,5 @@ def pytest_sessionfinish(session, exitstatus):
 
     registry = get_registry()
     if registry:
-        RESULTS_DIR.mkdir(exist_ok=True)
+        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
         registry.write(RESULTS_DIR / "metrics.json")

@@ -31,6 +31,7 @@ from repro.algebra.expressions import (
     Literal,
 )
 from repro.errors import ExpressionError, PlanError, SchemaError
+from repro.storage.attempt import stored_read
 from repro.storage.catalog import Catalog
 from repro.storage.iostats import IOStats
 from repro.storage.relation import Relation, Row
@@ -85,6 +86,7 @@ class ScanTable(Operator):
         return schema.rename(qualifier)
 
     def evaluate(self, catalog: Catalog) -> Relation:
+        stored_read()
         relation = catalog.table(self.table_name)
         qualifier = self.alias or self.table_name
         # A scan is a view: it shares the stored row list (nothing is

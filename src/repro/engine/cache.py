@@ -41,6 +41,10 @@ Profiled runs (``Database.profile``, EXPLAIN ANALYZE) never consult the
 result cache: their purpose is to measure the work, and a cache hit
 would measure nothing.
 
+A serve-tier attempt (:mod:`repro.storage.attempt`) that hands its
+request to a worker takes back every count and store it made here, so
+the worker's run counts each probe once.
+
 The cache is thread-safe: the serve tier admits concurrent readers
 against one database (DDL is exclusive under the tenant's
 reader-writer lock, but two reads may store results at once), so every
@@ -55,6 +59,7 @@ from collections import OrderedDict
 from typing import Any, Hashable
 
 from repro.obs.metrics import get_registry
+from repro.storage.attempt import count, on_handoff
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
 
@@ -89,6 +94,12 @@ class PlanCache:
         entries.move_to_end(key)
         while len(entries) > self.capacity:
             entries.popitem(last=False)
+        on_handoff(self._unput, entries, key, value)
+
+    def _unput(self, entries: OrderedDict, key: Hashable, value: Any) -> None:
+        with self._lock:
+            if entries.get(key) is value:
+                del entries[key]
 
     # -- keys ------------------------------------------------------------------
 
@@ -105,10 +116,8 @@ class PlanCache:
         """A cached translated plan, or None (counts hit/miss)."""
         with self._lock:
             plan = self._get(self._translations, key)
-            if plan is None:
-                self.translation_misses += 1
-            else:
-                self.translation_hits += 1
+        count(self, "translation_misses" if plan is None
+              else "translation_hits", self._lock)
         return plan
 
     def store_translation(self, key: Hashable, plan: Any, catalog: Catalog,
@@ -126,10 +135,10 @@ class PlanCache:
         with self._lock:
             entry = self._get(self._results, key)
         if entry is None:
-            self.result_misses += 1
+            count(self, "result_misses", self._lock)
             get_registry().counter("cache.result_misses").inc()
             return None
-        self.result_hits += 1
+        count(self, "result_hits", self._lock)
         get_registry().counter("cache.result_hits").inc()
         # Copy rows so a caller mutating the returned relation cannot
         # corrupt later hits.

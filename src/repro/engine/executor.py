@@ -28,6 +28,7 @@ from repro.gmdj.physical import (
     select_kernel,
 )
 from repro.obs.tracer import Tracer, span, tracing, tracing_enabled
+from repro.storage.attempt import stored_read
 from repro.storage.catalog import Catalog
 from repro.storage.iostats import collect
 from repro.storage.relation import Relation
@@ -53,8 +54,7 @@ def _detached(result: Relation, catalog: Catalog) -> Relation:
     bare ``SELECT * FROM t``) evaluates to that very list; what leaves
     the engine must not change under a later ``insert``.
     """
-    rows = result.rows
-    if any(rows is catalog.table(name).rows
+    if any(result.shares_rows(catalog.table(name))
            for name in catalog.table_names()):
         return result.copy()
     return result
@@ -103,6 +103,7 @@ def execute(
             hook = rollups.node_hook(catalog)
     with span("query", kind="query", strategy=strategy, **physical):
         if baseline is not None:
+            stored_read()
             result = baseline(query, catalog)
         else:
             if plan is None:

@@ -49,7 +49,9 @@ every write drops every entry — ``Database.insert`` through
 :meth:`RollupStore.invalidate_results`, DDL that changes a schema or an
 access path through :meth:`RollupStore.invalidate` — and an entry whose
 evaluation began before a write landed is not stored (the hook records
-the catalog's generation when the run starts).
+the catalog's generation when the run starts).  As in the plan cache,
+a serve-tier attempt that hands off (:mod:`repro.storage.attempt`)
+takes back the counts and stores it made.
 Maintaining an entry under an insert instead of dropping it (Gray et
 al.: fold ΔR into the distributive/algebraic scratchpads) is not done —
 a rebuild is one detail scan, cheaper at this scale than the per-entry
@@ -77,6 +79,7 @@ from repro.gmdj.operator import GMDJ, ThetaBlock
 from repro.gmdj.physical import NodeHook
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import span
+from repro.storage.attempt import count, on_handoff
 from repro.storage.catalog import Catalog
 from repro.storage.columnar import (
     ColumnarRelation,
@@ -180,8 +183,15 @@ class RollupStore:
             while len(self._entries) > self.capacity:
                 evicted, old = self._entries.popitem(last=False)
                 self._unindex(evicted, old)
-            self.stores += 1
+            count(self, "stores", self._lock)
+        on_handoff(self._unstore, signature, entry)
         get_registry().counter("rollup.stores").inc()
+
+    def _unstore(self, signature: tuple, entry: RollupEntry) -> None:
+        with self._lock:
+            if self._entries.get(signature) is entry:
+                del self._entries[signature]
+                self._unindex(signature, entry)
 
     def _unindex(self, signature: tuple, entry: RollupEntry) -> None:
         shape = (entry.base_text, entry.detail_text)
@@ -211,13 +221,13 @@ class RollupStore:
             entry = self._entries.get(signature)
             if entry is not None:
                 self._entries.move_to_end(signature)
-                self.exact_hits += 1
+                count(self, "exact_hits", self._lock)
                 get_registry().counter("rollup.exact_hits").inc()
                 return entry.relation.copy(), "exact"
             served = self._probe_subsume(node, detail_text, base_text)
             if served is not None:
                 return served, "subsume"
-            self.misses += 1
+            count(self, "misses", self._lock)
         get_registry().counter("rollup.misses").inc()
         return None
 
@@ -239,7 +249,7 @@ class RollupStore:
                 served = None
             if served is not None:
                 self._entries.move_to_end(signature)
-                self.subsume_hits += 1
+                count(self, "subsume_hits", self._lock)
                 get_registry().counter("rollup.subsume_hits").inc()
                 return served
         return None

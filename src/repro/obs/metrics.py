@@ -4,8 +4,8 @@ The bench runner and the fuzzer feed a process-wide registry so a
 campaign or sweep leaves queryable aggregates behind (run counts,
 latency distributions, divergence totals) without any dependency on an
 external metrics library.  Everything is plain dicts and lists;
-:meth:`MetricsRegistry.write` emits the JSON file that lands alongside
-``benchmark_results/``.
+:meth:`MetricsRegistry.write` emits the JSON file that a benchmark run
+leaves in ``benchmark_results/latest/``.
 
 Histograms use *fixed* bucket bounds chosen at creation: observation is
 a linear scan over ~a dozen bounds (cheap, allocation-free) and two

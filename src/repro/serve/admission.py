@@ -6,7 +6,9 @@ more may wait, and anything beyond that is shed immediately with a 429
 instead of being allowed to build an unbounded backlog.  Shedding at
 the door is what keeps tail latency bounded under overload — a queued
 request's latency is (queue wait + service time), so the queue bound
-*is* the latency bound.
+*is* the latency bound.  Only requests that need a worker come here: a
+cache or rollup hit is answered on the event loop, takes no slot and is
+never shed (:mod:`repro.serve.service`).
 
 Deadlines compose with the queue: a request that times out while
 waiting withdraws its claim (the semaphore permit is never taken), so

@@ -12,10 +12,12 @@ and the read lock around lookup+execute+store excludes exactly that
 interleaving.
 
 The lock is a plain :mod:`threading` primitive, not an asyncio one,
-because the serve tier acquires it *inside* the worker thread that runs
-the request (the event loop never blocks on it), and because it lets
-threaded test harnesses drive the identical locking discipline without
-an event loop.
+because the serve tier waits for it only *inside* the worker thread
+that runs the request, and because it lets threaded test harnesses
+drive the identical locking discipline without an event loop.  The
+event loop, which answers cache and rollup hits itself, only tries the
+read side (``acquire_read(timeout=0)``): a writer holding or awaiting
+the lock sends the request to a worker, so the loop never blocks on it.
 
 Writer preference: once a writer is waiting, new readers queue behind
 it.  A stream of dashboard reads can therefore never starve a DDL, at

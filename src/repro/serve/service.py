@@ -6,15 +6,24 @@ engines:
 * The **event loop** owns the sockets, parses requests
   (:mod:`repro.serve.http`), makes the admission decision
   (:mod:`repro.serve.admission`), and enforces deadlines.  It never
-  executes a query.
-* Admitted requests are dispatched to a **worker thread pool** (one
+  reads a stored table.
+* A ``/query`` or ``/batch`` that the result cache or the rollup store
+  may answer (``use_cache`` on, or ``rollup: subsume``) is first run on
+  the loop, as an attempt (:mod:`repro.storage.attempt`): the tiered
+  serving path (:meth:`repro.serve.state.Tenant.run_query`) — result
+  cache, rollup store, then execution — in which the first stored-table
+  read, or a writer holding or awaiting the tenant's lock, hands the
+  request off before anything is read or waited for.  A hit is answered
+  there without a thread hop and takes no admission slot
+  (``serve.loop_answers`` counts these, ``serve.loop_handoffs`` the
+  attempts that handed off).
+* Every other request, and every hand-off, is admitted and dispatched
+  to a **worker thread pool** (one
   :class:`~concurrent.futures.ThreadPoolExecutor` of ``workers``
   threads, shut down on drain) via ``run_in_executor``, with the calling
   context copied so the request's metrics scope resolves inside the
-  thread.
-* The thread runs the tiered serving path
-  (:meth:`repro.serve.state.Tenant.run_query`): result cache, rollup
-  store, then execution — under the tenant's reader-writer lock.
+  thread; the thread runs the same body under the tenant's
+  reader-writer lock.
 
 Failure semantics the tests pin down:
 
@@ -58,6 +67,7 @@ from repro.serve.state import (
     parse_options,
     tenant_name,
 )
+from repro.storage.attempt import HandOff, attempt
 
 DEFAULT_PORT = 8125
 
@@ -228,6 +238,9 @@ class QueryService:
         name = tenant_name(body.get("tenant", "default"))
         options = parse_options(body.get("options"))
         deadline_s = self._deadline_seconds(request, body)
+        deadline = (
+            None if deadline_s is None else time.monotonic() + deadline_s
+        )
         run: Callable[..., dict]
         args: tuple
         if request.path == "/query":
@@ -245,9 +258,22 @@ class QueryService:
             if not isinstance(statement, dict):
                 raise HttpError(400, "ddl statement must be a JSON object")
             run, args = Tenant.run_ddl, (statement,)
+        tiered = request.path in ("/query", "/batch") and (
+            options.use_cache or options.rollup == "subsume")
         with self.tenants.holding(name) as tenant:
+            if tiered:
+                try:
+                    with attempt():
+                        payload = run(tenant, *args, deadline)
+                except HandOff as handoff:
+                    get_registry().counter("serve.loop_handoffs").inc()
+                    if handoff.resume is not None:
+                        args = (handoff.resume, *args[1:])
+                else:
+                    get_registry().counter("serve.loop_answers").inc()
+                    return payload
             return await self._run_with_slot(
-                functools.partial(run, tenant, *args), deadline_s)
+                functools.partial(run, tenant, *args), deadline)
 
     def _sql(self, body: dict) -> str:
         sql = body.get("sql")
@@ -284,15 +310,16 @@ class QueryService:
             return None  # explicit 0/negative disables the deadline
         return deadline_ms / 1000.0
 
-    async def _run_with_slot(self, worker, deadline_s: float | None) -> dict:
-        """Admission, dispatch, and deadline enforcement for one request."""
+    async def _run_with_slot(self, worker, deadline: float | None) -> dict:
+        """Admission, dispatch, and enforcement of the (monotonic)
+        ``deadline`` for one request."""
         loop = asyncio.get_running_loop()
-        deadline = (
-            None if deadline_s is None else time.monotonic() + deadline_s
-        )
         slot = self.admission.slot()
         try:
-            await asyncio.wait_for(slot.__aenter__(), timeout=deadline_s)
+            await asyncio.wait_for(
+                slot.__aenter__(),
+                timeout=None if deadline is None
+                else max(0.0, deadline - time.monotonic()))
         except asyncio.TimeoutError:
             raise DeadlineExceeded(
                 "deadline exceeded while queued for a worker"

@@ -3,10 +3,8 @@
 Each tenant is one :class:`~repro.engine.database.Database` plus the
 :class:`~repro.serve.locks.ReadWriteLock` that orders its requests:
 queries and explains run under the shared read lock, DDL under the
-exclusive write lock.  The functions here are the bodies the service
-dispatches to worker threads — everything inside them is synchronous
-and thread-safe; the asyncio layer above never touches tenant state
-directly.
+exclusive write lock.  The functions here are the request bodies the
+service runs — everything inside them is synchronous and thread-safe.
 
 A query request flows through the serving tiers in order, all inside
 one read-lock hold:
@@ -18,6 +16,14 @@ one read-lock hold:
 3. **execution** — the normal planner/kernel path, whose pooled
    partitioned evaluation reuses the tenant database's persistent
    executors.
+
+The first two read no stored table, so the service tries each
+``/query`` and ``/batch`` that a tier may answer on its event loop
+first, as an attempt (:mod:`repro.storage.attempt`): the same body, in
+which the third tier's first stored-table read — or a writer holding or
+awaiting the lock — raises :class:`~repro.storage.attempt.HandOff`.
+The request then runs again on a worker thread, from the queries the
+attempt bound (:class:`Bound`).
 
 A ``/query`` runs as a batch of one, so ``/query`` and ``/batch`` share
 one request body (:meth:`Tenant._serve`).  Which tier answered is read
@@ -37,13 +43,15 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
+from repro.algebra.operators import Operator
 from repro.engine.database import Database
 from repro.engine.options import QueryOptions
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.metrics import metrics_scope
 from repro.serve.locks import LockTimeout, ReadWriteLock
+from repro.storage.attempt import HandOff, attempting
 from repro.storage.iostats import collect
 from repro.storage.relation import Relation
 from repro.storage.types import DataType
@@ -135,6 +143,18 @@ def _served_by(registry) -> str:
     return "execute"
 
 
+@dataclass(frozen=True)
+class Bound:
+    """A request's SQL texts and the queries they bound to under catalog
+    ``generation``, in ``seconds``: what an attempt that hands off gives
+    the worker, so that it does not parse the texts again."""
+
+    texts: tuple[str, ...]
+    queries: tuple[Operator, ...]
+    generation: int
+    seconds: float
+
+
 @dataclass
 class Tenant:
     """One tenant's database plus its request-ordering lock."""
@@ -146,9 +166,9 @@ class Tenant:
     queries: int = 0
     ddl: int = 0
 
-    # -- request bodies (run inside worker threads) --------------------------
+    # -- request bodies --------------------------------------------------------
 
-    def run_query(self, sql: str, options: QueryOptions,
+    def run_query(self, sql: str | Bound, options: QueryOptions,
                   deadline: float | None = None) -> dict:
         """Tiered query execution under the shared read lock: a batch of
         one, as ``Database.execute_sql`` runs it."""
@@ -161,9 +181,10 @@ class Tenant:
                 "served_by": _served_by(metrics),
             }
 
-        return self._serve([sql], options, deadline, respond)
+        return self._serve(sql if isinstance(sql, Bound) else (sql,),
+                           options, deadline, respond)
 
-    def run_batch(self, sqls: list[str], options: QueryOptions,
+    def run_batch(self, sqls: Sequence[str] | Bound, options: QueryOptions,
                   deadline: float | None = None) -> dict:
         """Execute a ``/batch`` request with cross-query scan sharing.
 
@@ -195,23 +216,34 @@ class Tenant:
 
         return self._serve(sqls, options, deadline, respond)
 
-    def _serve(self, sqls: list[str], options: QueryOptions,
+    def _serve(self, sqls: Sequence[str] | Bound, options: QueryOptions,
                deadline: float | None, respond) -> dict:
         """One request: ``sqls`` as one batch under the read lock, timed
         (parse and bind included) inside a private metrics registry and
         IOStats collection; ``respond(batch, metrics)`` supplies the
-        payload fields particular to the endpoint."""
+        payload fields particular to the endpoint.
+
+        Inside an attempt the lock is only tried, and a
+        :class:`HandOff` leaves with the queries bound here."""
+        on_loop = attempting()
         try:
-            self.lock.acquire_read(timeout=remaining(deadline))
+            self.lock.acquire_read(
+                timeout=0 if on_loop else remaining(deadline))
         except LockTimeout as error:
+            if on_loop:
+                raise HandOff("a writer holds or awaits the lock") from None
             raise DeadlineExceeded(str(error)) from None
         try:
             remaining(deadline)  # a read that queued past its budget
             with metrics_scope() as metrics, collect() as stats:
+                bound = self._bind(sqls)
                 started = time.perf_counter()
-                batch = self.db.execute_sql_batch(sqls, options)
-                elapsed = time.perf_counter() - started
-            self.queries += len(sqls)
+                try:
+                    batch = self.db.execute_batch(bound.queries, options)
+                except HandOff as handoff:
+                    raise HandOff(str(handoff), resume=bound) from None
+                elapsed = bound.seconds + time.perf_counter() - started
+            self.queries += len(bound.queries)
             return {
                 "tenant": self.name,
                 **respond(batch, metrics),
@@ -230,6 +262,19 @@ class Tenant:
             }
         finally:
             self.lock.release_read()
+
+    def _bind(self, sqls: Sequence[str] | Bound) -> Bound:
+        """``sqls`` parsed and bound, unless they come bound under the
+        catalog's current generation (a write since binds them again)."""
+        generation = self.db.catalog.generation
+        if isinstance(sqls, Bound):
+            if sqls.generation == generation:
+                return sqls
+            sqls = sqls.texts
+        started = time.perf_counter()
+        queries = tuple(self.db.sql(text) for text in sqls)
+        return Bound(tuple(sqls), queries, generation,
+                     time.perf_counter() - started)
 
     def run_explain(self, sql: str, options: QueryOptions,
                     analyze: bool = False,

@@ -87,6 +87,11 @@ class Relation:
             rows = self._rows = self._columnar[0].to_rows()
         return rows
 
+    def shares_rows(self, other: "Relation") -> bool:
+        """Whether this relation holds ``other``'s very row list (a scan
+        view does); ``other``'s columns are not transposed to tell."""
+        return self._rows is not None and self._rows is other._rows
+
     def __getstate__(self) -> tuple:
         # Worker-pool pickling: ship data, not the encoding cache.
         return (self.schema, self.rows, self.name)

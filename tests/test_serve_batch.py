@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.serve import ServeConfig
+from repro.storage.attempt import attempting
 from tests.test_serve_service import LiveServer
 
 COMPATIBLE = [
@@ -113,19 +114,22 @@ class TestBatchEndpoint:
     def test_ddl_waits_for_a_batch_in_flight(self, live_server, monkeypatch):
         # An insert racing a /batch queues behind the batch's read lock:
         # every member answers from the pre-insert catalog, and the next
-        # batch sees the row (no stale cache or rollup serves it).
+        # batch sees the row (no stale cache or rollup serves it).  The
+        # batch is held on its worker thread; the event loop's attempt
+        # runs through and hands off at its first scan.
         server = live_server()
         server.create_tables()
         tenant = server.service.tenants.get("default")
         entered, release = threading.Event(), threading.Event()
-        execute = tenant.db.execute_sql_batch
+        execute = tenant.db.execute_batch
 
         def held(*args, **kwargs):
-            entered.set()
-            assert release.wait(30)
+            if not attempting():
+                entered.set()
+                assert release.wait(30)
             return execute(*args, **kwargs)
 
-        monkeypatch.setattr(tenant.db, "execute_sql_batch", held)
+        monkeypatch.setattr(tenant.db, "execute_batch", held)
         body = {"queries": COMPATIBLE[:2], "options": {"rollup": "subsume"}}
         answers, ddl = [], []
         batch = threading.Thread(

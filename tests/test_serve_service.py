@@ -725,3 +725,207 @@ class TestLifecycle:
         assert tenant.db.pools.closed
         with pytest.raises(RuntimeError):  # the dispatcher takes no more work
             server.service._executor.submit(lambda: None)
+
+
+class TestLoopAnswers:
+    """A hit is answered on the event loop; everything that reads a
+    stored table is handed to a worker thread."""
+
+    #: The payloads of a warm cache hit and a warm rollup hit (all keys
+    #: but ``elapsed_ms``), as the worker path answers them.
+    CACHE_HIT = {
+        "tenant": "default", "columns": ["b.K"], "rows": [[1], [2]],
+        "row_count": 2, "served_by": "cache", "detail_scans": 0, "io": {},
+        "metrics": {"counters": {"cache.result_hits": 1}},
+    }
+    ROLLUP_HIT = {
+        "tenant": "default", "columns": ["b.K"], "rows": [[1], [2]],
+        "row_count": 2, "served_by": "rollup", "detail_scans": 0,
+        "io": {"pages_read": 3, "predicate_evals": 3, "relation_scans": 3,
+               "tuples_output": 6, "tuples_scanned": 7},
+        "metrics": {"counters": {"columnar.cache_hits": 3,
+                                 "flat.columnar": 3,
+                                 "rollup.exact_hits": 1}},
+    }
+
+    @staticmethod
+    def loop_counters(server):
+        _, metrics = server.get("/metrics")
+        counters = metrics["registry"]["counters"]
+        return (counters.get("serve.loop_answers", 0),
+                counters.get("serve.loop_handoffs", 0))
+
+    @staticmethod
+    def record_scans(monkeypatch):
+        """The threads that read a stored table through a scan."""
+        from repro.algebra.operators import ScanTable
+
+        scanned_on = set()
+        evaluate = ScanTable.evaluate
+
+        def recorded(node, catalog):
+            relation = evaluate(node, catalog)  # the loop's raises here
+            scanned_on.add(threading.current_thread())
+            return relation
+
+        monkeypatch.setattr(ScanTable, "evaluate", recorded)
+        return scanned_on
+
+    @staticmethod
+    def count_submits(server, monkeypatch):
+        submitted = []
+        executor = server.service._executor
+        submit = executor.submit
+
+        def counted(*args, **kwargs):
+            submitted.append(args)
+            return submit(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "submit", counted)
+        return submitted
+
+    @pytest.mark.parametrize("options, expected", [
+        (None, CACHE_HIT), (GMDJ_OPTS, ROLLUP_HIT),
+    ], ids=["cache", "rollup"])
+    def test_a_warm_hit_never_reaches_the_executor(
+            self, live_server, monkeypatch, options, expected):
+        server = live_server()
+        sql = server.create_tables()
+        submitted = self.count_submits(server, monkeypatch)
+        body = {"sql": sql} if options is None else {
+            "sql": sql, "options": options}
+        status, cold = server.post("/query", body)
+        assert status == 200 and cold["served_by"] == "execute"
+        assert len(submitted) == 1
+        answers, handoffs = self.loop_counters(server)
+        status, hit = server.post("/query", body)
+        assert status == 200
+        assert len(submitted) == 1  # no thread hop
+        assert self.loop_counters(server) == (answers + 1, handoffs)
+        hit.pop("elapsed_ms")
+        assert hit == expected
+
+    @pytest.mark.parametrize("options", [
+        {"rollup": "subsume", "use_cache": False},
+        {"rollup": "subsume", "use_cache": False, "backend": "row"},
+        {"rollup": "subsume", "strategy": "naive"},
+    ], ids=["fused-exists", "fused-exists-row", "naive"])
+    @pytest.mark.parametrize("sql, rows", [
+        (SQL, [[1], [2]]),
+        ("SELECT K FROM R r WHERE r.V > 7", [[1], [1]]),
+    ], ids=["exists", "flat"])
+    def test_b_a_stored_read_hands_off_and_never_scans_on_the_loop(
+            self, live_server, monkeypatch, options, sql, rows):
+        server = live_server()
+        server.create_tables()
+        scanned_on = self.record_scans(monkeypatch)
+        answers, handoffs = self.loop_counters(server)
+        status, payload = server.post(
+            "/query", {"sql": sql, "options": options})
+        assert status == 200, payload
+        assert sorted(payload["rows"]) == rows
+        assert payload["served_by"] == "execute"
+        assert self.loop_counters(server) == (answers, handoffs + 1)
+        assert scanned_on and server._thread not in scanned_on
+
+    def test_b_a_fused_exists_never_serves_or_scans_on_the_loop(
+            self, live_server, monkeypatch):
+        # A fused SelectGMDJ bypasses the rollup hook: each run scans,
+        # so each hands off, warm or cold.
+        server = live_server()
+        server.create_tables()
+        options = {"rollup": "subsume", "use_cache": False}
+        scanned_on = self.record_scans(monkeypatch)
+        answers, handoffs = self.loop_counters(server)
+        for _ in range(2):
+            _, payload = server.post(
+                "/query", {"sql": SQL, "options": options})
+            assert payload["served_by"] == "execute"
+        assert self.loop_counters(server) == (answers, handoffs + 2)
+        assert server._thread not in scanned_on
+
+    def test_c_a_held_or_awaited_write_lock_hands_off_without_blocking(
+            self, live_server):
+        server = live_server()
+        sql = server.create_tables()
+        server.post("/query", {"sql": sql})
+        _, warm = server.post("/query", {"sql": sql})
+        assert warm["served_by"] == "cache"
+        tenant = server.service.tenants.get("default")
+        lock = tenant.lock
+
+        def blocked_query():
+            results = []
+            thread = threading.Thread(target=lambda: results.append(
+                server.post("/query", {"sql": sql, "deadline_ms": 0})))
+            thread.start()
+            # The loop handed the request off: it waits on a worker,
+            # and the loop still answers.
+            server.wait_admission(lambda a: a["executing"] == 1)
+            assert server.get("/healthz")[0] == 200
+            return thread, results
+
+        answers, handoffs = self.loop_counters(server)
+        lock.acquire_write()  # a writer holds the lock
+        try:
+            thread, held = blocked_query()
+        finally:
+            lock.release_write()
+        thread.join(30)
+        assert self.loop_counters(server) == (answers, handoffs + 1)
+
+        lock.acquire_read()  # ... and a writer waits behind a reader
+        writer = threading.Thread(target=lambda: (
+            lock.acquire_write(), lock.release_write()))
+        writer.start()
+        try:
+            deadline = time.monotonic() + 10
+            while lock.snapshot()["writers_waiting"] != 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            thread, waited = blocked_query()
+        finally:
+            lock.release_read()
+        writer.join(30)
+        thread.join(30)
+        assert self.loop_counters(server) == (answers, handoffs + 2)
+        for status, payload in held + waited:
+            assert status == 200
+            assert payload["served_by"] == "cache"
+            assert sorted(payload["rows"]) == [[1], [2]]
+
+        status, _ = server.post("/ddl", {"statement": {
+            "op": "insert", "name": "R", "rows": [[3, 9]]}})
+        assert status == 200
+        _, after = server.post("/query", {"sql": sql})
+        assert after["served_by"] == "execute"
+        assert sorted(after["rows"]) == [[1], [2], [3]]
+
+    def test_d_tier_counts_match_the_worker_path(self, live_server):
+        # Cold, warm, insert, warm, for the result cache and the rollup
+        # store: a hand-off counts each probe once, so the tenant's
+        # numbers are those of every request run on a worker.
+        server = live_server()
+        sql = server.create_tables()
+        answers, handoffs = self.loop_counters(server)
+        bodies = [{"sql": sql}, {"sql": sql, "options": GMDJ_OPTS}]
+        for body in bodies * 2:
+            assert server.post("/query", body)[0] == 200
+        server.post("/ddl", {"statement": {
+            "op": "insert", "name": "R", "rows": [[3, 9]]}})
+        for body in bodies:
+            assert server.post("/query", body)[0] == 200
+        _, metrics = server.get("/metrics")
+        tenant = metrics["tenants"]["default"]
+        assert tenant["cache"] == {
+            "translations": 1, "results": 1,
+            "translation_hits": 1, "translation_misses": 1,
+            "result_hits": 1, "result_misses": 2,
+            "invalidations": 2, "table_invalidations": 1,
+        }
+        assert tenant["rollups"] == {
+            "entries": 1, "exact_hits": 1, "subsume_hits": 0,
+            "misses": 2, "stores": 2,
+            "invalidations": 2, "table_invalidations": 1,
+        }
+        assert self.loop_counters(server) == (answers + 2, handoffs + 4)
