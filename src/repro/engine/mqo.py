@@ -425,7 +425,14 @@ def execute_batch(
     def store(index: int) -> None:
         key, item = keys[index], items[index]
         if key is not None and item is not None:
-            db.cache.store_result(key, item.result, db.catalog, generation)
+            # Snapshots, kept and handed out: a caller mutating its
+            # result cannot corrupt a later hit.
+            db.cache.results.put(key, item.result.copy(), db.catalog,
+                                 generation)
+
+    def cached(key: tuple | None) -> Relation | None:
+        entry = None if key is None else db.cache.results.get(key)
+        return None if entry is None else entry.copy()
 
     misses = []
     # A member whose key an earlier member missed on waits for that
@@ -439,14 +446,13 @@ def execute_batch(
         key = keys[index]
         if key in missed:
             repeats.add(index)
-        cached = (None if key is None or index in repeats
-                  else db.cache.result(key))
-        if cached is None:
+        hit = None if index in repeats else cached(key)
+        if hit is None:
             misses.append(index)
             if key is not None:
                 missed.add(key)
         else:
-            items[index] = BatchItem(index, cached, time.perf_counter() - t0,
+            items[index] = BatchItem(index, hit, time.perf_counter() - t0,
                                      group_id=None, shared=False, io={})
     plan = plan_batch([queries[index] for index in misses], db.catalog,
                       canon, cache=db.cache)
@@ -462,9 +468,9 @@ def execute_batch(
     for position in plan.singletons:
         index = misses[position]
         t0 = time.perf_counter()
-        cached = db.cache.result(keys[index]) if index in repeats else None
-        if cached is not None:
-            items[index] = BatchItem(index, cached, time.perf_counter() - t0,
+        hit = cached(keys[index]) if index in repeats else None
+        if hit is not None:
+            items[index] = BatchItem(index, hit, time.perf_counter() - t0,
                                      group_id=None, shared=False, io={})
             continue
         before = ambient.snapshot()

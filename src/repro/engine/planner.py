@@ -92,9 +92,9 @@ def plan_for(
     if cache is None:
         return subquery_to_gmdj(query, catalog, optimize=optimize)
     key = (strategy, PlanCache.plan_key(query))
-    plan = cache.translation(key)
+    plan = cache.translations.get(key)
     if plan is None:
         generation = catalog.generation
         plan = subquery_to_gmdj(query, catalog, optimize=optimize)
-        cache.store_translation(key, plan, catalog, generation)
+        cache.translations.put(key, plan, catalog, generation)
     return plan

@@ -44,27 +44,21 @@ normal single-scan evaluation (whose result is then stored).  Fused
 served: their completion output carries partial aggregates on assured
 rows, so it is not a reusable rollup.
 
-Staleness is handled the same way as :class:`~repro.engine.cache.PlanCache`:
-every write drops every entry — ``Database.insert`` through
-:meth:`RollupStore.invalidate_results`, DDL that changes a schema or an
-access path through :meth:`RollupStore.invalidate` — and an entry whose
-evaluation began before a write landed is not stored (the hook records
-the catalog's generation when the run starts).  As in the plan cache,
-a serve-tier attempt that hands off (:mod:`repro.storage.attempt`)
-takes back the counts and stores it made.
-Maintaining an entry under an insert instead of dropping it (Gray et
-al.: fold ΔR into the distributive/algebraic scratchpads) is not done —
-a rebuild is one detail scan, cheaper at this scale than the per-entry
-set-up of a ΔR scan.  Signatures are computed on the
-*original* translated subtrees (before the plan walker rebuilds children
-as anonymous materialized tables), so they are stable across runs of the
-same logical plan.
+The entries are :attr:`RollupStore.entries`, a
+:class:`~repro.engine.cache.DerivedMap`: bounded, cleared by every write
+and refusing an entry whose evaluation began before one, as
+:mod:`repro.engine.cache` states (the hook records the catalog's
+generation when the run starts).  Maintaining an entry under an insert
+instead of dropping it (Gray et al.: fold ΔR into the
+distributive/algebraic scratchpads) is not done — a rebuild is one
+detail scan, cheaper at this scale than the per-entry set-up of a ΔR
+scan.  Signatures are computed on the *original* translated subtrees
+(before the plan walker rebuilds children as anonymous materialized
+tables), so they are stable across runs of the same logical plan.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -73,13 +67,11 @@ import numpy as np
 from repro.algebra.analysis import refers_only_to
 from repro.algebra.expressions import Expression, conjuncts_of
 from repro.algebra.operators import Select
-from repro.engine.cache import PlanCache
+from repro.engine.cache import DerivedMap, PlanCache
 from repro.errors import ReproError
 from repro.gmdj.operator import GMDJ, ThetaBlock
 from repro.gmdj.physical import NodeHook
-from repro.obs.metrics import get_registry
 from repro.obs.tracer import span
-from repro.storage.attempt import count, on_handoff
 from repro.storage.catalog import Catalog
 from repro.storage.columnar import (
     ColumnarRelation,
@@ -123,8 +115,6 @@ class RollupEntry:
 
     gmdj: GMDJ
     relation: Relation
-    base_text: str
-    detail_text: str
     base_schema: Schema
 
     @property
@@ -136,22 +126,9 @@ class RollupStore:
     """Bounded LRU store of GMDJ rollups with subsumption matching."""
 
     def __init__(self, capacity: int = 128):
-        self.capacity = capacity
-        self._entries: OrderedDict[tuple, RollupEntry] = OrderedDict()
-        #: (base_text, detail_text) -> signatures sharing that shape;
-        #: the subsume tier scans only same-shape candidates.
-        self._shapes: dict[tuple[str, str], list[tuple]] = {}
-        #: Serializes the multi-step store/probe/evict/invalidate
-        #: bookkeeping: the serve tier probes and stores from concurrent
-        #: reader threads (DDL invalidation is already exclusive under
-        #: the tenant's reader-writer lock, but readers race each other).
-        self._lock = threading.RLock()
-        self.exact_hits = 0
-        self.subsume_hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.invalidations = 0
-        self.table_invalidations = 0
+        self.entries: DerivedMap[tuple, RollupEntry] = DerivedMap(
+            capacity, "rollup", "exact_hits", None, "subsume_hits", "misses",
+            "stores", "invalidations", "table_invalidations")
 
     # -- store -----------------------------------------------------------------
 
@@ -164,46 +141,12 @@ class RollupStore:
             base_schema = node.base.schema(catalog)
         except ReproError:
             return
-        base_text = PlanCache.plan_key(node.base)
-        detail_text = PlanCache.plan_key(node.detail)
-        signature = _signature(base_text, detail_text, node.blocks)
-        entry = RollupEntry(
-            gmdj=node, relation=relation.copy(), base_text=base_text,
-            detail_text=detail_text, base_schema=base_schema,
-        )
-        with self._lock:
-            if catalog.generation != generation:
-                return
-            if signature not in self._entries:
-                self._shapes.setdefault(
-                    (base_text, detail_text), []
-                ).append(signature)
-            self._entries[signature] = entry
-            self._entries.move_to_end(signature)
-            while len(self._entries) > self.capacity:
-                evicted, old = self._entries.popitem(last=False)
-                self._unindex(evicted, old)
-            count(self, "stores", self._lock)
-        on_handoff(self._unstore, signature, entry)
-        get_registry().counter("rollup.stores").inc()
-
-    def _unstore(self, signature: tuple, entry: RollupEntry) -> None:
-        with self._lock:
-            if self._entries.get(signature) is entry:
-                del self._entries[signature]
-                self._unindex(signature, entry)
-
-    def _unindex(self, signature: tuple, entry: RollupEntry) -> None:
-        shape = (entry.base_text, entry.detail_text)
-        signatures = self._shapes.get(shape)
-        if signatures is None:
-            return
-        try:
-            signatures.remove(signature)
-        except ValueError:
-            pass
-        if not signatures:
-            del self._shapes[shape]
+        signature = _signature(PlanCache.plan_key(node.base),
+                               PlanCache.plan_key(node.detail), node.blocks)
+        entry = RollupEntry(gmdj=node, relation=relation.copy(),
+                            base_schema=base_schema)
+        if self.entries.put(signature, entry, catalog, generation):
+            self.entries.count("stores")
 
     # -- probe -----------------------------------------------------------------
 
@@ -217,40 +160,31 @@ class RollupStore:
         base_text = PlanCache.plan_key(node.base)
         detail_text = PlanCache.plan_key(node.detail)
         signature = _signature(base_text, detail_text, node.blocks)
-        with self._lock:
-            entry = self._entries.get(signature)
-            if entry is not None:
-                self._entries.move_to_end(signature)
-                count(self, "exact_hits", self._lock)
-                get_registry().counter("rollup.exact_hits").inc()
-                return entry.relation.copy(), "exact"
-            served = self._probe_subsume(node, detail_text, base_text)
-            if served is not None:
-                return served, "subsume"
-            count(self, "misses", self._lock)
-        get_registry().counter("rollup.misses").inc()
+        entry = self.entries.get(signature)
+        if entry is not None:
+            return entry.relation.copy(), "exact"
+        served = self._probe_subsume(node, detail_text, base_text)
+        if served is not None:
+            return served, "subsume"
+        self.entries.count("misses")
         return None
 
     def _probe_subsume(
         self, node: GMDJ, detail_text: str, base_text: str,
     ) -> Relation | None:
         base_filter: Expression | None = None
-        inner_text = base_text
         if isinstance(node.base, Select):
             base_filter = node.base.predicate
-            inner_text = PlanCache.plan_key(node.base.child)
-        for signature in self._shapes.get((inner_text, detail_text), ()):
-            entry = self._entries.get(signature)
-            if entry is None:
-                continue
+            base_text = PlanCache.plan_key(node.base.child)
+        # Same-shape candidates: signature[:2] is (base, detail).
+        for signature, entry in self.entries.matching(
+                lambda key: key[0] == base_text and key[1] == detail_text):
             try:
                 served = self._try_serve(entry, node, base_filter)
             except ReproError:
                 served = None
             if served is not None:
-                self._entries.move_to_end(signature)
-                count(self, "subsume_hits", self._lock)
-                get_registry().counter("rollup.subsume_hits").inc()
+                self.entries.count("subsume_hits", signature)
                 return served
         return None
 
@@ -325,34 +259,18 @@ class RollupStore:
     def invalidate(self) -> None:
         """Drop every rollup (DDL that changes a schema or an access
         path)."""
-        self._clear("invalidations")
+        self.entries.clear("invalidations")
 
     def invalidate_results(self) -> None:
         """Rows were appended to a table: drop every rollup, counted as
         a table invalidation."""
-        self._clear("table_invalidations")
-
-    def _clear(self, counter: str) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._shapes.clear()
-            setattr(self, counter, getattr(self, counter) + 1)
-        get_registry().counter(f"rollup.{counter}").inc()
+        self.entries.clear("table_invalidations")
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self.entries)
 
-    def stats(self) -> dict:
-        return {
-            "entries": len(self._entries),
-            "exact_hits": self.exact_hits,
-            "subsume_hits": self.subsume_hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "invalidations": self.invalidations,
-            "table_invalidations": self.table_invalidations,
-        }
+    def stats(self) -> dict[str, int]:
+        return {"entries": len(self.entries), **self.entries.counts}
 
 
 def _theta_residual(

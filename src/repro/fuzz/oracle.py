@@ -356,10 +356,10 @@ def observe(point: Point, query: Operator,
                         and point.options.rollup != "off"):
                     database = stack.enter_context(fresh())
                     run(database, replace(point.options, strategy="gmdj"))
-                hits = database.cache.result_hits
+                hits = database.cache.stats()["result_hits"]
                 _, seen.warm = run(database, point.options)
             seen.warm_io = stats.snapshot()
-            seen.cache_served = (database.cache.result_hits - hits
+            seen.cache_served = (database.cache.stats()["result_hits"] - hits
                                  == len(members))
         return seen
 

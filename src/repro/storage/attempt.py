@@ -10,10 +10,10 @@ the request's one body under :func:`attempt`:
   strategy's evaluator) raises :class:`HandOff` before anything is read,
   and so does whatever would wait (the tenant's lock under a writer);
 * an attempt that hands off has no effect: what the run changed in a
-  cache — a hit or miss count, a stored translation, result or rollup —
-  is taken back through the undo it registered with :func:`on_handoff`,
-  and its metrics registry is dropped, so the worker that runs the
-  request afterwards counts every probe once;
+  :class:`~repro.engine.cache.DerivedMap` — a count, a put and what the
+  put evicted — is taken back through the undo the map registered with
+  :func:`on_handoff`, and its metrics registry is dropped, so the worker
+  that runs the request afterwards counts every probe once;
 * an attempt that finishes, or fails for a reason of its own, keeps its
   effects and merges its metrics, as a worker's run would.
 
@@ -22,7 +22,7 @@ Outside an attempt every check here is one context-variable read.
 
 from __future__ import annotations
 
-from contextlib import AbstractContextManager, contextmanager
+from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import partial
 from typing import Any, Callable, Iterator
@@ -83,16 +83,3 @@ def on_handoff(undo: Callable[..., None], *args: Any) -> None:
     pending = _undo.get()
     if pending is not None:
         pending.append(partial(undo, *args))
-
-
-def count(owner: Any, name: str, lock: AbstractContextManager[Any]) -> None:
-    """``owner.<name> += 1`` under ``lock``: a cache's hit, miss or store
-    count, which an attempt that hands off takes back."""
-    _add(owner, name, lock, 1)
-    on_handoff(_add, owner, name, lock, -1)
-
-
-def _add(owner: Any, name: str, lock: AbstractContextManager[Any],
-        step: int) -> None:
-    with lock:
-        setattr(owner, name, getattr(owner, name) + step)

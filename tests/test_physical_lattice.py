@@ -302,7 +302,8 @@ class TestLattice:
                                          QueryOptions(use_cache=True))
         assert not batch.report.groups
         assert stats.detail_scans == 1
-        assert (db.cache.result_hits, db.cache.result_misses) == (1, 1)
+        stats = db.cache.stats()
+        assert (stats["result_hits"], stats["result_misses"]) == (1, 1)
         alone = db.execute_sql(sql, QueryOptions(use_cache=False)).rows
         assert [result.rows for result in batch] == [alone, alone]
 
@@ -341,7 +342,8 @@ class TestLattice:
                 expected = observed(case, at("gmdj_optimized", "row", "none"))
                 assert result.rows == expected.rows[0], (run, case)
             assert batch[-1].rows == alone_rows, run
-            assert (db.cache.result_hits, db.rollups.exact_hits) == hits, run
+            assert (db.cache.stats()["result_hits"],
+                    db.rollups.stats()["exact_hits"]) == hits, run
         (group,) = batch.report.groups
         assert group.certified is None
 

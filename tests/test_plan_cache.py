@@ -7,36 +7,158 @@ point invalidates, so re-executing after ``register``/``create_table``/
 """
 
 
-from repro import Catalog, Database, DataType, QueryOptions, Relation
-from repro.engine.cache import PlanCache
+import pytest
+
+from repro import Database, DataType, QueryOptions, Relation
+from repro.algebra.aggregates import AggregateSpec
+from repro.algebra.expressions import col, lit
+from repro.algebra.operators import ScanTable
+from repro.gmdj.operator import md
 from repro.storage import save_csv
+from repro.storage.attempt import HandOff, attempt
 
 SQL = ("SELECT K FROM B b WHERE EXISTS "
        "(SELECT * FROM R r WHERE r.K = b.K)")
 
 
-def make_db(r_rows) -> Database:
-    db = Database()
+def make_db(r_rows, cache_size: int = 128) -> Database:
+    db = Database(cache_size)
     db.create_table("B", [("K", DataType.INTEGER)],
                     [(i,) for i in range(4)])
     db.create_table("R", [("K", DataType.INTEGER)], r_rows)
     return db
 
 
+class MapKeeper:
+    """The translation or result map of a database's :class:`PlanCache`,
+    driven by item number: ``keep(i)`` puts ``kept[i]`` for item ``i``
+    and ``value(i)`` probes for it."""
+
+    def __init__(self, capacity: int, name: str):
+        self.db = make_db([], capacity)
+        self.map = getattr(self.db.cache, name)
+        self.kept = [object() for _ in range(10)]
+
+    def keep(self, i: int) -> None:
+        catalog = self.db.catalog
+        self.map.put(i, self.kept[i], catalog, catalog.generation)
+
+    def value(self, i: int):
+        return self.map.get(i)
+
+    def served(self, i: int) -> bool:
+        return self.value(i) is not None
+
+    def stats(self) -> dict:
+        return self.db.cache.stats()
+
+
+class RollupKeeper:
+    """A :class:`RollupStore` driven the same way: item ``i`` is the GMDJ
+    ``MD(B, R, count, r.K = b.K AND r.K > i)``, stored with its output;
+    ``refined`` adds the base-only conjunct ``b.K > 0``, which only the
+    subsume tier of item ``i``'s entry can answer."""
+
+    def __init__(self, capacity: int):
+        self.db = make_db([(k,) for k in range(6)], capacity)
+        self.store = self.db.rollups
+        self.map = self.store.entries
+        # Evaluated up front: inside an attempt a scan hands off.
+        self.outputs = [self.db.execute(self.node(i), ROLLUP_OFF)
+                        for i in range(10)]
+        self.kept = [output.rows for output in self.outputs]
+
+    def node(self, i: int, refined: bool = False):
+        theta = (col("r.K") == col("b.K")) & (col("r.K") > lit(i))
+        if refined:
+            theta = theta & (col("b.K") > lit(0))
+        return md(ScanTable("B", "b"), ScanTable("R", "r"),
+                  [[AggregateSpec("count", None, "c")]], [theta])
+
+    def keep(self, i: int) -> None:
+        catalog = self.db.catalog
+        self.store.store(self.node(i), self.outputs[i], catalog,
+                         catalog.generation)
+
+    def tier(self, i: int, refined: bool = False) -> str | None:
+        served = self.store.probe(self.node(i, refined))
+        return None if served is None else served[1]
+
+    def value(self, i: int):
+        served = self.store.probe(self.node(i))
+        return None if served is None else served[0].rows
+
+    def served(self, i: int) -> bool:
+        return self.tier(i) is not None
+
+    def stats(self) -> dict:
+        return self.store.stats()
+
+
+def keepers(capacity: int) -> list:
+    """A database's three derived maps, each at ``capacity``."""
+    return [MapKeeper(capacity, "translations"),
+            MapKeeper(capacity, "results"), RollupKeeper(capacity)]
+
+
+def order(keeper) -> list:
+    """The keys a map holds, least recent first."""
+    return [key for key, _ in keeper.map.matching(lambda key: True)]
+
+
 class TestLRU:
     def test_eviction_order(self):
-        cache, catalog = PlanCache(capacity=2), Catalog()
-        for key in ("a", "b"):
-            cache.store_translation(key, key, catalog, 0)
-        cache.translation("a")  # refresh: b is now least recent
-        cache.store_translation("c", "c", catalog, 0)
-        assert [cache.translation(key) for key in "abc"] == ["a", None, "c"]
+        for keeper in keepers(capacity=2):
+            keeper.keep(0)
+            keeper.keep(1)
+            assert keeper.served(0)  # refresh: 1 is now least recent
+            keeper.keep(2)
+            values = [keeper.value(i) for i in range(3)]
+            assert values == [keeper.kept[0], None, keeper.kept[2]], keeper
 
     def test_capacity_bound(self):
-        cache, catalog = PlanCache(capacity=3), Catalog()
-        for i in range(10):
-            cache.store_translation(("gmdj", str(i)), object(), catalog, 0)
-        assert cache.stats()["translations"] == 3
+        translations, results, rollups = keepers(capacity=3)
+        for keeper in (translations, results, rollups):
+            for i in range(10):
+                keeper.keep(i)
+            assert len(keeper.map) == 3
+            assert [keeper.served(i) for i in range(10)] == [False] * 7 + [True] * 3
+        # An evicted rollup answers neither tier; a kept one answers both.
+        assert rollups.tier(9) == "exact" and rollups.tier(9, True) == "subsume"
+        assert rollups.tier(0) is None and rollups.tier(0, True) is None
+
+    def test_a_handed_off_put_leaves_the_map_as_it_was(self):
+        # A put at capacity evicts the least recent entry, and a put of a
+        # kept key replaces it: an attempt that hands off takes back both,
+        # each entry back in its place, and the put's counts.
+        for keeper in keepers(capacity=2):
+            keeper.keep(0)
+            keeper.keep(1)
+            assert keeper.served(0)
+            before = (order(keeper), keeper.stats())
+            for i in (2, 1):
+                with pytest.raises(HandOff), attempt():
+                    keeper.keep(i)
+                    raise HandOff("a stored table would be read")
+                assert (order(keeper), keeper.stats()) == before, (keeper, i)
+            assert keeper.served(1) and keeper.served(0)
+
+    @pytest.mark.parametrize("write", ["insert", "clear"])
+    def test_a_handed_off_put_restores_nothing_after_a_write(self, write):
+        # A write inside the attempt moves the catalog's generation, clears
+        # the map, or both: what the put evicted may be stale by then, so
+        # the undo drops the put and restores nothing.
+        for keeper in keepers(capacity=2):
+            keeper.keep(0)
+            keeper.keep(1)
+            with pytest.raises(HandOff), attempt():
+                keeper.keep(2)  # evicts 0
+                if write == "insert":
+                    keeper.db.insert("R", [(9,)])
+                else:
+                    keeper.map.clear()
+                raise HandOff("a stored table would be read")
+            assert not keeper.served(0) and not keeper.served(2), keeper
 
 
 class TestResultCache:

@@ -275,7 +275,7 @@ AVG = ("SELECT b.K FROM B b WHERE b.X > "
 def test_a_write_during_a_read_keeps_no_result(monkeypatch, write, rows):
     db = Database()
     db.create_table("T", [("K", DataType.INTEGER)], [(1,), (2,)])
-    land_inside(monkeypatch, db.cache, "store_result", lambda: write(db))
+    land_inside(monkeypatch, db.cache.results, "put", lambda: write(db))
     assert len(db.execute_sql(FLAT)) == 2  # the read's own snapshot
     assert len(db.execute_sql(FLAT, QueryOptions(use_cache=False))) == rows
     assert len(db.execute_sql(FLAT)) == rows
@@ -309,7 +309,7 @@ def test_an_insert_during_a_read_keeps_no_rollup(monkeypatch):
 
 def test_a_register_during_a_translation_keeps_no_translation(monkeypatch):
     db = build({"B": [(1, 5), (2, 5)], "R": [(1, 9), (2, 1)]})
-    land_inside(monkeypatch, db.cache, "store_translation",
+    land_inside(monkeypatch, db.cache.translations, "put",
                 lambda: db.register("R", db.table("R").copy()))
     db.execute_sql(AVG)
     assert db.cache.stats()["translations"] == 0
