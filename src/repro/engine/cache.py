@@ -3,9 +3,12 @@
 Repeated subquery workloads (dashboards re-issuing the same OLAP
 queries, the fuzzer replaying a corpus, benchmark sweeps) pay the
 SubqueryToGMDJ translation and a full detail scan on every run even
-though nothing changed.  Each database keeps three maps of derived
+though nothing changed.  Each database keeps four maps of derived
 values, each a :class:`DerivedMap`:
 
+* the **front map** (:attr:`PlanCache.fronts`) maps a SQL text and a
+  tiered run's options to what the text binds to (:class:`Front`) — a
+  warm read does not parse, bind, render its key or translate again;
 * the **translation map** (:attr:`PlanCache.translations`) maps the
   strategy and a normalized plan rendering (the deterministic
   :func:`repro.algebra.printer.explain` text) to the translated GMDJ
@@ -17,15 +20,16 @@ values, each a :class:`DerivedMap`:
 * the **rollup map** (:attr:`repro.engine.rollup.RollupStore.entries`)
   maps a GMDJ node's signature to its output.
 
-The rule all three keep is :class:`DerivedMap`'s, written there once:
+The rule all four keep is :class:`DerivedMap`'s, written there once:
 
 * every write clears them (DESIGN.md §5 lists the writes).  An
   ``insert`` changes rows only, so it clears the results and rollups
   (:meth:`PlanCache.invalidate_results`,
   :meth:`~repro.engine.rollup.RollupStore.invalidate_results`) and keeps
-  every translation: ``subquery_to_gmdj`` reads schemas, not rows.  DDL
-  that changes a schema or an access path can change what a plan
-  *means*, and clears all three (:meth:`PlanCache.invalidate`,
+  every front entry and translation: binding and ``subquery_to_gmdj``
+  read schemas, not rows.  DDL that changes a schema or an access path
+  can change what a text or a plan *means*, and clears all four
+  (:meth:`PlanCache.invalidate`,
   :meth:`~repro.engine.rollup.RollupStore.invalidate`);
 * a write can land while a read is in flight, after the read resolved
   its tables and before it keeps what it derived.  So a put carries the
@@ -53,7 +57,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Generic, Hashable, TypeVar
+from typing import Any, Callable, Generic, Hashable, NamedTuple, TypeVar
 
 from repro.obs.metrics import get_registry
 from repro.storage.attempt import attempting, on_handoff
@@ -165,10 +169,24 @@ class DerivedMap(Generic[K, V]):
             self.count(name)
 
 
+class Front(NamedTuple):
+    """A text's bound query, and its result-map key under ``use_cache``, else its plan."""
+
+    query: Any
+    key: tuple | None
+    plan: Any
+
+
 class PlanCache:
-    """A database's translation map and result map."""
+    """A database's front, translation and result maps."""
 
     def __init__(self, capacity: int = 128):
+        self.fronts: DerivedMap[Hashable, Front] = DerivedMap(
+            capacity, None, "front_hits", "front_misses")
+        #: A reader's encoding of a stored result, by the reader's key:
+        #: valid only while the result map holds that very entry.
+        self.bodies: DerivedMap[Hashable, tuple] = DerivedMap(
+            capacity, None, "body_hits", None)
         self.translations: DerivedMap[Hashable, Any] = DerivedMap(
             capacity, None, "translation_hits", "translation_misses")
         self.results: DerivedMap[Hashable, Relation] = DerivedMap(
@@ -183,15 +201,17 @@ class PlanCache:
         return explain(query)
 
     def invalidate(self) -> None:
-        """Drop every translation and result (DDL that changes a schema
-        or an access path: any plan may mean something else now)."""
+        """Drop every front entry, translation and result (DDL that
+        changes a schema or an access path: any text or plan may mean
+        something else now)."""
+        self.fronts.clear()
         self.translations.clear()
         self.results.clear("invalidations")
 
     def invalidate_results(self) -> None:
-        """Rows were appended to a table: drop every result.  Every
-        translation still holds (a rewrite depends on schemas, never on
-        rows)."""
+        """Rows were appended to a table: drop every result.  Every front
+        entry and translation still holds (binding and rewriting depend
+        on schemas, never on rows)."""
         self.results.clear("table_invalidations")
 
     def stats(self) -> dict[str, int]:

@@ -43,8 +43,9 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.algebra.operators import Operator
 from repro.engine import executor
-from repro.engine.cache import PlanCache
+from repro.engine.cache import Front, PlanCache
 from repro.engine.options import QueryOptions
+from repro.engine.planner import plan_for
 from repro.engine.reports import ExecutionReport
 from repro.engine.rollup import RollupStore
 from repro.errors import ConfigurationError, ReproError
@@ -238,6 +239,7 @@ class Database:
         self,
         queries: Sequence[Operator],
         options: QueryOptions | None = None,
+        fronts: Sequence[Front] | None = None,
     ) -> BatchResult:
         """Evaluate a batch of queries with cross-query scan sharing.
 
@@ -246,14 +248,14 @@ class Database:
         multi-consumer GMDJ over a single detail scan.  Returns a
         :class:`~repro.engine.mqo.BatchResult` — index it for per-query
         relations, read ``.report`` for share groups, scans saved, and
-        cost certificates.
+        cost certificates.  ``fronts``: the queries' front-map entries.
         """
         from repro.engine.mqo import execute_batch
 
         options = self._require_options(options, "execute_batch")
         self._check_open()
         with pooling(self.pools):
-            return execute_batch(self, list(queries), options)
+            return execute_batch(self, list(queries), options, fronts)
 
     def profile(
         self,
@@ -336,7 +338,7 @@ class Database:
         options: QueryOptions | None = None,
     ) -> Relation:
         """Parse, bind, and evaluate a SQL query."""
-        return self.execute_batch([self.sql(text)], options)[0]
+        return self.execute_sql_batch([text], options)[0]
 
     def execute_sql_batch(
         self,
@@ -344,9 +346,27 @@ class Database:
         options: QueryOptions | None = None,
     ) -> BatchResult:
         """Parse, bind, and evaluate a batch of SQL queries with
-        cross-query scan sharing; see :meth:`execute_batch`."""
-        return self.execute_batch([self.sql(text) for text in texts],
-                                  options)
+        cross-query scan sharing; see :meth:`execute_batch`.  A run
+        that asks for a tier (``use_cache`` or ``rollup="subsume"``)
+        binds each text through the front map; one that asks for none
+        stays cold."""
+        options = self._require_options(options, "execute_batch")
+        if not (options.use_cache or options.rollup == "subsume"):
+            return self.execute_batch([self.sql(text) for text in texts], options)
+        self._check_open()
+        fronts = [self._front(text, options) for text in texts]
+        return self.execute_batch([front.query for front in fronts], options, fronts)
+
+    def _front(self, text: str, options: QueryOptions) -> Front:
+        """``text``'s front-map entry under ``options``, made if missing."""
+        front = self.cache.fronts.get((text, options))
+        if front is None:
+            generation, query = self.catalog.generation, self.sql(text)
+            front = (Front(query, (options.cache_key(), PlanCache.plan_key(query)), None)
+                     if options.use_cache else
+                     Front(query, None, plan_for(query, self.catalog, options.strategy)))
+            self.cache.fronts.put((text, options), front, self.catalog, generation)
+        return front
 
     def profile_sql(
         self,

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Sequence, overload
 
 from repro.algebra.operators import Operator
-from repro.engine.cache import PlanCache
+from repro.engine.cache import Front, PlanCache
 from repro.engine.executor import execute
 from repro.engine.options import QueryOptions
 from repro.engine.planner import plan_for
@@ -173,23 +173,25 @@ def plan_batch(
     catalog: Catalog,
     options: QueryOptions,
     cache: PlanCache | None = None,
+    planned: Sequence[Operator | None] | None = None,
 ) -> BatchPlan:
-    """Translate, fingerprint, and partition a batch into share groups.
+    """Translate (where ``planned`` has no tree), fingerprint and partition a batch into groups.
 
     Pure planning — nothing is executed.  A batch of one is a singleton.
     """
     canon = options.canonical()
     indices = list(range(len(queries)))
+    planned = list(planned or [None] * len(queries))
     if len(queries) < 2:
-        return BatchPlan(groups=[], singletons=indices,
-                         plans=[None] * len(queries))
+        return BatchPlan(groups=[], singletons=indices, plans=planned)
     translations = cache if canon.use_cache else None
     plans: list[Operator | None] = []
     candidates: list[ShareCandidate | None] = []
-    for query in queries:
+    for query, plan in zip(queries, planned):
         # A plan without exactly one GMDJ (every baseline's, a plain
         # query's) fingerprints to None and stays a singleton.
-        plan = plan_for(query, catalog, canon.strategy, translations)
+        if plan is None:
+            plan = plan_for(query, catalog, canon.strategy, translations)
         plans.append(plan)
         if not _plan_decomposable(plan):
             # Certificate gate: coalescing stacks every member's blocks
@@ -236,6 +238,8 @@ class BatchItem:
     ``detail_scans`` is its count of detail scans.  ``elapsed_seconds``
     is the same attribution of time: a singleton's own run, or a 1/k
     share of the shared scan plus this member's own run over it.
+    ``stored`` is the result-map entry a hit was answered from, never
+    to be changed (``result`` is its copy); None for a member that ran.
     """
 
     index: int
@@ -244,6 +248,7 @@ class BatchItem:
     group_id: int | None
     shared: bool
     io: dict[str, float]
+    stored: Relation | None = None
 
     @property
     def detail_scans(self) -> float:
@@ -404,12 +409,14 @@ def execute_batch(
     db: Database,
     queries: Sequence[Operator],
     options: QueryOptions,
+    fronts: Sequence[Front] | None = None,
 ) -> BatchResult:
     """Execute a batch of queries with cross-query scan sharing (the
     module docstring's steps); ``db`` is the
     :class:`~repro.engine.database.Database` whose ``execute_batch``
-    this is.  Results are returned per query, row- and order-identical
-    to running each query alone."""
+    this is; ``fronts`` are the queries' front-map entries, if any.
+    Results are returned per query, row- and order-identical to running
+    each query alone."""
     canon = options.canonical()
     hook = (db.rollups.node_hook(db.catalog)
             if canon.rollup == "subsume" else None)
@@ -430,10 +437,6 @@ def execute_batch(
             db.cache.results.put(key, item.result.copy(), db.catalog,
                                  generation)
 
-    def cached(key: tuple | None) -> Relation | None:
-        entry = None if key is None else db.cache.results.get(key)
-        return None if entry is None else entry.copy()
-
     misses = []
     # A member whose key an earlier member missed on waits for that
     # member's stored result, as it would running after it.
@@ -442,20 +445,24 @@ def execute_batch(
     for index, query in enumerate(queries):
         t0 = time.perf_counter()
         if canon.use_cache:
-            keys[index] = (canon.cache_key(), PlanCache.plan_key(query))
+            keys[index] = (fronts[index].key if fronts else
+                           (canon.cache_key(), PlanCache.plan_key(query)))
         key = keys[index]
         if key in missed:
             repeats.add(index)
-        hit = None if index in repeats else cached(key)
+        hit = (None if index in repeats or key is None
+               else db.cache.results.get(key))
         if hit is None:
             misses.append(index)
             if key is not None:
                 missed.add(key)
         else:
-            items[index] = BatchItem(index, hit, time.perf_counter() - t0,
-                                     group_id=None, shared=False, io={})
-    plan = plan_batch([queries[index] for index in misses], db.catalog,
-                      canon, cache=db.cache)
+            items[index] = BatchItem(index, hit.copy(), time.perf_counter() - t0,
+                                     group_id=None, shared=False, io={}, stored=hit)
+    plan = plan_batch(
+        [queries[index] for index in misses], db.catalog, canon,
+        cache=db.cache,
+        planned=None if fronts is None else [fronts[index].plan for index in misses])
 
     for group in plan.groups:
         members = [misses[index] for index in group.indices]
@@ -468,10 +475,10 @@ def execute_batch(
     for position in plan.singletons:
         index = misses[position]
         t0 = time.perf_counter()
-        hit = cached(keys[index]) if index in repeats else None
+        hit = db.cache.results.get(keys[index]) if index in repeats else None
         if hit is not None:
-            items[index] = BatchItem(index, hit, time.perf_counter() - t0,
-                                     group_id=None, shared=False, io={})
+            items[index] = BatchItem(index, hit.copy(), time.perf_counter() - t0,
+                                     group_id=None, shared=False, io={}, stored=hit)
             continue
         before = ambient.snapshot()
         result = execute(queries[index], db.catalog, canon,

@@ -58,10 +58,15 @@ class HttpRequest:
     query: dict[str, str] = field(default_factory=dict)
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    version: str = "HTTP/1.1"
 
     @property
     def keep_alive(self) -> bool:
-        return self.headers.get("connection", "").lower() != "close"
+        """RFC 9112 §9.3: ``close`` ends HTTP/1.1, ``keep-alive`` keeps 1.0."""
+        connection = self.headers.get("connection", "").lower()
+        if self.version == "HTTP/1.0":
+            return connection == "keep-alive"
+        return connection != "close"
 
     def json(self):
         """The body decoded as JSON (400 on garbage, and on the
@@ -137,13 +142,28 @@ async def read_request(
             raise HttpError(400, "truncated request body") from None
     return HttpRequest(
         method=method.upper(), path=split.path or "/",
-        query=query, headers=headers, body=body,
+        query=query, headers=headers, body=body, version=version,
     )
+
+
+class Encoded(dict):
+    """A JSON object payload that carries its encoding, ``body``."""
+
+    def __init__(self, payload: dict, body: bytes):
+        super().__init__(payload)
+        self.body = body
+
+
+def encode(payload) -> bytes:
+    """The JSON bytes of a response payload."""
+    if isinstance(payload, Encoded):
+        return payload.body
+    return json.dumps(payload, default=str).encode("utf-8")
 
 
 def json_response(status: int, payload, keep_alive: bool = True) -> bytes:
     """Serialize one JSON response, ready to write to the transport."""
-    body = json.dumps(payload, default=str).encode("utf-8")
+    body = encode(payload)
     reason = _REASONS.get(status, "Unknown")
     connection = "keep-alive" if keep_alive else "close"
     head = (

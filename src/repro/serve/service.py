@@ -265,10 +265,8 @@ class QueryService:
                 try:
                     with attempt():
                         payload = run(tenant, *args, deadline)
-                except HandOff as handoff:
+                except HandOff:
                     get_registry().counter("serve.loop_handoffs").inc()
-                    if handoff.resume is not None:
-                        args = (handoff.resume, *args[1:])
                 else:
                     get_registry().counter("serve.loop_answers").inc()
                     return payload

@@ -9,8 +9,9 @@ service runs — everything inside them is synchronous and thread-safe.
 A query request flows through the serving tiers in order, all inside
 one read-lock hold:
 
-1. **result cache** — exact (plan text, options) key, served in
-   microseconds;
+1. **result cache** — exact (plan text, options) key, found from the
+   SQL text without parsing; a ``/query`` hit answers with the body
+   encoded at its stored result's first hit, ``elapsed_ms`` patched in;
 2. **rollup store** — semantic reuse of materialized GMDJ outputs
    (exact signature or subsumption), zero detail scans on a hit;
 3. **execution** — the normal planner/kernel path, whose pooled
@@ -22,8 +23,8 @@ The first two read no stored table, so the service tries each
 first, as an attempt (:mod:`repro.storage.attempt`): the same body, in
 which the third tier's first stored-table read — or a writer holding or
 awaiting the lock — raises :class:`~repro.storage.attempt.HandOff`.
-The request then runs again on a worker thread, from the queries the
-attempt bound (:class:`Bound`).
+The request then runs again on a worker thread, which finds its texts
+in the front map unless the attempt was the first to bind them.
 
 A ``/query`` runs as a batch of one, so ``/query`` and ``/batch`` share
 one request body (:meth:`Tenant._serve`).  Which tier answered is read
@@ -45,11 +46,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from repro.algebra.operators import Operator
 from repro.engine.database import Database
 from repro.engine.options import QueryOptions
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.metrics import metrics_scope
+from repro.serve.http import Encoded, encode
 from repro.serve.locks import LockTimeout, ReadWriteLock
 from repro.storage.attempt import HandOff, attempting
 from repro.storage.iostats import collect
@@ -119,11 +120,8 @@ def remaining(deadline: float | None) -> float | None:
 
 
 def json_rows(result: Relation) -> list[list]:
-    """The ``rows`` of a response: one JSON array per result row.
-
-    The engine hands over a relation that already holds its row list
-    (``executor._detached``), so this is one pass over it.
-    """
+    """The ``rows`` of a response: one JSON array per result row, in one
+    pass over the row list the engine built (``executor._detached``)."""
     return [list(row) for row in result.rows]
 
 
@@ -143,18 +141,6 @@ def _served_by(registry) -> str:
     return "execute"
 
 
-@dataclass(frozen=True)
-class Bound:
-    """A request's SQL texts and the queries they bound to under catalog
-    ``generation``, in ``seconds``: what an attempt that hands off gives
-    the worker, so that it does not parse the texts again."""
-
-    texts: tuple[str, ...]
-    queries: tuple[Operator, ...]
-    generation: int
-    seconds: float
-
-
 @dataclass
 class Tenant:
     """One tenant's database plus its request-ordering lock."""
@@ -168,7 +154,7 @@ class Tenant:
 
     # -- request bodies --------------------------------------------------------
 
-    def run_query(self, sql: str | Bound, options: QueryOptions,
+    def run_query(self, sql: str, options: QueryOptions,
                   deadline: float | None = None) -> dict:
         """Tiered query execution under the shared read lock: a batch of
         one, as ``Database.execute_sql`` runs it."""
@@ -181,10 +167,9 @@ class Tenant:
                 "served_by": _served_by(metrics),
             }
 
-        return self._serve(sql if isinstance(sql, Bound) else (sql,),
-                           options, deadline, respond)
+        return self._serve((sql,), options, deadline, respond, keep=True)
 
-    def run_batch(self, sqls: Sequence[str] | Bound, options: QueryOptions,
+    def run_batch(self, sqls: Sequence[str], options: QueryOptions,
                   deadline: float | None = None) -> dict:
         """Execute a ``/batch`` request with cross-query scan sharing.
 
@@ -216,15 +201,15 @@ class Tenant:
 
         return self._serve(sqls, options, deadline, respond)
 
-    def _serve(self, sqls: Sequence[str] | Bound, options: QueryOptions,
-               deadline: float | None, respond) -> dict:
+    def _serve(self, sqls: Sequence[str], options: QueryOptions,
+               deadline: float | None, respond, keep: bool = False) -> dict:
         """One request: ``sqls`` as one batch under the read lock, timed
         (parse and bind included) inside a private metrics registry and
         IOStats collection; ``respond(batch, metrics)`` supplies the
-        payload fields particular to the endpoint.
+        payload fields particular to the endpoint.  Under ``keep`` a result-cache hit
+        answers from ``db.cache.bodies``: its stored result, payload and JSON less ``}``.
 
-        Inside an attempt the lock is only tried, and a
-        :class:`HandOff` leaves with the queries bound here."""
+        Inside an attempt the lock is only tried."""
         on_loop = attempting()
         try:
             self.lock.acquire_read(
@@ -235,46 +220,31 @@ class Tenant:
             raise DeadlineExceeded(str(error)) from None
         try:
             remaining(deadline)  # a read that queued past its budget
+            generation = self.db.catalog.generation
             with metrics_scope() as metrics, collect() as stats:
-                bound = self._bind(sqls)
                 started = time.perf_counter()
-                try:
-                    batch = self.db.execute_batch(bound.queries, options)
-                except HandOff as handoff:
-                    raise HandOff(str(handoff), resume=bound) from None
-                elapsed = bound.seconds + time.perf_counter() - started
-            self.queries += len(bound.queries)
-            return {
-                "tenant": self.name,
-                **respond(batch, metrics),
-                "elapsed_ms": round(elapsed * 1000, 3),
-                "detail_scans": stats.detail_scans,
-                "io": {
-                    key: value
-                    for key, value in stats.snapshot().items() if value
-                },
-                "metrics": {
-                    "counters": {
-                        name: counter.value
-                        for name, counter in sorted(metrics.counters.items())
-                    },
-                },
-            }
+                batch = self.db.execute_sql_batch(sqls, options)
+                elapsed = round((time.perf_counter() - started) * 1000, 3)
+            self.queries += len(sqls)
+            stored = batch.items[0].stored if keep else None
+            kept = None if stored is None else self.db.cache.bodies.get((*sqls, options))
+            if kept is None or kept[0] is not stored:
+                payload = {
+                    "tenant": self.name, **respond(batch, metrics),
+                    "detail_scans": stats.detail_scans,
+                    "io": {key: value for key, value in stats.snapshot().items() if value},
+                    "metrics": {"counters": {
+                        name: counter.value for name, counter in sorted(metrics.counters.items())
+                    }},
+                }
+                if stored is None:
+                    return {**payload, "elapsed_ms": elapsed}
+                kept = (stored, payload, encode(payload)[:-1])
+                self.db.cache.bodies.put((*sqls, options), kept, self.db.catalog, generation)
+            return Encoded({**kept[1], "elapsed_ms": elapsed},
+                           kept[2] + b', "elapsed_ms": %a}' % elapsed)
         finally:
             self.lock.release_read()
-
-    def _bind(self, sqls: Sequence[str] | Bound) -> Bound:
-        """``sqls`` parsed and bound, unless they come bound under the
-        catalog's current generation (a write since binds them again)."""
-        generation = self.db.catalog.generation
-        if isinstance(sqls, Bound):
-            if sqls.generation == generation:
-                return sqls
-            sqls = sqls.texts
-        started = time.perf_counter()
-        queries = tuple(self.db.sql(text) for text in sqls)
-        return Bound(tuple(sqls), queries, generation,
-                     time.perf_counter() - started)
 
     def run_explain(self, sql: str, options: QueryOptions,
                     analyze: bool = False,
@@ -325,6 +295,7 @@ class Tenant:
             "queries": self.queries,
             "ddl": self.ddl,
             "cache": self.db.cache.stats(),
+            "fronts": {"entries": len(self.db.cache.fronts), **self.db.cache.fronts.counts},
             "rollups": self.db.rollups.stats(),
             "lock": self.lock.snapshot(),
         }

@@ -33,13 +33,7 @@ _undo: ContextVar[list[Callable[[], None]] | None] = ContextVar(
 
 
 class HandOff(Exception):
-    """An attempt met what only a worker may do.  ``resume`` is what the
-    worker may start from instead of the request as sent (the queries
-    the attempt bound), or None."""
-
-    def __init__(self, reason: str, resume: Any = None):
-        super().__init__(reason)
-        self.resume = resume
+    """An attempt met what only a worker may do."""
 
 
 @contextmanager

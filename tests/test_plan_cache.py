@@ -368,6 +368,44 @@ class TestRollupStaleness:
         assert sorted(direct.rows) == [(2,), (3,)]
 
 
+class TestSubsumeTieBreak:
+    """Two stored rollups of one shape that both subsume a probe: the
+    subsume tier tries the least recent first, and either answers the
+    rows the probe evaluated alone gives."""
+
+    @staticmethod
+    def probe_node(keeper):
+        fine = keeper.node(0, refined=True)
+        theta = fine.blocks[0].condition & (col("b.K") < lit(5))
+        return md(ScanTable("B", "b"), ScanTable("R", "r"),
+                  [[AggregateSpec("count", None, "c")]], [theta])
+
+    @staticmethod
+    def stored(keeper, *nodes):
+        catalog = keeper.db.catalog
+        for node in nodes:
+            keeper.store.store(node, keeper.db.execute(node, ROLLUP_OFF),
+                               catalog, catalog.generation)
+
+    @pytest.mark.parametrize("first", ["coarse", "fine"])
+    def test_the_least_recent_answers_with_the_others_rows(self, first):
+        keeper = RollupKeeper(capacity=4)
+        nodes = {"coarse": keeper.node(0), "fine": keeper.node(0, refined=True)}
+        second = "fine" if first == "coarse" else "coarse"
+        self.stored(keeper, nodes[first], nodes[second])
+        keys = order(keeper)
+        probe = self.probe_node(keeper)
+        relation, tier = keeper.store.probe(probe)
+        assert tier == "subsume"
+        # The answering entry is refreshed: it was the least recent.
+        assert order(keeper) == [keys[1], keys[0]]
+        alone = RollupKeeper(capacity=4)
+        self.stored(alone, nodes[second])
+        other, _ = alone.store.probe(probe)
+        assert relation.rows == other.rows
+        assert relation.rows == keeper.db.execute(probe, ROLLUP_OFF).rows
+
+
 class TestRollupDefensiveCopies:
     def test_rollup_hit_returns_independent_relation(self):
         db = make_db([(1,)])

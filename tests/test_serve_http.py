@@ -158,6 +158,40 @@ class TestHttpRequest:
         request = HttpRequest("GET", "/", headers={"connection": "Close"})
         assert not request.keep_alive
 
+    @pytest.mark.parametrize("connection, kept", [
+        (None, False), ("keep-alive", True), ("Keep-Alive", True),
+        ("close", False)])
+    def test_http_1_0_closes_unless_asked_to_keep_alive(self, connection,
+                                                        kept):
+        # RFC 9112 §9.3: an HTTP/1.0 connection is not persistent unless
+        # the client sends Connection: keep-alive.
+        raw = request_bytes("GET", "/healthz", "HTTP/1.0", headers=[
+            ("Connection", connection)] if connection else [])
+        request = parse(raw)
+        assert request.version == "HTTP/1.0"
+        assert request.keep_alive is kept
+        assert parse(request_bytes("GET", "/healthz")).keep_alive
+
+    def test_an_http_1_0_socket_sees_eof_after_the_response(self):
+        import socket
+
+        from tests.test_serve_service import LiveServer
+
+        server = LiveServer()
+        try:
+            with socket.create_connection(
+                    ("127.0.0.1", server.service.port), timeout=5) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+                received = b""
+                while chunk := sock.recv(65536):  # b"" is EOF
+                    received += chunk
+        finally:
+            server.stop()
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert b"Connection: close" in head
+        assert json.loads(body)["status"] == "ok"
+
     def test_empty_body_json_is_empty_object(self):
         assert HttpRequest("POST", "/").json() == {}
 

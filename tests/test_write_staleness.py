@@ -10,9 +10,15 @@ plus result cache on/off and rollup off/subsume, and compares every
 answer, rows *and order*, with a database rebuilt from scratch out of
 the rows inserted so far and asked with everything off.
 
+Each point is asked twice more: as SQL text through ``Tenant.run_query``,
+whose text reaches the result cache through the front map (kept by an
+insert, since binding reads schemas) and whose cache hit answers from
+the JSON body kept beside the stored result — neither may serve a row
+from before the write.
+
 A write can also land *during* a read, after the read resolved its
-tables and before it stores its answer: that answer, rollup or
-translation must not be kept.
+tables and before it stores its answer: that answer, rollup,
+translation or front entry must not be kept.
 
 The array kernel's join index — the hash key structure it keeps on the
 detail table's encoding for the next scan over the same two tables — is
@@ -26,6 +32,7 @@ the detail table rebuilds it, a write to the base table keeps it.
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 
@@ -34,6 +41,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Database, DataType, QueryOptions, Relation
 from repro.obs.tracer import tracing
+from repro.serve.http import encode
+from repro.serve.state import Tenant
 from repro.storage import save_binary
 from repro.storage.columnar import cached_columnar
 from tests.test_physical_lattice import CASES, FRAGMENTERS, KERNELS
@@ -53,6 +62,17 @@ SCHEMAS = {
 #: One case per serving shape: a fused completion plan (never a rollup),
 #: plain GMDJ nodes the store takes, and the ``<>`` completion query.
 QUERIES = ("exists", "agg_avg", "agg_count", "fig4_all")
+#: Each case as SQL text, as a client sends it.
+SQL = {
+    "exists": "SELECT b.K, b.X FROM B b WHERE EXISTS "
+              "(SELECT * FROM R r WHERE r.K = b.K AND r.Y > 2)",
+    "agg_avg": "SELECT b.K, b.X FROM B b WHERE b.X >= "
+               "(SELECT AVG(r.Y) FROM R r WHERE r.K = b.K AND r.Y > 2)",
+    "agg_count": "SELECT b.K, b.X FROM B b WHERE b.X >= "
+                 "(SELECT COUNT(*) FROM R r WHERE r.K = b.K AND r.Y > 2)",
+    "fig4_all": "SELECT b.K, b.X FROM B b WHERE b.X >= ALL "
+                "(SELECT r.Y FROM R r WHERE r.K <> b.K)",
+}
 #: Pooled fragments add threads, not another way to go stale.
 POINTS = [name for name in FRAGMENTERS if name != "partitioned-w2"]
 
@@ -90,8 +110,13 @@ def check(live, rebuilt, point, contents):
         **({} if strategy in ("native", "unnest_join")
            else {"backend": "row", "rollup": "off"}))
     expected = rebuilt.execute(CASES[case], reference)
-    served = live.execute(CASES[case], options_for(strategy, *physical))
+    options = options_for(strategy, *physical)
+    served = live.execute(CASES[case], options)
     assert served.rows == expected.rows, (point, contents)
+    # The text's answer, through the front map and any kept body.
+    expected = [list(row) for row in rebuilt.execute_sql(SQL[case], reference)]
+    body = json.loads(encode(Tenant("live", live).run_query(SQL[case], options)))
+    assert body["rows"] == expected, (point, contents)
 
 
 @settings(max_examples=60, deadline=None,
@@ -305,6 +330,45 @@ def test_an_insert_during_a_read_keeps_no_rollup(monkeypatch):
     assert db.execute_sql(AVG, warm).rows == [(2,)]
     assert db.execute_sql(AVG, warm).rows == [(1,), (2,)]
     assert db.rollups.stats()["exact_hits"] == 0
+
+
+def test_a_register_during_a_bind_keeps_no_front_entry(monkeypatch):
+    db = build({"B": [(1, 5), (2, 5)], "R": [(1, 9), (2, 1)]})
+    land_inside(monkeypatch, db.cache.fronts, "put",
+                lambda: db.register("R", db.table("R").copy()))
+    db.execute_sql(AVG)
+    assert len(db.cache.fronts) == 0
+
+
+@pytest.mark.parametrize("write, binds", [
+    (lambda db: db.create_index("B", "K"), True),
+    (lambda db: db.register("R", db.table("R").copy()), True),
+    (lambda db: (db.drop_table("S"), db.create_table("S", SCHEMAS["S"])), True),
+    (lambda db: db.insert("R", [(1, 0)]), False),
+], ids=["create_index", "register", "drop_table", "insert"])
+def test_schema_ddl_binds_a_text_again_and_an_insert_does_not(
+        monkeypatch, write, binds):
+    import repro.sql
+
+    db = build({"B": [(1, 5), (2, 5)], "R": [(1, 9), (2, 1)], "S": []})
+    tenant = Tenant("t", db)
+    compiled = []
+    compile_sql = repro.sql.compile_sql
+    monkeypatch.setattr(repro.sql, "compile_sql", lambda *args: (
+        compiled.append(args[0]), compile_sql(*args))[1])
+    for options in (QueryOptions(), QueryOptions(use_cache=False, rollup="subsume")):
+        for _ in range(2):  # the second a hit off a kept body or a rollup
+            tenant.run_query(AVG, options)
+    assert len(compiled) == 2
+    write(db)
+    reference = QueryOptions(backend="row", use_cache=False)
+    expected = [list(row) for row in db.execute_sql(AVG, reference).rows]
+    assert len(compiled) == 3  # the cold reference run parses
+    for options in (QueryOptions(), QueryOptions(use_cache=False, rollup="subsume")):
+        for _ in range(2):
+            body = json.loads(encode(tenant.run_query(AVG, options)))
+            assert body["rows"] == expected
+    assert len(compiled) == (5 if binds else 3)
 
 
 def test_a_register_during_a_translation_keeps_no_translation(monkeypatch):
